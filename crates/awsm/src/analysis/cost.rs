@@ -14,7 +14,7 @@
 //!    `BrIfZ`, operand pushes consumed by fusion) weighs 0 — therefore the
 //!    naive and optimized translations of the same function consume
 //!    *identical* total fuel for the same execution, a property the
-//!    differential proptests assert.
+//!    differential property tests assert.
 //! 2. The flat code is partitioned into basic blocks (leaders: function
 //!    entry, branch targets, and the op after any terminator — branches,
 //!    `return`, `unreachable`, and calls). An explicit [`Op::Fuel`] charge

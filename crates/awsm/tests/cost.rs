@@ -1,15 +1,20 @@
 //! Integration tests for the static cost model and its preemption-latency
 //! certificates: weighted fuel as a tier-independent work meter, budget
 //! checks placed per basic block, splits under tight gap budgets, and the
-//! certificate fields (`max_gap` / `max_loop_gap` / `max_host_gap`).
+//! certificate fields (`max_gap` / `max_loop_gap` / `max_host_gap`). The
+//! work-meter and partition properties also run on seeded random programs.
+
+mod common;
 
 use awsm::{
     op_cost, translate, translate_with, BoundsStrategy, EngineConfig, Host, HostImport,
     HostOutcome, Instance, LinearMemory, NullHost, Op, StepResult, Tier, TranslateOptions, Value,
     DEFAULT_MAX_CHECK_GAP,
 };
+use common::{any_i32, Arith};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
+use sledge_testkit::cases;
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
@@ -52,25 +57,25 @@ fn work_module(iters: i32) -> Module {
     mb.build().unwrap()
 }
 
+/// Translate options of the fixed cases: the optimizer is pinned off.
+fn unopt(max_check_gap: u32) -> TranslateOptions {
+    TranslateOptions {
+        max_check_gap,
+        optimize: false,
+    }
+}
+
+/// Run to completion with per-call fuel grant `quantum`; returns the
+/// result value and total fuel consumed.
 fn run_metered(
     m: &Module,
     tier: Tier,
     bounds: BoundsStrategy,
-    gap: u32,
-    x: i32,
+    options: TranslateOptions,
+    args: &[Value],
     quantum: u64,
 ) -> (Option<u64>, u64) {
-    let cm = Arc::new(
-        translate_with(
-            m,
-            tier,
-            TranslateOptions {
-                max_check_gap: gap,
-                optimize: false,
-            },
-        )
-        .unwrap(),
-    );
+    let cm = Arc::new(translate_with(m, tier, options).unwrap());
     let mut inst = Instance::new(
         cm,
         EngineConfig {
@@ -80,7 +85,7 @@ fn run_metered(
         },
     )
     .unwrap();
-    inst.invoke_export("main", &[Value::I32(x)]).unwrap();
+    inst.invoke_export("main", args).unwrap();
     let got = loop {
         match inst.run(&mut NullHost, quantum) {
             StepResult::Complete(v) => break v,
@@ -100,8 +105,8 @@ fn tiers_and_strategies_agree_on_total_fuel() {
         &m,
         Tier::Optimized,
         BoundsStrategy::GuardRegion,
-        512,
-        7,
+        unopt(512),
+        &[Value::I32(7)],
         u64::MAX,
     );
     assert!(ref_fuel > 0);
@@ -113,7 +118,7 @@ fn tiers_and_strategies_agree_on_total_fuel() {
         (Tier::Naive, BoundsStrategy::GuardRegion),
         (Tier::Naive, BoundsStrategy::Static),
     ] {
-        let (v, fuel) = run_metered(&m, tier, bounds, 512, 7, u64::MAX);
+        let (v, fuel) = run_metered(&m, tier, bounds, unopt(512), &[Value::I32(7)], u64::MAX);
         assert_eq!(v, ref_val, "value under {tier:?}/{bounds:?}");
         assert_eq!(fuel, ref_fuel, "fuel under {tier:?}/{bounds:?}");
     }
@@ -126,13 +131,20 @@ fn chopping_preserves_totals_at_any_quantum() {
         &m,
         Tier::Optimized,
         BoundsStrategy::GuardRegion,
-        128,
-        3,
+        unopt(128),
+        &[Value::I32(3)],
         u64::MAX,
     );
     for quantum in [1, 2, 7, 33, 100] {
         for tier in [Tier::Optimized, Tier::Naive] {
-            let (v, fuel) = run_metered(&m, tier, BoundsStrategy::GuardRegion, 128, 3, quantum);
+            let (v, fuel) = run_metered(
+                &m,
+                tier,
+                BoundsStrategy::GuardRegion,
+                unopt(128),
+                &[Value::I32(3)],
+                quantum,
+            );
             assert_eq!(v, ref_val, "chopped at {quantum} under {tier:?}");
             assert_eq!(fuel, ref_fuel, "fuel chopped at {quantum} under {tier:?}");
         }
@@ -146,8 +158,8 @@ fn instrumentation_gap_budget_does_not_change_totals() {
         &m,
         Tier::Optimized,
         BoundsStrategy::GuardRegion,
-        512,
-        5,
+        unopt(512),
+        &[Value::I32(5)],
         u64::MAX,
     );
     for gap in [4, 16, 64, 4096] {
@@ -155,8 +167,8 @@ fn instrumentation_gap_budget_does_not_change_totals() {
             &m,
             Tier::Optimized,
             BoundsStrategy::GuardRegion,
-            gap,
-            5,
+            unopt(gap),
+            &[Value::I32(5)],
             u64::MAX,
         );
         assert_eq!(v, ref_val, "value at gap {gap}");
@@ -193,15 +205,7 @@ fn verify_partition(code: &[Op], max_gap: u32) {
 #[test]
 fn charges_partition_the_body_exactly() {
     for gap in [4, 32, DEFAULT_MAX_CHECK_GAP] {
-        let cm = translate_with(
-            &work_module(8),
-            Tier::Optimized,
-            TranslateOptions {
-                max_check_gap: gap,
-                optimize: false,
-            },
-        )
-        .unwrap();
+        let cm = translate_with(&work_module(8), Tier::Optimized, unopt(gap)).unwrap();
         let cert = cm.analysis.cost.as_ref().expect("certificate attached");
         assert_eq!(cert.max_check_gap, gap);
         assert!(cert.max_gap <= gap, "splitting must meet the budget");
@@ -216,15 +220,7 @@ fn charges_partition_the_body_exactly() {
 
 #[test]
 fn branch_targets_land_on_charge_sites() {
-    let cm = translate_with(
-        &work_module(8),
-        Tier::Optimized,
-        TranslateOptions {
-            max_check_gap: 16,
-            optimize: false,
-        },
-    )
-    .unwrap();
+    let cm = translate_with(&work_module(8), Tier::Optimized, unopt(16)).unwrap();
     // Every branch target must be a block leader, i.e. its chunk's charge
     // site (or a zero-cost chunk's first op, which charges nothing).
     for func in &cm.funcs {
@@ -286,15 +282,7 @@ fn tight_budget_inserts_splits_in_straight_line_code() {
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
 
-    let tight = translate_with(
-        &m,
-        Tier::Optimized,
-        TranslateOptions {
-            max_check_gap: 8,
-            optimize: false,
-        },
-    )
-    .unwrap();
+    let tight = translate_with(&m, Tier::Optimized, unopt(8)).unwrap();
     let cert = tight.analysis.cost.as_ref().unwrap();
     assert!(cert.splits > 0, "tight budget must split the block");
     assert!(cert.max_gap <= 8);
@@ -302,15 +290,7 @@ fn tight_budget_inserts_splits_in_straight_line_code() {
     // Optimizer pinned off on both sides: the totals comparison is about
     // instrumentation budgets, and DCE would remove the builder's dead
     // trailing return from one side only.
-    let loose = translate_with(
-        &m,
-        Tier::Optimized,
-        TranslateOptions {
-            max_check_gap: DEFAULT_MAX_CHECK_GAP,
-            optimize: false,
-        },
-    )
-    .unwrap();
+    let loose = translate_with(&m, Tier::Optimized, unopt(DEFAULT_MAX_CHECK_GAP)).unwrap();
     let loose_cert = loose.analysis.cost.as_ref().unwrap();
     assert_eq!(loose_cert.splits, 0, "default budget fits the block whole");
     assert!(loose_cert.max_gap > 8);
@@ -423,12 +403,120 @@ fn fuel_used_is_exact_across_pauses() {
         &m,
         Tier::Optimized,
         BoundsStrategy::GuardRegion,
-        512,
-        2,
+        unopt(512),
+        &[Value::I32(2)],
         u64::MAX,
     );
     assert_eq!(inst.fuel_used(), ref_fuel);
     // Paying one unit per call means the pause count equals total cost
     // minus what the final completing call consumed.
     assert!(quanta >= ref_fuel - 1, "quantum=1 must pause per unit");
+}
+
+// --------------------------------------------------- seeded random programs
+
+/// A loop with branching and memory traffic around the expression, so
+/// bodies exercise back edges, stores/loads, and fused compare-branches.
+fn arith_module(e: &Arith, iters: i32) -> Module {
+    let mut mb = ModuleBuilder::new("prop-cost");
+    mb.memory(1, Some(1));
+    let mut f = FuncBuilder::new(&[ValType::I32, ValType::I32], Some(ValType::I32));
+    let x = f.arg(0);
+    let y = f.arg(1);
+    let acc = f.local(ValType::I32);
+    let i = f.local(ValType::I32);
+    f.extend([
+        for_loop(
+            i,
+            i32c(0),
+            lt_s(local(i), i32c(iters)),
+            1,
+            vec![
+                set(acc, xor(local(acc), e.to_expr(x, y))),
+                if_(
+                    gt_s(local(acc), i32c(0)),
+                    vec![set(acc, sub(i32c(0), local(acc)))],
+                ),
+                store_i32(and(mul(local(i), i32c(4)), i32c(0xfff)), local(acc)),
+                set(
+                    acc,
+                    add(
+                        local(acc),
+                        load_i32(and(mul(local(i), i32c(4)), i32c(0xfff))),
+                    ),
+                ),
+            ],
+        ),
+        ret(Some(local(acc))),
+    ]);
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().expect("generated module must validate")
+}
+
+/// Both tiers consume identical total fuel for the same execution, under
+/// every bounds strategy, and chopping at any quantum neither changes the
+/// result nor the total.
+#[test]
+fn tiers_agree_on_total_fuel() {
+    cases(64, 0xF0E1_0001, |rng| {
+        let e = Arith::gen(rng, 4);
+        let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
+        let m = arith_module(&e, rng.range(1, 20) as i32);
+        let quantum = rng.range(1, 200);
+        let options = TranslateOptions {
+            max_check_gap: rng.range(8, 1024) as u32,
+            ..TranslateOptions::default()
+        };
+        let run = |tier, bounds, quantum| run_metered(&m, tier, bounds, options, &args, quantum);
+        let reference = run(Tier::Optimized, BoundsStrategy::GuardRegion, u64::MAX);
+        assert!(reference.1 > 0, "a loop iteration must cost something");
+        for (tier, bounds) in [
+            (Tier::Optimized, BoundsStrategy::Software),
+            (Tier::Optimized, BoundsStrategy::Static),
+            (Tier::Naive, BoundsStrategy::GuardRegion),
+            (Tier::Naive, BoundsStrategy::Static),
+        ] {
+            let got = run(tier, bounds, u64::MAX);
+            assert_eq!(got, reference, "tier={tier:?} bounds={bounds:?} e={e:?}");
+        }
+        // Chopped runs pay exactly the same total (debt accounting is exact).
+        for tier in [Tier::Optimized, Tier::Naive] {
+            let got = run(tier, BoundsStrategy::GuardRegion, quantum);
+            assert_eq!(
+                got, reference,
+                "chopped at {quantum}, tier={tier:?} e={e:?}"
+            );
+        }
+    });
+}
+
+/// The shipped instrumentation obeys its certificate: every `Op::Fuel`
+/// charge is at most the certified max gap, the certificate respects the
+/// requested budget whenever no single opcode outweighs it, and recomputing
+/// each check-free segment's cost from the instrumented body reproduces the
+/// charge at its head.
+#[test]
+fn observed_gaps_within_certificate() {
+    cases(64, 0x6A95_CE27, |rng| {
+        let m = arith_module(&Arith::gen(rng, 4), rng.range(1, 10) as i32);
+        let gap = rng.range(4, 256) as u32;
+        let options = TranslateOptions {
+            max_check_gap: gap,
+            ..TranslateOptions::default()
+        };
+        let cm = translate_with(&m, Tier::Optimized, options).unwrap();
+        let cert = cm.analysis.cost.as_ref().expect("certificate attached");
+        assert_eq!(cert.max_check_gap, gap);
+        // No opcode in this generator weighs more than a memory store (3)
+        // or i32 division (4), so the certificate must meet any budget >= 4.
+        assert!(
+            cert.max_gap <= gap.max(op_cost(&Op::MemoryGrow)),
+            "certified gap {} exceeds budget {gap}",
+            cert.max_gap
+        );
+        for func in &cm.funcs {
+            verify_partition(&func.code, cert.max_gap);
+        }
+    });
 }

@@ -1,14 +1,19 @@
 //! Effect-certificate tests: crafted modules whose static capability sets
 //! and write footprints must over-approximate everything the interpreter
 //! actually does at runtime, plus the reset-policy derivation and the
-//! recycled≡fresh differential under partial (static-span / elided) resets.
+//! recycled≡fresh differential under partial (static-span / elided) resets —
+//! on crafted modules first, then on seeded random store patterns.
+
+mod common;
 
 use awsm::{
     translate, BoundsStrategy, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory,
     NullHost, ResetApplied, ResetPolicy, Severity, Tier, Value, WriteFootprint,
 };
+use common::{any_i32, run_once};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, FuncBuilder, ModuleBuilder, Scalar};
+use sledge_testkit::{cases, Rng};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
@@ -397,4 +402,115 @@ fn dead_host_import_lints() {
         "{:?}",
         cm.analysis.diagnostics
     );
+}
+
+// ------------------------------------------- seeded random store patterns
+
+/// One constant-address store the generated guest may (conditionally)
+/// execute: `if x >= gate { mem[addr] = val }`.
+#[derive(Debug, Clone)]
+struct StoreSite {
+    addr: u32,
+    val: i32,
+    gate: i32,
+}
+
+fn store_sites(rng: &mut Rng) -> Vec<StoreSite> {
+    rng.vec(1, 12, |rng| StoreSite {
+        addr: rng.range(64, 65532) as u32 & !3,
+        val: any_i32(rng),
+        gate: rng.range(0, 16) as i32 - 8,
+    })
+}
+
+/// Build a guest executing the given (conditional) constant-address stores,
+/// then returning a read-back of the last site plus the argument.
+fn build_storer(sites: &[StoreSite]) -> Module {
+    let mut mb = ModuleBuilder::new("prop-effects");
+    mb.memory(1, Some(1));
+    mb.data(8, b"seed".to_vec());
+    let mut f = FuncBuilder::new(&[ValType::I32], Some(ValType::I32));
+    let x = f.arg(0);
+    for s in sites {
+        f.push(if_(
+            ge_s(local(x), i32c(s.gate)),
+            vec![store(Scalar::I32, i32c(s.addr as i32), 0, i32c(s.val))],
+        ));
+    }
+    let last = sites.last().expect("at least one site");
+    f.push(ret(Some(add(
+        load(Scalar::I32, i32c(last.addr as i32), 0),
+        local(x),
+    ))));
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().expect("generated module must validate")
+}
+
+/// Soundness of the write-footprint certificate: the runtime high-water
+/// mark never escapes the static bound, for arbitrary store patterns and
+/// inputs (conditional stores must be covered whether or not they fire).
+#[test]
+fn static_footprint_covers_runtime_high_water() {
+    cases(64, 0xEFFE_C750, |rng| {
+        let sites = store_sites(rng);
+        let cm = Arc::new(translate(&build_storer(&sites), Tier::Optimized).unwrap());
+        let eff = cm.analysis.effects.clone().expect("certificate");
+        let entry = cm.export("main").expect("main export");
+        let (_, footprint, may_grow) = eff.entry_effect(entry).expect("entry effect");
+        assert!(!may_grow);
+
+        // Constant-address stores must certify to a bounded span covering
+        // every site, executed or not.
+        let WriteFootprint::Span { lo, hi } = footprint else {
+            panic!("expected span, got {footprint}");
+        };
+        for s in &sites {
+            let addr = u64::from(s.addr);
+            assert!(
+                lo <= addr && addr + 4 <= hi,
+                "site {addr} outside [{lo}, {hi})"
+            );
+        }
+
+        let template_len = cm.template.image().len() as u64;
+        let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
+        run_once(&mut inst, &[Value::I32(any_i32(rng))]);
+        let hwm = inst.memory().high_water_mark() as u64;
+        assert!(
+            hwm <= hi.max(template_len),
+            "runtime hwm {hwm} escaped static bound {hi} (template {template_len})"
+        );
+    });
+}
+
+/// The differential property under the *derived* reset policy: whatever
+/// strategy `reset_policy` picks (static span or full), a recycled
+/// instance replaying the baseline input is indistinguishable from a
+/// fresh one.
+#[test]
+fn recycled_under_derived_policy_is_fresh() {
+    cases(64, 0x0DE2_17ED, |rng| {
+        let cm = Arc::new(translate(&build_storer(&store_sites(rng)), Tier::Optimized).unwrap());
+        let policy = cm.reset_policy("main");
+        // Stores start at byte 64, past the 12-byte template: the derivation
+        // must never be forced below a static span for these programs.
+        assert!(
+            matches!(policy, ResetPolicy::StaticSpan { .. }),
+            "{policy:?}"
+        );
+        let cfg = EngineConfig::default();
+        let (x, dirty_x) = ([Value::I32(any_i32(rng))], [Value::I32(any_i32(rng))]);
+
+        let mut fresh = Instance::new(Arc::clone(&cm), cfg).unwrap();
+        let want = run_once(&mut fresh, &x);
+
+        let mut recycled = Instance::new(cm, cfg).unwrap();
+        for _ in 0..rng.range(1, 6) {
+            run_once(&mut recycled, &dirty_x);
+            recycled.reset_with(policy).unwrap();
+            assert_eq!(run_once(&mut recycled, &x), want);
+            recycled.reset_with(policy).unwrap();
+        }
+    });
 }

@@ -1,13 +1,19 @@
 //! End-to-end engine tests: guest programs written in the `sledge-guestc`
 //! DSL (and some hand-assembled Wasm), executed under every tier and bounds
-//! strategy.
+//! strategy — fixed programs first, then seeded random expressions checked
+//! against native Rust evaluation and random memory-access scripts checked
+//! across bounds strategies.
+
+mod common;
 
 use awsm::{
     translate, BoundsStrategy, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory,
     NullHost, StepResult, Tier, Trap, Value,
 };
+use common::{any_i32, Arith};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
+use sledge_testkit::{cases, Rng};
 use sledge_wasm::instr::{BlockType, Instr};
 use sledge_wasm::module::{Export, FuncBody, Module};
 use sledge_wasm::types::{FuncType, Limits, MemoryType, ValType};
@@ -25,24 +31,13 @@ const ALL_CONFIGS: &[(Tier, BoundsStrategy)] = &[
 ];
 
 fn run_all_configs(m: &Module, entry: &str, args: &[Value]) -> Vec<Option<u64>> {
-    let mut results = Vec::new();
-    for (tier, bounds) in ALL_CONFIGS {
-        let cm = Arc::new(translate(m, *tier).expect("translate"));
-        let mut inst = Instance::new(
-            cm,
-            EngineConfig {
-                bounds: *bounds,
-                tier: *tier,
-                ..Default::default()
-            },
-        )
-        .expect("instantiate");
-        let v = inst
-            .call_complete(entry, args, &mut NullHost)
-            .unwrap_or_else(|e| panic!("{tier:?}/{bounds:?}: {e}"));
-        results.push(v);
-    }
-    results
+    ALL_CONFIGS
+        .iter()
+        .map(|&(tier, bounds)| {
+            run_config(m, entry, args, tier, bounds)
+                .unwrap_or_else(|trap| panic!("{tier:?}/{bounds:?}: {trap}"))
+        })
+        .collect()
 }
 
 fn assert_all_configs(m: &Module, entry: &str, args: &[Value], expect: u64) {
@@ -52,11 +47,22 @@ fn assert_all_configs(m: &Module, entry: &str, args: &[Value], expect: u64) {
 }
 
 fn single(m: &Module, entry: &str, args: &[Value]) -> Result<Option<u64>, Trap> {
-    let cm = Arc::new(translate(m, Tier::Optimized).expect("translate"));
+    run_config(m, entry, args, Tier::Optimized, BoundsStrategy::Software)
+}
+
+fn run_config(
+    m: &Module,
+    entry: &str,
+    args: &[Value],
+    tier: Tier,
+    bounds: BoundsStrategy,
+) -> Result<Option<u64>, Trap> {
+    let cm = Arc::new(translate(m, tier).expect("translate"));
     let mut inst = Instance::new(
         cm,
         EngineConfig {
-            bounds: BoundsStrategy::Software,
+            bounds,
+            tier,
             ..Default::default()
         },
     )
@@ -873,4 +879,189 @@ fn f32_min_max_copysign_semantics() {
     // max(-0, 0) must be +0; min with copysign(−0 sign) must be -2.
     let r = single(&m, "main", &[Value::F32(2.0), Value::F32(-1.0)]).unwrap();
     assert_eq!(f32::from_bits(r.unwrap() as u32), -2.0);
+}
+
+// ------------------------------------- seeded: expressions against native
+
+fn expr_module(e: &Arith) -> Module {
+    let mut mb = ModuleBuilder::new("prop");
+    let mut f = FuncBuilder::new(&[ValType::I32, ValType::I32], Some(ValType::I32));
+    let x = f.arg(0);
+    let y = f.arg(1);
+    f.push(ret(Some(e.to_expr(x, y))));
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().expect("generated module must validate")
+}
+
+#[test]
+fn random_expressions_match_native_all_configs() {
+    cases(96, 0x5E3A_471C, |rng| {
+        let e = Arith::gen(rng, 5);
+        let (x, y) = (any_i32(rng), any_i32(rng));
+        let expect = e.eval(x, y) as u32 as u64;
+        for got in run_all_configs(&expr_module(&e), "main", &[Value::I32(x), Value::I32(y)]) {
+            assert_eq!(got, Some(expect), "x={x} y={y} e={e:?}");
+        }
+    });
+}
+
+#[test]
+fn chopped_execution_is_deterministic() {
+    cases(96, 0xC40B_BED0, |rng| {
+        let e = Arith::gen(rng, 5);
+        let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
+        let fuel = rng.range(1, 50);
+        // A loop around the expression so there is something to chop.
+        let mut mb = ModuleBuilder::new("prop");
+        let mut f = FuncBuilder::new(&[ValType::I32, ValType::I32], Some(ValType::I32));
+        let xv = f.arg(0);
+        let yv = f.arg(1);
+        let acc = f.local(ValType::I32);
+        let i = f.local(ValType::I32);
+        f.extend([
+            for_loop(
+                i,
+                i32c(0),
+                lt_s(local(i), i32c(50)),
+                1,
+                vec![
+                    set(acc, xor(local(acc), e.to_expr(xv, yv))),
+                    set(acc, add(local(acc), local(i))),
+                ],
+            ),
+            ret(Some(local(acc))),
+        ]);
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        let m = mb.build().unwrap();
+
+        let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
+        let mut direct = Instance::new(cm.clone(), EngineConfig::default()).unwrap();
+        let want = direct.call_complete("main", &args, &mut NullHost).unwrap();
+
+        let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
+        inst.invoke_export("main", &args).unwrap();
+        let got = loop {
+            match inst.run(&mut NullHost, fuel) {
+                StepResult::Complete(v) => break v,
+                StepResult::OutOfFuel => continue,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        assert_eq!(got, want, "fuel={fuel} e={e:?}");
+    });
+}
+
+// ------------------------------- seeded: memory across bounds strategies
+
+/// Build a guest that performs a scripted sequence of stores then sums a
+/// scripted sequence of loads, all at the given (address, value) pairs.
+fn access_module(stores: &[(u32, u32)], loads: &[u32]) -> Module {
+    let mut mb = ModuleBuilder::new("mem");
+    mb.memory(2, Some(4));
+    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+    let acc = f.local(ValType::I32);
+    let mut body = Vec::new();
+    for (addr, val) in stores {
+        body.push(store(Scalar::I32, i32c(*addr as i32), 0, i32c(*val as i32)));
+    }
+    for addr in loads {
+        body.push(set(
+            acc,
+            add(local(acc), load(Scalar::I32, i32c(*addr as i32), 0)),
+        ));
+    }
+    body.push(ret(Some(local(acc))));
+    f.extend(body);
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().expect("valid module")
+}
+
+fn run_access(m: &Module, tier: Tier, bounds: BoundsStrategy) -> Result<u32, Trap> {
+    run_config(m, "main", &[], tier, bounds).map(|v| v.expect("result") as u32)
+}
+
+/// 2 pages committed = 131072 bytes; the last address an i32 access fits at.
+const LIMIT: u64 = 2 * 65536 - 4;
+
+/// Up to 11 stores and 1 to 11 loads, all at addresses below `addr_end`.
+fn access_script(rng: &mut Rng, addr_end: u64) -> (Vec<(u32, u32)>, Vec<u32>) {
+    let stores = rng.vec(0, 12, |r| {
+        (r.range(0, addr_end) as u32, r.next_u64() as u32)
+    });
+    let loads = rng.vec(1, 12, |r| r.range(0, addr_end) as u32);
+    (stores, loads)
+}
+
+#[test]
+fn in_bounds_programs_agree_across_all_strategies() {
+    cases(64, 0x1B0D_D500, |rng| {
+        let (stores, loads) = access_script(rng, LIMIT + 1);
+        let m = access_module(&stores, &loads);
+        let reference =
+            run_access(&m, Tier::Optimized, BoundsStrategy::Software).expect("in bounds");
+        for &(tier, bounds) in ALL_CONFIGS {
+            assert_eq!(
+                run_access(&m, tier, bounds).expect("in bounds"),
+                reference,
+                "strategy {tier:?}/{bounds:?}"
+            );
+        }
+    });
+}
+
+#[test]
+fn out_of_bounds_loads_trap_under_checking_strategies() {
+    cases(64, 0x00B5_72A9, |rng| {
+        let m = access_module(&[], &[rng.range(LIMIT + 1, u64::from(u32::MAX) - 4) as u32]);
+        for bounds in [
+            BoundsStrategy::Software,
+            BoundsStrategy::MpxEmulated,
+            BoundsStrategy::Static,
+        ] {
+            assert_eq!(
+                run_access(&m, Tier::Optimized, bounds),
+                Err(Trap::OutOfBounds),
+                "bounds {bounds:?}"
+            );
+        }
+        // Guard-region wraps (documented substitution) but must not crash.
+        assert!(run_access(&m, Tier::Optimized, BoundsStrategy::GuardRegion).is_ok());
+    });
+}
+
+/// The differential property behind bounds-check elision: for *any* access
+/// pattern — in bounds or not — the `Static` strategy must be
+/// observationally identical to `Software`, both in results and traps.
+/// Elision may only fire where the analyzer proved the check redundant.
+#[test]
+fn static_strategy_is_observationally_identical_to_software() {
+    cases(64, 0x57A7_1C00, |rng| {
+        let (stores, loads) = access_script(rng, 1 << 32);
+        let m = access_module(&stores, &loads);
+        for tier in [Tier::Optimized, Tier::Naive] {
+            assert_eq!(
+                run_access(&m, tier, BoundsStrategy::Static),
+                run_access(&m, tier, BoundsStrategy::Software),
+                "tier {tier:?} stores={stores:?} loads={loads:?}"
+            );
+        }
+    });
+}
+
+#[test]
+fn stores_then_loads_roundtrip_values() {
+    cases(64, 0x2007_D721, |rng| {
+        // Non-overlapping 4-byte slots: scale addresses by 8.
+        let mut slots = rng.vec(1, 8, |r| r.range(0, LIMIT / 8 + 1) as u32 * 8);
+        slots.sort_unstable();
+        slots.dedup();
+        let stores: Vec<(u32, u32)> = slots.iter().map(|a| (*a, rng.next_u64() as u32)).collect();
+        let expect = stores.iter().fold(0u32, |sum, (_, v)| sum.wrapping_add(*v));
+        let m = access_module(&stores, &slots);
+        let got = run_access(&m, Tier::Optimized, BoundsStrategy::Software).expect("in bounds");
+        assert_eq!(got, expect);
+    });
 }

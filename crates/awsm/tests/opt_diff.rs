@@ -1,24 +1,29 @@
-//! Deterministic differential tests for the translate-time optimizer — the
-//! always-compiled twin of `prop_opt.rs` (the property suite needs the real
-//! `proptest` crate). Fixed guest programs exercising constant folding,
-//! dead-code elimination, branch simplification, fusion, and bounds-check
-//! elision are run with the optimizer on and off; results, traps, fuel, and
-//! full-memory hashes must match across both tiers and bounds strategies.
+//! Differential tests for the translate-time optimizer. Guest programs
+//! exercising constant folding, dead-code elimination, branch simplification,
+//! fusion, and bounds-check elision are run with the optimizer on and off;
+//! results, traps, fuel, and full-memory hashes must match across both tiers
+//! and bounds strategies. Each property runs on fixed boundary inputs and on
+//! seeded random programs.
+
+mod common;
 
 use awsm::{
     translate_with, BoundsStrategy, EngineConfig, Instance, NullHost, Tier, TranslateOptions, Trap,
     Value, DEFAULT_MAX_CHECK_GAP,
 };
+use common::{any_i32, run_once, Arith, BinOp};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
+use sledge_testkit::cases;
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
 
 /// A guest with something for every optimizer pass: a constant preamble
 /// routed through locals, a constant-condition branch with a dead arm,
-/// dominated stores, a store/load loop, and a global accumulator.
-fn workout_module(dead_arm_taken: bool) -> Module {
+/// dominated stores, a store/load loop of `iters` rounds, and a global
+/// accumulator. `arms` are what the two sides of the branch compute.
+fn workout_module(arms: [&Arith; 2], iters: i32, dead_arm_taken: bool) -> Module {
     let mut mb = ModuleBuilder::new("opt-diff");
     mb.memory(1, Some(2));
     mb.data(8, b"opt!".to_vec());
@@ -43,8 +48,8 @@ fn workout_module(dead_arm_taken: bool) -> Module {
     // Constant-condition branch: one arm statically dead.
     f.push(if_else(
         i32c(if dead_arm_taken { 1 } else { 0 }),
-        vec![set(v, add(mul(local(x), local(y)), local(k)))],
-        vec![set(v, xor(sub(local(x), local(y)), local(k)))],
+        vec![set(v, add(arms[0].to_expr(x, y), local(k)))],
+        vec![set(v, xor(arms[1].to_expr(x, y), local(k)))],
     ));
     f.push(set_global(g, add(global(g, ValType::I32), local(v))));
     // Constant-address stores; the second is dominated by the first.
@@ -58,7 +63,7 @@ fn workout_module(dead_arm_taken: bool) -> Module {
     f.push(for_loop(
         i,
         i32c(0),
-        lt_s(local(i), i32c(11)),
+        lt_s(local(i), i32c(iters)),
         1,
         vec![
             store(
@@ -90,6 +95,12 @@ fn workout_module(dead_arm_taken: bool) -> Module {
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     mb.build().expect("module must validate")
+}
+
+/// The fixed workout: `x * y` on one arm, `x - y` on the other, 11 rounds.
+fn fixed_workout(dead_arm_taken: bool) -> Module {
+    let bin = |op| Arith::Bin(op, Box::new(Arith::X), Box::new(Arith::Y));
+    workout_module([&bin(BinOp::Mul), &bin(BinOp::Sub)], 11, dead_arm_taken)
 }
 
 /// A guest whose second store traps iff `off` pushes it past the page.
@@ -127,19 +138,6 @@ fn translate_opt(m: &Module, tier: Tier, optimize: bool) -> Arc<awsm::CompiledMo
     )
 }
 
-fn fnv_memory_hash(inst: &Instance) -> u64 {
-    let mem = inst.memory();
-    let bytes = mem
-        .read_bytes(0, mem.size_bytes() as u32)
-        .expect("full-memory read");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn observe(
     cm: Arc<awsm::CompiledModule>,
     tier: Tier,
@@ -155,10 +153,7 @@ fn observe(
         },
     )
     .unwrap();
-    let out = inst
-        .call_complete("main", args, &mut NullHost)
-        .expect("trap-free guest must complete");
-    (out, fnv_memory_hash(&inst), inst.fuel_used())
+    run_once(&mut inst, args)
 }
 
 fn observe_trap(
@@ -198,7 +193,7 @@ const INPUTS: &[(i32, i32)] = &[
 #[test]
 fn optimized_matches_unoptimized_on_result_memory_and_fuel() {
     for dead_arm in [false, true] {
-        let m = workout_module(dead_arm);
+        let m = fixed_workout(dead_arm);
         for tier in [Tier::Optimized, Tier::Naive] {
             let base = translate_opt(&m, tier, false);
             let opt = translate_opt(&m, tier, true);
@@ -222,7 +217,7 @@ fn optimized_matches_unoptimized_on_result_memory_and_fuel() {
 fn optimizer_actually_optimizes_the_workout() {
     // The differential test is vacuous if the optimizer did nothing; pin
     // that the workout module really exercises the passes.
-    let opt = translate_opt(&workout_module(false), Tier::Optimized, true);
+    let opt = translate_opt(&fixed_workout(false), Tier::Optimized, true);
     let report = opt.analysis.opt.as_ref().expect("optimizer report");
     assert!(report.ops_after < report.ops_before, "{report:?}");
     assert!(report.folded > 0, "constant folding fired: {report:?}");
@@ -236,7 +231,7 @@ fn optimizer_actually_optimizes_the_workout() {
         "dominated checks elided: {report:?}"
     );
     // Opt-off translation carries no report.
-    let base = translate_opt(&workout_module(false), Tier::Optimized, false);
+    let base = translate_opt(&fixed_workout(false), Tier::Optimized, false);
     assert!(base.analysis.opt.is_none());
 }
 
@@ -269,29 +264,100 @@ fn traps_are_preserved_across_optimization() {
     }
 }
 
-#[test]
-fn recycled_optimized_instance_matches_fresh() {
-    let m = workout_module(false);
-    let cm = translate_opt(&m, Tier::Optimized, true);
+/// A recycled instance of the *optimized* translation of `m` (dirtied with
+/// `dirt`, reset from its memory template) replays `args` exactly as a
+/// fresh instance runs them.
+fn assert_recycled_optimized_is_fresh(m: &Module, args: &[Value], dirt: &[Value]) {
+    let cm = translate_opt(m, Tier::Optimized, true);
     let cfg = EngineConfig::default();
-    let args = [Value::I32(4242), Value::I32(-99)];
-
     let mut fresh = Instance::new(Arc::clone(&cm), cfg).unwrap();
-    let want_out = fresh.call_complete("main", &args, &mut NullHost).unwrap();
-    let want = (want_out, fnv_memory_hash(&fresh), fresh.fuel_used());
+    let want = run_once(&mut fresh, args);
 
     let mut recycled = Instance::new(cm, cfg).unwrap();
-    recycled
-        .call_complete(
-            "main",
-            &[Value::I32(-31415), Value::I32(926)],
-            &mut NullHost,
-        )
-        .unwrap();
+    run_once(&mut recycled, dirt);
     recycled.reset_from_template().unwrap();
-    let got_out = recycled
-        .call_complete("main", &args, &mut NullHost)
-        .unwrap();
-    let got = (got_out, fnv_memory_hash(&recycled), recycled.fuel_used());
-    assert_eq!(got, want);
+    assert_eq!(run_once(&mut recycled, args), want);
+}
+
+#[test]
+fn recycled_optimized_instance_matches_fresh() {
+    assert_recycled_optimized_is_fresh(
+        &fixed_workout(false),
+        &[Value::I32(4242), Value::I32(-99)],
+        &[Value::I32(-31415), Value::I32(926)],
+    );
+}
+
+// --------------------------------------------------- seeded random programs
+
+/// The core translation-validation property, dynamically: optimized and
+/// unoptimized translations of the same module are observationally
+/// identical — result, full-memory hash, and total fuel — across both
+/// tiers and both checking bounds strategies.
+#[test]
+fn optimized_is_observationally_unoptimized() {
+    cases(48, 0x0071_D1FF, |rng| {
+        let e = Arith::gen(rng, 4);
+        let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
+        let m = workout_module([&e, &e], rng.range(1, 16) as i32, rng.flip());
+        for tier in [Tier::Optimized, Tier::Naive] {
+            let base = translate_opt(&m, tier, false);
+            let opt = translate_opt(&m, tier, true);
+            assert!(opt.analysis.opt.is_some(), "optimizer report attached");
+            awsm::validate_opt(&opt).expect("certificate must validate");
+            for bounds in [BoundsStrategy::Software, BoundsStrategy::GuardRegion] {
+                let want = observe(Arc::clone(&base), tier, bounds, &args);
+                let got = observe(Arc::clone(&opt), tier, bounds, &args);
+                assert_eq!(got, want, "tier={tier:?} bounds={bounds:?} e={e:?}");
+            }
+        }
+    });
+}
+
+/// Trap preservation: a guest that traps does so identically with the
+/// optimizer on and off, in both tiers. Fuel is compared in the naive
+/// tier only (per-op charging observes the same executed prefix); the
+/// optimized tier prepays block segments whose layout the optimizer may
+/// legally reshape past the trap point.
+#[test]
+fn traps_are_preserved() {
+    cases(48, 0x72A9_5AFE, |rng| {
+        let off = if rng.flip() {
+            rng.range(0, 1024)
+        } else {
+            rng.range(64_000, 70_000)
+        } as u32;
+        let m = trapping_module(off);
+        let args = [Value::I32(any_i32(rng))];
+        for tier in [Tier::Optimized, Tier::Naive] {
+            let base = translate_opt(&m, tier, false);
+            let opt = translate_opt(&m, tier, true);
+            for bounds in [BoundsStrategy::Software, BoundsStrategy::GuardRegion] {
+                let (want, want_fuel) = observe_trap(Arc::clone(&base), tier, bounds, &args);
+                let (got, got_fuel) = observe_trap(Arc::clone(&opt), tier, bounds, &args);
+                assert_eq!(got, want, "tier={tier:?} bounds={bounds:?} off={off}");
+                if tier == Tier::Naive || want.is_ok() {
+                    assert_eq!(
+                        got_fuel, want_fuel,
+                        "fuel: tier={tier:?} bounds={bounds:?} off={off}"
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// Pool-path equivalence: a recycled instance of an *optimized* module
+/// (reset from its memory template) stays observationally identical to
+/// a fresh instance — the optimizer must not perturb the template or
+/// the high-water-mark reset.
+#[test]
+fn recycled_optimized_instance_is_fresh() {
+    cases(48, 0x0F2E_5400, |rng| {
+        let e = Arith::gen(rng, 4);
+        let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
+        let dirt = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
+        let m = workout_module([&e, &e], rng.range(1, 8) as i32, false);
+        assert_recycled_optimized_is_fresh(&m, &args, &dirt);
+    });
 }

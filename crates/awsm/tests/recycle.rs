@@ -1,14 +1,19 @@
 //! Recycling tests: an instance reset in place from its module's
 //! [`MemoryTemplate`] must be observationally identical to a freshly
 //! instantiated one — same outputs, same linear-memory contents, same fuel —
-//! no matter how thoroughly the previous invocation dirtied it.
+//! no matter how thoroughly the previous invocation dirtied it. Fixed cases
+//! first, then the same property over seeded random stateful guests.
+
+mod common;
 
 use awsm::{
     translate, BoundsStrategy, EngineConfig, Instance, InstanceError, NullHost, StepResult, Tier,
     Value,
 };
+use common::{any_i32, fnv_memory_hash, run_once, Arith};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, FuncBuilder, ModuleBuilder, Scalar};
+use sledge_testkit::cases;
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
@@ -45,19 +50,6 @@ fn stateful_module() -> Module {
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     mb.build().unwrap()
-}
-
-fn fnv_memory_hash(inst: &Instance) -> u64 {
-    let mem = inst.memory();
-    let bytes = mem
-        .read_bytes(0, mem.size_bytes() as u32)
-        .expect("full-memory read");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]
@@ -194,4 +186,111 @@ fn repeated_recycling_stays_pristine() {
         assert_eq!(inst.fuel_used(), want_fuel, "round {round}");
         assert_eq!(fnv_memory_hash(&inst), want_hash, "round {round}");
     }
+}
+
+/// Build a guest that evaluates `e`, scribbles the result across a stride of
+/// memory words (addresses masked into page 0), mutates a global accumulator,
+/// optionally grows memory and dirties the new page, and returns a value that
+/// depends on the global, a template data byte, and a read-back of the
+/// scribbled memory.
+fn build_stateful(e: &Arith, stores: u32, grow: bool) -> Module {
+    let mut mb = ModuleBuilder::new("prop-recycle");
+    mb.memory(1, Some(4));
+    mb.data(8, b"seed".to_vec());
+    let g = mb.global_i32(17);
+    let mut f = FuncBuilder::new(&[ValType::I32, ValType::I32], Some(ValType::I32));
+    let x = f.arg(0);
+    let y = f.arg(1);
+    let v = f.local(ValType::I32);
+    let i = f.local(ValType::I32);
+    let addr = f.local(ValType::I32);
+    f.push(set(v, e.to_expr(x, y)));
+    f.push(set_global(g, add(global(g, ValType::I32), local(v))));
+    // Scribble `stores` words at value-dependent (masked) addresses.
+    f.push(for_loop(
+        i,
+        i32c(0),
+        lt_s(local(i), i32c(stores as i32)),
+        1,
+        vec![
+            set(
+                addr,
+                and(add(local(v), mul(local(i), i32c(52))), i32c(0xFFFC)),
+            ),
+            store(Scalar::I32, local(addr), 0, xor(local(v), local(i))),
+        ],
+    ));
+    if grow {
+        f.push(set(i, Expr::MemoryGrow(Box::new(i32c(1)))));
+        f.push(store(
+            Scalar::I32,
+            i32c(65536 + 128),
+            0,
+            global(g, ValType::I32),
+        ));
+    }
+    f.push(ret(Some(add(
+        add(
+            mul(global(g, ValType::I32), i32c(31)),
+            load(Scalar::U8, i32c(8), 0),
+        ),
+        load(Scalar::I32, and(local(v), i32c(0xFFFC)), 0),
+    ))));
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().expect("generated module must validate")
+}
+
+/// The differential property at the heart of the warm pool: recycled ≡
+/// fresh, for arbitrary programs, dirtying patterns, and input pairs.
+#[test]
+fn recycled_is_observationally_fresh() {
+    cases(64, 0x5EC7_C1E0, |rng| {
+        let e = Arith::gen(rng, 4);
+        let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
+        let dirt = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
+        let m = build_stateful(&e, rng.range(1, 24) as u32, rng.flip());
+        for (tier, bounds) in [
+            (Tier::Optimized, BoundsStrategy::Software),
+            (Tier::Optimized, BoundsStrategy::GuardRegion),
+            (Tier::Naive, BoundsStrategy::Software),
+        ] {
+            let cm = Arc::new(translate(&m, tier).unwrap());
+            let cfg = EngineConfig {
+                bounds,
+                tier,
+                ..Default::default()
+            };
+
+            let mut fresh = Instance::new(Arc::clone(&cm), cfg).unwrap();
+            let want = run_once(&mut fresh, &args);
+
+            let mut recycled = Instance::new(cm, cfg).unwrap();
+            // Dirty with unrelated inputs, then reset and replay.
+            run_once(&mut recycled, &dirt);
+            recycled.reset_from_template().unwrap();
+            assert_eq!(recycled.memory().pages(), 1);
+            let got = run_once(&mut recycled, &args);
+
+            assert_eq!(got, want, "tier={tier:?} bounds={bounds:?} e={e:?}");
+        }
+    });
+}
+
+/// Many consecutive recycles of one instance never drift from the fresh
+/// baseline (the high-water-mark tracking must stay sound under reuse).
+#[test]
+fn repeated_recycles_never_drift() {
+    cases(64, 0xD21F_7000, |rng| {
+        let e = Arith::gen(rng, 4);
+        let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
+        let m = build_stateful(&e, 8, false);
+        let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
+        let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
+        let want = run_once(&mut inst, &args);
+        for _ in 0..rng.range(2, 12) {
+            inst.reset_from_template().unwrap();
+            assert_eq!(run_once(&mut inst, &args), want, "e={e:?}");
+        }
+    });
 }

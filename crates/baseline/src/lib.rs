@@ -20,12 +20,11 @@
 //! `SLEDGE_BASELINE_WORKER=<fn>` set; call [`worker_child_main`] early in
 //! `main` of any binary that drives this pool (the benches and tests do).
 
-use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -112,18 +111,28 @@ impl BaselineHandle {
     }
 }
 
+/// The next job for one of a pool's threads, which take turns at the one
+/// receiver. The lock is held for the receive alone — never while the job
+/// runs — and a poisoned one is recovered: a receiver has no state to corrupt.
+fn next_job<T>(jobs: &Mutex<Receiver<T>>) -> Option<T> {
+    jobs.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .recv()
+        .ok()
+}
+
 struct Job {
     function: String,
-    body: Bytes,
-    tx: Sender<BaselineCompletion>,
+    body: Vec<u8>,
+    tx: SyncSender<BaselineCompletion>,
     arrival: Instant,
 }
 
 /// The process-per-invocation pool (Nuclio's shell function processor).
 pub struct ProcessPool {
-    jobs: Sender<Job>,
+    jobs: SyncSender<Job>,
     threads: Vec<JoinHandle<()>>,
-    rejected: Arc<Mutex<u64>>,
+    rejected: AtomicU64,
 }
 
 impl ProcessPool {
@@ -134,14 +143,14 @@ impl ProcessPool {
     /// `std::env::current_exe()` in binaries that call
     /// [`worker_child_main`].
     pub fn new(exe: std::path::PathBuf, max_workers: usize, backlog: usize) -> Self {
-        let (tx, rx) = bounded::<Job>(backlog);
-        let rejected = Arc::new(Mutex::new(0u64));
+        let (tx, rx) = sync_channel::<Job>(backlog);
+        let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::new();
         for _ in 0..max_workers {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let exe = exe.clone();
             threads.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
+                while let Some(job) = next_job(&rx) {
                     let completion = run_in_child(&exe, &job);
                     let _ = job.tx.send(completion);
                 }
@@ -150,23 +159,24 @@ impl ProcessPool {
         ProcessPool {
             jobs: tx,
             threads,
-            rejected,
+            rejected: AtomicU64::new(0),
         }
     }
 
     /// Submit a request; returns a handle. If the backlog is full the
     /// handle resolves immediately to a failed completion (the 503 path).
-    pub fn invoke(&self, function: &str, body: impl Into<Bytes>) -> BaselineHandle {
-        let (tx, rx) = bounded(1);
+    pub fn invoke(&self, function: &str, body: impl Into<Vec<u8>>) -> BaselineHandle {
+        let (tx, rx) = sync_channel(1);
         let job = Job {
             function: function.to_string(),
             body: body.into(),
             tx,
             arrival: Instant::now(),
         };
-        if let Err(e) = self.jobs.try_send(job) {
-            *self.rejected.lock() += 1;
-            let job = e.into_inner();
+        if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) =
+            self.jobs.try_send(job)
+        {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
             let _ = job.tx.send(BaselineCompletion {
                 body: Vec::new(),
                 ok: false,
@@ -179,7 +189,7 @@ impl ProcessPool {
 
     /// Number of rejected (overloaded) requests.
     pub fn rejected(&self) -> u64 {
-        *self.rejected.lock()
+        self.rejected.load(Ordering::Relaxed)
     }
 
     /// Stop accepting work and join the slots.
@@ -217,19 +227,20 @@ fn run_in_child(exe: &std::path::Path, job: &Job) -> BaselineCompletion {
     // finish writing the request, so drain stdout on a helper thread.
     let mut stdin = child.stdin.take();
     let mut stdout = child.stdout.take();
-    let body_copy = job.body.clone();
-    let writer = std::thread::spawn(move || {
-        stdin
-            .take()
-            .map(|mut s| s.write_all(&body_copy).is_ok())
-            .unwrap_or(false)
-    });
     let mut body = Vec::new();
-    let ok_out = stdout
-        .take()
-        .map(|mut s| s.read_to_end(&mut body).is_ok())
-        .unwrap_or(false);
-    let ok_in = writer.join().unwrap_or(false);
+    let (ok_in, ok_out) = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            stdin
+                .take()
+                .map(|mut s| s.write_all(&job.body).is_ok())
+                .unwrap_or(false)
+        });
+        let ok_out = stdout
+            .take()
+            .map(|mut s| s.read_to_end(&mut body).is_ok())
+            .unwrap_or(false);
+        (writer.join().unwrap_or(false), ok_out)
+    });
     let status_ok = child.wait().map(|s| s.success()).unwrap_or(false);
 
     BaselineCompletion {
@@ -257,22 +268,25 @@ pub fn fork_exec_wait(program: &str) -> std::io::Result<Duration> {
     Ok(start.elapsed())
 }
 
+type ThreadJob = (NativeFn, Vec<u8>, SyncSender<BaselineCompletion>, Instant);
+
 /// An in-process thread-per-request executor: the "shared container,
 /// process amortized" ablation point between full process churn and Sledge.
 pub struct ThreadPool {
-    jobs: Sender<(NativeFn, Bytes, Sender<BaselineCompletion>, Instant)>,
+    jobs: Sender<ThreadJob>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
     /// Create a pool with `workers` threads.
     pub fn new(workers: usize) -> Self {
-        let (tx, rx) = unbounded::<(NativeFn, Bytes, Sender<BaselineCompletion>, Instant)>();
+        let (tx, rx) = channel::<ThreadJob>();
+        let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::new();
         for _ in 0..workers {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             threads.push(std::thread::spawn(move || {
-                while let Ok((f, body, tx, arrival)) = rx.recv() {
+                while let Some((f, body, tx, arrival)) = next_job(&rx) {
                     let out = f(&body);
                     let _ = tx.send(BaselineCompletion {
                         body: out,
@@ -287,8 +301,8 @@ impl ThreadPool {
     }
 
     /// Submit a request.
-    pub fn invoke(&self, f: NativeFn, body: impl Into<Bytes>) -> BaselineHandle {
-        let (tx, rx) = bounded(1);
+    pub fn invoke(&self, f: NativeFn, body: impl Into<Vec<u8>>) -> BaselineHandle {
+        let (tx, rx) = sync_channel(1);
         let _ = self.jobs.send((f, body.into(), tx, Instant::now()));
         BaselineHandle { rx }
     }

@@ -6,7 +6,7 @@
 //! points on a 64-bit ring; a key is owned by the first point clockwise
 //! from its hash. Removing a node removes only its own points, so only
 //! keys it owned are remapped (≈ K/N of them) — the property the
-//! ring proptests pin down exactly.
+//! ring property tests pin down exactly.
 
 /// FNV-1a 64-bit — the same dependency-free hash the artifact checksum
 /// uses, reimplemented here so the ring stands alone.

@@ -6,7 +6,6 @@
 
 use crate::health::{BreakerConfig, NodeHealth};
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sledge_http::{
     ClientConfig, ClientResponse, ConnId, ConnectionEvent, HttpClient, HttpServer, Response,
     ServerConfig, StatusCode,
@@ -14,7 +13,8 @@ use sledge_http::{
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -214,12 +214,15 @@ impl Router {
             epoch: Instant::now(),
         });
 
-        let (job_tx, job_rx) = unbounded::<Job>();
-        let (reply_tx, reply_rx) = unbounded::<(ConnId, Vec<u8>)>();
+        let (job_tx, job_rx) = channel::<Job>();
+        // The forwarders are the one multi-consumer hand-off: they take
+        // turns at the receiver behind a mutex.
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (reply_tx, reply_rx) = channel::<(ConnId, Vec<u8>)>();
         let mut threads = Vec::new();
         for i in 0..shared.config.workers.max(1) {
             let shared = Arc::clone(&shared);
-            let (job_rx, reply_tx) = (job_rx.clone(), reply_tx.clone());
+            let (job_rx, reply_tx) = (Arc::clone(&job_rx), reply_tx.clone());
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ring-forward-{i}"))
@@ -452,13 +455,20 @@ fn forward(shared: &RouterShared, clients: &mut Vec<Option<HttpClient>>, job: &J
 
 fn forwarder_loop(
     shared: Arc<RouterShared>,
-    jobs: Receiver<Job>,
+    jobs: Arc<Mutex<Receiver<Job>>>,
     replies: Sender<(ConnId, Vec<u8>)>,
 ) {
     // One keep-alive client per node, owned by this thread.
     let mut clients: Vec<Option<HttpClient>> = shared.nodes.iter().map(|_| None).collect();
     loop {
-        match jobs.recv_timeout(Duration::from_millis(5)) {
+        // The guard is a temporary of this statement alone: it must be gone
+        // before `forward`, or one slow node would stall every forwarder.
+        // A poisoned lock is recovered; a receiver has no state to corrupt.
+        let next = jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv_timeout(Duration::from_millis(5));
+        match next {
             Ok(job) => {
                 let bytes = forward(&shared, &mut clients, &job);
                 let _ = replies.send((job.conn, bytes));

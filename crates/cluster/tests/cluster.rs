@@ -8,10 +8,13 @@ use sledge_cluster::{ingest_frame, Router, RouterConfig};
 use sledge_core::{Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
-use sledge_http::HttpClient;
+use sledge_http::{ClientConfig, HttpClient, ParseStatus, RequestParser, Response, StatusCode};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 /// Echo the request body.
@@ -355,4 +358,117 @@ fn chaos_node_kill_fails_over_with_exactly_one_completion() {
     for rt in nodes {
         rt.shutdown();
     }
+}
+
+/// One connection of a stand-in node that knows only what the router needs:
+/// `GET /healthz` is alive, any other `GET` is absent, and a `POST` is
+/// answered with `body` once `before_reply` returns.
+fn serve_conn(mut stream: TcpStream, body: &[u8], before_reply: impl Fn()) {
+    let mut parser = RequestParser::new(1 << 16);
+    let mut buf = [0u8; 4096];
+    while let Ok(n @ 1..) = stream.read(&mut buf) {
+        let mut status = parser.feed(&buf[..n]);
+        while let Ok(ParseStatus::Complete(req)) = status {
+            let resp = if req.method == "POST" {
+                before_reply();
+                Response::ok(body.to_vec())
+            } else if req.path == "/healthz" {
+                Response::ok(b"ok".to_vec())
+            } else {
+                Response::error(StatusCode::NotFound, "stand-in node")
+            };
+            if stream.write_all(&resp.to_bytes()).is_err() {
+                return;
+            }
+            status = parser.advance();
+        }
+    }
+}
+
+#[test]
+fn forwarders_forward_concurrently() {
+    // Two forwarders share one job receiver. While one of them waits on a
+    // node that sits on its reply, the other must still take and finish a
+    // request for a healthy node — which it cannot if the receiver's lock
+    // is held across `forward()`.
+    let listen = || TcpListener::bind("127.0.0.1:0").unwrap();
+    let (stalled, healthy) = (listen(), listen());
+    let members = vec![
+        ("stalled".to_string(), stalled.local_addr().unwrap()),
+        ("healthy".to_string(), healthy.local_addr().unwrap()),
+    ];
+    let config = RouterConfig {
+        workers: 2,
+        replicas: 1,
+        probe_interval: Duration::from_secs(60),
+        ..test_config()
+    };
+    let router = Router::start(config, members.clone(), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let path_owned_by = |node: &str| {
+        (0..)
+            .map(|i| format!("/fn-{i}"))
+            .find(|p| router.ring().lookup_name(p) == Some(node))
+            .unwrap()
+    };
+    let (stalled_path, healthy_path) = (path_owned_by("stalled"), path_owned_by("healthy"));
+    let router_addr = router.addr();
+    let post = move |path: &str| {
+        let config = ClientConfig {
+            read_timeout: Some(Duration::from_secs(3)),
+            ..Default::default()
+        };
+        HttpClient::with_config(router_addr, config).request("POST", path, &[], b"x")
+    };
+
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    let stopping = AtomicBool::new(false);
+
+    // Every wait in the scope is bounded and nothing in it panics, so a
+    // router that serializes its forwarders fails the assertions below
+    // instead of hanging the scope's joins.
+    let (held, through_healthy, through_stalled) = std::thread::scope(|s| {
+        let (held_tx, release_rx, stopping) = (&held_tx, &release_rx, &stopping);
+        let node = |listener: TcpListener, body: &'static [u8], stalls: bool| {
+            s.spawn(move || {
+                for stream in listener.incoming().map_while(Result::ok) {
+                    if stopping.load(Ordering::Acquire) {
+                        return;
+                    }
+                    s.spawn(move || {
+                        serve_conn(stream, body, || {
+                            if stalls {
+                                held_tx.send(()).unwrap();
+                                let _ = release_rx.lock().unwrap().recv();
+                            }
+                        })
+                    });
+                }
+            });
+        };
+        node(stalled, b"late", true);
+        node(healthy, b"prompt", false);
+
+        let slow = s.spawn(|| post(&stalled_path));
+        let held = held_rx.recv_timeout(Duration::from_secs(5)).is_ok();
+        let through_healthy = post(&healthy_path);
+        drop(release_tx);
+        let through_stalled = slow.join().unwrap();
+
+        // Closing the router's connections ends the connection threads; a
+        // last dial each gets the accept loops to see `stopping`.
+        router.shutdown();
+        stopping.store(true, Ordering::Release);
+        for (_, addr) in &members {
+            let _ = TcpStream::connect(addr);
+        }
+        (held, through_healthy, through_stalled)
+    });
+
+    assert!(held, "the stalled node never saw its request");
+    let resp = through_healthy.expect("blocked behind the stalled forwarder");
+    assert_eq!((resp.status, resp.body.as_slice()), (200, &b"prompt"[..]));
+    let resp = through_stalled.expect("the released request must complete");
+    assert_eq!((resp.status, resp.body.as_slice()), (200, &b"late"[..]));
 }

@@ -13,7 +13,8 @@
 //! arithmetic is exact: `elapsed_ns × rate` nano-tokens accrue per refill
 //! with no fractional loss, making refill monotone and drift-free.
 
-use parking_lot::Mutex;
+use crate::lock;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Nano-tokens per token.
@@ -84,7 +85,7 @@ impl TokenBucket {
     /// When the balance is short, returns how long until the deficit would
     /// refill — the `Retry-After` hint.
     pub fn try_charge(&self, cost: u64, now_ns: u64) -> Result<(), Duration> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         self.refill(&mut inner, now_ns);
         let need = cost as u128 * NANO;
         if inner.balance >= need {
@@ -103,7 +104,7 @@ impl TokenBucket {
     /// certificate over-estimated, or deduct the extra (saturating at zero
     /// — the tenant's future refills absorb the overshoot) when it ran hot.
     pub fn true_up(&self, charged: u64, used: u64, now_ns: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         self.refill(&mut inner, now_ns);
         if used <= charged {
             let credit = (charged - used) as u128 * NANO;
@@ -116,7 +117,7 @@ impl TokenBucket {
 
     /// Current balance in whole tokens at time `now_ns`.
     pub fn balance(&self, now_ns: u64) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         self.refill(&mut inner, now_ns);
         (inner.balance / NANO) as u64
     }

@@ -90,22 +90,20 @@ pub use stats::{
     RuntimeStats, StatsSnapshot,
 };
 
-use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use listener::Intake;
-use parking_lot::RwLock;
 use sledge_http::{ConnCounters, HttpServer, ServerConfig};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// State shared between the listener, workers, and timer.
 pub(crate) struct Shared {
     pub config: RuntimeConfig,
-    pub registry: RwLock<Registry>,
+    registry: RwLock<Registry>,
     pub stats: RuntimeStats,
     pub epoch: Instant,
     pub shutdown: AtomicBool,
@@ -132,7 +130,29 @@ pub(crate) struct Shared {
     pub http_conns: Option<Arc<ConnCounters>>,
 }
 
+/// The crate's one lock-poisoning policy: there is none. A thread that
+/// panicked while holding a lock must cost its own sandbox, not every thread
+/// that takes the lock after it, so the guard is recovered. That is sound
+/// because every critical section leaves its data valid at each step: a
+/// `Vec` push/pop, an `Option` store, bucket arithmetic, and a registration
+/// that builds its entry first and inserts it with its last three statements.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Shared {
+    /// Read access to the function registry (see [`lock`] on poisoning).
+    pub fn registry(&self) -> RwLockReadGuard<'_, Registry> {
+        self.registry.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Write access to the function registry.
+    pub fn registry_mut(&self) -> RwLockWriteGuard<'_, Registry> {
+        self.registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Epoch-relative monotonic nanoseconds (the breaker's clock).
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
@@ -231,8 +251,8 @@ impl Runtime {
         });
 
         let (deque, stealer) = sledge_deque::deque::<Box<Sandbox>>();
-        let (intake_tx, intake_rx) = unbounded::<Intake>();
-        let (reply_tx, reply_rx) = unbounded();
+        let (intake_tx, intake_rx) = channel::<Intake>();
+        let (reply_tx, reply_rx) = channel();
 
         let mut threads = Vec::new();
         let mut worker_shareds = Vec::new();
@@ -308,8 +328,7 @@ impl Runtime {
         wasm: &[u8],
     ) -> Result<FunctionId, RegisterError> {
         self.shared
-            .registry
-            .write()
+            .registry_mut()
             .register_wasm(config, wasm, self.shared.config.tier)
     }
 
@@ -325,15 +344,14 @@ impl Runtime {
     ) -> Result<FunctionId, RegisterError> {
         let size = sledge_wasm::encode::encode_module(module).len();
         self.shared
-            .registry
-            .write()
+            .registry_mut()
             .register_module(config, module, self.shared.config.tier, size)
     }
 
     /// Invoke function `id` with the given request body; returns a handle to
     /// wait on.
-    pub fn invoke(&self, id: FunctionId, body: impl Into<Bytes>) -> InvocationHandle {
-        let (tx, rx) = bounded(1);
+    pub fn invoke(&self, id: FunctionId, body: impl Into<Vec<u8>>) -> InvocationHandle {
+        let (tx, rx) = sync_channel(1);
         let _ = self.intake.send(Intake::Invoke {
             function: id,
             body: body.into(),
@@ -344,7 +362,7 @@ impl Runtime {
 
     /// Fire-and-forget invocation (used by load generators; only the global
     /// counters observe the result).
-    pub fn invoke_detached(&self, id: FunctionId, body: impl Into<Bytes>) {
+    pub fn invoke_detached(&self, id: FunctionId, body: impl Into<Vec<u8>>) {
         let _ = self.intake.send(Intake::Invoke {
             function: id,
             body: body.into(),
@@ -354,12 +372,12 @@ impl Runtime {
 
     /// Look up a function id by name.
     pub fn function_by_name(&self, name: &str) -> Option<FunctionId> {
-        self.shared.registry.read().by_name(name).map(|rf| rf.id)
+        self.shared.registry().by_name(name).map(|rf| rf.id)
     }
 
     /// Per-function registration info (module sizes etc.).
     pub fn function_info(&self, id: FunctionId) -> Option<Arc<RegisteredFunction>> {
-        self.shared.registry.read().get(id).cloned()
+        self.shared.registry().get(id).cloned()
     }
 
     /// Current counter snapshot.
@@ -386,14 +404,14 @@ impl Runtime {
     /// rejected, lint warnings, elided bounds checks) plus aggregated
     /// warm-pool counters.
     pub fn registry_stats(&self) -> stats::RegistryStatsSnapshot {
-        self.shared.registry.read().stats_snapshot()
+        self.shared.registry().stats_snapshot()
     }
 
     /// Aggregated warm sandbox-pool counters (all-zero when pooling is
     /// disabled via `pool_size = 0`).
     pub fn pool_stats(&self) -> pool::PoolStatsSnapshot {
         let mut snap = pool::PoolStatsSnapshot::default();
-        for rf in self.shared.registry.read().iter() {
+        for rf in self.shared.registry().iter() {
             snap.merge(&rf.pool.snapshot());
         }
         snap
@@ -401,11 +419,7 @@ impl Runtime {
 
     /// Per-function counter snapshot.
     pub fn function_stats(&self, id: FunctionId) -> Option<FunctionStatsSnapshot> {
-        self.shared
-            .registry
-            .read()
-            .get(id)
-            .map(|rf| rf.stats.snapshot())
+        self.shared.registry().get(id).map(|rf| rf.stats.snapshot())
     }
 
     /// Connection-lifecycle counter snapshot from the HTTP front end
@@ -437,7 +451,7 @@ impl Runtime {
         // Pools are emptied as part of the drain: workers stop recycling
         // and the pre-warmer pauses the moment `draining` is set, so the
         // pools stay empty for the remainder of the shutdown.
-        for rf in self.shared.registry.read().iter() {
+        for rf in self.shared.registry().iter() {
             rf.pool.drain();
         }
         let _ = self.intake.send(Intake::Wake);
@@ -491,7 +505,7 @@ impl Runtime {
         }
         // Every thread is parked; empty the warm pools so all instance
         // memory is released before the runtime object goes away.
-        for rf in self.shared.registry.read().iter() {
+        for rf in self.shared.registry().iter() {
             rf.pool.drain();
         }
     }

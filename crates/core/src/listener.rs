@@ -6,11 +6,10 @@ use crate::registry::FunctionId;
 use crate::sandbox::{Completion, Outcome, Sandbox, Timings};
 use crate::Shared;
 use awsm::EngineConfig;
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use sledge_deque::Worker as DequeWorker;
 use sledge_http::{ConnectionEvent, HttpServer, Response, StatusCode};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,7 +19,7 @@ pub type ConnId = u64;
 /// Where a completion is delivered.
 pub enum AnyResponder {
     /// In-process invoker.
-    Channel(Sender<Completion>),
+    Channel(SyncSender<Completion>),
     /// HTTP client; the worker serializes the response and hands the bytes
     /// back to the listener thread, which owns the socket.
     Http {
@@ -71,7 +70,7 @@ pub(crate) enum Intake {
     /// In-process invocation.
     Invoke {
         function: FunctionId,
-        body: Bytes,
+        body: Vec<u8>,
         responder: AnyResponder,
     },
     /// Ask the listener to exit promptly.
@@ -105,7 +104,7 @@ fn admit(
     shared: &Shared,
     deque: &DequeWorker<Box<Sandbox>>,
     function: FunctionId,
-    body: Bytes,
+    body: Vec<u8>,
     responder: AnyResponder,
 ) {
     if shared.draining.load(Ordering::Acquire) {
@@ -116,7 +115,7 @@ fn admit(
         reject(shared, function, responder, "admission queue full");
         return;
     }
-    let Some(rf) = shared.registry.read().get(function).cloned() else {
+    let Some(rf) = shared.registry().get(function).cloned() else {
         reject(shared, function, responder, "unknown function");
         return;
     };
@@ -316,8 +315,7 @@ fn try_ingest(shared: &Shared, body: &[u8]) -> Result<(String, String), String> 
     let name = config.name.clone();
     let route = config.http_route();
     shared
-        .registry
-        .write()
+        .registry_mut()
         .register_artifact(config, compiled, artifact.len())
         .map_err(|e| format!("register: {e}"))?;
     Ok((name, route))
@@ -423,13 +421,13 @@ pub(crate) fn listener_loop(
                             );
                             continue;
                         }
-                        let function = shared.registry.read().by_route(&req.path).map(|rf| rf.id);
+                        let function = shared.registry().by_route(&req.path).map(|rf| rf.id);
                         match function {
                             Some(id) => admit(
                                 &shared,
                                 &deque,
                                 id,
-                                Bytes::from(req.body),
+                                req.body,
                                 AnyResponder::Http {
                                     conn,
                                     reply: http_reply_tx.clone(),
@@ -458,18 +456,21 @@ pub(crate) fn listener_loop(
             if let Some(server) = http.as_mut() {
                 let deadline = Instant::now() + Duration::from_millis(250);
                 loop {
-                    let mut flushed_all = true;
+                    // A pass that found replies is followed by another, so
+                    // the loop ends on a pass that saw the channel empty.
+                    let mut quiet = true;
                     while let Ok((conn, bytes)) = http_reply.try_recv() {
+                        quiet = false;
                         server.send(conn, &bytes);
                     }
                     server.poll(Duration::ZERO);
-                    if server.unflushed() > 0 || !http_reply.is_empty() {
-                        flushed_all = false;
-                    }
-                    if flushed_all || Instant::now() >= deadline {
+                    let flushed = server.unflushed() == 0;
+                    if (quiet && flushed) || Instant::now() >= deadline {
                         break;
                     }
-                    std::thread::sleep(Duration::from_micros(100));
+                    if !flushed {
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
                 }
             }
             return;

@@ -228,7 +228,7 @@ impl Shared {
     /// Merge every worker shard into the global + per-function report.
     pub(crate) fn latency_report(&self) -> LatencyReport {
         let global = PhaseSnapshot::merge_shards(&self.phase_shards);
-        let registry = self.registry.read();
+        let registry = self.registry();
         let per_function = registry
             .iter()
             .map(|rf| {

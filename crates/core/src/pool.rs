@@ -18,11 +18,12 @@
 //!
 //! [`Outcome::Success`]: crate::Outcome::Success
 
+use crate::lock;
 use awsm::{CompiledModule, EngineConfig, Instance, ResetApplied, ResetPolicy};
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Monotonic pool counters, updated lock-free by workers and the
 /// pre-warmer.
@@ -163,7 +164,7 @@ impl SandboxPool {
 
     /// Instances currently parked.
     pub fn size(&self) -> usize {
-        self.slots.lock().len()
+        lock(&self.slots).len()
     }
 
     /// Pop a warm instance compatible with `engine`, if one is available.
@@ -178,7 +179,7 @@ impl SandboxPool {
             return None;
         }
         loop {
-            let popped = self.slots.lock().pop();
+            let popped = lock(&self.slots).pop();
             match popped {
                 Some(inst) => {
                     let cfg = inst.config();
@@ -213,7 +214,7 @@ impl SandboxPool {
                 return false;
             }
         };
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         if slots.len() >= self.capacity {
             drop(slots);
             self.stats.evicted.fetch_add(1, Ordering::Relaxed);
@@ -262,13 +263,13 @@ impl SandboxPool {
         let goal = target.min(self.capacity);
         let mut added = 0;
         loop {
-            if self.slots.lock().len() >= goal {
+            if lock(&self.slots).len() >= goal {
                 break;
             }
             let Ok(inst) = Instance::new(Arc::clone(module), engine) else {
                 break;
             };
-            let mut slots = self.slots.lock();
+            let mut slots = lock(&self.slots);
             if slots.len() >= goal {
                 break;
             }
@@ -283,7 +284,7 @@ impl SandboxPool {
     /// Drop every parked instance (graceful drain / shutdown). Returns how
     /// many were released back to the allocator.
     pub fn drain(&self) -> usize {
-        let drained: Vec<Instance> = std::mem::take(&mut *self.slots.lock());
+        let drained: Vec<Instance> = std::mem::take(&mut *lock(&self.slots));
         drained.len()
     }
 
@@ -318,7 +319,7 @@ pub(crate) fn prewarm_loop(shared: Arc<crate::Shared>) {
     while !shared.shutdown.load(Ordering::Acquire) {
         if !shared.draining.load(Ordering::Acquire) {
             let functions: Vec<Arc<crate::registry::RegisteredFunction>> =
-                shared.registry.read().iter().map(Arc::clone).collect();
+                shared.registry().iter().map(Arc::clone).collect();
             for rf in functions {
                 if shared.shutdown.load(Ordering::Acquire)
                     || shared.draining.load(Ordering::Acquire)

@@ -10,7 +10,6 @@ use awsm::{
     EngineConfig, Host, HostImport, HostOutcome, Instance, InstanceError, LinearMemory, StepResult,
     Trap,
 };
-use bytes::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,7 +78,7 @@ pub struct Completion {
 #[derive(Debug)]
 pub struct SandboxHost {
     /// Request body ("stdin").
-    pub request: Bytes,
+    pub request: Vec<u8>,
     /// Response buffer ("stdout").
     pub response: Vec<u8>,
     /// Monotonic epoch for `clock_ns`.
@@ -103,7 +102,7 @@ pub struct SandboxHost {
 }
 
 impl SandboxHost {
-    fn new(request: Bytes, epoch: Instant) -> Self {
+    fn new(request: Vec<u8>, epoch: Instant) -> Self {
         SandboxHost {
             request,
             response: Vec::new(),
@@ -281,7 +280,7 @@ impl Sandbox {
     pub fn new(
         function: Arc<RegisteredFunction>,
         engine: EngineConfig,
-        body: Bytes,
+        body: Vec<u8>,
         responder: crate::listener::AnyResponder,
         epoch: Instant,
     ) -> Result<Box<Sandbox>, (InstanceError, crate::listener::AnyResponder)> {

@@ -2,16 +2,17 @@
 //! preemptive round-robin on a core-local run queue, and service the
 //! core-local pending-I/O set (the libuv-event-loop analogue).
 
+use crate::lock;
 use crate::registry::FunctionId;
 use crate::sandbox::{Completion, Outcome, Sandbox, WaitKind};
 use crate::sched::Dwrr;
 use crate::Shared;
 use awsm::StepResult;
-use parking_lot::Mutex;
 use sledge_deque::Stealer;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The core-local run queue: plain FIFO rotation by default, or weighted
@@ -100,7 +101,7 @@ pub(crate) fn timer_loop(shared: Arc<Shared>, workers: Vec<Arc<WorkerShared>>) {
         let force = shared.force_kill.load(Ordering::Acquire);
         if preemptive || down || force {
             for w in &workers {
-                if let Some(flag) = w.current.lock().as_ref() {
+                if let Some(flag) = lock(&w.current).as_ref() {
                     flag.store(true, Ordering::Relaxed);
                 }
             }
@@ -330,11 +331,11 @@ pub(crate) fn worker_loop(
         // 3. Dispatch one quantum. The sandbox's preempt flag is published
         //    for the timer thread (which fires per quantum under preemptive
         //    RR, and once at shutdown under run-to-completion).
-        *me.current.lock() = Some(sandbox.instance.preempt_flag());
+        *lock(&me.current) = Some(sandbox.instance.preempt_flag());
         let fn_key = sandbox.function.id.0;
         let fuel_before = sandbox.instance.fuel_used();
         let result = sandbox.run_quantum(fuel);
-        *me.current.lock() = None;
+        *lock(&me.current) = None;
         // Charge the dispatch's actual burn against the function's DWRR
         // lane, and surface any pass-overs the scheduler recorded while
         // this lane's deficit was spent.
@@ -342,7 +343,7 @@ pub(crate) fn worker_loop(
         runqueue.charge(fn_key, burned);
         let deferred = runqueue.take_deferrals();
         if !deferred.is_empty() {
-            let registry = shared.registry.read();
+            let registry = shared.registry();
             for (key, n) in deferred {
                 if let Some(rf) = registry.get(FunctionId(key)) {
                     rf.stats.dwrr_deferrals.fetch_add(n, Ordering::Relaxed);

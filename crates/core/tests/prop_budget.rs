@@ -1,136 +1,104 @@
-//! Property tests for the work-budget token bucket: refill monotonicity,
-//! balance bounds under arbitrary charge/true-up interleavings, and
-//! charge/true-up conservation.
+//! Seeded property tests for the work-budget token bucket: refill
+//! monotonicity, balance bounds under arbitrary charge/true-up
+//! interleavings, and charge/true-up conservation.
 
-use proptest::prelude::*;
 use sledge_core::TokenBucket;
+use sledge_testkit::cases;
 
-/// One step of an arbitrary client interaction with a bucket.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Advance the clock by this many nanoseconds, then attempt a charge.
-    Charge { dt_ns: u64, cost: u64 },
-    /// Advance the clock, then true a prior charge up against actual use.
-    TrueUp { dt_ns: u64, charged: u64, used: u64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u64..2_000_000_000, 0u64..5_000).prop_map(|(dt_ns, cost)| Op::Charge { dt_ns, cost }),
-        (0u64..2_000_000_000, 0u64..5_000, 0u64..5_000).prop_map(|(dt_ns, charged, used)| {
-            Op::TrueUp {
-                dt_ns,
-                charged,
-                used,
-            }
-        }),
-    ]
-}
-
-proptest! {
-    /// With no charges, the balance is non-decreasing in time and never
-    /// exceeds the configured capacity, regardless of how the observation
-    /// instants are spaced.
-    #[test]
-    fn refill_is_monotone_and_capped(
-        rate in 1u64..1_000_000,
-        capacity in 1u64..1_000_000,
-        drain in 0u64..1_000_000,
-        steps in proptest::collection::vec(0u64..10_000_000_000u64, 1..40),
-    ) {
-        let b = TokenBucket::new(rate, capacity);
+/// With no charges, the balance is non-decreasing in time and never
+/// exceeds the configured capacity, regardless of how the observation
+/// instants are spaced.
+#[test]
+fn refill_is_monotone_and_capped() {
+    cases(256, 0x2EF1_1100, |rng| {
+        let b = TokenBucket::new(rng.range(1, 1_000_000), rng.range(1, 1_000_000));
         // Start from an arbitrary partial balance.
-        let _ = b.try_charge(drain.min(capacity), 0);
+        let _ = b.try_charge(rng.range(0, 1_000_000).min(b.capacity()), 0);
         let mut now = 0u64;
         let mut prev = b.balance(now);
-        for dt in steps {
-            now = now.saturating_add(dt);
+        for _ in 0..rng.range(1, 40) {
+            now = now.saturating_add(rng.range(0, 10_000_000_000));
             let cur = b.balance(now);
-            prop_assert!(cur >= prev, "balance fell {prev} -> {cur} with no charge");
-            prop_assert!(cur <= b.capacity(), "balance {cur} above capacity");
+            assert!(cur >= prev, "balance fell {prev} -> {cur} with no charge");
+            assert!(cur <= b.capacity(), "balance {cur} above capacity");
             prev = cur;
         }
-    }
+    });
+}
 
-    /// Under any interleaving of charges and true-ups at non-decreasing
-    /// times, the balance stays within [0, capacity] — the nano-token
-    /// arithmetic never goes negative and never overshoots the burst cap.
-    #[test]
-    fn balance_stays_in_bounds(
-        rate in 1u64..100_000,
-        capacity in 1u64..100_000,
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-    ) {
-        let b = TokenBucket::new(rate, capacity);
+/// Under any interleaving of charges and true-ups at non-decreasing
+/// times, the balance stays within [0, capacity] — the nano-token
+/// arithmetic never goes negative and never overshoots the burst cap.
+#[test]
+fn balance_stays_in_bounds() {
+    cases(256, 0xBA1A_7CE0, |rng| {
+        let b = TokenBucket::new(rng.range(1, 100_000), rng.range(1, 100_000));
         let mut now = 0u64;
-        for op in ops {
-            match op {
-                Op::Charge { dt_ns, cost } => {
-                    now = now.saturating_add(dt_ns);
-                    let before = b.balance(now);
-                    match b.try_charge(cost, now) {
-                        Ok(()) => prop_assert!(before >= cost || cost == 0),
-                        Err(wait) => {
-                            // The hint is honest: after waiting it out, the
-                            // same charge must succeed (nothing else drains
-                            // the bucket in between). A cost above the burst
-                            // capacity can never be admitted, so only the
-                            // feasible case is retried.
-                            prop_assert!(wait.as_nanos() > 0);
-                            if cost <= b.capacity() {
-                                let later = now.saturating_add(wait.as_nanos() as u64);
-                                prop_assert!(
-                                    b.try_charge(cost, later).is_ok(),
-                                    "charge of {cost} still failing after hinted wait"
-                                );
-                                now = later;
-                            }
+        for _ in 0..rng.range(1, 60) {
+            // Advance the clock, then charge or true a prior charge up.
+            now = now.saturating_add(rng.range(0, 2_000_000_000));
+            if rng.flip() {
+                let cost = rng.range(0, 5_000);
+                let before = b.balance(now);
+                match b.try_charge(cost, now) {
+                    Ok(()) => assert!(before >= cost || cost == 0),
+                    Err(wait) => {
+                        // The hint is honest: after waiting it out, the
+                        // same charge must succeed (nothing else drains
+                        // the bucket in between). A cost above the burst
+                        // capacity can never be admitted, so only the
+                        // feasible case is retried.
+                        assert!(wait.as_nanos() > 0);
+                        if cost <= b.capacity() {
+                            now = now.saturating_add(wait.as_nanos() as u64);
+                            assert!(
+                                b.try_charge(cost, now).is_ok(),
+                                "charge of {cost} still failing after hinted wait"
+                            );
                         }
                     }
                 }
-                Op::TrueUp { dt_ns, charged, used } => {
-                    now = now.saturating_add(dt_ns);
-                    b.true_up(charged, used, now);
-                }
+            } else {
+                b.true_up(rng.range(0, 5_000), rng.range(0, 5_000), now);
             }
             let bal = b.balance(now);
-            prop_assert!(bal <= b.capacity(), "balance {bal} above capacity");
+            assert!(bal <= b.capacity(), "balance {bal} above capacity");
         }
-    }
+    });
+}
 
-    /// Conservation: admission-charging the certificate and then truing up
-    /// against actual fuel burned is equivalent to charging the actual fuel
-    /// directly — provided the credit doesn't hit the capacity cap and no
-    /// time passes (so refill is out of the picture).
-    #[test]
-    fn charge_then_true_up_nets_to_actual_use(
-        rate in 1u64..100_000,
-        charged in 0u64..40_000,
-        used_frac in 0u64..=100,
-    ) {
-        let used = charged * used_frac / 100; // used <= charged
+/// Conservation: admission-charging the certificate and then truing up
+/// against actual fuel burned is equivalent to charging the actual fuel
+/// directly — provided the credit doesn't hit the capacity cap and no
+/// time passes (so refill is out of the picture).
+#[test]
+fn charge_then_true_up_nets_to_actual_use() {
+    cases(256, 0xC0_5E2E, |rng| {
+        let rate = rng.range(1, 100_000);
+        let charged = rng.range(0, 40_000);
+        let used = charged * rng.range(0, 101) / 100; // used <= charged
         let capacity = 100_000u64; // roomy: the credit can't hit the cap
         let a = TokenBucket::new(rate, capacity);
         let b = TokenBucket::new(rate, capacity);
-        prop_assert!(a.try_charge(charged, 0).is_ok());
+        assert!(a.try_charge(charged, 0).is_ok());
         a.true_up(charged, used, 0);
-        prop_assert!(b.try_charge(used, 0).is_ok());
-        prop_assert_eq!(a.balance(0), b.balance(0));
-        prop_assert_eq!(a.balance(0), capacity - used);
-    }
+        assert!(b.try_charge(used, 0).is_ok());
+        assert_eq!(a.balance(0), b.balance(0));
+        assert_eq!(a.balance(0), capacity - used);
+    });
+}
 
-    /// Over-run true-ups (used > charged) debit exactly the difference,
-    /// saturating at an empty bucket rather than going negative.
-    #[test]
-    fn overrun_debits_difference(
-        charged in 0u64..10_000,
-        overrun in 1u64..200_000,
-    ) {
+/// Over-run true-ups (used > charged) debit exactly the difference,
+/// saturating at an empty bucket rather than going negative.
+#[test]
+fn overrun_debits_difference() {
+    cases(256, 0x07E2_2017, |rng| {
+        let (charged, overrun) = (rng.range(0, 10_000), rng.range(1, 200_000));
         let capacity = 50_000u64;
         let b = TokenBucket::new(1, capacity);
-        prop_assert!(b.try_charge(charged, 0).is_ok());
+        assert!(b.try_charge(charged, 0).is_ok());
         b.true_up(charged, charged + overrun, 0);
         let expect = (capacity - charged).saturating_sub(overrun);
-        prop_assert_eq!(b.balance(0), expect);
-    }
+        assert_eq!(b.balance(0), expect);
+    });
 }

@@ -1,8 +1,8 @@
-//! Property tests for the configuration JSON parser: serializer-free
+//! Seeded property tests for the configuration JSON parser: serializer-free
 //! round-trips via generated documents and robustness against mutations.
 
-use proptest::prelude::*;
 use sledge_core::{parse_json, Json};
+use sledge_testkit::{cases, Rng};
 
 /// Serialize a Json value back to text (test-local; the runtime only
 /// parses).
@@ -45,46 +45,67 @@ fn to_text(v: &Json) -> String {
     }
 }
 
-fn json_strategy() -> impl Strategy<Value = Json> {
-    let leaf = prop_oneof![
-        Just(Json::Null),
-        any::<bool>().prop_map(Json::Bool),
-        (-1_000_000i64..1_000_000).prop_map(|n| Json::Number(n as f64)),
-        "[ -~]{0,16}".prop_map(Json::String),
-    ];
-    leaf.prop_recursive(3, 48, 6, |inner| {
-        prop_oneof![
-            proptest::collection::vec(inner.clone(), 0..6).prop_map(Json::Array),
-            proptest::collection::btree_map("[a-z_]{1,8}", inner, 0..6).prop_map(Json::Object),
-        ]
-    })
+/// `lo..hi` characters drawn from `alphabet`.
+fn text(rng: &mut Rng, alphabet: &[u8], lo: usize, hi: usize) -> String {
+    rng.vec(lo, hi, |r| *r.pick(alphabet) as char)
+        .into_iter()
+        .collect()
 }
 
-proptest! {
-    #[test]
-    fn generated_documents_roundtrip(v in json_strategy()) {
+/// Every printable ASCII character, space to `~`.
+fn printable() -> Vec<u8> {
+    (b' '..=b'~').collect()
+}
+
+/// A random document nested at most `depth` containers deep.
+fn json(rng: &mut Rng, depth: u32) -> Json {
+    // Above the depth limit half the draws are containers.
+    match rng.range(0, if depth == 0 { 4 } else { 8 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.flip()),
+        2 => Json::Number((rng.range(0, 2_000_000) as i64 - 1_000_000) as f64),
+        3 => Json::String(text(rng, &printable(), 0, 17)),
+        4 | 5 => Json::Array(rng.vec(0, 6, |r| json(r, depth - 1))),
+        _ => Json::Object(
+            rng.vec(0, 6, |r| {
+                (
+                    text(r, b"abcdefghijklmnopqrstuvwxyz_", 1, 9),
+                    json(r, depth - 1),
+                )
+            })
+            .into_iter()
+            .collect(),
+        ),
+    }
+}
+
+#[test]
+fn generated_documents_roundtrip() {
+    cases(256, 0x1503_D0C5, |rng| {
+        let v = json(rng, 3);
         let text = to_text(&v);
         let back = parse_json(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-        prop_assert_eq!(back, v);
-    }
+        assert_eq!(back, v);
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_mutations(
-        v in json_strategy(),
-        at in 0usize..64,
-        replacement in any::<u8>(),
-    ) {
-        let mut text = to_text(&v).into_bytes();
+#[test]
+fn parser_never_panics_on_mutations() {
+    cases(256, 0x1503_3747, |rng| {
+        let mut text = to_text(&json(rng, 3)).into_bytes();
+        let (at, replacement) = (rng.index(0, 64), rng.next_u64() as u8);
         if at < text.len() {
             text[at] = replacement;
         }
         if let Ok(s) = String::from_utf8(text) {
             let _ = parse_json(&s); // must not panic
         }
-    }
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_garbage(s in "[ -~]{0,64}") {
-        let _ = parse_json(&s);
-    }
+#[test]
+fn parser_never_panics_on_garbage() {
+    cases(256, 0x1503_6A2B, |rng| {
+        let _ = parse_json(&text(rng, &printable(), 0, 65));
+    });
 }

@@ -147,7 +147,7 @@ impl RequestParser {
         }
 
         let mut headers = Vec::new();
-        let mut content_length = 0usize;
+        let mut content_length: Option<usize> = None;
         let mut close = version == "HTTP/1.0";
         for line in lines {
             if line.is_empty() {
@@ -163,7 +163,21 @@ impl RequestParser {
                 return Err(HttpError::Malformed("empty header name"));
             }
             if name == "content-length" {
-                content_length = value.parse().map_err(|_| HttpError::BadContentLength)?;
+                // RFC 9110 §8.6: digits only (`usize::from_str` would take a
+                // sign); all digits yet unparseable is a length past usize.
+                if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(HttpError::BadContentLength);
+                }
+                let n = value.parse().map_err(|_| HttpError::TooLarge)?;
+                // Two lengths that disagree frame two different requests.
+                if content_length.replace(n).is_some_and(|prev| prev != n) {
+                    return Err(HttpError::BadContentLength);
+                }
+            }
+            // Chunked bodies are not implemented; read as `Content-Length: 0`
+            // the chunk stream would parse as pipelined requests (smuggling).
+            if name == "transfer-encoding" {
+                return Err(HttpError::Malformed("transfer-encoding not supported"));
             }
             if name == "connection" {
                 let v = value.to_ascii_lowercase();
@@ -175,7 +189,12 @@ impl RequestParser {
             }
             headers.push((name, value));
         }
-        if head_end + 4 + content_length > self.max_size {
+        let content_length = content_length.unwrap_or(0);
+        // Checked: the length is the peer's number, up to `usize::MAX`.
+        if (head_end + 4)
+            .checked_add(content_length)
+            .is_none_or(|total| total > self.max_size)
+        {
             return Err(HttpError::TooLarge);
         }
         self.buf.drain(..head_end + 4);
@@ -290,6 +309,37 @@ mod tests {
         assert!(RequestParser::new(4096)
             .feed(b"POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n")
             .is_err());
+    }
+
+    #[test]
+    fn rejects_hostile_framing() {
+        let reject = |head: &str| RequestParser::new(4096).feed(head.as_bytes()).unwrap_err();
+        // usize::MAX overflowed the size check: a panic in debug builds, and
+        // in release a wrap that waited for 2^64 body bytes.
+        assert_eq!(
+            reject("POST / HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n"),
+            HttpError::TooLarge
+        );
+        assert_eq!(
+            reject("POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n"),
+            HttpError::TooLarge
+        );
+        assert_eq!(
+            reject("POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd"),
+            HttpError::BadContentLength
+        );
+        assert_eq!(
+            reject("POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"),
+            HttpError::BadContentLength
+        );
+        assert!(matches!(
+            reject("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"),
+            HttpError::Malformed(_)
+        ));
+        // Repeating the same length is legal.
+        let mut p = RequestParser::new(4096);
+        let st = p.feed(b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok");
+        assert!(matches!(st, Ok(ParseStatus::Complete(r)) if r.body == b"ok"));
     }
 
     #[test]

@@ -672,9 +672,10 @@ mod tests {
             }
             resp
         });
+        // Not `connection_count() == 0`: that holds before the accept too.
         poll_until(&mut server, |srv| {
             srv.poll();
-            srv.connection_count() == 0
+            srv.counters().snapshot().closed == 1
         });
         let resp = String::from_utf8(client.join().unwrap()).unwrap();
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
@@ -873,8 +874,9 @@ mod tests {
             // `send` only queues; later polls perform the actual write. Keep
             // polling until the response reaches the client and the
             // connection winds down (also covers the reaped-under-stall
-            // case, where the 408 closes it).
-            srv.connection_count() == 0
+            // case, where the 408 closes it). Counted closes, not a zero
+            // connection count, which also holds before the accept.
+            srv.counters().snapshot().closed == 1
         });
         let (resp, max_gap) = client.join().unwrap();
         let resp = String::from_utf8(resp).unwrap();

@@ -1,17 +1,20 @@
-//! Property-based tests for the HTTP layer: serialize→parse round trips
-//! with arbitrary bodies and fragmentation, and parser robustness against
+//! Seeded property tests for the HTTP layer: serialize→parse round trips
+//! with random bodies and fragmentation, and parser robustness against
 //! random bytes.
 
-use proptest::prelude::*;
 use sledge_http::{ParseStatus, RequestParser, Response, StatusCode};
+use sledge_testkit::cases;
 
-proptest! {
-    #[test]
-    fn request_roundtrip_with_arbitrary_fragmentation(
-        path_seg in "[a-zA-Z0-9_-]{1,24}",
-        body in proptest::collection::vec(any::<u8>(), 0..2048),
-        cuts in proptest::collection::vec(1usize..64, 0..8),
-    ) {
+#[test]
+fn request_roundtrip_with_arbitrary_fragmentation() {
+    cases(256, 0x4707_F2A6, |rng| {
+        let alphabet = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
+        let path_seg: String = rng
+            .vec(1, 25, |r| *r.pick(alphabet) as char)
+            .into_iter()
+            .collect();
+        let body = rng.bytes(0, 2048);
+        let cuts = rng.vec(0, 8, |r| r.index(1, 64));
         let raw = format!(
             "POST /{path_seg} HTTP/1.1\r\nHost: edge\r\nContent-Length: {}\r\n\r\n",
             body.len()
@@ -25,8 +28,14 @@ proptest! {
         let mut result = None;
         let mut cut_iter = cuts.iter().copied().chain(std::iter::repeat(17));
         while consumed < wire.len() {
-            let n = cut_iter.next().expect("infinite").min(wire.len() - consumed);
-            match parser.feed(&wire[consumed..consumed + n]).expect("valid request") {
+            let n = cut_iter
+                .next()
+                .expect("infinite")
+                .min(wire.len() - consumed);
+            match parser
+                .feed(&wire[consumed..consumed + n])
+                .expect("valid request")
+            {
                 ParseStatus::Complete(req) => {
                     result = Some(req);
                     break;
@@ -35,49 +44,51 @@ proptest! {
             }
         }
         let req = result.expect("request completes");
-        prop_assert_eq!(&req.path, &format!("/{path_seg}"));
-        prop_assert_eq!(req.header("host"), Some("edge"));
-        prop_assert_eq!(req.body, body);
-    }
+        assert_eq!(req.path, format!("/{path_seg}"));
+        assert_eq!(req.header("host"), Some("edge"));
+        assert_eq!(req.body, body);
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_random_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let mut parser = RequestParser::new(4096);
-        let _ = parser.feed(&bytes);
-    }
+#[test]
+fn parser_never_panics_on_random_bytes() {
+    cases(256, 0x0BAD_B17E, |rng| {
+        let _ = RequestParser::new(4096).feed(&rng.bytes(0, 512));
+    });
+}
 
-    #[test]
-    fn response_roundtrips_through_its_own_wire_format(
-        body in proptest::collection::vec(any::<u8>(), 0..1024),
-        close in any::<bool>(),
-    ) {
+#[test]
+fn response_roundtrips_through_its_own_wire_format() {
+    cases(256, 0x2E59_0A5E, |rng| {
+        let body = rng.bytes(0, 1024);
+        let close = rng.flip();
         let mut resp = Response::ok(body.clone());
         resp.close = close;
         let wire = resp.to_bytes();
         // Head/body split.
-        let split = wire.windows(4).position(|w| w == b"\r\n\r\n").expect("head end");
+        let split = wire
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("head end");
         let head = std::str::from_utf8(&wire[..split]).expect("ascii head");
-        prop_assert!(head.starts_with("HTTP/1.1 200 OK"));
-        let cl = format!("Content-Length: {}", body.len());
-        prop_assert!(head.contains(&cl));
-        prop_assert_eq!(close, head.contains("Connection: close"));
-        prop_assert_eq!(&wire[split + 4..], &body[..]);
-    }
+        assert!(head.starts_with("HTTP/1.1 200 OK"));
+        assert!(head.contains(&format!("Content-Length: {}", body.len())));
+        assert_eq!(close, head.contains("Connection: close"));
+        assert_eq!(&wire[split + 4..], &body[..]);
+    });
+}
 
-    #[test]
-    fn error_responses_carry_status(code in 0usize..5) {
-        let status = [
-            StatusCode::BadRequest,
-            StatusCode::NotFound,
-            StatusCode::TooManyRequests,
-            StatusCode::InternalServerError,
-            StatusCode::ServiceUnavailable,
-        ][code];
+#[test]
+fn error_responses_carry_status() {
+    for status in [
+        StatusCode::BadRequest,
+        StatusCode::NotFound,
+        StatusCode::TooManyRequests,
+        StatusCode::InternalServerError,
+        StatusCode::ServiceUnavailable,
+    ] {
         let wire = Response::error(status, "why").to_bytes();
         let head = String::from_utf8_lossy(&wire).to_string();
-        let expect = format!("HTTP/1.1 {}", status.code());
-        prop_assert!(head.starts_with(&expect));
+        assert!(head.starts_with(&format!("HTTP/1.1 {}", status.code())));
     }
 }

@@ -1,4 +1,4 @@
-//! Generative fragmentation tests for the incremental request parser.
+//! Seeded generative fragmentation tests for the incremental request parser.
 //!
 //! The central invariant: **parsing a byte stream in fragments is
 //! indistinguishable from parsing it whole** — same requests, same order,
@@ -7,8 +7,8 @@
 //! parser arbitrarily torn chunks, so this is exactly the surface the
 //! listener exercises under load.
 
-use proptest::prelude::*;
 use sledge_http::{HttpError, ParseStatus, Request, RequestParser};
+use sledge_testkit::{cases, Rng};
 
 const MAX: usize = 1 << 20;
 
@@ -67,74 +67,126 @@ fn pipeline_wire(bodies: &[Vec<u8>]) -> Vec<u8> {
     wire
 }
 
-proptest! {
-    /// Pipelined back-to-back requests with arbitrary bodies and arbitrary
-    /// fragment boundaries parse identically to the unfragmented stream.
-    #[test]
-    fn fragmented_pipeline_equals_whole(
-        bodies in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..512), 1..6),
-        cuts in proptest::collection::vec(1usize..48, 0..32),
-    ) {
+/// `lo..hi` fragment sizes of `1..max` bytes each.
+fn cuts(rng: &mut Rng, lo: usize, hi: usize, max: usize) -> Vec<usize> {
+    rng.vec(lo, hi, |r| r.index(1, max))
+}
+
+/// Pipelined back-to-back requests with arbitrary bodies and arbitrary
+/// fragment boundaries parse identically to the unfragmented stream.
+#[test]
+fn fragmented_pipeline_equals_whole() {
+    cases(256, 0xF2A6_3E27, |rng| {
+        let bodies = rng.vec(1, 6, |r| r.bytes(0, 512));
         let wire = pipeline_wire(&bodies);
         let (whole, whole_err) = parse_whole(&wire);
-        let (frag, frag_err) = parse_fragmented(&wire, &cuts);
-        prop_assert_eq!(whole_err, None);
-        prop_assert_eq!(frag_err, None);
-        prop_assert_eq!(&frag, &whole);
-        prop_assert_eq!(frag.len(), bodies.len());
+        let (frag, frag_err) = parse_fragmented(&wire, &cuts(rng, 0, 32, 48));
+        assert_eq!(whole_err, None);
+        assert_eq!(frag_err, None);
+        assert_eq!(frag, whole);
+        assert_eq!(frag.len(), bodies.len());
         for (i, (req, body)) in frag.iter().zip(&bodies).enumerate() {
-            prop_assert_eq!(&req.path, &format!("/fn/{i}"));
-            prop_assert_eq!(req.header("x-seq"), Some(format!("{i}").as_str()));
-            prop_assert_eq!(&req.body, body);
+            assert_eq!(req.path, format!("/fn/{i}"));
+            assert_eq!(req.header("x-seq"), Some(format!("{i}").as_str()));
+            assert_eq!(&req.body, body);
         }
-    }
+    });
+}
 
-    /// Malformed streams fail identically whole or torn: the error kind the
-    /// listener acts on (400 + close) must not depend on read boundaries.
-    #[test]
-    fn torn_malformed_stream_fails_like_whole(
-        prefix_bodies in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..64), 0..3),
-        garbage in prop_oneof![
-            Just(&b"BROKEN\r\n\r\n"[..]),
-            Just(&b"GET / FTP/1.1\r\n\r\n"[..]),
-            Just(&b"GET / HTTP/1.1\r\nNo-Colon-Header\r\n\r\n"[..]),
-            Just(&b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..]),
-        ],
-        cuts in proptest::collection::vec(1usize..24, 0..32),
-    ) {
+/// A stream the parser must refuse, and the test of the error it must give.
+type Refusal = (&'static [u8], fn(&HttpError) -> bool);
+
+/// The last five are hostile framing: a length that overflows the size
+/// check, one past `usize`, two lengths that disagree, a signed length, and
+/// a chunked body (which would otherwise parse as pipelined requests).
+const REFUSED: &[Refusal] = &[
+    (b"BROKEN\r\n\r\n", is_malformed),
+    (b"GET / FTP/1.1\r\n\r\n", is_malformed),
+    (b"GET / HTTP/1.1\r\nNo-Colon-Header\r\n\r\n", is_malformed),
+    (
+        b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+        is_bad_length,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n",
+        is_too_large,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nContent-Length: 184467440737095516150\r\n\r\n",
+        is_too_large,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd",
+        is_bad_length,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+        is_bad_length,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        is_malformed,
+    ),
+];
+
+fn is_malformed(e: &HttpError) -> bool {
+    matches!(e, HttpError::Malformed(_))
+}
+
+fn is_bad_length(e: &HttpError) -> bool {
+    *e == HttpError::BadContentLength
+}
+
+fn is_too_large(e: &HttpError) -> bool {
+    *e == HttpError::TooLarge
+}
+
+/// Refused streams fail identically whole or torn: the error kind the
+/// listener acts on (400 + close) must not depend on read boundaries.
+#[test]
+fn torn_malformed_stream_fails_like_whole() {
+    cases(256, 0x7022_BAD0, |rng| {
+        let prefix_bodies = rng.vec(0, 3, |r| r.bytes(0, 64));
+        let (refused, expected) = rng.pick(REFUSED);
         let mut wire = pipeline_wire(&prefix_bodies);
-        wire.extend_from_slice(garbage);
+        wire.extend_from_slice(refused);
         let (whole, whole_err) = parse_whole(&wire);
-        let (frag, frag_err) = parse_fragmented(&wire, &cuts);
+        let (frag, frag_err) = parse_fragmented(&wire, &cuts(rng, 0, 32, 24));
         // Valid prefix requests all surface, then the same error fires.
-        prop_assert_eq!(&frag, &whole);
-        prop_assert_eq!(frag.len(), prefix_bodies.len());
-        prop_assert!(whole_err.is_some());
-        prop_assert_eq!(frag_err, whole_err);
-    }
+        assert_eq!(frag, whole);
+        assert_eq!(frag.len(), prefix_bodies.len());
+        let text = String::from_utf8_lossy(refused);
+        assert!(
+            whole_err.as_ref().is_some_and(expected),
+            "{text:?}: {whole_err:?}"
+        );
+        assert_eq!(frag_err, whole_err, "{text:?}");
+    });
+}
 
-    /// A declared body larger than the configured cap is rejected with
-    /// `TooLarge` regardless of how the stream is torn.
-    #[test]
-    fn oversize_body_rejected_under_any_fragmentation(
-        cuts in proptest::collection::vec(1usize..16, 0..16),
-    ) {
+/// A declared body larger than the configured cap is rejected with
+/// `TooLarge` regardless of how the stream is torn.
+#[test]
+fn oversize_body_rejected_under_any_fragmentation() {
+    cases(256, 0x0B16_B0D7, |rng| {
         let wire = b"POST /big HTTP/1.1\r\nContent-Length: 4096\r\n\r\n";
         let mut parser = RequestParser::new(256);
         let mut consumed = 0usize;
         let mut err = None;
+        let cuts = cuts(rng, 0, 16, 16);
         let mut cut_iter = cuts.iter().copied().chain(std::iter::repeat(usize::MAX));
         while consumed < wire.len() {
             let n = cut_iter.next().unwrap().clamp(1, wire.len() - consumed);
             match parser.feed(&wire[consumed..consumed + n]) {
                 Ok(_) => consumed += n,
-                Err(e) => { err = Some(e); break; }
+                Err(e) => {
+                    err = Some(e);
+                    break;
+                }
             }
         }
-        prop_assert_eq!(err, Some(HttpError::TooLarge));
-    }
+        assert_eq!(err, Some(HttpError::TooLarge));
+    });
 }
 
 /// Exhaustive (non-generative) leg: a two-request pipeline with a torn

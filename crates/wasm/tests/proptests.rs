@@ -1,85 +1,66 @@
-//! Property-based tests: LEB128 and module encode/decode roundtrips over
-//! randomly generated inputs.
+//! Seeded property tests: LEB128 and module encode/decode roundtrips over
+//! randomly generated inputs, and decoder robustness against garbage.
 
-use proptest::prelude::*;
+use sledge_testkit::cases;
 use sledge_wasm::instr::Instr;
 use sledge_wasm::module::{ConstExpr, DataSegment, Export, FuncBody, Module};
 use sledge_wasm::types::{FuncType, Limits, MemoryType, ValType};
 use sledge_wasm::{decode, encode, leb128};
 
-proptest! {
-    #[test]
-    fn leb_u32_roundtrip(v in any::<u32>()) {
-        let mut buf = Vec::new();
-        leb128::write_u32(&mut buf, v);
-        let (back, n) = leb128::read_u32(&buf, 0).unwrap();
-        prop_assert_eq!(back, v);
-        prop_assert_eq!(n, buf.len());
-        prop_assert!(buf.len() <= 5);
-    }
+/// `write` then `read` gives the value back and consumes exactly what was
+/// written, for 256 random values of the integer type.
+macro_rules! leb_roundtrip {
+    ($name:ident, $ty:ty, $write:ident, $read:ident, $seed:expr, $max_len:expr) => {
+        #[test]
+        fn $name() {
+            cases(256, $seed, |rng| {
+                // A random arithmetic shift, so every encoded length occurs.
+                let v = (rng.next_u64() as i64 >> rng.range(0, 64)) as $ty;
+                let mut buf = Vec::new();
+                leb128::$write(&mut buf, v);
+                let (back, n) = leb128::$read(&buf, 0).unwrap();
+                assert_eq!(back, v);
+                assert_eq!(n, buf.len());
+                assert!(buf.len() <= $max_len);
+            });
+        }
+    };
+}
 
-    #[test]
-    fn leb_i32_roundtrip(v in any::<i32>()) {
-        let mut buf = Vec::new();
-        leb128::write_i32(&mut buf, v);
-        let (back, n) = leb128::read_i32(&buf, 0).unwrap();
-        prop_assert_eq!(back, v);
-        prop_assert_eq!(n, buf.len());
-    }
+leb_roundtrip!(leb_u32_roundtrip, u32, write_u32, read_u32, 0x1EB0_0032, 5);
+leb_roundtrip!(leb_i32_roundtrip, i32, write_i32, read_i32, 0x1EB1_0032, 5);
+leb_roundtrip!(leb_i64_roundtrip, i64, write_i64, read_i64, 0x1EB1_0064, 10);
+leb_roundtrip!(leb_u64_roundtrip, u64, write_u64, read_u64, 0x1EB0_0064, 10);
 
-    #[test]
-    fn leb_i64_roundtrip(v in any::<i64>()) {
-        let mut buf = Vec::new();
-        leb128::write_i64(&mut buf, v);
-        let (back, n) = leb128::read_i64(&buf, 0).unwrap();
-        prop_assert_eq!(back, v);
-        prop_assert_eq!(n, buf.len());
-    }
-
-    #[test]
-    fn leb_u64_roundtrip(v in any::<u64>()) {
-        let mut buf = Vec::new();
-        leb128::write_u64(&mut buf, v);
-        let (back, n) = leb128::read_u64(&buf, 0).unwrap();
-        prop_assert_eq!(back, v);
-        prop_assert_eq!(n, buf.len());
-    }
-
-    #[test]
-    fn leb_decoding_random_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..12)) {
+#[test]
+fn leb_decoding_random_bytes_never_panics() {
+    cases(256, 0x1EB0_BAD0, |rng| {
+        let bytes = rng.bytes(0, 12);
         let _ = leb128::read_u32(&bytes, 0);
         let _ = leb128::read_i32(&bytes, 0);
         let _ = leb128::read_u64(&bytes, 0);
         let _ = leb128::read_i64(&bytes, 0);
-    }
+    });
+}
 
-    #[test]
-    fn decoder_survives_random_input(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+#[test]
+fn decoder_survives_random_input() {
+    cases(256, 0xDEC0_DE00, |rng| {
         // Never panics; random bytes are (almost) never a valid module.
-        let _ = decode::decode_module(&bytes);
-    }
+        let _ = decode::decode_module(&rng.bytes(0, 256));
+    });
+}
 
-    #[test]
-    fn decoder_survives_corrupted_valid_module(
-        flip_at in 0usize..200,
-        flip_bits in 1u8..=255,
-    ) {
-        let m = sample_module(3, 7);
-        let mut bytes = encode::encode_module(&m);
+#[test]
+fn decoder_survives_corrupted_valid_module() {
+    cases(256, 0xC022_0975, |rng| {
+        let mut bytes = encode::encode_module(&sample_module(3, 7));
+        let (flip_at, flip_bits) = (rng.index(0, 200), rng.range(1, 256) as u8);
         if flip_at < bytes.len() {
             bytes[flip_at] ^= flip_bits;
         }
         let _ = decode::decode_module(&bytes); // must not panic
-    }
-}
-
-fn valtype_strategy() -> impl Strategy<Value = ValType> {
-    prop_oneof![
-        Just(ValType::I32),
-        Just(ValType::I64),
-        Just(ValType::F32),
-        Just(ValType::F64),
-    ]
+    });
 }
 
 fn sample_module(consts: i32, locals: usize) -> Module {
@@ -104,18 +85,16 @@ fn sample_module(consts: i32, locals: usize) -> Module {
     m
 }
 
-proptest! {
-    #[test]
-    fn module_roundtrip_with_random_shapes(
-        nfuncs in 1usize..5,
-        nlocals in 0usize..10,
-        param_tys in proptest::collection::vec(valtype_strategy(), 0..4),
-        consts in proptest::collection::vec(any::<i32>(), 0..20),
-        data in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
+#[test]
+fn module_roundtrip_with_random_shapes() {
+    cases(256, 0x5A4B_E500, |rng| {
+        let val_types = [ValType::I32, ValType::I64, ValType::F32, ValType::F64];
+        let param_tys = rng.vec(0, 4, |r| *r.pick(&val_types));
+        let consts = rng.vec(0, 20, |r| r.next_u64() as i32);
+        let nlocals = rng.index(0, 10);
         let mut m = Module::new();
-        let t = m.push_type(FuncType::new(param_tys.clone(), vec![ValType::I32]));
-        for i in 0..nfuncs {
+        let t = m.push_type(FuncType::new(param_tys, vec![ValType::I32]));
+        for i in 0..rng.index(1, 5) {
             let mut instrs = Vec::new();
             for c in &consts {
                 instrs.push(Instr::I32Const(*c));
@@ -126,16 +105,22 @@ proptest! {
             let f = m.push_function(t, FuncBody::new(vec![ValType::F64; nlocals], instrs));
             m.exports.push(Export::func(format!("f{i}"), f));
         }
-        m.memories.push(MemoryType { limits: Limits::bounded(1, 4) });
-        if !data.is_empty() {
-            m.data.push(DataSegment { offset: ConstExpr::I32(8), bytes: data });
+        m.memories.push(MemoryType {
+            limits: Limits::bounded(1, 4),
+        });
+        let bytes = rng.bytes(0, 64);
+        if !bytes.is_empty() {
+            m.data.push(DataSegment {
+                offset: ConstExpr::I32(8),
+                bytes,
+            });
         }
         m.name = Some("prop".into());
 
         let bytes = encode::encode_module(&m);
         let back = decode::decode_module(&bytes).unwrap();
-        prop_assert_eq!(&m, &back);
+        assert_eq!(m, back);
         // And the roundtripped module still validates.
         sledge_wasm::validate::validate_module(&back).unwrap();
-    }
+    });
 }
