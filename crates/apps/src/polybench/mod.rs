@@ -155,24 +155,7 @@ pub struct PreparedKernel {
 impl PreparedKernel {
     /// Translate `k` for the given configuration.
     pub fn new(k: &Kernel, tier: awsm::Tier, bounds: awsm::BoundsStrategy) -> Self {
-        Self::with_options(k, tier, bounds, awsm::TranslateOptions::default().optimize)
-    }
-
-    /// Like [`Self::new`], but with explicit control over the translate-time
-    /// dataflow optimizer — the opt-off baseline the benchmarks compare
-    /// defaults against.
-    pub fn with_options(
-        k: &Kernel,
-        tier: awsm::Tier,
-        bounds: awsm::BoundsStrategy,
-        optimize: bool,
-    ) -> Self {
-        let m = (k.build)();
-        let opts = awsm::TranslateOptions {
-            max_check_gap: awsm::DEFAULT_MAX_CHECK_GAP,
-            optimize,
-        };
-        let module = std::sync::Arc::new(awsm::translate_with(&m, tier, opts).expect("translate"));
+        let module = std::sync::Arc::new(awsm::translate(&(k.build)(), tier).expect("translate"));
         PreparedKernel {
             module,
             config: awsm::EngineConfig {

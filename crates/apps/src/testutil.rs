@@ -122,10 +122,8 @@ pub fn run_guest_all_configs(module: &Module, body: &[u8]) -> Vec<u8> {
         (Tier::Optimized, BoundsStrategy::Software),
         (Tier::Optimized, BoundsStrategy::MpxEmulated),
         (Tier::Optimized, BoundsStrategy::None),
-        (Tier::Optimized, BoundsStrategy::Static),
         (Tier::Naive, BoundsStrategy::GuardRegion),
         (Tier::Naive, BoundsStrategy::Software),
-        (Tier::Naive, BoundsStrategy::Static),
     ] {
         let out = run_guest_config(module, body, tier, bounds);
         assert_eq!(out, reference, "output differs under {tier:?}/{bounds:?}");

@@ -85,9 +85,6 @@ pub(super) fn un_cost(op: NumUn) -> u32 {
 ///   `LocalGet` plus `Load`, `IncI32` = the fused `i32.add`, …). Hence
 ///   operand pushes consumed by fusion (`Const`, `LocalGet`, `LocalSet`,
 ///   `Drop`, `GlobalGet`, `i32.eqz`) weigh 0.
-/// * **Strategy-independent**: the unchecked `*Nc` forms weigh the same as
-///   their checked originals, so fuel totals do not depend on the bounds
-///   strategy.
 /// * **`Op::Fuel` weighs 0**: it is accounting, not guest work; the naive
 ///   tier skips it.
 pub fn op_cost(op: &Op) -> u32 {
@@ -107,8 +104,7 @@ pub fn op_cost(op: &Op) -> u32 {
         Op::CallIndirect(_) => 10,
         Op::CallHost(_) => 16,
         Op::MemoryGrow => 64,
-        Op::Load(..) | Op::LoadL(..) | Op::LoadNc(..) | Op::LoadLNc(..) => 3,
-        Op::Store(..) | Op::StoreNc(..) => 3,
+        Op::Load(..) | Op::LoadL(..) | Op::Store(..) => 3,
         Op::Bin(b) | Op::BinRL(b, _) | Op::BinRC(b, _) | Op::Bin2L(b, ..) | Op::Bin2LS(b, ..) => {
             bin_cost(*b)
         }
@@ -116,9 +112,6 @@ pub fn op_cost(op: &Op) -> u32 {
         // carries weight.
         Op::IncI32(..) => bin_cost(NumBin::I32Add),
         Op::Un(u) => un_cost(*u),
-        // Optimizer padding carries the erased op's weight so rewritten
-        // bodies stay fuel-identical to the original.
-        Op::Nop(c) => *c,
     }
 }
 
@@ -216,15 +209,44 @@ struct Chunk {
     host: bool,
 }
 
+fn remap_targets(code: &mut [Op], map: &[u32]) {
+    for op in code {
+        match op {
+            Op::Br(b) | Op::BrIf(b) | Op::BrIfZ(b) => b.target = map[b.target as usize],
+            Op::BrTable(p) => {
+                for t in &mut p.targets {
+                    t.target = map[t.target as usize];
+                }
+                p.default.target = map[p.default.target as usize];
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Remove `Op::Fuel` charges, remapping branch targets onto the op that
+/// followed them. Exact inverse of [`instrument`] on instrumented code:
+/// targets only ever point at chunk entries, and a chunk entry's `Fuel`
+/// maps to the chunk's first real op. Every branch target must be in range.
+pub(super) fn strip_fuel(code: &[Op]) -> Vec<Op> {
+    let mut out: Vec<Op> = Vec::with_capacity(code.len());
+    let mut map = vec![0u32; code.len()];
+    for (pc, op) in code.iter().enumerate() {
+        map[pc] = out.len() as u32;
+        if !matches!(op, Op::Fuel(_)) {
+            out.push(op.clone());
+        }
+    }
+    remap_targets(&mut out, &map);
+    out
+}
+
 /// Instrument one function body: partition into basic blocks, split blocks
 /// over `budget`, insert [`Op::Fuel`] charges, renumber branch targets.
-/// Returns the rewritten body, its certificate (with `name` unset), and
-/// the position map (pre-instrumentation pc → the op's own post-
-/// instrumentation index) so callers can relocate per-pc facts — the
-/// optimizer's elision claims — into the instrumented body. Branch
-/// targets are remapped internally via a separate leader→entry map, so
-/// a branch to a charged block still lands on its `Op::Fuel` header.
-pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost, Vec<u32>) {
+/// Returns the rewritten body and its certificate (with `name` unset). A
+/// branch to a charged block lands on its `Op::Fuel` header. Every branch
+/// target must be in range.
+pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost) {
     let budget = budget.max(1) as u64;
     let n = code.len();
 
@@ -288,7 +310,6 @@ pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost, Vec<u3
     // Emit, recording where each old pc (in particular each leader) lands.
     let mut out: Vec<Op> = Vec::with_capacity(n + chunks.len());
     let mut map = vec![0u32; n];
-    let mut pos = vec![0u32; n];
     let mut checks = 0u32;
     for ch in &chunks {
         let entry = out.len() as u32;
@@ -302,22 +323,10 @@ pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost, Vec<u3
             } else {
                 out.len() as u32
             };
-            pos[pc] = out.len() as u32;
             out.push(code[pc].clone());
         }
     }
-    for op in &mut out {
-        match op {
-            Op::Br(b) | Op::BrIf(b) | Op::BrIfZ(b) => b.target = map[b.target as usize],
-            Op::BrTable(p) => {
-                for t in &mut p.targets {
-                    t.target = map[t.target as usize];
-                }
-                p.default.target = map[p.default.target as usize];
-            }
-            _ => {}
-        }
-    }
+    remap_targets(&mut out, &map);
 
     let gap_of = |pred: &dyn Fn(&Chunk) -> bool| -> u32 {
         chunks
@@ -338,5 +347,5 @@ pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost, Vec<u3
         max_loop_gap: gap_of(&in_loop),
         max_host_gap: gap_of(&|c: &Chunk| c.host),
     };
-    (out, stats, pos)
+    (out, stats)
 }

@@ -410,7 +410,7 @@ pub(super) fn lints(
         let mut seen_load = false;
         for (pc, op) in func.code.iter().enumerate() {
             match op {
-                Op::Load(..) | Op::LoadL(..) | Op::LoadNc(..) | Op::LoadLNc(..) => {
+                Op::Load(..) | Op::LoadL(..) => {
                     seen_load = true;
                 }
                 Op::Store(kind, off) if !seen_load && pc >= 2 => {

@@ -52,9 +52,8 @@ pub(super) fn structural(m: &CompiledModule, reachable: &HashSet<u32>, out: &mut
     }
 }
 
-/// Value-level lints that run on the pre-optimization code, so they flag
-/// what the guest author wrote (the optimizer would erase the evidence):
-/// constant-condition conditional branches and never-read locals.
+/// Value-level lints: constant-condition conditional branches and
+/// never-read locals.
 pub(super) fn value_lints(m: &CompiledModule, out: &mut Vec<Diagnostic>) {
     for (fidx, func) in m.funcs.iter().enumerate() {
         let fidx = fidx as u32;
@@ -95,9 +94,7 @@ pub(super) fn value_lints(m: &CompiledModule, out: &mut Vec<Diagnostic>) {
         };
         for op in &func.code {
             match op {
-                Op::LocalGet(l) | Op::BinRL(_, l) | Op::LoadL(_, l, _) | Op::LoadLNc(_, l, _) => {
-                    mark(&mut read, *l)
-                }
+                Op::LocalGet(l) | Op::BinRL(_, l) | Op::LoadL(_, l, _) => mark(&mut read, *l),
                 Op::LocalSet(l) => mark(&mut written, *l),
                 Op::LocalTee(l) => mark(&mut written, *l),
                 Op::IncI32(l, _) => {

@@ -1,40 +1,37 @@
 //! Load-time static analysis over the flat IR: stack-bound verification,
-//! bounds-check elision, and module linting.
+//! cost and effect certificates, and module linting.
 //!
 //! Everything here runs exactly once, at [`translate`](crate::translate)
 //! time, over the already-resolved code of a [`CompiledModule`]. The result
-//! is an [`AnalysisReport`] stored on the module (so every consumer — the
-//! registry, the CLI, the benchmarks — shares one analysis), plus a
-//! rewritten per-function code copy in which statically-proven memory
-//! accesses carry no bounds check (used by
-//! [`BoundsStrategy::Static`](crate::BoundsStrategy::Static)).
-//!
-//! Three consumers:
+//! is an [`AnalysisReport`] stored on the module, so every consumer — the
+//! registry, the CLI, the benchmarks — shares one analysis.
 //!
 //! 1. **Verifier** ([`stack`]): per-function operand-stack heights and frame
 //!    sizes, the call graph, recursion detection, and a worst-case stack
 //!    bound in bytes for the whole module. `sledge-core` compares it against
 //!    the sandbox stack budget *before* instantiation.
-//! 2. **Bounds-check elision** ([`range`]): an intra-procedural interval
-//!    analysis over guest addresses. A load/store whose effective address is
-//!    proven `< min_pages * PAGE_SIZE` can never trap — linear memory only
-//!    grows — so the `Static` strategy executes it unchecked.
+//! 2. **Intervals** ([`range`]): an intra-procedural interval analysis over
+//!    guest addresses, feeding the static write footprints of the effect
+//!    certificate and the value lints.
 //! 3. **Lints** ([`lint`] + [`range`]): structured [`Diagnostic`]s for
 //!    statically-guaranteed traps and dead code. `Error` means the module
 //!    will trap on the flagged path whenever it executes; the registry
 //!    rejects such modules at load.
+//! 4. **Certificates** ([`effects`], [`cost`]): reachable host imports and
+//!    write footprints per entry point; exact per-block fuel charges and the
+//!    certified preemption-latency gap. [`verify`] re-derives the parts of
+//!    them a node must not take on trust from an artifact.
 
 pub mod cost;
 pub mod effects;
 mod lint;
-pub mod opt;
 mod range;
 mod stack;
+pub mod verify;
 
-use crate::code::{CompiledModule, Op};
+use crate::code::CompiledModule;
 use cost::CostReport;
 use effects::{EffectReport, WriteFootprint};
-use opt::OptReport;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -110,8 +107,6 @@ pub struct FuncSummary {
     pub frame_bytes: u64,
     /// Memory-access sites in the function.
     pub mem_sites: u32,
-    /// Sites proven in-bounds (elided under the `Static` strategy).
-    pub elided_sites: u32,
     /// Whether the function is reachable from any export or table entry.
     pub reachable: bool,
 }
@@ -127,8 +122,6 @@ pub struct AnalysisReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Total memory-access sites in the module.
     pub mem_sites: u32,
-    /// Total sites proven in-bounds.
-    pub elided_sites: u32,
     /// Cost model + preemption-latency certificate. `None` only for
     /// reports that predate the cost pass (e.g. hand-built in tests);
     /// translation always produces one.
@@ -137,10 +130,6 @@ pub struct AnalysisReport {
     /// write footprints, closed over the call graph. `None` only for
     /// hand-built reports; translation always produces one.
     pub effects: Option<EffectReport>,
-    /// Optimization certificate: what the translate-time optimizer did
-    /// and the translation-validation claims backing it. `None` when the
-    /// module was translated with optimization off.
-    pub opt: Option<OptReport>,
     /// Wall-clock duration of each analysis pass, in pipeline order.
     pub timings: Vec<(&'static str, Duration)>,
 }
@@ -152,10 +141,8 @@ impl Default for AnalysisReport {
             stack_bound: StackBound::Bounded(0),
             diagnostics: Vec::new(),
             mem_sites: 0,
-            elided_sites: 0,
             cost: None,
             effects: None,
-            opt: None,
             timings: Vec::new(),
         }
     }
@@ -290,31 +277,12 @@ impl AnalysisReport {
                 let _ = writeln!(out, "  stack bound: unbounded (cycle through {cycle:?})");
             }
         }
-        let _ = writeln!(
-            out,
-            "  bounds checks: {}/{} sites proven in-bounds (elided under `static`)",
-            self.elided_sites, self.mem_sites
-        );
+        let _ = writeln!(out, "  memory access sites: {}", self.mem_sites);
         if let Some(c) = &self.cost {
             let _ = writeln!(
                 out,
                 "  cost model: max check-free gap {} / budget {} units, {} checks ({} split)",
                 c.max_gap, c.max_check_gap, c.checks, c.splits
-            );
-        }
-        if let Some(o) = &self.opt {
-            let _ = writeln!(
-                out,
-                "  optimizer: {} -> {} ops ({} folds, {} branches, {} dead, {} fused), \
-                 {} checks elided, {} fuel sites merged",
-                o.ops_before,
-                o.ops_after,
-                o.folded,
-                o.branches_simplified,
-                o.dce_ops,
-                o.fused,
-                o.checks_elided,
-                o.fuel_sites_merged
             );
         }
         for (pass, dur) in &self.timings {
@@ -324,8 +292,8 @@ impl AnalysisReport {
             let name = f.name.as_deref().unwrap_or("<anon>");
             let _ = write!(
                 out,
-                "  func {i:>3} {name:<20} frame {:>6} B, operands {:>3}, elided {}/{}",
-                f.frame_bytes, f.max_operand_slots, f.elided_sites, f.mem_sites,
+                "  func {i:>3} {name:<20} frame {:>6} B, operands {:>3}, mem sites {}",
+                f.frame_bytes, f.max_operand_slots, f.mem_sites,
             );
             if let Some(fc) = self.cost.as_ref().and_then(|c| c.funcs.get(i)) {
                 let _ = write!(
@@ -343,24 +311,18 @@ impl AnalysisReport {
     }
 }
 
-/// Analyze `m` in place: compute the report, optionally optimize every
-/// body (preserving the originals in `code_unopt` for certificate-
-/// failure fallback), rewrite proven-safe memory accesses into their
-/// unchecked forms (`code_static`), instrument both bodies with exact
-/// per-block fuel charges bounded by `max_check_gap`, and attach the
+/// Analyze `m` in place: compute the report, instrument every body with
+/// exact per-block fuel charges bounded by `max_check_gap`, and attach the
 /// report to the module. Called once, at the end of translation.
 ///
-/// Note: `Diagnostic::pc` and elision-site positions refer to the
-/// *pre-instrumentation* code — the flat code after optimization but
-/// before `Op::Fuel` insertion shifted positions.
-pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32, optimize: bool) {
+/// Note: `Diagnostic::pc` refers to the *pre-instrumentation* code — the
+/// flat code before `Op::Fuel` insertion shifted positions.
+pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
     let mut report = AnalysisReport::default();
     let mut timings: Vec<(&'static str, Duration)> = Vec::new();
 
     // Per-function operand heights; needed by both the verifier and the
-    // frame-size summaries. Computed on the pre-optimization code: the
-    // optimizer only ever lowers operand heights, so the stored bound
-    // stays a sound (conservative) certificate for the shipped body.
+    // frame-size summaries.
     let t = Instant::now();
     let heights = stack::operand_heights(m);
 
@@ -369,118 +331,41 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32, optimize: bool
     report.stack_bound = graph.stack_bound(m, &heights);
     timings.push(("stack", t.elapsed()));
 
-    // Lints on the untouched translation: entry `unreachable`, dead
-    // functions, statically-dead branches, never-read locals. Running
-    // before optimization keeps the findings about what the guest
-    // author wrote, not what the optimizer left behind.
+    // Lints: entry `unreachable`, dead functions, statically-dead
+    // branches, never-read locals.
     let t = Instant::now();
     let reachable = graph.reachable_set();
     lint::structural(m, &reachable, &mut report.diagnostics);
     lint::value_lints(m, &mut report.diagnostics);
     timings.push(("lint", t.elapsed()));
 
-    // Optimizer: rewrite each body in place, preserving the original in
-    // `code_unopt` so a failed certificate can fall back losslessly.
+    // Interval analysis per function: direct store footprints, value lints.
     let t = Instant::now();
-    let mut opt_funcs: Vec<opt::OptFuncReport> = Vec::new();
-    let arity = optimize.then(|| opt::Arity::build(m));
-    if let Some(ar) = &arity {
-        for func in m.funcs.iter_mut() {
-            let ops_before = func.code.len() as u32;
-            func.code_unopt = Some(func.code.clone());
-            let stats = opt::optimize_func(
-                &mut func.code,
-                ar,
-                func.nparams,
-                func.nlocals,
-                func.has_result,
-            );
-            opt_funcs.push(opt::OptFuncReport {
-                ops_before,
-                ops_after: func.code.len() as u32,
-                folded: stats.folded,
-                branches_simplified: stats.branches,
-                dce_ops: stats.dce_ops,
-                fused: stats.fused,
-                ..Default::default()
-            });
-        }
-    }
-    timings.push(("opt", t.elapsed()));
-
-    // Interval analysis per function: elision proofs, direct store
-    // footprints, value lints.
-    let t = Instant::now();
-    let mut elisions: Vec<Vec<u32>> = Vec::with_capacity(m.funcs.len());
     let mut footprints: Vec<WriteFootprint> = Vec::with_capacity(m.funcs.len());
     for (fidx, func) in m.funcs.iter().enumerate() {
         let r = range::analyze_func(m, fidx as u32, func, &mut report.diagnostics);
         report.mem_sites += r.mem_sites;
-        report.elided_sites += r.proven.len() as u32;
         report.funcs.push(FuncSummary {
             name: func.name.clone(),
             max_operand_slots: heights[fidx],
             frame_bytes: stack::frame_bytes(func, heights[fidx]),
             mem_sites: r.mem_sites,
-            elided_sites: r.proven.len() as u32,
             reachable: reachable.contains(&(fidx as u32)),
         });
-        elisions.push(r.proven);
         footprints.push(r.footprint);
     }
     timings.push(("range", t.elapsed()));
 
     // Effect certificate + effect-aware lints, before the cost pass so lint
     // pcs refer to pre-instrumentation code like every other diagnostic.
-    // The call graph predates optimization: a superset of the optimized
-    // graph, so the certificate stays a sound over-approximation.
     let t = Instant::now();
     let effects = effects::compute(m, &graph, &footprints);
     effects::lints(m, &effects, &reachable, &mut report.diagnostics);
     report.effects = Some(effects);
     timings.push(("effects", t.elapsed()));
 
-    // Rewrite: a per-function shadow body in which proven sites are
-    // unchecked. Identical length and branch targets — only the flagged
-    // ops change, so `code_static` is a drop-in replacement.
-    let t = Instant::now();
-    for (func, pcs) in m.funcs.iter_mut().zip(&elisions) {
-        if pcs.is_empty() {
-            continue;
-        }
-        let mut code = func.code.clone();
-        for &pc in pcs {
-            let op = &mut code[pc as usize];
-            *op = match op.clone() {
-                Op::Load(k, off) => Op::LoadNc(k, off),
-                Op::LoadL(k, l, off) => Op::LoadLNc(k, l, off),
-                Op::Store(k, off) => Op::StoreNc(k, off),
-                other => other,
-            };
-        }
-        func.code_static = Some(code);
-    }
-
-    // Dominating-check elimination: accesses covered on every path by an
-    // earlier check (or by the minimum memory size) drop their bounds
-    // check in `code_static`, each conversion backed by an `OptClaim`.
-    if let Some(ar) = &arity {
-        let min_bytes = m.memory.map(|s| s.min_pages as u64 * 65536).unwrap_or(0);
-        for (fidx, func) in m.funcs.iter_mut().enumerate() {
-            let had_static = func.code_static.is_some();
-            let mut cs = func.code_static.take().unwrap_or_else(|| func.code.clone());
-            let claims = opt::elide_dominated(&mut cs, min_bytes, ar);
-            if had_static || !claims.is_empty() {
-                func.code_static = Some(cs);
-            }
-            opt_funcs[fidx].claims = claims;
-        }
-    }
-    timings.push(("elide", t.elapsed()));
-
-    // Cost pass, last: insert exact per-segment `Op::Fuel` charges (both
-    // bodies — identical weights keep them aligned) and certify the max
-    // check-free gap.
+    // Cost pass, last: insert exact per-segment `Op::Fuel` charges and
+    // certify the max check-free gap.
     let t = Instant::now();
     let mut cost = CostReport {
         max_check_gap,
@@ -489,36 +374,8 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32, optimize: bool
         checks: 0,
         splits: 0,
     };
-    for (fidx, func) in m.funcs.iter_mut().enumerate() {
-        let (code, mut fc, _) = cost::instrument(&func.code, max_check_gap);
-        if let Some(cs) = func.code_static.take() {
-            let (code_static, fc2, pos) = cost::instrument(&cs, max_check_gap);
-            debug_assert_eq!(
-                code.len(),
-                code_static.len(),
-                "cost instrumentation must keep code/code_static aligned"
-            );
-            debug_assert_eq!(fc, fc2);
-            func.code_static = Some(code_static);
-            // Relocate the elision claims onto post-instrumentation pcs.
-            if let Some(fr) = opt_funcs.get_mut(fidx) {
-                for claim in &mut fr.claims {
-                    claim.pc = pos[claim.pc as usize];
-                }
-            }
-        }
-        if let Some(fr) = opt_funcs.get_mut(fidx) {
-            // Fuel sites the unoptimized body would have carried, for
-            // the merged-site accounting (transient instrumentation of
-            // the preserved original).
-            let before = func
-                .code_unopt
-                .as_ref()
-                .map(|orig| cost::instrument(orig, max_check_gap).1.checks)
-                .unwrap_or(fc.checks);
-            fr.fuel_sites_before = before;
-            fr.fuel_sites_after = fc.checks;
-        }
+    for func in m.funcs.iter_mut() {
+        let (code, mut fc) = cost::instrument(&func.code, max_check_gap);
         func.code = code;
         fc.name = func.name.clone();
         cost.max_gap = cost.max_gap.max(fc.max_gap);
@@ -528,31 +385,11 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32, optimize: bool
     }
     report.cost = Some(cost);
     timings.push(("cost", t.elapsed()));
-
-    if arity.is_some() {
-        let mut o = OptReport::default();
-        for f in &opt_funcs {
-            o.ops_before += f.ops_before;
-            o.ops_after += f.ops_after;
-            o.folded += f.folded;
-            o.branches_simplified += f.branches_simplified;
-            o.dce_ops += f.dce_ops;
-            o.fused += f.fused;
-            o.checks_elided += f.claims.len() as u32;
-            o.fuel_sites_merged += f.fuel_sites_before.saturating_sub(f.fuel_sites_after);
-        }
-        o.funcs = opt_funcs;
-        report.opt = Some(o);
-    }
     report.timings = timings;
 
     m.analysis = report;
 
-    // In debug builds, an invalid certificate out of our own pipeline is
-    // a bug — fail loudly rather than relying on the registry fallback.
-    if cfg!(debug_assertions) && m.analysis.opt.is_some() {
-        if let Err(e) = opt::validate(m) {
-            panic!("optimizer produced an invalid certificate: {e}");
-        }
-    }
+    // What an ingesting node will demand of this module must hold of our
+    // own output.
+    debug_assert_eq!(verify::verify_body(m), Ok(()));
 }

@@ -1,5 +1,5 @@
-//! Intra-procedural interval analysis over the flat IR, used for
-//! bounds-check elision and value lints (constant div-by-zero, constant
+//! Intra-procedural interval analysis over the flat IR, used for static
+//! write footprints and value lints (constant div-by-zero, constant
 //! out-of-bounds access, doomed `call_indirect`).
 //!
 //! # Abstract domain
@@ -26,8 +26,8 @@
 //! interval is widened to the nearest *landmark* — a constant appearing in
 //! the function — which lands loop heads exactly on `[0, N]`. A hard-`Top`
 //! backstop and a global step budget bound the analysis on adversarial
-//! control flow; the budget bails out to "no elision" without affecting the
-//! stack verifier.
+//! control flow; the budget bails out to "no findings, unbounded footprint"
+//! without affecting the stack verifier.
 
 use super::effects::WriteFootprint;
 use super::{Diagnostic, Severity};
@@ -44,8 +44,6 @@ const TOP_AFTER: u32 = 24;
 pub(super) struct FuncRange {
     /// Syntactic load/store sites in the function.
     pub mem_sites: u32,
-    /// Sites (pcs) proven in-bounds for every reachable memory size.
-    pub proven: Vec<u32>,
     /// Interval over-approximation of every store this function performs
     /// directly (before call-graph closure). Whenever the interval analysis
     /// bails out, this degrades soundly to `Unbounded` if the function
@@ -554,8 +552,6 @@ struct Ctx<'a> {
     targets: HashSet<u32>,
     /// Sorted constants in the function, for landmark widening.
     landmarks: Vec<u32>,
-    /// `min_pages * PAGE_SIZE`: accesses below this can never trap.
-    min_bytes: u64,
     /// `max_pages * PAGE_SIZE`: accesses at/after this always trap.
     max_bytes: u64,
     /// Canonical type id → `(nparams, has_result)`.
@@ -564,10 +560,9 @@ struct Ctx<'a> {
     budget: usize,
 }
 
-/// Accumulates per-site proofs, the store footprint, and value lints during
-/// the collection pass.
+/// Accumulates the store footprint and value lints during the collection
+/// pass.
 struct Collector<'a> {
-    proven: Vec<u32>,
     footprint: WriteFootprint,
     diags: &'a mut Vec<Diagnostic>,
 }
@@ -582,21 +577,12 @@ impl Collector<'_> {
         });
     }
 
-    /// Judge one memory-access site: prove it in-bounds, flag it as a
-    /// guaranteed trap, or leave it checked.
+    /// Judge one memory-access site: flag it if it is a guaranteed trap.
     fn site(&mut self, ctx: &Ctx<'_>, pc: usize, addr: AVal, off: u32, len: u64) {
-        let (lo, hi) = match addr {
-            AVal::R(lo, hi) => (lo as u64, Some(hi as u64)),
-            AVal::Top => (0, None),
+        let lo = match addr {
+            AVal::R(lo, _) => lo as u64,
+            AVal::Top => 0,
         };
-        if let Some(hi) = hi {
-            // Linear memory only grows, so an access below the initial size
-            // is in-bounds for the lifetime of the instance.
-            if hi + off as u64 + len <= ctx.min_bytes {
-                self.proven.push(pc as u32);
-                return;
-            }
-        }
         if lo + off as u64 + len > ctx.max_bytes {
             self.lint(
                 ctx,
@@ -830,21 +816,21 @@ fn run_segment(
             Op::GlobalSet(_) => {
                 st.stack.pop();
             }
-            Op::Load(kind, off) | Op::LoadNc(kind, off) => {
+            Op::Load(kind, off) => {
                 let addr = st.stack.pop().expect("load addr");
                 if let Some(c) = col.as_deref_mut() {
                     c.site(ctx, pc, addr.val, *off, load_len(*kind));
                 }
                 st.stack.push(Slot::anon(load_result(*kind)));
             }
-            Op::LoadL(kind, local, off) | Op::LoadLNc(kind, local, off) => {
+            Op::LoadL(kind, local, off) => {
                 let addr = st.locals[*local as usize];
                 if let Some(c) = col.as_deref_mut() {
                     c.site(ctx, pc, addr, *off, load_len(*kind));
                 }
                 st.stack.push(Slot::anon(load_result(*kind)));
             }
-            Op::Store(kind, off) | Op::StoreNc(kind, off) => {
+            Op::Store(kind, off) => {
                 st.stack.pop().expect("store value");
                 let addr = st.stack.pop().expect("store addr");
                 if let Some(c) = col.as_deref_mut() {
@@ -952,9 +938,8 @@ fn run_segment(
                 kill_local(&mut st, *i);
             }
             // Fuel is inserted by the cost pass, which runs after this
-            // analysis; Nop is optimizer padding. Neither has a stack or
-            // value effect.
-            Op::Fuel(_) | Op::Nop(_) => {}
+            // analysis; it has no stack or value effect.
+            Op::Fuel(_) => {}
         }
         pc += 1;
         if ctx.targets.contains(&(pc as u32)) {
@@ -1078,8 +1063,8 @@ fn widen(old: &State, new: &mut State, landmarks: &[u32], hard: bool) {
 }
 
 /// Run the interval analysis over one function: fixpoint over branch-target
-/// states, then a single deterministic collection pass that records per-site
-/// bounds proofs and value lints.
+/// states, then a single deterministic collection pass that records the
+/// store footprint and value lints.
 pub(super) fn analyze_func(
     m: &CompiledModule,
     fidx: u32,
@@ -1089,23 +1074,11 @@ pub(super) fn analyze_func(
     let code = &func.code[..];
     let mem_sites = code
         .iter()
-        .filter(|op| {
-            matches!(
-                op,
-                Op::Load(..)
-                    | Op::LoadL(..)
-                    | Op::Store(..)
-                    | Op::LoadNc(..)
-                    | Op::LoadLNc(..)
-                    | Op::StoreNc(..)
-            )
-        })
+        .filter(|op| matches!(op, Op::Load(..) | Op::LoadL(..) | Op::Store(..)))
         .count() as u32;
     // Whenever the analysis bails out before the collection pass completes,
     // the footprint must stay sound: any store means "anywhere".
-    let has_stores = code
-        .iter()
-        .any(|op| matches!(op, Op::Store(..) | Op::StoreNc(..)));
+    let has_stores = code.iter().any(|op| matches!(op, Op::Store(..)));
     let bail_footprint = if has_stores {
         WriteFootprint::Unbounded
     } else {
@@ -1122,7 +1095,6 @@ pub(super) fn analyze_func(
     if !interesting {
         return FuncRange {
             mem_sites,
-            proven: Vec::new(),
             footprint: bail_footprint,
         };
     }
@@ -1156,26 +1128,15 @@ pub(super) fn analyze_func(
     landmarks.sort_unstable();
     landmarks.dedup();
 
-    let (min_bytes, max_bytes) = match m.memory {
-        Some(spec) => (spec.min_pages as u64 * 65536, spec.max_pages as u64 * 65536),
-        None => (0, 0),
-    };
-    let mut arity: HashMap<u32, (u32, bool)> = HashMap::new();
-    for f in &m.funcs {
-        arity.insert(f.type_id, (f.nparams, f.has_result));
-    }
-    for h in &m.host_funcs {
-        arity.insert(h.type_id, (h.nparams, h.has_result));
-    }
+    let max_bytes = m.memory.map_or(0, |spec| spec.max_pages as u64 * 65536);
     let ctx = Ctx {
         m,
         code,
         fidx,
         targets,
         landmarks,
-        min_bytes,
         max_bytes,
-        arity,
+        arity: super::stack::arity_map(m),
         budget: 500 * code.len() + 50_000,
     };
 
@@ -1203,11 +1164,10 @@ pub(super) fn analyze_func(
         let st = states.get(&pc).expect("queued state").clone();
         edges.clear();
         if !run_segment(&ctx, pc, st, &mut steps, None, &mut edges) {
-            // Step budget exhausted: give up on elision and value lints for
+            // Step budget exhausted: give up on footprints and value lints for
             // this function (the stack verifier is a separate pass).
             return FuncRange {
                 mem_sites,
-                proven: Vec::new(),
                 footprint: bail_footprint,
             };
         }
@@ -1231,7 +1191,6 @@ pub(super) fn analyze_func(
                         Err(()) => {
                             return FuncRange {
                                 mem_sites,
-                                proven: Vec::new(),
                                 footprint: bail_footprint,
                             };
                         }
@@ -1246,36 +1205,25 @@ pub(super) fn analyze_func(
 
     // Collection: each reachable segment exactly once, in pc order, against
     // its post-fixpoint entry state.
-    let mut proven: Vec<u32> = Vec::new();
-    let footprint;
-    {
-        let mut col = Collector {
-            proven: Vec::new(),
-            footprint: WriteFootprint::Empty,
-            diags,
-        };
-        let mut pcs: Vec<u32> = states.keys().copied().collect();
-        pcs.sort_unstable();
-        let mut col_steps = 0usize;
-        for pc in pcs {
-            edges.clear();
-            let st = states.get(&pc).expect("state").clone();
-            if !run_segment(&ctx, pc, st, &mut col_steps, Some(&mut col), &mut edges) {
-                return FuncRange {
-                    mem_sites,
-                    proven: Vec::new(),
-                    footprint: bail_footprint,
-                };
-            }
+    let mut col = Collector {
+        footprint: WriteFootprint::Empty,
+        diags,
+    };
+    let mut pcs: Vec<u32> = states.keys().copied().collect();
+    pcs.sort_unstable();
+    let mut col_steps = 0usize;
+    for pc in pcs {
+        edges.clear();
+        let st = states.get(&pc).expect("state").clone();
+        if !run_segment(&ctx, pc, st, &mut col_steps, Some(&mut col), &mut edges) {
+            return FuncRange {
+                mem_sites,
+                footprint: bail_footprint,
+            };
         }
-        proven.append(&mut col.proven);
-        footprint = col.footprint;
     }
-    proven.sort_unstable();
-    proven.dedup();
     FuncRange {
         mem_sites,
-        proven,
-        footprint,
+        footprint: col.footprint,
     }
 }

@@ -4,19 +4,21 @@
 //!
 //! Heights are a simple forward dataflow over the flat code. Validated Wasm
 //! guarantees every pc has a single well-defined height, so the "join" is
-//! equality; unreachable pcs simply never get one.
+//! equality; unreachable pcs simply never get one. The walker is fallible
+//! because [`verify_body`](super::verify::verify_body) runs it over bodies
+//! that arrived in an artifact rather than out of the translator.
 
 use super::StackBound;
-use crate::code::{CompiledFunc, CompiledModule, Op};
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::code::{Branch, CompiledFunc, CompiledModule, Op};
+use std::collections::{HashMap, HashSet};
 
 /// Bytes of a `Frame` record (func, pc, locals_base, stack_base — 4 × u32).
 const FRAME_RECORD_BYTES: u64 = 16;
 
 /// Arity of a canonical type id: `(nparams, has_result)`.
-type ArityMap = HashMap<u32, (u32, bool)>;
+pub(super) type ArityMap = HashMap<u32, (u32, bool)>;
 
-fn arity_map(m: &CompiledModule) -> ArityMap {
+pub(super) fn arity_map(m: &CompiledModule) -> ArityMap {
     let mut map = ArityMap::new();
     for f in &m.funcs {
         map.insert(f.type_id, (f.nparams, f.has_result));
@@ -32,7 +34,7 @@ pub(super) fn operand_heights(m: &CompiledModule) -> Vec<u32> {
     let arities = arity_map(m);
     m.funcs
         .iter()
-        .map(|f| func_max_height(m, f, &arities))
+        .map(|f| max_height(m, f, &arities).expect("translator emitted a stack-consistent body"))
         .collect()
 }
 
@@ -41,88 +43,153 @@ pub(super) fn frame_bytes(func: &CompiledFunc, max_operand_slots: u32) -> u64 {
     (func.nlocals as u64 + max_operand_slots as u64) * 8 + FRAME_RECORD_BYTES
 }
 
-fn func_max_height(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> u32 {
+/// `(pops, pushes)` of an op that neither transfers control nor calls.
+fn stack_effect(op: &Op) -> (u32, u32) {
+    match op {
+        Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
+        Op::Select => (3, 1),
+        Op::LocalGet(_)
+        | Op::GlobalGet(_)
+        | Op::MemorySize
+        | Op::Const(_)
+        | Op::Bin2L(..)
+        | Op::LoadL(..) => (0, 1),
+        Op::LocalTee(_)
+        | Op::Load(..)
+        | Op::MemoryGrow
+        | Op::Un(_)
+        | Op::BinRL(..)
+        | Op::BinRC(..) => (1, 1),
+        Op::Store(..) => (2, 0),
+        Op::Bin(_) => (2, 1),
+        _ => (0, 0),
+    }
+}
+
+/// Highest local and global index `op` touches, if any.
+fn slots_used(op: &Op) -> (Option<u32>, Option<u32>) {
+    match op {
+        Op::LocalGet(l)
+        | Op::LocalSet(l)
+        | Op::LocalTee(l)
+        | Op::BinRL(_, l)
+        | Op::IncI32(l, _)
+        | Op::LoadL(_, l, _) => (Some(*l), None),
+        Op::Bin2L(_, a, b) => (Some(*a.max(b)), None),
+        Op::Bin2LS(_, a, b, d) => (Some(*a.max(b).max(d)), None),
+        Op::GlobalGet(g) | Op::GlobalSet(g) => (None, Some(*g)),
+        _ => (None, None),
+    }
+}
+
+/// The crate's one operand-height walker: the maximum operand-stack height
+/// of `func`, or the first reason the interpreter could not run the body
+/// safely — two paths disagreeing on a pc's height, an op popping more than
+/// is there, control leaving the body, or an index (branch target, callee,
+/// local, global) out of range.
+pub(super) fn max_height(
+    m: &CompiledModule,
+    func: &CompiledFunc,
+    arities: &ArityMap,
+) -> Result<u32, String> {
     let code = &func.code;
     let mut height: Vec<Option<u32>> = vec![None; code.len()];
-    let mut work: VecDeque<u32> = VecDeque::new();
-    height[0] = Some(0);
-    work.push_back(0);
+    let mut work: Vec<(usize, u32)> = Vec::new();
     let mut max = 0u32;
 
     // Record the height flowing into `pc`; enqueue on first visit.
-    let mut flow = |height: &mut Vec<Option<u32>>, work: &mut VecDeque<u32>, pc: u32, h: u32| {
+    let mut flow = |work: &mut Vec<(usize, u32)>, pc: usize, h: u32| -> Result<(), String> {
         max = max.max(h);
-        match height[pc as usize] {
-            None => {
-                height[pc as usize] = Some(h);
-                work.push_back(pc);
+        match height.get_mut(pc) {
+            None => Err(format!("control reaches pc {pc}, past the end of the body")),
+            Some(Some(prev)) if *prev != h => {
+                Err(format!("operand height conflict at pc {pc}: {prev} vs {h}"))
             }
-            Some(prev) => debug_assert_eq!(prev, h, "height conflict at pc {pc}"),
+            Some(Some(_)) => Ok(()),
+            Some(slot) => {
+                *slot = Some(h);
+                work.push((pc, h));
+                Ok(())
+            }
         }
     };
+    let branch = |b: &Branch| (b.target as usize, b.height + b.keep as u32);
 
-    while let Some(pc) = work.pop_front() {
-        let h = height[pc as usize].expect("queued pc has height");
+    flow(&mut work, 0, 0)?;
+    while let Some((pc, h)) = work.pop() {
         let next = pc + 1;
-        match &code[pc as usize] {
-            Op::Unreachable | Op::Return => {}
-            Op::Br(b) => flow(&mut height, &mut work, b.target, b.height + b.keep as u32),
+        // Height after popping `pops` and pushing `pushes`.
+        let after = |pops: u32, pushes: u32| -> Result<u32, String> {
+            h.checked_sub(pops)
+                .map(|rest| rest + pushes)
+                .ok_or_else(|| format!("operand underflow at pc {pc}: have {h}, need {pops}"))
+        };
+        let op = &code[pc];
+        match op {
+            Op::Unreachable => {}
+            Op::Return => {
+                after(func.has_result as u32, 0)?;
+            }
+            Op::Br(b) => {
+                let (t, th) = branch(b);
+                flow(&mut work, t, th)?;
+            }
             Op::BrIf(b) | Op::BrIfZ(b) => {
-                flow(&mut height, &mut work, b.target, b.height + b.keep as u32);
-                flow(&mut height, &mut work, next, h - 1);
+                let (t, th) = branch(b);
+                flow(&mut work, t, th)?;
+                flow(&mut work, next, after(1, 0)?)?;
             }
             Op::BrTable(payload) => {
+                after(1, 0)?;
                 for b in payload
                     .targets
                     .iter()
                     .chain(std::iter::once(&payload.default))
                 {
-                    flow(&mut height, &mut work, b.target, b.height + b.keep as u32);
+                    let (t, th) = branch(b);
+                    flow(&mut work, t, th)?;
                 }
             }
             Op::Call(f) => {
-                let callee = &m.funcs[*f as usize];
+                let callee = m
+                    .funcs
+                    .get(*f as usize)
+                    .ok_or_else(|| format!("call to unknown function {f} at pc {pc}"))?;
                 flow(
-                    &mut height,
                     &mut work,
                     next,
-                    h - callee.nparams + callee.has_result as u32,
-                );
+                    after(callee.nparams, callee.has_result as u32)?,
+                )?;
             }
             Op::CallHost(hidx) => {
-                let imp = &m.host_funcs[*hidx as usize];
-                flow(
-                    &mut height,
-                    &mut work,
-                    next,
-                    h - imp.nparams + imp.has_result as u32,
-                );
+                let imp = m
+                    .host_funcs
+                    .get(*hidx as usize)
+                    .ok_or_else(|| format!("call to unknown host import {hidx} at pc {pc}"))?;
+                flow(&mut work, next, after(imp.nparams, imp.has_result as u32)?)?;
             }
             Op::CallIndirect(tid) => {
+                after(1, 0)?;
                 // Unknown type id: no function of that type exists anywhere,
                 // so the call can only trap — treat as a terminator.
                 if let Some((np, res)) = arities.get(tid) {
-                    flow(&mut height, &mut work, next, h - 1 - np + *res as u32);
+                    flow(&mut work, next, after(np + 1, *res as u32)?)?;
                 }
             }
             op => {
-                let delta: i64 = match op {
-                    Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) | Op::Bin(_) => -1,
-                    Op::Select | Op::Store(_, _) | Op::StoreNc(_, _) => -2,
-                    Op::LocalGet(_)
-                    | Op::GlobalGet(_)
-                    | Op::MemorySize
-                    | Op::Const(_)
-                    | Op::Bin2L(..)
-                    | Op::LoadL(..)
-                    | Op::LoadLNc(..) => 1,
-                    _ => 0,
-                };
-                flow(&mut height, &mut work, next, (h as i64 + delta) as u32);
+                let (local, global) = slots_used(op);
+                if local.is_some_and(|l| l >= func.nlocals) {
+                    return Err(format!("local index out of range at pc {pc}"));
+                }
+                if global.is_some_and(|g| g as usize >= m.globals.len()) {
+                    return Err(format!("global index out of range at pc {pc}"));
+                }
+                let (pops, pushes) = stack_effect(op);
+                flow(&mut work, next, after(pops, pushes)?)?;
             }
         }
     }
-    max
+    Ok(max)
 }
 
 /// The module's call graph over local functions.

@@ -1,14 +1,12 @@
 //! Distributable module artifacts: a versioned binary encoding of a
 //! [`CompiledModule`] *together with its analysis certificates* (stack
-//! bound, cost/preemption certificate, effect report, optimizer
-//! translation-validation claims).
+//! bound, cost/preemption certificate, effect report).
 //!
 //! This is the cluster tier's module-distribution format: a router
 //! translates and analyzes a module once, then pushes the encoded artifact
 //! to every node. Receiving nodes decode it and **re-validate the carried
-//! certificates** (checksum, optimizer claims via
-//! [`validate`](crate::analysis::opt::validate), registry gates) instead of
-//! re-translating the source — the paper's "heavyweight linking and
+//! certificates** (checksum, [`verify_body`](crate::verify_body), registry
+//! gates) instead of re-translating the source — the paper's "heavyweight linking and
 //! loading" happens once per ring, not once per node.
 //!
 //! The format is deliberately simple: little-endian fixed-width integers,
@@ -26,7 +24,6 @@ use std::sync::Arc;
 
 use crate::analysis::cost::{CostReport, FuncCost};
 use crate::analysis::effects::{EffectReport, FuncEffect, WriteFootprint};
-use crate::analysis::opt::{ClaimBase, OptClaim, OptFuncReport, OptReport};
 use crate::analysis::{AnalysisReport, Diagnostic, FuncSummary, Severity, StackBound};
 use crate::code::{
     BrTablePayload, Branch, CompiledFunc, CompiledModule, HostImport, LoadKind, MemorySpec, NumBin,
@@ -36,8 +33,9 @@ use crate::memory::MemoryTemplate;
 
 /// Artifact magic: "SLGA" (SLedGe Artifact).
 pub const MAGIC: &[u8; 4] = b"SLGA";
-/// Current format version. Decoders reject anything else.
-pub const VERSION: u16 = 1;
+/// Current format version. Decoders reject anything else. Version 1
+/// carried three bodies per function and an optimizer section.
+pub const VERSION: u16 = 2;
 
 /// Why an artifact could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -590,28 +588,8 @@ fn op(w: &mut Writer, o: &Op) {
             w.u32(*l);
             w.u32(*off);
         }
-        Op::LoadNc(k, off) => {
-            w.u8(29);
-            load_kind(w, *k);
-            w.u32(*off);
-        }
-        Op::LoadLNc(k, l, off) => {
-            w.u8(30);
-            load_kind(w, *k);
-            w.u32(*l);
-            w.u32(*off);
-        }
-        Op::StoreNc(k, off) => {
-            w.u8(31);
-            store_kind(w, *k);
-            w.u32(*off);
-        }
         Op::Fuel(c) => {
-            w.u8(32);
-            w.u32(*c);
-        }
-        Op::Nop(c) => {
-            w.u8(33);
+            w.u8(29);
             w.u32(*c);
         }
     }
@@ -656,11 +634,7 @@ fn read_op(r: &mut Reader) -> Result<Op, ArtifactError> {
         26 => Op::Bin2LS(read_num_bin(r)?, r.u32()?, r.u32()?, r.u32()?),
         27 => Op::IncI32(r.u32()?, r.i32()?),
         28 => Op::LoadL(read_load_kind(r)?, r.u32()?, r.u32()?),
-        29 => Op::LoadNc(read_load_kind(r)?, r.u32()?),
-        30 => Op::LoadLNc(read_load_kind(r)?, r.u32()?, r.u32()?),
-        31 => Op::StoreNc(read_store_kind(r)?, r.u32()?),
-        32 => Op::Fuel(r.u32()?),
-        33 => Op::Nop(r.u32()?),
+        29 => Op::Fuel(r.u32()?),
         _ => return Err(ArtifactError::Corrupt("op tag")),
     })
 }
@@ -683,20 +657,6 @@ fn read_code(r: &mut Reader) -> Result<Vec<Op>, ArtifactError> {
 
 fn func(w: &mut Writer, f: &CompiledFunc) {
     code(w, &f.code);
-    match &f.code_static {
-        Some(c) => {
-            w.u8(1);
-            code(w, c);
-        }
-        None => w.u8(0),
-    }
-    match &f.code_unopt {
-        Some(c) => {
-            w.u8(1);
-            code(w, c);
-        }
-        None => w.u8(0),
-    }
     w.u32(f.nparams);
     w.u32(f.nlocals);
     w.bool_(f.has_result);
@@ -705,21 +665,8 @@ fn func(w: &mut Writer, f: &CompiledFunc) {
 }
 
 fn read_func(r: &mut Reader) -> Result<CompiledFunc, ArtifactError> {
-    let body = read_code(r)?;
-    let code_static = match r.u8()? {
-        0 => None,
-        1 => Some(read_code(r)?),
-        _ => return Err(ArtifactError::Corrupt("option tag")),
-    };
-    let code_unopt = match r.u8()? {
-        0 => None,
-        1 => Some(read_code(r)?),
-        _ => return Err(ArtifactError::Corrupt("option tag")),
-    };
     Ok(CompiledFunc {
-        code: body,
-        code_static,
-        code_unopt,
+        code: read_code(r)?,
         nparams: r.u32()?,
         nlocals: r.u32()?,
         has_result: r.bool_()?,
@@ -739,7 +686,6 @@ fn analysis(w: &mut Writer, a: &AnalysisReport) {
         w.u32(f.max_operand_slots);
         w.u64(f.frame_bytes);
         w.u32(f.mem_sites);
-        w.u32(f.elided_sites);
         w.bool_(f.reachable);
     }
     match &a.stack_bound {
@@ -766,7 +712,6 @@ fn analysis(w: &mut Writer, a: &AnalysisReport) {
         w.str_(&d.message);
     }
     w.u32(a.mem_sites);
-    w.u32(a.elided_sites);
     match &a.cost {
         Some(c) => {
             w.u8(1);
@@ -778,13 +723,6 @@ fn analysis(w: &mut Writer, a: &AnalysisReport) {
         Some(e) => {
             w.u8(1);
             effects(w, e);
-        }
-        None => w.u8(0),
-    }
-    match &a.opt {
-        Some(o) => {
-            w.u8(1);
-            opt(w, o);
         }
         None => w.u8(0),
     }
@@ -801,7 +739,6 @@ fn read_analysis(r: &mut Reader) -> Result<AnalysisReport, ArtifactError> {
             max_operand_slots: r.u32()?,
             frame_bytes: r.u64()?,
             mem_sites: r.u32()?,
-            elided_sites: r.u32()?,
             reachable: r.bool_()?,
         });
     }
@@ -832,7 +769,6 @@ fn read_analysis(r: &mut Reader) -> Result<AnalysisReport, ArtifactError> {
         });
     }
     let mem_sites = r.u32()?;
-    let elided_sites = r.u32()?;
     let cost = match r.u8()? {
         0 => None,
         1 => Some(read_cost(r)?),
@@ -843,20 +779,13 @@ fn read_analysis(r: &mut Reader) -> Result<AnalysisReport, ArtifactError> {
         1 => Some(read_effects(r)?),
         _ => return Err(ArtifactError::Corrupt("option tag")),
     };
-    let opt = match r.u8()? {
-        0 => None,
-        1 => Some(read_opt(r)?),
-        _ => return Err(ArtifactError::Corrupt("option tag")),
-    };
     Ok(AnalysisReport {
         funcs,
         stack_bound,
         diagnostics,
         mem_sites,
-        elided_sites,
         cost,
         effects,
-        opt,
         timings: Vec::new(),
     })
 }
@@ -967,92 +896,6 @@ fn read_effects(r: &mut Reader) -> Result<EffectReport, ArtifactError> {
     Ok(EffectReport { imports, funcs })
 }
 
-fn opt(w: &mut Writer, o: &OptReport) {
-    w.u32(o.funcs.len() as u32);
-    for f in &o.funcs {
-        w.u32(f.ops_before);
-        w.u32(f.ops_after);
-        w.u32(f.folded);
-        w.u32(f.branches_simplified);
-        w.u32(f.dce_ops);
-        w.u32(f.fused);
-        w.u32(f.claims.len() as u32);
-        for c in &f.claims {
-            w.u32(c.pc);
-            match c.base {
-                ClaimBase::Const { end } => {
-                    w.u8(0);
-                    w.u64(end);
-                }
-                ClaimBase::Local { local, end } => {
-                    w.u8(1);
-                    w.u32(local);
-                    w.u64(end);
-                }
-            }
-        }
-        w.u32(f.fuel_sites_before);
-        w.u32(f.fuel_sites_after);
-    }
-    w.u32(o.ops_before);
-    w.u32(o.ops_after);
-    w.u32(o.folded);
-    w.u32(o.branches_simplified);
-    w.u32(o.dce_ops);
-    w.u32(o.fused);
-    w.u32(o.checks_elided);
-    w.u32(o.fuel_sites_merged);
-}
-
-fn read_opt(r: &mut Reader) -> Result<OptReport, ArtifactError> {
-    let nfuncs = r.u32()? as usize;
-    let mut funcs = Vec::with_capacity(nfuncs.min(1 << 16));
-    for _ in 0..nfuncs {
-        let ops_before = r.u32()?;
-        let ops_after = r.u32()?;
-        let folded = r.u32()?;
-        let branches_simplified = r.u32()?;
-        let dce_ops = r.u32()?;
-        let fused = r.u32()?;
-        let nclaims = r.u32()? as usize;
-        let mut claims = Vec::with_capacity(nclaims.min(1 << 16));
-        for _ in 0..nclaims {
-            let pc = r.u32()?;
-            let base = match r.u8()? {
-                0 => ClaimBase::Const { end: r.u64()? },
-                1 => ClaimBase::Local {
-                    local: r.u32()?,
-                    end: r.u64()?,
-                },
-                _ => return Err(ArtifactError::Corrupt("claim tag")),
-            };
-            claims.push(OptClaim { pc, base });
-        }
-        funcs.push(OptFuncReport {
-            ops_before,
-            ops_after,
-            folded,
-            branches_simplified,
-            dce_ops,
-            fused,
-            claims,
-            fuel_sites_before: r.u32()?,
-            fuel_sites_after: r.u32()?,
-        });
-    }
-    Ok(OptReport {
-        funcs,
-        ops_before: r.u32()?,
-        ops_after: r.u32()?,
-        folded: r.u32()?,
-        branches_simplified: r.u32()?,
-        dce_ops: r.u32()?,
-        fused: r.u32()?,
-        checks_elided: r.u32()?,
-        fuel_sites_merged: r.u32()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1067,7 +910,7 @@ mod tests {
         let x = f.arg(0);
         let acc = f.local(ValType::I32);
         // A loop with memory traffic so the body exercises loads, stores,
-        // fuel instrumentation, and (when enabled) fusion + elision.
+        // fusion and fuel instrumentation.
         f.push(store_i32(i32c(16), local(x)));
         f.push(set(acc, load_i32(i32c(16))));
         f.push(while_(
@@ -1086,8 +929,6 @@ mod tests {
         assert_eq!(a.funcs.len(), b.funcs.len());
         for (fa, fb) in a.funcs.iter().zip(&b.funcs) {
             assert_eq!(fa.code, fb.code);
-            assert_eq!(fa.code_static, fb.code_static);
-            assert_eq!(fa.code_unopt, fb.code_unopt);
             assert_eq!(fa.nparams, fb.nparams);
             assert_eq!(fa.nlocals, fb.nlocals);
             assert_eq!(fa.has_result, fb.has_result);
@@ -1109,10 +950,8 @@ mod tests {
         assert_eq!(a.analysis.stack_bound, b.analysis.stack_bound);
         assert_eq!(a.analysis.diagnostics, b.analysis.diagnostics);
         assert_eq!(a.analysis.mem_sites, b.analysis.mem_sites);
-        assert_eq!(a.analysis.elided_sites, b.analysis.elided_sites);
         assert_eq!(a.analysis.cost, b.analysis.cost);
         assert_eq!(a.analysis.effects, b.analysis.effects);
-        assert_eq!(a.analysis.opt, b.analysis.opt);
     }
 
     #[test]
@@ -1121,9 +960,9 @@ mod tests {
         let bytes = encode(&m);
         let back = decode(&bytes).expect("decode");
         assert_modules_equal(&m, &back);
-        // The carried optimizer certificate must still validate on the
-        // decoded module — this is the ingest path's trust anchor.
-        crate::analysis::opt::validate(&back).expect("certificate validates after roundtrip");
+        // The carried certificates must still verify on the decoded
+        // module — this is the ingest path's trust anchor.
+        crate::verify_body(&back).expect("certificates verify after roundtrip");
     }
 
     #[test]
@@ -1157,9 +996,10 @@ mod tests {
         bytes[0] = b'X';
         assert_eq!(decode(&bytes).err(), Some(ArtifactError::BadMagic));
 
+        // Version 1 (three bodies + optimizer section) is not readable.
         let mut bytes = encode(&m);
-        bytes[4] = 0xff;
-        assert!(matches!(decode(&bytes), Err(ArtifactError::BadVersion(_))));
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(decode(&bytes).err(), Some(ArtifactError::BadVersion(1)));
     }
 
     #[test]
@@ -1186,29 +1026,5 @@ mod tests {
         for keep in [0, 3, 15, 16, good.len() / 2, good.len() - 1] {
             assert!(decode(&good[..keep]).is_err(), "truncated at {keep}");
         }
-    }
-
-    #[test]
-    fn tampered_certificate_fails_validation_after_checksum_fixup() {
-        // An attacker who also fixes up the checksum can deliver a
-        // structurally valid artifact with a forged claim set; the ingest
-        // path's validate_opt re-proof is the layer that catches that.
-        let m = sample_module();
-        let Some(optr) = &m.analysis.opt else {
-            panic!("optimizer report expected");
-        };
-        if optr.funcs.iter().all(|f| f.claims.is_empty()) {
-            // No claims to forge on this body; nothing to test.
-            return;
-        }
-        let mut back = decode(&encode(&m)).unwrap();
-        // Forge: point every claim at pc 0 with an absurd constant bound.
-        let forged = back.analysis.opt.as_mut().unwrap();
-        for f in &mut forged.funcs {
-            for c in &mut f.claims {
-                c.base = ClaimBase::Const { end: u64::MAX };
-            }
-        }
-        assert!(crate::analysis::opt::validate(&back).is_err());
     }
 }

@@ -1,11 +1,10 @@
 //! `awsm-analyze`: run the load-time static analyzer over `.wasm` modules
-//! and print the report — stack bounds, bounds-check elision counts,
-//! per-function cost tables with preemption-latency certificates, and
+//! and print the report — stack bounds, per-function cost tables with preemption-latency certificates, and
 //! lints — without instantiating anything.
 //!
 //! ```text
 //! awsm-analyze [--deny-warnings] [--max-stack-bytes N] [--max-check-gap N]
-//!              [--effects] [--allow-hostcall NAME]... [--json] [--no-opt]
+//!              [--effects] [--allow-hostcall NAME]... [--json]
 //!              [--tier aot-opt|aot-naive] <module.wasm>...
 //! ```
 //!
@@ -26,19 +25,13 @@
 //! `--json` emits one JSON object per module on stdout instead of the
 //! human-readable report; diagnostics still go to stderr. The object
 //! always carries an `"effects"` field (the full certificate, or `null`
-//! when analysis could not produce one) and an `"opt"` field (the
-//! optimizer's summary and translation-validation verdict, or `null`
-//! when the optimizer was off).
-//!
-//! `--no-opt` disables the translate-time optimizer (overriding the
-//! `SLEDGE_OPT` environment default), producing the same instrumented
-//! bodies as releases before the optimizer existed.
+//! when analysis could not produce one).
 //!
 //! Exit status is non-zero when any module carries an error-severity
 //! diagnostic, exceeds the stack budget (if one was given), exceeds the
 //! check-gap budget (if one was given), violates the capability policy
-//! (if one was given), fails optimizer translation validation, or —
-//! under `--deny-warnings` — produces any warning at all.
+//! (if one was given), or — under `--deny-warnings` — produces any warning
+//! at all.
 
 use awsm::{AnalysisReport, Severity, StackBound, Tier, TranslateOptions, WriteFootprint};
 use std::fmt::Write as _;
@@ -51,7 +44,6 @@ struct Options {
     effects: bool,
     allow_hostcalls: Vec<String>,
     json: bool,
-    no_opt: bool,
     tier: Tier,
     paths: Vec<String>,
 }
@@ -60,7 +52,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: awsm-analyze [--deny-warnings] [--max-stack-bytes N] \
          [--max-check-gap N] [--effects] [--allow-hostcall NAME]... [--json] \
-         [--no-opt] [--tier aot-opt|aot-naive] <module.wasm>..."
+         [--tier aot-opt|aot-naive] <module.wasm>..."
     );
     std::process::exit(2);
 }
@@ -73,7 +65,6 @@ fn parse_args() -> Options {
         effects: false,
         allow_hostcalls: Vec::new(),
         json: false,
-        no_opt: false,
         tier: Tier::Optimized,
         paths: Vec::new(),
     };
@@ -89,7 +80,6 @@ fn parse_args() -> Options {
                 opts.allow_hostcalls.push(v);
             }
             "--json" => opts.json = true,
-            "--no-opt" => opts.no_opt = true,
             "--max-stack-bytes" => {
                 let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
                     usage();
@@ -185,15 +175,9 @@ fn json_str(s: &str) -> String {
 }
 
 /// One JSON object per module: identity, stack bound, cost certificate
-/// (module-wide and per function), optimizer summary with its
-/// translation-validation verdict, diagnostics count, and the verdict.
-fn render_json(
-    name: &str,
-    report: &AnalysisReport,
-    opts: &Options,
-    opt_valid: Option<bool>,
-    failed: bool,
-) -> String {
+/// (module-wide and per function), effect certificate, diagnostics count,
+/// and the verdict.
+fn render_json(name: &str, report: &AnalysisReport, opts: &Options, failed: bool) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"module\":{}", json_str(name));
     match &report.stack_bound {
@@ -204,9 +188,8 @@ fn render_json(
     }
     let _ = write!(
         out,
-        ",\"mem_sites\":{},\"elided_sites\":{},\"errors\":{},\"warnings\":{}",
+        ",\"mem_sites\":{},\"errors\":{},\"warnings\":{}",
         report.mem_sites,
-        report.elided_sites,
         report.with_severity(Severity::Error).count(),
         report.with_severity(Severity::Warn).count(),
     );
@@ -291,29 +274,6 @@ fn render_json(
         }
         None => out.push_str(",\"effects\":null"),
     }
-    // The optimizer summary rides along whenever the optimizer ran;
-    // `"opt":null` marks an opt-off translation. `"valid"` is the
-    // independent translation-validation pass's verdict on this module.
-    match &report.opt {
-        Some(o) => {
-            let _ = write!(
-                out,
-                ",\"opt\":{{\"ops_before\":{},\"ops_after\":{},\"folded\":{},\
-                 \"branches_simplified\":{},\"dce_ops\":{},\"fused\":{},\
-                 \"checks_elided\":{},\"fuel_sites_merged\":{},\"valid\":{}}}",
-                o.ops_before,
-                o.ops_after,
-                o.folded,
-                o.branches_simplified,
-                o.dce_ops,
-                o.fused,
-                o.checks_elided,
-                o.fuel_sites_merged,
-                opt_valid.unwrap_or(false),
-            );
-        }
-        None => out.push_str(",\"opt\":null"),
-    }
     let _ = write!(out, ",\"failed\":{failed}}}");
     out
 }
@@ -361,9 +321,6 @@ fn main() -> ExitCode {
     let opts = parse_args();
     let translate_opts = TranslateOptions {
         max_check_gap: opts.max_check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
-        // `--no-opt` forces the optimizer off; otherwise the translator's
-        // default applies (on, unless SLEDGE_OPT=0).
-        optimize: !opts.no_opt && TranslateOptions::default().optimize,
     };
     let mut any_failed = false;
     for path in &opts.paths {
@@ -392,27 +349,9 @@ fn main() -> ExitCode {
             }
         };
         let name = compiled.name.as_deref().unwrap_or(path);
-        let (mut failed, mut extra) = verdict(&compiled, &opts);
-        // Re-run translation validation independently of the translator's
-        // own debug assertion; an invalid certificate fails the module.
-        let opt_cert = compiled
-            .analysis
-            .opt
-            .as_ref()
-            .map(|_| awsm::validate_opt(&compiled));
-        match &opt_cert {
-            Some(Err(e)) => {
-                extra.push(format!("  optimization certificate INVALID: {e}"));
-                failed = true;
-            }
-            Some(Ok(())) | None => {}
-        }
-        let opt_valid = opt_cert.as_ref().map(|r| r.is_ok());
+        let (failed, extra) = verdict(&compiled, &opts);
         if opts.json {
-            println!(
-                "{}",
-                render_json(name, &compiled.analysis, &opts, opt_valid, failed)
-            );
+            println!("{}", render_json(name, &compiled.analysis, &opts, failed));
             for line in &extra {
                 eprintln!("{}", line.trim_start());
             }

@@ -202,8 +202,7 @@ pub enum NumUn {
 
 /// One flat instruction. Structured control has been resolved to direct
 /// jumps. Fused "super-instructions" are emitted by the optimized-tier
-/// translator and, when the dataflow optimizer runs, retrofitted onto the
-/// naive tier's bodies as well (the interpreter executes every variant).
+/// translator only.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     Unreachable,
@@ -250,14 +249,6 @@ pub enum Op {
     IncI32(u32, i32),
     /// `local.get a; load`
     LoadL(LoadKind, u32, u32),
-    // ---- statically-verified accesses (analysis-rewritten bodies only) ----
-    /// `Load` at a site the static analyzer proved in-bounds for every
-    /// reachable memory size; executed without a bounds check.
-    LoadNc(LoadKind, u32),
-    /// `LoadL` at a proven-in-bounds site.
-    LoadLNc(LoadKind, u32, u32),
-    /// `Store` at a proven-in-bounds site.
-    StoreNc(StoreKind, u32),
     // ---- cost-model instrumentation (inserted by analysis) ----
     /// Budget check charging the exact summed cost (in cost units) of the
     /// check-free segment it heads, and polling the preempt flag. Inserted
@@ -265,14 +256,6 @@ pub enum Op {
     /// points; the optimized tier charges fuel *only* here, the naive tier
     /// (which charges per instruction) skips it.
     Fuel(u32),
-    // ---- optimizer padding (inserted by the dataflow optimizer) ----
-    /// Fuel-carrying no-op left where the optimizer erased or relocated an
-    /// op. The payload is the erased op's weight, charged as `op_cost`, so
-    /// rewrites are cost-preserving position by position: the naive tier's
-    /// per-op fuel totals and the cost pass's segment sums are identical to
-    /// the unoptimized body's. `Nop(0)` placeholders are removed by the
-    /// optimizer's final compaction; non-zero payloads survive.
-    Nop(u32),
 }
 
 /// Signature of a host import, pre-resolved at translation time.
@@ -301,21 +284,9 @@ impl HostImport {
 /// One translated function.
 #[derive(Debug, Clone)]
 pub struct CompiledFunc {
-    /// Flat code; ends with `Return`.
+    /// Flat code; ends with `Return`. The one body every tier and bounds
+    /// strategy executes.
     pub code: Vec<Op>,
-    /// Analysis-rewritten body in which proven-in-bounds accesses use the
-    /// unchecked `*Nc` ops. Same length and branch targets as `code` (the
-    /// cost pass instruments both bodies identically — `*Nc` ops weigh the
-    /// same as their checked forms, so `Op::Fuel` sites coincide); present
-    /// only when at least one site was proven. Selected by
-    /// [`BoundsStrategy::Static`](crate::BoundsStrategy::Static).
-    pub code_static: Option<Vec<Op>>,
-    /// The pre-optimization, pre-instrumentation body, retained whenever
-    /// the dataflow optimizer ran (see `analysis::opt`). If certificate
-    /// validation rejects the optimized body, `revert_optimizations`
-    /// restores this body and re-analyzes the module from scratch, so no
-    /// certificate derived from the untrusted optimized code survives.
-    pub code_unopt: Option<Vec<Op>>,
     /// Parameter count.
     pub nparams: u32,
     /// Total local slot count (params + declared locals).
@@ -363,8 +334,8 @@ pub struct CompiledModule {
     pub start: Option<u32>,
     /// Module name.
     pub name: Option<String>,
-    /// Load-time static-analysis report (stack bound, elision proofs,
-    /// lints), computed once at translation.
+    /// Load-time static-analysis report (stack bound, cost and effect
+    /// certificates, lints), computed once at translation.
     pub analysis: crate::analysis::AnalysisReport,
 }
 

@@ -161,10 +161,9 @@ macro_rules! check_budget {
 /// optimized tier charges only at the [`Op::Fuel`] sites the cost analysis
 /// inserted, each paying the exact summed weight of the check-free segment
 /// it heads — so both tiers consume identical total fuel for the same
-/// execution. `STATIC` selects the analysis-rewritten function bodies in
-/// which statically-proven memory accesses carry no bounds check.
+/// execution.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<B: Bounds, const NAIVE: bool, const STATIC: bool>(
+pub(crate) fn run<B: Bounds, const NAIVE: bool>(
     m: &CompiledModule,
     st: &mut ExecState,
     mem: &mut LinearMemory,
@@ -217,11 +216,7 @@ pub(crate) fn run<B: Bounds, const NAIVE: bool, const STATIC: bool>(
             )
         };
         let func = &m.funcs[fidx];
-        let code = if STATIC {
-            func.code_static.as_deref().unwrap_or(&func.code[..])
-        } else {
-            &func.code[..]
-        };
+        let code = &func.code[..];
 
         loop {
             debug_assert!(pc < code.len(), "pc ran off function end");
@@ -233,12 +228,6 @@ pub(crate) fn run<B: Bounds, const NAIVE: bool, const STATIC: bool>(
             pc += 1;
             match op {
                 Op::Unreachable => return StepResult::Trapped(Trap::Unreachable),
-                Op::Nop(_) => {
-                    // Optimizer padding: no effect. The naive tier already
-                    // charged its payload via `op_cost` above; the
-                    // optimized tier folded it into the segment's
-                    // `Op::Fuel` charge.
-                }
                 Op::Fuel(n) => {
                     // The optimized tier's only charge/poll site: pays the
                     // exact cost of the segment this op heads. The naive
@@ -448,19 +437,6 @@ pub(crate) fn run<B: Bounds, const NAIVE: bool, const STATIC: bool>(
                     let slot = &mut st.locals[lb + *i as usize];
                     *slot = (*slot as u32).wrapping_add(*delta as u32) as u64;
                 }
-                Op::LoadNc(kind, off) => {
-                    let addr = st.stack.pop().expect("load addr") as u32;
-                    st.stack.push(do_load_nc(mem, *kind, addr, *off));
-                }
-                Op::LoadLNc(kind, local, off) => {
-                    let addr = st.locals[lb + *local as usize] as u32;
-                    st.stack.push(do_load_nc(mem, *kind, addr, *off));
-                }
-                Op::StoreNc(kind, off) => {
-                    let val = st.stack.pop().expect("store value");
-                    let addr = st.stack.pop().expect("store addr") as u32;
-                    do_store_nc(mem, *kind, addr, *off, val);
-                }
             }
         }
     }
@@ -522,43 +498,6 @@ fn do_load<B: Bounds>(
         LoadKind::I64U32 => u32::from_le_bytes(mem.load::<B, 4>(addr, off)?) as u64,
         LoadKind::I64S32 => u32::from_le_bytes(mem.load::<B, 4>(addr, off)?) as i32 as i64 as u64,
     })
-}
-
-/// Load at a site the analyzer proved in-bounds — no strategy dispatch, no
-/// check (beyond safe slice indexing and a debug assertion in
-/// `LinearMemory::load_nc`).
-#[inline(always)]
-fn do_load_nc(mem: &LinearMemory, kind: LoadKind, addr: u32, off: u32) -> u64 {
-    match kind {
-        LoadKind::I32 | LoadKind::F32 => u32::from_le_bytes(mem.load_nc::<4>(addr, off)) as u64,
-        LoadKind::I64 | LoadKind::F64 => u64::from_le_bytes(mem.load_nc::<8>(addr, off)),
-        LoadKind::I32U8 => mem.load_nc::<1>(addr, off)[0] as u64,
-        LoadKind::I32S8 => mem.load_nc::<1>(addr, off)[0] as i8 as i32 as u32 as u64,
-        LoadKind::I32U16 => u16::from_le_bytes(mem.load_nc::<2>(addr, off)) as u64,
-        LoadKind::I32S16 => {
-            u16::from_le_bytes(mem.load_nc::<2>(addr, off)) as i16 as i32 as u32 as u64
-        }
-        LoadKind::I64U8 => mem.load_nc::<1>(addr, off)[0] as u64,
-        LoadKind::I64S8 => mem.load_nc::<1>(addr, off)[0] as i8 as i64 as u64,
-        LoadKind::I64U16 => u16::from_le_bytes(mem.load_nc::<2>(addr, off)) as u64,
-        LoadKind::I64S16 => u16::from_le_bytes(mem.load_nc::<2>(addr, off)) as i16 as i64 as u64,
-        LoadKind::I64U32 => u32::from_le_bytes(mem.load_nc::<4>(addr, off)) as u64,
-        LoadKind::I64S32 => u32::from_le_bytes(mem.load_nc::<4>(addr, off)) as i32 as i64 as u64,
-    }
-}
-
-/// Store at a proven-in-bounds site (see [`do_load_nc`]).
-#[inline(always)]
-fn do_store_nc(mem: &mut LinearMemory, kind: StoreKind, addr: u32, off: u32, val: u64) {
-    match kind {
-        StoreKind::I32 | StoreKind::F32 => mem.store_nc::<4>(addr, off, (val as u32).to_le_bytes()),
-        StoreKind::I64 | StoreKind::F64 => mem.store_nc::<8>(addr, off, val.to_le_bytes()),
-        StoreKind::B8From32 | StoreKind::B8From64 => mem.store_nc::<1>(addr, off, [val as u8]),
-        StoreKind::B16From32 | StoreKind::B16From64 => {
-            mem.store_nc::<2>(addr, off, (val as u16).to_le_bytes())
-        }
-        StoreKind::B32From64 => mem.store_nc::<4>(addr, off, (val as u32).to_le_bytes()),
-    }
 }
 
 #[inline(always)]

@@ -59,9 +59,7 @@ mod value;
 
 pub use analysis::cost::{op_cost, CostReport, FuncCost, DEFAULT_MAX_CHECK_GAP};
 pub use analysis::effects::{EffectReport, FuncEffect, WriteFootprint};
-pub use analysis::opt::{
-    revert_optimizations, validate as validate_opt, ClaimBase, OptClaim, OptFuncReport, OptReport,
-};
+pub use analysis::verify::verify_body;
 pub use analysis::{AnalysisReport, Diagnostic, Severity, StackBound};
 pub use artifact::{decode as decode_artifact, encode as encode_artifact, ArtifactError};
 pub use code::{CompiledModule, HostImport, Op};
@@ -347,23 +345,15 @@ impl Instance {
         let preempt = Arc::clone(&self.preempt);
         let result = match (self.config.tier, self.config.bounds) {
             (Tier::Optimized, BoundsStrategy::None | BoundsStrategy::GuardRegion) => {
-                self.dispatch::<MaskBounds, false, false>(host, &mut fuel, &preempt)
+                self.dispatch::<MaskBounds, false>(host, &mut fuel, &preempt)
             }
             (Tier::Optimized, BoundsStrategy::Software) => {
-                self.dispatch::<SoftwareBounds, false, false>(host, &mut fuel, &preempt)
+                self.dispatch::<SoftwareBounds, false>(host, &mut fuel, &preempt)
             }
             (Tier::Optimized, BoundsStrategy::MpxEmulated) => {
-                self.dispatch::<MpxBounds, false, false>(host, &mut fuel, &preempt)
+                self.dispatch::<MpxBounds, false>(host, &mut fuel, &preempt)
             }
-            // Static elision: analysis-rewritten bodies skip checks at
-            // proven sites; everything else takes the software check.
-            (Tier::Optimized, BoundsStrategy::Static) => {
-                self.dispatch::<SoftwareBounds, false, true>(host, &mut fuel, &preempt)
-            }
-            (Tier::Naive, BoundsStrategy::Static) => {
-                self.dispatch::<DynBounds, true, true>(host, &mut fuel, &preempt)
-            }
-            (Tier::Naive, _) => self.dispatch::<DynBounds, true, false>(host, &mut fuel, &preempt),
+            (Tier::Naive, _) => self.dispatch::<DynBounds, true>(host, &mut fuel, &preempt),
         };
         self.fuel_used += given - fuel;
         match result {
@@ -379,13 +369,13 @@ impl Instance {
         result
     }
 
-    fn dispatch<B: memory::Bounds, const NAIVE: bool, const STATIC: bool>(
+    fn dispatch<B: memory::Bounds, const NAIVE: bool>(
         &mut self,
         host: &mut dyn Host,
         fuel: &mut u64,
         preempt: &AtomicBool,
     ) -> StepResult {
-        exec::run::<B, NAIVE, STATIC>(
+        exec::run::<B, NAIVE>(
             &self.module,
             &mut self.state,
             &mut self.memory,

@@ -29,10 +29,6 @@ pub enum BoundsStrategy {
     /// (documented substitution).
     #[default]
     GuardRegion,
-    /// Static elision: accesses the load-time analyzer proved in-bounds run
-    /// unchecked; every other access gets the full software check. Same
-    /// trapping semantics as [`BoundsStrategy::Software`].
-    Static,
 }
 
 impl BoundsStrategy {
@@ -43,7 +39,6 @@ impl BoundsStrategy {
             BoundsStrategy::Software => "bounds-chk",
             BoundsStrategy::MpxEmulated => "mpx",
             BoundsStrategy::GuardRegion => "vm-guard",
-            BoundsStrategy::Static => "static-elide",
         }
     }
 }
@@ -282,35 +277,6 @@ impl LinearMemory {
         Ok(())
     }
 
-    /// Load `N` bytes at a site the static analyzer proved in-bounds: no
-    /// strategy dispatch, no compare-and-branch. The effective address is
-    /// statically `≤ min_pages * PAGE_SIZE`, which the committed region
-    /// never shrinks below; the debug assertion documents (and, in debug
-    /// builds, enforces) that invariant.
-    #[inline(always)]
-    pub(crate) fn load_nc<const N: usize>(&self, addr: u32, offset: u32) -> [u8; N] {
-        let i = addr as usize + offset as usize;
-        debug_assert!(
-            i + N <= self.limit,
-            "statically-proven access out of bounds"
-        );
-        let mut out = [0u8; N];
-        out.copy_from_slice(&self.data[i..i + N]);
-        out
-    }
-
-    /// Store `N` bytes at a proven-in-bounds site (see [`Self::load_nc`]).
-    #[inline(always)]
-    pub(crate) fn store_nc<const N: usize>(&mut self, addr: u32, offset: u32, bytes: [u8; N]) {
-        let i = addr as usize + offset as usize;
-        debug_assert!(
-            i + N <= self.limit,
-            "statically-proven access out of bounds"
-        );
-        self.data[i..i + N].copy_from_slice(&bytes);
-        self.hwm = self.hwm.max(i + N);
-    }
-
     /// Host-side checked read (always software-checked; used by the runtime
     /// to extract responses etc.).
     ///
@@ -488,9 +454,7 @@ impl Bounds for DynBounds {
             BoundsStrategy::None | BoundsStrategy::GuardRegion => {
                 MaskBounds::resolve(mem, addr, offset, len)
             }
-            BoundsStrategy::Software | BoundsStrategy::Static => {
-                SoftwareBounds::resolve(mem, addr, offset, len)
-            }
+            BoundsStrategy::Software => SoftwareBounds::resolve(mem, addr, offset, len),
             BoundsStrategy::MpxEmulated => MpxBounds::resolve(mem, addr, offset, len),
         }
     }
@@ -573,13 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_accessors_roundtrip() {
-        let mut m = LinearMemory::new(1, 2, BoundsStrategy::Static).unwrap();
-        m.store_nc::<4>(12, 4, 0xAABB_CCDDu32.to_le_bytes());
-        assert_eq!(u32::from_le_bytes(m.load_nc::<4>(8, 8)), 0xAABB_CCDD);
-    }
-
-    #[test]
     fn template_replays_segments_in_order() {
         let t = MemoryTemplate::build(&[
             (4, Arc::from(&b"abcd"[..])),
@@ -597,7 +554,7 @@ mod tests {
         assert_eq!(m.high_water_mark(), 0);
         m.store::<SoftwareBounds, 4>(100, 0, [1; 4]).unwrap();
         assert_eq!(m.high_water_mark(), 104);
-        m.store_nc::<2>(10, 0, [2; 2]);
+        m.store::<SoftwareBounds, 2>(10, 0, [2; 2]).unwrap();
         assert_eq!(m.high_water_mark(), 104);
         m.write_bytes(200, &[3; 8]).unwrap();
         assert_eq!(m.high_water_mark(), 208);

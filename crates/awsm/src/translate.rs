@@ -78,19 +78,12 @@ pub struct TranslateOptions {
     /// weight of a single heaviest op). See
     /// [`DEFAULT_MAX_CHECK_GAP`](crate::analysis::cost::DEFAULT_MAX_CHECK_GAP).
     pub max_check_gap: u32,
-    /// Run the translate-time optimizer (constant propagation, dead-code
-    /// elimination, branch simplification, fusion, dominated-check
-    /// elision) over every body, emitting a translation-validation
-    /// certificate in [`AnalysisReport::opt`](crate::AnalysisReport).
-    /// Defaults to on; the `SLEDGE_OPT=0` environment knob turns it off.
-    pub optimize: bool,
 }
 
 impl Default for TranslateOptions {
     fn default() -> Self {
         TranslateOptions {
             max_check_gap: crate::analysis::cost::DEFAULT_MAX_CHECK_GAP,
-            optimize: std::env::var("SLEDGE_OPT").map_or(true, |v| v != "0"),
         }
     }
 }
@@ -242,8 +235,6 @@ pub fn translate_with(
         let code = tr.translate_body(ty, body);
         funcs.push(CompiledFunc {
             code,
-            code_static: None,
-            code_unopt: None,
             nparams: ty.params.len() as u32,
             nlocals: (ty.params.len() + body.locals.len()) as u32,
             has_result: !ty.results.is_empty(),
@@ -267,10 +258,9 @@ pub fn translate_with(
         analysis: crate::analysis::AnalysisReport::default(),
     };
     // Static analysis runs once here, at load time: stack-bound
-    // verification, bounds-check elision proofs (materialized as the
-    // `code_static` bodies), lints, and the cost-model instrumentation
-    // that certifies the preemption-latency gap.
-    crate::analysis::analyze(&mut module, opts.max_check_gap, opts.optimize);
+    // verification, lints, the effect certificate, and the cost-model
+    // instrumentation that certifies the preemption-latency gap.
+    crate::analysis::analyze(&mut module, opts.max_check_gap);
     Ok(module)
 }
 

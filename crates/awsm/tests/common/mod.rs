@@ -9,7 +9,7 @@ use sledge_guestc::{Expr, Local};
 use sledge_testkit::Rng;
 
 /// An i32 expression over two inputs, spanning the weight classes the cost
-/// model tells apart and the forms the optimizer rewrites.
+/// model tells apart and the forms the translator fuses.
 #[derive(Debug, Clone)]
 pub enum Arith {
     Const(i32),

@@ -57,12 +57,8 @@ fn work_module(iters: i32) -> Module {
     mb.build().unwrap()
 }
 
-/// Translate options of the fixed cases: the optimizer is pinned off.
-fn unopt(max_check_gap: u32) -> TranslateOptions {
-    TranslateOptions {
-        max_check_gap,
-        optimize: false,
-    }
+fn with_gap(max_check_gap: u32) -> TranslateOptions {
+    TranslateOptions { max_check_gap }
 }
 
 /// Run to completion with per-call fuel grant `quantum`; returns the
@@ -105,7 +101,7 @@ fn tiers_and_strategies_agree_on_total_fuel() {
         &m,
         Tier::Optimized,
         BoundsStrategy::GuardRegion,
-        unopt(512),
+        with_gap(512),
         &[Value::I32(7)],
         u64::MAX,
     );
@@ -113,12 +109,10 @@ fn tiers_and_strategies_agree_on_total_fuel() {
     for (tier, bounds) in [
         (Tier::Optimized, BoundsStrategy::Software),
         (Tier::Optimized, BoundsStrategy::MpxEmulated),
-        (Tier::Optimized, BoundsStrategy::Static),
         (Tier::Optimized, BoundsStrategy::None),
         (Tier::Naive, BoundsStrategy::GuardRegion),
-        (Tier::Naive, BoundsStrategy::Static),
     ] {
-        let (v, fuel) = run_metered(&m, tier, bounds, unopt(512), &[Value::I32(7)], u64::MAX);
+        let (v, fuel) = run_metered(&m, tier, bounds, with_gap(512), &[Value::I32(7)], u64::MAX);
         assert_eq!(v, ref_val, "value under {tier:?}/{bounds:?}");
         assert_eq!(fuel, ref_fuel, "fuel under {tier:?}/{bounds:?}");
     }
@@ -131,7 +125,7 @@ fn chopping_preserves_totals_at_any_quantum() {
         &m,
         Tier::Optimized,
         BoundsStrategy::GuardRegion,
-        unopt(128),
+        with_gap(128),
         &[Value::I32(3)],
         u64::MAX,
     );
@@ -141,7 +135,7 @@ fn chopping_preserves_totals_at_any_quantum() {
                 &m,
                 tier,
                 BoundsStrategy::GuardRegion,
-                unopt(128),
+                with_gap(128),
                 &[Value::I32(3)],
                 quantum,
             );
@@ -158,7 +152,7 @@ fn instrumentation_gap_budget_does_not_change_totals() {
         &m,
         Tier::Optimized,
         BoundsStrategy::GuardRegion,
-        unopt(512),
+        with_gap(512),
         &[Value::I32(5)],
         u64::MAX,
     );
@@ -167,7 +161,7 @@ fn instrumentation_gap_budget_does_not_change_totals() {
             &m,
             Tier::Optimized,
             BoundsStrategy::GuardRegion,
-            unopt(gap),
+            with_gap(gap),
             &[Value::I32(5)],
             u64::MAX,
         );
@@ -205,22 +199,19 @@ fn verify_partition(code: &[Op], max_gap: u32) {
 #[test]
 fn charges_partition_the_body_exactly() {
     for gap in [4, 32, DEFAULT_MAX_CHECK_GAP] {
-        let cm = translate_with(&work_module(8), Tier::Optimized, unopt(gap)).unwrap();
+        let cm = translate_with(&work_module(8), Tier::Optimized, with_gap(gap)).unwrap();
         let cert = cm.analysis.cost.as_ref().expect("certificate attached");
         assert_eq!(cert.max_check_gap, gap);
         assert!(cert.max_gap <= gap, "splitting must meet the budget");
         for func in &cm.funcs {
             verify_partition(&func.code, cert.max_gap);
-            if let Some(cs) = &func.code_static {
-                verify_partition(cs, cert.max_gap);
-            }
         }
     }
 }
 
 #[test]
 fn branch_targets_land_on_charge_sites() {
-    let cm = translate_with(&work_module(8), Tier::Optimized, unopt(16)).unwrap();
+    let cm = translate_with(&work_module(8), Tier::Optimized, with_gap(16)).unwrap();
     // Every branch target must be a block leader, i.e. its chunk's charge
     // site (or a zero-cost chunk's first op, which charges nothing).
     for func in &cm.funcs {
@@ -282,15 +273,12 @@ fn tight_budget_inserts_splits_in_straight_line_code() {
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
 
-    let tight = translate_with(&m, Tier::Optimized, unopt(8)).unwrap();
+    let tight = translate_with(&m, Tier::Optimized, with_gap(8)).unwrap();
     let cert = tight.analysis.cost.as_ref().unwrap();
     assert!(cert.splits > 0, "tight budget must split the block");
     assert!(cert.max_gap <= 8);
 
-    // Optimizer pinned off on both sides: the totals comparison is about
-    // instrumentation budgets, and DCE would remove the builder's dead
-    // trailing return from one side only.
-    let loose = translate_with(&m, Tier::Optimized, unopt(DEFAULT_MAX_CHECK_GAP)).unwrap();
+    let loose = translate_with(&m, Tier::Optimized, with_gap(DEFAULT_MAX_CHECK_GAP)).unwrap();
     let loose_cert = loose.analysis.cost.as_ref().unwrap();
     assert_eq!(loose_cert.splits, 0, "default budget fits the block whole");
     assert!(loose_cert.max_gap > 8);
@@ -403,7 +391,7 @@ fn fuel_used_is_exact_across_pauses() {
         &m,
         Tier::Optimized,
         BoundsStrategy::GuardRegion,
-        unopt(512),
+        with_gap(512),
         &[Value::I32(2)],
         u64::MAX,
     );
@@ -411,6 +399,52 @@ fn fuel_used_is_exact_across_pauses() {
     // Paying one unit per call means the pause count equals total cost
     // minus what the final completing call consumed.
     assert!(quanta >= ref_fuel - 1, "quantum=1 must pause per unit");
+}
+
+// ------------------------------------------------------ shipped guests
+
+/// The fuel each shipped guest burns on its reference input, in both tiers.
+/// These are the counts the one-body-per-function change had to hold to the
+/// unit (they were read with the translate-time optimizer on and off and
+/// agreed); a row that moves means a body changed meaning or a weight
+/// changed, and the benchmark's `awsm.fuel_per_req.*` rows move with it.
+#[test]
+fn shipped_guests_burn_pinned_fuel() {
+    use sledge_apps::testutil::BufferHost;
+    let pinned: [(&str, u64); 7] = [
+        ("ping", 20),
+        ("echo", 98_430),
+        ("gps_ekf", 85_715),
+        ("gocr", 1_027_260),
+        ("cifar10", 5_141_977),
+        ("resize", 7_154_956),
+        ("lpd", 9_177_941),
+    ];
+    let apps = sledge_apps::all_apps();
+    assert_eq!(
+        apps.len(),
+        pinned.len(),
+        "a shipped guest has no pinned row"
+    );
+    for (name, fuel) in pinned {
+        let app = apps.iter().find(|a| a.name == name).expect("shipped guest");
+        let body = match name {
+            "echo" => sledge_apps::echo::payload(64 << 10),
+            _ => (app.sample_input)(),
+        };
+        for tier in [Tier::Optimized, Tier::Naive] {
+            let cm = Arc::new(translate(&(app.module)(), tier).unwrap());
+            let config = EngineConfig {
+                tier,
+                ..Default::default()
+            };
+            let mut inst = Instance::new(cm, config).unwrap();
+            let mut host = BufferHost::new(body.clone());
+            inst.call_complete("main", &[], &mut host).unwrap();
+            assert_eq!(host.response, (app.native)(&body), "{name} under {tier:?}");
+            assert_eq!(inst.fuel_used(), fuel, "{name} under {tier:?}");
+        }
+    }
 }
 
 // --------------------------------------------------- seeded random programs
@@ -464,18 +498,13 @@ fn tiers_agree_on_total_fuel() {
         let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
         let m = arith_module(&e, rng.range(1, 20) as i32);
         let quantum = rng.range(1, 200);
-        let options = TranslateOptions {
-            max_check_gap: rng.range(8, 1024) as u32,
-            ..TranslateOptions::default()
-        };
+        let options = with_gap(rng.range(8, 1024) as u32);
         let run = |tier, bounds, quantum| run_metered(&m, tier, bounds, options, &args, quantum);
         let reference = run(Tier::Optimized, BoundsStrategy::GuardRegion, u64::MAX);
         assert!(reference.1 > 0, "a loop iteration must cost something");
         for (tier, bounds) in [
             (Tier::Optimized, BoundsStrategy::Software),
-            (Tier::Optimized, BoundsStrategy::Static),
             (Tier::Naive, BoundsStrategy::GuardRegion),
-            (Tier::Naive, BoundsStrategy::Static),
         ] {
             let got = run(tier, bounds, u64::MAX);
             assert_eq!(got, reference, "tier={tier:?} bounds={bounds:?} e={e:?}");
@@ -501,11 +530,7 @@ fn observed_gaps_within_certificate() {
     cases(64, 0x6A95_CE27, |rng| {
         let m = arith_module(&Arith::gen(rng, 4), rng.range(1, 10) as i32);
         let gap = rng.range(4, 256) as u32;
-        let options = TranslateOptions {
-            max_check_gap: gap,
-            ..TranslateOptions::default()
-        };
-        let cm = translate_with(&m, Tier::Optimized, options).unwrap();
+        let cm = translate_with(&m, Tier::Optimized, with_gap(gap)).unwrap();
         let cert = cm.analysis.cost.as_ref().expect("certificate attached");
         assert_eq!(cert.max_check_gap, gap);
         // No opcode in this generator weighs more than a memory store (3)

@@ -24,10 +24,8 @@ const ALL_CONFIGS: &[(Tier, BoundsStrategy)] = &[
     (Tier::Optimized, BoundsStrategy::Software),
     (Tier::Optimized, BoundsStrategy::MpxEmulated),
     (Tier::Optimized, BoundsStrategy::None),
-    (Tier::Optimized, BoundsStrategy::Static),
     (Tier::Naive, BoundsStrategy::GuardRegion),
     (Tier::Naive, BoundsStrategy::Software),
-    (Tier::Naive, BoundsStrategy::Static),
 ];
 
 fn run_all_configs(m: &Module, entry: &str, args: &[Value]) -> Vec<Option<u64>> {
@@ -1016,11 +1014,7 @@ fn in_bounds_programs_agree_across_all_strategies() {
 fn out_of_bounds_loads_trap_under_checking_strategies() {
     cases(64, 0x00B5_72A9, |rng| {
         let m = access_module(&[], &[rng.range(LIMIT + 1, u64::from(u32::MAX) - 4) as u32]);
-        for bounds in [
-            BoundsStrategy::Software,
-            BoundsStrategy::MpxEmulated,
-            BoundsStrategy::Static,
-        ] {
+        for bounds in [BoundsStrategy::Software, BoundsStrategy::MpxEmulated] {
             assert_eq!(
                 run_access(&m, Tier::Optimized, bounds),
                 Err(Trap::OutOfBounds),
@@ -1029,25 +1023,6 @@ fn out_of_bounds_loads_trap_under_checking_strategies() {
         }
         // Guard-region wraps (documented substitution) but must not crash.
         assert!(run_access(&m, Tier::Optimized, BoundsStrategy::GuardRegion).is_ok());
-    });
-}
-
-/// The differential property behind bounds-check elision: for *any* access
-/// pattern — in bounds or not — the `Static` strategy must be
-/// observationally identical to `Software`, both in results and traps.
-/// Elision may only fire where the analyzer proved the check redundant.
-#[test]
-fn static_strategy_is_observationally_identical_to_software() {
-    cases(64, 0x57A7_1C00, |rng| {
-        let (stores, loads) = access_script(rng, 1 << 32);
-        let m = access_module(&stores, &loads);
-        for tier in [Tier::Optimized, Tier::Naive] {
-            assert_eq!(
-                run_access(&m, tier, BoundsStrategy::Static),
-                run_access(&m, tier, BoundsStrategy::Software),
-                "tier {tier:?} stores={stores:?} loads={loads:?}"
-            );
-        }
     });
 }
 

@@ -3,7 +3,7 @@
 //! branch targets.
 
 use awsm::code::{NumBin, Op};
-use awsm::{translate, translate_with, Tier, TranslateOptions, DEFAULT_MAX_CHECK_GAP};
+use awsm::{translate, Tier};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
@@ -17,20 +17,8 @@ fn module_of(f: FuncBuilder) -> Module {
     mb.build().unwrap()
 }
 
-// White-box op-stream checks pin the dataflow optimizer off: these tests
-// are about the *translator's* tier-dependent fusion, and the optimizer
-// (which fuses in both tiers) would blur the tier distinction.
 fn ops_of(m: &Module, tier: Tier) -> Vec<Op> {
-    let cm = translate_with(
-        m,
-        tier,
-        TranslateOptions {
-            max_check_gap: DEFAULT_MAX_CHECK_GAP,
-            optimize: false,
-        },
-    )
-    .unwrap();
-    cm.funcs[0].code.clone()
+    translate(m, tier).unwrap().funcs[0].code.clone()
 }
 
 #[test]

@@ -17,56 +17,20 @@ use sledge_apps::polybench::{kernels, Kernel, PreparedKernel};
 use sledge_bench::{geomean, mean, preempt_latencies, stddev};
 use std::time::Instant;
 
-const CONFIGS: &[(&str, Tier, BoundsStrategy, bool)] = &[
-    (
-        "Sledge+aWsm",
-        Tier::Optimized,
-        BoundsStrategy::GuardRegion,
-        true,
-    ),
-    // Same engine with the translate-time dataflow optimizer disabled:
-    // the baseline the defaults-on configuration is compared against.
-    (
-        "Sledge+aWsm (opt-off)",
-        Tier::Optimized,
-        BoundsStrategy::GuardRegion,
-        false,
-    ),
-    (
-        "aWsm-bounds-chk",
-        Tier::Optimized,
-        BoundsStrategy::Software,
-        true,
-    ),
-    (
-        "aWsm-static-elide",
-        Tier::Optimized,
-        BoundsStrategy::Static,
-        true,
-    ),
-    (
-        "aWsm-mpx",
-        Tier::Optimized,
-        BoundsStrategy::MpxEmulated,
-        true,
-    ),
-    (
-        "aWsm-no-checks",
-        Tier::Optimized,
-        BoundsStrategy::None,
-        true,
-    ),
+const CONFIGS: &[(&str, Tier, BoundsStrategy)] = &[
+    ("Sledge+aWsm", Tier::Optimized, BoundsStrategy::GuardRegion),
+    ("aWsm-bounds-chk", Tier::Optimized, BoundsStrategy::Software),
+    ("aWsm-mpx", Tier::Optimized, BoundsStrategy::MpxEmulated),
+    ("aWsm-no-checks", Tier::Optimized, BoundsStrategy::None),
     (
         "naive-vm (Cranelift-class)",
         Tier::Naive,
         BoundsStrategy::GuardRegion,
-        true,
     ),
     (
         "naive-chk (Node-class)",
         Tier::Naive,
         BoundsStrategy::Software,
-        true,
     ),
 ];
 
@@ -82,10 +46,10 @@ fn time_native(k: &Kernel, iters: u32) -> f64 {
     per
 }
 
-fn time_guest(k: &Kernel, tier: Tier, bounds: BoundsStrategy, optimize: bool, iters: u32) -> f64 {
+fn time_guest(k: &Kernel, tier: Tier, bounds: BoundsStrategy, iters: u32) -> f64 {
     // Translate once (the paper's AoT step is off the measured path), then
     // time instantiation + execution per iteration.
-    let prepared = PreparedKernel::with_options(k, tier, bounds, optimize);
+    let prepared = PreparedKernel::new(k, tier, bounds);
     let mut sink = prepared.run(); // warm-up
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -127,7 +91,7 @@ fn main() {
     println!("# Figure 5: PolyBench/C normalized (vs native) execution time");
     println!("# {} kernels, {} iterations each", ks.len(), iters);
     print!("{:<16} {:>10}", "kernel", "native");
-    for (name, _, _, _) in CONFIGS {
+    for (name, _, _) in CONFIGS {
         print!(" {:>28}", name);
     }
     println!();
@@ -137,8 +101,8 @@ fn main() {
     for k in &ks {
         let native = time_native(k, iters);
         print!("{:<16} {:>9.1}µs", k.name, native * 1e6);
-        for (ci, (_, tier, bounds, optimize)) in CONFIGS.iter().enumerate() {
-            let guest = time_guest(k, *tier, *bounds, *optimize, iters);
+        for (ci, (_, tier, bounds)) in CONFIGS.iter().enumerate() {
+            let guest = time_guest(k, *tier, *bounds, iters);
             let ratio = guest / native;
             slowdowns[ci].push(ratio);
             print!(" {:>27.2}x", ratio);
@@ -152,7 +116,7 @@ fn main() {
         "{:<30} {:>14} {:>14} {:>10}",
         "runtime", "Slowdown(AM)", "Slowdown(GM)", "SD"
     );
-    for (ci, (name, _, _, _)) in CONFIGS.iter().enumerate() {
+    for (ci, (name, _, _)) in CONFIGS.iter().enumerate() {
         let pct: Vec<f64> = slowdowns[ci].iter().map(|r| (r - 1.0) * 100.0).collect();
         let ratios = &slowdowns[ci];
         println!(
@@ -169,44 +133,30 @@ fn main() {
     println!("# Expected shape: vm-guard < software < mpx; optimized << naive.");
 
     // Cost-model addendum: the preemption-latency certificate each kernel
-    // was registered with, against what a live preemption actually costs,
-    // plus what the dataflow optimizer did to the body (every certificate
-    // re-validated here, as the registry would).
+    // was registered with, against what a live preemption actually costs.
     println!();
-    println!("# Cost model + optimizer: certified gap, preempt latency, opt report");
+    println!("# Cost model: certified gap, preempt latency");
     println!(
-        "{:<16} {:>10} {:>8} {:>8} {:>14} {:>13} {:>7} {:>7}",
-        "kernel", "gap(units)", "checks", "splits", "max preempt", "ops(opt)", "elided", "fuel-"
+        "{:<16} {:>10} {:>8} {:>8} {:>14}",
+        "kernel", "gap(units)", "checks", "splits", "max preempt"
     );
     for k in &ks {
-        let prepared =
-            PreparedKernel::with_options(k, Tier::Optimized, BoundsStrategy::GuardRegion, true);
+        let prepared = PreparedKernel::new(k, Tier::Optimized, BoundsStrategy::GuardRegion);
         let cost = prepared
             .module()
             .analysis
             .cost
             .as_ref()
             .expect("translation attaches a cost certificate");
-        awsm::validate_opt(prepared.module()).expect("optimizer certificate must validate");
-        let opt = prepared
-            .module()
-            .analysis
-            .opt
-            .as_ref()
-            .expect("optimizer report attached when enabled");
         let lats = preempt_latencies(&prepared, 5);
         let max = lats.iter().max().copied().unwrap_or_default();
         println!(
-            "{:<16} {:>10} {:>8} {:>8} {:>12.2}µs {:>6}->{:<6} {:>7} {:>7}",
+            "{:<16} {:>10} {:>8} {:>8} {:>12.2}µs",
             k.name,
             cost.max_gap,
             cost.checks,
             cost.splits,
             max.as_secs_f64() * 1e6,
-            opt.ops_before,
-            opt.ops_after,
-            opt.checks_elided,
-            opt.fuel_sites_merged,
         );
     }
 }

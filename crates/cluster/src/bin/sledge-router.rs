@@ -22,7 +22,6 @@ struct Args {
     modules: Vec<(String, String)>,
     config: RouterConfig,
     run_for: Option<Duration>,
-    optimize: bool,
 }
 
 fn usage() -> ! {
@@ -30,7 +29,7 @@ fn usage() -> ! {
         "usage: sledge-router --listen ADDR --node NAME=ADDR [--node NAME=ADDR ...]\n\
          \x20      [--module CONFIG.json=MODULE.wasm ...] [--replicas N] [--vnodes V]\n\
          \x20      [--seed S] [--probe-ms MS] [--workers N] [--no-locality]\n\
-         \x20      [--no-optimize] [--run-for-s SECS]"
+         \x20      [--run-for-s SECS]"
     );
     std::process::exit(2)
 }
@@ -42,7 +41,6 @@ fn parse_args() -> Args {
         modules: Vec::new(),
         config: RouterConfig::default(),
         run_for: None,
-        optimize: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -88,7 +86,6 @@ fn parse_args() -> Args {
                     Duration::from_millis(parse_num(&value("--probe-ms")) as u64);
             }
             "--no-locality" => args.config.locality = false,
-            "--no-optimize" => args.optimize = false,
             "--run-for-s" => {
                 args.run_for = Some(Duration::from_secs(parse_num(&value("--run-for-s")) as u64));
             }
@@ -151,7 +148,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let artifact = match artifact_from_wasm(&wasm, args.optimize) {
+        let artifact = match artifact_from_wasm(&wasm) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("sledge-router: compile {wasm_path}: {e}");

@@ -23,21 +23,16 @@ pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{ingest_frame, PushResult, RingStatsSnapshot, Router, RouterConfig};
 
 /// Compile `wasm` into a distributable certificate-carrying artifact: the
-/// translated module (with its analysis, cost, effect, and — when
-/// `optimize` — dataflow-optimization certificates) serialized via
-/// [`awsm::encode_artifact`]. Feed the result to [`Router::distribute`] or
-/// a node's `POST /admin/modules`.
+/// translated module (with its analysis, cost and effect certificates)
+/// serialized via [`awsm::encode_artifact`]. Feed the result to
+/// [`Router::distribute`] or a node's `POST /admin/modules`.
 ///
 /// # Errors
 ///
 /// Returns the decode/translate error text on a malformed module.
-pub fn artifact_from_wasm(wasm: &[u8], optimize: bool) -> Result<Vec<u8>, String> {
+pub fn artifact_from_wasm(wasm: &[u8]) -> Result<Vec<u8>, String> {
     let module = sledge_wasm::decode::decode_module(wasm).map_err(|e| format!("decode: {e}"))?;
-    let options = awsm::TranslateOptions {
-        optimize,
-        ..Default::default()
-    };
-    let compiled = awsm::translate_with(&module, awsm::Tier::Optimized, options)
-        .map_err(|e| format!("translate: {e}"))?;
+    let compiled =
+        awsm::translate(&module, awsm::Tier::Optimized).map_err(|e| format!("translate: {e}"))?;
     Ok(awsm::encode_artifact(&compiled))
 }

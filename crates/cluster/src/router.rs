@@ -397,7 +397,7 @@ fn candidate_order(shared: &RouterShared, key: &str) -> (Vec<usize>, bool) {
 
 /// Forward one request with failover. Returns the response bytes to send
 /// back to the router's client.
-fn forward(shared: &RouterShared, clients: &mut Vec<Option<HttpClient>>, job: &Job) -> Vec<u8> {
+fn forward(shared: &RouterShared, clients: &mut [Option<HttpClient>], job: &Job) -> Vec<u8> {
     let (order, steered) = candidate_order(shared, &job.path);
     shared.stats.routed.fetch_add(1, Ordering::Relaxed);
     if steered {
@@ -496,7 +496,7 @@ fn prober_loop(shared: Arc<RouterShared>) {
     let mut clients: Vec<HttpClient> = shared
         .nodes
         .iter()
-        .map(|n| HttpClient::with_config(n.addr, probe_config.clone()))
+        .map(|n| HttpClient::with_config(n.addr, probe_config))
         .collect();
     loop {
         for (node, client) in shared.nodes.iter().zip(clients.iter_mut()) {

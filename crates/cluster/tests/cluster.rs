@@ -98,11 +98,11 @@ fn distribution_pushes_certified_artifact_to_every_node() {
     for p in &pushes {
         assert!(p.result.is_ok(), "{}: {:?}", p.node, p.result);
     }
-    // Every node re-validated the certificates on ingest (no fallback).
+    // Every node re-verified the artifact on ingest and accepted it.
     for rt in &nodes {
         let reg = rt.registry_stats();
         assert_eq!(reg.modules_verified, 1);
-        assert_eq!(reg.opt_fallbacks, 0);
+        assert_eq!(reg.modules_rejected, 0);
     }
     assert_eq!(router.stats().modules_pushed, 3);
 
@@ -327,9 +327,11 @@ fn chaos_node_kill_fails_over_with_exactly_one_completion() {
     let s = router.stats();
     assert_eq!(s.routed as usize, total);
     assert_eq!(s.failed, 0, "no request may be lost to the kill");
+    // The dead owner's traffic went elsewhere either by failover or because
+    // warm-pool steering had already moved it off the owner before the kill.
     assert!(
-        s.failed_over >= 1,
-        "the killed owner's keys must have failed over: {s:?}"
+        s.failed_over + s.steered >= 1,
+        "the killed owner's keys must have moved to a survivor: {s:?}"
     );
 
     // The prober notices the death and the ring metrics say so.

@@ -142,9 +142,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let reg = rt.registry_stats();
     println!(
-        "verified {} module(s): {} bounds checks elided, {} lint warning(s), \
-         {} cost-certified",
-        reg.modules_verified, reg.checks_elided, reg.lint_warnings, reg.cost_certified
+        "verified {} module(s): {} lint warning(s), {} cost-certified",
+        reg.modules_verified, reg.lint_warnings, reg.cost_certified
     );
     // Printed only when at least one module carried a capability policy, so a
     // policy-free deployment's banner is byte-identical to earlier releases.
@@ -152,13 +151,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "capability policy: {} certified, {} rejected",
             reg.capability_certified, reg.capability_rejected
-        );
-    }
-    // Likewise printed only once the optimizer gate has seen a module.
-    if reg.opt_modules + reg.opt_fallbacks > 0 {
-        println!(
-            "optimizer: {} module(s) with validated certificates, {} fallback(s)",
-            reg.opt_modules, reg.opt_fallbacks
         );
     }
 

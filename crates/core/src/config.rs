@@ -98,12 +98,6 @@ pub struct RuntimeConfig {
     /// falls back to the legacy non-blocking scan loop — the compat and
     /// ablation configuration.
     pub reactor: bool,
-    /// Run the translate-time dataflow optimizer when registering modules
-    /// (constant folding, dead-code elimination, dominated-check elision).
-    /// Every optimized module carries a translation-validation certificate
-    /// the registry re-checks; failures fall back to the unoptimized body.
-    /// On by default; `false` is the ablation/baseline configuration.
-    pub optimize: bool,
     /// Serve `POST /admin/modules` on the HTTP front end: certificate-
     /// carrying module ingest for cluster-mode distribution (the router
     /// pushes compiled artifacts; the node re-validates every certificate
@@ -149,7 +143,6 @@ impl Default for RuntimeConfig {
             max_inflight: env_usize("SLEDGE_MAX_INFLIGHT").unwrap_or(0),
             max_connections: env_usize("SLEDGE_MAX_CONNS").unwrap_or(0),
             reactor: env_usize("SLEDGE_REACTOR").map(|v| v != 0).unwrap_or(true),
-            optimize: env_usize("SLEDGE_OPT").map(|v| v != 0).unwrap_or(true),
             admin_routes: env_usize("SLEDGE_ADMIN").map(|v| v != 0).unwrap_or(false),
         }
     }
@@ -400,7 +393,6 @@ impl RuntimeConfig {
                 Some("bounds-chk") => BoundsStrategy::Software,
                 Some("mpx") => BoundsStrategy::MpxEmulated,
                 Some("vm-guard") => BoundsStrategy::GuardRegion,
-                Some("static") => BoundsStrategy::Static,
                 other => {
                     return Err(ConfigError::Schema(format!(
                         "unknown bounds strategy {other:?}"
@@ -484,11 +476,6 @@ impl RuntimeConfig {
             cfg.reactor = r
                 .as_bool()
                 .ok_or_else(|| ConfigError::Schema("reactor must be a bool".into()))?;
-        }
-        if let Some(o) = v.get("optimize") {
-            cfg.optimize = o
-                .as_bool()
-                .ok_or_else(|| ConfigError::Schema("optimize must be a bool".into()))?;
         }
         if let Some(a) = v.get("admin_routes") {
             cfg.admin_routes = a
@@ -766,9 +753,10 @@ mod tests {
 
     #[test]
     fn static_analysis_knobs_parsed() {
-        let text = r#"{"bounds": "static", "max_stack_bytes": 1048576}"#;
+        let text = r#"{"bounds": "bounds-chk", "max_stack_bytes": 1048576}"#;
         let (cfg, _) = RuntimeConfig::from_json(text).unwrap();
-        assert_eq!(cfg.bounds, BoundsStrategy::Static);
+        assert_eq!(cfg.bounds, BoundsStrategy::Software);
+        assert!(RuntimeConfig::from_json(r#"{"bounds": "static"}"#).is_err());
         assert_eq!(cfg.max_stack_bytes, Some(1048576));
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
         assert_eq!(cfg.max_stack_bytes, None);
@@ -906,20 +894,6 @@ mod tests {
         assert!(RuntimeConfig::from_json(r#"{"max_connections": "x"}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"max_connections": -1}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"reactor": 1}"#).is_err());
-    }
-
-    #[test]
-    fn optimize_knob_parsed() {
-        let (cfg, _) = RuntimeConfig::from_json(r#"{"optimize": false}"#).unwrap();
-        assert!(!cfg.optimize);
-        let (cfg, _) = RuntimeConfig::from_json(r#"{"optimize": true}"#).unwrap();
-        assert!(cfg.optimize);
-        // Explicit JSON wins over the SLEDGE_OPT env override; absent knobs
-        // match the (possibly env-overridden) default, so this test is green
-        // in both CI legs.
-        let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
-        assert_eq!(cfg.optimize, RuntimeConfig::default().optimize);
-        assert!(RuntimeConfig::from_json(r#"{"optimize": 1}"#).is_err());
     }
 
     #[test]

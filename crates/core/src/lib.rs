@@ -77,8 +77,7 @@ pub use json::{parse as parse_json, Json, JsonError};
 pub use listener::AnyResponder;
 pub use metrics::{
     render_json, render_prometheus, summary_line, AdmissionFnSnapshot, AdmissionReport,
-    CapabilityReport, LatencyReport, MetricsHandle, OptGateReport, PhaseHistograms, PhaseSnapshot,
-    PHASES,
+    CapabilityReport, LatencyReport, MetricsHandle, PhaseHistograms, PhaseSnapshot, PHASES,
 };
 pub use pool::{PoolStats, PoolStatsSnapshot, SandboxPool};
 pub use registry::{FunctionId, RegisterError, RegisteredFunction, Registry};
@@ -232,7 +231,6 @@ impl Runtime {
         registry.set_shards(workers);
         registry.set_pool_capacity(config.pool_size);
         registry.set_calibration(config.cost_units_per_us);
-        registry.set_optimize(config.optimize);
         let shared = Arc::new(Shared {
             config,
             registry: RwLock::new(registry),
@@ -401,8 +399,7 @@ impl Runtime {
     }
 
     /// Load-time static-analysis counter snapshot (modules verified /
-    /// rejected, lint warnings, elided bounds checks) plus aggregated
-    /// warm-pool counters.
+    /// rejected, lint warnings) plus aggregated warm-pool counters.
     pub fn registry_stats(&self) -> stats::RegistryStatsSnapshot {
         self.shared.registry().stats_snapshot()
     }

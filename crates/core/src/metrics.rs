@@ -163,18 +163,6 @@ pub struct CapabilityReport {
     pub rejected: u64,
 }
 
-/// Optimizer-gate counters: translation-validation verdicts at
-/// registration. `None` in [`LatencyReport`] while no optimized module has
-/// been gated, keeping opt-off output byte-identical to a runtime without
-/// the optimizer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptGateReport {
-    /// Modules registered with a validated optimization certificate.
-    pub optimized: u64,
-    /// Modules reverted to unoptimized bodies on certificate failure.
-    pub fallbacks: u64,
-}
-
 /// The merged latency view over every worker shard: global plus
 /// per-function breakdowns. Produced by [`crate::Runtime::latency_report`]
 /// and by the `/metrics` / `/stats` endpoints.
@@ -195,9 +183,6 @@ pub struct LatencyReport {
     /// Capability-policy counters; `None` when no module set a policy
     /// (same byte-identity discipline as the pool and admission gates).
     pub capability: Option<CapabilityReport>,
-    /// Optimizer-gate counters; `None` until an optimized module has been
-    /// gated (same byte-identity discipline as the sections above).
-    pub opt: Option<OptGateReport>,
     /// Connection-lifecycle counters from the HTTP front end; `None` when
     /// the runtime serves no HTTP (same byte-identity discipline as the
     /// other gated sections).
@@ -283,10 +268,6 @@ impl Shared {
                 certified: rs.capability_certified,
                 rejected: rs.capability_rejected,
             });
-        let opt = (rs.opt_modules + rs.opt_fallbacks > 0).then_some(OptGateReport {
-            optimized: rs.opt_modules,
-            fallbacks: rs.opt_fallbacks,
-        });
         drop(registry);
         LatencyReport {
             global,
@@ -294,7 +275,6 @@ impl Shared {
             pool,
             admission,
             capability,
-            opt,
             connections: self.http_conns.as_ref().map(|c| c.snapshot()),
         }
     }
@@ -468,20 +448,6 @@ pub fn render_prometheus(report: &LatencyReport, stats: &StatsSnapshot) -> Strin
         }
     }
 
-    // Optimizer-gate series exist only once an optimized module has been
-    // gated; same byte-identity discipline as the sections above.
-    if let Some(opt) = &report.opt {
-        out.push_str(
-            "# HELP sledge_opt_modules_total Translation-validation verdicts at registration.\n",
-        );
-        out.push_str("# TYPE sledge_opt_modules_total counter\n");
-        for (verdict, v) in [("optimized", opt.optimized), ("fallback", opt.fallbacks)] {
-            out.push_str(&format!(
-                "sledge_opt_modules_total{{verdict=\"{verdict}\"}} {v}\n"
-            ));
-        }
-    }
-
     out.push_str(
         "# HELP sledge_phase_latency_seconds Per-phase invocation latency (merged shards).\n",
     );
@@ -565,12 +531,6 @@ pub fn render_json(report: &LatencyReport, stats: &StatsSnapshot) -> String {
         out.push_str(&format!(
             ",\"capability\":{{\"certified\":{},\"rejected\":{}}}",
             cap.certified, cap.rejected
-        ));
-    }
-    if let Some(opt) = &report.opt {
-        out.push_str(&format!(
-            ",\"opt\":{{\"optimized\":{},\"fallbacks\":{}}}",
-            opt.optimized, opt.fallbacks
         ));
     }
     if let Some(adm) = &report.admission {
@@ -676,12 +636,6 @@ pub fn summary_line(report: &LatencyReport, stats: &StatsSnapshot) -> String {
             cap.certified, cap.rejected
         ));
     }
-    if let Some(opt) = &report.opt {
-        line.push_str(&format!(
-            " | opt modules={} fallbacks={}",
-            opt.optimized, opt.fallbacks
-        ));
-    }
     line
 }
 
@@ -734,7 +688,6 @@ mod tests {
             pool: PoolStatsSnapshot::default(),
             admission: None,
             capability: None,
-            opt: None,
             connections: None,
         };
         (report, StatsSnapshot::default())

@@ -123,13 +123,11 @@ pub enum RegisterError {
     /// point can reach a host call outside the allowed set, or its certified
     /// write footprint exceeds the configured bound.
     Capability(Vec<Diagnostic>),
-    /// Strict (ingest) registration only: the optimizer's translation-
-    /// validation certificate failed re-verification. The local path falls
-    /// back to the preserved unoptimized bodies instead; a distributed
-    /// artifact is rejected outright — a peer shipping a module whose
-    /// certificate does not re-prove is not trusted to have translated it
-    /// honestly.
-    OptValidation(String),
+    /// Ingest registration only: [`awsm::verify_body`] could not re-derive
+    /// the artifact's stack-effect consistency or its cost certificate from
+    /// the bodies it ships. A peer whose certificates do not re-prove is not
+    /// trusted to have translated the module honestly.
+    BodyVerification(String),
 }
 
 impl fmt::Display for RegisterError {
@@ -156,8 +154,8 @@ impl fmt::Display for RegisterError {
                 }
                 Ok(())
             }
-            RegisterError::OptValidation(e) => {
-                write!(f, "optimization certificate rejected: {e}")
+            RegisterError::BodyVerification(e) => {
+                write!(f, "artifact body verification failed: {e}")
             }
         }
     }
@@ -189,10 +187,6 @@ pub struct Registry {
     /// Cost units per µs used to convert `budget` (µs/s) into a token-
     /// bucket rate (0 = "not set", falls back to the default calibration).
     calibration: u64,
-    /// Whether newly registered modules go through the translate-time
-    /// optimizer. `None` (the default) defers to the translator's own
-    /// default (on, unless `SLEDGE_OPT=0`).
-    optimize: Option<bool>,
     /// Load-time analysis counters.
     pub stats: RegistryStats,
 }
@@ -236,12 +230,6 @@ impl Registry {
         self.calibration = cost_units_per_us;
     }
 
-    /// Set whether subsequently registered modules run the translate-time
-    /// optimizer (see [`crate::RuntimeConfig::optimize`]).
-    pub fn set_optimize(&mut self, on: bool) {
-        self.optimize = Some(on);
-    }
-
     /// Register a function from raw `.wasm` bytes: decode, validate,
     /// translate (once), and index it.
     ///
@@ -273,25 +261,21 @@ impl Registry {
     ) -> Result<FunctionId, RegisterError> {
         let opts = TranslateOptions {
             max_check_gap: self.check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
-            optimize: self
-                .optimize
-                .unwrap_or_else(|| TranslateOptions::default().optimize),
         };
         let compiled = translate_with(module, tier, opts).map_err(RegisterError::Translate)?;
         self.register_compiled(config, compiled, wasm_size)
     }
 
     /// Register an already-translated module received as a distributed
-    /// artifact (cluster-mode ingest). Unlike [`Registry::register_compiled`]
-    /// — which reverts a module with a bad optimization certificate to its
-    /// preserved unoptimized bodies — the strict path **rejects** it: the
-    /// artifact crossed a trust boundary, and a certificate that does not
-    /// re-prove means the payload cannot be trusted at all.
+    /// artifact (cluster-mode ingest). The artifact crossed a trust boundary,
+    /// so before any gate reads its certificates [`awsm::verify_body`]
+    /// re-derives them from the bodies — unconditionally: nothing in the
+    /// artifact can switch the check off.
     ///
     /// # Errors
     ///
-    /// [`RegisterError::OptValidation`] on certificate re-verification
-    /// failure; otherwise everything [`Registry::register_compiled`] returns.
+    /// [`RegisterError::BodyVerification`] when the re-derivation fails;
+    /// otherwise everything [`Registry::register_compiled`] returns.
     pub fn register_artifact(
         &mut self,
         config: FunctionConfig,
@@ -299,21 +283,14 @@ impl Registry {
         wasm_size: usize,
     ) -> Result<FunctionId, RegisterError> {
         use std::sync::atomic::Ordering;
-        if compiled.analysis.opt.is_some() {
-            if let Err(e) = awsm::validate_opt(&compiled) {
-                self.stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(RegisterError::OptValidation(e));
-            }
+        if let Err(e) = awsm::verify_body(&compiled) {
+            self.stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(RegisterError::BodyVerification(e));
         }
         self.register_compiled(config, compiled, wasm_size)
     }
 
-    /// Register an already-translated module. This is where the optimizer's
-    /// translation-validation certificate is re-checked: a module whose
-    /// certificate fails verification is not rejected — it is reverted to
-    /// its preserved unoptimized bodies (re-analyzed and re-instrumented)
-    /// and registered anyway, counted in
-    /// [`RegistryStats::opt_fallbacks`](crate::stats::RegistryStats).
+    /// Register a module this process translated itself.
     ///
     /// # Errors
     ///
@@ -321,31 +298,11 @@ impl Registry {
     pub fn register_compiled(
         &mut self,
         config: FunctionConfig,
-        mut compiled: CompiledModule,
+        compiled: CompiledModule,
         wasm_size: usize,
     ) -> Result<FunctionId, RegisterError> {
-        use std::sync::atomic::Ordering;
         if self.by_name.contains_key(&config.name) {
             return Err(RegisterError::DuplicateName(config.name.clone()));
-        }
-        if compiled.analysis.opt.is_some() {
-            match awsm::validate_opt(&compiled) {
-                Ok(()) => {
-                    self.stats.opt_modules.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    eprintln!(
-                        "[sledge] module {:?}: optimization certificate rejected ({e}); \
-                         falling back to unoptimized body",
-                        config.name
-                    );
-                    awsm::revert_optimizations(
-                        &mut compiled,
-                        self.check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
-                    );
-                    self.stats.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
-                }
-            }
         }
         if compiled.export(&config.entry).is_none() {
             return Err(RegisterError::NoEntry(config.entry.clone()));
@@ -474,9 +431,6 @@ impl Registry {
         }
         self.stats.modules_verified.fetch_add(1, Ordering::Relaxed);
         self.stats.lint_warnings.fetch_add(warns, Ordering::Relaxed);
-        self.stats
-            .checks_elided
-            .fetch_add(u64::from(report.elided_sites), Ordering::Relaxed);
         Ok(())
     }
 
@@ -584,154 +538,6 @@ mod tests {
             r.register_wasm(FunctionConfig::new("x"), b"garbage", Tier::Optimized),
             Err(RegisterError::Decode(_))
         ));
-    }
-
-    /// A module the optimizer has real work on: an address loaded from
-    /// memory (opaque to interval analysis, 0 at runtime) whose first
-    /// checked access dominates later ones (elision claims), a constant
-    /// preamble (folding), and a constant-condition branch (simplification
-    /// plus a dead arm).
-    fn optimizable_module(name: &str) -> Module {
-        use sledge_guestc::Scalar;
-        let mut mb = ModuleBuilder::new(name);
-        mb.memory(1, Some(1));
-        mb.data(8, b"opt!".to_vec());
-        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-        let a = f.local(ValType::I32);
-        let v = f.local(ValType::I32);
-        let k = f.local(ValType::I32);
-        f.push(set(a, load(Scalar::I32, i32c(0), 0)));
-        f.push(store(Scalar::I32, local(a), 16, i32c(77)));
-        f.push(store(Scalar::I32, local(a), 0, i32c(88)));
-        f.push(set(v, load(Scalar::I32, local(a), 8)));
-        f.push(set(k, add(mul(i32c(7), i32c(3)), i32c(100))));
-        f.push(if_else(
-            i32c(0),
-            vec![set(v, add(local(v), i32c(1)))],
-            vec![set(v, xor(local(v), local(k)))],
-        ));
-        f.push(ret(Some(add(local(v), load(Scalar::U8, i32c(9), 0)))));
-        let main = mb.add_func("main", f);
-        mb.export_func(main, "main");
-        mb.build().unwrap()
-    }
-
-    fn run_main(module: Arc<CompiledModule>) -> Option<u64> {
-        let mut inst = awsm::Instance::new(module, awsm::EngineConfig::default()).unwrap();
-        inst.call_complete("main", &[], &mut awsm::NullHost)
-            .unwrap()
-    }
-
-    #[test]
-    fn corrupted_opt_certificate_falls_back_to_unoptimized() {
-        let m = optimizable_module("tamper");
-        let opts = TranslateOptions {
-            max_check_gap: awsm::DEFAULT_MAX_CHECK_GAP,
-            optimize: true,
-        };
-        // The expected observable behaviour, from an optimizer-off build.
-        let plain = translate_with(
-            &m,
-            Tier::Optimized,
-            TranslateOptions {
-                optimize: false,
-                ..opts
-            },
-        )
-        .unwrap();
-        let expect = run_main(Arc::new(plain));
-
-        // Untampered registration validates the certificate and counts it.
-        let mut r = Registry::new();
-        let good = translate_with(&m, Tier::Optimized, opts).unwrap();
-        assert!(good.analysis.opt.is_some());
-        let id = r
-            .register_compiled(FunctionConfig::new("good"), good, 0)
-            .unwrap();
-        let snap = r.stats.snapshot();
-        assert_eq!((snap.opt_modules, snap.opt_fallbacks), (1, 0));
-        assert!(r.get(id).unwrap().analysis().opt.is_some());
-        assert_eq!(run_main(Arc::clone(&r.get(id).unwrap().module)), expect);
-
-        // Tamper: un-elide one unchecked store while keeping its claim —
-        // the certificate's site accounting no longer matches the body.
-        let mut bad = translate_with(&m, Tier::Optimized, opts).unwrap();
-        let mut tampered = false;
-        'outer: for func in &mut bad.funcs {
-            if let Some(cs) = &mut func.code_static {
-                for op in cs.iter_mut() {
-                    if let awsm::Op::StoreNc(kind, off) = *op {
-                        *op = awsm::Op::Store(kind, off);
-                        tampered = true;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        assert!(tampered, "workout must elide at least one store");
-        assert!(awsm::validate_opt(&bad).is_err());
-
-        // The registry must not reject the module: it reverts to the
-        // preserved unoptimized bodies, counts the fallback, and serves.
-        let id = r
-            .register_compiled(FunctionConfig::new("tamper"), bad, 0)
-            .unwrap();
-        let snap = r.stats.snapshot();
-        assert_eq!((snap.opt_modules, snap.opt_fallbacks), (1, 1));
-        let rf = r.get(id).unwrap();
-        assert!(
-            rf.analysis().opt.is_none(),
-            "fallback must strip the rejected certificate"
-        );
-        assert_eq!(run_main(Arc::clone(&rf.module)), expect);
-    }
-
-    #[test]
-    fn strict_ingest_rejects_bad_certificate_instead_of_falling_back() {
-        let m = optimizable_module("ingest");
-        let opts = TranslateOptions {
-            max_check_gap: awsm::DEFAULT_MAX_CHECK_GAP,
-            optimize: true,
-        };
-        // An honest artifact passes the strict gate and registers.
-        let mut r = Registry::new();
-        let good = translate_with(&m, Tier::Optimized, opts).unwrap();
-        assert!(good.analysis.opt.is_some());
-        let id = r
-            .register_artifact(FunctionConfig::new("good"), good, 0)
-            .unwrap();
-        assert!(r.get(id).unwrap().analysis().opt.is_some());
-        assert_eq!(r.stats.snapshot().opt_modules, 1);
-
-        // The same tamper the local path survives by reverting is a hard
-        // rejection on the ingest path.
-        let mut bad = translate_with(&m, Tier::Optimized, opts).unwrap();
-        let mut tampered = false;
-        'outer: for func in &mut bad.funcs {
-            if let Some(cs) = &mut func.code_static {
-                for op in cs.iter_mut() {
-                    if let awsm::Op::StoreNc(kind, off) = *op {
-                        *op = awsm::Op::Store(kind, off);
-                        tampered = true;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        assert!(tampered, "workout must elide at least one store");
-        let err = r
-            .register_artifact(FunctionConfig::new("bad"), bad, 0)
-            .unwrap_err();
-        assert!(matches!(err, RegisterError::OptValidation(_)), "{err}");
-        assert!(err.to_string().contains("certificate rejected"));
-        // Rejected, not reverted: no fallback counted, nothing registered,
-        // and the node keeps serving what it already has.
-        let snap = r.stats.snapshot();
-        assert_eq!(snap.opt_fallbacks, 0);
-        assert_eq!(snap.modules_rejected, 1);
-        assert_eq!(r.len(), 1);
-        assert!(r.by_name("good").is_some());
-        assert!(r.by_name("bad").is_none());
     }
 
     #[test]

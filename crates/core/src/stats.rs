@@ -105,14 +105,12 @@ impl StatsSnapshot {
 pub struct RegistryStats {
     /// Modules that passed verification and were registered.
     pub modules_verified: AtomicU64,
-    /// Modules rejected by the analyzer (error-severity lints or a stack
-    /// bound over budget).
+    /// Modules rejected at registration: by the analyzer (error-severity
+    /// lints or a stack bound over budget), by a certificate or capability
+    /// gate, or — on the ingest path — by body verification.
     pub modules_rejected: AtomicU64,
     /// Warning-severity lints surfaced across all registered modules.
     pub lint_warnings: AtomicU64,
-    /// Memory-access sites whose bounds checks were statically elided,
-    /// summed over registered modules.
-    pub checks_elided: AtomicU64,
     /// Modules registered with a preemption-latency certificate within the
     /// configured check-gap budget.
     pub cost_certified: AtomicU64,
@@ -127,12 +125,6 @@ pub struct RegistryStats {
     /// Modules rejected by a capability policy (also counted in
     /// `modules_rejected`).
     pub capability_rejected: AtomicU64,
-    /// Modules registered with a validated optimization certificate
-    /// (translate-time optimizer on, translation validation passed).
-    pub opt_modules: AtomicU64,
-    /// Modules whose optimization certificate failed validation and were
-    /// reverted to the unoptimized bodies before registration.
-    pub opt_fallbacks: AtomicU64,
 }
 
 impl RegistryStats {
@@ -142,13 +134,10 @@ impl RegistryStats {
             modules_verified: self.modules_verified.load(Ordering::Relaxed),
             modules_rejected: self.modules_rejected.load(Ordering::Relaxed),
             lint_warnings: self.lint_warnings.load(Ordering::Relaxed),
-            checks_elided: self.checks_elided.load(Ordering::Relaxed),
             cost_certified: self.cost_certified.load(Ordering::Relaxed),
             certificate_rejected: self.certificate_rejected.load(Ordering::Relaxed),
             capability_certified: self.capability_certified.load(Ordering::Relaxed),
             capability_rejected: self.capability_rejected.load(Ordering::Relaxed),
-            opt_modules: self.opt_modules.load(Ordering::Relaxed),
-            opt_fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
             // Pool counters live on each function; `Registry::stats_snapshot`
             // folds them in on top of this raw counter copy.
             pool: crate::pool::PoolStatsSnapshot::default(),
@@ -164,17 +153,12 @@ pub struct RegistryStatsSnapshot {
     pub modules_verified: u64,
     pub modules_rejected: u64,
     pub lint_warnings: u64,
-    pub checks_elided: u64,
     pub cost_certified: u64,
     pub certificate_rejected: u64,
     /// Modules that passed a configured capability policy.
     pub capability_certified: u64,
     /// Modules rejected by a capability policy.
     pub capability_rejected: u64,
-    /// Modules registered with a validated optimization certificate.
-    pub opt_modules: u64,
-    /// Modules reverted to unoptimized bodies on certificate failure.
-    pub opt_fallbacks: u64,
     /// Warm sandbox-pool counters, summed over all functions.
     pub pool: crate::pool::PoolStatsSnapshot,
 }

@@ -2,7 +2,8 @@
 //! and the `POST /admin/modules` certificate-carrying ingest route (gated
 //! by `admin_routes`, default off).
 
-use awsm::{encode_artifact, translate_with, Tier, TranslateOptions};
+use awsm::TranslateOptions;
+use awsm::{decode_artifact, encode_artifact, translate_with, CompiledModule, Op, Tier};
 use sledge_core::{Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
@@ -109,11 +110,11 @@ fn ingest_registers_and_serves_distributed_module() {
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, b"hello ring");
 
-    // Ingest re-ran the certificate gates: the artifact's optimization
-    // certificate was re-validated, not re-translated.
+    // Ingest re-verified the artifact and re-ran the certificate gates;
+    // nothing was re-translated.
     let reg = rt.registry_stats();
     assert_eq!(reg.modules_verified, 1);
-    assert_eq!(reg.opt_fallbacks, 0);
+    assert_eq!(reg.modules_rejected, 0);
 
     // A duplicate push is a clean 400, not a crash.
     let frame = ingest_frame(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")));
@@ -162,6 +163,126 @@ fn corrupt_artifact_rejected_while_node_keeps_serving() {
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, b"still up");
     assert!(rt.function_by_name("tampered").is_none());
+    rt.shutdown();
+}
+
+type Tamper = fn(&mut CompiledModule);
+
+/// Decode an honest artifact, let `tamper` edit the module, and re-encode:
+/// the result is structurally valid and carries a correct FNV checksum over
+/// the tampered payload — what a peer that fixes up the checksum would send.
+fn tampered_artifact(tamper: Tamper) -> Vec<u8> {
+    let mut module = decode_artifact(&artifact_for(&echo_guest("echo"))).unwrap();
+    tamper(&mut module);
+    encode_artifact(&module)
+}
+
+/// The echo guest's body is straight-line (no branch targets to renumber),
+/// so ops can be removed from or inserted into it freely.
+fn main_code(m: &mut CompiledModule) -> &mut Vec<Op> {
+    &mut m.funcs[0].code
+}
+
+#[test]
+fn tampered_artifacts_are_rejected_by_body_verification() {
+    let rt = boot(true);
+    let mut client = HttpClient::new(rt.http_addr().unwrap());
+
+    // (function name, the edit, what `verify_body` must say about it)
+    let tampers: [(&str, Tamper, &str); 5] = [
+        // A dropped budget check: the segment it headed would run unmetered.
+        (
+            "dropped-fuel",
+            |m| assert!(matches!(main_code(m).remove(0), Op::Fuel(_))),
+            "does not reconstruct",
+        ),
+        // An extra `Drop` on entry: costs nothing, so the fuel partition
+        // still reconstructs, but it pops an empty operand stack.
+        (
+            "extra-drop",
+            |m| main_code(m).insert(1, Op::Drop),
+            "operand underflow",
+        ),
+        // A preemption-latency certificate claiming a tighter gap than the
+        // body has (module-level figure lowered consistently with it).
+        (
+            "forged-gap",
+            |m| {
+                let cost = m.analysis.cost.as_mut().unwrap();
+                cost.funcs[0].max_gap -= 1;
+                cost.max_gap = cost.funcs[0].max_gap;
+            },
+            "cost certificate mismatch",
+        ),
+        // A stack- and cost-neutral pair that reads a local the frame does
+        // not have.
+        (
+            "wild-local",
+            |m| {
+                main_code(m).splice(1..1, [Op::LocalGet(1 << 20), Op::Drop]);
+            },
+            "local index out of range",
+        ),
+        // No cost certificate at all: its option tag is one byte of the
+        // artifact and must not switch the re-proof off.
+        (
+            "no-certificate",
+            |m| m.analysis.cost = None,
+            "no cost certificate",
+        ),
+    ];
+    for (i, (name, tamper, why)) in tampers.into_iter().enumerate() {
+        let artifact = tampered_artifact(tamper);
+        assert!(decode_artifact(&artifact).is_ok(), "{name}: checksum holds");
+        let frame = ingest_frame(&format!(r#"{{"name": "{name}"}}"#), &artifact);
+        let resp = client
+            .request("POST", "/admin/modules", &[], &frame)
+            .unwrap();
+        let body = String::from_utf8_lossy(&resp.body).into_owned();
+        assert_eq!(resp.status, 400, "{name}: {body}");
+        assert!(body.contains("body verification failed"), "{name}: {body}");
+        assert!(body.contains(why), "{name}: {body}");
+        assert!(rt.function_by_name(name).is_none(), "{name} registered");
+        assert_eq!(rt.registry_stats().modules_rejected, i as u64 + 1);
+    }
+    assert_eq!(rt.registry_stats().modules_verified, 0);
+
+    // The node is unharmed and still takes the honest artifact.
+    let frame = ingest_frame(r#"{"name": "echo"}"#, &tampered_artifact(|_| {}));
+    let resp = client
+        .request("POST", "/admin/modules", &[], &frame)
+        .unwrap();
+    assert_eq!(resp.status, 200);
+    let resp = client.request("POST", "/echo", &[], b"honest").unwrap();
+    assert_eq!((resp.status, &resp.body[..]), (200, &b"honest"[..]));
+    rt.shutdown();
+}
+
+#[test]
+fn honest_artifact_of_every_shipped_guest_registers_and_serves() {
+    let rt = boot(true);
+    let mut client = HttpClient::new(rt.http_addr().unwrap());
+    let apps = sledge_apps::all_apps();
+    for app in &apps {
+        let frame = ingest_frame(
+            &format!(r#"{{"name": "{}"}}"#, app.name),
+            &artifact_for(&(app.module)()),
+        );
+        let resp = client
+            .request("POST", "/admin/modules", &[], &frame)
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", app.name);
+
+        let input = (app.sample_input)();
+        let resp = client
+            .request("POST", &format!("/{}", app.name), &[], &input)
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", app.name);
+        assert_eq!(resp.body, (app.native)(&input), "{}", app.name);
+    }
+    let reg = rt.registry_stats();
+    assert_eq!(reg.modules_verified, apps.len() as u64);
+    assert_eq!(reg.modules_rejected, 0);
     rt.shutdown();
 }
 
