@@ -188,7 +188,7 @@ pub(super) fn is_terminator(op: &Op) -> bool {
     )
 }
 
-pub(super) fn for_each_target(op: &Op, mut f: impl FnMut(u32)) {
+pub(crate) fn for_each_target(op: &Op, mut f: impl FnMut(u32)) {
     match op {
         Op::Br(b) | Op::BrIf(b) | Op::BrIfZ(b) => f(b.target),
         Op::BrTable(p) => {

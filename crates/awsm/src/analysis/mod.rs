@@ -26,7 +26,7 @@ pub mod cost;
 pub mod effects;
 mod lint;
 mod range;
-mod stack;
+pub(crate) mod stack;
 pub mod verify;
 
 use crate::code::CompiledModule;
@@ -312,8 +312,9 @@ impl AnalysisReport {
 }
 
 /// Analyze `m` in place: compute the report, instrument every body with
-/// exact per-block fuel charges bounded by `max_check_gap`, and attach the
-/// report to the module. Called once, at the end of translation.
+/// exact per-block fuel charges bounded by `max_check_gap`, attach the
+/// report to the module, and lower the certified bodies to the register
+/// form the executor runs. Called once, at the end of translation.
 ///
 /// Note: `Diagnostic::pc` refers to the *pre-instrumentation* code — the
 /// flat code before `Op::Fuel` insertion shifted positions.
@@ -385,6 +386,11 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
     }
     report.cost = Some(cost);
     timings.push(("cost", t.elapsed()));
+
+    // Lowering, over the instrumented bodies: what the executor runs.
+    let t = Instant::now();
+    m.lowered = Ok(crate::lower::lower_module(m).expect("translator emitted a lowerable body"));
+    timings.push(("lower", t.elapsed()));
     report.timings = timings;
 
     m.analysis = report;

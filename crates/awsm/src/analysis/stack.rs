@@ -12,13 +12,13 @@ use super::StackBound;
 use crate::code::{Branch, CompiledFunc, CompiledModule, Op};
 use std::collections::{HashMap, HashSet};
 
-/// Bytes of a `Frame` record (func, pc, locals_base, stack_base — 4 × u32).
+/// Bytes of a `Frame` record (func, pc — 2 × u32 — and the slab base).
 const FRAME_RECORD_BYTES: u64 = 16;
 
 /// Arity of a canonical type id: `(nparams, has_result)`.
-pub(super) type ArityMap = HashMap<u32, (u32, bool)>;
+pub(crate) type ArityMap = HashMap<u32, (u32, bool)>;
 
-pub(super) fn arity_map(m: &CompiledModule) -> ArityMap {
+pub(crate) fn arity_map(m: &CompiledModule) -> ArityMap {
     let mut map = ArityMap::new();
     for f in &m.funcs {
         map.insert(f.type_id, (f.nparams, f.has_result));
@@ -82,24 +82,35 @@ fn slots_used(op: &Op) -> (Option<u32>, Option<u32>) {
     }
 }
 
-/// The crate's one operand-height walker: the maximum operand-stack height
-/// of `func`, or the first reason the interpreter could not run the body
-/// safely — two paths disagreeing on a pc's height, an op popping more than
-/// is there, control leaving the body, or an index (branch target, callee,
-/// local, global) out of range.
+/// The maximum operand-stack height of `func` (see [`heights`]).
 pub(super) fn max_height(
     m: &CompiledModule,
     func: &CompiledFunc,
     arities: &ArityMap,
 ) -> Result<u32, String> {
+    Ok(heights(m, func, arities)?
+        .into_iter()
+        .flatten()
+        .max()
+        .unwrap_or(0))
+}
+
+/// The crate's one operand-height walker: the operand-stack height on entry
+/// to every reachable pc of `func` (`None` for dead code), or the first
+/// reason the body cannot be lowered and run safely — two paths disagreeing
+/// on a pc's height, an op popping more than is there, control leaving the
+/// body, or an index (branch target, callee, local, global) out of range.
+pub(crate) fn heights(
+    m: &CompiledModule,
+    func: &CompiledFunc,
+    arities: &ArityMap,
+) -> Result<Vec<Option<u32>>, String> {
     let code = &func.code;
     let mut height: Vec<Option<u32>> = vec![None; code.len()];
     let mut work: Vec<(usize, u32)> = Vec::new();
-    let mut max = 0u32;
 
     // Record the height flowing into `pc`; enqueue on first visit.
     let mut flow = |work: &mut Vec<(usize, u32)>, pc: usize, h: u32| -> Result<(), String> {
-        max = max.max(h);
         match height.get_mut(pc) {
             None => Err(format!("control reaches pc {pc}, past the end of the body")),
             Some(Some(prev)) if *prev != h => {
@@ -189,7 +200,7 @@ pub(super) fn max_height(
             }
         }
     }
-    Ok(max)
+    Ok(height)
 }
 
 /// The module's call graph over local functions.

@@ -232,7 +232,7 @@ pub fn decode(bytes: &[u8]) -> Result<CompiledModule, ArtifactError> {
     }
 
     let template = MemoryTemplate::build(&data);
-    Ok(CompiledModule {
+    let mut module = CompiledModule {
         funcs,
         host_funcs,
         globals,
@@ -244,7 +244,13 @@ pub fn decode(bytes: &[u8]) -> Result<CompiledModule, ArtifactError> {
         start,
         name,
         analysis,
-    })
+        lowered: Err(String::new()),
+    };
+    // Decode runs before ingest verification, so the bodies are still
+    // claims: lowering is fallible and its failure travels with the module
+    // (`verify_body` names it, `Instance::new` refuses it).
+    module.lowered = crate::lower::lower_module(&module);
+    Ok(module)
 }
 
 // ---------------------------------------------------------------------------
@@ -359,103 +365,13 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------------
 
 // Fieldless enums are encoded as their declaration-order discriminant and
-// decoded through these tables; an out-of-range byte is a corrupt artifact,
-// never a panic.
-#[rustfmt::skip]
-const LOAD_KINDS: &[LoadKind] = &[
-    LoadKind::I32, LoadKind::I64, LoadKind::F32, LoadKind::F64,
-    LoadKind::I32U8, LoadKind::I32S8, LoadKind::I32U16, LoadKind::I32S16,
-    LoadKind::I64U8, LoadKind::I64S8, LoadKind::I64U16, LoadKind::I64S16,
-    LoadKind::I64U32, LoadKind::I64S32,
-];
-#[rustfmt::skip]
-const STORE_KINDS: &[StoreKind] = &[
-    StoreKind::I32, StoreKind::I64, StoreKind::F32, StoreKind::F64,
-    StoreKind::B8From32, StoreKind::B16From32, StoreKind::B8From64,
-    StoreKind::B16From64, StoreKind::B32From64,
-];
-#[rustfmt::skip]
-const NUM_BINS: &[NumBin] = &[
-    NumBin::I32Add, NumBin::I32Sub, NumBin::I32Mul, NumBin::I32DivS,
-    NumBin::I32DivU, NumBin::I32RemS, NumBin::I32RemU, NumBin::I32And,
-    NumBin::I32Or, NumBin::I32Xor, NumBin::I32Shl, NumBin::I32ShrS,
-    NumBin::I32ShrU, NumBin::I32Rotl, NumBin::I32Rotr, NumBin::I32Eq,
-    NumBin::I32Ne, NumBin::I32LtS, NumBin::I32LtU, NumBin::I32GtS,
-    NumBin::I32GtU, NumBin::I32LeS, NumBin::I32LeU, NumBin::I32GeS,
-    NumBin::I32GeU,
-    NumBin::I64Add, NumBin::I64Sub, NumBin::I64Mul, NumBin::I64DivS,
-    NumBin::I64DivU, NumBin::I64RemS, NumBin::I64RemU, NumBin::I64And,
-    NumBin::I64Or, NumBin::I64Xor, NumBin::I64Shl, NumBin::I64ShrS,
-    NumBin::I64ShrU, NumBin::I64Rotl, NumBin::I64Rotr, NumBin::I64Eq,
-    NumBin::I64Ne, NumBin::I64LtS, NumBin::I64LtU, NumBin::I64GtS,
-    NumBin::I64GtU, NumBin::I64LeS, NumBin::I64LeU, NumBin::I64GeS,
-    NumBin::I64GeU,
-    NumBin::F32Add, NumBin::F32Sub, NumBin::F32Mul, NumBin::F32Div,
-    NumBin::F32Min, NumBin::F32Max, NumBin::F32Copysign, NumBin::F32Eq,
-    NumBin::F32Ne, NumBin::F32Lt, NumBin::F32Gt, NumBin::F32Le,
-    NumBin::F32Ge,
-    NumBin::F64Add, NumBin::F64Sub, NumBin::F64Mul, NumBin::F64Div,
-    NumBin::F64Min, NumBin::F64Max, NumBin::F64Copysign, NumBin::F64Eq,
-    NumBin::F64Ne, NumBin::F64Lt, NumBin::F64Gt, NumBin::F64Le,
-    NumBin::F64Ge,
-];
-#[rustfmt::skip]
-const NUM_UNS: &[NumUn] = &[
-    NumUn::I32Eqz, NumUn::I64Eqz, NumUn::I32Clz, NumUn::I32Ctz,
-    NumUn::I32Popcnt, NumUn::I64Clz, NumUn::I64Ctz, NumUn::I64Popcnt,
-    NumUn::F32Abs, NumUn::F32Neg, NumUn::F32Ceil, NumUn::F32Floor,
-    NumUn::F32Trunc, NumUn::F32Nearest, NumUn::F32Sqrt,
-    NumUn::F64Abs, NumUn::F64Neg, NumUn::F64Ceil, NumUn::F64Floor,
-    NumUn::F64Trunc, NumUn::F64Nearest, NumUn::F64Sqrt,
-    NumUn::I32WrapI64, NumUn::I32TruncF32S, NumUn::I32TruncF32U,
-    NumUn::I32TruncF64S, NumUn::I32TruncF64U, NumUn::I64ExtendI32S,
-    NumUn::I64ExtendI32U, NumUn::I64TruncF32S, NumUn::I64TruncF32U,
-    NumUn::I64TruncF64S, NumUn::I64TruncF64U, NumUn::F32ConvertI32S,
-    NumUn::F32ConvertI32U, NumUn::F32ConvertI64S, NumUn::F32ConvertI64U,
-    NumUn::F32DemoteF64, NumUn::F64ConvertI32S, NumUn::F64ConvertI32U,
-    NumUn::F64ConvertI64S, NumUn::F64ConvertI64U, NumUn::F64PromoteF32,
-    NumUn::I32ReinterpretF32, NumUn::I64ReinterpretF64,
-    NumUn::F32ReinterpretI32, NumUn::F64ReinterpretI64,
-    NumUn::I32Extend8S, NumUn::I32Extend16S, NumUn::I64Extend8S,
-    NumUn::I64Extend16S, NumUn::I64Extend32S,
-];
+// decoded through their `ALL` tables; an out-of-range byte is a corrupt
+// artifact, never a panic.
 
-fn load_kind(w: &mut Writer, k: LoadKind) {
-    w.u8(k as u8);
-}
-fn store_kind(w: &mut Writer, k: StoreKind) {
-    w.u8(k as u8);
-}
-fn num_bin(w: &mut Writer, b: NumBin) {
-    w.u8(b as u8);
-}
-fn num_un(w: &mut Writer, u: NumUn) {
-    w.u8(u as u8);
-}
-
-fn read_load_kind(r: &mut Reader) -> Result<LoadKind, ArtifactError> {
-    LOAD_KINDS
-        .get(r.u8()? as usize)
-        .copied()
-        .ok_or(ArtifactError::Corrupt("load kind"))
-}
-fn read_store_kind(r: &mut Reader) -> Result<StoreKind, ArtifactError> {
-    STORE_KINDS
-        .get(r.u8()? as usize)
-        .copied()
-        .ok_or(ArtifactError::Corrupt("store kind"))
-}
-fn read_num_bin(r: &mut Reader) -> Result<NumBin, ArtifactError> {
-    NUM_BINS
-        .get(r.u8()? as usize)
-        .copied()
-        .ok_or(ArtifactError::Corrupt("numeric binop"))
-}
-fn read_num_un(r: &mut Reader) -> Result<NumUn, ArtifactError> {
-    NUM_UNS
-        .get(r.u8()? as usize)
-        .copied()
-        .ok_or(ArtifactError::Corrupt("numeric unop"))
+/// Decode one fieldless enum written as `variant as u8`.
+fn read_enum<T: Copy>(r: &mut Reader, all: &[T], what: &'static str) -> Result<T, ArtifactError> {
+    let variant = all.get(r.u8()? as usize);
+    variant.copied().ok_or(ArtifactError::Corrupt(what))
 }
 
 fn branch(w: &mut Writer, b: &Branch) {
@@ -532,12 +448,12 @@ fn op(w: &mut Writer, o: &Op) {
         }
         Op::Load(k, off) => {
             w.u8(16);
-            load_kind(w, *k);
+            w.u8(*k as u8);
             w.u32(*off);
         }
         Op::Store(k, off) => {
             w.u8(17);
-            store_kind(w, *k);
+            w.u8(*k as u8);
             w.u32(*off);
         }
         Op::MemorySize => w.u8(18),
@@ -548,31 +464,31 @@ fn op(w: &mut Writer, o: &Op) {
         }
         Op::Bin(b) => {
             w.u8(21);
-            num_bin(w, *b);
+            w.u8(*b as u8);
         }
         Op::Un(u) => {
             w.u8(22);
-            num_un(w, *u);
+            w.u8(*u as u8);
         }
         Op::Bin2L(b, a, c) => {
             w.u8(23);
-            num_bin(w, *b);
+            w.u8(*b as u8);
             w.u32(*a);
             w.u32(*c);
         }
         Op::BinRL(b, a) => {
             w.u8(24);
-            num_bin(w, *b);
+            w.u8(*b as u8);
             w.u32(*a);
         }
         Op::BinRC(b, c) => {
             w.u8(25);
-            num_bin(w, *b);
+            w.u8(*b as u8);
             w.u64(*c);
         }
         Op::Bin2LS(b, a, c, d) => {
             w.u8(26);
-            num_bin(w, *b);
+            w.u8(*b as u8);
             w.u32(*a);
             w.u32(*c);
             w.u32(*d);
@@ -584,7 +500,7 @@ fn op(w: &mut Writer, o: &Op) {
         }
         Op::LoadL(k, l, off) => {
             w.u8(28);
-            load_kind(w, *k);
+            w.u8(*k as u8);
             w.u32(*l);
             w.u32(*off);
         }
@@ -596,6 +512,10 @@ fn op(w: &mut Writer, o: &Op) {
 }
 
 fn read_op(r: &mut Reader) -> Result<Op, ArtifactError> {
+    let load_kind = |r: &mut Reader| read_enum(r, LoadKind::ALL, "load kind");
+    let store_kind = |r: &mut Reader| read_enum(r, StoreKind::ALL, "store kind");
+    let num_bin = |r: &mut Reader| read_enum(r, NumBin::ALL, "numeric binop");
+    let num_un = |r: &mut Reader| read_enum(r, NumUn::ALL, "numeric unop");
     Ok(match r.u8()? {
         0 => Op::Unreachable,
         1 => Op::Br(read_branch(r)?),
@@ -621,19 +541,19 @@ fn read_op(r: &mut Reader) -> Result<Op, ArtifactError> {
         13 => Op::LocalTee(r.u32()?),
         14 => Op::GlobalGet(r.u32()?),
         15 => Op::GlobalSet(r.u32()?),
-        16 => Op::Load(read_load_kind(r)?, r.u32()?),
-        17 => Op::Store(read_store_kind(r)?, r.u32()?),
+        16 => Op::Load(load_kind(r)?, r.u32()?),
+        17 => Op::Store(store_kind(r)?, r.u32()?),
         18 => Op::MemorySize,
         19 => Op::MemoryGrow,
         20 => Op::Const(r.u64()?),
-        21 => Op::Bin(read_num_bin(r)?),
-        22 => Op::Un(read_num_un(r)?),
-        23 => Op::Bin2L(read_num_bin(r)?, r.u32()?, r.u32()?),
-        24 => Op::BinRL(read_num_bin(r)?, r.u32()?),
-        25 => Op::BinRC(read_num_bin(r)?, r.u64()?),
-        26 => Op::Bin2LS(read_num_bin(r)?, r.u32()?, r.u32()?, r.u32()?),
+        21 => Op::Bin(num_bin(r)?),
+        22 => Op::Un(num_un(r)?),
+        23 => Op::Bin2L(num_bin(r)?, r.u32()?, r.u32()?),
+        24 => Op::BinRL(num_bin(r)?, r.u32()?),
+        25 => Op::BinRC(num_bin(r)?, r.u64()?),
+        26 => Op::Bin2LS(num_bin(r)?, r.u32()?, r.u32()?, r.u32()?),
         27 => Op::IncI32(r.u32()?, r.i32()?),
-        28 => Op::LoadL(read_load_kind(r)?, r.u32()?, r.u32()?),
+        28 => Op::LoadL(load_kind(r)?, r.u32()?, r.u32()?),
         29 => Op::Fuel(r.u32()?),
         _ => return Err(ArtifactError::Corrupt("op tag")),
     })

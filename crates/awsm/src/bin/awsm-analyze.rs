@@ -177,7 +177,13 @@ fn json_str(s: &str) -> String {
 /// One JSON object per module: identity, stack bound, cost certificate
 /// (module-wide and per function), effect certificate, diagnostics count,
 /// and the verdict.
-fn render_json(name: &str, report: &AnalysisReport, opts: &Options, failed: bool) -> String {
+fn render_json(
+    name: &str,
+    compiled: &awsm::CompiledModule,
+    opts: &Options,
+    failed: bool,
+) -> String {
+    let report = &compiled.analysis;
     let mut out = String::new();
     let _ = write!(out, "{{\"module\":{}", json_str(name));
     match &report.stack_bound {
@@ -274,7 +280,22 @@ fn render_json(name: &str, report: &AnalysisReport, opts: &Options, failed: bool
         }
         None => out.push_str(",\"effects\":null"),
     }
-    let _ = write!(out, ",\"failed\":{failed}}}");
+    // Stack body → executed body, per function (CI holds lowered <= ops).
+    let _ = write!(
+        out,
+        ",\"lowered\":{{\"op_bytes\":{},\"funcs\":[",
+        awsm::LOWERED_OP_BYTES
+    );
+    for (i, f) in compiled.funcs.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let lowered = compiled.lowered_ops(i).unwrap_or(0);
+        let _ = write!(
+            out,
+            "{sep}{{\"ops\":{},\"lowered_ops\":{lowered}}}",
+            f.code.len()
+        );
+    }
+    let _ = write!(out, "]}},\"failed\":{failed}}}");
     out
 }
 
@@ -351,12 +372,17 @@ fn main() -> ExitCode {
         let name = compiled.name.as_deref().unwrap_or(path);
         let (failed, extra) = verdict(&compiled, &opts);
         if opts.json {
-            println!("{}", render_json(name, &compiled.analysis, &opts, failed));
+            println!("{}", render_json(name, &compiled, &opts, failed));
             for line in &extra {
                 eprintln!("{}", line.trim_start());
             }
         } else {
             print!("{}", compiled.analysis.render(name));
+            // Stack body → the register form derived from it, per function.
+            for (i, f) in compiled.funcs.iter().enumerate() {
+                let lowered = compiled.lowered_ops(i).unwrap_or(0);
+                println!("  func {i:>3} ops {} → {lowered} lowered", f.code.len());
+            }
             if opts.effects {
                 print!("{}", render_effects(&compiled.analysis));
             }

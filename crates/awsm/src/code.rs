@@ -4,38 +4,58 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Width/signedness of a load, after type resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32U8,
-    I32S8,
-    I32U16,
-    I32S16,
-    I64U8,
-    I64S8,
-    I64U16,
-    I64S16,
-    I64U32,
-    I64S32,
+/// The engine's four fieldless op enums as name lists, handed to a callback
+/// macro as `$args.. [docs Type: names..]..`. [`op_enums`] declares the enums
+/// from it; the executor generates one flat dispatch arm per name from the
+/// same list, so the two cannot drift apart. Declaration order is the
+/// artifact's discriminant.
+macro_rules! op_lists {
+    ($with:ident $($args:tt)*) => { $with! { $($args)*
+        [/// Width/signedness of a load, after type resolution.
+         LoadKind: I32 I64 F32 F64 I32U8 I32S8 I32U16 I32S16
+            I64U8 I64S8 I64U16 I64S16 I64U32 I64S32]
+        [/// Width of a store.
+         StoreKind: I32 I64 F32 F64 B8From32 B16From32 B8From64 B16From64 B32From64]
+        [/// Binary numeric operations (including comparisons, which yield i32 0/1).
+         NumBin:
+            I32Add I32Sub I32Mul I32DivS I32DivU I32RemS I32RemU I32And I32Or I32Xor
+            I32Shl I32ShrS I32ShrU I32Rotl I32Rotr
+            I32Eq I32Ne I32LtS I32LtU I32GtS I32GtU I32LeS I32LeU I32GeS I32GeU
+            I64Add I64Sub I64Mul I64DivS I64DivU I64RemS I64RemU I64And I64Or I64Xor
+            I64Shl I64ShrS I64ShrU I64Rotl I64Rotr
+            I64Eq I64Ne I64LtS I64LtU I64GtS I64GtU I64LeS I64LeU I64GeS I64GeU
+            F32Add F32Sub F32Mul F32Div F32Min F32Max F32Copysign
+            F32Eq F32Ne F32Lt F32Gt F32Le F32Ge
+            F64Add F64Sub F64Mul F64Div F64Min F64Max F64Copysign
+            F64Eq F64Ne F64Lt F64Gt F64Le F64Ge]
+        [/// Unary numeric operations, conversions, and tests.
+         NumUn:
+            I32Eqz I64Eqz I32Clz I32Ctz I32Popcnt I64Clz I64Ctz I64Popcnt
+            F32Abs F32Neg F32Ceil F32Floor F32Trunc F32Nearest F32Sqrt
+            F64Abs F64Neg F64Ceil F64Floor F64Trunc F64Nearest F64Sqrt
+            I32WrapI64 I32TruncF32S I32TruncF32U I32TruncF64S I32TruncF64U
+            I64ExtendI32S I64ExtendI32U I64TruncF32S I64TruncF32U I64TruncF64S I64TruncF64U
+            F32ConvertI32S F32ConvertI32U F32ConvertI64S F32ConvertI64U F32DemoteF64
+            F64ConvertI32S F64ConvertI32U F64ConvertI64S F64ConvertI64U F64PromoteF32
+            I32ReinterpretF32 I64ReinterpretF64 F32ReinterpretI32 F64ReinterpretI64
+            I32Extend8S I32Extend16S I64Extend8S I64Extend16S I64Extend32S]
+    } };
 }
+pub(crate) use op_lists;
 
-/// Width of a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    B8From32,
-    B16From32,
-    B8From64,
-    B16From64,
-    B32From64,
+macro_rules! op_enums {
+    ($([$(#[$doc:meta])* $ty:ident: $($name:ident)*])*) => { $(
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)]
+        pub enum $ty { $($name),* }
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$name),*];
+        }
+    )* };
 }
+op_lists!(op_enums);
 
 /// A resolved branch: jump target plus the operand-stack adjustment.
 ///
@@ -56,153 +76,10 @@ pub struct BrTablePayload {
     pub default: Branch,
 }
 
-/// Binary numeric operations (including comparisons, which yield i32 0/1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum NumBin {
-    // i32
-    I32Add,
-    I32Sub,
-    I32Mul,
-    I32DivS,
-    I32DivU,
-    I32RemS,
-    I32RemU,
-    I32And,
-    I32Or,
-    I32Xor,
-    I32Shl,
-    I32ShrS,
-    I32ShrU,
-    I32Rotl,
-    I32Rotr,
-    I32Eq,
-    I32Ne,
-    I32LtS,
-    I32LtU,
-    I32GtS,
-    I32GtU,
-    I32LeS,
-    I32LeU,
-    I32GeS,
-    I32GeU,
-    // i64
-    I64Add,
-    I64Sub,
-    I64Mul,
-    I64DivS,
-    I64DivU,
-    I64RemS,
-    I64RemU,
-    I64And,
-    I64Or,
-    I64Xor,
-    I64Shl,
-    I64ShrS,
-    I64ShrU,
-    I64Rotl,
-    I64Rotr,
-    I64Eq,
-    I64Ne,
-    I64LtS,
-    I64LtU,
-    I64GtS,
-    I64GtU,
-    I64LeS,
-    I64LeU,
-    I64GeS,
-    I64GeU,
-    // f32
-    F32Add,
-    F32Sub,
-    F32Mul,
-    F32Div,
-    F32Min,
-    F32Max,
-    F32Copysign,
-    F32Eq,
-    F32Ne,
-    F32Lt,
-    F32Gt,
-    F32Le,
-    F32Ge,
-    // f64
-    F64Add,
-    F64Sub,
-    F64Mul,
-    F64Div,
-    F64Min,
-    F64Max,
-    F64Copysign,
-    F64Eq,
-    F64Ne,
-    F64Lt,
-    F64Gt,
-    F64Le,
-    F64Ge,
-}
-
-/// Unary numeric operations, conversions, and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum NumUn {
-    I32Eqz,
-    I64Eqz,
-    I32Clz,
-    I32Ctz,
-    I32Popcnt,
-    I64Clz,
-    I64Ctz,
-    I64Popcnt,
-    F32Abs,
-    F32Neg,
-    F32Ceil,
-    F32Floor,
-    F32Trunc,
-    F32Nearest,
-    F32Sqrt,
-    F64Abs,
-    F64Neg,
-    F64Ceil,
-    F64Floor,
-    F64Trunc,
-    F64Nearest,
-    F64Sqrt,
-    I32WrapI64,
-    I32TruncF32S,
-    I32TruncF32U,
-    I32TruncF64S,
-    I32TruncF64U,
-    I64ExtendI32S,
-    I64ExtendI32U,
-    I64TruncF32S,
-    I64TruncF32U,
-    I64TruncF64S,
-    I64TruncF64U,
-    F32ConvertI32S,
-    F32ConvertI32U,
-    F32ConvertI64S,
-    F32ConvertI64U,
-    F32DemoteF64,
-    F64ConvertI32S,
-    F64ConvertI32U,
-    F64ConvertI64S,
-    F64ConvertI64U,
-    F64PromoteF32,
-    I32ReinterpretF32,
-    I64ReinterpretF64,
-    F32ReinterpretI32,
-    F64ReinterpretI64,
-    I32Extend8S,
-    I32Extend16S,
-    I64Extend8S,
-    I64Extend16S,
-    I64Extend32S,
-}
-
-/// One flat instruction. Structured control has been resolved to direct
-/// jumps. Fused "super-instructions" are emitted by the optimized-tier
-/// translator only.
+/// One flat stack instruction. Structured control has been resolved to
+/// direct jumps. Fused "super-instructions" are emitted by the optimized-tier
+/// translator only. This is the form the analyses certify and artifacts
+/// ship; what runs is the register form derived from it (`lower.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     Unreachable,
@@ -284,8 +161,8 @@ impl HostImport {
 /// One translated function.
 #[derive(Debug, Clone)]
 pub struct CompiledFunc {
-    /// Flat code; ends with `Return`. The one body every tier and bounds
-    /// strategy executes.
+    /// Flat code; ends with `Return`. The one body every analysis reads and
+    /// every tier and bounds strategy executes (in lowered form).
     pub code: Vec<Op>,
     /// Parameter count.
     pub nparams: u32,
@@ -337,6 +214,11 @@ pub struct CompiledModule {
     /// Load-time static-analysis report (stack bound, cost and effect
     /// certificates, lints), computed once at translation.
     pub analysis: crate::analysis::AnalysisReport,
+    /// The register-form bodies the executor runs, derived from `funcs` once
+    /// (end of analysis, or of artifact decode) and never serialized. `Err`
+    /// only for a decoded artifact whose bodies [`crate::verify_body`] would
+    /// reject: such a module cannot be instantiated.
+    pub(crate) lowered: Result<crate::lower::Lowered, String>,
 }
 
 impl CompiledModule {
@@ -403,15 +285,22 @@ impl CompiledModule {
         }
     }
 
-    /// Approximate byte size of the translated code and static data — the
-    /// analogue of the paper's per-module `.so` footprint.
+    /// Number of ops in the lowered (executed) body of local function
+    /// `func`; `None` if there is no such function or the module failed
+    /// lowering.
+    pub fn lowered_ops(&self, func: usize) -> Option<usize> {
+        let bodies = &self.lowered.as_ref().ok()?.bodies;
+        bodies.get(func).map(|b| b.ops.len())
+    }
+
+    /// Approximate byte size of the translated code (both forms) and static
+    /// data — the analogue of the paper's per-module `.so` footprint.
     pub fn code_size_bytes(&self) -> usize {
-        let ops: usize = self
-            .funcs
-            .iter()
-            .map(|f| f.code.len() * std::mem::size_of::<Op>())
-            .sum();
+        let ops = self.funcs.iter().enumerate().map(|(i, f)| {
+            let lowered = self.lowered_ops(i).unwrap_or(0) * (crate::LOWERED_OP_BYTES + 1);
+            f.code.len() * std::mem::size_of::<Op>() + lowered
+        });
         let data: usize = self.data.iter().map(|(_, b)| b.len()).sum();
-        ops + data + self.table.len() * 8 + self.globals.len() * 8
+        ops.sum::<usize>() + data + self.table.len() * 8 + self.globals.len() * 8
     }
 }

@@ -8,8 +8,8 @@
 //!    [`CompiledModule`] (flat code, direct jumps, pre-resolved imports,
 //!    optional super-instruction fusion). Done once per module.
 //! 2. [`Instance::new`] is the µs-level "optimized function startup": it
-//!    allocates only linear memory, the (separate) execution stacks, and a
-//!    context record.
+//!    allocates only linear memory, the (separate) execution stack — one
+//!    slab sized by the module's stack certificate — and a context record.
 //! 3. [`Instance::run`] drives execution for a fuel quantum with an external
 //!    preempt flag, returning at safe points — the mechanism the Sledge
 //!    runtime uses for user-level preemptive round-robin scheduling.
@@ -52,6 +52,7 @@ pub mod artifact;
 pub mod code;
 mod exec;
 mod host;
+mod lower;
 mod memory;
 mod numeric;
 mod translate;
@@ -65,11 +66,12 @@ pub use artifact::{decode as decode_artifact, encode as encode_artifact, Artifac
 pub use code::{CompiledModule, HostImport, Op};
 pub use exec::{Limits, StepResult};
 pub use host::{Host, HostOutcome, NullHost};
+pub use lower::LOWERED_OP_BYTES;
 pub use memory::{BoundsStrategy, LinearMemory, MemoryError, MemoryTemplate};
 pub use translate::{translate, translate_with, Tier, TranslateError, TranslateOptions};
 pub use value::{Trap, Value};
 
-use exec::{ExecState, Frame};
+use exec::ExecState;
 use memory::{DynBounds, MaskBounds, MpxBounds, SoftwareBounds};
 use std::error::Error;
 use std::fmt;
@@ -111,6 +113,9 @@ pub enum InstanceError {
     InvalidState,
     /// The instance already trapped and cannot be reused.
     Dead(Trap),
+    /// The module came out of an artifact whose bodies cannot be lowered to
+    /// executable form (the reason [`verify_body`] rejects it for).
+    NotExecutable(String),
 }
 
 impl fmt::Display for InstanceError {
@@ -127,11 +132,17 @@ impl fmt::Display for InstanceError {
             }
             InstanceError::InvalidState => write!(f, "invalid instance state for this operation"),
             InstanceError::Dead(t) => write!(f, "instance is dead after trap: {t}"),
+            InstanceError::NotExecutable(e) => write!(f, "module is not executable: {e}"),
         }
     }
 }
 
 impl Error for InstanceError {}
+
+/// The executable form of a module an [`Instance`] was built over.
+fn lowered(m: &CompiledModule) -> &lower::Lowered {
+    m.lowered.as_ref().expect("checked by Instance::new")
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -206,8 +217,12 @@ impl Instance {
     /// # Errors
     ///
     /// Returns [`InstanceError::DataOutOfBounds`] if a data segment lies
-    /// outside the initial memory.
+    /// outside the initial memory, and [`InstanceError::NotExecutable`] for
+    /// a decoded artifact whose bodies failed lowering.
     pub fn new(module: Arc<CompiledModule>, config: EngineConfig) -> Result<Self, InstanceError> {
+        if let Err(e) = &module.lowered {
+            return Err(InstanceError::NotExecutable(e.clone()));
+        }
         let spec = module.memory.unwrap_or(code::MemorySpec {
             min_pages: 0,
             max_pages: 0,
@@ -226,11 +241,18 @@ impl Instance {
             memory.clear_host_write_mark();
         }
         let globals = module.globals.clone();
+        // An acyclic call graph certifies the deepest chain of frames: one
+        // allocation covers the invocation. Recursive modules grow on
+        // demand, up to `limits.max_stack`.
+        let slots = match module.analysis.stack_bound {
+            StackBound::Bounded(bytes) => (bytes / 8).min(config.limits.max_stack as u64) as usize,
+            StackBound::Unbounded { .. } => 0,
+        };
         Ok(Instance {
             module,
             memory,
             globals,
-            state: ExecState::default(),
+            state: ExecState::with_slots(slots),
             config,
             status: Status::Idle,
             preempt: Arc::new(AtomicBool::new(false)),
@@ -304,26 +326,21 @@ impl Instance {
             return Err(InstanceError::ExportIsImport(name.to_string()));
         }
         let local = idx - ni;
-        let func = &self.module.funcs[local as usize];
-        if func.nparams != args.len() as u32 {
+        let body = &lowered(&self.module).bodies[local as usize];
+        if body.nparams != args.len() as u32 {
             return Err(InstanceError::ArityMismatch {
-                expected: func.nparams,
+                expected: body.nparams,
                 got: args.len() as u32,
             });
         }
-        self.state.clear();
         self.fuel_used = 0;
-        for a in args {
-            self.state.locals.push(a.to_bits());
-        }
-        self.state.locals.resize(func.nlocals as usize, 0);
-        self.state.frames.push(Frame {
-            func: local,
-            pc: 0,
-            locals_base: 0,
-            stack_base: 0,
-        });
-        self.status = Status::Running;
+        let args = args.iter().map(|a| a.to_bits());
+        // An entry frame over the stack limit is the guest's first trap,
+        // reported by `run` like any other.
+        self.status = match self.state.enter(local, body, args, &self.config.limits) {
+            Ok(()) => Status::Running,
+            Err(t) => Status::Dead(t),
+        };
         Ok(())
     }
 
@@ -342,18 +359,17 @@ impl Instance {
         }
         let given = fuel;
         let mut fuel = fuel;
-        let preempt = Arc::clone(&self.preempt);
         let result = match (self.config.tier, self.config.bounds) {
             (Tier::Optimized, BoundsStrategy::None | BoundsStrategy::GuardRegion) => {
-                self.dispatch::<MaskBounds, false>(host, &mut fuel, &preempt)
+                self.dispatch::<MaskBounds, false>(host, &mut fuel)
             }
             (Tier::Optimized, BoundsStrategy::Software) => {
-                self.dispatch::<SoftwareBounds, false>(host, &mut fuel, &preempt)
+                self.dispatch::<SoftwareBounds, false>(host, &mut fuel)
             }
             (Tier::Optimized, BoundsStrategy::MpxEmulated) => {
-                self.dispatch::<MpxBounds, false>(host, &mut fuel, &preempt)
+                self.dispatch::<MpxBounds, false>(host, &mut fuel)
             }
-            (Tier::Naive, _) => self.dispatch::<DynBounds, true>(host, &mut fuel, &preempt),
+            (Tier::Naive, _) => self.dispatch::<DynBounds, true>(host, &mut fuel),
         };
         self.fuel_used += given - fuel;
         match result {
@@ -373,17 +389,16 @@ impl Instance {
         &mut self,
         host: &mut dyn Host,
         fuel: &mut u64,
-        preempt: &AtomicBool,
     ) -> StepResult {
         exec::run::<B, NAIVE>(
             &self.module,
+            lowered(&self.module),
             &mut self.state,
             &mut self.memory,
             &mut self.globals,
-            &self.module.table,
             host,
             fuel,
-            preempt,
+            &self.preempt,
             &self.config.limits,
         )
     }
@@ -482,13 +497,9 @@ impl Instance {
     }
 
     /// Approximate resident memory of this sandbox in bytes (linear memory +
-    /// stacks + context) — the per-instance footprint the paper contrasts
-    /// with VM/container footprints.
+    /// execution stack + context) — the per-instance footprint the paper
+    /// contrasts with VM/container footprints.
     pub fn footprint_bytes(&self) -> usize {
-        self.memory.footprint_bytes()
-            + self.state.stack.capacity() * 8
-            + self.state.locals.capacity() * 8
-            + self.state.frames.capacity() * std::mem::size_of::<Frame>()
-            + std::mem::size_of::<Self>()
+        self.memory.footprint_bytes() + self.state.footprint_bytes() + std::mem::size_of::<Self>()
     }
 }

@@ -256,10 +256,12 @@ pub fn translate_with(
         start: m.start,
         name: m.name.clone(),
         analysis: crate::analysis::AnalysisReport::default(),
+        lowered: Err("not analysed yet".into()),
     };
     // Static analysis runs once here, at load time: stack-bound
-    // verification, lints, the effect certificate, and the cost-model
-    // instrumentation that certifies the preemption-latency gap.
+    // verification, lints, the effect certificate, the cost-model
+    // instrumentation that certifies the preemption-latency gap, and last
+    // the lowering of the certified bodies to the form that runs.
     crate::analysis::analyze(&mut module, opts.max_check_gap);
     Ok(module)
 }
