@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let config = format!(
-        "{{\n  \"workers\": 4,\n  \"quantum_us\": 5000,\n  \"bounds\": \"vm-guard\",\n  \
-         \"tier\": \"aot-opt\",\n  \"modules\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"workers\": 4,\n  \"quantum_us\": 5000,\n  \"tier\": \"aot-opt\",\n  \
+         \"modules\": [\n{}\n  ]\n}}\n",
         modules_json.join(",\n")
     );
     let cfg_path = out_dir.join("sledged.json");

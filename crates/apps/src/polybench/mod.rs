@@ -138,9 +138,9 @@ pub(crate) fn for_i(i: Local, lo: i32, hi: Expr, body: Vec<Stmt>) -> Stmt {
 /// Run one kernel's guest and return the checksum it responded with.
 /// Translates the module on every call; use [`PreparedKernel`] when timing
 /// pure execution.
-pub fn run_kernel_guest(k: &Kernel, tier: awsm::Tier, bounds: awsm::BoundsStrategy) -> f64 {
+pub fn run_kernel_guest(k: &Kernel, tier: awsm::Tier) -> f64 {
     let m = (k.build)();
-    let out = crate::testutil::run_guest_config(&m, b"", tier, bounds);
+    let out = crate::testutil::run_guest_config(&m, b"", tier);
     assert_eq!(out.len(), 8, "{}: checksum response", k.name);
     f64::from_le_bytes(out[0..8].try_into().expect("8 bytes"))
 }
@@ -153,14 +153,13 @@ pub struct PreparedKernel {
 }
 
 impl PreparedKernel {
-    /// Translate `k` for the given configuration.
-    pub fn new(k: &Kernel, tier: awsm::Tier, bounds: awsm::BoundsStrategy) -> Self {
+    /// Translate `k` for the given tier.
+    pub fn new(k: &Kernel, tier: awsm::Tier) -> Self {
         let module = std::sync::Arc::new(awsm::translate(&(k.build)(), tier).expect("translate"));
         PreparedKernel {
             module,
             config: awsm::EngineConfig {
                 tier,
-                bounds,
                 ..Default::default()
             },
         }
@@ -198,7 +197,7 @@ impl PreparedKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awsm::{BoundsStrategy, Tier};
+    use awsm::Tier;
 
     #[test]
     fn all_kernels_build_and_validate() {
@@ -216,7 +215,7 @@ mod tests {
     fn kernels_cross_validate_guest_vs_native() {
         for k in kernels() {
             let native = (k.native)();
-            let guest = run_kernel_guest(&k, Tier::Optimized, BoundsStrategy::GuardRegion);
+            let guest = run_kernel_guest(&k, Tier::Optimized);
             assert!(
                 native.is_finite(),
                 "{}: non-finite native checksum {native}",
@@ -235,22 +234,14 @@ mod tests {
 
     #[test]
     fn sample_kernels_cross_validate_all_configs() {
-        // A representative subset across every config (the full set under
-        // every config would be slow in debug builds).
+        // A representative subset on every tier (the full set on every tier
+        // would be slow in debug builds).
         for name in ["gemm", "jacobi-2d", "lu", "correlation", "nussinov"] {
             let k = kernel(name).expect(name);
             let native = (k.native)();
-            for (tier, bounds) in [
-                (Tier::Optimized, BoundsStrategy::Software),
-                (Tier::Optimized, BoundsStrategy::MpxEmulated),
-                (Tier::Naive, BoundsStrategy::GuardRegion),
-            ] {
-                let guest = run_kernel_guest(&k, tier, bounds);
-                assert_eq!(
-                    guest.to_bits(),
-                    native.to_bits(),
-                    "{name} under {tier:?}/{bounds:?}"
-                );
+            for tier in [Tier::Optimized, Tier::Naive] {
+                let guest = run_kernel_guest(&k, tier);
+                assert_eq!(guest.to_bits(), native.to_bits(), "{name} under {tier:?}");
             }
         }
     }

@@ -5,8 +5,8 @@
 //! this one (the dependency goes the other way).
 
 use awsm::{
-    translate, BoundsStrategy, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory,
-    StepResult, Tier, Trap,
+    translate, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory, StepResult,
+    Tier, Trap,
 };
 use sledge_wasm::module::Module;
 use std::sync::Arc;
@@ -76,22 +76,16 @@ impl Host for BufferHost {
 }
 
 /// Run a guest's `main` export to completion with the given request body
-/// and return the response it wrote, under a specific configuration.
+/// and return the response it wrote, on a specific tier.
 ///
 /// # Panics
 ///
 /// Panics on translation errors or guest traps (tests want loud failures).
-pub fn run_guest_config(
-    module: &Module,
-    body: &[u8],
-    tier: Tier,
-    bounds: BoundsStrategy,
-) -> Vec<u8> {
+pub fn run_guest_config(module: &Module, body: &[u8], tier: Tier) -> Vec<u8> {
     let cm = Arc::new(translate(module, tier).expect("translate"));
     let mut inst = Instance::new(
         cm,
         EngineConfig {
-            bounds,
             tier,
             ..Default::default()
         },
@@ -108,25 +102,17 @@ pub fn run_guest_config(
     }
 }
 
-/// Run a guest under the default configuration (optimized tier, guard-region
-/// bounds — "Sledge+aWsm").
+/// Run a guest under the default configuration (optimized tier —
+/// "Sledge+aWsm").
 pub fn run_guest(module: &Module, body: &[u8]) -> Vec<u8> {
-    run_guest_config(module, body, Tier::Optimized, BoundsStrategy::GuardRegion)
+    run_guest_config(module, body, Tier::Optimized)
 }
 
-/// Run under every tier × bounds combination and assert all outputs equal;
-/// returns the common output.
+/// Run on every tier and assert all outputs equal; returns the common
+/// output.
 pub fn run_guest_all_configs(module: &Module, body: &[u8]) -> Vec<u8> {
     let reference = run_guest(module, body);
-    for (tier, bounds) in [
-        (Tier::Optimized, BoundsStrategy::Software),
-        (Tier::Optimized, BoundsStrategy::MpxEmulated),
-        (Tier::Optimized, BoundsStrategy::None),
-        (Tier::Naive, BoundsStrategy::GuardRegion),
-        (Tier::Naive, BoundsStrategy::Software),
-    ] {
-        let out = run_guest_config(module, body, tier, bounds);
-        assert_eq!(out, reference, "output differs under {tier:?}/{bounds:?}");
-    }
+    let naive = run_guest_config(module, body, Tier::Naive);
+    assert_eq!(naive, reference, "output differs on the naive tier");
     reference
 }

@@ -162,7 +162,7 @@ impl HostImport {
 #[derive(Debug, Clone)]
 pub struct CompiledFunc {
     /// Flat code; ends with `Return`. The one body every analysis reads and
-    /// every tier and bounds strategy executes (in lowered form).
+    /// every tier executes (in lowered form).
     pub code: Vec<Op>,
     /// Parameter count.
     pub nparams: u32,
@@ -241,12 +241,12 @@ impl CompiledModule {
     ///   pool skips the memory reset entirely (globals are still restored).
     /// * `StaticSpan { lo, hi }` — every store lands in `[lo, hi)`; the
     ///   reset zeroes only from `lo` up instead of from the template end.
-    ///   Armed only when `hi` fits inside the initial memory (`min_pages`):
-    ///   masked bounds strategies wrap effective addresses only at or past
-    ///   the capacity, which is at least the initial size, so a footprint
-    ///   inside it can never alias below `lo`. Also requires `lo` past the
-    ///   template image, otherwise the span saves nothing over a full
-    ///   reset.
+    ///   Sound because a guest store either lands at exactly its effective
+    ///   address or traps, and a trapped sandbox is always fully reset.
+    ///   Armed only when `hi` fits inside the initial memory (`min_pages`),
+    ///   the only memory an entry that cannot grow ever has, and when `lo`
+    ///   is past the template image, otherwise the span saves nothing over
+    ///   a full reset.
     /// * `HighWater` — everything else, including any module with a start
     ///   function (whose one-time effects a partial reset cannot preserve)
     ///   and any entry that may grow memory.

@@ -9,7 +9,7 @@
 use crate::code::{op_lists, CompiledModule, LoadKind, NumBin, NumUn, StoreKind};
 use crate::host::{Host, HostOutcome};
 use crate::lower::{opc, Body, LOp, Lowered};
-use crate::memory::{Bounds, LinearMemory};
+use crate::memory::LinearMemory;
 use crate::numeric::{bin, un};
 use crate::value::Trap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -226,7 +226,7 @@ fn leave<'a>(st: &mut ExecState, low: &'a Lowered) -> Option<(&'a Body, usize, *
 /// `Preempted`) and the preemption is reported at the next check of the next
 /// quantum rather than lost.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<B: Bounds, const NAIVE: bool>(
+pub(crate) fn run<const NAIVE: bool>(
     m: &CompiledModule,
     low: &Lowered,
     st: &mut ExecState,
@@ -403,8 +403,8 @@ pub(crate) fn run<B: Bounds, const NAIVE: bool>(
                     $(brz_rr::$b => jump_if!(bin(NumBin::$b, get!(a), get!(b)), == 0),)*
                     $(brz_ri::$b => jump_if!(bin(NumBin::$b, get!(a), b as u64), == 0),)*
                     $(un_op::$u => set!(a, try_trap!(un(NumUn::$u, get!(b)))),)*
-                    $(load::$ld => set!(a, try_trap!(do_load::<B>(mem, LoadKind::$ld, get!(b) as u32, c))),)*
-                    $(store::$st => try_trap!(do_store::<B>(mem, StoreKind::$st, get!(a) as u32, c, get!(b))),)*
+                    $(load::$ld => set!(a, try_trap!(do_load(mem, LoadKind::$ld, get!(b) as u32, c))),)*
+                    $(store::$st => try_trap!(do_store(mem, StoreKind::$st, get!(a) as u32, c, get!(b))),)*
                     $($misc)*
                 }
             };
@@ -493,32 +493,27 @@ pub(crate) fn run<B: Bounds, const NAIVE: bool>(
 }
 
 #[inline(always)]
-fn do_load<B: Bounds>(
-    mem: &LinearMemory,
-    kind: LoadKind,
-    addr: u32,
-    off: u32,
-) -> Result<u64, Trap> {
+fn do_load(mem: &LinearMemory, kind: LoadKind, addr: u32, off: u32) -> Result<u64, Trap> {
     Ok(match kind {
-        LoadKind::I32 | LoadKind::F32 => u32::from_le_bytes(mem.load::<B, 4>(addr, off)?) as u64,
-        LoadKind::I64 | LoadKind::F64 => u64::from_le_bytes(mem.load::<B, 8>(addr, off)?),
-        LoadKind::I32U8 => mem.load::<B, 1>(addr, off)?[0] as u64,
-        LoadKind::I32S8 => mem.load::<B, 1>(addr, off)?[0] as i8 as i32 as u32 as u64,
-        LoadKind::I32U16 => u16::from_le_bytes(mem.load::<B, 2>(addr, off)?) as u64,
+        LoadKind::I32 | LoadKind::F32 => u32::from_le_bytes(mem.load::<4>(addr, off)?) as u64,
+        LoadKind::I64 | LoadKind::F64 => u64::from_le_bytes(mem.load::<8>(addr, off)?),
+        LoadKind::I32U8 => mem.load::<1>(addr, off)?[0] as u64,
+        LoadKind::I32S8 => mem.load::<1>(addr, off)?[0] as i8 as i32 as u32 as u64,
+        LoadKind::I32U16 => u16::from_le_bytes(mem.load::<2>(addr, off)?) as u64,
         LoadKind::I32S16 => {
-            u16::from_le_bytes(mem.load::<B, 2>(addr, off)?) as i16 as i32 as u32 as u64
+            u16::from_le_bytes(mem.load::<2>(addr, off)?) as i16 as i32 as u32 as u64
         }
-        LoadKind::I64U8 => mem.load::<B, 1>(addr, off)?[0] as u64,
-        LoadKind::I64S8 => mem.load::<B, 1>(addr, off)?[0] as i8 as i64 as u64,
-        LoadKind::I64U16 => u16::from_le_bytes(mem.load::<B, 2>(addr, off)?) as u64,
-        LoadKind::I64S16 => u16::from_le_bytes(mem.load::<B, 2>(addr, off)?) as i16 as i64 as u64,
-        LoadKind::I64U32 => u32::from_le_bytes(mem.load::<B, 4>(addr, off)?) as u64,
-        LoadKind::I64S32 => u32::from_le_bytes(mem.load::<B, 4>(addr, off)?) as i32 as i64 as u64,
+        LoadKind::I64U8 => mem.load::<1>(addr, off)?[0] as u64,
+        LoadKind::I64S8 => mem.load::<1>(addr, off)?[0] as i8 as i64 as u64,
+        LoadKind::I64U16 => u16::from_le_bytes(mem.load::<2>(addr, off)?) as u64,
+        LoadKind::I64S16 => u16::from_le_bytes(mem.load::<2>(addr, off)?) as i16 as i64 as u64,
+        LoadKind::I64U32 => u32::from_le_bytes(mem.load::<4>(addr, off)?) as u64,
+        LoadKind::I64S32 => u32::from_le_bytes(mem.load::<4>(addr, off)?) as i32 as i64 as u64,
     })
 }
 
 #[inline(always)]
-fn do_store<B: Bounds>(
+fn do_store(
     mem: &mut LinearMemory,
     kind: StoreKind,
     addr: u32,
@@ -526,12 +521,12 @@ fn do_store<B: Bounds>(
     val: u64,
 ) -> Result<(), Trap> {
     match kind {
-        StoreKind::I32 | StoreKind::F32 => mem.store::<B, 4>(addr, off, (val as u32).to_le_bytes()),
-        StoreKind::I64 | StoreKind::F64 => mem.store::<B, 8>(addr, off, val.to_le_bytes()),
-        StoreKind::B8From32 | StoreKind::B8From64 => mem.store::<B, 1>(addr, off, [val as u8]),
+        StoreKind::I32 | StoreKind::F32 => mem.store::<4>(addr, off, (val as u32).to_le_bytes()),
+        StoreKind::I64 | StoreKind::F64 => mem.store::<8>(addr, off, val.to_le_bytes()),
+        StoreKind::B8From32 | StoreKind::B8From64 => mem.store::<1>(addr, off, [val as u8]),
         StoreKind::B16From32 | StoreKind::B16From64 => {
-            mem.store::<B, 2>(addr, off, (val as u16).to_le_bytes())
+            mem.store::<2>(addr, off, (val as u16).to_le_bytes())
         }
-        StoreKind::B32From64 => mem.store::<B, 4>(addr, off, (val as u32).to_le_bytes()),
+        StoreKind::B32From64 => mem.store::<4>(addr, off, (val as u32).to_le_bytes()),
     }
 }

@@ -14,10 +14,10 @@
 //!    preempt flag, returning at safe points — the mechanism the Sledge
 //!    runtime uses for user-level preemptive round-robin scheduling.
 //!
-//! Bounds-checking is configurable per instance via [`BoundsStrategy`]
-//! (§3.2 of the paper); the execution [`Tier`] selects optimized vs. naive
-//! translation (the stand-ins for the LLVM- and Cranelift-class engines in
-//! the paper's Figure 5).
+//! Every linear-memory access outside the committed memory traps with
+//! [`Trap::OutOfBounds`] (§3.2 of the paper); the execution [`Tier`] selects
+//! optimized vs. naive translation (the stand-ins for the LLVM- and
+//! Cranelift-class engines in the paper's Figure 5).
 //!
 //! # Examples
 //!
@@ -67,21 +67,31 @@ pub use code::{CompiledModule, HostImport, Op};
 pub use exec::{Limits, StepResult};
 pub use host::{Host, HostOutcome, NullHost};
 pub use lower::LOWERED_OP_BYTES;
-pub use memory::{BoundsStrategy, LinearMemory, MemoryError, MemoryTemplate};
+pub use memory::{LinearMemory, MemoryError, MemoryTemplate};
 pub use translate::{translate, translate_with, Tier, TranslateError, TranslateOptions};
 pub use value::{Trap, Value};
 
 use exec::ExecState;
-use memory::{DynBounds, MaskBounds, MpxBounds, SoftwareBounds};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+/// The bounds-check semantics of linear-memory accesses. There is one:
+/// every access outside the committed memory traps. The type and the
+/// [`EngineConfig::bounds`] field that holds it remain only so that callers
+/// naming them keep compiling; nothing branches on either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BoundsStrategy {
+    /// Every access is checked against the committed size (`bounds-chk`).
+    #[default]
+    Software,
+}
+
 /// Per-instance engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    /// Bounds-check strategy for linear-memory accesses.
+    /// Always [`BoundsStrategy::Software`]; see there.
     pub bounds: BoundsStrategy,
     /// Execution tier accounting (should match the tier the module was
     /// translated for to get representative performance; semantics are
@@ -227,8 +237,8 @@ impl Instance {
             min_pages: 0,
             max_pages: 0,
         });
-        let mut memory = LinearMemory::new(spec.min_pages, spec.max_pages, config.bounds)
-            .map_err(InstanceError::Memory)?;
+        let mut memory =
+            LinearMemory::new(spec.min_pages, spec.max_pages).map_err(InstanceError::Memory)?;
         // Initialize from the precomputed template in one write. The
         // template's length is the maximum segment end, so this rejects
         // exactly the modules the per-segment replay would reject.
@@ -294,8 +304,8 @@ impl Instance {
 
     /// Cost units consumed by the current/most recent invocation, summed
     /// across `run` calls. Both tiers meter identical work, so for the
-    /// same completed execution this value is tier- and bounds-strategy-
-    /// independent (the differential tests assert exactly that).
+    /// same completed execution this value is tier-independent (the
+    /// differential tests assert exactly that).
     pub fn fuel_used(&self) -> u64 {
         self.fuel_used
     }
@@ -359,17 +369,9 @@ impl Instance {
         }
         let given = fuel;
         let mut fuel = fuel;
-        let result = match (self.config.tier, self.config.bounds) {
-            (Tier::Optimized, BoundsStrategy::None | BoundsStrategy::GuardRegion) => {
-                self.dispatch::<MaskBounds, false>(host, &mut fuel)
-            }
-            (Tier::Optimized, BoundsStrategy::Software) => {
-                self.dispatch::<SoftwareBounds, false>(host, &mut fuel)
-            }
-            (Tier::Optimized, BoundsStrategy::MpxEmulated) => {
-                self.dispatch::<MpxBounds, false>(host, &mut fuel)
-            }
-            (Tier::Naive, _) => self.dispatch::<DynBounds, true>(host, &mut fuel),
+        let result = match self.config.tier {
+            Tier::Optimized => self.dispatch::<false>(host, &mut fuel),
+            Tier::Naive => self.dispatch::<true>(host, &mut fuel),
         };
         self.fuel_used += given - fuel;
         match result {
@@ -385,12 +387,8 @@ impl Instance {
         result
     }
 
-    fn dispatch<B: memory::Bounds, const NAIVE: bool>(
-        &mut self,
-        host: &mut dyn Host,
-        fuel: &mut u64,
-    ) -> StepResult {
-        exec::run::<B, NAIVE>(
+    fn dispatch<const NAIVE: bool>(&mut self, host: &mut dyn Host, fuel: &mut u64) -> StepResult {
+        exec::run::<NAIVE>(
             &self.module,
             lowered(&self.module),
             &mut self.state,

@@ -1,47 +1,17 @@
-//! Sandbox linear memory with configurable bounds-check strategies (§3.2 of
-//! the paper).
+//! Sandbox linear memory (§3.2 of the paper).
 //!
-//! The backing buffer is always a power-of-two capacity plus an 8-byte red
-//! zone, so the mask-based strategies can translate any 32-bit guest address
-//! into a host-safe index with a single `and` — the software analogue of the
-//! paper's "4 GiB aligned virtual span" trick.
+//! The backing buffer holds exactly the committed bytes (`pages × 64 KiB`),
+//! so the slice check Rust performs on every access *is* the Wasm bounds
+//! check: an access whose effective address range does not lie inside the
+//! buffer traps with [`Trap::OutOfBounds`]. There is no other semantics.
 
 use crate::value::Trap;
 use sledge_wasm::PAGE_SIZE;
 use std::sync::Arc;
 
-/// How loads and stores are bounds-checked. See DESIGN.md §3/§4 for the
-/// mapping onto the paper's configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BoundsStrategy {
-    /// No explicit check (sandbox intentionally broken; overhead studies
-    /// only). Accesses are masked so the *host* stays memory-safe, but guest
-    /// out-of-bounds accesses silently wrap instead of trapping.
-    None,
-    /// Explicit compare-and-branch on every access (`…-bounds-chk`).
-    Software,
-    /// Software check plus emulated Intel MPX bounds-register traffic
-    /// (`…-mpx`); reproduces MPX being *slower* than plain software checks.
-    MpxEmulated,
-    /// Virtual-memory-style elision: single mask, no branch. The default,
-    /// corresponding to "Sledge+aWsm". Out-of-bounds accesses beyond the
-    /// committed region wrap within the reserved span rather than faulting
-    /// (documented substitution).
-    #[default]
-    GuardRegion,
-}
-
-impl BoundsStrategy {
-    /// Short human-readable name used in benchmark tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            BoundsStrategy::None => "no-checks",
-            BoundsStrategy::Software => "bounds-chk",
-            BoundsStrategy::MpxEmulated => "mpx",
-            BoundsStrategy::GuardRegion => "vm-guard",
-        }
-    }
-}
+// An effective address is a 33-bit sum (`u32` address + `u32` offset) plus an
+// access width; it must not wrap in `usize`.
+const _: () = assert!(usize::BITS >= 64, "effective addresses need 64-bit usize");
 
 /// Error constructing a [`LinearMemory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,30 +92,18 @@ impl MemoryTemplate {
     }
 }
 
-const RED_ZONE: usize = 8;
-/// Number of entries in the emulated MPX bounds-table. Sized like a real
-/// MPX bound table (large, cache-unfriendly): the cited MPX analysis
-/// attributes most of MPX's overhead to bound-table cache misses, so the
-/// emulation must actually generate that cache pressure (512 KiB here).
-const MPX_SHADOW: usize = 1 << 16;
-
 /// A sandbox's linear memory.
 #[derive(Debug)]
 pub struct LinearMemory {
+    /// The committed bytes, exactly: `data.len() == pages × PAGE_SIZE`.
     data: Vec<u8>,
-    pages: u32,
     /// Initial page count, the size the memory snaps back to on
     /// [`LinearMemory::reset_from`].
     min_pages: u32,
     max_pages: u32,
-    /// Capacity mask (`capacity - 1`); capacity is a power of two.
-    mask: usize,
-    /// Committed byte limit = `pages * PAGE_SIZE`.
-    limit: usize,
-    /// High-water mark of dirtied *host* indices: one past the highest byte
-    /// any store (guest or host-side) has touched since allocation or the
-    /// last reset. Reset only has to re-zero `template_len..hwm` instead of
-    /// the whole buffer.
+    /// One past the highest byte any store (guest or host-side) has touched
+    /// since allocation or the last reset; never above `data.len()`. Reset
+    /// only has to re-zero `template_len..hwm` instead of the whole buffer.
     hwm: usize,
     /// Lowest byte index any *host-side* [`Self::write_bytes`] has touched
     /// since allocation or the last reset (`usize::MAX` when none). Guest
@@ -154,142 +112,96 @@ pub struct LinearMemory {
     /// certificate cannot see, so the footprint-based partial resets guard
     /// on this mark. Guest store hot paths never touch it.
     host_lo: usize,
-    strategy: BoundsStrategy,
-    /// Emulated MPX bounds table (read on every access in MPX mode).
-    /// Allocated lazily so non-MPX sandboxes don't pay for it.
-    mpx_shadow: Box<[u64]>,
 }
 
-fn capacity_for(limit: usize) -> usize {
-    limit.next_power_of_two().max(PAGE_SIZE)
+/// The guest effective address `addr + offset`, a 33-bit sum.
+#[inline(always)]
+fn effective(addr: u32, offset: u32) -> usize {
+    addr as usize + offset as usize
 }
 
 impl LinearMemory {
-    /// Allocate a memory of `min_pages`, growable to `max_pages`.
+    /// Allocate a zeroed memory of `min_pages`, growable to `max_pages`.
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::MinExceedsMax`] when `min_pages > max_pages`.
-    pub fn new(
-        min_pages: u32,
-        max_pages: u32,
-        strategy: BoundsStrategy,
-    ) -> Result<Self, MemoryError> {
+    pub fn new(min_pages: u32, max_pages: u32) -> Result<Self, MemoryError> {
         if min_pages > max_pages {
             return Err(MemoryError::MinExceedsMax {
                 min_pages,
                 max_pages,
             });
         }
-        let limit = min_pages as usize * PAGE_SIZE;
-        let cap = capacity_for(limit);
         Ok(LinearMemory {
-            data: vec![0u8; cap + RED_ZONE],
-            pages: min_pages,
+            data: vec![0u8; min_pages as usize * PAGE_SIZE],
             min_pages,
             max_pages,
-            mask: cap - 1,
-            limit,
             hwm: 0,
             host_lo: usize::MAX,
-            strategy,
-            mpx_shadow: if strategy == BoundsStrategy::MpxEmulated {
-                vec![u64::MAX; MPX_SHADOW].into_boxed_slice()
-            } else {
-                Box::default()
-            },
         })
     }
 
     /// Current size in pages.
     pub fn pages(&self) -> u32 {
-        self.pages
+        (self.data.len() / PAGE_SIZE) as u32
     }
 
     /// Committed size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.limit
+        self.data.len()
     }
 
-    /// The configured bounds strategy.
-    pub fn strategy(&self) -> BoundsStrategy {
-        self.strategy
-    }
-
-    /// Grow by `delta` pages. Returns the previous page count, or `-1` if
-    /// the maximum would be exceeded.
+    /// Grow by `delta` zeroed pages. Returns the previous page count, or
+    /// `-1` if the maximum would be exceeded.
     pub fn grow(&mut self, delta: u32) -> i32 {
-        let new_pages = match self.pages.checked_add(delta) {
-            Some(p) if p <= self.max_pages && p <= 65536 => p,
-            _ => return -1,
-        };
-        let old = self.pages;
-        self.pages = new_pages;
-        self.limit = new_pages as usize * PAGE_SIZE;
-        let cap = capacity_for(self.limit);
-        if cap + RED_ZONE > self.data.len() {
-            self.data.resize(cap + RED_ZONE, 0);
+        let old = self.pages();
+        match old.checked_add(delta) {
+            Some(new) if new <= self.max_pages && new <= 65536 => {
+                self.data.resize(new as usize * PAGE_SIZE, 0);
+                old as i32
+            }
+            _ => -1,
         }
-        self.mask = cap - 1;
-        old as i32
     }
 
-    /// Resolve a guest effective address (`addr + offset`) for an access of
-    /// `len` bytes under bounds policy `B`, yielding a host index whose
-    /// `len`-byte access is in-bounds for the backing buffer.
+    /// Guest load of `N` bytes at `addr + offset`.
     #[inline(always)]
-    pub(crate) fn resolve<B: Bounds>(
-        &self,
-        addr: u32,
-        offset: u32,
-        len: u32,
-    ) -> Result<usize, Trap> {
-        B::resolve(self, addr, offset, len)
+    pub(crate) fn load<const N: usize>(&self, addr: u32, offset: u32) -> Result<[u8; N], Trap> {
+        let ea = effective(addr, offset);
+        match self.data.get(ea..ea + N) {
+            Some(bytes) => Ok(bytes.try_into().expect("the slice is N bytes long")),
+            None => Err(Trap::OutOfBounds),
+        }
     }
 
-    /// Load `N` bytes.
+    /// Guest store of `N` bytes at `addr + offset`. A trapping store writes
+    /// nothing.
     #[inline(always)]
-    pub(crate) fn load<B: Bounds, const N: usize>(
-        &self,
-        addr: u32,
-        offset: u32,
-    ) -> Result<[u8; N], Trap> {
-        let i = self.resolve::<B>(addr, offset, N as u32)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(&self.data[i..i + N]);
-        Ok(out)
-    }
-
-    /// Store `N` bytes.
-    #[inline(always)]
-    pub(crate) fn store<B: Bounds, const N: usize>(
+    pub(crate) fn store<const N: usize>(
         &mut self,
         addr: u32,
         offset: u32,
         bytes: [u8; N],
     ) -> Result<(), Trap> {
-        let i = self.resolve::<B>(addr, offset, N as u32)?;
-        self.data[i..i + N].copy_from_slice(&bytes);
-        // Track the *resolved* host index: mask-based strategies can wrap an
-        // out-of-bounds guest address anywhere in the allocation, and those
-        // bytes must be re-zeroed on reset too.
-        self.hwm = self.hwm.max(i + N);
+        let ea = effective(addr, offset);
+        let dst = self.data.get_mut(ea..ea + N).ok_or(Trap::OutOfBounds)?;
+        dst.copy_from_slice(&bytes);
+        self.hwm = self.hwm.max(ea + N);
         Ok(())
     }
 
-    /// Host-side checked read (always software-checked; used by the runtime
-    /// to extract responses etc.).
+    /// Host-side checked read (used by the runtime to extract responses
+    /// etc.).
     ///
     /// # Errors
     ///
     /// Returns [`Trap::OutOfBounds`] if the range exceeds committed memory.
     pub fn read_bytes(&self, addr: u32, len: u32) -> Result<&[u8], Trap> {
         let start = addr as usize;
-        let end = start
-            .checked_add(len as usize)
-            .filter(|&e| e <= self.limit)
-            .ok_or(Trap::OutOfBounds)?;
-        Ok(&self.data[start..end])
+        self.data
+            .get(start..start + len as usize)
+            .ok_or(Trap::OutOfBounds)
     }
 
     /// Host-side checked write into guest memory.
@@ -301,7 +213,7 @@ impl LinearMemory {
         let start = addr as usize;
         let end = start
             .checked_add(bytes.len())
-            .filter(|&e| e <= self.limit)
+            .filter(|&e| e <= self.data.len())
             .ok_or(Trap::OutOfBounds)?;
         self.data[start..end].copy_from_slice(bytes);
         self.hwm = self.hwm.max(end);
@@ -319,27 +231,26 @@ impl LinearMemory {
         self.host_lo = usize::MAX;
     }
 
-    /// One past the highest host byte index any store has touched since
+    /// One past the highest byte index any store has touched since
     /// allocation or the last [`Self::reset_from`].
     pub fn high_water_mark(&self) -> usize {
         self.hwm
     }
 
     /// Restore this memory to the pristine post-instantiation state described
-    /// by `image` (see [`MemoryTemplate`]) without reallocating: zero only the
-    /// dirtied span beyond the template, then memcpy the template over the
-    /// front. Pages snap back to `min_pages`; a buffer enlarged by
-    /// `memory.grow` keeps its larger allocation (the shrunk mask confines
-    /// all subsequent accesses, so correctness is unaffected).
+    /// by `image` (see [`MemoryTemplate`]) without reallocating: truncate
+    /// back to `min_pages`, zero only the dirtied span below that beyond the
+    /// template, then memcpy the template over the front. Truncation keeps
+    /// the allocation, and a later [`Self::grow`] zero-fills every byte it
+    /// exposes again, so no byte of this invocation survives into the next.
     pub(crate) fn reset_from(&mut self, image: &[u8]) {
-        let dirty_end = self.hwm.min(self.data.len());
+        let min_len = self.min_pages as usize * PAGE_SIZE;
+        self.data.truncate(min_len);
+        let dirty_end = self.hwm.min(min_len);
         if dirty_end > image.len() {
             self.data[image.len()..dirty_end].fill(0);
         }
         self.data[..image.len()].copy_from_slice(image);
-        self.pages = self.min_pages;
-        self.limit = self.min_pages as usize * PAGE_SIZE;
-        self.mask = capacity_for(self.limit) - 1;
         self.hwm = image.len();
         self.host_lo = usize::MAX;
     }
@@ -352,7 +263,7 @@ impl LinearMemory {
     /// (nothing elided, caller must fall back to [`Self::reset_from`]) if any
     /// guard fails.
     pub(crate) fn reset_elided(&mut self, image: &[u8]) -> bool {
-        self.pages == self.min_pages && self.host_lo == usize::MAX && self.hwm <= image.len()
+        self.pages() == self.min_pages && self.host_lo == usize::MAX && self.hwm <= image.len()
     }
 
     /// Reset using a static write-footprint certificate: every guest store
@@ -360,18 +271,16 @@ impl LinearMemory {
     /// `[template_len, lo)` is provably still zero and needs no re-zeroing.
     /// Only the certified span's tail (`[max(lo, template_len), hwm)`) is
     /// zeroed before the template memcpy. Guards: pages must not have grown
-    /// (the certificate's wrap-freedom argument assumes the minimum-size
-    /// mask) and no host-side write may have landed below `lo` (host writes
-    /// are invisible to the certificate). Returns `false` without touching
-    /// memory if a guard fails.
+    /// (this path does not truncate) and no host-side write may have landed
+    /// below `lo` (host writes are invisible to the certificate). Returns
+    /// `false` without touching memory if a guard fails.
     pub(crate) fn reset_from_span(&mut self, image: &[u8], lo: usize) -> bool {
-        if self.pages != self.min_pages || self.host_lo < lo {
+        if self.pages() != self.min_pages || self.host_lo < lo {
             return false;
         }
         let dirty_start = lo.max(image.len());
-        let dirty_end = self.hwm.min(self.data.len());
-        if dirty_end > dirty_start {
-            self.data[dirty_start..dirty_end].fill(0);
+        if self.hwm > dirty_start {
+            self.data[dirty_start..self.hwm].fill(0);
         }
         self.data[..image.len()].copy_from_slice(image);
         self.hwm = image.len();
@@ -380,122 +289,88 @@ impl LinearMemory {
     }
 
     /// Approximate resident size of this memory in bytes (for footprint
-    /// reporting).
+    /// reporting): the allocation, which a reset keeps.
     pub fn footprint_bytes(&self) -> usize {
-        self.data.len()
-    }
-}
-
-/// A bounds-checking policy, monomorphized into the interpreter hot loop.
-pub(crate) trait Bounds {
-    fn resolve(mem: &LinearMemory, addr: u32, offset: u32, len: u32) -> Result<usize, Trap>;
-}
-
-/// Mask-only: used by both `None` and `GuardRegion` strategies.
-pub(crate) struct MaskBounds;
-impl Bounds for MaskBounds {
-    #[inline(always)]
-    fn resolve(mem: &LinearMemory, addr: u32, offset: u32, _len: u32) -> Result<usize, Trap> {
-        Ok((addr as usize).wrapping_add(offset as usize) & mem.mask)
-    }
-}
-
-/// Explicit compare-and-branch.
-pub(crate) struct SoftwareBounds;
-impl Bounds for SoftwareBounds {
-    #[inline(always)]
-    fn resolve(mem: &LinearMemory, addr: u32, offset: u32, len: u32) -> Result<usize, Trap> {
-        let ea = addr as u64 + offset as u64;
-        if ea + len as u64 > mem.limit as u64 {
-            return Err(Trap::OutOfBounds);
-        }
-        Ok(ea as usize)
-    }
-}
-
-/// Software check plus emulated MPX bounds-table traffic (bndldx + bndcl +
-/// bndcu): a dependent volatile load from a shadow table and two compares,
-/// reproducing the cost structure measured in the MPX analysis the paper
-/// cites.
-pub(crate) struct MpxBounds;
-impl Bounds for MpxBounds {
-    #[inline(always)]
-    fn resolve(mem: &LinearMemory, addr: u32, offset: u32, len: u32) -> Result<usize, Trap> {
-        let ea = addr as u64 + offset as u64;
-        // bndldx is a two-level table walk (bound directory → bound table):
-        // emulate with two *dependent* loads into a bound-table-sized
-        // region. The MPX analysis the paper cites (Oleksenko et al.)
-        // attributes the bulk of MPX's overhead to exactly this table's
-        // cache pressure.
-        debug_assert_eq!(mem.mpx_shadow.len(), MPX_SHADOW);
-        let slot1 = (ea.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize & (MPX_SHADOW - 1);
-        // SAFETY: slots are masked into the shadow array, which is allocated
-        // at full size whenever the MPX strategy is active.
-        let dir = unsafe { std::ptr::read_volatile(mem.mpx_shadow.as_ptr().add(slot1)) };
-        let slot2 = (dir ^ ea) as usize & (MPX_SHADOW - 1);
-        let upper = unsafe { std::ptr::read_volatile(mem.mpx_shadow.as_ptr().add(slot2)) };
-        let limit = (mem.limit as u64).min(upper | dir);
-        // bndcl + bndcu: lower and upper bound checks.
-        if ea + len as u64 > limit {
-            return Err(Trap::OutOfBounds);
-        }
-        Ok(ea as usize)
-    }
-}
-
-/// Strategy dispatched at access time via a runtime match — used by the
-/// naive execution tier, modelling engines that do not specialize their
-/// sandboxing code.
-pub(crate) struct DynBounds;
-impl Bounds for DynBounds {
-    #[inline(always)]
-    fn resolve(mem: &LinearMemory, addr: u32, offset: u32, len: u32) -> Result<usize, Trap> {
-        match mem.strategy {
-            BoundsStrategy::None | BoundsStrategy::GuardRegion => {
-                MaskBounds::resolve(mem, addr, offset, len)
-            }
-            BoundsStrategy::Software => SoftwareBounds::resolve(mem, addr, offset, len),
-            BoundsStrategy::MpxEmulated => MpxBounds::resolve(mem, addr, offset, len),
-        }
+        self.data.capacity()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sledge_testkit::{cases, Rng};
 
     #[test]
     fn software_bounds_trap_past_limit() {
-        let m = LinearMemory::new(1, 4, BoundsStrategy::Software).unwrap();
-        assert!(m.resolve::<SoftwareBounds>(65532, 0, 4).is_ok());
-        assert_eq!(
-            m.resolve::<SoftwareBounds>(65533, 0, 4),
-            Err(Trap::OutOfBounds)
-        );
-        assert_eq!(
-            m.resolve::<SoftwareBounds>(0, u32::MAX, 1),
-            Err(Trap::OutOfBounds)
-        );
+        let m = LinearMemory::new(1, 4).unwrap();
+        assert!(m.load::<4>(65532, 0).is_ok());
+        assert_eq!(m.load::<4>(65533, 0), Err(Trap::OutOfBounds));
+        assert_eq!(m.load::<1>(0, u32::MAX), Err(Trap::OutOfBounds));
+    }
+
+    /// An address drawn near the interesting edges: zero, the committed
+    /// size, and the top of the 32-bit space.
+    fn edge_u32(rng: &mut Rng, size: usize) -> u32 {
+        let base = *rng.pick(&[0, size as u32, u32::MAX]);
+        base.wrapping_add(rng.range(0, 16) as u32).wrapping_sub(8)
     }
 
     #[test]
-    fn mask_bounds_stay_in_allocation() {
-        let m = LinearMemory::new(1, 4, BoundsStrategy::GuardRegion).unwrap();
-        // Far out-of-bounds wraps but never escapes the buffer.
-        let i = m.resolve::<MaskBounds>(u32::MAX, u32::MAX, 8).unwrap();
-        assert!(i + 8 <= m.data.len());
-    }
-
-    #[test]
-    fn mpx_checks_like_software() {
-        let m = LinearMemory::new(1, 4, BoundsStrategy::MpxEmulated).unwrap();
-        assert!(m.resolve::<MpxBounds>(100, 0, 8).is_ok());
-        assert_eq!(m.resolve::<MpxBounds>(65536, 0, 1), Err(Trap::OutOfBounds));
+    fn accesses_succeed_iff_in_bounds_and_match_a_vec_model() {
+        cases(256, 0x6d65_6d6f_7279, |rng| {
+            let mut m = LinearMemory::new(1, 2).unwrap();
+            if rng.flip() {
+                assert_eq!(m.grow(1), 1);
+            }
+            let mut model = vec![0u8; m.size_bytes()];
+            for _ in 0..64 {
+                let (addr, offset) = if rng.flip() {
+                    (edge_u32(rng, model.len()), edge_u32(rng, 0))
+                } else {
+                    (rng.next_u64() as u32, rng.next_u64() as u32)
+                };
+                let ea = addr as u64 + offset as u64;
+                let width = *rng.pick(&[1u64, 2, 4, 8]);
+                let fits = ea + width <= m.size_bytes() as u64;
+                let at = ea as usize..(ea + width) as usize;
+                let got = match width {
+                    1 => m.load::<1>(addr, offset).map(|b| b.to_vec()),
+                    2 => m.load::<2>(addr, offset).map(|b| b.to_vec()),
+                    4 => m.load::<4>(addr, offset).map(|b| b.to_vec()),
+                    _ => m.load::<8>(addr, offset).map(|b| b.to_vec()),
+                };
+                match got {
+                    Ok(bytes) => {
+                        assert!(fits, "load at {ea}+{width} must trap");
+                        assert_eq!(bytes, model[at.clone()]);
+                    }
+                    Err(t) => {
+                        assert!(!fits, "load at {ea}+{width} must not trap");
+                        assert_eq!(t, Trap::OutOfBounds);
+                    }
+                }
+                let v = rng.next_u64().to_le_bytes();
+                let stored = match width {
+                    1 => m.store::<1>(addr, offset, [v[0]]),
+                    2 => m.store::<2>(addr, offset, [v[0], v[1]]),
+                    4 => m.store::<4>(addr, offset, [v[0], v[1], v[2], v[3]]),
+                    _ => m.store::<8>(addr, offset, v),
+                };
+                assert_eq!(stored.is_ok(), fits, "store at {ea}+{width}");
+                if fits {
+                    model[at].copy_from_slice(&v[..width as usize]);
+                }
+            }
+            assert_eq!(m.read_bytes(0, model.len() as u32).unwrap(), &model[..]);
+        });
+        // The largest effective address there is: no wrap into bounds.
+        let m = LinearMemory::new(1, 1).unwrap();
+        assert_eq!(m.load::<8>(u32::MAX, u32::MAX), Err(Trap::OutOfBounds));
     }
 
     #[test]
     fn grow_respects_max() {
-        let mut m = LinearMemory::new(1, 3, BoundsStrategy::Software).unwrap();
+        let mut m = LinearMemory::new(1, 3).unwrap();
         assert_eq!(m.grow(1), 1);
         assert_eq!(m.pages(), 2);
         assert_eq!(m.grow(2), -1);
@@ -506,7 +381,7 @@ mod tests {
 
     #[test]
     fn grow_preserves_contents_and_mask() {
-        let mut m = LinearMemory::new(1, 64, BoundsStrategy::Software).unwrap();
+        let mut m = LinearMemory::new(1, 64).unwrap();
         m.write_bytes(100, &[1, 2, 3]).unwrap();
         assert_eq!(m.grow(31), 1);
         assert_eq!(m.read_bytes(100, 3).unwrap(), &[1, 2, 3]);
@@ -516,7 +391,7 @@ mod tests {
 
     #[test]
     fn host_read_write_checked() {
-        let mut m = LinearMemory::new(1, 1, BoundsStrategy::GuardRegion).unwrap();
+        let mut m = LinearMemory::new(1, 1).unwrap();
         m.write_bytes(0, b"hello").unwrap();
         assert_eq!(m.read_bytes(0, 5).unwrap(), b"hello");
         assert!(m.write_bytes(65533, b"oops").is_err());
@@ -525,7 +400,7 @@ mod tests {
 
     #[test]
     fn min_exceeding_max_is_rejected() {
-        let err = LinearMemory::new(4, 2, BoundsStrategy::Software).unwrap_err();
+        let err = LinearMemory::new(4, 2).unwrap_err();
         assert_eq!(
             err,
             MemoryError::MinExceedsMax {
@@ -550,30 +425,33 @@ mod tests {
 
     #[test]
     fn stores_raise_high_water_mark() {
-        let mut m = LinearMemory::new(1, 4, BoundsStrategy::Software).unwrap();
+        let mut m = LinearMemory::new(1, 4).unwrap();
         assert_eq!(m.high_water_mark(), 0);
-        m.store::<SoftwareBounds, 4>(100, 0, [1; 4]).unwrap();
+        m.store::<4>(100, 0, [1; 4]).unwrap();
         assert_eq!(m.high_water_mark(), 104);
-        m.store::<SoftwareBounds, 2>(10, 0, [2; 2]).unwrap();
+        m.store::<2>(10, 0, [2; 2]).unwrap();
         assert_eq!(m.high_water_mark(), 104);
         m.write_bytes(200, &[3; 8]).unwrap();
         assert_eq!(m.high_water_mark(), 208);
     }
 
     #[test]
-    fn masked_store_hwm_uses_resolved_index() {
-        let mut m = LinearMemory::new(1, 4, BoundsStrategy::GuardRegion).unwrap();
-        // Out-of-bounds guest address wraps under the mask; the dirty mark
-        // must cover where the bytes actually landed.
-        m.store::<MaskBounds, 8>(u32::MAX, 7, [9; 8]).unwrap();
-        let i = m.resolve::<MaskBounds>(u32::MAX, 7, 8).unwrap();
-        assert_eq!(m.high_water_mark(), i + 8);
+    fn trapped_store_writes_nothing_and_keeps_high_water_mark() {
+        let mut m = LinearMemory::new(1, 4).unwrap();
+        m.store::<4>(100, 0, [1; 4]).unwrap();
+        let before = m.read_bytes(0, PAGE_SIZE as u32).unwrap().to_vec();
+        // Straddling the end, just past it, and a 33-bit effective address.
+        for (addr, offset) in [(65532, 1), (65536, 0), (u32::MAX, 7)] {
+            assert_eq!(m.store::<8>(addr, offset, [9; 8]), Err(Trap::OutOfBounds));
+            assert_eq!(m.high_water_mark(), 104);
+        }
+        assert_eq!(m.read_bytes(0, PAGE_SIZE as u32).unwrap(), &before[..]);
     }
 
     #[test]
     fn reset_restores_template_and_zeroes_dirt() {
         let t = MemoryTemplate::build(&[(0, Arc::from(&b"seed"[..]))]);
-        let mut m = LinearMemory::new(1, 8, BoundsStrategy::Software).unwrap();
+        let mut m = LinearMemory::new(1, 8).unwrap();
         m.write_bytes(0, t.image()).unwrap();
         // Dirty both inside and beyond the template span.
         m.write_bytes(1, b"XXX").unwrap();
@@ -586,29 +464,28 @@ mod tests {
 
     #[test]
     fn reset_shrinks_grown_memory_back_to_min() {
-        let mut m = LinearMemory::new(1, 64, BoundsStrategy::Software).unwrap();
+        let mut m = LinearMemory::new(1, 64).unwrap();
         assert_eq!(m.grow(31), 1);
-        m.write_bytes(20 * PAGE_SIZE as u32, &[5; 4]).unwrap();
-        let cap_after_grow = m.data.len();
+        let high = 20 * PAGE_SIZE as u32;
+        m.store::<4>(high, 0, [5; 4]).unwrap();
+        m.store::<4>(8, 0, [6; 4]).unwrap();
         m.reset_from(&[]);
         assert_eq!(m.pages(), 1);
         assert_eq!(m.size_bytes(), PAGE_SIZE);
-        // Allocation is retained, but the committed window shrinks and the
-        // dirtied high region is zeroed.
-        assert_eq!(m.data.len(), cap_after_grow);
-        assert!(m.read_bytes(20 * PAGE_SIZE as u32, 4).is_err());
-        assert!(m.data[20 * PAGE_SIZE..20 * PAGE_SIZE + 4]
-            .iter()
-            .all(|&b| b == 0));
-        // Accesses are confined by the shrunk mask again.
-        let i = m.resolve::<MaskBounds>(u32::MAX, 0, 1).unwrap();
-        assert!(i < capacity_for(PAGE_SIZE) + RED_ZONE);
+        assert_eq!(m.high_water_mark(), 0);
+        // The formerly grown region traps again, for the guest and the host.
+        assert_eq!(m.load::<4>(high, 0), Err(Trap::OutOfBounds));
+        assert!(m.read_bytes(high, 4).is_err());
+        assert_eq!(m.read_bytes(8, 4).unwrap(), &[0; 4]);
+        // Growing again exposes zeroes, never the previous invocation's bytes.
+        assert_eq!(m.grow(31), 1);
+        assert_eq!(m.load::<4>(high, 0), Ok([0; 4]));
     }
 
     #[test]
     fn elided_reset_guards() {
         let t = MemoryTemplate::build(&[(0, Arc::from(&b"seed"[..]))]);
-        let mut m = LinearMemory::new(1, 8, BoundsStrategy::Software).unwrap();
+        let mut m = LinearMemory::new(1, 8).unwrap();
         m.write_bytes(0, t.image()).unwrap();
         m.clear_host_write_mark();
         // Pristine: elision allowed.
@@ -624,19 +501,19 @@ mod tests {
         m.reset_from(t.image());
         assert!(m.reset_elided(t.image()));
         // A guest store past the template span raises hwm and poisons it.
-        m.store::<SoftwareBounds, 4>(500, 0, [9; 4]).unwrap();
+        m.store::<4>(500, 0, [9; 4]).unwrap();
         assert!(!m.reset_elided(t.image()));
     }
 
     #[test]
     fn span_reset_skips_proven_zero_gap_and_restores() {
         let t = MemoryTemplate::build(&[(0, Arc::from(&b"seed"[..]))]);
-        let mut m = LinearMemory::new(1, 8, BoundsStrategy::Software).unwrap();
+        let mut m = LinearMemory::new(1, 8).unwrap();
         m.write_bytes(0, t.image()).unwrap();
         m.clear_host_write_mark();
         // Certified footprint [0x100, …): dirty only inside it.
-        m.store::<SoftwareBounds, 8>(0x100, 0, [7; 8]).unwrap();
-        m.store::<SoftwareBounds, 4>(0x200, 0, [8; 4]).unwrap();
+        m.store::<8>(0x100, 0, [7; 8]).unwrap();
+        m.store::<4>(0x200, 0, [8; 4]).unwrap();
         assert!(m.reset_from_span(t.image(), 0x100));
         assert_eq!(m.read_bytes(0, 4).unwrap(), b"seed");
         assert_eq!(m.read_bytes(0x100, 8).unwrap(), &[0; 8]);
@@ -647,7 +524,7 @@ mod tests {
     #[test]
     fn span_reset_guards_against_host_writes_and_growth() {
         let t = MemoryTemplate::build(&[(0, Arc::from(&b"seed"[..]))]);
-        let mut m = LinearMemory::new(1, 8, BoundsStrategy::Software).unwrap();
+        let mut m = LinearMemory::new(1, 8).unwrap();
         m.write_bytes(0, t.image()).unwrap();
         m.clear_host_write_mark();
         // Host write below the certified span: refuse the partial reset.
@@ -667,10 +544,10 @@ mod tests {
 
     #[test]
     fn load_store_roundtrip() {
-        let mut m = LinearMemory::new(1, 1, BoundsStrategy::Software).unwrap();
-        m.store::<SoftwareBounds, 8>(16, 0, 0xDEAD_BEEF_CAFE_F00Du64.to_le_bytes())
+        let mut m = LinearMemory::new(1, 1).unwrap();
+        m.store::<8>(16, 0, 0xDEAD_BEEF_CAFE_F00Du64.to_le_bytes())
             .unwrap();
-        let got = m.load::<SoftwareBounds, 8>(8, 8).unwrap();
+        let got = m.load::<8>(8, 8).unwrap();
         assert_eq!(u64::from_le_bytes(got), 0xDEAD_BEEF_CAFE_F00D);
     }
 }

@@ -23,13 +23,13 @@ use std::sync::Arc;
 /// Which execution tier to translate for (see DESIGN.md §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// Pre-resolved code plus super-instruction fusion; monomorphized
-    /// bounds checks. Stands in for the LLVM-class engines (aWsm, WAVM).
+    /// Pre-resolved code plus super-instruction fusion. Stands in for the
+    /// LLVM-class engines (aWsm, WAVM).
     #[default]
     Optimized,
-    /// Same resolution but no fusion, per-op accounting, and dynamically
-    /// dispatched bounds checks. Stands in for the Cranelift-class engines
-    /// (Wasmer, Lucet) in the paper's comparison.
+    /// Same resolution but no fusion and per-op accounting. Stands in for
+    /// the Cranelift-class engines (Wasmer, Lucet) in the paper's
+    /// comparison.
     Naive,
 }
 

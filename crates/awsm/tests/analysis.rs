@@ -2,8 +2,8 @@
 //! linted, or rejected before any sandbox exists.
 
 use awsm::{
-    translate, BoundsStrategy, EngineConfig, Instance, NullHost, Severity, StackBound, StepResult,
-    Tier, Trap, Value,
+    translate, EngineConfig, Instance, NullHost, Severity, StackBound, StepResult, Tier, Trap,
+    Value,
 };
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Stmt};
@@ -11,17 +11,11 @@ use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
 
-fn run(
-    m: &Module,
-    tier: Tier,
-    bounds: BoundsStrategy,
-    args: &[Value],
-) -> Result<Option<u64>, Trap> {
+fn run(m: &Module, tier: Tier, args: &[Value]) -> Result<Option<u64>, Trap> {
     let cm = Arc::new(translate(m, tier).expect("translate"));
     let mut inst = Instance::new(
         cm,
         EngineConfig {
-            bounds,
             tier,
             ..Default::default()
         },
@@ -81,15 +75,7 @@ fn call_chain_bound_sums_frames() {
     };
     let frames: u64 = cm.analysis.funcs.iter().map(|f| f.frame_bytes).sum();
     assert_eq!(total, frames, "deepest chain is all three frames");
-    assert_eq!(
-        run(
-            &mb_clone_run(),
-            Tier::Optimized,
-            BoundsStrategy::Software,
-            &[]
-        ),
-        Ok(Some(9))
-    );
+    assert_eq!(run(&mb_clone_run(), Tier::Optimized, &[]), Ok(Some(9)));
 
     fn mb_clone_run() -> Module {
         let mut mb = ModuleBuilder::new("chain");
@@ -146,7 +132,6 @@ fn recursion_is_unbounded_with_cycle() {
             mb.build().unwrap()
         },
         Tier::Optimized,
-        BoundsStrategy::Software,
         &[Value::I32(10)],
     );
     assert_eq!(ran, Ok(Some(55)));

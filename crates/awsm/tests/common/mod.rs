@@ -3,20 +3,13 @@
 //! (result, full-memory hash, fuel) that every "A ≡ B" property compares.
 #![allow(dead_code)] // each suite uses its own part
 
-use awsm::{BoundsStrategy, Instance, NullHost, Tier, Value};
+use awsm::{Instance, NullHost, Tier, Value};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, Local};
 use sledge_testkit::Rng;
 
-/// Every tier with the bounds strategies it is run under.
-pub const ALL_CONFIGS: &[(Tier, BoundsStrategy)] = &[
-    (Tier::Optimized, BoundsStrategy::GuardRegion),
-    (Tier::Optimized, BoundsStrategy::Software),
-    (Tier::Optimized, BoundsStrategy::MpxEmulated),
-    (Tier::Optimized, BoundsStrategy::None),
-    (Tier::Naive, BoundsStrategy::GuardRegion),
-    (Tier::Naive, BoundsStrategy::Software),
-];
+/// Every execution tier: the engine configurations every suite runs on.
+pub const ALL_TIERS: &[Tier] = &[Tier::Optimized, Tier::Naive];
 
 /// An i32 expression over two inputs, spanning the weight classes the cost
 /// model tells apart and the forms the translator fuses.

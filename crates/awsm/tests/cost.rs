@@ -7,11 +7,10 @@
 mod common;
 
 use awsm::{
-    op_cost, translate, translate_with, BoundsStrategy, EngineConfig, Host, HostImport,
-    HostOutcome, Instance, LinearMemory, NullHost, Op, StepResult, Tier, TranslateOptions, Value,
-    DEFAULT_MAX_CHECK_GAP,
+    op_cost, translate, translate_with, EngineConfig, Host, HostImport, HostOutcome, Instance,
+    LinearMemory, NullHost, Op, StepResult, Tier, TranslateOptions, Value, DEFAULT_MAX_CHECK_GAP,
 };
-use common::{any_i32, Arith};
+use common::{any_i32, Arith, ALL_TIERS};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
 use sledge_testkit::cases;
@@ -66,7 +65,6 @@ fn with_gap(max_check_gap: u32) -> TranslateOptions {
 fn run_metered(
     m: &Module,
     tier: Tier,
-    bounds: BoundsStrategy,
     options: TranslateOptions,
     args: &[Value],
     quantum: u64,
@@ -75,7 +73,6 @@ fn run_metered(
     let mut inst = Instance::new(
         cm,
         EngineConfig {
-            bounds,
             tier,
             ..Default::default()
         },
@@ -100,21 +97,15 @@ fn tiers_and_strategies_agree_on_total_fuel() {
     let (ref_val, ref_fuel) = run_metered(
         &m,
         Tier::Optimized,
-        BoundsStrategy::GuardRegion,
         with_gap(512),
         &[Value::I32(7)],
         u64::MAX,
     );
     assert!(ref_fuel > 0);
-    for (tier, bounds) in [
-        (Tier::Optimized, BoundsStrategy::Software),
-        (Tier::Optimized, BoundsStrategy::MpxEmulated),
-        (Tier::Optimized, BoundsStrategy::None),
-        (Tier::Naive, BoundsStrategy::GuardRegion),
-    ] {
-        let (v, fuel) = run_metered(&m, tier, bounds, with_gap(512), &[Value::I32(7)], u64::MAX);
-        assert_eq!(v, ref_val, "value under {tier:?}/{bounds:?}");
-        assert_eq!(fuel, ref_fuel, "fuel under {tier:?}/{bounds:?}");
+    for &tier in ALL_TIERS {
+        let (v, fuel) = run_metered(&m, tier, with_gap(512), &[Value::I32(7)], u64::MAX);
+        assert_eq!(v, ref_val, "value under {tier:?}");
+        assert_eq!(fuel, ref_fuel, "fuel under {tier:?}");
     }
 }
 
@@ -124,21 +115,13 @@ fn chopping_preserves_totals_at_any_quantum() {
     let (ref_val, ref_fuel) = run_metered(
         &m,
         Tier::Optimized,
-        BoundsStrategy::GuardRegion,
         with_gap(128),
         &[Value::I32(3)],
         u64::MAX,
     );
     for quantum in [1, 2, 7, 33, 100] {
         for tier in [Tier::Optimized, Tier::Naive] {
-            let (v, fuel) = run_metered(
-                &m,
-                tier,
-                BoundsStrategy::GuardRegion,
-                with_gap(128),
-                &[Value::I32(3)],
-                quantum,
-            );
+            let (v, fuel) = run_metered(&m, tier, with_gap(128), &[Value::I32(3)], quantum);
             assert_eq!(v, ref_val, "chopped at {quantum} under {tier:?}");
             assert_eq!(fuel, ref_fuel, "fuel chopped at {quantum} under {tier:?}");
         }
@@ -151,7 +134,6 @@ fn instrumentation_gap_budget_does_not_change_totals() {
     let (ref_val, ref_fuel) = run_metered(
         &m,
         Tier::Optimized,
-        BoundsStrategy::GuardRegion,
         with_gap(512),
         &[Value::I32(5)],
         u64::MAX,
@@ -160,7 +142,6 @@ fn instrumentation_gap_budget_does_not_change_totals() {
         let (v, fuel) = run_metered(
             &m,
             Tier::Optimized,
-            BoundsStrategy::GuardRegion,
             with_gap(gap),
             &[Value::I32(5)],
             u64::MAX,
@@ -390,7 +371,6 @@ fn fuel_used_is_exact_across_pauses() {
     let (_, ref_fuel) = run_metered(
         &m,
         Tier::Optimized,
-        BoundsStrategy::GuardRegion,
         with_gap(512),
         &[Value::I32(2)],
         u64::MAX,
@@ -488,9 +468,8 @@ fn arith_module(e: &Arith, iters: i32) -> Module {
     mb.build().expect("generated module must validate")
 }
 
-/// Both tiers consume identical total fuel for the same execution, under
-/// every bounds strategy, and chopping at any quantum neither changes the
-/// result nor the total.
+/// Both tiers consume identical total fuel for the same execution, and
+/// chopping at any quantum neither changes the result nor the total.
 #[test]
 fn tiers_agree_on_total_fuel() {
     cases(64, 0xF0E1_0001, |rng| {
@@ -499,19 +478,14 @@ fn tiers_agree_on_total_fuel() {
         let m = arith_module(&e, rng.range(1, 20) as i32);
         let quantum = rng.range(1, 200);
         let options = with_gap(rng.range(8, 1024) as u32);
-        let run = |tier, bounds, quantum| run_metered(&m, tier, bounds, options, &args, quantum);
-        let reference = run(Tier::Optimized, BoundsStrategy::GuardRegion, u64::MAX);
+        let run = |tier, quantum| run_metered(&m, tier, options, &args, quantum);
+        let reference = run(Tier::Optimized, u64::MAX);
         assert!(reference.1 > 0, "a loop iteration must cost something");
-        for (tier, bounds) in [
-            (Tier::Optimized, BoundsStrategy::Software),
-            (Tier::Naive, BoundsStrategy::GuardRegion),
-        ] {
-            let got = run(tier, bounds, u64::MAX);
-            assert_eq!(got, reference, "tier={tier:?} bounds={bounds:?} e={e:?}");
-        }
+        let got = run(Tier::Naive, u64::MAX);
+        assert_eq!(got, reference, "tier={:?} e={e:?}", Tier::Naive);
         // Chopped runs pay exactly the same total (debt accounting is exact).
-        for tier in [Tier::Optimized, Tier::Naive] {
-            let got = run(tier, BoundsStrategy::GuardRegion, quantum);
+        for &tier in ALL_TIERS {
+            let got = run(tier, quantum);
             assert_eq!(
                 got, reference,
                 "chopped at {quantum}, tier={tier:?} e={e:?}"

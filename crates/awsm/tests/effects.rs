@@ -7,10 +7,10 @@
 mod common;
 
 use awsm::{
-    translate, BoundsStrategy, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory,
-    NullHost, ResetApplied, ResetPolicy, Severity, Tier, Value, WriteFootprint,
+    translate, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory, NullHost,
+    ResetApplied, ResetPolicy, Severity, Tier, Value, WriteFootprint,
 };
-use common::{any_i32, run_once};
+use common::{any_i32, run_once, ALL_TIERS};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, FuncBuilder, ModuleBuilder, Scalar};
 use sledge_testkit::{cases, Rng};
@@ -262,7 +262,7 @@ fn span_policy_derivation_requires_room_and_gap() {
 fn static_span_reset_matches_fresh_exactly() {
     // The scratch writer dirties its certified span; a StaticSpan reset must
     // leave the instance indistinguishable from a fresh one, replay after
-    // replay, under every bounds strategy the policy can ride with.
+    // replay, on every tier.
     let mut mb = ModuleBuilder::new("scratch");
     mb.memory(1, Some(1));
     mb.data(32, b"template!".to_vec());
@@ -278,15 +278,15 @@ fn static_span_reset_matches_fresh_exactly() {
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
 
-    for bounds in [BoundsStrategy::Software, BoundsStrategy::GuardRegion] {
-        let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
+    for &tier in ALL_TIERS {
+        let cm = Arc::new(translate(&m, tier).unwrap());
         let policy = cm.reset_policy("main");
         assert!(
             matches!(policy, ResetPolicy::StaticSpan { .. }),
             "{policy:?}"
         );
         let cfg = EngineConfig {
-            bounds,
+            tier,
             ..Default::default()
         };
 
@@ -307,7 +307,7 @@ fn static_span_reset_matches_fresh_exactly() {
             let got = recycled
                 .call_complete("main", &[Value::I32(11)], &mut NullHost)
                 .unwrap();
-            assert_eq!(got, want, "round {round} bounds={bounds:?}");
+            assert_eq!(got, want, "round {round} tier={tier:?}");
             assert_eq!(recycled.fuel_used(), want_fuel, "round {round}");
             assert_eq!(
                 recycled.memory().read_bytes(32, 9).unwrap(),

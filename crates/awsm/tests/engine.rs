@@ -1,16 +1,15 @@
 //! End-to-end engine tests: guest programs written in the `sledge-guestc`
-//! DSL (and some hand-assembled Wasm), executed under every tier and bounds
-//! strategy — fixed programs first, then seeded random expressions checked
-//! against native Rust evaluation and random memory-access scripts checked
-//! across bounds strategies.
+//! DSL (and some hand-assembled Wasm), executed on every tier — fixed
+//! programs first, then seeded random expressions checked against native
+//! Rust evaluation and random memory-access scripts checked across tiers.
 
 mod common;
 
 use awsm::{
-    translate, BoundsStrategy, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory,
-    NullHost, StepResult, Tier, Trap, Value,
+    translate, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory, NullHost,
+    StepResult, Tier, Trap, Value,
 };
-use common::{any_i32, Arith};
+use common::{any_i32, Arith, ALL_TIERS};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_testkit::{cases, Rng};
@@ -19,21 +18,11 @@ use sledge_wasm::module::{Export, FuncBody, Module};
 use sledge_wasm::types::{FuncType, Limits, MemoryType, ValType};
 use std::sync::Arc;
 
-const ALL_CONFIGS: &[(Tier, BoundsStrategy)] = &[
-    (Tier::Optimized, BoundsStrategy::GuardRegion),
-    (Tier::Optimized, BoundsStrategy::Software),
-    (Tier::Optimized, BoundsStrategy::MpxEmulated),
-    (Tier::Optimized, BoundsStrategy::None),
-    (Tier::Naive, BoundsStrategy::GuardRegion),
-    (Tier::Naive, BoundsStrategy::Software),
-];
-
 fn run_all_configs(m: &Module, entry: &str, args: &[Value]) -> Vec<Option<u64>> {
-    ALL_CONFIGS
+    ALL_TIERS
         .iter()
-        .map(|&(tier, bounds)| {
-            run_config(m, entry, args, tier, bounds)
-                .unwrap_or_else(|trap| panic!("{tier:?}/{bounds:?}: {trap}"))
+        .map(|&tier| {
+            run_config(m, entry, args, tier).unwrap_or_else(|trap| panic!("{tier:?}: {trap}"))
         })
         .collect()
 }
@@ -45,21 +34,14 @@ fn assert_all_configs(m: &Module, entry: &str, args: &[Value], expect: u64) {
 }
 
 fn single(m: &Module, entry: &str, args: &[Value]) -> Result<Option<u64>, Trap> {
-    run_config(m, entry, args, Tier::Optimized, BoundsStrategy::Software)
+    run_config(m, entry, args, Tier::Optimized)
 }
 
-fn run_config(
-    m: &Module,
-    entry: &str,
-    args: &[Value],
-    tier: Tier,
-    bounds: BoundsStrategy,
-) -> Result<Option<u64>, Trap> {
+fn run_config(m: &Module, entry: &str, args: &[Value], tier: Tier) -> Result<Option<u64>, Trap> {
     let cm = Arc::new(translate(m, tier).expect("translate"));
     let mut inst = Instance::new(
         cm,
         EngineConfig {
-            bounds,
             tier,
             ..Default::default()
         },
@@ -416,30 +398,37 @@ fn out_of_bounds_traps_under_software_checks() {
 }
 
 #[test]
-fn guard_region_oob_wraps_but_stays_contained() {
-    // Under GuardRegion the access doesn't trap (documented substitution)
-    // but must not corrupt the host: it wraps inside the reservation.
+fn out_of_bounds_traps_on_every_config() {
+    // A load and a store at `a + 16`: past the end, straddling it, and
+    // negative (a huge unsigned address, which a mask would have wrapped
+    // back into the memory).
     let mut mb = ModuleBuilder::new("t");
     mb.memory(1, Some(1));
     let mut f = FuncBuilder::new(&[ValType::I32], Some(ValType::I32));
     let a = f.arg(0);
-    f.push(ret(Some(load(Scalar::I32, local(a), 0))));
-    let main = mb.add_func("main", f);
-    mb.export_func(main, "main");
+    f.push(ret(Some(load(Scalar::I32, local(a), 16))));
+    let ld = mb.add_func("ld", f);
+    mb.export_func(ld, "ld");
+    let mut f = FuncBuilder::new(&[ValType::I32], Some(ValType::I32));
+    let a = f.arg(0);
+    f.extend([
+        store(Scalar::I64, local(a), 16, i64c(-1)),
+        ret(Some(i32c(0))),
+    ]);
+    let st = mb.add_func("st", f);
+    mb.export_func(st, "st");
     let m = mb.build().unwrap();
-    let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
-    let mut inst = Instance::new(
-        cm,
-        EngineConfig {
-            bounds: BoundsStrategy::GuardRegion,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let v = inst
-        .call_complete("main", &[Value::I32(-64)], &mut NullHost)
-        .unwrap();
-    assert!(v.is_some());
+    for &tier in ALL_TIERS {
+        for addr in [65536 - 16, 65536 - 18, -64, -16] {
+            for entry in ["ld", "st"] {
+                assert_eq!(
+                    run_config(&m, entry, &[Value::I32(addr)], tier),
+                    Err(Trap::OutOfBounds),
+                    "{tier:?} {entry}({addr})"
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------- traps
@@ -951,7 +940,7 @@ fn chopped_execution_is_deterministic() {
     });
 }
 
-// ------------------------------- seeded: memory across bounds strategies
+// ------------------------------------------ seeded: memory across tiers
 
 /// Build a guest that performs a scripted sequence of stores then sums a
 /// scripted sequence of loads, all at the given (address, value) pairs.
@@ -977,8 +966,8 @@ fn access_module(stores: &[(u32, u32)], loads: &[u32]) -> Module {
     mb.build().expect("valid module")
 }
 
-fn run_access(m: &Module, tier: Tier, bounds: BoundsStrategy) -> Result<u32, Trap> {
-    run_config(m, "main", &[], tier, bounds).map(|v| v.expect("result") as u32)
+fn run_access(m: &Module, tier: Tier) -> Result<u32, Trap> {
+    run_config(m, "main", &[], tier).map(|v| v.expect("result") as u32)
 }
 
 /// 2 pages committed = 131072 bytes; the last address an i32 access fits at.
@@ -998,13 +987,12 @@ fn in_bounds_programs_agree_across_all_strategies() {
     cases(64, 0x1B0D_D500, |rng| {
         let (stores, loads) = access_script(rng, LIMIT + 1);
         let m = access_module(&stores, &loads);
-        let reference =
-            run_access(&m, Tier::Optimized, BoundsStrategy::Software).expect("in bounds");
-        for &(tier, bounds) in ALL_CONFIGS {
+        let reference = run_access(&m, Tier::Optimized).expect("in bounds");
+        for &tier in ALL_TIERS {
             assert_eq!(
-                run_access(&m, tier, bounds).expect("in bounds"),
+                run_access(&m, tier).expect("in bounds"),
                 reference,
-                "strategy {tier:?}/{bounds:?}"
+                "{tier:?}"
             );
         }
     });
@@ -1014,15 +1002,9 @@ fn in_bounds_programs_agree_across_all_strategies() {
 fn out_of_bounds_loads_trap_under_checking_strategies() {
     cases(64, 0x00B5_72A9, |rng| {
         let m = access_module(&[], &[rng.range(LIMIT + 1, u64::from(u32::MAX) - 4) as u32]);
-        for bounds in [BoundsStrategy::Software, BoundsStrategy::MpxEmulated] {
-            assert_eq!(
-                run_access(&m, Tier::Optimized, bounds),
-                Err(Trap::OutOfBounds),
-                "bounds {bounds:?}"
-            );
+        for &tier in ALL_TIERS {
+            assert_eq!(run_access(&m, tier), Err(Trap::OutOfBounds), "{tier:?}");
         }
-        // Guard-region wraps (documented substitution) but must not crash.
-        assert!(run_access(&m, Tier::Optimized, BoundsStrategy::GuardRegion).is_ok());
     });
 }
 
@@ -1036,7 +1018,7 @@ fn stores_then_loads_roundtrip_values() {
         let stores: Vec<(u32, u32)> = slots.iter().map(|a| (*a, rng.next_u64() as u32)).collect();
         let expect = stores.iter().fold(0u32, |sum, (_, v)| sum.wrapping_add(*v));
         let m = access_module(&stores, &slots);
-        let got = run_access(&m, Tier::Optimized, BoundsStrategy::Software).expect("in bounds");
+        let got = run_access(&m, Tier::Optimized).expect("in bounds");
         assert_eq!(got, expect);
     });
 }

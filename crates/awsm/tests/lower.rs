@@ -4,17 +4,17 @@
 //!
 //! Fixed programs first (one per hazard the lowering pass handles
 //! specially), then seeded random straight-line-and-loop programs run
-//! whole, chopped at small quanta and preempted at random, on every tier and
-//! bounds strategy. Tests named `miri_*` are small enough for the Miri leg.
+//! whole, chopped at small quanta and preempted at random, on every tier.
+//! Tests named `miri_*` are small enough for the Miri leg.
 
 mod common;
 
 use awsm::{
-    decode_artifact, encode_artifact, translate, verify_body, BoundsStrategy, CompiledModule,
-    EngineConfig, Host, HostImport, HostOutcome, Instance, InstanceError, Limits, LinearMemory,
-    NullHost, Op, StepResult, Tier, Trap, Value,
+    decode_artifact, encode_artifact, translate, verify_body, CompiledModule, EngineConfig, Host,
+    HostImport, HostOutcome, Instance, InstanceError, Limits, LinearMemory, NullHost, Op,
+    StepResult, Tier, Trap, Value,
 };
-use common::{any_i32, Arith, ALL_CONFIGS};
+use common::{any_i32, Arith, ALL_TIERS};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Stmt};
 use sledge_testkit::{cases, Rng};
@@ -24,24 +24,24 @@ use sledge_wasm::types::{FuncType, ValType};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-fn instance(m: &Module, tier: Tier, bounds: BoundsStrategy, limits: Limits) -> Instance {
+fn instance(m: &Module, tier: Tier, limits: Limits) -> Instance {
     let cm = Arc::new(translate(m, tier).expect("translate"));
     let config = EngineConfig {
-        bounds,
         tier,
         limits,
+        ..Default::default()
     };
     Instance::new(cm, config).expect("instantiate")
 }
 
-/// `main(args)` must return `expect` on every tier and bounds strategy.
+/// `main(args)` must return `expect` on every tier.
 fn assert_returns(m: &Module, args: &[i32], expect: i32) {
     let args: Vec<Value> = args.iter().map(|&a| Value::I32(a)).collect();
-    for &(tier, bounds) in ALL_CONFIGS {
-        let mut inst = instance(m, tier, bounds, Limits::default());
+    for &tier in ALL_TIERS {
+        let mut inst = instance(m, tier, Limits::default());
         let got = inst.call_complete("main", &args, &mut NullHost);
-        let got = got.unwrap_or_else(|e| panic!("{tier:?}/{bounds:?}: {e}"));
-        assert_eq!(got, Some(expect as u32 as u64), "{tier:?}/{bounds:?}");
+        let got = got.unwrap_or_else(|e| panic!("{tier:?}: {e}"));
+        assert_eq!(got, Some(expect as u32 as u64), "{tier:?}");
     }
 }
 
@@ -316,8 +316,8 @@ fn miri_host_call_pending_twice_then_a_value() {
     let m = mb.build().unwrap();
 
     let mut fuel = None;
-    for &(tier, bounds) in ALL_CONFIGS {
-        let mut inst = instance(&m, tier, bounds, Limits::default());
+    for &tier in ALL_TIERS {
+        let mut inst = instance(&m, tier, Limits::default());
         let mut host = SlowHost {
             pending_left: 2,
             calls: 0,
@@ -354,13 +354,13 @@ fn stack_limit_bounds_locals_as_well_as_operands() {
     mb.export_func(f, "main");
     let m = mb.build().unwrap();
 
-    for &(tier, bounds) in ALL_CONFIGS {
+    for &tier in ALL_TIERS {
         let limits = Limits::default();
-        let mut inst = instance(&m, tier, bounds, limits);
+        let mut inst = instance(&m, tier, limits);
         let idle = inst.footprint_bytes();
         let got = inst.call_complete("main", &[Value::I32(0)], &mut NullHost);
         let trap = got.expect_err("unbounded recursion").downcast::<Trap>();
-        assert_eq!(*trap.unwrap(), Trap::StackExhausted, "{tier:?}/{bounds:?}");
+        assert_eq!(*trap.unwrap(), Trap::StackExhausted, "{tier:?}");
         // The slab never outgrew the limit (plus the frame records).
         let grown = inst.footprint_bytes() - idle;
         assert!(grown <= limits.max_stack * 8 + 4096, "slab grew {grown} B");
@@ -389,7 +389,7 @@ fn each_limit_stops_runaway_recursion_on_its_own() {
             max_stack: huge,
         },
     ] {
-        let mut inst = instance(&m, Tier::Optimized, BoundsStrategy::Software, limits);
+        let mut inst = instance(&m, Tier::Optimized, limits);
         inst.invoke_export("main", &[Value::I32(0)]).unwrap();
         assert_eq!(
             inst.run(&mut NullHost, u64::MAX),
@@ -584,13 +584,13 @@ fn random_programs_match_native_whole_chopped_and_preempted() {
         let expect = (native.x ^ native.y.wrapping_mul(31)) as u32 as u64;
 
         let mut fuel = None;
-        for &(tier, bounds) in ALL_CONFIGS {
+        for &tier in ALL_TIERS {
             for quantum in [u64::MAX, 1, 2, 3, 7, 64] {
-                let mut inst = instance(&m, tier, bounds, Limits::default());
+                let mut inst = instance(&m, tier, Limits::default());
                 inst.invoke_export("main", &[Value::I32(x), Value::I32(y)])
                     .unwrap();
                 let got = run_chopped(&mut inst, quantum, rng);
-                let at = format!("{tier:?}/{bounds:?} quantum {quantum}: {prog:?}");
+                let at = format!("{tier:?} quantum {quantum}: {prog:?}");
                 assert_eq!(got, Some(expect), "{at}");
                 let image = inst.memory().read_bytes(0, 65536).unwrap();
                 assert!(image == &native.mem[..], "memory image differs, {at}");

@@ -6,11 +6,8 @@
 
 mod common;
 
-use awsm::{
-    translate, BoundsStrategy, EngineConfig, Instance, InstanceError, NullHost, StepResult, Tier,
-    Value,
-};
-use common::{any_i32, fnv_memory_hash, run_once, Arith};
+use awsm::{translate, EngineConfig, Instance, InstanceError, NullHost, StepResult, Tier, Value};
+use common::{any_i32, fnv_memory_hash, run_once, Arith, ALL_TIERS};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, FuncBuilder, ModuleBuilder, Scalar};
 use sledge_testkit::cases;
@@ -55,14 +52,9 @@ fn stateful_module() -> Module {
 #[test]
 fn recycled_instance_matches_fresh_exactly() {
     let m = stateful_module();
-    for (tier, bounds) in [
-        (Tier::Optimized, BoundsStrategy::Software),
-        (Tier::Optimized, BoundsStrategy::GuardRegion),
-        (Tier::Naive, BoundsStrategy::Software),
-    ] {
+    for &tier in ALL_TIERS {
         let cm = Arc::new(translate(&m, tier).unwrap());
         let cfg = EngineConfig {
-            bounds,
             tier,
             ..Default::default()
         };
@@ -89,7 +81,7 @@ fn recycled_instance_matches_fresh_exactly() {
         let got = recycled
             .call_complete("main", &[Value::I32(3)], &mut NullHost)
             .unwrap();
-        assert_eq!(got, want, "tier={tier:?} bounds={bounds:?}");
+        assert_eq!(got, want, "tier={tier:?}");
         assert_eq!(fnv_memory_hash(&recycled), want_hash, "memory hash");
         assert_eq!(recycled.fuel_used(), want_fuel, "fuel");
     }
@@ -150,11 +142,7 @@ fn dead_instance_can_be_recycled() {
     let m = mb.build().unwrap();
 
     let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
-    let cfg = EngineConfig {
-        bounds: BoundsStrategy::Software,
-        ..Default::default()
-    };
-    let mut inst = Instance::new(cm, cfg).unwrap();
+    let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
     assert!(inst
         .call_complete("main", &[Value::I32(-4)], &mut NullHost)
         .is_err());
@@ -250,14 +238,9 @@ fn recycled_is_observationally_fresh() {
         let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
         let dirt = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
         let m = build_stateful(&e, rng.range(1, 24) as u32, rng.flip());
-        for (tier, bounds) in [
-            (Tier::Optimized, BoundsStrategy::Software),
-            (Tier::Optimized, BoundsStrategy::GuardRegion),
-            (Tier::Naive, BoundsStrategy::Software),
-        ] {
+        for &tier in ALL_TIERS {
             let cm = Arc::new(translate(&m, tier).unwrap());
             let cfg = EngineConfig {
-                bounds,
                 tier,
                 ..Default::default()
             };
@@ -272,7 +255,7 @@ fn recycled_is_observationally_fresh() {
             assert_eq!(recycled.memory().pages(), 1);
             let got = run_once(&mut recycled, &args);
 
-            assert_eq!(got, want, "tier={tier:?} bounds={bounds:?} e={e:?}");
+            assert_eq!(got, want, "tier={tier:?} e={e:?}");
         }
     });
 }

@@ -1,19 +1,20 @@
 //! First slice of the spec-edge corpus (ROADMAP 5a): the MVP corners where
 //! from-scratch runtimes diverge, each checked against *native Rust
 //! semantics* — an oracle that shares no code with the engine — after a trip
-//! through encode → decode → validate → translate, on every tier and bounds
-//! strategy.
+//! through encode → decode → validate → translate, on every tier.
 //!
 //! Covered here: `div`/`rem` by zero and `MIN / -1`; shift and rotate count
 //! masking; trapping float→int conversions; NaN and signed-zero results of
 //! `min`/`max`; every extending load and narrowing store at the last
-//! in-bounds and the first out-of-bounds byte; `br_table` defaults;
-//! `call_indirect` through a null, an out-of-range and a mistyped entry;
-//! `memory.grow` past `max_pages`.
+//! in-bounds and the first out-of-bounds byte; every access width at every
+//! byte straddling the end of memory, with and without offset carries into
+//! bit 32; the limit moving with `memory.grow` and back with a reset;
+//! `br_table` defaults; `call_indirect` through a null, an out-of-range and
+//! a mistyped entry; `memory.grow` past `max_pages`.
 
 mod common;
 
-use awsm::{translate, BoundsStrategy, EngineConfig, Instance, NullHost, Tier, Trap, Value};
+use awsm::{translate, EngineConfig, Instance, NullHost, Tier, Trap, Value};
 use sledge_wasm::instr::{BlockType, Instr, MemArg};
 use sledge_wasm::module::{ConstExpr, DataSegment, ElementSegment, Export, FuncBody, Module};
 use sledge_wasm::types::{FuncType, Limits, MemoryType, TableType, ValType};
@@ -21,14 +22,7 @@ use std::sync::Arc;
 use Instr::*;
 use ValType::{F32, F64, I32, I64};
 
-use common::ALL_CONFIGS as ALL;
-/// The configurations whose out-of-bounds accesses trap (item 6 of the
-/// ROADMAP is about the others).
-const CHECKED: &[(Tier, BoundsStrategy)] = &[
-    (Tier::Optimized, BoundsStrategy::Software),
-    (Tier::Optimized, BoundsStrategy::MpxEmulated),
-    (Tier::Naive, BoundsStrategy::Software),
-];
+use common::ALL_TIERS as ALL;
 
 /// `main(params) -> result` with body `body`, a 1..=2-page memory whose last
 /// 16 bytes are `TAIL`, shipped through the binary format and back.
@@ -62,23 +56,26 @@ const TAIL: [u8; 16] = [
     0x80, 0x91, 0xa2, 0xb3, 0xc4, 0xd5, 0xe6, 0xf7, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff,
 ];
 
-fn run_on(
-    m: &Module,
-    args: &[Value],
-    (tier, bounds): (Tier, BoundsStrategy),
-) -> (Result<u64, Trap>, Instance) {
+fn instance(m: &Module, tier: Tier) -> Instance {
     let cm = Arc::new(translate(m, tier).expect("translates"));
     let config = EngineConfig {
-        bounds,
         tier,
         ..Default::default()
     };
-    let mut inst = Instance::new(cm, config).expect("instantiates");
-    let got = match inst.call_complete("main", args, &mut NullHost) {
+    Instance::new(cm, config).expect("instantiates")
+}
+
+/// One call of `main` on an existing instance.
+fn call(inst: &mut Instance, args: &[Value]) -> Result<u64, Trap> {
+    match inst.call_complete("main", args, &mut NullHost) {
         Ok(v) => Ok(v.expect("main returns a value")),
         Err(e) => Err(*e.downcast::<Trap>().expect("a trap")),
-    };
-    (got, inst)
+    }
+}
+
+fn run_on(m: &Module, args: &[Value], tier: Tier) -> (Result<u64, Trap>, Instance) {
+    let mut inst = instance(m, tier);
+    (call(&mut inst, args), inst)
 }
 
 /// `main(args)` yields `expect` (a slot value or a trap) on every config.
@@ -413,7 +410,7 @@ fn every_load_at_the_last_in_bounds_and_first_out_of_bounds_byte() {
             let what = format!("{:?}", load(MemArg::offset(offset)));
             let at = |addr: u32| [Value::I32(addr.wrapping_sub(offset) as i32)];
             expect_all(&what, &m, &at(last), Ok(want));
-            for &config in CHECKED {
+            for &config in ALL {
                 for addr in [last + 1, PAGE, u32::MAX] {
                     let got = run_on(&m, &at(addr), config).0;
                     assert_eq!(
@@ -430,7 +427,7 @@ fn every_load_at_the_last_in_bounds_and_first_out_of_bounds_byte() {
             ty,
             vec![LocalGet(0), load(MemArg::offset(u32::MAX))],
         );
-        for &config in CHECKED {
+        for &config in ALL {
             let got = run_on(&m, &[Value::I32(2)], config).0;
             assert_eq!(
                 got,
@@ -484,7 +481,7 @@ fn every_store_at_the_last_in_bounds_and_first_out_of_bounds_byte() {
                 "{what}"
             );
         }
-        for &config in CHECKED {
+        for &config in ALL {
             let (got, inst) = run_on(&m, &[Value::I32(last as i32), value], config);
             assert_eq!(
                 got,
@@ -497,6 +494,106 @@ fn every_store_at_the_last_in_bounds_and_first_out_of_bounds_byte() {
                 "{what}"
             );
         }
+    }
+}
+
+#[test]
+fn every_width_at_every_byte_straddling_the_end_of_memory() {
+    type Access = fn(MemArg) -> Instr;
+    // (load, store, width), each through an i64 so no width truncates.
+    let widths: [(Access, Access, usize); 4] = [
+        (I64Load8U, I64Store8, 1),
+        (I64Load16U, I64Store16, 2),
+        (I64Load32U, I64Store32, 4),
+        (I64Load, I64Store, 8),
+    ];
+    const V: u64 = 0xfedc_ba98_7654_3210;
+    // The native model: the last 16 bytes of the one-page memory are TAIL.
+    let mut image = vec![0u8; PAGE as usize];
+    image[PAGE as usize - 16..].copy_from_slice(&TAIL);
+    for (load, store, w) in widths {
+        // No offset, an unaligned one, a page, and one that carries every
+        // address but 0 past bit 32.
+        for offset in [0, 3, PAGE, u32::MAX] {
+            let lm = module(&[I32], I64, vec![LocalGet(0), load(MemArg::offset(offset))]);
+            let body = vec![
+                LocalGet(0),
+                I64Const(V as i64),
+                store(MemArg::offset(offset)),
+                I32Const(1),
+            ];
+            let sm = module(&[I32], I32, body);
+            for ea in PAGE - 9..=PAGE + 1 {
+                // When `offset` alone overshoots `ea`, this address wraps the
+                // 32-bit sum to `ea`: the true, 33-bit sum lies 4 GiB past it.
+                let addr = ea.wrapping_sub(offset);
+                let true_ea = addr as u64 + offset as u64;
+                let fits = true_ea + w as u64 <= PAGE as u64;
+                let what = format!("{w}-byte access at {addr}+{offset}");
+                let want = if fits {
+                    let at = true_ea as usize;
+                    Ok(extend(&image[at..at + w], w, false))
+                } else {
+                    Err(Trap::OutOfBounds)
+                };
+                let mut after = image.clone();
+                if fits {
+                    let at = true_ea as usize;
+                    after[at..at + w].copy_from_slice(&V.to_le_bytes()[..w]);
+                }
+                for &tier in ALL {
+                    let args = [Value::I32(addr as i32)];
+                    assert_eq!(run_on(&lm, &args, tier).0, want, "load {what} on {tier:?}");
+                    let (got, inst) = run_on(&sm, &args, tier);
+                    assert_eq!(got.is_ok(), fits, "store {what} on {tier:?}");
+                    assert_eq!(
+                        inst.memory().read_bytes(PAGE - 32, 32).unwrap(),
+                        &after[PAGE as usize - 32..],
+                        "store {what} on {tier:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_limit_moves_with_grow_and_back_with_reset() {
+    // main(delta, addr): grow by `delta`, load the i64 at `addr`, then
+    // overwrite it with all ones; returns what it loaded.
+    let body = vec![
+        LocalGet(0),
+        MemoryGrow,
+        Drop,
+        LocalGet(1),
+        I64Load(MemArg::offset(0)),
+        LocalGet(1),
+        I64Const(-1),
+        I64Store(MemArg::offset(0)),
+    ];
+    let m = module(&[I32, I32], I64, body);
+    // Inside the second page: out of bounds until the memory grows.
+    let addr = Value::I32(PAGE as i32 + 8);
+    let (stay, grow) = ([Value::I32(0), addr], [Value::I32(1), addr]);
+    for &tier in ALL {
+        let mut inst = instance(&m, tier);
+        let policy = inst.module().reset_policy("main");
+        let reset = |inst: &mut Instance| {
+            inst.reset_with(policy)
+                .expect("idle or dead instances reset");
+        };
+        assert_eq!(call(&mut inst, &stay), Err(Trap::OutOfBounds), "{tier:?}");
+        reset(&mut inst);
+        // Grown: in bounds, and fresh pages read zero.
+        assert_eq!(call(&mut inst, &grow), Ok(0), "{tier:?}");
+        assert_eq!(call(&mut inst, &stay), Ok(u64::MAX), "{tier:?}");
+        // Reset: back to one page, so the address traps again ...
+        reset(&mut inst);
+        assert_eq!(inst.memory().pages(), 1, "{tier:?}");
+        assert_eq!(call(&mut inst, &stay), Err(Trap::OutOfBounds), "{tier:?}");
+        // ... and growing again never shows the previous invocation's bytes.
+        reset(&mut inst);
+        assert_eq!(call(&mut inst, &grow), Ok(0), "{tier:?}");
     }
 }
 

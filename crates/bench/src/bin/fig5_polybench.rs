@@ -2,36 +2,23 @@
 //! configurations, normalized to native.
 //!
 //! Paper configs → this reproduction (see DESIGN.md §4):
-//!   Sledge+aWsm            → Optimized tier + vm-guard bounds
-//!   Sledge+aWsm-bounds-chk → Optimized tier + software bounds
-//!   Sledge+aWsm-mpx        → Optimized tier + emulated-MPX bounds
-//!   (static, no checks)    → Optimized tier + no-checks
-//!   WAVM-class             → Optimized tier + software bounds (LLVM JIT class)
-//!   Wasmer/Lucet-class     → Naive tier + vm-guard (Cranelift class)
-//!   Node-class             → Naive tier + software bounds
+//!   Sledge+aWsm        → Optimized tier (LLVM class)
+//!   Wasmer/Lucet-class → Naive tier (Cranelift class)
+//!
+//! Every configuration traps on out-of-bounds accesses; the paper's
+//! guard-page, explicit-check and MPX variants are one semantics here, so
+//! they are not separate rows (EXPERIMENTS.md, Figure 5).
 //!
 //! Usage: `fig5_polybench [--iters N] [--kernels a,b,c]`
 
-use awsm::{BoundsStrategy, Tier};
+use awsm::Tier;
 use sledge_apps::polybench::{kernels, Kernel, PreparedKernel};
 use sledge_bench::{geomean, mean, preempt_latencies, stddev};
 use std::time::Instant;
 
-const CONFIGS: &[(&str, Tier, BoundsStrategy)] = &[
-    ("Sledge+aWsm", Tier::Optimized, BoundsStrategy::GuardRegion),
-    ("aWsm-bounds-chk", Tier::Optimized, BoundsStrategy::Software),
-    ("aWsm-mpx", Tier::Optimized, BoundsStrategy::MpxEmulated),
-    ("aWsm-no-checks", Tier::Optimized, BoundsStrategy::None),
-    (
-        "naive-vm (Cranelift-class)",
-        Tier::Naive,
-        BoundsStrategy::GuardRegion,
-    ),
-    (
-        "naive-chk (Node-class)",
-        Tier::Naive,
-        BoundsStrategy::Software,
-    ),
+const CONFIGS: &[(&str, Tier)] = &[
+    ("Sledge+aWsm", Tier::Optimized),
+    ("naive (Cranelift-class)", Tier::Naive),
 ];
 
 fn time_native(k: &Kernel, iters: u32) -> f64 {
@@ -46,10 +33,10 @@ fn time_native(k: &Kernel, iters: u32) -> f64 {
     per
 }
 
-fn time_guest(k: &Kernel, tier: Tier, bounds: BoundsStrategy, iters: u32) -> f64 {
+fn time_guest(k: &Kernel, tier: Tier, iters: u32) -> f64 {
     // Translate once (the paper's AoT step is off the measured path), then
     // time instantiation + execution per iteration.
-    let prepared = PreparedKernel::new(k, tier, bounds);
+    let prepared = PreparedKernel::new(k, tier);
     let mut sink = prepared.run(); // warm-up
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -91,7 +78,7 @@ fn main() {
     println!("# Figure 5: PolyBench/C normalized (vs native) execution time");
     println!("# {} kernels, {} iterations each", ks.len(), iters);
     print!("{:<16} {:>10}", "kernel", "native");
-    for (name, _, _) in CONFIGS {
+    for (name, _) in CONFIGS {
         print!(" {:>28}", name);
     }
     println!();
@@ -101,8 +88,8 @@ fn main() {
     for k in &ks {
         let native = time_native(k, iters);
         print!("{:<16} {:>9.1}µs", k.name, native * 1e6);
-        for (ci, (_, tier, bounds)) in CONFIGS.iter().enumerate() {
-            let guest = time_guest(k, *tier, *bounds, iters);
+        for (ci, (_, tier)) in CONFIGS.iter().enumerate() {
+            let guest = time_guest(k, *tier, iters);
             let ratio = guest / native;
             slowdowns[ci].push(ratio);
             print!(" {:>27.2}x", ratio);
@@ -116,7 +103,7 @@ fn main() {
         "{:<30} {:>14} {:>14} {:>10}",
         "runtime", "Slowdown(AM)", "Slowdown(GM)", "SD"
     );
-    for (ci, (name, _, _)) in CONFIGS.iter().enumerate() {
+    for (ci, (name, _)) in CONFIGS.iter().enumerate() {
         let pct: Vec<f64> = slowdowns[ci].iter().map(|r| (r - 1.0) * 100.0).collect();
         let ratios = &slowdowns[ci];
         println!(
@@ -130,7 +117,7 @@ fn main() {
     println!();
     println!("# Paper (x86_64): aWsm 13.4% AM / 9.9% GM; bounds-chk 62.7%/38.4%;");
     println!("#   mpx 75.1%/51.6%; Wasmer 149.8%/101.6%; WAVM 28.1%/20.5%.");
-    println!("# Expected shape: vm-guard < software < mpx; optimized << naive.");
+    println!("# Expected shape: optimized << naive.");
 
     // Cost-model addendum: the preemption-latency certificate each kernel
     // was registered with, against what a live preemption actually costs.
@@ -141,7 +128,7 @@ fn main() {
         "kernel", "gap(units)", "checks", "splits", "max preempt"
     );
     for k in &ks {
-        let prepared = PreparedKernel::new(k, Tier::Optimized, BoundsStrategy::GuardRegion);
+        let prepared = PreparedKernel::new(k, Tier::Optimized);
         let cost = prepared
             .module()
             .analysis

@@ -29,7 +29,7 @@
 //! `--calibrate` prints only the cost-rate table (units/µs per kernel and
 //! the suggested `cost_units_per_us` setting).
 
-use awsm::{BoundsStrategy, Tier};
+use awsm::Tier;
 use sledge_apps::polybench::{kernels, Kernel, PreparedKernel};
 use sledge_bench::{calibrate_kernel, preempt_latencies, LatencyStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,7 +177,7 @@ fn main() {
     let mut rates = Vec::new();
     let mut worst_ratio: f64 = 0.0;
     for k in &ks {
-        let prepared = PreparedKernel::new(k, Tier::Optimized, BoundsStrategy::GuardRegion);
+        let prepared = PreparedKernel::new(k, Tier::Optimized);
         let cost = prepared
             .module()
             .analysis

@@ -20,7 +20,6 @@
 //! {
 //!   "workers": 4,
 //!   "quantum_us": 5000,
-//!   "bounds": "vm-guard",
 //!   "deadline_ms": 250,
 //!   "circuit_breaker": {"threshold": 5, "cooldown_ms": 1000},
 //!   "conn_idle_ms": 10000,

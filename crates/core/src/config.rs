@@ -37,7 +37,9 @@ pub struct RuntimeConfig {
     pub max_pending: usize,
     /// Largest accepted HTTP request (head + body).
     pub max_request_size: usize,
-    /// Default bounds strategy for new sandboxes.
+    /// Always [`BoundsStrategy::Software`]: every out-of-bounds guest
+    /// access traps. Nothing reads it; it stays only for callers that
+    /// copy it into an [`awsm::EngineConfig`].
     pub bounds: BoundsStrategy,
     /// Engine tier.
     pub tier: Tier,
@@ -123,7 +125,7 @@ impl Default for RuntimeConfig {
             max_check_gap: None,
             max_pending: 8192,
             max_request_size: 4 << 20,
-            bounds: BoundsStrategy::GuardRegion,
+            bounds: BoundsStrategy::Software,
             tier: Tier::Optimized,
             policy: SchedPolicy::PreemptiveRr,
             deadline: None,
@@ -320,7 +322,6 @@ impl RuntimeConfig {
     ///   "workers": 15,
     ///   "quantum_us": 5000,
     ///   "max_pending": 8192,
-    ///   "bounds": "vm-guard",
     ///   "tier": "aot-opt",
     ///   "modules": [ {"name": "echo", "route": "/echo", "entry": "main"} ]
     /// }
@@ -387,18 +388,10 @@ impl RuntimeConfig {
                 .ok_or_else(|| ConfigError::Schema("max_request_size must be an int".into()))?
                 as usize;
         }
-        if let Some(b) = v.get("bounds") {
-            cfg.bounds = match b.as_str() {
-                Some("no-checks") => BoundsStrategy::None,
-                Some("bounds-chk") => BoundsStrategy::Software,
-                Some("mpx") => BoundsStrategy::MpxEmulated,
-                Some("vm-guard") => BoundsStrategy::GuardRegion,
-                other => {
-                    return Err(ConfigError::Schema(format!(
-                        "unknown bounds strategy {other:?}"
-                    )))
-                }
-            };
+        if v.get("bounds").is_some() {
+            return Err(ConfigError::Schema(
+                "\"bounds\" is no longer a setting: every out-of-bounds access traps".into(),
+            ));
         }
         if let Some(t) = v.get("tier") {
             cfg.tier = match t.as_str() {
@@ -661,7 +654,6 @@ mod tests {
             "quantum_fuel": 123456,
             "max_pending": 64,
             "max_request_size": 1048576,
-            "bounds": "bounds-chk",
             "tier": "aot-naive",
             "modules": [
                 {"name": "echo"},
@@ -674,7 +666,6 @@ mod tests {
         assert_eq!(cfg.quantum_fuel, Some(123456));
         assert_eq!(cfg.effective_quantum_fuel(), 123456);
         assert_eq!(cfg.max_pending, 64);
-        assert_eq!(cfg.bounds, BoundsStrategy::Software);
         assert_eq!(cfg.tier, Tier::Naive);
         assert_eq!(funcs.len(), 2);
         assert_eq!(funcs[0].http_route(), "/echo");
@@ -693,7 +684,15 @@ mod tests {
     #[test]
     fn schema_errors() {
         assert!(RuntimeConfig::from_json(r#"{"workers": "x"}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"bounds": "bogus"}"#).is_err());
+        // OOB always traps: the old bounds key is an error whatever it holds.
+        for value in [r#""bounds-chk""#, r#""mpx""#, r#""static""#, "true", "null"] {
+            let text = format!(r#"{{"bounds": {value}}}"#);
+            let err = RuntimeConfig::from_json(&text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s) if s.contains("traps")),
+                "{value}: {err:?}"
+            );
+        }
         assert!(RuntimeConfig::from_json(r#"{"modules": [{}]}"#).is_err());
         assert!(RuntimeConfig::from_json("{").is_err());
         assert!(RuntimeConfig::from_json(r#"{"max_stack_bytes": "x"}"#).is_err());
@@ -753,10 +752,8 @@ mod tests {
 
     #[test]
     fn static_analysis_knobs_parsed() {
-        let text = r#"{"bounds": "bounds-chk", "max_stack_bytes": 1048576}"#;
+        let text = r#"{"max_stack_bytes": 1048576}"#;
         let (cfg, _) = RuntimeConfig::from_json(text).unwrap();
-        assert_eq!(cfg.bounds, BoundsStrategy::Software);
-        assert!(RuntimeConfig::from_json(r#"{"bounds": "static"}"#).is_err());
         assert_eq!(cfg.max_stack_bytes, Some(1048576));
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
         assert_eq!(cfg.max_stack_bytes, None);

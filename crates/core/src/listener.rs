@@ -224,7 +224,6 @@ fn admit(
         }
     }
     let engine = EngineConfig {
-        bounds: shared.config.bounds,
         tier: shared.config.tier,
         ..Default::default()
     };

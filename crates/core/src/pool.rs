@@ -169,9 +169,8 @@ impl SandboxPool {
 
     /// Pop a warm instance compatible with `engine`, if one is available.
     ///
-    /// Instances parked under a different bounds strategy or tier (the
-    /// runtime reconfigured between park and acquire) are discarded rather
-    /// than served. Disabled pools return `None` without touching any
+    /// Instances parked under a different tier (the runtime reconfigured
+    /// between park and acquire) are discarded rather than served. Disabled pools return `None` without touching any
     /// counter, keeping the disabled path byte-for-byte identical to a
     /// build without the subsystem.
     pub fn acquire(&self, engine: &EngineConfig) -> Option<Instance> {
@@ -182,8 +181,7 @@ impl SandboxPool {
             let popped = lock(&self.slots).pop();
             match popped {
                 Some(inst) => {
-                    let cfg = inst.config();
-                    if cfg.bounds == engine.bounds && cfg.tier == engine.tier {
+                    if inst.config().tier == engine.tier {
                         self.stats.hits.fetch_add(1, Ordering::Relaxed);
                         return Some(inst);
                     }
@@ -312,7 +310,6 @@ impl SandboxPool {
 pub(crate) fn prewarm_loop(shared: Arc<crate::Shared>) {
     let target = shared.config.prewarm;
     let engine = EngineConfig {
-        bounds: shared.config.bounds,
         tier: shared.config.tier,
         ..EngineConfig::default()
     };
@@ -336,7 +333,7 @@ pub(crate) fn prewarm_loop(shared: Arc<crate::Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awsm::{translate, BoundsStrategy, Tier};
+    use awsm::{translate, Tier};
     use sledge_guestc::dsl::*;
     use sledge_guestc::{FuncBuilder, ModuleBuilder};
     use sledge_wasm::types::ValType;
@@ -401,14 +398,14 @@ mod tests {
         let inst = Instance::new(
             Arc::clone(&m),
             EngineConfig {
-                bounds: BoundsStrategy::Software,
+                tier: Tier::Naive,
                 ..EngineConfig::default()
             },
         )
         .unwrap();
         assert!(pool.release(inst));
         let want = EngineConfig {
-            bounds: BoundsStrategy::GuardRegion,
+            tier: Tier::Optimized,
             ..EngineConfig::default()
         };
         assert!(pool.acquire(&want).is_none());

@@ -1,9 +1,10 @@
 //! End-to-end runtime tests: scheduling, isolation, admission, blocking
 //! I/O, and the HTTP front end.
 
-use sledge_core::{FunctionConfig, Outcome, Runtime, RuntimeConfig};
+use awsm::Trap;
+use sledge_core::{BreakerConfig, FunctionConfig, Outcome, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
-use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
+use sledge_guestc::{Expr, FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
@@ -105,22 +106,66 @@ mod guests {
         mb.build().unwrap()
     }
 
-    /// Trap with an out-of-bounds read under software bounds. The address is
-    /// computed through a memory load (0 at runtime) so the load-time
-    /// analyzer cannot prove it out of bounds and reject the module — the
-    /// point of these tests is the *runtime* trap path.
+    /// An address past the one-page memory, computed through a memory load
+    /// (0 at runtime) so the load-time analyzer cannot prove it out of
+    /// bounds and reject the module — the point of these guests is the
+    /// *runtime* trap path.
+    fn past_memory() -> Expr {
+        add(load(Scalar::I32, i32c(0), 0), i32c(70000))
+    }
+
+    /// Trap with an out-of-bounds `i32.load`.
     pub fn oob() -> Module {
         let mut mb = ModuleBuilder::new("oob");
         mb.memory(1, Some(1));
         let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-        f.push(ret(Some(load(
-            Scalar::I32,
-            add(load(Scalar::I32, i32c(0), 0), i32c(70000)),
-            0,
+        f.push(ret(Some(load(Scalar::I32, past_memory(), 0))));
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        mb.build().unwrap()
+    }
+
+    /// Trap with an out-of-bounds `i64.store`.
+    pub fn oob_store() -> Module {
+        let mut mb = ModuleBuilder::new("oob_store");
+        mb.memory(1, Some(1));
+        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+        f.extend([
+            store(Scalar::I64, past_memory(), 0, i64c(-1)),
+            ret(Some(i32c(0))),
+        ]);
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        mb.build().unwrap()
+    }
+
+    /// Trap by asking the host to copy the request body past memory.
+    pub fn oob_request_read() -> Module {
+        let mut mb = ModuleBuilder::new("oob_request_read");
+        mb.memory(1, Some(1));
+        let req_read = mb.import_func(
+            "env",
+            "request_read",
+            &[ValType::I32, ValType::I32, ValType::I32],
+            Some(ValType::I32),
+        );
+        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+        f.push(ret(Some(call(
+            req_read,
+            vec![past_memory(), i32c(16), i32c(0)],
         ))));
         let main = mb.add_func("main", f);
         mb.export_func(main, "main");
         mb.build().unwrap()
+    }
+
+    /// Every way a guest can reach past its memory, by function name.
+    pub fn out_of_bounds() -> [(&'static str, Module); 3] {
+        [
+            ("oob", oob()),
+            ("oob_store", oob_store()),
+            ("oob_request_read", oob_request_read()),
+        ]
     }
 
     /// Block on emulated async I/O for N microseconds (first 4 body bytes),
@@ -265,14 +310,45 @@ fn temporal_isolation_spinner_does_not_starve_short_requests() {
 }
 
 #[test]
+fn default_sandbox_traps_every_out_of_bounds_access() {
+    // The default configuration, plus a breaker so failures are counted.
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 1,
+        circuit_breaker: Some(BreakerConfig {
+            threshold: 2,
+            cooldown: Duration::from_secs(60),
+        }),
+        ..Default::default()
+    });
+    for (name, module) in guests::out_of_bounds() {
+        let id = rt
+            .register_module(FunctionConfig::new(name), &module)
+            .unwrap();
+        for trips in [0, 1] {
+            let done = rt.invoke(id, &b"request"[..]).wait().unwrap();
+            assert!(
+                matches!(done.outcome, Outcome::Trapped(Trap::OutOfBounds)),
+                "{name}: {:?}",
+                done.outcome
+            );
+            // The second consecutive failure reaches the threshold.
+            assert_eq!(
+                rt.function_stats(id).unwrap().breaker_trips,
+                trips,
+                "{name}"
+            );
+        }
+        assert_eq!(rt.function_stats(id).unwrap().trapped, 2, "{name}");
+    }
+    rt.shutdown();
+}
+
+#[test]
 fn spatial_isolation_trap_does_not_kill_runtime() {
-    // Software bounds so the out-of-bounds access traps (under the default
-    // guard-region strategy it wraps — the documented substitution).
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
         quantum_fuel: Some(200_000),
-        bounds: awsm::BoundsStrategy::Software,
         ..Default::default()
     });
     let oob = rt
@@ -437,28 +513,27 @@ fn http_trap_maps_to_500() {
         "127.0.0.1:0".parse().unwrap(),
     )
     .unwrap();
-    // Use software bounds so OOB traps deterministically.
-    drop(rt);
-    let rt = Runtime::with_http(
-        RuntimeConfig {
-            workers: 1,
-            bounds: awsm::BoundsStrategy::Software,
-            ..Default::default()
-        },
-        "127.0.0.1:0".parse().unwrap(),
-    )
-    .unwrap();
-    let _ = rt
-        .register_module(FunctionConfig::new("oob"), &guests::oob())
-        .unwrap();
+    for (name, module) in guests::out_of_bounds() {
+        let _ = rt
+            .register_module(FunctionConfig::new(name), &module)
+            .unwrap();
+    }
     let addr = rt.http_addr().unwrap();
-    let mut s = std::net::TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(b"POST /oob HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut resp = Vec::new();
-    s.read_to_end(&mut resp).unwrap();
-    assert!(String::from_utf8(resp).unwrap().starts_with("HTTP/1.1 500"));
+    for (name, _) in guests::out_of_bounds() {
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let req =
+            format!("POST /{name} HTTP/1.1\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbody");
+        s.write_all(req.as_bytes()).unwrap();
+        let mut resp = Vec::new();
+        s.read_to_end(&mut resp).unwrap();
+        let text = String::from_utf8(resp).unwrap();
+        assert!(text.starts_with("HTTP/1.1 500"), "{name}: {text}");
+        assert!(
+            text.contains("function trapped: out-of-bounds memory access"),
+            "{name}: {text}"
+        );
+    }
     rt.shutdown();
 }
 

@@ -38,7 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "workers": 4,
             "quantum_us": 5000,
             "max_pending": 4096,
-            "bounds": "vm-guard",
             "tier": "aot-opt",
             "modules": [
                 {"name": "ping"}, {"name": "echo"}, {"name": "gps_ekf"},
