@@ -19,15 +19,16 @@
 //!    rejects such modules at load.
 //! 4. **Certificates** ([`effects`], [`cost`]): reachable host imports and
 //!    write footprints per entry point; exact per-block fuel charges and the
-//!    certified preemption-latency gap. [`verify`] re-derives the parts of
-//!    them a node must not take on trust from an artifact.
+//!    certified preemption-latency gap. `verify` re-derives the parts of
+//!    them a node must not take on trust from an artifact, inside
+//!    [`decode_artifact`](crate::decode_artifact).
 
 pub mod cost;
 pub mod effects;
 mod lint;
 mod range;
 pub(crate) mod stack;
-pub mod verify;
+pub(crate) mod verify;
 
 use crate::code::CompiledModule;
 use cost::CostReport;
@@ -122,33 +123,37 @@ pub struct AnalysisReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Total memory-access sites in the module.
     pub mem_sites: u32,
-    /// Cost model + preemption-latency certificate. `None` only for
-    /// reports that predate the cost pass (e.g. hand-built in tests);
-    /// translation always produces one.
-    pub cost: Option<CostReport>,
+    /// Cost model + preemption-latency certificate.
+    pub cost: CostReport,
     /// Effect certificate: per-function reachable host imports and static
-    /// write footprints, closed over the call graph. `None` only for
-    /// hand-built reports; translation always produces one.
-    pub effects: Option<EffectReport>,
+    /// write footprints, closed over the call graph.
+    pub effects: EffectReport,
     /// Wall-clock duration of each analysis pass, in pipeline order.
     pub timings: Vec<(&'static str, Duration)>,
 }
 
-impl Default for AnalysisReport {
-    fn default() -> Self {
+impl AnalysisReport {
+    /// The report a module holds while [`analyze`] derives its real one.
+    /// Crate-private: `analyze` replaces it before translation returns, so
+    /// no module outside the crate ever carries it.
+    pub(crate) fn pending() -> Self {
         AnalysisReport {
             funcs: Vec::new(),
             stack_bound: StackBound::Bounded(0),
             diagnostics: Vec::new(),
             mem_sites: 0,
-            cost: None,
-            effects: None,
+            cost: CostReport {
+                max_check_gap: 0,
+                funcs: Vec::new(),
+                max_gap: 0,
+                checks: 0,
+                splits: 0,
+            },
+            effects: EffectReport::default(),
             timings: Vec::new(),
         }
     }
-}
 
-impl AnalysisReport {
     /// Whether any `Error`-severity diagnostic was found.
     pub fn has_errors(&self) -> bool {
         self.diagnostics
@@ -188,80 +193,28 @@ impl AnalysisReport {
     }
 
     /// Verify the module's preemption-latency certificate against a gap
-    /// budget in cost units. Returns an `Error` diagnostic when the
-    /// certificate is missing or its certified gap exceeds the budget.
+    /// budget in cost units. Returns an `Error` diagnostic when its
+    /// certified gap exceeds the budget.
     pub fn check_gap(&self, max_check_gap: u32) -> Option<Diagnostic> {
-        let Some(cost) = &self.cost else {
-            return Some(Diagnostic {
-                severity: Severity::Error,
-                func: None,
-                pc: None,
-                message: format!(
-                    "no preemption-latency certificate; cannot verify \
-                     check gap <= {max_check_gap} cost units"
-                ),
-            });
-        };
-        if cost.max_gap > max_check_gap {
-            let worst = cost
-                .funcs
-                .iter()
-                .position(|f| f.max_gap == cost.max_gap)
-                .map(|i| i as u32);
-            return Some(Diagnostic {
-                severity: Severity::Error,
-                func: worst,
-                pc: None,
-                message: format!(
-                    "preemption-latency certificate exceeds budget: \
-                     max check-free gap {} > {} cost units",
-                    cost.max_gap, max_check_gap
-                ),
-            });
+        let cost = &self.cost;
+        if cost.max_gap <= max_check_gap {
+            return None;
         }
-        None
-    }
-
-    /// The `Error` diagnostic used when a capability policy is configured
-    /// but the module carries no effect certificate to verify it against.
-    fn missing_effects() -> Diagnostic {
-        Diagnostic {
+        let worst = cost
+            .funcs
+            .iter()
+            .position(|f| f.max_gap == cost.max_gap)
+            .map(|i| i as u32);
+        Some(Diagnostic {
             severity: Severity::Error,
-            func: None,
+            func: worst,
             pc: None,
-            message: "no effect certificate; cannot verify the capability policy".to_string(),
-        }
-    }
-
-    /// Verify the deny-by-default host-call policy for the entry point at
-    /// module-space index `entry_idx` (see
-    /// [`EffectReport::check_hostcalls`]). A missing certificate fails
-    /// closed.
-    pub fn check_hostcalls(&self, entry_idx: u32, allowed: &[String]) -> Option<Diagnostic> {
-        match &self.effects {
-            Some(e) => e.check_hostcalls(entry_idx, allowed),
-            None => Some(Self::missing_effects()),
-        }
-    }
-
-    /// Verify the static write-footprint policy for the entry point at
-    /// module-space index `entry_idx` (see
-    /// [`EffectReport::check_write_footprint`]). A missing certificate
-    /// fails closed.
-    pub fn check_write_footprint(&self, entry_idx: u32, max_bytes: u64) -> Option<Diagnostic> {
-        match &self.effects {
-            Some(e) => e.check_write_footprint(entry_idx, max_bytes),
-            None => Some(Self::missing_effects()),
-        }
-    }
-
-    /// Warn-severity check for grants the entry point can never exercise
-    /// (see [`EffectReport::unused_grants`]). Absent certificate → no warn
-    /// (the error path above already fired).
-    pub fn unused_grants(&self, entry_idx: u32, allowed: &[String]) -> Option<Diagnostic> {
-        self.effects
-            .as_ref()
-            .and_then(|e| e.unused_grants(entry_idx, allowed))
+            message: format!(
+                "preemption-latency certificate exceeds budget: \
+                 max check-free gap {} > {} cost units",
+                cost.max_gap, max_check_gap
+            ),
+        })
     }
 
     /// Multi-line human-readable report (used by `awsm-analyze`).
@@ -278,13 +231,12 @@ impl AnalysisReport {
             }
         }
         let _ = writeln!(out, "  memory access sites: {}", self.mem_sites);
-        if let Some(c) = &self.cost {
-            let _ = writeln!(
-                out,
-                "  cost model: max check-free gap {} / budget {} units, {} checks ({} split)",
-                c.max_gap, c.max_check_gap, c.checks, c.splits
-            );
-        }
+        let c = &self.cost;
+        let _ = writeln!(
+            out,
+            "  cost model: max check-free gap {} / budget {} units, {} checks ({} split)",
+            c.max_gap, c.max_check_gap, c.checks, c.splits
+        );
         for (pass, dur) in &self.timings {
             let _ = writeln!(out, "  pass {pass:<10} {:>9.1?}", dur);
         }
@@ -295,7 +247,7 @@ impl AnalysisReport {
                 "  func {i:>3} {name:<20} frame {:>6} B, operands {:>3}, mem sites {}",
                 f.frame_bytes, f.max_operand_slots, f.mem_sites,
             );
-            if let Some(fc) = self.cost.as_ref().and_then(|c| c.funcs.get(i)) {
+            if let Some(fc) = c.funcs.get(i) {
                 let _ = write!(
                     out,
                     ", cost {:>5}, gap {:>3} (loop {}, host {})",
@@ -314,12 +266,13 @@ impl AnalysisReport {
 /// Analyze `m` in place: compute the report, instrument every body with
 /// exact per-block fuel charges bounded by `max_check_gap`, attach the
 /// report to the module, and lower the certified bodies to the register
-/// form the executor runs. Called once, at the end of translation.
+/// form the executor runs. Called once, at the end of translation, on a
+/// module holding [`AnalysisReport::pending`] and no lowered bodies.
 ///
 /// Note: `Diagnostic::pc` refers to the *pre-instrumentation* code — the
 /// flat code before `Op::Fuel` insertion shifted positions.
 pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
-    let mut report = AnalysisReport::default();
+    let mut diagnostics = Vec::new();
     let mut timings: Vec<(&'static str, Duration)> = Vec::new();
 
     // Per-function operand heights; needed by both the verifier and the
@@ -329,24 +282,26 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
 
     // Call graph, recursion, worst-case bound.
     let graph = stack::CallGraph::build(m);
-    report.stack_bound = graph.stack_bound(m, &heights);
+    let stack_bound = graph.stack_bound(m, &heights);
     timings.push(("stack", t.elapsed()));
 
     // Lints: entry `unreachable`, dead functions, statically-dead
     // branches, never-read locals.
     let t = Instant::now();
     let reachable = graph.reachable_set();
-    lint::structural(m, &reachable, &mut report.diagnostics);
-    lint::value_lints(m, &mut report.diagnostics);
+    lint::structural(m, &reachable, &mut diagnostics);
+    lint::value_lints(m, &mut diagnostics);
     timings.push(("lint", t.elapsed()));
 
     // Interval analysis per function: direct store footprints, value lints.
     let t = Instant::now();
+    let mut mem_sites = 0;
+    let mut funcs = Vec::with_capacity(m.funcs.len());
     let mut footprints: Vec<WriteFootprint> = Vec::with_capacity(m.funcs.len());
     for (fidx, func) in m.funcs.iter().enumerate() {
-        let r = range::analyze_func(m, fidx as u32, func, &mut report.diagnostics);
-        report.mem_sites += r.mem_sites;
-        report.funcs.push(FuncSummary {
+        let r = range::analyze_func(m, fidx as u32, func, &mut diagnostics);
+        mem_sites += r.mem_sites;
+        funcs.push(FuncSummary {
             name: func.name.clone(),
             max_operand_slots: heights[fidx],
             frame_bytes: stack::frame_bytes(func, heights[fidx]),
@@ -361,8 +316,7 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
     // pcs refer to pre-instrumentation code like every other diagnostic.
     let t = Instant::now();
     let effects = effects::compute(m, &graph, &footprints);
-    effects::lints(m, &effects, &reachable, &mut report.diagnostics);
-    report.effects = Some(effects);
+    effects::lints(m, &effects, &reachable, &mut diagnostics);
     timings.push(("effects", t.elapsed()));
 
     // Cost pass, last: insert exact per-segment `Op::Fuel` charges and
@@ -384,16 +338,22 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
         cost.splits += fc.splits;
         cost.funcs.push(fc);
     }
-    report.cost = Some(cost);
     timings.push(("cost", t.elapsed()));
 
     // Lowering, over the instrumented bodies: what the executor runs.
     let t = Instant::now();
-    m.lowered = Ok(crate::lower::lower_module(m).expect("translator emitted a lowerable body"));
+    m.lowered = crate::lower::lower_module(m).expect("translator emitted a lowerable body");
     timings.push(("lower", t.elapsed()));
-    report.timings = timings;
 
-    m.analysis = report;
+    m.analysis = AnalysisReport {
+        funcs,
+        stack_bound,
+        diagnostics,
+        mem_sites,
+        cost,
+        effects,
+        timings,
+    };
 
     // What an ingesting node will demand of this module must hold of our
     // own output.

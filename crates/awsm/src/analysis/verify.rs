@@ -6,16 +6,20 @@
 //! two properties the interpreter and the scheduler rely on without
 //! checking — operand-stack consistency (the interpreter `expect`s on pops)
 //! and the fuel instrumentation behind the preemption-latency certificate —
-//! and compares them with what the report says.
+//! and compares them with what the report says. Artifact decode is its one
+//! product caller: a module that fails it is never built.
 
 use super::{cost, stack};
 use crate::code::CompiledModule;
 
-/// Prove, for every function of `m`, that
+/// Prove, for `m`, that
 ///
-/// * the body is stack-effect consistent, keeps every branch target, callee,
-///   local and global index in range, and stays within the operand bound
-///   recorded in the report;
+/// * every export and the start function name a function of the module, and
+///   every certificate has exactly one entry per function (the effect
+///   certificate also one per import);
+/// * every body is stack-effect consistent, keeps every branch target,
+///   callee, local and global index in range, and stays within the operand
+///   bound recorded in the report;
 /// * stripping `Op::Fuel` and re-instrumenting under the recorded
 ///   `max_check_gap` reproduces the body and the recorded cost certificate
 ///   bit-for-bit, with the check-free gap inside the limit — so the
@@ -23,15 +27,30 @@ use crate::code::CompiledModule;
 ///
 /// # Errors
 ///
-/// Returns the first violation as a message naming the function.
-pub fn verify_body(m: &CompiledModule) -> Result<(), String> {
+/// Returns the first violation as a message naming the export or function.
+pub(crate) fn verify_body(m: &CompiledModule) -> Result<(), String> {
     let report = &m.analysis;
-    let cost_report = report
-        .cost
-        .as_ref()
-        .ok_or("module carries no cost certificate")?;
-    if report.funcs.len() != m.funcs.len() || cost_report.funcs.len() != m.funcs.len() {
-        return Err("certificate function count mismatch".into());
+    let cost_report = &report.cost;
+    let nfuncs = m.funcs.len();
+    let indices = m.num_imports() as usize + nfuncs;
+    for (name, &idx) in &m.exports {
+        if idx as usize >= indices {
+            return Err(format!(
+                "export {name:?} names no function (index {idx}, the module has {indices})"
+            ));
+        }
+    }
+    if let Some(idx) = m.start.filter(|&idx| idx as usize >= indices) {
+        return Err(format!(
+            "start names no function (index {idx}, the module has {indices})"
+        ));
+    }
+    if report.funcs.len() != nfuncs
+        || cost_report.funcs.len() != nfuncs
+        || report.effects.funcs.len() != nfuncs
+        || report.effects.imports.len() != m.host_funcs.len()
+    {
+        return Err("certificate entry count mismatch".into());
     }
     let arities = stack::arity_map(m);
     let gap_limit = cost_report.max_check_gap.max(cost::MAX_SINGLE_OP_COST);

@@ -4,10 +4,12 @@
 //!
 //! This is the cluster tier's module-distribution format: a router
 //! translates and analyzes a module once, then pushes the encoded artifact
-//! to every node. Receiving nodes decode it and **re-validate the carried
-//! certificates** (checksum, [`verify_body`](crate::verify_body), registry
-//! gates) instead of re-translating the source — the paper's "heavyweight linking and
-//! loading" happens once per ring, not once per node.
+//! to every node. Receiving nodes decode it, and [`decode`] **re-verifies
+//! the carried certificates** against the shipped bodies (checksum, then
+//! body verification and lowering) instead of re-translating the source —
+//! the paper's "heavyweight linking and loading" happens once per ring, not
+//! once per node. A module decode returns is as runnable as one
+//! [`translate_with`](crate::translate_with) returns.
 //!
 //! The format is deliberately simple: little-endian fixed-width integers,
 //! length-prefixed byte strings, a one-byte tag per enum variant, and an
@@ -56,6 +58,10 @@ pub enum ArtifactError {
     },
     /// A tag or length field holds a value the format does not define.
     Corrupt(&'static str),
+    /// The artifact is well formed, but its bodies do not re-prove the
+    /// certificates it carries, cannot be lowered to executable form, or
+    /// name functions the module does not have.
+    Unverified(String),
 }
 
 impl fmt::Display for ArtifactError {
@@ -71,6 +77,7 @@ impl fmt::Display for ArtifactError {
                 "artifact checksum mismatch (header {expected:#018x}, payload {got:#018x})"
             ),
             ArtifactError::Corrupt(what) => write!(f, "corrupt artifact: {what}"),
+            ArtifactError::Unverified(why) => write!(f, "artifact body verification failed: {why}"),
         }
     }
 }
@@ -147,16 +154,19 @@ pub fn encode(m: &CompiledModule) -> Vec<u8> {
     out
 }
 
-/// Decode an artifact back into a [`CompiledModule`], verifying the
-/// checksum first. The memory template is rebuilt from the data segments,
-/// so the artifact never carries the (redundant, potentially large)
-/// flattened image.
+/// Decode an artifact back into a [`CompiledModule`]: check the checksum,
+/// read the structure, then re-prove the carried certificates against the
+/// bodies (`verify_body`) and lower every body to the register form the
+/// executor runs, checking it. The memory template is rebuilt from the
+/// data segments, so the artifact never carries the (redundant,
+/// potentially large) flattened image.
 ///
 /// # Errors
 ///
 /// Any structural problem — bad magic/version, checksum mismatch, unknown
-/// tags, truncation — yields an [`ArtifactError`]; nothing is partially
-/// constructed.
+/// tags, a missing certificate, truncation — yields an [`ArtifactError`],
+/// and a body that cannot be proven yields [`ArtifactError::Unverified`];
+/// nothing is partially constructed.
 pub fn decode(bytes: &[u8]) -> Result<CompiledModule, ArtifactError> {
     if bytes.len() < 16 {
         return Err(ArtifactError::Truncated);
@@ -244,12 +254,12 @@ pub fn decode(bytes: &[u8]) -> Result<CompiledModule, ArtifactError> {
         start,
         name,
         analysis,
-        lowered: Err(String::new()),
+        lowered: Default::default(),
     };
-    // Decode runs before ingest verification, so the bodies are still
-    // claims: lowering is fallible and its failure travels with the module
-    // (`verify_body` names it, `Instance::new` refuses it).
-    module.lowered = crate::lower::lower_module(&module);
+    // The bodies and certificates are still claims: prove them, then build
+    // the executable form, or return no module at all.
+    crate::analysis::verify::verify_body(&module).map_err(ArtifactError::Unverified)?;
+    module.lowered = crate::lower::lower_module(&module).map_err(ArtifactError::Unverified)?;
     Ok(module)
 }
 
@@ -632,20 +642,12 @@ fn analysis(w: &mut Writer, a: &AnalysisReport) {
         w.str_(&d.message);
     }
     w.u32(a.mem_sites);
-    match &a.cost {
-        Some(c) => {
-            w.u8(1);
-            cost(w, c);
-        }
-        None => w.u8(0),
-    }
-    match &a.effects {
-        Some(e) => {
-            w.u8(1);
-            effects(w, e);
-        }
-        None => w.u8(0),
-    }
+    // Each certificate keeps the presence byte of the format's optional
+    // encoding; it is always 1.
+    w.u8(1);
+    cost(w, &a.cost);
+    w.u8(1);
+    effects(w, &a.effects);
     // timings are a local profiling aid keyed by static strings; they do
     // not travel.
 }
@@ -689,16 +691,14 @@ fn read_analysis(r: &mut Reader) -> Result<AnalysisReport, ArtifactError> {
         });
     }
     let mem_sites = r.u32()?;
-    let cost = match r.u8()? {
-        0 => None,
-        1 => Some(read_cost(r)?),
-        _ => return Err(ArtifactError::Corrupt("option tag")),
-    };
-    let effects = match r.u8()? {
-        0 => None,
-        1 => Some(read_effects(r)?),
-        _ => return Err(ArtifactError::Corrupt("option tag")),
-    };
+    if r.u8()? != 1 {
+        return Err(ArtifactError::Corrupt("cost certificate tag"));
+    }
+    let cost = read_cost(r)?;
+    if r.u8()? != 1 {
+        return Err(ArtifactError::Corrupt("effect certificate tag"));
+    }
+    let effects = read_effects(r)?;
     Ok(AnalysisReport {
         funcs,
         stack_bound,
@@ -878,11 +878,10 @@ mod tests {
     fn roundtrip_preserves_module_and_certificates() {
         let m = sample_module();
         let bytes = encode(&m);
+        // Decoding re-proves the carried certificates: this is the ingest
+        // path's trust anchor.
         let back = decode(&bytes).expect("decode");
         assert_modules_equal(&m, &back);
-        // The carried certificates must still verify on the decoded
-        // module — this is the ingest path's trust anchor.
-        crate::verify_body(&back).expect("certificates verify after roundtrip");
     }
 
     #[test]
@@ -936,6 +935,61 @@ mod tests {
                 matches!(decode(&bad), Err(ArtifactError::ChecksumMismatch { .. })),
                 "corruption at byte {pos} went undetected"
             );
+        }
+    }
+
+    #[test]
+    fn rejects_module_level_claims_the_module_cannot_back() {
+        // Each edit re-encodes to a well-formed artifact with a valid
+        // checksum. (the edit, what decode must say)
+        type Edit = fn(&mut CompiledModule);
+        let edits: [(Edit, &str); 4] = [
+            (
+                |m| _ = m.exports.insert("main".into(), 1),
+                "names no function",
+            ),
+            (|m| m.start = Some(9999), "names no function"),
+            (
+                |m| m.analysis.effects.funcs.clear(),
+                "certificate entry count mismatch",
+            ),
+            (
+                |m| m.analysis.effects.imports.push("env::x".into()),
+                "certificate entry count mismatch",
+            ),
+        ];
+        for (edit, why) in edits {
+            let mut m = sample_module();
+            edit(&mut m);
+            match decode(&encode(&m)) {
+                Err(ArtifactError::Unverified(e)) => assert!(e.contains(why), "{e} ({why})"),
+                other => panic!("{why}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn missing_certificate_is_corrupt() {
+        let m = sample_module();
+        let good = encode(&m);
+        // The payload ends `1 | cost | 1 | effects`; clear either presence
+        // byte and fix the checksum up.
+        let mut effects_tail = Writer::default();
+        effects(&mut effects_tail, &m.analysis.effects);
+        let mut cost_tail = Writer::default();
+        cost(&mut cost_tail, &m.analysis.cost);
+        let effects_tag = good.len() - effects_tail.out.len() - 1;
+        let cost_tag = effects_tag - cost_tail.out.len() - 1;
+        for (tag, what) in [
+            (cost_tag, "cost certificate tag"),
+            (effects_tag, "effect certificate tag"),
+        ] {
+            let mut bad = good.clone();
+            assert_eq!(bad[tag], 1);
+            bad[tag] = 0;
+            let sum = fnv1a(&bad[16..]);
+            bad[8..16].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(decode(&bad).err(), Some(ArtifactError::Corrupt(what)));
         }
     }
 

@@ -12,7 +12,7 @@
 //! budget checks until every check-free path costs at most `N` units, so
 //! the certificate holds by construction) and *verifies* (the verdict
 //! fails if the certified gap still exceeds `N`, which only happens when
-//! a single opcode outweighs the budget, or the certificate is missing).
+//! a single opcode outweighs the budget).
 //!
 //! `--effects` appends the effect certificate to the human-readable
 //! report: per-function reachable host-call sets and static write
@@ -24,8 +24,7 @@
 //!
 //! `--json` emits one JSON object per module on stdout instead of the
 //! human-readable report; diagnostics still go to stderr. The object
-//! always carries an `"effects"` field (the full certificate, or `null`
-//! when analysis could not produce one).
+//! always carries the full `"cost"` and `"effects"` certificates.
 //!
 //! Exit status is non-zero when any module carries an error-severity
 //! diagnostic, exceeds the stack budget (if one was given), exceeds the
@@ -133,12 +132,13 @@ fn verdict(compiled: &awsm::CompiledModule, opts: &Options) -> (bool, Vec<String
     if !opts.allow_hostcalls.is_empty() {
         let mut exports: Vec<(&String, &u32)> = compiled.exports.iter().collect();
         exports.sort();
+        let effects = &report.effects;
         let mut warned = false;
         for (name, &idx) in exports {
-            if let Some(d) = report.check_hostcalls(idx, &opts.allow_hostcalls) {
+            if let Some(d) = effects.check_hostcalls(idx, &opts.allow_hostcalls) {
                 extra.push(format!("  export {name:?}: {d}"));
                 failed = true;
-            } else if let Some(d) = report.unused_grants(idx, &opts.allow_hostcalls) {
+            } else if let Some(d) = effects.unused_grants(idx, &opts.allow_hostcalls) {
                 extra.push(format!("  export {name:?}: {d}"));
                 warned = true;
             }
@@ -199,87 +199,76 @@ fn render_json(
         report.with_severity(Severity::Error).count(),
         report.with_severity(Severity::Warn).count(),
     );
-    match &report.cost {
-        Some(cost) => {
-            let _ = write!(
-                out,
-                ",\"cost\":{{\"max_check_gap\":{},\"max_gap\":{},\"checks\":{},\"splits\":{}",
-                cost.max_check_gap, cost.max_gap, cost.checks, cost.splits
-            );
-            if let Some(budget) = opts.max_check_gap {
-                let _ = write!(out, ",\"within_budget\":{}", cost.within(budget));
-            }
-            out.push_str(",\"funcs\":[");
-            for (i, f) in cost.funcs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let name = f.name.as_deref().unwrap_or("");
-                let _ = write!(
-                    out,
-                    "{{\"name\":{},\"blocks\":{},\"checks\":{},\"splits\":{},\
-                     \"total_cost\":{},\"max_gap\":{},\"max_loop_gap\":{},\"max_host_gap\":{}}}",
-                    json_str(name),
-                    f.blocks,
-                    f.checks,
-                    f.splits,
-                    f.total_cost,
-                    f.max_gap,
-                    f.max_loop_gap,
-                    f.max_host_gap
-                );
-            }
-            out.push_str("]}");
-        }
-        None => out.push_str(",\"cost\":null"),
+    let cost = &report.cost;
+    let _ = write!(
+        out,
+        ",\"cost\":{{\"max_check_gap\":{},\"max_gap\":{},\"checks\":{},\"splits\":{}",
+        cost.max_check_gap, cost.max_gap, cost.checks, cost.splits
+    );
+    if let Some(budget) = opts.max_check_gap {
+        let _ = write!(out, ",\"within_budget\":{}", cost.within(budget));
     }
-    // The effect certificate rides along unconditionally: downstream policy
-    // tooling keys off `"effects":null` to detect a module the analyzer
-    // could not certify.
-    match &report.effects {
-        Some(eff) => {
-            out.push_str(",\"effects\":{\"imports\":[");
-            for (i, name) in eff.imports.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(name));
-            }
-            out.push_str("],\"funcs\":[");
-            for (i, f) in eff.funcs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"name\":{},\"hostcalls\":[",
-                    json_str(f.name.as_deref().unwrap_or(""))
-                );
-                for (j, &h) in f.hostcalls.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let qname = eff.imports.get(h as usize).map(String::as_str);
-                    out.push_str(&json_str(qname.unwrap_or("?")));
-                }
-                out.push_str("],\"footprint\":");
-                match f.footprint {
-                    WriteFootprint::Empty => out.push_str("\"empty\""),
-                    WriteFootprint::Span { lo, hi } => {
-                        let _ = write!(out, "{{\"lo\":{lo},\"hi\":{hi}}}");
-                    }
-                    WriteFootprint::Unbounded => out.push_str("\"unbounded\""),
-                }
-                let _ = write!(
-                    out,
-                    ",\"may_grow\":{},\"writes_globals\":{},\"pure\":{}}}",
-                    f.may_grow, f.writes_globals, f.pure
-                );
-            }
-            out.push_str("]}");
+    out.push_str(",\"funcs\":[");
+    for (i, f) in cost.funcs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        None => out.push_str(",\"effects\":null"),
+        let name = f.name.as_deref().unwrap_or("");
+        let _ = write!(
+            out,
+            "{{\"name\":{},\"blocks\":{},\"checks\":{},\"splits\":{},\
+             \"total_cost\":{},\"max_gap\":{},\"max_loop_gap\":{},\"max_host_gap\":{}}}",
+            json_str(name),
+            f.blocks,
+            f.checks,
+            f.splits,
+            f.total_cost,
+            f.max_gap,
+            f.max_loop_gap,
+            f.max_host_gap
+        );
     }
+    out.push_str("]}");
+    let eff = &report.effects;
+    out.push_str(",\"effects\":{\"imports\":[");
+    for (i, name) in eff.imports.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&json_str(name));
+    }
+    out.push_str("],\"funcs\":[");
+    for (i, f) in eff.funcs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"name\":{},\"hostcalls\":[",
+            json_str(f.name.as_deref().unwrap_or(""))
+        );
+        for (j, &h) in f.hostcalls.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let qname = eff.imports.get(h as usize).map(String::as_str);
+            out.push_str(&json_str(qname.unwrap_or("?")));
+        }
+        out.push_str("],\"footprint\":");
+        match f.footprint {
+            WriteFootprint::Empty => out.push_str("\"empty\""),
+            WriteFootprint::Span { lo, hi } => {
+                let _ = write!(out, "{{\"lo\":{lo},\"hi\":{hi}}}");
+            }
+            WriteFootprint::Unbounded => out.push_str("\"unbounded\""),
+        }
+        let _ = write!(
+            out,
+            ",\"may_grow\":{},\"writes_globals\":{},\"pure\":{}}}",
+            f.may_grow, f.writes_globals, f.pure
+        );
+    }
+    out.push_str("]}");
     // Stack body → executed body, per function (CI holds lowered <= ops).
     let _ = write!(
         out,
@@ -302,10 +291,7 @@ fn render_json(
 /// Human-readable effect-certificate section (printed under `--effects`).
 fn render_effects(report: &AnalysisReport) -> String {
     let mut out = String::from("effects:\n");
-    let Some(eff) = &report.effects else {
-        out.push_str("  (no certificate)\n");
-        return out;
-    };
+    let eff = &report.effects;
     if eff.imports.is_empty() {
         out.push_str("  imports: none\n");
     } else {

@@ -215,10 +215,11 @@ pub struct CompiledModule {
     /// certificates, lints), computed once at translation.
     pub analysis: crate::analysis::AnalysisReport,
     /// The register-form bodies the executor runs, derived from `funcs` once
-    /// (end of analysis, or of artifact decode) and never serialized. `Err`
-    /// only for a decoded artifact whose bodies [`crate::verify_body`] would
-    /// reject: such a module cannot be instantiated.
-    pub(crate) lowered: Result<crate::lower::Lowered, String>,
+    /// (end of analysis, or of artifact decode) and never serialized. Only
+    /// [`crate::translate_with`] and [`crate::decode_artifact`] build a
+    /// module, and each lowers and checks every body first: every module
+    /// can run.
+    pub(crate) lowered: crate::lower::Lowered,
 }
 
 impl CompiledModule {
@@ -256,16 +257,13 @@ impl CompiledModule {
     /// reset, so a stale or optimistic policy degrades to correct-but-slow.
     pub fn reset_policy(&self, entry: &str) -> crate::ResetPolicy {
         use crate::analysis::effects::WriteFootprint;
-        let Some(effects) = &self.analysis.effects else {
-            return crate::ResetPolicy::HighWater;
-        };
         let Some(idx) = self.export(entry) else {
             return crate::ResetPolicy::HighWater;
         };
         if self.start.is_some() {
             return crate::ResetPolicy::HighWater;
         }
-        let Some((_, footprint, may_grow)) = effects.entry_effect(idx) else {
+        let Some((_, footprint, may_grow)) = self.analysis.effects.entry_effect(idx) else {
             return crate::ResetPolicy::HighWater;
         };
         if may_grow {
@@ -286,11 +284,9 @@ impl CompiledModule {
     }
 
     /// Number of ops in the lowered (executed) body of local function
-    /// `func`; `None` if there is no such function or the module failed
-    /// lowering.
+    /// `func`; `None` if there is no such function.
     pub fn lowered_ops(&self, func: usize) -> Option<usize> {
-        let bodies = &self.lowered.as_ref().ok()?.bodies;
-        bodies.get(func).map(|b| b.ops.len())
+        self.lowered.bodies.get(func).map(|b| b.ops.len())
     }
 
     /// Approximate byte size of the translated code (both forms) and static

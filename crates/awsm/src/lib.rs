@@ -60,7 +60,6 @@ mod value;
 
 pub use analysis::cost::{op_cost, CostReport, FuncCost, DEFAULT_MAX_CHECK_GAP};
 pub use analysis::effects::{EffectReport, FuncEffect, WriteFootprint};
-pub use analysis::verify::verify_body;
 pub use analysis::{AnalysisReport, Diagnostic, Severity, StackBound};
 pub use artifact::{decode as decode_artifact, encode as encode_artifact, ArtifactError};
 pub use code::{CompiledModule, HostImport, Op};
@@ -123,9 +122,6 @@ pub enum InstanceError {
     InvalidState,
     /// The instance already trapped and cannot be reused.
     Dead(Trap),
-    /// The module came out of an artifact whose bodies cannot be lowered to
-    /// executable form (the reason [`verify_body`] rejects it for).
-    NotExecutable(String),
 }
 
 impl fmt::Display for InstanceError {
@@ -142,17 +138,11 @@ impl fmt::Display for InstanceError {
             }
             InstanceError::InvalidState => write!(f, "invalid instance state for this operation"),
             InstanceError::Dead(t) => write!(f, "instance is dead after trap: {t}"),
-            InstanceError::NotExecutable(e) => write!(f, "module is not executable: {e}"),
         }
     }
 }
 
 impl Error for InstanceError {}
-
-/// The executable form of a module an [`Instance`] was built over.
-fn lowered(m: &CompiledModule) -> &lower::Lowered {
-    m.lowered.as_ref().expect("checked by Instance::new")
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -227,12 +217,8 @@ impl Instance {
     /// # Errors
     ///
     /// Returns [`InstanceError::DataOutOfBounds`] if a data segment lies
-    /// outside the initial memory, and [`InstanceError::NotExecutable`] for
-    /// a decoded artifact whose bodies failed lowering.
+    /// outside the initial memory.
     pub fn new(module: Arc<CompiledModule>, config: EngineConfig) -> Result<Self, InstanceError> {
-        if let Err(e) = &module.lowered {
-            return Err(InstanceError::NotExecutable(e.clone()));
-        }
         let spec = module.memory.unwrap_or(code::MemorySpec {
             min_pages: 0,
             max_pages: 0,
@@ -336,7 +322,7 @@ impl Instance {
             return Err(InstanceError::ExportIsImport(name.to_string()));
         }
         let local = idx - ni;
-        let body = &lowered(&self.module).bodies[local as usize];
+        let body = &self.module.lowered.bodies[local as usize];
         if body.nparams != args.len() as u32 {
             return Err(InstanceError::ArityMismatch {
                 expected: body.nparams,
@@ -390,7 +376,7 @@ impl Instance {
     fn dispatch<const NAIVE: bool>(&mut self, host: &mut dyn Host, fuel: &mut u64) -> StepResult {
         exec::run::<NAIVE>(
             &self.module,
-            lowered(&self.module),
+            &self.module.lowered,
             &mut self.state,
             &mut self.memory,
             &mut self.globals,

@@ -112,8 +112,9 @@ pub(crate) struct HostSig {
 }
 
 /// A module's executable form: built once at the end of analysis (or of
-/// artifact decode), never serialized.
-#[derive(Debug)]
+/// artifact decode), never serialized. The empty default is what a module
+/// holds only while it is being built.
+#[derive(Debug, Default)]
 pub(crate) struct Lowered {
     pub bodies: Box<[Body]>,
     pub hosts: Box<[HostSig]>,

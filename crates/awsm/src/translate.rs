@@ -255,8 +255,8 @@ pub fn translate_with(
         exports,
         start: m.start,
         name: m.name.clone(),
-        analysis: crate::analysis::AnalysisReport::default(),
-        lowered: Err("not analysed yet".into()),
+        analysis: crate::analysis::AnalysisReport::pending(),
+        lowered: Default::default(),
     };
     // Static analysis runs once here, at load time: stack-bound
     // verification, lints, the effect certificate, the cost-model

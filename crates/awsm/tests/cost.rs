@@ -181,7 +181,7 @@ fn verify_partition(code: &[Op], max_gap: u32) {
 fn charges_partition_the_body_exactly() {
     for gap in [4, 32, DEFAULT_MAX_CHECK_GAP] {
         let cm = translate_with(&work_module(8), Tier::Optimized, with_gap(gap)).unwrap();
-        let cert = cm.analysis.cost.as_ref().expect("certificate attached");
+        let cert = &cm.analysis.cost;
         assert_eq!(cert.max_check_gap, gap);
         assert!(cert.max_gap <= gap, "splitting must meet the budget");
         for func in &cm.funcs {
@@ -255,12 +255,12 @@ fn tight_budget_inserts_splits_in_straight_line_code() {
     let m = mb.build().unwrap();
 
     let tight = translate_with(&m, Tier::Optimized, with_gap(8)).unwrap();
-    let cert = tight.analysis.cost.as_ref().unwrap();
+    let cert = &tight.analysis.cost;
     assert!(cert.splits > 0, "tight budget must split the block");
     assert!(cert.max_gap <= 8);
 
     let loose = translate_with(&m, Tier::Optimized, with_gap(DEFAULT_MAX_CHECK_GAP)).unwrap();
-    let loose_cert = loose.analysis.cost.as_ref().unwrap();
+    let loose_cert = &loose.analysis.cost;
     assert_eq!(loose_cert.splits, 0, "default budget fits the block whole");
     assert!(loose_cert.max_gap > 8);
     assert!(loose_cert.checks < cert.checks);
@@ -275,7 +275,7 @@ fn tight_budget_inserts_splits_in_straight_line_code() {
 fn loop_and_host_gaps_reported() {
     // Loop body gap: the work module has a back edge.
     let cm = translate(&work_module(4), Tier::Optimized).unwrap();
-    let cert = cm.analysis.cost.as_ref().unwrap();
+    let cert = &cm.analysis.cost;
     let main = &cert.funcs[0];
     assert!(main.max_loop_gap > 0, "loop body must report a loop gap");
     assert!(main.max_loop_gap <= main.max_gap);
@@ -290,7 +290,7 @@ fn loop_and_host_gaps_reported() {
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
     let cm = translate(&m, Tier::Optimized).unwrap();
-    let cert = cm.analysis.cost.as_ref().unwrap();
+    let cert = &cm.analysis.cost;
     assert!(
         cert.funcs[0].max_host_gap > 0,
         "host call gap must be flagged"
@@ -505,7 +505,7 @@ fn observed_gaps_within_certificate() {
         let m = arith_module(&Arith::gen(rng, 4), rng.range(1, 10) as i32);
         let gap = rng.range(4, 256) as u32;
         let cm = translate_with(&m, Tier::Optimized, with_gap(gap)).unwrap();
-        let cert = cm.analysis.cost.as_ref().expect("certificate attached");
+        let cert = &cm.analysis.cost;
         assert_eq!(cert.max_check_gap, gap);
         // No opcode in this generator weighs more than a memory store (3)
         // or i32 division (4), so the certificate must meet any budget >= 4.

@@ -39,7 +39,7 @@ impl Host for RecordingHost {
 /// Static capability set of `main` as qualified import names.
 fn static_hostcalls(m: &Module) -> Vec<String> {
     let cm = translate(m, Tier::Optimized).unwrap();
-    let eff = cm.analysis.effects.as_ref().expect("certificate");
+    let eff = &cm.analysis.effects;
     let entry = cm.export("main").expect("main export");
     let (calls, _, _) = eff.entry_effect(entry).expect("entry effect");
     calls
@@ -100,7 +100,7 @@ fn call_indirect_over_approximates_table_host_imports() {
     // And the over-approximation is honest: running either branch never
     // calls anything outside the static set.
     let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
-    let eff = cm.analysis.effects.clone().expect("certificate");
+    let eff = &cm.analysis.effects;
     let entry = cm.export("main").unwrap();
     let (static_set, _, _) = eff.entry_effect(entry).unwrap();
     for which in [0i32, 1] {
@@ -136,7 +136,7 @@ fn runtime_host_calls_subset_of_static_set() {
     assert_eq!(static_hostcalls(&m), ["env::used"]);
 
     let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
-    let eff = cm.analysis.effects.clone().unwrap();
+    let eff = &cm.analysis.effects;
     let entry = cm.export("main").unwrap();
     let (static_set, _, _) = eff.entry_effect(entry).unwrap();
     let mut host = RecordingHost { seen: Vec::new() };
@@ -168,7 +168,7 @@ fn footprint_covers_runtime_high_water_mark() {
     let m = mb.build().unwrap();
 
     let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
-    let eff = cm.analysis.effects.clone().expect("certificate");
+    let eff = &cm.analysis.effects;
     let entry = cm.export("main").unwrap();
     let (_, footprint, may_grow) = eff.entry_effect(entry).unwrap();
     assert!(!may_grow);
@@ -201,7 +201,7 @@ fn pure_entry_is_certified_and_memory_grow_defeats_it() {
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     let cm = translate(&mb.build().unwrap(), Tier::Optimized).unwrap();
-    let eff = cm.analysis.effects.as_ref().unwrap();
+    let eff = &cm.analysis.effects;
     let entry = cm.export("main").unwrap();
     let (_, footprint, may_grow) = eff.entry_effect(entry).unwrap();
     assert_eq!(footprint, WriteFootprint::Empty);
@@ -455,7 +455,7 @@ fn static_footprint_covers_runtime_high_water() {
     cases(64, 0xEFFE_C750, |rng| {
         let sites = store_sites(rng);
         let cm = Arc::new(translate(&build_storer(&sites), Tier::Optimized).unwrap());
-        let eff = cm.analysis.effects.clone().expect("certificate");
+        let eff = &cm.analysis.effects;
         let entry = cm.export("main").expect("main export");
         let (_, footprint, may_grow) = eff.entry_effect(entry).expect("entry effect");
         assert!(!may_grow);

@@ -129,12 +129,7 @@ fn main() {
     );
     for k in &ks {
         let prepared = PreparedKernel::new(k, Tier::Optimized);
-        let cost = prepared
-            .module()
-            .analysis
-            .cost
-            .as_ref()
-            .expect("translation attaches a cost certificate");
+        let cost = &prepared.module().analysis.cost;
         let lats = preempt_latencies(&prepared, 5);
         let max = lats.iter().max().copied().unwrap_or_default();
         println!(

@@ -178,12 +178,7 @@ fn main() {
     let mut worst_ratio: f64 = 0.0;
     for k in &ks {
         let prepared = PreparedKernel::new(k, Tier::Optimized);
-        let cost = prepared
-            .module()
-            .analysis
-            .cost
-            .as_ref()
-            .expect("translation attaches a cost certificate");
+        let cost = &prepared.module().analysis.cost;
         let (exec, units) = calibrate_kernel(&prepared);
         let rate = units as f64 / (exec.as_nanos() as f64 / 1e3).max(1.0);
         rates.push(rate);

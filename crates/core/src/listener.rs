@@ -276,8 +276,8 @@ fn admit(
 }
 
 /// Handle one `POST /admin/modules` ingest: parse the framed body, decode
-/// the artifact (checksum-verified), and register it through the strict
-/// path that re-validates every certificate instead of re-translating.
+/// the artifact — which checks its checksum and re-proves its certificates
+/// against its bodies instead of re-translating — and register the result.
 ///
 /// Frame layout: `u32 LE config length | function-config JSON | artifact`.
 fn ingest_module(shared: &Shared, body: &[u8]) -> Response {
@@ -310,12 +310,16 @@ fn try_ingest(shared: &Shared, body: &[u8]) -> Result<(String, String), String> 
     let doc = crate::json::parse(cfg_text).map_err(|e| format!("config: {e}"))?;
     let config = crate::config::parse_function(&doc).map_err(|e| format!("config: {e}"))?;
     let artifact = &rest[cfg_len..];
-    let compiled = awsm::decode_artifact(artifact).map_err(|e| format!("artifact: {e}"))?;
+    let compiled = awsm::decode_artifact(artifact).map_err(|e| {
+        let stats = &shared.registry().stats;
+        stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
+        format!("artifact: {e}")
+    })?;
     let name = config.name.clone();
     let route = config.http_route();
     shared
         .registry_mut()
-        .register_artifact(config, compiled, artifact.len())
+        .register_compiled(config, compiled, artifact.len())
         .map_err(|e| format!("register: {e}"))?;
     Ok((name, route))
 }

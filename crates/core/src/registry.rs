@@ -44,8 +44,8 @@ pub struct RegisteredFunction {
     /// [`crate::RuntimeConfig::pool_size`]).
     pub pool: SandboxPool,
     /// Tokens charged against the work budget at admission: the entry
-    /// point's statically certified cost (`FuncCost::total_cost`), or 1
-    /// when the certificate has no entry for it (imported entry).
+    /// point's statically certified cost (`FuncCost::total_cost`, at least
+    /// 1).
     pub admission_cost: u64,
     /// Work-budget token bucket, armed by the `budget` config knob
     /// (rate = `budget_us_per_s` × the calibrated `cost_units_per_us`).
@@ -108,26 +108,22 @@ pub enum RegisterError {
     Decode(DecodeError),
     /// The module failed validation/translation.
     Translate(TranslateError),
-    /// The configured entry point is not an exported function.
+    /// The configured entry point is not an exported local function (a
+    /// re-exported import cannot be invoked).
     NoEntry(String),
     /// A function with this name already exists.
     DuplicateName(String),
     /// Static analysis rejected the module: error-severity lints and/or a
     /// worst-case stack bound over the configured budget.
     Analysis(Vec<Diagnostic>),
-    /// The module's preemption-latency certificate is missing or its
-    /// certified check-free gap exceeds the configured budget.
+    /// The module's certified check-free gap exceeds the configured
+    /// budget.
     Certificate(Diagnostic),
     /// The module's effect certificate violates the function's capability
     /// policy (`allowed_hostcalls` / `max_write_footprint_bytes`): the entry
     /// point can reach a host call outside the allowed set, or its certified
     /// write footprint exceeds the configured bound.
     Capability(Vec<Diagnostic>),
-    /// Ingest registration only: [`awsm::verify_body`] could not re-derive
-    /// the artifact's stack-effect consistency or its cost certificate from
-    /// the bodies it ships. A peer whose certificates do not re-prove is not
-    /// trusted to have translated the module honestly.
-    BodyVerification(String),
 }
 
 impl fmt::Display for RegisterError {
@@ -135,7 +131,9 @@ impl fmt::Display for RegisterError {
         match self {
             RegisterError::Decode(e) => write!(f, "{e}"),
             RegisterError::Translate(e) => write!(f, "{e}"),
-            RegisterError::NoEntry(e) => write!(f, "entry point {e:?} not exported"),
+            RegisterError::NoEntry(e) => {
+                write!(f, "entry point {e:?} is not an exported local function")
+            }
             RegisterError::DuplicateName(n) => write!(f, "function {n:?} already registered"),
             RegisterError::Analysis(diags) => {
                 write!(f, "static analysis rejected module")?;
@@ -153,9 +151,6 @@ impl fmt::Display for RegisterError {
                     write!(f, "; {d}")?;
                 }
                 Ok(())
-            }
-            RegisterError::BodyVerification(e) => {
-                write!(f, "artifact body verification failed: {e}")
             }
         }
     }
@@ -176,7 +171,7 @@ pub struct Registry {
     /// enforced at registration. Also steers the translator: the cost pass
     /// splits blocks so the certificate meets this budget by construction.
     /// `None` uses [`awsm::DEFAULT_MAX_CHECK_GAP`] and accepts any
-    /// certified gap — but a certificate must still be present.
+    /// certified gap.
     check_gap: Option<u32>,
     /// Latency-shard count for newly registered functions (the runtime's
     /// worker count; 0 means "not set" and falls back to a single shard).
@@ -266,31 +261,9 @@ impl Registry {
         self.register_compiled(config, compiled, wasm_size)
     }
 
-    /// Register an already-translated module received as a distributed
-    /// artifact (cluster-mode ingest). The artifact crossed a trust boundary,
-    /// so before any gate reads its certificates [`awsm::verify_body`]
-    /// re-derives them from the bodies — unconditionally: nothing in the
-    /// artifact can switch the check off.
-    ///
-    /// # Errors
-    ///
-    /// [`RegisterError::BodyVerification`] when the re-derivation fails;
-    /// otherwise everything [`Registry::register_compiled`] returns.
-    pub fn register_artifact(
-        &mut self,
-        config: FunctionConfig,
-        compiled: CompiledModule,
-        wasm_size: usize,
-    ) -> Result<FunctionId, RegisterError> {
-        use std::sync::atomic::Ordering;
-        if let Err(e) = awsm::verify_body(&compiled) {
-            self.stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(RegisterError::BodyVerification(e));
-        }
-        self.register_compiled(config, compiled, wasm_size)
-    }
-
-    /// Register a module this process translated itself.
+    /// Register a translated module: one this process translated, or one
+    /// [`awsm::decode_artifact`] re-verified on ingest (both are certified
+    /// by construction; the gates below read the certificates as facts).
     ///
     /// # Errors
     ///
@@ -304,25 +277,21 @@ impl Registry {
         if self.by_name.contains_key(&config.name) {
             return Err(RegisterError::DuplicateName(config.name.clone()));
         }
-        if compiled.export(&config.entry).is_none() {
+        // The entry's statically certified cost is what admission charges
+        // against the work budget before the invocation has burned any
+        // fuel; the worker trues it up with the real burn at completion.
+        let entry_cost = compiled
+            .export(&config.entry)
+            .and_then(|idx| idx.checked_sub(compiled.num_imports()))
+            .and_then(|local| compiled.analysis.cost.funcs.get(local as usize));
+        let Some(entry_cost) = entry_cost else {
             return Err(RegisterError::NoEntry(config.entry.clone()));
-        }
+        };
+        let admission_cost = entry_cost.total_cost.max(1);
         self.gate_analysis(&config, &compiled)?;
         let id = FunctionId(self.functions.len() as u32);
         let route = config.http_route();
         let name = config.name.clone();
-        // The entry's statically certified cost is what admission charges
-        // against the work budget before the invocation has burned any
-        // fuel; the worker trues it up with the real burn at completion.
-        let admission_cost = compiled
-            .export(&config.entry)
-            .and_then(|idx| {
-                let local = (idx as usize).checked_sub(compiled.num_imports() as usize)?;
-                compiled.analysis.cost.as_ref()?.funcs.get(local)
-            })
-            .map(|fc| fc.total_cost)
-            .unwrap_or(1)
-            .max(1);
         let calibration = match self.calibration {
             0 => DEFAULT_COST_UNITS_PER_US,
             c => c,
@@ -358,9 +327,8 @@ impl Registry {
     }
 
     /// Apply the load-time analysis verdict: reject on error-severity lints,
-    /// a stack bound over budget, a missing/over-budget preemption
-    /// certificate, or a capability-policy violation; log warnings and
-    /// update counters.
+    /// a stack bound over budget, an over-budget preemption certificate, or
+    /// a capability-policy violation; log warnings and update counters.
     fn gate_analysis(
         &self,
         config: &FunctionConfig,
@@ -379,9 +347,8 @@ impl Registry {
             self.stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(RegisterError::Analysis(errors));
         }
-        // Certificate gate: every module must carry a preemption-latency
-        // certificate; under a configured budget its gap must also fit.
-        // (Splitting makes over-budget gaps rare — only a single opcode
+        // Certificate gate: under a configured budget the certified gap must
+        // fit. (Splitting makes over-budget gaps rare — only a single opcode
         // heavier than the budget can produce one.)
         if let Some(d) = report.check_gap(self.check_gap.unwrap_or(u32::MAX)) {
             self.stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
@@ -401,10 +368,10 @@ impl Registry {
                 .expect("entry existence checked before gating");
             let mut violations: Vec<Diagnostic> = Vec::new();
             if let Some(allowed) = &config.allowed_hostcalls {
-                violations.extend(report.check_hostcalls(entry_idx, allowed));
+                violations.extend(report.effects.check_hostcalls(entry_idx, allowed));
             }
             if let Some(max) = config.max_write_footprint_bytes {
-                violations.extend(report.check_write_footprint(entry_idx, max));
+                violations.extend(report.effects.check_write_footprint(entry_idx, max));
             }
             if !violations.is_empty() {
                 self.stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
@@ -417,7 +384,7 @@ impl Registry {
                 .capability_certified
                 .fetch_add(1, Ordering::Relaxed);
             if let Some(allowed) = &config.allowed_hostcalls {
-                capability_warn = report.unused_grants(entry_idx, allowed);
+                capability_warn = report.effects.unused_grants(entry_idx, allowed);
             }
         }
         let mut warns = 0u64;
@@ -529,6 +496,16 @@ mod tests {
             r.register_module(cfg, &m, Tier::Optimized, 0),
             Err(RegisterError::NoEntry(_))
         ));
+        // A re-exported import is exported, but has no body to invoke.
+        let mut mb = ModuleBuilder::new("reexport");
+        let req_len = mb.import_func("env", "request_len", &[], Some(ValType::I32));
+        mb.export_func(req_len, "main");
+        let m = mb.build().unwrap();
+        assert!(matches!(
+            r.register_module(FunctionConfig::new("reexport"), &m, Tier::Optimized, 0),
+            Err(RegisterError::NoEntry(_))
+        ));
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -615,12 +592,7 @@ mod tests {
             .register_module(FunctionConfig::new("cert"), &m, Tier::Optimized, 0)
             .unwrap();
         let rf = r.get(id).unwrap();
-        let cost = rf
-            .analysis()
-            .cost
-            .as_ref()
-            .expect("translation always attaches a cost certificate");
-        assert!(cost.within(awsm::DEFAULT_MAX_CHECK_GAP));
+        assert!(rf.analysis().cost.within(awsm::DEFAULT_MAX_CHECK_GAP));
         assert_eq!(r.stats.snapshot().cost_certified, 1);
         assert_eq!(r.stats.snapshot().certificate_rejected, 0);
     }
@@ -658,8 +630,7 @@ mod tests {
             .register_module(FunctionConfig::new("heavy"), &m, Tier::Optimized, 0)
             .unwrap();
         let rf = r2.get(id).unwrap();
-        let cost = rf.analysis().cost.as_ref().unwrap();
-        assert!(cost.max_gap <= awsm::DEFAULT_MAX_CHECK_GAP);
+        assert!(rf.analysis().cost.max_gap <= awsm::DEFAULT_MAX_CHECK_GAP);
         assert_eq!(r2.stats.snapshot().cost_certified, 1);
     }
 
@@ -683,7 +654,7 @@ mod tests {
         let id = r
             .register_module(FunctionConfig::new("straight"), &m, Tier::Optimized, 0)
             .unwrap();
-        let cost = r.get(id).unwrap().analysis().cost.clone().unwrap();
+        let cost = &r.get(id).unwrap().analysis().cost;
         assert!(cost.max_gap <= 8, "certified gap {} > budget", cost.max_gap);
         assert!(cost.splits > 0, "tight budget must force splits");
     }
@@ -698,8 +669,7 @@ mod tests {
             .unwrap();
         let rf = r.get(id).unwrap();
         // The entry's certified total cost is the admission charge...
-        let cert = rf.analysis().cost.as_ref().unwrap();
-        let expect = cert.funcs[0].total_cost.max(1);
+        let expect = rf.analysis().cost.funcs[0].total_cost.max(1);
         assert_eq!(rf.admission_cost, expect);
         // ...and with no budget knob there is no bucket.
         assert!(rf.budget.is_none());

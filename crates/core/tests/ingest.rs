@@ -3,7 +3,9 @@
 //! by `admin_routes`, default off).
 
 use awsm::TranslateOptions;
-use awsm::{decode_artifact, encode_artifact, translate_with, CompiledModule, Op, Tier};
+use awsm::{
+    decode_artifact, encode_artifact, translate_with, ArtifactError, CompiledModule, Op, Tier,
+};
 use sledge_core::{Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
@@ -184,12 +186,12 @@ fn main_code(m: &mut CompiledModule) -> &mut Vec<Op> {
 }
 
 #[test]
-fn tampered_artifacts_are_rejected_by_body_verification() {
+fn tampered_artifacts_are_refused_by_artifact_decode() {
     let rt = boot(true);
     let mut client = HttpClient::new(rt.http_addr().unwrap());
 
-    // (function name, the edit, what `verify_body` must say about it)
-    let tampers: [(&str, Tamper, &str); 5] = [
+    // (function name, the edit, what decode must say about it)
+    let tampers: [(&str, Tamper, &str); 4] = [
         // A dropped budget check: the segment it headed would run unmetered.
         (
             "dropped-fuel",
@@ -208,7 +210,7 @@ fn tampered_artifacts_are_rejected_by_body_verification() {
         (
             "forged-gap",
             |m| {
-                let cost = m.analysis.cost.as_mut().unwrap();
+                let cost = &mut m.analysis.cost;
                 cost.funcs[0].max_gap -= 1;
                 cost.max_gap = cost.funcs[0].max_gap;
             },
@@ -223,17 +225,13 @@ fn tampered_artifacts_are_rejected_by_body_verification() {
             },
             "local index out of range",
         ),
-        // No cost certificate at all: its option tag is one byte of the
-        // artifact and must not switch the re-proof off.
-        (
-            "no-certificate",
-            |m| m.analysis.cost = None,
-            "no cost certificate",
-        ),
     ];
     for (i, (name, tamper, why)) in tampers.into_iter().enumerate() {
         let artifact = tampered_artifact(tamper);
-        assert!(decode_artifact(&artifact).is_ok(), "{name}: checksum holds");
+        match decode_artifact(&artifact) {
+            Err(ArtifactError::Unverified(e)) => assert!(e.contains(why), "{name}: {e}"),
+            other => panic!("{name}: decoded or failed otherwise: {other:?}"),
+        }
         let frame = ingest_frame(&format!(r#"{{"name": "{name}"}}"#), &artifact);
         let resp = client
             .request("POST", "/admin/modules", &[], &frame)
@@ -255,6 +253,35 @@ fn tampered_artifacts_are_rejected_by_body_verification() {
     assert_eq!(resp.status, 200);
     let resp = client.request("POST", "/echo", &[], b"honest").unwrap();
     assert_eq!((resp.status, &resp.body[..]), (200, &b"honest"[..]));
+    rt.shutdown();
+}
+
+#[test]
+fn artifact_exporting_a_missing_function_is_refused_and_node_keeps_serving() {
+    let rt = boot(true);
+    let mut client = HttpClient::new(rt.http_addr().unwrap());
+
+    // Checksum-valid, every body honest, but the entry point names a
+    // function index the module does not have.
+    let artifact = tampered_artifact(|m| {
+        m.exports.insert("main".into(), 9999);
+    });
+    let frame = ingest_frame(r#"{"name": "evil"}"#, &artifact);
+    let resp = client
+        .request("POST", "/admin/modules", &[], &frame)
+        .unwrap();
+    let body = String::from_utf8_lossy(&resp.body).into_owned();
+    assert_eq!(resp.status, 400, "{body}");
+    assert!(body.contains("artifact"), "{body}");
+    assert!(body.contains("names no function"), "{body}");
+    assert!(rt.function_by_name("evil").is_none());
+    assert_eq!(rt.registry_stats().modules_rejected, 1);
+
+    // Nothing is routed to it, and the node is still on the network.
+    let resp = client.request("POST", "/evil", &[], b"boom").unwrap();
+    assert_eq!(resp.status, 404);
+    let resp = client.request("GET", "/healthz", &[], b"").unwrap();
+    assert_eq!((resp.status, &resp.body[..]), (200, &b"ok"[..]));
     rt.shutdown();
 }
 
