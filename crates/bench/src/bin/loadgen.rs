@@ -1,4 +1,4 @@
-//! HTTP load generator for the listener front ends.
+//! HTTP load generator for the listener front end.
 //!
 //! Two modes:
 //!
@@ -14,12 +14,10 @@
 //!   pacing (`--rate R` total requests/s). Prints a one-line summary and
 //!   exits nonzero if any request failed.
 //!
-//! * **Compare** (no `--addr`) — boots the runtime twice, once per
-//!   listener backend (epoll reactor vs. legacy poll scan), and sweeps the
-//!   idle-connection count. The poll loop pays one wasted `read()` per
-//!   idle socket per sweep, so its keep-alive throughput collapses as the
-//!   herd grows; the reactor only touches ready sockets. This regenerates
-//!   `results/loadgen.txt`.
+//! * **Sweep** (no `--addr`) — boots the runtime in-process once per cell
+//!   and sweeps the idle-connection count: the epoll listener only touches
+//!   ready sockets, so its keep-alive throughput and latency should stay
+//!   flat as the parked herd grows. This regenerates `results/loadgen.txt`.
 
 use sledge_bench::{fmt_dur, LatencyStats};
 use sledge_core::{FunctionConfig, Runtime, RuntimeConfig};
@@ -169,7 +167,7 @@ fn client_loop(
 /// Run one closed-loop measurement against `addr`.
 fn run_load(addr: SocketAddr, o: &Opts) -> RunResult {
     // Park the idle herd first; each socket connects and then never
-    // speaks, so a scan-based listener pays for it every sweep.
+    // speaks, so only a listener that touches idle sockets pays for it.
     let mut herd = Vec::with_capacity(o.idle_conns);
     for _ in 0..o.idle_conns {
         match TcpStream::connect(addr) {
@@ -231,7 +229,7 @@ fn run_load(addr: SocketAddr, o: &Opts) -> RunResult {
     }
 }
 
-/// Echo guest (request body copied back) for the self-hosted compare mode.
+/// Echo guest (request body copied back) for the self-hosted sweep.
 fn echo_guest() -> Module {
     let mut mb = ModuleBuilder::new("echo");
     mb.memory(2, Some(64));
@@ -261,14 +259,13 @@ fn echo_guest() -> Module {
     mb.build().unwrap()
 }
 
-fn boot_runtime(reactor: bool) -> Runtime {
+fn boot_runtime() -> Runtime {
     let rt = Runtime::with_http(
         RuntimeConfig {
             workers: 2,
             quantum: Duration::from_millis(5),
             // Idle reaping off: the parked herd must stay parked.
             conn_idle: Duration::ZERO,
-            reactor,
             ..Default::default()
         },
         "127.0.0.1:0".parse().unwrap(),
@@ -279,67 +276,48 @@ fn boot_runtime(reactor: bool) -> Runtime {
     rt
 }
 
-fn compare_mode(base: &Opts) {
+fn sweep_mode(base: &Opts) {
     // A mostly-idle keep-alive herd is the edge steady state this listener
-    // is built for: the poll loop pays one wasted read() per idle socket
-    // per sweep, the reactor pays nothing. Few active conns + shallow
-    // pipelining keeps the work-per-sweep small so the sweep cost shows.
+    // is built for. Few active conns + shallow pipelining keep the work per
+    // wake-up small, so any per-idle-socket cost would show.
     let idle_points = [0usize, 1024, 4096, 6144];
     let conns = 4.min(base.conns);
     let pipeline = 2.min(base.pipeline);
     println!(
-        "listener backend comparison — {conns} active conns, pipeline {pipeline}, {}s per cell",
+        "idle-connection sweep — {conns} active conns, pipeline {pipeline}, {}s per cell",
         base.secs
     );
     println!();
     println!(
-        "{:<10} {:>10} {:>12} {:>10} {:>10}",
-        "backend", "idle conns", "req/s", "p50", "p99"
+        "{:>10} {:>12} {:>10} {:>10}",
+        "idle conns", "req/s", "p50", "p99"
     );
-    let mut reactor_rps = Vec::new();
-    let mut poll_rps = Vec::new();
-    for &reactor in &[true, false] {
-        let name = if reactor { "reactor" } else { "poll" };
-        for &idle in &idle_points {
-            let rt = boot_runtime(reactor);
-            let addr = rt.http_addr().expect("http addr");
-            let o = Opts {
-                addr: Some(addr),
-                route: base.route.clone(),
-                conns,
-                secs: base.secs,
-                pipeline,
-                idle_conns: idle,
-                body: base.body.clone(),
-                rate: base.rate,
-            };
-            let r = run_load(addr, &o);
-            println!(
-                "{:<10} {:>10} {:>12.0} {:>10} {:>10}",
-                name,
-                idle,
-                r.throughput(),
-                fmt_dur(r.latency.p50),
-                fmt_dur(r.latency.p99),
-            );
-            if r.failed > 0 {
-                eprintln!("{name}/{idle}: {} failed requests", r.failed);
-                std::process::exit(1);
-            }
-            if reactor {
-                reactor_rps.push(r.throughput());
-            } else {
-                poll_rps.push(r.throughput());
-            }
-            rt.shutdown();
-        }
-    }
-    println!();
-    for (i, &idle) in idle_points.iter().enumerate() {
+    for &idle in &idle_points {
+        let rt = boot_runtime();
+        let addr = rt.http_addr().expect("http addr");
+        let o = Opts {
+            addr: Some(addr),
+            route: base.route.clone(),
+            conns,
+            secs: base.secs,
+            pipeline,
+            idle_conns: idle,
+            body: base.body.clone(),
+            rate: base.rate,
+        };
+        let r = run_load(addr, &o);
         println!(
-            "idle {idle:>4}: reactor/poll throughput ratio = {:.1}x",
-            reactor_rps[i] / poll_rps[i]
+            "{:>10} {:>12.0} {:>10} {:>10}",
+            idle,
+            r.throughput(),
+            fmt_dur(r.latency.p50),
+            fmt_dur(r.latency.p99),
         );
+        if r.failed > 0 {
+            eprintln!("idle {idle}: {} failed requests", r.failed);
+            std::process::exit(1);
+        }
+        rt.shutdown();
     }
 }
 
@@ -363,6 +341,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        None => compare_mode(&o),
+        None => sweep_mode(&o),
     }
 }

@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let deadline = config.deadline;
     let breaker = config.circuit_breaker;
     let conn_idle = config.conn_idle;
-    let listener = (config.reactor, config.max_connections);
+    let max_connections = config.max_connections;
     let faults = config.fault_plan.is_some();
     let pool = (config.pool_size, config.prewarm, config.recycle);
     let fairness = (config.fairness, config.max_inflight);
@@ -171,10 +171,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("  idle connection timeout: {} ms", conn_idle.as_millis());
     println!(
-        "  listener: {} backend, max connections {}",
-        if listener.0 { "reactor" } else { "poll" },
-        if listener.1 > 0 {
-            listener.1.to_string()
+        "  listener: max connections {}",
+        if max_connections > 0 {
+            max_connections.to_string()
         } else {
             "unlimited".into()
         }

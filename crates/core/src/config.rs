@@ -96,10 +96,6 @@ pub struct RuntimeConfig {
     /// `Connection: close` before any parse cost is paid (the first gate,
     /// ahead of every admission gate). 0 (the default) is unlimited.
     pub max_connections: usize,
-    /// Serve HTTP with the epoll readiness reactor (the default). `false`
-    /// falls back to the legacy non-blocking scan loop — the compat and
-    /// ablation configuration.
-    pub reactor: bool,
     /// Serve `POST /admin/modules` on the HTTP front end: certificate-
     /// carrying module ingest for cluster-mode distribution (the router
     /// pushes compiled artifacts; the node re-validates every certificate
@@ -144,7 +140,6 @@ impl Default for RuntimeConfig {
                 .unwrap_or(false),
             max_inflight: env_usize("SLEDGE_MAX_INFLIGHT").unwrap_or(0),
             max_connections: env_usize("SLEDGE_MAX_CONNS").unwrap_or(0),
-            reactor: env_usize("SLEDGE_REACTOR").map(|v| v != 0).unwrap_or(true),
             admin_routes: env_usize("SLEDGE_ADMIN").map(|v| v != 0).unwrap_or(false),
         }
     }
@@ -465,10 +460,10 @@ impl RuntimeConfig {
                 ConfigError::Schema("max_connections must be a non-negative int".into())
             })? as usize;
         }
-        if let Some(r) = v.get("reactor") {
-            cfg.reactor = r
-                .as_bool()
-                .ok_or_else(|| ConfigError::Schema("reactor must be a bool".into()))?;
+        if v.get("reactor").is_some() {
+            return Err(ConfigError::Schema(
+                "\"reactor\" is no longer a setting: the epoll reactor is the one listener".into(),
+            ));
         }
         if let Some(a) = v.get("admin_routes") {
             cfg.admin_routes = a
@@ -877,20 +872,26 @@ mod tests {
 
     #[test]
     fn listener_knobs_parsed() {
-        let text = r#"{"max_connections": 512, "reactor": false}"#;
-        let (cfg, _) = RuntimeConfig::from_json(text).unwrap();
+        let (cfg, _) = RuntimeConfig::from_json(r#"{"max_connections": 512}"#).unwrap();
         assert_eq!(cfg.max_connections, 512);
-        assert!(!cfg.reactor);
-        // Explicit JSON wins over the SLEDGE_MAX_CONNS/SLEDGE_REACTOR env
-        // overrides; absent knobs match the (possibly env-overridden)
-        // defaults, so this test is green in both CI legs.
+        // Explicit JSON wins over the SLEDGE_MAX_CONNS env override; an
+        // absent knob matches the (possibly env-overridden) default.
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
-        let dflt = RuntimeConfig::default();
-        assert_eq!(cfg.max_connections, dflt.max_connections);
-        assert_eq!(cfg.reactor, dflt.reactor);
+        assert_eq!(
+            cfg.max_connections,
+            RuntimeConfig::default().max_connections
+        );
         assert!(RuntimeConfig::from_json(r#"{"max_connections": "x"}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"max_connections": -1}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"reactor": 1}"#).is_err());
+        // One listener: the old backend switch is an error whatever it holds.
+        for value in ["true", "false", "0", "1", r#""poll""#, "null"] {
+            let text = format!(r#"{{"reactor": {value}}}"#);
+            let err = RuntimeConfig::from_json(&text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s) if s.contains("one listener")),
+                "{value}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub use pool::{PoolStats, PoolStatsSnapshot, SandboxPool};
 pub use registry::{FunctionId, RegisterError, RegisteredFunction, Registry};
 pub use sandbox::{Completion, Outcome, Sandbox, SandboxHost, Timings};
 pub use sched::Dwrr;
-pub use sledge_http::{Backend as HttpBackend, ConnSnapshot};
+pub use sledge_http::ConnSnapshot;
 pub use stats::{
     BreakerState, FunctionStats, FunctionStatsSnapshot, RegistryStats, RegistryStatsSnapshot,
     RuntimeStats, StatsSnapshot,
@@ -209,11 +209,6 @@ impl Runtime {
                     max_request_size: config.max_request_size,
                     idle_timeout: config.conn_idle,
                     max_connections: config.max_connections,
-                    backend: if config.reactor {
-                        HttpBackend::Reactor
-                    } else {
-                        HttpBackend::Poll
-                    },
                 },
             )?),
             None => None,

@@ -1,8 +1,6 @@
 //! Minimal HTTP/1.1 machinery for the Sledge runtime: an incremental
-//! request parser, a response serializer, and two interchangeable listener
-//! front ends — the production epoll readiness reactor
-//! ([`ReactorServer`]) and the legacy non-blocking scan loop
-//! ([`PollServer`]) — behind a common [`HttpServer`] facade.
+//! request parser, a response serializer, a keep-alive client, and the
+//! listener front end — an epoll readiness reactor ([`HttpServer`]).
 //!
 //! This plays the role of the paper's request-forwarding layer (epoll-based
 //! HTTP intake feeding function instantiation) without any external
@@ -37,9 +35,6 @@ pub mod sys;
 
 pub use client::{format_request, ClientConfig, ClientResponse, HttpClient};
 pub use parse::{HttpError, ParseStatus, Request, RequestParser};
-pub use reactor::ReactorServer;
+pub use reactor::HttpServer;
 pub use response::{Response, StatusCode};
-pub use server::{
-    Backend, ConnCounters, ConnId, ConnSnapshot, Connection, ConnectionEvent, HttpServer,
-    PollServer, ServerConfig,
-};
+pub use server::{ConnCounters, ConnId, ConnSnapshot, ConnectionEvent, ServerConfig};

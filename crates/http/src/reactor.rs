@@ -1,11 +1,9 @@
-//! The epoll-backed readiness reactor: the production listener front end.
+//! The listener front end: an epoll-backed readiness reactor.
 //!
-//! Replaces the O(connections)-per-iteration scan of
-//! [`PollServer`](crate::PollServer) with per-connection state machines
-//! driven by kernel readiness events — one `epoll_wait` yields exactly the
-//! connections with work, so cost scales with *ready* connections, not
-//! *open* ones. A fleet of idle keep-alive connections costs nothing per
-//! iteration; under the scan loop each costs a `read` syscall per sweep.
+//! Per-connection state machines are driven by kernel readiness events —
+//! one `epoll_wait` yields exactly the connections with work, so cost
+//! scales with *ready* connections, not *open* ones. A fleet of idle
+//! keep-alive connections costs nothing per iteration.
 //!
 //! Design:
 //! - The listener is registered level-triggered (`EPOLLIN`): pending
@@ -26,13 +24,13 @@
 //!   draining) peers get a pre-serialized `503` + `Connection: close`
 //!   before any parse cost is paid.
 //!
-//! Close discipline matches the scan loop: a connection dies only once its
-//! output queue is flushed and every surfaced request has been answered —
-//! a half-close or `Connection: close` observed mid-pipeline never drops
-//! in-flight responses.
+//! Close discipline: a connection dies only once its output queue is
+//! flushed and every surfaced request has been answered — a half-close or
+//! `Connection: close` observed mid-pipeline never drops in-flight
+//! responses.
 
 use crate::parse::{ParseStatus, Request, RequestParser};
-use crate::server::{shed_response_bytes, ConnCounters, ConnId, ConnectionEvent, ServerConfig};
+use crate::server::{ConnCounters, ConnId, ConnectionEvent, ServerConfig};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::{Response, StatusCode};
 use std::collections::VecDeque;
@@ -92,7 +90,7 @@ impl RConn {
 
 /// Readiness-driven epoll listener; see the module docs for the design.
 #[derive(Debug)]
-pub struct ReactorServer {
+pub struct HttpServer {
     listener: TcpListener,
     epoll: Epoll,
     conns: Vec<Option<RConn>>,
@@ -121,7 +119,19 @@ fn split_id(id: ConnId) -> (u32, u32) {
     (id as u32, (id >> 32) as u32)
 }
 
-impl ReactorServer {
+/// The pre-serialized socket-tier load-shed answer: `503` with
+/// `Connection: close`, written best-effort into the (empty) socket buffer
+/// of a just-accepted connection before it is dropped.
+fn shed_response_bytes() -> Vec<u8> {
+    let mut resp = Response::error(
+        StatusCode::ServiceUnavailable,
+        "connection budget exhausted",
+    );
+    resp.close = true;
+    resp.to_bytes()
+}
+
+impl HttpServer {
     /// Bind to `addr` and create the epoll instance.
     ///
     /// # Errors
@@ -134,7 +144,7 @@ impl ReactorServer {
         // Level-triggered on purpose: pending accepts re-report until the
         // queue is drained, so a burst can never be lost to a missed edge.
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_COOKIE)?;
-        Ok(ReactorServer {
+        Ok(HttpServer {
             listener,
             epoll,
             conns: Vec::new(),
@@ -195,8 +205,10 @@ impl ReactorServer {
             .count()
     }
 
-    /// One reactor iteration: wait up to `timeout` for readiness, then
-    /// service exactly the ready connections. Returns the batch of events.
+    /// One reactor iteration: wait up to `timeout` for readiness
+    /// (millisecond resolution; a sub-millisecond timeout is a non-blocking
+    /// poll), then service exactly the ready connections. Returns the batch
+    /// of events.
     pub fn poll(&mut self, timeout: Duration) -> Vec<ConnectionEvent> {
         let mut events = Vec::new();
 
@@ -526,14 +538,16 @@ impl ReactorServer {
     }
 
     /// Reap connections idle past the deadline (measured from last
-    /// activity). Runs amortized — at most every `idle/4`, capped at
-    /// 250 ms — so the scan cost stays negligible.
+    /// activity). A connection with a surfaced request still awaiting its
+    /// response is not idle — the runtime's deadline governs execution, and
+    /// `send` restarts the window. Runs amortized — at most every `idle/4`,
+    /// capped at 250 ms — so the scan cost stays negligible.
     fn reap_idle(&mut self, now: Instant, events: &mut Vec<ConnectionEvent>) {
         let idle = self.config.idle_timeout;
         let mut victims = Vec::new();
         for (slot, entry) in self.conns.iter_mut().enumerate() {
             if let Some(conn) = entry {
-                if now.duration_since(conn.last_activity) > idle {
+                if conn.outstanding == 0 && now.duration_since(conn.last_activity) > idle {
                     if !conn.responded {
                         let resp = Response::error(
                             StatusCode::RequestTimeout,
@@ -555,24 +569,22 @@ impl ReactorServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::Backend;
     use crate::Response;
     use std::net::Shutdown;
 
-    fn bind_reactor(max_connections: usize, idle: Duration) -> ReactorServer {
-        ReactorServer::bind(
+    fn bind_reactor(max_connections: usize, idle: Duration) -> HttpServer {
+        HttpServer::bind(
             "127.0.0.1:0".parse().unwrap(),
             ServerConfig {
                 max_request_size: 1 << 20,
                 idle_timeout: idle,
                 max_connections,
-                backend: Backend::Reactor,
             },
         )
         .unwrap()
     }
 
-    fn poll_until<F: FnMut(&mut ReactorServer) -> bool>(server: &mut ReactorServer, mut done: F) {
+    fn poll_until<F: FnMut(&mut HttpServer) -> bool>(server: &mut HttpServer, mut done: F) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while !done(server) {
             assert!(Instant::now() < deadline, "poll_until timed out");
@@ -627,6 +639,8 @@ mod tests {
         assert_eq!(snap.closed, 1);
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.responses, 1);
+        assert!(snap.bytes_in > 0 && snap.bytes_out > 0);
+        assert_eq!(snap.active(), 0);
     }
 
     #[test]
