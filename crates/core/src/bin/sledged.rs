@@ -188,8 +188,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if fairness.0 || fairness.1 > 0 {
         println!(
-            "  fairness: dwrr {}, max in-flight {}",
-            if fairness.0 { "on" } else { "off" },
+            "  run queue: {}, max in-flight {}",
+            if fairness.0 {
+                "per-function lanes"
+            } else {
+                "one lane"
+            },
             if fairness.1 > 0 {
                 fairness.1.to_string()
             } else {

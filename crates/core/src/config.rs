@@ -3,6 +3,7 @@
 
 use crate::fault::FaultPlan;
 use crate::json::{Json, JsonError};
+use crate::registry::FunctionId;
 use awsm::{BoundsStrategy, Tier};
 use std::error::Error;
 use std::fmt;
@@ -80,10 +81,10 @@ pub struct RuntimeConfig {
     /// pool. With `recycle = false` and `prewarm > 0` every warm acquire
     /// was pre-warmed (useful for isolating the two mechanisms).
     pub recycle: bool,
-    /// Arm weighted deficit-round-robin scheduling on the per-worker run
-    /// queues. Off (the default) keeps the plain FIFO rotation; behavior,
-    /// metrics, and `sledged` output are then byte-identical to a runtime
-    /// without the fairness subsystem.
+    /// Give each function its own weighted deficit-round-robin lane on the
+    /// per-worker run queues. Off (the default), every sandbox shares one
+    /// lane, which is plain round-robin in arrival order; metrics and
+    /// `sledged` output then carry no fairness series.
     pub fairness: bool,
     /// Global in-flight admission cap with priority-class load shedding:
     /// a request whose function has priority class `p` (0..=3) is shed
@@ -130,25 +131,15 @@ impl Default for RuntimeConfig {
             fault_plan: None,
             max_stack_bytes: None,
             metrics_routes: true,
-            // Env overrides let CI run the whole suite a second time with
-            // the pool armed without touching any test's explicit config.
-            pool_size: env_usize("SLEDGE_POOL_SIZE").unwrap_or(0),
-            prewarm: env_usize("SLEDGE_PREWARM").unwrap_or(0),
-            recycle: env_usize("SLEDGE_RECYCLE").map(|v| v != 0).unwrap_or(true),
-            fairness: env_usize("SLEDGE_FAIRNESS")
-                .map(|v| v != 0)
-                .unwrap_or(false),
-            max_inflight: env_usize("SLEDGE_MAX_INFLIGHT").unwrap_or(0),
-            max_connections: env_usize("SLEDGE_MAX_CONNS").unwrap_or(0),
-            admin_routes: env_usize("SLEDGE_ADMIN").map(|v| v != 0).unwrap_or(false),
+            pool_size: 0,
+            prewarm: 0,
+            recycle: true,
+            fairness: false,
+            max_inflight: 0,
+            max_connections: 0,
+            admin_routes: false,
         }
     }
-}
-
-/// Read a non-negative integer knob from the environment; unset, empty, or
-/// unparsable values fall through to the built-in default.
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.trim().parse().ok()
 }
 
 /// Per-function circuit breaker parameters.
@@ -303,11 +294,27 @@ impl RuntimeConfig {
     /// [`quantum_fuel`](RuntimeConfig::quantum_fuel) override if set,
     /// otherwise `quantum` converted through the
     /// [`cost_units_per_us`](RuntimeConfig::cost_units_per_us)
-    /// calibration. Never zero — a zero budget could not make progress.
+    /// calibration (saturating at `u64::MAX`). Never zero — a zero budget
+    /// could not make progress.
     pub fn effective_quantum_fuel(&self) -> u64 {
         self.quantum_fuel
-            .unwrap_or_else(|| self.quantum.as_micros() as u64 * self.cost_units_per_us)
+            .unwrap_or_else(|| {
+                u64::try_from(self.quantum.as_micros())
+                    .unwrap_or(u64::MAX)
+                    .saturating_mul(self.cost_units_per_us)
+            })
             .max(1)
+    }
+
+    /// The run-queue lane a sandbox of `function` waits in: the function's
+    /// own lane under [`fairness`](RuntimeConfig::fairness), otherwise the
+    /// one lane every sandbox shares.
+    pub(crate) fn lane(&self, function: FunctionId) -> u32 {
+        if self.fairness {
+            function.0
+        } else {
+            0
+        }
     }
 
     /// Parse a runtime configuration from the JSON format:
@@ -716,6 +723,24 @@ mod tests {
     }
 
     #[test]
+    fn quantum_fuel_derivation_saturates() {
+        // 1e15 µs × 1e6 units/µs overflows u64: saturate, never panic or wrap.
+        let (cfg, _) =
+            RuntimeConfig::from_json(r#"{"quantum_us": 1e15, "cost_units_per_us": 1e6}"#).unwrap();
+        assert_eq!(cfg.effective_quantum_fuel(), u64::MAX);
+        // A quantum whose microseconds do not fit in u64 saturates too.
+        let cfg = RuntimeConfig {
+            quantum: Duration::MAX,
+            cost_units_per_us: 1,
+            ..Default::default()
+        };
+        assert_eq!(cfg.effective_quantum_fuel(), u64::MAX);
+        // JSON numbers are f64, so a budget past i64::MAX parses as given.
+        let (cfg, _) = RuntimeConfig::from_json(r#"{"quantum_fuel": 1e19}"#).unwrap();
+        assert_eq!(cfg.effective_quantum_fuel(), 10_000_000_000_000_000_000);
+    }
+
+    #[test]
     fn zero_quantum_fuel_rejected() {
         let err = RuntimeConfig::from_json(r#"{"quantum_fuel": 0}"#).unwrap_err();
         assert!(
@@ -761,14 +786,10 @@ mod tests {
         assert_eq!(cfg.pool_size, 8);
         assert_eq!(cfg.prewarm, 2);
         assert!(!cfg.recycle);
-        // Explicit JSON always wins over the SLEDGE_POOL_SIZE/SLEDGE_PREWARM/
-        // SLEDGE_RECYCLE env overrides; absent knobs match the (possibly
-        // env-overridden) defaults, so this test is green in both CI legs.
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
-        let dflt = RuntimeConfig::default();
-        assert_eq!(cfg.pool_size, dflt.pool_size);
-        assert_eq!(cfg.prewarm, dflt.prewarm);
-        assert_eq!(cfg.recycle, dflt.recycle);
+        assert_eq!(cfg.pool_size, 0);
+        assert_eq!(cfg.prewarm, 0);
+        assert!(cfg.recycle);
         assert!(RuntimeConfig::from_json(r#"{"pool_size": "x"}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"pool_size": -1}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"prewarm": 1.5}"#).is_err());
@@ -843,13 +864,9 @@ mod tests {
 
     #[test]
     fn fairness_knobs_default_off_and_schema_checked() {
-        // Explicit JSON wins over the SLEDGE_FAIRNESS/SLEDGE_MAX_INFLIGHT
-        // env overrides; absent knobs match the (possibly env-overridden)
-        // defaults, so this test is green in both CI legs.
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
-        let dflt = RuntimeConfig::default();
-        assert_eq!(cfg.fairness, dflt.fairness);
-        assert_eq!(cfg.max_inflight, dflt.max_inflight);
+        assert!(!cfg.fairness);
+        assert_eq!(cfg.max_inflight, 0);
         let f = FunctionConfig::new("x");
         assert_eq!(f.budget_us_per_s, None);
         assert_eq!(f.priority, MAX_PRIORITY);
@@ -874,13 +891,8 @@ mod tests {
     fn listener_knobs_parsed() {
         let (cfg, _) = RuntimeConfig::from_json(r#"{"max_connections": 512}"#).unwrap();
         assert_eq!(cfg.max_connections, 512);
-        // Explicit JSON wins over the SLEDGE_MAX_CONNS env override; an
-        // absent knob matches the (possibly env-overridden) default.
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
-        assert_eq!(
-            cfg.max_connections,
-            RuntimeConfig::default().max_connections
-        );
+        assert_eq!(cfg.max_connections, 0);
         assert!(RuntimeConfig::from_json(r#"{"max_connections": "x"}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"max_connections": -1}"#).is_err());
         // One listener: the old backend switch is an error whatever it holds.
@@ -900,11 +912,8 @@ mod tests {
         assert!(cfg.admin_routes);
         let (cfg, _) = RuntimeConfig::from_json(r#"{"admin_routes": false}"#).unwrap();
         assert!(!cfg.admin_routes);
-        // Explicit JSON wins over the SLEDGE_ADMIN env override; absent knobs
-        // match the (possibly env-overridden) default, so this test is green
-        // in both CI legs.
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
-        assert_eq!(cfg.admin_routes, RuntimeConfig::default().admin_routes);
+        assert!(!cfg.admin_routes);
         assert!(RuntimeConfig::from_json(r#"{"admin_routes": 1}"#).is_err());
     }
 

@@ -1,20 +1,22 @@
-//! Weighted deficit-round-robin (DWRR) over per-tenant lanes.
+//! Weighted deficit-round-robin (DWRR) over lanes: every worker's run queue.
 //!
-//! Replaces the worker's plain FIFO rotation when fairness is armed: each
-//! function gets its own lane, and a lane may dispatch only while it holds
-//! a positive *deficit* of fuel. Every time the rotation reaches a lane
-//! whose deficit is spent, the lane is topped up by `weight × quantum`
-//! (capped there, so an idle tenant cannot hoard credit) and the rotation
-//! moves on. Workers charge each dispatch's *actual* fuel burn back against
-//! the lane — classic DWRR uses the packet length; here the calibrated fuel
-//! meter plays that role — so a tenant whose requests run long simply gets
-//! scheduled proportionally less often, degrading its share smoothly
-//! instead of starving anyone.
+//! With fairness armed each function gets its own lane; without it every
+//! sandbox shares one lane, which pops in arrival order (a preempted
+//! sandbox re-queues at the back), so the worker runs plain round-robin.
+//! A lane may dispatch only while it holds a positive *deficit* of fuel.
+//! Every time the rotation reaches a lane whose deficit is spent, the lane
+//! is topped up by `weight × quantum` (capped there, so an idle tenant
+//! cannot hoard credit) and the rotation moves on. Workers charge each
+//! dispatch's *actual* fuel burn back against the lane — classic DWRR uses
+//! the packet length; here the calibrated fuel meter plays that role — so a
+//! tenant whose requests run long simply gets scheduled proportionally less
+//! often, degrading its share smoothly instead of starving anyone.
 //!
 //! Because a dispatch is admitted whenever the deficit is positive, a lane
 //! can overdraw by at most one quantum's real burn; the overdraft carries
 //! as negative deficit and is paid off by skipped turns, bounding any
-//! tenant's excess share to one quantum per rotation.
+//! tenant's excess share to one quantum per rotation. A lane alone in the
+//! rotation has nobody to yield to, so it pays its whole overdraft at once.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -29,11 +31,13 @@ struct Lane<T> {
     active: bool,
 }
 
-/// A weighted deficit-round-robin queue keyed by tenant (function) id.
+/// A weighted deficit-round-robin queue keyed by lane (a function id, or
+/// one key every item shares).
 #[derive(Debug)]
 pub struct Dwrr<T> {
-    /// Fuel units one unweighted refill grants (the scheduler quantum).
-    quantum: u64,
+    /// Fuel units one unweighted refill grants (the scheduler quantum), in
+    /// `1..=i64::MAX` so a refill is always a positive deficit.
+    quantum: i64,
     lanes: HashMap<u32, Lane<T>>,
     /// Rotation of lanes with queued items, front = next to consider.
     active: VecDeque<u32>,
@@ -46,10 +50,10 @@ pub struct Dwrr<T> {
 
 impl<T> Dwrr<T> {
     /// An empty queue with the given refill quantum (fuel units; clamped to
-    /// ≥ 1 so refills always make progress).
+    /// `1..=i64::MAX` so refills always make progress).
     pub fn new(quantum: u64) -> Self {
         Dwrr {
-            quantum: quantum.max(1),
+            quantum: quantum.clamp(1, i64::MAX as u64) as i64,
             lanes: HashMap::new(),
             active: VecDeque::new(),
             len: 0,
@@ -93,15 +97,18 @@ impl<T> Dwrr<T> {
                 continue;
             }
             if lane.deficit <= 0 {
-                let refill = (lane.weight as i64).saturating_mul(self.quantum as i64);
-                lane.deficit = lane.deficit.saturating_add(refill).min(refill);
-                if self.active.len() > 1 {
+                let refill = (lane.weight as i64).saturating_mul(self.quantum);
+                if self.active.len() == 1 {
+                    // Sole lane: nobody to yield to, so pay the whole
+                    // overdraft now and run.
+                    lane.deficit = top_up(lane.deficit, refill);
+                } else {
+                    lane.deficit = lane.deficit.saturating_add(refill).min(refill);
                     // Someone else gets the core first; count the pass-over.
                     *self.deferrals.entry(key).or_insert(0) += 1;
                     self.active.rotate_left(1);
+                    continue;
                 }
-                // Sole lane: keep refilling in place until it may run.
-                continue;
             }
             self.len -= 1;
             return lane.items.pop_front();
@@ -151,6 +158,12 @@ impl<T> Dwrr<T> {
         }
         self.deferrals.drain().collect()
     }
+}
+
+/// The deficit a spent lane (`deficit <= 0`) reaches by adding `refill > 0`
+/// until it turns positive, in one step: always in `1..=refill`.
+fn top_up(deficit: i64, refill: i64) -> i64 {
+    refill - (deficit.unsigned_abs() % refill as u64) as i64
 }
 
 #[cfg(test)]
@@ -226,6 +239,89 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+        // Driven like a worker with fairness off — mixed weights on the one
+        // shared lane, every dispatch charged (often past the quantum),
+        // every third one preempted onto the back — the lane is exactly a
+        // FIFO rotation and never counts a deferral.
+        let mut fifo: VecDeque<u32> = (0..8).collect();
+        for &i in &fifo {
+            q.push(7, i % 3 + 1, i);
+        }
+        let mut step = 0u64;
+        while let Some(got) = q.pop() {
+            assert_eq!(Some(got), fifo.pop_front(), "step {step}");
+            q.charge(7, step * 37 % 100);
+            if step.is_multiple_of(3) {
+                q.push(7, got % 3 + 1, got);
+                fifo.push_back(got);
+            }
+            step += 1;
+        }
+        assert!(fifo.is_empty());
+        assert!(q.take_deferrals().is_empty());
+    }
+
+    #[test]
+    fn huge_quantum_still_pops() {
+        // A quantum past i64::MAX used to wrap the refill negative, so no
+        // lane's deficit could turn positive and `pop` spun forever. Each
+        // case pops on its own thread so a hang fails instead of wedging.
+        let cases: Vec<_> = [u64::MAX, 1 << 63]
+            .into_iter()
+            .flat_map(|quantum| [(quantum, 1u32), (quantum, 2)])
+            .map(|(quantum, lanes)| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let mut q: Dwrr<u32> = Dwrr::new(quantum);
+                    for key in 0..lanes {
+                        q.push(key, 1, key);
+                    }
+                    let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
+                    let _ = tx.send(popped);
+                });
+                (quantum, lanes, rx)
+            })
+            .collect();
+        let mut hung = Vec::new();
+        for (quantum, lanes, rx) in cases {
+            match rx.recv_timeout(std::time::Duration::from_secs(2)) {
+                Ok(popped) => assert_eq!(popped, (0..lanes).collect::<Vec<_>>()),
+                Err(_) => hung.push((quantum, lanes)),
+            }
+        }
+        assert!(hung.is_empty(), "pop hung for (quantum, lanes) {hung:?}");
+    }
+
+    #[test]
+    fn sole_lane_top_up_matches_refilling_one_quantum_at_a_time() {
+        let by_loop = |mut deficit: i64, refill: i64| {
+            while deficit <= 0 {
+                deficit = deficit.saturating_add(refill).min(refill);
+            }
+            deficit
+        };
+        for refill in [1i64, 7, 10, 1000] {
+            for deficit in (-5 * refill - 3)..=0 {
+                assert_eq!(
+                    top_up(deficit, refill),
+                    by_loop(deficit, refill),
+                    "deficit {deficit}, refill {refill}"
+                );
+            }
+        }
+        // Past what a loop could walk: the result stays in 1..=refill.
+        assert_eq!(top_up(i64::MIN, 10), 2);
+        assert_eq!(top_up(i64::MIN, i64::MAX), i64::MAX - 1);
+        // Through the queue: a sole lane overdrawn by 35 with quantum 10
+        // dispatches at once, holding what four refills would have left.
+        let mut q: Dwrr<u32> = Dwrr::new(10);
+        q.push(7, 1, 0);
+        assert_eq!(q.pop(), Some(0));
+        q.charge(7, 45);
+        q.push(7, 1, 1);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.lanes[&7].deficit, by_loop(-35, 10));
+        assert!(q.take_deferrals().is_empty());
     }
 
     #[test]

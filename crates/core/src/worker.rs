@@ -2,6 +2,7 @@
 //! preemptive round-robin on a core-local run queue, and service the
 //! core-local pending-I/O set (the libuv-event-loop analogue).
 
+use crate::config::RuntimeConfig;
 use crate::lock;
 use crate::registry::FunctionId;
 use crate::sandbox::{Completion, Outcome, Sandbox, WaitKind};
@@ -9,72 +10,16 @@ use crate::sched::Dwrr;
 use crate::Shared;
 use awsm::StepResult;
 use sledge_deque::Stealer;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// The core-local run queue: plain FIFO rotation by default, or weighted
-/// deficit-round-robin lanes per function when fairness is armed. The
-/// FIFO variant preserves pre-fairness scheduling order exactly.
-enum LocalQueue {
-    Fifo(VecDeque<Box<Sandbox>>),
-    Dwrr(Dwrr<Box<Sandbox>>),
-}
-
-impl LocalQueue {
-    fn push(&mut self, sb: Box<Sandbox>) {
-        match self {
-            LocalQueue::Fifo(q) => q.push_back(sb),
-            LocalQueue::Dwrr(q) => {
-                let key = sb.function.id.0;
-                let weight = sb.function.config.weight;
-                q.push(key, weight, sb);
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Box<Sandbox>> {
-        match self {
-            LocalQueue::Fifo(q) => q.pop_front(),
-            LocalQueue::Dwrr(q) => q.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            LocalQueue::Fifo(q) => q.len(),
-            LocalQueue::Dwrr(q) => q.len(),
-        }
-    }
-
-    /// Charge a dispatch's actual fuel burn against its function's DWRR
-    /// lane (no-op under FIFO).
-    fn charge(&mut self, key: u32, used: u64) {
-        if let LocalQueue::Dwrr(q) = self {
-            q.charge(key, used);
-        }
-    }
-
-    /// Remove every queued sandbox (force-kill sweeps). Sandboxes stay
-    /// boxed end-to-end so a drain moves pointers, not multi-KB structs.
-    #[allow(clippy::vec_box)]
-    fn drain(&mut self) -> Vec<Box<Sandbox>> {
-        match self {
-            LocalQueue::Fifo(q) => q.drain(..).collect(),
-            LocalQueue::Dwrr(q) => q.drain(),
-        }
-    }
-
-    /// Per-function pass-over counts accumulated since the last call
-    /// (always empty under FIFO).
-    fn take_deferrals(&mut self) -> Vec<(u32, u64)> {
-        match self {
-            LocalQueue::Fifo(_) => Vec::new(),
-            LocalQueue::Dwrr(q) => q.take_deferrals(),
-        }
-    }
+/// Queue a sandbox at the back of its lane of the core-local run queue.
+/// Sandboxes stay boxed end-to-end so queueing moves pointers, not
+/// multi-KB structs.
+fn enqueue(runqueue: &mut Dwrr<Box<Sandbox>>, config: &RuntimeConfig, sb: Box<Sandbox>) {
+    runqueue.push(config.lane(sb.function.id), sb.function.config.weight, sb);
 }
 
 /// Per-worker state visible to the timer thread.
@@ -222,14 +167,10 @@ pub(crate) fn worker_loop(
     me: Arc<WorkerShared>,
     stealer: Stealer<Box<Sandbox>>,
 ) {
-    let mut runqueue = if shared.config.fairness {
-        // DWRR refills are denominated in scheduler quanta of fuel — the
-        // calibrated per-dispatch budget — regardless of how much fuel a
-        // single dispatch may burn under run-to-completion.
-        LocalQueue::Dwrr(Dwrr::new(shared.config.effective_quantum_fuel()))
-    } else {
-        LocalQueue::Fifo(VecDeque::new())
-    };
+    // DWRR refills are denominated in scheduler quanta of fuel — the
+    // calibrated per-dispatch budget — regardless of how much fuel a single
+    // dispatch may burn under run-to-completion.
+    let mut runqueue: Dwrr<Box<Sandbox>> = Dwrr::new(shared.config.effective_quantum_fuel());
     // Sandboxes blocked on emulated async I/O, with their wake deadlines.
     let mut io_wait: Vec<(Instant, Box<Sandbox>)> = Vec::new();
     let preemptive = shared.config.policy == crate::config::SchedPolicy::PreemptiveRr;
@@ -276,7 +217,7 @@ pub(crate) fn worker_loop(
             while i < io_wait.len() {
                 if io_wait[i].0 <= now {
                     let (_, sb) = io_wait.swap_remove(i);
-                    runqueue.push(sb);
+                    enqueue(&mut runqueue, &shared.config, sb);
                 } else {
                     i += 1;
                 }
@@ -291,7 +232,7 @@ pub(crate) fn worker_loop(
             if let Some(sb) = stealer.steal() {
                 shared.pending.fetch_sub(1, Ordering::Relaxed);
                 shared.stats.steals.fetch_add(1, Ordering::Relaxed);
-                runqueue.push(sb);
+                enqueue(&mut runqueue, &shared.config, sb);
             }
         }
         let next = runqueue.pop();
@@ -332,15 +273,14 @@ pub(crate) fn worker_loop(
         //    for the timer thread (which fires per quantum under preemptive
         //    RR, and once at shutdown under run-to-completion).
         *lock(&me.current) = Some(sandbox.instance.preempt_flag());
-        let fn_key = sandbox.function.id.0;
         let fuel_before = sandbox.instance.fuel_used();
         let result = sandbox.run_quantum(fuel);
         *lock(&me.current) = None;
-        // Charge the dispatch's actual burn against the function's DWRR
-        // lane, and surface any pass-overs the scheduler recorded while
-        // this lane's deficit was spent.
+        // Charge the dispatch's actual burn against its lane, and surface
+        // any pass-overs the scheduler recorded while a lane's deficit was
+        // spent (there are none with one shared lane).
         let burned = sandbox.instance.fuel_used().saturating_sub(fuel_before);
-        runqueue.charge(fn_key, burned);
+        runqueue.charge(shared.config.lane(sandbox.function.id), burned);
         let deferred = runqueue.take_deferrals();
         if !deferred.is_empty() {
             let registry = shared.registry();
@@ -366,10 +306,10 @@ pub(crate) fn worker_loop(
                 {
                     finish(&shared, me.index, sandbox, Outcome::TimedOut);
                 } else {
-                    // Round-robin: back of the local queue (or its DWRR
-                    // lane, where the deficit decides its next turn).
+                    // Round-robin: back of its lane, where the deficit
+                    // decides its next turn.
                     sandbox.begin_wait(WaitKind::Preempted, Instant::now());
-                    runqueue.push(sandbox);
+                    enqueue(&mut runqueue, &shared.config, sandbox);
                 }
             }
             StepResult::Blocked => {

@@ -14,6 +14,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+mod common;
+
 /// Echo the request body (same guest the resilience suite uses).
 fn echo_guest() -> Module {
     let mut mb = ModuleBuilder::new("echo");
@@ -57,127 +59,126 @@ fn connection_churn_loses_no_completions_or_samples() {
         ..Default::default()
     };
 
-    let rt = Runtime::with_http(
-        RuntimeConfig {
-            workers: 4,
-            quantum: Duration::from_millis(2),
-            quantum_fuel: Some(200_000),
-            conn_idle: Duration::from_secs(5),
-            ..Default::default()
-        },
-        "127.0.0.1:0".parse().unwrap(),
-    )
-    .unwrap();
-    let _ = rt
-        .register_module(FunctionConfig::new("echo"), &echo_guest())
-        .unwrap();
-    let addr = rt.http_addr().unwrap();
+    for (label, config) in common::plain_and_armed(RuntimeConfig {
+        workers: 4,
+        quantum: Duration::from_millis(2),
+        quantum_fuel: Some(200_000),
+        conn_idle: Duration::from_secs(5),
+        ..Default::default()
+    }) {
+        eprintln!("config: {label}");
+        let rt = Runtime::with_http(config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        let _ = rt
+            .register_module(FunctionConfig::new("echo"), &echo_guest())
+            .unwrap();
+        let addr = rt.http_addr().unwrap();
 
-    // Predict the churn schedule up front so the assertions are exact.
-    let mut expect_good = 0u64;
-    let mut expect_mid_read = 0u64;
-    let mut expect_mid_write = 0u64;
-    for i in 0..CONNS {
-        if plan.reset_connection(i) {
-            if plan.reset_mid_read(i) {
-                expect_mid_read += 1;
-            } else {
-                expect_mid_write += 1;
-            }
-        } else {
-            expect_good += 1;
-        }
-    }
-    assert!(expect_good > 0, "plan sheds everything; lower the pct");
-    assert!(
-        expect_mid_read > 0 && expect_mid_write > 0,
-        "plan must exercise both abort shapes \
-         (mid-read {expect_mid_read}, mid-write {expect_mid_write})"
-    );
-
-    // Four client threads interleave good traffic with plan-driven aborts.
-    let mut handles = Vec::new();
-    for t in 0..THREADS {
-        handles.push(std::thread::spawn(move || {
-            let mut good_ok = 0u64;
-            for i in (t..CONNS).step_by(THREADS as usize) {
-                let body = format!("churn-{i}");
-                let head = format!(
-                    "POST /echo HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                    body.len()
-                );
-                let mut s = TcpStream::connect(addr).unwrap();
-                if plan.reset_connection(i) {
-                    if plan.reset_mid_read(i) {
-                        // Abort mid-read: half the head, then a hard close.
-                        let _ = s.write_all(&head.as_bytes()[..head.len() / 2]);
-                    } else {
-                        // Abort mid-write: full request, then close without
-                        // ever reading the response.
-                        let _ = s.write_all(head.as_bytes());
-                        let _ = s.write_all(body.as_bytes());
-                    }
-                    drop(s);
-                    continue;
+        // Predict the churn schedule up front so the assertions are exact.
+        let mut expect_good = 0u64;
+        let mut expect_mid_read = 0u64;
+        let mut expect_mid_write = 0u64;
+        for i in 0..CONNS {
+            if plan.reset_connection(i) {
+                if plan.reset_mid_read(i) {
+                    expect_mid_read += 1;
+                } else {
+                    expect_mid_write += 1;
                 }
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                s.write_all(head.as_bytes()).unwrap();
-                s.write_all(body.as_bytes()).unwrap();
-                let mut resp = Vec::new();
-                s.read_to_end(&mut resp).unwrap();
-                let text = String::from_utf8_lossy(&resp);
-                assert!(text.starts_with("HTTP/1.1 200"), "conn {i}: {text}");
-                assert!(text.ends_with(&body), "conn {i}: {text}");
-                good_ok += 1;
+            } else {
+                expect_good += 1;
             }
-            good_ok
-        }));
-    }
-    let good_ok: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert_eq!(
-        good_ok, expect_good,
-        "every good request answered exactly once"
-    );
-
-    // Mid-write aborts still surface a request (the abort hits the response
-    // path); mid-read aborts never complete a parse, so no request exists.
-    let surfaced = expect_good + expect_mid_write;
-
-    // Wait for the listener to retire every churned socket.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let conns = rt.connection_stats();
-        let stats = rt.stats();
-        if conns.active() == 0 && stats.completed == surfaced {
-            break;
         }
+        assert!(expect_good > 0, "plan sheds everything; lower the pct");
         assert!(
-            Instant::now() < deadline,
-            "churn never settled: active {} completed {} (want 0 / {surfaced})",
-            conns.active(),
-            stats.completed
+            expect_mid_read > 0 && expect_mid_write > 0,
+            "plan must exercise both abort shapes \
+             (mid-read {expect_mid_read}, mid-write {expect_mid_write})"
         );
-        std::thread::sleep(Duration::from_millis(20));
+
+        // Four client threads interleave good traffic with plan-driven aborts.
+        let mut handles = Vec::new();
+        for t in 0..THREADS {
+            handles.push(std::thread::spawn(move || {
+                let mut good_ok = 0u64;
+                for i in (t..CONNS).step_by(THREADS as usize) {
+                    let body = format!("churn-{i}");
+                    let head = format!(
+                        "POST /echo HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+                        body.len()
+                    );
+                    let mut s = TcpStream::connect(addr).unwrap();
+                    if plan.reset_connection(i) {
+                        if plan.reset_mid_read(i) {
+                            // Abort mid-read: half the head, then a hard close.
+                            let _ = s.write_all(&head.as_bytes()[..head.len() / 2]);
+                        } else {
+                            // Abort mid-write: full request, then close without
+                            // ever reading the response.
+                            let _ = s.write_all(head.as_bytes());
+                            let _ = s.write_all(body.as_bytes());
+                        }
+                        drop(s);
+                        continue;
+                    }
+                    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                    s.write_all(head.as_bytes()).unwrap();
+                    s.write_all(body.as_bytes()).unwrap();
+                    let mut resp = Vec::new();
+                    s.read_to_end(&mut resp).unwrap();
+                    let text = String::from_utf8_lossy(&resp);
+                    assert!(text.starts_with("HTTP/1.1 200"), "conn {i}: {text}");
+                    assert!(text.ends_with(&body), "conn {i}: {text}");
+                    good_ok += 1;
+                }
+                good_ok
+            }));
+        }
+        let good_ok: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(
+            good_ok, expect_good,
+            "every good request answered exactly once"
+        );
+
+        // Mid-write aborts still surface a request (the abort hits the response
+        // path); mid-read aborts never complete a parse, so no request exists.
+        let surfaced = expect_good + expect_mid_write;
+
+        // Wait for the listener to retire every churned socket.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let conns = rt.connection_stats();
+            let stats = rt.stats();
+            if conns.active() == 0 && stats.completed == surfaced {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "churn never settled: active {} completed {} (want 0 / {surfaced})",
+                conns.active(),
+                stats.completed
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        // Exactly-one-completion: every surfaced request ran to completion,
+        // none duplicated, none stranded by a dead client socket.
+        let stats = rt.stats();
+        assert_eq!(stats.admitted, surfaced);
+        assert_eq!(stats.completed, surfaced);
+        assert_eq!(stats.trapped, 0);
+        assert_eq!(stats.timed_out, 0);
+
+        // No phase-sample loss: the latency pipeline recorded every completion
+        // even when the response write found a reset socket.
+        let report = rt.latency_report();
+        assert_eq!(report.global.count(), surfaced, "phase samples lost");
+
+        // Connection accounting closes the books.
+        let conns = rt.connection_stats();
+        assert_eq!(conns.accepted, CONNS);
+        assert_eq!(conns.closed, CONNS);
+        assert_eq!(conns.requests, surfaced);
+
+        rt.shutdown();
     }
-
-    // Exactly-one-completion: every surfaced request ran to completion,
-    // none duplicated, none stranded by a dead client socket.
-    let stats = rt.stats();
-    assert_eq!(stats.admitted, surfaced);
-    assert_eq!(stats.completed, surfaced);
-    assert_eq!(stats.trapped, 0);
-    assert_eq!(stats.timed_out, 0);
-
-    // No phase-sample loss: the latency pipeline recorded every completion
-    // even when the response write found a reset socket.
-    let report = rt.latency_report();
-    assert_eq!(report.global.count(), surfaced, "phase samples lost");
-
-    // Connection accounting closes the books.
-    let conns = rt.connection_stats();
-    assert_eq!(conns.accepted, CONNS);
-    assert_eq!(conns.closed, CONNS);
-    assert_eq!(conns.requests, surfaced);
-
-    rt.shutdown();
 }

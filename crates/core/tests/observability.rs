@@ -12,6 +12,8 @@ use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
 use std::time::Duration;
 
+mod common;
+
 mod guests {
     use super::*;
 
@@ -249,7 +251,7 @@ fn stress_loses_no_samples() {
     // injected instantiation failures, and deadline kills. Every executed
     // invocation must land in exactly one worker shard: the merged
     // histogram count equals completed + trapped + timed_out.
-    let rt = Runtime::new(RuntimeConfig {
+    for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 4,
         quantum: Duration::from_millis(1),
         quantum_fuel: Some(50_000),
@@ -263,71 +265,74 @@ fn stress_loses_no_samples() {
             ..Default::default()
         }),
         ..Default::default()
-    });
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    let spin = rt
-        .register_module(FunctionConfig::new("spin"), &guests::spin())
-        .unwrap();
-    let sleeper = rt
-        .register_module(FunctionConfig::new("sleeper"), &guests::io_sleeper())
-        .unwrap();
+    }) {
+        eprintln!("config: {label}");
+        let rt = Runtime::new(config);
+        let echo = rt
+            .register_module(FunctionConfig::new("echo"), &guests::echo())
+            .unwrap();
+        let spin = rt
+            .register_module(FunctionConfig::new("spin"), &guests::spin())
+            .unwrap();
+        let sleeper = rt
+            .register_module(FunctionConfig::new("sleeper"), &guests::io_sleeper())
+            .unwrap();
 
-    const M: usize = 300;
-    let completions: Vec<Completion> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for c in 0..4usize {
-            let rt = &rt;
-            handles.push(s.spawn(move || {
-                let mut done = Vec::new();
-                for i in 0..M / 4 {
-                    let h = match (c + i) % 3 {
-                        0 => rt.invoke(echo, &b"hello"[..]),
-                        1 => rt.invoke(spin, 200_000u32.to_le_bytes().to_vec()),
-                        _ => rt.invoke(sleeper, 1500u32.to_le_bytes().to_vec()),
-                    };
-                    done.push(h.wait().expect("completion"));
-                }
-                done
-            }));
+        const M: usize = 300;
+        let completions: Vec<Completion> = std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for c in 0..4usize {
+                let rt = &rt;
+                handles.push(s.spawn(move || {
+                    let mut done = Vec::new();
+                    for i in 0..M / 4 {
+                        let h = match (c + i) % 3 {
+                            0 => rt.invoke(echo, &b"hello"[..]),
+                            1 => rt.invoke(spin, 200_000u32.to_le_bytes().to_vec()),
+                            _ => rt.invoke(sleeper, 1500u32.to_le_bytes().to_vec()),
+                        };
+                        done.push(h.wait().expect("completion"));
+                    }
+                    done
+                }));
+            }
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread"))
+                .collect()
+        });
+        assert_eq!(completions.len(), M);
+
+        let stats = rt.stats();
+        let report = rt.latency_report();
+        rt.shutdown();
+
+        let executed = stats.completed + stats.trapped + stats.timed_out;
+        assert!(executed > 0, "chaos run executed nothing");
+        assert!(stats.rejected > 0, "fault plan injected no rejections");
+        assert_eq!(
+            report.global.count(),
+            executed,
+            "merged histogram lost samples: {} recorded vs {} executed",
+            report.global.count(),
+            executed
+        );
+        // Every phase histogram carries the full sample count — one record
+        // per phase per invocation.
+        for (phase, h) in report.global.phases() {
+            assert_eq!(h.count(), executed, "phase {phase} lost samples");
         }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    assert_eq!(completions.len(), M);
-
-    let stats = rt.stats();
-    let report = rt.latency_report();
-    rt.shutdown();
-
-    let executed = stats.completed + stats.trapped + stats.timed_out;
-    assert!(executed > 0, "chaos run executed nothing");
-    assert!(stats.rejected > 0, "fault plan injected no rejections");
-    assert_eq!(
-        report.global.count(),
-        executed,
-        "merged histogram lost samples: {} recorded vs {} executed",
-        report.global.count(),
-        executed
-    );
-    // Every phase histogram carries the full sample count — one record per
-    // phase per invocation.
-    for (phase, h) in report.global.phases() {
-        assert_eq!(h.count(), executed, "phase {phase} lost samples");
-    }
-    // Per-function shards partition the global count.
-    let per_fn_total: u64 = report.per_function.iter().map(|(_, p)| p.count()).sum();
-    assert_eq!(per_fn_total, executed);
-    // And the accounting invariant held for every delivered completion.
-    for (i, c) in completions.iter().enumerate() {
-        if matches!(
-            c.outcome,
-            Outcome::Success(_) | Outcome::Trapped(_) | Outcome::TimedOut
-        ) {
-            assert_accounted(&c.timings, &format!("chaos invocation {i}"));
+        // Per-function shards partition the global count.
+        let per_fn_total: u64 = report.per_function.iter().map(|(_, p)| p.count()).sum();
+        assert_eq!(per_fn_total, executed);
+        // And the accounting invariant held for every delivered completion.
+        for (i, c) in completions.iter().enumerate() {
+            if matches!(
+                c.outcome,
+                Outcome::Success(_) | Outcome::Trapped(_) | Outcome::TimedOut
+            ) {
+                assert_accounted(&c.timings, &format!("chaos invocation {i}"));
+            }
         }
     }
 }

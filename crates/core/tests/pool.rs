@@ -138,8 +138,7 @@ mod guests {
     }
 }
 
-/// Every test pins the three pool knobs explicitly so the suite passes
-/// unchanged under the CI leg that enables pooling via `SLEDGE_*` env vars.
+/// A one-worker runtime configuration with the given pool knobs.
 fn config(pool_size: usize, prewarm: usize, recycle: bool) -> RuntimeConfig {
     RuntimeConfig {
         workers: 1,

@@ -10,6 +10,8 @@ use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
+mod common;
+
 mod guests {
     use super::*;
 
@@ -579,34 +581,37 @@ fn drain_rejects_new_work() {
 fn shutdown_drain_force_kills_runaways_and_reports_timeout() {
     // No deadline: only the drain's own timeout bounds the runaway. The
     // drain must return false but every invocation still completes.
-    let rt = Runtime::new(RuntimeConfig {
+    for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
         quantum_fuel: Some(200_000),
         ..Default::default()
-    });
-    let inf = rt
-        .register_module(FunctionConfig::new("infinite"), &guests::infinite())
-        .unwrap();
-    let handles: Vec<_> = (0..4).map(|_| rt.invoke(inf, Vec::new())).collect();
-    std::thread::sleep(Duration::from_millis(30));
-    let start = Instant::now();
-    let drained = rt.shutdown_drain(Duration::from_millis(300));
-    assert!(!drained, "runaways cannot drain");
-    assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "force-kill drain took {:?}",
-        start.elapsed()
-    );
-    for h in handles {
-        let done = h
-            .wait_timeout(Duration::from_secs(1))
-            .expect("force-killed invocation must still complete");
+    }) {
+        eprintln!("config: {label}");
+        let rt = Runtime::new(config);
+        let inf = rt
+            .register_module(FunctionConfig::new("infinite"), &guests::infinite())
+            .unwrap();
+        let handles: Vec<_> = (0..4).map(|_| rt.invoke(inf, Vec::new())).collect();
+        std::thread::sleep(Duration::from_millis(30));
+        let start = Instant::now();
+        let drained = rt.shutdown_drain(Duration::from_millis(300));
+        assert!(!drained, "runaways cannot drain");
         assert!(
-            matches!(done.outcome, Outcome::TimedOut),
-            "{:?}",
-            done.outcome
+            start.elapsed() < Duration::from_secs(5),
+            "force-kill drain took {:?}",
+            start.elapsed()
         );
+        for h in handles {
+            let done = h
+                .wait_timeout(Duration::from_secs(1))
+                .expect("force-killed invocation must still complete");
+            assert!(
+                matches!(done.outcome, Outcome::TimedOut),
+                "{:?}",
+                done.outcome
+            );
+        }
     }
 }
 
@@ -688,7 +693,7 @@ fn fault_injection_is_deterministic_across_runs() {
 #[test]
 fn chaos_every_accepted_invocation_completes_exactly_once() {
     const N: usize = 600;
-    let rt = Runtime::new(RuntimeConfig {
+    for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 4,
         quantum: Duration::from_millis(1),
         quantum_fuel: Some(150_000),
@@ -706,72 +711,76 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
             ..Default::default()
         }),
         ..Default::default()
-    });
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    let spin = rt
-        .register_module(FunctionConfig::new("spin"), &guests::spin())
-        .unwrap();
-    let sleeper = rt
-        .register_module(FunctionConfig::new("sleeper"), &guests::io_sleeper())
-        .unwrap();
-    let inf = rt
-        .register_module(FunctionConfig::new("infinite"), &guests::infinite())
-        .unwrap();
+    }) {
+        eprintln!("config: {label}");
+        let rt = Runtime::new(config);
+        let echo = rt
+            .register_module(FunctionConfig::new("echo"), &guests::echo())
+            .unwrap();
+        let spin = rt
+            .register_module(FunctionConfig::new("spin"), &guests::spin())
+            .unwrap();
+        let sleeper = rt
+            .register_module(FunctionConfig::new("sleeper"), &guests::io_sleeper())
+            .unwrap();
+        let inf = rt
+            .register_module(FunctionConfig::new("infinite"), &guests::infinite())
+            .unwrap();
 
-    // Mixed workload: mostly healthy, some blocking, some runaway.
-    let handles: Vec<_> = (0..N)
-        .map(|i| match i % 40 {
-            39 => rt.invoke(inf, Vec::new()),
-            n if n % 7 == 3 => rt.invoke(sleeper, 2_000u32.to_le_bytes().to_vec()),
-            n if n % 5 == 1 => rt.invoke(spin, 50_000u32.to_le_bytes().to_vec()),
-            _ => rt.invoke(echo, format!("c{i}").into_bytes()),
-        })
-        .collect();
+        // Mixed workload: mostly healthy, some blocking, some runaway.
+        let handles: Vec<_> = (0..N)
+            .map(|i| match i % 40 {
+                39 => rt.invoke(inf, Vec::new()),
+                n if n % 7 == 3 => rt.invoke(sleeper, 2_000u32.to_le_bytes().to_vec()),
+                n if n % 5 == 1 => rt.invoke(spin, 50_000u32.to_le_bytes().to_vec()),
+                _ => rt.invoke(echo, format!("c{i}").into_bytes()),
+            })
+            .collect();
 
-    // INVARIANT 1: exactly one completion per invocation — nothing hangs,
-    // nothing is double-delivered (the bounded(1) channel would panic the
-    // worker on a second send; a hang would trip the timeout).
-    let mut counts = std::collections::HashMap::new();
-    for (i, h) in handles.into_iter().enumerate() {
-        let done = h
-            .wait_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|| panic!("invocation {i} never completed"));
-        *counts.entry(kind(&done.outcome)).or_insert(0u64) += 1;
+        // INVARIANT 1: exactly one completion per invocation — nothing
+        // hangs, nothing is double-delivered (the bounded(1) channel would
+        // panic the worker on a second send; a hang would trip the timeout).
+        let mut counts = std::collections::HashMap::new();
+        for (i, h) in handles.into_iter().enumerate() {
+            let done = h
+                .wait_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|| panic!("invocation {i} never completed"));
+            *counts.entry(kind(&done.outcome)).or_insert(0u64) += 1;
+        }
+        let delivered: u64 = counts.values().sum();
+        assert_eq!(delivered, N as u64);
+
+        // INVARIANT 2: the runtime's books balance. Every submission was
+        // either admitted (then completed/trapped/timed out) or rejected at
+        // the door.
+        let stats = rt.stats();
+        assert_eq!(
+            stats.completed + stats.trapped + stats.timed_out,
+            stats.admitted,
+            "admitted work must finish one of the three ways: {stats:?}"
+        );
+        assert_eq!(
+            stats.admitted + stats.rejected + stats.breaker_rejected,
+            N as u64,
+            "every submission accounted for: {stats:?}"
+        );
+
+        // INVARIANT 3: the fault classes and the deadline actually fired.
+        assert!(stats.timed_out >= 10, "runaways must be killed: {stats:?}");
+        assert!(stats.trapped >= 1, "injected traps must fire: {stats:?}");
+        assert!(
+            stats.rejected >= 1,
+            "injected instantiation failures: {stats:?}"
+        );
+        assert!(stats.preemptions > 0, "RR must have preempted: {stats:?}");
+
+        // INVARIANT 4: after the storm, a graceful drain finishes in
+        // bounded time (everything left is deadline-bounded).
+        let start = Instant::now();
+        let drained = rt.shutdown_drain(Duration::from_secs(30));
+        assert!(drained, "deadline-bounded backlog must drain");
+        assert!(start.elapsed() < Duration::from_secs(30));
     }
-    let delivered: u64 = counts.values().sum();
-    assert_eq!(delivered, N as u64);
-
-    // INVARIANT 2: the runtime's books balance. Every submission was either
-    // admitted (then completed/trapped/timed out) or rejected at the door.
-    let stats = rt.stats();
-    assert_eq!(
-        stats.completed + stats.trapped + stats.timed_out,
-        stats.admitted,
-        "admitted work must finish one of the three ways: {stats:?}"
-    );
-    assert_eq!(
-        stats.admitted + stats.rejected + stats.breaker_rejected,
-        N as u64,
-        "every submission accounted for: {stats:?}"
-    );
-
-    // INVARIANT 3: the fault classes and the deadline actually fired.
-    assert!(stats.timed_out >= 10, "runaways must be killed: {stats:?}");
-    assert!(stats.trapped >= 1, "injected traps must fire: {stats:?}");
-    assert!(
-        stats.rejected >= 1,
-        "injected instantiation failures: {stats:?}"
-    );
-    assert!(stats.preemptions > 0, "RR must have preempted: {stats:?}");
-
-    // INVARIANT 4: after the storm, a graceful drain finishes in bounded
-    // time (everything left is deadline-bounded).
-    let start = Instant::now();
-    let drained = rt.shutdown_drain(Duration::from_secs(30));
-    assert!(drained, "deadline-bounded backlog must drain");
-    assert!(start.elapsed() < Duration::from_secs(30));
 }
 
 #[test]

@@ -10,6 +10,8 @@ use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
 use std::time::Duration;
 
+mod common;
+
 /// Guest module builders shared across tests. (The full application suite
 /// lives in `sledge-apps`; these are purpose-built minimal guests.)
 mod guests {
@@ -203,13 +205,17 @@ mod guests {
     }
 }
 
-fn small_runtime(workers: usize) -> Runtime {
-    Runtime::new(RuntimeConfig {
+fn small_config(workers: usize) -> RuntimeConfig {
+    RuntimeConfig {
         workers,
         quantum: Duration::from_millis(2),
         quantum_fuel: Some(200_000),
         ..Default::default()
-    })
+    }
+}
+
+fn small_runtime(workers: usize) -> Runtime {
+    Runtime::new(small_config(workers))
 }
 
 #[test]
@@ -232,26 +238,29 @@ fn echo_end_to_end() {
 
 #[test]
 fn many_concurrent_requests_complete_exactly_once() {
-    let rt = small_runtime(4);
-    let id = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    const N: usize = 500;
-    let handles: Vec<_> = (0..N)
-        .map(|i| rt.invoke(id, format!("req-{i}").into_bytes()))
-        .collect();
-    for (i, h) in handles.into_iter().enumerate() {
-        let done = h.wait().unwrap();
-        match done.outcome {
-            Outcome::Success(body) => assert_eq!(body, format!("req-{i}").as_bytes()),
-            other => panic!("req {i}: {other:?}"),
+    for (label, config) in common::plain_and_armed(small_config(4)) {
+        eprintln!("config: {label}");
+        let rt = Runtime::new(config);
+        let id = rt
+            .register_module(FunctionConfig::new("echo"), &guests::echo())
+            .unwrap();
+        const N: usize = 500;
+        let handles: Vec<_> = (0..N)
+            .map(|i| rt.invoke(id, format!("req-{i}").into_bytes()))
+            .collect();
+        for (i, h) in handles.into_iter().enumerate() {
+            let done = h.wait().unwrap();
+            match done.outcome {
+                Outcome::Success(body) => assert_eq!(body, format!("req-{i}").as_bytes()),
+                other => panic!("req {i}: {other:?}"),
+            }
         }
+        let stats = rt.stats();
+        assert_eq!(stats.completed, N as u64);
+        assert_eq!(stats.trapped, 0);
+        assert_eq!(stats.rejected, 0);
+        rt.shutdown();
     }
-    let stats = rt.stats();
-    assert_eq!(stats.completed, N as u64);
-    assert_eq!(stats.trapped, 0);
-    assert_eq!(stats.rejected, 0);
-    rt.shutdown();
 }
 
 #[test]
@@ -282,31 +291,64 @@ fn multi_tenant_functions_coexist() {
 fn temporal_isolation_spinner_does_not_starve_short_requests() {
     // One worker. Start an infinite function, then a short echo: the echo
     // must still complete thanks to preemptive RR.
-    let rt = Runtime::new(RuntimeConfig {
+    for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 1,
         quantum: Duration::from_millis(2),
         quantum_fuel: Some(500_000),
         ..Default::default()
-    });
-    let inf = rt
-        .register_module(FunctionConfig::new("infinite"), &guests::infinite())
-        .unwrap();
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    rt.invoke_detached(inf, Vec::new());
-    // Give the spinner time to get scheduled.
-    std::thread::sleep(Duration::from_millis(20));
-    let done = rt
-        .invoke(echo, &b"alive"[..])
-        .wait_timeout(Duration::from_secs(10))
-        .expect("echo starved behind infinite function");
-    assert!(matches!(done.outcome, Outcome::Success(ref b) if b == b"alive"));
-    assert!(
-        rt.stats().preemptions > 0,
-        "RR must have preempted the spinner"
-    );
-    rt.shutdown();
+    }) {
+        eprintln!("config: {label}");
+        let rt = Runtime::new(config);
+        let inf = rt
+            .register_module(FunctionConfig::new("infinite"), &guests::infinite())
+            .unwrap();
+        let echo = rt
+            .register_module(FunctionConfig::new("echo"), &guests::echo())
+            .unwrap();
+        rt.invoke_detached(inf, Vec::new());
+        // Give the spinner time to get scheduled.
+        std::thread::sleep(Duration::from_millis(20));
+        let done = rt
+            .invoke(echo, &b"alive"[..])
+            .wait_timeout(Duration::from_secs(10))
+            .expect("echo starved behind infinite function");
+        assert!(matches!(done.outcome, Outcome::Success(ref b) if b == b"alive"));
+        assert!(
+            rt.stats().preemptions > 0,
+            "RR must have preempted the spinner"
+        );
+        rt.shutdown();
+    }
+}
+
+#[test]
+fn quantum_past_i64_max_still_serves() {
+    // JSON numbers are f64, so a 1e19 budget parses; the run queue must
+    // still dispatch with it, whether sandboxes share a lane or not.
+    for json in [
+        r#"{"workers": 1, "quantum_fuel": 1e19}"#,
+        r#"{"workers": 1, "quantum_fuel": 1e19, "fairness": true}"#,
+    ] {
+        let (config, _) = RuntimeConfig::from_json(json).unwrap();
+        let rt = Runtime::new(config);
+        let echo = rt
+            .register_module(FunctionConfig::new("echo"), &guests::echo())
+            .unwrap();
+        let Some(done) = rt
+            .invoke(echo, &b"big"[..])
+            .wait_timeout(Duration::from_secs(10))
+        else {
+            // A wedged worker would wedge the shutdown too: leak the runtime.
+            std::mem::forget(rt);
+            panic!("{json}: invocation never completed");
+        };
+        assert!(
+            matches!(done.outcome, Outcome::Success(ref b) if b == b"big"),
+            "{json}: {:?}",
+            done.outcome
+        );
+        rt.shutdown();
+    }
 }
 
 #[test]
