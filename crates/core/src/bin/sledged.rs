@@ -144,14 +144,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "verified {} module(s): {} lint warning(s), {} cost-certified",
         reg.modules_verified, reg.lint_warnings, reg.cost_certified
     );
-    // Printed only when at least one module carried a capability policy, so a
-    // policy-free deployment's banner is byte-identical to earlier releases.
-    if reg.capability_certified + reg.capability_rejected > 0 {
-        println!(
-            "capability policy: {} certified, {} rejected",
-            reg.capability_certified, reg.capability_rejected
-        );
-    }
+    println!(
+        "capability policy: {} certified, {} rejected",
+        reg.capability_certified, reg.capability_rejected
+    );
 
     println!(
         "sledged serving on http://{} ({loaded} functions)",
@@ -178,29 +174,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "unlimited".into()
         }
     );
-    if pool.0 > 0 {
-        println!(
-            "  sandbox pool: {} per function, prewarm {}, recycle {}",
-            pool.0,
-            pool.1,
-            if pool.2 { "on" } else { "off" }
-        );
+    match pool {
+        (0, _, _) => println!("  sandbox pool: off"),
+        (size, prewarm, recycle) => println!(
+            "  sandbox pool: {size} per function, prewarm {prewarm}, recycle {}",
+            if recycle { "on" } else { "off" }
+        ),
     }
-    if fairness.0 || fairness.1 > 0 {
-        println!(
-            "  run queue: {}, max in-flight {}",
-            if fairness.0 {
-                "per-function lanes"
-            } else {
-                "one lane"
-            },
-            if fairness.1 > 0 {
-                fairness.1.to_string()
-            } else {
-                "uncapped".into()
-            }
-        );
-    }
+    println!(
+        "  run queue: {}, max in-flight {}",
+        if fairness.0 {
+            "per-function lanes"
+        } else {
+            "one lane"
+        },
+        if fairness.1 > 0 {
+            fairness.1.to_string()
+        } else {
+            "uncapped".into()
+        }
+    );
     if admin {
         println!("  admin: module ingest enabled (POST /admin/modules)");
     }
@@ -217,8 +210,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .spawn(move || loop {
                 std::thread::sleep(Duration::from_secs(secs));
                 let report = handle.latency_report();
-                let stats = handle.stats();
-                println!("[stats] {}", sledge_core::summary_line(&report, &stats));
+                println!("[stats] {}", sledge_core::summary_line(&report));
             })?;
         println!("  stats summary every {secs} s");
     }
@@ -239,7 +231,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             println!(
                 "[final] {}",
-                sledge_core::summary_line(&handle.latency_report(), &handle.stats())
+                sledge_core::summary_line(&handle.latency_report())
             );
             Ok(())
         }

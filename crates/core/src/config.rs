@@ -5,6 +5,7 @@ use crate::fault::FaultPlan;
 use crate::json::{Json, JsonError};
 use crate::registry::FunctionId;
 use awsm::{BoundsStrategy, Tier};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
@@ -334,156 +335,155 @@ impl RuntimeConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for syntax or schema problems.
+    /// Returns [`ConfigError`] for syntax or schema problems. The document,
+    /// each module and the `circuit_breaker`/`fault_plan` sections must be
+    /// objects, and a key this parser does not know (a misspelling, or a
+    /// setting that no longer exists) is an error naming the key.
     pub fn from_json(text: &str) -> Result<(RuntimeConfig, Vec<FunctionConfig>), ConfigError> {
-        let v = crate::json::parse(text)?;
+        let doc = crate::json::parse(text)?;
         let mut cfg = RuntimeConfig::default();
-        if let Some(w) = v.get("workers") {
-            cfg.workers = w
-                .as_u64()
-                .ok_or_else(|| ConfigError::Schema("workers must be a non-negative int".into()))?
-                as usize;
-        }
-        if let Some(q) = v.get("quantum_us") {
-            cfg.quantum = Duration::from_micros(
-                q.as_u64()
-                    .ok_or_else(|| ConfigError::Schema("quantum_us must be an int".into()))?,
-            );
-        }
-        if let Some(q) = v.get("quantum_fuel") {
-            let q = q
-                .as_u64()
-                .ok_or_else(|| ConfigError::Schema("quantum_fuel must be an int".into()))?;
-            if q == 0 {
-                return Err(ConfigError::Schema(
-                    "quantum_fuel must be >= 1 (a zero budget cannot make progress)".into(),
-                ));
-            }
-            cfg.quantum_fuel = Some(q);
-        }
-        if let Some(c) = v.get("cost_units_per_us") {
-            let c = c
-                .as_u64()
-                .ok_or_else(|| ConfigError::Schema("cost_units_per_us must be an int".into()))?;
-            if c == 0 {
-                return Err(ConfigError::Schema("cost_units_per_us must be >= 1".into()));
-            }
-            cfg.cost_units_per_us = c;
-        }
-        if let Some(g) = v.get("max_check_gap") {
-            cfg.max_check_gap = Some(
-                g.as_u64()
-                    .filter(|g| *g <= u32::MAX as u64)
-                    .ok_or_else(|| ConfigError::Schema("max_check_gap must be a u32".into()))?
-                    as u32,
-            );
-        }
-        if let Some(p) = v.get("max_pending") {
-            cfg.max_pending = p
-                .as_u64()
-                .ok_or_else(|| ConfigError::Schema("max_pending must be an int".into()))?
-                as usize;
-        }
-        if let Some(s) = v.get("max_request_size") {
-            cfg.max_request_size = s
-                .as_u64()
-                .ok_or_else(|| ConfigError::Schema("max_request_size must be an int".into()))?
-                as usize;
-        }
-        if v.get("bounds").is_some() {
-            return Err(ConfigError::Schema(
-                "\"bounds\" is no longer a setting: every out-of-bounds access traps".into(),
-            ));
-        }
-        if let Some(t) = v.get("tier") {
-            cfg.tier = match t.as_str() {
-                Some("aot-opt") => Tier::Optimized,
-                Some("aot-naive") => Tier::Naive,
-                other => return Err(ConfigError::Schema(format!("unknown tier {other:?}"))),
-            };
-        }
-        if let Some(pl) = v.get("policy") {
-            cfg.policy = match pl.as_str() {
-                Some("preemptive-rr") => SchedPolicy::PreemptiveRr,
-                Some("run-to-completion") => SchedPolicy::RunToCompletion,
-                other => return Err(ConfigError::Schema(format!("unknown policy {other:?}"))),
-            };
-        }
-        if let Some(d) = v.get("deadline_ms") {
-            cfg.deadline = Some(Duration::from_millis(d.as_u64().ok_or_else(|| {
-                ConfigError::Schema("deadline_ms must be a non-negative int".into())
-            })?));
-        }
-        if let Some(cb) = v.get("circuit_breaker") {
-            cfg.circuit_breaker = Some(parse_breaker(cb)?);
-        }
-        if let Some(ci) = v.get("conn_idle_ms") {
-            cfg.conn_idle = Duration::from_millis(ci.as_u64().ok_or_else(|| {
-                ConfigError::Schema("conn_idle_ms must be a non-negative int".into())
-            })?);
-        }
-        if let Some(fp) = v.get("fault_plan") {
-            cfg.fault_plan = Some(parse_fault_plan(fp)?);
-        }
-        if let Some(msb) = v.get("max_stack_bytes") {
-            cfg.max_stack_bytes = Some(msb.as_u64().ok_or_else(|| {
-                ConfigError::Schema("max_stack_bytes must be a non-negative int".into())
-            })?);
-        }
-        if let Some(mr) = v.get("metrics_routes") {
-            cfg.metrics_routes = mr
-                .as_bool()
-                .ok_or_else(|| ConfigError::Schema("metrics_routes must be a bool".into()))?;
-        }
-        if let Some(ps) = v.get("pool_size") {
-            cfg.pool_size = ps
-                .as_u64()
-                .ok_or_else(|| ConfigError::Schema("pool_size must be a non-negative int".into()))?
-                as usize;
-        }
-        if let Some(pw) = v.get("prewarm") {
-            cfg.prewarm = pw
-                .as_u64()
-                .ok_or_else(|| ConfigError::Schema("prewarm must be a non-negative int".into()))?
-                as usize;
-        }
-        if let Some(r) = v.get("recycle") {
-            cfg.recycle = r
-                .as_bool()
-                .ok_or_else(|| ConfigError::Schema("recycle must be a bool".into()))?;
-        }
-        if let Some(f) = v.get("fairness") {
-            cfg.fairness = f
-                .as_bool()
-                .ok_or_else(|| ConfigError::Schema("fairness must be a bool".into()))?;
-        }
-        if let Some(mi) = v.get("max_inflight") {
-            cfg.max_inflight = mi.as_u64().ok_or_else(|| {
-                ConfigError::Schema("max_inflight must be a non-negative int".into())
-            })? as usize;
-        }
-        if let Some(mc) = v.get("max_connections") {
-            cfg.max_connections = mc.as_u64().ok_or_else(|| {
-                ConfigError::Schema("max_connections must be a non-negative int".into())
-            })? as usize;
-        }
-        if v.get("reactor").is_some() {
-            return Err(ConfigError::Schema(
-                "\"reactor\" is no longer a setting: the epoll reactor is the one listener".into(),
-            ));
-        }
-        if let Some(a) = v.get("admin_routes") {
-            cfg.admin_routes = a
-                .as_bool()
-                .ok_or_else(|| ConfigError::Schema("admin_routes must be a bool".into()))?;
-        }
         let mut funcs = Vec::new();
-        if let Some(mods) = v.get("modules") {
-            let arr = mods
-                .as_array()
-                .ok_or_else(|| ConfigError::Schema("modules must be an array".into()))?;
-            for m in arr {
-                funcs.push(parse_function(m)?);
+        for (key, v) in members(&doc, "config")? {
+            match key.as_str() {
+                "workers" => {
+                    cfg.workers = v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("workers must be a non-negative int".into())
+                    })? as usize;
+                }
+                "quantum_us" => {
+                    cfg.quantum =
+                        Duration::from_micros(v.as_u64().ok_or_else(|| {
+                            ConfigError::Schema("quantum_us must be an int".into())
+                        })?);
+                }
+                "quantum_fuel" => {
+                    let q = v
+                        .as_u64()
+                        .ok_or_else(|| ConfigError::Schema("quantum_fuel must be an int".into()))?;
+                    if q == 0 {
+                        return Err(ConfigError::Schema(
+                            "quantum_fuel must be >= 1 (a zero budget cannot make progress)".into(),
+                        ));
+                    }
+                    cfg.quantum_fuel = Some(q);
+                }
+                "cost_units_per_us" => {
+                    let c = v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("cost_units_per_us must be an int".into())
+                    })?;
+                    if c == 0 {
+                        return Err(ConfigError::Schema("cost_units_per_us must be >= 1".into()));
+                    }
+                    cfg.cost_units_per_us = c;
+                }
+                "max_check_gap" => {
+                    cfg.max_check_gap = Some(
+                        v.as_u64()
+                            .filter(|g| *g <= u32::MAX as u64)
+                            .ok_or_else(|| {
+                                ConfigError::Schema("max_check_gap must be a u32".into())
+                            })? as u32,
+                    );
+                }
+                "max_pending" => {
+                    cfg.max_pending = v
+                        .as_u64()
+                        .ok_or_else(|| ConfigError::Schema("max_pending must be an int".into()))?
+                        as usize;
+                }
+                "max_request_size" => {
+                    cfg.max_request_size = v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("max_request_size must be an int".into())
+                    })? as usize;
+                }
+                "tier" => {
+                    cfg.tier = match v.as_str() {
+                        Some("aot-opt") => Tier::Optimized,
+                        Some("aot-naive") => Tier::Naive,
+                        other => {
+                            return Err(ConfigError::Schema(format!("unknown tier {other:?}")))
+                        }
+                    };
+                }
+                "policy" => {
+                    cfg.policy = match v.as_str() {
+                        Some("preemptive-rr") => SchedPolicy::PreemptiveRr,
+                        Some("run-to-completion") => SchedPolicy::RunToCompletion,
+                        other => {
+                            return Err(ConfigError::Schema(format!("unknown policy {other:?}")))
+                        }
+                    };
+                }
+                "deadline_ms" => {
+                    cfg.deadline = Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("deadline_ms must be a non-negative int".into())
+                    })?));
+                }
+                "circuit_breaker" => {
+                    cfg.circuit_breaker = Some(parse_breaker(v)?);
+                }
+                "conn_idle_ms" => {
+                    cfg.conn_idle = Duration::from_millis(v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("conn_idle_ms must be a non-negative int".into())
+                    })?);
+                }
+                "fault_plan" => {
+                    cfg.fault_plan = Some(parse_fault_plan(v)?);
+                }
+                "max_stack_bytes" => {
+                    cfg.max_stack_bytes = Some(v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("max_stack_bytes must be a non-negative int".into())
+                    })?);
+                }
+                "metrics_routes" => {
+                    cfg.metrics_routes = v.as_bool().ok_or_else(|| {
+                        ConfigError::Schema("metrics_routes must be a bool".into())
+                    })?;
+                }
+                "pool_size" => {
+                    cfg.pool_size = v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("pool_size must be a non-negative int".into())
+                    })? as usize;
+                }
+                "prewarm" => {
+                    cfg.prewarm = v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("prewarm must be a non-negative int".into())
+                    })? as usize;
+                }
+                "recycle" => {
+                    cfg.recycle = v
+                        .as_bool()
+                        .ok_or_else(|| ConfigError::Schema("recycle must be a bool".into()))?;
+                }
+                "fairness" => {
+                    cfg.fairness = v
+                        .as_bool()
+                        .ok_or_else(|| ConfigError::Schema("fairness must be a bool".into()))?;
+                }
+                "max_inflight" => {
+                    cfg.max_inflight = v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("max_inflight must be a non-negative int".into())
+                    })? as usize;
+                }
+                "max_connections" => {
+                    cfg.max_connections = v.as_u64().ok_or_else(|| {
+                        ConfigError::Schema("max_connections must be a non-negative int".into())
+                    })? as usize;
+                }
+                "admin_routes" => {
+                    cfg.admin_routes = v
+                        .as_bool()
+                        .ok_or_else(|| ConfigError::Schema("admin_routes must be a bool".into()))?;
+                }
+                "modules" => {
+                    let arr = v
+                        .as_array()
+                        .ok_or_else(|| ConfigError::Schema("modules must be an array".into()))?;
+                    for m in arr {
+                        funcs.push(parse_function(m)?);
+                    }
+                }
+                other => return Err(unknown("config", other)),
             }
         }
         Ok((cfg, funcs))
@@ -492,32 +492,32 @@ impl RuntimeConfig {
 
 fn parse_breaker(cb: &Json) -> Result<BreakerConfig, ConfigError> {
     let mut b = BreakerConfig::default();
-    if let Some(t) = cb.get("threshold") {
-        let t = t.as_u64().ok_or_else(|| {
-            ConfigError::Schema("circuit_breaker.threshold must be an int".into())
-        })?;
-        if t == 0 {
-            return Err(ConfigError::Schema(
-                "circuit_breaker.threshold must be >= 1".into(),
-            ));
+    for (key, v) in members(cb, "circuit_breaker")? {
+        match key.as_str() {
+            "threshold" => {
+                let t = v.as_u64().ok_or_else(|| {
+                    ConfigError::Schema("circuit_breaker.threshold must be an int".into())
+                })?;
+                if t == 0 {
+                    return Err(ConfigError::Schema(
+                        "circuit_breaker.threshold must be >= 1".into(),
+                    ));
+                }
+                b.threshold = t as u32;
+            }
+            "cooldown_ms" => {
+                b.cooldown = Duration::from_millis(v.as_u64().ok_or_else(|| {
+                    ConfigError::Schema("circuit_breaker.cooldown_ms must be an int".into())
+                })?);
+            }
+            other => return Err(unknown("circuit_breaker", other)),
         }
-        b.threshold = t as u32;
-    }
-    if let Some(c) = cb.get("cooldown_ms") {
-        b.cooldown = Duration::from_millis(c.as_u64().ok_or_else(|| {
-            ConfigError::Schema("circuit_breaker.cooldown_ms must be an int".into())
-        })?);
     }
     Ok(b)
 }
 
 fn parse_fault_plan(fp: &Json) -> Result<FaultPlan, ConfigError> {
     let mut plan = FaultPlan::default();
-    if let Some(s) = fp.get("seed") {
-        plan.seed = s
-            .as_u64()
-            .ok_or_else(|| ConfigError::Schema("fault_plan.seed must be an int".into()))?;
-    }
     let pct = |j: &Json, key: &str| -> Result<f64, ConfigError> {
         let p = j
             .as_f64()
@@ -529,119 +529,155 @@ fn parse_fault_plan(fp: &Json) -> Result<FaultPlan, ConfigError> {
         }
         Ok(p)
     };
-    if let Some(p) = fp.get("instantiation_failure_pct") {
-        plan.instantiation_failure_pct = pct(p, "instantiation_failure_pct")?;
-    }
-    if let Some(p) = fp.get("host_trap_pct") {
-        plan.host_trap_pct = pct(p, "host_trap_pct")?;
-    }
-    if let Some(p) = fp.get("host_latency_pct") {
-        plan.host_latency_pct = pct(p, "host_latency_pct")?;
-    }
-    if let Some(l) = fp.get("host_latency_us") {
-        plan.host_latency = Duration::from_micros(l.as_u64().ok_or_else(|| {
-            ConfigError::Schema("fault_plan.host_latency_us must be an int".into())
-        })?);
-    }
-    if let Some(p) = fp.get("pool_poison_pct") {
-        plan.pool_poison_pct = pct(p, "pool_poison_pct")?;
-    }
-    if let Some(p) = fp.get("burst_pct") {
-        plan.burst_pct = pct(p, "burst_pct")?;
-    }
-    if let Some(l) = fp.get("burst_latency_us") {
-        plan.burst_latency = Duration::from_micros(l.as_u64().ok_or_else(|| {
-            ConfigError::Schema("fault_plan.burst_latency_us must be an int".into())
-        })?);
-    }
-    if let Some(p) = fp.get("conn_reset_pct") {
-        plan.conn_reset_pct = pct(p, "conn_reset_pct")?;
+    for (key, v) in members(fp, "fault_plan")? {
+        match key.as_str() {
+            "seed" => {
+                plan.seed = v
+                    .as_u64()
+                    .ok_or_else(|| ConfigError::Schema("fault_plan.seed must be an int".into()))?;
+            }
+            "instantiation_failure_pct" => {
+                plan.instantiation_failure_pct = pct(v, "instantiation_failure_pct")?;
+            }
+            "host_trap_pct" => {
+                plan.host_trap_pct = pct(v, "host_trap_pct")?;
+            }
+            "host_latency_pct" => {
+                plan.host_latency_pct = pct(v, "host_latency_pct")?;
+            }
+            "host_latency_us" => {
+                plan.host_latency = Duration::from_micros(v.as_u64().ok_or_else(|| {
+                    ConfigError::Schema("fault_plan.host_latency_us must be an int".into())
+                })?);
+            }
+            "pool_poison_pct" => {
+                plan.pool_poison_pct = pct(v, "pool_poison_pct")?;
+            }
+            "burst_pct" => {
+                plan.burst_pct = pct(v, "burst_pct")?;
+            }
+            "burst_latency_us" => {
+                plan.burst_latency = Duration::from_micros(v.as_u64().ok_or_else(|| {
+                    ConfigError::Schema("fault_plan.burst_latency_us must be an int".into())
+                })?);
+            }
+            "conn_reset_pct" => {
+                plan.conn_reset_pct = pct(v, "conn_reset_pct")?;
+            }
+            other => return Err(unknown("fault_plan", other)),
+        }
     }
     Ok(plan)
 }
 
 pub(crate) fn parse_function(m: &Json) -> Result<FunctionConfig, ConfigError> {
-    let name = m
+    let entries = members(m, "module")?;
+    let name = entries
         .get("name")
         .and_then(Json::as_str)
         .ok_or_else(|| ConfigError::Schema("module missing \"name\"".into()))?;
     let mut f = FunctionConfig::new(name);
-    if let Some(r) = m.get("route") {
-        f.route = Some(
-            r.as_str()
-                .ok_or_else(|| ConfigError::Schema("route must be a string".into()))?
-                .to_string(),
-        );
-    }
-    if let Some(e) = m.get("entry") {
-        f.entry = e
-            .as_str()
-            .ok_or_else(|| ConfigError::Schema("entry must be a string".into()))?
-            .to_string();
-    }
-    if let Some(d) = m.get("deadline_ms") {
-        f.deadline = Some(Duration::from_millis(d.as_u64().ok_or_else(|| {
-            ConfigError::Schema("module deadline_ms must be a non-negative int".into())
-        })?));
-    }
-    if let Some(b) = m.get("budget") {
-        let b = b
-            .as_u64()
-            .ok_or_else(|| ConfigError::Schema("module budget must be an int".into()))?;
-        if b == 0 {
-            return Err(ConfigError::Schema(
-                "module budget must be >= 1 µs/s (omit it to disable budgeting)".into(),
-            ));
-        }
-        f.budget_us_per_s = Some(b);
-    }
-    if let Some(p) = m.get("priority") {
-        let p = p
-            .as_u64()
-            .filter(|p| *p <= MAX_PRIORITY as u64)
-            .ok_or_else(|| {
-                ConfigError::Schema(format!("module priority must be in 0..={MAX_PRIORITY}"))
-            })?;
-        f.priority = p as u8;
-    }
-    if let Some(w) = m.get("weight") {
-        let w = w
-            .as_u64()
-            .filter(|w| (1..=u32::MAX as u64).contains(w))
-            .ok_or_else(|| ConfigError::Schema("module weight must be a u32 >= 1".into()))?;
-        f.weight = w as u32;
-    }
-    if let Some(s) = m.get("queue_slo_ms") {
-        f.queue_slo = Some(Duration::from_millis(s.as_u64().ok_or_else(|| {
-            ConfigError::Schema("module queue_slo_ms must be a non-negative int".into())
-        })?));
-    }
-    if let Some(a) = m.get("allowed_hostcalls") {
-        let items = a.as_array().ok_or_else(|| {
-            ConfigError::Schema("module allowed_hostcalls must be an array of strings".into())
-        })?;
-        let mut allowed = Vec::with_capacity(items.len());
-        for item in items {
-            allowed.push(
-                item.as_str()
+    for (key, v) in entries {
+        match key.as_str() {
+            // `wasm` is the module's path, which `sledged` reads itself.
+            "name" | "wasm" => {}
+            "route" => {
+                f.route = Some(
+                    v.as_str()
+                        .ok_or_else(|| ConfigError::Schema("route must be a string".into()))?
+                        .to_string(),
+                );
+            }
+            "entry" => {
+                f.entry = v
+                    .as_str()
+                    .ok_or_else(|| ConfigError::Schema("entry must be a string".into()))?
+                    .to_string();
+            }
+            "deadline_ms" => {
+                f.deadline = Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
+                    ConfigError::Schema("module deadline_ms must be a non-negative int".into())
+                })?));
+            }
+            "budget" => {
+                let b = v
+                    .as_u64()
+                    .ok_or_else(|| ConfigError::Schema("module budget must be an int".into()))?;
+                if b == 0 {
+                    return Err(ConfigError::Schema(
+                        "module budget must be >= 1 µs/s (omit it to disable budgeting)".into(),
+                    ));
+                }
+                f.budget_us_per_s = Some(b);
+            }
+            "priority" => {
+                let p = v
+                    .as_u64()
+                    .filter(|p| *p <= MAX_PRIORITY as u64)
                     .ok_or_else(|| {
-                        ConfigError::Schema(
-                            "module allowed_hostcalls entries must be strings".into(),
-                        )
-                    })?
-                    .to_string(),
-            );
+                        ConfigError::Schema(format!(
+                            "module priority must be in 0..={MAX_PRIORITY}"
+                        ))
+                    })?;
+                f.priority = p as u8;
+            }
+            "weight" => {
+                let w = v
+                    .as_u64()
+                    .filter(|w| (1..=u32::MAX as u64).contains(w))
+                    .ok_or_else(|| {
+                        ConfigError::Schema("module weight must be a u32 >= 1".into())
+                    })?;
+                f.weight = w as u32;
+            }
+            "queue_slo_ms" => {
+                f.queue_slo = Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
+                    ConfigError::Schema("module queue_slo_ms must be a non-negative int".into())
+                })?));
+            }
+            "allowed_hostcalls" => {
+                let items = v.as_array().ok_or_else(|| {
+                    ConfigError::Schema(
+                        "module allowed_hostcalls must be an array of strings".into(),
+                    )
+                })?;
+                let mut allowed = Vec::with_capacity(items.len());
+                for item in items {
+                    allowed.push(
+                        item.as_str()
+                            .ok_or_else(|| {
+                                ConfigError::Schema(
+                                    "module allowed_hostcalls entries must be strings".into(),
+                                )
+                            })?
+                            .to_string(),
+                    );
+                }
+                f.allowed_hostcalls = Some(allowed);
+            }
+            "max_write_footprint_bytes" => {
+                f.max_write_footprint_bytes = Some(v.as_u64().ok_or_else(|| {
+                    ConfigError::Schema(
+                        "module max_write_footprint_bytes must be a non-negative int".into(),
+                    )
+                })?);
+            }
+            other => return Err(unknown("module", other)),
         }
-        f.allowed_hostcalls = Some(allowed);
-    }
-    if let Some(b) = m.get("max_write_footprint_bytes") {
-        f.max_write_footprint_bytes = Some(b.as_u64().ok_or_else(|| {
-            ConfigError::Schema(
-                "module max_write_footprint_bytes must be a non-negative int".into(),
-            )
-        })?);
     }
     Ok(f)
+}
+
+/// The members of `v`, which must be a JSON object (`what` names it).
+fn members<'a>(v: &'a Json, what: &str) -> Result<&'a BTreeMap<String, Json>, ConfigError> {
+    match v {
+        Json::Object(m) => Ok(m),
+        _ => Err(ConfigError::Schema(format!("{what} must be a JSON object"))),
+    }
+}
+
+fn unknown(what: &str, key: &str) -> ConfigError {
+    ConfigError::Schema(format!("unknown {what} key {key:?}"))
 }
 
 #[cfg(test)]
@@ -691,7 +727,7 @@ mod tests {
             let text = format!(r#"{{"bounds": {value}}}"#);
             let err = RuntimeConfig::from_json(&text).unwrap_err();
             assert!(
-                matches!(err, ConfigError::Schema(ref s) if s.contains("traps")),
+                matches!(err, ConfigError::Schema(ref s) if s.contains("\"bounds\"")),
                 "{value}: {err:?}"
             );
         }
@@ -699,6 +735,38 @@ mod tests {
         assert!(RuntimeConfig::from_json("{").is_err());
         assert!(RuntimeConfig::from_json(r#"{"max_stack_bytes": "x"}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"max_stack_bytes": -1}"#).is_err());
+    }
+
+    #[test]
+    fn unknown_keys_and_non_objects_rejected() {
+        // A misspelt key is an error naming it, at every level, never a
+        // silently ignored setting.
+        for (text, key) in [
+            (r#"{"pool_sise": 4}"#, "pool_sise"),
+            (r#"{"modules": [{"name": "f", "wieght": 2}]}"#, "wieght"),
+            (r#"{"circuit_breaker": {"treshold": 3}}"#, "treshold"),
+            (
+                r#"{"fault_plan": {"seed": 1, "host_trap": 5}}"#,
+                "host_trap",
+            ),
+        ] {
+            let err = RuntimeConfig::from_json(text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s) if s.contains(&format!("{key:?}"))),
+                "{text}: {err:?}"
+            );
+        }
+        for text in ["[]", "42", r#"{"modules": [[]]}"#, r#"{"fault_plan": 1}"#] {
+            let err = RuntimeConfig::from_json(text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s) if s.contains("object")),
+                "{text}: {err:?}"
+            );
+        }
+        // `wasm` is the module path sledged reads; it is a known key.
+        let (_, funcs) =
+            RuntimeConfig::from_json(r#"{"modules": [{"name": "f", "wasm": "f.wasm"}]}"#).unwrap();
+        assert_eq!(funcs[0].name, "f");
     }
 
     #[test]
@@ -900,7 +968,7 @@ mod tests {
             let text = format!(r#"{{"reactor": {value}}}"#);
             let err = RuntimeConfig::from_json(&text).unwrap_err();
             assert!(
-                matches!(err, ConfigError::Schema(ref s) if s.contains("one listener")),
+                matches!(err, ConfigError::Schema(ref s) if s.contains("\"reactor\"")),
                 "{value}: {err:?}"
             );
         }

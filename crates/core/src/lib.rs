@@ -76,8 +76,8 @@ pub use histogram::{bucket_bounds, bucket_of, Histogram, HistogramSnapshot, BUCK
 pub use json::{parse as parse_json, Json, JsonError};
 pub use listener::AnyResponder;
 pub use metrics::{
-    render_json, render_prometheus, summary_line, AdmissionFnSnapshot, AdmissionReport,
-    CapabilityReport, LatencyReport, MetricsHandle, PhaseHistograms, PhaseSnapshot, PHASES,
+    render_json, render_prometheus, summary_line, FunctionReport, LatencyReport, MetricsHandle,
+    PhaseHistograms, PhaseSnapshot, PHASES,
 };
 pub use pool::{PoolStats, PoolStatsSnapshot, SandboxPool};
 pub use registry::{FunctionId, RegisterError, RegisteredFunction, Registry};
@@ -123,10 +123,9 @@ pub(crate) struct Shared {
     /// Per-worker latency shards for the global (all-functions) view;
     /// worker `i` writes only `phase_shards[i]`.
     pub phase_shards: Box<[metrics::PhaseHistograms]>,
-    /// Connection-lifecycle counters shared with the HTTP front end;
-    /// `None` when the runtime has no HTTP listener (in-process intake
-    /// only) — metrics then render no connection section at all.
-    pub http_conns: Option<Arc<ConnCounters>>,
+    /// Connection-lifecycle counters shared with the HTTP front end (they
+    /// stay zero when the runtime has no HTTP listener).
+    pub http_conns: Arc<ConnCounters>,
 }
 
 /// The crate's one lock-poisoning policy: there is none. A thread that
@@ -217,7 +216,10 @@ impl Runtime {
             Some(s) => Some(s.local_addr()?),
             None => None,
         };
-        let http_conns = server.as_ref().map(HttpServer::counters);
+        let http_conns = server
+            .as_ref()
+            .map(HttpServer::counters)
+            .unwrap_or_default();
 
         let workers = config.workers.max(1);
         let mut registry = Registry::new();
@@ -378,9 +380,10 @@ impl Runtime {
         self.shared.stats.snapshot()
     }
 
-    /// Merged per-phase latency report: every worker's private shards
-    /// folded into a global view plus per-function breakdowns. This is the
-    /// same data `GET /metrics` and `GET /stats` serve.
+    /// The node snapshot: counters, registry and pool totals, connection
+    /// counters, and every worker's private latency shards merged into a
+    /// global view plus one entry per function. It is all that
+    /// `GET /metrics`, `GET /stats` and the summary line render.
     pub fn latency_report(&self) -> LatencyReport {
         self.shared.latency_report()
     }
@@ -394,19 +397,15 @@ impl Runtime {
     }
 
     /// Load-time static-analysis counter snapshot (modules verified /
-    /// rejected, lint warnings) plus aggregated warm-pool counters.
-    pub fn registry_stats(&self) -> stats::RegistryStatsSnapshot {
-        self.shared.registry().stats_snapshot()
+    /// rejected, lint warnings, capability verdicts).
+    pub fn registry_stats(&self) -> RegistryStatsSnapshot {
+        self.shared.registry().stats.snapshot()
     }
 
     /// Aggregated warm sandbox-pool counters (all-zero when pooling is
     /// disabled via `pool_size = 0`).
-    pub fn pool_stats(&self) -> pool::PoolStatsSnapshot {
-        let mut snap = pool::PoolStatsSnapshot::default();
-        for rf in self.shared.registry().iter() {
-            snap.merge(&rf.pool.snapshot());
-        }
-        snap
+    pub fn pool_stats(&self) -> PoolStatsSnapshot {
+        self.shared.registry().pool_stats()
     }
 
     /// Per-function counter snapshot.
@@ -417,11 +416,7 @@ impl Runtime {
     /// Connection-lifecycle counter snapshot from the HTTP front end
     /// (all-zero when the runtime has no HTTP listener).
     pub fn connection_stats(&self) -> ConnSnapshot {
-        self.shared
-            .http_conns
-            .as_ref()
-            .map(|c| c.snapshot())
-            .unwrap_or_default()
+        self.shared.http_conns.snapshot()
     }
 
     /// Number of requests injected but not yet started.

@@ -1,6 +1,6 @@
-//! Invocation-lifecycle metrics: per-phase latency shards, the merged
-//! [`LatencyReport`], and the `/metrics` (Prometheus text) and `/stats`
-//! (JSON) renderings.
+//! Invocation-lifecycle metrics: per-phase latency shards, the node
+//! snapshot [`LatencyReport`], and the `/metrics` (Prometheus text), `/stats`
+//! (JSON) and summary-line renderings of it.
 //!
 //! Every completed invocation is decomposed into phases (queue wait,
 //! instantiation, pure execution, preempted time, blocked time, end-to-end
@@ -8,14 +8,19 @@
 //! owns a private shard per key (one global, one per function), so the hot
 //! path touches only cache lines no other worker writes; readers merge
 //! shard snapshots on demand.
+//!
+//! The renderers read only the report and never ask which subsystems are
+//! on: every section and series is always present, reading zero when its
+//! subsystem is off. The one exception is `budget_balance`, which exists
+//! only for a function that has a work budget.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::pool::PoolStatsSnapshot;
 use crate::sandbox::Timings;
-use crate::stats::StatsSnapshot;
+use crate::stats::{FunctionStatsSnapshot, RegistryStatsSnapshot, StatsSnapshot};
 use crate::Shared;
 use sledge_http::ConnSnapshot;
-use std::sync::atomic::Ordering;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// The lifecycle phases a latency sample is split into, in render order.
@@ -120,73 +125,38 @@ impl PhaseSnapshot {
     }
 }
 
-/// Per-function admission-control counters for the fairness subsystem.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionFnSnapshot {
-    /// Requests admitted past every gate (dispatched to a worker).
-    pub admitted: u64,
-    /// Requests shed (429) by the global in-flight cap.
-    pub shed: u64,
-    /// Requests rejected (429) on an empty work budget.
-    pub budget_rejected: u64,
-    /// Requests rejected (429) on a blown queue-phase p99 SLO.
-    pub slo_rejected: u64,
-    /// DWRR lane pass-overs while this function's deficit was spent.
-    pub dwrr_deferrals: u64,
-    /// Current work-budget balance in tokens, when a budget is armed.
+/// One function's slice of a [`LatencyReport`].
+#[derive(Debug, Clone, Default)]
+pub struct FunctionReport {
+    pub name: String,
+    /// Outcome and admission counters.
+    pub stats: FunctionStatsSnapshot,
+    /// Current work-budget balance in tokens; `None` for a function without
+    /// a budget.
     pub budget_balance: Option<u64>,
+    /// The function's latency shards, merged.
+    pub phases: PhaseSnapshot,
 }
 
-/// The admission-control view: present in a [`LatencyReport`] only when
-/// some part of the fairness subsystem is armed (DWRR, an in-flight cap,
-/// a budget, or a queue SLO), so a fully disarmed runtime renders output
-/// byte-identical to one without the subsystem.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AdmissionReport {
-    /// Whether DWRR scheduling is on.
+/// A point-in-time view of a node: counters, registry and pool totals,
+/// connection counters (zeros without HTTP), and the merged latency shards.
+/// Produced by [`crate::Runtime::latency_report`]; it is all that `/metrics`,
+/// `/stats` and the summary line render.
+#[derive(Debug, Clone, Default)]
+pub struct LatencyReport {
+    pub stats: StatsSnapshot,
+    pub registry: RegistryStatsSnapshot,
+    /// Warm sandbox-pool counters summed over all functions.
+    pub pool: PoolStatsSnapshot,
+    pub connections: ConnSnapshot,
+    /// Whether each function has its own DWRR lane.
     pub fairness: bool,
     /// Global in-flight cap (0 = uncapped).
     pub max_inflight: usize,
-    /// Per-function admission counters, in registration order.
-    pub per_function: Vec<(String, AdmissionFnSnapshot)>,
-}
-
-/// Capability-policy counters: present in a [`LatencyReport`] only when at
-/// least one module was gated by a policy (certified or rejected), so a
-/// runtime with no policies configured renders output byte-identical to one
-/// without the subsystem.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CapabilityReport {
-    /// Modules whose effect certificate satisfied their policy.
-    pub certified: u64,
-    /// Modules rejected by a policy.
-    pub rejected: u64,
-}
-
-/// The merged latency view over every worker shard: global plus
-/// per-function breakdowns. Produced by [`crate::Runtime::latency_report`]
-/// and by the `/metrics` / `/stats` endpoints.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyReport {
     /// All invocations, across functions.
     pub global: PhaseSnapshot,
-    /// Per-function breakdowns, in registration order.
-    pub per_function: Vec<(String, PhaseSnapshot)>,
-    /// Warm sandbox-pool counters summed over all functions. All-zero
-    /// (capacity 0) when pooling is disabled — the renderers then emit no
-    /// pool series at all, keeping the disabled output byte-for-byte
-    /// identical to a runtime without the subsystem.
-    pub pool: PoolStatsSnapshot,
-    /// Admission-control counters; `None` when the fairness subsystem is
-    /// fully disarmed (same discipline as the pool's capacity-0 gate).
-    pub admission: Option<AdmissionReport>,
-    /// Capability-policy counters; `None` when no module set a policy
-    /// (same byte-identity discipline as the pool and admission gates).
-    pub capability: Option<CapabilityReport>,
-    /// Connection-lifecycle counters from the HTTP front end; `None` when
-    /// the runtime serves no HTTP (same byte-identity discipline as the
-    /// other gated sections).
-    pub connections: Option<ConnSnapshot>,
+    /// One entry per function, in registration order.
+    pub per_function: Vec<FunctionReport>,
 }
 
 /// A cheap, clonable handle for reading runtime metrics without holding the
@@ -198,84 +168,35 @@ pub struct MetricsHandle {
 }
 
 impl MetricsHandle {
-    /// Merged latency report (see [`crate::Runtime::latency_report`]).
+    /// The node snapshot (see [`crate::Runtime::latency_report`]).
     pub fn latency_report(&self) -> LatencyReport {
         self.shared.latency_report()
-    }
-
-    /// Global counter snapshot.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
     }
 }
 
 impl Shared {
-    /// Merge every worker shard into the global + per-function report.
+    /// Take the node snapshot: one walk of the registry, every worker shard
+    /// merged.
     pub(crate) fn latency_report(&self) -> LatencyReport {
-        let global = PhaseSnapshot::merge_shards(&self.phase_shards);
+        let now = self.now_ns();
         let registry = self.registry();
-        let per_function = registry
-            .iter()
-            .map(|rf| {
-                (
-                    rf.config.name.clone(),
-                    PhaseSnapshot::merge_shards(&rf.metrics),
-                )
-            })
-            .collect();
-        let mut pool = PoolStatsSnapshot::default();
-        for rf in registry.iter() {
-            pool.merge(&rf.pool.snapshot());
-        }
-        // The admission view exists only when some part of the fairness
-        // subsystem is armed; otherwise the report (and thus every
-        // rendering) is identical to a runtime without it.
-        let armed = self.config.fairness
-            || self.config.max_inflight > 0
-            || registry
-                .iter()
-                .any(|rf| rf.budget.is_some() || rf.config.queue_slo.is_some());
-        let admission = armed.then(|| {
-            let now = self.now_ns();
-            AdmissionReport {
-                fairness: self.config.fairness,
-                max_inflight: self.config.max_inflight,
-                per_function: registry
-                    .iter()
-                    .map(|rf| {
-                        let s = &rf.stats;
-                        (
-                            rf.config.name.clone(),
-                            AdmissionFnSnapshot {
-                                admitted: s.admitted.load(Ordering::Relaxed),
-                                shed: s.shed.load(Ordering::Relaxed),
-                                budget_rejected: s.budget_rejected.load(Ordering::Relaxed),
-                                slo_rejected: s.slo_rejected.load(Ordering::Relaxed),
-                                dwrr_deferrals: s.dwrr_deferrals.load(Ordering::Relaxed),
-                                budget_balance: rf.budget.as_ref().map(|b| b.balance(now)),
-                            },
-                        )
-                    })
-                    .collect(),
-            }
-        });
-        // Capability counters appear only once a policy has actually gated
-        // a module; a policy-free runtime reports `None` and renders
-        // byte-identically to one without the subsystem.
-        let rs = registry.stats.snapshot();
-        let capability =
-            (rs.capability_certified + rs.capability_rejected > 0).then_some(CapabilityReport {
-                certified: rs.capability_certified,
-                rejected: rs.capability_rejected,
-            });
-        drop(registry);
         LatencyReport {
-            global,
-            per_function,
-            pool,
-            admission,
-            capability,
-            connections: self.http_conns.as_ref().map(|c| c.snapshot()),
+            stats: self.stats.snapshot(),
+            registry: registry.stats.snapshot(),
+            pool: registry.pool_stats(),
+            connections: self.http_conns.snapshot(),
+            fairness: self.config.fairness,
+            max_inflight: self.config.max_inflight,
+            global: PhaseSnapshot::merge_shards(&self.phase_shards),
+            per_function: registry
+                .iter()
+                .map(|rf| FunctionReport {
+                    name: rf.config.name.clone(),
+                    stats: rf.stats.snapshot(),
+                    budget_balance: rf.budget.as_ref().map(|b| b.balance(now)),
+                    phases: PhaseSnapshot::merge_shards(&rf.metrics),
+                })
+                .collect(),
         }
     }
 }
@@ -286,287 +207,253 @@ fn fmt_ns_f64(ns: u64) -> String {
     format!("{:.9}", ns as f64 / 1e9)
 }
 
+/// One `name{key="label"} value` sample per `(label, value)` pair.
+fn by_label(out: &mut String, name: &str, key: &str, values: &[(&str, u64)]) {
+    for (label, v) in values {
+        let _ = writeln!(out, "{name}{{{key}=\"{label}\"}} {v}");
+    }
+}
+
 /// Render the Prometheus text exposition served at `GET /metrics`.
-pub fn render_prometheus(report: &LatencyReport, stats: &StatsSnapshot) -> String {
+pub fn render_prometheus(report: &LatencyReport) -> String {
     let mut out = String::with_capacity(4096);
+    let (s, c, p) = (&report.stats, &report.connections, &report.pool);
+    let functions: Vec<(String, &FunctionReport)> = report
+        .per_function
+        .iter()
+        .map(|f| (escape_label(&f.name), f))
+        .collect();
 
     out.push_str("# HELP sledge_invocations_total Invocations by outcome.\n");
     out.push_str("# TYPE sledge_invocations_total counter\n");
-    for (outcome, v) in [
-        ("completed", stats.completed),
-        ("trapped", stats.trapped),
-        ("timed_out", stats.timed_out),
-        ("rejected", stats.rejected),
-        ("breaker_rejected", stats.breaker_rejected),
-    ] {
-        out.push_str(&format!(
-            "sledge_invocations_total{{outcome=\"{outcome}\"}} {v}\n"
-        ));
-    }
-
+    let outcomes = [
+        ("completed", s.completed),
+        ("trapped", s.trapped),
+        ("timed_out", s.timed_out),
+        ("rejected", s.rejected),
+        ("breaker_rejected", s.breaker_rejected),
+    ];
+    by_label(&mut out, "sledge_invocations_total", "outcome", &outcomes);
     out.push_str("# HELP sledge_scheduler_events_total Scheduler events.\n");
     out.push_str("# TYPE sledge_scheduler_events_total counter\n");
-    for (event, v) in [
-        ("steal", stats.steals),
-        ("preemption", stats.preemptions),
-        ("block", stats.blocked),
-    ] {
-        out.push_str(&format!(
-            "sledge_scheduler_events_total{{event=\"{event}\"}} {v}\n"
-        ));
-    }
+    let events = [
+        ("steal", s.steals),
+        ("preemption", s.preemptions),
+        ("block", s.blocked),
+    ];
+    by_label(&mut out, "sledge_scheduler_events_total", "event", &events);
 
-    // Connection series exist only when the runtime serves HTTP; an
-    // in-process-only runtime leaves the exposition byte-for-byte
-    // unchanged.
-    if let Some(c) = &report.connections {
-        out.push_str("# HELP sledge_connections_total Connection lifecycle events.\n");
-        out.push_str("# TYPE sledge_connections_total counter\n");
-        for (event, v) in [
-            ("accepted", c.accepted),
-            ("closed", c.closed),
-            ("shed", c.shed),
-            ("reaped", c.reaped),
-        ] {
-            out.push_str(&format!(
-                "sledge_connections_total{{event=\"{event}\"}} {v}\n"
-            ));
-        }
-        out.push_str("# HELP sledge_connections_active Connections currently open.\n");
-        out.push_str("# TYPE sledge_connections_active gauge\n");
-        out.push_str(&format!("sledge_connections_active{{}} {}\n", c.active()));
-        out.push_str("# HELP sledge_http_requests_total Complete HTTP requests parsed.\n");
-        out.push_str("# TYPE sledge_http_requests_total counter\n");
-        out.push_str(&format!("sledge_http_requests_total{{}} {}\n", c.requests));
-        out.push_str("# HELP sledge_http_bytes_total Bytes moved on HTTP sockets.\n");
-        out.push_str("# TYPE sledge_http_bytes_total counter\n");
-        for (dir, v) in [("in", c.bytes_in), ("out", c.bytes_out)] {
-            out.push_str(&format!(
-                "sledge_http_bytes_total{{direction=\"{dir}\"}} {v}\n"
-            ));
-        }
-    }
+    out.push_str("# HELP sledge_connections_total Connection lifecycle events.\n");
+    out.push_str("# TYPE sledge_connections_total counter\n");
+    let events = [
+        ("accepted", c.accepted),
+        ("closed", c.closed),
+        ("shed", c.shed),
+        ("reaped", c.reaped),
+    ];
+    by_label(&mut out, "sledge_connections_total", "event", &events);
+    out.push_str("# HELP sledge_connections_active Connections currently open.\n");
+    out.push_str("# TYPE sledge_connections_active gauge\n");
+    let _ = writeln!(out, "sledge_connections_active{{}} {}", c.active());
+    out.push_str("# HELP sledge_http_requests_total Complete HTTP requests parsed.\n");
+    out.push_str("# TYPE sledge_http_requests_total counter\n");
+    let _ = writeln!(out, "sledge_http_requests_total{{}} {}", c.requests);
+    out.push_str("# HELP sledge_http_bytes_total Bytes moved on HTTP sockets.\n");
+    out.push_str("# TYPE sledge_http_bytes_total counter\n");
+    let bytes = [("in", c.bytes_in), ("out", c.bytes_out)];
+    by_label(&mut out, "sledge_http_bytes_total", "direction", &bytes);
 
-    // Pool series exist only when the pool subsystem is armed; a disabled
-    // pool leaves the exposition byte-for-byte unchanged.
-    if report.pool.capacity > 0 {
-        let p = &report.pool;
-        out.push_str("# HELP sledge_pool_events_total Warm sandbox-pool events.\n");
-        out.push_str("# TYPE sledge_pool_events_total counter\n");
-        for (event, v) in [
-            ("hit", p.hits),
-            ("miss", p.misses),
-            ("recycled", p.recycled),
-            ("discarded", p.discarded),
-            ("poisoned", p.poisoned),
-            ("prewarmed", p.prewarmed),
-            ("evicted", p.evicted),
-            ("reset_static", p.resets_static),
-            ("reset_elided", p.resets_elided),
-        ] {
-            out.push_str(&format!(
-                "sledge_pool_events_total{{event=\"{event}\"}} {v}\n"
-            ));
-        }
-        out.push_str("# HELP sledge_pool_size Instances currently parked across all pools.\n");
-        out.push_str("# TYPE sledge_pool_size gauge\n");
-        out.push_str(&format!("sledge_pool_size{{}} {}\n", p.size));
-        out.push_str("# HELP sledge_pool_capacity Summed pool capacity across functions.\n");
-        out.push_str("# TYPE sledge_pool_capacity gauge\n");
-        out.push_str(&format!("sledge_pool_capacity{{}} {}\n", p.capacity));
-    }
+    out.push_str("# HELP sledge_pool_events_total Warm sandbox-pool events.\n");
+    out.push_str("# TYPE sledge_pool_events_total counter\n");
+    let events = [
+        ("hit", p.hits),
+        ("miss", p.misses),
+        ("recycled", p.recycled),
+        ("discarded", p.discarded),
+        ("poisoned", p.poisoned),
+        ("prewarmed", p.prewarmed),
+        ("evicted", p.evicted),
+        ("reset_static", p.resets_static),
+        ("reset_elided", p.resets_elided),
+    ];
+    by_label(&mut out, "sledge_pool_events_total", "event", &events);
+    out.push_str("# HELP sledge_pool_size Instances currently parked across all pools.\n");
+    out.push_str("# TYPE sledge_pool_size gauge\n");
+    let _ = writeln!(out, "sledge_pool_size{{}} {}", p.size);
+    out.push_str("# HELP sledge_pool_capacity Summed pool capacity across functions.\n");
+    out.push_str("# TYPE sledge_pool_capacity gauge\n");
+    let _ = writeln!(out, "sledge_pool_capacity{{}} {}", p.capacity);
 
-    // Admission series exist only when the fairness subsystem is armed;
-    // same byte-identity discipline as the pool above.
-    if let Some(adm) = &report.admission {
-        out.push_str("# HELP sledge_admission_total Admission-control decisions.\n");
-        out.push_str("# TYPE sledge_admission_total counter\n");
+    out.push_str("# HELP sledge_admission_total Admission-control decisions.\n");
+    out.push_str("# TYPE sledge_admission_total counter\n");
+    let results = [
+        ("shed", s.shed),
+        ("budget_rejected", s.budget_rejected),
+        ("slo_rejected", s.slo_rejected),
+    ];
+    by_label(&mut out, "sledge_admission_total", "result", &results);
+    for (label, f) in &functions {
+        let fs = &f.stats;
         for (result, v) in [
-            ("shed", stats.shed),
-            ("budget_rejected", stats.budget_rejected),
-            ("slo_rejected", stats.slo_rejected),
+            ("admitted", fs.admitted),
+            ("shed", fs.shed),
+            ("budget_rejected", fs.budget_rejected),
+            ("slo_rejected", fs.slo_rejected),
         ] {
-            out.push_str(&format!(
-                "sledge_admission_total{{result=\"{result}\"}} {v}\n"
-            ));
-        }
-        for (name, s) in &adm.per_function {
-            let fn_label = escape_label(name);
-            for (result, v) in [
-                ("admitted", s.admitted),
-                ("shed", s.shed),
-                ("budget_rejected", s.budget_rejected),
-                ("slo_rejected", s.slo_rejected),
-            ] {
-                out.push_str(&format!(
-                    "sledge_admission_total{{function=\"{fn_label}\",result=\"{result}\"}} {v}\n"
-                ));
-            }
-        }
-        if adm.fairness {
-            out.push_str(
-                "# HELP sledge_dwrr_deferrals_total DWRR lane pass-overs while deficit spent.\n",
+            let _ = writeln!(
+                out,
+                "sledge_admission_total{{function=\"{label}\",result=\"{result}\"}} {v}"
             );
-            out.push_str("# TYPE sledge_dwrr_deferrals_total counter\n");
-            for (name, s) in &adm.per_function {
-                out.push_str(&format!(
-                    "sledge_dwrr_deferrals_total{{function=\"{}\"}} {}\n",
-                    escape_label(name),
-                    s.dwrr_deferrals
-                ));
-            }
         }
-        if adm
-            .per_function
-            .iter()
-            .any(|(_, s)| s.budget_balance.is_some())
-        {
-            out.push_str("# HELP sledge_budget_balance Work-budget tokens currently available.\n");
-            out.push_str("# TYPE sledge_budget_balance gauge\n");
-            for (name, s) in &adm.per_function {
-                if let Some(balance) = s.budget_balance {
-                    out.push_str(&format!(
-                        "sledge_budget_balance{{function=\"{}\"}} {balance}\n",
-                        escape_label(name)
-                    ));
-                }
-            }
+    }
+    out.push_str("# HELP sledge_dwrr_deferrals_total DWRR lane pass-overs while deficit spent.\n");
+    out.push_str("# TYPE sledge_dwrr_deferrals_total counter\n");
+    for (label, f) in &functions {
+        let v = f.stats.dwrr_deferrals;
+        let _ = writeln!(
+            out,
+            "sledge_dwrr_deferrals_total{{function=\"{label}\"}} {v}"
+        );
+    }
+    out.push_str("# HELP sledge_budget_balance Work-budget tokens currently available.\n");
+    out.push_str("# TYPE sledge_budget_balance gauge\n");
+    for (label, f) in &functions {
+        if let Some(v) = f.budget_balance {
+            let _ = writeln!(out, "sledge_budget_balance{{function=\"{label}\"}} {v}");
         }
     }
 
-    // Capability series exist only when a policy gated at least one module;
-    // same byte-identity discipline as the pool and admission blocks above.
-    if let Some(cap) = &report.capability {
-        out.push_str(
-            "# HELP sledge_capability_modules_total Modules gated by a capability policy.\n",
-        );
-        out.push_str("# TYPE sledge_capability_modules_total counter\n");
-        for (verdict, v) in [("certified", cap.certified), ("rejected", cap.rejected)] {
-            out.push_str(&format!(
-                "sledge_capability_modules_total{{verdict=\"{verdict}\"}} {v}\n"
-            ));
-        }
-    }
+    out.push_str("# HELP sledge_capability_modules_total Modules gated by a capability policy.\n");
+    out.push_str("# TYPE sledge_capability_modules_total counter\n");
+    let verdicts = [
+        ("certified", report.registry.capability_certified),
+        ("rejected", report.registry.capability_rejected),
+    ];
+    by_label(
+        &mut out,
+        "sledge_capability_modules_total",
+        "verdict",
+        &verdicts,
+    );
 
     out.push_str(
         "# HELP sledge_phase_latency_seconds Per-phase invocation latency (merged shards).\n",
     );
     out.push_str("# TYPE sledge_phase_latency_seconds summary\n");
-    let mut series = |prefix: &str, labels: &str, snap: &HistogramSnapshot| {
-        for (q, label) in [(0.5, "0.5"), (0.99, "0.99")] {
-            out.push_str(&format!(
-                "{prefix}{{{labels}quantile=\"{label}\"}} {}\n",
-                fmt_ns_f64(snap.quantile(q))
-            ));
-        }
-        out.push_str(&format!(
-            "{prefix}_count{{{labels_t}}} {}\n",
-            snap.count(),
-            labels_t = labels.trim_end_matches(',')
-        ));
-        out.push_str(&format!(
-            "{prefix}_sum{{{labels_t}}} {}\n",
-            fmt_ns_f64(snap.sum()),
-            labels_t = labels.trim_end_matches(',')
-        ));
-    };
-    for (phase, snap) in report.global.phases() {
-        series(
-            "sledge_phase_latency_seconds",
-            &format!("phase=\"{phase}\","),
-            snap,
-        );
-    }
-    for (name, phases) in &report.per_function {
-        let fn_label = escape_label(name);
+    let mut series = |labels: &str, phases: &PhaseSnapshot| {
         for (phase, snap) in phases.phases() {
-            series(
-                "sledge_phase_latency_seconds",
-                &format!("function=\"{fn_label}\",phase=\"{phase}\","),
-                snap,
-            );
+            let labels = format!("{labels}phase=\"{phase}\"");
+            for q in [0.5, 0.99] {
+                let v = fmt_ns_f64(snap.quantile(q));
+                let _ = writeln!(
+                    out,
+                    "sledge_phase_latency_seconds{{{labels},quantile=\"{q}\"}} {v}"
+                );
+            }
+            let (n, sum) = (snap.count(), fmt_ns_f64(snap.sum()));
+            let _ = writeln!(out, "sledge_phase_latency_seconds_count{{{labels}}} {n}");
+            let _ = writeln!(out, "sledge_phase_latency_seconds_sum{{{labels}}} {sum}");
         }
+    };
+    series("", &report.global);
+    for (label, f) in &functions {
+        series(&format!("function=\"{label}\","), &f.phases);
     }
     out
 }
 
-/// Render the JSON document served at `GET /stats`.
-pub fn render_json(report: &LatencyReport, stats: &StatsSnapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"counters\":{");
-    for (i, (k, v)) in [
-        ("admitted", stats.admitted),
-        ("completed", stats.completed),
-        ("trapped", stats.trapped),
-        ("timed_out", stats.timed_out),
-        ("rejected", stats.rejected),
-        ("breaker_rejected", stats.breaker_rejected),
-        ("steals", stats.steals),
-        ("preemptions", stats.preemptions),
-        ("blocked", stats.blocked),
-    ]
-    .iter()
-    .enumerate()
-    {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{k}\":{v}"));
+/// `{"key":value,...}` over unsigned fields.
+fn json_fields(out: &mut String, fields: &[(&str, u64)]) {
+    out.push('{');
+    for (i, (k, v)) in fields.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{k}\":{v}");
     }
     out.push('}');
-    if let Some(c) = &report.connections {
-        out.push_str(&format!(
-            ",\"connections\":{{\"accepted\":{},\"closed\":{},\"active\":{},\"shed\":{},\"reaped\":{},\"requests\":{},\"responses\":{},\"bytes_in\":{},\"bytes_out\":{}}}",
-            c.accepted, c.closed, c.active(), c.shed, c.reaped, c.requests, c.responses, c.bytes_in, c.bytes_out,
-        ));
+}
+
+/// Render the JSON document served at `GET /stats`.
+pub fn render_json(report: &LatencyReport) -> String {
+    let mut out = String::with_capacity(4096);
+    let (s, c, p) = (&report.stats, &report.connections, &report.pool);
+    out.push_str("{\"counters\":");
+    json_fields(
+        &mut out,
+        &[
+            ("admitted", s.admitted),
+            ("completed", s.completed),
+            ("trapped", s.trapped),
+            ("timed_out", s.timed_out),
+            ("rejected", s.rejected),
+            ("breaker_rejected", s.breaker_rejected),
+            ("steals", s.steals),
+            ("preemptions", s.preemptions),
+            ("blocked", s.blocked),
+        ],
+    );
+    out.push_str(",\"connections\":");
+    json_fields(
+        &mut out,
+        &[
+            ("accepted", c.accepted),
+            ("closed", c.closed),
+            ("active", c.active()),
+            ("shed", c.shed),
+            ("reaped", c.reaped),
+            ("requests", c.requests),
+            ("responses", c.responses),
+            ("bytes_in", c.bytes_in),
+            ("bytes_out", c.bytes_out),
+        ],
+    );
+    out.push_str(",\"pool\":");
+    json_fields(
+        &mut out,
+        &[
+            ("capacity", p.capacity),
+            ("size", p.size),
+            ("hits", p.hits),
+            ("misses", p.misses),
+            ("recycled", p.recycled),
+            ("discarded", p.discarded),
+            ("poisoned", p.poisoned),
+            ("prewarmed", p.prewarmed),
+            ("evicted", p.evicted),
+            ("resets_static", p.resets_static),
+            ("resets_elided", p.resets_elided),
+        ],
+    );
+    let (certified, rejected) = (
+        report.registry.capability_certified,
+        report.registry.capability_rejected,
+    );
+    let _ = write!(
+        out,
+        ",\"capability\":{{\"certified\":{certified},\"rejected\":{rejected}}}\
+         ,\"admission\":{{\"fairness\":{},\"max_inflight\":{},\"shed\":{},\"budget_rejected\":{},\"slo_rejected\":{},\"functions\":{{",
+        report.fairness, report.max_inflight, s.shed, s.budget_rejected, s.slo_rejected
+    );
+    for (i, f) in report.per_function.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{}\":", escape_json(&f.name));
+        let fs = &f.stats;
+        let mut fields = vec![
+            ("admitted", fs.admitted),
+            ("shed", fs.shed),
+            ("budget_rejected", fs.budget_rejected),
+            ("slo_rejected", fs.slo_rejected),
+            ("dwrr_deferrals", fs.dwrr_deferrals),
+        ];
+        fields.extend(f.budget_balance.map(|b| ("budget_balance", b)));
+        json_fields(&mut out, &fields);
     }
-    if report.pool.capacity > 0 {
-        let p = &report.pool;
-        out.push_str(&format!(
-            ",\"pool\":{{\"capacity\":{},\"size\":{},\"hits\":{},\"misses\":{},\"recycled\":{},\"discarded\":{},\"poisoned\":{},\"prewarmed\":{},\"evicted\":{},\"resets_static\":{},\"resets_elided\":{}}}",
-            p.capacity, p.size, p.hits, p.misses, p.recycled, p.discarded, p.poisoned, p.prewarmed, p.evicted, p.resets_static, p.resets_elided,
-        ));
-    }
-    if let Some(cap) = &report.capability {
-        out.push_str(&format!(
-            ",\"capability\":{{\"certified\":{},\"rejected\":{}}}",
-            cap.certified, cap.rejected
-        ));
-    }
-    if let Some(adm) = &report.admission {
-        out.push_str(&format!(
-            ",\"admission\":{{\"fairness\":{},\"max_inflight\":{},\"shed\":{},\"budget_rejected\":{},\"slo_rejected\":{},\"functions\":{{",
-            adm.fairness, adm.max_inflight, stats.shed, stats.budget_rejected, stats.slo_rejected
-        ));
-        for (i, (name, s)) in adm.per_function.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"admitted\":{},\"shed\":{},\"budget_rejected\":{},\"slo_rejected\":{},\"dwrr_deferrals\":{}",
-                escape_json(name),
-                s.admitted,
-                s.shed,
-                s.budget_rejected,
-                s.slo_rejected,
-                s.dwrr_deferrals,
-            ));
-            if let Some(balance) = s.budget_balance {
-                out.push_str(&format!(",\"budget_balance\":{balance}"));
-            }
-            out.push('}');
-        }
-        out.push_str("}}");
-    }
-    out.push_str(",\"global\":");
+    out.push_str("}},\"global\":");
     json_phases(&mut out, &report.global);
     out.push_str(",\"functions\":{");
-    for (i, (name, phases)) in report.per_function.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":", escape_json(name)));
-        json_phases(&mut out, phases);
+    for (i, f) in report.per_function.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{}\":", escape_json(&f.name));
+        json_phases(&mut out, &f.phases);
     }
     out.push_str("}}");
     out
@@ -575,11 +462,10 @@ pub fn render_json(report: &LatencyReport, stats: &StatsSnapshot) -> String {
 fn json_phases(out: &mut String, snap: &PhaseSnapshot) {
     out.push('{');
     for (i, (phase, h)) in snap.phases().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{phase}\":{{\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(
+            out,
+            "{sep}\"{phase}\":{{\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
             h.count(),
             h.sum(),
             h.min().unwrap_or(0),
@@ -587,56 +473,51 @@ fn json_phases(out: &mut String, snap: &PhaseSnapshot) {
             h.mean().unwrap_or(0),
             h.quantile(0.5),
             h.quantile(0.99),
-        ));
+        );
     }
     out.push('}');
 }
 
-/// One-line human summary (used by `sledged --stats-interval-s`).
-pub fn summary_line(report: &LatencyReport, stats: &StatsSnapshot) -> String {
-    let g = &report.global;
+/// One-line human summary (used by `sledged --stats-interval-s`): every
+/// segment, always.
+pub fn summary_line(report: &LatencyReport) -> String {
+    let (s, c, p, g) = (
+        &report.stats,
+        &report.connections,
+        &report.pool,
+        &report.global,
+    );
     let ms = |ns: u64| ns as f64 / 1e6;
-    let mut line = format!(
-        "done={} trap={} timeout={} rej={} | total p50={:.3}ms p99={:.3}ms | queue p99={:.3}ms inst p99={:.3}ms exec p99={:.3}ms",
-        stats.completed,
-        stats.trapped,
-        stats.timed_out,
-        stats.rejected + stats.breaker_rejected,
+    format!(
+        "done={} trap={} timeout={} rej={} | total p50={:.3}ms p99={:.3}ms \
+         | queue p99={:.3}ms inst p99={:.3}ms exec p99={:.3}ms \
+         | conns active={} accepted={} shed={} reqs={} \
+         | pool hit={} miss={} recycled={} size={}/{} \
+         | adm shed={} budget={} slo={} | cap certified={} rejected={}",
+        s.completed,
+        s.trapped,
+        s.timed_out,
+        s.rejected + s.breaker_rejected,
         ms(g.total.quantile(0.5)),
         ms(g.total.quantile(0.99)),
         ms(g.queue.quantile(0.99)),
         ms(g.instantiation.quantile(0.99)),
         ms(g.execution.quantile(0.99)),
-    );
-    if let Some(c) = &report.connections {
-        line.push_str(&format!(
-            " | conns active={} accepted={} shed={} reqs={}",
-            c.active(),
-            c.accepted,
-            c.shed,
-            c.requests
-        ));
-    }
-    if report.pool.capacity > 0 {
-        let p = &report.pool;
-        line.push_str(&format!(
-            " | pool hit={} miss={} recycled={} size={}/{}",
-            p.hits, p.misses, p.recycled, p.size, p.capacity
-        ));
-    }
-    if report.admission.is_some() {
-        line.push_str(&format!(
-            " | adm shed={} budget={} slo={}",
-            stats.shed, stats.budget_rejected, stats.slo_rejected
-        ));
-    }
-    if let Some(cap) = &report.capability {
-        line.push_str(&format!(
-            " | cap certified={} rejected={}",
-            cap.certified, cap.rejected
-        ));
-    }
-    line
+        c.active(),
+        c.accepted,
+        c.shed,
+        c.requests,
+        p.hits,
+        p.misses,
+        p.recycled,
+        p.size,
+        p.capacity,
+        s.shed,
+        s.budget_rejected,
+        s.slo_rejected,
+        report.registry.capability_certified,
+        report.registry.capability_rejected,
+    )
 }
 
 fn escape_label(s: &str) -> String {
@@ -677,25 +558,26 @@ mod tests {
         }
     }
 
-    fn sample_report() -> (LatencyReport, StatsSnapshot) {
+    /// A node with one function, `echo`, and every subsystem off.
+    fn sample_report() -> LatencyReport {
         let shards = [PhaseHistograms::default(), PhaseHistograms::default()];
         shards[0].record(&timings(10, 5, 100));
         shards[1].record(&timings(20, 7, 300));
         let snap = PhaseSnapshot::merge_shards(&shards);
-        let report = LatencyReport {
+        LatencyReport {
             global: snap,
-            per_function: vec![("echo".into(), snap)],
-            pool: PoolStatsSnapshot::default(),
-            admission: None,
-            capability: None,
-            connections: None,
-        };
-        (report, StatsSnapshot::default())
+            per_function: vec![FunctionReport {
+                name: "echo".into(),
+                phases: snap,
+                ..Default::default()
+            }],
+            ..Default::default()
+        }
     }
 
     #[test]
     fn shard_merge_covers_all_phases() {
-        let (report, _) = sample_report();
+        let report = sample_report();
         assert_eq!(report.global.count(), 2);
         for (phase, h) in report.global.phases() {
             assert_eq!(h.count(), 2, "phase {phase}");
@@ -707,8 +589,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_has_expected_series() {
-        let (report, stats) = sample_report();
-        let text = render_prometheus(&report, &stats);
+        let text = render_prometheus(&sample_report());
         assert!(text.contains("# TYPE sledge_phase_latency_seconds summary"));
         assert!(text.contains("sledge_phase_latency_seconds{phase=\"queue\",quantile=\"0.5\"}"));
         assert!(
@@ -728,8 +609,7 @@ mod tests {
 
     #[test]
     fn json_rendering_parses_and_has_expected_fields() {
-        let (report, stats) = sample_report();
-        let text = render_json(&report, &stats);
+        let text = render_json(&sample_report());
         let doc = crate::json::parse(&text).expect("valid JSON");
         let global = doc.get("global").unwrap();
         for phase in PHASES {
@@ -751,18 +631,100 @@ mod tests {
         );
     }
 
+    /// Asserts that each series is rendered in the Prometheus text, each
+    /// `section.key` reads zero in the JSON, and each segment is in the
+    /// summary line. An off subsystem moves no counter, so its section is
+    /// all zeros rather than absent.
+    fn renders_as_zeros(
+        report: &LatencyReport,
+        series: &[&str],
+        keys: &[(&str, &str)],
+        segments: &[&str],
+    ) {
+        let prom = render_prometheus(report);
+        for s in series {
+            assert!(prom.contains(s), "missing {s}\n{prom}");
+        }
+        let doc = crate::json::parse(&render_json(report)).expect("valid JSON");
+        for (section, key) in keys {
+            let v = doc.get(section).and_then(|s| s.get(key));
+            assert_eq!(v.and_then(crate::Json::as_u64), Some(0), "{section}.{key}");
+        }
+        let line = summary_line(report);
+        for segment in segments {
+            assert!(line.contains(segment), "{line}");
+        }
+    }
+
     #[test]
     fn disabled_pool_renders_nothing() {
-        let (report, stats) = sample_report();
-        assert_eq!(report.pool.capacity, 0);
-        assert!(!render_prometheus(&report, &stats).contains("sledge_pool"));
-        assert!(!render_json(&report, &stats).contains("\"pool\""));
-        assert!(!summary_line(&report, &stats).contains("pool"));
+        let report = sample_report();
+        assert_eq!(report.pool, PoolStatsSnapshot::default());
+        renders_as_zeros(
+            &report,
+            &[
+                "sledge_pool_events_total{event=\"hit\"} 0",
+                "sledge_pool_size{} 0",
+                "sledge_pool_capacity{} 0",
+            ],
+            &[("pool", "capacity"), ("pool", "hits")],
+            &["pool hit=0"],
+        );
+    }
+
+    #[test]
+    fn disabled_fairness_renders_nothing() {
+        let report = sample_report();
+        assert!(!report.fairness);
+        renders_as_zeros(
+            &report,
+            &[
+                "sledge_admission_total{result=\"shed\"} 0",
+                "sledge_admission_total{function=\"echo\",result=\"admitted\"} 0",
+                "sledge_dwrr_deferrals_total{function=\"echo\"} 0",
+                "# TYPE sledge_budget_balance gauge",
+            ],
+            &[("admission", "shed")],
+            &["adm shed=0"],
+        );
+        // A function without a budget has no balance sample.
+        assert!(!render_prometheus(&report).contains("sledge_budget_balance{"));
+        let doc = crate::json::parse(&render_json(&report)).expect("valid JSON");
+        let echo = doc.get("admission").unwrap().get("functions").unwrap();
+        let echo = echo.get("echo").expect("echo admission");
+        assert_eq!(echo.get("admitted").unwrap().as_u64(), Some(0));
+        assert!(echo.get("budget_balance").is_none());
+    }
+
+    #[test]
+    fn no_capability_policy_renders_nothing() {
+        renders_as_zeros(
+            &sample_report(),
+            &[
+                "sledge_capability_modules_total{verdict=\"certified\"} 0",
+                "sledge_capability_modules_total{verdict=\"rejected\"} 0",
+            ],
+            &[("capability", "certified"), ("capability", "rejected")],
+            &["cap certified=0 rejected=0"],
+        );
+    }
+
+    #[test]
+    fn no_http_renders_no_connection_series() {
+        renders_as_zeros(
+            &sample_report(),
+            &[
+                "sledge_connections_active{} 0",
+                "sledge_http_bytes_total{direction=\"in\"} 0",
+            ],
+            &[("connections", "accepted")],
+            &["conns active=0"],
+        );
     }
 
     #[test]
     fn enabled_pool_renders_counters() {
-        let (mut report, stats) = sample_report();
+        let mut report = sample_report();
         report.pool = PoolStatsSnapshot {
             capacity: 4,
             size: 2,
@@ -776,117 +738,81 @@ mod tests {
             resets_static: 6,
             resets_elided: 3,
         };
-        let text = render_prometheus(&report, &stats);
+        let text = render_prometheus(&report);
         assert!(text.contains("sledge_pool_events_total{event=\"hit\"} 10"));
         assert!(text.contains("sledge_pool_events_total{event=\"poisoned\"} 1"));
         assert!(text.contains("sledge_pool_events_total{event=\"reset_static\"} 6"));
         assert!(text.contains("sledge_pool_events_total{event=\"reset_elided\"} 3"));
         assert!(text.contains("sledge_pool_size{} 2"));
         assert!(text.contains("sledge_pool_capacity{} 4"));
-        let json = render_json(&report, &stats);
+        let json = render_json(&report);
         let doc = crate::json::parse(&json).expect("valid JSON");
         let pool = doc.get("pool").expect("pool object");
         assert_eq!(pool.get("hits").unwrap().as_u64(), Some(10));
         assert_eq!(pool.get("capacity").unwrap().as_u64(), Some(4));
         assert_eq!(pool.get("resets_static").unwrap().as_u64(), Some(6));
         assert_eq!(pool.get("resets_elided").unwrap().as_u64(), Some(3));
-        let line = summary_line(&report, &stats);
+        let line = summary_line(&report);
         assert!(line.contains("pool hit=10 miss=3"), "{line}");
     }
 
     #[test]
-    fn disabled_fairness_renders_nothing() {
-        let (report, stats) = sample_report();
-        assert!(report.admission.is_none());
-        let prom = render_prometheus(&report, &stats);
-        assert!(!prom.contains("sledge_admission"));
-        assert!(!prom.contains("sledge_dwrr"));
-        assert!(!prom.contains("sledge_budget"));
-        let json = render_json(&report, &stats);
-        assert!(!json.contains("\"admission\""));
-        assert!(!summary_line(&report, &stats).contains("adm"));
-    }
-
-    #[test]
     fn enabled_admission_renders_counters() {
-        let (mut report, mut stats) = sample_report();
-        stats.shed = 4;
-        stats.budget_rejected = 7;
-        stats.slo_rejected = 2;
-        report.admission = Some(AdmissionReport {
-            fairness: true,
-            max_inflight: 16,
-            per_function: vec![(
-                "echo".into(),
-                AdmissionFnSnapshot {
-                    admitted: 40,
-                    shed: 4,
-                    budget_rejected: 7,
-                    slo_rejected: 2,
-                    dwrr_deferrals: 9,
-                    budget_balance: Some(12345),
-                },
-            )],
-        });
-        let prom = render_prometheus(&report, &stats);
+        let mut report = sample_report();
+        report.stats.shed = 4;
+        report.stats.budget_rejected = 7;
+        report.stats.slo_rejected = 2;
+        report.fairness = true;
+        report.max_inflight = 16;
+        let echo = &mut report.per_function[0];
+        echo.stats = FunctionStatsSnapshot {
+            admitted: 40,
+            shed: 4,
+            budget_rejected: 7,
+            slo_rejected: 2,
+            dwrr_deferrals: 9,
+            ..Default::default()
+        };
+        echo.budget_balance = Some(12345);
+        let prom = render_prometheus(&report);
         assert!(prom.contains("sledge_admission_total{result=\"budget_rejected\"} 7"));
         assert!(prom.contains("sledge_admission_total{function=\"echo\",result=\"admitted\"} 40"));
         assert!(prom.contains("sledge_dwrr_deferrals_total{function=\"echo\"} 9"));
         assert!(prom.contains("sledge_budget_balance{function=\"echo\"} 12345"));
-        let json = render_json(&report, &stats);
+        let json = render_json(&report);
         let doc = crate::json::parse(&json).expect("valid JSON");
         let adm = doc.get("admission").expect("admission object");
         assert_eq!(adm.get("shed").unwrap().as_u64(), Some(4));
+        assert_eq!(adm.get("fairness").unwrap().as_bool(), Some(true));
+        assert_eq!(adm.get("max_inflight").unwrap().as_u64(), Some(16));
         let f = adm.get("functions").unwrap().get("echo").expect("echo");
         assert_eq!(f.get("budget_rejected").unwrap().as_u64(), Some(7));
         assert_eq!(f.get("budget_balance").unwrap().as_u64(), Some(12345));
-        let line = summary_line(&report, &stats);
+        let line = summary_line(&report);
         assert!(line.contains("adm shed=4 budget=7 slo=2"), "{line}");
     }
 
     #[test]
-    fn no_capability_policy_renders_nothing() {
-        let (report, stats) = sample_report();
-        assert!(report.capability.is_none());
-        assert!(!render_prometheus(&report, &stats).contains("capability"));
-        assert!(!render_json(&report, &stats).contains("capability"));
-        assert!(!summary_line(&report, &stats).contains("cap "));
-    }
-
-    #[test]
     fn enabled_capability_renders_counters() {
-        let (mut report, stats) = sample_report();
-        report.capability = Some(CapabilityReport {
-            certified: 5,
-            rejected: 2,
-        });
-        let prom = render_prometheus(&report, &stats);
+        let mut report = sample_report();
+        report.registry.capability_certified = 5;
+        report.registry.capability_rejected = 2;
+        let prom = render_prometheus(&report);
         assert!(prom.contains("sledge_capability_modules_total{verdict=\"certified\"} 5"));
         assert!(prom.contains("sledge_capability_modules_total{verdict=\"rejected\"} 2"));
-        let json = render_json(&report, &stats);
+        let json = render_json(&report);
         let doc = crate::json::parse(&json).expect("valid JSON");
         let cap = doc.get("capability").expect("capability object");
         assert_eq!(cap.get("certified").unwrap().as_u64(), Some(5));
         assert_eq!(cap.get("rejected").unwrap().as_u64(), Some(2));
-        let line = summary_line(&report, &stats);
+        let line = summary_line(&report);
         assert!(line.contains("cap certified=5 rejected=2"), "{line}");
     }
 
     #[test]
-    fn no_http_renders_no_connection_series() {
-        let (report, stats) = sample_report();
-        assert!(report.connections.is_none());
-        let prom = render_prometheus(&report, &stats);
-        assert!(!prom.contains("sledge_connections"));
-        assert!(!prom.contains("sledge_http"));
-        assert!(!render_json(&report, &stats).contains("\"connections\""));
-        assert!(!summary_line(&report, &stats).contains("conns"));
-    }
-
-    #[test]
     fn http_front_end_renders_connection_counters() {
-        let (mut report, stats) = sample_report();
-        report.connections = Some(ConnSnapshot {
+        let mut report = sample_report();
+        report.connections = ConnSnapshot {
             accepted: 10,
             closed: 6,
             shed: 3,
@@ -895,8 +821,8 @@ mod tests {
             responses: 24,
             bytes_in: 4096,
             bytes_out: 8192,
-        });
-        let prom = render_prometheus(&report, &stats);
+        };
+        let prom = render_prometheus(&report);
         assert!(prom.contains("sledge_connections_total{event=\"accepted\"} 10"));
         assert!(prom.contains("sledge_connections_total{event=\"shed\"} 3"));
         assert!(prom.contains("sledge_connections_total{event=\"reaped\"} 1"));
@@ -904,13 +830,13 @@ mod tests {
         assert!(prom.contains("sledge_http_requests_total{} 25"));
         assert!(prom.contains("sledge_http_bytes_total{direction=\"in\"} 4096"));
         assert!(prom.contains("sledge_http_bytes_total{direction=\"out\"} 8192"));
-        let json = render_json(&report, &stats);
+        let json = render_json(&report);
         let doc = crate::json::parse(&json).expect("valid JSON");
         let c = doc.get("connections").expect("connections object");
         assert_eq!(c.get("accepted").unwrap().as_u64(), Some(10));
         assert_eq!(c.get("active").unwrap().as_u64(), Some(4));
         assert_eq!(c.get("requests").unwrap().as_u64(), Some(25));
-        let line = summary_line(&report, &stats);
+        let line = summary_line(&report);
         assert!(line.contains("conns active=4 accepted=10 shed=3"), "{line}");
     }
 
@@ -922,9 +848,9 @@ mod tests {
 
     #[test]
     fn summary_line_mentions_key_figures() {
-        let (report, mut stats) = sample_report();
-        stats.completed = 2;
-        let line = summary_line(&report, &stats);
+        let mut report = sample_report();
+        report.stats.completed = 2;
+        let line = summary_line(&report);
         assert!(line.starts_with("done=2"), "{line}");
         assert!(line.contains("p99"), "{line}");
     }

@@ -171,8 +171,7 @@ impl SandboxPool {
     ///
     /// Instances parked under a different tier (the runtime reconfigured
     /// between park and acquire) are discarded rather than served. Disabled pools return `None` without touching any
-    /// counter, keeping the disabled path byte-for-byte identical to a
-    /// build without the subsystem.
+    /// counter, so every pool counter of a disabled pool stays zero.
     pub fn acquire(&self, engine: &EngineConfig) -> Option<Instance> {
         if !self.enabled() {
             return None;

@@ -5,8 +5,8 @@ use crate::budget::TokenBucket;
 use crate::config::{FunctionConfig, DEFAULT_COST_UNITS_PER_US};
 use crate::histogram::HistogramSnapshot;
 use crate::metrics::PhaseHistograms;
-use crate::pool::SandboxPool;
-use crate::stats::{FunctionStats, RegistryStats, RegistryStatsSnapshot};
+use crate::pool::{PoolStatsSnapshot, SandboxPool};
+use crate::stats::{FunctionStats, RegistryStats};
 use awsm::{
     translate_with, AnalysisReport, CompiledModule, Diagnostic, Severity, Tier, TranslateError,
     TranslateOptions,
@@ -421,12 +421,12 @@ impl Registry {
         self.functions.iter()
     }
 
-    /// Registry counter snapshot with every function's warm-pool counters
-    /// folded in (what `/stats` and `registry_stats()` report).
-    pub fn stats_snapshot(&self) -> RegistryStatsSnapshot {
-        let mut snap = self.stats.snapshot();
+    /// Every function's warm-pool counters, summed (all-zero when pooling
+    /// is disabled).
+    pub fn pool_stats(&self) -> PoolStatsSnapshot {
+        let mut snap = PoolStatsSnapshot::default();
         for rf in &self.functions {
-            snap.pool.merge(&rf.pool.snapshot());
+            snap.merge(&rf.pool.snapshot());
         }
         snap
     }

@@ -138,16 +138,11 @@ impl RegistryStats {
             certificate_rejected: self.certificate_rejected.load(Ordering::Relaxed),
             capability_certified: self.capability_certified.load(Ordering::Relaxed),
             capability_rejected: self.capability_rejected.load(Ordering::Relaxed),
-            // Pool counters live on each function; `Registry::stats_snapshot`
-            // folds them in on top of this raw counter copy.
-            pool: crate::pool::PoolStatsSnapshot::default(),
         }
     }
 }
 
-/// A point-in-time copy of [`RegistryStats`], plus the warm-pool counters
-/// aggregated across every registered function (all-zero when pooling is
-/// disabled).
+/// A point-in-time copy of [`RegistryStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryStatsSnapshot {
     pub modules_verified: u64,
@@ -159,8 +154,6 @@ pub struct RegistryStatsSnapshot {
     pub capability_certified: u64,
     /// Modules rejected by a capability policy.
     pub capability_rejected: u64,
-    /// Warm sandbox-pool counters, summed over all functions.
-    pub pool: crate::pool::PoolStatsSnapshot,
 }
 
 /// Circuit breaker state for one function.

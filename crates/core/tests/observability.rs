@@ -323,7 +323,7 @@ fn stress_loses_no_samples() {
             assert_eq!(h.count(), executed, "phase {phase} lost samples");
         }
         // Per-function shards partition the global count.
-        let per_fn_total: u64 = report.per_function.iter().map(|(_, p)| p.count()).sum();
+        let per_fn_total: u64 = report.per_function.iter().map(|f| f.phases.count()).sum();
         assert_eq!(per_fn_total, executed);
         // And the accounting invariant held for every delivered completion.
         for (i, c) in completions.iter().enumerate() {
@@ -393,17 +393,14 @@ fn rejected_requests_record_no_phase_samples() {
             "phase {phase} counted a rejected request"
         );
     }
-    let per_fn_total: u64 = report.per_function.iter().map(|(_, p)| p.count()).sum();
+    let per_fn_total: u64 = report.per_function.iter().map(|f| f.phases.count()).sum();
     assert_eq!(per_fn_total, executed);
-    // The admission report is armed (a budget is set) and agrees.
-    let adm = report.admission.expect("admission report armed");
-    let (_, snap) = adm
-        .per_function
-        .iter()
-        .find(|(name, _)| name == "echo")
-        .expect("echo snapshot");
-    assert_eq!(snap.admitted, succeeded);
-    assert_eq!(snap.budget_rejected, throttled);
+    // The function's admission counters agree, and its budget has a balance.
+    let echo = &report.per_function[0];
+    assert_eq!(echo.name, "echo");
+    assert_eq!(echo.stats.admitted, succeeded);
+    assert_eq!(echo.stats.budget_rejected, throttled);
+    assert!(echo.budget_balance.is_some());
 }
 
 // ---------------------------------------------------------------------------
@@ -526,4 +523,191 @@ fn metrics_routes_can_be_disabled() {
     let (status, _) = http_get(addr, "/stats");
     assert_eq!(status, 404);
     rt.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Output shape
+// ---------------------------------------------------------------------------
+
+/// Every `/stats` key path, as `a.b.c`.
+fn key_paths(doc: &sledge_core::Json, prefix: &str, out: &mut Vec<String>) {
+    if let sledge_core::Json::Object(members) = doc {
+        for (key, value) in members {
+            let path = format!("{prefix}{key}");
+            key_paths(value, &format!("{path}."), out);
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn output_shape_does_not_depend_on_configuration() {
+    // The plain node has every subsystem off; the armed one has the pool,
+    // per-function lanes and an in-flight cap, and gives echo a budget, a
+    // queue SLO and a capability policy it satisfies. Both expose the same
+    // families, series, JSON keys and summary segments; only a budgeted
+    // function has a `budget_balance`.
+    let shapes: Vec<_> = common::plain_and_armed(RuntimeConfig {
+        workers: 2,
+        ..Default::default()
+    })
+    .into_iter()
+    .map(|(label, config)| {
+        let armed = label == "armed";
+        let rt = Runtime::with_http(config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        let mut cfg = FunctionConfig::new("echo");
+        if armed {
+            cfg.budget_us_per_s = Some(1_000_000);
+            cfg.queue_slo = Some(Duration::from_secs(1));
+            cfg.allowed_hostcalls = Some(
+                ["request_len", "request_read", "response_write"]
+                    .map(String::from)
+                    .to_vec(),
+            );
+        }
+        let echo = rt.register_module(cfg, &guests::echo()).unwrap();
+        for _ in 0..5 {
+            let done = rt.invoke(echo, &b"ping"[..]).wait().unwrap();
+            assert!(matches!(done.outcome, Outcome::Success(_)), "{label}");
+        }
+        let addr = rt.http_addr().unwrap();
+        let (_, metrics) = http_get(addr, "/metrics");
+        let (_, stats) = http_get(addr, "/stats");
+        let line = sledge_core::summary_line(&rt.latency_report());
+        rt.shutdown();
+
+        let families: Vec<String> = metrics
+            .lines()
+            .filter_map(|l| l.strip_prefix("# HELP "))
+            .map(|l| l.split(' ').next().unwrap().to_string())
+            .collect();
+        // Each series name with its label keys.
+        let mut series: Vec<String> = metrics
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.starts_with("sledge_budget_balance{"))
+            .map(|l| {
+                let (name, rest) = l.split_once('{').expect("labelled sample");
+                let labels = rest.split_once('}').expect("closed labels").0;
+                let keys: Vec<&str> = labels
+                    .split(',')
+                    .filter_map(|kv| kv.split_once('=').map(|(k, _)| k))
+                    .collect();
+                format!("{name}{{{}}}", keys.join(","))
+            })
+            .collect();
+        series.dedup();
+        let doc = sledge_core::parse_json(&stats).expect("valid JSON");
+        let mut paths = Vec::new();
+        key_paths(&doc, "", &mut paths);
+        let balances = paths.iter().filter(|p| p.ends_with(".budget_balance"));
+        assert_eq!(balances.count(), usize::from(armed), "{label}: {stats}");
+        paths.retain(|p| !p.ends_with(".budget_balance"));
+        let budget_samples = metrics
+            .lines()
+            .filter(|l| l.starts_with("sledge_budget_balance{function=\"echo\"} "));
+        assert_eq!(budget_samples.count(), usize::from(armed), "{label}");
+        // Each segment's labels, with the values cut off.
+        let segments: Vec<String> = line
+            .split(" | ")
+            .map(|seg| {
+                let words = seg.split(' ').map(|w| w.split('=').next().unwrap());
+                words.collect::<Vec<_>>().join(" ")
+            })
+            .collect();
+        (families, series, paths, segments)
+    })
+    .collect();
+    let (plain, armed) = (&shapes[0], &shapes[1]);
+    assert_eq!(plain.0, armed.0, "# HELP families differ");
+    assert_eq!(plain.1, armed.1, "series or label keys differ");
+    assert_eq!(plain.2, armed.2, "/stats key paths differ");
+    assert_eq!(plain.3, armed.3, "summary segments differ");
+}
+
+// ---------------------------------------------------------------------------
+// The shipped daemon
+// ---------------------------------------------------------------------------
+
+#[test]
+fn sledged_serves_metrics_stats_and_a_full_summary() {
+    // `sledged` on an ephemeral port with the echo app: 20 requests, then
+    // /metrics and /stats; the banner and the `[final]` line after the
+    // drain carry every segment, with pool, admission and capability at zero.
+    use std::io::BufRead;
+    let dir = std::env::temp_dir().join(format!("sledged-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let echo = sledge_wasm::encode::encode_module(&sledge_apps::echo::module());
+    std::fs::write(dir.join("echo.wasm"), echo).unwrap();
+    let config = r#"{"workers": 2, "modules": [{"name": "echo", "wasm": "echo.wasm"}]}"#;
+    std::fs::write(dir.join("sledged.json"), config).unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sledged"))
+        .arg(dir.join("sledged.json"))
+        .args(["127.0.0.1:0", "--run-for-s", "2"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn sledged");
+    let mut lines = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut banner = Vec::new();
+    let addr: std::net::SocketAddr = loop {
+        let line = lines.next().expect("banner line").unwrap();
+        banner.push(line.clone());
+        if let Some(rest) = line.strip_prefix("sledged serving on http://") {
+            break rest.split(' ').next().unwrap().parse().unwrap();
+        }
+    };
+
+    for i in 0..20 {
+        let body = format!("hello-{i}");
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        write!(
+            s,
+            "POST /echo HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 200") && reply.ends_with(&body),
+            "{reply}"
+        );
+    }
+    let (status, metrics) = http_get(addr, "/metrics");
+    assert_eq!(status, 200);
+    for series in [
+        "sledge_invocations_total{outcome=\"completed\"} 20\n",
+        "sledge_phase_latency_seconds{phase=\"execution\",quantile=\"0.99\"} ",
+        "sledge_phase_latency_seconds{function=\"echo\",phase=\"queue\",quantile=\"0.5\"} ",
+        "sledge_phase_latency_seconds_count{phase=\"total\"} 20\n",
+    ] {
+        assert!(metrics.contains(series), "missing {series}\n{metrics}");
+    }
+    let (status, stats) = http_get(addr, "/stats");
+    assert_eq!(status, 200);
+    assert!(stats.contains("\"completed\":20"), "{stats}");
+
+    let rest: Vec<String> = lines.map(Result::unwrap).collect();
+    assert!(child.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&dir);
+    banner.extend(rest.iter().cloned());
+    for line in [
+        "capability policy: 0 certified, 0 rejected",
+        "  sandbox pool: off",
+        "  run queue: one lane, max in-flight uncapped",
+        "drain completed",
+    ] {
+        assert!(
+            banner.iter().any(|l| l == line),
+            "no {line:?} in {banner:#?}"
+        );
+    }
+    let last = rest.last().expect("[final] line");
+    for segment in [
+        "[final] done=20 trap=0 timeout=0 rej=0 | total p50=",
+        " | conns active=",
+        " | pool hit=0 miss=0 recycled=0 size=0/0 | adm shed=0 budget=0 slo=0 \
+         | cap certified=0 rejected=0",
+    ] {
+        assert!(last.contains(segment), "no {segment:?} in {last}");
+    }
 }

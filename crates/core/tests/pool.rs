@@ -1,7 +1,7 @@
 //! Warm-pool integration tests: recycling counters through real invocations,
 //! state isolation across reuse, pre-warming, drain interaction, the
 //! phase-accounting contract for pool hits, chaos pool-poisoning, and the
-//! disabled-pool "byte-for-byte identical" rendering guarantee.
+//! pool's series in every surface, on or off.
 
 use sledge_core::{FaultPlan, FunctionConfig, Outcome, PoolStatsSnapshot, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
@@ -478,9 +478,12 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
     (status, body)
 }
 
-#[test]
-fn disabled_pool_is_invisible_in_every_surface() {
-    let rt = Runtime::with_http(config(0, 0, true), "127.0.0.1:0".parse().unwrap()).unwrap();
+/// Runs five echoes on a node with `pool_size` slots and checks that the
+/// pool's series and keys are in `/metrics`, `/stats` and the summary line,
+/// each reading what `pool_stats` reads.
+fn pool_surfaces(pool_size: usize) -> PoolStatsSnapshot {
+    let rt =
+        Runtime::with_http(config(pool_size, 0, true), "127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = rt.http_addr().unwrap();
     let echo = rt
         .register_module(FunctionConfig::new("echo"), &guests::echo())
@@ -489,33 +492,8 @@ fn disabled_pool_is_invisible_in_every_surface() {
         let done = rt.invoke(echo, &b"ping"[..]).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Success(_)));
     }
-
-    // No counter moves, no metric renders, no JSON key appears: with
-    // `pool_size = 0` the output is exactly the pre-pool runtime's.
-    assert_eq!(rt.pool_stats(), PoolStatsSnapshot::default());
-    assert_eq!(rt.registry_stats().pool, PoolStatsSnapshot::default());
-    let (status, metrics) = http_get(addr, "/metrics");
-    assert_eq!(status, 200);
-    assert!(!metrics.contains("sledge_pool"), "{metrics}");
-    let (status, stats) = http_get(addr, "/stats");
-    assert_eq!(status, 200);
-    assert!(!stats.contains("\"pool\""), "{stats}");
-    let line = sledge_core::summary_line(&rt.latency_report(), &rt.stats());
-    assert!(!line.contains("pool"), "{line}");
-    rt.shutdown();
-}
-
-#[test]
-fn enabled_pool_surfaces_in_metrics_and_stats() {
-    let rt = Runtime::with_http(config(2, 0, true), "127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = rt.http_addr().unwrap();
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    for _ in 0..5 {
-        let done = rt.invoke(echo, &b"ping"[..]).wait().unwrap();
-        assert!(matches!(done.outcome, Outcome::Success(_)));
-    }
+    let pool = rt.pool_stats();
+    assert_eq!(pool.capacity, pool_size as u64);
 
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
@@ -523,13 +501,32 @@ fn enabled_pool_surfaces_in_metrics_and_stats() {
         let series = format!("sledge_pool_events_total{{event=\"{event}\"}} ");
         assert!(metrics.contains(&series), "missing {series}\n{metrics}");
     }
+    let hits = format!("sledge_pool_events_total{{event=\"hit\"}} {}\n", pool.hits);
+    assert!(metrics.contains(&hits), "{metrics}");
     assert!(metrics.contains("sledge_pool_size{} "), "{metrics}");
-    assert!(metrics.contains("sledge_pool_capacity{} "), "{metrics}");
+    let capacity = format!("sledge_pool_capacity{{}} {pool_size}\n");
+    assert!(metrics.contains(&capacity), "{metrics}");
     let (status, stats) = http_get(addr, "/stats");
     assert_eq!(status, 200);
-    assert!(stats.contains("\"pool\""), "{stats}");
-    assert!(stats.contains("\"recycled\""), "{stats}");
-    let line = sledge_core::summary_line(&rt.latency_report(), &rt.stats());
-    assert!(line.contains("pool hit="), "{line}");
+    let doc = sledge_core::parse_json(&stats).expect("valid JSON");
+    let json_pool = doc.get("pool").expect("pool object");
+    assert_eq!(json_pool.get("hits").unwrap().as_u64(), Some(pool.hits));
+    assert!(json_pool.get("recycled").is_some(), "{stats}");
+    let line = sledge_core::summary_line(&rt.latency_report());
+    assert!(line.contains(&format!("pool hit={} ", pool.hits)), "{line}");
     rt.shutdown();
+    pool
+}
+
+#[test]
+fn disabled_pool_is_invisible_in_every_surface() {
+    // With `pool_size = 0` no pool counter moves: the series and keys are
+    // still rendered, and every one of them reads zero.
+    assert_eq!(pool_surfaces(0), PoolStatsSnapshot::default());
+}
+
+#[test]
+fn enabled_pool_surfaces_in_metrics_and_stats() {
+    let pool = pool_surfaces(2);
+    assert_eq!(pool.hits, 4, "{pool:?}");
 }

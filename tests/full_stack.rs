@@ -228,3 +228,70 @@ fn aggressive_preemption_does_not_corrupt_results() {
     );
     rt.shutdown();
 }
+
+#[test]
+fn deleted_names_stay_deleted() {
+    // Each design that replaced another deleted the old one's names; none
+    // may come back under any of them. The first two groups are checked in
+    // Rust sources, the rest in every file under `crates/`.
+    const RUST_ONLY: &[&str] = &[
+        // One memory semantics: every out-of-bounds access traps.
+        "GuardRegion",
+        "MpxEmulated",
+        "MaskBounds",
+        "DynBounds",
+        "vm-guard",
+        "no-checks",
+        // Certificates by construction: artifact decode is the one verifier.
+        "NotExecutable",
+        "BodyVerification",
+        "register_artifact",
+        "missing_effects",
+    ];
+    const EVERY_FILE: &[&str] = &[
+        // One listener: the epoll reactor, with no backend switch.
+        "PollServer",
+        "ReactorServer",
+        "HttpBackend",
+        "Backend::",
+        "SLEDGE_REACTOR",
+        // One run queue, one config source: DWRR, configured by JSON alone.
+        "LocalQueue",
+        "env_usize",
+        "SLEDGE_POOL_SIZE",
+        "SLEDGE_PREWARM",
+        "SLEDGE_RECYCLE",
+        "SLEDGE_FAIRNESS",
+        "SLEDGE_MAX_INFLIGHT",
+        "SLEDGE_MAX_CONNS",
+        "SLEDGE_ADMIN",
+        // One node snapshot: `LatencyReport` is the only report type.
+        "AdmissionReport",
+        "AdmissionFnSnapshot",
+        "CapabilityReport",
+    ];
+    let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")];
+    let mut found = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                if !path.ends_with("target") {
+                    dirs.push(path);
+                }
+                continue;
+            }
+            let text = String::from_utf8_lossy(&std::fs::read(&path).unwrap()).into_owned();
+            let rust = path.extension().is_some_and(|e| e == "rs");
+            let names = EVERY_FILE.iter().chain(RUST_ONLY.iter().filter(|_| rust));
+            for name in names.filter(|n| text.contains(**n)) {
+                found.push(format!("{}: {name}", path.display()));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "deleted names are back:\n{}",
+        found.join("\n")
+    );
+}
