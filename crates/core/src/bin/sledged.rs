@@ -141,8 +141,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let reg = rt.registry_stats();
     println!(
-        "verified {} module(s): {} lint warning(s), {} cost-certified",
-        reg.modules_verified, reg.lint_warnings, reg.cost_certified
+        "verified {} module(s): {} lint warning(s), {} cost-certified, {} compiled",
+        reg.modules_verified, reg.lint_warnings, reg.cost_certified, reg.modules_compiled
     );
     println!(
         "capability policy: {} certified, {} rejected",

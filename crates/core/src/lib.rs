@@ -8,9 +8,9 @@
 //!
 //! * A **listener thread** accepts requests (from in-process [`Runtime::invoke`]
 //!   calls and/or an HTTP front end), instantiates a sandbox per request
-//!   (the µs-level startup path — the module was linked/loaded once at
-//!   registration), applies admission control, and pushes sandboxes onto the
-//!   **global work-stealing deque**.
+//!   (the µs-level startup path — the module was linked/loaded once, at the
+//!   first registration of its bytes), applies admission control, and pushes
+//!   sandboxes onto the **global work-stealing deque**.
 //! * **N worker threads** steal sandboxes, keep core-local run queues, and
 //!   schedule them with **preemptive round-robin** (default 5 ms quantum,
 //!   enforced by a timer thread through per-sandbox preempt flags).
@@ -90,6 +90,7 @@ pub use stats::{
 };
 
 use listener::Intake;
+use registry::Binary;
 use sledge_http::{ConnCounters, HttpServer, ServerConfig};
 use std::io;
 use std::net::SocketAddr;
@@ -133,7 +134,7 @@ pub(crate) struct Shared {
 /// that takes the lock after it, so the guard is recovered. That is sound
 /// because every critical section leaves its data valid at each step: a
 /// `Vec` push/pop, an `Option` store, bucket arithmetic, and a registration
-/// that builds its entry first and inserts it with its last three statements.
+/// that builds its entry first and inserts it with its last statements.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -149,6 +150,23 @@ impl Shared {
         self.registry
             .write()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The one registration path. The name and route are checked and the
+    /// module store consulted under the read lock; a miss is built with no
+    /// lock held, so route lookups, admissions and workers never wait on a
+    /// translation; the write lock is taken only to re-check and insert.
+    pub fn register(
+        &self,
+        config: FunctionConfig,
+        binary: Binary<'_>,
+    ) -> Result<FunctionId, RegisterError> {
+        let (key, cached) = self.registry().lookup(&config, binary)?;
+        let module = match cached {
+            Some(module) => module,
+            None => Arc::new(key.build()?),
+        };
+        self.registry_mut().register_compiled(config, key, module)
     }
 
     /// Epoch-relative monotonic nanoseconds (the breaker's clock).
@@ -223,6 +241,7 @@ impl Runtime {
 
         let workers = config.workers.max(1);
         let mut registry = Registry::new();
+        registry.set_tier(config.tier);
         registry.set_stack_budget(config.max_stack_bytes);
         registry.set_check_gap(config.max_check_gap);
         registry.set_shards(workers);
@@ -312,7 +331,8 @@ impl Runtime {
     }
 
     /// Register a function from `.wasm` bytes. The heavyweight processing
-    /// (decode, validate, translate) happens here, once per function.
+    /// (decode, validate, translate) happens here, once per distinct binary:
+    /// bytes already registered share the module built from them.
     ///
     /// # Errors
     ///
@@ -322,12 +342,11 @@ impl Runtime {
         config: FunctionConfig,
         wasm: &[u8],
     ) -> Result<FunctionId, RegisterError> {
-        self.shared
-            .registry_mut()
-            .register_wasm(config, wasm, self.shared.config.tier)
+        self.shared.register(config, Binary::Wasm(wasm))
     }
 
-    /// Register a function from an in-memory module.
+    /// Register a function from an in-memory module: exactly
+    /// [`Runtime::register_wasm`] of its encoding.
     ///
     /// # Errors
     ///
@@ -337,10 +356,7 @@ impl Runtime {
         config: FunctionConfig,
         module: &sledge_wasm::module::Module,
     ) -> Result<FunctionId, RegisterError> {
-        let size = sledge_wasm::encode::encode_module(module).len();
-        self.shared
-            .registry_mut()
-            .register_module(config, module, self.shared.config.tier, size)
+        self.register_wasm(config, &sledge_wasm::encode::encode_module(module))
     }
 
     /// Invoke function `id` with the given request body; returns a handle to

@@ -2,7 +2,7 @@
 //! control, and load-balancer injection (it is the single owner of the
 //! global work-stealing deque, exactly as in the paper's Figure 4).
 
-use crate::registry::FunctionId;
+use crate::registry::{Binary, FunctionId, RegisterError};
 use crate::sandbox::{Completion, Outcome, Sandbox, Timings};
 use crate::Shared;
 use awsm::EngineConfig;
@@ -275,9 +275,10 @@ fn admit(
     deque.push(sandbox);
 }
 
-/// Handle one `POST /admin/modules` ingest: parse the framed body, decode
-/// the artifact — which checks its checksum and re-proves its certificates
-/// against its bodies instead of re-translating — and register the result.
+/// Handle one `POST /admin/modules` ingest: parse the framed body and
+/// register the artifact. Unless the same artifact bytes are already in the
+/// module store, it is decoded — which checks its checksum and re-proves its
+/// certificates against its bodies instead of re-translating.
 ///
 /// Frame layout: `u32 LE config length | function-config JSON | artifact`.
 fn ingest_module(shared: &Shared, body: &[u8]) -> Response {
@@ -310,17 +311,18 @@ fn try_ingest(shared: &Shared, body: &[u8]) -> Result<(String, String), String> 
     let doc = crate::json::parse(cfg_text).map_err(|e| format!("config: {e}"))?;
     let config = crate::config::parse_function(&doc).map_err(|e| format!("config: {e}"))?;
     let artifact = &rest[cfg_len..];
-    let compiled = awsm::decode_artifact(artifact).map_err(|e| {
-        let stats = &shared.registry().stats;
-        stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
-        format!("artifact: {e}")
-    })?;
     let name = config.name.clone();
     let route = config.http_route();
     shared
-        .registry_mut()
-        .register_compiled(config, compiled, artifact.len())
-        .map_err(|e| format!("register: {e}"))?;
+        .register(config, Binary::Artifact(artifact))
+        .map_err(|e| match e {
+            RegisterError::Artifact(e) => {
+                let stats = &shared.registry().stats;
+                stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
+                format!("artifact: {e}")
+            }
+            e => format!("register: {e}"),
+        })?;
     Ok((name, route))
 }
 

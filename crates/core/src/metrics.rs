@@ -335,6 +335,15 @@ pub fn render_prometheus(report: &LatencyReport) -> String {
         "verdict",
         &verdicts,
     );
+    out.push_str(
+        "# HELP sledge_modules_compiled_total Module-store misses: translations plus artifact decodes.\n",
+    );
+    out.push_str("# TYPE sledge_modules_compiled_total counter\n");
+    let _ = writeln!(
+        out,
+        "sledge_modules_compiled_total{{}} {}",
+        report.registry.modules_compiled
+    );
 
     out.push_str(
         "# HELP sledge_phase_latency_seconds Per-phase invocation latency (merged shards).\n",
@@ -423,13 +432,15 @@ pub fn render_json(report: &LatencyReport) -> String {
             ("resets_elided", p.resets_elided),
         ],
     );
-    let (certified, rejected) = (
+    let (compiled, certified, rejected) = (
+        report.registry.modules_compiled,
         report.registry.capability_certified,
         report.registry.capability_rejected,
     );
     let _ = write!(
         out,
-        ",\"capability\":{{\"certified\":{certified},\"rejected\":{rejected}}}\
+        ",\"modules\":{{\"compiled\":{compiled}}}\
+         ,\"capability\":{{\"certified\":{certified},\"rejected\":{rejected}}}\
          ,\"admission\":{{\"fairness\":{},\"max_inflight\":{},\"shed\":{},\"budget_rejected\":{},\"slo_rejected\":{},\"functions\":{{",
         report.fairness, report.max_inflight, s.shed, s.budget_rejected, s.slo_rejected
     );
@@ -703,8 +714,13 @@ mod tests {
             &[
                 "sledge_capability_modules_total{verdict=\"certified\"} 0",
                 "sledge_capability_modules_total{verdict=\"rejected\"} 0",
+                "sledge_modules_compiled_total{} 0",
             ],
-            &[("capability", "certified"), ("capability", "rejected")],
+            &[
+                ("capability", "certified"),
+                ("capability", "rejected"),
+                ("modules", "compiled"),
+            ],
             &["cap certified=0 rejected=0"],
         );
     }
@@ -797,7 +813,9 @@ mod tests {
         let mut report = sample_report();
         report.registry.capability_certified = 5;
         report.registry.capability_rejected = 2;
+        report.registry.modules_compiled = 37;
         let prom = render_prometheus(&report);
+        assert!(prom.contains("sledge_modules_compiled_total{} 37\n"));
         assert!(prom.contains("sledge_capability_modules_total{verdict=\"certified\"} 5"));
         assert!(prom.contains("sledge_capability_modules_total{verdict=\"rejected\"} 2"));
         let json = render_json(&report);
@@ -805,6 +823,8 @@ mod tests {
         let cap = doc.get("capability").expect("capability object");
         assert_eq!(cap.get("certified").unwrap().as_u64(), Some(5));
         assert_eq!(cap.get("rejected").unwrap().as_u64(), Some(2));
+        let modules = doc.get("modules").expect("modules object");
+        assert_eq!(modules.get("compiled").unwrap().as_u64(), Some(37));
         let line = summary_line(&report);
         assert!(line.contains("cap certified=5 rejected=2"), "{line}");
     }

@@ -1,5 +1,10 @@
 //! The module registry: where the "heavyweight linking and loading" happens,
-//! once per function, decoupled from per-request instantiation.
+//! once per distinct binary, decoupled from per-request instantiation.
+//!
+//! A content-addressed module store maps the exact input bytes of every
+//! accepted registration to the module built from them. A registration whose
+//! bytes are already there shares that module and skips the decode,
+//! validation, translation and lowering; every per-function gate still runs.
 
 use crate::budget::TokenBucket;
 use crate::config::{FunctionConfig, DEFAULT_COST_UNITS_PER_US};
@@ -8,10 +13,9 @@ use crate::metrics::PhaseHistograms;
 use crate::pool::{PoolStatsSnapshot, SandboxPool};
 use crate::stats::{FunctionStats, RegistryStats};
 use awsm::{
-    translate_with, AnalysisReport, CompiledModule, Diagnostic, Severity, Tier, TranslateError,
-    TranslateOptions,
+    translate_with, AnalysisReport, ArtifactError, CompiledModule, Diagnostic, Severity, Tier,
+    TranslateError, TranslateOptions,
 };
-use sledge_wasm::module::Module;
 use sledge_wasm::DecodeError;
 use std::collections::HashMap;
 use std::error::Error;
@@ -108,11 +112,15 @@ pub enum RegisterError {
     Decode(DecodeError),
     /// The module failed validation/translation.
     Translate(TranslateError),
+    /// The artifact failed decoding or re-verification.
+    Artifact(ArtifactError),
     /// The configured entry point is not an exported local function (a
     /// re-exported import cannot be invoked).
     NoEntry(String),
     /// A function with this name already exists.
     DuplicateName(String),
+    /// Another function already serves this HTTP route.
+    DuplicateRoute(String),
     /// Static analysis rejected the module: error-severity lints and/or a
     /// worst-case stack bound over the configured budget.
     Analysis(Vec<Diagnostic>),
@@ -131,10 +139,12 @@ impl fmt::Display for RegisterError {
         match self {
             RegisterError::Decode(e) => write!(f, "{e}"),
             RegisterError::Translate(e) => write!(f, "{e}"),
+            RegisterError::Artifact(e) => write!(f, "{e}"),
             RegisterError::NoEntry(e) => {
                 write!(f, "entry point {e:?} is not an exported local function")
             }
             RegisterError::DuplicateName(n) => write!(f, "function {n:?} already registered"),
+            RegisterError::DuplicateRoute(r) => write!(f, "route {r:?} already registered"),
             RegisterError::Analysis(diags) => {
                 write!(f, "static analysis rejected module")?;
                 for d in diags {
@@ -158,12 +168,73 @@ impl fmt::Display for RegisterError {
 
 impl Error for RegisterError {}
 
+/// The bytes a function is registered from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Binary<'a> {
+    /// A `.wasm` module: decoded, validated and translated under the
+    /// registry's tier and check-gap budget.
+    Wasm(&'a [u8]),
+    /// A certificate-carrying artifact (`POST /admin/modules`), decoded and
+    /// re-verified by [`awsm::decode_artifact`].
+    Artifact(&'a [u8]),
+}
+
+/// Everything a build depends on besides the input bytes. `.wasm` and
+/// artifact bytes are separate key spaces; an artifact fixes its own tier
+/// and certificates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Recipe {
+    Translate { tier: Tier, max_check_gap: u32 },
+    Decode,
+}
+
+/// The modules built from one input, at most one per recipe.
+type Builds = Vec<(Recipe, Arc<CompiledModule>)>;
+
+/// A module-store key: the exact input bytes, compared in full, and the
+/// recipe that builds them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ModuleKey<'a> {
+    recipe: Recipe,
+    bytes: &'a [u8],
+}
+
+impl ModuleKey<'_> {
+    /// Build the module: decode, validate, translate and lower a `.wasm`, or
+    /// decode and re-verify an artifact. Touches no registry state, so it
+    /// runs with no lock held.
+    ///
+    /// # Errors
+    ///
+    /// [`RegisterError::Decode`], [`RegisterError::Translate`] or
+    /// [`RegisterError::Artifact`].
+    pub(crate) fn build(&self) -> Result<CompiledModule, RegisterError> {
+        match self.recipe {
+            Recipe::Translate {
+                tier,
+                max_check_gap,
+            } => {
+                let module = sledge_wasm::decode::decode_module(self.bytes)
+                    .map_err(RegisterError::Decode)?;
+                translate_with(&module, tier, TranslateOptions { max_check_gap })
+                    .map_err(RegisterError::Translate)
+            }
+            Recipe::Decode => awsm::decode_artifact(self.bytes).map_err(RegisterError::Artifact),
+        }
+    }
+}
+
 /// Registry of loaded functions, indexed by id, name, and HTTP route.
 #[derive(Debug, Default)]
 pub struct Registry {
     functions: Vec<Arc<RegisteredFunction>>,
     by_name: HashMap<String, FunctionId>,
     by_route: HashMap<String, FunctionId>,
+    /// The module store: every module some function registered with, by its
+    /// exact input bytes and then by recipe.
+    modules: HashMap<Box<[u8]>, Builds>,
+    /// Execution tier every `.wasm` is translated for.
+    tier: Tier,
     /// Worst-case guest stack budget enforced at registration; `None`
     /// disables the check.
     stack_budget: Option<u64>,
@@ -198,6 +269,12 @@ impl Registry {
         self.stack_budget = budget;
     }
 
+    /// Set the execution tier subsequently registered `.wasm` modules are
+    /// translated for (see [`crate::RuntimeConfig::tier`]).
+    pub fn set_tier(&mut self, tier: Tier) {
+        self.tier = tier;
+    }
+
     /// Set the preemption-latency budget (max check-free gap, in cost
     /// units) enforced on subsequently registered modules (see
     /// [`crate::RuntimeConfig::max_check_gap`]).
@@ -225,58 +302,78 @@ impl Registry {
         self.calibration = cost_units_per_us;
     }
 
-    /// Register a function from raw `.wasm` bytes: decode, validate,
-    /// translate (once), and index it.
+    /// The first half of a registration, which needs only read access:
+    /// refuse a taken name or route before any work is done, then look the
+    /// binary up in the module store. `None` is a miss, counted in
+    /// `modules_compiled`: the caller builds the key (with no lock held) and
+    /// hands the module to [`Registry::register_compiled`].
     ///
     /// # Errors
     ///
-    /// See [`RegisterError`].
-    pub fn register_wasm(
-        &mut self,
-        config: FunctionConfig,
-        wasm: &[u8],
-        tier: Tier,
-    ) -> Result<FunctionId, RegisterError> {
-        let module = sledge_wasm::decode::decode_module(wasm).map_err(RegisterError::Decode)?;
-        self.register_module(config, &module, tier, wasm.len())
-    }
-
-    /// Register a function from an already-decoded module (used by tests and
-    /// in-process guests that skip the serialization roundtrip).
-    ///
-    /// # Errors
-    ///
-    /// See [`RegisterError`].
-    pub fn register_module(
-        &mut self,
-        config: FunctionConfig,
-        module: &Module,
-        tier: Tier,
-        wasm_size: usize,
-    ) -> Result<FunctionId, RegisterError> {
-        let opts = TranslateOptions {
-            max_check_gap: self.check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
+    /// [`RegisterError::DuplicateName`] or [`RegisterError::DuplicateRoute`].
+    pub(crate) fn lookup<'a>(
+        &self,
+        config: &FunctionConfig,
+        binary: Binary<'a>,
+    ) -> Result<(ModuleKey<'a>, Option<Arc<CompiledModule>>), RegisterError> {
+        self.check_free(config)?;
+        let key = match binary {
+            Binary::Wasm(bytes) => ModuleKey {
+                recipe: Recipe::Translate {
+                    tier: self.tier,
+                    max_check_gap: self.check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
+                },
+                bytes,
+            },
+            Binary::Artifact(bytes) => ModuleKey {
+                recipe: Recipe::Decode,
+                bytes,
+            },
         };
-        let compiled = translate_with(module, tier, opts).map_err(RegisterError::Translate)?;
-        self.register_compiled(config, compiled, wasm_size)
+        let cached = self.cached(&key);
+        if cached.is_none() {
+            self.stats.modules_compiled.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((key, cached))
     }
 
-    /// Register a translated module: one this process translated, or one
-    /// [`awsm::decode_artifact`] re-verified on ingest (both are certified
-    /// by construction; the gates below read the certificates as facts).
-    ///
-    /// # Errors
-    ///
-    /// See [`RegisterError`].
-    pub fn register_compiled(
-        &mut self,
-        config: FunctionConfig,
-        compiled: CompiledModule,
-        wasm_size: usize,
-    ) -> Result<FunctionId, RegisterError> {
+    fn check_free(&self, config: &FunctionConfig) -> Result<(), RegisterError> {
         if self.by_name.contains_key(&config.name) {
             return Err(RegisterError::DuplicateName(config.name.clone()));
         }
+        let route = config.http_route();
+        if self.by_route.contains_key(&route) {
+            return Err(RegisterError::DuplicateRoute(route));
+        }
+        Ok(())
+    }
+
+    fn cached(&self, key: &ModuleKey<'_>) -> Option<Arc<CompiledModule>> {
+        let shelf = self.modules.get(key.bytes)?;
+        let (_, module) = shelf.iter().find(|(recipe, _)| *recipe == key.recipe)?;
+        Some(Arc::clone(module))
+    }
+
+    /// The second half of a registration: re-check the name and route, run
+    /// every per-function gate against `module`, index the function, and
+    /// keep the module in the store. If a registration of the same key won
+    /// a race to the store, its module is shared and `module` is dropped.
+    ///
+    /// # Errors
+    ///
+    /// See [`RegisterError`].
+    pub(crate) fn register_compiled(
+        &mut self,
+        config: FunctionConfig,
+        key: ModuleKey<'_>,
+        module: Arc<CompiledModule>,
+    ) -> Result<FunctionId, RegisterError> {
+        self.check_free(&config)?;
+        let (module, stored) = match self.cached(&key) {
+            Some(shared) => (shared, true),
+            None => (module, false),
+        };
+        let compiled = &*module;
         // The entry's statically certified cost is what admission charges
         // against the work budget before the invocation has burned any
         // fuel; the worker trues it up with the real burn at completion.
@@ -288,7 +385,7 @@ impl Registry {
             return Err(RegisterError::NoEntry(config.entry.clone()));
         };
         let admission_cost = entry_cost.total_cost.max(1);
-        self.gate_analysis(&config, &compiled)?;
+        self.gate_analysis(&config, compiled)?;
         let id = FunctionId(self.functions.len() as u32);
         let route = config.http_route();
         let name = config.name.clone();
@@ -309,8 +406,8 @@ impl Registry {
         let rf = Arc::new(RegisteredFunction {
             id,
             config,
-            module: Arc::new(compiled),
-            wasm_size,
+            module: Arc::clone(&module),
+            wasm_size: key.bytes.len(),
             stats: FunctionStats::default(),
             metrics: (0..self.shards.max(1))
                 .map(|_| PhaseHistograms::default())
@@ -323,6 +420,11 @@ impl Registry {
         self.functions.push(rf);
         self.by_name.insert(name, id);
         self.by_route.insert(route, id);
+        // A module is kept only once a function has accepted it.
+        if !stored {
+            let shelf = self.modules.entry(key.bytes.into()).or_default();
+            shelf.push((key.recipe, module));
+        }
         Ok(id)
     }
 
@@ -447,7 +549,31 @@ mod tests {
     use super::*;
     use sledge_guestc::dsl::*;
     use sledge_guestc::{FuncBuilder, ModuleBuilder};
+    use sledge_wasm::module::Module;
     use sledge_wasm::types::ValType;
+
+    /// `Shared::register` without the lock: look up, build on a miss,
+    /// insert.
+    fn register_wasm(
+        r: &mut Registry,
+        config: FunctionConfig,
+        wasm: &[u8],
+    ) -> Result<FunctionId, RegisterError> {
+        let (key, cached) = r.lookup(&config, Binary::Wasm(wasm))?;
+        let module = match cached {
+            Some(module) => module,
+            None => Arc::new(key.build()?),
+        };
+        r.register_compiled(config, key, module)
+    }
+
+    fn register(
+        r: &mut Registry,
+        config: FunctionConfig,
+        m: &Module,
+    ) -> Result<FunctionId, RegisterError> {
+        register_wasm(r, config, &sledge_wasm::encode::encode_module(m))
+    }
 
     fn tiny_module(name: &str) -> Module {
         let mut mb = ModuleBuilder::new(name);
@@ -463,9 +589,7 @@ mod tests {
         let mut r = Registry::new();
         let m = tiny_module("seven");
         let wasm = sledge_wasm::encode::encode_module(&m);
-        let id = r
-            .register_wasm(FunctionConfig::new("seven"), &wasm, Tier::Optimized)
-            .unwrap();
+        let id = register_wasm(&mut r, FunctionConfig::new("seven"), &wasm).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.get(id).unwrap().config.name, "seven");
         assert!(r.by_name("seven").is_some());
@@ -478,12 +602,69 @@ mod tests {
     fn duplicate_names_rejected() {
         let mut r = Registry::new();
         let m = tiny_module("dup");
-        r.register_module(FunctionConfig::new("dup"), &m, Tier::Optimized, 0)
-            .unwrap();
+        register(&mut r, FunctionConfig::new("dup"), &m).unwrap();
         assert!(matches!(
-            r.register_module(FunctionConfig::new("dup"), &m, Tier::Optimized, 0),
+            register(&mut r, FunctionConfig::new("dup"), &m),
             Err(RegisterError::DuplicateName(_))
         ));
+    }
+
+    #[test]
+    fn duplicate_route_rejected_before_any_build() {
+        let mut r = Registry::new();
+        let m = tiny_module("a");
+        let mut a = FunctionConfig::new("a");
+        a.route = Some("/x".into());
+        register(&mut r, a, &m).unwrap();
+        // Another name on the same route would shadow `a`; garbage bytes
+        // show the refusal comes before any decode.
+        let mut b = FunctionConfig::new("b");
+        b.route = Some("/x".into());
+        let err = register_wasm(&mut r, b, b"garbage").unwrap_err();
+        assert!(matches!(err, RegisterError::DuplicateRoute(ref route) if route == "/x"));
+        assert!(err.to_string().contains("\"/x\""), "{err}");
+        let err = register_wasm(&mut r, FunctionConfig::new("a"), b"garbage").unwrap_err();
+        assert!(matches!(err, RegisterError::DuplicateName(_)), "{err}");
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.by_route("/x").unwrap().config.name, "a");
+        assert_eq!(r.stats.snapshot().modules_compiled, 1);
+    }
+
+    #[test]
+    fn tier_and_check_gap_are_part_of_the_key() {
+        let mut r = Registry::new();
+        let wasm = sledge_wasm::encode::encode_module(&tiny_module("k"));
+        let mut ids = vec![register_wasm(&mut r, FunctionConfig::new("k0"), &wasm).unwrap()];
+        ids.push(register_wasm(&mut r, FunctionConfig::new("k1"), &wasm).unwrap());
+        r.set_check_gap(Some(8));
+        ids.push(register_wasm(&mut r, FunctionConfig::new("k2"), &wasm).unwrap());
+        r.set_tier(Tier::Naive);
+        ids.push(register_wasm(&mut r, FunctionConfig::new("k3"), &wasm).unwrap());
+        ids.push(register_wasm(&mut r, FunctionConfig::new("k4"), &wasm).unwrap());
+        let module = |i: usize| &r.get(ids[i]).unwrap().module;
+        assert!(Arc::ptr_eq(module(0), module(1)));
+        assert!(!Arc::ptr_eq(module(1), module(2)), "another check gap");
+        assert!(!Arc::ptr_eq(module(2), module(3)), "another tier");
+        assert!(Arc::ptr_eq(module(3), module(4)));
+        assert_eq!(r.stats.snapshot().modules_compiled, 3);
+        assert_eq!(r.stats.snapshot().modules_verified, 5);
+    }
+
+    #[test]
+    fn rejected_module_is_not_retained() {
+        let mut r = Registry::new();
+        let wasm = sledge_wasm::encode::encode_module(&hostcall_module("gated"));
+        let mut denied = FunctionConfig::new("denied");
+        denied.allowed_hostcalls = Some(vec!["response_write".into()]);
+        register_wasm(&mut r, denied, &wasm).unwrap_err();
+        // No function accepted the first build, so this is a second miss;
+        // from then on the module is shared.
+        register_wasm(&mut r, FunctionConfig::new("open"), &wasm).unwrap();
+        register_wasm(&mut r, FunctionConfig::new("open2"), &wasm).unwrap();
+        let snap = r.stats.snapshot();
+        assert_eq!(snap.modules_compiled, 2);
+        assert_eq!(snap.capability_rejected, 1);
+        assert_eq!(snap.modules_verified, 2);
     }
 
     #[test]
@@ -493,7 +674,7 @@ mod tests {
         let mut cfg = FunctionConfig::new("f");
         cfg.entry = "not_main".into();
         assert!(matches!(
-            r.register_module(cfg, &m, Tier::Optimized, 0),
+            register(&mut r, cfg, &m),
             Err(RegisterError::NoEntry(_))
         ));
         // A re-exported import is exported, but has no body to invoke.
@@ -502,7 +683,7 @@ mod tests {
         mb.export_func(req_len, "main");
         let m = mb.build().unwrap();
         assert!(matches!(
-            r.register_module(FunctionConfig::new("reexport"), &m, Tier::Optimized, 0),
+            register(&mut r, FunctionConfig::new("reexport"), &m),
             Err(RegisterError::NoEntry(_))
         ));
         assert!(r.is_empty());
@@ -512,7 +693,7 @@ mod tests {
     fn bad_wasm_rejected() {
         let mut r = Registry::new();
         assert!(matches!(
-            r.register_wasm(FunctionConfig::new("x"), b"garbage", Tier::Optimized),
+            register_wasm(&mut r, FunctionConfig::new("x"), b"garbage"),
             Err(RegisterError::Decode(_))
         ));
     }
@@ -523,9 +704,7 @@ mod tests {
         // One byte cannot hold any frame; every module is over budget.
         r.set_stack_budget(Some(1));
         let m = tiny_module("tiny");
-        let err = r
-            .register_module(FunctionConfig::new("tiny"), &m, Tier::Optimized, 0)
-            .unwrap_err();
+        let err = register(&mut r, FunctionConfig::new("tiny"), &m).unwrap_err();
         let RegisterError::Analysis(diags) = err else {
             panic!("expected analysis rejection, got {err}");
         };
@@ -534,8 +713,7 @@ mod tests {
         assert_eq!(r.stats.snapshot().modules_rejected, 1);
         // The same module passes under a sane budget.
         r.set_stack_budget(Some(1 << 20));
-        r.register_module(FunctionConfig::new("tiny"), &m, Tier::Optimized, 0)
-            .unwrap();
+        register(&mut r, FunctionConfig::new("tiny"), &m).unwrap();
         assert_eq!(r.stats.snapshot().modules_verified, 1);
     }
 
@@ -552,14 +730,11 @@ mod tests {
         let m = mb.build().unwrap();
         let mut r = Registry::new();
         // Without a budget recursion is allowed (warn-level at most)...
-        r.register_module(FunctionConfig::new("rec"), &m, Tier::Optimized, 0)
-            .unwrap();
+        register(&mut r, FunctionConfig::new("rec"), &m).unwrap();
         // ...but any finite budget makes it unverifiable.
         let mut r2 = Registry::new();
         r2.set_stack_budget(Some(u64::MAX));
-        let err = r2
-            .register_module(FunctionConfig::new("rec"), &m, Tier::Optimized, 0)
-            .unwrap_err();
+        let err = register(&mut r2, FunctionConfig::new("rec"), &m).unwrap_err();
         assert!(matches!(err, RegisterError::Analysis(_)), "{err}");
     }
 
@@ -572,9 +747,7 @@ mod tests {
         mb.export_func(main, "main");
         let m = mb.build().unwrap();
         let mut r = Registry::new();
-        let err = r
-            .register_module(FunctionConfig::new("boom"), &m, Tier::Optimized, 0)
-            .unwrap_err();
+        let err = register(&mut r, FunctionConfig::new("boom"), &m).unwrap_err();
         let RegisterError::Analysis(diags) = err else {
             panic!("expected analysis rejection, got {err}");
         };
@@ -588,9 +761,7 @@ mod tests {
     fn certificate_cached_and_counted() {
         let mut r = Registry::new();
         let m = tiny_module("cert");
-        let id = r
-            .register_module(FunctionConfig::new("cert"), &m, Tier::Optimized, 0)
-            .unwrap();
+        let id = register(&mut r, FunctionConfig::new("cert"), &m).unwrap();
         let rf = r.get(id).unwrap();
         assert!(rf.analysis().cost.within(awsm::DEFAULT_MAX_CHECK_GAP));
         assert_eq!(r.stats.snapshot().cost_certified, 1);
@@ -613,9 +784,7 @@ mod tests {
 
         let mut r = Registry::new();
         r.set_check_gap(Some(1));
-        let err = r
-            .register_module(FunctionConfig::new("heavy"), &m, Tier::Optimized, 0)
-            .unwrap_err();
+        let err = register(&mut r, FunctionConfig::new("heavy"), &m).unwrap_err();
         assert!(matches!(err, RegisterError::Certificate(_)), "{err}");
         assert!(err.to_string().contains("certificate"));
         assert!(r.is_empty());
@@ -626,9 +795,7 @@ mod tests {
         // The translator splits to meet any budget a single op can fit in.
         let mut r2 = Registry::new();
         r2.set_check_gap(Some(awsm::DEFAULT_MAX_CHECK_GAP));
-        let id = r2
-            .register_module(FunctionConfig::new("heavy"), &m, Tier::Optimized, 0)
-            .unwrap();
+        let id = register(&mut r2, FunctionConfig::new("heavy"), &m).unwrap();
         let rf = r2.get(id).unwrap();
         assert!(rf.analysis().cost.max_gap <= awsm::DEFAULT_MAX_CHECK_GAP);
         assert_eq!(r2.stats.snapshot().cost_certified, 1);
@@ -651,9 +818,7 @@ mod tests {
 
         let mut r = Registry::new();
         r.set_check_gap(Some(8));
-        let id = r
-            .register_module(FunctionConfig::new("straight"), &m, Tier::Optimized, 0)
-            .unwrap();
+        let id = register(&mut r, FunctionConfig::new("straight"), &m).unwrap();
         let cost = &r.get(id).unwrap().analysis().cost;
         assert!(cost.max_gap <= 8, "certified gap {} > budget", cost.max_gap);
         assert!(cost.splits > 0, "tight budget must force splits");
@@ -664,9 +829,7 @@ mod tests {
         let mut r = Registry::new();
         r.set_calibration(100);
         let m = tiny_module("plain");
-        let id = r
-            .register_module(FunctionConfig::new("plain"), &m, Tier::Optimized, 0)
-            .unwrap();
+        let id = register(&mut r, FunctionConfig::new("plain"), &m).unwrap();
         let rf = r.get(id).unwrap();
         // The entry's certified total cost is the admission charge...
         let expect = rf.analysis().cost.funcs[0].total_cost.max(1);
@@ -676,7 +839,7 @@ mod tests {
 
         let mut cfg = FunctionConfig::new("metered");
         cfg.budget_us_per_s = Some(2000);
-        let id = r.register_module(cfg, &m, Tier::Optimized, 0).unwrap();
+        let id = register(&mut r, cfg, &m).unwrap();
         let rf = r.get(id).unwrap();
         let b = rf.budget.as_ref().expect("budget knob arms a bucket");
         // 2000 µs/s × 100 units/µs.
@@ -705,7 +868,7 @@ mod tests {
         // The module calls env::request_len; the policy only grants
         // response_write — deny-by-default must reject it.
         cfg.allowed_hostcalls = Some(vec!["env::response_write".into()]);
-        let err = r.register_module(cfg, &m, Tier::Optimized, 0).unwrap_err();
+        let err = register(&mut r, cfg, &m).unwrap_err();
         let RegisterError::Capability(diags) = &err else {
             panic!("expected capability rejection, got {err}");
         };
@@ -726,7 +889,7 @@ mod tests {
         let mut cfg = FunctionConfig::new("granted");
         // Bare names match any import module.
         cfg.allowed_hostcalls = Some(vec!["request_len".into()]);
-        r.register_module(cfg, &m, Tier::Optimized, 0).unwrap();
+        register(&mut r, cfg, &m).unwrap();
         let snap = r.stats.snapshot();
         assert_eq!(snap.capability_certified, 1);
         assert_eq!(snap.capability_rejected, 0);
@@ -742,7 +905,7 @@ mod tests {
             "env::request_len".into(),
             "env::launch_missiles".into(),
         ]);
-        r.register_module(cfg, &m, Tier::Optimized, 0).unwrap();
+        register(&mut r, cfg, &m).unwrap();
         let snap = r.stats.snapshot();
         assert_eq!(snap.capability_certified, 1);
         assert!(
@@ -767,13 +930,13 @@ mod tests {
         let mut r = Registry::new();
         let mut cfg = FunctionConfig::new("writer");
         cfg.max_write_footprint_bytes = Some(0x8000);
-        let err = r.register_module(cfg, &m, Tier::Optimized, 0).unwrap_err();
+        let err = register(&mut r, cfg, &m).unwrap_err();
         assert!(matches!(err, RegisterError::Capability(_)), "{err}");
         assert_eq!(r.stats.snapshot().capability_rejected, 1);
 
         let mut cfg = FunctionConfig::new("writer");
         cfg.max_write_footprint_bytes = Some(0x9000);
-        r.register_module(cfg, &m, Tier::Optimized, 0).unwrap();
+        register(&mut r, cfg, &m).unwrap();
         assert_eq!(r.stats.snapshot().capability_certified, 1);
     }
 
@@ -781,8 +944,7 @@ mod tests {
     fn no_policy_touches_no_capability_counter() {
         let m = hostcall_module("open");
         let mut r = Registry::new();
-        r.register_module(FunctionConfig::new("open"), &m, Tier::Optimized, 0)
-            .unwrap();
+        register(&mut r, FunctionConfig::new("open"), &m).unwrap();
         let snap = r.stats.snapshot();
         assert_eq!(snap.capability_certified, 0);
         assert_eq!(snap.capability_rejected, 0);
@@ -802,9 +964,7 @@ mod tests {
         mb.export_func(main, "main");
         let m = mb.build().unwrap();
         let mut r = Registry::new();
-        let id = r
-            .register_module(FunctionConfig::new("warned"), &m, Tier::Optimized, 0)
-            .unwrap();
+        let id = register(&mut r, FunctionConfig::new("warned"), &m).unwrap();
         let snap = r.stats.snapshot();
         assert_eq!(snap.modules_verified, 1);
         assert!(snap.lint_warnings >= 1);

@@ -125,6 +125,10 @@ pub struct RegistryStats {
     /// Modules rejected by a capability policy (also counted in
     /// `modules_rejected`).
     pub capability_rejected: AtomicU64,
+    /// Module-store misses: the `.wasm` translations and artifact decodes
+    /// actually performed. Registrations of bytes already in the store share
+    /// that module and do not count here.
+    pub modules_compiled: AtomicU64,
 }
 
 impl RegistryStats {
@@ -138,6 +142,7 @@ impl RegistryStats {
             certificate_rejected: self.certificate_rejected.load(Ordering::Relaxed),
             capability_certified: self.capability_certified.load(Ordering::Relaxed),
             capability_rejected: self.capability_rejected.load(Ordering::Relaxed),
+            modules_compiled: self.modules_compiled.load(Ordering::Relaxed),
         }
     }
 }
@@ -154,6 +159,8 @@ pub struct RegistryStatsSnapshot {
     pub capability_certified: u64,
     /// Modules rejected by a capability policy.
     pub capability_rejected: u64,
+    /// Module-store misses (translations plus artifact decodes).
+    pub modules_compiled: u64,
 }
 
 /// Circuit breaker state for one function.

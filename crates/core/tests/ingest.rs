@@ -129,6 +129,40 @@ fn ingest_registers_and_serves_distributed_module() {
 }
 
 #[test]
+fn one_artifact_pushed_under_two_names_is_decoded_once() {
+    let rt = boot(true);
+    let mut client = HttpClient::new(rt.http_addr().unwrap());
+    let artifact = artifact_for(&echo_guest("echo"));
+    for name in ["echo-a", "echo-b"] {
+        let frame = ingest_frame(&format!(r#"{{"name": "{name}"}}"#), &artifact);
+        let resp = client
+            .request("POST", "/admin/modules", &[], &frame)
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let resp = client
+            .request("POST", &format!("/{name}"), &[], name.as_bytes())
+            .unwrap();
+        assert_eq!(resp.body, name.as_bytes());
+    }
+    let reg = rt.registry_stats();
+    assert_eq!(reg.modules_compiled, 1);
+    assert_eq!(reg.modules_verified, 2);
+    let id = |name| rt.function_by_name(name).unwrap();
+    let (a, b) = (
+        rt.function_info(id("echo-a")).unwrap(),
+        rt.function_info(id("echo-b")).unwrap(),
+    );
+    assert!(std::sync::Arc::ptr_eq(&a.module, &b.module));
+    // The same module shipped as `.wasm` is another key space: a third
+    // registration from those bytes is a second build.
+    let wasm = sledge_wasm::encode::encode_module(&echo_guest("echo"));
+    rt.register_wasm(sledge_core::FunctionConfig::new("echo-c"), &wasm)
+        .unwrap();
+    assert_eq!(rt.registry_stats().modules_compiled, 2);
+    rt.shutdown();
+}
+
+#[test]
 fn corrupt_artifact_rejected_while_node_keeps_serving() {
     let rt = boot(true);
     let mut client = HttpClient::new(rt.http_addr().unwrap());

@@ -628,49 +628,99 @@ fn output_shape_does_not_depend_on_configuration() {
 // The shipped daemon
 // ---------------------------------------------------------------------------
 
-#[test]
-fn sledged_serves_metrics_stats_and_a_full_summary() {
-    // `sledged` on an ephemeral port with the echo app: 20 requests, then
-    // /metrics and /stats; the banner and the `[final]` line after the
-    // drain carry every segment, with pool, admission and capability at zero.
+/// A `sledged` child on an ephemeral port, with its banner read up to the
+/// "serving on" line.
+struct Sledged {
+    child: std::process::Child,
+    lines: std::io::Lines<std::io::BufReader<std::process::ChildStdout>>,
+    banner: Vec<String>,
+    addr: std::net::SocketAddr,
+    dir: std::path::PathBuf,
+}
+
+/// Write `echo.wasm`, `ping.wasm` and `config` into a fresh directory and
+/// start `sledged` on it for `run_for_s` seconds.
+fn spawn_sledged(tag: &str, config: &str, run_for_s: u32) -> Sledged {
     use std::io::BufRead;
-    let dir = std::env::temp_dir().join(format!("sledged-smoke-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sledged-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let echo = sledge_wasm::encode::encode_module(&sledge_apps::echo::module());
-    std::fs::write(dir.join("echo.wasm"), echo).unwrap();
-    let config = r#"{"workers": 2, "modules": [{"name": "echo", "wasm": "echo.wasm"}]}"#;
+    for (file, module) in [
+        ("echo.wasm", sledge_apps::echo::module()),
+        ("ping.wasm", sledge_apps::ping::module()),
+    ] {
+        let wasm = sledge_wasm::encode::encode_module(&module);
+        std::fs::write(dir.join(file), wasm).unwrap();
+    }
     std::fs::write(dir.join("sledged.json"), config).unwrap();
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sledged"))
         .arg(dir.join("sledged.json"))
-        .args(["127.0.0.1:0", "--run-for-s", "2"])
+        .args(["127.0.0.1:0", "--run-for-s", &run_for_s.to_string()])
         .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn sledged");
     let mut lines = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
     let mut banner = Vec::new();
-    let addr: std::net::SocketAddr = loop {
+    let addr = loop {
         let line = lines.next().expect("banner line").unwrap();
         banner.push(line.clone());
         if let Some(rest) = line.strip_prefix("sledged serving on http://") {
             break rest.split(' ').next().unwrap().parse().unwrap();
         }
     };
+    Sledged {
+        child,
+        lines,
+        banner,
+        addr,
+        dir,
+    }
+}
 
+impl Sledged {
+    /// Wait for the drain and exit; returns every stdout line after the
+    /// banner, and all of stderr.
+    fn finish(mut self) -> (Vec<String>, String) {
+        let rest: Vec<String> = self.lines.map(Result::unwrap).collect();
+        let mut stderr = String::new();
+        self.child
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut stderr)
+            .unwrap();
+        assert!(self.child.wait().unwrap().success(), "{stderr}");
+        let _ = std::fs::remove_dir_all(&self.dir);
+        (rest, stderr)
+    }
+}
+
+fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        s,
+        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut reply = String::new();
+    s.read_to_string(&mut reply).unwrap();
+    let status = reply.split(' ').nth(1).and_then(|c| c.parse().ok());
+    let body = reply.split_once("\r\n\r\n").map(|(_, b)| b.to_string());
+    (status.expect("status code"), body.unwrap_or_default())
+}
+
+#[test]
+fn sledged_serves_metrics_stats_and_a_full_summary() {
+    // `sledged` on an ephemeral port with the echo app: 20 requests, then
+    // /metrics and /stats; the banner and the `[final]` line after the
+    // drain carry every segment, with pool, admission and capability at zero.
+    let config = r#"{"workers": 2, "modules": [{"name": "echo", "wasm": "echo.wasm"}]}"#;
+    let sledged = spawn_sledged("smoke", config, 2);
+    let addr = sledged.addr;
     for i in 0..20 {
         let body = format!("hello-{i}");
-        let mut s = std::net::TcpStream::connect(addr).unwrap();
-        write!(
-            s,
-            "POST /echo HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let mut reply = String::new();
-        s.read_to_string(&mut reply).unwrap();
-        assert!(
-            reply.starts_with("HTTP/1.1 200") && reply.ends_with(&body),
-            "{reply}"
-        );
+        assert_eq!(http_post(addr, "/echo", &body), (200, body));
     }
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
@@ -679,18 +729,20 @@ fn sledged_serves_metrics_stats_and_a_full_summary() {
         "sledge_phase_latency_seconds{phase=\"execution\",quantile=\"0.99\"} ",
         "sledge_phase_latency_seconds{function=\"echo\",phase=\"queue\",quantile=\"0.5\"} ",
         "sledge_phase_latency_seconds_count{phase=\"total\"} 20\n",
+        "sledge_modules_compiled_total{} 1\n",
     ] {
         assert!(metrics.contains(series), "missing {series}\n{metrics}");
     }
     let (status, stats) = http_get(addr, "/stats");
     assert_eq!(status, 200);
     assert!(stats.contains("\"completed\":20"), "{stats}");
+    assert!(stats.contains("\"modules\":{\"compiled\":1}"), "{stats}");
 
-    let rest: Vec<String> = lines.map(Result::unwrap).collect();
-    assert!(child.wait().unwrap().success());
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut banner = sledged.banner.clone();
+    let (rest, _) = sledged.finish();
     banner.extend(rest.iter().cloned());
     for line in [
+        "verified 1 module(s): 0 lint warning(s), 1 cost-certified, 1 compiled",
         "capability policy: 0 certified, 0 rejected",
         "  sandbox pool: off",
         "  run queue: one lane, max in-flight uncapped",
@@ -709,5 +761,88 @@ fn sledged_serves_metrics_stats_and_a_full_summary() {
          | cap certified=0 rejected=0",
     ] {
         assert!(last.contains(segment), "no {segment:?} in {last}");
+    }
+}
+
+#[test]
+fn sledged_gates_capabilities_per_function_on_a_shared_module() {
+    // Deny-by-default host calls: echo's entry point also reaches
+    // request_len/request_read, so granting it only response_write refuses
+    // it with a clean diagnostic while the node keeps serving; ping needs
+    // only response_write and certifies. echo2 ships the same bytes as echo
+    // with no policy: it shares echo's module, and the per-function gate
+    // that refused echo must not touch it.
+    let config = r#"{"workers": 2, "modules": [
+        {"name": "ping", "wasm": "ping.wasm", "allowed_hostcalls": ["response_write"]},
+        {"name": "echo2", "wasm": "echo.wasm"},
+        {"name": "echo", "wasm": "echo.wasm", "allowed_hostcalls": ["response_write"]}
+    ]}"#;
+    let sledged = spawn_sledged("capability", config, 2);
+    let addr = sledged.addr;
+    assert_eq!(http_post(addr, "/ping", "x").0, 200);
+    assert_eq!(http_post(addr, "/echo", "x").0, 404);
+    assert_eq!(http_post(addr, "/echo2", "x"), (200, "x".into()));
+    let (_, stats) = http_get(addr, "/stats");
+    assert!(
+        stats.contains("\"capability\":{\"certified\":1,\"rejected\":1}"),
+        "{stats}"
+    );
+    assert!(stats.contains("\"modules\":{\"compiled\":2}"), "{stats}");
+    let (_, metrics) = http_get(addr, "/metrics");
+    for series in [
+        "sledge_capability_modules_total{verdict=\"rejected\"} 1\n",
+        "sledge_capability_modules_total{verdict=\"certified\"} 1\n",
+        "sledge_modules_compiled_total{} 2\n",
+    ] {
+        assert!(metrics.contains(series), "missing {series}\n{metrics}");
+    }
+    let banner = sledged.banner.clone();
+    let (_, stderr) = sledged.finish();
+    for line in [
+        // The certificate gate runs before the capability gate, so the
+        // refused echo is cost-certified too.
+        "verified 2 module(s): 0 lint warning(s), 3 cost-certified, 2 compiled",
+        "capability policy: 1 certified, 1 rejected",
+    ] {
+        assert!(
+            banner.iter().any(|l| l == line),
+            "no {line:?} in {banner:#?}"
+        );
+    }
+    assert!(stderr.contains("rejected by capability policy"), "{stderr}");
+    assert!(stderr.contains("capability violation"), "{stderr}");
+}
+
+#[test]
+fn sledged_refuses_a_config_that_reuses_a_route_or_a_name() {
+    for (tag, second, expect) in [
+        (
+            "route",
+            r#"{"name": "b", "wasm": "ping.wasm", "route": "/x"}"#,
+            r#"route \"/x\" already registered"#,
+        ),
+        (
+            "name",
+            r#"{"name": "a", "wasm": "ping.wasm", "route": "/y"}"#,
+            r#"function \"a\" already registered"#,
+        ),
+    ] {
+        let dir = std::env::temp_dir().join(format!("sledged-dup-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wasm = sledge_wasm::encode::encode_module(&sledge_apps::ping::module());
+        std::fs::write(dir.join("ping.wasm"), wasm).unwrap();
+        let config = format!(
+            r#"{{"modules": [{{"name": "a", "wasm": "ping.wasm", "route": "/x"}}, {second}]}}"#
+        );
+        std::fs::write(dir.join("sledged.json"), config).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sledged"))
+            .arg(dir.join("sledged.json"))
+            .args(["127.0.0.1:0", "--run-for-s", "1"])
+            .output()
+            .expect("run sledged");
+        let _ = std::fs::remove_dir_all(&dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.contains(expect), "{tag}: {stderr}");
     }
 }

@@ -9,7 +9,10 @@ use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
 
 mod guests {
     use super::*;
@@ -59,6 +62,35 @@ mod guests {
         f.extend([
             exec(call(resp_write, vec![i32c(64), i32c(1)])),
             store(Scalar::U8, i32c(64), 0, i32c(0xAA)),
+            ret(Some(i32c(0))),
+        ]);
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        mb.build().unwrap()
+    }
+
+    /// Respond with the 8 bytes at address 64, then copy the request's first
+    /// 8 bytes there: a per-request marker that any later request on a
+    /// leaked instance would read back.
+    pub fn marker() -> Module {
+        let mut mb = ModuleBuilder::new("marker");
+        mb.memory(1, Some(1));
+        let req_read = mb.import_func(
+            "env",
+            "request_read",
+            &[ValType::I32, ValType::I32, ValType::I32],
+            Some(ValType::I32),
+        );
+        let resp_write = mb.import_func(
+            "env",
+            "response_write",
+            &[ValType::I32, ValType::I32],
+            Some(ValType::I32),
+        );
+        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+        f.extend([
+            exec(call(resp_write, vec![i32c(64), i32c(8)])),
+            exec(call(req_read, vec![i32c(64), i32c(8), i32c(0)])),
             ret(Some(i32c(0))),
         ]);
         let main = mb.add_func("main", f);
@@ -214,6 +246,52 @@ fn recycle_knob_off_discards_everything() {
     assert_eq!(pool.misses, 4, "{pool:?}");
     assert_eq!(pool.discarded, 4, "{pool:?}");
     assert_eq!(pool.size, 0, "{pool:?}");
+}
+
+#[test]
+fn tenants_sharing_a_module_never_read_each_others_memory() {
+    // Two tenants registered from the same bytes share one compiled module
+    // but nothing else: each has its own pool, and every instance, fresh or
+    // recycled, starts from the module's template rather than the other
+    // tenant's last request.
+    let wasm = sledge_wasm::encode::encode_module(&guests::marker());
+    let base = RuntimeConfig {
+        workers: 2,
+        ..config(4, 0, true)
+    };
+    for (label, cfg) in common::plain_and_armed(base) {
+        let rt = Runtime::new(cfg);
+        let a = rt
+            .register_wasm(FunctionConfig::new("tenant-a"), &wasm)
+            .unwrap();
+        let b = rt
+            .register_wasm(FunctionConfig::new("tenant-b"), &wasm)
+            .unwrap();
+        let (fa, fb) = (rt.function_info(a).unwrap(), rt.function_info(b).unwrap());
+        assert!(Arc::ptr_eq(&fa.module, &fb.module), "{label}");
+        for i in 0..12u8 {
+            for (id, tag) in [(a, b'A'), (b, b'B')] {
+                let marker = [tag, i, tag, i, tag, i, tag, i];
+                let done = rt.invoke(id, marker.to_vec()).wait().unwrap();
+                match done.outcome {
+                    Outcome::Success(body) => {
+                        assert_eq!(body, [0u8; 8], "{label}: {} #{i}", tag as char)
+                    }
+                    other => panic!("{label}: {} #{i}: {other:?}", tag as char),
+                }
+            }
+        }
+        let (pa, pb) = (fa.pool.snapshot(), fb.pool.snapshot());
+        let total = rt.pool_stats();
+        rt.shutdown();
+        for (tag, p) in [('A', pa), ('B', pb)] {
+            assert_eq!(p.hits + p.misses, 12, "{label} {tag}: {p:?}");
+            assert_eq!(p.recycled, 12, "{label} {tag}: {p:?}");
+            assert!(p.hits >= 1, "{label} {tag}: never recycled: {p:?}");
+        }
+        assert_eq!(total.hits, pa.hits + pb.hits, "{label}");
+        assert_eq!(total.misses, pa.misses + pb.misses, "{label}");
+    }
 }
 
 #[test]

@@ -2,13 +2,17 @@
 //! I/O, and the HTTP front end.
 
 use awsm::Trap;
-use sledge_core::{BreakerConfig, FunctionConfig, Outcome, Runtime, RuntimeConfig};
+use sledge_core::{
+    BreakerConfig, FunctionConfig, FunctionId, Outcome, RegisterError, Runtime, RuntimeConfig,
+};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 mod common;
 
@@ -16,6 +20,27 @@ mod common;
 /// lives in `sledge-apps`; these are purpose-built minimal guests.)
 mod guests {
     use super::*;
+
+    /// `n` straight-line stores: a translation that is long next to a
+    /// request (about 9 µs per store in a debug build, against a ~100 µs
+    /// `ping` invoke).
+    pub fn slow_to_translate(n: i32) -> Module {
+        let mut mb = ModuleBuilder::new("slow");
+        mb.memory(1, Some(1));
+        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+        for i in 0..n {
+            f.push(store(
+                Scalar::I32,
+                i32c((i % 8000) * 4),
+                0,
+                mul(i32c(i), i32c(3)),
+            ));
+        }
+        f.push(ret(Some(i32c(0))));
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        mb.build().unwrap()
+    }
 
     /// Echo the request body.
     pub fn echo() -> Module {
@@ -644,5 +669,237 @@ fn per_function_stats_are_tracked() {
     assert!(s.mean_execution().unwrap() > std::time::Duration::ZERO);
     // Global equals sum of per-function.
     assert_eq!(rt.stats().completed, 8);
+    rt.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Module store: one compiled module per distinct binary
+// ---------------------------------------------------------------------------
+
+#[test]
+fn one_binary_under_many_names_is_compiled_once() {
+    let rt = small_runtime(2);
+    let wasm = sledge_wasm::encode::encode_module(&guests::echo());
+    let ids: Vec<FunctionId> = (0..16)
+        .map(|t| {
+            rt.register_wasm(FunctionConfig::new(format!("t{t:02}-echo")), &wasm)
+                .unwrap()
+        })
+        .collect();
+    let reg = rt.registry_stats();
+    assert_eq!(reg.modules_compiled, 1);
+    assert_eq!(reg.modules_verified, 16, "gates run per registration");
+    assert_eq!(reg.cost_certified, 16);
+    let first = rt.function_info(ids[0]).unwrap();
+    for &id in &ids {
+        let rf = rt.function_info(id).unwrap();
+        assert!(Arc::ptr_eq(&rf.module, &first.module));
+        assert_eq!(rf.wasm_size, wasm.len());
+        let body = format!("{id:?}");
+        let done = rt.invoke(id, body.clone().into_bytes()).wait().unwrap();
+        assert!(matches!(done.outcome, Outcome::Success(ref b) if *b == body.as_bytes()));
+        assert_eq!(rt.function_stats(id).unwrap().completed, 1);
+    }
+    rt.shutdown();
+}
+
+#[test]
+fn a_module_and_its_encoding_share_one_compiled_module() {
+    let rt = small_runtime(1);
+    let module = guests::echo();
+    let a = rt
+        .register_module(FunctionConfig::new("from-module"), &module)
+        .unwrap();
+    let wasm = sledge_wasm::encode::encode_module(&module);
+    let b = rt
+        .register_wasm(FunctionConfig::new("from-wasm"), &wasm)
+        .unwrap();
+    let (a, b) = (rt.function_info(a).unwrap(), rt.function_info(b).unwrap());
+    assert!(Arc::ptr_eq(&a.module, &b.module));
+    assert_eq!(a.wasm_size, b.wasm_size);
+    assert_eq!(rt.registry_stats().modules_compiled, 1);
+    rt.shutdown();
+}
+
+#[test]
+fn the_catalogue_for_three_tenants_compiles_each_guest_once() {
+    // The benchmark's catalogue: the paper's 7 applications and the 30
+    // PolyBench kernels, registered from `.wasm` bytes for every tenant.
+    let apps = sledge_apps::all_apps().into_iter().map(|a| (a.module)());
+    let kernels = sledge_apps::polybench::kernels()
+        .into_iter()
+        .map(|k| (k.build)());
+    let catalogue: Vec<Vec<u8>> = apps
+        .chain(kernels)
+        .map(|m| sledge_wasm::encode::encode_module(&m))
+        .collect();
+    assert_eq!(catalogue.len(), 37);
+    let rt = small_runtime(2);
+    for tenant in 0..3 {
+        for (g, wasm) in catalogue.iter().enumerate() {
+            rt.register_wasm(FunctionConfig::new(format!("t{tenant}-g{g}")), wasm)
+                .unwrap();
+        }
+    }
+    let reg = rt.registry_stats();
+    assert_eq!(reg.modules_compiled, 37);
+    assert_eq!(reg.modules_verified, 3 * 37);
+    rt.shutdown();
+}
+
+#[test]
+fn a_capability_rejection_on_a_shared_module_is_per_tenant() {
+    // Grants are per tenant, effects per module: tenant B registers echo
+    // with no policy, tenant A then hits the same module with a policy that
+    // withholds echo's request_* host calls and is refused, and B serves.
+    let rt = small_runtime(2);
+    let wasm = sledge_wasm::encode::encode_module(&guests::echo());
+    let b = rt
+        .register_wasm(FunctionConfig::new("tenant-b"), &wasm)
+        .unwrap();
+    let mut a = FunctionConfig::new("tenant-a");
+    a.allowed_hostcalls = Some(vec!["response_write".into()]);
+    let err = rt.register_wasm(a, &wasm).unwrap_err();
+    assert!(matches!(err, RegisterError::Capability(_)), "{err}");
+    assert!(rt.function_by_name("tenant-a").is_none());
+    let mut c = FunctionConfig::new("tenant-c");
+    c.allowed_hostcalls = Some(
+        ["request_len", "request_read", "response_write"]
+            .map(String::from)
+            .to_vec(),
+    );
+    let c = rt.register_wasm(c, &wasm).unwrap();
+    let reg = rt.registry_stats();
+    assert_eq!(reg.modules_compiled, 1);
+    assert_eq!(reg.capability_rejected, 1);
+    assert_eq!(reg.capability_certified, 1);
+    assert_eq!(reg.modules_rejected, 1);
+    for id in [b, c] {
+        let done = rt.invoke(id, &b"still here"[..]).wait().unwrap();
+        assert!(matches!(done.outcome, Outcome::Success(ref body) if body == b"still here"));
+    }
+    rt.shutdown();
+}
+
+#[test]
+fn duplicate_name_and_route_are_refused() {
+    let rt = small_runtime(1);
+    let mut a = FunctionConfig::new("a");
+    a.route = Some("/x".into());
+    let a = rt.register_module(a, &guests::echo()).unwrap();
+    // `b` on `/x` would leave `a` registered but unreachable over HTTP.
+    let mut b = FunctionConfig::new("b");
+    b.route = Some("/x".into());
+    let err = rt.register_module(b, &guests::spin()).unwrap_err();
+    assert!(
+        matches!(err, RegisterError::DuplicateRoute(ref r) if r == "/x"),
+        "{err}"
+    );
+    let err = rt
+        .register_module(FunctionConfig::new("a"), &guests::spin())
+        .unwrap_err();
+    assert!(
+        matches!(err, RegisterError::DuplicateName(ref n) if n == "a"),
+        "{err}"
+    );
+    // Both were refused before any translation.
+    assert_eq!(rt.registry_stats().modules_compiled, 1);
+    assert!(rt.function_by_name("b").is_none());
+    let done = rt.invoke(a, &b"mine"[..]).wait().unwrap();
+    assert!(matches!(done.outcome, Outcome::Success(ref body) if body == b"mine"));
+    rt.shutdown();
+}
+
+#[test]
+fn requests_are_served_while_a_registration_translates() {
+    let wasm = sledge_wasm::encode::encode_module(&guests::slow_to_translate(8000));
+    let rt = small_runtime(2);
+    let ping = rt
+        .register_module(FunctionConfig::new("ping"), &sledge_apps::ping::module())
+        .unwrap();
+    let invoke = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            rt.invoke(ping, Vec::new()).wait().unwrap();
+            t.elapsed()
+        })
+        .min()
+        .unwrap();
+    // Calibrate on a second node, whose module store is empty: the
+    // translation must dwarf an invoke, or the check below proves nothing.
+    let translate = {
+        let other = small_runtime(1);
+        let t = Instant::now();
+        other
+            .register_wasm(FunctionConfig::new("slow"), &wasm)
+            .unwrap();
+        let d = t.elapsed();
+        other.shutdown();
+        d
+    };
+    assert!(
+        translate >= invoke * 10,
+        "translation {translate:?} vs invoke {invoke:?}"
+    );
+
+    let started = AtomicBool::new(false);
+    let registered = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            started.store(true, Ordering::SeqCst);
+            rt.register_wasm(FunctionConfig::new("slow"), &wasm)
+                .unwrap();
+            registered.store(true, Ordering::SeqCst);
+        });
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // Ping back to back until the registration returns. Its translation
+        // holds no registry lock, so the listener keeps admitting and the
+        // workers keep serving; had it held the write lock, at most the one
+        // ping admitted before the lock was taken would count here.
+        let mut served = 0;
+        loop {
+            let done = rt.invoke(ping, Vec::new()).wait().unwrap();
+            assert!(matches!(done.outcome, Outcome::Success(_)));
+            if registered.load(Ordering::SeqCst) {
+                break;
+            }
+            served += 1;
+        }
+        assert!(
+            served >= 3,
+            "{served} ping(s) served during a {translate:?} translation"
+        );
+    });
+    assert!(rt.function_by_name("slow").is_some());
+    rt.shutdown();
+}
+
+#[test]
+fn racing_registrations_of_one_binary_share_one_module() {
+    let wasm = sledge_wasm::encode::encode_module(&guests::slow_to_translate(2000));
+    let rt = small_runtime(1);
+    let barrier = Barrier::new(2);
+    let ids: Vec<FunctionId> = std::thread::scope(|s| {
+        let racers: Vec<_> = ["r0", "r1"]
+            .into_iter()
+            .map(|name| {
+                let (rt, wasm, barrier) = (&rt, &wasm, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    rt.register_wasm(FunctionConfig::new(name), wasm).unwrap()
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    let (a, b) = (
+        rt.function_info(ids[0]).unwrap(),
+        rt.function_info(ids[1]).unwrap(),
+    );
+    // Both may have missed and translated; the loser's module was dropped.
+    assert!(Arc::ptr_eq(&a.module, &b.module));
+    assert!((1..=2).contains(&rt.registry_stats().modules_compiled));
     rt.shutdown();
 }
