@@ -122,7 +122,8 @@ pub(crate) struct Shared {
     /// decisions key off them).
     pub seq: AtomicU64,
     /// Per-worker latency shards for the global (all-functions) view;
-    /// worker `i` writes only `phase_shards[i]`.
+    /// worker `i` writes only `phase_shards[i]`. Its length is the worker
+    /// count, which also sizes each function's shards at its first sample.
     pub phase_shards: Box<[metrics::PhaseHistograms]>,
     /// Connection-lifecycle counters shared with the HTTP front end (they
     /// stay zero when the runtime has no HTTP listener).
@@ -244,7 +245,6 @@ impl Runtime {
         registry.set_tier(config.tier);
         registry.set_stack_budget(config.max_stack_bytes);
         registry.set_check_gap(config.max_check_gap);
-        registry.set_shards(workers);
         registry.set_pool_capacity(config.pool_size);
         registry.set_calibration(config.cost_units_per_us);
         let shared = Arc::new(Shared {

@@ -7,7 +7,11 @@
 //! total) and recorded into one [`PhaseHistograms`] *shard*. Each worker
 //! owns a private shard per key (one global, one per function), so the hot
 //! path touches only cache lines no other worker writes; readers merge
-//! shard snapshots on demand.
+//! shard snapshots on demand. A function's shards are allocated by its
+//! first recorded sample, so a registered function that never runs costs
+//! no shard memory, and the snapshot copies phases only for the functions
+//! that have run: its cost grows with what runs, not with what is
+//! registered.
 //!
 //! The renderers read only the report and never ask which subsystems are
 //! on: every section and series is always present, reading zero when its
@@ -21,7 +25,7 @@ use crate::stats::{FunctionStatsSnapshot, RegistryStatsSnapshot, StatsSnapshot};
 use crate::Shared;
 use sledge_http::ConnSnapshot;
 use std::fmt::Write;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The lifecycle phases a latency sample is split into, in render order.
 pub const PHASES: [&str; 6] = [
@@ -134,8 +138,23 @@ pub struct FunctionReport {
     /// Current work-budget balance in tokens; `None` for a function without
     /// a budget.
     pub budget_balance: Option<u64>,
-    /// The function's latency shards, merged.
-    pub phases: PhaseSnapshot,
+    /// The function's latency shards, merged; `None` until it records its
+    /// first sample. Read it through [`FunctionReport::phases`].
+    pub(crate) phases: Option<Box<PhaseSnapshot>>,
+}
+
+impl FunctionReport {
+    /// The function's merged phases, all zeros if it has never run.
+    pub fn phases(&self) -> &PhaseSnapshot {
+        // One shared all-zero snapshot, built on first use rather than
+        // compiled in: a 12 KiB constant would sit in the binary's
+        // read-only data ahead of all of its code.
+        static NO_SAMPLES: OnceLock<PhaseSnapshot> = OnceLock::new();
+        match &self.phases {
+            Some(phases) => phases,
+            None => NO_SAMPLES.get_or_init(PhaseSnapshot::default),
+        }
+    }
 }
 
 /// A point-in-time view of a node: counters, registry and pool totals,
@@ -176,7 +195,9 @@ impl MetricsHandle {
 
 impl Shared {
     /// Take the node snapshot: one walk of the registry, every worker shard
-    /// merged.
+    /// merged. Only a function that has recorded a sample has shards to
+    /// merge and a phase copy to carry; the rest cost their name and
+    /// counters.
     pub(crate) fn latency_report(&self) -> LatencyReport {
         let now = self.now_ns();
         let registry = self.registry();
@@ -194,7 +215,10 @@ impl Shared {
                     name: rf.config.name.clone(),
                     stats: rf.stats.snapshot(),
                     budget_balance: rf.budget.as_ref().map(|b| b.balance(now)),
-                    phases: PhaseSnapshot::merge_shards(&rf.metrics),
+                    phases: match rf.shards() {
+                        [] => None,
+                        shards => Some(Box::new(PhaseSnapshot::merge_shards(shards))),
+                    },
                 })
                 .collect(),
         }
@@ -366,7 +390,7 @@ pub fn render_prometheus(report: &LatencyReport) -> String {
     };
     series("", &report.global);
     for (label, f) in &functions {
-        series(&format!("function=\"{label}\","), &f.phases);
+        series(&format!("function=\"{label}\","), f.phases());
     }
     out
 }
@@ -464,7 +488,7 @@ pub fn render_json(report: &LatencyReport) -> String {
     for (i, f) in report.per_function.iter().enumerate() {
         let sep = if i > 0 { "," } else { "" };
         let _ = write!(out, "{sep}\"{}\":", escape_json(&f.name));
-        json_phases(&mut out, &f.phases);
+        json_phases(&mut out, f.phases());
     }
     out.push_str("}}");
     out
@@ -579,7 +603,7 @@ mod tests {
             global: snap,
             per_function: vec![FunctionReport {
                 name: "echo".into(),
-                phases: snap,
+                phases: Some(Box::new(snap)),
                 ..Default::default()
             }],
             ..Default::default()
@@ -596,6 +620,21 @@ mod tests {
         // Execution p99 is bounded by the true extrema.
         let p99 = report.global.execution.quantile(0.99);
         assert!((100_000..=300_000).contains(&p99), "p99={p99}");
+    }
+
+    #[test]
+    fn an_unsampled_function_renders_as_idle_shards_did() {
+        // A function that has never run carries no phase copy; it must
+        // render byte for byte as the merge of its untouched shards would.
+        let idle = [PhaseHistograms::default(), PhaseHistograms::default()];
+        let mut sampled = sample_report();
+        sampled.per_function[0].phases = Some(Box::new(PhaseSnapshot::merge_shards(&idle)));
+        let mut unsampled = sample_report();
+        unsampled.per_function[0].phases = None;
+        assert_eq!(render_prometheus(&unsampled), render_prometheus(&sampled));
+        assert_eq!(render_json(&unsampled), render_json(&sampled));
+        assert!(render_json(&unsampled)
+            .contains("\"functions\":{\"echo\":{\"queue\":{\"count\":0,\"sum_ns\":0,\"min_ns\":0"));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::config::{FunctionConfig, DEFAULT_COST_UNITS_PER_US};
 use crate::histogram::HistogramSnapshot;
 use crate::metrics::PhaseHistograms;
 use crate::pool::{PoolStatsSnapshot, SandboxPool};
+use crate::sandbox::Timings;
 use crate::stats::{FunctionStats, RegistryStats};
 use awsm::{
     translate_with, AnalysisReport, ArtifactError, CompiledModule, Diagnostic, Severity, Tier,
@@ -21,7 +22,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Identifier of a registered function.
@@ -41,9 +42,11 @@ pub struct RegisteredFunction {
     pub wasm_size: usize,
     /// Per-function counters, updated by the workers.
     pub stats: FunctionStats,
-    /// Per-worker latency shards for this function (one entry per worker;
-    /// worker `i` writes only `metrics[i]`). Readers merge on demand.
-    pub metrics: Box<[PhaseHistograms]>,
+    /// Per-worker latency shards for this function, allocated by its first
+    /// recorded sample (then one entry per worker; worker `i` writes only
+    /// entry `i`). Readers merge on demand and never allocate: a function
+    /// that has not run has no shards. See [`RegisteredFunction::shards`].
+    shards: OnceLock<Box<[PhaseHistograms]>>,
     /// Warm sandbox pool (capacity 0 = disabled; see
     /// [`crate::RuntimeConfig::pool_size`]).
     pub pool: SandboxPool,
@@ -83,6 +86,22 @@ impl RegisteredFunction {
         &self.module.analysis
     }
 
+    /// This function's latency shards: one per worker once it has recorded a
+    /// sample, none before.
+    pub fn shards(&self) -> &[PhaseHistograms] {
+        self.shards.get().map_or(&[], |shards| shards)
+    }
+
+    /// Record one executed invocation into worker `worker`'s shard. The
+    /// function's first sample allocates one shard for each of the node's
+    /// `workers`; every later one finds them with one acquire load.
+    pub(crate) fn record(&self, worker: usize, workers: usize, t: &Timings) {
+        let shards = self
+            .shards
+            .get_or_init(|| (0..workers).map(|_| PhaseHistograms::default()).collect());
+        shards[worker].record(t);
+    }
+
     /// This function's observed queue-phase p99 in nanoseconds, refreshed
     /// from the merged worker shards at most every few milliseconds (stale
     /// reads are fine: the SLO gate is a coarse overload signal, not an
@@ -93,7 +112,7 @@ impl RegisteredFunction {
             return self.queue_p99.value_ns.load(Ordering::Relaxed);
         }
         let mut merged = HistogramSnapshot::default();
-        for shard in self.metrics.iter() {
+        for shard in self.shards() {
             merged.merge(&shard.queue.snapshot());
         }
         let v = merged.quantile(0.99);
@@ -244,9 +263,6 @@ pub struct Registry {
     /// `None` uses [`awsm::DEFAULT_MAX_CHECK_GAP`] and accepts any
     /// certified gap.
     check_gap: Option<u32>,
-    /// Latency-shard count for newly registered functions (the runtime's
-    /// worker count; 0 means "not set" and falls back to a single shard).
-    shards: usize,
     /// Warm-pool capacity for newly registered functions (0 = pooling
     /// disabled).
     pool_capacity: usize,
@@ -280,13 +296,6 @@ impl Registry {
     /// [`crate::RuntimeConfig::max_check_gap`]).
     pub fn set_check_gap(&mut self, budget: Option<u32>) {
         self.check_gap = budget;
-    }
-
-    /// Set how many latency shards each subsequently registered function
-    /// carries (the runtime passes its worker count, so every worker gets a
-    /// private shard).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards;
     }
 
     /// Set the warm-pool capacity for subsequently registered functions
@@ -409,9 +418,7 @@ impl Registry {
             module: Arc::clone(&module),
             wasm_size: key.bytes.len(),
             stats: FunctionStats::default(),
-            metrics: (0..self.shards.max(1))
-                .map(|_| PhaseHistograms::default())
-                .collect(),
+            shards: OnceLock::new(),
             pool: SandboxPool::with_policy(self.pool_capacity, reset_policy),
             admission_cost,
             budget,
@@ -847,6 +854,39 @@ mod tests {
         assert!(b.capacity() >= rf.admission_cost);
         // A fresh function has no queue samples: p99 reads zero.
         assert_eq!(rf.queue_p99_ns(1), 0);
+    }
+
+    #[test]
+    fn shards_are_allocated_by_the_first_record() {
+        let mut r = Registry::new();
+        let id = register(&mut r, FunctionConfig::new("lazy"), &tiny_module("lazy")).unwrap();
+        let rf = r.get(id).unwrap();
+        // Registration allocates no shard, and neither does a reader.
+        assert!(rf.shards().is_empty());
+        assert_eq!(rf.queue_p99_ns(1), 0);
+        assert!(rf.shards().is_empty(), "the SLO read allocated shards");
+        let t = Timings {
+            arrival: std::time::Instant::now(),
+            instantiation: Duration::from_micros(1),
+            queue_delay: Duration::from_micros(2),
+            execution: Duration::from_micros(3),
+            preempted: Duration::ZERO,
+            blocked: Duration::ZERO,
+            total: Duration::from_micros(6),
+            preemptions: 0,
+        };
+        // Worker 1 of 3 records first: all three shards appear at once.
+        rf.record(1, 3, &t);
+        let first = rf.shards().as_ptr();
+        assert_eq!(rf.shards().len(), 3);
+        rf.record(0, 3, &t);
+        assert_eq!(rf.shards().as_ptr(), first, "a later record reallocated");
+        let counts: Vec<u64> = rf
+            .shards()
+            .iter()
+            .map(|s| s.total.snapshot().count())
+            .collect();
+        assert_eq!(counts, [1, 1, 0]);
     }
 
     fn hostcall_module(name: &str) -> Module {

@@ -26,7 +26,8 @@ fn enqueue(runqueue: &mut Dwrr<Box<Sandbox>>, config: &RuntimeConfig, sb: Box<Sa
 #[derive(Debug, Default)]
 pub(crate) struct WorkerShared {
     /// This worker's index: selects its private metrics shard in
-    /// `Shared::phase_shards` and in each function's shard set.
+    /// `Shared::phase_shards` and in each function's shards (one per entry
+    /// of `Shared::phase_shards`).
     pub index: usize,
     /// Preempt flag of the sandbox currently running on this worker, if any.
     pub current: Mutex<Option<Arc<AtomicBool>>>,
@@ -114,8 +115,9 @@ fn finish(shared: &Shared, shard: usize, mut sandbox: Box<Sandbox>, outcome: Out
         Outcome::Success(_) | Outcome::Trapped(_) | Outcome::TimedOut
     ) {
         shared.phase_shards[shard].record(&timings);
-        let fn_shards = &sandbox.function.metrics;
-        fn_shards[shard % fn_shards.len()].record(&timings);
+        sandbox
+            .function
+            .record(shard, shared.phase_shards.len(), &timings);
     }
     let function = sandbox.function.id;
     let responder = sandbox.responder_take();

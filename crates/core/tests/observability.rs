@@ -323,7 +323,7 @@ fn stress_loses_no_samples() {
             assert_eq!(h.count(), executed, "phase {phase} lost samples");
         }
         // Per-function shards partition the global count.
-        let per_fn_total: u64 = report.per_function.iter().map(|f| f.phases.count()).sum();
+        let per_fn_total: u64 = report.per_function.iter().map(|f| f.phases().count()).sum();
         assert_eq!(per_fn_total, executed);
         // And the accounting invariant held for every delivered completion.
         for (i, c) in completions.iter().enumerate() {
@@ -393,7 +393,7 @@ fn rejected_requests_record_no_phase_samples() {
             "phase {phase} counted a rejected request"
         );
     }
-    let per_fn_total: u64 = report.per_function.iter().map(|f| f.phases.count()).sum();
+    let per_fn_total: u64 = report.per_function.iter().map(|f| f.phases().count()).sum();
     assert_eq!(per_fn_total, executed);
     // The function's admission counters agree, and its budget has a balance.
     let echo = &report.per_function[0];

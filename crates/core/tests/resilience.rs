@@ -852,3 +852,93 @@ fn chaos_with_breaker_recovery_probe() {
     assert!(rt.function_stats(picky).unwrap().breaker_trips >= 1);
     assert!(rt.shutdown_drain(Duration::from_secs(10)));
 }
+
+// ---------------------------------------------------------------------------
+// Latency shards are allocated by a function's first executed invocation
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_request_rejected_before_execution_allocates_no_shards() {
+    let breaker = BreakerConfig {
+        threshold: 1,
+        cooldown: Duration::from_secs(60),
+    };
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 2,
+        max_inflight: 4,
+        circuit_breaker: Some(breaker),
+        ..Default::default()
+    });
+    let sleeper = rt
+        .register_module(FunctionConfig::new("sleeper"), &guests::io_sleeper())
+        .unwrap();
+    // Priority class 0 is shed once anything is in flight.
+    let mut low = FunctionConfig::new("low");
+    low.priority = 0;
+    let low = rt.register_module(low, &guests::echo()).unwrap();
+    let tripped = rt
+        .register_module(FunctionConfig::new("tripped"), &guests::echo())
+        .unwrap();
+    // The queue-SLO gate reads this function's (absent) queue samples, then
+    // its empty budget rejects it.
+    let mut broke = FunctionConfig::new("broke");
+    broke.budget_us_per_s = Some(1);
+    broke.queue_slo = Some(Duration::from_nanos(1));
+    let broke = rt.register_module(broke, &guests::echo()).unwrap();
+
+    // In-flight shed: the sleeper holds the only slot class 0 gets.
+    let parked = rt.invoke(sleeper, 200_000u32.to_le_bytes().to_vec());
+    let shed = rt.invoke(low, &b"x"[..]).wait().unwrap();
+    assert!(
+        matches!(shed.outcome, Outcome::Throttled { why, .. } if why.contains("in-flight")),
+        "{:?}",
+        shed.outcome
+    );
+    assert!(matches!(
+        parked.wait().unwrap().outcome,
+        Outcome::Success(_)
+    ));
+
+    // Open breaker and empty budget, each stamped far in the future so no
+    // cooldown or refill arrives while the test runs.
+    let future_ns = u64::MAX / 2;
+    let rf = rt.function_info(tripped).unwrap();
+    rf.stats.breaker_record(Some(&breaker), false, future_ns);
+    let open = rt.invoke(tripped, &b"x"[..]).wait().unwrap();
+    assert!(
+        matches!(open.outcome, Outcome::CircuitOpen { .. }),
+        "{:?}",
+        open.outcome
+    );
+    let rf = rt.function_info(broke).unwrap();
+    rf.budget.as_ref().unwrap().true_up(0, u64::MAX, future_ns);
+    let empty = rt.invoke(broke, &b"x"[..]).wait().unwrap();
+    assert!(
+        matches!(empty.outcome, Outcome::Throttled { why, .. } if why.contains("budget")),
+        "{:?}",
+        empty.outcome
+    );
+
+    for id in [low, tripped, broke] {
+        let rf = rt.function_info(id).unwrap();
+        assert!(rf.shards().is_empty(), "{} has shards", rf.config.name);
+    }
+    assert_eq!(rt.function_info(sleeper).unwrap().shards().len(), 2);
+    let stats = rt.stats();
+    assert_eq!(
+        (stats.shed, stats.breaker_rejected, stats.budget_rejected),
+        (1, 1, 1)
+    );
+    assert_eq!(stats.slo_rejected, 0);
+    let report = rt.latency_report();
+    let executed = stats.completed + stats.trapped + stats.timed_out;
+    assert_eq!(executed, 1);
+    assert_eq!(report.global.count(), executed);
+    let counts: Vec<u64> = report
+        .per_function
+        .iter()
+        .map(|f| f.phases().count())
+        .collect();
+    assert_eq!(counts, [1, 0, 0, 0]);
+    rt.shutdown();
+}

@@ -5,6 +5,11 @@
 //!
 //! There is no shrinking. A failing case prints its own seed instead, and
 //! `cases(1, <that seed>, ..)` replays exactly that case.
+//!
+//! [`alloc`] holds a counting global allocator for tests that pin heap
+//! bytes instead of timing anything.
+
+pub mod alloc;
 
 /// A splitmix64 stream.
 #[derive(Debug, Clone)]
