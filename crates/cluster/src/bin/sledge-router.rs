@@ -28,8 +28,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: sledge-router --listen ADDR --node NAME=ADDR [--node NAME=ADDR ...]\n\
          \x20      [--module CONFIG.json=MODULE.wasm ...] [--replicas N] [--vnodes V]\n\
-         \x20      [--seed S] [--probe-ms MS] [--workers N] [--no-locality]\n\
-         \x20      [--run-for-s SECS]"
+         \x20      [--seed S] [--probe-ms MS] [--workers N] [--run-for-s SECS]"
     );
     std::process::exit(2)
 }
@@ -85,7 +84,6 @@ fn parse_args() -> Args {
                 args.config.probe_interval =
                     Duration::from_millis(parse_num(&value("--probe-ms")) as u64);
             }
-            "--no-locality" => args.config.locality = false,
             "--run-for-s" => {
                 args.run_for = Some(Duration::from_secs(parse_num(&value("--run-for-s")) as u64));
             }
@@ -182,8 +180,8 @@ fn main() -> ExitCode {
     }
     let stats = router.stats();
     println!(
-        "sledge-router: routed {} (retried {}, failed over {}, steered {}, failed {})",
-        stats.routed, stats.retried, stats.failed_over, stats.steered, stats.failed
+        "sledge-router: routed {} (retried {}, failed over {}, failed {})",
+        stats.routed, stats.retried, stats.failed_over, stats.failed
     );
     router.shutdown();
     ExitCode::SUCCESS

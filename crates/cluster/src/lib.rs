@@ -4,23 +4,21 @@
 //! distributes compiled modules *with their translation certificates* so
 //! nodes validate instead of re-translating on ingest.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! - [`ring`]: the consistent-hash placement (virtual nodes, seeded, with
 //!   distinct-node replica ordering for failover).
-//! - [`health`]: per-node failure counters and circuit breakers fed by both
-//!   live traffic and a background prober, plus the warm-pool observation
-//!   that drives locality steering.
-//! - [`router`]: the HTTP front end tying them together — forwarding,
-//!   retry-with-failover, module distribution, and ring-level metrics.
+//! - [`router`]: the HTTP front end — forwarding, retry-with-failover,
+//!   module distribution, and ring-level metrics. It routes on ring order,
+//!   each node's `GET /healthz` verdict and a per-node
+//!   [`sledge_core::Breaker`] fed by live traffic and the prober alike.
 
-pub mod health;
 pub mod ring;
 pub mod router;
 
-pub use health::{BreakerConfig, NodeHealth};
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use router::{ingest_frame, PushResult, RingStatsSnapshot, Router, RouterConfig};
+pub use router::{PushResult, RingStatsSnapshot, Router, RouterConfig};
+pub use sledge_core::BreakerConfig;
 
 /// Compile `wasm` into a distributable certificate-carrying artifact: the
 /// translated module (with its analysis, cost and effect certificates)

@@ -1,11 +1,10 @@
 //! The routing tier: an HTTP front end that places every request on the
 //! consistent-hash ring, forwards it to the owning `sledged` node, and
-//! fails over to the next ring replica on connect/5xx failure — with
-//! health probes, per-node circuit breakers, warm-pool locality steering,
-//! and ring-level metrics aggregation.
+//! fails over to the next ring replica on connect/5xx failure — with a
+//! `/healthz` prober, per-node circuit breakers, and ring-level metrics.
 
-use crate::health::{BreakerConfig, NodeHealth};
 use crate::ring::{HashRing, DEFAULT_VNODES};
+use sledge_core::{split_ingest_frame, Breaker, BreakerConfig};
 use sledge_http::{
     ClientConfig, ClientResponse, ConnId, ConnectionEvent, HttpClient, HttpServer, Response,
     ServerConfig, StatusCode,
@@ -35,9 +34,6 @@ pub struct RouterConfig {
     pub probe_interval: Duration,
     /// Per-node circuit breaker (threshold/cooldown/half-open probe).
     pub breaker: BreakerConfig,
-    /// Prefer a replica whose last `/stats` probe reported parked warm
-    /// sandboxes when the key's owner reports a cold pool.
-    pub locality: bool,
     /// Downstream connect timeout.
     pub connect_timeout: Duration,
     /// Downstream read timeout (covers function execution).
@@ -56,7 +52,6 @@ impl Default for RouterConfig {
                 threshold: 3,
                 cooldown: Duration::from_millis(1000),
             },
-            locality: true,
             connect_timeout: Duration::from_millis(500),
             read_timeout: Duration::from_secs(10),
         }
@@ -70,11 +65,10 @@ pub struct RingStats {
     pub routed: AtomicU64,
     /// Forward attempts beyond a request's first (any reason).
     pub retried: AtomicU64,
-    /// Requests answered by a non-first candidate after the one before it
-    /// failed.
+    /// Requests answered by a replica other than their key's ring owner:
+    /// the owner failed the attempt, its breaker was open, or the prober
+    /// had marked it down.
     pub failed_over: AtomicU64,
-    /// Requests whose candidate order was reordered toward a warm pool.
-    pub steered: AtomicU64,
     /// Requests that exhausted every candidate.
     pub failed: AtomicU64,
     /// Health probes issued.
@@ -91,7 +85,6 @@ pub struct RingStatsSnapshot {
     pub routed: u64,
     pub retried: u64,
     pub failed_over: u64,
-    pub steered: u64,
     pub failed: u64,
     pub probes: u64,
     pub modules_pushed: u64,
@@ -104,12 +97,36 @@ impl RingStats {
             routed: self.routed.load(Ordering::Relaxed),
             retried: self.retried.load(Ordering::Relaxed),
             failed_over: self.failed_over.load(Ordering::Relaxed),
-            steered: self.steered.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
             modules_pushed: self.modules_pushed.load(Ordering::Relaxed),
             module_rejects: self.module_rejects.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// One node's health, shared between the forwarders and the prober.
+#[derive(Debug)]
+struct NodeHealth {
+    /// Last `GET /healthz` verdict. Nodes start healthy so the ring serves
+    /// before the first probe.
+    healthy: AtomicBool,
+    /// Lifetime failed requests and probes.
+    failures: AtomicU64,
+    /// Fed by live traffic and the prober alike.
+    breaker: Breaker,
+}
+
+impl NodeHealth {
+    fn record(&self, cfg: &BreakerConfig, success: bool, now_ns: u64) {
+        if !success {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+        }
+        self.breaker.record(Some(cfg), success, now_ns);
+    }
+
+    fn is_healthy(&self) -> bool {
+        self.healthy.load(Ordering::Relaxed)
     }
 }
 
@@ -191,7 +208,11 @@ impl Router {
                 Node {
                     name,
                     addr,
-                    health: NodeHealth::default(),
+                    health: NodeHealth {
+                        healthy: AtomicBool::new(true),
+                        failures: AtomicU64::new(0),
+                        breaker: Breaker::default(),
+                    },
                 }
             })
             .collect();
@@ -270,15 +291,6 @@ impl Router {
         self.shared.stats.snapshot()
     }
 
-    /// Per-node `(name, healthy, hot_pool)` as last probed.
-    pub fn node_health(&self) -> Vec<(String, bool, bool)> {
-        self.shared
-            .nodes
-            .iter()
-            .map(|n| (n.name.clone(), n.health.is_healthy(), n.health.is_hot()))
-            .collect()
-    }
-
     /// Push one certificate-carrying artifact to **every** node (modules
     /// are replicated cluster-wide; the ring only spreads invocations).
     /// A node that rejects the certificate or is unreachable is reported
@@ -307,18 +319,8 @@ impl Drop for Router {
     }
 }
 
-/// Build the `POST /admin/modules` frame a node's ingest endpoint expects:
-/// `u32 LE config length | function-config JSON | artifact bytes`.
-pub fn ingest_frame(config_json: &str, artifact: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + config_json.len() + artifact.len());
-    frame.extend_from_slice(&(config_json.len() as u32).to_le_bytes());
-    frame.extend_from_slice(config_json.as_bytes());
-    frame.extend_from_slice(artifact);
-    frame
-}
-
 fn distribute(shared: &RouterShared, config_json: &str, artifact: &[u8]) -> Vec<PushResult> {
-    let frame = ingest_frame(config_json, artifact);
+    let frame = sledge_core::ingest_frame(config_json, artifact);
     let mut results = Vec::with_capacity(shared.nodes.len());
     for node in &shared.nodes {
         let mut client = HttpClient::with_config(node.addr, shared.client_config());
@@ -375,34 +377,15 @@ fn passthrough(resp: &ClientResponse) -> Vec<u8> {
     out
 }
 
-/// Candidate order for one key: ring replicas, healthy nodes ahead of
-/// unhealthy ones (kept as last resorts — the prober can lag reality),
-/// optionally steered so a warm-pool node leads a cold owner.
-fn candidate_order(shared: &RouterShared, key: &str) -> (Vec<usize>, bool) {
-    let mut order = shared.ring.replicas(key, shared.config.replicas);
-    order.sort_by_key(|&i| !shared.nodes[i].health.is_healthy());
-    let mut steered = false;
-    if shared.config.locality && order.len() > 1 {
-        let hot = |i: usize| shared.nodes[i].health.is_healthy() && shared.nodes[i].health.is_hot();
-        if let Some(pos) = order.iter().position(|&i| hot(i)) {
-            if pos > 0 && !hot(order[0]) {
-                let n = order.remove(pos);
-                order.insert(0, n);
-                steered = true;
-            }
-        }
-    }
-    (order, steered)
-}
-
 /// Forward one request with failover. Returns the response bytes to send
 /// back to the router's client.
 fn forward(shared: &RouterShared, clients: &mut [Option<HttpClient>], job: &Job) -> Vec<u8> {
-    let (order, steered) = candidate_order(shared, &job.path);
+    // Candidates are the key's ring replicas, healthy nodes first; the
+    // unhealthy stay as last resorts, since the prober can lag reality.
+    let mut order = shared.ring.replicas(&job.path, shared.config.replicas);
+    let owner = order.first().copied();
+    order.sort_by_key(|&i| !shared.nodes[i].health.is_healthy());
     shared.stats.routed.fetch_add(1, Ordering::Relaxed);
-    if steered {
-        shared.stats.steered.fetch_add(1, Ordering::Relaxed);
-    }
     if order.is_empty() {
         shared.stats.failed.fetch_add(1, Ordering::Relaxed);
         return Response::error(StatusCode::ServiceUnavailable, "ring has no nodes").to_bytes();
@@ -413,7 +396,11 @@ fn forward(shared: &RouterShared, clients: &mut [Option<HttpClient>], job: &Job)
         let health = &shared.nodes[idx].health;
         // Breaker gate: a tripped node is skipped outright; after its
         // cooldown this request doubles as the half-open probe.
-        if health.admit(shared.now_ns()).is_err() {
+        if health
+            .breaker
+            .admit(&shared.config.breaker, shared.now_ns())
+            .is_err()
+        {
             continue;
         }
         attempts += 1;
@@ -428,18 +415,18 @@ fn forward(shared: &RouterShared, clients: &mut [Option<HttpClient>], job: &Job)
             // the function's business (admission rejects, unknown routes),
             // not a node failure — pass it through.
             Ok(resp) if resp.status < 500 => {
-                health.record_success();
-                if attempts > 1 {
+                health.record(&shared.config.breaker, true, shared.now_ns());
+                if Some(idx) != owner {
                     shared.stats.failed_over.fetch_add(1, Ordering::Relaxed);
                 }
                 return passthrough(&resp);
             }
             Ok(resp) => {
-                health.record_failure(&shared.config.breaker, shared.now_ns());
+                health.record(&shared.config.breaker, false, shared.now_ns());
                 last_5xx = Some(passthrough(&resp));
             }
             Err(_) => {
-                health.record_failure(&shared.config.breaker, shared.now_ns());
+                health.record(&shared.config.breaker, false, shared.now_ns());
             }
         }
     }
@@ -504,44 +491,13 @@ fn prober_loop(shared: Arc<RouterShared>) {
                 return;
             }
             shared.stats.probes.fetch_add(1, Ordering::Relaxed);
-            node.health.probes.fetch_add(1, Ordering::Relaxed);
             let alive = matches!(
                 client.request("GET", "/healthz", &[], b""),
                 Ok(resp) if resp.status == 200
             );
-            let mut hot = false;
-            if alive {
-                node.health.record_success();
-                // Warm-pool and downstream-counter observation; `/stats`
-                // may be disabled on the node (metrics_routes off) — that
-                // only disables steering and aggregation, not routing.
-                if let Ok(resp) = client.request("GET", "/stats", &[], b"") {
-                    if resp.status == 200 {
-                        if let Ok(doc) =
-                            sledge_core::parse_json(&String::from_utf8_lossy(&resp.body))
-                        {
-                            hot = doc
-                                .get("pool")
-                                .and_then(|p| p.get("size"))
-                                .and_then(|s| s.as_u64())
-                                .is_some_and(|s| s > 0);
-                            if let Some(completed) = doc
-                                .get("counters")
-                                .and_then(|c| c.get("completed"))
-                                .and_then(|c| c.as_u64())
-                            {
-                                node.health
-                                    .downstream_completed
-                                    .store(completed, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-            } else {
-                node.health
-                    .record_failure(&shared.config.breaker, shared.now_ns());
-            }
-            node.health.set_probed(alive, hot);
+            node.health
+                .record(&shared.config.breaker, alive, shared.now_ns());
+            node.health.healthy.store(alive, Ordering::Relaxed);
         }
         // Sleep in small slices so shutdown stays prompt.
         let mut left = shared.config.probe_interval;
@@ -557,8 +513,7 @@ fn prober_loop(shared: Arc<RouterShared>) {
 }
 
 /// Ring-level Prometheus exposition: membership, per-node health, and the
-/// routed/retried/failed-over counters, plus the aggregated downstream
-/// completion count from the per-node `/stats` probes.
+/// routed/retried/failed-over counters.
 fn render_ring_metrics(shared: &RouterShared) -> String {
     let s = shared.stats.snapshot();
     let mut out = String::with_capacity(1024);
@@ -574,15 +529,6 @@ fn render_ring_metrics(shared: &RouterShared) -> String {
             u8::from(n.health.is_healthy())
         ));
     }
-    out.push_str("# HELP sledge_ring_node_hot_pool Node reported parked warm sandboxes.\n");
-    out.push_str("# TYPE sledge_ring_node_hot_pool gauge\n");
-    for n in &shared.nodes {
-        out.push_str(&format!(
-            "sledge_ring_node_hot_pool{{node=\"{}\"}} {}\n",
-            n.name,
-            u8::from(n.health.is_hot())
-        ));
-    }
     out.push_str("# HELP sledge_ring_node_failures_total Failed requests/probes per node.\n");
     out.push_str("# TYPE sledge_ring_node_failures_total counter\n");
     for n in &shared.nodes {
@@ -596,7 +542,6 @@ fn render_ring_metrics(shared: &RouterShared) -> String {
         ("sledge_ring_routed_total", s.routed),
         ("sledge_ring_retried_total", s.retried),
         ("sledge_ring_failed_over_total", s.failed_over),
-        ("sledge_ring_steered_total", s.steered),
         ("sledge_ring_failed_total", s.failed),
         ("sledge_ring_probes_total", s.probes),
         ("sledge_ring_modules_pushed_total", s.modules_pushed),
@@ -604,16 +549,6 @@ fn render_ring_metrics(shared: &RouterShared) -> String {
     ] {
         out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
     }
-    let downstream: u64 = shared
-        .nodes
-        .iter()
-        .map(|n| n.health.downstream_completed.load(Ordering::Relaxed))
-        .sum();
-    out.push_str("# HELP sledge_ring_downstream_completed_total Completed invocations summed over node /stats.\n");
-    out.push_str("# TYPE sledge_ring_downstream_completed_total counter\n");
-    out.push_str(&format!(
-        "sledge_ring_downstream_completed_total {downstream}\n"
-    ));
     out
 }
 
@@ -627,19 +562,17 @@ fn render_ring_stats(shared: &RouterShared) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":{:?},\"addr\":\"{}\",\"healthy\":{},\"hot_pool\":{},\"failures\":{},\"consecutive_failures\":{},\"downstream_completed\":{}}}",
+            "{{\"name\":{:?},\"addr\":\"{}\",\"healthy\":{},\"failures\":{},\"consecutive_failures\":{}}}",
             n.name,
             n.addr,
             n.health.is_healthy(),
-            n.health.is_hot(),
             n.health.failures.load(Ordering::Relaxed),
-            n.health.consecutive_failures(),
-            n.health.downstream_completed.load(Ordering::Relaxed),
+            n.health.breaker.consecutive_failures(),
         ));
     }
     out.push_str(&format!(
-        "],\"counters\":{{\"routed\":{},\"retried\":{},\"failed_over\":{},\"steered\":{},\"failed\":{},\"probes\":{},\"modules_pushed\":{},\"module_rejects\":{}}}}}",
-        s.routed, s.retried, s.failed_over, s.steered, s.failed, s.probes,
+        "],\"counters\":{{\"routed\":{},\"retried\":{},\"failed_over\":{},\"failed\":{},\"probes\":{},\"modules_pushed\":{},\"module_rejects\":{}}}}}",
+        s.routed, s.retried, s.failed_over, s.failed, s.probes,
         s.modules_pushed, s.module_rejects,
     ));
     out
@@ -690,7 +623,7 @@ fn listener_loop(
                 // Distribution through the router: relay the frame to every
                 // node and report per-node outcomes. Served inline — admin
                 // pushes are rare and the forwarders keep routing meanwhile.
-                let resp = match parse_push_frame(&req.body) {
+                let resp = match split_ingest_frame(&req.body) {
                     Ok((config_json, artifact)) => {
                         let results = distribute(&shared, config_json, artifact);
                         let ok = results.iter().filter(|r| r.result.is_ok()).count();
@@ -712,7 +645,7 @@ fn listener_loop(
                             Response::error(StatusCode::BadRequest, &body)
                         }
                     }
-                    Err(why) => Response::error(StatusCode::BadRequest, why),
+                    Err(why) => Response::error(StatusCode::BadRequest, &why),
                 };
                 server.send(conn, &resp.to_bytes());
                 continue;
@@ -734,39 +667,9 @@ fn listener_loop(
     }
 }
 
-/// Sanity-check a relayed push frame without decoding the artifact (the
-/// nodes re-validate everything; the router only rejects obvious garbage).
-fn parse_push_frame(body: &[u8]) -> Result<(&str, &[u8]), &'static str> {
-    let Some(len_bytes) = body.get(..4) else {
-        return Err("truncated frame: missing config length");
-    };
-    let cfg_len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-    let rest = &body[4..];
-    if rest.len() < cfg_len {
-        return Err("truncated frame: config length exceeds body");
-    }
-    let config_json = std::str::from_utf8(&rest[..cfg_len]).map_err(|_| "config is not UTF-8")?;
-    Ok((config_json, &rest[cfg_len..]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ingest_frame_layout() {
-        let frame = ingest_frame("{\"name\":\"f\"}", b"ART");
-        assert_eq!(&frame[..4], &(12u32).to_le_bytes());
-        assert_eq!(&frame[4..16], b"{\"name\":\"f\"}");
-        assert_eq!(&frame[16..], b"ART");
-        let (cfg, art) = parse_push_frame(&frame).unwrap();
-        assert_eq!(cfg, "{\"name\":\"f\"}");
-        assert_eq!(art, b"ART");
-        assert!(parse_push_frame(b"ab").is_err());
-        let mut bad = (100u32).to_le_bytes().to_vec();
-        bad.extend_from_slice(b"short");
-        assert!(parse_push_frame(&bad).is_err());
-    }
 
     #[test]
     fn passthrough_preserves_status_and_interesting_headers() {

@@ -71,8 +71,8 @@ pub struct RuntimeConfig {
     /// for functions.
     pub metrics_routes: bool,
     /// Capacity of each function's warm sandbox pool. 0 (the default)
-    /// disables the pool entirely — behavior and metrics are identical to a
-    /// runtime without the subsystem.
+    /// disables the pool: every request instantiates fresh, and the pool
+    /// series on `/metrics`, `/stats` and the summary line read zero.
     pub pool_size: usize,
     /// Instances the background pre-warmer keeps hot per function (clamped
     /// to `pool_size`). 0 disables the pre-warmer; warmth then comes only
@@ -84,8 +84,9 @@ pub struct RuntimeConfig {
     pub recycle: bool,
     /// Give each function its own weighted deficit-round-robin lane on the
     /// per-worker run queues. Off (the default), every sandbox shares one
-    /// lane, which is plain round-robin in arrival order; metrics and
-    /// `sledged` output then carry no fairness series.
+    /// lane, which is plain round-robin in arrival order, and the banner
+    /// says `one lane`; the per-function deferral series still render,
+    /// at zero.
     pub fairness: bool,
     /// Global in-flight admission cap with priority-class load shedding:
     /// a request whose function has priority class `p` (0..=3) is shed
@@ -101,8 +102,8 @@ pub struct RuntimeConfig {
     /// Serve `POST /admin/modules` on the HTTP front end: certificate-
     /// carrying module ingest for cluster-mode distribution (the router
     /// pushes compiled artifacts; the node re-validates every certificate
-    /// before registering). Off by default — a node without the knob is
-    /// byte-identical to earlier releases.
+    /// before registering). Off by default: the path is then routed like
+    /// any other, so it is a 404 unless a function owns it.
     pub admin_routes: bool,
 }
 

@@ -74,7 +74,7 @@ pub use config::{
 pub use fault::FaultPlan;
 pub use histogram::{bucket_bounds, bucket_of, Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{parse as parse_json, Json, JsonError};
-pub use listener::AnyResponder;
+pub use listener::{ingest_frame, split_ingest_frame, AnyResponder};
 pub use metrics::{
     render_json, render_prometheus, summary_line, FunctionReport, LatencyReport, MetricsHandle,
     PhaseHistograms, PhaseSnapshot, PHASES,
@@ -85,8 +85,8 @@ pub use sandbox::{Completion, Outcome, Sandbox, SandboxHost, Timings};
 pub use sched::Dwrr;
 pub use sledge_http::ConnSnapshot;
 pub use stats::{
-    BreakerState, FunctionStats, FunctionStatsSnapshot, RegistryStats, RegistryStatsSnapshot,
-    RuntimeStats, StatsSnapshot,
+    Breaker, BreakerState, FunctionStats, FunctionStatsSnapshot, RegistryStats,
+    RegistryStatsSnapshot, RuntimeStats, StatsSnapshot,
 };
 
 use listener::Intake;

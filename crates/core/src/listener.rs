@@ -145,7 +145,7 @@ fn admit(
     // half-open probe is admitted per cooldown.
     let mut is_probe = false;
     if let Some(cb) = &shared.config.circuit_breaker {
-        match rf.stats.breaker_admit(cb, shared.now_ns()) {
+        match rf.stats.breaker.admit(cb, shared.now_ns()) {
             Ok(probe) => is_probe = probe,
             Err(retry_after) => {
                 shared
@@ -161,7 +161,7 @@ fn admit(
     // unexecuted, or it would stay half-open forever.
     let probe_rejected = |rf: &crate::registry::RegisteredFunction| {
         if is_probe {
-            rf.stats.breaker_probe_rejected(shared.now_ns());
+            rf.stats.breaker.probe_rejected(shared.now_ns());
         }
     };
     // Queue-SLO gate: when the function's observed queue-phase p99 is
@@ -280,7 +280,7 @@ fn admit(
 /// module store, it is decoded — which checks its checksum and re-proves its
 /// certificates against its bodies instead of re-translating.
 ///
-/// Frame layout: `u32 LE config length | function-config JSON | artifact`.
+/// The body is an [`ingest_frame`].
 fn ingest_module(shared: &Shared, body: &[u8]) -> Response {
     match try_ingest(shared, body) {
         Ok((name, route)) => {
@@ -295,22 +295,9 @@ fn try_ingest(shared: &Shared, body: &[u8]) -> Result<(String, String), String> 
     if shared.draining.load(Ordering::Acquire) {
         return Err("draining".into());
     }
-    let Some(len_bytes) = body.get(..4) else {
-        return Err("truncated frame: missing config length".into());
-    };
-    let cfg_len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-    let rest = &body[4..];
-    if rest.len() < cfg_len {
-        return Err(format!(
-            "truncated frame: config length {cfg_len} exceeds remaining {} bytes",
-            rest.len()
-        ));
-    }
-    let cfg_text =
-        std::str::from_utf8(&rest[..cfg_len]).map_err(|_| "config is not UTF-8".to_string())?;
+    let (cfg_text, artifact) = split_ingest_frame(body)?;
     let doc = crate::json::parse(cfg_text).map_err(|e| format!("config: {e}"))?;
     let config = crate::config::parse_function(&doc).map_err(|e| format!("config: {e}"))?;
-    let artifact = &rest[cfg_len..];
     let name = config.name.clone();
     let route = config.http_route();
     shared
@@ -324,6 +311,38 @@ fn try_ingest(shared: &Shared, body: &[u8]) -> Result<(String, String), String> 
             e => format!("register: {e}"),
         })?;
     Ok((name, route))
+}
+
+/// Build a `POST /admin/modules` frame:
+/// `u32 LE config length | function-config JSON | artifact`.
+pub fn ingest_frame(config_json: &str, artifact: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + config_json.len() + artifact.len());
+    frame.extend_from_slice(&(config_json.len() as u32).to_le_bytes());
+    frame.extend_from_slice(config_json.as_bytes());
+    frame.extend_from_slice(artifact);
+    frame
+}
+
+/// Split an [`ingest_frame`] into its function-config text and its
+/// artifact, without looking inside either.
+///
+/// # Errors
+///
+/// Names the defect: no room for the length, a length past the end of
+/// the frame, or a config that is not UTF-8.
+pub fn split_ingest_frame(frame: &[u8]) -> Result<(&str, &[u8]), String> {
+    let Some((len, rest)) = frame.split_first_chunk::<4>() else {
+        return Err("truncated frame: missing config length".into());
+    };
+    let cfg_len = u32::from_le_bytes(*len) as usize;
+    let Some((config, artifact)) = rest.split_at_checked(cfg_len) else {
+        return Err(format!(
+            "truncated frame: config length {cfg_len} exceeds remaining {} bytes",
+            rest.len()
+        ));
+    };
+    let config = std::str::from_utf8(config).map_err(|_| "config is not UTF-8".to_string())?;
+    Ok((config, artifact))
 }
 
 /// The listener loop. Owns the deque, the intake channel, and (optionally)
@@ -388,9 +407,8 @@ pub(crate) fn listener_loop(
                             continue;
                         }
                         // Cluster-mode module ingest, gated by `admin_routes`
-                        // (default off: the route falls through to the 404
-                        // below and the node is byte-identical to earlier
-                        // releases).
+                        // (default off: the path is routed like any other,
+                        // so it is a 404 unless a function owns it).
                         if shared.config.admin_routes
                             && req.method == "POST"
                             && req.path == "/admin/modules"
@@ -504,5 +522,50 @@ impl Sandbox {
     /// paths where the sandbox is being abandoned.
     pub(crate) fn responder_take(&mut self) -> AnyResponder {
         std::mem::replace(&mut self.responder, AnyResponder::Discard)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ingest_frame_layout() {
+        let frame = ingest_frame("{\"name\":\"f\"}", b"ART");
+        assert_eq!(&frame[..4], &12u32.to_le_bytes());
+        assert_eq!(&frame[4..16], b"{\"name\":\"f\"}");
+        assert_eq!(&frame[16..], b"ART");
+        let prefixed = |len: u32, tail: &[u8]| [&len.to_le_bytes()[..], tail].concat();
+        let cases = [
+            ("empty body", vec![], Err("missing config length")),
+            ("3-byte body", b"abc".to_vec(), Err("missing config length")),
+            (
+                "length past the end",
+                prefixed(6, b"short"),
+                Err("config length 6 exceeds remaining 5 bytes"),
+            ),
+            (
+                "u32::MAX length",
+                prefixed(u32::MAX, b"{}"),
+                Err("exceeds remaining 2 bytes"),
+            ),
+            (
+                "config not UTF-8",
+                prefixed(2, b"\xff\xfeART"),
+                Err("not UTF-8"),
+            ),
+            (
+                "round trip",
+                frame.clone(),
+                Ok(("{\"name\":\"f\"}", &b"ART"[..])),
+            ),
+        ];
+        for (what, frame, want) in cases {
+            match (split_ingest_frame(&frame), want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{what}"),
+                (Err(got), Err(want)) => assert!(got.contains(want), "{what}: {got}"),
+                (got, want) => panic!("{what}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Global runtime counters, exported for tests, examples, and benchmarks,
-//! plus the per-function circuit breaker state machine.
+//! plus the circuit breaker state machine.
 
 use crate::config::BreakerConfig;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -163,7 +163,7 @@ pub struct RegistryStatsSnapshot {
     pub modules_compiled: u64,
 }
 
-/// Circuit breaker state for one function.
+/// Circuit breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation; requests flow through.
@@ -178,6 +178,125 @@ pub enum BreakerState {
 const BREAKER_CLOSED: u8 = 0;
 const BREAKER_OPEN: u8 = 1;
 const BREAKER_HALF_OPEN: u8 = 2;
+
+/// A lock-free circuit breaker: `threshold` consecutive failures open it,
+/// and once `cooldown` has passed exactly one half-open probe decides
+/// between closing it and another open round. Each registered function
+/// carries one, and so does each node behind the cluster router.
+#[derive(Debug, Default)]
+pub struct Breaker {
+    /// Consecutive failures since the last success.
+    consecutive_failures: AtomicU32,
+    /// Encoded [`BreakerState`].
+    state: AtomicU8,
+    /// Epoch-relative nanoseconds of the last state transition (the value
+    /// that cooldowns are measured from).
+    since_ns: AtomicU64,
+    /// Times the breaker has tripped Closed/HalfOpen → Open.
+    pub trips: AtomicU64,
+}
+
+impl Breaker {
+    /// Current state.
+    pub fn state(&self) -> BreakerState {
+        match self.state.load(Ordering::Acquire) {
+            BREAKER_OPEN => BreakerState::Open,
+            BREAKER_HALF_OPEN => BreakerState::HalfOpen,
+            _ => BreakerState::Closed,
+        }
+    }
+
+    /// Consecutive failures since the last success.
+    pub fn consecutive_failures(&self) -> u32 {
+        self.consecutive_failures.load(Ordering::Relaxed)
+    }
+
+    /// Admission decision for one request at `now_ns` (epoch-relative).
+    ///
+    /// Returns `Ok(is_probe)` when the request may proceed — `is_probe` is
+    /// true iff this request won the transition to half-open and its outcome
+    /// decides the breaker's fate — or `Err(retry_after)` when the breaker
+    /// rejects it.
+    pub fn admit(&self, cfg: &BreakerConfig, now_ns: u64) -> Result<bool, Duration> {
+        loop {
+            match self.state.load(Ordering::Acquire) {
+                BREAKER_CLOSED => return Ok(false),
+                BREAKER_HALF_OPEN => return Err(cfg.cooldown),
+                BREAKER_OPEN => {
+                    let since = self.since_ns.load(Ordering::Acquire);
+                    let elapsed = now_ns.saturating_sub(since);
+                    let cooldown_ns = cfg.cooldown.as_nanos() as u64;
+                    if elapsed < cooldown_ns {
+                        return Err(Duration::from_nanos(cooldown_ns - elapsed));
+                    }
+                    // Cooldown elapsed: race to become the half-open probe.
+                    if self
+                        .state
+                        .compare_exchange(
+                            BREAKER_OPEN,
+                            BREAKER_HALF_OPEN,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .is_ok()
+                    {
+                        self.since_ns.store(now_ns, Ordering::Release);
+                        return Ok(true);
+                    }
+                    // Lost the race; re-read the state.
+                }
+                _ => return Ok(false),
+            }
+        }
+    }
+
+    /// Record an outcome. No-op when breakers are disabled (`cfg` is
+    /// `None`). A failure while already open changes nothing but the
+    /// streak: the cooldown runs from the trip.
+    pub fn record(&self, cfg: Option<&BreakerConfig>, success: bool, now_ns: u64) {
+        let Some(cfg) = cfg else { return };
+        if success {
+            self.consecutive_failures.store(0, Ordering::Release);
+            // A success closes the breaker regardless of prior state (the
+            // half-open probe succeeded, or a straggler admitted before the
+            // trip completed fine).
+            self.state.store(BREAKER_CLOSED, Ordering::Release);
+            return;
+        }
+        let fails = self.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
+        let state = self.state.load(Ordering::Acquire);
+        if state == BREAKER_HALF_OPEN || (state == BREAKER_CLOSED && fails >= cfg.threshold) {
+            self.trip(now_ns);
+        }
+    }
+
+    /// A probe that was admitted half-open but then rejected before running
+    /// (e.g. instantiation failed, drain started) must re-open the breaker,
+    /// or it would stay half-open forever with no outcome to decide it.
+    pub fn probe_rejected(&self, now_ns: u64) {
+        if self
+            .state
+            .compare_exchange(
+                BREAKER_HALF_OPEN,
+                BREAKER_OPEN,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok()
+        {
+            self.since_ns.store(now_ns, Ordering::Release);
+            self.trips.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn trip(&self, now_ns: u64) {
+        let prev = self.state.swap(BREAKER_OPEN, Ordering::AcqRel);
+        self.since_ns.store(now_ns, Ordering::Release);
+        if prev != BREAKER_OPEN {
+            self.trips.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Per-function counters, attached to each registered function.
 #[derive(Debug, Default)]
@@ -201,113 +320,11 @@ pub struct FunctionStats {
     pub timed_out: AtomicU64,
     /// Total guest execution time in nanoseconds.
     pub execution_ns: AtomicU64,
-    /// Consecutive traps/timeouts since the last success.
-    consecutive_failures: AtomicU32,
-    /// Encoded [`BreakerState`].
-    breaker_state: AtomicU8,
-    /// Epoch-relative nanoseconds of the last state transition (the value
-    /// that cooldowns are measured from).
-    breaker_since_ns: AtomicU64,
-    /// Times the breaker has tripped Closed/HalfOpen → Open.
-    pub breaker_trips: AtomicU64,
+    /// The function's circuit breaker: traps and timeouts are its failures.
+    pub breaker: Breaker,
 }
 
 impl FunctionStats {
-    /// Current breaker state.
-    pub fn breaker_state(&self) -> BreakerState {
-        match self.breaker_state.load(Ordering::Acquire) {
-            BREAKER_OPEN => BreakerState::Open,
-            BREAKER_HALF_OPEN => BreakerState::HalfOpen,
-            _ => BreakerState::Closed,
-        }
-    }
-
-    /// Admission decision for one request at `now_ns` (epoch-relative).
-    ///
-    /// Returns `Ok(is_probe)` when the request may proceed — `is_probe` is
-    /// true iff this request won the transition to half-open and its outcome
-    /// decides the breaker's fate — or `Err(retry_after)` when the breaker
-    /// rejects it.
-    pub fn breaker_admit(&self, cfg: &BreakerConfig, now_ns: u64) -> Result<bool, Duration> {
-        loop {
-            match self.breaker_state.load(Ordering::Acquire) {
-                BREAKER_CLOSED => return Ok(false),
-                BREAKER_HALF_OPEN => return Err(cfg.cooldown),
-                BREAKER_OPEN => {
-                    let since = self.breaker_since_ns.load(Ordering::Acquire);
-                    let elapsed = now_ns.saturating_sub(since);
-                    let cooldown_ns = cfg.cooldown.as_nanos() as u64;
-                    if elapsed < cooldown_ns {
-                        return Err(Duration::from_nanos(cooldown_ns - elapsed));
-                    }
-                    // Cooldown elapsed: race to become the half-open probe.
-                    if self
-                        .breaker_state
-                        .compare_exchange(
-                            BREAKER_OPEN,
-                            BREAKER_HALF_OPEN,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.breaker_since_ns.store(now_ns, Ordering::Release);
-                        return Ok(true);
-                    }
-                    // Lost the race; re-read the state.
-                }
-                _ => return Ok(false),
-            }
-        }
-    }
-
-    /// Record an execution outcome for breaker purposes. `success` covers
-    /// normal completion; traps and timeouts are failures. No-op when
-    /// breakers are disabled (`cfg` is `None`).
-    pub fn breaker_record(&self, cfg: Option<&BreakerConfig>, success: bool, now_ns: u64) {
-        let Some(cfg) = cfg else { return };
-        if success {
-            self.consecutive_failures.store(0, Ordering::Release);
-            // A success closes the breaker regardless of prior state (the
-            // half-open probe succeeded, or a straggler admitted before the
-            // trip completed fine).
-            self.breaker_state.store(BREAKER_CLOSED, Ordering::Release);
-            return;
-        }
-        let fails = self.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
-        let state = self.breaker_state.load(Ordering::Acquire);
-        if state == BREAKER_HALF_OPEN || (state == BREAKER_CLOSED && fails >= cfg.threshold) {
-            self.trip(now_ns);
-        }
-    }
-
-    /// A probe that was admitted half-open but then rejected before running
-    /// (e.g. instantiation failed, drain started) must re-open the breaker,
-    /// or it would stay half-open forever with no outcome to decide it.
-    pub fn breaker_probe_rejected(&self, now_ns: u64) {
-        if self
-            .breaker_state
-            .compare_exchange(
-                BREAKER_HALF_OPEN,
-                BREAKER_OPEN,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-        {
-            self.breaker_since_ns.store(now_ns, Ordering::Release);
-            self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn trip(&self, now_ns: u64) {
-        let prev = self.breaker_state.swap(BREAKER_OPEN, Ordering::AcqRel);
-        self.breaker_since_ns.store(now_ns, Ordering::Release);
-        if prev != BREAKER_OPEN {
-            self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// A point-in-time copy.
     pub fn snapshot(&self) -> FunctionStatsSnapshot {
         FunctionStatsSnapshot {
@@ -320,7 +337,7 @@ impl FunctionStats {
             trapped: self.trapped.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
             execution_ns: self.execution_ns.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
+            breaker_trips: self.breaker.trips.load(Ordering::Relaxed),
         }
     }
 }
@@ -363,79 +380,81 @@ mod tests {
 
     #[test]
     fn breaker_trips_at_threshold_and_recovers() {
-        let s = FunctionStats::default();
+        let s = Breaker::default();
         let cb = cfg();
         // Two failures: still closed.
-        s.breaker_record(Some(&cb), false, 0);
-        s.breaker_record(Some(&cb), false, MS);
-        assert_eq!(s.breaker_state(), BreakerState::Closed);
-        assert_eq!(s.breaker_admit(&cb, 2 * MS), Ok(false));
+        s.record(Some(&cb), false, 0);
+        s.record(Some(&cb), false, MS);
+        assert_eq!(s.state(), BreakerState::Closed);
+        assert_eq!(s.admit(&cb, 2 * MS), Ok(false));
         // Third failure trips it.
-        s.breaker_record(Some(&cb), false, 2 * MS);
-        assert_eq!(s.breaker_state(), BreakerState::Open);
-        let retry = s.breaker_admit(&cb, 10 * MS).unwrap_err();
+        s.record(Some(&cb), false, 2 * MS);
+        assert_eq!(s.state(), BreakerState::Open);
+        let retry = s.admit(&cb, 10 * MS).unwrap_err();
         assert_eq!(retry, Duration::from_millis(92));
+        // A failure while open does not push the cooldown back.
+        s.record(Some(&cb), false, 50 * MS);
         // Cooldown elapsed: exactly one caller becomes the probe.
-        assert_eq!(s.breaker_admit(&cb, 103 * MS), Ok(true));
-        assert_eq!(s.breaker_state(), BreakerState::HalfOpen);
-        assert!(s.breaker_admit(&cb, 104 * MS).is_err());
+        assert_eq!(s.admit(&cb, 103 * MS), Ok(true));
+        assert_eq!(s.state(), BreakerState::HalfOpen);
+        assert!(s.admit(&cb, 104 * MS).is_err());
         // Probe succeeds → closed again, failure streak reset.
-        s.breaker_record(Some(&cb), true, 105 * MS);
-        assert_eq!(s.breaker_state(), BreakerState::Closed);
-        assert_eq!(s.breaker_admit(&cb, 106 * MS), Ok(false));
-        assert_eq!(s.breaker_trips.load(Ordering::Relaxed), 1);
+        s.record(Some(&cb), true, 105 * MS);
+        assert_eq!(s.state(), BreakerState::Closed);
+        assert_eq!(s.admit(&cb, 106 * MS), Ok(false));
+        assert_eq!(s.trips.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn failed_probe_reopens() {
-        let s = FunctionStats::default();
+        let s = Breaker::default();
         let cb = cfg();
         for i in 0..3 {
-            s.breaker_record(Some(&cb), false, i * MS);
+            s.record(Some(&cb), false, i * MS);
         }
-        assert_eq!(s.breaker_admit(&cb, 200 * MS), Ok(true));
+        assert_eq!(s.admit(&cb, 200 * MS), Ok(true));
         // Probe fails → open again for a fresh cooldown from the failure.
-        s.breaker_record(Some(&cb), false, 201 * MS);
-        assert_eq!(s.breaker_state(), BreakerState::Open);
-        assert!(s.breaker_admit(&cb, 250 * MS).is_err());
-        assert_eq!(s.breaker_admit(&cb, 302 * MS), Ok(true));
-        assert_eq!(s.breaker_trips.load(Ordering::Relaxed), 2);
+        s.record(Some(&cb), false, 201 * MS);
+        assert_eq!(s.state(), BreakerState::Open);
+        assert!(s.admit(&cb, 250 * MS).is_err());
+        assert_eq!(s.admit(&cb, 302 * MS), Ok(true));
+        assert_eq!(s.trips.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn rejected_probe_reopens() {
-        let s = FunctionStats::default();
+        let s = Breaker::default();
         let cb = cfg();
         for i in 0..3 {
-            s.breaker_record(Some(&cb), false, i * MS);
+            s.record(Some(&cb), false, i * MS);
         }
-        assert_eq!(s.breaker_admit(&cb, 150 * MS), Ok(true));
-        s.breaker_probe_rejected(150 * MS);
-        assert_eq!(s.breaker_state(), BreakerState::Open);
+        assert_eq!(s.admit(&cb, 150 * MS), Ok(true));
+        s.probe_rejected(150 * MS);
+        assert_eq!(s.state(), BreakerState::Open);
         // And only from HalfOpen: a no-op if the state already moved on.
-        s.breaker_record(Some(&cb), true, 300 * MS);
-        s.breaker_probe_rejected(300 * MS);
-        assert_eq!(s.breaker_state(), BreakerState::Closed);
+        s.record(Some(&cb), true, 300 * MS);
+        s.probe_rejected(300 * MS);
+        assert_eq!(s.state(), BreakerState::Closed);
     }
 
     #[test]
     fn success_resets_failure_streak() {
-        let s = FunctionStats::default();
+        let s = Breaker::default();
         let cb = cfg();
-        s.breaker_record(Some(&cb), false, 0);
-        s.breaker_record(Some(&cb), false, MS);
-        s.breaker_record(Some(&cb), true, 2 * MS);
-        s.breaker_record(Some(&cb), false, 3 * MS);
-        s.breaker_record(Some(&cb), false, 4 * MS);
-        assert_eq!(s.breaker_state(), BreakerState::Closed);
+        s.record(Some(&cb), false, 0);
+        s.record(Some(&cb), false, MS);
+        s.record(Some(&cb), true, 2 * MS);
+        s.record(Some(&cb), false, 3 * MS);
+        s.record(Some(&cb), false, 4 * MS);
+        assert_eq!(s.state(), BreakerState::Closed);
     }
 
     #[test]
     fn disabled_breaker_never_trips() {
-        let s = FunctionStats::default();
+        let s = Breaker::default();
         for i in 0..100 {
-            s.breaker_record(None, false, i * MS);
+            s.record(None, false, i * MS);
         }
-        assert_eq!(s.breaker_state(), BreakerState::Closed);
+        assert_eq!(s.state(), BreakerState::Closed);
     }
 }

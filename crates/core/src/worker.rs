@@ -73,17 +73,17 @@ fn finish(shared: &Shared, shard: usize, mut sandbox: Box<Sandbox>, outcome: Out
         Outcome::Success(_) => {
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             fn_stats.completed.fetch_add(1, Ordering::Relaxed);
-            fn_stats.breaker_record(breaker, true, shared.now_ns());
+            fn_stats.breaker.record(breaker, true, shared.now_ns());
         }
         Outcome::Trapped(_) => {
             shared.stats.trapped.fetch_add(1, Ordering::Relaxed);
             fn_stats.trapped.fetch_add(1, Ordering::Relaxed);
-            fn_stats.breaker_record(breaker, false, shared.now_ns());
+            fn_stats.breaker.record(breaker, false, shared.now_ns());
         }
         Outcome::TimedOut => {
             shared.stats.timed_out.fetch_add(1, Ordering::Relaxed);
             fn_stats.timed_out.fetch_add(1, Ordering::Relaxed);
-            fn_stats.breaker_record(breaker, false, shared.now_ns());
+            fn_stats.breaker.record(breaker, false, shared.now_ns());
         }
         Outcome::Rejected(_) => {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);

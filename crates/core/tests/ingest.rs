@@ -6,7 +6,7 @@ use awsm::TranslateOptions;
 use awsm::{
     decode_artifact, encode_artifact, translate_with, ArtifactError, CompiledModule, Op, Tier,
 };
-use sledge_core::{Runtime, RuntimeConfig};
+use sledge_core::{ingest_frame, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
 use sledge_http::HttpClient;
@@ -48,15 +48,6 @@ fn echo_guest(name: &str) -> Module {
 fn artifact_for(module: &Module) -> Vec<u8> {
     let compiled = translate_with(module, Tier::Optimized, TranslateOptions::default()).unwrap();
     encode_artifact(&compiled)
-}
-
-/// Build the ingest frame: `u32 LE config length | config JSON | artifact`.
-fn ingest_frame(config_json: &str, artifact: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + config_json.len() + artifact.len());
-    frame.extend_from_slice(&(config_json.len() as u32).to_le_bytes());
-    frame.extend_from_slice(config_json.as_bytes());
-    frame.extend_from_slice(artifact);
-    frame
 }
 
 fn boot(admin: bool) -> Runtime {

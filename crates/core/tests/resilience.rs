@@ -903,7 +903,7 @@ fn a_request_rejected_before_execution_allocates_no_shards() {
     // cooldown or refill arrives while the test runs.
     let future_ns = u64::MAX / 2;
     let rf = rt.function_info(tripped).unwrap();
-    rf.stats.breaker_record(Some(&breaker), false, future_ns);
+    rf.stats.breaker.record(Some(&breaker), false, future_ns);
     let open = rt.invoke(tripped, &b"x"[..]).wait().unwrap();
     assert!(
         matches!(open.outcome, Outcome::CircuitOpen { .. }),

@@ -272,6 +272,14 @@ fn deleted_names_stay_deleted() {
         // Shards on first sample: the worker count sizes a function's
         // shards when it first records, so no setter can disagree with it.
         "set_shards",
+        // The router reads `/healthz` alone: no `/stats` pull, no warm-pool
+        // steering, no downstream aggregate.
+        "--no-locality",
+        "sledge_ring_steered_total",
+        "sledge_ring_node_hot_pool",
+        "sledge_ring_downstream_completed_total",
+        "downstream_completed",
+        "is_hot",
     ];
     let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")];
     let mut found = Vec::new();
