@@ -6,8 +6,8 @@
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use sledge_core::{split_ingest_frame, Breaker, BreakerConfig};
 use sledge_http::{
-    ClientConfig, ClientResponse, ConnId, ConnectionEvent, HttpClient, HttpServer, Response,
-    ServerConfig, StatusCode,
+    format_request, ClientConfig, ClientResponse, ConnId, ConnectionEvent, HttpClient, HttpServer,
+    Response, ServerConfig, StatusCode, Waker,
 };
 use std::io;
 use std::net::SocketAddr;
@@ -143,8 +143,15 @@ struct RouterShared {
     /// Membership is fixed at startup; node indices align with the ring's.
     ring: HashRing,
     nodes: Vec<Node>,
+    /// One held keep-alive connection per node (index-aligned with
+    /// `nodes`) for module distribution; the lock makes distributions take
+    /// turns, so each connection carries one exchange at a time.
+    admin: Mutex<Vec<HttpClient>>,
     stats: RingStats,
     shutdown: AtomicBool,
+    /// Ends the listener's blocking poll: forwarders wake it after each
+    /// reply, shutdown after setting the flag.
+    waker: Arc<Waker>,
     epoch: Instant,
 }
 
@@ -152,13 +159,14 @@ impl RouterShared {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
+}
 
-    fn client_config(&self) -> ClientConfig {
-        ClientConfig {
-            connect_timeout: self.config.connect_timeout,
-            read_timeout: Some(self.config.read_timeout),
-            ..Default::default()
-        }
+/// Downstream connection knobs, for forwarding and distribution alike.
+fn client_config(config: &RouterConfig) -> ClientConfig {
+    ClientConfig {
+        connect_timeout: config.connect_timeout,
+        read_timeout: Some(config.read_timeout),
+        ..Default::default()
     }
 }
 
@@ -226,12 +234,19 @@ impl Router {
 
         let server = HttpServer::bind(listen, ServerConfig::default())?;
         let addr = server.local_addr()?;
+        let admin_config = client_config(&config);
+        let admin = nodes
+            .iter()
+            .map(|n| HttpClient::with_config(n.addr, admin_config))
+            .collect();
         let shared = Arc::new(RouterShared {
             config,
             ring,
             nodes,
+            admin: Mutex::new(admin),
             stats: RingStats::default(),
             shutdown: AtomicBool::new(false),
+            waker: server.waker(),
             epoch: Instant::now(),
         });
 
@@ -301,7 +316,15 @@ impl Router {
 
     /// Stop every thread and close the listen socket.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.stop();
+    }
+
+    fn stop(&mut self) {
+        // The listener checks the flag after it arms, so the wake reaches
+        // it whether it is blocked in `poll` or about to be; the forwarders
+        // follow when it drops the job sender.
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.waker.wake();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -310,21 +333,27 @@ impl Router {
 
 impl Drop for Router {
     fn drop(&mut self) {
-        if !self.threads.is_empty() {
-            self.shared.shutdown.store(true, Ordering::Release);
-            for t in self.threads.drain(..) {
-                let _ = t.join();
-            }
-        }
+        self.stop();
     }
 }
 
 fn distribute(shared: &RouterShared, config_json: &str, artifact: &[u8]) -> Vec<PushResult> {
     let frame = sledge_core::ingest_frame(config_json, artifact);
+    let request = format_request("POST", "/admin/modules", &[], &frame);
+    let mut clients = shared.admin.lock().unwrap_or_else(|poisoned| {
+        // A panic mid-exchange can leave a reply unread on a held
+        // connection: start over on fresh dials.
+        shared.admin.clear_poison();
+        let mut clients = poisoned.into_inner();
+        clients.iter_mut().for_each(HttpClient::disconnect);
+        clients
+    });
+    // Every node gets the frame before any reply is read, so the nodes
+    // verify it side by side rather than one after another.
+    let sent: Vec<_> = clients.iter_mut().map(|c| c.begin(&request)).collect();
     let mut results = Vec::with_capacity(shared.nodes.len());
-    for node in &shared.nodes {
-        let mut client = HttpClient::with_config(node.addr, shared.client_config());
-        let result = match client.request("POST", "/admin/modules", &[], &frame) {
+    for ((node, client), sent) in shared.nodes.iter().zip(clients.iter_mut()).zip(sent) {
+        let result = match client.finish(&request, sent) {
             Ok(resp) if resp.status == 200 => {
                 shared.stats.modules_pushed.fetch_add(1, Ordering::Relaxed);
                 Ok(String::from_utf8_lossy(&resp.body).into_owned())
@@ -408,7 +437,7 @@ fn forward(shared: &RouterShared, clients: &mut [Option<HttpClient>], job: &Job)
             shared.stats.retried.fetch_add(1, Ordering::Relaxed);
         }
         let client = clients[idx].get_or_insert_with(|| {
-            HttpClient::with_config(shared.nodes[idx].addr, shared.client_config())
+            HttpClient::with_config(shared.nodes[idx].addr, client_config(&shared.config))
         });
         match client.request(&job.method, &job.path, &[], &job.body) {
             // Any parseable sub-5xx response is the node answering: 4xx is
@@ -440,6 +469,7 @@ fn forward(shared: &RouterShared, clients: &mut [Option<HttpClient>], job: &Job)
     })
 }
 
+/// Runs until the listener drops the job sender.
 fn forwarder_loop(
     shared: Arc<RouterShared>,
     jobs: Arc<Mutex<Receiver<Job>>>,
@@ -448,23 +478,16 @@ fn forwarder_loop(
     // One keep-alive client per node, owned by this thread.
     let mut clients: Vec<Option<HttpClient>> = shared.nodes.iter().map(|_| None).collect();
     loop {
-        // The guard is a temporary of this statement alone: it must be gone
-        // before `forward`, or one slow node would stall every forwarder.
-        // A poisoned lock is recovered; a receiver has no state to corrupt.
-        let next = jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recv_timeout(Duration::from_millis(5));
-        match next {
-            Ok(job) => {
-                let bytes = forward(&shared, &mut clients, &job);
-                let _ = replies.send((job.conn, bytes));
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
+        // The guard is a temporary of this statement alone (not of a
+        // `while let` scrutinee, which would hold it through the body): it
+        // must be gone before `forward`, or one slow node would stall every
+        // forwarder. A poisoned lock is recovered; a receiver has no state
+        // to corrupt.
+        let next = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = next else { return };
+        let bytes = forward(&shared, &mut clients, &job);
+        if replies.send((job.conn, bytes)).is_ok() {
+            shared.waker.wake();
         }
     }
 }
@@ -578,6 +601,8 @@ fn render_ring_stats(shared: &RouterShared) -> String {
     out
 }
 
+/// Blocks in `poll` until a socket is ready, a forwarder has queued a
+/// reply, or shutdown: the latter two arrive through the server's waker.
 fn listener_loop(
     shared: Arc<RouterShared>,
     mut server: HttpServer,
@@ -585,13 +610,14 @@ fn listener_loop(
     replies: Receiver<(ConnId, Vec<u8>)>,
 ) {
     loop {
-        let mut worked = false;
-        while let Ok((conn, bytes)) = replies.try_recv() {
-            worked = true;
+        server.arm();
+        for (conn, bytes) in replies.try_iter() {
             server.send(conn, &bytes);
         }
-        for ev in server.poll(Duration::ZERO) {
-            worked = true;
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        for ev in server.poll(Duration::MAX) {
             let ConnectionEvent::Request(conn, req) = ev else {
                 continue;
             };
@@ -657,12 +683,6 @@ fn listener_loop(
                 path: req.path,
                 body: req.body,
             });
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if !worked {
-            std::thread::sleep(Duration::from_micros(100));
         }
     }
 }

@@ -16,7 +16,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Echo the request body.
 fn echo_guest(name: &str) -> Module {
@@ -54,11 +54,17 @@ fn artifact_for(module: &Module) -> Vec<u8> {
 }
 
 fn boot_node() -> Runtime {
+    boot_node_with(RuntimeConfig::default())
+}
+
+/// A node with the ingest endpoint on, two workers and `config`'s other
+/// settings.
+fn boot_node_with(config: RuntimeConfig) -> Runtime {
     Runtime::with_http(
         RuntimeConfig {
             workers: 2,
             admin_routes: true,
-            ..Default::default()
+            ..config
         },
         "127.0.0.1:0".parse().unwrap(),
     )
@@ -82,13 +88,30 @@ fn test_config() -> RouterConfig {
 
 fn boot_cluster(n: usize) -> (Vec<Runtime>, Router) {
     let nodes: Vec<Runtime> = (0..n).map(|_| boot_node()).collect();
-    let members: Vec<(String, SocketAddr)> = nodes
+    let router = Router::start(
+        test_config(),
+        members(&nodes),
+        "127.0.0.1:0".parse().unwrap(),
+    )
+    .unwrap();
+    (nodes, router)
+}
+
+fn members(nodes: &[Runtime]) -> Vec<(String, SocketAddr)> {
+    nodes
         .iter()
         .enumerate()
         .map(|(i, rt)| (format!("node-{i}"), rt.http_addr().unwrap()))
-        .collect();
-    let router = Router::start(test_config(), members, "127.0.0.1:0".parse().unwrap()).unwrap();
-    (nodes, router)
+        .collect()
+}
+
+/// One `GET /healthz` answered by the router's own listener: once it
+/// returns, the listener thread is running (and named).
+fn router_answers(router: &Router) {
+    let resp = HttpClient::new(router.addr())
+        .request("GET", "/healthz", &[], b"")
+        .unwrap();
+    assert_eq!(resp.status, 200);
 }
 
 #[test]
@@ -106,6 +129,27 @@ fn distribution_pushes_certified_artifact_to_every_node() {
         assert_eq!(reg.modules_rejected, 0);
     }
     assert_eq!(router.stats().modules_pushed, 3);
+
+    // The push held its connection to each node: once the prober has
+    // dialled too (its first round is over when a fourth probe starts), a
+    // second push dials nothing.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while router.stats().probes <= 3 {
+        assert!(
+            Instant::now() < deadline,
+            "the prober never finished a round"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let accepted: Vec<u64> = nodes
+        .iter()
+        .map(|rt| rt.connection_stats().accepted)
+        .collect();
+    let pushes = router.distribute(r#"{"name": "echo2"}"#, &artifact_for(&echo_guest("echo2")));
+    assert!(pushes.iter().all(|p| p.result.is_ok()), "{pushes:?}");
+    for (rt, before) in nodes.iter().zip(accepted) {
+        assert_eq!(rt.connection_stats().accepted, before);
+    }
 
     // The module serves through the ring.
     let mut client = HttpClient::new(router.addr());
@@ -584,4 +628,163 @@ fn sledge_router_binary_distributes_routes_and_fails_over() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+}
+
+/// Shut an idle router down and time it. Its listener is blocked in
+/// `epoll_wait` with nothing due, so only the shutdown wake can end it.
+fn assert_prompt_shutdown(router: Router) {
+    router_answers(&router);
+    let start = Instant::now();
+    router.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
+}
+
+#[test]
+fn idle_router_shuts_down_promptly() {
+    let (nodes, router) = boot_cluster(2);
+    assert_prompt_shutdown(router);
+    for rt in nodes {
+        rt.shutdown();
+    }
+}
+
+#[test]
+fn router_whose_nodes_are_gone_shuts_down_promptly() {
+    let (nodes, router) = boot_cluster(2);
+    for rt in nodes {
+        rt.shutdown();
+    }
+    assert_prompt_shutdown(router);
+}
+
+/// Tids of this process's threads named `name`.
+fn threads_named(name: &str) -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|entry| {
+            let tid = entry.ok()?.file_name().into_string().ok()?;
+            let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
+            (comm.trim_end() == name).then_some(tid)
+        })
+        .collect()
+}
+
+fn voluntary_switches(tid: &str) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/self/task/{tid}/status")).unwrap();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("a voluntary_ctxt_switches line")
+}
+
+/// The router's listener blocks until there is work: counted, not timed.
+/// A thread that naps between polls switches out once per nap (thousands
+/// a second at 100 µs); one that blocks in `epoll_wait` switches out only
+/// when its idle reaper is due (every 250 ms) or a socket stirs.
+#[test]
+fn idle_router_listener_does_not_sleep_poll() {
+    // Other tests start routers concurrently; retry until exactly one
+    // listener was born across this router's start, which is then ours.
+    let (nodes, router, tid) = loop {
+        let before = threads_named("ring-listener");
+        let (nodes, router) = boot_cluster(2);
+        router_answers(&router);
+        let born: Vec<String> = threads_named("ring-listener")
+            .into_iter()
+            .filter(|t| !before.contains(t))
+            .collect();
+        if let [tid] = born.as_slice() {
+            break (nodes, router, tid.clone());
+        }
+        router.shutdown();
+        for rt in nodes {
+            rt.shutdown();
+        }
+    };
+    let before = voluntary_switches(&tid);
+    std::thread::sleep(Duration::from_secs(1));
+    let switches = voluntary_switches(&tid) - before;
+    assert!(
+        switches <= 50,
+        "idle listener switched out {switches} times in 1 s"
+    );
+    router.shutdown();
+    for rt in nodes {
+        rt.shutdown();
+    }
+}
+
+/// `distribute` holds one connection per node. A held connection the node
+/// has since reaped is redialled once; a node that is gone is reported
+/// unreachable and the push still reaches the others.
+#[test]
+fn distribution_redials_reaped_connections_and_skips_a_gone_node() {
+    let idle = RuntimeConfig {
+        conn_idle: Duration::from_millis(50),
+        ..Default::default()
+    };
+    let mut nodes = vec![boot_node_with(idle.clone()), boot_node_with(idle)];
+    let config = RouterConfig {
+        // One probe at start, so the nodes' connection counts below are
+        // the distribution's alone after it.
+        probe_interval: Duration::from_secs(60),
+        ..test_config()
+    };
+    let router = Router::start(config, members(&nodes), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let push = |name: &str| {
+        router.distribute(
+            &format!(r#"{{"name": "{name}"}}"#),
+            &artifact_for(&echo_guest(name)),
+        )
+    };
+    for p in push("echo-a") {
+        assert!(p.result.is_ok(), "{}: {:?}", p.node, p.result);
+    }
+
+    // Each node has seen the probe and the push, and has reaped every
+    // connection it holds, the router's held one included.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while nodes.iter().any(|rt| {
+        let conns = rt.connection_stats();
+        conns.requests < 2 || conns.active() > 0
+    }) {
+        assert!(Instant::now() < deadline, "the nodes never reaped");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let accepted: Vec<u64> = nodes
+        .iter()
+        .map(|rt| rt.connection_stats().accepted)
+        .collect();
+    for p in push("echo-b") {
+        assert!(p.result.is_ok(), "{}: {:?}", p.node, p.result);
+    }
+    for (rt, before) in nodes.iter().zip(accepted) {
+        assert_eq!(rt.connection_stats().accepted, before + 1, "one redial");
+        assert!(rt.function_by_name("echo-b").is_some());
+    }
+    let resp = HttpClient::new(router.addr())
+        .request("GET", "/metrics", &[], b"")
+        .unwrap();
+    let text = String::from_utf8(resp.body).unwrap();
+    assert_eq!(
+        metric(&text, "sledge_ring_modules_pushed_total"),
+        Some(4),
+        "{text}"
+    );
+
+    nodes.remove(0).shutdown();
+    let pushes = push("echo-c");
+    assert_eq!(pushes[0].node, "node-0");
+    let err = pushes[0].result.as_ref().unwrap_err();
+    assert!(err.starts_with("unreachable"), "{err}");
+    assert!(pushes[1].result.is_ok(), "{:?}", pushes[1].result);
+    assert!(nodes[0].function_by_name("echo-c").is_some());
+    assert_eq!(router.stats().modules_pushed, 5);
+
+    router.shutdown();
+    for rt in nodes {
+        rt.shutdown();
+    }
 }

@@ -82,6 +82,16 @@ pub fn format_request(method: &str, path: &str, headers: &[(&str, &str)], body: 
     out
 }
 
+/// A request written by [`HttpClient::begin`], whose response
+/// [`HttpClient::finish`] reads.
+#[derive(Debug)]
+#[must_use = "pass it to `HttpClient::finish`"]
+pub struct InFlight {
+    /// Whether the request rode a connection an earlier exchange opened.
+    reused: bool,
+    sent: io::Result<()>,
+}
+
 /// A keep-alive HTTP/1.1 connection to one address.
 #[derive(Debug)]
 pub struct HttpClient {
@@ -183,14 +193,8 @@ impl HttpClient {
         }
     }
 
-    /// One full request/response exchange.
-    ///
-    /// A reused keep-alive connection may have been closed by the peer
-    /// between requests; if the failure happens on a reused connection,
-    /// the exchange is retried once on a fresh dial. A failure on a fresh
-    /// connection is returned as-is — retrying it is the caller's policy
-    /// decision (the cluster router, for instance, fails over to another
-    /// node instead).
+    /// One full request/response exchange: [`begin`](Self::begin) then
+    /// [`finish`](Self::finish).
     pub fn request(
         &mut self,
         method: &str,
@@ -198,14 +202,36 @@ impl HttpClient {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> io::Result<ClientResponse> {
-        let reused = self.is_connected();
         let bytes = format_request(method, path, headers, body);
-        let attempt = |c: &mut Self| -> io::Result<ClientResponse> {
-            c.send_raw(&bytes)?;
-            c.read_response()
-        };
-        match attempt(self) {
-            Err(_) if reused => attempt(self),
+        let sent = self.begin(&bytes);
+        self.finish(&bytes, sent)
+    }
+
+    /// Write one pre-serialized request (see [`format_request`]) without
+    /// waiting for its response, so a caller can put a request on several
+    /// connections before it reads any of them.
+    pub fn begin(&mut self, request: &[u8]) -> InFlight {
+        InFlight {
+            reused: self.is_connected(),
+            sent: self.send_raw(request),
+        }
+    }
+
+    /// Read the response to the `request` that [`begin`](Self::begin)
+    /// wrote.
+    ///
+    /// A reused keep-alive connection may have been closed by the peer
+    /// between requests; if the write or the read failed on a reused
+    /// connection, the exchange is retried once on a fresh dial. A failure
+    /// on a fresh connection is returned as-is — retrying it is the
+    /// caller's policy decision (the cluster router, for instance, fails
+    /// over to another node instead).
+    pub fn finish(&mut self, request: &[u8], sent: InFlight) -> io::Result<ClientResponse> {
+        match sent.sent.and_then(|()| self.read_response()) {
+            Err(_) if sent.reused => {
+                self.send_raw(request)?;
+                self.read_response()
+            }
             other => other,
         }
     }

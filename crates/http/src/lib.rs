@@ -4,7 +4,8 @@
 //!
 //! This plays the role of the paper's request-forwarding layer (epoll-based
 //! HTTP intake feeding function instantiation) without any external
-//! dependencies: the epoll syscalls are wrapped directly in [`mod@sys`].
+//! dependencies: the epoll and eventfd syscalls are wrapped directly in
+//! [`mod@sys`].
 //!
 //! # Examples
 //!
@@ -33,8 +34,8 @@ mod response;
 mod server;
 pub mod sys;
 
-pub use client::{format_request, ClientConfig, ClientResponse, HttpClient};
+pub use client::{format_request, ClientConfig, ClientResponse, HttpClient, InFlight};
 pub use parse::{HttpError, ParseStatus, Request, RequestParser};
-pub use reactor::HttpServer;
+pub use reactor::{HttpServer, Waker};
 pub use response::{Response, StatusCode};
 pub use server::{ConnCounters, ConnId, ConnSnapshot, ConnectionEvent, ServerConfig};

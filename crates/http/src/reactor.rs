@@ -23,6 +23,9 @@
 //! - The connection budget is enforced at accept time: over-budget (or
 //!   draining) peers get a pre-serialized `503` + `Connection: close`
 //!   before any parse cost is paid.
+//! - An eventfd [`Waker`] sits in the same epoll set, so an owner that also
+//!   consumes a queue fed by other threads can block in `epoll_wait` for
+//!   sockets and queue alike instead of sleep-polling one of them.
 //!
 //! Close discipline: a connection dies only once its output queue is
 //! flushed and every surfaced request has been answered — a half-close or
@@ -31,19 +34,24 @@
 
 use crate::parse::{ParseStatus, Request, RequestParser};
 use crate::server::{ConnCounters, ConnId, ConnectionEvent, ServerConfig};
-use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::{
+    Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use crate::{Response, StatusCode};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Epoll cookie for the listening socket (never a valid connection id:
 /// connection slots are bounded far below `u32::MAX`).
 const LISTENER_COOKIE: u64 = u64::MAX;
+
+/// Epoll cookie for the waker's eventfd (no valid connection id either).
+const WAKER_COOKIE: u64 = u64::MAX - 1;
 
 /// Max `IoSlice`s per `write_vectored` call (Linux caps at `IOV_MAX`
 /// = 1024; 64 already amortizes the syscall for any realistic pipeline).
@@ -88,11 +96,40 @@ impl RConn {
     }
 }
 
+/// Wakes an [`HttpServer`]'s owner out of a blocking
+/// [`poll`](HttpServer::poll).
+///
+/// Threads that hand the owner work through a queue of their own call
+/// [`wake`](Self::wake) after they enqueue. The owner keeps one protocol:
+/// [`HttpServer::arm`], then re-check every such queue *and* its shutdown
+/// flag, then `poll`. A producer that enqueues after the arm finds the owner
+/// armed and signals the eventfd, so the poll returns at once; whatever was
+/// enqueued before the arm, the re-check sees. `poll` disarms when it
+/// returns, so producers of a busy owner pay no syscall.
+#[derive(Debug)]
+pub struct Waker {
+    eventfd: EventFd,
+    armed: AtomicBool,
+}
+
+impl Waker {
+    /// Signal the owner if it is armed; without a syscall otherwise.
+    pub fn wake(&self) {
+        // Pairs with the fence in `HttpServer::arm`: either the owner's
+        // re-check sees what this thread enqueued, or this swap sees the arm.
+        fence(Ordering::SeqCst);
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.eventfd.signal();
+        }
+    }
+}
+
 /// Readiness-driven epoll listener; see the module docs for the design.
 #[derive(Debug)]
 pub struct HttpServer {
     listener: TcpListener,
     epoll: Epoll,
+    waker: Arc<Waker>,
     conns: Vec<Option<RConn>>,
     /// Per-slot generation counters (bumped on free).
     gens: Vec<u32>,
@@ -144,9 +181,15 @@ impl HttpServer {
         // Level-triggered on purpose: pending accepts re-report until the
         // queue is drained, so a burst can never be lost to a missed edge.
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_COOKIE)?;
+        let waker = Arc::new(Waker {
+            eventfd: EventFd::new()?,
+            armed: AtomicBool::new(false),
+        });
+        epoll.add(waker.eventfd.raw_fd(), EPOLLIN, WAKER_COOKIE)?;
         Ok(HttpServer {
             listener,
             epoll,
+            waker,
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
@@ -180,6 +223,20 @@ impl HttpServer {
         Arc::clone(&self.counters)
     }
 
+    /// The waker other threads use to end this server's blocking `poll`.
+    pub fn waker(&self) -> Arc<Waker> {
+        Arc::clone(&self.waker)
+    }
+
+    /// Let the next [`Waker::wake`] signal the eventfd, until `poll`
+    /// returns. Call it *before* the last check of the queues the waker's
+    /// users feed, then `poll`: see [`Waker`] for the protocol.
+    pub fn arm(&self) {
+        self.waker.armed.store(true, Ordering::SeqCst);
+        // Pairs with the fence in `Waker::wake`.
+        fence(Ordering::SeqCst);
+    }
+
     /// Stop accepting (socket-tier 503 for new peers); existing
     /// connections close once their queued and in-flight responses have
     /// been delivered.
@@ -209,6 +266,12 @@ impl HttpServer {
     /// (millisecond resolution; a sub-millisecond timeout is a non-blocking
     /// poll), then service exactly the ready connections. Returns the batch
     /// of events.
+    ///
+    /// The wait also ends when the [`Waker`] fires (its eventfd is
+    /// registered under a reserved cookie, never a connection id): the
+    /// eventfd is drained and no event is surfaced for it, since the owner's
+    /// own queues are what it woke for. Returning disarms the waker. With
+    /// idle reaping on, the wait is capped at the reap interval.
     pub fn poll(&mut self, timeout: Duration) -> Vec<ConnectionEvent> {
         let mut events = Vec::new();
 
@@ -233,11 +296,17 @@ impl HttpServer {
             .epoll
             .wait(&mut self.events_buf, timeout_ms)
             .unwrap_or(0);
+        // Relaxed: the flag publishes nothing. A wake that misses the
+        // disarm only signals once more, and the owner re-checks its queues
+        // after its next `arm` in any case.
+        self.waker.armed.store(false, Ordering::Relaxed);
         for i in 0..n {
             let ev = self.events_buf[i];
             let (data, mask) = (ev.data, ev.events);
             if data == LISTENER_COOKIE {
                 self.accept_ready(&mut events);
+            } else if data == WAKER_COOKIE {
+                self.waker.eventfd.drain();
             } else {
                 self.conn_ready(data, mask, &mut events);
             }
@@ -672,5 +741,87 @@ mod tests {
         let first_id = first_id.unwrap();
         // Same slot, new generation: a send to the stale id must fail.
         assert!(!server.send(first_id, b"stale"));
+    }
+
+    /// No reaping, so nothing but readiness or the waker ends a `poll`.
+    fn bind_unreaped() -> HttpServer {
+        bind_reactor(0, Duration::ZERO)
+    }
+
+    #[test]
+    fn waker_loses_no_wakeup_under_racing_producers() {
+        // A single lost wakeup strands the owner in a 10 s poll, past the
+        // 5 s bound, with messages still queued.
+        const PER_PRODUCER: usize = 10_000;
+        let mut server = bind_unreaped();
+        let (tx, rx) = std::sync::mpsc::channel::<usize>();
+        let producers: Vec<_> = (0..2)
+            .map(|_| {
+                let (tx, waker) = (tx.clone(), server.waker());
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        tx.send(i).unwrap();
+                        waker.wake();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let start = Instant::now();
+        let mut received = 0;
+        loop {
+            server.arm();
+            received += rx.try_iter().count();
+            if received == 2 * PER_PRODUCER {
+                break;
+            }
+            server.poll(Duration::from_secs(10));
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "lost wakeup: {received} of {} received",
+                2 * PER_PRODUCER
+            );
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn armed_wake_ends_a_blocking_poll() {
+        let mut server = bind_unreaped();
+        let waker = server.waker();
+        let ready = Arc::new(std::sync::Barrier::new(2));
+        let waking = {
+            let ready = Arc::clone(&ready);
+            std::thread::spawn(move || {
+                ready.wait();
+                waker.wake();
+            })
+        };
+        server.arm();
+        // The wake lands before or during the poll; either way it ends it.
+        ready.wait();
+        let start = Instant::now();
+        assert!(server.poll(Duration::from_secs(10)).is_empty());
+        assert!(start.elapsed() < Duration::from_millis(100));
+        waking.join().unwrap();
+        // `poll` drained the eventfd: nothing is left to report.
+        let mut buf = [EpollEvent { events: 0, data: 0 }; 4];
+        assert_eq!(server.epoll.wait(&mut buf, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn unarmed_wake_signals_nothing() {
+        let mut server = bind_unreaped();
+        server.waker().wake();
+        let mut buf = [EpollEvent { events: 0, data: 0 }; 4];
+        assert_eq!(server.epoll.wait(&mut buf, 0).unwrap(), 0);
+
+        // A poll disarms: a wake after it is a no-op again.
+        server.arm();
+        server.poll(Duration::ZERO);
+        server.waker().wake();
+        assert_eq!(server.epoll.wait(&mut buf, 0).unwrap(), 0);
     }
 }

@@ -1,11 +1,12 @@
-//! Thin raw-syscall wrappers around Linux `epoll` — the only kernel
-//! interface the reactor needs. No external crates: libc is already linked
-//! into every Rust binary on the supported targets, so plain `extern "C"`
-//! declarations suffice (the same trick `std` itself uses).
+//! Thin raw-syscall wrappers around Linux `epoll` and `eventfd` — the only
+//! kernel interfaces the reactor needs. No external crates: libc is already
+//! linked into every Rust binary on the supported targets, so plain
+//! `extern "C"` declarations suffice (the same trick `std` itself uses).
 //!
 //! Only the subset the reactor uses is wrapped: create, add/modify/delete
-//! interest, and wait. Vectored writes go through
-//! `std::io::Write::write_vectored`, which is already `writev` on Linux.
+//! interest, and wait; and an eventfd to signal and drain (the reactor's
+//! waker). Vectored writes go through `std::io::Write::write_vectored`,
+//! which is already `writev` on Linux.
 
 #![allow(clippy::upper_case_acronyms)]
 
@@ -29,6 +30,8 @@ const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EFD_CLOEXEC: i32 = 0o2000000;
+const EFD_NONBLOCK: i32 = 0o4000;
 
 /// The kernel ABI `struct epoll_event`. Packed on x86_64 (the kernel
 /// declares it `__attribute__((packed))` there so 32- and 64-bit layouts
@@ -47,6 +50,9 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn eventfd(initval: u32, flags: i32) -> i32;
+    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
 }
 
@@ -155,6 +161,63 @@ impl Drop for Epoll {
     }
 }
 
+/// An owned, non-blocking, close-on-exec eventfd: a kernel counter that
+/// reads as `EPOLLIN` while non-zero. The fd is closed on drop.
+#[derive(Debug)]
+pub struct EventFd {
+    fd: RawFd,
+}
+
+impl EventFd {
+    /// Create an eventfd with a zero counter.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the `eventfd` errno.
+    pub fn new() -> io::Result<EventFd> {
+        // SAFETY: no pointers involved; the returned fd is owned here.
+        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
+        Ok(EventFd { fd })
+    }
+
+    /// The fd, for registering with an [`Epoll`].
+    pub fn raw_fd(&self) -> RawFd {
+        self.fd
+    }
+
+    /// Add one to the counter, making the fd readable. A counter already
+    /// at its maximum (`EAGAIN`) is readable anyway, so that is success.
+    pub fn signal(&self) {
+        let one = 1u64.to_ne_bytes();
+        // SAFETY: `one` is 8 readable bytes, the size eventfd requires.
+        unsafe {
+            write(self.fd, one.as_ptr(), one.len());
+        }
+    }
+
+    /// Reset the counter to zero; returns what it held (0 when it was not
+    /// signalled).
+    pub fn drain(&self) -> u64 {
+        let mut buf = [0u8; 8];
+        // SAFETY: `buf` is 8 writable bytes, the size eventfd requires.
+        let n = unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
+        if n == 8 {
+            u64::from_ne_bytes(buf)
+        } else {
+            0
+        }
+    }
+}
+
+impl Drop for EventFd {
+    fn drop(&mut self) {
+        // SAFETY: `fd` is owned and closed exactly once.
+        unsafe {
+            close(self.fd);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,5 +272,23 @@ mod tests {
         let mut c = client;
         c.write_all(b"x").unwrap();
         assert_eq!(ep.wait(&mut events, 50).unwrap(), 0);
+    }
+
+    #[test]
+    fn eventfd_reads_ready_until_drained() {
+        let ep = Epoll::new().unwrap();
+        let efd = EventFd::new().unwrap();
+        ep.add(efd.raw_fd(), EPOLLIN, 3).unwrap();
+        let mut events = [EpollEvent { events: 0, data: 0 }; 8];
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(efd.drain(), 0, "an unsignalled drain reads nothing");
+
+        efd.signal();
+        efd.signal();
+        assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1);
+        let data = events[0].data;
+        assert_eq!(data, 3);
+        assert_eq!(efd.drain(), 2, "one drain takes every signal");
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
     }
 }
