@@ -1,6 +1,7 @@
 //! Scheduler ablation (§3.4): quantify what the paper's preemptive
-//! round-robin buys over run-to-completion, and how the quantum length
-//! trades scheduling overhead against short-request tail latency.
+//! round-robin buys over run-to-completion (an unbounded quantum,
+//! `Duration::MAX`), and how the quantum length trades scheduling overhead
+//! against short-request tail latency.
 //!
 //! Workload: a mix of long CPU-bound requests and a stream of short
 //! requests on a fixed worker count; reports short-request latency
@@ -9,20 +10,16 @@
 //! Usage: `ablation_scheduler [--shorts N]`
 
 use sledge_bench::{fmt_dur, LatencyStats};
-use sledge_core::{FunctionConfig, Outcome, Runtime, RuntimeConfig, SchedPolicy};
+use sledge_core::{FunctionConfig, Outcome, Runtime, RuntimeConfig};
 use std::time::{Duration, Instant};
 
-fn run_config(
-    label: &str,
-    policy: SchedPolicy,
-    quantum: Duration,
-    shorts: usize,
-) -> (String, LatencyStats, Duration) {
+fn run_config(label: &str, quantum: Duration, shorts: usize) -> (String, LatencyStats, Duration) {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2.min(sledge_core::num_cpus()),
         quantum,
-        quantum_fuel: Some(500_000),
-        policy,
+        // The round-robin rows pin one fuel budget per dispatch; an
+        // unbounded quantum derives its own, which saturates.
+        quantum_fuel: (quantum < Duration::MAX).then_some(500_000),
         ..Default::default()
     });
     let spin = rt
@@ -102,14 +99,14 @@ fn main() {
 
     println!("# Scheduler ablation: short-request latency behind CPU hogs");
     println!("# ({shorts} short EKF probes; 4 closed-loop gemm hog clients)");
-    let configs: &[(&str, SchedPolicy, u64)] = &[
-        ("run-to-completion", SchedPolicy::RunToCompletion, 5),
-        ("preemptive-rr 1ms", SchedPolicy::PreemptiveRr, 1),
-        ("preemptive-rr 5ms (paper)", SchedPolicy::PreemptiveRr, 5),
-        ("preemptive-rr 20ms", SchedPolicy::PreemptiveRr, 20),
+    let configs = [
+        ("run-to-completion", Duration::MAX),
+        ("preemptive-rr 1ms", Duration::from_millis(1)),
+        ("preemptive-rr 5ms (paper)", Duration::from_millis(5)),
+        ("preemptive-rr 20ms", Duration::from_millis(20)),
     ];
-    for (label, policy, q_ms) in configs {
-        let (line, _, _) = run_config(label, *policy, Duration::from_millis(*q_ms), shorts);
+    for (label, quantum) in configs {
+        let (line, _, _) = run_config(label, quantum, shorts);
         println!("{line}");
     }
     println!();

@@ -102,7 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let breaker = config.circuit_breaker;
     let conn_idle = config.conn_idle;
     let max_connections = config.max_connections;
-    let faults = config.fault_plan.is_some();
     let pool = (config.pool_size, config.prewarm, config.recycle);
     let fairness = (config.fairness, config.max_inflight);
     let admin = config.admin_routes;
@@ -196,9 +195,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     if admin {
         println!("  admin: module ingest enabled (POST /admin/modules)");
-    }
-    if faults {
-        println!("  FAULT INJECTION ACTIVE (chaos configuration)");
     }
 
     if let Some(secs) = stats_interval_s.filter(|s| *s > 0) {

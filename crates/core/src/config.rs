@@ -1,7 +1,6 @@
 //! Runtime and per-function configuration, loadable from the JSON format
 //! the paper's runtime uses.
 
-use crate::fault::FaultPlan;
 use crate::json::{Json, JsonError};
 use crate::registry::FunctionId;
 use awsm::{BoundsStrategy, Tier};
@@ -16,7 +15,10 @@ pub struct RuntimeConfig {
     /// Number of worker cores (threads). The listener runs on its own
     /// thread, matching the paper's dedicated listener core.
     pub workers: usize,
-    /// Preemption time slice (the paper uses 5 ms).
+    /// Preemption time slice (the paper uses 5 ms). `Duration::MAX` is
+    /// run-to-completion, the §3.4 ablation: the derived fuel budget
+    /// saturates and the timer never preempts on its own, only at
+    /// shutdown or a force-killed drain.
     pub quantum: Duration,
     /// Explicit fuel budget per dispatch, in cost units. `None` (the
     /// default) derives the budget from `quantum` × [`cost_units_per_us`]
@@ -45,9 +47,6 @@ pub struct RuntimeConfig {
     pub bounds: BoundsStrategy,
     /// Engine tier.
     pub tier: Tier,
-    /// Worker scheduling policy (preemptive RR is the paper's design; run-
-    /// to-completion exists as the ablation point §3.4 argues against).
-    pub policy: SchedPolicy,
     /// Default per-invocation execution deadline. A sandbox whose wall-clock
     /// age exceeds this when it would be (re)scheduled is killed with
     /// [`crate::Outcome::TimedOut`]. `None` disables the deadline.
@@ -58,9 +57,6 @@ pub struct RuntimeConfig {
     /// Idle-connection timeout for the HTTP front end (slow-loris defense).
     /// `Duration::ZERO` disables reaping.
     pub conn_idle: Duration,
-    /// Deterministic fault-injection plan, for chaos testing. `None` (the
-    /// production setting) injects nothing.
-    pub fault_plan: Option<FaultPlan>,
     /// Worst-case guest stack budget enforced at registration. Modules whose
     /// statically-verified stack bound exceeds this (or is unbounded due to
     /// recursion) are rejected before any sandbox is created. `None`
@@ -126,11 +122,9 @@ impl Default for RuntimeConfig {
             max_request_size: 4 << 20,
             bounds: BoundsStrategy::Software,
             tier: Tier::Optimized,
-            policy: SchedPolicy::PreemptiveRr,
             deadline: None,
             circuit_breaker: None,
             conn_idle: Duration::from_secs(10),
-            fault_plan: None,
             max_stack_bytes: None,
             metrics_routes: true,
             pool_size: 0,
@@ -166,19 +160,6 @@ impl Default for BreakerConfig {
             cooldown: Duration::from_millis(1000),
         }
     }
-}
-
-/// How workers schedule sandboxes on their core-local run queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Preemptive round-robin with the configured quantum — the paper's
-    /// serverless-first design, providing temporal isolation.
-    #[default]
-    PreemptiveRr,
-    /// Run each sandbox to completion (cooperative only at blocking I/O) —
-    /// the model the paper's §3.4 argues is unsafe for untrusted,
-    /// potentially unbounded computations. Kept as an ablation.
-    RunToCompletion,
 }
 
 /// Best-effort CPU count without external crates.
@@ -337,9 +318,9 @@ impl RuntimeConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] for syntax or schema problems. The document,
-    /// each module and the `circuit_breaker`/`fault_plan` sections must be
-    /// objects, and a key this parser does not know (a misspelling, or a
-    /// setting that no longer exists) is an error naming the key.
+    /// each module and the `circuit_breaker` section must be objects, and a
+    /// key this parser does not know (a misspelling, or a setting that no
+    /// longer exists) is an error naming the key.
     pub fn from_json(text: &str) -> Result<(RuntimeConfig, Vec<FunctionConfig>), ConfigError> {
         let doc = crate::json::parse(text)?;
         let mut cfg = RuntimeConfig::default();
@@ -352,10 +333,16 @@ impl RuntimeConfig {
                     })? as usize;
                 }
                 "quantum_us" => {
-                    cfg.quantum =
-                        Duration::from_micros(v.as_u64().ok_or_else(|| {
-                            ConfigError::Schema("quantum_us must be an int".into())
-                        })?);
+                    let q = v
+                        .as_u64()
+                        .ok_or_else(|| ConfigError::Schema("quantum_us must be an int".into()))?;
+                    if q == 0 {
+                        return Err(ConfigError::Schema(
+                            "quantum_us must be >= 1 (a zero quantum preempts without pause)"
+                                .into(),
+                        ));
+                    }
+                    cfg.quantum = Duration::from_micros(q);
                 }
                 "quantum_fuel" => {
                     let q = v
@@ -406,15 +393,6 @@ impl RuntimeConfig {
                         }
                     };
                 }
-                "policy" => {
-                    cfg.policy = match v.as_str() {
-                        Some("preemptive-rr") => SchedPolicy::PreemptiveRr,
-                        Some("run-to-completion") => SchedPolicy::RunToCompletion,
-                        other => {
-                            return Err(ConfigError::Schema(format!("unknown policy {other:?}")))
-                        }
-                    };
-                }
                 "deadline_ms" => {
                     cfg.deadline = Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
                         ConfigError::Schema("deadline_ms must be a non-negative int".into())
@@ -427,9 +405,6 @@ impl RuntimeConfig {
                     cfg.conn_idle = Duration::from_millis(v.as_u64().ok_or_else(|| {
                         ConfigError::Schema("conn_idle_ms must be a non-negative int".into())
                     })?);
-                }
-                "fault_plan" => {
-                    cfg.fault_plan = Some(parse_fault_plan(v)?);
                 }
                 "max_stack_bytes" => {
                     cfg.max_stack_bytes = Some(v.as_u64().ok_or_else(|| {
@@ -515,60 +490,6 @@ fn parse_breaker(cb: &Json) -> Result<BreakerConfig, ConfigError> {
         }
     }
     Ok(b)
-}
-
-fn parse_fault_plan(fp: &Json) -> Result<FaultPlan, ConfigError> {
-    let mut plan = FaultPlan::default();
-    let pct = |j: &Json, key: &str| -> Result<f64, ConfigError> {
-        let p = j
-            .as_f64()
-            .ok_or_else(|| ConfigError::Schema(format!("fault_plan.{key} must be a number")))?;
-        if !(0.0..=100.0).contains(&p) {
-            return Err(ConfigError::Schema(format!(
-                "fault_plan.{key} must be in 0..=100"
-            )));
-        }
-        Ok(p)
-    };
-    for (key, v) in members(fp, "fault_plan")? {
-        match key.as_str() {
-            "seed" => {
-                plan.seed = v
-                    .as_u64()
-                    .ok_or_else(|| ConfigError::Schema("fault_plan.seed must be an int".into()))?;
-            }
-            "instantiation_failure_pct" => {
-                plan.instantiation_failure_pct = pct(v, "instantiation_failure_pct")?;
-            }
-            "host_trap_pct" => {
-                plan.host_trap_pct = pct(v, "host_trap_pct")?;
-            }
-            "host_latency_pct" => {
-                plan.host_latency_pct = pct(v, "host_latency_pct")?;
-            }
-            "host_latency_us" => {
-                plan.host_latency = Duration::from_micros(v.as_u64().ok_or_else(|| {
-                    ConfigError::Schema("fault_plan.host_latency_us must be an int".into())
-                })?);
-            }
-            "pool_poison_pct" => {
-                plan.pool_poison_pct = pct(v, "pool_poison_pct")?;
-            }
-            "burst_pct" => {
-                plan.burst_pct = pct(v, "burst_pct")?;
-            }
-            "burst_latency_us" => {
-                plan.burst_latency = Duration::from_micros(v.as_u64().ok_or_else(|| {
-                    ConfigError::Schema("fault_plan.burst_latency_us must be an int".into())
-                })?);
-            }
-            "conn_reset_pct" => {
-                plan.conn_reset_pct = pct(v, "conn_reset_pct")?;
-            }
-            other => return Err(unknown("fault_plan", other)),
-        }
-    }
-    Ok(plan)
 }
 
 pub(crate) fn parse_function(m: &Json) -> Result<FunctionConfig, ConfigError> {
@@ -746,10 +667,6 @@ mod tests {
             (r#"{"pool_sise": 4}"#, "pool_sise"),
             (r#"{"modules": [{"name": "f", "wieght": 2}]}"#, "wieght"),
             (r#"{"circuit_breaker": {"treshold": 3}}"#, "treshold"),
-            (
-                r#"{"fault_plan": {"seed": 1, "host_trap": 5}}"#,
-                "host_trap",
-            ),
         ] {
             let err = RuntimeConfig::from_json(text).unwrap_err();
             assert!(
@@ -757,7 +674,12 @@ mod tests {
                 "{text}: {err:?}"
             );
         }
-        for text in ["[]", "42", r#"{"modules": [[]]}"#, r#"{"fault_plan": 1}"#] {
+        for text in [
+            "[]",
+            "42",
+            r#"{"modules": [[]]}"#,
+            r#"{"circuit_breaker": 1}"#,
+        ] {
             let err = RuntimeConfig::from_json(text).unwrap_err();
             assert!(
                 matches!(err, ConfigError::Schema(ref s) if s.contains("object")),
@@ -786,8 +708,12 @@ mod tests {
         let (cfg, _) =
             RuntimeConfig::from_json(r#"{"quantum_us": 100, "quantum_fuel": 42}"#).unwrap();
         assert_eq!(cfg.effective_quantum_fuel(), 42);
-        // Degenerate quantum still yields a budget that can make progress.
-        let (cfg, _) = RuntimeConfig::from_json(r#"{"quantum_us": 0}"#).unwrap();
+        // A degenerate quantum still yields a budget that can make progress
+        // (JSON refuses `"quantum_us": 0`; a struct literal can still set it).
+        let cfg = RuntimeConfig {
+            quantum: Duration::ZERO,
+            ..Default::default()
+        };
         assert_eq!(cfg.effective_quantum_fuel(), 1);
     }
 
@@ -811,11 +737,15 @@ mod tests {
 
     #[test]
     fn zero_quantum_fuel_rejected() {
-        let err = RuntimeConfig::from_json(r#"{"quantum_fuel": 0}"#).unwrap_err();
-        assert!(
-            matches!(err, ConfigError::Schema(ref s) if s.contains("quantum_fuel")),
-            "expected schema error, got {err:?}"
-        );
+        // A zero budget cannot make progress, and a zero quantum would spin
+        // the timer thread: both are schema errors naming their key.
+        for key in ["quantum_fuel", "quantum_us"] {
+            let err = RuntimeConfig::from_json(&format!(r#"{{"{key}": 0}}"#)).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s) if s.contains(key)),
+                "{key}: expected schema error, got {err:?}"
+            );
+        }
         assert!(RuntimeConfig::from_json(r#"{"quantum_fuel": "x"}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"cost_units_per_us": 0}"#).is_err());
     }
@@ -906,8 +836,6 @@ mod tests {
         let text = r#"{
             "fairness": true,
             "max_inflight": 256,
-            "fault_plan": {"burst_pct": 12.5, "burst_latency_us": 900,
-                           "conn_reset_pct": 15},
             "modules": [
                 {"name": "victim", "budget": 200000, "priority": 3,
                  "weight": 4, "queue_slo_ms": 20},
@@ -917,10 +845,6 @@ mod tests {
         let (cfg, funcs) = RuntimeConfig::from_json(text).unwrap();
         assert!(cfg.fairness);
         assert_eq!(cfg.max_inflight, 256);
-        let fp = cfg.fault_plan.unwrap();
-        assert_eq!(fp.burst_pct, 12.5);
-        assert_eq!(fp.burst_latency, Duration::from_micros(900));
-        assert_eq!(fp.conn_reset_pct, 15.0);
         assert_eq!(funcs[0].budget_us_per_s, Some(200000));
         assert_eq!(funcs[0].priority, 3);
         assert_eq!(funcs[0].weight, 4);
@@ -952,8 +876,6 @@ mod tests {
             RuntimeConfig::from_json(r#"{"modules": [{"name": "a", "queue_slo_ms": "x"}]}"#)
                 .is_err()
         );
-        assert!(RuntimeConfig::from_json(r#"{"fault_plan": {"burst_pct": 101}}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"fault_plan": {"conn_reset_pct": -1}}"#).is_err());
     }
 
     #[test]
@@ -992,14 +914,6 @@ mod tests {
             "deadline_ms": 250,
             "conn_idle_ms": 7000,
             "circuit_breaker": {"threshold": 3, "cooldown_ms": 200},
-            "fault_plan": {
-                "seed": 42,
-                "instantiation_failure_pct": 5,
-                "host_trap_pct": 2.5,
-                "host_latency_pct": 10,
-                "host_latency_us": 1500,
-                "pool_poison_pct": 7.5
-            },
             "modules": [
                 {"name": "echo", "deadline_ms": 50},
                 {"name": "slow"}
@@ -1011,13 +925,6 @@ mod tests {
         let cb = cfg.circuit_breaker.unwrap();
         assert_eq!(cb.threshold, 3);
         assert_eq!(cb.cooldown, Duration::from_millis(200));
-        let fp = cfg.fault_plan.unwrap();
-        assert_eq!(fp.seed, 42);
-        assert_eq!(fp.instantiation_failure_pct, 5.0);
-        assert_eq!(fp.host_trap_pct, 2.5);
-        assert_eq!(fp.host_latency_pct, 10.0);
-        assert_eq!(fp.host_latency, Duration::from_micros(1500));
-        assert_eq!(fp.pool_poison_pct, 7.5);
         assert_eq!(funcs[0].deadline, Some(Duration::from_millis(50)));
         assert_eq!(funcs[1].deadline, None);
     }
@@ -1027,7 +934,6 @@ mod tests {
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
         assert_eq!(cfg.deadline, None);
         assert!(cfg.circuit_breaker.is_none());
-        assert!(cfg.fault_plan.is_none());
         assert_eq!(cfg.conn_idle, Duration::from_secs(10));
     }
 
@@ -1037,9 +943,6 @@ mod tests {
         assert!(RuntimeConfig::from_json(r#"{"deadline_ms": -5}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"circuit_breaker": {"threshold": 0}}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"circuit_breaker": {"cooldown_ms": "x"}}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"fault_plan": {"host_trap_pct": 101}}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"fault_plan": {"host_trap_pct": -1}}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"fault_plan": {"pool_poison_pct": 200}}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"conn_idle_ms": 1.5}"#).is_err());
         assert!(
             RuntimeConfig::from_json(r#"{"modules": [{"name": "a", "deadline_ms": "x"}]}"#)

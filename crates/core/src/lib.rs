@@ -13,7 +13,11 @@
 //!   sandboxes onto the **global work-stealing deque**.
 //! * **N worker threads** steal sandboxes, keep core-local run queues, and
 //!   schedule them with **preemptive round-robin** (default 5 ms quantum,
-//!   enforced by a timer thread through per-sandbox preempt flags).
+//!   enforced by a fuel budget per dispatch and by a timer thread that sets
+//!   the running sandboxes' preempt flags each quantum). The timer blocks on
+//!   a channel between ticks, so a force-killed drain and shutdown preempt
+//!   at once; `quantum: Duration::MAX` is run-to-completion, preempted only
+//!   by those two.
 //! * Sandboxes that block on (emulated) asynchronous I/O park on the
 //!   worker's core-local event set and are woken by the worker's idle loop —
 //!   the libuv-analogue.
@@ -55,7 +59,6 @@
 
 mod budget;
 mod config;
-mod fault;
 mod histogram;
 mod json;
 mod listener;
@@ -69,9 +72,8 @@ mod worker;
 
 pub use budget::TokenBucket;
 pub use config::{
-    num_cpus, BreakerConfig, ConfigError, FunctionConfig, RuntimeConfig, SchedPolicy, MAX_PRIORITY,
+    num_cpus, BreakerConfig, ConfigError, FunctionConfig, RuntimeConfig, MAX_PRIORITY,
 };
-pub use fault::FaultPlan;
 pub use histogram::{bucket_bounds, bucket_of, Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use listener::{ingest_frame, split_ingest_frame, AnyResponder};
@@ -94,7 +96,7 @@ use registry::Binary;
 use sledge_http::{ConnCounters, HttpServer, ServerConfig};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
@@ -118,9 +120,6 @@ pub(crate) struct Shared {
     /// Accepted invocations whose completion has not yet been delivered
     /// (counts queued, parked, and running sandboxes).
     pub inflight: AtomicUsize,
-    /// Invocation sequence numbers (assigned at admission; fault-injection
-    /// decisions key off them).
-    pub seq: AtomicU64,
     /// Per-worker latency shards for the global (all-functions) view;
     /// worker `i` writes only `phase_shards[i]`. Its length is the worker
     /// count, which also sizes each function's shards at its first sample.
@@ -199,6 +198,9 @@ impl InvocationHandle {
 pub struct Runtime {
     shared: Arc<Shared>,
     intake: Sender<Intake>,
+    /// The timer thread's wake-up: a send preempts every running sandbox
+    /// now (force-kill), dropping it stops the timer (shutdown).
+    timer: Option<Sender<()>>,
     threads: Vec<JoinHandle<()>>,
     http_addr: Option<SocketAddr>,
 }
@@ -257,7 +259,6 @@ impl Runtime {
             force_kill: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
             phase_shards: (0..workers)
                 .map(|_| metrics::PhaseHistograms::default())
                 .collect(),
@@ -285,12 +286,13 @@ impl Runtime {
                     .expect("spawn worker"),
             );
         }
+        let (timer_tx, timer_rx) = channel();
         {
-            let shared = Arc::clone(&shared);
+            let quantum = shared.config.quantum;
             threads.push(
                 std::thread::Builder::new()
                     .name("sledge-timer".into())
-                    .spawn(move || worker::timer_loop(shared, worker_shareds))
+                    .spawn(move || worker::timer_loop(quantum, timer_rx, worker_shareds))
                     .expect("spawn timer"),
             );
         }
@@ -320,6 +322,7 @@ impl Runtime {
         Ok(Runtime {
             shared,
             intake: intake_tx,
+            timer: Some(timer_tx),
             threads,
             http_addr,
         })
@@ -464,10 +467,10 @@ impl Runtime {
     /// in-flight invocation to complete, then stop all threads.
     ///
     /// Returns `true` if the backlog drained within the timeout. On `false`
-    /// the remaining backlog is force-killed first — every straggler still
-    /// receives a `TimedOut` completion (bounded by a few quanta of grace)
-    /// before the threads are joined, so no accepted invocation is left
-    /// without an answer.
+    /// the remaining backlog is force-killed first — the timer preempts
+    /// every running sandbox at once and every straggler still receives a
+    /// `TimedOut` completion (within a short grace) before the threads are
+    /// joined, so no accepted invocation is left without an answer.
     pub fn shutdown_drain(mut self, timeout: Duration) -> bool {
         self.begin_drain();
         let deadline = Instant::now() + timeout;
@@ -482,10 +485,12 @@ impl Runtime {
         };
         if !drained {
             self.shared.force_kill.store(true, Ordering::Release);
-            // Grace for workers to sweep their queues and for the timer to
-            // preempt whatever is currently running.
-            let grace = self.shared.config.quantum * 4 + Duration::from_millis(50);
-            let kill_by = Instant::now() + grace;
+            if let Some(timer) = &self.timer {
+                let _ = timer.send(());
+            }
+            // Grace for workers to sweep their queues and retire what the
+            // timer just preempted.
+            let kill_by = Instant::now() + Duration::from_millis(100);
             while self.shared.inflight.load(Ordering::Acquire) > 0 && Instant::now() < kill_by {
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -502,6 +507,7 @@ impl Runtime {
 
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        self.timer = None;
         let _ = self.intake.send(Intake::Wake);
         for t in self.threads.drain(..) {
             let _ = t.join();

@@ -214,15 +214,6 @@ fn admit(
             bucket.true_up(charge, 0, shared.now_ns());
         }
     };
-    let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-    if let Some(plan) = &shared.config.fault_plan {
-        if plan.fail_instantiation(seq) {
-            probe_rejected(&rf);
-            refund(&rf);
-            reject(shared, function, responder, "instantiation failed");
-            return;
-        }
-    }
     let engine = EngineConfig {
         tier: shared.config.tier,
         ..Default::default()
@@ -257,17 +248,6 @@ fn admit(
         .function
         .effective_deadline(shared.config.deadline)
         .map(|d| sandbox.arrival + d);
-    if let Some(plan) = &shared.config.fault_plan {
-        // A burst invocation is turned into a sustained hog: every logical
-        // host call stalls for the burst latency, modelling an antagonist
-        // stampede for the fairness chaos tests.
-        let mut plan = *plan;
-        if plan.burst_invocation(seq) {
-            plan.host_latency_pct = 100.0;
-            plan.host_latency = plan.host_latency.max(plan.burst_latency);
-        }
-        sandbox.set_fault(plan, seq);
-    }
     rf.stats.admitted.fetch_add(1, Ordering::Relaxed);
     shared.stats.record_instantiation(sandbox.instantiation);
     shared.pending.fetch_add(1, Ordering::Relaxed);

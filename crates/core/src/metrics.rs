@@ -294,7 +294,6 @@ pub fn render_prometheus(report: &LatencyReport) -> String {
         ("miss", p.misses),
         ("recycled", p.recycled),
         ("discarded", p.discarded),
-        ("poisoned", p.poisoned),
         ("prewarmed", p.prewarmed),
         ("evicted", p.evicted),
         ("reset_static", p.resets_static),
@@ -449,7 +448,6 @@ pub fn render_json(report: &LatencyReport) -> String {
             ("misses", p.misses),
             ("recycled", p.recycled),
             ("discarded", p.discarded),
-            ("poisoned", p.poisoned),
             ("prewarmed", p.prewarmed),
             ("evicted", p.evicted),
             ("resets_static", p.resets_static),
@@ -787,7 +785,6 @@ mod tests {
             misses: 3,
             recycled: 9,
             discarded: 1,
-            poisoned: 1,
             prewarmed: 2,
             evicted: 0,
             resets_static: 6,
@@ -795,7 +792,7 @@ mod tests {
         };
         let text = render_prometheus(&report);
         assert!(text.contains("sledge_pool_events_total{event=\"hit\"} 10"));
-        assert!(text.contains("sledge_pool_events_total{event=\"poisoned\"} 1"));
+        assert!(text.contains("sledge_pool_events_total{event=\"discarded\"} 1"));
         assert!(text.contains("sledge_pool_events_total{event=\"reset_static\"} 6"));
         assert!(text.contains("sledge_pool_events_total{event=\"reset_elided\"} 3"));
         assert!(text.contains("sledge_pool_size{} 2"));

@@ -9,10 +9,9 @@
 //! zero only the dirtied span beyond it), so a warm acquire is a pop plus
 //! nothing — no allocation, no zero-fill, no global/table rebuild.
 //!
-//! Eligibility is strict: only *clean* completions ([`Outcome::Success`]
-//! without an armed poison fault) are recycled. Trapped, timed-out, and
-//! fault-injected sandboxes are discarded, as is everything while the
-//! runtime drains. The pool is disabled by default (`capacity == 0`), in
+//! Eligibility is strict: only *clean* completions ([`Outcome::Success`])
+//! are recycled. Trapped and timed-out sandboxes are discarded, as is
+//! everything while the runtime drains. The pool is disabled by default (`capacity == 0`), in
 //! which case every operation is a no-op and the runtime behaves — and
 //! meters — exactly as if the subsystem did not exist.
 //!
@@ -38,8 +37,6 @@ pub struct PoolStats {
     /// Sandboxes rejected from recycling (unclean outcome, reset failure,
     /// config mismatch, or drain).
     pub discarded: AtomicU64,
-    /// Subset of `discarded` forced by the pool-poisoning fault.
-    pub poisoned: AtomicU64,
     /// Instances created by the background pre-warmer.
     pub prewarmed: AtomicU64,
     /// Clean sandboxes dropped because the pool was already full.
@@ -69,8 +66,6 @@ pub struct PoolStatsSnapshot {
     pub recycled: u64,
     /// Sandboxes discarded instead of recycled.
     pub discarded: u64,
-    /// Discards forced by the pool-poisoning fault.
-    pub poisoned: u64,
     /// Instances created by the pre-warmer.
     pub prewarmed: u64,
     /// Clean sandboxes dropped because the pool was full.
@@ -90,7 +85,6 @@ impl PoolStatsSnapshot {
         self.misses += other.misses;
         self.recycled += other.recycled;
         self.discarded += other.discarded;
-        self.poisoned += other.poisoned;
         self.prewarmed += other.prewarmed;
         self.evicted += other.evicted;
         self.resets_static += other.resets_static;
@@ -233,16 +227,12 @@ impl SandboxPool {
     }
 
     /// Count a retired instance that was not offered for recycling
-    /// (unclean outcome, drain in progress, or recycling disabled);
-    /// `poisoned` marks discards forced by the pool-poisoning fault.
-    pub fn discard(&self, poisoned: bool) {
+    /// (unclean outcome, drain in progress, or recycling disabled).
+    pub fn discard(&self) {
         if !self.enabled() {
             return;
         }
         self.stats.discarded.fetch_add(1, Ordering::Relaxed);
-        if poisoned {
-            self.stats.poisoned.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Top the pool up to `target` instances (clamped to capacity) by cold
@@ -294,7 +284,6 @@ impl SandboxPool {
             misses: self.stats.misses.load(Ordering::Relaxed),
             recycled: self.stats.recycled.load(Ordering::Relaxed),
             discarded: self.stats.discarded.load(Ordering::Relaxed),
-            poisoned: self.stats.poisoned.load(Ordering::Relaxed),
             prewarmed: self.stats.prewarmed.load(Ordering::Relaxed),
             evicted: self.stats.evicted.load(Ordering::Relaxed),
             resets_static: self.stats.resets_static.load(Ordering::Relaxed),
@@ -359,7 +348,7 @@ mod tests {
         assert!(pool.acquire(&engine()).is_none());
         let inst = Instance::new(module(), engine()).unwrap();
         assert!(!pool.release(inst));
-        pool.discard(true);
+        pool.discard();
         assert_eq!(pool.prewarm(&module(), engine(), 4), 0);
         // Crucially: the disabled pool counts *nothing*.
         assert_eq!(pool.snapshot(), PoolStatsSnapshot::default());

@@ -4,7 +4,6 @@
 //! buffer, and the host-call surface the guest sees (the paper's
 //! stdin/stdout-over-HTTP plus asynchronous I/O).
 
-use crate::fault::FaultPlan;
 use crate::registry::{FunctionId, RegisteredFunction};
 use awsm::{
     EngineConfig, Host, HostImport, HostOutcome, Instance, InstanceError, LinearMemory, StepResult,
@@ -87,18 +86,6 @@ pub struct SandboxHost {
     pub io_deadline: Option<Instant>,
     /// Total host calls serviced (for tests/metrics).
     pub calls: u64,
-    /// Fault-injection plan, if chaos testing is enabled.
-    fault: Option<FaultPlan>,
-    /// Listener-assigned invocation sequence number (fault decisions key
-    /// off it).
-    seq: u64,
-    /// Logical host-call index: advances only on fresh calls, not on
-    /// re-issues of a blocked call, so fault decisions are independent of
-    /// scheduling timing.
-    logical_calls: u64,
-    /// Deadline of an injected-latency stall (mirrors into `io_deadline`
-    /// so workers park the sandbox like real blocked I/O).
-    fault_delay: Option<Instant>,
 }
 
 impl SandboxHost {
@@ -109,10 +96,6 @@ impl SandboxHost {
             epoch,
             io_deadline: None,
             calls: 0,
-            fault: None,
-            seq: 0,
-            logical_calls: 0,
-            fault_delay: None,
         }
     }
 }
@@ -126,33 +109,6 @@ impl Host for SandboxHost {
         memory: &mut LinearMemory,
     ) -> HostOutcome {
         self.calls += 1;
-        // Fault injection runs before dispatch. An armed injected stall is
-        // serviced like blocked I/O (re-issues stay Pending until its
-        // deadline); a fresh call consumes one logical index and may trap
-        // or stall per the plan. Re-issues of a genuinely blocked call
-        // (io_deadline armed) bypass injection entirely so decisions stay
-        // deterministic under any scheduling interleaving.
-        if let Some(d) = self.fault_delay {
-            if Instant::now() < d {
-                return HostOutcome::Pending;
-            }
-            self.fault_delay = None;
-            self.io_deadline = None;
-        } else if self.io_deadline.is_none() {
-            let idx = self.logical_calls;
-            self.logical_calls += 1;
-            if let Some(plan) = self.fault {
-                if plan.trap_host_call(self.seq, idx) {
-                    return HostOutcome::Trap(Trap::Unreachable);
-                }
-                if let Some(delay) = plan.delay_host_call(self.seq, idx) {
-                    let deadline = Instant::now() + delay;
-                    self.fault_delay = Some(deadline);
-                    self.io_deadline = Some(deadline);
-                    return HostOutcome::Pending;
-                }
-            }
-        }
         if import.module != "env" {
             return HostOutcome::Trap(Trap::Unreachable);
         }
@@ -318,19 +274,6 @@ impl Sandbox {
             pool_hit,
             budget_charge: None,
         }))
-    }
-
-    /// Attach a fault-injection plan and this invocation's sequence number
-    /// (decisions key off both).
-    pub fn set_fault(&mut self, plan: FaultPlan, seq: u64) {
-        self.host.fault = Some(plan);
-        self.host.seq = seq;
-    }
-
-    /// The fault plan and sequence number attached by the listener, if any
-    /// (workers consult them for the pool-poisoning decision at retirement).
-    pub(crate) fn fault(&self) -> Option<(FaultPlan, u64)> {
-        self.host.fault.map(|p| (p, self.host.seq))
     }
 
     /// Start the entry function. Must be called once before `run_quantum`.

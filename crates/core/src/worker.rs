@@ -11,6 +11,7 @@ use crate::Shared;
 use awsm::StepResult;
 use sledge_deque::Stealer;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -33,26 +34,22 @@ pub(crate) struct WorkerShared {
     pub current: Mutex<Option<Arc<AtomicBool>>>,
 }
 
-/// The timer thread: fires every quantum and requests preemption of every
-/// currently-running sandbox — the SIGALRM-propagation analogue. Under
-/// run-to-completion it only fires once, at shutdown, so runaway guests
-/// cannot wedge `Runtime::shutdown`.
-pub(crate) fn timer_loop(shared: Arc<Shared>, workers: Vec<Arc<WorkerShared>>) {
-    let preemptive = shared.config.policy == crate::config::SchedPolicy::PreemptiveRr;
+/// The timer thread: every quantum it requests preemption of every
+/// currently-running sandbox — the SIGALRM-propagation analogue. It waits
+/// in `recv_timeout`, so the runtime can cut a tick short: a message
+/// (force-killed drain) preempts at once, and a dropped sender (shutdown)
+/// preempts once more and stops the thread. Under an unbounded quantum
+/// (run-to-completion) those two are the only preemptions, so a runaway
+/// guest still cannot wedge a drain or `Runtime::shutdown`.
+pub(crate) fn timer_loop(quantum: Duration, wake: Receiver<()>, workers: Vec<Arc<WorkerShared>>) {
     loop {
-        std::thread::sleep(shared.config.quantum);
-        let down = shared.shutdown.load(Ordering::Acquire);
-        // A force-killed drain must preempt even under run-to-completion so
-        // runaway guests come back to their worker to be killed.
-        let force = shared.force_kill.load(Ordering::Acquire);
-        if preemptive || down || force {
-            for w in &workers {
-                if let Some(flag) = lock(&w.current).as_ref() {
-                    flag.store(true, Ordering::Relaxed);
-                }
+        let tick = wake.recv_timeout(quantum);
+        for w in &workers {
+            if let Some(flag) = lock(&w.current).as_ref() {
+                flag.store(true, Ordering::Relaxed);
             }
         }
-        if down {
+        if tick == Err(RecvTimeoutError::Disconnected) {
             return;
         }
     }
@@ -122,16 +119,12 @@ fn finish(shared: &Shared, shard: usize, mut sandbox: Box<Sandbox>, outcome: Out
     let function = sandbox.function.id;
     let responder = sandbox.responder_take();
     // Teardown — or recycling. Only *clean* completions are eligible for
-    // the warm pool: traps, deadline kills, and poisoned invocations (the
-    // chaos fault that models "this sandbox can no longer be trusted") are
-    // discarded, as is everything once a drain begins (drained pools must
-    // stay empty). The in-place template reset happens here, on the worker,
-    // so the next acquire is a plain pop.
+    // the warm pool: traps and deadline kills are discarded, as is
+    // everything once a drain begins (drained pools must stay empty). The
+    // in-place template reset happens here, on the worker, so the next
+    // acquire is a plain pop.
     if sandbox.function.pool.enabled() {
-        let clean = matches!(outcome, Outcome::Success(_));
-        let poisoned = clean && sandbox.fault().is_some_and(|(p, seq)| p.poison_pool(seq));
-        let recyclable = clean
-            && !poisoned
+        let recyclable = matches!(outcome, Outcome::Success(_))
             && shared.config.recycle
             && !shared.draining.load(Ordering::Acquire)
             && !shared.shutdown.load(Ordering::Acquire);
@@ -147,7 +140,7 @@ fn finish(shared: &Shared, shard: usize, mut sandbox: Box<Sandbox>, outcome: Out
             rf.pool.release(instance);
         } else {
             drop(instance);
-            rf.pool.discard(poisoned);
+            rf.pool.discard();
         }
     } else {
         // Dropping the sandbox releases linear memory and stacks.
@@ -169,23 +162,17 @@ pub(crate) fn worker_loop(
     me: Arc<WorkerShared>,
     stealer: Stealer<Box<Sandbox>>,
 ) {
-    // DWRR refills are denominated in scheduler quanta of fuel — the
-    // calibrated per-dispatch budget — regardless of how much fuel a single
-    // dispatch may burn under run-to-completion.
-    let mut runqueue: Dwrr<Box<Sandbox>> = Dwrr::new(shared.config.effective_quantum_fuel());
+    // One dispatch may burn one quantum of fuel, and DWRR refills are
+    // denominated in the same unit (an unbounded quantum saturates both).
+    let fuel = shared.config.effective_quantum_fuel();
+    let mut runqueue: Dwrr<Box<Sandbox>> = Dwrr::new(fuel);
     // Sandboxes blocked on emulated async I/O, with their wake deadlines.
     let mut io_wait: Vec<(Instant, Box<Sandbox>)> = Vec::new();
-    let preemptive = shared.config.policy == crate::config::SchedPolicy::PreemptiveRr;
-    let fuel = if preemptive {
-        shared.config.effective_quantum_fuel()
-    } else {
-        u64::MAX
-    };
 
     loop {
         // 0. Shutdown is observed even while long-running sandboxes keep the
         //    run queue non-empty (they are preempted back to us every
-        //    quantum, so this check is reached promptly).
+        //    quantum and at shutdown, so this check is reached promptly).
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -272,9 +259,17 @@ pub(crate) fn worker_loop(
         };
 
         // 3. Dispatch one quantum. The sandbox's preempt flag is published
-        //    for the timer thread (which fires per quantum under preemptive
-        //    RR, and once at shutdown under run-to-completion).
-        *lock(&me.current) = Some(sandbox.instance.preempt_flag());
+        //    for the timer thread. A shutdown or force-kill whose broadcast
+        //    ran before the flag was published is caught here instead: the
+        //    check runs under the same lock the timer takes.
+        {
+            let mut current = lock(&me.current);
+            let flag = current.insert(sandbox.instance.preempt_flag());
+            if shared.shutdown.load(Ordering::Acquire) || shared.force_kill.load(Ordering::Acquire)
+            {
+                flag.store(true, Ordering::Relaxed);
+            }
+        }
         let fuel_before = sandbox.instance.fuel_used();
         let result = sandbox.run_quantum(fuel);
         *lock(&me.current) = None;

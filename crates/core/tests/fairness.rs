@@ -1,15 +1,18 @@
 //! End-to-end tests for multi-tenant fairness and admission control: work
 //! budgets (429 + Retry-After over HTTP), priority-class shedding under an
-//! in-flight cap, queue-SLO rejection, DWRR scheduling, burst-antagonist
-//! fault injection, and the defaults-off guarantee.
+//! in-flight cap, queue-SLO rejection, DWRR scheduling, burst antagonists,
+//! and the defaults-off guarantee.
 
-use sledge_core::{FaultPlan, FunctionConfig, Outcome, Runtime, RuntimeConfig};
+use common::{Chaos, ChaosTenants, Mix, BURST_WINDOW};
+use sledge_core::{FunctionConfig, Outcome, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
+
+mod common;
 
 mod guests {
     use super::*;
@@ -406,34 +409,40 @@ fn fairness_key_chooses_one_shared_lane_or_one_per_function() {
 }
 
 // ---------------------------------------------------------------------------
-// Burst antagonist fault injection
+// Burst antagonists
 // ---------------------------------------------------------------------------
 
 #[test]
 fn burst_faults_still_deliver_exactly_one_completion_each() {
-    // Burst windows force worst-case host latency onto whole stretches of
-    // arrivals. Robustness invariant: every invocation still gets exactly
-    // one completion and the books balance.
+    // Burst windows stall whole stretches of arrivals in 2 ms of blocking
+    // I/O. Robustness invariant: every invocation still gets exactly one
+    // completion and the books balance.
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(1),
         quantum_fuel: Some(50_000),
-        fault_plan: Some(FaultPlan {
-            seed: 11,
-            burst_pct: 50.0,
-            burst_latency: Duration::from_millis(2),
-            ..Default::default()
-        }),
         ..Default::default()
     });
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
+    let chaos = ChaosTenants::register(&rt);
     let sleeper = rt
         .register_module(FunctionConfig::new("sleeper"), &guests::io_sleeper())
         .unwrap();
 
     const M: usize = 120;
+    let schedule = Mix {
+        burst_pct: 50,
+        delay_us: 2_000,
+        ..Default::default()
+    }
+    .draw(11, M);
+    // Request `k` is the `k / 3`-th of client `k % 3`, so a window of
+    // consecutive requests lands on all three clients at once.
+    assert!(
+        schedule.chunks(BURST_WINDOW).any(|w| w[0] == Chaos::Echo)
+            && schedule.chunks(BURST_WINDOW).any(|w| w[0] != Chaos::Echo),
+        "seed must give calm and burst windows: {schedule:?}"
+    );
+    let schedule = &schedule;
     let outcomes: Vec<_> = std::thread::scope(|s| {
         let mut joins = Vec::new();
         for c in 0..3usize {
@@ -441,10 +450,11 @@ fn burst_faults_still_deliver_exactly_one_completion_each() {
             joins.push(s.spawn(move || {
                 (0..M / 3)
                     .map(|i| {
-                        let h = if (c + i) % 2 == 0 {
-                            rt.invoke(echo, &b"hello"[..])
-                        } else {
-                            rt.invoke(sleeper, 800u32.to_le_bytes().to_vec())
+                        let h = match schedule[i * 3 + c] {
+                            Chaos::Echo if (c + i) % 2 == 1 => {
+                                rt.invoke(sleeper, 800u32.to_le_bytes().to_vec())
+                            }
+                            chaos_kind => chaos.invoke(rt, chaos_kind, b"hello"),
                         };
                         h.wait().expect("completion").outcome
                     })

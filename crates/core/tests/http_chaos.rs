@@ -1,17 +1,19 @@
-//! Connection-churn chaos: a deterministic [`FaultPlan`] decides which
-//! client connections abort mid-read (half a request, then a hard close)
-//! or mid-write (full request sent, socket closed before the response),
-//! while well-behaved clients share the same listener. The runtime must
-//! deliver exactly one completion per surfaced request, lose no phase
-//! samples, and account for every connection it accepted.
+//! Connection-churn chaos: a seeded [`Rng`] decides which client
+//! connections abort mid-read (half a request, then a hard close) or
+//! mid-write (full request sent, socket closed before the response), while
+//! well-behaved clients share the same listener. The runtime must deliver
+//! exactly one completion per surfaced request, lose no phase samples, and
+//! account for every connection it accepted.
 
-use sledge_core::{FaultPlan, FunctionConfig, Runtime, RuntimeConfig};
+use sledge_core::{FunctionConfig, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
+use sledge_testkit::Rng;
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
@@ -51,13 +53,24 @@ fn connection_churn_loses_no_completions_or_samples() {
     const CONNS: u64 = 64;
     const THREADS: u64 = 4;
 
-    // The same plan drives the clients and documents the config knob: a
-    // deployment would set `"fault_plan": {"seed": 7, "conn_reset_pct": 35}`.
-    let plan = FaultPlan {
-        seed: 7,
-        conn_reset_pct: 35.0,
-        ..Default::default()
-    };
+    // How each connection ends, decided up front so the assertions are
+    // exact: 35 % abort, half of those mid-read (`Some(true)`) and half
+    // mid-write (`Some(false)`); the rest finish their exchange (`None`).
+    let mut rng = Rng::new(7);
+    let aborts: Arc<Vec<Option<bool>>> = Arc::new(
+        (0..CONNS)
+            .map(|_| (rng.range(0, 100) < 35).then(|| rng.flip()))
+            .collect(),
+    );
+    let count = |shape: Option<bool>| aborts.iter().filter(|&&a| a == shape).count() as u64;
+    let (expect_good, expect_mid_read, expect_mid_write) =
+        (count(None), count(Some(true)), count(Some(false)));
+    assert!(expect_good > 0, "seed aborts everything");
+    assert!(
+        expect_mid_read > 0 && expect_mid_write > 0,
+        "seed must exercise both abort shapes \
+         (mid-read {expect_mid_read}, mid-write {expect_mid_write})"
+    );
 
     for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 4,
@@ -73,31 +86,10 @@ fn connection_churn_loses_no_completions_or_samples() {
             .unwrap();
         let addr = rt.http_addr().unwrap();
 
-        // Predict the churn schedule up front so the assertions are exact.
-        let mut expect_good = 0u64;
-        let mut expect_mid_read = 0u64;
-        let mut expect_mid_write = 0u64;
-        for i in 0..CONNS {
-            if plan.reset_connection(i) {
-                if plan.reset_mid_read(i) {
-                    expect_mid_read += 1;
-                } else {
-                    expect_mid_write += 1;
-                }
-            } else {
-                expect_good += 1;
-            }
-        }
-        assert!(expect_good > 0, "plan sheds everything; lower the pct");
-        assert!(
-            expect_mid_read > 0 && expect_mid_write > 0,
-            "plan must exercise both abort shapes \
-             (mid-read {expect_mid_read}, mid-write {expect_mid_write})"
-        );
-
-        // Four client threads interleave good traffic with plan-driven aborts.
+        // Four client threads interleave good traffic with seeded aborts.
         let mut handles = Vec::new();
         for t in 0..THREADS {
+            let aborts = Arc::clone(&aborts);
             handles.push(std::thread::spawn(move || {
                 let mut good_ok = 0u64;
                 for i in (t..CONNS).step_by(THREADS as usize) {
@@ -107,8 +99,8 @@ fn connection_churn_loses_no_completions_or_samples() {
                         body.len()
                     );
                     let mut s = TcpStream::connect(addr).unwrap();
-                    if plan.reset_connection(i) {
-                        if plan.reset_mid_read(i) {
+                    if let Some(mid_read) = aborts[i as usize] {
+                        if mid_read {
                             // Abort mid-read: half the head, then a hard close.
                             let _ = s.write_all(&head.as_bytes()[..head.len() / 2]);
                         } else {

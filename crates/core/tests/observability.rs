@@ -2,9 +2,8 @@
 //! shard merge completeness under multi-worker chaos, and the `/metrics` /
 //! `/stats` endpoints.
 
-use sledge_core::{
-    Completion, FaultPlan, FunctionConfig, Outcome, Runtime, RuntimeConfig, Timings,
-};
+use common::{ChaosTenants, Mix};
+use sledge_core::{Completion, FunctionConfig, Outcome, Runtime, RuntimeConfig, Timings};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
@@ -248,29 +247,19 @@ fn phase_counters_match_outcome() {
 #[test]
 fn stress_loses_no_samples() {
     // 4 workers × 300 invocations with preemption, blocking I/O, traps,
-    // injected instantiation failures, and deadline kills. Every executed
-    // invocation must land in exactly one worker shard: the merged
-    // histogram count equals completed + trapped + timed_out.
+    // failed instantiations, and deadline kills. Every executed invocation
+    // must land in exactly one worker shard: the merged histogram count
+    // equals completed + trapped + timed_out.
     for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 4,
         quantum: Duration::from_millis(1),
         quantum_fuel: Some(50_000),
         deadline: Some(Duration::from_millis(250)),
-        fault_plan: Some(FaultPlan {
-            seed: 7,
-            instantiation_failure_pct: 10.0,
-            host_trap_pct: 10.0,
-            host_latency_pct: 10.0,
-            host_latency: Duration::from_millis(2),
-            ..Default::default()
-        }),
         ..Default::default()
     }) {
         eprintln!("config: {label}");
         let rt = Runtime::new(config);
-        let echo = rt
-            .register_module(FunctionConfig::new("echo"), &guests::echo())
-            .unwrap();
+        let chaos = ChaosTenants::register(&rt);
         let spin = rt
             .register_module(FunctionConfig::new("spin"), &guests::spin())
             .unwrap();
@@ -279,6 +268,15 @@ fn stress_loses_no_samples() {
             .unwrap();
 
         const M: usize = 300;
+        let schedule = Mix {
+            reject_pct: 20,
+            trap_pct: 20,
+            delay_pct: 20,
+            delay_us: 2_000,
+            ..Default::default()
+        }
+        .draw(7, M);
+        let schedule = &schedule;
         let completions: Vec<Completion> = std::thread::scope(|s| {
             let mut handles = Vec::new();
             for c in 0..4usize {
@@ -287,7 +285,7 @@ fn stress_loses_no_samples() {
                     let mut done = Vec::new();
                     for i in 0..M / 4 {
                         let h = match (c + i) % 3 {
-                            0 => rt.invoke(echo, &b"hello"[..]),
+                            0 => chaos.invoke(rt, schedule[c * M / 4 + i], b"hello"),
                             1 => rt.invoke(spin, 200_000u32.to_le_bytes().to_vec()),
                             _ => rt.invoke(sleeper, 1500u32.to_le_bytes().to_vec()),
                         };
@@ -309,7 +307,8 @@ fn stress_loses_no_samples() {
 
         let executed = stats.completed + stats.trapped + stats.timed_out;
         assert!(executed > 0, "chaos run executed nothing");
-        assert!(stats.rejected > 0, "fault plan injected no rejections");
+        assert!(stats.rejected > 0, "no failed instantiation was rejected");
+        assert!(stats.trapped > 0, "no chaos request trapped");
         assert_eq!(
             report.global.count(),
             executed,
@@ -695,7 +694,8 @@ impl Sledged {
     }
 }
 
-fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
+/// One `POST` on its own connection; the whole reply, head and body.
+fn http_post_reply(addr: std::net::SocketAddr, path: &str, body: &str) -> String {
     let mut s = std::net::TcpStream::connect(addr).unwrap();
     write!(
         s,
@@ -705,6 +705,11 @@ fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String
     .unwrap();
     let mut reply = String::new();
     s.read_to_string(&mut reply).unwrap();
+    reply
+}
+
+fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
+    let reply = http_post_reply(addr, path, body);
     let status = reply.split(' ').nth(1).and_then(|c| c.parse().ok());
     let body = reply.split_once("\r\n\r\n").map(|(_, b)| b.to_string());
     (status.expect("status code"), body.unwrap_or_default())
@@ -762,6 +767,39 @@ fn sledged_serves_metrics_stats_and_a_full_summary() {
     ] {
         assert!(last.contains(segment), "no {segment:?} in {last}");
     }
+}
+
+#[test]
+fn sledged_throttles_an_exhausted_work_budget() {
+    // A 1 µs/s work budget covers about one admission: the first request
+    // passes, a follow-up within eight more comes back 429 with a
+    // Retry-After hint, and /metrics shows the rejection and the bucket.
+    let config = r#"{"workers": 2, "modules": [
+        {"name": "echo", "wasm": "echo.wasm", "budget": 1}
+    ]}"#;
+    let sledged = spawn_sledged("overload", config, 2);
+    let addr = sledged.addr;
+    assert_eq!(http_post(addr, "/echo", "hello"), (200, "hello".into()));
+    let throttled = (1..=8)
+        .map(|i| http_post_reply(addr, "/echo", &format!("again-{i}")))
+        .find(|reply| reply.starts_with("HTTP/1.1 429"))
+        .expect("no 429 within 8 requests");
+    let retry_after = throttled
+        .lines()
+        .find_map(|l| l.strip_prefix("Retry-After: "))
+        .unwrap_or_else(|| panic!("no Retry-After in {throttled}"));
+    assert!(
+        retry_after.starts_with(|c: char| c.is_ascii_digit()),
+        "{throttled}"
+    );
+    let (_, metrics) = http_get(addr, "/metrics");
+    for series in [
+        "sledge_admission_total{function=\"echo\",result=\"budget_rejected\"} ",
+        "sledge_budget_balance{function=\"echo\"} ",
+    ] {
+        assert!(metrics.contains(series), "missing {series}\n{metrics}");
+    }
+    sledged.finish();
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Warm-pool integration tests: recycling counters through real invocations,
 //! state isolation across reuse, pre-warming, drain interaction, the
-//! phase-accounting contract for pool hits, chaos pool-poisoning, and the
-//! pool's series in every surface, on or off.
+//! phase-accounting contract for pool hits, a seeded trap/success mix, and
+//! the pool's series in every surface, on or off.
 
-use sledge_core::{FaultPlan, FunctionConfig, Outcome, PoolStatsSnapshot, Runtime, RuntimeConfig};
+use common::{Chaos, ChaosTenants, Mix};
+use sledge_core::{FunctionConfig, Outcome, PoolStatsSnapshot, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
@@ -205,7 +206,6 @@ fn sequential_invocations_recycle_one_sandbox() {
     assert_eq!(pool.hits, 9, "{pool:?}");
     assert_eq!(pool.recycled, 10, "{pool:?}");
     assert_eq!(pool.discarded, 0, "{pool:?}");
-    assert_eq!(pool.poisoned, 0, "{pool:?}");
     assert_eq!(pool.size, 1, "{pool:?}");
 }
 
@@ -468,68 +468,36 @@ fn pool_hits_keep_phase_accounting_sound() {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos: pool poisoning
+// Chaos: a trap/success mix
 // ---------------------------------------------------------------------------
 
 #[test]
-fn poisoned_sandboxes_never_reenter_the_pool() {
-    let rt = Runtime::new(RuntimeConfig {
-        fault_plan: Some(FaultPlan {
-            seed: 11,
-            pool_poison_pct: 100.0,
-            ..Default::default()
-        }),
-        ..config(4, 0, true)
-    });
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    const N: u64 = 30;
-    for i in 0..N {
-        // Exactly-one-completion: poisoning is invisible to the client — the
-        // invocation succeeds, only the sandbox's afterlife changes.
-        let done = rt.invoke(echo, &b"hi"[..]).wait().unwrap();
-        match done.outcome {
-            Outcome::Success(body) => assert_eq!(&body[..], b"hi", "#{i}"),
-            other => panic!("#{i}: {other:?}"),
+fn partial_poisoning_accounts_for_every_retirement() {
+    // A seeded 35 % of requests trap. Traps are never recycled; every
+    // success is, unless the pool is full.
+    let rt = Runtime::new(config(4, 0, true));
+    let chaos = ChaosTenants::register(&rt);
+    const N: u64 = 60;
+    let schedule = Mix {
+        trap_pct: 35,
+        ..Default::default()
+    }
+    .draw(42, N as usize);
+    for (i, &kind) in schedule.iter().enumerate() {
+        let done = chaos.invoke(&rt, kind, b"hi").wait().unwrap();
+        match (kind, done.outcome) {
+            (Chaos::Trap, Outcome::Trapped(_)) | (Chaos::Echo, Outcome::Success(_)) => {}
+            (kind, outcome) => panic!("#{i} {kind:?}: {outcome:?}"),
         }
     }
+    let traps = schedule.iter().filter(|&&k| k == Chaos::Trap).count() as u64;
     let pool = rt.pool_stats();
     rt.shutdown();
-    // Every completion was poisoned, so the pool never serves a reused
-    // instance: all acquires miss, nothing is ever recycled.
-    assert_eq!(pool.poisoned, N, "{pool:?}");
-    assert_eq!(pool.discarded, N, "{pool:?}");
-    assert_eq!(pool.recycled, 0, "{pool:?}");
-    assert_eq!(pool.hits, 0, "{pool:?}");
-    assert_eq!(pool.size, 0, "{pool:?}");
-}
-
-#[test]
-fn partial_poisoning_accounts_for_every_retirement() {
-    let rt = Runtime::new(RuntimeConfig {
-        fault_plan: Some(FaultPlan {
-            seed: 42,
-            pool_poison_pct: 35.0,
-            ..Default::default()
-        }),
-        ..config(4, 0, true)
-    });
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    const N: u64 = 60;
-    for _ in 0..N {
-        let done = rt.invoke(echo, &b"hi"[..]).wait().unwrap();
-        assert!(matches!(done.outcome, Outcome::Success(_)));
-    }
-    let pool = rt.pool_stats();
-    rt.shutdown();
-    assert!(pool.poisoned > 0, "35% plan never fired: {pool:?}");
-    assert!(pool.recycled > 0, "35% plan poisoned everything: {pool:?}");
-    // Every successful retirement is counted exactly once: recycled into the
-    // pool, discarded (poisoned), or evicted from a full pool.
-    assert_eq!(pool.discarded, pool.poisoned, "{pool:?}");
+    assert!(traps > 0, "35% mix never trapped");
+    assert!(pool.recycled > 0, "35% mix trapped everything: {pool:?}");
+    // Every retirement is counted exactly once: recycled into the pool,
+    // discarded (trapped), or evicted from a full pool.
+    assert_eq!(pool.discarded, traps, "{pool:?}");
     assert_eq!(pool.recycled + pool.discarded + pool.evicted, N, "{pool:?}");
 }
 

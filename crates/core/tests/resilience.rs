@@ -1,8 +1,9 @@
 //! Fault-tolerance tests: execution deadlines, per-function circuit
-//! breakers, graceful drain, and the deterministic fault-injection chaos
-//! harness.
+//! breakers, graceful drain, and chaos runs whose faults come from a seeded
+//! request schedule (`common::Mix`).
 
-use sledge_core::{BreakerConfig, FaultPlan, FunctionConfig, Outcome, Runtime, RuntimeConfig};
+use common::{Chaos, ChaosTenants, Mix};
+use sledge_core::{BreakerConfig, FunctionConfig, Outcome, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
@@ -159,19 +160,6 @@ mod guests {
             exec(call(resp_write, vec![i32c(16), i32c(2)])),
             ret(Some(i32c(0))),
         ]);
-        let main = mb.add_func("main", f);
-        mb.export_func(main, "main");
-        mb.build().unwrap()
-    }
-
-    /// A module whose data segment lands outside its one-page memory, so
-    /// registration succeeds but per-request instantiation fails.
-    pub fn bad_instantiation() -> Module {
-        let mut mb = ModuleBuilder::new("bad");
-        mb.memory(1, Some(1));
-        mb.data(65_534, vec![0xAA; 8]);
-        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-        f.push(ret(Some(i32c(0))));
         let main = mb.add_func("main", f);
         mb.export_func(main, "main");
         mb.build().unwrap()
@@ -501,7 +489,7 @@ fn failed_instantiation_still_answers_the_client() {
         ..Default::default()
     });
     let bad = rt
-        .register_module(FunctionConfig::new("bad"), &guests::bad_instantiation())
+        .register_module(FunctionConfig::new("bad"), &common::bad_instantiation())
         .unwrap();
     let done = rt
         .invoke(bad, Vec::new())
@@ -640,53 +628,6 @@ fn plain_shutdown_returns_promptly_with_runaway_guest() {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic fault injection
-// ---------------------------------------------------------------------------
-
-#[test]
-fn fault_injection_is_deterministic_across_runs() {
-    let run = || -> Vec<&'static str> {
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 1,
-            quantum: Duration::from_millis(2),
-            quantum_fuel: Some(200_000),
-            fault_plan: Some(FaultPlan {
-                seed: 7,
-                instantiation_failure_pct: 20.0,
-                host_trap_pct: 15.0,
-                host_latency_pct: 20.0,
-                host_latency: Duration::from_micros(200),
-                ..Default::default()
-            }),
-            ..Default::default()
-        });
-        let echo = rt
-            .register_module(FunctionConfig::new("echo"), &guests::echo())
-            .unwrap();
-        // Sequential invocations pin the admission order, so the decision
-        // stream depends only on the seed.
-        let kinds: Vec<_> = (0..100)
-            .map(|i| {
-                let done = rt
-                    .invoke(echo, format!("r{i}").into_bytes())
-                    .wait()
-                    .unwrap();
-                kind(&done.outcome)
-            })
-            .collect();
-        rt.shutdown();
-        kinds
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "same seed must give identical outcome sequences");
-    // The plan actually exercised every fault class.
-    assert!(a.contains(&"success"));
-    assert!(a.contains(&"trapped"));
-    assert!(a.contains(&"rejected"));
-}
-
-// ---------------------------------------------------------------------------
 // The chaos test: everything at once
 // ---------------------------------------------------------------------------
 
@@ -702,21 +643,11 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
             threshold: 3,
             cooldown: Duration::from_millis(200),
         }),
-        fault_plan: Some(FaultPlan {
-            seed: 42,
-            instantiation_failure_pct: 5.0,
-            host_trap_pct: 2.0,
-            host_latency_pct: 5.0,
-            host_latency: Duration::from_millis(1),
-            ..Default::default()
-        }),
         ..Default::default()
     }) {
         eprintln!("config: {label}");
         let rt = Runtime::new(config);
-        let echo = rt
-            .register_module(FunctionConfig::new("echo"), &guests::echo())
-            .unwrap();
+        let chaos = ChaosTenants::register(&rt);
         let spin = rt
             .register_module(FunctionConfig::new("spin"), &guests::spin())
             .unwrap();
@@ -727,13 +658,23 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
             .register_module(FunctionConfig::new("infinite"), &guests::infinite())
             .unwrap();
 
-        // Mixed workload: mostly healthy, some blocking, some runaway.
+        // Mixed workload: mostly healthy, some blocking, some runaway; the
+        // echo slots are seeded chaos (failed instantiations, traps, 1 ms
+        // stalls).
+        let schedule = Mix {
+            reject_pct: 5,
+            trap_pct: 5,
+            delay_pct: 5,
+            delay_us: 1_000,
+            ..Default::default()
+        }
+        .draw(42, N);
         let handles: Vec<_> = (0..N)
             .map(|i| match i % 40 {
                 39 => rt.invoke(inf, Vec::new()),
                 n if n % 7 == 3 => rt.invoke(sleeper, 2_000u32.to_le_bytes().to_vec()),
                 n if n % 5 == 1 => rt.invoke(spin, 50_000u32.to_le_bytes().to_vec()),
-                _ => rt.invoke(echo, format!("c{i}").into_bytes()),
+                _ => chaos.invoke(&rt, schedule[i], format!("c{i}").as_bytes()),
             })
             .collect();
 
@@ -767,10 +708,10 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
 
         // INVARIANT 3: the fault classes and the deadline actually fired.
         assert!(stats.timed_out >= 10, "runaways must be killed: {stats:?}");
-        assert!(stats.trapped >= 1, "injected traps must fire: {stats:?}");
+        assert!(stats.trapped >= 1, "chaos traps must fire: {stats:?}");
         assert!(
             stats.rejected >= 1,
-            "injected instantiation failures: {stats:?}"
+            "failed instantiations must be rejected: {stats:?}"
         );
         assert!(stats.preemptions > 0, "RR must have preempted: {stats:?}");
 
@@ -786,7 +727,7 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
 #[test]
 fn chaos_with_breaker_recovery_probe() {
     // Drive one function through trip → cooldown → probe → recovery while a
-    // healthy function keeps serving, under injected faults.
+    // healthy function keeps serving, one request in ten of it stalling.
     let rt = Runtime::new(RuntimeConfig {
         workers: 4,
         quantum: Duration::from_millis(1),
@@ -796,42 +737,41 @@ fn chaos_with_breaker_recovery_probe() {
             threshold: 3,
             cooldown: Duration::from_millis(150),
         }),
-        fault_plan: Some(FaultPlan {
-            seed: 1234,
-            instantiation_failure_pct: 0.0,
-            host_trap_pct: 0.0,
-            host_latency_pct: 10.0,
-            host_latency: Duration::from_micros(500),
-            ..Default::default()
-        }),
         ..Default::default()
     });
     let picky = rt
         .register_module(FunctionConfig::new("picky"), &guests::picky())
         .unwrap();
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
+    let chaos = ChaosTenants::register(&rt);
+    let schedule = Mix {
+        delay_pct: 10,
+        delay_us: 500,
+        ..Default::default()
+    }
+    .draw(1234, 20);
+    assert!(schedule.contains(&Chaos::Delay(500)), "{schedule:?}");
 
     // Trip picky's breaker.
     for _ in 0..3 {
         let done = rt.invoke(picky, vec![1u8]).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Trapped(_)));
     }
-    // While open: picky fast-rejects, echo is untouched.
+    // While open: picky fast-rejects, the chaos guest is untouched.
     let mut saw_circuit_open = false;
-    for i in 0..20 {
+    for (i, &kind) in schedule.iter().enumerate() {
         if matches!(
             rt.invoke(picky, vec![0u8]).wait().unwrap().outcome,
             Outcome::CircuitOpen { .. }
         ) {
             saw_circuit_open = true;
         }
-        let ok = rt
-            .invoke(echo, format!("e{i}").into_bytes())
-            .wait()
-            .unwrap();
-        assert!(matches!(ok.outcome, Outcome::Success(_)));
+        let tag = format!("e{i}");
+        let ok = chaos.invoke(&rt, kind, tag.as_bytes()).wait().unwrap();
+        assert!(
+            matches!(ok.outcome, Outcome::Success(ref b) if b.ends_with(tag.as_bytes())),
+            "{:?}",
+            ok.outcome
+        );
     }
     assert!(saw_circuit_open);
     // Past the cooldown, healthy probes close the breaker again.

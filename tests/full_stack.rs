@@ -280,6 +280,15 @@ fn deleted_names_stay_deleted() {
         "sledge_ring_downstream_completed_total",
         "downstream_completed",
         "is_hot",
+        // One scheduler, and chaos from the tests' side: run-to-completion
+        // is an unbounded quantum, and the product injects no faults.
+        "SchedPolicy",
+        "RunToCompletion",
+        "FaultPlan",
+        "fault_plan",
+        "poison_pool",
+        "pool_poison_pct",
+        "FAULT INJECTION ACTIVE",
     ];
     let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")];
     let mut found = Vec::new();
