@@ -16,10 +16,9 @@ use std::time::{Duration, Instant};
 fn run_config(label: &str, quantum: Duration, shorts: usize) -> (String, LatencyStats, Duration) {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2.min(sledge_core::num_cpus()),
+        // Each row's fuel budget per dispatch is derived from its quantum
+        // (an unbounded one saturates), so a row's label is its quantum.
         quantum,
-        // The round-robin rows pin one fuel budget per dispatch; an
-        // unbounded quantum derives its own, which saturates.
-        quantum_fuel: (quantum < Duration::MAX).then_some(500_000),
         ..Default::default()
     });
     let spin = rt

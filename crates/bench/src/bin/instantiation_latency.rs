@@ -2,8 +2,9 @@
 //!
 //! For each workload the same invocation stream is driven through two
 //! runtimes — one with the sandbox pool disabled (every request pays a full
-//! template-based instantiation) and one with a pre-warmed recycling pool
-//! (steady-state requests pop a reset instance). Latencies come from the
+//! template-based instantiation) and one with a recycling pool, warmed by
+//! one request before the stream (so every request of the stream pops a
+//! reset instance). Latencies come from the
 //! runtime's own `instantiation`-phase histograms, so the warm number is the
 //! true acquire cost as accounted on the hot path, not a client stopwatch.
 //!
@@ -28,11 +29,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const POOL: usize = 4;
-const PREWARM: usize = 2;
 
+/// `iters` invocations on a node whose pools hold `pool_size`. With a pool,
+/// one warm-up request fills it first, so the stream measures steady-state
+/// acquires: the returned pool counters cover the stream alone, and the
+/// warm-up is one cold sample among the histograms' `iters + 1`.
 fn run_stream(
     pool_size: usize,
-    prewarm: usize,
     module: &Module,
     body: &[u8],
     iters: usize,
@@ -40,28 +43,27 @@ fn run_stream(
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         pool_size,
-        prewarm,
-        recycle: true,
         ..Default::default()
     });
     let f = rt
         .register_module(FunctionConfig::new("bench"), module)
         .expect("register");
-    if prewarm > 0 {
-        // Let the pre-warmer fill before the stream starts, so the warm leg
-        // measures steady-state acquires rather than the fill transient.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while rt.pool_stats().size < prewarm as u64 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    for _ in 0..iters {
+    let invoke = || {
         let done = rt.invoke(f, body.to_vec()).wait().expect("completion");
         assert!(matches!(done.outcome, Outcome::Success(_)));
+    };
+    if pool_size > 0 {
+        invoke();
+    }
+    let warmed = rt.pool_stats();
+    for _ in 0..iters {
+        invoke();
     }
     let report = rt.latency_report();
-    let pool = rt.pool_stats();
+    let mut pool = rt.pool_stats();
     rt.shutdown();
+    pool.hits -= warmed.hits;
+    pool.misses -= warmed.misses;
     (report, pool)
 }
 
@@ -163,7 +165,7 @@ fn main() {
 
     println!("# Instantiation latency: cold start vs warm-pool acquire ({iters} iterations/app)");
     println!(
-        "# cold: pool disabled; warm: pool_size={POOL}, prewarm={PREWARM}, recycle=on \
+        "# cold: pool disabled; warm: pool_size={POOL}, warmed by one request \
          (in-runtime instantiation-phase histograms)"
     );
     println!(
@@ -173,8 +175,8 @@ fn main() {
 
     let d = |ns: u64| fmt_dur(Duration::from_nanos(ns));
     for (name, module, body) in &apps {
-        let (cold, _) = run_stream(0, 0, module, body, iters);
-        let (warm, pool) = run_stream(POOL, PREWARM, module, body, iters);
+        let (cold, _) = run_stream(0, module, body, iters);
+        let (warm, pool) = run_stream(POOL, module, body, iters);
         let cold_p50 = cold.global.instantiation.quantile(0.5);
         let cold_p99 = cold.global.instantiation.quantile(0.99);
         let warm_p50 = warm.global.instantiation.quantile(0.5);

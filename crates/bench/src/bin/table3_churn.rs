@@ -126,8 +126,6 @@ fn main() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         pool_size: 4,
-        prewarm: 2,
-        recycle: true,
         ..Default::default()
     });
     let ekf = rt

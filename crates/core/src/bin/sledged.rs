@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let breaker = config.circuit_breaker;
     let conn_idle = config.conn_idle;
     let max_connections = config.max_connections;
-    let pool = (config.pool_size, config.prewarm, config.recycle);
+    let pool_size = config.pool_size;
     let fairness = (config.fairness, config.max_inflight);
     let admin = config.admin_routes;
     let rt = Runtime::with_http(config, listen)?;
@@ -173,12 +173,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "unlimited".into()
         }
     );
-    match pool {
-        (0, _, _) => println!("  sandbox pool: off"),
-        (size, prewarm, recycle) => println!(
-            "  sandbox pool: {size} per function, prewarm {prewarm}, recycle {}",
-            if recycle { "on" } else { "off" }
-        ),
+    match pool_size {
+        0 => println!("  sandbox pool: off"),
+        size => println!("  sandbox pool: {size} per function"),
     }
     println!(
         "  run queue: {}, max in-flight {}",

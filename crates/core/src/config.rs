@@ -66,18 +66,11 @@ pub struct RuntimeConfig {
     /// the HTTP front end. On by default; disable to reserve those routes
     /// for functions.
     pub metrics_routes: bool,
-    /// Capacity of each function's warm sandbox pool. 0 (the default)
+    /// Capacity of each function's warm sandbox pool, which workers fill
+    /// by recycling the sandboxes of clean completions. 0 (the default)
     /// disables the pool: every request instantiates fresh, and the pool
     /// series on `/metrics`, `/stats` and the summary line read zero.
     pub pool_size: usize,
-    /// Instances the background pre-warmer keeps hot per function (clamped
-    /// to `pool_size`). 0 disables the pre-warmer; warmth then comes only
-    /// from recycling.
-    pub prewarm: usize,
-    /// Whether workers recycle cleanly-completed sandboxes back into the
-    /// pool. With `recycle = false` and `prewarm > 0` every warm acquire
-    /// was pre-warmed (useful for isolating the two mechanisms).
-    pub recycle: bool,
     /// Give each function its own weighted deficit-round-robin lane on the
     /// per-worker run queues. Off (the default), every sandbox shares one
     /// lane, which is plain round-robin in arrival order, and the banner
@@ -128,8 +121,6 @@ impl Default for RuntimeConfig {
             max_stack_bytes: None,
             metrics_routes: true,
             pool_size: 0,
-            prewarm: 0,
-            recycle: true,
             fairness: false,
             max_inflight: 0,
             max_connections: 0,
@@ -420,16 +411,6 @@ impl RuntimeConfig {
                     cfg.pool_size = v.as_u64().ok_or_else(|| {
                         ConfigError::Schema("pool_size must be a non-negative int".into())
                     })? as usize;
-                }
-                "prewarm" => {
-                    cfg.prewarm = v.as_u64().ok_or_else(|| {
-                        ConfigError::Schema("prewarm must be a non-negative int".into())
-                    })? as usize;
-                }
-                "recycle" => {
-                    cfg.recycle = v
-                        .as_bool()
-                        .ok_or_else(|| ConfigError::Schema("recycle must be a bool".into()))?;
                 }
                 "fairness" => {
                     cfg.fairness = v
@@ -780,19 +761,23 @@ mod tests {
 
     #[test]
     fn pool_knobs_parsed() {
-        let text = r#"{"pool_size": 8, "prewarm": 2, "recycle": false}"#;
-        let (cfg, _) = RuntimeConfig::from_json(text).unwrap();
+        let (cfg, _) = RuntimeConfig::from_json(r#"{"pool_size": 8}"#).unwrap();
         assert_eq!(cfg.pool_size, 8);
-        assert_eq!(cfg.prewarm, 2);
-        assert!(!cfg.recycle);
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
         assert_eq!(cfg.pool_size, 0);
-        assert_eq!(cfg.prewarm, 0);
-        assert!(cfg.recycle);
         assert!(RuntimeConfig::from_json(r#"{"pool_size": "x"}"#).is_err());
         assert!(RuntimeConfig::from_json(r#"{"pool_size": -1}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"prewarm": 1.5}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"recycle": 1}"#).is_err());
+        // Recycling is the only way into a pool, and it has no switch.
+        for (text, key) in [
+            (r#"{"prewarm": 2}"#, "prewarm"),
+            (r#"{"recycle": false}"#, "recycle"),
+        ] {
+            let err = RuntimeConfig::from_json(text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s) if s.contains(&format!("{key:?}"))),
+                "{text}: {err:?}"
+            );
+        }
     }
 
     #[test]

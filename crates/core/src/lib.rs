@@ -16,8 +16,9 @@
 //!   enforced by a fuel budget per dispatch and by a timer thread that sets
 //!   the running sandboxes' preempt flags each quantum). The timer blocks on
 //!   a channel between ticks, so a force-killed drain and shutdown preempt
-//!   at once; `quantum: Duration::MAX` is run-to-completion, preempted only
-//!   by those two.
+//!   at once, and it also wakes at the earliest deadline of a running
+//!   sandbox; `quantum: Duration::MAX` is run-to-completion, preempted only
+//!   by those three.
 //! * Sandboxes that block on (emulated) asynchronous I/O park on the
 //!   worker's core-local event set and are woken by the worker's idle loop —
 //!   the libuv-analogue.
@@ -101,6 +102,7 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use worker::TimerWake;
 
 /// State shared between the listener, workers, and timer.
 pub(crate) struct Shared {
@@ -198,9 +200,10 @@ impl InvocationHandle {
 pub struct Runtime {
     shared: Arc<Shared>,
     intake: Sender<Intake>,
-    /// The timer thread's wake-up: a send preempts every running sandbox
-    /// now (force-kill), dropping it stops the timer (shutdown).
-    timer: Option<Sender<()>>,
+    /// The timer thread's wake-up: [`TimerWake::PreemptAll`] preempts every
+    /// running sandbox now (force-kill), [`TimerWake::Stop`] stops the timer
+    /// (shutdown).
+    timer: Option<Sender<TimerWake>>,
     threads: Vec<JoinHandle<()>>,
     http_addr: Option<SocketAddr>,
 }
@@ -243,15 +246,9 @@ impl Runtime {
             .unwrap_or_default();
 
         let workers = config.workers.max(1);
-        let mut registry = Registry::new();
-        registry.set_tier(config.tier);
-        registry.set_stack_budget(config.max_stack_bytes);
-        registry.set_check_gap(config.max_check_gap);
-        registry.set_pool_capacity(config.pool_size);
-        registry.set_calibration(config.cost_units_per_us);
         let shared = Arc::new(Shared {
+            registry: RwLock::new(Registry::new(&config)),
             config,
-            registry: RwLock::new(registry),
             stats: RuntimeStats::default(),
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -268,6 +265,7 @@ impl Runtime {
         let (deque, stealer) = sledge_deque::deque::<Box<Sandbox>>();
         let (intake_tx, intake_rx) = channel::<Intake>();
         let (reply_tx, reply_rx) = channel();
+        let (timer_tx, timer_rx) = channel();
 
         let mut threads = Vec::new();
         let mut worker_shareds = Vec::new();
@@ -279,14 +277,14 @@ impl Runtime {
             worker_shareds.push(Arc::clone(&ws));
             let shared = Arc::clone(&shared);
             let stealer = stealer.clone();
+            let timer = timer_tx.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("sledge-worker-{i}"))
-                    .spawn(move || worker::worker_loop(shared, ws, stealer))
+                    .spawn(move || worker::worker_loop(shared, ws, stealer, timer))
                     .expect("spawn worker"),
             );
         }
-        let (timer_tx, timer_rx) = channel();
         {
             let quantum = shared.config.quantum;
             threads.push(
@@ -294,15 +292,6 @@ impl Runtime {
                     .name("sledge-timer".into())
                     .spawn(move || worker::timer_loop(quantum, timer_rx, worker_shareds))
                     .expect("spawn timer"),
-            );
-        }
-        if shared.config.pool_size > 0 && shared.config.prewarm > 0 {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("sledge-prewarm".into())
-                    .spawn(move || pool::prewarm_loop(shared))
-                    .expect("spawn prewarmer"),
             );
         }
         {
@@ -454,8 +443,8 @@ impl Runtime {
     /// pair with [`Runtime::shutdown_drain`] to finish the shutdown.
     pub fn begin_drain(&self) {
         self.shared.draining.store(true, Ordering::Release);
-        // Pools are emptied as part of the drain: workers stop recycling
-        // and the pre-warmer pauses the moment `draining` is set, so the
+        // Pools are emptied and closed as part of the drain: a worker that
+        // releases a sandbox after the sweep finds its pool closed, so the
         // pools stay empty for the remainder of the shutdown.
         for rf in self.shared.registry().iter() {
             rf.pool.drain();
@@ -486,7 +475,7 @@ impl Runtime {
         if !drained {
             self.shared.force_kill.store(true, Ordering::Release);
             if let Some(timer) = &self.timer {
-                let _ = timer.send(());
+                let _ = timer.send(TimerWake::PreemptAll);
             }
             // Grace for workers to sweep their queues and retire what the
             // timer just preempted.
@@ -507,7 +496,11 @@ impl Runtime {
 
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.timer = None;
+        // Workers hold senders too, so the timer is stopped by message,
+        // not by disconnection.
+        if let Some(timer) = self.timer.take() {
+            let _ = timer.send(TimerWake::Stop);
+        }
         let _ = self.intake.send(Intake::Wake);
         for t in self.threads.drain(..) {
             let _ = t.join();

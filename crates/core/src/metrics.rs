@@ -294,7 +294,6 @@ pub fn render_prometheus(report: &LatencyReport) -> String {
         ("miss", p.misses),
         ("recycled", p.recycled),
         ("discarded", p.discarded),
-        ("prewarmed", p.prewarmed),
         ("evicted", p.evicted),
         ("reset_static", p.resets_static),
         ("reset_elided", p.resets_elided),
@@ -448,7 +447,6 @@ pub fn render_json(report: &LatencyReport) -> String {
             ("misses", p.misses),
             ("recycled", p.recycled),
             ("discarded", p.discarded),
-            ("prewarmed", p.prewarmed),
             ("evicted", p.evicted),
             ("resets_static", p.resets_static),
             ("resets_elided", p.resets_elided),
@@ -785,7 +783,6 @@ mod tests {
             misses: 3,
             recycled: 9,
             discarded: 1,
-            prewarmed: 2,
             evicted: 0,
             resets_static: 6,
             resets_elided: 3,

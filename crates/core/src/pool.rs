@@ -1,4 +1,4 @@
-//! Per-function warm sandbox pool: recycling and pre-warmed instantiation.
+//! Per-function warm sandbox pool, filled by recycling.
 //!
 //! The paper's headline decoupling — load a module once, instantiate a
 //! sandbox per request — makes startup cheap; this subsystem drives the
@@ -9,23 +9,23 @@
 //! zero only the dirtied span beyond it), so a warm acquire is a pop plus
 //! nothing — no allocation, no zero-fill, no global/table rebuild.
 //!
-//! Eligibility is strict: only *clean* completions ([`Outcome::Success`])
-//! are recycled. Trapped and timed-out sandboxes are discarded, as is
-//! everything while the runtime drains. The pool is disabled by default (`capacity == 0`), in
-//! which case every operation is a no-op and the runtime behaves — and
-//! meters — exactly as if the subsystem did not exist.
+//! Recycling is the only thing that fills a pool, so a pool holds memory
+//! only for functions that run. Eligibility is strict: only *clean*
+//! completions ([`Outcome::Success`]) are recycled. Trapped and timed-out
+//! sandboxes are discarded, and a drained pool is closed: it parks nothing
+//! again. The pool is disabled by default (`capacity == 0`), in which case
+//! every operation is a no-op and the runtime behaves — and meters —
+//! exactly as if the subsystem did not exist.
 //!
 //! [`Outcome::Success`]: crate::Outcome::Success
 
 use crate::lock;
-use awsm::{CompiledModule, EngineConfig, Instance, ResetApplied, ResetPolicy};
+use awsm::{Instance, ResetApplied, ResetPolicy};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::sync::Mutex;
 
-/// Monotonic pool counters, updated lock-free by workers and the
-/// pre-warmer.
+/// Monotonic pool counters, updated lock-free by the listener and workers.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     /// Acquires served from the pool (warm path).
@@ -35,10 +35,8 @@ pub struct PoolStats {
     /// Sandboxes reset and returned to the pool after a clean completion.
     pub recycled: AtomicU64,
     /// Sandboxes rejected from recycling (unclean outcome, reset failure,
-    /// config mismatch, or drain).
+    /// or a drained pool).
     pub discarded: AtomicU64,
-    /// Instances created by the background pre-warmer.
-    pub prewarmed: AtomicU64,
     /// Clean sandboxes dropped because the pool was already full.
     pub evicted: AtomicU64,
     /// Subset of `recycled` whose reset used the certified static write
@@ -66,8 +64,6 @@ pub struct PoolStatsSnapshot {
     pub recycled: u64,
     /// Sandboxes discarded instead of recycled.
     pub discarded: u64,
-    /// Instances created by the pre-warmer.
-    pub prewarmed: u64,
     /// Clean sandboxes dropped because the pool was full.
     pub evicted: u64,
     /// Recycles that used a footprint-bounded static reset.
@@ -85,7 +81,6 @@ impl PoolStatsSnapshot {
         self.misses += other.misses;
         self.recycled += other.recycled;
         self.discarded += other.discarded;
-        self.prewarmed += other.prewarmed;
         self.evicted += other.evicted;
         self.resets_static += other.resets_static;
         self.resets_elided += other.resets_elided;
@@ -103,12 +98,14 @@ impl PoolStatsSnapshot {
 /// instance on top.
 pub struct SandboxPool {
     capacity: usize,
-    slots: Mutex<Vec<Instance>>,
+    /// Parked instances; `None` once [`drain`](Self::drain) has closed the
+    /// pool.
+    slots: Mutex<Option<Vec<Instance>>>,
     /// How [`release`](Self::release) resets linear memory, derived from the
     /// module's effect certificate for the configured entry point (see
-    /// [`CompiledModule::reset_policy`]). Purely an optimization hint: the
-    /// instance-level runtime guards fall back to the full reset whenever the
-    /// certificate's preconditions do not hold.
+    /// [`awsm::CompiledModule::reset_policy`]). Purely an optimization hint:
+    /// the instance-level runtime guards fall back to the full reset
+    /// whenever the certificate's preconditions do not hold.
     reset_policy: ResetPolicy,
     /// Counters; see [`PoolStats`].
     pub stats: PoolStats,
@@ -124,18 +121,13 @@ impl fmt::Debug for SandboxPool {
 }
 
 impl SandboxPool {
-    /// A pool holding at most `capacity` instances; 0 disables it. Resets
-    /// use the always-sound high-water-mark path.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, ResetPolicy::HighWater)
-    }
-
-    /// A pool whose recycling resets follow `policy` (derived from the
-    /// module's effect certificate; see [`CompiledModule::reset_policy`]).
+    /// A pool holding at most `capacity` instances (0 disables it), whose
+    /// recycling resets follow `policy` (derived from the module's effect
+    /// certificate; see [`awsm::CompiledModule::reset_policy`]).
     pub fn with_policy(capacity: usize, policy: ResetPolicy) -> Self {
         SandboxPool {
             capacity,
-            slots: Mutex::new(Vec::new()),
+            slots: Mutex::new(Some(Vec::new())),
             reset_policy: policy,
             stats: PoolStats::default(),
         }
@@ -158,60 +150,51 @@ impl SandboxPool {
 
     /// Instances currently parked.
     pub fn size(&self) -> usize {
-        lock(&self.slots).len()
+        lock(&self.slots).as_ref().map_or(0, Vec::len)
     }
 
-    /// Pop a warm instance compatible with `engine`, if one is available.
-    ///
-    /// Instances parked under a different tier (the runtime reconfigured
-    /// between park and acquire) are discarded rather than served. Disabled pools return `None` without touching any
-    /// counter, so every pool counter of a disabled pool stays zero.
-    pub fn acquire(&self, engine: &EngineConfig) -> Option<Instance> {
+    /// Pop a warm instance, if one is available. Disabled pools return
+    /// `None` without touching any counter, so every pool counter of a
+    /// disabled pool stays zero.
+    pub fn acquire(&self) -> Option<Instance> {
         if !self.enabled() {
             return None;
         }
-        loop {
-            let popped = lock(&self.slots).pop();
-            match popped {
-                Some(inst) => {
-                    if inst.config().tier == engine.tier {
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(inst);
-                    }
-                    self.stats.discarded.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
-        }
+        let popped = lock(&self.slots).as_mut().and_then(Vec::pop);
+        let counter = match popped {
+            Some(_) => &self.stats.hits,
+            None => &self.stats.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        popped
     }
 
     /// Reset a retired instance in place and park it for reuse.
     ///
     /// Returns `true` if the instance was recycled. The caller must only
     /// offer instances from *clean* completions; unclean retirements go to
-    /// [`discard`](Self::discard). A failed reset or a full pool drops the
-    /// instance.
+    /// [`discard`](Self::discard). A failed reset or a drained pool
+    /// discards the instance, and a full pool evicts it.
     pub fn release(&self, mut inst: Instance) -> bool {
         if !self.enabled() {
             return false;
         }
-        let applied = match inst.reset_with(self.reset_policy) {
-            Ok(applied) => applied,
-            Err(_) => {
-                self.stats.discarded.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
+        let Ok(applied) = inst.reset_with(self.reset_policy) else {
+            self.stats.discarded.fetch_add(1, Ordering::Relaxed);
+            return false;
         };
         let mut slots = lock(&self.slots);
-        if slots.len() >= self.capacity {
+        let Some(parked) = slots.as_mut() else {
+            drop(slots);
+            self.stats.discarded.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        if parked.len() >= self.capacity {
             drop(slots);
             self.stats.evicted.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        slots.push(inst);
+        parked.push(inst);
         drop(slots);
         self.stats.recycled.fetch_add(1, Ordering::Relaxed);
         match applied {
@@ -227,7 +210,7 @@ impl SandboxPool {
     }
 
     /// Count a retired instance that was not offered for recycling
-    /// (unclean outcome, drain in progress, or recycling disabled).
+    /// (an unclean outcome).
     pub fn discard(&self) {
         if !self.enabled() {
             return;
@@ -235,44 +218,13 @@ impl SandboxPool {
         self.stats.discarded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Top the pool up to `target` instances (clamped to capacity) by cold
-    /// instantiation. Returns how many instances were added. Instantiation
-    /// happens outside the pool lock so acquires never wait on it.
-    pub fn prewarm(
-        &self,
-        module: &Arc<CompiledModule>,
-        engine: EngineConfig,
-        target: usize,
-    ) -> usize {
-        if !self.enabled() {
-            return 0;
-        }
-        let goal = target.min(self.capacity);
-        let mut added = 0;
-        loop {
-            if lock(&self.slots).len() >= goal {
-                break;
-            }
-            let Ok(inst) = Instance::new(Arc::clone(module), engine) else {
-                break;
-            };
-            let mut slots = lock(&self.slots);
-            if slots.len() >= goal {
-                break;
-            }
-            slots.push(inst);
-            drop(slots);
-            added += 1;
-            self.stats.prewarmed.fetch_add(1, Ordering::Relaxed);
-        }
-        added
-    }
-
-    /// Drop every parked instance (graceful drain / shutdown). Returns how
-    /// many were released back to the allocator.
+    /// Drop every parked instance and close the pool (graceful drain /
+    /// shutdown): a [`release`](Self::release) after this, even one whose
+    /// worker decided to recycle before the drain began, is discarded.
+    /// Returns how many instances were released back to the allocator.
     pub fn drain(&self) -> usize {
-        let drained: Vec<Instance> = std::mem::take(&mut *lock(&self.slots));
-        drained.len()
+        let drained = lock(&self.slots).take();
+        drained.map_or(0, |parked| parked.len())
     }
 
     /// Counters plus capacity and current occupancy.
@@ -284,7 +236,6 @@ impl SandboxPool {
             misses: self.stats.misses.load(Ordering::Relaxed),
             recycled: self.stats.recycled.load(Ordering::Relaxed),
             discarded: self.stats.discarded.load(Ordering::Relaxed),
-            prewarmed: self.stats.prewarmed.load(Ordering::Relaxed),
             evicted: self.stats.evicted.load(Ordering::Relaxed),
             resets_static: self.stats.resets_static.load(Ordering::Relaxed),
             resets_elided: self.stats.resets_elided.load(Ordering::Relaxed),
@@ -292,39 +243,14 @@ impl SandboxPool {
     }
 }
 
-/// Body of the background pre-warmer thread: periodically top every
-/// function's pool up to the configured `prewarm` target. Pauses while the
-/// runtime drains (drained pools must stay empty) and exits on shutdown.
-pub(crate) fn prewarm_loop(shared: Arc<crate::Shared>) {
-    let target = shared.config.prewarm;
-    let engine = EngineConfig {
-        tier: shared.config.tier,
-        ..EngineConfig::default()
-    };
-    while !shared.shutdown.load(Ordering::Acquire) {
-        if !shared.draining.load(Ordering::Acquire) {
-            let functions: Vec<Arc<crate::registry::RegisteredFunction>> =
-                shared.registry().iter().map(Arc::clone).collect();
-            for rf in functions {
-                if shared.shutdown.load(Ordering::Acquire)
-                    || shared.draining.load(Ordering::Acquire)
-                {
-                    break;
-                }
-                rf.pool.prewarm(&rf.module, engine, target);
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awsm::{translate, Tier};
+    use awsm::{translate, CompiledModule, EngineConfig, Tier};
     use sledge_guestc::dsl::*;
     use sledge_guestc::{FuncBuilder, ModuleBuilder};
     use sledge_wasm::types::ValType;
+    use std::sync::Arc;
 
     fn module() -> Arc<CompiledModule> {
         let mut mb = ModuleBuilder::new("pool");
@@ -341,28 +267,33 @@ mod tests {
         EngineConfig::default()
     }
 
+    /// A pool that resets through the always-sound high-water-mark path.
+    fn pool(capacity: usize) -> SandboxPool {
+        SandboxPool::with_policy(capacity, ResetPolicy::HighWater)
+    }
+
     #[test]
     fn disabled_pool_is_inert() {
-        let pool = SandboxPool::new(0);
+        let pool = pool(0);
         assert!(!pool.enabled());
-        assert!(pool.acquire(&engine()).is_none());
+        assert!(pool.acquire().is_none());
         let inst = Instance::new(module(), engine()).unwrap();
         assert!(!pool.release(inst));
         pool.discard();
-        assert_eq!(pool.prewarm(&module(), engine(), 4), 0);
+        assert_eq!(pool.drain(), 0);
         // Crucially: the disabled pool counts *nothing*.
         assert_eq!(pool.snapshot(), PoolStatsSnapshot::default());
     }
 
     #[test]
     fn release_then_acquire_is_a_hit() {
-        let pool = SandboxPool::new(2);
+        let pool = pool(2);
         let m = module();
-        assert!(pool.acquire(&engine()).is_none(), "cold pool misses");
+        assert!(pool.acquire().is_none(), "cold pool misses");
         let inst = Instance::new(Arc::clone(&m), engine()).unwrap();
         assert!(pool.release(inst));
         assert_eq!(pool.size(), 1);
-        assert!(pool.acquire(&engine()).is_some());
+        assert!(pool.acquire().is_some());
         let s = pool.snapshot();
         assert_eq!((s.hits, s.misses, s.recycled), (1, 1, 1));
         assert_eq!(s.size, 0);
@@ -371,7 +302,7 @@ mod tests {
 
     #[test]
     fn full_pool_evicts() {
-        let pool = SandboxPool::new(1);
+        let pool = pool(1);
         let m = module();
         assert!(pool.release(Instance::new(Arc::clone(&m), engine()).unwrap()));
         assert!(!pool.release(Instance::new(Arc::clone(&m), engine()).unwrap()));
@@ -380,40 +311,19 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_config_not_served() {
-        let pool = SandboxPool::new(2);
+    fn drain_closes_the_pool() {
+        // A worker that decided to recycle before the drain began releases
+        // after the sweep: the closed pool discards that instance.
+        let pool = pool(4);
         let m = module();
-        let inst = Instance::new(
-            Arc::clone(&m),
-            EngineConfig {
-                tier: Tier::Naive,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(pool.release(inst));
-        let want = EngineConfig {
-            tier: Tier::Optimized,
-            ..EngineConfig::default()
-        };
-        assert!(pool.acquire(&want).is_none());
+        assert!(pool.release(Instance::new(Arc::clone(&m), engine()).unwrap()));
+        assert_eq!(pool.drain(), 1);
+        assert!(!pool.release(Instance::new(Arc::clone(&m), engine()).unwrap()));
+        assert!(pool.acquire().is_none());
         let s = pool.snapshot();
-        assert_eq!((s.discarded, s.misses, s.hits), (1, 1, 0));
-    }
-
-    #[test]
-    fn prewarm_fills_to_target_and_drain_empties() {
-        let pool = SandboxPool::new(4);
-        let m = module();
-        assert_eq!(pool.prewarm(&m, engine(), 3), 3);
-        assert_eq!(pool.size(), 3);
-        // Idempotent: already at target.
-        assert_eq!(pool.prewarm(&m, engine(), 3), 0);
-        // Target clamps to capacity.
-        assert_eq!(pool.prewarm(&m, engine(), 64), 1);
-        assert_eq!(pool.snapshot().prewarmed, 4);
-        assert_eq!(pool.drain(), 4);
-        assert_eq!(pool.size(), 0);
+        assert_eq!(s.size, 0, "{s:?}");
+        assert_eq!((s.recycled, s.discarded, s.misses), (1, 1, 1), "{s:?}");
+        assert_eq!(pool.drain(), 0);
     }
 
     fn run_main(inst: &mut Instance) {
@@ -449,7 +359,7 @@ mod tests {
         let s = pool.snapshot();
         assert_eq!((s.recycled, s.resets_elided, s.resets_static), (1, 1, 0));
         // The recycled sandbox really is pristine.
-        let warm = pool.acquire(&engine()).unwrap();
+        let warm = pool.acquire().unwrap();
         assert_eq!(warm.memory().read_bytes(0, 4).unwrap(), b"seed");
     }
 
@@ -481,7 +391,7 @@ mod tests {
         assert!(pool.release(inst));
         let s = pool.snapshot();
         assert_eq!((s.recycled, s.resets_static, s.resets_elided), (1, 1, 0));
-        let warm = pool.acquire(&engine()).unwrap();
+        let warm = pool.acquire().unwrap();
         assert_eq!(warm.memory().read_bytes(0, 4).unwrap(), b"seed");
         assert_eq!(warm.memory().read_bytes(0x8000, 4).unwrap(), &[0; 4]);
     }
@@ -508,14 +418,14 @@ mod tests {
         assert!(pool.release(inst));
         let s = pool.snapshot();
         assert_eq!((s.recycled, s.resets_static, s.resets_elided), (1, 0, 0));
-        let warm = pool.acquire(&engine()).unwrap();
+        let warm = pool.acquire().unwrap();
         assert_eq!(warm.memory().read_bytes(0x100, 7).unwrap(), &[0; 7]);
         assert_eq!(warm.memory().read_bytes(0x8000, 4).unwrap(), &[0; 4]);
     }
 
     #[test]
     fn recycled_instance_is_reset() {
-        let pool = SandboxPool::new(1);
+        let pool = pool(1);
         let m = module();
         let mut inst = Instance::new(Arc::clone(&m), engine()).unwrap();
         inst.invoke_export("main", &[]).unwrap();
@@ -529,7 +439,7 @@ mod tests {
         }
         assert!(inst.fuel_used() > 0);
         assert!(pool.release(inst));
-        let warm = pool.acquire(&engine()).unwrap();
+        let warm = pool.acquire().unwrap();
         assert_eq!(warm.fuel_used(), 0, "recycled instance starts fresh");
     }
 }

@@ -7,7 +7,7 @@
 //! validation, translation and lowering; every per-function gate still runs.
 
 use crate::budget::TokenBucket;
-use crate::config::{FunctionConfig, DEFAULT_COST_UNITS_PER_US};
+use crate::config::{FunctionConfig, RuntimeConfig};
 use crate::histogram::HistogramSnapshot;
 use crate::metrics::PhaseHistograms;
 use crate::pool::{PoolStatsSnapshot, SandboxPool};
@@ -187,38 +187,40 @@ impl fmt::Display for RegisterError {
 
 impl Error for RegisterError {}
 
-/// The bytes a function is registered from.
+/// The bytes a function is registered from. `.wasm` and artifact bytes are
+/// separate key spaces of the module store: bytes stored as one kind are
+/// never served as the other, so an artifact is always verified by
+/// [`awsm::decode_artifact`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Binary<'a> {
     /// A `.wasm` module: decoded, validated and translated under the
     /// registry's tier and check-gap budget.
     Wasm(&'a [u8]),
     /// A certificate-carrying artifact (`POST /admin/modules`), decoded and
-    /// re-verified by [`awsm::decode_artifact`].
+    /// re-verified by [`awsm::decode_artifact`]; it fixes its own tier and
+    /// certificates.
     Artifact(&'a [u8]),
 }
 
-/// Everything a build depends on besides the input bytes. `.wasm` and
-/// artifact bytes are separate key spaces; an artifact fixes its own tier
-/// and certificates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Recipe {
-    Translate { tier: Tier, max_check_gap: u32 },
-    Decode,
-}
-
-/// The modules built from one input, at most one per recipe.
-type Builds = Vec<(Recipe, Arc<CompiledModule>)>;
-
-/// A module-store key: the exact input bytes, compared in full, and the
-/// recipe that builds them.
+/// A module-store key, the kind and exact bytes of a [`Binary`] (compared
+/// in full), with what building it needs, so a miss builds with no lock
+/// held.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ModuleKey<'a> {
-    recipe: Recipe,
-    bytes: &'a [u8],
+    binary: Binary<'a>,
+    /// The registry's tier, fixed for its life.
+    tier: Tier,
+    /// The registry's translate options, fixed for its life.
+    options: TranslateOptions,
 }
 
-impl ModuleKey<'_> {
+impl<'a> ModuleKey<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        match self.binary {
+            Binary::Wasm(bytes) | Binary::Artifact(bytes) => bytes,
+        }
+    }
+
     /// Build the module: decode, validate, translate and lower a `.wasm`, or
     /// decode and re-verify an artifact. Touches no registry state, so it
     /// runs with no lock held.
@@ -228,30 +230,34 @@ impl ModuleKey<'_> {
     /// [`RegisterError::Decode`], [`RegisterError::Translate`] or
     /// [`RegisterError::Artifact`].
     pub(crate) fn build(&self) -> Result<CompiledModule, RegisterError> {
-        match self.recipe {
-            Recipe::Translate {
-                tier,
-                max_check_gap,
-            } => {
-                let module = sledge_wasm::decode::decode_module(self.bytes)
-                    .map_err(RegisterError::Decode)?;
-                translate_with(&module, tier, TranslateOptions { max_check_gap })
-                    .map_err(RegisterError::Translate)
+        match self.binary {
+            Binary::Wasm(bytes) => {
+                let module =
+                    sledge_wasm::decode::decode_module(bytes).map_err(RegisterError::Decode)?;
+                translate_with(&module, self.tier, self.options).map_err(RegisterError::Translate)
             }
-            Recipe::Decode => awsm::decode_artifact(self.bytes).map_err(RegisterError::Artifact),
+            Binary::Artifact(bytes) => {
+                awsm::decode_artifact(bytes).map_err(RegisterError::Artifact)
+            }
         }
     }
 }
 
-/// Registry of loaded functions, indexed by id, name, and HTTP route.
-#[derive(Debug, Default)]
+/// One key space of the module store: modules by their exact input bytes.
+type Shelf = HashMap<Box<[u8]>, Arc<CompiledModule>>;
+
+/// Registry of loaded functions, indexed by id, name, and HTTP route. Its
+/// settings are fixed when it is built (see [`Registry::new`]).
+#[derive(Debug)]
 pub struct Registry {
     functions: Vec<Arc<RegisteredFunction>>,
     by_name: HashMap<String, FunctionId>,
     by_route: HashMap<String, FunctionId>,
-    /// The module store: every module some function registered with, by its
-    /// exact input bytes and then by recipe.
-    modules: HashMap<Box<[u8]>, Builds>,
+    /// The module store for `.wasm` bytes: every module some function
+    /// registered with.
+    wasm_modules: Shelf,
+    /// The module store for artifact bytes.
+    artifact_modules: Shelf,
     /// Execution tier every `.wasm` is translated for.
     tier: Tier,
     /// Worst-case guest stack budget enforced at registration; `None`
@@ -263,52 +269,35 @@ pub struct Registry {
     /// `None` uses [`awsm::DEFAULT_MAX_CHECK_GAP`] and accepts any
     /// certified gap.
     check_gap: Option<u32>,
-    /// Warm-pool capacity for newly registered functions (0 = pooling
+    /// Warm-pool capacity of every registered function (0 = pooling
     /// disabled).
     pool_capacity: usize,
     /// Cost units per µs used to convert `budget` (µs/s) into a token-
-    /// bucket rate (0 = "not set", falls back to the default calibration).
+    /// bucket rate.
     calibration: u64,
     /// Load-time analysis counters.
     pub stats: RegistryStats,
 }
 
 impl Registry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Set the stack budget enforced on subsequently registered modules
-    /// (see [`crate::RuntimeConfig::max_stack_bytes`]).
-    pub fn set_stack_budget(&mut self, budget: Option<u64>) {
-        self.stack_budget = budget;
-    }
-
-    /// Set the execution tier subsequently registered `.wasm` modules are
-    /// translated for (see [`crate::RuntimeConfig::tier`]).
-    pub fn set_tier(&mut self, tier: Tier) {
-        self.tier = tier;
-    }
-
-    /// Set the preemption-latency budget (max check-free gap, in cost
-    /// units) enforced on subsequently registered modules (see
-    /// [`crate::RuntimeConfig::max_check_gap`]).
-    pub fn set_check_gap(&mut self, budget: Option<u32>) {
-        self.check_gap = budget;
-    }
-
-    /// Set the warm-pool capacity for subsequently registered functions
-    /// (see [`crate::RuntimeConfig::pool_size`]; 0 disables pooling).
-    pub fn set_pool_capacity(&mut self, capacity: usize) {
-        self.pool_capacity = capacity;
-    }
-
-    /// Set the fuel calibration (cost units per µs) used to size the work-
-    /// budget buckets of subsequently registered functions (see
-    /// [`crate::RuntimeConfig::cost_units_per_us`]).
-    pub fn set_calibration(&mut self, cost_units_per_us: u64) {
-        self.calibration = cost_units_per_us;
+    /// An empty registry that translates for `config.tier`, enforces
+    /// `config.max_stack_bytes` and `config.max_check_gap`, gives every
+    /// function a pool of `config.pool_size` and sizes work budgets with
+    /// `config.cost_units_per_us`, for its whole life.
+    pub fn new(config: &RuntimeConfig) -> Self {
+        Registry {
+            functions: Vec::new(),
+            by_name: HashMap::new(),
+            by_route: HashMap::new(),
+            wasm_modules: Shelf::new(),
+            artifact_modules: Shelf::new(),
+            tier: config.tier,
+            stack_budget: config.max_stack_bytes,
+            check_gap: config.max_check_gap,
+            pool_capacity: config.pool_size,
+            calibration: config.cost_units_per_us,
+            stats: RegistryStats::default(),
+        }
     }
 
     /// The first half of a registration, which needs only read access:
@@ -326,17 +315,11 @@ impl Registry {
         binary: Binary<'a>,
     ) -> Result<(ModuleKey<'a>, Option<Arc<CompiledModule>>), RegisterError> {
         self.check_free(config)?;
-        let key = match binary {
-            Binary::Wasm(bytes) => ModuleKey {
-                recipe: Recipe::Translate {
-                    tier: self.tier,
-                    max_check_gap: self.check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
-                },
-                bytes,
-            },
-            Binary::Artifact(bytes) => ModuleKey {
-                recipe: Recipe::Decode,
-                bytes,
+        let key = ModuleKey {
+            binary,
+            tier: self.tier,
+            options: TranslateOptions {
+                max_check_gap: self.check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
             },
         };
         let cached = self.cached(&key);
@@ -357,10 +340,19 @@ impl Registry {
         Ok(())
     }
 
+    fn shelf(&mut self, binary: Binary<'_>) -> &mut Shelf {
+        match binary {
+            Binary::Wasm(_) => &mut self.wasm_modules,
+            Binary::Artifact(_) => &mut self.artifact_modules,
+        }
+    }
+
     fn cached(&self, key: &ModuleKey<'_>) -> Option<Arc<CompiledModule>> {
-        let shelf = self.modules.get(key.bytes)?;
-        let (_, module) = shelf.iter().find(|(recipe, _)| *recipe == key.recipe)?;
-        Some(Arc::clone(module))
+        let shelf = match key.binary {
+            Binary::Wasm(_) => &self.wasm_modules,
+            Binary::Artifact(_) => &self.artifact_modules,
+        };
+        shelf.get(key.bytes()).map(Arc::clone)
     }
 
     /// The second half of a registration: re-check the name and route, run
@@ -398,12 +390,8 @@ impl Registry {
         let id = FunctionId(self.functions.len() as u32);
         let route = config.http_route();
         let name = config.name.clone();
-        let calibration = match self.calibration {
-            0 => DEFAULT_COST_UNITS_PER_US,
-            c => c,
-        };
         let budget = config.budget_us_per_s.map(|us| {
-            let rate = us.saturating_mul(calibration).max(1);
+            let rate = us.saturating_mul(self.calibration).max(1);
             // Burst capacity: one second's worth of work, and always at
             // least one invocation's charge so the bucket can ever admit.
             TokenBucket::new(rate, rate.max(admission_cost))
@@ -416,7 +404,7 @@ impl Registry {
             id,
             config,
             module: Arc::clone(&module),
-            wasm_size: key.bytes.len(),
+            wasm_size: key.bytes().len(),
             stats: FunctionStats::default(),
             shards: OnceLock::new(),
             pool: SandboxPool::with_policy(self.pool_capacity, reset_policy),
@@ -429,8 +417,7 @@ impl Registry {
         self.by_route.insert(route, id);
         // A module is kept only once a function has accepted it.
         if !stored {
-            let shelf = self.modules.entry(key.bytes.into()).or_default();
-            shelf.push((key.recipe, module));
+            self.shelf(key.binary).insert(key.bytes().into(), module);
         }
         Ok(id)
     }
@@ -582,6 +569,27 @@ mod tests {
         register_wasm(r, config, &sledge_wasm::encode::encode_module(m))
     }
 
+    /// A registry under the shipped defaults.
+    fn registry() -> Registry {
+        Registry::new(&RuntimeConfig::default())
+    }
+
+    /// A registry whose check-gap budget is `gap`.
+    fn gap_registry(gap: u32) -> Registry {
+        Registry::new(&RuntimeConfig {
+            max_check_gap: Some(gap),
+            ..Default::default()
+        })
+    }
+
+    /// A registry whose stack budget is `bytes`.
+    fn stack_registry(bytes: u64) -> Registry {
+        Registry::new(&RuntimeConfig {
+            max_stack_bytes: Some(bytes),
+            ..Default::default()
+        })
+    }
+
     fn tiny_module(name: &str) -> Module {
         let mut mb = ModuleBuilder::new(name);
         let mut f = FuncBuilder::new(&[], Some(ValType::I32));
@@ -593,7 +601,7 @@ mod tests {
 
     #[test]
     fn register_and_lookup() {
-        let mut r = Registry::new();
+        let mut r = registry();
         let m = tiny_module("seven");
         let wasm = sledge_wasm::encode::encode_module(&m);
         let id = register_wasm(&mut r, FunctionConfig::new("seven"), &wasm).unwrap();
@@ -607,7 +615,7 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected() {
-        let mut r = Registry::new();
+        let mut r = registry();
         let m = tiny_module("dup");
         register(&mut r, FunctionConfig::new("dup"), &m).unwrap();
         assert!(matches!(
@@ -618,7 +626,7 @@ mod tests {
 
     #[test]
     fn duplicate_route_rejected_before_any_build() {
-        let mut r = Registry::new();
+        let mut r = registry();
         let m = tiny_module("a");
         let mut a = FunctionConfig::new("a");
         a.route = Some("/x".into());
@@ -637,29 +645,53 @@ mod tests {
         assert_eq!(r.stats.snapshot().modules_compiled, 1);
     }
 
+    /// Look up, build on a miss and insert an artifact registration.
+    fn ingest_artifact(
+        r: &mut Registry,
+        config: FunctionConfig,
+        artifact: &[u8],
+    ) -> Result<FunctionId, RegisterError> {
+        let (key, cached) = r.lookup(&config, Binary::Artifact(artifact))?;
+        let module = match cached {
+            Some(module) => module,
+            None => Arc::new(key.build()?),
+        };
+        r.register_compiled(config, key, module)
+    }
+
     #[test]
-    fn tier_and_check_gap_are_part_of_the_key() {
-        let mut r = Registry::new();
-        let wasm = sledge_wasm::encode::encode_module(&tiny_module("k"));
-        let mut ids = vec![register_wasm(&mut r, FunctionConfig::new("k0"), &wasm).unwrap()];
-        ids.push(register_wasm(&mut r, FunctionConfig::new("k1"), &wasm).unwrap());
-        r.set_check_gap(Some(8));
-        ids.push(register_wasm(&mut r, FunctionConfig::new("k2"), &wasm).unwrap());
-        r.set_tier(Tier::Naive);
-        ids.push(register_wasm(&mut r, FunctionConfig::new("k3"), &wasm).unwrap());
-        ids.push(register_wasm(&mut r, FunctionConfig::new("k4"), &wasm).unwrap());
-        let module = |i: usize| &r.get(ids[i]).unwrap().module;
-        assert!(Arc::ptr_eq(module(0), module(1)));
-        assert!(!Arc::ptr_eq(module(1), module(2)), "another check gap");
-        assert!(!Arc::ptr_eq(module(2), module(3)), "another tier");
-        assert!(Arc::ptr_eq(module(3), module(4)));
-        assert_eq!(r.stats.snapshot().modules_compiled, 3);
-        assert_eq!(r.stats.snapshot().modules_verified, 5);
+    fn wasm_and_artifact_bytes_are_separate_key_spaces() {
+        let mut r = registry();
+        let m = tiny_module("k");
+        let wasm = sledge_wasm::encode::encode_module(&m);
+        let compiled = awsm::translate(&m, Tier::Optimized).unwrap();
+        let artifact = awsm::encode_artifact(&compiled);
+        let a = register_wasm(&mut r, FunctionConfig::new("a"), &wasm).unwrap();
+        let b = register_wasm(&mut r, FunctionConfig::new("b"), &wasm).unwrap();
+        assert!(Arc::ptr_eq(
+            &r.get(a).unwrap().module,
+            &r.get(b).unwrap().module
+        ));
+        // Stored `.wasm` bytes are not an artifact: pushed as one, they are
+        // a miss that the artifact decoder refuses.
+        let err = ingest_artifact(&mut r, FunctionConfig::new("c"), &wasm).unwrap_err();
+        assert!(matches!(err, RegisterError::Artifact(_)), "{err}");
+        let d = ingest_artifact(&mut r, FunctionConfig::new("d"), &artifact).unwrap();
+        let e = ingest_artifact(&mut r, FunctionConfig::new("e"), &artifact).unwrap();
+        assert!(Arc::ptr_eq(
+            &r.get(d).unwrap().module,
+            &r.get(e).unwrap().module
+        ));
+        // ...and stored artifact bytes are not a `.wasm`.
+        let err = register_wasm(&mut r, FunctionConfig::new("f"), &artifact).unwrap_err();
+        assert!(matches!(err, RegisterError::Decode(_)), "{err}");
+        let snap = r.stats.snapshot();
+        assert_eq!((snap.modules_compiled, snap.modules_verified), (4, 4));
     }
 
     #[test]
     fn rejected_module_is_not_retained() {
-        let mut r = Registry::new();
+        let mut r = registry();
         let wasm = sledge_wasm::encode::encode_module(&hostcall_module("gated"));
         let mut denied = FunctionConfig::new("denied");
         denied.allowed_hostcalls = Some(vec!["response_write".into()]);
@@ -676,7 +708,7 @@ mod tests {
 
     #[test]
     fn missing_entry_rejected() {
-        let mut r = Registry::new();
+        let mut r = registry();
         let m = tiny_module("f");
         let mut cfg = FunctionConfig::new("f");
         cfg.entry = "not_main".into();
@@ -698,7 +730,7 @@ mod tests {
 
     #[test]
     fn bad_wasm_rejected() {
-        let mut r = Registry::new();
+        let mut r = registry();
         assert!(matches!(
             register_wasm(&mut r, FunctionConfig::new("x"), b"garbage"),
             Err(RegisterError::Decode(_))
@@ -707,9 +739,8 @@ mod tests {
 
     #[test]
     fn stack_budget_rejects_oversized_module() {
-        let mut r = Registry::new();
         // One byte cannot hold any frame; every module is over budget.
-        r.set_stack_budget(Some(1));
+        let mut r = stack_registry(1);
         let m = tiny_module("tiny");
         let err = register(&mut r, FunctionConfig::new("tiny"), &m).unwrap_err();
         let RegisterError::Analysis(diags) = err else {
@@ -719,7 +750,7 @@ mod tests {
         assert!(r.is_empty(), "rejected module must not be registered");
         assert_eq!(r.stats.snapshot().modules_rejected, 1);
         // The same module passes under a sane budget.
-        r.set_stack_budget(Some(1 << 20));
+        let mut r = stack_registry(1 << 20);
         register(&mut r, FunctionConfig::new("tiny"), &m).unwrap();
         assert_eq!(r.stats.snapshot().modules_verified, 1);
     }
@@ -735,12 +766,11 @@ mod tests {
         mb.define(fr, f);
         mb.export_func(fr, "main");
         let m = mb.build().unwrap();
-        let mut r = Registry::new();
+        let mut r = registry();
         // Without a budget recursion is allowed (warn-level at most)...
         register(&mut r, FunctionConfig::new("rec"), &m).unwrap();
         // ...but any finite budget makes it unverifiable.
-        let mut r2 = Registry::new();
-        r2.set_stack_budget(Some(u64::MAX));
+        let mut r2 = stack_registry(u64::MAX);
         let err = register(&mut r2, FunctionConfig::new("rec"), &m).unwrap_err();
         assert!(matches!(err, RegisterError::Analysis(_)), "{err}");
     }
@@ -753,7 +783,7 @@ mod tests {
         let main = mb.add_func("main", f);
         mb.export_func(main, "main");
         let m = mb.build().unwrap();
-        let mut r = Registry::new();
+        let mut r = registry();
         let err = register(&mut r, FunctionConfig::new("boom"), &m).unwrap_err();
         let RegisterError::Analysis(diags) = err else {
             panic!("expected analysis rejection, got {err}");
@@ -766,7 +796,7 @@ mod tests {
 
     #[test]
     fn certificate_cached_and_counted() {
-        let mut r = Registry::new();
+        let mut r = registry();
         let m = tiny_module("cert");
         let id = register(&mut r, FunctionConfig::new("cert"), &m).unwrap();
         let rf = r.get(id).unwrap();
@@ -789,8 +819,7 @@ mod tests {
         mb.export_func(main, "main");
         let m = mb.build().unwrap();
 
-        let mut r = Registry::new();
-        r.set_check_gap(Some(1));
+        let mut r = gap_registry(1);
         let err = register(&mut r, FunctionConfig::new("heavy"), &m).unwrap_err();
         assert!(matches!(err, RegisterError::Certificate(_)), "{err}");
         assert!(err.to_string().contains("certificate"));
@@ -800,8 +829,7 @@ mod tests {
         assert_eq!(snap.modules_rejected, 1);
 
         // The translator splits to meet any budget a single op can fit in.
-        let mut r2 = Registry::new();
-        r2.set_check_gap(Some(awsm::DEFAULT_MAX_CHECK_GAP));
+        let mut r2 = gap_registry(awsm::DEFAULT_MAX_CHECK_GAP);
         let id = register(&mut r2, FunctionConfig::new("heavy"), &m).unwrap();
         let rf = r2.get(id).unwrap();
         assert!(rf.analysis().cost.max_gap <= awsm::DEFAULT_MAX_CHECK_GAP);
@@ -823,8 +851,7 @@ mod tests {
         mb.export_func(main, "main");
         let m = mb.build().unwrap();
 
-        let mut r = Registry::new();
-        r.set_check_gap(Some(8));
+        let mut r = gap_registry(8);
         let id = register(&mut r, FunctionConfig::new("straight"), &m).unwrap();
         let cost = &r.get(id).unwrap().analysis().cost;
         assert!(cost.max_gap <= 8, "certified gap {} > budget", cost.max_gap);
@@ -833,8 +860,10 @@ mod tests {
 
     #[test]
     fn admission_cost_and_budget_from_certificate() {
-        let mut r = Registry::new();
-        r.set_calibration(100);
+        let mut r = Registry::new(&RuntimeConfig {
+            cost_units_per_us: 100,
+            ..Default::default()
+        });
         let m = tiny_module("plain");
         let id = register(&mut r, FunctionConfig::new("plain"), &m).unwrap();
         let rf = r.get(id).unwrap();
@@ -858,7 +887,7 @@ mod tests {
 
     #[test]
     fn shards_are_allocated_by_the_first_record() {
-        let mut r = Registry::new();
+        let mut r = registry();
         let id = register(&mut r, FunctionConfig::new("lazy"), &tiny_module("lazy")).unwrap();
         let rf = r.get(id).unwrap();
         // Registration allocates no shard, and neither does a reader.
@@ -903,7 +932,7 @@ mod tests {
     #[test]
     fn capability_policy_denies_unlisted_hostcall() {
         let m = hostcall_module("gated");
-        let mut r = Registry::new();
+        let mut r = registry();
         let mut cfg = FunctionConfig::new("gated");
         // The module calls env::request_len; the policy only grants
         // response_write — deny-by-default must reject it.
@@ -925,7 +954,7 @@ mod tests {
     #[test]
     fn capability_policy_grants_reachable_hostcalls() {
         let m = hostcall_module("granted");
-        let mut r = Registry::new();
+        let mut r = registry();
         let mut cfg = FunctionConfig::new("granted");
         // Bare names match any import module.
         cfg.allowed_hostcalls = Some(vec!["request_len".into()]);
@@ -939,7 +968,7 @@ mod tests {
     #[test]
     fn capability_grant_wider_than_needed_warns() {
         let m = hostcall_module("wide");
-        let mut r = Registry::new();
+        let mut r = registry();
         let mut cfg = FunctionConfig::new("wide");
         cfg.allowed_hostcalls = Some(vec![
             "env::request_len".into(),
@@ -967,7 +996,7 @@ mod tests {
         mb.export_func(main, "main");
         let m = mb.build().unwrap();
 
-        let mut r = Registry::new();
+        let mut r = registry();
         let mut cfg = FunctionConfig::new("writer");
         cfg.max_write_footprint_bytes = Some(0x8000);
         let err = register(&mut r, cfg, &m).unwrap_err();
@@ -983,7 +1012,7 @@ mod tests {
     #[test]
     fn no_policy_touches_no_capability_counter() {
         let m = hostcall_module("open");
-        let mut r = Registry::new();
+        let mut r = registry();
         register(&mut r, FunctionConfig::new("open"), &m).unwrap();
         let snap = r.stats.snapshot();
         assert_eq!(snap.capability_certified, 0);
@@ -1003,7 +1032,7 @@ mod tests {
         let main = mb.add_func("main", f);
         mb.export_func(main, "main");
         let m = mb.build().unwrap();
-        let mut r = Registry::new();
+        let mut r = registry();
         let id = register(&mut r, FunctionConfig::new("warned"), &m).unwrap();
         let snap = r.stats.snapshot();
         assert_eq!(snap.modules_verified, 1);

@@ -84,8 +84,6 @@ pub struct SandboxHost {
     pub epoch: Instant,
     /// Deadline for an in-flight emulated async I/O (`io_delay`).
     pub io_deadline: Option<Instant>,
-    /// Total host calls serviced (for tests/metrics).
-    pub calls: u64,
 }
 
 impl SandboxHost {
@@ -95,7 +93,6 @@ impl SandboxHost {
             response: Vec::new(),
             epoch,
             io_deadline: None,
-            calls: 0,
         }
     }
 }
@@ -108,7 +105,6 @@ impl Host for SandboxHost {
         args: &[u64],
         memory: &mut LinearMemory,
     ) -> HostOutcome {
-        self.calls += 1;
         if import.module != "env" {
             return HostOutcome::Trap(Trap::Unreachable);
         }
@@ -209,8 +205,9 @@ pub struct Sandbox {
     pub blocked_wait: Duration,
     /// Preemption count.
     pub preemptions: u32,
-    /// Wall-clock execution deadline; workers kill the sandbox with
-    /// [`Outcome::TimedOut`] when it is (re)scheduled past this instant.
+    /// Wall-clock execution deadline; the sandbox is killed with
+    /// [`Outcome::TimedOut`] when it is (re)scheduled past this instant, and
+    /// the timer preempts it at this instant if it is still running.
     pub deadline: Option<Instant>,
     /// Whether this invocation is a circuit breaker's half-open probe (its
     /// outcome decides whether the breaker closes or re-opens).
@@ -246,7 +243,7 @@ impl Sandbox {
         // hit records its (near-zero) cost in the `instantiation` phase
         // histogram — not smeared into `queue` — and the phase invariant
         // `sum of phases <= total` is preserved by construction.
-        let (instance, pool_hit) = match function.pool.acquire(&engine) {
+        let (instance, pool_hit) = match function.pool.acquire() {
             Some(i) => (i, true),
             None => match Instance::new(Arc::clone(&function.module), engine) {
                 Ok(i) => (i, false),

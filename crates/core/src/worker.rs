@@ -11,7 +11,7 @@ use crate::Shared;
 use awsm::StepResult;
 use sledge_deque::Stealer;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -30,27 +30,90 @@ pub(crate) struct WorkerShared {
     /// `Shared::phase_shards` and in each function's shards (one per entry
     /// of `Shared::phase_shards`).
     pub index: usize,
-    /// Preempt flag of the sandbox currently running on this worker, if any.
-    pub current: Mutex<Option<Arc<AtomicBool>>>,
+    /// The dispatch currently running on this worker, if any.
+    pub current: Mutex<Option<Dispatch>>,
+}
+
+/// A running dispatch as the timer sees it.
+#[derive(Debug)]
+pub(crate) struct Dispatch {
+    /// The sandbox's preempt flag.
+    pub preempt: Arc<AtomicBool>,
+    /// The sandbox's execution deadline, until the timer has fired it.
+    pub deadline: Option<Instant>,
+}
+
+/// What wakes the timer thread before its next tick.
+#[derive(Debug)]
+pub(crate) enum TimerWake {
+    /// A worker published a dispatch with a deadline: re-read the deadlines.
+    Deadline,
+    /// A force-killed drain: preempt every running sandbox now.
+    PreemptAll,
+    /// Shutdown: preempt every running sandbox once more and stop.
+    Stop,
 }
 
 /// The timer thread: every quantum it requests preemption of every
-/// currently-running sandbox — the SIGALRM-propagation analogue. It waits
-/// in `recv_timeout`, so the runtime can cut a tick short: a message
-/// (force-killed drain) preempts at once, and a dropped sender (shutdown)
-/// preempts once more and stops the thread. Under an unbounded quantum
-/// (run-to-completion) those two are the only preemptions, so a runaway
-/// guest still cannot wedge a drain or `Runtime::shutdown`.
-pub(crate) fn timer_loop(quantum: Duration, wake: Receiver<()>, workers: Vec<Arc<WorkerShared>>) {
+/// currently-running sandbox — the SIGALRM-propagation analogue — and at a
+/// running sandbox's deadline it preempts that sandbox, whose worker then
+/// kills it. It waits in `recv_timeout` until the earlier of the next tick
+/// and the earliest published deadline, so the runtime can cut a wait
+/// short: a force-killed drain preempts at once, shutdown preempts once
+/// more and stops the thread, and a new deadline is waited for. Under an
+/// unbounded quantum (run-to-completion) those are the only preemptions, so
+/// a runaway guest still cannot outlive its deadline or wedge a drain or
+/// `Runtime::shutdown`.
+pub(crate) fn timer_loop(
+    quantum: Duration,
+    wake: Receiver<TimerWake>,
+    workers: Vec<Arc<WorkerShared>>,
+) {
+    let mut next_tick = Instant::now().checked_add(quantum);
     loop {
-        let tick = wake.recv_timeout(quantum);
-        for w in &workers {
-            if let Some(flag) = lock(&w.current).as_ref() {
-                flag.store(true, Ordering::Relaxed);
+        let due = workers
+            .iter()
+            .filter_map(|w| lock(&w.current).as_ref()?.deadline)
+            .min();
+        let woken = match next_tick.into_iter().chain(due).min() {
+            Some(at) => wake.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => wake.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match woken {
+            Ok(TimerWake::Deadline) => {}
+            Ok(TimerWake::PreemptAll) => preempt(&workers, None),
+            Ok(TimerWake::Stop) | Err(RecvTimeoutError::Disconnected) => {
+                preempt(&workers, None);
+                return;
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                let now = Instant::now();
+                if next_tick.is_some_and(|tick| now >= tick) {
+                    preempt(&workers, None);
+                    next_tick = now.checked_add(quantum);
+                } else {
+                    preempt(&workers, Some(now));
+                }
             }
         }
-        if tick == Err(RecvTimeoutError::Disconnected) {
-            return;
+    }
+}
+
+/// Set the preempt flag of every running dispatch or, given `expired_at`,
+/// of those whose deadline is not after it. A preempted dispatch's deadline
+/// is withdrawn: its worker decides its fate, and the timer does not wait
+/// for it again.
+fn preempt(workers: &[Arc<WorkerShared>], expired_at: Option<Instant>) {
+    for w in workers {
+        if let Some(dispatch) = lock(&w.current).as_mut() {
+            let fire = match expired_at {
+                None => true,
+                Some(now) => dispatch.deadline.is_some_and(|d| d <= now),
+            };
+            if fire {
+                dispatch.preempt.store(true, Ordering::Relaxed);
+                dispatch.deadline = None;
+            }
         }
     }
 }
@@ -119,24 +182,19 @@ fn finish(shared: &Shared, shard: usize, mut sandbox: Box<Sandbox>, outcome: Out
     let function = sandbox.function.id;
     let responder = sandbox.responder_take();
     // Teardown — or recycling. Only *clean* completions are eligible for
-    // the warm pool: traps and deadline kills are discarded, as is
-    // everything once a drain begins (drained pools must stay empty). The
-    // in-place template reset happens here, on the worker, so the next
-    // acquire is a plain pop.
+    // the warm pool: traps and deadline kills are discarded. The in-place
+    // template reset happens here, on the worker, so the next acquire is a
+    // plain pop.
     if sandbox.function.pool.enabled() {
-        let recyclable = matches!(outcome, Outcome::Success(_))
-            && shared.config.recycle
-            && !shared.draining.load(Ordering::Acquire)
-            && !shared.shutdown.load(Ordering::Acquire);
         let retired = *sandbox;
         let Sandbox {
             function: rf,
             instance,
             ..
         } = retired;
-        if recyclable {
+        if matches!(outcome, Outcome::Success(_)) {
             // `release` itself counts the outcome (recycled, evicted on a
-            // full pool, or discarded on a failed reset).
+            // full pool, or discarded on a failed reset or a drained pool).
             rf.pool.release(instance);
         } else {
             drop(instance);
@@ -161,6 +219,7 @@ pub(crate) fn worker_loop(
     shared: Arc<Shared>,
     me: Arc<WorkerShared>,
     stealer: Stealer<Box<Sandbox>>,
+    timer: Sender<TimerWake>,
 ) {
     // One dispatch may burn one quantum of fuel, and DWRR refills are
     // denominated in the same unit (an unbounded quantum saturates both).
@@ -231,8 +290,9 @@ pub(crate) fn worker_loop(
                 // Charge the off-CPU wait that just ended to its phase
                 // (queue / preempted / blocked) before running or killing.
                 s.note_dispatch(Instant::now());
-                // Deadline enforcement happens at (re)scheduling points: a
-                // sandbox past its deadline is killed instead of dispatched.
+                // A sandbox past its deadline is killed instead of
+                // dispatched; one that reaches it while running is
+                // preempted by the timer and killed below.
                 if s.deadline.is_some_and(|d| Instant::now() >= d) {
                     finish(&shared, me.index, s, Outcome::TimedOut);
                     continue;
@@ -258,17 +318,25 @@ pub(crate) fn worker_loop(
             }
         };
 
-        // 3. Dispatch one quantum. The sandbox's preempt flag is published
-        //    for the timer thread. A shutdown or force-kill whose broadcast
-        //    ran before the flag was published is caught here instead: the
-        //    check runs under the same lock the timer takes.
+        // 3. Dispatch one quantum. The sandbox's preempt flag and deadline
+        //    are published for the timer thread. A shutdown or force-kill
+        //    whose broadcast ran before the flag was published is caught
+        //    here instead: the check runs under the same lock the timer
+        //    takes. Only a dispatch with a deadline wakes the timer, to
+        //    wait for that deadline.
         {
             let mut current = lock(&me.current);
-            let flag = current.insert(sandbox.instance.preempt_flag());
+            let dispatch = current.insert(Dispatch {
+                preempt: sandbox.instance.preempt_flag(),
+                deadline: sandbox.deadline,
+            });
             if shared.shutdown.load(Ordering::Acquire) || shared.force_kill.load(Ordering::Acquire)
             {
-                flag.store(true, Ordering::Relaxed);
+                dispatch.preempt.store(true, Ordering::Relaxed);
             }
+        }
+        if sandbox.deadline.is_some() {
+            let _ = timer.send(TimerWake::Deadline);
         }
         let fuel_before = sandbox.instance.fuel_used();
         let result = sandbox.run_quantum(fuel);

@@ -1,5 +1,5 @@
 //! Warm-pool integration tests: recycling counters through real invocations,
-//! state isolation across reuse, pre-warming, drain interaction, the
+//! state isolation across reuse, drain interaction, the
 //! phase-accounting contract for pool hits, a seeded trap/success mix, and
 //! the pool's series in every surface, on or off.
 
@@ -11,7 +11,6 @@ use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 mod common;
 
@@ -171,13 +170,11 @@ mod guests {
     }
 }
 
-/// A one-worker runtime configuration with the given pool knobs.
-fn config(pool_size: usize, prewarm: usize, recycle: bool) -> RuntimeConfig {
+/// A one-worker runtime configuration whose pools hold `pool_size`.
+fn config(pool_size: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers: 1,
         pool_size,
-        prewarm,
-        recycle,
         ..Default::default()
     }
 }
@@ -188,7 +185,7 @@ fn config(pool_size: usize, prewarm: usize, recycle: bool) -> RuntimeConfig {
 
 #[test]
 fn sequential_invocations_recycle_one_sandbox() {
-    let rt = Runtime::new(config(2, 0, true));
+    let rt = Runtime::new(config(2));
     let echo = rt
         .register_module(FunctionConfig::new("echo"), &guests::echo())
         .unwrap();
@@ -211,7 +208,7 @@ fn sequential_invocations_recycle_one_sandbox() {
 
 #[test]
 fn recycled_sandboxes_leak_no_state() {
-    let rt = Runtime::new(config(1, 0, true));
+    let rt = Runtime::new(config(1));
     let peek = rt
         .register_module(FunctionConfig::new("peek"), &guests::peek_poke())
         .unwrap();
@@ -230,25 +227,6 @@ fn recycled_sandboxes_leak_no_state() {
 }
 
 #[test]
-fn recycle_knob_off_discards_everything() {
-    let rt = Runtime::new(config(2, 0, false));
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    for _ in 0..4 {
-        let done = rt.invoke(echo, &b"x"[..]).wait().unwrap();
-        assert!(matches!(done.outcome, Outcome::Success(_)));
-    }
-    let pool = rt.pool_stats();
-    rt.shutdown();
-    assert_eq!(pool.recycled, 0, "{pool:?}");
-    assert_eq!(pool.hits, 0, "{pool:?}");
-    assert_eq!(pool.misses, 4, "{pool:?}");
-    assert_eq!(pool.discarded, 4, "{pool:?}");
-    assert_eq!(pool.size, 0, "{pool:?}");
-}
-
-#[test]
 fn tenants_sharing_a_module_never_read_each_others_memory() {
     // Two tenants registered from the same bytes share one compiled module
     // but nothing else: each has its own pool, and every instance, fresh or
@@ -257,7 +235,7 @@ fn tenants_sharing_a_module_never_read_each_others_memory() {
     let wasm = sledge_wasm::encode::encode_module(&guests::marker());
     let base = RuntimeConfig {
         workers: 2,
-        ..config(4, 0, true)
+        ..config(4)
     };
     for (label, cfg) in common::plain_and_armed(base) {
         let rt = Runtime::new(cfg);
@@ -296,7 +274,7 @@ fn tenants_sharing_a_module_never_read_each_others_memory() {
 
 #[test]
 fn trapped_invocations_are_never_recycled() {
-    let rt = Runtime::new(config(2, 0, true));
+    let rt = Runtime::new(config(2));
     let picky = rt
         .register_module(FunctionConfig::new("picky"), &guests::picky())
         .unwrap();
@@ -319,7 +297,7 @@ fn trapped_invocations_are_never_recycled() {
 
 #[test]
 fn pure_function_recycles_with_elided_resets() {
-    let rt = Runtime::new(config(1, 0, true));
+    let rt = Runtime::new(config(1));
     let pure = rt
         .register_module(FunctionConfig::new("pure"), &guests::pure_reader())
         .unwrap();
@@ -341,7 +319,7 @@ fn pure_function_recycles_with_elided_resets() {
 
 #[test]
 fn span_writer_recycles_with_static_resets_and_leaks_nothing() {
-    let rt = Runtime::new(config(1, 0, true));
+    let rt = Runtime::new(config(1));
     let span = rt
         .register_module(FunctionConfig::new("span"), &guests::span_writer())
         .unwrap();
@@ -366,7 +344,7 @@ fn request_reading_function_falls_back_to_full_resets() {
     // `echo` calls `request_read`, which writes guest memory from the host
     // side; its footprint is also input-dependent. Both gates force the
     // classic high-water reset — the new counters must stay zero.
-    let rt = Runtime::new(config(1, 0, true));
+    let rt = Runtime::new(config(1));
     let echo = rt
         .register_module(FunctionConfig::new("echo"), &guests::echo())
         .unwrap();
@@ -382,40 +360,12 @@ fn request_reading_function_falls_back_to_full_resets() {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-warming and drain
+// Drain
 // ---------------------------------------------------------------------------
 
 #[test]
-fn prewarmer_fills_pool_before_first_request() {
-    let rt = Runtime::new(config(4, 2, true));
-    let echo = rt
-        .register_module(FunctionConfig::new("echo"), &guests::echo())
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let pool = rt.pool_stats();
-        if pool.size >= 2 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "prewarmer never filled: {pool:?}"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let done = rt.invoke(echo, &b"warm"[..]).wait().unwrap();
-    assert!(matches!(done.outcome, Outcome::Success(_)));
-    let pool = rt.pool_stats();
-    rt.shutdown();
-    // The very first request was served from a pre-warmed instance.
-    assert_eq!(pool.misses, 0, "{pool:?}");
-    assert_eq!(pool.hits, 1, "{pool:?}");
-    assert!(pool.prewarmed >= 2, "{pool:?}");
-}
-
-#[test]
 fn drain_empties_pools_and_keeps_them_empty() {
-    let rt = Runtime::new(config(4, 0, true));
+    let rt = Runtime::new(config(4));
     let echo = rt
         .register_module(FunctionConfig::new("echo"), &guests::echo())
         .unwrap();
@@ -437,7 +387,7 @@ fn drain_empties_pools_and_keeps_them_empty() {
 
 #[test]
 fn pool_hits_keep_phase_accounting_sound() {
-    let rt = Runtime::new(config(2, 0, true));
+    let rt = Runtime::new(config(2));
     let echo = rt
         .register_module(FunctionConfig::new("echo"), &guests::echo())
         .unwrap();
@@ -475,7 +425,7 @@ fn pool_hits_keep_phase_accounting_sound() {
 fn partial_poisoning_accounts_for_every_retirement() {
     // A seeded 35 % of requests trap. Traps are never recycled; every
     // success is, unless the pool is full.
-    let rt = Runtime::new(config(4, 0, true));
+    let rt = Runtime::new(config(4));
     let chaos = ChaosTenants::register(&rt);
     const N: u64 = 60;
     let schedule = Mix {
@@ -528,8 +478,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
 /// pool's series and keys are in `/metrics`, `/stats` and the summary line,
 /// each reading what `pool_stats` reads.
 fn pool_surfaces(pool_size: usize) -> PoolStatsSnapshot {
-    let rt =
-        Runtime::with_http(config(pool_size, 0, true), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let rt = Runtime::with_http(config(pool_size), "127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = rt.http_addr().unwrap();
     let echo = rt
         .register_module(FunctionConfig::new("echo"), &guests::echo())
@@ -543,7 +492,7 @@ fn pool_surfaces(pool_size: usize) -> PoolStatsSnapshot {
 
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
-    for event in ["hit", "miss", "recycled", "prewarmed"] {
+    for event in ["hit", "miss", "recycled", "discarded", "evicted"] {
         let series = format!("sledge_pool_events_total{{event=\"{event}\"}} ");
         assert!(metrics.contains(&series), "missing {series}\n{metrics}");
     }

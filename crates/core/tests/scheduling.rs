@@ -1,6 +1,7 @@
 //! Scheduler ablation tests: the paper's preemptive round-robin vs. the
 //! run-to-completion model it argues against (§3.4), which is an unbounded
-//! quantum (`Duration::MAX`), and the timer's prompt exit at shutdown.
+//! quantum (`Duration::MAX`), deadlines under it, and the timer's prompt
+//! exit at shutdown.
 
 use sledge_core::{ConfigError, FunctionConfig, Outcome, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
@@ -140,6 +141,28 @@ fn run_to_completion_drain_force_kills_runaway_guest() {
         .wait_timeout(Duration::from_secs(1))
         .expect("force-killed invocation must still complete");
     assert_eq!(done.outcome, Outcome::TimedOut);
+}
+
+#[test]
+fn run_to_completion_enforces_a_running_guests_deadline() {
+    // The only dispatch of a runaway guest never ends on its own under an
+    // unbounded quantum: the timer must wake at its deadline and preempt
+    // it, and its worker then kills it.
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 1,
+        quantum: Duration::MAX,
+        deadline: Some(Duration::from_millis(50)),
+        ..Default::default()
+    });
+    let spin = rt
+        .register_module(FunctionConfig::new("spin"), &spin_module())
+        .expect("register");
+    let h = rt.invoke(spin, u32::MAX.to_le_bytes().to_vec());
+    let done = h
+        .wait_timeout(Duration::from_secs(1))
+        .expect("the deadline never fired");
+    assert_eq!(done.outcome, Outcome::TimedOut);
+    rt.shutdown();
 }
 
 #[test]
