@@ -246,3 +246,85 @@ fn constant_oob_store_is_error() {
     assert!(d.message.contains("out of bounds"), "{}", d.message);
     assert!(d.pc.is_some());
 }
+
+// ------------------------------------------------- pinned catalogue results
+
+/// The 37 shipped guests (applications, then PolyBench kernels), by the name
+/// they register under.
+fn catalogue() -> Vec<(String, Module)> {
+    let apps = sledge_apps::all_apps()
+        .into_iter()
+        .map(|a| (a.name.to_string(), (a.module)()));
+    let kernels = sledge_apps::polybench::kernels()
+        .into_iter()
+        .map(|k| (format!("pb-{}", k.name), (k.build)()));
+    apps.chain(kernels).collect()
+}
+
+/// Everything the analysis certifies about one module, one fact per line, in
+/// a form that diffs line by line. Pass timings are left out: they are the
+/// one field that is not a function of the bytes.
+fn render_certificates(name: &str, cm: &awsm::CompiledModule) -> String {
+    use std::fmt::Write;
+    let a = &cm.analysis;
+    let mut out = format!("== {name}\n");
+    let _ = writeln!(out, "stack_bound {:?}", a.stack_bound);
+    let _ = writeln!(out, "mem_sites {}", a.mem_sites);
+    let _ = writeln!(out, "reset_policy(main) {:?}", cm.reset_policy("main"));
+    for d in &a.diagnostics {
+        let _ = writeln!(out, "diagnostic {d:?}");
+    }
+    let _ = writeln!(out, "effects.imports {:?}", a.effects.imports);
+    for (i, f) in a.effects.funcs.iter().enumerate() {
+        let _ = writeln!(out, "effects.func[{i}] {f:?}");
+    }
+    let c = &a.cost;
+    let _ = writeln!(
+        out,
+        "cost max_check_gap={} max_gap={} checks={} splits={}",
+        c.max_check_gap, c.max_gap, c.checks, c.splits
+    );
+    for (i, f) in c.funcs.iter().enumerate() {
+        let _ = writeln!(out, "cost.func[{i}] {f:?}");
+    }
+    out
+}
+
+/// The footprints, lints and reset policies of the whole catalogue are
+/// pinned: a speed-up of any analysis pass must reproduce them bit for bit,
+/// and a change that moves them is a results change that edits the
+/// snapshot in its own right. On a mismatch the current rendering is
+/// written next to the test binaries, for review and copying over.
+#[test]
+fn catalogue_certificates_are_pinned() {
+    let guests = catalogue();
+    assert_eq!(guests.len(), 37, "the catalogue is 7 apps + 30 kernels");
+    let actual: String = guests
+        .iter()
+        .map(|(name, m)| {
+            let cm = translate(m, Tier::Optimized).expect("shipped guest translates");
+            render_certificates(name, &cm)
+        })
+        .collect();
+    let expected = include_str!("data/catalogue_certificates.txt");
+    if actual != expected {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join("catalogue_certificates.actual.txt");
+        std::fs::write(&path, &actual).expect("write the current rendering");
+        let (line, (want, got)) = expected
+            .lines()
+            .zip(actual.lines())
+            .enumerate()
+            .find(|(_, (e, a))| e != a)
+            .unwrap_or((
+                expected.lines().count().min(actual.lines().count()),
+                ("<end>", "<end>"),
+            ));
+        panic!(
+            "certificates moved at snapshot line {}:\n  pinned:  {want}\n  current: {got}\n\
+             full rendering: {}",
+            line + 1,
+            path.display()
+        );
+    }
+}
