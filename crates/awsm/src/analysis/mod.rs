@@ -278,7 +278,8 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
     // Per-function operand heights; needed by both the verifier and the
     // frame-size summaries.
     let t = Instant::now();
-    let heights = stack::operand_heights(m);
+    let arities = stack::arity_map(m);
+    let heights = stack::operand_heights(m, &arities);
 
     // Call graph, recursion, worst-case bound.
     let graph = stack::CallGraph::build(m);
@@ -299,7 +300,7 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
     let mut funcs = Vec::with_capacity(m.funcs.len());
     let mut footprints: Vec<WriteFootprint> = Vec::with_capacity(m.funcs.len());
     for (fidx, func) in m.funcs.iter().enumerate() {
-        let r = range::analyze_func(m, fidx as u32, func, &mut diagnostics);
+        let r = range::analyze_func(m, &arities, fidx as u32, func, &mut diagnostics);
         mem_sites += r.mem_sites;
         funcs.push(FuncSummary {
             name: func.name.clone(),
@@ -342,7 +343,8 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
 
     // Lowering, over the instrumented bodies: what the executor runs.
     let t = Instant::now();
-    m.lowered = crate::lower::lower_module(m).expect("translator emitted a lowerable body");
+    m.lowered =
+        crate::lower::lower_module(m, &arities).expect("translator emitted a lowerable body");
     timings.push(("lower", t.elapsed()));
 
     m.analysis = AnalysisReport {
@@ -357,5 +359,5 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
 
     // What an ingesting node will demand of this module must hold of our
     // own output.
-    debug_assert_eq!(verify::verify_body(m), Ok(()));
+    debug_assert_eq!(verify::verify_body(m, &arities), Ok(()));
 }

@@ -30,9 +30,10 @@
 //! without affecting the stack verifier.
 
 use super::effects::WriteFootprint;
+use super::stack::ArityMap;
 use super::{Diagnostic, Severity};
 use crate::code::{CompiledFunc, CompiledModule, LoadKind, NumBin, NumUn, Op, StoreKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 const U32MAX: u32 = u32::MAX;
 /// Joins at one branch target before landmark widening kicks in.
@@ -124,10 +125,26 @@ impl Slot {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct State {
     stack: Vec<Slot>,
     locals: Vec<AVal>,
+}
+
+impl Clone for State {
+    fn clone(&self) -> Self {
+        State {
+            stack: self.stack.clone(),
+            locals: self.locals.clone(),
+        }
+    }
+
+    /// Reuses both buffers: the fixpoint copies a state at every segment
+    /// entry and every conditional branch, and allocates for neither.
+    fn clone_from(&mut self, src: &Self) {
+        self.stack.clone_from(&src.stack);
+        self.locals.clone_from(&src.locals);
+    }
 }
 
 /// Comparison relation, normalized so refinement only handles "true".
@@ -548,14 +565,15 @@ struct Ctx<'a> {
     m: &'a CompiledModule,
     code: &'a [Op],
     fidx: u32,
-    /// All branch-target pcs: segment boundaries of the fixpoint.
-    targets: HashSet<u32>,
+    /// Whether each pc (up to one past the end) is a branch target: the
+    /// segment boundaries of the fixpoint.
+    targets: Vec<bool>,
     /// Sorted constants in the function, for landmark widening.
     landmarks: Vec<u32>,
     /// `max_pages * PAGE_SIZE`: accesses at/after this always trap.
     max_bytes: u64,
-    /// Canonical type id → `(nparams, has_result)`.
-    arity: HashMap<u32, (u32, bool)>,
+    /// Canonical type id → `(nparams, has_result)`, built once per module.
+    arity: &'a ArityMap,
     /// Step budget for the whole fixpoint.
     budget: usize,
 }
@@ -614,13 +632,12 @@ impl Collector<'_> {
 
 /// Apply the branch's stack adjustment (truncate to the label height,
 /// re-pushing the carried top if any).
-fn branch_adjust(mut st: State, b: &crate::code::Branch) -> State {
+fn branch_adjust(st: &mut State, b: &crate::code::Branch) {
     let kept = st.stack.last().copied();
     st.stack.truncate(b.height as usize);
     if b.keep {
         st.stack.push(kept.expect("kept value"));
     }
-    st
 }
 
 /// Refine `st` under "the condition slot is truthy/falsy". Returns `false`
@@ -693,17 +710,19 @@ fn cmp_prov(op: NumBin, x: &Slot, y: &Slot) -> Prov {
 }
 
 /// Interpret one linear segment starting at `start` until a terminator or
-/// until control falls into another branch target. Branch edges (with
-/// refined states) are appended to `edges`; when `col` is set, per-site
-/// proofs and value lints are recorded. Returns `false` iff the step budget
-/// ran out.
+/// until control falls into another branch target. `st` is the entry state
+/// and ends as the exit state; `taken` is scratch for conditional edges.
+/// Each branch edge (with its refined state) goes to `edge`, in program
+/// order; when `col` is set, per-site proofs and value lints are recorded.
+/// Returns `false` iff the step budget ran out.
 fn run_segment(
     ctx: &Ctx<'_>,
     start: u32,
-    mut st: State,
+    st: &mut State,
+    taken: &mut State,
     steps: &mut usize,
     mut col: Option<&mut Collector<'_>>,
-    edges: &mut Vec<(u32, State)>,
+    edge: &mut impl FnMut(u32, &State),
 ) -> bool {
     let mut pc = start as usize;
     loop {
@@ -714,17 +733,19 @@ fn run_segment(
         match &ctx.code[pc] {
             Op::Unreachable | Op::Return => return true,
             Op::Br(b) => {
-                edges.push((b.target, branch_adjust(st, b)));
+                branch_adjust(st, b);
+                edge(b.target, st);
                 return true;
             }
             op @ (Op::BrIf(b) | Op::BrIfZ(b)) => {
                 let cond = st.stack.pop().expect("cond");
                 let taken_truth = matches!(op, Op::BrIf(_));
-                let mut taken = st.clone();
-                if apply_cond(&mut taken, cond, taken_truth) {
-                    edges.push((b.target, branch_adjust(taken, b)));
+                taken.clone_from(st);
+                if apply_cond(taken, cond, taken_truth) {
+                    branch_adjust(taken, b);
+                    edge(b.target, taken);
                 }
-                if !apply_cond(&mut st, cond, !taken_truth) {
+                if !apply_cond(st, cond, !taken_truth) {
                     return true; // fallthrough infeasible
                 }
             }
@@ -735,7 +756,9 @@ fn run_segment(
                     .iter()
                     .chain(std::iter::once(&payload.default))
                 {
-                    edges.push((b.target, branch_adjust(st.clone(), b)));
+                    taken.clone_from(st);
+                    branch_adjust(taken, b);
+                    edge(b.target, taken);
                 }
                 return true;
             }
@@ -804,12 +827,12 @@ fn run_segment(
             Op::LocalSet(i) => {
                 let v = st.stack.pop().expect("set value");
                 st.locals[*i as usize] = v.val;
-                kill_local(&mut st, *i);
+                kill_local(st, *i);
             }
             Op::LocalTee(i) => {
                 let v = *st.stack.last().expect("tee value");
                 st.locals[*i as usize] = v.val;
-                kill_local(&mut st, *i);
+                kill_local(st, *i);
                 st.stack.last_mut().expect("tee value").prov = Prov::Local(*i);
             }
             Op::GlobalGet(_) => st.stack.push(Slot::anon(AVal::Top)),
@@ -930,20 +953,20 @@ fn run_segment(
                     lint_div(ctx, c, pc, *op, y);
                 }
                 st.locals[*d as usize] = bin_transfer(*op, x, y);
-                kill_local(&mut st, *d);
+                kill_local(st, *d);
             }
             Op::IncI32(i, delta) => {
                 let k = AVal::from_const(*delta as u32 as u64);
                 st.locals[*i as usize] = bin_transfer(NumBin::I32Add, st.locals[*i as usize], k);
-                kill_local(&mut st, *i);
+                kill_local(st, *i);
             }
             // Fuel is inserted by the cost pass, which runs after this
             // analysis; it has no stack or value effect.
             Op::Fuel(_) => {}
         }
         pc += 1;
-        if ctx.targets.contains(&(pc as u32)) {
-            edges.push((pc as u32, st));
+        if ctx.targets[pc] {
+            edge(pc as u32, st);
             return true;
         }
     }
@@ -1002,14 +1025,29 @@ fn lint_call_indirect(ctx: &Ctx<'_>, col: &mut Collector<'_>, pc: usize, k: u32,
 }
 
 /// Join `src` into `dst` slot-wise. `Err(())` on an abstract-shape mismatch
-/// (should not happen on validated code); `Ok(changed)` otherwise.
-fn join_into(dst: &mut State, src: &State) -> Result<bool, ()> {
+/// (should not happen on validated code); `Ok(changed)` otherwise. With
+/// `widen = Some(hard)`, every slot value the join grew is then widened
+/// against its value before the join (see [`widen_val`]); a slot the join
+/// left alone stays as it is, so widening never hides a change.
+fn join_into(
+    dst: &mut State,
+    src: &State,
+    widen: Option<bool>,
+    landmarks: &[u32],
+) -> Result<bool, ()> {
     if dst.stack.len() != src.stack.len() || dst.locals.len() != src.locals.len() {
         return Err(());
     }
+    let join = |d: AVal, s: AVal| -> AVal {
+        let val = d.join(s);
+        match widen {
+            Some(hard) if val != d => widen_val(d, val, landmarks, hard),
+            _ => val,
+        }
+    };
     let mut changed = false;
     for (d, s) in dst.stack.iter_mut().zip(&src.stack) {
-        let val = d.val.join(s.val);
+        let val = join(d.val, s.val);
         let prov = if d.prov == s.prov { d.prov } else { Prov::None };
         if val != d.val || prov != d.prov {
             changed = true;
@@ -1018,7 +1056,7 @@ fn join_into(dst: &mut State, src: &State) -> Result<bool, ()> {
         d.prov = prov;
     }
     for (d, s) in dst.locals.iter_mut().zip(&src.locals) {
-        let val = d.join(*s);
+        let val = join(*d, *s);
         if val != *d {
             changed = true;
         }
@@ -1027,38 +1065,31 @@ fn join_into(dst: &mut State, src: &State) -> Result<bool, ()> {
     Ok(changed)
 }
 
-/// Widen every slot that grew since `old`: bounds snap outward to the
-/// nearest landmark (`hard` snaps straight to `Top`).
-fn widen(old: &State, new: &mut State, landmarks: &[u32], hard: bool) {
-    let widen_val = |o: AVal, n: AVal| -> AVal {
-        if o == n {
-            return n;
-        }
-        if hard {
-            return AVal::Top;
-        }
-        match (o, n) {
-            (AVal::R(ol, oh), AVal::R(nl, nh)) => {
-                let mut lo = nl;
-                let mut hi = nh;
-                if nh > oh {
-                    let i = landmarks.partition_point(|&x| x < nh);
-                    hi = landmarks.get(i).copied().unwrap_or(U32MAX);
-                }
-                if nl < ol {
-                    let i = landmarks.partition_point(|&x| x <= nl);
-                    lo = if i == 0 { 0 } else { landmarks[i - 1] };
-                }
-                AVal::R(lo, hi)
-            }
-            _ => n,
-        }
-    };
-    for (o, n) in old.stack.iter().zip(&mut new.stack) {
-        n.val = widen_val(o.val, n.val);
+/// Widen a slot value that grew from `old` to `new`: bounds snap outward to
+/// the nearest landmark (`hard` snaps straight to `Top`). The result always
+/// contains `new`, so it differs from `old` exactly when `new` does.
+fn widen_val(old: AVal, new: AVal, landmarks: &[u32], hard: bool) -> AVal {
+    if old == new {
+        return new;
     }
-    for (o, n) in old.locals.iter().zip(&mut new.locals) {
-        *n = widen_val(*o, *n);
+    if hard {
+        return AVal::Top;
+    }
+    match (old, new) {
+        (AVal::R(ol, oh), AVal::R(nl, nh)) => {
+            let mut lo = nl;
+            let mut hi = nh;
+            if nh > oh {
+                let i = landmarks.partition_point(|&x| x < nh);
+                hi = landmarks.get(i).copied().unwrap_or(U32MAX);
+            }
+            if nl < ol {
+                let i = landmarks.partition_point(|&x| x <= nl);
+                lo = if i == 0 { 0 } else { landmarks[i - 1] };
+            }
+            AVal::R(lo, hi)
+        }
+        _ => new,
     }
 }
 
@@ -1067,6 +1098,7 @@ fn widen(old: &State, new: &mut State, landmarks: &[u32], hard: bool) {
 /// store footprint and value lints.
 pub(super) fn analyze_func(
     m: &CompiledModule,
+    arity: &ArityMap,
     fidx: u32,
     func: &CompiledFunc,
     diags: &mut Vec<Diagnostic>,
@@ -1100,7 +1132,7 @@ pub(super) fn analyze_func(
     }
 
     // Branch targets partition the code into linear segments.
-    let mut targets: HashSet<u32> = HashSet::new();
+    let mut targets = vec![false; code.len() + 1];
     // Constants appearing in the code: the widening landmarks. `k + 1` is
     // included so `i <= N`-style loop heads stabilize one past the bound.
     let mut landmarks: Vec<u32> = vec![0, U32MAX];
@@ -1112,12 +1144,10 @@ pub(super) fn analyze_func(
     };
     for op in code {
         match op {
-            Op::Br(b) | Op::BrIf(b) | Op::BrIfZ(b) => {
-                targets.insert(b.target);
-            }
+            Op::Br(b) | Op::BrIf(b) | Op::BrIfZ(b) => targets[b.target as usize] = true,
             Op::BrTable(p) => {
                 for b in p.targets.iter().chain(std::iter::once(&p.default)) {
-                    targets.insert(b.target);
+                    targets[b.target as usize] = true;
                 }
             }
             Op::Const(c) | Op::BinRC(_, c) => mark(*c, &mut landmarks),
@@ -1136,7 +1166,7 @@ pub(super) fn analyze_func(
         targets,
         landmarks,
         max_bytes,
-        arity: super::stack::arity_map(m),
+        arity,
         budget: 500 * code.len() + 50_000,
     };
 
@@ -1148,58 +1178,55 @@ pub(super) fn analyze_func(
         locals: entry_locals,
     };
 
-    // Fixpoint: chaotic iteration over segment-entry states.
-    let mut states: HashMap<u32, State> = HashMap::new();
-    let mut joins: HashMap<u32, u32> = HashMap::new();
-    let mut queued: HashSet<u32> = HashSet::new();
+    // Fixpoint: chaotic iteration over segment-entry states, in FIFO order.
+    // The bookkeeping is indexed by pc; the visit order and the widening
+    // schedule are part of what the results mean.
+    let mut states: Vec<Option<State>> = vec![None; code.len() + 1];
+    let mut joins = vec![0u32; code.len() + 1];
+    let mut queued = vec![false; code.len() + 1];
     let mut work: VecDeque<u32> = VecDeque::new();
-    states.insert(0, entry);
-    queued.insert(0);
+    states[0] = Some(entry);
+    queued[0] = true;
     work.push_back(0);
     let mut steps = 0usize;
-    let mut edges: Vec<(u32, State)> = Vec::new();
+    let (mut st, mut taken) = (State::default(), State::default());
+    let mut mismatch = false;
 
     while let Some(pc) = work.pop_front() {
-        queued.remove(&pc);
-        let st = states.get(&pc).expect("queued state").clone();
-        edges.clear();
-        if !run_segment(&ctx, pc, st, &mut steps, None, &mut edges) {
-            // Step budget exhausted: give up on footprints and value lints for
-            // this function (the stack verifier is a separate pass).
+        queued[pc as usize] = false;
+        st.clone_from(states[pc as usize].as_ref().expect("queued state"));
+        // Join each edge into its target's entry state as the segment emits
+        // it; a target whose state changed joins the back of the queue.
+        let mut edge = |target: u32, src: &State| {
+            let t = target as usize;
+            let changed = match &mut states[t] {
+                slot @ None => {
+                    *slot = Some(src.clone());
+                    true
+                }
+                Some(dst) => {
+                    joins[t] += 1;
+                    let widen = (joins[t] > WIDEN_AFTER).then_some(joins[t] > TOP_AFTER);
+                    join_into(dst, src, widen, &ctx.landmarks).unwrap_or_else(|()| {
+                        mismatch = true;
+                        false
+                    })
+                }
+            };
+            if changed && !queued[t] {
+                queued[t] = true;
+                work.push_back(target);
+            }
+        };
+        let within_budget = run_segment(&ctx, pc, &mut st, &mut taken, &mut steps, None, &mut edge);
+        if !within_budget || mismatch {
+            // Step budget exhausted (or an abstract-shape mismatch): give up
+            // on footprints and value lints for this function (the stack
+            // verifier is a separate pass).
             return FuncRange {
                 mem_sites,
                 footprint: bail_footprint,
             };
-        }
-        for (target, src) in edges.drain(..) {
-            let changed = match states.get_mut(&target) {
-                None => {
-                    states.insert(target, src);
-                    true
-                }
-                Some(dst) => {
-                    let n = joins.entry(target).or_insert(0);
-                    *n += 1;
-                    let old = dst.clone();
-                    match join_into(dst, &src) {
-                        Ok(changed) => {
-                            if changed && *n > WIDEN_AFTER {
-                                widen(&old, dst, &ctx.landmarks, *n > TOP_AFTER);
-                            }
-                            *dst != old
-                        }
-                        Err(()) => {
-                            return FuncRange {
-                                mem_sites,
-                                footprint: bail_footprint,
-                            };
-                        }
-                    }
-                }
-            };
-            if changed && queued.insert(target) {
-                work.push_back(target);
-            }
         }
     }
 
@@ -1209,13 +1236,19 @@ pub(super) fn analyze_func(
         footprint: WriteFootprint::Empty,
         diags,
     };
-    let mut pcs: Vec<u32> = states.keys().copied().collect();
-    pcs.sort_unstable();
     let mut col_steps = 0usize;
-    for pc in pcs {
-        edges.clear();
-        let st = states.get(&pc).expect("state").clone();
-        if !run_segment(&ctx, pc, st, &mut col_steps, Some(&mut col), &mut edges) {
+    for (pc, st) in states.iter_mut().enumerate() {
+        let Some(st) = st else { continue };
+        let col = Some(&mut col);
+        if !run_segment(
+            &ctx,
+            pc as u32,
+            st,
+            &mut taken,
+            &mut col_steps,
+            col,
+            &mut |_, _| {},
+        ) {
             return FuncRange {
                 mem_sites,
                 footprint: bail_footprint,

@@ -18,6 +18,8 @@ const FRAME_RECORD_BYTES: u64 = 16;
 /// Arity of a canonical type id: `(nparams, has_result)`.
 pub(crate) type ArityMap = HashMap<u32, (u32, bool)>;
 
+/// The module's arity map. Built once per translation and once per artifact
+/// decode, and passed to every pass that needs it.
 pub(crate) fn arity_map(m: &CompiledModule) -> ArityMap {
     let mut map = ArityMap::new();
     for f in &m.funcs {
@@ -30,11 +32,10 @@ pub(crate) fn arity_map(m: &CompiledModule) -> ArityMap {
 }
 
 /// Maximum operand-stack height of every local function.
-pub(super) fn operand_heights(m: &CompiledModule) -> Vec<u32> {
-    let arities = arity_map(m);
+pub(super) fn operand_heights(m: &CompiledModule, arities: &ArityMap) -> Vec<u32> {
     m.funcs
         .iter()
-        .map(|f| max_height(m, f, &arities).expect("translator emitted a stack-consistent body"))
+        .map(|f| max_height(m, f, arities).expect("translator emitted a stack-consistent body"))
         .collect()
 }
 

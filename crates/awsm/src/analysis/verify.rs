@@ -9,7 +9,8 @@
 //! and compares them with what the report says. Artifact decode is its one
 //! product caller: a module that fails it is never built.
 
-use super::{cost, stack};
+use super::cost;
+use super::stack::{self, ArityMap};
 use crate::code::CompiledModule;
 
 /// Prove, for `m`, that
@@ -28,7 +29,7 @@ use crate::code::CompiledModule;
 /// # Errors
 ///
 /// Returns the first violation as a message naming the export or function.
-pub(crate) fn verify_body(m: &CompiledModule) -> Result<(), String> {
+pub(crate) fn verify_body(m: &CompiledModule, arities: &ArityMap) -> Result<(), String> {
     let report = &m.analysis;
     let cost_report = &report.cost;
     let nfuncs = m.funcs.len();
@@ -52,14 +53,13 @@ pub(crate) fn verify_body(m: &CompiledModule) -> Result<(), String> {
     {
         return Err("certificate entry count mismatch".into());
     }
-    let arities = stack::arity_map(m);
     let gap_limit = cost_report.max_check_gap.max(cost::MAX_SINGLE_OP_COST);
 
     for (fidx, func) in m.funcs.iter().enumerate() {
         let fname = || func.name.clone().unwrap_or_else(|| format!("func[{fidx}]"));
         let summary = &report.funcs[fidx];
 
-        let hmax = stack::max_height(m, func, &arities).map_err(|e| format!("{}: {e}", fname()))?;
+        let hmax = stack::max_height(m, func, arities).map_err(|e| format!("{}: {e}", fname()))?;
         if hmax > summary.max_operand_slots {
             return Err(format!(
                 "{}: body needs {hmax} operand slots, certificate says {}",

@@ -258,8 +258,10 @@ pub fn decode(bytes: &[u8]) -> Result<CompiledModule, ArtifactError> {
     };
     // The bodies and certificates are still claims: prove them, then build
     // the executable form, or return no module at all.
-    crate::analysis::verify::verify_body(&module).map_err(ArtifactError::Unverified)?;
-    module.lowered = crate::lower::lower_module(&module).map_err(ArtifactError::Unverified)?;
+    let arities = crate::analysis::stack::arity_map(&module);
+    crate::analysis::verify::verify_body(&module, &arities).map_err(ArtifactError::Unverified)?;
+    module.lowered =
+        crate::lower::lower_module(&module, &arities).map_err(ArtifactError::Unverified)?;
     Ok(module)
 }
 

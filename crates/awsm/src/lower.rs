@@ -126,7 +126,7 @@ pub(crate) struct Lowered {
 ///
 /// Returns the first reason a body cannot be run safely (see
 /// [`stack::heights`]), naming the function. Translator output never fails.
-pub(crate) fn lower_module(m: &CompiledModule) -> Result<Lowered, String> {
+pub(crate) fn lower_module(m: &CompiledModule, arities: &ArityMap) -> Result<Lowered, String> {
     let hosts: Box<[HostSig]> = m
         .host_funcs
         .iter()
@@ -138,7 +138,6 @@ pub(crate) fn lower_module(m: &CompiledModule) -> Result<Lowered, String> {
         .collect();
     // Indirect calls are lowered from the arity of their type id, and at run
     // time trust any table entry carrying that id: the two must agree.
-    let arities = stack::arity_map(m);
     let funcs = m
         .funcs
         .iter()
@@ -155,8 +154,8 @@ pub(crate) fn lower_module(m: &CompiledModule) -> Result<Lowered, String> {
             Some(n) => format!("{n}: {e}"),
             None => format!("func[{fidx}]: {e}"),
         };
-        let body = lower_func(m, func, &arities).map_err(named)?;
-        body.check(m, &hosts, &arities).map_err(named)?;
+        let body = lower_func(m, func, arities).map_err(named)?;
+        body.check(m, &hosts, arities).map_err(named)?;
         Ok(body)
     };
     let bodies = m.funcs.iter().enumerate().map(lower);
@@ -697,8 +696,8 @@ mod tests {
         mb.export_func(main, "main");
         let m = crate::translate(&mb.build().unwrap(), crate::Tier::Optimized).unwrap();
 
-        let lowered = lower_module(&m).unwrap();
         let arities = stack::arity_map(&m);
+        let lowered = lower_module(&m, &arities).unwrap();
         let good = &lowered.bodies[0];
         good.check(&m, &lowered.hosts, &arities).unwrap();
         let edits: [fn(&mut Vec<LOp>); 4] = [
