@@ -269,7 +269,7 @@ fn render_json(
         );
     }
     out.push_str("]}");
-    // Stack body → executed body, per function (CI holds lowered <= ops).
+    // Stack body → executed body, per function (lowering never adds ops).
     let _ = write!(
         out,
         ",\"lowered\":{{\"op_bytes\":{},\"funcs\":[",

@@ -79,7 +79,7 @@ pub(crate) mod opc {
 }
 use opc::*;
 
-/// Bytes per lowered op; CI and a unit test hold it at 16.
+/// Bytes per lowered op; the tests hold it at 16.
 pub const LOWERED_OP_BYTES: usize = std::mem::size_of::<LOp>();
 
 fn lop(code: u16, a: u32, b: u32, c: u32) -> LOp {

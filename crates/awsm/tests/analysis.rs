@@ -328,3 +328,81 @@ fn catalogue_certificates_are_pinned() {
         );
     }
 }
+
+/// The analyzer's sweep over the catalogue, with the gates a deployment
+/// applies: every module's certificates within budget and no lint at all,
+/// and no report that speaks of an optimizer or of elided checks (there is
+/// one body per function). The shape of the executed body is checked
+/// through the library: an op is 16 bytes (what the per-node memory
+/// estimate assumes), and lowering never adds ops to a function.
+#[test]
+fn analyzer_sweep_over_the_catalogue_passes() {
+    const MAX_CHECK_GAP: u32 = 512;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("analyzer-sweep");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the module directory");
+    let guests = catalogue();
+    let mut paths = Vec::new();
+    for (name, m) in &guests {
+        let path = dir.join(format!("{name}.wasm"));
+        std::fs::write(&path, sledge_wasm::encode::encode_module(m)).expect("write module");
+        paths.push(path);
+    }
+
+    let analyze = |flags: &[&str]| -> String {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_awsm-analyze"))
+            .args(flags)
+            .args(&paths)
+            .output()
+            .expect("run awsm-analyze");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        assert!(
+            out.status.success(),
+            "awsm-analyze {flags:?} failed ({}):\n{stdout}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    let gap = MAX_CHECK_GAP.to_string();
+    let json = analyze(&[
+        "--deny-warnings",
+        "--effects",
+        "--max-stack-bytes",
+        "1048576",
+        "--max-check-gap",
+        &gap,
+        "--json",
+    ]);
+    assert_eq!(
+        json.lines().count(),
+        guests.len(),
+        "one JSON object per module"
+    );
+    for bad in ["\"within_budget\":false", "\"failed\":true"] {
+        assert!(!json.contains(bad), "a module reports {bad}:\n{json}");
+    }
+    let text = analyze(&[]);
+    for report in [&json, &text] {
+        let lower = report.to_lowercase();
+        for word in ["\"opt\"", "optimis", "optimiz", "elided", "elision"] {
+            assert!(!lower.contains(word), "a report mentions {word}");
+        }
+    }
+
+    assert_eq!(awsm::LOWERED_OP_BYTES, 16);
+    let opts = awsm::TranslateOptions {
+        max_check_gap: MAX_CHECK_GAP,
+    };
+    for (name, m) in &guests {
+        let cm = awsm::translate_with(m, Tier::Optimized, opts).expect("translate");
+        for (i, f) in cm.funcs.iter().enumerate() {
+            let lowered = cm.lowered_ops(i).expect("every function is lowered");
+            assert!(
+                0 < lowered && lowered <= f.code.len(),
+                "{name} func {i}: {} ops lowered to {lowered}",
+                f.code.len()
+            );
+        }
+    }
+}
