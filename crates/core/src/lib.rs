@@ -83,7 +83,7 @@ pub use metrics::{
     PhaseHistograms, PhaseSnapshot, PHASES,
 };
 pub use pool::{PoolStats, PoolStatsSnapshot, SandboxPool};
-pub use registry::{FunctionId, RegisterError, RegisteredFunction, Registry};
+pub use registry::{FunctionId, RegisterError, RegisteredFunction};
 pub use sandbox::{Completion, Outcome, Sandbox, SandboxHost, Timings};
 pub use sched::Dwrr;
 pub use sledge_http::ConnSnapshot;
@@ -93,7 +93,7 @@ pub use stats::{
 };
 
 use listener::Intake;
-use registry::Binary;
+use registry::{Binary, Registry};
 use sledge_http::{ConnCounters, HttpServer, ServerConfig};
 use std::io;
 use std::net::SocketAddr;

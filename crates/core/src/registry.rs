@@ -249,7 +249,7 @@ type Shelf = HashMap<Box<[u8]>, Arc<CompiledModule>>;
 /// Registry of loaded functions, indexed by id, name, and HTTP route. Its
 /// settings are fixed when it is built (see [`Registry::new`]).
 #[derive(Debug)]
-pub struct Registry {
+pub(crate) struct Registry {
     functions: Vec<Arc<RegisteredFunction>>,
     by_name: HashMap<String, FunctionId>,
     by_route: HashMap<String, FunctionId>,
@@ -276,7 +276,7 @@ pub struct Registry {
     /// bucket rate.
     calibration: u64,
     /// Load-time analysis counters.
-    pub stats: RegistryStats,
+    pub(crate) stats: RegistryStats,
 }
 
 impl Registry {
@@ -284,7 +284,7 @@ impl Registry {
     /// `config.max_stack_bytes` and `config.max_check_gap`, gives every
     /// function a pool of `config.pool_size` and sizes work budgets with
     /// `config.cost_units_per_us`, for its whole life.
-    pub fn new(config: &RuntimeConfig) -> Self {
+    pub(crate) fn new(config: &RuntimeConfig) -> Self {
         Registry {
             functions: Vec::new(),
             by_name: HashMap::new(),
@@ -498,43 +498,33 @@ impl Registry {
     }
 
     /// Look up by id.
-    pub fn get(&self, id: FunctionId) -> Option<&Arc<RegisteredFunction>> {
+    pub(crate) fn get(&self, id: FunctionId) -> Option<&Arc<RegisteredFunction>> {
         self.functions.get(id.0 as usize)
     }
 
     /// Look up by function name.
-    pub fn by_name(&self, name: &str) -> Option<&Arc<RegisteredFunction>> {
+    pub(crate) fn by_name(&self, name: &str) -> Option<&Arc<RegisteredFunction>> {
         self.by_name.get(name).and_then(|id| self.get(*id))
     }
 
     /// Look up by HTTP route.
-    pub fn by_route(&self, route: &str) -> Option<&Arc<RegisteredFunction>> {
+    pub(crate) fn by_route(&self, route: &str) -> Option<&Arc<RegisteredFunction>> {
         self.by_route.get(route).and_then(|id| self.get(*id))
     }
 
     /// All registered functions.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<RegisteredFunction>> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<RegisteredFunction>> {
         self.functions.iter()
     }
 
     /// Every function's warm-pool counters, summed (all-zero when pooling
     /// is disabled).
-    pub fn pool_stats(&self) -> PoolStatsSnapshot {
+    pub(crate) fn pool_stats(&self) -> PoolStatsSnapshot {
         let mut snap = PoolStatsSnapshot::default();
         for rf in &self.functions {
             snap.merge(&rf.pool.snapshot());
         }
         snap
-    }
-
-    /// Number of registered functions.
-    pub fn len(&self) -> usize {
-        self.functions.len()
-    }
-
-    /// Whether no functions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
     }
 }
 
@@ -605,7 +595,7 @@ mod tests {
         let m = tiny_module("seven");
         let wasm = sledge_wasm::encode::encode_module(&m);
         let id = register_wasm(&mut r, FunctionConfig::new("seven"), &wasm).unwrap();
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.functions.len(), 1);
         assert_eq!(r.get(id).unwrap().config.name, "seven");
         assert!(r.by_name("seven").is_some());
         assert!(r.by_route("/seven").is_some());
@@ -640,7 +630,7 @@ mod tests {
         assert!(err.to_string().contains("\"/x\""), "{err}");
         let err = register_wasm(&mut r, FunctionConfig::new("a"), b"garbage").unwrap_err();
         assert!(matches!(err, RegisterError::DuplicateName(_)), "{err}");
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.functions.len(), 1);
         assert_eq!(r.by_route("/x").unwrap().config.name, "a");
         assert_eq!(r.stats.snapshot().modules_compiled, 1);
     }
@@ -725,7 +715,7 @@ mod tests {
             register(&mut r, FunctionConfig::new("reexport"), &m),
             Err(RegisterError::NoEntry(_))
         ));
-        assert!(r.is_empty());
+        assert!(r.functions.is_empty());
     }
 
     #[test]
@@ -747,7 +737,7 @@ mod tests {
             panic!("expected analysis rejection, got {err}");
         };
         assert!(diags.iter().any(|d| d.message.contains("exceeds budget")));
-        assert!(r.is_empty(), "rejected module must not be registered");
+        assert!(r.functions.is_empty(), "rejected module must not be registered");
         assert_eq!(r.stats.snapshot().modules_rejected, 1);
         // The same module passes under a sane budget.
         let mut r = stack_registry(1 << 20);
@@ -823,7 +813,7 @@ mod tests {
         let err = register(&mut r, FunctionConfig::new("heavy"), &m).unwrap_err();
         assert!(matches!(err, RegisterError::Certificate(_)), "{err}");
         assert!(err.to_string().contains("certificate"));
-        assert!(r.is_empty());
+        assert!(r.functions.is_empty());
         let snap = r.stats.snapshot();
         assert_eq!(snap.certificate_rejected, 1);
         assert_eq!(snap.modules_rejected, 1);
@@ -943,7 +933,7 @@ mod tests {
         };
         assert!(diags[0].message.contains("request_len"), "{diags:?}");
         assert!(err.to_string().contains("capability policy rejected"));
-        assert!(r.is_empty(), "rejected module must not be registered");
+        assert!(r.functions.is_empty(), "rejected module must not be registered");
         let snap = r.stats.snapshot();
         assert_eq!(snap.capability_rejected, 1);
         assert_eq!(snap.modules_rejected, 1);
