@@ -737,7 +737,10 @@ mod tests {
             panic!("expected analysis rejection, got {err}");
         };
         assert!(diags.iter().any(|d| d.message.contains("exceeds budget")));
-        assert!(r.functions.is_empty(), "rejected module must not be registered");
+        assert!(
+            r.functions.is_empty(),
+            "rejected module must not be registered"
+        );
         assert_eq!(r.stats.snapshot().modules_rejected, 1);
         // The same module passes under a sane budget.
         let mut r = stack_registry(1 << 20);
@@ -933,7 +936,10 @@ mod tests {
         };
         assert!(diags[0].message.contains("request_len"), "{diags:?}");
         assert!(err.to_string().contains("capability policy rejected"));
-        assert!(r.functions.is_empty(), "rejected module must not be registered");
+        assert!(
+            r.functions.is_empty(),
+            "rejected module must not be registered"
+        );
         let snap = r.stats.snapshot();
         assert_eq!(snap.capability_rejected, 1);
         assert_eq!(snap.modules_rejected, 1);
