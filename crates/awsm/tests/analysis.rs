@@ -3,7 +3,7 @@
 
 use awsm::{
     translate, EngineConfig, Instance, NullHost, Severity, StackBound, StepResult, Tier, Trap,
-    Value,
+    Value, WriteFootprint,
 };
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Stmt};
@@ -245,6 +245,45 @@ fn constant_oob_store_is_error() {
         .expect("certain OOB");
     assert!(d.message.contains("out of bounds"), "{}", d.message);
     assert!(d.pc.is_some());
+}
+
+/// A loop that shifts `n` locals down a chain, one link per iteration, then
+/// stores to a constant address. Each iteration widens one more local at the
+/// loop head, so the interval fixpoint revisits the loop about `n` times and
+/// takes about `2n²` steps.
+fn shift_chain(n: usize) -> Module {
+    let mut mb = ModuleBuilder::new("chain");
+    mb.memory(1, Some(1));
+    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+    let xs: Vec<_> = (0..n).map(|_| f.local(ValType::I32)).collect();
+    let mut body: Vec<Stmt> = (1..n).rev().map(|k| set(xs[k], local(xs[k - 1]))).collect();
+    body.push(set(xs[0], add(local(xs[0]), i32c(1))));
+    f.push(while_(lt_u(local(xs[0]), i32c(1000)), body));
+    f.push(store_i32(i32c(64), local(xs[n - 1])));
+    f.push(ret(Some(i32c(0))));
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().unwrap()
+}
+
+/// The interval fixpoint's step budget (`500 × ops + 50 000`) bails out to
+/// "no findings, unbounded footprint": a store the analysis would bound
+/// becomes `Unbounded` once the fixpoint outgrows the budget, and the module
+/// still translates, certifies its stack and runs.
+#[test]
+fn interval_budget_bails_out_to_an_unbounded_footprint() {
+    let footprint = |n| {
+        let cm = translate(&shift_chain(n), Tier::Optimized).unwrap();
+        assert!(
+            cm.analysis.diagnostics.is_empty(),
+            "{:?}",
+            cm.analysis.diagnostics
+        );
+        cm.analysis.effects.funcs[0].footprint
+    };
+    assert_eq!(footprint(8), WriteFootprint::Span { lo: 64, hi: 68 });
+    assert_eq!(footprint(1000), WriteFootprint::Unbounded);
+    assert_eq!(run(&shift_chain(1000), Tier::Optimized, &[]), Ok(Some(0)));
 }
 
 // ------------------------------------------------- pinned catalogue results
