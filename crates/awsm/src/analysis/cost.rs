@@ -117,7 +117,7 @@ pub fn op_cost(op: &Op) -> u32 {
 
 /// The heaviest single op ([`Op::MemoryGrow`]); no check-free gap can be
 /// narrower than this, whatever the budget.
-pub const MAX_SINGLE_OP_COST: u32 = 64;
+pub(crate) const MAX_SINGLE_OP_COST: u32 = 64;
 
 /// Per-function slice of the preemption-latency certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -50,7 +50,7 @@ pub enum WriteFootprint {
 
 impl WriteFootprint {
     /// Lattice join (interval hull).
-    pub fn join(self, other: WriteFootprint) -> WriteFootprint {
+    pub(crate) fn join(self, other: WriteFootprint) -> WriteFootprint {
         use WriteFootprint::*;
         match (self, other) {
             (Empty, x) | (x, Empty) => x,
@@ -64,7 +64,7 @@ impl WriteFootprint {
 
     /// Exclusive upper bound of the footprint in bytes: 0 for `Empty`,
     /// `hi` for a span, `None` when unbounded.
-    pub fn bytes(self) -> Option<u64> {
+    pub(crate) fn bytes(self) -> Option<u64> {
         match self {
             WriteFootprint::Empty => Some(0),
             WriteFootprint::Span { hi, .. } => Some(hi),

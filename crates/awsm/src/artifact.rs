@@ -34,19 +34,19 @@ use crate::code::{
 use crate::memory::MemoryTemplate;
 
 /// Artifact magic: "SLGA" (SLedGe Artifact).
-pub const MAGIC: &[u8; 4] = b"SLGA";
+pub(crate) const MAGIC: &[u8; 4] = b"SLGA";
 /// Current format version. Decoders reject anything else. Version 1
 /// carried three bodies per function and an optimizer section.
-pub const VERSION: u16 = 2;
+pub(crate) const VERSION: u16 = 2;
 
 /// Why an artifact could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArtifactError {
     /// The byte stream ended before the structure was complete.
     Truncated,
-    /// The stream does not start with [`MAGIC`].
+    /// The stream does not start with `MAGIC`.
     BadMagic,
-    /// The format version is not [`VERSION`].
+    /// The format version is not `VERSION`.
     BadVersion(u16),
     /// The FNV-1a checksum over the payload does not match the header:
     /// the artifact was corrupted (or tampered with) in flight.
@@ -85,7 +85,7 @@ impl fmt::Display for ArtifactError {
 impl Error for ArtifactError {}
 
 /// FNV-1a 64-bit hash — the integrity checksum over the artifact payload.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

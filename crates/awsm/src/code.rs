@@ -51,7 +51,7 @@ macro_rules! op_enums {
         pub enum $ty { $($name),* }
         impl $ty {
             /// Every variant, in declaration order.
-            pub const ALL: &'static [$ty] = &[$($ty::$name),*];
+            pub(crate) const ALL: &'static [$ty] = &[$($ty::$name),*];
         }
     )* };
 }
@@ -148,14 +148,6 @@ pub struct HostImport {
     pub has_result: bool,
     /// Canonical type id (shared space with local functions).
     pub type_id: u32,
-}
-
-impl HostImport {
-    /// The `module::name` form used by effect certificates and capability
-    /// policies.
-    pub fn qualified_name(&self) -> String {
-        format!("{}::{}", self.module, self.name)
-    }
 }
 
 /// One translated function.

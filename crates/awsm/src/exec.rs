@@ -20,7 +20,7 @@ macro_rules! families {
     ($($m:ident = $base:ident + $ty:ident: [$($name:ident)*])*) => { $(
         #[allow(non_upper_case_globals)]
         mod $m {
-            $(pub const $name: u16 = crate::lower::opc::$base + crate::code::$ty::$name as u16;)*
+            $(pub(super) const $name: u16 = crate::lower::opc::$base + crate::code::$ty::$name as u16;)*
         }
     )* };
     ([$(#[$d0:meta])* LoadKind: $($ld:ident)*] [$(#[$d1:meta])* StoreKind: $($st:ident)*]
@@ -111,14 +111,14 @@ pub(crate) struct ExecState {
 
 impl ExecState {
     /// A context whose slab already holds `slots` slots.
-    pub fn with_slots(slots: usize) -> Self {
+    pub(crate) fn with_slots(slots: usize) -> Self {
         ExecState {
             slab: vec![0; slots],
             ..Default::default()
         }
     }
 
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.frames.clear();
         self.fuel_debt = 0;
         self.prepaid = false;
@@ -159,7 +159,7 @@ impl ExecState {
     }
 
     /// Start an invocation of `func` with `args` as its parameters.
-    pub fn enter(
+    pub(crate) fn enter(
         &mut self,
         func: u32,
         body: &Body,
@@ -175,7 +175,7 @@ impl ExecState {
     }
 
     /// Heap bytes held by the context.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.slab.capacity() * 8 + self.frames.capacity() * std::mem::size_of::<Frame>()
     }
 }

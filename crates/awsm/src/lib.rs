@@ -47,6 +47,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod analysis;
 pub mod artifact;
 pub mod code;
@@ -259,11 +261,6 @@ impl Instance {
     /// The module this instance runs.
     pub fn module(&self) -> &Arc<CompiledModule> {
         &self.module
-    }
-
-    /// The engine configuration this instance was created with.
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// Shared preempt flag: set it (from any thread) to force

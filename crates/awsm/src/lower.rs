@@ -45,37 +45,37 @@ pub(crate) struct LOp {
 /// otherwise). A destination is always `a`; a jump target is always `c`.
 #[rustfmt::skip]
 pub(crate) mod opc {
-    pub const FUEL: u16 = 0;          // a = cost units: segment charge + preemption poll
-    pub const UNREACHABLE: u16 = 1;
-    pub const BR: u16 = 2;
-    pub const BR_IF: u16 = 3;         // a = condition
-    pub const BR_IFZ: u16 = 4;
-    pub const BR_TABLE: u16 = 5;      // a = index, b = which of `Body::tables` (last entry: default)
-    pub const RETURN: u16 = 6;
-    pub const RETURN_VAL: u16 = 7;    // copy a to slot 0, the caller's result slot, and return
-    pub const CALL: u16 = 8;          // a = local function, b = first argument: the callee's
-                                      // frame starts there and its result replaces it
-    pub const CALL_HOST: u16 = 9;     // a = host import, b = first argument
-    pub const CALL_INDIRECT: u16 = 10; // a = type id, b = first argument, c = table index
-    pub const SELECT: u16 = 11;       // if c == 0 { a = b }; a already holds the first operand
-    pub const MOV: u16 = 12;
-    pub const CONST: u16 = 13;        // a = the 64-bit value c:b
-    pub const GLOBAL_GET: u16 = 14;   // b = global index
-    pub const GLOBAL_SET: u16 = 15;   // a = global index, b = source
-    pub const MEMORY_SIZE: u16 = 16;
-    pub const MEMORY_GROW: u16 = 17;
-    pub const LOAD: u16 = 32;         // + LoadKind: a = load(b + offset c)
-    pub const STORE: u16 = 48;        // + StoreKind: store b at address a + offset c
-    pub const UN: u16 = 64;           // + NumUn: a = op(b)
-    pub const BIN_RR: u16 = 128;      // + NumBin: a = op(b, c)
-    pub const BIN_RI: u16 = 256;      // + NumBin: a = op(b, zero-extended immediate c)
-    pub const BIN_RK: u16 = 384;      // + NumBin: a = op(b, consts[c]), c too wide for BIN_RI
-    pub const BR_RR: u16 = 512;       // + NumBin: jump if op(a, b) != 0 (fused op + br_if)
-    pub const BR_RI: u16 = 640;       // + NumBin: as BR_RR with b an immediate
-    pub const BRZ_RR: u16 = 768;      // + NumBin: jump if op(a, b) == 0
-    pub const BRZ_RI: u16 = 896;      // + NumBin: as BRZ_RR with b an immediate
+    pub(crate) const FUEL: u16 = 0;          // a = cost units: segment charge + preemption poll
+    pub(crate) const UNREACHABLE: u16 = 1;
+    pub(crate) const BR: u16 = 2;
+    pub(crate) const BR_IF: u16 = 3;         // a = condition
+    pub(crate) const BR_IFZ: u16 = 4;
+    pub(crate) const BR_TABLE: u16 = 5;      // a = index, b = which of `Body::tables` (last entry: default)
+    pub(crate) const RETURN: u16 = 6;
+    pub(crate) const RETURN_VAL: u16 = 7;    // copy a to slot 0, the caller's result slot, and return
+    pub(crate) const CALL: u16 = 8;          // a = local function, b = first argument: the callee's
+                                             // frame starts there and its result replaces it
+    pub(crate) const CALL_HOST: u16 = 9;     // a = host import, b = first argument
+    pub(crate) const CALL_INDIRECT: u16 = 10; // a = type id, b = first argument, c = table index
+    pub(crate) const SELECT: u16 = 11;       // if c == 0 { a = b }; a already holds the first operand
+    pub(crate) const MOV: u16 = 12;
+    pub(crate) const CONST: u16 = 13;        // a = the 64-bit value c:b
+    pub(crate) const GLOBAL_GET: u16 = 14;   // b = global index
+    pub(crate) const GLOBAL_SET: u16 = 15;   // a = global index, b = source
+    pub(crate) const MEMORY_SIZE: u16 = 16;
+    pub(crate) const MEMORY_GROW: u16 = 17;
+    pub(crate) const LOAD: u16 = 32;         // + LoadKind: a = load(b + offset c)
+    pub(crate) const STORE: u16 = 48;        // + StoreKind: store b at address a + offset c
+    pub(crate) const UN: u16 = 64;           // + NumUn: a = op(b)
+    pub(crate) const BIN_RR: u16 = 128;      // + NumBin: a = op(b, c)
+    pub(crate) const BIN_RI: u16 = 256;      // + NumBin: a = op(b, zero-extended immediate c)
+    pub(crate) const BIN_RK: u16 = 384;      // + NumBin: a = op(b, consts[c]), c too wide for BIN_RI
+    pub(crate) const BR_RR: u16 = 512;       // + NumBin: jump if op(a, b) != 0 (fused op + br_if)
+    pub(crate) const BR_RI: u16 = 640;       // + NumBin: as BR_RR with b an immediate
+    pub(crate) const BRZ_RR: u16 = 768;      // + NumBin: jump if op(a, b) == 0
+    pub(crate) const BRZ_RI: u16 = 896;      // + NumBin: as BRZ_RR with b an immediate
     /// Opcodes from here up are `family + member`, families 128 apart.
-    pub const FAMILIES: u16 = BIN_RR;
+    pub(crate) const FAMILIES: u16 = BIN_RR;
 }
 use opc::*;
 

@@ -60,7 +60,7 @@ impl MemoryTemplate {
     /// Precompute the initialized-memory image from a module's data
     /// segments (`(offset, bytes)` pairs, replayed in order so overlapping
     /// segments keep their last-writer-wins semantics).
-    pub fn build(data: &[(u32, Arc<[u8]>)]) -> Self {
+    pub(crate) fn build(data: &[(u32, Arc<[u8]>)]) -> Self {
         let end = data
             .iter()
             .map(|(off, bytes)| *off as usize + bytes.len())
@@ -81,13 +81,8 @@ impl MemoryTemplate {
         &self.image
     }
 
-    /// Length of the initialized span in bytes.
-    pub fn len(&self) -> usize {
-        self.image.len()
-    }
-
     /// Whether the module initializes no memory at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.image.is_empty()
     }
 }
@@ -126,7 +121,7 @@ impl LinearMemory {
     /// # Errors
     ///
     /// Returns [`MemoryError::MinExceedsMax`] when `min_pages > max_pages`.
-    pub fn new(min_pages: u32, max_pages: u32) -> Result<Self, MemoryError> {
+    pub(crate) fn new(min_pages: u32, max_pages: u32) -> Result<Self, MemoryError> {
         if min_pages > max_pages {
             return Err(MemoryError::MinExceedsMax {
                 min_pages,
@@ -154,7 +149,7 @@ impl LinearMemory {
 
     /// Grow by `delta` zeroed pages. Returns the previous page count, or
     /// `-1` if the maximum would be exceeded.
-    pub fn grow(&mut self, delta: u32) -> i32 {
+    pub(crate) fn grow(&mut self, delta: u32) -> i32 {
         let old = self.pages();
         match old.checked_add(delta) {
             Some(new) if new <= self.max_pages && new <= 65536 => {
@@ -290,7 +285,7 @@ impl LinearMemory {
 
     /// Approximate resident size of this memory in bytes (for footprint
     /// reporting): the allocation, which a reset keeps.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.data.capacity()
     }
 }
@@ -418,7 +413,7 @@ mod tests {
             (6, Arc::from(&b"XY"[..])),
             (0, Arc::from(&b"hi"[..])),
         ]);
-        assert_eq!(t.len(), 8);
+        assert_eq!(t.image().len(), 8);
         assert_eq!(t.image(), b"hi\0\0abXY");
         assert!(MemoryTemplate::default().is_empty());
     }
@@ -459,7 +454,7 @@ mod tests {
         m.reset_from(t.image());
         assert_eq!(m.read_bytes(0, 4).unwrap(), b"seed");
         assert_eq!(m.read_bytes(5000, 16).unwrap(), &[0; 16]);
-        assert_eq!(m.high_water_mark(), t.len());
+        assert_eq!(m.high_water_mark(), t.image().len());
     }
 
     #[test]
@@ -518,7 +513,7 @@ mod tests {
         assert_eq!(m.read_bytes(0, 4).unwrap(), b"seed");
         assert_eq!(m.read_bytes(0x100, 8).unwrap(), &[0; 8]);
         assert_eq!(m.read_bytes(0x200, 4).unwrap(), &[0; 4]);
-        assert_eq!(m.high_water_mark(), t.len());
+        assert_eq!(m.high_water_mark(), t.image().len());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::value::*;
 /// Returns a [`Trap`] for division by zero, signed-overflow division, and
 /// invalid conversions.
 #[inline(always)]
-pub fn bin(op: NumBin, x: u64, y: u64) -> Result<u64, Trap> {
+pub(crate) fn bin(op: NumBin, x: u64, y: u64) -> Result<u64, Trap> {
     use NumBin::*;
     let r = match op {
         // --- i32 ---
@@ -155,7 +155,7 @@ pub fn bin(op: NumBin, x: u64, y: u64) -> Result<u64, Trap> {
 ///
 /// Returns a [`Trap`] for invalid float → integer conversions.
 #[inline(always)]
-pub fn un(op: NumUn, x: u64) -> Result<u64, Trap> {
+pub(crate) fn un(op: NumUn, x: u64) -> Result<u64, Trap> {
     use NumUn::*;
     let r = match op {
         I32Eqz => b(x as u32 == 0),

@@ -33,16 +33,6 @@ pub enum Tier {
     Naive,
 }
 
-impl Tier {
-    /// Short label used in benchmark tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Tier::Optimized => "aot-opt",
-            Tier::Naive => "aot-naive",
-        }
-    }
-}
-
 /// Error produced by [`translate`].
 #[derive(Debug)]
 pub enum TranslateError {

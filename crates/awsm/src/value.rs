@@ -18,48 +18,12 @@ pub enum Value {
 
 impl Value {
     /// Raw 64-bit slot encoding.
-    pub fn to_bits(self) -> u64 {
+    pub(crate) fn to_bits(self) -> u64 {
         match self {
             Value::I32(v) => v as u32 as u64,
             Value::I64(v) => v as u64,
             Value::F32(v) => v.to_bits() as u64,
             Value::F64(v) => v.to_bits(),
-        }
-    }
-
-    /// The `i32` payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not an `I32`.
-    pub fn as_i32(self) -> i32 {
-        match self {
-            Value::I32(v) => v,
-            other => panic!("expected i32, got {other:?}"),
-        }
-    }
-
-    /// The `f64` payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not an `F64`.
-    pub fn as_f64(self) -> f64 {
-        match self {
-            Value::F64(v) => v,
-            other => panic!("expected f64, got {other:?}"),
-        }
-    }
-
-    /// The `i64` payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not an `I64`.
-    pub fn as_i64(self) -> i64 {
-        match self {
-            Value::I64(v) => v,
-            other => panic!("expected i64, got {other:?}"),
         }
     }
 }

@@ -13,6 +13,8 @@
 //!   each node's `GET /healthz` verdict and a per-node
 //!   [`sledge_core::Breaker`] fed by live traffic and the prober alike.
 
+#![warn(unreachable_pub)]
+
 pub mod ring;
 pub mod router;
 

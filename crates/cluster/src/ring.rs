@@ -58,11 +58,6 @@ impl HashRing {
         }
     }
 
-    /// Ring with [`DEFAULT_VNODES`] virtual nodes.
-    pub fn with_seed(seed: u64) -> HashRing {
-        HashRing::new(seed, DEFAULT_VNODES)
-    }
-
     /// Add a node; returns its index (stable until a removal). Adding an
     /// already-present name is a no-op returning the existing index.
     pub fn add(&mut self, name: &str) -> usize {
@@ -96,23 +91,13 @@ impl HashRing {
         self.points.sort_unstable();
     }
 
-    /// Number of physical nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the ring has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Node names in index order.
-    pub fn node_names(&self) -> &[String] {
+    pub(crate) fn node_names(&self) -> &[String] {
         &self.nodes
     }
 
     /// Name of the node at `index`.
-    pub fn name_of(&self, index: usize) -> Option<&str> {
+    pub(crate) fn name_of(&self, index: usize) -> Option<&str> {
         self.nodes.get(index).map(String::as_str)
     }
 
@@ -167,7 +152,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn ring_of(seed: u64, names: &[&str]) -> HashRing {
-        let mut r = HashRing::with_seed(seed);
+        let mut r = HashRing::new(seed, DEFAULT_VNODES);
         for n in names {
             r.add(n);
         }
@@ -269,8 +254,8 @@ mod tests {
 
     #[test]
     fn empty_and_single_node_edges() {
-        let mut r = HashRing::with_seed(0);
-        assert!(r.is_empty());
+        let mut r = HashRing::new(0, DEFAULT_VNODES);
+        assert!(r.node_names().is_empty());
         assert_eq!(r.lookup("/x"), None);
         assert!(r.replicas("/x", 2).is_empty());
         r.add("only");
@@ -278,10 +263,10 @@ mod tests {
         assert_eq!(r.replicas("/x", 4), vec![0]);
         // Duplicate add is a no-op.
         assert_eq!(r.add("only"), 0);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.node_names(), ["only"]);
         assert!(!r.remove("ghost"));
         assert!(r.remove("only"));
-        assert!(r.is_empty());
+        assert!(r.node_names().is_empty());
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl Default for RouterConfig {
 
 /// Ring-level counters (all monotonic).
 #[derive(Debug, Default)]
-pub struct RingStats {
+pub(crate) struct RingStats {
     /// Requests dispatched onto the ring.
     pub routed: AtomicU64,
     /// Forward attempts beyond a request's first (any reason).
@@ -79,7 +79,7 @@ pub struct RingStats {
     pub module_rejects: AtomicU64,
 }
 
-/// Plain-value copy of [`RingStats`].
+/// Plain-value copy of `RingStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingStatsSnapshot {
     pub routed: u64,

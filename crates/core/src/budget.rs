@@ -57,11 +57,6 @@ impl TokenBucket {
         }
     }
 
-    /// Refill rate in tokens per second.
-    pub fn rate(&self) -> u64 {
-        self.rate
-    }
-
     /// Burst capacity in tokens.
     pub fn capacity(&self) -> u64 {
         self.capacity

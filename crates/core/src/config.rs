@@ -101,7 +101,7 @@ pub struct RuntimeConfig {
 /// `Instance::fuel_used` by wall time across the PolyBench kernels
 /// (see `preemption_latency --calibrate`). Conservative: real cores run
 /// hotter, which only makes quanta shorter than requested, never longer.
-pub const DEFAULT_COST_UNITS_PER_US: u64 = 150;
+pub(crate) const DEFAULT_COST_UNITS_PER_US: u64 = 150;
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
@@ -162,7 +162,7 @@ pub fn num_cpus() -> usize {
 
 /// Highest (and default) priority class; classes run 0 (shed first)
 /// through this value (shed last, only at the full in-flight cap).
-pub const MAX_PRIORITY: u8 = 3;
+pub(crate) const MAX_PRIORITY: u8 = 3;
 
 /// Per-function (module) configuration.
 #[derive(Debug, Clone)]
@@ -183,7 +183,7 @@ pub struct FunctionConfig {
     /// charged at admission and trued-up at completion. `None` (the
     /// default) exempts the function from budget admission entirely.
     pub budget_us_per_s: Option<u64>,
-    /// Priority class for overload shedding, 0..=[`MAX_PRIORITY`]; lower
+    /// Priority class for overload shedding, 0..=3; lower
     /// classes are shed earlier as in-flight load approaches
     /// [`RuntimeConfig::max_inflight`]. Defaults to the highest class.
     pub priority: u8,
@@ -225,7 +225,7 @@ impl FunctionConfig {
     }
 
     /// Whether any capability policy is configured for this function.
-    pub fn has_capability_policy(&self) -> bool {
+    pub(crate) fn has_capability_policy(&self) -> bool {
         self.allowed_hostcalls.is_some() || self.max_write_footprint_bytes.is_some()
     }
 

@@ -54,7 +54,7 @@ impl Json {
     }
 
     /// Bool payload.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

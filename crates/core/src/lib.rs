@@ -58,6 +58,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod budget;
 mod config;
 mod histogram;
@@ -72,29 +74,26 @@ mod stats;
 mod worker;
 
 pub use budget::TokenBucket;
-pub use config::{
-    num_cpus, BreakerConfig, ConfigError, FunctionConfig, RuntimeConfig, MAX_PRIORITY,
-};
+pub use config::{num_cpus, BreakerConfig, ConfigError, FunctionConfig, RuntimeConfig};
 pub use histogram::{bucket_bounds, bucket_of, Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{parse as parse_json, Json, JsonError};
-pub use listener::{ingest_frame, split_ingest_frame, AnyResponder};
+pub use listener::{ingest_frame, split_ingest_frame};
 pub use metrics::{
-    render_json, render_prometheus, summary_line, FunctionReport, LatencyReport, MetricsHandle,
-    PhaseHistograms, PhaseSnapshot, PHASES,
+    summary_line, FunctionReport, LatencyReport, MetricsHandle, PhaseHistograms, PhaseSnapshot,
 };
 pub use pool::{PoolStats, PoolStatsSnapshot, SandboxPool};
 pub use registry::{FunctionId, RegisterError, RegisteredFunction};
-pub use sandbox::{Completion, Outcome, Sandbox, SandboxHost, Timings};
-pub use sched::Dwrr;
+pub use sandbox::{Completion, Outcome, Timings};
 pub use sledge_http::ConnSnapshot;
 pub use stats::{
-    Breaker, BreakerState, FunctionStats, FunctionStatsSnapshot, RegistryStats,
-    RegistryStatsSnapshot, RuntimeStats, StatsSnapshot,
+    Breaker, FunctionStats, FunctionStatsSnapshot, RegistryStatsSnapshot, StatsSnapshot,
 };
 
-use listener::Intake;
+use listener::{AnyResponder, Intake};
 use registry::{Binary, Registry};
+use sandbox::Sandbox;
 use sledge_http::{ConnCounters, HttpServer, ServerConfig};
+use stats::RuntimeStats;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -143,12 +142,12 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl Shared {
     /// Read access to the function registry (see [`lock`] on poisoning).
-    pub fn registry(&self) -> RwLockReadGuard<'_, Registry> {
+    pub(crate) fn registry(&self) -> RwLockReadGuard<'_, Registry> {
         self.registry.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Write access to the function registry.
-    pub fn registry_mut(&self) -> RwLockWriteGuard<'_, Registry> {
+    pub(crate) fn registry_mut(&self) -> RwLockWriteGuard<'_, Registry> {
         self.registry
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -158,7 +157,7 @@ impl Shared {
     /// module store consulted under the read lock; a miss is built with no
     /// lock held, so route lookups, admissions and workers never wait on a
     /// translation; the write lock is taken only to re-check and insert.
-    pub fn register(
+    pub(crate) fn register(
         &self,
         config: FunctionConfig,
         binary: Binary<'_>,
@@ -172,7 +171,7 @@ impl Shared {
     }
 
     /// Epoch-relative monotonic nanoseconds (the breaker's clock).
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 }
@@ -425,11 +424,6 @@ impl Runtime {
     /// (all-zero when the runtime has no HTTP listener).
     pub fn connection_stats(&self) -> ConnSnapshot {
         self.shared.http_conns.snapshot()
-    }
-
-    /// Number of requests injected but not yet started.
-    pub fn pending(&self) -> usize {
-        self.shared.pending.load(Ordering::Relaxed)
     }
 
     /// Number of accepted invocations whose completion has not yet been

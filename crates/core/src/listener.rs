@@ -14,10 +14,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Connection id re-export from the HTTP layer.
-pub type ConnId = u64;
+pub(crate) type ConnId = u64;
 
 /// Where a completion is delivered.
-pub enum AnyResponder {
+pub(crate) enum AnyResponder {
     /// In-process invoker.
     Channel(SyncSender<Completion>),
     /// HTTP client; the worker serializes the response and hands the bytes
@@ -34,7 +34,7 @@ pub enum AnyResponder {
 
 impl AnyResponder {
     /// Deliver a completion.
-    pub fn deliver(self, completion: Completion) {
+    pub(crate) fn deliver(self, completion: Completion) {
         match self {
             AnyResponder::Channel(tx) => {
                 let _ = tx.send(completion);

@@ -28,7 +28,7 @@ use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 
 /// The lifecycle phases a latency sample is split into, in render order.
-pub const PHASES: [&str; 6] = [
+pub(crate) const PHASES: [&str; 6] = [
     "queue",
     "instantiation",
     "execution",
@@ -67,7 +67,7 @@ impl PhaseHistograms {
     }
 
     /// Point-in-time copy of all phases.
-    pub fn snapshot(&self) -> PhaseSnapshot {
+    pub(crate) fn snapshot(&self) -> PhaseSnapshot {
         PhaseSnapshot {
             queue: self.queue.snapshot(),
             instantiation: self.instantiation.snapshot(),
@@ -102,7 +102,7 @@ impl PhaseSnapshot {
     }
 
     /// Merge a set of shards into one snapshot.
-    pub fn merge_shards(shards: &[PhaseHistograms]) -> PhaseSnapshot {
+    pub(crate) fn merge_shards(shards: &[PhaseHistograms]) -> PhaseSnapshot {
         let mut acc = PhaseSnapshot::default();
         for s in shards {
             acc.merge(&s.snapshot());
@@ -239,7 +239,7 @@ fn by_label(out: &mut String, name: &str, key: &str, values: &[(&str, u64)]) {
 }
 
 /// Render the Prometheus text exposition served at `GET /metrics`.
-pub fn render_prometheus(report: &LatencyReport) -> String {
+pub(crate) fn render_prometheus(report: &LatencyReport) -> String {
     let mut out = String::with_capacity(4096);
     let (s, c, p) = (&report.stats, &report.connections, &report.pool);
     let functions: Vec<(String, &FunctionReport)> = report
@@ -404,7 +404,7 @@ fn json_fields(out: &mut String, fields: &[(&str, u64)]) {
 }
 
 /// Render the JSON document served at `GET /stats`.
-pub fn render_json(report: &LatencyReport) -> String {
+pub(crate) fn render_json(report: &LatencyReport) -> String {
     let mut out = String::with_capacity(4096);
     let (s, c, p) = (&report.stats, &report.connections, &report.pool);
     out.push_str("{\"counters\":");

@@ -74,7 +74,7 @@ pub struct PoolStatsSnapshot {
 
 impl PoolStatsSnapshot {
     /// Accumulate another snapshot (used to aggregate across functions).
-    pub fn merge(&mut self, other: &PoolStatsSnapshot) {
+    pub(crate) fn merge(&mut self, other: &PoolStatsSnapshot) {
         self.capacity += other.capacity;
         self.size += other.size;
         self.hits += other.hits;
@@ -124,7 +124,7 @@ impl SandboxPool {
     /// A pool holding at most `capacity` instances (0 disables it), whose
     /// recycling resets follow `policy` (derived from the module's effect
     /// certificate; see [`awsm::CompiledModule::reset_policy`]).
-    pub fn with_policy(capacity: usize, policy: ResetPolicy) -> Self {
+    pub(crate) fn with_policy(capacity: usize, policy: ResetPolicy) -> Self {
         SandboxPool {
             capacity,
             slots: Mutex::new(Some(Vec::new())),
@@ -133,30 +133,20 @@ impl SandboxPool {
         }
     }
 
-    /// The reset policy recycling runs under.
-    pub fn reset_policy(&self) -> ResetPolicy {
-        self.reset_policy
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether the pool is enabled (`capacity > 0`).
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.capacity > 0
     }
 
     /// Instances currently parked.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         lock(&self.slots).as_ref().map_or(0, Vec::len)
     }
 
     /// Pop a warm instance, if one is available. Disabled pools return
     /// `None` without touching any counter, so every pool counter of a
     /// disabled pool stays zero.
-    pub fn acquire(&self) -> Option<Instance> {
+    pub(crate) fn acquire(&self) -> Option<Instance> {
         if !self.enabled() {
             return None;
         }
@@ -175,7 +165,7 @@ impl SandboxPool {
     /// offer instances from *clean* completions; unclean retirements go to
     /// [`discard`](Self::discard). A failed reset or a drained pool
     /// discards the instance, and a full pool evicts it.
-    pub fn release(&self, mut inst: Instance) -> bool {
+    pub(crate) fn release(&self, mut inst: Instance) -> bool {
         if !self.enabled() {
             return false;
         }
@@ -211,7 +201,7 @@ impl SandboxPool {
 
     /// Count a retired instance that was not offered for recycling
     /// (an unclean outcome).
-    pub fn discard(&self) {
+    pub(crate) fn discard(&self) {
         if !self.enabled() {
             return;
         }
@@ -222,7 +212,7 @@ impl SandboxPool {
     /// shutdown): a [`release`](Self::release) after this, even one whose
     /// worker decided to recycle before the drain began, is discarded.
     /// Returns how many instances were released back to the allocator.
-    pub fn drain(&self) -> usize {
+    pub(crate) fn drain(&self) -> usize {
         let drained = lock(&self.slots).take();
         drained.map_or(0, |parked| parked.len())
     }

@@ -14,8 +14,8 @@ use crate::pool::{PoolStatsSnapshot, SandboxPool};
 use crate::sandbox::Timings;
 use crate::stats::{FunctionStats, RegistryStats};
 use awsm::{
-    translate_with, AnalysisReport, ArtifactError, CompiledModule, Diagnostic, Severity, Tier,
-    TranslateError, TranslateOptions,
+    translate_with, ArtifactError, CompiledModule, Diagnostic, Severity, Tier, TranslateError,
+    TranslateOptions,
 };
 use sledge_wasm::DecodeError;
 use std::collections::HashMap;
@@ -75,15 +75,8 @@ struct QueueP99Cache {
 impl RegisteredFunction {
     /// The execution deadline in force for this function: its own override
     /// if set, else the runtime-wide default.
-    pub fn effective_deadline(&self, default: Option<Duration>) -> Option<Duration> {
+    pub(crate) fn effective_deadline(&self, default: Option<Duration>) -> Option<Duration> {
         self.config.deadline.or(default)
-    }
-
-    /// The static-analysis report computed when this module was translated.
-    /// Cached with the module, so analysis runs once per module, not per
-    /// sandbox.
-    pub fn analysis(&self) -> &AnalysisReport {
-        &self.module.analysis
     }
 
     /// This function's latency shards: one per worker once it has recorded a
@@ -106,7 +99,7 @@ impl RegisteredFunction {
     /// from the merged worker shards at most every few milliseconds (stale
     /// reads are fine: the SLO gate is a coarse overload signal, not an
     /// exact measurement).
-    pub fn queue_p99_ns(&self, now_ns: u64) -> u64 {
+    pub(crate) fn queue_p99_ns(&self, now_ns: u64) -> u64 {
         let stamp = self.queue_p99.stamp_ns.load(Ordering::Relaxed);
         if stamp != 0 && now_ns.saturating_sub(stamp) < QUEUE_P99_REFRESH_NS {
             return self.queue_p99.value_ns.load(Ordering::Relaxed);
@@ -793,7 +786,7 @@ mod tests {
         let m = tiny_module("cert");
         let id = register(&mut r, FunctionConfig::new("cert"), &m).unwrap();
         let rf = r.get(id).unwrap();
-        assert!(rf.analysis().cost.within(awsm::DEFAULT_MAX_CHECK_GAP));
+        assert!(rf.module.analysis.cost.within(awsm::DEFAULT_MAX_CHECK_GAP));
         assert_eq!(r.stats.snapshot().cost_certified, 1);
         assert_eq!(r.stats.snapshot().certificate_rejected, 0);
     }
@@ -825,7 +818,7 @@ mod tests {
         let mut r2 = gap_registry(awsm::DEFAULT_MAX_CHECK_GAP);
         let id = register(&mut r2, FunctionConfig::new("heavy"), &m).unwrap();
         let rf = r2.get(id).unwrap();
-        assert!(rf.analysis().cost.max_gap <= awsm::DEFAULT_MAX_CHECK_GAP);
+        assert!(rf.module.analysis.cost.max_gap <= awsm::DEFAULT_MAX_CHECK_GAP);
         assert_eq!(r2.stats.snapshot().cost_certified, 1);
     }
 
@@ -846,7 +839,7 @@ mod tests {
 
         let mut r = gap_registry(8);
         let id = register(&mut r, FunctionConfig::new("straight"), &m).unwrap();
-        let cost = &r.get(id).unwrap().analysis().cost;
+        let cost = &r.get(id).unwrap().module.analysis.cost;
         assert!(cost.max_gap <= 8, "certified gap {} > budget", cost.max_gap);
         assert!(cost.splits > 0, "tight budget must force splits");
     }
@@ -861,7 +854,7 @@ mod tests {
         let id = register(&mut r, FunctionConfig::new("plain"), &m).unwrap();
         let rf = r.get(id).unwrap();
         // The entry's certified total cost is the admission charge...
-        let expect = rf.analysis().cost.funcs[0].total_cost.max(1);
+        let expect = rf.module.analysis.cost.funcs[0].total_cost.max(1);
         assert_eq!(rf.admission_cost, expect);
         // ...and with no budget knob there is no bucket.
         assert!(rf.budget.is_none());
@@ -871,9 +864,10 @@ mod tests {
         let id = register(&mut r, cfg, &m).unwrap();
         let rf = r.get(id).unwrap();
         let b = rf.budget.as_ref().expect("budget knob arms a bucket");
-        // 2000 µs/s × 100 units/µs.
-        assert_eq!(b.rate(), 200_000);
         assert!(b.capacity() >= rf.admission_cost);
+        // 2000 µs/s × 100 units/µs: once drained, 200 000 units take 1 s.
+        assert!(b.try_charge(b.capacity(), 0).is_ok());
+        assert_eq!(b.try_charge(200_000, 0), Err(Duration::from_secs(1)));
         // A fresh function has no queue samples: p99 reads zero.
         assert_eq!(rf.queue_p99_ns(1), 0);
     }
@@ -1034,7 +1028,7 @@ mod tests {
         assert_eq!(snap.modules_verified, 1);
         assert!(snap.lint_warnings >= 1);
         let rf = r.get(id).unwrap();
-        assert_eq!(rf.analysis().funcs.len(), 2);
-        assert!(!rf.analysis().has_errors());
+        assert_eq!(rf.module.analysis.funcs.len(), 2);
+        assert!(!rf.module.analysis.has_errors());
     }
 }

@@ -75,7 +75,7 @@ pub struct Completion {
 
 /// The host-call surface one sandbox sees.
 #[derive(Debug)]
-pub struct SandboxHost {
+pub(crate) struct SandboxHost {
     /// Request body ("stdin").
     pub request: Vec<u8>,
     /// Response buffer ("stdout").
@@ -175,7 +175,7 @@ pub(crate) enum WaitKind {
 }
 
 /// A request in execution: instance + host + bookkeeping.
-pub struct Sandbox {
+pub(crate) struct Sandbox {
     /// The function being run.
     pub function: Arc<RegisteredFunction>,
     /// The engine instance.
@@ -212,9 +212,6 @@ pub struct Sandbox {
     /// Whether this invocation is a circuit breaker's half-open probe (its
     /// outcome decides whether the breaker closes or re-opens).
     pub breaker_probe: bool,
-    /// Whether the instance came warm from the function's sandbox pool
-    /// (rather than cold instantiation).
-    pub pool_hit: bool,
     /// Tokens charged against the function's work budget at admission;
     /// the worker trues this up against `Instance::fuel_used` at
     /// completion. `None` when the function carries no budget.
@@ -230,7 +227,7 @@ impl Sandbox {
     /// On [`InstanceError`] (e.g. data segments out of bounds) the
     /// responder is handed back so the caller can still deliver a
     /// completion — a failed instantiation must not strand the client.
-    pub fn new(
+    pub(crate) fn new(
         function: Arc<RegisteredFunction>,
         engine: EngineConfig,
         body: Vec<u8>,
@@ -243,10 +240,10 @@ impl Sandbox {
         // hit records its (near-zero) cost in the `instantiation` phase
         // histogram — not smeared into `queue` — and the phase invariant
         // `sum of phases <= total` is preserved by construction.
-        let (instance, pool_hit) = match function.pool.acquire() {
-            Some(i) => (i, true),
+        let instance = match function.pool.acquire() {
+            Some(i) => i,
             None => match Instance::new(Arc::clone(&function.module), engine) {
-                Ok(i) => (i, false),
+                Ok(i) => i,
                 Err(e) => return Err((e, responder)),
             },
         };
@@ -268,7 +265,6 @@ impl Sandbox {
             preemptions: 0,
             deadline: None,
             breaker_probe: false,
-            pool_hit,
             budget_charge: None,
         }))
     }
@@ -278,7 +274,7 @@ impl Sandbox {
     /// # Errors
     ///
     /// Propagates [`InstanceError`] (unknown entry, arity mismatch).
-    pub fn start(&mut self) -> Result<(), InstanceError> {
+    pub(crate) fn start(&mut self) -> Result<(), InstanceError> {
         let entry = self.function.config.entry.clone();
         let args = self.function.config.args.clone();
         self.instance.invoke_export(&entry, &args)
@@ -306,7 +302,7 @@ impl Sandbox {
     }
 
     /// Run one scheduling quantum; updates accounting.
-    pub fn run_quantum(&mut self, fuel: u64) -> StepResult {
+    pub(crate) fn run_quantum(&mut self, fuel: u64) -> StepResult {
         let started = Instant::now();
         if self.first_run.is_none() {
             self.first_run = Some(started);
@@ -320,7 +316,7 @@ impl Sandbox {
     }
 
     /// Build the final timing record from the phase accumulators.
-    pub fn timings(&self, now: Instant) -> Timings {
+    pub(crate) fn timings(&self, now: Instant) -> Timings {
         Timings {
             arrival: self.arrival,
             instantiation: self.instantiation,

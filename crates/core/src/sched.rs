@@ -34,7 +34,7 @@ struct Lane<T> {
 /// A weighted deficit-round-robin queue keyed by lane (a function id, or
 /// one key every item shares).
 #[derive(Debug)]
-pub struct Dwrr<T> {
+pub(crate) struct Dwrr<T> {
     /// Fuel units one unweighted refill grants (the scheduler quantum), in
     /// `1..=i64::MAX` so a refill is always a positive deficit.
     quantum: i64,
@@ -51,7 +51,7 @@ pub struct Dwrr<T> {
 impl<T> Dwrr<T> {
     /// An empty queue with the given refill quantum (fuel units; clamped to
     /// `1..=i64::MAX` so refills always make progress).
-    pub fn new(quantum: u64) -> Self {
+    pub(crate) fn new(quantum: u64) -> Self {
         Dwrr {
             quantum: quantum.clamp(1, i64::MAX as u64) as i64,
             lanes: HashMap::new(),
@@ -63,7 +63,7 @@ impl<T> Dwrr<T> {
 
     /// Enqueue an item on `key`'s lane with the given weight (≥ 1; a
     /// lane's weight follows its most recent push).
-    pub fn push(&mut self, key: u32, weight: u32, item: T) {
+    pub(crate) fn push(&mut self, key: u32, weight: u32, item: T) {
         let lane = self.lanes.entry(key).or_insert_with(|| Lane {
             items: VecDeque::new(),
             deficit: 0,
@@ -80,7 +80,7 @@ impl<T> Dwrr<T> {
     }
 
     /// Dequeue the next item under the DWRR discipline.
-    pub fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop(&mut self) -> Option<T> {
         if self.len == 0 {
             return None;
         }
@@ -117,7 +117,7 @@ impl<T> Dwrr<T> {
 
     /// Charge `used` fuel units against `key`'s lane (the actual burn of
     /// the dispatch that [`Dwrr::pop`] granted).
-    pub fn charge(&mut self, key: u32, used: u64) {
+    pub(crate) fn charge(&mut self, key: u32, used: u64) {
         if let Some(lane) = self.lanes.get_mut(&key) {
             lane.deficit = lane
                 .deficit
@@ -126,18 +126,13 @@ impl<T> Dwrr<T> {
     }
 
     /// Queued items across all lanes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Remove and return every queued item (force-kill sweeps). Lane order
     /// is unspecified; item order within a lane is preserved.
-    pub fn drain(&mut self) -> Vec<T> {
+    pub(crate) fn drain(&mut self) -> Vec<T> {
         self.active.clear();
         self.len = 0;
         let mut out = Vec::new();
@@ -152,7 +147,7 @@ impl<T> Dwrr<T> {
     /// Drain the per-lane pass-over counters accumulated since the last
     /// call (empty when nothing was deferred — the common case — so
     /// callers can skip their flush cheaply).
-    pub fn take_deferrals(&mut self) -> Vec<(u32, u64)> {
+    pub(crate) fn take_deferrals(&mut self) -> Vec<(u32, u64)> {
         if self.deferrals.is_empty() {
             return Vec::new();
         }
@@ -237,7 +232,7 @@ mod tests {
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.pop(), None);
         // Driven like a worker with fairness off — mixed weights on the one
         // shared lane, every dispatch charged (often past the quantum),
@@ -350,7 +345,7 @@ mod tests {
         let mut all = q.drain();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3]);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         // Reusable after a drain.
         q.push(9, 1, 42);
         assert_eq!(q.pop(), Some(42));

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 /// Monotonic counters updated by the listener and workers.
 #[derive(Debug, Default)]
-pub struct RuntimeStats {
+pub(crate) struct RuntimeStats {
     /// Requests accepted by the listener.
     pub admitted: AtomicU64,
     /// Requests rejected by admission control.
@@ -44,14 +44,14 @@ pub struct RuntimeStats {
 
 impl RuntimeStats {
     /// Record an instantiation.
-    pub fn record_instantiation(&self, d: Duration) {
+    pub(crate) fn record_instantiation(&self, d: Duration) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.instantiation_ns
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// A snapshot suitable for printing.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             admitted: self.admitted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -71,7 +71,7 @@ impl RuntimeStats {
     }
 }
 
-/// A point-in-time copy of [`RuntimeStats`].
+/// A point-in-time copy of `RuntimeStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub admitted: u64,
@@ -102,7 +102,7 @@ impl StatsSnapshot {
 /// Load-time static-analysis counters, updated by the registry as modules
 /// are verified (or rejected) at registration.
 #[derive(Debug, Default)]
-pub struct RegistryStats {
+pub(crate) struct RegistryStats {
     /// Modules that passed verification and were registered.
     pub modules_verified: AtomicU64,
     /// Modules rejected at registration: by the analyzer (error-severity
@@ -133,7 +133,7 @@ pub struct RegistryStats {
 
 impl RegistryStats {
     /// A point-in-time copy suitable for printing.
-    pub fn snapshot(&self) -> RegistryStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> RegistryStatsSnapshot {
         RegistryStatsSnapshot {
             modules_verified: self.modules_verified.load(Ordering::Relaxed),
             modules_rejected: self.modules_rejected.load(Ordering::Relaxed),
@@ -147,7 +147,7 @@ impl RegistryStats {
     }
 }
 
-/// A point-in-time copy of [`RegistryStats`].
+/// A point-in-time copy of `RegistryStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryStatsSnapshot {
     pub modules_verified: u64,
@@ -163,20 +163,11 @@ pub struct RegistryStatsSnapshot {
     pub modules_compiled: u64,
 }
 
-/// Circuit breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation; requests flow through.
-    Closed,
-    /// Tripped; requests are fast-rejected until the cooldown elapses.
-    Open,
-    /// Cooldown elapsed; exactly one probe is in flight, everything else is
-    /// still rejected.
-    HalfOpen,
-}
-
+/// Requests flow through.
 const BREAKER_CLOSED: u8 = 0;
+/// Tripped: requests are fast-rejected until the cooldown elapses.
 const BREAKER_OPEN: u8 = 1;
+/// Cooldown elapsed: one probe is in flight, everything else is rejected.
 const BREAKER_HALF_OPEN: u8 = 2;
 
 /// A lock-free circuit breaker: `threshold` consecutive failures open it,
@@ -187,7 +178,7 @@ const BREAKER_HALF_OPEN: u8 = 2;
 pub struct Breaker {
     /// Consecutive failures since the last success.
     consecutive_failures: AtomicU32,
-    /// Encoded [`BreakerState`].
+    /// `BREAKER_CLOSED`, `BREAKER_OPEN` or `BREAKER_HALF_OPEN`.
     state: AtomicU8,
     /// Epoch-relative nanoseconds of the last state transition (the value
     /// that cooldowns are measured from).
@@ -197,15 +188,6 @@ pub struct Breaker {
 }
 
 impl Breaker {
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        match self.state.load(Ordering::Acquire) {
-            BREAKER_OPEN => BreakerState::Open,
-            BREAKER_HALF_OPEN => BreakerState::HalfOpen,
-            _ => BreakerState::Closed,
-        }
-    }
-
     /// Consecutive failures since the last success.
     pub fn consecutive_failures(&self) -> u32 {
         self.consecutive_failures.load(Ordering::Relaxed)
@@ -273,7 +255,7 @@ impl Breaker {
     /// A probe that was admitted half-open but then rejected before running
     /// (e.g. instantiation failed, drain started) must re-open the breaker,
     /// or it would stay half-open forever with no outcome to decide it.
-    pub fn probe_rejected(&self, now_ns: u64) {
+    pub(crate) fn probe_rejected(&self, now_ns: u64) {
         if self
             .state
             .compare_exchange(
@@ -326,7 +308,7 @@ pub struct FunctionStats {
 
 impl FunctionStats {
     /// A point-in-time copy.
-    pub fn snapshot(&self) -> FunctionStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> FunctionStatsSnapshot {
         FunctionStatsSnapshot {
             admitted: self.admitted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -385,22 +367,19 @@ mod tests {
         // Two failures: still closed.
         s.record(Some(&cb), false, 0);
         s.record(Some(&cb), false, MS);
-        assert_eq!(s.state(), BreakerState::Closed);
         assert_eq!(s.admit(&cb, 2 * MS), Ok(false));
         // Third failure trips it.
         s.record(Some(&cb), false, 2 * MS);
-        assert_eq!(s.state(), BreakerState::Open);
         let retry = s.admit(&cb, 10 * MS).unwrap_err();
         assert_eq!(retry, Duration::from_millis(92));
         // A failure while open does not push the cooldown back.
         s.record(Some(&cb), false, 50 * MS);
         // Cooldown elapsed: exactly one caller becomes the probe.
         assert_eq!(s.admit(&cb, 103 * MS), Ok(true));
-        assert_eq!(s.state(), BreakerState::HalfOpen);
-        assert!(s.admit(&cb, 104 * MS).is_err());
+        // Half-open: everyone else waits out a full cooldown.
+        assert_eq!(s.admit(&cb, 104 * MS), Err(cb.cooldown));
         // Probe succeeds → closed again, failure streak reset.
         s.record(Some(&cb), true, 105 * MS);
-        assert_eq!(s.state(), BreakerState::Closed);
         assert_eq!(s.admit(&cb, 106 * MS), Ok(false));
         assert_eq!(s.trips.load(Ordering::Relaxed), 1);
     }
@@ -415,8 +394,7 @@ mod tests {
         assert_eq!(s.admit(&cb, 200 * MS), Ok(true));
         // Probe fails → open again for a fresh cooldown from the failure.
         s.record(Some(&cb), false, 201 * MS);
-        assert_eq!(s.state(), BreakerState::Open);
-        assert!(s.admit(&cb, 250 * MS).is_err());
+        assert_eq!(s.admit(&cb, 250 * MS), Err(Duration::from_millis(51)));
         assert_eq!(s.admit(&cb, 302 * MS), Ok(true));
         assert_eq!(s.trips.load(Ordering::Relaxed), 2);
     }
@@ -430,11 +408,12 @@ mod tests {
         }
         assert_eq!(s.admit(&cb, 150 * MS), Ok(true));
         s.probe_rejected(150 * MS);
-        assert_eq!(s.state(), BreakerState::Open);
+        // Open again, with a cooldown that runs from the rejection.
+        assert_eq!(s.admit(&cb, 160 * MS), Err(Duration::from_millis(90)));
         // And only from HalfOpen: a no-op if the state already moved on.
         s.record(Some(&cb), true, 300 * MS);
         s.probe_rejected(300 * MS);
-        assert_eq!(s.state(), BreakerState::Closed);
+        assert_eq!(s.admit(&cb, 300 * MS), Ok(false));
     }
 
     #[test]
@@ -446,7 +425,7 @@ mod tests {
         s.record(Some(&cb), true, 2 * MS);
         s.record(Some(&cb), false, 3 * MS);
         s.record(Some(&cb), false, 4 * MS);
-        assert_eq!(s.state(), BreakerState::Closed);
+        assert_eq!(s.admit(&cb, 4 * MS), Ok(false));
     }
 
     #[test]
@@ -455,6 +434,6 @@ mod tests {
         for i in 0..100 {
             s.record(None, false, i * MS);
         }
-        assert_eq!(s.state(), BreakerState::Closed);
+        assert_eq!(s.admit(&cfg(), 100 * MS), Ok(false));
     }
 }

@@ -33,6 +33,8 @@
 //! the single-owner protocol — the [`Worker`]/[`Stealer`] split below makes
 //! it impossible to misuse.
 
+#![warn(unreachable_pub)]
+
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicUsize, Ordering};

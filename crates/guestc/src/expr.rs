@@ -355,7 +355,7 @@ impl Expr {
 }
 
 /// Free-function constructors for expressions.
-pub mod helpers {
+pub(crate) mod helpers {
     use super::*;
 
     /// `i32` constant.

@@ -49,6 +49,8 @@
 //! can only be detected whole-module (bad exports, missing memory) are
 //! reported as [`BuildError`] from [`ModuleBuilder::build`].
 
+#![warn(unreachable_pub)]
+
 mod builder;
 mod emit;
 mod expr;

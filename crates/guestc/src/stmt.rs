@@ -34,7 +34,7 @@ pub enum Stmt {
 }
 
 /// Free-function constructors for statements.
-pub mod helpers {
+pub(crate) mod helpers {
     use super::*;
     use crate::expr::helpers::{add, local};
 

@@ -116,13 +116,8 @@ impl HttpClient {
         }
     }
 
-    /// The address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Whether a keep-alive connection is currently open.
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         self.stream.is_some()
     }
 
@@ -152,17 +147,6 @@ impl HttpClient {
             self.stream = None;
         }
         r
-    }
-
-    /// Write one request; pair with [`read_response`](Self::read_response).
-    pub fn send(
-        &mut self,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: &[u8],
-    ) -> io::Result<()> {
-        self.send_raw(&format_request(method, path, headers, body))
     }
 
     /// Read the next response off the connection. On any error (EOF,

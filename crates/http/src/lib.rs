@@ -5,7 +5,7 @@
 //! This plays the role of the paper's request-forwarding layer (epoll-based
 //! HTTP intake feeding function instantiation) without any external
 //! dependencies: the epoll and eventfd syscalls are wrapped directly in
-//! [`mod@sys`].
+//! the private `sys` module.
 //!
 //! # Examples
 //!
@@ -27,12 +27,14 @@
 //! assert!(resp.starts_with(b"HTTP/1.1 200 OK\r\n"));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod client;
 mod parse;
 mod reactor;
 mod response;
 mod server;
-pub mod sys;
+mod sys;
 
 pub use client::{format_request, ClientConfig, ClientResponse, HttpClient, InFlight};
 pub use parse::{HttpError, ParseStatus, Request, RequestParser};

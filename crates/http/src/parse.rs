@@ -82,11 +82,6 @@ impl RequestParser {
         }
     }
 
-    /// Number of buffered, not-yet-consumed bytes.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Feed newly received bytes; returns a complete request as soon as one
     /// is available.
     ///

@@ -8,7 +8,7 @@ use std::time::Duration;
 /// would invite an immediate retry, defeating the back-off). Every emitter
 /// of the header — circuit-breaker 503s and admission-control 429s alike —
 /// must go through this so clients see one consistent format.
-pub fn retry_after_secs(hint: Duration) -> u64 {
+pub(crate) fn retry_after_secs(hint: Duration) -> u64 {
     hint.as_secs_f64().ceil().max(1.0) as u64
 }
 
@@ -49,7 +49,7 @@ impl StatusCode {
     }
 
     /// Canonical reason phrase.
-    pub fn reason(self) -> &'static str {
+    pub(crate) fn reason(self) -> &'static str {
         match self {
             StatusCode::Ok => "OK",
             StatusCode::BadRequest => "Bad Request",

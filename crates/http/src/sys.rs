@@ -14,17 +14,17 @@ use std::io;
 use std::os::fd::RawFd;
 
 /// Readable (or a peer is waiting in the accept queue).
-pub const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLIN: u32 = 0x001;
 /// Writable without blocking.
-pub const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 /// Error condition (always reported, never needs registering).
-pub const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLERR: u32 = 0x008;
 /// Hangup (always reported, never needs registering).
-pub const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLHUP: u32 = 0x010;
 /// Peer shut down the write half (half-close detection without a read).
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 /// Edge-triggered registration.
-pub const EPOLLET: u32 = 1 << 31;
+pub(crate) const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -39,7 +39,7 @@ const EFD_NONBLOCK: i32 = 0o4000;
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Debug, Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     /// Ready-event bitmask (`EPOLLIN` | …).
     pub events: u32,
     /// Caller-chosen cookie, returned verbatim with each ready event.
@@ -66,7 +66,7 @@ fn cvt(ret: i32) -> io::Result<i32> {
 
 /// An owned epoll instance; the fd is closed on drop.
 #[derive(Debug)]
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: RawFd,
 }
 
@@ -76,7 +76,7 @@ impl Epoll {
     /// # Errors
     ///
     /// Propagates the `epoll_create1` errno.
-    pub fn new() -> io::Result<Epoll> {
+    pub(crate) fn new() -> io::Result<Epoll> {
         // SAFETY: no pointers involved; the returned fd is owned here.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll { fd })
@@ -94,7 +94,7 @@ impl Epoll {
     /// # Errors
     ///
     /// Propagates the `epoll_ctl` errno.
-    pub fn add(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events, data)
     }
 
@@ -103,7 +103,7 @@ impl Epoll {
     /// # Errors
     ///
     /// Propagates the `epoll_ctl` errno.
-    pub fn modify(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, data)
     }
 
@@ -113,7 +113,7 @@ impl Epoll {
     /// # Errors
     ///
     /// Propagates the `epoll_ctl` errno.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
@@ -124,7 +124,7 @@ impl Epoll {
     /// # Errors
     ///
     /// Propagates any other `epoll_wait` errno.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         match self.wait_once(events, timeout_ms) {
             // Don't restart the full timeout after a signal; a zero-timeout
             // retry keeps the caller's deadline math honest (a second EINTR
@@ -164,7 +164,7 @@ impl Drop for Epoll {
 /// An owned, non-blocking, close-on-exec eventfd: a kernel counter that
 /// reads as `EPOLLIN` while non-zero. The fd is closed on drop.
 #[derive(Debug)]
-pub struct EventFd {
+pub(crate) struct EventFd {
     fd: RawFd,
 }
 
@@ -174,20 +174,20 @@ impl EventFd {
     /// # Errors
     ///
     /// Propagates the `eventfd` errno.
-    pub fn new() -> io::Result<EventFd> {
+    pub(crate) fn new() -> io::Result<EventFd> {
         // SAFETY: no pointers involved; the returned fd is owned here.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(EventFd { fd })
     }
 
     /// The fd, for registering with an [`Epoll`].
-    pub fn raw_fd(&self) -> RawFd {
+    pub(crate) fn raw_fd(&self) -> RawFd {
         self.fd
     }
 
     /// Add one to the counter, making the fd readable. A counter already
     /// at its maximum (`EAGAIN`) is readable anyway, so that is success.
-    pub fn signal(&self) {
+    pub(crate) fn signal(&self) {
         let one = 1u64.to_ne_bytes();
         // SAFETY: `one` is 8 readable bytes, the size eventfd requires.
         unsafe {
@@ -197,7 +197,7 @@ impl EventFd {
 
     /// Reset the counter to zero; returns what it held (0 when it was not
     /// signalled).
-    pub fn drain(&self) -> u64 {
+    pub(crate) fn drain(&self) -> u64 {
         let mut buf = [0u8; 8];
         // SAFETY: `buf` is 8 writable bytes, the size eventfd requires.
         let n = unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };

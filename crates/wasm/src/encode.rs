@@ -274,7 +274,7 @@ fn write_memarg(out: &mut Vec<u8>, m: &MemArg) {
 }
 
 /// Encode a single instruction.
-pub fn write_instr(out: &mut Vec<u8>, ins: &Instr) {
+pub(crate) fn write_instr(out: &mut Vec<u8>, ins: &Instr) {
     use Instr::*;
     match ins {
         Unreachable => out.push(0x00),

@@ -263,7 +263,7 @@ pub enum Instr {
 
 impl Instr {
     /// `true` for instructions that open a new structured control frame.
-    pub fn opens_block(&self) -> bool {
+    pub(crate) fn opens_block(&self) -> bool {
         matches!(self, Instr::Block(_) | Instr::Loop(_) | Instr::If(_))
     }
 }

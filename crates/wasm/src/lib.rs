@@ -39,6 +39,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod decode;
 pub mod encode;
 pub mod instr;

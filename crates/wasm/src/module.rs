@@ -4,9 +4,9 @@ use crate::instr::Instr;
 use crate::types::{FuncType, GlobalType, MemoryType, TableType, ValType};
 
 /// Index of a function, counting imported functions first.
-pub type FuncIdx = u32;
+pub(crate) type FuncIdx = u32;
 /// Index into the type section.
-pub type TypeIdx = u32;
+pub(crate) type TypeIdx = u32;
 
 /// What an import provides.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +110,7 @@ pub enum ConstExpr {
 impl ConstExpr {
     /// The value type this expression produces (imported-global type must be
     /// resolved by the caller for `GlobalGet`).
-    pub fn ty(&self) -> Option<ValType> {
+    pub(crate) fn ty(&self) -> Option<ValType> {
         match self {
             ConstExpr::I32(_) => Some(ValType::I32),
             ConstExpr::I64(_) => Some(ValType::I64),
@@ -215,7 +215,7 @@ impl Module {
     }
 
     /// Number of imported functions.
-    pub fn num_imported_funcs(&self) -> u32 {
+    pub(crate) fn num_imported_funcs(&self) -> u32 {
         self.imports
             .iter()
             .filter(|i| matches!(i.kind, ImportKind::Func(_)))
@@ -223,12 +223,12 @@ impl Module {
     }
 
     /// Total number of functions (imported + local).
-    pub fn num_funcs(&self) -> u32 {
+    pub(crate) fn num_funcs(&self) -> u32 {
         self.num_imported_funcs() + self.functions.len() as u32
     }
 
     /// The type index of function `idx` (imported functions come first).
-    pub fn func_type_idx(&self, idx: FuncIdx) -> Option<TypeIdx> {
+    pub(crate) fn func_type_idx(&self, idx: FuncIdx) -> Option<TypeIdx> {
         let imported: Vec<TypeIdx> = self
             .imports
             .iter()
@@ -259,7 +259,7 @@ impl Module {
     }
 
     /// Number of imported globals.
-    pub fn num_imported_globals(&self) -> u32 {
+    pub(crate) fn num_imported_globals(&self) -> u32 {
         self.imports
             .iter()
             .filter(|i| matches!(i.kind, ImportKind::Global(_)))
@@ -267,7 +267,7 @@ impl Module {
     }
 
     /// The [`GlobalType`] of global `idx` (imported globals come first).
-    pub fn global_type(&self, idx: u32) -> Option<GlobalType> {
+    pub(crate) fn global_type(&self, idx: u32) -> Option<GlobalType> {
         let imported: Vec<GlobalType> = self
             .imports
             .iter()

@@ -18,7 +18,7 @@ pub enum ValType {
 
 impl ValType {
     /// Binary-format byte for this value type.
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             ValType::I32 => 0x7F,
             ValType::I64 => 0x7E,
@@ -28,7 +28,7 @@ impl ValType {
     }
 
     /// Parse a binary-format byte into a value type.
-    pub fn from_byte(b: u8) -> Option<ValType> {
+    pub(crate) fn from_byte(b: u8) -> Option<ValType> {
         match b {
             0x7F => Some(ValType::I32),
             0x7E => Some(ValType::I64),
@@ -36,16 +36,6 @@ impl ValType {
             0x7C => Some(ValType::F64),
             _ => None,
         }
-    }
-
-    /// `true` for `I32`/`I64`.
-    pub fn is_int(self) -> bool {
-        matches!(self, ValType::I32 | ValType::I64)
-    }
-
-    /// `true` for `F32`/`F64`.
-    pub fn is_float(self) -> bool {
-        !self.is_int()
     }
 }
 
@@ -129,7 +119,7 @@ impl Limits {
     }
 
     /// `true` if `min <= max` (or no max).
-    pub fn is_well_formed(&self) -> bool {
+    pub(crate) fn is_well_formed(&self) -> bool {
         self.max.is_none_or(|m| self.min <= m)
     }
 }
@@ -156,19 +146,6 @@ pub struct GlobalType {
     pub value: ValType,
     /// Whether the global may be written after instantiation.
     pub mutable: bool,
-}
-
-/// The type of an import or export.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExternType {
-    /// A function with the given type index into the module's type section.
-    Func(u32),
-    /// A table.
-    Table(TableType),
-    /// A linear memory.
-    Memory(MemoryType),
-    /// A global.
-    Global(GlobalType),
 }
 
 #[cfg(test)]

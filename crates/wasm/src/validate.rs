@@ -10,7 +10,7 @@ use crate::types::{FuncType, ValType};
 use crate::ValidateError;
 
 /// Maximum number of linear-memory pages addressable with 32-bit offsets.
-pub const MAX_PAGES: u32 = 65536;
+pub(crate) const MAX_PAGES: u32 = 65536;
 
 /// Validate a whole module.
 ///

@@ -322,3 +322,192 @@ fn deleted_names_stay_deleted() {
         found.join("\n")
     );
 }
+
+#[test]
+fn harness_surface_stays_public() {
+    // Every product item `benchmark/src` uses: benchmark/README.md's "Public
+    // items the harness calls", plus `Json::as_f64`. The ledger is a
+    // workspace of its own, so without this a narrowed item would first
+    // fail the benchmark's build. Naming each one is the test.
+    use sledge::runtime::{
+        parse_json, Completion, FunctionConfig, FunctionId, HistogramSnapshot, InvocationHandle,
+        Json, Outcome, PhaseSnapshot, Runtime, RuntimeConfig,
+    };
+    use sledge::{apps, deque, engine, http, wasm};
+    use sledge_cluster::{HashRing, PushResult, Router, RouterConfig};
+
+    let invoke: fn(&Runtime, FunctionId, Vec<u8>) -> InvocationHandle = Runtime::invoke;
+    let new_function: fn(&'static str) -> FunctionConfig = FunctionConfig::new;
+    let _ = (
+        Runtime::with_http,
+        Runtime::register_wasm,
+        invoke,
+        Runtime::http_addr,
+        Runtime::function_by_name,
+        Runtime::latency_report,
+        Runtime::shutdown,
+        InvocationHandle::wait,
+        |c: Completion| c.outcome,
+        Outcome::Success,
+        new_function,
+        <PhaseSnapshot as Default>::default,
+        PhaseSnapshot::merge,
+        HistogramSnapshot::quantile,
+        parse_json,
+        Json::as_f64,
+    );
+    let config = RuntimeConfig::default();
+    let _ = RuntimeConfig {
+        workers: config.workers,
+        admin_routes: config.admin_routes,
+        bounds: config.bounds,
+        tier: config.tier,
+        max_request_size: config.max_request_size,
+        ..Default::default()
+    };
+    let _ = (
+        Router::start,
+        Router::distribute,
+        Router::addr,
+        Router::stats,
+        Router::shutdown,
+        <RouterConfig as Default>::default,
+        |c: RouterConfig| c.seed,
+        HashRing::new,
+        HashRing::add,
+        HashRing::replicas,
+    );
+    let _ = (
+        engine::translate_with,
+        <engine::TranslateOptions as Default>::default,
+        engine::encode_artifact,
+        engine::decode_artifact,
+        engine::CompiledModule::reset_policy,
+        engine::Instance::new,
+        engine::Instance::invoke_export,
+        engine::Instance::run,
+        engine::Instance::fuel_used,
+        engine::Instance::reset_with,
+    );
+    let _ = (
+        wasm::decode::decode_module,
+        wasm::validate::validate_module,
+        wasm::encode::encode_module,
+        http::format_request,
+        http::RequestParser::new,
+        http::RequestParser::feed,
+        http::Response::ok,
+        http::Response::to_bytes,
+        deque::deque::<u64>,
+        deque::Worker::<u64>::push,
+        deque::Worker::<u64>::pop,
+        deque::Stealer::<u64>::steal,
+    );
+    let _ = (
+        apps::all_apps,
+        apps::polybench::kernels,
+        apps::cifar10::IN,
+        apps::gps_ekf::sample_input,
+        apps::gocr::sample_input,
+        apps::resize::sample_input,
+        apps::lpd::sample_input,
+    );
+    type Types = (
+        FunctionId,
+        PushResult,
+        engine::Tier,
+        engine::EngineConfig,
+        engine::StepResult,
+        http::ParseStatus,
+        apps::AppSpec,
+        apps::polybench::Kernel,
+        apps::testutil::BufferHost,
+    );
+    let _: Option<Types> = None;
+}
+
+/// Every `A::b(::c)*` path inside a backticked span of a Markdown document,
+/// fenced code blocks excluded. A path that continues a file name
+/// (`lib.rs::lock` names a test in that file) is not one.
+fn backticked_paths(doc: &str) -> std::collections::BTreeSet<String> {
+    let mut prose = String::new();
+    let mut fenced = false;
+    for line in doc.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    let mut paths = std::collections::BTreeSet::new();
+    for span in prose.split('`').skip(1).step_by(2) {
+        for token in span.split(|c: char| !(c.is_ascii_alphanumeric() || "_:./-".contains(c))) {
+            let path = token.trim_end_matches(':');
+            if path.contains("::")
+                && !path.contains(['.', '/', '-'])
+                && path.split("::").all(|s| !s.is_empty())
+            {
+                paths.insert(path.to_string());
+            }
+        }
+    }
+    paths
+}
+
+#[test]
+fn docs_name_live_code() {
+    // The inverse of `deleted_names_stay_deleted`: every path README.md and
+    // DESIGN.md name in backticks must still name something, each of its
+    // segments an identifier in some Rust source of the repository.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut identifiers = std::collections::HashSet::new();
+    let mut dirs: Vec<_> = ["crates", "src", "tests", "examples"]
+        .iter()
+        .map(|d| root.join(d))
+        .collect();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                if !path.ends_with("target") {
+                    dirs.push(path);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                identifiers.extend(
+                    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                        .filter(|w| !w.is_empty())
+                        .map(str::to_string),
+                );
+            }
+        }
+    }
+    let mut stale = Vec::new();
+    for doc in ["README.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for path in backticked_paths(&text) {
+            if let Some(seg) = path.split("::").find(|s| !identifiers.contains(*s)) {
+                stale.push(format!("{doc}: `{path}` (no `{seg}` in any Rust source)"));
+            }
+        }
+        // DESIGN.md is not re-anchored like ROADMAP.md: a line number in it
+        // goes stale with the next edit of that file.
+        if doc == "DESIGN.md" {
+            for (n, line) in text.lines().enumerate() {
+                let b = line.as_bytes();
+                let cited = line
+                    .match_indices(".rs:")
+                    .any(|(i, _)| b.get(i + 4).is_some_and(u8::is_ascii_digit));
+                if cited {
+                    stale.push(format!("{doc}:{}: cites a source line: {line}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "docs name dead code:\n{}",
+        stale.join("\n")
+    );
+}
