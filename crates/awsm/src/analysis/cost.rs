@@ -115,10 +115,6 @@ pub fn op_cost(op: &Op) -> u32 {
     }
 }
 
-/// The heaviest single op ([`Op::MemoryGrow`]); no check-free gap can be
-/// narrower than this, whatever the budget.
-pub(crate) const MAX_SINGLE_OP_COST: u32 = 64;
-
 /// Per-function slice of the preemption-latency certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncCost {
@@ -228,7 +224,7 @@ fn remap_targets(code: &mut [Op], map: &[u32]) {
 /// followed them. Exact inverse of [`instrument`] on instrumented code:
 /// targets only ever point at chunk entries, and a chunk entry's `Fuel`
 /// maps to the chunk's first real op. Every branch target must be in range.
-pub(super) fn strip_fuel(code: &[Op]) -> Vec<Op> {
+pub(crate) fn strip_fuel(code: &[Op]) -> Vec<Op> {
     let mut out: Vec<Op> = Vec::with_capacity(code.len());
     let mut map = vec![0u32; code.len()];
     for (pc, op) in code.iter().enumerate() {
@@ -348,4 +344,30 @@ pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost) {
         max_host_gap: gap_of(&|c: &Chunk| c.host),
     };
     (out, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::code::{Branch, NumBin};
+
+    #[test]
+    fn strip_fuel_round_trips_instrumentation() {
+        let code = vec![
+            Op::Const(1),
+            Op::BinRC(NumBin::I32Add, 2),
+            Op::Drop,
+            Op::Br(Branch {
+                target: 0,
+                height: 0,
+                keep: false,
+            }),
+        ];
+        let (inst, fc) = instrument(&code, 4);
+        let stripped = strip_fuel(&inst);
+        assert_eq!(stripped, code);
+        let (reinst, fc2) = instrument(&stripped, 4);
+        assert_eq!(reinst, inst);
+        assert_eq!(fc, fc2);
+    }
 }

@@ -9,14 +9,14 @@
 //! the table with a matching type id** (local table residents are already
 //! edges in the call graph). Direct effects are then closed transitively
 //! over the call graph — `call_indirect` to local functions is covered
-//! because [`CallGraph`] over-approximates indirect calls by type-compatible
+//! because `CallGraph` over-approximates indirect calls by type-compatible
 //! table residency. The result is sound: the closed set is a superset of the
 //! imports any concrete execution of the function can invoke.
 //!
 //! # Write footprints
 //!
 //! Per-function direct footprints come from the interval analysis in
-//! [`range`](super::range) (every `store` site's abstract address interval,
+//! `range` (every `store` site's abstract address interval,
 //! joined), degraded to [`WriteFootprint::Unbounded`] whenever that analysis
 //! bails out on a function containing stores. Closure joins callee
 //! footprints in. `memory.grow` does not widen the interval itself — store
@@ -419,8 +419,9 @@ pub(super) fn lints(
                     else {
                         continue;
                     };
-                    let lo = addr + *off as u64;
-                    let hi = lo + super::range::store_len(*kind);
+                    // Saturating: a shipped body's constant may be any u64.
+                    let lo = addr.saturating_add(*off as u64);
+                    let hi = lo.saturating_add(super::range::store_len(*kind));
                     if hi <= template_len && !covered(lo, hi) {
                         out.push(Diagnostic {
                             severity: Severity::Warn,

@@ -1,34 +1,34 @@
 //! Load-time static analysis over the flat IR: stack-bound verification,
 //! cost and effect certificates, and module linting.
 //!
-//! Everything here runs exactly once, at [`translate`](crate::translate)
-//! time, over the already-resolved code of a [`CompiledModule`]. The result
-//! is an [`AnalysisReport`] stored on the module, so every consumer — the
-//! registry, the CLI, the benchmarks — shares one analysis.
+//! Everything here runs exactly once per module, over the already-resolved
+//! code of a [`CompiledModule`]: at the end of
+//! [`translate`](crate::translate), and inside
+//! [`decode_artifact`](crate::decode_artifact) over the bodies an artifact
+//! ships — one pipeline, so a node derives every certificate itself. The
+//! result is an [`AnalysisReport`] stored on the module, so every consumer —
+//! the registry, the CLI, the benchmarks — shares one analysis.
 //!
-//! 1. **Verifier** ([`stack`]): per-function operand-stack heights and frame
+//! 1. **Verifier** (`stack`): per-function operand-stack heights and frame
 //!    sizes, the call graph, recursion detection, and a worst-case stack
 //!    bound in bytes for the whole module. `sledge-core` compares it against
 //!    the sandbox stack budget *before* instantiation.
-//! 2. **Intervals** ([`range`]): an intra-procedural interval analysis over
+//! 2. **Intervals** (`range`): an intra-procedural interval analysis over
 //!    guest addresses, feeding the static write footprints of the effect
 //!    certificate and the value lints.
-//! 3. **Lints** ([`lint`] + [`range`]): structured [`Diagnostic`]s for
+//! 3. **Lints** (`lint` + `range`): structured [`Diagnostic`]s for
 //!    statically-guaranteed traps and dead code. `Error` means the module
 //!    will trap on the flagged path whenever it executes; the registry
 //!    rejects such modules at load.
 //! 4. **Certificates** ([`effects`], [`cost`]): reachable host imports and
 //!    write footprints per entry point; exact per-block fuel charges and the
-//!    certified preemption-latency gap. `verify` re-derives the parts of
-//!    them a node must not take on trust from an artifact, inside
-//!    [`decode_artifact`](crate::decode_artifact).
+//!    certified preemption-latency gap.
 
 pub mod cost;
 pub mod effects;
 mod lint;
 mod range;
 pub(crate) mod stack;
-pub(crate) mod verify;
 
 use crate::code::CompiledModule;
 use cost::CostReport;
@@ -134,8 +134,8 @@ pub struct AnalysisReport {
 
 impl AnalysisReport {
     /// The report a module holds while [`analyze`] derives its real one.
-    /// Crate-private: `analyze` replaces it before translation returns, so
-    /// no module outside the crate ever carries it.
+    /// Crate-private: `analyze` replaces it before translation or artifact
+    /// decode returns a module, so no module outside the crate carries it.
     pub(crate) fn pending() -> Self {
         AnalysisReport {
             funcs: Vec::new(),
@@ -266,12 +266,19 @@ impl AnalysisReport {
 /// Analyze `m` in place: compute the report, instrument every body with
 /// exact per-block fuel charges bounded by `max_check_gap`, attach the
 /// report to the module, and lower the certified bodies to the register
-/// form the executor runs. Called once, at the end of translation, on a
-/// module holding [`AnalysisReport::pending`] and no lowered bodies.
+/// form the executor runs. Called once per module, at the end of
+/// translation or of artifact decode, on a module holding
+/// [`AnalysisReport::pending`], no lowered bodies and no `Op::Fuel`, whose
+/// exports, start function and table entries name functions of the module.
 ///
 /// Note: `Diagnostic::pc` refers to the *pre-instrumentation* code — the
 /// flat code before `Op::Fuel` insertion shifted positions.
-pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
+///
+/// # Errors
+///
+/// The first body the operand-height walk or the lowering refuses, by
+/// function. Translation's own output never fails; a shipped body may.
+pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), String> {
     let mut diagnostics = Vec::new();
     let mut timings: Vec<(&'static str, Duration)> = Vec::new();
 
@@ -279,7 +286,7 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
     // frame-size summaries.
     let t = Instant::now();
     let arities = stack::arity_map(m);
-    let heights = stack::operand_heights(m, &arities);
+    let heights = stack::operand_heights(m, &arities)?;
 
     // Call graph, recursion, worst-case bound.
     let graph = stack::CallGraph::build(m);
@@ -343,8 +350,7 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
 
     // Lowering, over the instrumented bodies: what the executor runs.
     let t = Instant::now();
-    m.lowered =
-        crate::lower::lower_module(m, &arities).expect("translator emitted a lowerable body");
+    m.lowered = crate::lower::lower_module(m, &arities)?;
     timings.push(("lower", t.elapsed()));
 
     m.analysis = AnalysisReport {
@@ -356,8 +362,5 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) {
         effects,
         timings,
     };
-
-    // What an ingesting node will demand of this module must hold of our
-    // own output.
-    debug_assert_eq!(verify::verify_body(m, &arities), Ok(()));
+    Ok(())
 }

@@ -5,9 +5,10 @@
 //! Heights are a simple forward dataflow over the flat code. Validated Wasm
 //! guarantees every pc has a single well-defined height, so the "join" is
 //! equality; unreachable pcs simply never get one. The walker is fallible
-//! because [`verify_body`](super::verify::verify_body) runs it over bodies
-//! that arrived in an artifact rather than out of the translator.
+//! because artifact decode runs it over bodies that arrived from a peer
+//! rather than out of the translator.
 
+use super::cost::for_each_target;
 use super::StackBound;
 use crate::code::{Branch, CompiledFunc, CompiledModule, Op};
 use std::collections::{HashMap, HashSet};
@@ -31,12 +32,18 @@ pub(crate) fn arity_map(m: &CompiledModule) -> ArityMap {
     map
 }
 
-/// Maximum operand-stack height of every local function.
-pub(super) fn operand_heights(m: &CompiledModule, arities: &ArityMap) -> Vec<u32> {
-    m.funcs
-        .iter()
-        .map(|f| max_height(m, f, arities).expect("translator emitted a stack-consistent body"))
-        .collect()
+/// Maximum operand-stack height of every local function, or the first
+/// body [`heights`] refuses, by function.
+pub(super) fn operand_heights(m: &CompiledModule, arities: &ArityMap) -> Result<Vec<u32>, String> {
+    let max_height = |(fidx, func): (usize, &CompiledFunc)| {
+        let named = |e| match &func.name {
+            Some(n) => format!("{n}: {e}"),
+            None => format!("func[{fidx}]: {e}"),
+        };
+        let heights = heights(m, func, arities).map_err(named)?;
+        Ok(heights.into_iter().flatten().max().unwrap_or(0))
+    };
+    m.funcs.iter().enumerate().map(max_height).collect()
 }
 
 /// Frame footprint in bytes: locals + worst-case operands + frame record.
@@ -83,30 +90,52 @@ fn slots_used(op: &Op) -> (Option<u32>, Option<u32>) {
     }
 }
 
-/// The maximum operand-stack height of `func` (see [`heights`]).
-pub(super) fn max_height(
-    m: &CompiledModule,
-    func: &CompiledFunc,
-    arities: &ArityMap,
-) -> Result<u32, String> {
-    Ok(heights(m, func, arities)?
-        .into_iter()
-        .flatten()
-        .max()
-        .unwrap_or(0))
+/// Every index `op` names — branch targets, callee, host import, locals and
+/// globals — is in range, or the first one that is not.
+fn indices_in_range(m: &CompiledModule, func: &CompiledFunc, op: &Op) -> Result<(), String> {
+    let mut past_end = None;
+    for_each_target(op, |t| {
+        if t as usize >= func.code.len() {
+            past_end = Some(t);
+        }
+    });
+    if let Some(t) = past_end {
+        return Err(format!("branch to pc {t}, past the end of the body"));
+    }
+    let (local, global) = slots_used(op);
+    if local.is_some_and(|l| l >= func.nlocals) {
+        return Err("local index out of range".into());
+    }
+    if global.is_some_and(|g| g as usize >= m.globals.len()) {
+        return Err("global index out of range".into());
+    }
+    match op {
+        Op::Call(f) if *f as usize >= m.funcs.len() => Err(format!("call to unknown function {f}")),
+        Op::CallHost(h) if *h as usize >= m.host_funcs.len() => {
+            Err(format!("call to unknown host import {h}"))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// The crate's one operand-height walker: the operand-stack height on entry
 /// to every reachable pc of `func` (`None` for dead code), or the first
-/// reason the body cannot be lowered and run safely — two paths disagreeing
-/// on a pc's height, an op popping more than is there, control leaving the
-/// body, or an index (branch target, callee, local, global) out of range.
+/// reason the body cannot be analyzed, lowered and run safely — an index
+/// (branch target, callee, local, global) out of range anywhere in the
+/// body, dead code included, or, on a reachable path, two paths disagreeing
+/// on a pc's height, an op popping more than is there, a branch carrying
+/// more than is there, or control leaving the body.
 pub(crate) fn heights(
     m: &CompiledModule,
     func: &CompiledFunc,
     arities: &ArityMap,
 ) -> Result<Vec<Option<u32>>, String> {
     let code = &func.code;
+    // Whole-body passes after this walk (call graph, lints, instrumentation)
+    // index by every op, reachable or not.
+    for (pc, op) in code.iter().enumerate() {
+        indices_in_range(m, func, op).map_err(|e| format!("{e} at pc {pc}"))?;
+    }
     let mut height: Vec<Option<u32>> = vec![None; code.len()];
     let mut work: Vec<(usize, u32)> = Vec::new();
 
@@ -125,7 +154,6 @@ pub(crate) fn heights(
             }
         }
     };
-    let branch = |b: &Branch| (b.target as usize, b.height + b.keep as u32);
 
     flow(&mut work, 0, 0)?;
     while let Some((pc, h)) = work.pop() {
@@ -136,6 +164,14 @@ pub(crate) fn heights(
                 .map(|rest| rest + pushes)
                 .ok_or_else(|| format!("operand underflow at pc {pc}: have {h}, need {pops}"))
         };
+        // Target and height of a branch taken with `have` operands: it
+        // keeps `height` of them, plus the value it carries.
+        let branch = |b: &Branch, have: u32| match b.height.checked_add(b.keep as u32) {
+            Some(th) if th <= have => Ok((b.target as usize, th)),
+            _ => Err(format!(
+                "branch at pc {pc} carries more operands than there are"
+            )),
+        };
         let op = &code[pc];
         match op {
             Op::Unreachable => {}
@@ -143,30 +179,28 @@ pub(crate) fn heights(
                 after(func.has_result as u32, 0)?;
             }
             Op::Br(b) => {
-                let (t, th) = branch(b);
+                let (t, th) = branch(b, h)?;
                 flow(&mut work, t, th)?;
             }
             Op::BrIf(b) | Op::BrIfZ(b) => {
-                let (t, th) = branch(b);
+                let rest = after(1, 0)?;
+                let (t, th) = branch(b, rest)?;
                 flow(&mut work, t, th)?;
-                flow(&mut work, next, after(1, 0)?)?;
+                flow(&mut work, next, rest)?;
             }
             Op::BrTable(payload) => {
-                after(1, 0)?;
+                let rest = after(1, 0)?;
                 for b in payload
                     .targets
                     .iter()
                     .chain(std::iter::once(&payload.default))
                 {
-                    let (t, th) = branch(b);
+                    let (t, th) = branch(b, rest)?;
                     flow(&mut work, t, th)?;
                 }
             }
             Op::Call(f) => {
-                let callee = m
-                    .funcs
-                    .get(*f as usize)
-                    .ok_or_else(|| format!("call to unknown function {f} at pc {pc}"))?;
+                let callee = &m.funcs[*f as usize];
                 flow(
                     &mut work,
                     next,
@@ -174,10 +208,7 @@ pub(crate) fn heights(
                 )?;
             }
             Op::CallHost(hidx) => {
-                let imp = m
-                    .host_funcs
-                    .get(*hidx as usize)
-                    .ok_or_else(|| format!("call to unknown host import {hidx} at pc {pc}"))?;
+                let imp = &m.host_funcs[*hidx as usize];
                 flow(&mut work, next, after(imp.nparams, imp.has_result as u32)?)?;
             }
             Op::CallIndirect(tid) => {
@@ -185,17 +216,10 @@ pub(crate) fn heights(
                 // Unknown type id: no function of that type exists anywhere,
                 // so the call can only trap — treat as a terminator.
                 if let Some((np, res)) = arities.get(tid) {
-                    flow(&mut work, next, after(np + 1, *res as u32)?)?;
+                    flow(&mut work, next, after(np.saturating_add(1), *res as u32)?)?;
                 }
             }
             op => {
-                let (local, global) = slots_used(op);
-                if local.is_some_and(|l| l >= func.nlocals) {
-                    return Err(format!("local index out of range at pc {pc}"));
-                }
-                if global.is_some_and(|g| g as usize >= m.globals.len()) {
-                    return Err(format!("global index out of range at pc {pc}"));
-                }
                 let (pops, pushes) = stack_effect(op);
                 flow(&mut work, next, after(pops, pushes)?)?;
             }

@@ -1,21 +1,23 @@
 //! Distributable module artifacts: a versioned binary encoding of a
-//! [`CompiledModule`] *together with its analysis certificates* (stack
-//! bound, cost/preemption certificate, effect report).
+//! [`CompiledModule`]'s tables and translated bodies.
 //!
 //! This is the cluster tier's module-distribution format: a router
-//! translates and analyzes a module once, then pushes the encoded artifact
-//! to every node. Receiving nodes decode it, and [`decode`] **re-verifies
-//! the carried certificates** against the shipped bodies (checksum, then
-//! body verification and lowering) instead of re-translating the source —
-//! the paper's "heavyweight linking and loading" happens once per ring, not
-//! once per node. A module decode returns is as runnable as one
-//! [`translate_with`](crate::translate_with) returns.
+//! translates a module once, then pushes the encoded artifact to every node.
+//! What travels is what translation emits before its analysis runs — each
+//! body without its `Op::Fuel` charges — and the one translation parameter
+//! the certificates depend on, the `max_check_gap` the module was built
+//! under. No certificate travels. [`decode`] checks the structure and then
+//! runs the same [`analyze`](crate::analysis) that
+//! [`translate_with`](crate::translate_with) ends in, so a node believes
+//! only what it derived itself: a module decode returns is, certificate for
+//! certificate, what a local translation builds. What a node saves is the
+//! front end (Wasm decoding, validation and translation), not the analysis.
 //!
 //! The format is deliberately simple: little-endian fixed-width integers,
 //! length-prefixed byte strings, a one-byte tag per enum variant, and an
 //! FNV-1a-64 checksum over the payload so in-flight corruption is detected
-//! before any certificate is trusted. Exports are written in sorted order
-//! so encoding is deterministic: the same compiled module always produces
+//! before anything is parsed. Exports are written in sorted order so
+//! encoding is deterministic: the same compiled module always produces
 //! byte-identical artifacts (and therefore the same checksum) on every
 //! node.
 
@@ -24,9 +26,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::analysis::cost::{CostReport, FuncCost};
-use crate::analysis::effects::{EffectReport, FuncEffect, WriteFootprint};
-use crate::analysis::{AnalysisReport, Diagnostic, FuncSummary, Severity, StackBound};
+use crate::analysis::{cost, AnalysisReport};
 use crate::code::{
     BrTablePayload, Branch, CompiledFunc, CompiledModule, HostImport, LoadKind, MemorySpec, NumBin,
     NumUn, Op, StoreKind,
@@ -36,8 +36,14 @@ use crate::memory::MemoryTemplate;
 /// Artifact magic: "SLGA" (SLedGe Artifact).
 pub(crate) const MAGIC: &[u8; 4] = b"SLGA";
 /// Current format version. Decoders reject anything else. Version 1
-/// carried three bodies per function and an optimizer section.
-pub(crate) const VERSION: u16 = 2;
+/// carried three bodies per function and an optimizer section; version 2
+/// carried instrumented bodies and the certificates.
+pub(crate) const VERSION: u16 = 3;
+
+/// The most locals, parameters included, a decoded frame may hold: the Wasm
+/// decoder's limit on a body's declared locals. The analysis allocates per
+/// local, so a shipped frame costs it no more than a decodable `.wasm` one.
+const MAX_FRAME_LOCALS: u32 = 1_000_000;
 
 /// Why an artifact could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,9 +64,9 @@ pub enum ArtifactError {
     },
     /// A tag or length field holds a value the format does not define.
     Corrupt(&'static str),
-    /// The artifact is well formed, but its bodies do not re-prove the
-    /// certificates it carries, cannot be lowered to executable form, or
-    /// name functions the module does not have.
+    /// The artifact is well formed, but it names functions the module does
+    /// not have, or a body fails the analysis or cannot be lowered to
+    /// executable form.
     Unverified(String),
 }
 
@@ -94,8 +100,9 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encode a compiled module (with its full analysis report) into a
-/// distributable artifact.
+/// Encode a compiled module into a distributable artifact: its tables, each
+/// body with its fuel charges stripped, and the `max_check_gap` its
+/// certificates were derived under.
 pub fn encode(m: &CompiledModule) -> Vec<u8> {
     let mut w = Writer::default();
     w.opt_str(m.name.as_deref());
@@ -142,7 +149,7 @@ pub fn encode(m: &CompiledModule) -> Vec<u8> {
         w.u32(*idx);
     }
     w.opt_u32(m.start);
-    analysis(&mut w, &m.analysis);
+    w.u32(m.analysis.cost.max_check_gap);
 
     let payload = w.out;
     let mut out = Vec::with_capacity(payload.len() + 16);
@@ -155,17 +162,18 @@ pub fn encode(m: &CompiledModule) -> Vec<u8> {
 }
 
 /// Decode an artifact back into a [`CompiledModule`]: check the checksum,
-/// read the structure, then re-prove the carried certificates against the
-/// bodies (`verify_body`) and lower every body to the register form the
-/// executor runs, checking it. The memory template is rebuilt from the
-/// data segments, so the artifact never carries the (redundant,
-/// potentially large) flattened image.
+/// read the structure, check the indices the analysis relies on, then run
+/// the analysis translation runs — stack bound, lints, intervals, effect
+/// and cost certificates, fuel instrumentation and lowering. The memory
+/// template is rebuilt from the data segments, so the artifact never
+/// carries the (redundant, potentially large) flattened image.
 ///
 /// # Errors
 ///
 /// Any structural problem — bad magic/version, checksum mismatch, unknown
-/// tags, a missing certificate, truncation — yields an [`ArtifactError`],
-/// and a body that cannot be proven yields [`ArtifactError::Unverified`];
+/// tags (an `Op::Fuel` among them: the node places every charge), trailing
+/// bytes, truncation — yields an [`ArtifactError`], and a module the
+/// analysis or lowering refuses yields [`ArtifactError::Unverified`];
 /// nothing is partially constructed.
 pub fn decode(bytes: &[u8]) -> Result<CompiledModule, ArtifactError> {
     if bytes.len() < 16 {
@@ -236,33 +244,65 @@ pub fn decode(bytes: &[u8]) -> Result<CompiledModule, ArtifactError> {
         exports.insert(name, idx);
     }
     let start = r.opt_u32()?;
-    let analysis = read_analysis(&mut r)?;
+    let max_check_gap = r.u32()?;
     if !r.buf.is_empty() {
         return Err(ArtifactError::Corrupt("trailing bytes"));
     }
 
-    let template = MemoryTemplate::build(&data);
     let mut module = CompiledModule {
         funcs,
         host_funcs,
         globals,
         memory,
         data,
-        template,
+        // Built once the segments are known to fit the memory.
+        template: MemoryTemplate::build(&[]),
         table,
         exports,
         start,
         name,
-        analysis,
+        analysis: AnalysisReport::pending(),
         lowered: Default::default(),
     };
-    // The bodies and certificates are still claims: prove them, then build
-    // the executable form, or return no module at all.
-    let arities = crate::analysis::stack::arity_map(&module);
-    crate::analysis::verify::verify_body(&module, &arities).map_err(ArtifactError::Unverified)?;
-    module.lowered =
-        crate::lower::lower_module(&module, &arities).map_err(ArtifactError::Unverified)?;
+    check_structure(&module).map_err(ArtifactError::Unverified)?;
+    module.template = MemoryTemplate::build(&module.data);
+    crate::analysis::analyze(&mut module, max_check_gap).map_err(ArtifactError::Unverified)?;
     Ok(module)
+}
+
+/// What the memory template and `analyze` take as given of a module
+/// translation builds: every export, the start function and every table
+/// entry name a function (the call graph indexes by them); every data
+/// segment fits the initial memory (so the template is no larger than what
+/// each instance commits anyway); and every frame holds its parameters and
+/// at most [`MAX_FRAME_LOCALS`] locals in all.
+fn check_structure(m: &CompiledModule) -> Result<(), String> {
+    let indices = m.num_imports() as usize + m.funcs.len();
+    let outside = |idx: &u32| *idx as usize >= indices;
+    let named = |what: String, idx: u32| {
+        format!("{what} names no function (index {idx}, the module has {indices})")
+    };
+    if let Some((name, &idx)) = m.exports.iter().find(|(_, idx)| outside(idx)) {
+        return Err(named(format!("export {name:?}"), idx));
+    }
+    if let Some(idx) = m.start.filter(outside) {
+        return Err(named("start".into(), idx));
+    }
+    if let Some(&idx) = m.table.iter().flatten().find(|idx| outside(idx)) {
+        return Err(named("a table entry".into(), idx));
+    }
+    let initial = m.memory.map_or(0, |spec| {
+        spec.min_pages as u64 * sledge_wasm::PAGE_SIZE as u64
+    });
+    let fits = |(off, bytes): &(u32, Arc<[u8]>)| *off as u64 + bytes.len() as u64 <= initial;
+    if !m.data.iter().all(fits) {
+        return Err("data segment outside initial memory".into());
+    }
+    let frame_ok = |f: &CompiledFunc| f.nparams <= f.nlocals && f.nlocals <= MAX_FRAME_LOCALS;
+    match m.funcs.iter().position(|f| !frame_ok(f)) {
+        Some(i) => Err(format!("func[{i}]: frame locals out of range")),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -516,10 +556,7 @@ fn op(w: &mut Writer, o: &Op) {
             w.u32(*l);
             w.u32(*off);
         }
-        Op::Fuel(c) => {
-            w.u8(29);
-            w.u32(*c);
-        }
+        Op::Fuel(_) => unreachable!("encode strips fuel charges"),
     }
 }
 
@@ -566,7 +603,6 @@ fn read_op(r: &mut Reader) -> Result<Op, ArtifactError> {
         26 => Op::Bin2LS(num_bin(r)?, r.u32()?, r.u32()?, r.u32()?),
         27 => Op::IncI32(r.u32()?, r.i32()?),
         28 => Op::LoadL(load_kind(r)?, r.u32()?, r.u32()?),
-        29 => Op::Fuel(r.u32()?),
         _ => return Err(ArtifactError::Corrupt("op tag")),
     })
 }
@@ -588,7 +624,7 @@ fn read_code(r: &mut Reader) -> Result<Vec<Op>, ArtifactError> {
 }
 
 fn func(w: &mut Writer, f: &CompiledFunc) {
-    code(w, &f.code);
+    code(w, &cost::strip_fuel(&f.code));
     w.u32(f.nparams);
     w.u32(f.nlocals);
     w.bool_(f.has_result);
@@ -605,217 +641,6 @@ fn read_func(r: &mut Reader) -> Result<CompiledFunc, ArtifactError> {
         type_id: r.u32()?,
         name: r.opt_str()?,
     })
-}
-
-// ---------------------------------------------------------------------------
-// Analysis / certificate encoding
-// ---------------------------------------------------------------------------
-
-fn analysis(w: &mut Writer, a: &AnalysisReport) {
-    w.u32(a.funcs.len() as u32);
-    for f in &a.funcs {
-        w.opt_str(f.name.as_deref());
-        w.u32(f.max_operand_slots);
-        w.u64(f.frame_bytes);
-        w.u32(f.mem_sites);
-        w.bool_(f.reachable);
-    }
-    match &a.stack_bound {
-        StackBound::Bounded(b) => {
-            w.u8(0);
-            w.u64(*b);
-        }
-        StackBound::Unbounded { cycle } => {
-            w.u8(1);
-            w.u32(cycle.len() as u32);
-            for &f in cycle {
-                w.u32(f);
-            }
-        }
-    }
-    w.u32(a.diagnostics.len() as u32);
-    for d in &a.diagnostics {
-        w.u8(match d.severity {
-            Severity::Warn => 0,
-            Severity::Error => 1,
-        });
-        w.opt_u32(d.func);
-        w.opt_u32(d.pc);
-        w.str_(&d.message);
-    }
-    w.u32(a.mem_sites);
-    // Each certificate keeps the presence byte of the format's optional
-    // encoding; it is always 1.
-    w.u8(1);
-    cost(w, &a.cost);
-    w.u8(1);
-    effects(w, &a.effects);
-    // timings are a local profiling aid keyed by static strings; they do
-    // not travel.
-}
-
-fn read_analysis(r: &mut Reader) -> Result<AnalysisReport, ArtifactError> {
-    let nfuncs = r.u32()? as usize;
-    let mut funcs = Vec::with_capacity(nfuncs.min(1 << 16));
-    for _ in 0..nfuncs {
-        funcs.push(FuncSummary {
-            name: r.opt_str()?,
-            max_operand_slots: r.u32()?,
-            frame_bytes: r.u64()?,
-            mem_sites: r.u32()?,
-            reachable: r.bool_()?,
-        });
-    }
-    let stack_bound = match r.u8()? {
-        0 => StackBound::Bounded(r.u64()?),
-        1 => {
-            let n = r.u32()? as usize;
-            let mut cycle = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                cycle.push(r.u32()?);
-            }
-            StackBound::Unbounded { cycle }
-        }
-        _ => return Err(ArtifactError::Corrupt("stack bound tag")),
-    };
-    let ndiags = r.u32()? as usize;
-    let mut diagnostics = Vec::with_capacity(ndiags.min(1 << 12));
-    for _ in 0..ndiags {
-        diagnostics.push(Diagnostic {
-            severity: match r.u8()? {
-                0 => Severity::Warn,
-                1 => Severity::Error,
-                _ => return Err(ArtifactError::Corrupt("severity tag")),
-            },
-            func: r.opt_u32()?,
-            pc: r.opt_u32()?,
-            message: r.str_()?,
-        });
-    }
-    let mem_sites = r.u32()?;
-    if r.u8()? != 1 {
-        return Err(ArtifactError::Corrupt("cost certificate tag"));
-    }
-    let cost = read_cost(r)?;
-    if r.u8()? != 1 {
-        return Err(ArtifactError::Corrupt("effect certificate tag"));
-    }
-    let effects = read_effects(r)?;
-    Ok(AnalysisReport {
-        funcs,
-        stack_bound,
-        diagnostics,
-        mem_sites,
-        cost,
-        effects,
-        timings: Vec::new(),
-    })
-}
-
-fn cost(w: &mut Writer, c: &CostReport) {
-    w.u32(c.max_check_gap);
-    w.u32(c.funcs.len() as u32);
-    for f in &c.funcs {
-        w.opt_str(f.name.as_deref());
-        w.u32(f.blocks);
-        w.u32(f.checks);
-        w.u32(f.splits);
-        w.u64(f.total_cost);
-        w.u32(f.max_gap);
-        w.u32(f.max_loop_gap);
-        w.u32(f.max_host_gap);
-    }
-    w.u32(c.max_gap);
-    w.u32(c.checks);
-    w.u32(c.splits);
-}
-
-fn read_cost(r: &mut Reader) -> Result<CostReport, ArtifactError> {
-    let max_check_gap = r.u32()?;
-    let nfuncs = r.u32()? as usize;
-    let mut funcs = Vec::with_capacity(nfuncs.min(1 << 16));
-    for _ in 0..nfuncs {
-        funcs.push(FuncCost {
-            name: r.opt_str()?,
-            blocks: r.u32()?,
-            checks: r.u32()?,
-            splits: r.u32()?,
-            total_cost: r.u64()?,
-            max_gap: r.u32()?,
-            max_loop_gap: r.u32()?,
-            max_host_gap: r.u32()?,
-        });
-    }
-    Ok(CostReport {
-        max_check_gap,
-        funcs,
-        max_gap: r.u32()?,
-        checks: r.u32()?,
-        splits: r.u32()?,
-    })
-}
-
-fn effects(w: &mut Writer, e: &EffectReport) {
-    w.u32(e.imports.len() as u32);
-    for i in &e.imports {
-        w.str_(i);
-    }
-    w.u32(e.funcs.len() as u32);
-    for f in &e.funcs {
-        w.opt_str(f.name.as_deref());
-        w.u32(f.hostcalls.len() as u32);
-        for &h in &f.hostcalls {
-            w.u32(h);
-        }
-        match f.footprint {
-            WriteFootprint::Empty => w.u8(0),
-            WriteFootprint::Span { lo, hi } => {
-                w.u8(1);
-                w.u64(lo);
-                w.u64(hi);
-            }
-            WriteFootprint::Unbounded => w.u8(2),
-        }
-        w.bool_(f.may_grow);
-        w.bool_(f.writes_globals);
-        w.bool_(f.pure);
-    }
-}
-
-fn read_effects(r: &mut Reader) -> Result<EffectReport, ArtifactError> {
-    let nimports = r.u32()? as usize;
-    let mut imports = Vec::with_capacity(nimports.min(1 << 12));
-    for _ in 0..nimports {
-        imports.push(r.str_()?);
-    }
-    let nfuncs = r.u32()? as usize;
-    let mut funcs = Vec::with_capacity(nfuncs.min(1 << 16));
-    for _ in 0..nfuncs {
-        let name = r.opt_str()?;
-        let nhost = r.u32()? as usize;
-        let mut hostcalls = Vec::with_capacity(nhost.min(1 << 12));
-        for _ in 0..nhost {
-            hostcalls.push(r.u32()?);
-        }
-        let footprint = match r.u8()? {
-            0 => WriteFootprint::Empty,
-            1 => WriteFootprint::Span {
-                lo: r.u64()?,
-                hi: r.u64()?,
-            },
-            2 => WriteFootprint::Unbounded,
-            _ => return Err(ArtifactError::Corrupt("footprint tag")),
-        };
-        funcs.push(FuncEffect {
-            name,
-            hostcalls,
-            footprint,
-            may_grow: r.bool_()?,
-            writes_globals: r.bool_()?,
-            pure: r.bool_()?,
-        });
-    }
-    Ok(EffectReport { imports, funcs })
 }
 
 #[cfg(test)]
@@ -880,8 +705,8 @@ mod tests {
     fn roundtrip_preserves_module_and_certificates() {
         let m = sample_module();
         let bytes = encode(&m);
-        // Decoding re-proves the carried certificates: this is the ingest
-        // path's trust anchor.
+        // Decoding re-derives every certificate: the node trusts nothing
+        // the artifact could claim.
         let back = decode(&bytes).expect("decode");
         assert_modules_equal(&m, &back);
     }
@@ -917,10 +742,13 @@ mod tests {
         bytes[0] = b'X';
         assert_eq!(decode(&bytes).err(), Some(ArtifactError::BadMagic));
 
-        // Version 1 (three bodies + optimizer section) is not readable.
-        let mut bytes = encode(&m);
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(decode(&bytes).err(), Some(ArtifactError::BadVersion(1)));
+        // Version 1 (three bodies + optimizer section) and version 2
+        // (instrumented bodies + certificates) are not readable.
+        for old in [1u16, 2] {
+            let mut bytes = encode(&m);
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(decode(&bytes).err(), Some(ArtifactError::BadVersion(old)));
+        }
     }
 
     #[test]
@@ -945,19 +773,21 @@ mod tests {
         // Each edit re-encodes to a well-formed artifact with a valid
         // checksum. (the edit, what decode must say)
         type Edit = fn(&mut CompiledModule);
-        let edits: [(Edit, &str); 4] = [
+        let edits: [(Edit, &str); 5] = [
             (
                 |m| _ = m.exports.insert("main".into(), 1),
                 "names no function",
             ),
             (|m| m.start = Some(9999), "names no function"),
+            // The call graph indexes functions by table entry.
+            (|m| m.table.push(Some(1)), "names no function"),
             (
-                |m| m.analysis.effects.funcs.clear(),
-                "certificate entry count mismatch",
+                |m| m.data.push((1 << 20, Arc::from(&b"x"[..]))),
+                "data segment outside initial memory",
             ),
             (
-                |m| m.analysis.effects.imports.push("env::x".into()),
-                "certificate entry count mismatch",
+                |m| m.funcs[0].nlocals = u32::MAX,
+                "frame locals out of range",
             ),
         ];
         for (edit, why) in edits {
@@ -971,28 +801,21 @@ mod tests {
     }
 
     #[test]
-    fn missing_certificate_is_corrupt() {
+    fn fuel_charge_on_the_wire_is_corrupt() {
         let m = sample_module();
-        let good = encode(&m);
-        // The payload ends `1 | cost | 1 | effects`; clear either presence
-        // byte and fix the checksum up.
-        let mut effects_tail = Writer::default();
-        effects(&mut effects_tail, &m.analysis.effects);
-        let mut cost_tail = Writer::default();
-        cost(&mut cost_tail, &m.analysis.cost);
-        let effects_tag = good.len() - effects_tail.out.len() - 1;
-        let cost_tag = effects_tag - cost_tail.out.len() - 1;
-        for (tag, what) in [
-            (cost_tag, "cost certificate tag"),
-            (effects_tag, "effect certificate tag"),
-        ] {
-            let mut bad = good.clone();
-            assert_eq!(bad[tag], 1);
-            bad[tag] = 0;
-            let sum = fnv1a(&bad[16..]);
-            bad[8..16].copy_from_slice(&sum.to_le_bytes());
-            assert_eq!(decode(&bad).err(), Some(ArtifactError::Corrupt(what)));
-        }
+        let mut bad = encode(&m);
+        // The first op of the first body follows the name, the function
+        // count and the body's op count. Make it tag 29, `Op::Fuel`'s place
+        // in the op order, and fix the checksum up.
+        let mut head = Writer::default();
+        head.opt_str(m.name.as_deref());
+        head.u32(1);
+        head.u32(0);
+        let at = 16 + head.out.len();
+        bad[at] = 29;
+        let sum = fnv1a(&bad[16..]);
+        bad[8..16].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode(&bad).err(), Some(ArtifactError::Corrupt("op tag")));
     }
 
     #[test]

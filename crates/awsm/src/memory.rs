@@ -41,7 +41,7 @@ impl std::error::Error for MemoryError {}
 /// segment replayed, in order, into one flat byte span starting at address
 /// zero. Built once at translation and shared by all of the module's
 /// instances; it is both the fast path for cold instantiation and the
-/// restore source for [`LinearMemory::reset_from`] when a warm sandbox is
+/// restore source for `LinearMemory::reset_from` when a warm sandbox is
 /// recycled instead of torn down.
 #[derive(Debug, Clone)]
 pub struct MemoryTemplate {
@@ -227,7 +227,7 @@ impl LinearMemory {
     }
 
     /// One past the highest byte index any store has touched since
-    /// allocation or the last [`Self::reset_from`].
+    /// allocation or the last `reset_from`.
     pub fn high_water_mark(&self) -> usize {
         self.hwm
     }

@@ -252,7 +252,8 @@ pub fn translate_with(
     // verification, lints, the effect certificate, the cost-model
     // instrumentation that certifies the preemption-latency gap, and last
     // the lowering of the certified bodies to the form that runs.
-    crate::analysis::analyze(&mut module, opts.max_check_gap);
+    crate::analysis::analyze(&mut module, opts.max_check_gap)
+        .expect("translator emitted a verifiable module");
     Ok(module)
 }
 

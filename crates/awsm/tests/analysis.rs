@@ -2,11 +2,12 @@
 //! linted, or rejected before any sandbox exists.
 
 use awsm::{
-    translate, EngineConfig, Instance, NullHost, Severity, StackBound, StepResult, Tier, Trap,
-    Value, WriteFootprint,
+    decode_artifact, encode_artifact, translate, AnalysisReport, EngineConfig, Instance, NullHost,
+    Severity, StackBound, StepResult, Tier, Trap, Value, WriteFootprint,
 };
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Stmt};
+use sledge_testkit::{cases, Rng};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
@@ -330,25 +331,48 @@ fn render_certificates(name: &str, cm: &awsm::CompiledModule) -> String {
 }
 
 /// The footprints, lints and reset policies of the whole catalogue are
-/// pinned: a speed-up of any analysis pass must reproduce them bit for bit,
-/// and a change that moves them is a results change that edits the
-/// snapshot in its own right. On a mismatch the current rendering is
-/// written next to the test binaries, for review and copying over.
+/// pinned, through both front ends — translation, and artifact decode of
+/// what translation encoded: a speed-up of any analysis pass must reproduce
+/// them bit for bit, and a change that moves them is a results change that
+/// edits the snapshot in its own right. On a mismatch the current rendering
+/// is written next to the test binaries, for review and copying over.
 #[test]
 fn catalogue_certificates_are_pinned() {
     let guests = catalogue();
     assert_eq!(guests.len(), 37, "the catalogue is 7 apps + 30 kernels");
-    let actual: String = guests
+    let translated: Vec<awsm::CompiledModule> = guests
         .iter()
-        .map(|(name, m)| {
-            let cm = translate(m, Tier::Optimized).expect("shipped guest translates");
-            render_certificates(name, &cm)
-        })
+        .map(|(_, m)| translate(m, Tier::Optimized).expect("shipped guest translates"))
         .collect();
+    // The second front end: a node decoding the artifact a peer translated
+    // derives every certificate itself, and must derive the same ones.
+    let decoded: Vec<awsm::CompiledModule> = translated
+        .iter()
+        .map(|cm| decode_artifact(&encode_artifact(cm)).expect("shipped guest's artifact decodes"))
+        .collect();
+    for ((name, _), (t, d)) in guests.iter().zip(translated.iter().zip(&decoded)) {
+        let untimed = |cm: &awsm::CompiledModule| AnalysisReport {
+            timings: Vec::new(),
+            ..cm.analysis.clone()
+        };
+        assert_eq!(
+            untimed(t),
+            untimed(d),
+            "{name}: decode derived another report"
+        );
+    }
     let expected = include_str!("data/catalogue_certificates.txt");
-    if actual != expected {
+    for (front_end, modules) in [("translate", &translated), ("artifact", &decoded)] {
+        let actual: String = guests
+            .iter()
+            .zip(modules)
+            .map(|((name, _), cm)| render_certificates(name, cm))
+            .collect();
+        if actual == expected {
+            continue;
+        }
         let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-            .join("catalogue_certificates.actual.txt");
+            .join(format!("catalogue_certificates.{front_end}.actual.txt"));
         std::fs::write(&path, &actual).expect("write the current rendering");
         let (line, (want, got)) = expected
             .lines()
@@ -360,8 +384,8 @@ fn catalogue_certificates_are_pinned() {
                 ("<end>", "<end>"),
             ));
         panic!(
-            "certificates moved at snapshot line {}:\n  pinned:  {want}\n  current: {got}\n\
-             full rendering: {}",
+            "certificates moved ({front_end}) at snapshot line {}:\n  pinned:  {want}\n  \
+             current: {got}\nfull rendering: {}",
             line + 1,
             path.display()
         );
@@ -443,5 +467,152 @@ fn analyzer_sweep_over_the_catalogue_passes() {
                 f.code.len()
             );
         }
+    }
+}
+
+// --------------------------------------------- artifact decode on peer bytes
+
+/// FNV-1a 64, the artifact's payload checksum: what a peer that edits an
+/// artifact recomputes so the edit reaches the parser.
+fn sealed(mut artifact: Vec<u8>) -> Vec<u8> {
+    let sum = artifact[16..]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    artifact[8..16].copy_from_slice(&sum.to_le_bytes());
+    artifact
+}
+
+/// Rewrite one operand of `op`: an index or offset to a small or a wild
+/// value, a constant to any value, or a branch's target (within a body of
+/// `len` ops), kept height or carried value.
+fn rewrite_operand(op: &mut awsm::Op, len: usize, rng: &mut Rng) {
+    use awsm::code::Branch;
+    use awsm::Op;
+    let v = if rng.flip() {
+        rng.range(0, 8) as u32
+    } else {
+        rng.next_u64() as u32
+    };
+    let branch = |b: &mut Branch, rng: &mut Rng| match rng.index(0, 3) {
+        0 => b.target = rng.index(0, len) as u32,
+        1 => b.height = v,
+        _ => b.keep = !b.keep,
+    };
+    match op {
+        Op::Br(b) | Op::BrIf(b) | Op::BrIfZ(b) => branch(b, rng),
+        Op::BrTable(p) => {
+            let i = rng.index(0, p.targets.len() + 1);
+            branch(p.targets.get_mut(i).unwrap_or(&mut p.default), rng)
+        }
+        Op::Call(i)
+        | Op::CallHost(i)
+        | Op::CallIndirect(i)
+        | Op::LocalGet(i)
+        | Op::LocalSet(i)
+        | Op::LocalTee(i)
+        | Op::GlobalGet(i)
+        | Op::GlobalSet(i)
+        | Op::Load(_, i)
+        | Op::Store(_, i)
+        | Op::BinRL(_, i)
+        | Op::IncI32(i, _)
+        | Op::LoadL(_, _, i)
+        | Op::Bin2L(_, _, i)
+        | Op::Bin2LS(_, _, _, i) => *i = v,
+        Op::Const(c) | Op::BinRC(_, c) => *c = rng.next_u64(),
+        _ => {}
+    }
+}
+
+/// A store to a constant address before any load, in a module whose data
+/// segment gives it a memory template.
+fn scratch_store() -> Module {
+    let mut mb = ModuleBuilder::new("scratch-store");
+    mb.memory(1, Some(1));
+    mb.data(0, b"seed".to_vec());
+    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+    f.extend([store_i32(i32c(16), i32c(5)), ret(Some(i32c(0)))]);
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().unwrap()
+}
+
+/// An indirect call through a table, of the type a host import also has.
+fn indirect_poke() -> Module {
+    let mut mb = ModuleBuilder::new("indirect-poke");
+    mb.import_func("env", "poke", &[ValType::I32], None);
+    let sig = mb.signature(&[ValType::I32], None);
+    let leaf = mb.add_func("leaf", FuncBuilder::new(&[ValType::I32], None));
+    mb.table(&[leaf]);
+    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+    f.extend([
+        exec(call_indirect(&sig, i32c(0), vec![i32c(1)])),
+        ret(Some(i32c(0))),
+    ]);
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().unwrap()
+}
+
+/// Artifact decode runs the whole analysis on bytes from the network, so it
+/// must be total: over every catalogue artifact, a flipped payload bit, a
+/// rewritten op operand (both with the checksum fixed up) and a truncation
+/// each decode to `Ok` or `Err`, never a panic.
+#[test]
+fn artifact_decode_is_total_on_peer_bytes() {
+    let guests = catalogue();
+
+    // Fixed cases, each an edit the byte-level mutations rarely reach: a
+    // table entry past the functions (the call graph indexes by it), a
+    // frame the analysis would have to allocate 2^32 locals for, a wild
+    // constant store address in a module with a memory template, and an
+    // import whose arity an indirect call of its type would overflow.
+    type Edit = fn(&mut awsm::CompiledModule);
+    let fixed: [(&Module, Edit); 4] = [
+        (&guests[0].1, |m| {
+            m.table.push(Some(m.num_imports() + m.funcs.len() as u32))
+        }),
+        (&guests[0].1, |m| {
+            let f = &mut m.funcs[0];
+            (f.nparams, f.nlocals) = (u32::MAX, u32::MAX);
+        }),
+        (&scratch_store(), |m| {
+            let code = &mut m.funcs[0].code;
+            let at = code.iter().position(|op| matches!(op, awsm::Op::Const(16)));
+            code[at.expect("the store's address constant")] = awsm::Op::Const(u64::MAX);
+        }),
+        (&indirect_poke(), |m| m.host_funcs[0].nparams = u32::MAX),
+    ];
+    for (module, edit) in fixed {
+        let mut m = translate(module, Tier::Optimized).unwrap();
+        edit(&mut m);
+        let _ = decode_artifact(&encode_artifact(&m));
+    }
+
+    for (i, (_, module)) in guests.iter().enumerate() {
+        let honest = encode_artifact(&translate(module, Tier::Optimized).unwrap());
+        cases(24, 0xA27F_AC75 + i as u64, |rng| {
+            let peer = match rng.index(0, 3) {
+                0 => {
+                    let mut bytes = honest.clone();
+                    let at = rng.index(16, bytes.len());
+                    bytes[at] ^= 1 << rng.index(0, 8);
+                    sealed(bytes)
+                }
+                1 => {
+                    let mut m = decode_artifact(&honest).expect("honest artifact decodes");
+                    let f = rng.index(0, m.funcs.len());
+                    let code = &mut m.funcs[f].code;
+                    let pc = rng.index(0, code.len());
+                    let len = code.len();
+                    rewrite_operand(&mut code[pc], len, rng);
+                    encode_artifact(&m)
+                }
+                _ => sealed(honest[..rng.index(16, honest.len())].to_vec()),
+            };
+            let _ = decode_artifact(&peer);
+        });
     }
 }

@@ -1,7 +1,7 @@
 //! sledge-router — the cluster routing tier.
 //!
 //! Boots a consistent-hash router over a set of `sledged` nodes,
-//! optionally pushes certificate-carrying module artifacts to every node,
+//! optionally pushes compiled module artifacts to every node,
 //! then serves until interrupted (or for `--run-for-s` seconds).
 //!
 //! ```text
@@ -153,10 +153,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        println!(
-            "  module: {wasm_path} -> {} byte certificate-carrying artifact",
-            artifact.len()
-        );
+        println!("  module: {wasm_path} -> {} byte artifact", artifact.len());
         for push in router.distribute(&config_json, &artifact) {
             match push.result {
                 Ok(_) => println!("    {}: ok", push.node),

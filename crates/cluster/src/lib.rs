@@ -22,9 +22,9 @@ pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{PushResult, RingStatsSnapshot, Router, RouterConfig};
 pub use sledge_core::BreakerConfig;
 
-/// Compile `wasm` into a distributable certificate-carrying artifact: the
-/// translated module (with its analysis, cost and effect certificates)
-/// serialized via [`awsm::encode_artifact`]. Feed the result to
+/// Compile `wasm` into a distributable artifact: the translated module's
+/// tables and bodies serialized via [`awsm::encode_artifact`] (each node
+/// derives the certificates itself). Feed the result to
 /// [`Router::distribute`] or a node's `POST /admin/modules`.
 ///
 /// # Errors

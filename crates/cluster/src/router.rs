@@ -306,9 +306,9 @@ impl Router {
         self.shared.stats.snapshot()
     }
 
-    /// Push one certificate-carrying artifact to **every** node (modules
-    /// are replicated cluster-wide; the ring only spreads invocations).
-    /// A node that rejects the certificate or is unreachable is reported
+    /// Push one compiled artifact to **every** node (modules are
+    /// replicated cluster-wide; the ring only spreads invocations).
+    /// A node that rejects the module or is unreachable is reported
     /// and skipped — the ring keeps serving with the nodes that accepted.
     pub fn distribute(&self, config_json: &str, artifact: &[u8]) -> Vec<PushResult> {
         distribute(&self.shared, config_json, artifact)

@@ -1,5 +1,5 @@
 //! End-to-end cluster tests: a real `Router` over in-process `sledged`
-//! runtimes — certificate-carrying distribution, ring routing, and the
+//! runtimes — compiled-module distribution, ring routing, and the
 //! chaos case: a node killed mid-stream with exactly-one-completion
 //! preserved through failover — and the shipped `sledge-router` binary in
 //! front of the same nodes.
@@ -122,7 +122,7 @@ fn distribution_pushes_certified_artifact_to_every_node() {
     for p in &pushes {
         assert!(p.result.is_ok(), "{}: {:?}", p.node, p.result);
     }
-    // Every node re-verified the artifact on ingest and accepted it.
+    // Every node decoded and analysed the artifact on ingest and accepted it.
     for rt in &nodes {
         let reg = rt.registry_stats();
         assert_eq!(reg.modules_verified, 1);

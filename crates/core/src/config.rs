@@ -88,11 +88,12 @@ pub struct RuntimeConfig {
     /// `Connection: close` before any parse cost is paid (the first gate,
     /// ahead of every admission gate). 0 (the default) is unlimited.
     pub max_connections: usize,
-    /// Serve `POST /admin/modules` on the HTTP front end: certificate-
-    /// carrying module ingest for cluster-mode distribution (the router
-    /// pushes compiled artifacts; the node re-validates every certificate
-    /// before registering). Off by default: the path is then routed like
-    /// any other, so it is a 404 unless a function owns it.
+    /// Serve `POST /admin/modules` on the HTTP front end: compiled-module
+    /// ingest for cluster-mode distribution (the router pushes artifacts of
+    /// translated bodies; the node derives every certificate itself, by
+    /// the analysis translation runs, before registering). Off by default:
+    /// the path is then routed like any other, so it is a 404 unless a
+    /// function owns it.
     pub admin_routes: bool,
 }
 

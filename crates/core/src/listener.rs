@@ -257,8 +257,8 @@ fn admit(
 
 /// Handle one `POST /admin/modules` ingest: parse the framed body and
 /// register the artifact. Unless the same artifact bytes are already in the
-/// module store, it is decoded — which checks its checksum and re-proves its
-/// certificates against its bodies instead of re-translating.
+/// module store, it is decoded — which checks its checksum and structure
+/// and runs the analysis translation runs, instead of re-translating.
 ///
 /// The body is an [`ingest_frame`].
 fn ingest_module(shared: &Shared, body: &[u8]) -> Response {

@@ -124,7 +124,7 @@ pub enum RegisterError {
     Decode(DecodeError),
     /// The module failed validation/translation.
     Translate(TranslateError),
-    /// The artifact failed decoding or re-verification.
+    /// The artifact failed decoding or its analysis.
     Artifact(ArtifactError),
     /// The configured entry point is not an exported local function (a
     /// re-exported import cannot be invoked).
@@ -189,9 +189,9 @@ pub(crate) enum Binary<'a> {
     /// A `.wasm` module: decoded, validated and translated under the
     /// registry's tier and check-gap budget.
     Wasm(&'a [u8]),
-    /// A certificate-carrying artifact (`POST /admin/modules`), decoded and
-    /// re-verified by [`awsm::decode_artifact`]; it fixes its own tier and
-    /// certificates.
+    /// A compiled artifact (`POST /admin/modules`), decoded and analysed by
+    /// [`awsm::decode_artifact`]; its bodies fix its tier and its check-gap
+    /// budget, and the node derives every certificate itself.
     Artifact(&'a [u8]),
 }
 
@@ -215,7 +215,7 @@ impl<'a> ModuleKey<'a> {
     }
 
     /// Build the module: decode, validate, translate and lower a `.wasm`, or
-    /// decode and re-verify an artifact. Touches no registry state, so it
+    /// decode and analyse an artifact. Touches no registry state, so it
     /// runs with no lock held.
     ///
     /// # Errors

@@ -107,7 +107,7 @@ pub(crate) struct RegistryStats {
     pub modules_verified: AtomicU64,
     /// Modules rejected at registration: by the analyzer (error-severity
     /// lints or a stack bound over budget), by a certificate or capability
-    /// gate, or — on the ingest path — by body verification.
+    /// gate, or — on the ingest path — by artifact decode.
     pub modules_rejected: AtomicU64,
     /// Warning-severity lints surfaced across all registered modules.
     pub lint_warnings: AtomicU64,

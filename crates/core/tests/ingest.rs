@@ -1,10 +1,11 @@
 //! Cluster-node endpoints: the dependency-free `/healthz` liveness probe
-//! and the `POST /admin/modules` certificate-carrying ingest route (gated
-//! by `admin_routes`, default off).
+//! and the `POST /admin/modules` artifact ingest route (gated by
+//! `admin_routes`, default off), whose node derives every certificate
+//! itself.
 
-use awsm::TranslateOptions;
 use awsm::{
-    decode_artifact, encode_artifact, translate_with, ArtifactError, CompiledModule, Op, Tier,
+    decode_artifact, encode_artifact, translate_with, ArtifactError, CompiledModule, Op,
+    ResetPolicy, StackBound, Tier, TranslateOptions, WriteFootprint,
 };
 use sledge_core::{ingest_frame, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
@@ -44,22 +45,52 @@ fn echo_guest(name: &str) -> Module {
     mb.build().unwrap()
 }
 
+/// Store to a fixed scratch address, then read it back.
+fn scratch_guest() -> Module {
+    let mut mb = ModuleBuilder::new("scratch");
+    mb.memory(1, Some(1));
+    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+    f.extend([store_i32(i32c(64), i32c(7)), ret(Some(load_i32(i32c(64))))]);
+    let main = mb.add_func("main", f);
+    mb.export_func(main, "main");
+    mb.build().unwrap()
+}
+
+fn translated(module: &Module) -> CompiledModule {
+    translate_with(module, Tier::Optimized, TranslateOptions::default()).unwrap()
+}
+
 /// Translate a guest and serialize it as a distributable artifact.
 fn artifact_for(module: &Module) -> Vec<u8> {
-    let compiled = translate_with(module, Tier::Optimized, TranslateOptions::default()).unwrap();
-    encode_artifact(&compiled)
+    encode_artifact(&translated(module))
 }
 
 fn boot(admin: bool) -> Runtime {
-    Runtime::with_http(
-        RuntimeConfig {
-            workers: 2,
-            admin_routes: admin,
-            ..Default::default()
-        },
-        "127.0.0.1:0".parse().unwrap(),
+    boot_with(RuntimeConfig {
+        admin_routes: admin,
+        ..Default::default()
+    })
+}
+
+fn boot_with(config: RuntimeConfig) -> Runtime {
+    let config = RuntimeConfig {
+        workers: 2,
+        ..config
+    };
+    Runtime::with_http(config, "127.0.0.1:0".parse().unwrap()).unwrap()
+}
+
+/// Push `artifact` as function `name` under the function-config fields
+/// `policy` (JSON members, possibly none); the status and the body.
+fn push(client: &mut HttpClient, name: &str, policy: &str, artifact: &[u8]) -> (u16, String) {
+    let frame = ingest_frame(&format!(r#"{{"name": "{name}"{policy}}}"#), artifact);
+    let resp = client
+        .request("POST", "/admin/modules", &[], &frame)
+        .unwrap();
+    (
+        resp.status,
+        String::from_utf8_lossy(&resp.body).into_owned(),
     )
-    .unwrap()
 }
 
 #[test]
@@ -103,8 +134,8 @@ fn ingest_registers_and_serves_distributed_module() {
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, b"hello ring");
 
-    // Ingest re-verified the artifact and re-ran the certificate gates;
-    // nothing was re-translated.
+    // Ingest decoded and analysed the artifact and ran the certificate
+    // gates; nothing was re-translated.
     let reg = rt.registry_stats();
     assert_eq!(reg.modules_verified, 1);
     assert_eq!(reg.modules_rejected, 0);
@@ -214,21 +245,23 @@ fn main_code(m: &mut CompiledModule) -> &mut Vec<Op> {
 fn tampered_artifacts_are_refused_by_artifact_decode() {
     let rt = boot(true);
     let mut client = HttpClient::new(rt.http_addr().unwrap());
+    let honest = translated(&echo_guest("echo"));
 
-    // (function name, the edit, what decode must say about it)
-    let tampers: [(&str, Tamper, &str); 4] = [
-        // A dropped budget check: the segment it headed would run unmetered.
+    // (function name, the edit, what decode must say about it). `None`:
+    // the edit touches what the artifact does not carry — fuel charges and
+    // certificates — so the node derives the honest module.
+    let tampers: [(&str, Tamper, Option<&str>); 4] = [
+        // A dropped budget check: the node places every check itself.
         (
             "dropped-fuel",
             |m| assert!(matches!(main_code(m).remove(0), Op::Fuel(_))),
-            "does not reconstruct",
+            None,
         ),
-        // An extra `Drop` on entry: costs nothing, so the fuel partition
-        // still reconstructs, but it pops an empty operand stack.
+        // An extra `Drop` on entry pops an empty operand stack.
         (
             "extra-drop",
             |m| main_code(m).insert(1, Op::Drop),
-            "operand underflow",
+            Some("operand underflow"),
         ),
         // A preemption-latency certificate claiming a tighter gap than the
         // body has (module-level figure lowered consistently with it).
@@ -239,34 +272,37 @@ fn tampered_artifacts_are_refused_by_artifact_decode() {
                 cost.funcs[0].max_gap -= 1;
                 cost.max_gap = cost.funcs[0].max_gap;
             },
-            "cost certificate mismatch",
+            None,
         ),
-        // A stack- and cost-neutral pair that reads a local the frame does
-        // not have.
+        // A stack-neutral pair that reads a local the frame does not have.
         (
             "wild-local",
             |m| {
                 main_code(m).splice(1..1, [Op::LocalGet(1 << 20), Op::Drop]);
             },
-            "local index out of range",
+            Some("local index out of range"),
         ),
     ];
-    for (i, (name, tamper, why)) in tampers.into_iter().enumerate() {
+    let mut refused = 0;
+    for (name, tamper, why) in tampers {
         let artifact = tampered_artifact(tamper);
+        let Some(why) = why else {
+            let derived = decode_artifact(&artifact).expect(name);
+            assert_eq!(derived.analysis.cost, honest.analysis.cost, "{name}");
+            assert_eq!(derived.funcs[0].code, honest.funcs[0].code, "{name}");
+            continue;
+        };
         match decode_artifact(&artifact) {
             Err(ArtifactError::Unverified(e)) => assert!(e.contains(why), "{name}: {e}"),
             other => panic!("{name}: decoded or failed otherwise: {other:?}"),
         }
-        let frame = ingest_frame(&format!(r#"{{"name": "{name}"}}"#), &artifact);
-        let resp = client
-            .request("POST", "/admin/modules", &[], &frame)
-            .unwrap();
-        let body = String::from_utf8_lossy(&resp.body).into_owned();
-        assert_eq!(resp.status, 400, "{name}: {body}");
+        let (status, body) = push(&mut client, name, "", &artifact);
+        assert_eq!(status, 400, "{name}: {body}");
         assert!(body.contains("body verification failed"), "{name}: {body}");
         assert!(body.contains(why), "{name}: {body}");
         assert!(rt.function_by_name(name).is_none(), "{name} registered");
-        assert_eq!(rt.registry_stats().modules_rejected, i as u64 + 1);
+        refused += 1;
+        assert_eq!(rt.registry_stats().modules_rejected, refused);
     }
     assert_eq!(rt.registry_stats().modules_verified, 0);
 
@@ -279,6 +315,62 @@ fn tampered_artifacts_are_refused_by_artifact_decode() {
     let resp = client.request("POST", "/echo", &[], b"honest").unwrap();
     assert_eq!((resp.status, &resp.body[..]), (200, &b"honest"[..]));
     rt.shutdown();
+}
+
+#[test]
+fn a_forged_effect_certificate_does_not_pass_the_capability_gate() {
+    let rt = boot(true);
+    let mut client = HttpClient::new(rt.http_addr().unwrap());
+    // Echo reads the request; the forged certificate says it only writes.
+    let mut forged = translated(&echo_guest("echo"));
+    let effects = &mut forged.analysis.effects;
+    let write = effects
+        .imports
+        .iter()
+        .position(|i| i.ends_with("response_write"));
+    effects.funcs[0].hostcalls = vec![write.unwrap() as u32];
+    let grant = r#", "allowed_hostcalls": ["response_write"]"#;
+    let (status, body) = push(&mut client, "echo", grant, &encode_artifact(&forged));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("capability policy rejected module"), "{body}");
+    assert!(body.contains("request_read"), "{body}");
+    assert!(rt.function_by_name("echo").is_none());
+    rt.shutdown();
+}
+
+#[test]
+fn a_forged_stack_bound_does_not_pass_the_stack_budget() {
+    let mut forged = translated(&echo_guest("echo"));
+    let StackBound::Bounded(real) = forged.analysis.stack_bound else {
+        panic!("echo makes no recursive call");
+    };
+    forged.analysis.stack_bound = StackBound::Bounded(16);
+    let rt = boot_with(RuntimeConfig {
+        admin_routes: true,
+        max_stack_bytes: Some(real - 1),
+        ..Default::default()
+    });
+    let mut client = HttpClient::new(rt.http_addr().unwrap());
+    let (status, body) = push(&mut client, "echo", "", &encode_artifact(&forged));
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains(&format!("stack demand {real} bytes")),
+        "{body}"
+    );
+    assert!(rt.function_by_name("echo").is_none());
+    rt.shutdown();
+}
+
+#[test]
+fn a_forged_empty_footprint_does_not_elide_resets() {
+    let honest = translated(&scratch_guest());
+    let policy = honest.reset_policy("main");
+    assert_eq!(policy, ResetPolicy::StaticSpan { lo: 64, hi: 68 });
+    let mut forged = translated(&scratch_guest());
+    forged.analysis.effects.funcs[0].footprint = WriteFootprint::Empty;
+    assert_eq!(forged.reset_policy("main"), ResetPolicy::Elide);
+    let derived = decode_artifact(&encode_artifact(&forged)).unwrap();
+    assert_eq!(derived.reset_policy("main"), policy);
 }
 
 #[test]

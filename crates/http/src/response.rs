@@ -109,7 +109,7 @@ impl Response {
         self
     }
 
-    /// Attach a `Retry-After` header formatted by [`retry_after_secs`].
+    /// Attach a `Retry-After` header formatted by `retry_after_secs`.
     pub fn retry_after(self, hint: Duration) -> Self {
         self.header("Retry-After", &retry_after_secs(hint).to_string())
     }
