@@ -1,6 +1,5 @@
 //! Call-graph-closed effect analysis: which host imports each function can
-//! reach, and an interval over-approximation of every byte of linear memory
-//! it can store to.
+//! reach, and whether it can store to or grow linear memory.
 //!
 //! # Capability sets
 //!
@@ -13,75 +12,23 @@
 //! table residency. The result is sound: the closed set is a superset of the
 //! imports any concrete execution of the function can invoke.
 //!
-//! # Write footprints
+//! # Memory effects
 //!
-//! Per-function direct footprints come from the interval analysis in
-//! `range` (every `store` site's abstract address interval,
-//! joined), degraded to [`WriteFootprint::Unbounded`] whenever that analysis
-//! bails out on a function containing stores. Closure joins callee
-//! footprints in. `memory.grow` does not widen the interval itself — store
-//! addresses are static regardless of the memory size — but it is tracked
-//! as [`FuncEffect::may_grow`] because growth invalidates the cheap
-//! reset-elision contract (see `CompiledModule::reset_policy`).
+//! Equally syntactic: a function [`FuncEffect::writes_memory`] when a
+//! `store` is reachable from it, and [`FuncEffect::may_grow`] when a
+//! `memory.grow` is. Neither looks at addresses or at what a host import
+//! does; host-side writes are the one writer this certificate cannot see,
+//! and the reset guards on them at run time (see
+//! `CompiledModule::reset_policy`).
 //!
-//! A function is [`FuncEffect::pure`] when its closed footprint is `Empty`
-//! and it cannot grow memory: it provably performs **no** guest store at
-//! all. This is deliberately stricter than "writes nothing outside the
-//! template image": the runtime high-water mark cannot distinguish writes
-//! *inside* the template span, so only the no-stores-at-all verdict lets the
-//! pool skip the memory reset entirely.
+//! A function is [`FuncEffect::pure`] when it can do neither: it provably
+//! performs **no** guest store at all, which is the one verdict that lets
+//! the pool skip the memory reset entirely.
 
 use super::stack::CallGraph;
 use super::{Diagnostic, Severity};
 use crate::code::{CompiledModule, HostImport, Op};
 use std::collections::{BTreeSet, HashSet};
-
-/// Interval over-approximation of a function's stores into linear memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WriteFootprint {
-    /// Provably performs no store.
-    #[default]
-    Empty,
-    /// Every store lands in `[lo, hi)` (byte addresses).
-    Span { lo: u64, hi: u64 },
-    /// At least one store whose address could not be bounded.
-    Unbounded,
-}
-
-impl WriteFootprint {
-    /// Lattice join (interval hull).
-    pub(crate) fn join(self, other: WriteFootprint) -> WriteFootprint {
-        use WriteFootprint::*;
-        match (self, other) {
-            (Empty, x) | (x, Empty) => x,
-            (Unbounded, _) | (_, Unbounded) => Unbounded,
-            (Span { lo: a, hi: b }, Span { lo: c, hi: d }) => Span {
-                lo: a.min(c),
-                hi: b.max(d),
-            },
-        }
-    }
-
-    /// Exclusive upper bound of the footprint in bytes: 0 for `Empty`,
-    /// `hi` for a span, `None` when unbounded.
-    pub(crate) fn bytes(self) -> Option<u64> {
-        match self {
-            WriteFootprint::Empty => Some(0),
-            WriteFootprint::Span { hi, .. } => Some(hi),
-            WriteFootprint::Unbounded => None,
-        }
-    }
-}
-
-impl std::fmt::Display for WriteFootprint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WriteFootprint::Empty => f.write_str("empty"),
-            WriteFootprint::Span { lo, hi } => write!(f, "[{lo}, {hi})"),
-            WriteFootprint::Unbounded => f.write_str("unbounded"),
-        }
-    }
-}
 
 /// Call-graph-closed effects of one local function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,13 +39,13 @@ pub struct FuncEffect {
     /// sorted, closed over the call graph and type-compatible
     /// `call_indirect` targets.
     pub hostcalls: Vec<u32>,
-    /// Closed static write footprint.
-    pub footprint: WriteFootprint,
+    /// Whether any reachable code can execute a guest `store`.
+    pub writes_memory: bool,
     /// Whether any reachable code can execute `memory.grow`.
     pub may_grow: bool,
     /// Whether any reachable code can write a module global.
     pub writes_globals: bool,
-    /// Proven to perform no guest store at all (`Empty` footprint and no
+    /// Proven to perform no guest store at all (no reachable `store` and no
     /// `memory.grow`). Globals may still be written; the pool restores
     /// globals unconditionally, so purity only gates the *memory* reset.
     pub pure: bool,
@@ -130,16 +77,17 @@ fn grants(allowed: &[String], qname: &str) -> bool {
 }
 
 impl EffectReport {
-    /// Capability set and footprint of an entry point given in *module
-    /// space* (imports first). An entry that is itself a re-exported import
-    /// has exactly that one capability and writes nothing.
-    pub fn entry_effect(&self, entry_idx: u32) -> Option<(Vec<u32>, WriteFootprint, bool)> {
+    /// Capability set, `writes_memory` and `may_grow` of an entry point
+    /// given in *module space* (imports first). An entry that is itself a
+    /// re-exported import has exactly that one capability and stores
+    /// nothing.
+    pub fn entry_effect(&self, entry_idx: u32) -> Option<(Vec<u32>, bool, bool)> {
         let ni = self.imports.len() as u32;
         if entry_idx < ni {
-            return Some((vec![entry_idx], WriteFootprint::Empty, false));
+            return Some((vec![entry_idx], false, false));
         }
         let fe = self.funcs.get((entry_idx - ni) as usize)?;
-        Some((fe.hostcalls.clone(), fe.footprint, fe.may_grow))
+        Some((fe.hostcalls.clone(), fe.writes_memory, fe.may_grow))
     }
 
     /// Deny-by-default host-call policy: every import reachable from the
@@ -168,33 +116,6 @@ impl EffectReport {
                 allowed.join(", ")
             ),
         })
-    }
-
-    /// Write-footprint policy: the entry's static footprint must be bounded
-    /// and its exclusive upper bound must not exceed `max_bytes`.
-    pub fn check_write_footprint(&self, entry_idx: u32, max_bytes: u64) -> Option<Diagnostic> {
-        let (_, footprint, _) = self.entry_effect(entry_idx)?;
-        match footprint.bytes() {
-            Some(hi) if hi <= max_bytes => None,
-            Some(hi) => Some(Diagnostic {
-                severity: Severity::Error,
-                func: None,
-                pc: None,
-                message: format!(
-                    "capability violation: static write footprint extends to byte {hi}, \
-                     over the {max_bytes}-byte policy"
-                ),
-            }),
-            None => Some(Diagnostic {
-                severity: Severity::Error,
-                func: None,
-                pc: None,
-                message: format!(
-                    "capability violation: write footprint is statically unbounded \
-                     (policy allows {max_bytes} bytes)"
-                ),
-            }),
-        }
     }
 
     /// Grants wider than the module needs: allowed host calls the entry can
@@ -238,14 +159,8 @@ fn qualified(imp: &HostImport) -> String {
     format!("{}::{}", imp.module, imp.name)
 }
 
-/// Compute the module's effect certificate. `footprints` holds each local
-/// function's *direct* store footprint from the interval analysis, parallel
-/// to `m.funcs`.
-pub(super) fn compute(
-    m: &CompiledModule,
-    graph: &CallGraph,
-    footprints: &[WriteFootprint],
-) -> EffectReport {
+/// Compute the module's effect certificate.
+pub(super) fn compute(m: &CompiledModule, graph: &CallGraph) -> EffectReport {
     let ni = m.num_imports();
     // Host imports resident in the table, by type id: the over-approximated
     // host-side target set of a `call_indirect` (the local side is already
@@ -262,11 +177,12 @@ pub(super) fn compute(
 
     // Direct effects per function.
     let mut hostcalls: Vec<BTreeSet<u32>> = Vec::with_capacity(m.funcs.len());
-    let mut footprint: Vec<WriteFootprint> = footprints.to_vec();
+    let mut writes_memory: Vec<bool> = Vec::with_capacity(m.funcs.len());
     let mut may_grow: Vec<bool> = Vec::with_capacity(m.funcs.len());
     let mut writes_globals: Vec<bool> = Vec::with_capacity(m.funcs.len());
     for func in &m.funcs {
         let mut hc = BTreeSet::new();
+        let mut stores = false;
         let mut grow = false;
         let mut globals = false;
         for op in &func.code {
@@ -281,12 +197,14 @@ pub(super) fn compute(
                         }
                     }
                 }
+                Op::Store(..) => stores = true,
                 Op::MemoryGrow => grow = true,
                 Op::GlobalSet(_) => globals = true,
                 _ => {}
             }
         }
         hostcalls.push(hc);
+        writes_memory.push(stores);
         may_grow.push(grow);
         writes_globals.push(globals);
     }
@@ -310,9 +228,8 @@ pub(super) fn compute(
                         changed = true;
                     }
                 }
-                let joined = footprint[f].join(footprint[c]);
-                if joined != footprint[f] {
-                    footprint[f] = joined;
+                if writes_memory[c] && !writes_memory[f] {
+                    writes_memory[f] = true;
                     changed = true;
                 }
                 if may_grow[c] && !may_grow[f] {
@@ -339,10 +256,10 @@ pub(super) fn compute(
             .map(|(f, func)| FuncEffect {
                 name: func.name.clone(),
                 hostcalls: hostcalls[f].iter().copied().collect(),
-                footprint: footprint[f],
+                writes_memory: writes_memory[f],
                 may_grow: may_grow[f],
                 writes_globals: writes_globals[f],
-                pure: footprint[f] == WriteFootprint::Empty && !may_grow[f],
+                pure: !writes_memory[f] && !may_grow[f],
             })
             .collect(),
     }
@@ -421,7 +338,7 @@ pub(super) fn lints(
                     };
                     // Saturating: a shipped body's constant may be any u64.
                     let lo = addr.saturating_add(*off as u64);
-                    let hi = lo.saturating_add(super::range::store_len(*kind));
+                    let hi = lo.saturating_add(super::lint::store_len(*kind));
                     if hi <= template_len && !covered(lo, hi) {
                         out.push(Diagnostic {
                             severity: Severity::Warn,

@@ -13,26 +13,24 @@
 //!    sizes, the call graph, recursion detection, and a worst-case stack
 //!    bound in bytes for the whole module. `sledge-core` compares it against
 //!    the sandbox stack budget *before* instantiation.
-//! 2. **Intervals** (`range`): an intra-procedural interval analysis over
-//!    guest addresses, feeding the static write footprints of the effect
-//!    certificate and the value lints.
-//! 3. **Lints** (`lint` + `range`): structured [`Diagnostic`]s for
-//!    statically-guaranteed traps and dead code. `Error` means the module
-//!    will trap on the flagged path whenever it executes; the registry
-//!    rejects such modules at load.
-//! 4. **Certificates** ([`effects`], [`cost`]): reachable host imports and
-//!    write footprints per entry point; exact per-block fuel charges and the
-//!    certified preemption-latency gap.
+//! 2. **Lints** (`lint`): structured [`Diagnostic`]s for statically
+//!    guaranteed traps and dead code, found by linear scans with no
+//!    fixpoint. `Error` means the module will trap on the flagged path
+//!    whenever it executes; the registry rejects such modules at load.
+//! 3. **Certificates** ([`effects`], [`cost`]): reachable host imports and
+//!    whether an entry point can store to or grow memory; exact per-block
+//!    fuel charges and the certified preemption-latency gap.
+//! 4. **Lowering** (`lower`): the certified bodies become the register form
+//!    the executor runs.
 
 pub mod cost;
 pub mod effects;
 mod lint;
-mod range;
 pub(crate) mod stack;
 
-use crate::code::CompiledModule;
+use crate::code::{CompiledModule, Op};
 use cost::CostReport;
-use effects::{EffectReport, WriteFootprint};
+use effects::EffectReport;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -125,8 +123,8 @@ pub struct AnalysisReport {
     pub mem_sites: u32,
     /// Cost model + preemption-latency certificate.
     pub cost: CostReport,
-    /// Effect certificate: per-function reachable host imports and static
-    /// write footprints, closed over the call graph.
+    /// Effect certificate: per-function reachable host imports and memory
+    /// effects, closed over the call graph.
     pub effects: EffectReport,
     /// Wall-clock duration of each analysis pass, in pipeline order.
     pub timings: Vec<(&'static str, Duration)>,
@@ -294,36 +292,40 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), 
     timings.push(("stack", t.elapsed()));
 
     // Lints: entry `unreachable`, dead functions, statically-dead
-    // branches, never-read locals.
+    // branches, never-read locals, guaranteed traps on constant operands.
     let t = Instant::now();
     let reachable = graph.reachable_set();
     lint::structural(m, &reachable, &mut diagnostics);
     lint::value_lints(m, &mut diagnostics);
+    lint::constant_lints(m, &arities, &mut diagnostics);
     timings.push(("lint", t.elapsed()));
 
-    // Interval analysis per function: direct store footprints, value lints.
-    let t = Instant::now();
     let mut mem_sites = 0;
-    let mut funcs = Vec::with_capacity(m.funcs.len());
-    let mut footprints: Vec<WriteFootprint> = Vec::with_capacity(m.funcs.len());
-    for (fidx, func) in m.funcs.iter().enumerate() {
-        let r = range::analyze_func(m, &arities, fidx as u32, func, &mut diagnostics);
-        mem_sites += r.mem_sites;
-        funcs.push(FuncSummary {
-            name: func.name.clone(),
-            max_operand_slots: heights[fidx],
-            frame_bytes: stack::frame_bytes(func, heights[fidx]),
-            mem_sites: r.mem_sites,
-            reachable: reachable.contains(&(fidx as u32)),
-        });
-        footprints.push(r.footprint);
-    }
-    timings.push(("range", t.elapsed()));
+    let funcs: Vec<FuncSummary> = m
+        .funcs
+        .iter()
+        .enumerate()
+        .map(|(fidx, func)| {
+            let sites = func
+                .code
+                .iter()
+                .filter(|op| matches!(op, Op::Load(..) | Op::LoadL(..) | Op::Store(..)))
+                .count() as u32;
+            mem_sites += sites;
+            FuncSummary {
+                name: func.name.clone(),
+                max_operand_slots: heights[fidx],
+                frame_bytes: stack::frame_bytes(func, heights[fidx]),
+                mem_sites: sites,
+                reachable: reachable.contains(&(fidx as u32)),
+            }
+        })
+        .collect();
 
     // Effect certificate + effect-aware lints, before the cost pass so lint
     // pcs refer to pre-instrumentation code like every other diagnostic.
     let t = Instant::now();
-    let effects = effects::compute(m, &graph, &footprints);
+    let effects = effects::compute(m, &graph);
     effects::lints(m, &effects, &reachable, &mut diagnostics);
     timings.push(("effects", t.elapsed()));
 

@@ -52,7 +52,7 @@ pub(super) fn frame_bytes(func: &CompiledFunc, max_operand_slots: u32) -> u64 {
 }
 
 /// `(pops, pushes)` of an op that neither transfers control nor calls.
-fn stack_effect(op: &Op) -> (u32, u32) {
+pub(super) fn stack_effect(op: &Op) -> (u32, u32) {
     match op {
         Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
         Op::Select => (3, 1),

@@ -163,7 +163,7 @@ pub fn encode(m: &CompiledModule) -> Vec<u8> {
 
 /// Decode an artifact back into a [`CompiledModule`]: check the checksum,
 /// read the structure, check the indices the analysis relies on, then run
-/// the analysis translation runs — stack bound, lints, intervals, effect
+/// the analysis translation runs — stack bound, lints, effect
 /// and cost certificates, fuel instrumentation and lowering. The memory
 /// template is rebuilt from the data segments, so the artifact never
 /// carries the (redundant, potentially large) flattened image.

@@ -15,8 +15,9 @@
 //! a single opcode outweighs the budget).
 //!
 //! `--effects` appends the effect certificate to the human-readable
-//! report: per-function reachable host-call sets and static write
-//! footprints. `--allow-hostcall NAME` (repeatable; `NAME` is either a
+//! report: per-function reachable host-call sets and memory effects
+//! (`writes-memory` when a store is reachable, `may-grow` when a
+//! `memory.grow` is, `pure` when neither is). `--allow-hostcall NAME` (repeatable; `NAME` is either a
 //! bare field name or qualified `module::name`) enforces a deny-by-default
 //! capability policy against *every* exported function — any export
 //! reaching an ungranted host call fails the module, exactly as the
@@ -32,7 +33,7 @@
 //! (if one was given), or — under `--deny-warnings` — produces any warning
 //! at all.
 
-use awsm::{AnalysisReport, Severity, StackBound, Tier, TranslateOptions, WriteFootprint};
+use awsm::{AnalysisReport, Severity, StackBound, Tier, TranslateOptions};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -254,18 +255,10 @@ fn render_json(
             let qname = eff.imports.get(h as usize).map(String::as_str);
             out.push_str(&json_str(qname.unwrap_or("?")));
         }
-        out.push_str("],\"footprint\":");
-        match f.footprint {
-            WriteFootprint::Empty => out.push_str("\"empty\""),
-            WriteFootprint::Span { lo, hi } => {
-                let _ = write!(out, "{{\"lo\":{lo},\"hi\":{hi}}}");
-            }
-            WriteFootprint::Unbounded => out.push_str("\"unbounded\""),
-        }
         let _ = write!(
             out,
-            ",\"may_grow\":{},\"writes_globals\":{},\"pure\":{}}}",
-            f.may_grow, f.writes_globals, f.pure
+            "],\"writes_memory\":{},\"may_grow\":{},\"writes_globals\":{},\"pure\":{}}}",
+            f.writes_memory, f.may_grow, f.writes_globals, f.pure
         );
     }
     out.push_str("]}");
@@ -304,12 +297,10 @@ fn render_effects(report: &AnalysisReport) -> String {
             .iter()
             .filter_map(|&h| eff.imports.get(h as usize).map(String::as_str))
             .collect();
-        let _ = write!(
-            out,
-            "  {name}: hostcalls [{}], footprint {}",
-            hostcalls.join(", "),
-            f.footprint
-        );
+        let _ = write!(out, "  {name}: hostcalls [{}]", hostcalls.join(", "));
+        if f.writes_memory {
+            out.push_str(", writes-memory");
+        }
         if f.may_grow {
             out.push_str(", may-grow");
         }

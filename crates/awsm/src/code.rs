@@ -232,46 +232,22 @@ impl CompiledModule {
     /// * `Elide` — the entry provably performs no store and cannot grow
     ///   memory: a recycled memory is byte-identical to a fresh one, so the
     ///   pool skips the memory reset entirely (globals are still restored).
-    /// * `StaticSpan { lo, hi }` — every store lands in `[lo, hi)`; the
-    ///   reset zeroes only from `lo` up instead of from the template end.
-    ///   Sound because a guest store either lands at exactly its effective
-    ///   address or traps, and a trapped sandbox is always fully reset.
-    ///   Armed only when `hi` fits inside the initial memory (`min_pages`),
-    ///   the only memory an entry that cannot grow ever has, and when `lo`
-    ///   is past the template image, otherwise the span saves nothing over
-    ///   a full reset.
     /// * `HighWater` — everything else, including any module with a start
-    ///   function (whose one-time effects a partial reset cannot preserve)
-    ///   and any entry that may grow memory.
+    ///   function (whose one-time effects a skipped reset cannot preserve).
     ///
     /// Runtime guards in `Instance::reset_with` re-check the dynamic side
     /// (page count, host writes, high-water mark) and fall back to a full
     /// reset, so a stale or optimistic policy degrades to correct-but-slow.
     pub fn reset_policy(&self, entry: &str) -> crate::ResetPolicy {
-        use crate::analysis::effects::WriteFootprint;
-        let Some(idx) = self.export(entry) else {
-            return crate::ResetPolicy::HighWater;
-        };
-        if self.start.is_some() {
-            return crate::ResetPolicy::HighWater;
-        }
-        let Some((_, footprint, may_grow)) = self.analysis.effects.entry_effect(idx) else {
-            return crate::ResetPolicy::HighWater;
-        };
-        if may_grow {
-            return crate::ResetPolicy::HighWater;
-        }
-        let min_bytes = self
-            .memory
-            .map(|s| s.min_pages as u64 * sledge_wasm::PAGE_SIZE as u64)
-            .unwrap_or(0);
-        let template_len = self.template.image().len() as u64;
-        match footprint {
-            WriteFootprint::Empty => crate::ResetPolicy::Elide,
-            WriteFootprint::Span { lo, hi } if hi <= min_bytes && lo > template_len => {
-                crate::ResetPolicy::StaticSpan { lo, hi }
-            }
-            _ => crate::ResetPolicy::HighWater,
+        let pure = self.start.is_none()
+            && self
+                .export(entry)
+                .and_then(|idx| self.analysis.effects.entry_effect(idx))
+                .is_some_and(|(_, writes_memory, may_grow)| !writes_memory && !may_grow);
+        if pure {
+            crate::ResetPolicy::Elide
+        } else {
+            crate::ResetPolicy::HighWater
         }
     }
 

@@ -61,7 +61,7 @@ mod translate;
 mod value;
 
 pub use analysis::cost::{op_cost, CostReport, FuncCost, DEFAULT_MAX_CHECK_GAP};
-pub use analysis::effects::{EffectReport, FuncEffect, WriteFootprint};
+pub use analysis::effects::{EffectReport, FuncEffect};
 pub use analysis::{AnalysisReport, Diagnostic, Severity, StackBound};
 pub use artifact::{decode as decode_artifact, encode as encode_artifact, ArtifactError};
 pub use code::{CompiledModule, HostImport, Op};
@@ -155,38 +155,27 @@ enum Status {
 
 /// How a recycled sandbox's linear memory is restored to pristine state,
 /// chosen per entry point from the module's effect certificate (see
-/// [`CompiledModule::reset_policy`]). Every variant is an *optimization
-/// hint*: the runtime guards in [`Instance::reset_with`] fall back to the
-/// full high-water-mark reset whenever anything the certificate cannot see
-/// (host writes, `memory.grow`) actually happened.
+/// [`CompiledModule::reset_policy`]). `Elide` is an *optimization hint*: the
+/// runtime guards in [`Instance::reset_with`] fall back to the full
+/// high-water-mark reset whenever anything the certificate cannot see (host
+/// writes, `memory.grow`) actually happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResetPolicy {
     /// Zero `[template_len, high_water_mark)` and restore the template —
     /// the always-sound default.
     #[default]
     HighWater,
-    /// The entry point's certified write footprint is `[lo, hi)` with
-    /// `lo > template_len`: the gap `[template_len, lo)` is provably still
-    /// zero and is skipped.
-    StaticSpan {
-        /// Inclusive lower bound of every certified guest store.
-        lo: u64,
-        /// Exclusive upper bound of every certified guest store.
-        hi: u64,
-    },
     /// The entry point is `Pure` (no guest stores, no growth): memory needs
     /// no work at all.
     Elide,
 }
 
 /// Which reset actually ran — [`Instance::reset_with`] reports this so pools
-/// can count elided/static resets and tests can assert the fast paths armed.
+/// can count elided resets and tests can assert the fast path armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResetApplied {
     /// Full high-water-mark reset.
     Full,
-    /// Footprint-bounded partial reset.
-    Static,
     /// Memory untouched (proven already pristine).
     Elided,
 }
@@ -406,11 +395,11 @@ impl Instance {
 
     /// Reset like [`Self::reset_from_template`], but let a per-entry-point
     /// [`ResetPolicy`] (derived from the module's effect certificate by
-    /// [`CompiledModule::reset_policy`]) elide or shrink the memory work.
+    /// [`CompiledModule::reset_policy`]) elide the memory work.
     /// Globals, execution state, fuel, and the preempt flag are restored
     /// unconditionally regardless of policy — only the linear-memory work
-    /// varies. If a policy's runtime guards fail (a host write landed below
-    /// the certified span, `memory.grow` took effect, …), the reset silently
+    /// varies. If a policy's runtime guards fail (a host write landed,
+    /// `memory.grow` took effect, …), the reset silently
     /// falls back to the full high-water-mark path; the returned
     /// [`ResetApplied`] says which path actually ran.
     ///
@@ -429,11 +418,6 @@ impl Instance {
             // not cover conservatively enough to risk — always full-reset.
             (ResetPolicy::Elide, Status::Idle) if self.memory.reset_elided(image) => {
                 ResetApplied::Elided
-            }
-            (ResetPolicy::StaticSpan { lo, .. }, Status::Idle)
-                if self.memory.reset_from_span(image, lo as usize) =>
-            {
-                ResetApplied::Static
             }
             _ => {
                 self.memory.reset_from(image);

@@ -100,13 +100,12 @@ pub struct LinearMemory {
     /// since allocation or the last reset; never above `data.len()`. Reset
     /// only has to re-zero `template_len..hwm` instead of the whole buffer.
     hwm: usize,
-    /// Lowest byte index any *host-side* [`Self::write_bytes`] has touched
-    /// since allocation or the last reset (`usize::MAX` when none). Guest
-    /// stores are covered by the module's static write-footprint
-    /// certificate; host writes (request payloads) are the only writer that
-    /// certificate cannot see, so the footprint-based partial resets guard
+    /// Whether any *host-side* [`Self::write_bytes`] has written since
+    /// allocation or the last reset. Guest stores are covered by the
+    /// module's effect certificate; host writes (request payloads) are the
+    /// only writer that certificate cannot see, so the elided reset guards
     /// on this mark. Guest store hot paths never touch it.
-    host_lo: usize,
+    host_wrote: bool,
 }
 
 /// The guest effective address `addr + offset`, a 33-bit sum.
@@ -133,7 +132,7 @@ impl LinearMemory {
             min_pages,
             max_pages,
             hwm: 0,
-            host_lo: usize::MAX,
+            host_wrote: false,
         })
     }
 
@@ -212,18 +211,16 @@ impl LinearMemory {
             .ok_or(Trap::OutOfBounds)?;
         self.data[start..end].copy_from_slice(bytes);
         self.hwm = self.hwm.max(end);
-        if !bytes.is_empty() {
-            self.host_lo = self.host_lo.min(start);
-        }
+        self.host_wrote |= !bytes.is_empty();
         Ok(())
     }
 
-    /// Forget the host-write low mark. Called once right after instantiation
+    /// Forget the host-write mark. Called once right after instantiation
     /// writes the template image through [`Self::write_bytes`]: the template
     /// is by definition part of the pristine state, so it must not count as
     /// an uncertified host write.
     pub(crate) fn clear_host_write_mark(&mut self) {
-        self.host_lo = usize::MAX;
+        self.host_wrote = false;
     }
 
     /// One past the highest byte index any store has touched since
@@ -247,7 +244,7 @@ impl LinearMemory {
         }
         self.data[..image.len()].copy_from_slice(image);
         self.hwm = image.len();
-        self.host_lo = usize::MAX;
+        self.host_wrote = false;
     }
 
     /// Elide the reset entirely: the memory is *already* pristine. Sound only
@@ -258,29 +255,7 @@ impl LinearMemory {
     /// (nothing elided, caller must fall back to [`Self::reset_from`]) if any
     /// guard fails.
     pub(crate) fn reset_elided(&mut self, image: &[u8]) -> bool {
-        self.pages() == self.min_pages && self.host_lo == usize::MAX && self.hwm <= image.len()
-    }
-
-    /// Reset using a static write-footprint certificate: every guest store
-    /// this instance could have executed lies in `[lo, ∞)`, so the span
-    /// `[template_len, lo)` is provably still zero and needs no re-zeroing.
-    /// Only the certified span's tail (`[max(lo, template_len), hwm)`) is
-    /// zeroed before the template memcpy. Guards: pages must not have grown
-    /// (this path does not truncate) and no host-side write may have landed
-    /// below `lo` (host writes are invisible to the certificate). Returns
-    /// `false` without touching memory if a guard fails.
-    pub(crate) fn reset_from_span(&mut self, image: &[u8], lo: usize) -> bool {
-        if self.pages() != self.min_pages || self.host_lo < lo {
-            return false;
-        }
-        let dirty_start = lo.max(image.len());
-        if self.hwm > dirty_start {
-            self.data[dirty_start..self.hwm].fill(0);
-        }
-        self.data[..image.len()].copy_from_slice(image);
-        self.hwm = image.len();
-        self.host_lo = usize::MAX;
-        true
+        self.pages() == self.min_pages && !self.host_wrote && self.hwm <= image.len()
     }
 
     /// Approximate resident size of this memory in bytes (for footprint
@@ -498,43 +473,6 @@ mod tests {
         // A guest store past the template span raises hwm and poisons it.
         m.store::<4>(500, 0, [9; 4]).unwrap();
         assert!(!m.reset_elided(t.image()));
-    }
-
-    #[test]
-    fn span_reset_skips_proven_zero_gap_and_restores() {
-        let t = MemoryTemplate::build(&[(0, Arc::from(&b"seed"[..]))]);
-        let mut m = LinearMemory::new(1, 8).unwrap();
-        m.write_bytes(0, t.image()).unwrap();
-        m.clear_host_write_mark();
-        // Certified footprint [0x100, …): dirty only inside it.
-        m.store::<8>(0x100, 0, [7; 8]).unwrap();
-        m.store::<4>(0x200, 0, [8; 4]).unwrap();
-        assert!(m.reset_from_span(t.image(), 0x100));
-        assert_eq!(m.read_bytes(0, 4).unwrap(), b"seed");
-        assert_eq!(m.read_bytes(0x100, 8).unwrap(), &[0; 8]);
-        assert_eq!(m.read_bytes(0x200, 4).unwrap(), &[0; 4]);
-        assert_eq!(m.high_water_mark(), t.image().len());
-    }
-
-    #[test]
-    fn span_reset_guards_against_host_writes_and_growth() {
-        let t = MemoryTemplate::build(&[(0, Arc::from(&b"seed"[..]))]);
-        let mut m = LinearMemory::new(1, 8).unwrap();
-        m.write_bytes(0, t.image()).unwrap();
-        m.clear_host_write_mark();
-        // Host write below the certified span: refuse the partial reset.
-        m.write_bytes(0x80, &[1; 4]).unwrap();
-        assert!(!m.reset_from_span(t.image(), 0x100));
-        // The refusal must not have touched anything.
-        assert_eq!(m.read_bytes(0x80, 4).unwrap(), &[1; 4]);
-        m.reset_from(t.image());
-        // Host write at/above the span is fine.
-        m.write_bytes(0x100, &[2; 4]).unwrap();
-        assert!(m.reset_from_span(t.image(), 0x100));
-        assert_eq!(m.read_bytes(0x100, 4).unwrap(), &[0; 4]);
-        // Growth: refuse.
-        assert_eq!(m.grow(1), 1);
-        assert!(!m.reset_from_span(t.image(), 0x100));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use awsm::{
     decode_artifact, encode_artifact, translate, AnalysisReport, EngineConfig, Instance, NullHost,
-    Severity, StackBound, StepResult, Tier, Trap, Value, WriteFootprint,
+    Severity, StackBound, StepResult, Tier, Trap, Value,
 };
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Stmt};
@@ -248,45 +248,6 @@ fn constant_oob_store_is_error() {
     assert!(d.pc.is_some());
 }
 
-/// A loop that shifts `n` locals down a chain, one link per iteration, then
-/// stores to a constant address. Each iteration widens one more local at the
-/// loop head, so the interval fixpoint revisits the loop about `n` times and
-/// takes about `2n²` steps.
-fn shift_chain(n: usize) -> Module {
-    let mut mb = ModuleBuilder::new("chain");
-    mb.memory(1, Some(1));
-    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-    let xs: Vec<_> = (0..n).map(|_| f.local(ValType::I32)).collect();
-    let mut body: Vec<Stmt> = (1..n).rev().map(|k| set(xs[k], local(xs[k - 1]))).collect();
-    body.push(set(xs[0], add(local(xs[0]), i32c(1))));
-    f.push(while_(lt_u(local(xs[0]), i32c(1000)), body));
-    f.push(store_i32(i32c(64), local(xs[n - 1])));
-    f.push(ret(Some(i32c(0))));
-    let main = mb.add_func("main", f);
-    mb.export_func(main, "main");
-    mb.build().unwrap()
-}
-
-/// The interval fixpoint's step budget (`500 × ops + 50 000`) bails out to
-/// "no findings, unbounded footprint": a store the analysis would bound
-/// becomes `Unbounded` once the fixpoint outgrows the budget, and the module
-/// still translates, certifies its stack and runs.
-#[test]
-fn interval_budget_bails_out_to_an_unbounded_footprint() {
-    let footprint = |n| {
-        let cm = translate(&shift_chain(n), Tier::Optimized).unwrap();
-        assert!(
-            cm.analysis.diagnostics.is_empty(),
-            "{:?}",
-            cm.analysis.diagnostics
-        );
-        cm.analysis.effects.funcs[0].footprint
-    };
-    assert_eq!(footprint(8), WriteFootprint::Span { lo: 64, hi: 68 });
-    assert_eq!(footprint(1000), WriteFootprint::Unbounded);
-    assert_eq!(run(&shift_chain(1000), Tier::Optimized, &[]), Ok(Some(0)));
-}
-
 // ------------------------------------------------- pinned catalogue results
 
 /// The 37 shipped guests (applications, then PolyBench kernels), by the name
@@ -330,7 +291,7 @@ fn render_certificates(name: &str, cm: &awsm::CompiledModule) -> String {
     out
 }
 
-/// The footprints, lints and reset policies of the whole catalogue are
+/// The certificates, lints and reset policies of the whole catalogue are
 /// pinned, through both front ends — translation, and artifact decode of
 /// what translation encoded: a speed-up of any analysis pass must reproduce
 /// them bit for bit, and a change that moves them is a results change that
@@ -554,6 +515,38 @@ fn indirect_poke() -> Module {
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     mb.build().unwrap()
+}
+
+/// The `.wasm` front end is total on hostile bytes: over every catalogue
+/// module, a flipped bit, a rewritten byte or a truncation goes through
+/// decode, translation (validation and the whole analysis), instantiation
+/// and a fuel-capped run, and each stage returns `Ok` or `Err`, never a
+/// panic.
+#[test]
+fn wasm_front_end_is_total_on_mutated_modules() {
+    for (i, (_, module)) in catalogue().iter().enumerate() {
+        let honest = sledge_wasm::encode::encode_module(module);
+        cases(24, 0x3A5D_7E11 + i as u64, |rng| {
+            let mut bytes = honest.clone();
+            match rng.index(0, 3) {
+                0 => bytes[rng.index(8, honest.len())] ^= 1 << rng.index(0, 8),
+                1 => bytes[rng.index(8, honest.len())] = rng.range(0, 256) as u8,
+                _ => bytes.truncate(rng.index(8, honest.len())),
+            }
+            let Ok(m) = sledge_wasm::decode::decode_module(&bytes) else {
+                return;
+            };
+            let Ok(cm) = translate(&m, Tier::Optimized) else {
+                return;
+            };
+            let Ok(mut inst) = Instance::new(Arc::new(cm), EngineConfig::default()) else {
+                return;
+            };
+            if inst.invoke_export("main", &[]).is_ok() {
+                let _ = inst.run(&mut NullHost, 200_000);
+            }
+        });
+    }
 }
 
 /// Artifact decode runs the whole analysis on bytes from the network, so it

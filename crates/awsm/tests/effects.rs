@@ -1,16 +1,16 @@
 //! Effect-certificate tests: crafted modules whose static capability sets
-//! and write footprints must over-approximate everything the interpreter
+//! and memory effects must over-approximate everything the interpreter
 //! actually does at runtime, plus the reset-policy derivation and the
-//! recycled≡fresh differential under partial (static-span / elided) resets —
+//! recycled≡fresh differential under the derived (elided or full) resets —
 //! on crafted modules first, then on seeded random store patterns.
 
 mod common;
 
 use awsm::{
     translate, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory, NullHost,
-    ResetApplied, ResetPolicy, Severity, Tier, Value, WriteFootprint,
+    ResetApplied, ResetPolicy, Severity, Tier, Value,
 };
-use common::{any_i32, run_once, ALL_TIERS};
+use common::{any_i32, run_once};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, FuncBuilder, ModuleBuilder, Scalar};
 use sledge_testkit::{cases, Rng};
@@ -153,9 +153,9 @@ fn runtime_host_calls_subset_of_static_set() {
 
 #[test]
 fn footprint_covers_runtime_high_water_mark() {
-    // Constant-address stores at two disjoint spots: the certified span must
-    // cover both, and the runtime high-water mark can never pass its end
-    // (the template image itself is accounted separately).
+    // Constant-address stores at two disjoint spots: the certificate must
+    // say the entry writes memory, since the runtime high-water mark rises
+    // past the template image.
     let mut mb = ModuleBuilder::new("span");
     mb.memory(1, Some(1));
     mb.data(16, b"abc".to_vec());
@@ -170,28 +170,21 @@ fn footprint_covers_runtime_high_water_mark() {
     let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
     let eff = &cm.analysis.effects;
     let entry = cm.export("main").unwrap();
-    let (_, footprint, may_grow) = eff.entry_effect(entry).unwrap();
-    assert!(!may_grow);
-    let WriteFootprint::Span { lo, hi } = footprint else {
-        panic!("expected bounded span, got {footprint}");
-    };
-    assert!(lo <= 0x100 && hi >= 0x184, "span [{lo}, {hi})");
+    let (_, writes_memory, may_grow) = eff.entry_effect(entry).unwrap();
+    assert!(writes_memory && !may_grow);
+    assert_eq!(cm.reset_policy("main"), ResetPolicy::HighWater);
 
-    let template_len = cm.template.image().len() as u64;
+    let template_len = cm.template.image().len();
     let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
     let got = inst.call_complete("main", &[], &mut NullHost).unwrap();
     assert_eq!(got, Some(2));
-    let hwm = inst.memory().high_water_mark() as u64;
-    assert!(
-        hwm <= hi.max(template_len),
-        "runtime hwm {hwm} escaped static bound {hi} (template {template_len})"
-    );
+    assert!(inst.memory().high_water_mark() > template_len);
 }
 
 #[test]
 fn pure_entry_is_certified_and_memory_grow_defeats_it() {
-    // No stores, no grow: Pure, footprint Empty, and the module-level policy
-    // derivation elides the reset.
+    // No stores, no grow: Pure, and the module-level policy derivation
+    // elides the reset.
     let mut mb = ModuleBuilder::new("pure");
     mb.memory(1, Some(2));
     mb.data(0, b"seed".to_vec());
@@ -203,9 +196,9 @@ fn pure_entry_is_certified_and_memory_grow_defeats_it() {
     let cm = translate(&mb.build().unwrap(), Tier::Optimized).unwrap();
     let eff = &cm.analysis.effects;
     let entry = cm.export("main").unwrap();
-    let (_, footprint, may_grow) = eff.entry_effect(entry).unwrap();
-    assert_eq!(footprint, WriteFootprint::Empty);
-    assert!(!may_grow);
+    let (_, writes_memory, may_grow) = eff.entry_effect(entry).unwrap();
+    assert!(!writes_memory && !may_grow);
+    assert!(eff.funcs[0].pure);
     assert_eq!(cm.reset_policy("main"), ResetPolicy::Elide);
 
     // Same shape plus a memory.grow: no longer elidable, hwm reset rules.
@@ -221,103 +214,7 @@ fn pure_entry_is_certified_and_memory_grow_defeats_it() {
     assert_eq!(cm.reset_policy("main"), ResetPolicy::HighWater);
 }
 
-#[test]
-fn span_policy_derivation_requires_room_and_gap() {
-    // Stores fit inside the initial page and start past the template: the
-    // derivation picks a static span.
-    let mut mb = ModuleBuilder::new("span");
-    mb.memory(1, Some(1));
-    mb.data(16, b"abc".to_vec());
-    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-    f.push(store(Scalar::I32, i32c(0x8000), 0, i32c(9)));
-    f.push(ret(Some(i32c(0))));
-    let main = mb.add_func("main", f);
-    mb.export_func(main, "main");
-    let cm = translate(&mb.build().unwrap(), Tier::Optimized).unwrap();
-    match cm.reset_policy("main") {
-        ResetPolicy::StaticSpan { lo, hi } => {
-            assert!(lo <= 0x8000 && hi >= 0x8004, "[{lo}, {hi})");
-            assert!(hi <= 65536, "span must fit the initial page");
-        }
-        other => panic!("expected StaticSpan, got {other:?}"),
-    }
-
-    // A store *into* the template span defeats the gap requirement: a
-    // static reset that only zeroes the tail could never restore it.
-    let mut mb = ModuleBuilder::new("clobber");
-    mb.memory(1, Some(1));
-    mb.data(16, b"abc".to_vec());
-    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-    f.push(store(Scalar::U8, i32c(17), 0, i32c(0xFF)));
-    f.push(ret(Some(i32c(0))));
-    let main = mb.add_func("main", f);
-    mb.export_func(main, "main");
-    let cm = translate(&mb.build().unwrap(), Tier::Optimized).unwrap();
-    assert_eq!(cm.reset_policy("main"), ResetPolicy::HighWater);
-}
-
 // ------------------------------------- recycled ≡ fresh under partial reset
-
-#[test]
-fn static_span_reset_matches_fresh_exactly() {
-    // The scratch writer dirties its certified span; a StaticSpan reset must
-    // leave the instance indistinguishable from a fresh one, replay after
-    // replay, on every tier.
-    let mut mb = ModuleBuilder::new("scratch");
-    mb.memory(1, Some(1));
-    mb.data(32, b"template!".to_vec());
-    let mut f = FuncBuilder::new(&[ValType::I32], Some(ValType::I32));
-    let x = f.arg(0);
-    f.push(store(Scalar::I32, i32c(0x8000), 0, local(x)));
-    f.push(store(Scalar::I32, i32c(0x8100), 0, mul(local(x), i32c(3))));
-    f.push(ret(Some(add(
-        load(Scalar::I32, i32c(0x8000), 0),
-        load(Scalar::I32, i32c(0x8100), 0),
-    ))));
-    let main = mb.add_func("main", f);
-    mb.export_func(main, "main");
-    let m = mb.build().unwrap();
-
-    for &tier in ALL_TIERS {
-        let cm = Arc::new(translate(&m, tier).unwrap());
-        let policy = cm.reset_policy("main");
-        assert!(
-            matches!(policy, ResetPolicy::StaticSpan { .. }),
-            "{policy:?}"
-        );
-        let cfg = EngineConfig {
-            tier,
-            ..Default::default()
-        };
-
-        let mut fresh = Instance::new(Arc::clone(&cm), cfg).unwrap();
-        let want = fresh
-            .call_complete("main", &[Value::I32(11)], &mut NullHost)
-            .unwrap();
-        assert_eq!(want, Some(44));
-        let want_fuel = fresh.fuel_used();
-
-        let mut recycled = Instance::new(cm, cfg).unwrap();
-        for round in 0..20 {
-            recycled
-                .call_complete("main", &[Value::I32(round + 100)], &mut NullHost)
-                .unwrap();
-            let applied = recycled.reset_with(policy).unwrap();
-            assert_eq!(applied, ResetApplied::Static, "round {round}");
-            let got = recycled
-                .call_complete("main", &[Value::I32(11)], &mut NullHost)
-                .unwrap();
-            assert_eq!(got, want, "round {round} tier={tier:?}");
-            assert_eq!(recycled.fuel_used(), want_fuel, "round {round}");
-            assert_eq!(
-                recycled.memory().read_bytes(32, 9).unwrap(),
-                b"template!",
-                "round {round}"
-            );
-            recycled.reset_with(policy).unwrap();
-        }
-    }
-}
 
 #[test]
 fn elided_reset_matches_fresh_exactly() {
@@ -352,21 +249,20 @@ fn elided_reset_matches_fresh_exactly() {
 
 #[test]
 fn host_dirty_memory_downgrades_partial_reset_to_full() {
-    // A host-side write below the certified span invalidates the static
+    // A host-side write into a pure entry's memory invalidates the elided
     // reset; `reset_with` must notice and fall back to a full reset rather
     // than leak the dirt into the next tenant.
-    let mut mb = ModuleBuilder::new("scratch");
+    let mut mb = ModuleBuilder::new("reader");
     mb.memory(1, Some(1));
     let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-    f.push(store(Scalar::I32, i32c(0x8000), 0, i32c(7)));
-    f.push(ret(Some(i32c(0))));
+    f.push(ret(Some(load(Scalar::I32, i32c(0x8000), 0))));
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
 
     let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
     let policy = cm.reset_policy("main");
-    assert!(matches!(policy, ResetPolicy::StaticSpan { .. }));
+    assert_eq!(policy, ResetPolicy::Elide);
     let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
     inst.call_complete("main", &[], &mut NullHost).unwrap();
     inst.memory_mut().write_bytes(0x40, b"dirty").unwrap();
@@ -447,58 +343,29 @@ fn build_storer(sites: &[StoreSite]) -> Module {
     mb.build().expect("generated module must validate")
 }
 
-/// Soundness of the write-footprint certificate: the runtime high-water
-/// mark never escapes the static bound, for arbitrary store patterns and
-/// inputs (conditional stores must be covered whether or not they fire).
+/// Soundness of the memory-effect certificate: every generated guest has a
+/// store on some path, executed or not, so it is certified as writing memory
+/// and never armed for an elided reset, whatever its input does.
 #[test]
 fn static_footprint_covers_runtime_high_water() {
     cases(64, 0xEFFE_C750, |rng| {
-        let sites = store_sites(rng);
-        let cm = Arc::new(translate(&build_storer(&sites), Tier::Optimized).unwrap());
+        let cm = Arc::new(translate(&build_storer(&store_sites(rng)), Tier::Optimized).unwrap());
         let eff = &cm.analysis.effects;
         let entry = cm.export("main").expect("main export");
-        let (_, footprint, may_grow) = eff.entry_effect(entry).expect("entry effect");
-        assert!(!may_grow);
-
-        // Constant-address stores must certify to a bounded span covering
-        // every site, executed or not.
-        let WriteFootprint::Span { lo, hi } = footprint else {
-            panic!("expected span, got {footprint}");
-        };
-        for s in &sites {
-            let addr = u64::from(s.addr);
-            assert!(
-                lo <= addr && addr + 4 <= hi,
-                "site {addr} outside [{lo}, {hi})"
-            );
-        }
-
-        let template_len = cm.template.image().len() as u64;
-        let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
-        run_once(&mut inst, &[Value::I32(any_i32(rng))]);
-        let hwm = inst.memory().high_water_mark() as u64;
-        assert!(
-            hwm <= hi.max(template_len),
-            "runtime hwm {hwm} escaped static bound {hi} (template {template_len})"
-        );
+        let (_, writes_memory, may_grow) = eff.entry_effect(entry).expect("entry effect");
+        assert!(writes_memory && !may_grow);
+        assert_eq!(cm.reset_policy("main"), ResetPolicy::HighWater);
     });
 }
 
-/// The differential property under the *derived* reset policy: whatever
-/// strategy `reset_policy` picks (static span or full), a recycled
-/// instance replaying the baseline input is indistinguishable from a
-/// fresh one.
+/// The differential property under the *derived* reset policy: a recycled
+/// instance replaying the baseline input is indistinguishable from a fresh
+/// one.
 #[test]
 fn recycled_under_derived_policy_is_fresh() {
     cases(64, 0x0DE2_17ED, |rng| {
         let cm = Arc::new(translate(&build_storer(&store_sites(rng)), Tier::Optimized).unwrap());
         let policy = cm.reset_policy("main");
-        // Stores start at byte 64, past the 12-byte template: the derivation
-        // must never be forced below a static span for these programs.
-        assert!(
-            matches!(policy, ResetPolicy::StaticSpan { .. }),
-            "{policy:?}"
-        );
         let cfg = EngineConfig::default();
         let (x, dirty_x) = ([Value::I32(any_i32(rng))], [Value::I32(any_i32(rng))]);
 

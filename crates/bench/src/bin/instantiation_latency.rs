@@ -9,10 +9,9 @@
 //! true acquire cost as accounted on the hot path, not a client stopwatch.
 //!
 //! A second section isolates the *reset* cost a recycled sandbox pays at
-//! retirement, per strategy: the classic high-water-mark reset, the
-//! static-footprint reset (zero only the certified store span), and the
-//! fully elided reset for `Pure` entry points — both measured against the
-//! strategy the effect certificate actually derives for each workload.
+//! retirement, per strategy: the classic high-water-mark reset against the
+//! fully elided reset the effect certificate derives for a `Pure` entry
+//! point.
 //!
 //! Usage: `instantiation_latency [--iters N]`
 
@@ -22,7 +21,7 @@ use sledge_core::{
     FunctionConfig, LatencyReport, Outcome, PoolStatsSnapshot, Runtime, RuntimeConfig,
 };
 use sledge_guestc::dsl::*;
-use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
+use sledge_guestc::{FuncBuilder, ModuleBuilder};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
@@ -67,24 +66,6 @@ fn run_stream(
     (report, pool)
 }
 
-/// Scribbles 1 KiB of constant-address words well past its 4 KiB template:
-/// the effect certificate bounds the footprint to `[0x8000, 0x8400)`, so a
-/// static reset re-zeroes 1 KiB where the high-water reset re-zeroes
-/// everything from the template end up.
-fn scratch_module() -> Module {
-    let mut mb = ModuleBuilder::new("scratch");
-    mb.memory(2, Some(2));
-    mb.data(0, vec![7u8; 4096]);
-    let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-    for k in 0..256 {
-        f.push(store(Scalar::I32, i32c(0x8000 + k * 4), 0, i32c(k)));
-    }
-    f.push(ret(Some(load(Scalar::I32, i32c(0x8000), 0))));
-    let main = mb.add_func("main", f);
-    mb.export_func(main, "main");
-    mb.build().unwrap()
-}
-
 /// Pure compute over locals against a 4 KiB template: provably no store, no
 /// grow — the derived policy skips the memory reset entirely.
 fn pure_module() -> Module {
@@ -120,14 +101,6 @@ fn time_resets(cm: &Arc<awsm::CompiledModule>, policy: ResetPolicy, iters: usize
         total += t0.elapsed();
     }
     (total.as_nanos() / iters.max(1) as u128) as u64
-}
-
-fn policy_label(policy: ResetPolicy) -> String {
-    match policy {
-        ResetPolicy::HighWater => "hwm".into(),
-        ResetPolicy::StaticSpan { lo, hi } => format!("static [{lo:#x}, {hi:#x})"),
-        ResetPolicy::Elide => "elided".into(),
-    }
 }
 
 fn main() {
@@ -207,30 +180,24 @@ fn main() {
         "{:<14} {:>10} {:>12} {:>10}   derived policy",
         "workload", "hwm", "certified", "speedup"
     );
-    for (name, module) in [
-        ("scratch-1KiB", scratch_module()),
-        ("pure-compute", pure_module()),
-    ] {
-        let cm = Arc::new(translate(&module, Tier::Optimized).expect("translate"));
-        let policy = cm.reset_policy("main");
-        assert_ne!(
-            policy,
-            ResetPolicy::HighWater,
-            "{name}: certificate failed to beat the default policy"
-        );
-        let hwm_ns = time_resets(&cm, ResetPolicy::HighWater, reset_iters);
-        let cert_ns = time_resets(&cm, policy, reset_iters);
-        println!(
-            "{:<14} {:>10} {:>12} {:>9.1}x   {}",
-            name,
-            hwm_ns,
-            cert_ns,
-            hwm_ns as f64 / cert_ns.max(1) as f64,
-            policy_label(policy),
-        );
-    }
+    let name = "pure-compute";
+    let cm = Arc::new(translate(&pure_module(), Tier::Optimized).expect("translate"));
+    let policy = cm.reset_policy("main");
+    assert_eq!(
+        policy,
+        ResetPolicy::Elide,
+        "{name}: certificate failed to beat the default policy"
+    );
+    let hwm_ns = time_resets(&cm, ResetPolicy::HighWater, reset_iters);
+    let cert_ns = time_resets(&cm, policy, reset_iters);
+    println!(
+        "{:<14} {:>10} {:>12} {:>9.1}x   elided",
+        name,
+        hwm_ns,
+        cert_ns,
+        hwm_ns as f64 / cert_ns.max(1) as f64,
+    );
     println!();
     println!("# The high-water reset re-zeroes every byte past the template the run may");
-    println!("# have touched; the static reset re-zeroes only the certified store span,");
-    println!("# and a Pure entry point skips the memory reset altogether.");
+    println!("# have touched; a Pure entry point skips the memory reset altogether.");
 }

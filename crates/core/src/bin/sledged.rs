@@ -121,11 +121,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // A capability-policy rejection is an operator decision, not a
             // deployment error: report it cleanly, skip the module, and keep
             // serving the rest (the /stats counter records the rejection).
-            Err(RegisterError::Capability(diags)) => {
+            Err(RegisterError::Capability(d)) => {
                 eprintln!("module {name:?}: rejected by capability policy, skipping:");
-                for d in diags {
-                    eprintln!("  {d}");
-                }
+                eprintln!("  {d}");
                 continue;
             }
             Err(e) => return Err(format!("registering {name}: {e}").into()),

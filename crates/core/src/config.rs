@@ -201,10 +201,6 @@ pub struct FunctionConfig {
     /// fully qualified (`"env::response_write"`) or bare
     /// (`"response_write"`). `None` (the default) grants everything.
     pub allowed_hostcalls: Option<Vec<String>>,
-    /// Upper bound in bytes on the entry point's certified static write
-    /// footprint: registration fails if the certificate cannot prove every
-    /// guest store lands below this address. `None` disables the gate.
-    pub max_write_footprint_bytes: Option<u64>,
 }
 
 impl FunctionConfig {
@@ -221,13 +217,7 @@ impl FunctionConfig {
             weight: 1,
             queue_slo: None,
             allowed_hostcalls: None,
-            max_write_footprint_bytes: None,
         }
-    }
-
-    /// Whether any capability policy is configured for this function.
-    pub(crate) fn has_capability_policy(&self) -> bool {
-        self.allowed_hostcalls.is_some() || self.max_write_footprint_bytes.is_some()
     }
 
     /// The HTTP route this function serves.
@@ -559,12 +549,15 @@ pub(crate) fn parse_function(m: &Json) -> Result<FunctionConfig, ConfigError> {
                 }
                 f.allowed_hostcalls = Some(allowed);
             }
+            // The analysis bounds no store address, so no footprint can be
+            // capped; a per-function page limit (ROADMAP item 18(a)) is the
+            // memory policy a deployment can state.
             "max_write_footprint_bytes" => {
-                f.max_write_footprint_bytes = Some(v.as_u64().ok_or_else(|| {
-                    ConfigError::Schema(
-                        "module max_write_footprint_bytes must be a non-negative int".into(),
-                    )
-                })?);
+                return Err(ConfigError::Schema(
+                    "module key \"max_write_footprint_bytes\" is gone: the effect certificate \
+                     bounds no store address; cap memory per function instead (ROADMAP 18(a))"
+                        .into(),
+                ))
             }
             other => return Err(unknown("module", other)),
         }
@@ -785,8 +778,7 @@ mod tests {
     fn capability_policy_knobs_parsed() {
         let text = r#"{"modules": [
             {"name": "echo",
-             "allowed_hostcalls": ["env::request_len", "response_write"],
-             "max_write_footprint_bytes": 65536},
+             "allowed_hostcalls": ["env::request_len", "response_write"]},
             {"name": "open"}
         ]}"#;
         let (_, funcs) = RuntimeConfig::from_json(text).unwrap();
@@ -794,26 +786,36 @@ mod tests {
             funcs[0].allowed_hostcalls.as_deref(),
             Some(&["env::request_len".to_string(), "response_write".to_string()][..])
         );
-        assert_eq!(funcs[0].max_write_footprint_bytes, Some(65536));
-        assert!(funcs[0].has_capability_policy());
         // Defaults off: no policy, nothing gated.
         assert_eq!(funcs[1].allowed_hostcalls, None);
-        assert_eq!(funcs[1].max_write_footprint_bytes, None);
-        assert!(!funcs[1].has_capability_policy());
         // An empty allow-list is a valid (deny-everything) policy.
         let (_, funcs) =
             RuntimeConfig::from_json(r#"{"modules": [{"name": "x", "allowed_hostcalls": []}]}"#)
                 .unwrap();
         assert_eq!(funcs[0].allowed_hostcalls.as_deref(), Some(&[][..]));
-        assert!(funcs[0].has_capability_policy());
         // Schema errors.
         for bad in [
             r#"{"modules": [{"name": "x", "allowed_hostcalls": "env::foo"}]}"#,
             r#"{"modules": [{"name": "x", "allowed_hostcalls": [1]}]}"#,
-            r#"{"modules": [{"name": "x", "max_write_footprint_bytes": "big"}]}"#,
-            r#"{"modules": [{"name": "x", "max_write_footprint_bytes": -1}]}"#,
         ] {
             assert!(RuntimeConfig::from_json(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn write_footprint_key_is_a_schema_error() {
+        // Whatever its value, the key is refused, and the error points at
+        // the memory policy that replaces it.
+        for value in ["65536", "0", "\"big\""] {
+            let text = format!(
+                r#"{{"modules": [{{"name": "x", "max_write_footprint_bytes": {value}}}]}}"#
+            );
+            let err = RuntimeConfig::from_json(&text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s)
+                    if s.contains("\"max_write_footprint_bytes\"") && s.contains("18(a)")),
+                "{text}: {err:?}"
+            );
         }
     }
 

@@ -295,7 +295,6 @@ pub(crate) fn render_prometheus(report: &LatencyReport) -> String {
         ("recycled", p.recycled),
         ("discarded", p.discarded),
         ("evicted", p.evicted),
-        ("reset_static", p.resets_static),
         ("reset_elided", p.resets_elided),
     ];
     by_label(&mut out, "sledge_pool_events_total", "event", &events);
@@ -448,7 +447,6 @@ pub(crate) fn render_json(report: &LatencyReport) -> String {
             ("recycled", p.recycled),
             ("discarded", p.discarded),
             ("evicted", p.evicted),
-            ("resets_static", p.resets_static),
             ("resets_elided", p.resets_elided),
         ],
     );
@@ -784,13 +782,11 @@ mod tests {
             recycled: 9,
             discarded: 1,
             evicted: 0,
-            resets_static: 6,
             resets_elided: 3,
         };
         let text = render_prometheus(&report);
         assert!(text.contains("sledge_pool_events_total{event=\"hit\"} 10"));
         assert!(text.contains("sledge_pool_events_total{event=\"discarded\"} 1"));
-        assert!(text.contains("sledge_pool_events_total{event=\"reset_static\"} 6"));
         assert!(text.contains("sledge_pool_events_total{event=\"reset_elided\"} 3"));
         assert!(text.contains("sledge_pool_size{} 2"));
         assert!(text.contains("sledge_pool_capacity{} 4"));
@@ -799,7 +795,6 @@ mod tests {
         let pool = doc.get("pool").expect("pool object");
         assert_eq!(pool.get("hits").unwrap().as_u64(), Some(10));
         assert_eq!(pool.get("capacity").unwrap().as_u64(), Some(4));
-        assert_eq!(pool.get("resets_static").unwrap().as_u64(), Some(6));
         assert_eq!(pool.get("resets_elided").unwrap().as_u64(), Some(3));
         let line = summary_line(&report);
         assert!(line.contains("pool hit=10 miss=3"), "{line}");

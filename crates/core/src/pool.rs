@@ -39,10 +39,6 @@ pub struct PoolStats {
     pub discarded: AtomicU64,
     /// Clean sandboxes dropped because the pool was already full.
     pub evicted: AtomicU64,
-    /// Subset of `recycled` whose reset used the certified static write
-    /// footprint (zeroing only the certified span instead of up to the
-    /// high-water mark).
-    pub resets_static: AtomicU64,
     /// Subset of `recycled` whose reset was elided entirely (entry point
     /// certified `Pure`, memory proven already pristine).
     pub resets_elided: AtomicU64,
@@ -66,8 +62,6 @@ pub struct PoolStatsSnapshot {
     pub discarded: u64,
     /// Clean sandboxes dropped because the pool was full.
     pub evicted: u64,
-    /// Recycles that used a footprint-bounded static reset.
-    pub resets_static: u64,
     /// Recycles whose reset was elided entirely.
     pub resets_elided: u64,
 }
@@ -82,7 +76,6 @@ impl PoolStatsSnapshot {
         self.recycled += other.recycled;
         self.discarded += other.discarded;
         self.evicted += other.evicted;
-        self.resets_static += other.resets_static;
         self.resets_elided += other.resets_elided;
     }
 
@@ -187,14 +180,8 @@ impl SandboxPool {
         parked.push(inst);
         drop(slots);
         self.stats.recycled.fetch_add(1, Ordering::Relaxed);
-        match applied {
-            ResetApplied::Static => {
-                self.stats.resets_static.fetch_add(1, Ordering::Relaxed);
-            }
-            ResetApplied::Elided => {
-                self.stats.resets_elided.fetch_add(1, Ordering::Relaxed);
-            }
-            ResetApplied::Full => {}
+        if applied == ResetApplied::Elided {
+            self.stats.resets_elided.fetch_add(1, Ordering::Relaxed);
         }
         true
     }
@@ -227,7 +214,6 @@ impl SandboxPool {
             recycled: self.stats.recycled.load(Ordering::Relaxed),
             discarded: self.stats.discarded.load(Ordering::Relaxed),
             evicted: self.stats.evicted.load(Ordering::Relaxed),
-            resets_static: self.stats.resets_static.load(Ordering::Relaxed),
             resets_elided: self.stats.resets_elided.load(Ordering::Relaxed),
         }
     }
@@ -347,70 +333,36 @@ mod tests {
         run_main(&mut inst);
         assert!(pool.release(inst));
         let s = pool.snapshot();
-        assert_eq!((s.recycled, s.resets_elided, s.resets_static), (1, 1, 0));
+        assert_eq!((s.recycled, s.resets_elided), (1, 1));
         // The recycled sandbox really is pristine.
         let warm = pool.acquire().unwrap();
         assert_eq!(warm.memory().read_bytes(0, 4).unwrap(), b"seed");
     }
 
     #[test]
-    fn certified_footprint_gets_static_resets() {
-        // Stores confined to [0x8000, 0x8004), template span [0, 4): the
-        // certificate licenses zeroing only the store span on reset.
-        let mut mb = ModuleBuilder::new("span");
+    fn host_write_defeats_partial_reset_but_recycles_full() {
+        // A host payload written into a pure entry's memory must force the
+        // always-sound full reset — and still recycle.
+        let mut mb = ModuleBuilder::new("reader");
         mb.memory(1, Some(2));
         mb.data(0, &b"seed"[..]);
         let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-        f.push(store_i32(i32c(0x8000), i32c(7)));
         f.push(ret(Some(load_i32(i32c(0x8000)))));
         let main = mb.add_func("main", f);
         mb.export_func(main, "main");
         let m = Arc::new(translate(&mb.build().unwrap(), Tier::Optimized).unwrap());
-
         let policy = m.reset_policy("main");
-        assert_eq!(
-            policy,
-            awsm::ResetPolicy::StaticSpan {
-                lo: 0x8000,
-                hi: 0x8004
-            }
-        );
-        let pool = SandboxPool::with_policy(2, policy);
-        let mut inst = Instance::new(Arc::clone(&m), engine()).unwrap();
-        run_main(&mut inst);
-        assert!(pool.release(inst));
-        let s = pool.snapshot();
-        assert_eq!((s.recycled, s.resets_static, s.resets_elided), (1, 1, 0));
-        let warm = pool.acquire().unwrap();
-        assert_eq!(warm.memory().read_bytes(0, 4).unwrap(), b"seed");
-        assert_eq!(warm.memory().read_bytes(0x8000, 4).unwrap(), &[0; 4]);
-    }
-
-    #[test]
-    fn host_write_defeats_partial_reset_but_recycles_full() {
-        // A host payload written below the certified span must force the
-        // always-sound full reset — and still recycle.
-        let mut mb = ModuleBuilder::new("span2");
-        mb.memory(1, Some(2));
-        mb.data(0, &b"seed"[..]);
-        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-        f.push(store_i32(i32c(0x8000), i32c(7)));
-        f.push(ret(Some(i32c(0))));
-        let main = mb.add_func("main", f);
-        mb.export_func(main, "main");
-        let m = Arc::new(translate(&mb.build().unwrap(), Tier::Optimized).unwrap());
-        let policy = m.reset_policy("main");
-        assert!(matches!(policy, awsm::ResetPolicy::StaticSpan { .. }));
+        assert_eq!(policy, awsm::ResetPolicy::Elide);
         let pool = SandboxPool::with_policy(2, policy);
         let mut inst = Instance::new(Arc::clone(&m), engine()).unwrap();
         run_main(&mut inst);
         inst.memory_mut().write_bytes(0x100, b"payload").unwrap();
         assert!(pool.release(inst));
         let s = pool.snapshot();
-        assert_eq!((s.recycled, s.resets_static, s.resets_elided), (1, 0, 0));
+        assert_eq!((s.recycled, s.resets_elided), (1, 0));
         let warm = pool.acquire().unwrap();
+        assert_eq!(warm.memory().read_bytes(0, 4).unwrap(), b"seed");
         assert_eq!(warm.memory().read_bytes(0x100, 7).unwrap(), &[0; 7]);
-        assert_eq!(warm.memory().read_bytes(0x8000, 4).unwrap(), &[0; 4]);
     }
 
     #[test]

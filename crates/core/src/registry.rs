@@ -140,10 +140,9 @@ pub enum RegisterError {
     /// budget.
     Certificate(Diagnostic),
     /// The module's effect certificate violates the function's capability
-    /// policy (`allowed_hostcalls` / `max_write_footprint_bytes`): the entry
-    /// point can reach a host call outside the allowed set, or its certified
-    /// write footprint exceeds the configured bound.
-    Capability(Vec<Diagnostic>),
+    /// policy (`allowed_hostcalls`): the entry point can reach a host call
+    /// outside the allowed set.
+    Capability(Diagnostic),
 }
 
 impl fmt::Display for RegisterError {
@@ -167,13 +166,7 @@ impl fmt::Display for RegisterError {
             RegisterError::Certificate(d) => {
                 write!(f, "preemption-latency certificate rejected: {d}")
             }
-            RegisterError::Capability(diags) => {
-                write!(f, "capability policy rejected module")?;
-                for d in diags {
-                    write!(f, "; {d}")?;
-                }
-                Ok(())
-            }
+            RegisterError::Capability(d) => write!(f, "capability policy rejected module; {d}"),
         }
     }
 }
@@ -447,34 +440,25 @@ impl Registry {
             return Err(RegisterError::Certificate(d));
         }
         self.stats.cost_certified.fetch_add(1, Ordering::Relaxed);
-        // Capability gate: deny-by-default host-call set and write-footprint
-        // bound, both proven against the effect certificate. Modules without
-        // a policy skip this entirely (and touch no capability counter).
+        // Capability gate: a deny-by-default host-call set, proven against
+        // the effect certificate. Modules without a policy skip this entirely
+        // (and touch no capability counter).
         let mut capability_warn = None;
-        if config.has_capability_policy() {
+        if let Some(allowed) = &config.allowed_hostcalls {
             let entry_idx = compiled
                 .export(&config.entry)
                 .expect("entry existence checked before gating");
-            let mut violations: Vec<Diagnostic> = Vec::new();
-            if let Some(allowed) = &config.allowed_hostcalls {
-                violations.extend(report.effects.check_hostcalls(entry_idx, allowed));
-            }
-            if let Some(max) = config.max_write_footprint_bytes {
-                violations.extend(report.effects.check_write_footprint(entry_idx, max));
-            }
-            if !violations.is_empty() {
+            if let Some(violation) = report.effects.check_hostcalls(entry_idx, allowed) {
                 self.stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .capability_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                return Err(RegisterError::Capability(violations));
+                return Err(RegisterError::Capability(violation));
             }
             self.stats
                 .capability_certified
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(allowed) = &config.allowed_hostcalls {
-                capability_warn = report.effects.unused_grants(entry_idx, allowed);
-            }
+            capability_warn = report.effects.unused_grants(entry_idx, allowed);
         }
         let mut warns = 0u64;
         for d in report
@@ -925,10 +909,10 @@ mod tests {
         // response_write — deny-by-default must reject it.
         cfg.allowed_hostcalls = Some(vec!["env::response_write".into()]);
         let err = register(&mut r, cfg, &m).unwrap_err();
-        let RegisterError::Capability(diags) = &err else {
+        let RegisterError::Capability(d) = &err else {
             panic!("expected capability rejection, got {err}");
         };
-        assert!(diags[0].message.contains("request_len"), "{diags:?}");
+        assert!(d.message.contains("request_len"), "{d:?}");
         assert!(err.to_string().contains("capability policy rejected"));
         assert!(
             r.functions.is_empty(),
@@ -971,32 +955,6 @@ mod tests {
             snap.lint_warnings >= 1,
             "unused grant must surface as a warning"
         );
-    }
-
-    #[test]
-    fn write_footprint_policy_enforced() {
-        // Stores land at [0x8000, 0x8004): a 0x8000-byte cap must reject,
-        // a 0x9000-byte cap must pass.
-        let mut mb = ModuleBuilder::new("writer");
-        mb.memory(1, Some(1));
-        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
-        f.push(store_i32(i32c(0x8000), i32c(1)));
-        f.push(ret(Some(i32c(0))));
-        let main = mb.add_func("main", f);
-        mb.export_func(main, "main");
-        let m = mb.build().unwrap();
-
-        let mut r = registry();
-        let mut cfg = FunctionConfig::new("writer");
-        cfg.max_write_footprint_bytes = Some(0x8000);
-        let err = register(&mut r, cfg, &m).unwrap_err();
-        assert!(matches!(err, RegisterError::Capability(_)), "{err}");
-        assert_eq!(r.stats.snapshot().capability_rejected, 1);
-
-        let mut cfg = FunctionConfig::new("writer");
-        cfg.max_write_footprint_bytes = Some(0x9000);
-        register(&mut r, cfg, &m).unwrap();
-        assert_eq!(r.stats.snapshot().capability_certified, 1);
     }
 
     #[test]

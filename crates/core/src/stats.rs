@@ -119,7 +119,7 @@ pub(crate) struct RegistryStats {
     /// `modules_rejected`).
     pub certificate_rejected: AtomicU64,
     /// Modules whose effect certificate passed a configured capability
-    /// policy (`allowed_hostcalls` / `max_write_footprint_bytes`). Stays
+    /// policy (`allowed_hostcalls`). Stays
     /// zero when no module sets a policy.
     pub capability_certified: AtomicU64,
     /// Modules rejected by a capability policy (also counted in

@@ -135,17 +135,20 @@ fn connection_churn_loses_no_completions_or_samples() {
         // path); mid-read aborts never complete a parse, so no request exists.
         let surfaced = expect_good + expect_mid_write;
 
-        // Wait for the listener to retire every churned socket.
+        // Wait for the listener to accept and retire every churned socket. A
+        // mid-read abort surfaces no request, so `active() == 0` alone can
+        // hold before the listener has accepted the last such connection.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let conns = rt.connection_stats();
             let stats = rt.stats();
-            if conns.active() == 0 && stats.completed == surfaced {
+            if conns.accepted == CONNS && conns.active() == 0 && stats.completed == surfaced {
                 break;
             }
             assert!(
                 Instant::now() < deadline,
-                "churn never settled: active {} completed {} (want 0 / {surfaced})",
+                "churn never settled: accepted {} active {} completed {} (want {CONNS} / 0 / {surfaced})",
+                conns.accepted,
                 conns.active(),
                 stats.completed
             );

@@ -5,7 +5,7 @@
 
 use awsm::{
     decode_artifact, encode_artifact, translate_with, ArtifactError, CompiledModule, Op,
-    ResetPolicy, StackBound, Tier, TranslateOptions, WriteFootprint,
+    ResetPolicy, StackBound, Tier, TranslateOptions,
 };
 use sledge_core::{ingest_frame, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
@@ -365,9 +365,9 @@ fn a_forged_stack_bound_does_not_pass_the_stack_budget() {
 fn a_forged_empty_footprint_does_not_elide_resets() {
     let honest = translated(&scratch_guest());
     let policy = honest.reset_policy("main");
-    assert_eq!(policy, ResetPolicy::StaticSpan { lo: 64, hi: 68 });
+    assert_eq!(policy, ResetPolicy::HighWater);
     let mut forged = translated(&scratch_guest());
-    forged.analysis.effects.funcs[0].footprint = WriteFootprint::Empty;
+    forged.analysis.effects.funcs[0].writes_memory = false;
     assert_eq!(forged.reset_policy("main"), ResetPolicy::Elide);
     let derived = decode_artifact(&encode_artifact(&forged)).unwrap();
     assert_eq!(derived.reset_policy("main"), policy);
