@@ -12,7 +12,7 @@ use sledge_http::{
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -194,6 +194,8 @@ pub struct Router {
     shared: Arc<RouterShared>,
     threads: Vec<JoinHandle<()>>,
     addr: SocketAddr,
+    /// Dropping it ends the prober's wait between rounds.
+    stop_probe: Option<Sender<()>>,
 }
 
 impl Router {
@@ -266,12 +268,13 @@ impl Router {
                     .expect("spawn forwarder"),
             );
         }
+        let (stop_probe, probe_stopped) = channel();
         {
             let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
                     .name("ring-probe".into())
-                    .spawn(move || prober_loop(shared))
+                    .spawn(move || prober_loop(shared, probe_stopped))
                     .expect("spawn prober"),
             );
         }
@@ -288,6 +291,7 @@ impl Router {
             shared,
             threads,
             addr,
+            stop_probe: Some(stop_probe),
         })
     }
 
@@ -325,6 +329,8 @@ impl Router {
         // follow when it drops the job sender.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.waker.wake();
+        // Closing the channel ends the prober's wait at once.
+        self.stop_probe.take();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -492,7 +498,9 @@ fn forwarder_loop(
     }
 }
 
-fn prober_loop(shared: Arc<RouterShared>) {
+/// Probes every node's `/healthz` once per `probe_interval`, waiting out the
+/// interval on `stop`, which [`Router::shutdown`] closes.
+fn prober_loop(shared: Arc<RouterShared>, stop: Receiver<()>) {
     let probe_config = ClientConfig {
         connect_timeout: shared.config.connect_timeout,
         read_timeout: Some(
@@ -522,15 +530,8 @@ fn prober_loop(shared: Arc<RouterShared>) {
                 .record(&shared.config.breaker, alive, shared.now_ns());
             node.health.healthy.store(alive, Ordering::Relaxed);
         }
-        // Sleep in small slices so shutdown stays prompt.
-        let mut left = shared.config.probe_interval;
-        while !left.is_zero() {
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let step = left.min(Duration::from_millis(20));
-            std::thread::sleep(step);
-            left -= step;
+        if stop.recv_timeout(shared.config.probe_interval) != Err(RecvTimeoutError::Timeout) {
+            return;
         }
     }
 }

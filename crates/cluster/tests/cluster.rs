@@ -682,33 +682,55 @@ fn voluntary_switches(tid: &str) -> u64 {
 /// The router's listener blocks until there is work: counted, not timed.
 /// A thread that naps between polls switches out once per nap (thousands
 /// a second at 100 µs); one that blocks in `epoll_wait` switches out only
-/// when its idle reaper is due (every 250 ms) or a socket stirs.
+/// when its idle reaper is due (every 250 ms) or a socket stirs. The prober
+/// waits out its interval in one blocking wait: at the default 500 ms it
+/// probes each node twice a second, where 20 ms sleep slices added 50
+/// wakeups a second on top.
 #[test]
 fn idle_router_listener_does_not_sleep_poll() {
+    let config = RouterConfig {
+        probe_interval: RouterConfig::default().probe_interval,
+        ..test_config()
+    };
     // Other tests start routers concurrently; retry until exactly one
-    // listener was born across this router's start, which is then ours.
-    let (nodes, router, tid) = loop {
-        let before = threads_named("ring-listener");
-        let (nodes, router) = boot_cluster(2);
+    // listener and one prober were born across this router's start, which
+    // are then ours.
+    let (nodes, router, listener, prober) = loop {
+        let before = [threads_named("ring-listener"), threads_named("ring-probe")];
+        let nodes = vec![boot_node(), boot_node()];
+        let router = Router::start(
+            config.clone(),
+            members(&nodes),
+            "127.0.0.1:0".parse().unwrap(),
+        )
+        .unwrap();
         router_answers(&router);
-        let born: Vec<String> = threads_named("ring-listener")
-            .into_iter()
-            .filter(|t| !before.contains(t))
-            .collect();
-        if let [tid] = born.as_slice() {
-            break (nodes, router, tid.clone());
+        let [listeners, probers] = ["ring-listener", "ring-probe"].map(threads_named);
+        let born = |now: Vec<String>, was: &[String]| -> Vec<String> {
+            now.into_iter().filter(|t| !was.contains(t)).collect()
+        };
+        if let ([listener], [prober]) = (
+            born(listeners, &before[0]).as_slice(),
+            born(probers, &before[1]).as_slice(),
+        ) {
+            break (nodes, router, listener.clone(), prober.clone());
         }
         router.shutdown();
         for rt in nodes {
             rt.shutdown();
         }
     };
-    let before = voluntary_switches(&tid);
+    let before = [&listener, &prober].map(|t| voluntary_switches(t));
     std::thread::sleep(Duration::from_secs(1));
-    let switches = voluntary_switches(&tid) - before;
+    let [listener, prober] = [&listener, &prober].map(|t| voluntary_switches(t));
+    let (listener, prober) = (listener - before[0], prober - before[1]);
     assert!(
-        switches <= 50,
-        "idle listener switched out {switches} times in 1 s"
+        listener <= 50,
+        "idle listener switched out {listener} times in 1 s"
+    );
+    assert!(
+        prober <= 25,
+        "idle prober switched out {prober} times in 1 s"
     );
     router.shutdown();
     for rt in nodes {

@@ -10,7 +10,9 @@
 //!   calls and/or an HTTP front end), instantiates a sandbox per request
 //!   (the µs-level startup path — the module was linked/loaded once, at the
 //!   first registration of its bytes), applies admission control, and pushes
-//!   sandboxes onto the **global work-stealing deque**.
+//!   sandboxes onto the **global work-stealing deque**. With nothing in
+//!   flight it blocks: in the front end's epoll wait, which intake senders
+//!   wake, or without HTTP in the intake channel.
 //! * **N worker threads** steal sandboxes, keep core-local run queues, and
 //!   schedule them with **preemptive round-robin** (default 5 ms quantum,
 //!   enforced by a fuel budget per dispatch and by a timer thread that sets
@@ -92,7 +94,7 @@ pub use stats::{
 use listener::{AnyResponder, Intake};
 use registry::{Binary, Registry};
 use sandbox::Sandbox;
-use sledge_http::{ConnCounters, HttpServer, ServerConfig};
+use sledge_http::{ConnCounters, HttpServer, ServerConfig, Waker};
 use stats::RuntimeStats;
 use std::io;
 use std::net::SocketAddr;
@@ -199,6 +201,9 @@ impl InvocationHandle {
 pub struct Runtime {
     shared: Arc<Shared>,
     intake: Sender<Intake>,
+    /// Ends the listener's blocking poll after an intake send (`None`
+    /// without HTTP: the listener then blocks in the intake's `recv`).
+    waker: Option<Arc<Waker>>,
     /// The timer thread's wake-up: [`TimerWake::PreemptAll`] preempts every
     /// running sandbox now (force-kill), [`TimerWake::Stop`] stops the timer
     /// (shutdown).
@@ -243,6 +248,7 @@ impl Runtime {
             .as_ref()
             .map(HttpServer::counters)
             .unwrap_or_default();
+        let waker = server.as_ref().map(HttpServer::waker);
 
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -310,6 +316,7 @@ impl Runtime {
         Ok(Runtime {
             shared,
             intake: intake_tx,
+            waker,
             timer: Some(timer_tx),
             threads,
             http_addr,
@@ -350,11 +357,20 @@ impl Runtime {
         self.register_wasm(config, &sledge_wasm::encode::encode_module(module))
     }
 
+    /// Hand the listener one intake message and wake it, since it may be
+    /// blocked in its poll.
+    fn send_intake(&self, msg: Intake) {
+        let _ = self.intake.send(msg);
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
+    }
+
     /// Invoke function `id` with the given request body; returns a handle to
     /// wait on.
     pub fn invoke(&self, id: FunctionId, body: impl Into<Vec<u8>>) -> InvocationHandle {
         let (tx, rx) = sync_channel(1);
-        let _ = self.intake.send(Intake::Invoke {
+        self.send_intake(Intake::Invoke {
             function: id,
             body: body.into(),
             responder: AnyResponder::Channel(tx),
@@ -365,7 +381,7 @@ impl Runtime {
     /// Fire-and-forget invocation (used by load generators; only the global
     /// counters observe the result).
     pub fn invoke_detached(&self, id: FunctionId, body: impl Into<Vec<u8>>) {
-        let _ = self.intake.send(Intake::Invoke {
+        self.send_intake(Intake::Invoke {
             function: id,
             body: body.into(),
             responder: AnyResponder::Discard,
@@ -443,7 +459,7 @@ impl Runtime {
         for rf in self.shared.registry().iter() {
             rf.pool.drain();
         }
-        let _ = self.intake.send(Intake::Wake);
+        self.send_intake(Intake::Wake);
     }
 
     /// Graceful shutdown: stop intake, wait up to `timeout` for every
@@ -495,7 +511,7 @@ impl Runtime {
         if let Some(timer) = self.timer.take() {
             let _ = timer.send(TimerWake::Stop);
         }
-        let _ = self.intake.send(Intake::Wake);
+        self.send_intake(Intake::Wake);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

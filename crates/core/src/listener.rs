@@ -73,7 +73,7 @@ pub(crate) enum Intake {
         body: Vec<u8>,
         responder: AnyResponder,
     },
-    /// Ask the listener to exit promptly.
+    /// Make the listener re-read its drain and shutdown flags now.
     Wake,
 }
 
@@ -325,8 +325,33 @@ pub fn split_ingest_frame(frame: &[u8]) -> Result<(&str, &[u8]), String> {
     Ok((config, artifact))
 }
 
+/// How long the listener keeps its non-blocking poll after it last saw work
+/// in flight, before it blocks (DESIGN §12). Requests that keep coming at
+/// more than 20 a second are found by the nap; after a quiet spell this
+/// long the node is idle.
+const LINGER: Duration = Duration::from_millis(50);
+
 /// The listener loop. Owns the deque, the intake channel, and (optionally)
 /// the HTTP front end.
+///
+/// With a front end, an idle listener blocks in [`HttpServer::poll`] until
+/// a socket stirs or a producer wakes it (DESIGN §12). Each pass arms the
+/// server's waker, reads `inflight`, then drains the intake and the reply
+/// channel. The wait is unbounded only when that read was 0, no read in the
+/// last [`LINGER`] was above 0, and the drains found nothing. That is safe
+/// because this thread alone admits work (`admit` is the only increment of
+/// `inflight`) and a worker decrements `inflight` only after it has
+/// delivered the reply. So a 0 read after the arm means every reply is
+/// already in the channel, and none can follow before this thread's next
+/// admission. Intake senders (`invoke`, drain, shutdown) wake the server
+/// after they send. While anything is in flight, and for [`LINGER`] after,
+/// the listener polls without blocking and naps 100 µs when a pass finds
+/// nothing: replies arrive without a wake, and a request that follows soon
+/// is picked up by the nap instead of by a wake-up whose cost varies from
+/// run to run.
+///
+/// Without a front end, every completion goes straight to its invoker, so
+/// the listener only ever waits for the intake, in a plain blocking `recv`.
 pub(crate) fn listener_loop(
     shared: Arc<Shared>,
     deque: DequeWorker<Box<Sandbox>>,
@@ -336,7 +361,19 @@ pub(crate) fn listener_loop(
     http_reply_tx: Sender<(ConnId, Vec<u8>)>,
 ) {
     let mut drain_started = false;
+    // When a pass last read `inflight` above 0.
+    let mut busy_at: Option<Instant> = None;
     loop {
+        // Arm before every check below: a producer that enqueues after this
+        // point finds the waker armed and ends the poll.
+        if let Some(server) = http.as_ref() {
+            server.arm();
+        }
+        let idle = shared.inflight.load(Ordering::Acquire) == 0;
+        if !idle {
+            busy_at = Some(Instant::now());
+        }
+        let lingering = busy_at.is_some_and(|at| at.elapsed() < LINGER);
         let mut worked = false;
 
         // Propagate a drain to the socket tier the moment it starts: new
@@ -363,13 +400,23 @@ pub(crate) fn listener_loop(
         }
 
         // Service the HTTP front end.
+        let mut blocked = false;
         if let Some(server) = http.as_mut() {
             // Flush completed responses owned by this thread.
             while let Ok((conn, bytes)) = http_reply.try_recv() {
                 worked = true;
                 server.send(conn, &bytes);
             }
-            for ev in server.poll(Duration::ZERO) {
+            // Nothing in flight for a while and nothing handled: wait for a
+            // socket or a wake. The idle reaper still caps the wait.
+            blocked =
+                idle && !lingering && !worked && !shared.shutdown.load(Ordering::Acquire);
+            let timeout = if blocked {
+                Duration::MAX
+            } else {
+                Duration::ZERO
+            };
+            for ev in server.poll(timeout) {
                 worked = true;
                 match ev {
                     ConnectionEvent::Request(conn, req) => {
@@ -477,21 +524,24 @@ pub(crate) fn listener_loop(
             }
             return;
         }
-        if !worked {
-            if http.is_some() {
-                // Keep polling the sockets at a modest rate.
-                std::thread::sleep(Duration::from_micros(100));
-            } else {
-                // Block on the intake channel (with a timeout so shutdown is
-                // observed).
-                match intake.recv_timeout(Duration::from_millis(5)) {
-                    Ok(Intake::Invoke {
-                        function,
-                        body,
-                        responder,
-                    }) => admit(&shared, &deque, function, body, responder),
-                    Ok(Intake::Wake) | Err(_) => {}
-                }
+        if worked || blocked {
+            continue;
+        }
+        if http.is_some() {
+            // Busy, or lately busy, but quiet: replies arrive without a
+            // wake (ROADMAP 1(a)), so keep polling at a modest rate.
+            std::thread::sleep(Duration::from_micros(100));
+        } else {
+            // Shutdown and drain send `Intake::Wake`; a disconnected intake
+            // means the runtime is gone.
+            match intake.recv() {
+                Ok(Intake::Invoke {
+                    function,
+                    body,
+                    responder,
+                }) => admit(&shared, &deque, function, body, responder),
+                Ok(Intake::Wake) => {}
+                Err(_) => return,
             }
         }
     }

@@ -851,6 +851,63 @@ fn sledged_gates_capabilities_per_function_on_a_shared_module() {
     assert!(stderr.contains("capability violation"), "{stderr}");
 }
 
+/// Every thread of process `pid`: its id, its name and its voluntary
+/// context switches so far.
+fn thread_switches(pid: u32) -> Vec<(String, String, u64)> {
+    let task = format!("/proc/{pid}/task");
+    std::fs::read_dir(&task)
+        .unwrap()
+        .filter_map(|entry| {
+            let tid = entry.ok()?.file_name().into_string().ok()?;
+            let comm = std::fs::read_to_string(format!("{task}/{tid}/comm")).ok()?;
+            let status = std::fs::read_to_string(format!("{task}/{tid}/status")).ok()?;
+            let switches = status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?
+                .trim()
+                .parse()
+                .ok()?;
+            Some((tid, comm.trim_end().to_string(), switches))
+        })
+        .collect()
+}
+
+/// An idle node's listener blocks until there is work: counted, not timed.
+/// Napping 100 µs between polls, it switched out ~6 600 times a second;
+/// blocked in `epoll_wait`, it switches out when the idle reaper is due
+/// (every 250 ms at the default `conn_idle_ms`) or a socket stirs. The node
+/// serves one request first, so the count also shows that the listener
+/// stops polling 50 ms after work ends. The workers and the timer still wake
+/// on their own clocks; their counts are printed, not bounded.
+#[test]
+fn idle_node_listener_does_not_sleep_poll() {
+    let config = r#"{"workers": 2, "modules": [{"name": "echo", "wasm": "echo.wasm"}]}"#;
+    let sledged = spawn_sledged("idle", config, 3);
+    let pid = sledged.child.id();
+    assert_eq!(http_post(sledged.addr, "/echo", "once"), (200, "once".into()));
+    std::thread::sleep(Duration::from_millis(200));
+    let before = thread_switches(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let idle: Vec<(String, u64)> = thread_switches(pid)
+        .into_iter()
+        .filter_map(|(tid, name, after)| {
+            let (_, _, was) = before.iter().find(|(t, _, _)| *t == tid)?;
+            Some((name, after - was))
+        })
+        .collect();
+    let listener = idle
+        .iter()
+        .find(|(name, _)| name == "sledge-listener")
+        .unwrap_or_else(|| panic!("no sledge-listener thread in {idle:?}"));
+    assert!(
+        listener.1 <= 50,
+        "idle listener switched out {} times in 1 s; every thread: {idle:?}",
+        listener.1
+    );
+    eprintln!("voluntary switches over 1 s idle: {idle:?}");
+    sledged.finish();
+}
+
 #[test]
 fn sledged_refuses_a_config_that_reuses_a_route_or_a_name() {
     for (tag, second, expect) in [

@@ -903,3 +903,108 @@ fn racing_registrations_of_one_binary_share_one_module() {
     assert!((1..=2).contains(&rt.registry_stats().modules_compiled));
     rt.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// The idle listener's blocking poll
+// ---------------------------------------------------------------------------
+
+/// An HTTP runtime with the idle reaper off, so nothing but a socket or a
+/// wake ends its idle listener's poll: a lost wake blocks it for good, and
+/// the bounds below catch that.
+fn unreaped_http_runtime() -> Runtime {
+    Runtime::with_http(
+        RuntimeConfig {
+            workers: 2,
+            conn_idle: Duration::ZERO,
+            ..Default::default()
+        },
+        "127.0.0.1:0".parse().unwrap(),
+    )
+    .unwrap()
+}
+
+/// Long enough for the listener to arm and block in its poll, and past the
+/// 50 ms it keeps polling after a reply.
+const IDLE: Duration = Duration::from_millis(100);
+
+/// What a woken listener has to beat; a lost wake never does.
+const WAKE_BOUND: Duration = Duration::from_secs(5);
+
+/// Run `scenario` on a thread of its own and fail unless it ends within
+/// twice [`WAKE_BOUND`]. A listener that lost a wake hangs whatever waits
+/// for it, dropping its `Runtime` included, so the test would otherwise
+/// hang instead of failing.
+fn within_wake_bound(scenario: impl FnOnce() + Send + 'static) {
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        scenario();
+        let _ = done_tx.send(());
+    });
+    // A hung scenario cannot be joined; it is left to the process exit.
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = done.recv_timeout(2 * WAKE_BOUND) {
+        panic!("no answer within {:?}: a wake was lost", 2 * WAKE_BOUND);
+    }
+    if let Err(panic) = scenario.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+#[test]
+fn idle_listener_wakes_for_an_in_process_invoke() {
+    within_wake_bound(|| {
+        let rt = unreaped_http_runtime();
+        let id = rt
+            .register_module(FunctionConfig::new("echo"), &guests::echo())
+            .unwrap();
+        // Each round finds the listener blocked again after the last reply.
+        for round in 0..3 {
+            std::thread::sleep(IDLE);
+            let done = rt.invoke(id, &b"wake"[..]).wait_timeout(WAKE_BOUND);
+            match done.map(|c| c.outcome) {
+                Some(Outcome::Success(body)) => assert_eq!(body, b"wake", "round {round}"),
+                other => panic!("round {round}: {other:?}"),
+            }
+        }
+        rt.shutdown();
+    });
+}
+
+#[test]
+fn idle_listener_wakes_for_a_drain() {
+    within_wake_bound(|| {
+        let rt = unreaped_http_runtime();
+        let addr = rt.http_addr().unwrap();
+        // An idle keep-alive connection: only the socket tier's drain, which
+        // the listener starts once it sees the flag, closes it.
+        let mut held = std::net::TcpStream::connect(addr).unwrap();
+        held.set_read_timeout(Some(WAKE_BOUND)).unwrap();
+        while rt.connection_stats().accepted == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(IDLE);
+        rt.begin_drain();
+        let mut rest = Vec::new();
+        held.read_to_end(&mut rest)
+            .expect("the drain closes an idle keep-alive connection");
+        assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
+
+        // A new peer, a `/healthz` probe included, gets the socket tier's
+        // 503 at accept, before it speaks (a request written after it
+        // would race the close).
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(WAKE_BOUND)).unwrap();
+        let mut resp = String::new();
+        s.read_to_string(&mut resp).unwrap();
+        assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
+        rt.shutdown();
+    });
+}
+
+#[test]
+fn idle_listener_wakes_for_shutdown() {
+    within_wake_bound(|| {
+        let rt = unreaped_http_runtime();
+        std::thread::sleep(IDLE);
+        rt.shutdown();
+    });
+}
