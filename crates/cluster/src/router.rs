@@ -4,7 +4,7 @@
 //! `/healthz` prober, per-node circuit breakers, and ring-level metrics.
 
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use sledge_core::{split_ingest_frame, Breaker, BreakerConfig};
+use sledge_core::{escape_label, split_ingest_frame, Breaker, BreakerConfig};
 use sledge_http::{
     format_request, ClientConfig, ClientResponse, ConnId, ConnectionEvent, HttpClient, HttpServer,
     Response, ServerConfig, StatusCode, Waker,
@@ -544,61 +544,61 @@ fn render_ring_metrics(shared: &RouterShared) -> String {
     out.push_str("# HELP sledge_ring_nodes Nodes in the routing ring.\n");
     out.push_str("# TYPE sledge_ring_nodes gauge\n");
     out.push_str(&format!("sledge_ring_nodes {}\n", shared.nodes.len()));
-    out.push_str("# HELP sledge_ring_node_healthy Last probe verdict per node.\n");
-    out.push_str("# TYPE sledge_ring_node_healthy gauge\n");
-    for n in &shared.nodes {
-        out.push_str(&format!(
-            "sledge_ring_node_healthy{{node=\"{}\"}} {}\n",
-            n.name,
-            u8::from(n.health.is_healthy())
-        ));
-    }
-    out.push_str("# HELP sledge_ring_node_failures_total Failed requests/probes per node.\n");
-    out.push_str("# TYPE sledge_ring_node_failures_total counter\n");
-    for n in &shared.nodes {
-        out.push_str(&format!(
-            "sledge_ring_node_failures_total{{node=\"{}\"}} {}\n",
-            n.name,
-            n.health.failures.load(Ordering::Relaxed)
-        ));
-    }
-    for (name, v) in [
-        ("sledge_ring_routed_total", s.routed),
-        ("sledge_ring_retried_total", s.retried),
-        ("sledge_ring_failed_over_total", s.failed_over),
-        ("sledge_ring_failed_total", s.failed),
-        ("sledge_ring_probes_total", s.probes),
-        ("sledge_ring_modules_pushed_total", s.modules_pushed),
-        ("sledge_ring_module_rejects_total", s.module_rejects),
-    ] {
-        out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-    }
-    out
-}
-
-/// Ring-level JSON stats (same data as the Prometheus text).
-fn render_ring_stats(shared: &RouterShared) -> String {
-    let s = shared.stats.snapshot();
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"nodes\":[");
-    for (i, n) in shared.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let nodes: Vec<(String, &NodeHealth)> = shared
+        .nodes
+        .iter()
+        .map(|n| (escape_label(&n.name), &n.health))
+        .collect();
+    let mut per_node = |name: &str, kind: &str, help: &str, value: fn(&NodeHealth) -> u64| {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for (node, health) in &nodes {
+            out.push_str(&format!("{name}{{node=\"{node}\"}} {}\n", value(health)));
         }
+    };
+    per_node(
+        "sledge_ring_node_healthy",
+        "gauge",
+        "Last probe verdict per node.",
+        |h| u64::from(h.is_healthy()),
+    );
+    per_node(
+        "sledge_ring_node_consecutive_failures",
+        "gauge",
+        "Failed requests/probes per node since its last success.",
+        |h| u64::from(h.breaker.consecutive_failures()),
+    );
+    per_node(
+        "sledge_ring_node_failures_total",
+        "counter",
+        "Failed requests/probes per node.",
+        |h| h.failures.load(Ordering::Relaxed),
+    );
+    for (name, v, help) in [
+        ("routed", s.routed, "Requests sent onto the ring."),
+        ("retried", s.retried, "Retried forward attempts."),
+        (
+            "failed_over",
+            s.failed_over,
+            "Requests failed over to a replica.",
+        ),
+        ("failed", s.failed, "Requests no replica answered."),
+        ("probes", s.probes, "Health probes issued."),
+        (
+            "modules_pushed",
+            s.modules_pushed,
+            "Artifacts a node accepted.",
+        ),
+        (
+            "module_rejects",
+            s.module_rejects,
+            "Artifacts a node rejected.",
+        ),
+    ] {
+        let name = format!("sledge_ring_{name}_total");
         out.push_str(&format!(
-            "{{\"name\":{:?},\"addr\":\"{}\",\"healthy\":{},\"failures\":{},\"consecutive_failures\":{}}}",
-            n.name,
-            n.addr,
-            n.health.is_healthy(),
-            n.health.failures.load(Ordering::Relaxed),
-            n.health.breaker.consecutive_failures(),
+            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
         ));
     }
-    out.push_str(&format!(
-        "],\"counters\":{{\"routed\":{},\"retried\":{},\"failed_over\":{},\"failed\":{},\"probes\":{},\"modules_pushed\":{},\"module_rejects\":{}}}}}",
-        s.routed, s.retried, s.failed_over, s.failed, s.probes,
-        s.modules_pushed, s.module_rejects,
-    ));
     out
 }
 
@@ -632,16 +632,6 @@ fn listener_loop(
                     conn,
                     &Response::ok(body.into_bytes())
                         .header("Content-Type", "text/plain; version=0.0.4")
-                        .to_bytes(),
-                );
-                continue;
-            }
-            if req.method == "GET" && req.path == "/stats" {
-                let body = render_ring_stats(&shared);
-                server.send(
-                    conn,
-                    &Response::ok(body.into_bytes())
-                        .header("Content-Type", "application/json")
                         .to_bytes(),
                 );
                 continue;

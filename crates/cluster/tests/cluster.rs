@@ -235,8 +235,13 @@ fn admin_push_through_router_endpoint() {
 }
 
 #[test]
-fn router_metrics_and_stats_expose_ring_series() {
-    let (nodes, router) = boot_cluster(3);
+fn router_metrics_expose_ring_series() {
+    // A node's name is free text from `--node name=addr`; the exposition
+    // escapes it as a label value.
+    let mut nodes: Vec<Runtime> = (0..3).map(|_| boot_node()).collect();
+    let mut ring = members(&nodes);
+    ring[2].0 = r#"rack "b" \ node-2"#.into();
+    let router = Router::start(test_config(), ring, "127.0.0.1:0".parse().unwrap()).unwrap();
     assert!(router
         .distribute(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")))
         .iter()
@@ -249,32 +254,54 @@ fn router_metrics_and_stats_expose_ring_series() {
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, b"ok");
 
-    let resp = client.request("GET", "/metrics", &[], b"").unwrap();
-    assert_eq!(resp.status, 200);
-    let text = String::from_utf8_lossy(&resp.body).into_owned();
-    assert!(text.contains("sledge_ring_nodes 3"), "{text}");
+    // One exposition: `/stats` rides the ring like any other path, and no
+    // node serves it.
+    let resp = client.request("GET", "/stats", &[], b"").unwrap();
+    assert_eq!(resp.status, 404);
+
+    // Stop the third node; the prober's failures run up its streak. Two
+    // failed probes also mean the first one's verdict is stored.
+    nodes.pop().unwrap().shutdown();
+    let streak = r#"sledge_ring_node_consecutive_failures{node="rack \"b\" \\ node-2"} "#;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let text = loop {
+        let resp = client.request("GET", "/metrics", &[], b"").unwrap();
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8_lossy(&resp.body).into_owned();
+        let failures = text.lines().find_map(|l| l.strip_prefix(streak));
+        if failures
+            .and_then(|v| v.parse::<u64>().ok())
+            .is_some_and(|n| n >= 2)
+        {
+            break text;
+        }
+        assert!(Instant::now() < deadline, "no failure streak:\n{text}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(text.contains("sledge_ring_nodes 3\n"), "{text}");
     for series in [
-        "sledge_ring_node_healthy{node=\"node-0\"}",
-        "sledge_ring_node_failures_total{node=\"node-2\"}",
-        "sledge_ring_routed_total",
-        "sledge_ring_retried_total",
-        "sledge_ring_failed_over_total",
-        "sledge_ring_failed_total",
-        "sledge_ring_probes_total",
-        "sledge_ring_modules_pushed_total 3",
+        "sledge_ring_node_healthy{node=\"node-0\"} 1\n",
+        r#"sledge_ring_node_healthy{node="rack \"b\" \\ node-2"} 0"#,
+        "sledge_ring_node_consecutive_failures{node=\"node-1\"} 0\n",
+        "sledge_ring_node_failures_total{node=\"node-1\"} 0\n",
+        "sledge_ring_routed_total ",
+        "sledge_ring_retried_total ",
+        "sledge_ring_failed_over_total ",
+        "sledge_ring_failed_total ",
+        "sledge_ring_probes_total ",
+        "sledge_ring_modules_pushed_total 3\n",
+        "sledge_ring_module_rejects_total 0\n",
     ] {
         assert!(text.contains(series), "missing {series} in:\n{text}");
     }
-
-    let resp = client.request("GET", "/stats", &[], b"").unwrap();
-    assert_eq!(resp.status, 200);
-    let doc = sledge_core::parse_json(&String::from_utf8_lossy(&resp.body)).unwrap();
-    assert_eq!(
-        doc.get("counters")
-            .and_then(|c| c.get("routed"))
-            .and_then(|r| r.as_u64()),
-        Some(1)
-    );
+    // Every family a sample names has its HELP and TYPE lines.
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let family = line.split(['{', ' ']).next().unwrap();
+        for meta in ["# HELP", "# TYPE"] {
+            let head = format!("{meta} {family} ");
+            assert!(text.contains(&head), "no {head:?} in:\n{text}");
+        }
+    }
 
     router.shutdown();
     for rt in nodes {

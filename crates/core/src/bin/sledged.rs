@@ -11,8 +11,6 @@
 //!   (useful for scripted benchmarks and chaos runs).
 //! * `--drain-timeout-ms M` — budget for the graceful drain on exit
 //!   (default 5000 ms; past it the backlog is killed with 504s).
-//! * `--stats-interval-s N` — print a one-line latency/outcome summary
-//!   every N seconds (the same data `GET /metrics` serves).
 //!
 //! Config format (paths are relative to the config file):
 //!
@@ -41,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut deadline_ms: Option<u64> = None;
     let mut run_for_s: Option<u64> = None;
     let mut drain_timeout_ms: u64 = 5000;
-    let mut stats_interval_s: Option<u64> = None;
     let mut i = 1;
     while i < args.len() {
         let take_value = |i: &mut usize| -> Result<u64, Box<dyn std::error::Error>> {
@@ -56,7 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--deadline-ms" => deadline_ms = Some(take_value(&mut i)?),
             "--run-for-s" => run_for_s = Some(take_value(&mut i)?),
             "--drain-timeout-ms" => drain_timeout_ms = take_value(&mut i)?,
-            "--stats-interval-s" => stats_interval_s = Some(take_value(&mut i)?),
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag {flag}").into());
             }
@@ -66,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let Some(config_path) = positional.first() else {
-        eprintln!("usage: sledged <config.json> [listen-addr] [--deadline-ms N] [--run-for-s N] [--drain-timeout-ms M] [--stats-interval-s N]");
+        eprintln!("usage: sledged <config.json> [listen-addr] [--deadline-ms N] [--run-for-s N] [--drain-timeout-ms M]");
         std::process::exit(2);
     };
     let listen: SocketAddr = positional
@@ -120,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(_) => {}
             // A capability-policy rejection is an operator decision, not a
             // deployment error: report it cleanly, skip the module, and keep
-            // serving the rest (the /stats counter records the rejection).
+            // serving the rest (`/metrics` counts the rejection).
             Err(RegisterError::Capability(d)) => {
                 eprintln!("module {name:?}: rejected by capability policy, skipping:");
                 eprintln!("  {d}");
@@ -190,20 +186,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     if admin {
         println!("  admin: module ingest enabled (POST /admin/modules)");
-    }
-
-    if let Some(secs) = stats_interval_s.filter(|s| *s > 0) {
-        // Periodic one-line reporter, detached: it reads metrics through a
-        // cheap handle and dies with the process.
-        let handle = rt.metrics_handle();
-        std::thread::Builder::new()
-            .name("sledged-stats".into())
-            .spawn(move || loop {
-                std::thread::sleep(Duration::from_secs(secs));
-                let report = handle.latency_report();
-                println!("[stats] {}", sledge_core::summary_line(&report));
-            })?;
-        println!("  stats summary every {secs} s");
     }
 
     match run_for_s {

@@ -62,14 +62,10 @@ pub struct RuntimeConfig {
     /// recursion) are rejected before any sandbox is created. `None`
     /// disables the check.
     pub max_stack_bytes: Option<u64>,
-    /// Serve `GET /metrics` (Prometheus text) and `GET /stats` (JSON) on
-    /// the HTTP front end. On by default; disable to reserve those routes
-    /// for functions.
-    pub metrics_routes: bool,
     /// Capacity of each function's warm sandbox pool, which workers fill
     /// by recycling the sandboxes of clean completions. 0 (the default)
     /// disables the pool: every request instantiates fresh, and the pool
-    /// series on `/metrics`, `/stats` and the summary line read zero.
+    /// series on `/metrics` and the summary line read zero.
     pub pool_size: usize,
     /// Give each function its own weighted deficit-round-robin lane on the
     /// per-worker run queues. Off (the default), every sandbox shares one
@@ -120,7 +116,6 @@ impl Default for RuntimeConfig {
             circuit_breaker: None,
             conn_idle: Duration::from_secs(10),
             max_stack_bytes: None,
-            metrics_routes: true,
             pool_size: 0,
             fairness: false,
             max_inflight: 0,
@@ -393,10 +388,14 @@ impl RuntimeConfig {
                         ConfigError::Schema("max_stack_bytes must be a non-negative int".into())
                     })?);
                 }
+                // `/metrics` is always served, and a function can no
+                // longer own any route the node answers itself.
                 "metrics_routes" => {
-                    cfg.metrics_routes = v.as_bool().ok_or_else(|| {
-                        ConfigError::Schema("metrics_routes must be a bool".into())
-                    })?;
+                    return Err(ConfigError::Schema(
+                        "config key \"metrics_routes\" is gone: /metrics is always served, \
+                         and the routes the node answers itself are reserved (ROADMAP 27(e))"
+                            .into(),
+                    ))
                 }
                 "pool_size" => {
                     cfg.pool_size = v.as_u64().ok_or_else(|| {
@@ -737,11 +736,17 @@ mod tests {
 
     #[test]
     fn metrics_routes_knob_parsed() {
-        let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
-        assert!(cfg.metrics_routes, "metrics routes default on");
-        let (cfg, _) = RuntimeConfig::from_json(r#"{"metrics_routes": false}"#).unwrap();
-        assert!(!cfg.metrics_routes);
-        assert!(RuntimeConfig::from_json(r#"{"metrics_routes": 1}"#).is_err());
+        // The knob is gone: whatever its value, the key parses to a schema
+        // error, because the exposition has no switch.
+        for value in ["true", "false", "1"] {
+            let text = format!(r#"{{"metrics_routes": {value}}}"#);
+            let err = RuntimeConfig::from_json(&text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s)
+                    if s.contains("\"metrics_routes\" is gone") && s.contains("reserved")),
+                "{text}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -174,16 +174,6 @@ impl HistogramSnapshot {
         self.sum
     }
 
-    /// Smallest recorded value, or `None` if empty.
-    pub(crate) fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded value, or `None` if empty.
-    pub(crate) fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Mean of recorded values (ns), or `None` if empty.
     pub fn mean(&self) -> Option<u64> {
         self.sum.checked_div(self.count)
@@ -264,8 +254,8 @@ mod tests {
             h.record(v);
         }
         let s = h.snapshot();
-        assert_eq!(s.min(), Some(3));
-        assert_eq!(s.max(), Some(999_999_999));
+        // The top bucket's bound is clamped to the recorded maximum.
+        assert_eq!(s.quantile(1.0), 999_999_999);
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             let est = s.quantile(q);
             assert!((3..=999_999_999).contains(&est), "q={q} est={est}");
@@ -307,8 +297,6 @@ mod tests {
     fn empty_histogram_reports_zeroes() {
         let s = Histogram::default().snapshot();
         assert_eq!(s.count(), 0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
         assert_eq!(s.mean(), None);
         assert_eq!(s.quantile(0.99), 0);
     }

@@ -81,7 +81,8 @@ pub use histogram::{bucket_bounds, bucket_of, Histogram, HistogramSnapshot, BUCK
 pub use json::{parse as parse_json, Json, JsonError};
 pub use listener::{ingest_frame, split_ingest_frame};
 pub use metrics::{
-    summary_line, FunctionReport, LatencyReport, MetricsHandle, PhaseHistograms, PhaseSnapshot,
+    escape_label, summary_line, FunctionReport, LatencyReport, MetricsHandle, PhaseHistograms,
+    PhaseSnapshot,
 };
 pub use pool::{PoolStats, PoolStatsSnapshot, SandboxPool};
 pub use registry::{FunctionId, RegisterError, RegisteredFunction};
@@ -406,13 +407,13 @@ impl Runtime {
     /// The node snapshot: counters, registry and pool totals, connection
     /// counters, and every worker's private latency shards merged into a
     /// global view plus one entry per function. It is all that
-    /// `GET /metrics`, `GET /stats` and the summary line render.
+    /// `GET /metrics` and the summary line render.
     pub fn latency_report(&self) -> LatencyReport {
         self.shared.latency_report()
     }
 
-    /// A cheap clonable handle for reading metrics from another thread
-    /// (e.g. a periodic reporter) without holding the `Runtime`.
+    /// A cheap clonable handle for reading metrics without holding the
+    /// `Runtime` (e.g. after [`Runtime::shutdown_drain`] has consumed it).
     pub fn metrics_handle(&self) -> MetricsHandle {
         MetricsHandle {
             shared: Arc::clone(&self.shared),

@@ -13,6 +13,13 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Whether the node answers `route` itself, ahead of any function: the
+/// liveness probe, the exposition, and module ingest while `admin_routes`
+/// is on. Registration refuses these routes.
+pub(crate) fn is_reserved(route: &str, admin_routes: bool) -> bool {
+    matches!(route, "/healthz" | "/metrics") || (admin_routes && route == "/admin/modules")
+}
+
 /// Connection id re-export from the HTTP layer.
 pub(crate) type ConnId = u64;
 
@@ -409,8 +416,7 @@ pub(crate) fn listener_loop(
             }
             // Nothing in flight for a while and nothing handled: wait for a
             // socket or a wake. The idle reaper still caps the wait.
-            blocked =
-                idle && !lingering && !worked && !shared.shutdown.load(Ordering::Acquire);
+            blocked = idle && !lingering && !worked && !shared.shutdown.load(Ordering::Acquire);
             let timeout = if blocked {
                 Duration::MAX
             } else {
@@ -443,29 +449,18 @@ pub(crate) fn listener_loop(
                             server.send(conn, &ingest_module(&shared, &req.body).to_bytes());
                             continue;
                         }
-                        // Observability endpoints take precedence over function
-                        // routes and are served inline on the listener thread,
-                        // which is not cheap at scale: with 592 functions on 2
-                        // workers (2-vCPU VM) the snapshot takes 4-6 ms, and
-                        // rendering ~2 ms for /stats (388 KB) or ~6 ms for
-                        // /metrics (1.5 MB), while no request is admitted.
-                        if shared.config.metrics_routes
-                            && req.method == "GET"
-                            && (req.path == "/metrics" || req.path == "/stats")
-                        {
-                            let report = shared.latency_report();
-                            let (body, ctype) = if req.path == "/metrics" {
-                                (
-                                    crate::metrics::render_prometheus(&report),
-                                    "text/plain; version=0.0.4",
-                                )
-                            } else {
-                                (crate::metrics::render_json(&report), "application/json")
-                            };
+                        // The Prometheus exposition, reserved ahead of
+                        // function routes and rendered inline on the
+                        // listener thread, which is not cheap at scale: with
+                        // 592 functions on 2 workers (2-vCPU VM) the
+                        // snapshot takes 4-6 ms and rendering ~6 ms (1.5 MB),
+                        // while no request is admitted.
+                        if req.method == "GET" && req.path == "/metrics" {
+                            let body = crate::metrics::render_prometheus(&shared.latency_report());
                             server.send(
                                 conn,
                                 &Response::ok(body.into_bytes())
-                                    .header("Content-Type", ctype)
+                                    .header("Content-Type", "text/plain; version=0.0.4")
                                     .to_bytes(),
                             );
                             continue;

@@ -1,6 +1,6 @@
 //! Invocation-lifecycle metrics: per-phase latency shards, the node
-//! snapshot [`LatencyReport`], and the `/metrics` (Prometheus text), `/stats`
-//! (JSON) and summary-line renderings of it.
+//! snapshot [`LatencyReport`], and its two renderings: the `/metrics`
+//! Prometheus text and the one-line summary.
 //!
 //! Every completed invocation is decomposed into phases (queue wait,
 //! instantiation, pure execution, preempted time, blocked time, end-to-end
@@ -159,8 +159,8 @@ impl FunctionReport {
 
 /// A point-in-time view of a node: counters, registry and pool totals,
 /// connection counters (zeros without HTTP), and the merged latency shards.
-/// Produced by [`crate::Runtime::latency_report`]; it is all that `/metrics`,
-/// `/stats` and the summary line render.
+/// Produced by [`crate::Runtime::latency_report`]; it is all that `/metrics`
+/// and the summary line render.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyReport {
     pub stats: StatsSnapshot,
@@ -168,10 +168,6 @@ pub struct LatencyReport {
     /// Warm sandbox-pool counters summed over all functions.
     pub pool: PoolStatsSnapshot,
     pub connections: ConnSnapshot,
-    /// Whether each function has its own DWRR lane.
-    pub fairness: bool,
-    /// Global in-flight cap (0 = uncapped).
-    pub max_inflight: usize,
     /// All invocations, across functions.
     pub global: PhaseSnapshot,
     /// One entry per function, in registration order.
@@ -179,8 +175,8 @@ pub struct LatencyReport {
 }
 
 /// A cheap, clonable handle for reading runtime metrics without holding the
-/// [`crate::Runtime`] itself — `sledged`'s periodic reporter thread and the
-/// bench binaries use it.
+/// [`crate::Runtime`] itself: `sledged` reads its `[final]` summary through
+/// one after the drain has consumed the runtime.
 #[derive(Clone)]
 pub struct MetricsHandle {
     pub(crate) shared: Arc<Shared>,
@@ -206,8 +202,6 @@ impl Shared {
             registry: registry.stats.snapshot(),
             pool: registry.pool_stats(),
             connections: self.http_conns.snapshot(),
-            fairness: self.config.fairness,
-            max_inflight: self.config.max_inflight,
             global: PhaseSnapshot::merge_shards(&self.phase_shards),
             per_function: registry
                 .iter()
@@ -282,6 +276,9 @@ pub(crate) fn render_prometheus(report: &LatencyReport) -> String {
     out.push_str("# HELP sledge_http_requests_total Complete HTTP requests parsed.\n");
     out.push_str("# TYPE sledge_http_requests_total counter\n");
     let _ = writeln!(out, "sledge_http_requests_total{{}} {}", c.requests);
+    out.push_str("# HELP sledge_http_responses_total HTTP responses queued for sending.\n");
+    out.push_str("# TYPE sledge_http_responses_total counter\n");
+    let _ = writeln!(out, "sledge_http_responses_total{{}} {}", c.responses);
     out.push_str("# HELP sledge_http_bytes_total Bytes moved on HTTP sockets.\n");
     out.push_str("# TYPE sledge_http_bytes_total counter\n");
     let bytes = [("in", c.bytes_in), ("out", c.bytes_out)];
@@ -308,6 +305,7 @@ pub(crate) fn render_prometheus(report: &LatencyReport) -> String {
     out.push_str("# HELP sledge_admission_total Admission-control decisions.\n");
     out.push_str("# TYPE sledge_admission_total counter\n");
     let results = [
+        ("admitted", s.admitted),
         ("shed", s.shed),
         ("budget_rejected", s.budget_rejected),
         ("slo_rejected", s.slo_rejected),
@@ -392,123 +390,8 @@ pub(crate) fn render_prometheus(report: &LatencyReport) -> String {
     out
 }
 
-/// `{"key":value,...}` over unsigned fields.
-fn json_fields(out: &mut String, fields: &[(&str, u64)]) {
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        let _ = write!(out, "{sep}\"{k}\":{v}");
-    }
-    out.push('}');
-}
-
-/// Render the JSON document served at `GET /stats`.
-pub(crate) fn render_json(report: &LatencyReport) -> String {
-    let mut out = String::with_capacity(4096);
-    let (s, c, p) = (&report.stats, &report.connections, &report.pool);
-    out.push_str("{\"counters\":");
-    json_fields(
-        &mut out,
-        &[
-            ("admitted", s.admitted),
-            ("completed", s.completed),
-            ("trapped", s.trapped),
-            ("timed_out", s.timed_out),
-            ("rejected", s.rejected),
-            ("breaker_rejected", s.breaker_rejected),
-            ("steals", s.steals),
-            ("preemptions", s.preemptions),
-            ("blocked", s.blocked),
-        ],
-    );
-    out.push_str(",\"connections\":");
-    json_fields(
-        &mut out,
-        &[
-            ("accepted", c.accepted),
-            ("closed", c.closed),
-            ("active", c.active()),
-            ("shed", c.shed),
-            ("reaped", c.reaped),
-            ("requests", c.requests),
-            ("responses", c.responses),
-            ("bytes_in", c.bytes_in),
-            ("bytes_out", c.bytes_out),
-        ],
-    );
-    out.push_str(",\"pool\":");
-    json_fields(
-        &mut out,
-        &[
-            ("capacity", p.capacity),
-            ("size", p.size),
-            ("hits", p.hits),
-            ("misses", p.misses),
-            ("recycled", p.recycled),
-            ("discarded", p.discarded),
-            ("evicted", p.evicted),
-            ("resets_elided", p.resets_elided),
-        ],
-    );
-    let (compiled, certified, rejected) = (
-        report.registry.modules_compiled,
-        report.registry.capability_certified,
-        report.registry.capability_rejected,
-    );
-    let _ = write!(
-        out,
-        ",\"modules\":{{\"compiled\":{compiled}}}\
-         ,\"capability\":{{\"certified\":{certified},\"rejected\":{rejected}}}\
-         ,\"admission\":{{\"fairness\":{},\"max_inflight\":{},\"shed\":{},\"budget_rejected\":{},\"slo_rejected\":{},\"functions\":{{",
-        report.fairness, report.max_inflight, s.shed, s.budget_rejected, s.slo_rejected
-    );
-    for (i, f) in report.per_function.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        let _ = write!(out, "{sep}\"{}\":", escape_json(&f.name));
-        let fs = &f.stats;
-        let mut fields = vec![
-            ("admitted", fs.admitted),
-            ("shed", fs.shed),
-            ("budget_rejected", fs.budget_rejected),
-            ("slo_rejected", fs.slo_rejected),
-            ("dwrr_deferrals", fs.dwrr_deferrals),
-        ];
-        fields.extend(f.budget_balance.map(|b| ("budget_balance", b)));
-        json_fields(&mut out, &fields);
-    }
-    out.push_str("}},\"global\":");
-    json_phases(&mut out, &report.global);
-    out.push_str(",\"functions\":{");
-    for (i, f) in report.per_function.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        let _ = write!(out, "{sep}\"{}\":", escape_json(&f.name));
-        json_phases(&mut out, f.phases());
-    }
-    out.push_str("}}");
-    out
-}
-
-fn json_phases(out: &mut String, snap: &PhaseSnapshot) {
-    out.push('{');
-    for (i, (phase, h)) in snap.phases().iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        let _ = write!(
-            out,
-            "{sep}\"{phase}\":{{\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
-            h.count(),
-            h.sum(),
-            h.min().unwrap_or(0),
-            h.max().unwrap_or(0),
-            h.mean().unwrap_or(0),
-            h.quantile(0.5),
-            h.quantile(0.99),
-        );
-    }
-    out.push('}');
-}
-
-/// One-line human summary (used by `sledged --stats-interval-s`): every
-/// segment, always.
+/// One-line human summary (`sledged`'s `[final]` line): every segment,
+/// always.
 pub fn summary_line(report: &LatencyReport) -> String {
     let (s, c, p, g) = (
         &report.stats,
@@ -549,24 +432,12 @@ pub fn summary_line(report: &LatencyReport) -> String {
     )
 }
 
-fn escape_label(s: &str) -> String {
-    // Prometheus label values escape backslash, quote, and newline.
+/// A Prometheus label value with its backslashes, quotes and newlines
+/// escaped, ready to sit between the quotes of `key="…"`.
+pub fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -626,9 +497,8 @@ mod tests {
         let mut unsampled = sample_report();
         unsampled.per_function[0].phases = None;
         assert_eq!(render_prometheus(&unsampled), render_prometheus(&sampled));
-        assert_eq!(render_json(&unsampled), render_json(&sampled));
-        assert!(render_json(&unsampled)
-            .contains("\"functions\":{\"echo\":{\"queue\":{\"count\":0,\"sum_ns\":0,\"min_ns\":0"));
+        assert!(render_prometheus(&unsampled)
+            .contains("sledge_phase_latency_seconds_count{function=\"echo\",phase=\"queue\"} 0\n"));
     }
 
     #[test]
@@ -651,48 +521,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_rendering_parses_and_has_expected_fields() {
-        let text = render_json(&sample_report());
-        let doc = crate::json::parse(&text).expect("valid JSON");
-        let global = doc.get("global").unwrap();
-        for phase in PHASES {
-            let p = global.get(phase).unwrap_or_else(|| panic!("phase {phase}"));
-            assert_eq!(p.get("count").unwrap().as_u64(), Some(2));
-            let p50 = p.get("p50_ns").unwrap().as_u64().unwrap();
-            let min = p.get("min_ns").unwrap().as_u64().unwrap();
-            let max = p.get("max_ns").unwrap().as_u64().unwrap();
-            assert!(p50 >= min && p50 <= max, "{phase}: {min} <= {p50} <= {max}");
-        }
-        assert!(doc.get("functions").unwrap().get("echo").is_some());
-        assert_eq!(
-            doc.get("counters")
-                .unwrap()
-                .get("completed")
-                .unwrap()
-                .as_u64(),
-            Some(0)
-        );
-    }
-
-    /// Asserts that each series is rendered in the Prometheus text, each
-    /// `section.key` reads zero in the JSON, and each segment is in the
-    /// summary line. An off subsystem moves no counter, so its section is
-    /// all zeros rather than absent.
-    fn renders_as_zeros(
-        report: &LatencyReport,
-        series: &[&str],
-        keys: &[(&str, &str)],
-        segments: &[&str],
-    ) {
+    /// Asserts that each series is rendered in the Prometheus text and each
+    /// segment is in the summary line. An off subsystem moves no counter, so
+    /// its series read zero rather than being absent.
+    fn renders_as_zeros(report: &LatencyReport, series: &[&str], segments: &[&str]) {
         let prom = render_prometheus(report);
         for s in series {
             assert!(prom.contains(s), "missing {s}\n{prom}");
-        }
-        let doc = crate::json::parse(&render_json(report)).expect("valid JSON");
-        for (section, key) in keys {
-            let v = doc.get(section).and_then(|s| s.get(key));
-            assert_eq!(v.and_then(crate::Json::as_u64), Some(0), "{section}.{key}");
         }
         let line = summary_line(report);
         for segment in segments {
@@ -711,7 +546,6 @@ mod tests {
                 "sledge_pool_size{} 0",
                 "sledge_pool_capacity{} 0",
             ],
-            &[("pool", "capacity"), ("pool", "hits")],
             &["pool hit=0"],
         );
     }
@@ -719,25 +553,19 @@ mod tests {
     #[test]
     fn disabled_fairness_renders_nothing() {
         let report = sample_report();
-        assert!(!report.fairness);
         renders_as_zeros(
             &report,
             &[
+                "sledge_admission_total{result=\"admitted\"} 0",
                 "sledge_admission_total{result=\"shed\"} 0",
                 "sledge_admission_total{function=\"echo\",result=\"admitted\"} 0",
                 "sledge_dwrr_deferrals_total{function=\"echo\"} 0",
                 "# TYPE sledge_budget_balance gauge",
             ],
-            &[("admission", "shed")],
             &["adm shed=0"],
         );
         // A function without a budget has no balance sample.
         assert!(!render_prometheus(&report).contains("sledge_budget_balance{"));
-        let doc = crate::json::parse(&render_json(&report)).expect("valid JSON");
-        let echo = doc.get("admission").unwrap().get("functions").unwrap();
-        let echo = echo.get("echo").expect("echo admission");
-        assert_eq!(echo.get("admitted").unwrap().as_u64(), Some(0));
-        assert!(echo.get("budget_balance").is_none());
     }
 
     #[test]
@@ -749,11 +577,6 @@ mod tests {
                 "sledge_capability_modules_total{verdict=\"rejected\"} 0",
                 "sledge_modules_compiled_total{} 0",
             ],
-            &[
-                ("capability", "certified"),
-                ("capability", "rejected"),
-                ("modules", "compiled"),
-            ],
             &["cap certified=0 rejected=0"],
         );
     }
@@ -764,9 +587,10 @@ mod tests {
             &sample_report(),
             &[
                 "sledge_connections_active{} 0",
+                "sledge_connections_total{event=\"accepted\"} 0",
+                "sledge_http_responses_total{} 0",
                 "sledge_http_bytes_total{direction=\"in\"} 0",
             ],
-            &[("connections", "accepted")],
             &["conns active=0"],
         );
     }
@@ -790,12 +614,6 @@ mod tests {
         assert!(text.contains("sledge_pool_events_total{event=\"reset_elided\"} 3"));
         assert!(text.contains("sledge_pool_size{} 2"));
         assert!(text.contains("sledge_pool_capacity{} 4"));
-        let json = render_json(&report);
-        let doc = crate::json::parse(&json).expect("valid JSON");
-        let pool = doc.get("pool").expect("pool object");
-        assert_eq!(pool.get("hits").unwrap().as_u64(), Some(10));
-        assert_eq!(pool.get("capacity").unwrap().as_u64(), Some(4));
-        assert_eq!(pool.get("resets_elided").unwrap().as_u64(), Some(3));
         let line = summary_line(&report);
         assert!(line.contains("pool hit=10 miss=3"), "{line}");
     }
@@ -803,11 +621,10 @@ mod tests {
     #[test]
     fn enabled_admission_renders_counters() {
         let mut report = sample_report();
+        report.stats.admitted = 40;
         report.stats.shed = 4;
         report.stats.budget_rejected = 7;
         report.stats.slo_rejected = 2;
-        report.fairness = true;
-        report.max_inflight = 16;
         let echo = &mut report.per_function[0];
         echo.stats = FunctionStatsSnapshot {
             admitted: 40,
@@ -823,15 +640,11 @@ mod tests {
         assert!(prom.contains("sledge_admission_total{function=\"echo\",result=\"admitted\"} 40"));
         assert!(prom.contains("sledge_dwrr_deferrals_total{function=\"echo\"} 9"));
         assert!(prom.contains("sledge_budget_balance{function=\"echo\"} 12345"));
-        let json = render_json(&report);
-        let doc = crate::json::parse(&json).expect("valid JSON");
-        let adm = doc.get("admission").expect("admission object");
-        assert_eq!(adm.get("shed").unwrap().as_u64(), Some(4));
-        assert_eq!(adm.get("fairness").unwrap().as_bool(), Some(true));
-        assert_eq!(adm.get("max_inflight").unwrap().as_u64(), Some(16));
-        let f = adm.get("functions").unwrap().get("echo").expect("echo");
-        assert_eq!(f.get("budget_rejected").unwrap().as_u64(), Some(7));
-        assert_eq!(f.get("budget_balance").unwrap().as_u64(), Some(12345));
+        assert!(prom.contains("sledge_admission_total{result=\"admitted\"} 40"));
+        assert!(prom.contains("sledge_admission_total{result=\"shed\"} 4"));
+        assert!(
+            prom.contains("sledge_admission_total{function=\"echo\",result=\"budget_rejected\"} 7")
+        );
         let line = summary_line(&report);
         assert!(line.contains("adm shed=4 budget=7 slo=2"), "{line}");
     }
@@ -846,13 +659,6 @@ mod tests {
         assert!(prom.contains("sledge_modules_compiled_total{} 37\n"));
         assert!(prom.contains("sledge_capability_modules_total{verdict=\"certified\"} 5"));
         assert!(prom.contains("sledge_capability_modules_total{verdict=\"rejected\"} 2"));
-        let json = render_json(&report);
-        let doc = crate::json::parse(&json).expect("valid JSON");
-        let cap = doc.get("capability").expect("capability object");
-        assert_eq!(cap.get("certified").unwrap().as_u64(), Some(5));
-        assert_eq!(cap.get("rejected").unwrap().as_u64(), Some(2));
-        let modules = doc.get("modules").expect("modules object");
-        assert_eq!(modules.get("compiled").unwrap().as_u64(), Some(37));
         let line = summary_line(&report);
         assert!(line.contains("cap certified=5 rejected=2"), "{line}");
     }
@@ -878,20 +684,14 @@ mod tests {
         assert!(prom.contains("sledge_http_requests_total{} 25"));
         assert!(prom.contains("sledge_http_bytes_total{direction=\"in\"} 4096"));
         assert!(prom.contains("sledge_http_bytes_total{direction=\"out\"} 8192"));
-        let json = render_json(&report);
-        let doc = crate::json::parse(&json).expect("valid JSON");
-        let c = doc.get("connections").expect("connections object");
-        assert_eq!(c.get("accepted").unwrap().as_u64(), Some(10));
-        assert_eq!(c.get("active").unwrap().as_u64(), Some(4));
-        assert_eq!(c.get("requests").unwrap().as_u64(), Some(25));
+        assert!(prom.contains("sledge_http_responses_total{} 24"));
         let line = summary_line(&report);
         assert!(line.contains("conns active=4 accepted=10 shed=3"), "{line}");
     }
 
     #[test]
     fn label_escaping() {
-        assert_eq!(escape_label("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        assert_eq!(escape_label("a\"b\\c\n"), "a\\\"b\\\\c\\n");
     }
 
     #[test]

@@ -133,6 +133,10 @@ pub enum RegisterError {
     DuplicateName(String),
     /// Another function already serves this HTTP route.
     DuplicateRoute(String),
+    /// The node answers this HTTP route itself, ahead of any function:
+    /// `/healthz`, `/metrics`, and `/admin/modules` while `admin_routes` is
+    /// on.
+    ReservedRoute(String),
     /// Static analysis rejected the module: error-severity lints and/or a
     /// worst-case stack bound over the configured budget.
     Analysis(Vec<Diagnostic>),
@@ -156,6 +160,9 @@ impl fmt::Display for RegisterError {
             }
             RegisterError::DuplicateName(n) => write!(f, "function {n:?} already registered"),
             RegisterError::DuplicateRoute(r) => write!(f, "route {r:?} already registered"),
+            RegisterError::ReservedRoute(r) => {
+                write!(f, "route {r:?} is served by the node itself")
+            }
             RegisterError::Analysis(diags) => {
                 write!(f, "static analysis rejected module")?;
                 for d in diags {
@@ -261,6 +268,9 @@ pub(crate) struct Registry {
     /// Cost units per µs used to convert `budget` (µs/s) into a token-
     /// bucket rate.
     calibration: u64,
+    /// Whether the node serves `POST /admin/modules`, which then reserves
+    /// that route.
+    admin_routes: bool,
     /// Load-time analysis counters.
     pub(crate) stats: RegistryStats,
 }
@@ -268,8 +278,9 @@ pub(crate) struct Registry {
 impl Registry {
     /// An empty registry that translates for `config.tier`, enforces
     /// `config.max_stack_bytes` and `config.max_check_gap`, gives every
-    /// function a pool of `config.pool_size` and sizes work budgets with
-    /// `config.cost_units_per_us`, for its whole life.
+    /// function a pool of `config.pool_size`, sizes work budgets with
+    /// `config.cost_units_per_us` and reserves the routes the node answers
+    /// under `config.admin_routes`, for its whole life.
     pub(crate) fn new(config: &RuntimeConfig) -> Self {
         Registry {
             functions: Vec::new(),
@@ -282,19 +293,22 @@ impl Registry {
             check_gap: config.max_check_gap,
             pool_capacity: config.pool_size,
             calibration: config.cost_units_per_us,
+            admin_routes: config.admin_routes,
             stats: RegistryStats::default(),
         }
     }
 
     /// The first half of a registration, which needs only read access:
-    /// refuse a taken name or route before any work is done, then look the
+    /// refuse a taken name or a taken or reserved route before any work is
+    /// done, then look the
     /// binary up in the module store. `None` is a miss, counted in
     /// `modules_compiled`: the caller builds the key (with no lock held) and
     /// hands the module to [`Registry::register_compiled`].
     ///
     /// # Errors
     ///
-    /// [`RegisterError::DuplicateName`] or [`RegisterError::DuplicateRoute`].
+    /// [`RegisterError::DuplicateName`], [`RegisterError::DuplicateRoute`]
+    /// or [`RegisterError::ReservedRoute`].
     pub(crate) fn lookup<'a>(
         &self,
         config: &FunctionConfig,
@@ -320,6 +334,9 @@ impl Registry {
             return Err(RegisterError::DuplicateName(config.name.clone()));
         }
         let route = config.http_route();
+        if crate::listener::is_reserved(&route, self.admin_routes) {
+            return Err(RegisterError::ReservedRoute(route));
+        }
         if self.by_route.contains_key(&route) {
             return Err(RegisterError::DuplicateRoute(route));
         }

@@ -7,7 +7,7 @@ use awsm::{
     decode_artifact, encode_artifact, translate_with, ArtifactError, CompiledModule, Op,
     ResetPolicy, StackBound, Tier, TranslateOptions,
 };
-use sledge_core::{ingest_frame, Runtime, RuntimeConfig};
+use sledge_core::{ingest_frame, FunctionConfig, RegisterError, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
 use sledge_http::HttpClient;
@@ -147,6 +147,54 @@ fn ingest_registers_and_serves_distributed_module() {
         .unwrap();
     assert_eq!(resp.status, 400);
     assert!(String::from_utf8_lossy(&resp.body).contains("already registered"));
+    rt.shutdown();
+}
+
+#[test]
+fn routes_the_node_answers_itself_are_reserved() {
+    // `/healthz` and `/metrics` always, and `/admin/modules` while ingest
+    // is on, are answered by the node ahead of any function, so no function
+    // may take one: not by its name, not by a route override, not through
+    // `register_wasm` and not through ingest.
+    let wasm = sledge_wasm::encode::encode_module(&echo_guest("echo"));
+    let routed = |name: &str, route: &str| FunctionConfig {
+        route: Some(route.into()),
+        ..FunctionConfig::new(name)
+    };
+    let rt = boot(true);
+    for (config, route) in [
+        (FunctionConfig::new("healthz"), "/healthz"),
+        (FunctionConfig::new("metrics"), "/metrics"),
+        (routed("m", "/metrics"), "/metrics"),
+        (routed("a", "/admin/modules"), "/admin/modules"),
+    ] {
+        let err = rt.register_wasm(config, &wasm).unwrap_err();
+        assert!(
+            matches!(err, RegisterError::ReservedRoute(ref r) if r == route),
+            "{route}: {err}"
+        );
+    }
+    let mut client = HttpClient::new(rt.http_addr().unwrap());
+    let (status, body) = push(&mut client, "metrics", "", &artifact_for(&echo_guest("m")));
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains(r#"route "/metrics" is served by the node itself"#),
+        "{body}"
+    );
+    assert_eq!(rt.function_by_name("metrics"), None);
+    let resp = client.request("GET", "/metrics", &[], b"").unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(String::from_utf8_lossy(&resp.body).contains("# TYPE sledge_invocations_total"));
+    rt.shutdown();
+
+    // With ingest off, `/admin/modules` is a route like any other.
+    let rt = boot(false);
+    rt.register_wasm(routed("a", "/admin/modules"), &wasm)
+        .unwrap();
+    let resp = HttpClient::new(rt.http_addr().unwrap())
+        .request("POST", "/admin/modules", &[], b"guest")
+        .unwrap();
+    assert_eq!((resp.status, &resp.body[..]), (200, &b"guest"[..]));
     rt.shutdown();
 }
 

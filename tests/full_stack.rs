@@ -305,10 +305,17 @@ fn deleted_names_stay_deleted() {
         "reset_from_span",
         "resets_static",
         "reset_static",
+        // One exposition format: `/metrics` is the only way to read a node
+        // or a router, and `sledged` repeats no summary on a timer.
+        "render_ring_stats",
+        "json_phases",
+        "escape_json",
+        "stats-interval-s",
+        "sledged-stats",
     ];
     // Removed config keys, which only the config parser may still name: it
     // rejects each with a pointer to what replaces it.
-    const REJECTED_KEYS: &[&str] = &["max_write_footprint_bytes"];
+    const REJECTED_KEYS: &[&str] = &["max_write_footprint_bytes", "metrics_routes"];
     let parser = std::path::Path::new("crates/core/src/config.rs");
     let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")];
     let mut found = Vec::new();
