@@ -54,12 +54,12 @@ fn run_stream(
     if pool_size > 0 {
         invoke();
     }
-    let warmed = rt.pool_stats();
+    let warmed = rt.latency_report().pool;
     for _ in 0..iters {
         invoke();
     }
     let report = rt.latency_report();
-    let mut pool = rt.pool_stats();
+    let mut pool = report.pool;
     rt.shutdown();
     pool.hits -= warmed.hits;
     pool.misses -= warmed.misses;

@@ -222,7 +222,10 @@ fn main() {
         fmt_dur(routed3_lat.p99)
     );
 
-    let spread: Vec<u64> = nodes.iter().map(|rt| rt.stats().completed).collect();
+    let spread: Vec<u64> = nodes
+        .iter()
+        .map(|rt| rt.latency_report().stats.completed)
+        .collect();
     let stats = router3.stats();
     router3.shutdown();
     for rt in nodes {

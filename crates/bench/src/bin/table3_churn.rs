@@ -139,7 +139,7 @@ fn main() {
         assert!(matches!(done.outcome, Outcome::Success(_)));
     }
     let warm_report = rt.latency_report();
-    let warm_pool = rt.pool_stats();
+    let warm_pool = warm_report.pool;
     rt.shutdown();
 
     println!("# Table 3: churn for GPS-EKF ({iters} iterations)");

@@ -20,6 +20,43 @@ fn instantiation_latency_runs_to_completion() {
     assert!(stdout.contains("pure-compute"), "{stdout}");
 }
 
+/// `table3_churn` times fork + exec + wait against sandboxes, then reads a
+/// cold and a warm-pool runtime's reports.
+#[test]
+fn table3_churn_runs_to_completion() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table3_churn"))
+        .args(["--iters", "20"])
+        .output()
+        .expect("spawn table3_churn");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "table3_churn failed ({}):\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("# warm pool: "), "{stdout}");
+}
+
+/// `ring` drives echo load directly, through a router over one node and
+/// over three, reads each node's report, and exits non-zero if the router
+/// lost a request or the ring put every route on one node.
+#[test]
+fn ring_runs_to_completion() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ring"))
+        .args(["--secs", "1"])
+        .output()
+        .expect("spawn ring");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "ring failed ({}):\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("per-node completions: "), "{stdout}");
+}
+
 /// `loadgen` drives pipelined keep-alive load at a node that also parks a
 /// herd of idle connections: the listener alternates between its busy
 /// poll and its idle blocking wait throughout. `loadgen` exits non-zero if
@@ -50,7 +87,7 @@ fn loadgen_drives_pipelined_keep_alive_load() {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(rt.connection_stats().accepted > 0);
+    assert!(rt.latency_report().connections.accepted > 0);
     let metrics = sledge_http::HttpClient::new(rt.http_addr().unwrap())
         .request("GET", "/metrics", &[], b"")
         .expect("GET /metrics");

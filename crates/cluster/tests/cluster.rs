@@ -124,7 +124,7 @@ fn distribution_pushes_certified_artifact_to_every_node() {
     }
     // Every node decoded and analysed the artifact on ingest and accepted it.
     for rt in &nodes {
-        let reg = rt.registry_stats();
+        let reg = rt.latency_report().registry;
         assert_eq!(reg.modules_verified, 1);
         assert_eq!(reg.modules_rejected, 0);
     }
@@ -143,12 +143,12 @@ fn distribution_pushes_certified_artifact_to_every_node() {
     }
     let accepted: Vec<u64> = nodes
         .iter()
-        .map(|rt| rt.connection_stats().accepted)
+        .map(|rt| rt.latency_report().connections.accepted)
         .collect();
     let pushes = router.distribute(r#"{"name": "echo2"}"#, &artifact_for(&echo_guest("echo2")));
     assert!(pushes.iter().all(|p| p.result.is_ok()), "{pushes:?}");
     for (rt, before) in nodes.iter().zip(accepted) {
-        assert_eq!(rt.connection_stats().accepted, before);
+        assert_eq!(rt.latency_report().connections.accepted, before);
     }
 
     // The module serves through the ring.
@@ -796,7 +796,7 @@ fn distribution_redials_reaped_connections_and_skips_a_gone_node() {
     // connection it holds, the router's held one included.
     let deadline = Instant::now() + Duration::from_secs(5);
     while nodes.iter().any(|rt| {
-        let conns = rt.connection_stats();
+        let conns = rt.latency_report().connections;
         conns.requests < 2 || conns.active() > 0
     }) {
         assert!(Instant::now() < deadline, "the nodes never reaped");
@@ -804,13 +804,17 @@ fn distribution_redials_reaped_connections_and_skips_a_gone_node() {
     }
     let accepted: Vec<u64> = nodes
         .iter()
-        .map(|rt| rt.connection_stats().accepted)
+        .map(|rt| rt.latency_report().connections.accepted)
         .collect();
     for p in push("echo-b") {
         assert!(p.result.is_ok(), "{}: {:?}", p.node, p.result);
     }
     for (rt, before) in nodes.iter().zip(accepted) {
-        assert_eq!(rt.connection_stats().accepted, before + 1, "one redial");
+        assert_eq!(
+            rt.latency_report().connections.accepted,
+            before + 1,
+            "one redial"
+        );
         assert!(rt.function_by_name("echo-b").is_some());
     }
     let resp = HttpClient::new(router.addr())

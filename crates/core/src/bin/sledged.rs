@@ -12,6 +12,10 @@
 //! * `--drain-timeout-ms M` — budget for the graceful drain on exit
 //!   (default 5000 ms; past it the backlog is killed with 504s).
 //!
+//! A usage error (an unknown flag, a flag without its value, a bad number
+//! or listen address) prints the usage line and exits 2; a config the node
+//! refuses exits 1.
+//!
 //! Config format (paths are relative to the config file):
 //!
 //! ```json
@@ -31,45 +35,56 @@ use sledge_core::{parse_json, FunctionConfig, Json, RegisterError, Runtime, Runt
 use std::net::SocketAddr;
 use std::time::Duration;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
+fn usage() -> ! {
+    eprintln!(
+        "usage: sledged <config.json> [listen-addr] [--deadline-ms N] [--run-for-s N] \
+         [--drain-timeout-ms M]"
+    );
+    std::process::exit(2)
+}
 
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Split flags (`--name value`) from positional arguments.
     let mut positional = Vec::new();
     let mut deadline_ms: Option<u64> = None;
     let mut run_for_s: Option<u64> = None;
     let mut drain_timeout_ms: u64 = 5000;
-    let mut i = 1;
-    while i < args.len() {
-        let take_value = |i: &mut usize| -> Result<u64, Box<dyn std::error::Error>> {
-            let flag = args[*i].clone();
-            *i += 1;
-            let v = args
-                .get(*i)
-                .ok_or_else(|| format!("{flag} requires a value"))?;
-            Ok(v.parse::<u64>().map_err(|e| format!("{flag}: {e}"))?)
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || -> u64 {
+            let Some(v) = args.next() else {
+                eprintln!("missing value for {arg}");
+                usage()
+            };
+            v.parse().unwrap_or_else(|e| {
+                eprintln!("bad number for {arg}: {v:?}: {e}");
+                usage()
+            })
         };
-        match args[i].as_str() {
-            "--deadline-ms" => deadline_ms = Some(take_value(&mut i)?),
-            "--run-for-s" => run_for_s = Some(take_value(&mut i)?),
-            "--drain-timeout-ms" => drain_timeout_ms = take_value(&mut i)?,
+        match arg.as_str() {
+            "--deadline-ms" => deadline_ms = Some(value()),
+            "--run-for-s" => run_for_s = Some(value()),
+            "--drain-timeout-ms" => drain_timeout_ms = value(),
             flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag {flag}").into());
+                eprintln!("unknown flag {flag}");
+                usage()
             }
-            _ => positional.push(args[i].clone()),
+            _ => positional.push(arg),
         }
-        i += 1;
     }
 
     let Some(config_path) = positional.first() else {
-        eprintln!("usage: sledged <config.json> [listen-addr] [--deadline-ms N] [--run-for-s N] [--drain-timeout-ms M]");
-        std::process::exit(2);
+        usage()
     };
     let listen: SocketAddr = positional
         .get(1)
         .map(String::as_str)
         .unwrap_or("127.0.0.1:8080")
-        .parse()?;
+        .parse()
+        .unwrap_or_else(|e| {
+            eprintln!("bad listen address: {e}");
+            usage()
+        });
 
     let text = std::fs::read_to_string(config_path)?;
     let (mut config, functions) = RuntimeConfig::from_json(&text)?;
@@ -101,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pool_size = config.pool_size;
     let fairness = (config.fairness, config.max_inflight);
     let admin = config.admin_routes;
-    let rt = Runtime::with_http(config, listen)?;
+    let mut rt = Runtime::with_http(config, listen)?;
     let mut loaded = 0usize;
     for (fc, wasm_rel) in functions.into_iter().zip(module_paths) {
         let Some(rel) = wasm_rel else {
@@ -132,7 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         loaded += 1;
     }
 
-    let reg = rt.registry_stats();
+    let reg = rt.latency_report().registry;
     println!(
         "verified {} module(s): {} lint warning(s), {} cost-certified, {} compiled",
         reg.modules_verified, reg.lint_warnings, reg.cost_certified, reg.modules_compiled
@@ -192,7 +207,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(secs) => {
             println!("serving for {secs} s, then draining.");
             std::thread::sleep(Duration::from_secs(secs));
-            let handle = rt.metrics_handle();
             let drained = rt.shutdown_drain(Duration::from_millis(drain_timeout_ms));
             println!(
                 "drain {}",
@@ -204,7 +218,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             println!(
                 "[final] {}",
-                sledge_core::summary_line(&handle.latency_report())
+                sledge_core::summary_line(&rt.latency_report())
             );
             Ok(())
         }

@@ -46,7 +46,7 @@ impl Json {
     }
 
     /// Numeric payload as u64 (rejects negatives and fractions).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,

@@ -25,6 +25,11 @@
 //!   worker's core-local event set and are woken by the worker's idle loop —
 //!   the libuv-analogue.
 //!
+//! A node is read through [`Runtime::latency_report`] in process, or
+//! `GET /metrics` over HTTP, which renders the same report: its counters,
+//! registry and pool totals, connection counters, merged latency phases
+//! and one entry per function. Nothing else reads a node.
+//!
 //! # Examples
 //!
 //! ```
@@ -81,16 +86,13 @@ pub use histogram::{bucket_bounds, bucket_of, Histogram, HistogramSnapshot, BUCK
 pub use json::{parse as parse_json, Json, JsonError};
 pub use listener::{ingest_frame, split_ingest_frame};
 pub use metrics::{
-    escape_label, summary_line, FunctionReport, LatencyReport, MetricsHandle, PhaseHistograms,
-    PhaseSnapshot,
+    escape_label, summary_line, FunctionReport, LatencyReport, PhaseHistograms, PhaseSnapshot,
 };
-pub use pool::{PoolStats, PoolStatsSnapshot, SandboxPool};
-pub use registry::{FunctionId, RegisterError, RegisteredFunction};
+pub use pool::PoolStatsSnapshot;
+pub use registry::{FunctionId, RegisterError};
 pub use sandbox::{Completion, Outcome, Timings};
 pub use sledge_http::ConnSnapshot;
-pub use stats::{
-    Breaker, FunctionStats, FunctionStatsSnapshot, RegistryStatsSnapshot, StatsSnapshot,
-};
+pub use stats::{Breaker, FunctionStatsSnapshot, RegistryStatsSnapshot, StatsSnapshot};
 
 use listener::{AnyResponder, Intake};
 use registry::{Binary, Registry};
@@ -379,74 +381,18 @@ impl Runtime {
         InvocationHandle { rx }
     }
 
-    /// Fire-and-forget invocation (used by load generators; only the global
-    /// counters observe the result).
-    pub fn invoke_detached(&self, id: FunctionId, body: impl Into<Vec<u8>>) {
-        self.send_intake(Intake::Invoke {
-            function: id,
-            body: body.into(),
-            responder: AnyResponder::Discard,
-        });
-    }
-
     /// Look up a function id by name.
     pub fn function_by_name(&self, name: &str) -> Option<FunctionId> {
         self.shared.registry().by_name(name).map(|rf| rf.id)
     }
 
-    /// Per-function registration info (module sizes etc.).
-    pub fn function_info(&self, id: FunctionId) -> Option<Arc<RegisteredFunction>> {
-        self.shared.registry().get(id).cloned()
-    }
-
-    /// Current counter snapshot.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
-    }
-
     /// The node snapshot: counters, registry and pool totals, connection
     /// counters, and every worker's private latency shards merged into a
-    /// global view plus one entry per function. It is all that
-    /// `GET /metrics` and the summary line render.
+    /// global view plus one entry per function. It is the one way to read a
+    /// node in process, and all that `GET /metrics` and the summary line
+    /// render.
     pub fn latency_report(&self) -> LatencyReport {
         self.shared.latency_report()
-    }
-
-    /// A cheap clonable handle for reading metrics without holding the
-    /// `Runtime` (e.g. after [`Runtime::shutdown_drain`] has consumed it).
-    pub fn metrics_handle(&self) -> MetricsHandle {
-        MetricsHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Load-time static-analysis counter snapshot (modules verified /
-    /// rejected, lint warnings, capability verdicts).
-    pub fn registry_stats(&self) -> RegistryStatsSnapshot {
-        self.shared.registry().stats.snapshot()
-    }
-
-    /// Aggregated warm sandbox-pool counters (all-zero when pooling is
-    /// disabled via `pool_size = 0`).
-    pub fn pool_stats(&self) -> PoolStatsSnapshot {
-        self.shared.registry().pool_stats()
-    }
-
-    /// Per-function counter snapshot.
-    pub fn function_stats(&self, id: FunctionId) -> Option<FunctionStatsSnapshot> {
-        self.shared.registry().get(id).map(|rf| rf.stats.snapshot())
-    }
-
-    /// Connection-lifecycle counter snapshot from the HTTP front end
-    /// (all-zero when the runtime has no HTTP listener).
-    pub fn connection_stats(&self) -> ConnSnapshot {
-        self.shared.http_conns.snapshot()
-    }
-
-    /// Number of accepted invocations whose completion has not yet been
-    /// delivered (queued, parked on I/O, or running).
-    pub fn inflight(&self) -> usize {
-        self.shared.inflight.load(Ordering::Acquire)
     }
 
     /// Stop accepting new work without stopping execution. Subsequent
@@ -471,7 +417,10 @@ impl Runtime {
     /// every running sandbox at once and every straggler still receives a
     /// `TimedOut` completion (within a short grace) before the threads are
     /// joined, so no accepted invocation is left without an answer.
-    pub fn shutdown_drain(mut self, timeout: Duration) -> bool {
+    ///
+    /// The runtime stays readable: [`Runtime::latency_report`] then reports
+    /// the drained node, and dropping it joins nothing.
+    pub fn shutdown_drain(&mut self, timeout: Duration) -> bool {
         self.begin_drain();
         let deadline = Instant::now() + timeout;
         let drained = loop {
@@ -529,5 +478,236 @@ impl Drop for Runtime {
         if !self.threads.is_empty() {
             self.shutdown_inner();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! What a node's report cannot show: which module a function runs, its
+    //! own pool and latency shards, and its breaker and budget driven to
+    //! states a test cannot wait for.
+
+    use super::*;
+    use registry::RegisteredFunction;
+    use sledge_guestc::dsl::*;
+    use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
+    use sledge_wasm::module::Module;
+    use sledge_wasm::types::ValType;
+    use std::sync::Barrier;
+
+    /// The registered function behind `id`.
+    fn function(rt: &Runtime, id: FunctionId) -> Arc<RegisteredFunction> {
+        Arc::clone(rt.shared.registry().get(id).expect("registered"))
+    }
+
+    /// `n` straight-line stores: a translation that is long next to a
+    /// request.
+    fn slow_to_translate(n: i32) -> Module {
+        let mut mb = ModuleBuilder::new("slow");
+        mb.memory(1, Some(1));
+        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+        for i in 0..n {
+            f.push(store(
+                Scalar::I32,
+                i32c((i % 8000) * 4),
+                0,
+                mul(i32c(i), i32c(3)),
+            ));
+        }
+        f.push(ret(Some(i32c(0))));
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        mb.build().unwrap()
+    }
+
+    /// Block in `io_delay` for the µs given by the body's first 4 bytes
+    /// (LE), then respond "w".
+    fn io_sleeper() -> Module {
+        let mut mb = ModuleBuilder::new("sleeper");
+        mb.memory(1, Some(1));
+        let req_read = mb.import_func(
+            "env",
+            "request_read",
+            &[ValType::I32, ValType::I32, ValType::I32],
+            Some(ValType::I32),
+        );
+        let io_delay = mb.import_func("env", "io_delay", &[ValType::I32], Some(ValType::I32));
+        let resp_write = mb.import_func(
+            "env",
+            "response_write",
+            &[ValType::I32, ValType::I32],
+            Some(ValType::I32),
+        );
+        let mut f = FuncBuilder::new(&[], Some(ValType::I32));
+        f.extend([
+            exec(call(req_read, vec![i32c(0), i32c(4), i32c(0)])),
+            exec(call(io_delay, vec![load(Scalar::I32, i32c(0), 0)])),
+            store(Scalar::U8, i32c(16), 0, i32c('w' as i32)),
+            exec(call(resp_write, vec![i32c(16), i32c(1)])),
+            ret(Some(i32c(0))),
+        ]);
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        mb.build().unwrap()
+    }
+
+    #[test]
+    fn racing_registrations_of_one_binary_share_one_module() {
+        let wasm = sledge_wasm::encode::encode_module(&slow_to_translate(2000));
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let barrier = Barrier::new(2);
+        let ids: Vec<FunctionId> = std::thread::scope(|s| {
+            let racers: Vec<_> = ["r0", "r1"]
+                .into_iter()
+                .map(|name| {
+                    let (rt, wasm, barrier) = (&rt, &wasm, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        rt.register_wasm(FunctionConfig::new(name), wasm).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let (a, b) = (function(&rt, ids[0]), function(&rt, ids[1]));
+        // Both may have missed and translated; the loser's module was dropped.
+        assert!(Arc::ptr_eq(&a.module, &b.module));
+        assert!((1..=2).contains(&rt.latency_report().registry.modules_compiled));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn tenants_sharing_a_module_keep_their_own_pools() {
+        let wasm = sledge_wasm::encode::encode_module(&sledge_apps::echo::module());
+        let plain = RuntimeConfig {
+            workers: 2,
+            pool_size: 4,
+            ..Default::default()
+        };
+        let armed = RuntimeConfig {
+            fairness: true,
+            max_inflight: 1024,
+            ..plain.clone()
+        };
+        for (label, cfg) in [("plain", plain), ("armed", armed)] {
+            let rt = Runtime::new(cfg);
+            let a = rt
+                .register_wasm(FunctionConfig::new("tenant-a"), &wasm)
+                .unwrap();
+            let b = rt
+                .register_wasm(FunctionConfig::new("tenant-b"), &wasm)
+                .unwrap();
+            let (fa, fb) = (function(&rt, a), function(&rt, b));
+            assert!(Arc::ptr_eq(&fa.module, &fb.module), "{label}");
+            for i in 0..12u8 {
+                for id in [a, b] {
+                    let done = rt.invoke(id, vec![i; 8]).wait().unwrap();
+                    assert!(matches!(done.outcome, Outcome::Success(_)), "{label}");
+                }
+            }
+            let (pa, pb) = (fa.pool.snapshot(), fb.pool.snapshot());
+            let total = rt.latency_report().pool;
+            rt.shutdown();
+            for (tag, p) in [('A', pa), ('B', pb)] {
+                assert_eq!(p.hits + p.misses, 12, "{label} {tag}: {p:?}");
+                assert_eq!(p.recycled, 12, "{label} {tag}: {p:?}");
+                assert!(p.hits >= 1, "{label} {tag}: never recycled: {p:?}");
+            }
+            assert_eq!(total.hits, pa.hits + pb.hits, "{label}");
+            assert_eq!(total.misses, pa.misses + pb.misses, "{label}");
+        }
+    }
+
+    #[test]
+    fn a_request_rejected_before_execution_allocates_no_shards() {
+        let breaker = BreakerConfig {
+            threshold: 1,
+            cooldown: Duration::from_secs(60),
+        };
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            max_inflight: 4,
+            circuit_breaker: Some(breaker),
+            ..Default::default()
+        });
+        let sleeper = rt
+            .register_module(FunctionConfig::new("sleeper"), &io_sleeper())
+            .unwrap();
+        // Priority class 0 is shed once anything is in flight.
+        let mut low = FunctionConfig::new("low");
+        low.priority = 0;
+        let low = rt
+            .register_module(low, &sledge_apps::echo::module())
+            .unwrap();
+        let tripped = rt
+            .register_module(FunctionConfig::new("tripped"), &sledge_apps::echo::module())
+            .unwrap();
+        // The queue-SLO gate reads this function's (absent) queue samples,
+        // then its empty budget rejects it.
+        let mut broke = FunctionConfig::new("broke");
+        broke.budget_us_per_s = Some(1);
+        broke.queue_slo = Some(Duration::from_nanos(1));
+        let broke = rt
+            .register_module(broke, &sledge_apps::echo::module())
+            .unwrap();
+
+        // In-flight shed: the sleeper holds the only slot class 0 gets.
+        let parked = rt.invoke(sleeper, 200_000u32.to_le_bytes().to_vec());
+        let shed = rt.invoke(low, &b"x"[..]).wait().unwrap();
+        assert!(
+            matches!(shed.outcome, Outcome::Throttled { why, .. } if why.contains("in-flight")),
+            "{:?}",
+            shed.outcome
+        );
+        assert!(matches!(
+            parked.wait().unwrap().outcome,
+            Outcome::Success(_)
+        ));
+
+        // Open breaker and empty budget, each stamped far in the future so
+        // no cooldown or refill arrives while the test runs.
+        let future_ns = u64::MAX / 2;
+        let rf = function(&rt, tripped);
+        rf.stats.breaker.record(Some(&breaker), false, future_ns);
+        let open = rt.invoke(tripped, &b"x"[..]).wait().unwrap();
+        assert!(
+            matches!(open.outcome, Outcome::CircuitOpen { .. }),
+            "{:?}",
+            open.outcome
+        );
+        let rf = function(&rt, broke);
+        rf.budget.as_ref().unwrap().true_up(0, u64::MAX, future_ns);
+        let empty = rt.invoke(broke, &b"x"[..]).wait().unwrap();
+        assert!(
+            matches!(empty.outcome, Outcome::Throttled { why, .. } if why.contains("budget")),
+            "{:?}",
+            empty.outcome
+        );
+
+        for id in [low, tripped, broke] {
+            let rf = function(&rt, id);
+            assert!(rf.shards().is_empty(), "{} has shards", rf.config.name);
+        }
+        assert_eq!(function(&rt, sleeper).shards().len(), 2);
+        let stats = rt.latency_report().stats;
+        assert_eq!(
+            (stats.shed, stats.breaker_rejected, stats.budget_rejected),
+            (1, 1, 1)
+        );
+        assert_eq!(stats.slo_rejected, 0);
+        let report = rt.latency_report();
+        let executed = stats.completed + stats.trapped + stats.timed_out;
+        assert_eq!(executed, 1);
+        assert_eq!(report.global.count(), executed);
+        let counts: Vec<u64> = report
+            .per_function
+            .iter()
+            .map(|f| f.phases().count())
+            .collect();
+        assert_eq!(counts, [1, 0, 0, 0]);
+        rt.shutdown();
     }
 }

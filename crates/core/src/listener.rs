@@ -35,7 +35,7 @@ pub(crate) enum AnyResponder {
         /// Channel back to the listener.
         reply: Sender<(ConnId, Vec<u8>)>,
     },
-    /// Fire-and-forget (load generation).
+    /// No one to answer: what [`Sandbox::responder_take`] leaves behind.
     Discard,
 }
 

@@ -25,7 +25,7 @@ use crate::stats::{FunctionStatsSnapshot, RegistryStatsSnapshot, StatsSnapshot};
 use crate::Shared;
 use sledge_http::ConnSnapshot;
 use std::fmt::Write;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The lifecycle phases a latency sample is split into, in render order.
 pub(crate) const PHASES: [&str; 6] = [
@@ -172,21 +172,6 @@ pub struct LatencyReport {
     pub global: PhaseSnapshot,
     /// One entry per function, in registration order.
     pub per_function: Vec<FunctionReport>,
-}
-
-/// A cheap, clonable handle for reading runtime metrics without holding the
-/// [`crate::Runtime`] itself: `sledged` reads its `[final]` summary through
-/// one after the drain has consumed the runtime.
-#[derive(Clone)]
-pub struct MetricsHandle {
-    pub(crate) shared: Arc<Shared>,
-}
-
-impl MetricsHandle {
-    /// The node snapshot (see [`crate::Runtime::latency_report`]).
-    pub fn latency_report(&self) -> LatencyReport {
-        self.shared.latency_report()
-    }
 }
 
 impl Shared {

@@ -27,24 +27,24 @@ use std::sync::Mutex;
 
 /// Monotonic pool counters, updated lock-free by the listener and workers.
 #[derive(Debug, Default)]
-pub struct PoolStats {
+pub(crate) struct PoolStats {
     /// Acquires served from the pool (warm path).
-    pub hits: AtomicU64,
+    pub(crate) hits: AtomicU64,
     /// Acquires that found the pool empty (cold path).
-    pub misses: AtomicU64,
+    pub(crate) misses: AtomicU64,
     /// Sandboxes reset and returned to the pool after a clean completion.
-    pub recycled: AtomicU64,
+    pub(crate) recycled: AtomicU64,
     /// Sandboxes rejected from recycling (unclean outcome, reset failure,
     /// or a drained pool).
-    pub discarded: AtomicU64,
+    pub(crate) discarded: AtomicU64,
     /// Clean sandboxes dropped because the pool was already full.
-    pub evicted: AtomicU64,
+    pub(crate) evicted: AtomicU64,
     /// Subset of `recycled` whose reset was elided entirely (entry point
     /// certified `Pure`, memory proven already pristine).
-    pub resets_elided: AtomicU64,
+    pub(crate) resets_elided: AtomicU64,
 }
 
-/// A point-in-time copy of [`PoolStats`], plus the pool's capacity and
+/// A point-in-time copy of a pool's counters, plus its capacity and
 /// current occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStatsSnapshot {
@@ -89,7 +89,7 @@ impl PoolStatsSnapshot {
 /// A bounded, LIFO pool of reset-and-ready instances for one registered
 /// function. LIFO keeps the hottest (most recently touched, cache-warm)
 /// instance on top.
-pub struct SandboxPool {
+pub(crate) struct SandboxPool {
     capacity: usize,
     /// Parked instances; `None` once [`drain`](Self::drain) has closed the
     /// pool.
@@ -101,7 +101,7 @@ pub struct SandboxPool {
     /// whenever the certificate's preconditions do not hold.
     reset_policy: ResetPolicy,
     /// Counters; see [`PoolStats`].
-    pub stats: PoolStats,
+    pub(crate) stats: PoolStats,
 }
 
 impl fmt::Debug for SandboxPool {
@@ -205,7 +205,7 @@ impl SandboxPool {
     }
 
     /// Counters plus capacity and current occupancy.
-    pub fn snapshot(&self) -> PoolStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> PoolStatsSnapshot {
         PoolStatsSnapshot {
             capacity: self.capacity as u64,
             size: self.size() as u64,

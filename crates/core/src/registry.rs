@@ -31,17 +31,15 @@ pub struct FunctionId(pub(crate) u32);
 
 /// A registered, fully translated function.
 #[derive(Debug)]
-pub struct RegisteredFunction {
+pub(crate) struct RegisteredFunction {
     /// Registry id.
-    pub id: FunctionId,
+    pub(crate) id: FunctionId,
     /// Configuration (name, route, entry).
-    pub config: FunctionConfig,
+    pub(crate) config: FunctionConfig,
     /// The shared, immutable translated module.
-    pub module: Arc<CompiledModule>,
-    /// Size of the uploaded `.wasm` binary in bytes.
-    pub wasm_size: usize,
+    pub(crate) module: Arc<CompiledModule>,
     /// Per-function counters, updated by the workers.
-    pub stats: FunctionStats,
+    pub(crate) stats: FunctionStats,
     /// Per-worker latency shards for this function, allocated by its first
     /// recorded sample (then one entry per worker; worker `i` writes only
     /// entry `i`). Readers merge on demand and never allocate: a function
@@ -49,14 +47,14 @@ pub struct RegisteredFunction {
     shards: OnceLock<Box<[PhaseHistograms]>>,
     /// Warm sandbox pool (capacity 0 = disabled; see
     /// [`crate::RuntimeConfig::pool_size`]).
-    pub pool: SandboxPool,
+    pub(crate) pool: SandboxPool,
     /// Tokens charged against the work budget at admission: the entry
     /// point's statically certified cost (`FuncCost::total_cost`, at least
     /// 1).
-    pub admission_cost: u64,
+    pub(crate) admission_cost: u64,
     /// Work-budget token bucket, armed by the `budget` config knob
     /// (rate = `budget_us_per_s` × the calibrated `cost_units_per_us`).
-    pub budget: Option<TokenBucket>,
+    pub(crate) budget: Option<TokenBucket>,
     /// Cached queue-phase p99 for SLO admission (merging every worker
     /// shard per request would be too hot for the admission path).
     queue_p99: QueueP99Cache,
@@ -81,7 +79,7 @@ impl RegisteredFunction {
 
     /// This function's latency shards: one per worker once it has recorded a
     /// sample, none before.
-    pub fn shards(&self) -> &[PhaseHistograms] {
+    pub(crate) fn shards(&self) -> &[PhaseHistograms] {
         self.shards.get().map_or(&[], |shards| shards)
     }
 
@@ -407,7 +405,6 @@ impl Registry {
             id,
             config,
             module: Arc::clone(&module),
-            wasm_size: key.bytes().len(),
             stats: FunctionStats::default(),
             shards: OnceLock::new(),
             pool: SandboxPool::with_policy(self.pool_capacity, reset_policy),
@@ -594,7 +591,6 @@ mod tests {
         assert!(r.by_name("seven").is_some());
         assert!(r.by_route("/seven").is_some());
         assert!(r.by_name("eight").is_none());
-        assert_eq!(r.get(id).unwrap().wasm_size, wasm.len());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Global runtime counters, exported for tests, examples, and benchmarks,
-//! plus the circuit breaker state machine.
+//! The node's, the registry's and each function's counters, whose
+//! snapshots a `LatencyReport` carries, plus the circuit breaker state
+//! machine.
 
 use crate::config::BreakerConfig;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -88,15 +89,6 @@ pub struct StatsSnapshot {
     pub blocked: u64,
     pub instantiation_ns: u64,
     pub execution_ns: u64,
-}
-
-impl StatsSnapshot {
-    /// Mean instantiation time, if any requests were admitted.
-    pub fn mean_instantiation(&self) -> Option<Duration> {
-        self.instantiation_ns
-            .checked_div(self.admitted)
-            .map(Duration::from_nanos)
-    }
 }
 
 /// Load-time static-analysis counters, updated by the registry as modules
@@ -282,28 +274,28 @@ impl Breaker {
 
 /// Per-function counters, attached to each registered function.
 #[derive(Debug, Default)]
-pub struct FunctionStats {
+pub(crate) struct FunctionStats {
     /// Requests admitted past every admission gate (dispatched to a worker).
-    pub admitted: AtomicU64,
+    pub(crate) admitted: AtomicU64,
     /// Requests shed (429) by the global in-flight cap.
-    pub shed: AtomicU64,
+    pub(crate) shed: AtomicU64,
     /// Requests rejected (429) on an empty work budget.
-    pub budget_rejected: AtomicU64,
+    pub(crate) budget_rejected: AtomicU64,
     /// Requests rejected (429) on a blown queue-phase p99 SLO.
-    pub slo_rejected: AtomicU64,
+    pub(crate) slo_rejected: AtomicU64,
     /// Times a DWRR lane holding this function's work was passed over
     /// because its deficit was spent (a measure of fairness pressure).
-    pub dwrr_deferrals: AtomicU64,
+    pub(crate) dwrr_deferrals: AtomicU64,
     /// Requests completed successfully.
-    pub completed: AtomicU64,
+    pub(crate) completed: AtomicU64,
     /// Requests that trapped.
-    pub trapped: AtomicU64,
+    pub(crate) trapped: AtomicU64,
     /// Requests killed at their execution deadline.
-    pub timed_out: AtomicU64,
+    pub(crate) timed_out: AtomicU64,
     /// Total guest execution time in nanoseconds.
-    pub execution_ns: AtomicU64,
+    pub(crate) execution_ns: AtomicU64,
     /// The function's circuit breaker: traps and timeouts are its failures.
-    pub breaker: Breaker,
+    pub(crate) breaker: Breaker,
 }
 
 impl FunctionStats {
@@ -324,7 +316,7 @@ impl FunctionStats {
     }
 }
 
-/// A point-in-time copy of [`FunctionStats`].
+/// A point-in-time copy of a function's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FunctionStatsSnapshot {
     pub admitted: u64,
@@ -337,14 +329,6 @@ pub struct FunctionStatsSnapshot {
     pub timed_out: u64,
     pub execution_ns: u64,
     pub breaker_trips: u64,
-}
-
-impl FunctionStatsSnapshot {
-    /// Mean guest execution time per completed request.
-    pub fn mean_execution(&self) -> Option<Duration> {
-        let n = self.completed + self.trapped + self.timed_out;
-        self.execution_ns.checked_div(n).map(Duration::from_nanos)
-    }
 }
 
 #[cfg(test)]

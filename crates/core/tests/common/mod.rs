@@ -5,7 +5,10 @@
 //! gets which. Each suite uses a subset of this module.
 #![allow(dead_code)]
 
-use sledge_core::{FunctionConfig, FunctionId, InvocationHandle, Runtime, RuntimeConfig};
+use sledge_core::{
+    FunctionConfig, FunctionId, FunctionReport, FunctionStatsSnapshot, InvocationHandle,
+    LatencyReport, Runtime, RuntimeConfig,
+};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar, Stmt};
 use sledge_testkit::Rng;
@@ -25,6 +28,20 @@ pub fn plain_and_armed(base: RuntimeConfig) -> [(&'static str, RuntimeConfig); 2
         ..base.clone()
     };
     [("plain", base), ("armed", armed)]
+}
+
+/// The report entry of the function registered as `name`.
+pub fn function<'a>(report: &'a LatencyReport, name: &str) -> &'a FunctionReport {
+    report
+        .per_function
+        .iter()
+        .find(|f| f.name == name)
+        .unwrap_or_else(|| panic!("no function {name:?} in the report"))
+}
+
+/// The counters of the function registered as `name`, read now.
+pub fn stats_of(rt: &Runtime, name: &str) -> FunctionStatsSnapshot {
+    function(&rt.latency_report(), name).stats
 }
 
 /// What one chaos request does.

@@ -175,7 +175,7 @@ fn http_budget_exhaustion_answers_429_with_retry_after() {
     }
     assert!(saw_429, "budget never rejected over HTTP");
 
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     assert!(stats.budget_rejected > 0);
     rt.shutdown();
 }
@@ -210,12 +210,12 @@ fn low_priority_is_shed_before_high_priority() {
         .map(|_| rt.invoke(sleepy, 500_000u32.to_le_bytes().to_vec()))
         .collect();
     let t0 = Instant::now();
-    while rt.inflight() < 2 {
+    while rt.latency_report().stats.admitted < 2 {
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "sleepers never became in-flight"
         );
-        std::thread::yield_now();
+        std::thread::sleep(Duration::from_millis(1));
     }
 
     let shed = rt.invoke(low, &b"x"[..]).wait().expect("completion");
@@ -243,9 +243,9 @@ fn low_priority_is_shed_before_high_priority() {
         );
     }
 
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     assert!(stats.shed >= 1);
-    let low_stats = rt.function_stats(low).unwrap();
+    let low_stats = common::stats_of(&rt, "low");
     assert!(low_stats.shed >= 1);
     assert_eq!(low_stats.completed, 0);
     rt.shutdown();
@@ -295,7 +295,7 @@ fn queue_slo_gate_rejects_when_p99_is_blown() {
         }
         other => panic!("blown SLO not rejected: {other:?}"),
     }
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     assert!(stats.slo_rejected >= 1);
     rt.shutdown();
 }
@@ -337,9 +337,8 @@ fn dwrr_contended_tenants_all_complete() {
         );
     }
 
-    let stats = rt.stats();
-    assert_eq!(stats.completed, 40);
     let report = rt.latency_report();
+    assert_eq!(report.stats.completed, 40);
     assert_eq!(report.per_function.len(), 2);
     rt.shutdown();
 }
@@ -385,13 +384,13 @@ fn fairness_key_chooses_one_shared_lane_or_one_per_function() {
                 done.timings.arrival + done.timings.total
             })
             .collect();
-        let deferrals = |id| rt.function_stats(id).unwrap().dwrr_deferrals;
+        let deferrals = |name| common::stats_of(&rt, name).dwrr_deferrals;
         let last = |parity| done_at.iter().skip(parity).step_by(2).max().copied();
         if fairness {
             // Per-function lanes: the weight-1 lane is passed over while
             // the weight-8 lane spends its larger share, so the heavy
             // function finishes its backlog first.
-            assert!(deferrals(light) > 0, "light lane never deferred");
+            assert!(deferrals("light") > 0, "light lane never deferred");
             assert!(last(0) < last(1), "heavy did not finish first");
         } else {
             // One shared lane: plain round-robin in arrival order, so
@@ -400,8 +399,8 @@ fn fairness_key_chooses_one_shared_lane_or_one_per_function() {
                 done_at.windows(2).all(|w| w[0] < w[1]),
                 "completions out of submission order"
             );
-            assert_eq!(deferrals(heavy), 0);
-            assert_eq!(deferrals(light), 0);
+            assert_eq!(deferrals("heavy"), 0);
+            assert_eq!(deferrals("light"), 0);
         }
         rt.shutdown();
     }
@@ -470,10 +469,9 @@ fn burst_faults_still_deliver_exactly_one_completion_each() {
         assert!(matches!(o, Outcome::Success(_)), "#{i}: {o:?}");
     }
 
-    let stats = rt.stats();
     let report = rt.latency_report();
     rt.shutdown();
-    assert_eq!(stats.completed, M as u64);
+    assert_eq!(report.stats.completed, M as u64);
     assert_eq!(report.global.count(), M as u64);
 }
 
@@ -494,7 +492,7 @@ fn defaults_leave_admission_machinery_dark() {
         let done = rt.invoke(echo, &b"ping"[..]).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Success(_)));
     }
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.budget_rejected, 0);
     assert_eq!(stats.slo_rejected, 0);

@@ -110,7 +110,7 @@ fn a_registered_function_costs_under_a_kib_before_it_runs() {
         per_function <= PIN_BYTES_PER_FUNCTION,
         "{per_function} B per registered function (pin {PIN_BYTES_PER_FUNCTION} B)"
     );
-    assert_eq!(rt.registry_stats().modules_compiled, 37);
+    assert_eq!(rt.latency_report().registry.modules_compiled, 37);
     rt.shutdown();
 }
 
@@ -149,26 +149,32 @@ fn a_first_sample_allocates_the_shards_once() {
     let _measuring = measuring();
     let (rt, pings) = catalogue_node();
     let fresh = pings[1];
-    let rf = rt.function_info(fresh).unwrap();
-    assert!(rf.shards().is_empty(), "shards allocated at registration");
+    let samples = |rt: &Runtime| -> Vec<u64> {
+        let report = rt.latency_report();
+        let count = |name: String| {
+            let f = report.per_function.iter().find(|f| f.name == name);
+            f.expect("registered").phases().count()
+        };
+        (0..TENANTS).map(|t| count(format!("t{t}-ping"))).collect()
+    };
+    assert_eq!(samples(&rt), [0; TENANTS]);
     watch(SHARD_BYTES);
     let before = AllocCounts::now();
     invoke_ok(&rt, fresh);
     let first = AllocCounts::now().since(before);
+    // One allocation of exactly one shard per worker: registration made
+    // none, and the first sample made them all.
     assert_eq!(first.watched, 1, "first sample: {first:?}");
     assert!(first.bytes >= SHARD_BYTES as u64, "{first:?}");
-    assert_eq!(rf.shards().len(), WORKERS);
     let before = AllocCounts::now();
     invoke_ok(&rt, fresh);
     let second = AllocCounts::now().since(before);
     assert_eq!(second.watched, 0, "second sample: {second:?}");
     watch(0);
-    // Only the sampled function has shards.
-    let sampled: Vec<bool> = pings
-        .iter()
-        .map(|&id| !rt.function_info(id).unwrap().shards().is_empty())
-        .collect();
-    assert_eq!(sampled.iter().filter(|&&s| s).count(), 1);
+    // Only the sampled function has samples.
+    let mut expected = [0; TENANTS];
+    expected[1] = 2;
+    assert_eq!(samples(&rt), expected);
     rt.shutdown();
 }
 
@@ -200,10 +206,11 @@ fn racing_first_samples_allocate_once() {
     watch(0);
     assert_eq!(raced.watched, FRESH as u64, "{raced:?}");
     let report = rt.latency_report();
-    for (id, f) in ids.iter().zip(&report.per_function) {
-        let rf = rt.function_info(*id).unwrap();
-        assert_eq!(rf.shards().len(), WORKERS);
-        let s = rt.function_stats(*id).unwrap();
+    // `raced.watched` counted one allocation of a worker's worth of shards
+    // per function.
+    assert_eq!(report.per_function.len(), FRESH);
+    for f in &report.per_function {
+        let s = f.stats;
         assert_eq!(f.phases().count(), s.completed + s.trapped + s.timed_out);
         assert_eq!(f.phases().count(), 2, "{}", f.name);
     }

@@ -140,8 +140,8 @@ fn connection_churn_loses_no_completions_or_samples() {
         // hold before the listener has accepted the last such connection.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let conns = rt.connection_stats();
-            let stats = rt.stats();
+            let report = rt.latency_report();
+            let (conns, stats) = (report.connections, report.stats);
             if conns.accepted == CONNS && conns.active() == 0 && stats.completed == surfaced {
                 break;
             }
@@ -157,7 +157,8 @@ fn connection_churn_loses_no_completions_or_samples() {
 
         // Exactly-one-completion: every surfaced request ran to completion,
         // none duplicated, none stranded by a dead client socket.
-        let stats = rt.stats();
+        let report = rt.latency_report();
+        let stats = report.stats;
         assert_eq!(stats.admitted, surfaced);
         assert_eq!(stats.completed, surfaced);
         assert_eq!(stats.trapped, 0);
@@ -165,11 +166,10 @@ fn connection_churn_loses_no_completions_or_samples() {
 
         // No phase-sample loss: the latency pipeline recorded every completion
         // even when the response write found a reset socket.
-        let report = rt.latency_report();
         assert_eq!(report.global.count(), surfaced, "phase samples lost");
 
         // Connection accounting closes the books.
-        let conns = rt.connection_stats();
+        let conns = report.connections;
         assert_eq!(conns.accepted, CONNS);
         assert_eq!(conns.closed, CONNS);
         assert_eq!(conns.requests, surfaced);

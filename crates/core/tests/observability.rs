@@ -301,8 +301,8 @@ fn stress_loses_no_samples() {
         });
         assert_eq!(completions.len(), M);
 
-        let stats = rt.stats();
         let report = rt.latency_report();
+        let stats = report.stats;
         rt.shutdown();
 
         let executed = stats.completed + stats.trapped + stats.timed_out;
@@ -373,8 +373,8 @@ fn rejected_requests_record_no_phase_samples() {
     assert!(succeeded >= 1, "bucket never admitted anything");
     assert!(throttled > 0, "tiny budget produced no throttles");
 
-    let stats = rt.stats();
     let report = rt.latency_report();
+    let stats = report.stats;
     rt.shutdown();
 
     assert_eq!(stats.completed, succeeded);
@@ -911,6 +911,31 @@ fn sledged_refuses_a_config_that_reuses_a_route_or_a_name() {
         let (code, stderr) = sledged_exit(tag, &config, &[]);
         assert_eq!(code, Some(1), "{tag}: {stderr}");
         assert!(stderr.contains(expect), "{tag}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{tag}: {stderr}");
+    }
+}
+
+#[test]
+fn sledged_usage_errors_exit_2_with_the_usage_line() {
+    // A typo on the command line is not a refused deployment: it prints the
+    // usage line and exits 2, where a config the node refuses exits 1.
+    for (tag, args, expect) in [
+        ("unknown", &["--bogus"][..], "unknown flag --bogus"),
+        (
+            "missing",
+            &["--deadline-ms"][..],
+            "missing value for --deadline-ms",
+        ),
+        (
+            "number",
+            &["--deadline-ms", "x"][..],
+            "bad number for --deadline-ms",
+        ),
+    ] {
+        let (code, stderr) = sledged_exit(tag, r#"{"modules": []}"#, args);
+        assert_eq!(code, Some(2), "{tag}: {stderr}");
+        assert!(stderr.contains(expect), "{tag}: {stderr}");
+        assert!(stderr.contains("usage: sledged"), "{tag}: {stderr}");
     }
 }
 
@@ -921,6 +946,7 @@ fn sledged_has_no_periodic_reporter() {
     // name is assembled so the deleted-names guard finds no copy here.
     let flag = ["--stats", "interval", "s"].join("-");
     let (code, stderr) = sledged_exit("flag", r#"{"modules": []}"#, &[&flag, "1"]);
-    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    assert!(stderr.contains("usage: sledged"), "{stderr}");
 }

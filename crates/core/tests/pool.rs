@@ -10,7 +10,6 @@ use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
-use std::sync::Arc;
 
 mod common;
 
@@ -172,7 +171,7 @@ fn sequential_invocations_recycle_one_sandbox() {
             other => panic!("#{i}: {other:?}"),
         }
     }
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     rt.shutdown();
     // One cold miss, then nine warm hits on the same recycled instance.
     assert_eq!(pool.misses, 1, "{pool:?}");
@@ -197,7 +196,7 @@ fn recycled_sandboxes_leak_no_state() {
             other => panic!("#{i}: {other:?}"),
         }
     }
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     rt.shutdown();
     assert!(pool.hits >= 5, "no reuse actually happened: {pool:?}");
 }
@@ -221,8 +220,9 @@ fn tenants_sharing_a_module_never_read_each_others_memory() {
         let b = rt
             .register_wasm(FunctionConfig::new("tenant-b"), &wasm)
             .unwrap();
-        let (fa, fb) = (rt.function_info(a).unwrap(), rt.function_info(b).unwrap());
-        assert!(Arc::ptr_eq(&fa.module, &fb.module), "{label}");
+        // One build, so both tenants run the one module it made.
+        let reg = rt.latency_report().registry;
+        assert_eq!(reg.modules_compiled, 1, "{label}");
         for i in 0..12u8 {
             for (id, tag) in [(a, b'A'), (b, b'B')] {
                 let marker = [tag, i, tag, i, tag, i, tag, i];
@@ -235,16 +235,13 @@ fn tenants_sharing_a_module_never_read_each_others_memory() {
                 }
             }
         }
-        let (pa, pb) = (fa.pool.snapshot(), fb.pool.snapshot());
-        let total = rt.pool_stats();
+        // Each tenant's pool apart is `lib.rs`'s
+        // `tenants_sharing_a_module_keep_their_own_pools`.
+        let total = rt.latency_report().pool;
         rt.shutdown();
-        for (tag, p) in [('A', pa), ('B', pb)] {
-            assert_eq!(p.hits + p.misses, 12, "{label} {tag}: {p:?}");
-            assert_eq!(p.recycled, 12, "{label} {tag}: {p:?}");
-            assert!(p.hits >= 1, "{label} {tag}: never recycled: {p:?}");
-        }
-        assert_eq!(total.hits, pa.hits + pb.hits, "{label}");
-        assert_eq!(total.misses, pa.misses + pb.misses, "{label}");
+        assert_eq!(total.hits + total.misses, 24, "{label}: {total:?}");
+        assert_eq!(total.recycled, 24, "{label}: {total:?}");
+        assert!(total.hits >= 2, "{label}: never recycled: {total:?}");
     }
 }
 
@@ -258,7 +255,7 @@ fn trapped_invocations_are_never_recycled() {
         let done = rt.invoke(picky, vec![1u8]).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Trapped(_)));
     }
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     rt.shutdown();
     assert_eq!(pool.recycled, 0, "{pool:?}");
     assert_eq!(pool.hits, 0, "{pool:?}");
@@ -284,7 +281,7 @@ fn pure_function_recycles_with_elided_resets() {
             other => panic!("#{i}: {other:?}"),
         }
     }
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     rt.shutdown();
     // Every recycle skipped the memory reset: the certificate proves the
     // guest never stores, and no host write dirtied the instance.
@@ -305,7 +302,7 @@ fn request_reading_function_falls_back_to_full_resets() {
         let done = rt.invoke(echo, &b"hi"[..]).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Success(_)));
     }
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     rt.shutdown();
     assert_eq!(pool.recycled, 4, "{pool:?}");
     assert_eq!(pool.resets_elided, 0, "{pool:?}");
@@ -325,9 +322,9 @@ fn drain_empties_pools_and_keeps_them_empty() {
         let done = rt.invoke(echo, &b"x"[..]).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Success(_)));
     }
-    assert!(rt.pool_stats().size > 0, "pool never filled");
+    assert!(rt.latency_report().pool.size > 0, "pool never filled");
     rt.begin_drain();
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     assert_eq!(pool.size, 0, "drained pool still holds instances: {pool:?}");
     rt.shutdown();
 }
@@ -355,7 +352,7 @@ fn pool_hits_keep_phase_accounting_sound() {
         assert!(sum <= t.total, "#{i}: phase sum {sum:?} exceeds {t:?}");
     }
     let report = rt.latency_report();
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     rt.shutdown();
     assert_eq!(pool.hits, N - 1, "{pool:?}");
     // Warm invocations still record exactly one sample per phase: nothing
@@ -393,7 +390,7 @@ fn partial_poisoning_accounts_for_every_retirement() {
         }
     }
     let traps = schedule.iter().filter(|&&k| k == Chaos::Trap).count() as u64;
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     rt.shutdown();
     assert!(traps > 0, "35% mix never trapped");
     assert!(pool.recycled > 0, "35% mix trapped everything: {pool:?}");
@@ -439,7 +436,7 @@ fn pool_surfaces(pool_size: usize) -> PoolStatsSnapshot {
         let done = rt.invoke(echo, &b"ping"[..]).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Success(_)));
     }
-    let pool = rt.pool_stats();
+    let pool = rt.latency_report().pool;
     assert_eq!(pool.capacity, pool_size as u64);
 
     let (status, metrics) = http_get(addr, "/metrics");

@@ -208,8 +208,8 @@ fn deadline_kills_runaway_guest() {
         "deadline fired far too late: {:?}",
         start.elapsed()
     );
-    assert_eq!(rt.stats().timed_out, 1);
-    assert_eq!(rt.function_stats(inf).unwrap().timed_out, 1);
+    assert_eq!(rt.latency_report().stats.timed_out, 1);
+    assert_eq!(common::stats_of(&rt, "infinite").timed_out, 1);
     rt.shutdown();
 }
 
@@ -341,8 +341,8 @@ fn breaker_trips_fast_rejects_and_recovers() {
         }
         other => panic!("expected CircuitOpen, got {other:?}"),
     }
-    assert!(rt.stats().breaker_rejected >= 1);
-    assert_eq!(rt.function_stats(picky).unwrap().breaker_trips, 1);
+    assert!(rt.latency_report().stats.breaker_rejected >= 1);
+    assert_eq!(common::stats_of(&rt, "picky").breaker_trips, 1);
 
     // After the cooldown a half-open probe is admitted; its success closes
     // the breaker and traffic flows again.
@@ -361,7 +361,7 @@ fn breaker_trips_fast_rejects_and_recovers() {
             done.outcome
         );
     }
-    assert_eq!(rt.function_stats(picky).unwrap().breaker_trips, 1);
+    assert_eq!(common::stats_of(&rt, "picky").breaker_trips, 1);
     rt.shutdown();
 }
 
@@ -398,7 +398,7 @@ fn breaker_failed_probe_reopens() {
         "{:?}",
         rejected.outcome
     );
-    assert_eq!(rt.function_stats(picky).unwrap().breaker_trips, 2);
+    assert_eq!(common::stats_of(&rt, "picky").breaker_trips, 2);
     rt.shutdown();
 }
 
@@ -500,7 +500,7 @@ fn failed_instantiation_still_answers_the_client() {
         "{:?}",
         done.outcome
     );
-    assert_eq!(rt.stats().rejected, 1);
+    assert_eq!(rt.latency_report().stats.rejected, 1);
     rt.shutdown();
 }
 
@@ -510,7 +510,7 @@ fn failed_instantiation_still_answers_the_client() {
 
 #[test]
 fn shutdown_drain_completes_queued_work() {
-    let rt = Runtime::new(RuntimeConfig {
+    let mut rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
         quantum_fuel: Some(200_000),
@@ -524,7 +524,7 @@ fn shutdown_drain_completes_queued_work() {
         .collect();
     // Wait until the listener has accepted everything — the drain stops
     // intake immediately, and this test is about the accepted backlog.
-    while rt.stats().admitted < 50 {
+    while rt.latency_report().stats.admitted < 50 {
         std::thread::sleep(Duration::from_millis(1));
     }
     let drained = rt.shutdown_drain(Duration::from_secs(30));
@@ -543,7 +543,7 @@ fn shutdown_drain_completes_queued_work() {
 
 #[test]
 fn drain_rejects_new_work() {
-    let rt = Runtime::new(RuntimeConfig {
+    let mut rt = Runtime::new(RuntimeConfig {
         workers: 1,
         ..Default::default()
     });
@@ -576,7 +576,7 @@ fn shutdown_drain_force_kills_runaways_and_reports_timeout() {
         ..Default::default()
     }) {
         eprintln!("config: {label}");
-        let rt = Runtime::new(config);
+        let mut rt = Runtime::new(config);
         let inf = rt
             .register_module(FunctionConfig::new("infinite"), &guests::infinite())
             .unwrap();
@@ -646,7 +646,7 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
         ..Default::default()
     }) {
         eprintln!("config: {label}");
-        let rt = Runtime::new(config);
+        let mut rt = Runtime::new(config);
         let chaos = ChaosTenants::register(&rt);
         let spin = rt
             .register_module(FunctionConfig::new("spin"), &guests::spin())
@@ -694,7 +694,7 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
         // INVARIANT 2: the runtime's books balance. Every submission was
         // either admitted (then completed/trapped/timed out) or rejected at
         // the door.
-        let stats = rt.stats();
+        let stats = rt.latency_report().stats;
         assert_eq!(
             stats.completed + stats.trapped + stats.timed_out,
             stats.admitted,
@@ -728,7 +728,7 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
 fn chaos_with_breaker_recovery_probe() {
     // Drive one function through trip → cooldown → probe → recovery while a
     // healthy function keeps serving, one request in ten of it stalling.
-    let rt = Runtime::new(RuntimeConfig {
+    let mut rt = Runtime::new(RuntimeConfig {
         workers: 4,
         quantum: Duration::from_millis(1),
         quantum_fuel: Some(150_000),
@@ -788,97 +788,7 @@ fn chaos_with_breaker_recovery_probe() {
         std::thread::sleep(Duration::from_millis(100));
     }
     assert!(recovered, "breaker must recover via the half-open probe");
-    assert!(rt.stats().breaker_rejected >= 1);
-    assert!(rt.function_stats(picky).unwrap().breaker_trips >= 1);
+    assert!(rt.latency_report().stats.breaker_rejected >= 1);
+    assert!(common::stats_of(&rt, "picky").breaker_trips >= 1);
     assert!(rt.shutdown_drain(Duration::from_secs(10)));
-}
-
-// ---------------------------------------------------------------------------
-// Latency shards are allocated by a function's first executed invocation
-// ---------------------------------------------------------------------------
-
-#[test]
-fn a_request_rejected_before_execution_allocates_no_shards() {
-    let breaker = BreakerConfig {
-        threshold: 1,
-        cooldown: Duration::from_secs(60),
-    };
-    let rt = Runtime::new(RuntimeConfig {
-        workers: 2,
-        max_inflight: 4,
-        circuit_breaker: Some(breaker),
-        ..Default::default()
-    });
-    let sleeper = rt
-        .register_module(FunctionConfig::new("sleeper"), &guests::io_sleeper())
-        .unwrap();
-    // Priority class 0 is shed once anything is in flight.
-    let mut low = FunctionConfig::new("low");
-    low.priority = 0;
-    let low = rt.register_module(low, &guests::echo()).unwrap();
-    let tripped = rt
-        .register_module(FunctionConfig::new("tripped"), &guests::echo())
-        .unwrap();
-    // The queue-SLO gate reads this function's (absent) queue samples, then
-    // its empty budget rejects it.
-    let mut broke = FunctionConfig::new("broke");
-    broke.budget_us_per_s = Some(1);
-    broke.queue_slo = Some(Duration::from_nanos(1));
-    let broke = rt.register_module(broke, &guests::echo()).unwrap();
-
-    // In-flight shed: the sleeper holds the only slot class 0 gets.
-    let parked = rt.invoke(sleeper, 200_000u32.to_le_bytes().to_vec());
-    let shed = rt.invoke(low, &b"x"[..]).wait().unwrap();
-    assert!(
-        matches!(shed.outcome, Outcome::Throttled { why, .. } if why.contains("in-flight")),
-        "{:?}",
-        shed.outcome
-    );
-    assert!(matches!(
-        parked.wait().unwrap().outcome,
-        Outcome::Success(_)
-    ));
-
-    // Open breaker and empty budget, each stamped far in the future so no
-    // cooldown or refill arrives while the test runs.
-    let future_ns = u64::MAX / 2;
-    let rf = rt.function_info(tripped).unwrap();
-    rf.stats.breaker.record(Some(&breaker), false, future_ns);
-    let open = rt.invoke(tripped, &b"x"[..]).wait().unwrap();
-    assert!(
-        matches!(open.outcome, Outcome::CircuitOpen { .. }),
-        "{:?}",
-        open.outcome
-    );
-    let rf = rt.function_info(broke).unwrap();
-    rf.budget.as_ref().unwrap().true_up(0, u64::MAX, future_ns);
-    let empty = rt.invoke(broke, &b"x"[..]).wait().unwrap();
-    assert!(
-        matches!(empty.outcome, Outcome::Throttled { why, .. } if why.contains("budget")),
-        "{:?}",
-        empty.outcome
-    );
-
-    for id in [low, tripped, broke] {
-        let rf = rt.function_info(id).unwrap();
-        assert!(rf.shards().is_empty(), "{} has shards", rf.config.name);
-    }
-    assert_eq!(rt.function_info(sleeper).unwrap().shards().len(), 2);
-    let stats = rt.stats();
-    assert_eq!(
-        (stats.shed, stats.breaker_rejected, stats.budget_rejected),
-        (1, 1, 1)
-    );
-    assert_eq!(stats.slo_rejected, 0);
-    let report = rt.latency_report();
-    let executed = stats.completed + stats.trapped + stats.timed_out;
-    assert_eq!(executed, 1);
-    assert_eq!(report.global.count(), executed);
-    let counts: Vec<u64> = report
-        .per_function
-        .iter()
-        .map(|f| f.phases().count())
-        .collect();
-    assert_eq!(counts, [1, 0, 0, 0]);
-    rt.shutdown();
 }

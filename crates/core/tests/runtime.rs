@@ -11,7 +11,6 @@ use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 mod common;
@@ -255,7 +254,7 @@ fn echo_end_to_end() {
         other => panic!("unexpected {other:?}"),
     }
     assert!(done.timings.instantiation < Duration::from_millis(50));
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.admitted, 1);
     rt.shutdown();
@@ -280,7 +279,7 @@ fn many_concurrent_requests_complete_exactly_once() {
                 other => panic!("req {i}: {other:?}"),
             }
         }
-        let stats = rt.stats();
+        let stats = rt.latency_report().stats;
         assert_eq!(stats.completed, N as u64);
         assert_eq!(stats.trapped, 0);
         assert_eq!(stats.rejected, 0);
@@ -330,7 +329,7 @@ fn temporal_isolation_spinner_does_not_starve_short_requests() {
         let echo = rt
             .register_module(FunctionConfig::new("echo"), &guests::echo())
             .unwrap();
-        rt.invoke_detached(inf, Vec::new());
+        let _ = rt.invoke(inf, Vec::new());
         // Give the spinner time to get scheduled.
         std::thread::sleep(Duration::from_millis(20));
         let done = rt
@@ -339,7 +338,7 @@ fn temporal_isolation_spinner_does_not_starve_short_requests() {
             .expect("echo starved behind infinite function");
         assert!(matches!(done.outcome, Outcome::Success(ref b) if b == b"alive"));
         assert!(
-            rt.stats().preemptions > 0,
+            rt.latency_report().stats.preemptions > 0,
             "RR must have preempted the spinner"
         );
         rt.shutdown();
@@ -399,13 +398,9 @@ fn default_sandbox_traps_every_out_of_bounds_access() {
                 done.outcome
             );
             // The second consecutive failure reaches the threshold.
-            assert_eq!(
-                rt.function_stats(id).unwrap().breaker_trips,
-                trips,
-                "{name}"
-            );
+            assert_eq!(common::stats_of(&rt, name).breaker_trips, trips, "{name}");
         }
-        assert_eq!(rt.function_stats(id).unwrap().trapped, 2, "{name}");
+        assert_eq!(common::stats_of(&rt, name).trapped, 2, "{name}");
     }
     rt.shutdown();
 }
@@ -431,7 +426,7 @@ fn spatial_isolation_trap_does_not_kill_runtime() {
         let done = rt.invoke(echo, &b"still here"[..]).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Success(_)));
     }
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     assert_eq!(stats.trapped, 1);
     assert_eq!(stats.completed, 10);
     rt.shutdown();
@@ -462,7 +457,7 @@ fn blocked_io_overlaps_with_compute() {
     }
     // 8 x 5 ms of sleep on 2 workers must overlap: well under serial time.
     assert!(start.elapsed() < Duration::from_millis(2000));
-    assert!(rt.stats().blocked >= 8);
+    assert!(rt.latency_report().stats.blocked >= 8);
     rt.shutdown();
 }
 
@@ -493,7 +488,7 @@ fn admission_control_rejects_overload() {
     }
     assert!(rejected > 0, "overload must reject");
     assert!(succeeded > 0, "some requests must be served");
-    assert_eq!(rt.stats().rejected, rejected as u64);
+    assert_eq!(rt.latency_report().stats.rejected, rejected as u64);
     rt.shutdown();
 }
 
@@ -527,7 +522,7 @@ fn work_conservation_all_workers_participate() {
     for h in handles {
         assert!(matches!(h.wait().unwrap().outcome, Outcome::Success(_)));
     }
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     // All requests were stolen from the global deque by workers.
     assert_eq!(stats.steals, 64);
     assert_eq!(stats.completed, 64);
@@ -638,7 +633,7 @@ fn shutdown_is_clean_with_inflight_work() {
         .register_module(FunctionConfig::new("spin"), &guests::spin())
         .unwrap();
     for _ in 0..32 {
-        rt.invoke_detached(spin, 10_000_000u32.to_le_bytes().to_vec());
+        let _ = rt.invoke(spin, 10_000_000u32.to_le_bytes().to_vec());
     }
     std::thread::sleep(Duration::from_millis(10));
     rt.shutdown(); // must not hang or panic
@@ -661,14 +656,15 @@ fn per_function_stats_are_tracked() {
             .wait()
             .unwrap();
     }
-    let e = rt.function_stats(echo).unwrap();
-    let s = rt.function_stats(spin).unwrap();
+    let report = rt.latency_report();
+    let e = common::function(&report, "echo").stats;
+    let s = common::function(&report, "spin").stats;
     assert_eq!(e.completed, 5);
     assert_eq!(s.completed, 3);
     assert_eq!(e.trapped + s.trapped, 0);
-    assert!(s.mean_execution().unwrap() > std::time::Duration::ZERO);
+    assert!(s.execution_ns > 0);
     // Global equals sum of per-function.
-    assert_eq!(rt.stats().completed, 8);
+    assert_eq!(report.stats.completed, 8);
     rt.shutdown();
 }
 
@@ -686,19 +682,17 @@ fn one_binary_under_many_names_is_compiled_once() {
                 .unwrap()
         })
         .collect();
-    let reg = rt.registry_stats();
+    // One build: all sixteen functions share the module it made.
+    let reg = rt.latency_report().registry;
     assert_eq!(reg.modules_compiled, 1);
     assert_eq!(reg.modules_verified, 16, "gates run per registration");
     assert_eq!(reg.cost_certified, 16);
-    let first = rt.function_info(ids[0]).unwrap();
-    for &id in &ids {
-        let rf = rt.function_info(id).unwrap();
-        assert!(Arc::ptr_eq(&rf.module, &first.module));
-        assert_eq!(rf.wasm_size, wasm.len());
+    for (t, &id) in ids.iter().enumerate() {
         let body = format!("{id:?}");
         let done = rt.invoke(id, body.clone().into_bytes()).wait().unwrap();
         assert!(matches!(done.outcome, Outcome::Success(ref b) if *b == body.as_bytes()));
-        assert_eq!(rt.function_stats(id).unwrap().completed, 1);
+        let name = format!("t{t:02}-echo");
+        assert_eq!(common::stats_of(&rt, &name).completed, 1);
     }
     rt.shutdown();
 }
@@ -714,10 +708,13 @@ fn a_module_and_its_encoding_share_one_compiled_module() {
     let b = rt
         .register_wasm(FunctionConfig::new("from-wasm"), &wasm)
         .unwrap();
-    let (a, b) = (rt.function_info(a).unwrap(), rt.function_info(b).unwrap());
-    assert!(Arc::ptr_eq(&a.module, &b.module));
-    assert_eq!(a.wasm_size, b.wasm_size);
-    assert_eq!(rt.registry_stats().modules_compiled, 1);
+    // The store is keyed by exact bytes: one build means the module's
+    // encoding is those bytes, and both functions share what it made.
+    assert_eq!(rt.latency_report().registry.modules_compiled, 1);
+    for id in [a, b] {
+        let done = rt.invoke(id, &b"shared"[..]).wait().unwrap();
+        assert!(matches!(done.outcome, Outcome::Success(ref body) if body == b"shared"));
+    }
     rt.shutdown();
 }
 
@@ -741,7 +738,7 @@ fn the_catalogue_for_three_tenants_compiles_each_guest_once() {
                 .unwrap();
         }
     }
-    let reg = rt.registry_stats();
+    let reg = rt.latency_report().registry;
     assert_eq!(reg.modules_compiled, 37);
     assert_eq!(reg.modules_verified, 3 * 37);
     rt.shutdown();
@@ -769,7 +766,7 @@ fn a_capability_rejection_on_a_shared_module_is_per_tenant() {
             .to_vec(),
     );
     let c = rt.register_wasm(c, &wasm).unwrap();
-    let reg = rt.registry_stats();
+    let reg = rt.latency_report().registry;
     assert_eq!(reg.modules_compiled, 1);
     assert_eq!(reg.capability_rejected, 1);
     assert_eq!(reg.capability_certified, 1);
@@ -803,7 +800,7 @@ fn duplicate_name_and_route_are_refused() {
         "{err}"
     );
     // Both were refused before any translation.
-    assert_eq!(rt.registry_stats().modules_compiled, 1);
+    assert_eq!(rt.latency_report().registry.modules_compiled, 1);
     assert!(rt.function_by_name("b").is_none());
     let done = rt.invoke(a, &b"mine"[..]).wait().unwrap();
     assert!(matches!(done.outcome, Outcome::Success(ref body) if body == b"mine"));
@@ -873,34 +870,6 @@ fn requests_are_served_while_a_registration_translates() {
         );
     });
     assert!(rt.function_by_name("slow").is_some());
-    rt.shutdown();
-}
-
-#[test]
-fn racing_registrations_of_one_binary_share_one_module() {
-    let wasm = sledge_wasm::encode::encode_module(&guests::slow_to_translate(2000));
-    let rt = small_runtime(1);
-    let barrier = Barrier::new(2);
-    let ids: Vec<FunctionId> = std::thread::scope(|s| {
-        let racers: Vec<_> = ["r0", "r1"]
-            .into_iter()
-            .map(|name| {
-                let (rt, wasm, barrier) = (&rt, &wasm, &barrier);
-                s.spawn(move || {
-                    barrier.wait();
-                    rt.register_wasm(FunctionConfig::new(name), wasm).unwrap()
-                })
-            })
-            .collect();
-        racers.into_iter().map(|r| r.join().unwrap()).collect()
-    });
-    let (a, b) = (
-        rt.function_info(ids[0]).unwrap(),
-        rt.function_info(ids[1]).unwrap(),
-    );
-    // Both may have missed and translated; the loser's module was dropped.
-    assert!(Arc::ptr_eq(&a.module, &b.module));
-    assert!((1..=2).contains(&rt.registry_stats().modules_compiled));
     rt.shutdown();
 }
 
@@ -978,7 +947,7 @@ fn idle_listener_wakes_for_a_drain() {
         // the listener starts once it sees the flag, closes it.
         let mut held = std::net::TcpStream::connect(addr).unwrap();
         held.set_read_timeout(Some(WAKE_BOUND)).unwrap();
-        while rt.connection_stats().accepted == 0 {
+        while rt.latency_report().connections.accepted == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(IDLE);

@@ -61,7 +61,7 @@ fn mixed_workload_short_latency(quantum: Duration, quantum_fuel: Option<u64>) ->
         .expect("register");
     // One long request (~hundreds of ms of interpretation), then a stream of
     // short ones behind it.
-    rt.invoke_detached(spin, 60_000_000u32.to_le_bytes().to_vec());
+    let _ = rt.invoke(spin, 60_000_000u32.to_le_bytes().to_vec());
     std::thread::sleep(Duration::from_millis(10)); // let it start
     let mut worst = Duration::ZERO;
     for _ in 0..5 {
@@ -120,7 +120,7 @@ fn run_to_completion_shutdown_interrupts_runaway_guest() {
     // complete: dropping the timer's channel wakes it for a final
     // preemption broadcast.
     let (rt, spin) = run_to_completion();
-    rt.invoke_detached(spin, u32::MAX.to_le_bytes().to_vec());
+    let _ = rt.invoke(spin, u32::MAX.to_le_bytes().to_vec());
     std::thread::sleep(Duration::from_millis(20));
     let t0 = Instant::now();
     rt.shutdown();
@@ -131,7 +131,7 @@ fn run_to_completion_shutdown_interrupts_runaway_guest() {
 fn run_to_completion_drain_force_kills_runaway_guest() {
     // The drain times out behind the runaway; the force-kill signal wakes
     // the timer, which preempts it, and its invoker gets `TimedOut`.
-    let (rt, spin) = run_to_completion();
+    let (mut rt, spin) = run_to_completion();
     let h = rt.invoke(spin, u32::MAX.to_le_bytes().to_vec());
     std::thread::sleep(Duration::from_millis(20));
     let t0 = Instant::now();

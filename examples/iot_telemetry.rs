@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          ({:.0} invocations/s)",
         total as f64 / elapsed.as_secs_f64()
     );
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     println!(
         "runtime stats: {} completed, {} preemptions, {} steals",
         stats.completed, stats.preemptions, stats.steals

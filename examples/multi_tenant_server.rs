@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("/missing   -> {}", head.lines().next().unwrap());
     assert!(head.starts_with("HTTP/1.1 404"));
 
-    let stats = rt.stats();
+    let stats = rt.latency_report().stats;
     println!(
         "\nstats: {} admitted, {} completed, {} rejected",
         stats.admitted, stats.completed, stats.rejected

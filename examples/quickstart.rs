@@ -87,12 +87,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let stats = rt.stats();
+    let report = rt.latency_report();
+    let mean_instantiation = report.global.instantiation.mean().unwrap_or(0);
     println!(
         "stats: {} admitted, {} completed, mean instantiation {:?}",
-        stats.admitted,
-        stats.completed,
-        stats.mean_instantiation().unwrap_or_default()
+        report.stats.admitted,
+        report.stats.completed,
+        std::time::Duration::from_nanos(mean_instantiation)
     );
     rt.shutdown();
     Ok(())
