@@ -2,7 +2,7 @@
 //!
 //! Fuel was previously a unitless counter: the naive tier charged 1 per
 //! instruction, the optimized tier charged 1 per taken branch or call — so
-//! `quantum_fuel` measured neither work nor time, and nothing bounded how
+//! a quantum's fuel measured neither work nor time, and nothing bounded how
 //! long the optimized tier could run between two budget checks. This pass
 //! turns fuel into a **work meter** shared by both tiers:
 //!
@@ -32,7 +32,7 @@
 //! the naive tier charges `op_cost` per instruction and treats `Op::Fuel`
 //! as a no-op. Charges a quantum cannot cover are carried as *debt* paid
 //! from subsequent quanta, so any positive quantum makes progress (no
-//! livelock when `quantum_fuel < max_gap`).
+//! livelock when a dispatch's fuel is below `max_gap`).
 
 use crate::code::{NumBin, NumUn, Op};
 

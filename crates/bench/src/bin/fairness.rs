@@ -157,7 +157,7 @@ fn build_runtime(fairness: bool) -> (Runtime, VictimIds) {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(1),
-        quantum_fuel: Some(100_000),
+        cost_units_per_us: 100,
         fairness,
         max_inflight: if fairness { 16 } else { 0 },
         ..Default::default()
@@ -169,9 +169,10 @@ fn build_runtime(fairness: bool) -> (Runtime, VictimIds) {
         victim_cfg.weight = 8;
         antagonist_cfg.priority = 0;
         antagonist_cfg.weight = 1;
-        // ~2 worker-ms of certified work per wall second: a strict budget
+        // 300 000 cost units per wall second (3 000 µs/s at this node's
+        // 100 units/µs; ~2 worker-ms at the default rate): a strict budget
         // against a flood that wants two full cores.
-        antagonist_cfg.budget_us_per_s = Some(2_000);
+        antagonist_cfg.budget_us_per_s = Some(3_000);
     }
     let victim = rt
         .register_module(victim_cfg, &spin_module("victim"))

@@ -22,8 +22,8 @@
 //! with the certificate therefore means `slice max ≈ certified bound`
 //! (plus per-call harness overhead); flag-latency tails above the floor
 //! are scheduler noise, not certificate violations — which is exactly why
-//! the runtime derives `quantum_fuel` from the calibrated cost rate
-//! rather than from wall-clock alone.
+//! the runtime ends every quantum by fuel, `quantum_us` ×
+//! `cost_units_per_us`, rather than by a wall-clock tick.
 //!
 //! Usage: `preemption_latency [--kernels a,b,c] [--preemptions N] [--calibrate]`
 //! `--calibrate` prints only the cost-rate table (units/µs per kernel and

@@ -14,7 +14,7 @@
 //!
 //! A usage error (an unknown flag, a flag without its value, a bad number
 //! or listen address) prints the usage line and exits 2; a config the node
-//! refuses exits 1.
+//! refuses prints why, in words, and exits 1.
 //!
 //! Config format (paths are relative to the config file):
 //!
@@ -43,7 +43,14 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
+    if let Err(e) = run() {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     // Split flags (`--name value`) from positional arguments.
     let mut positional = Vec::new();
     let mut deadline_ms: Option<u64> = None;
@@ -86,7 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             usage()
         });
 
-    let text = std::fs::read_to_string(config_path)?;
+    let text =
+        std::fs::read_to_string(config_path).map_err(|e| format!("reading {config_path}: {e}"))?;
     let (mut config, functions) = RuntimeConfig::from_json(&text)?;
     if let Some(ms) = deadline_ms {
         config.deadline = Some(Duration::from_millis(ms));

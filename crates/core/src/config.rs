@@ -15,18 +15,16 @@ pub struct RuntimeConfig {
     /// Number of worker cores (threads). The listener runs on its own
     /// thread, matching the paper's dedicated listener core.
     pub workers: usize,
-    /// Preemption time slice (the paper uses 5 ms). `Duration::MAX` is
-    /// run-to-completion, the §3.4 ablation: the derived fuel budget
-    /// saturates and the timer never preempts on its own, only at
-    /// shutdown or a force-killed drain.
-    pub quantum: Duration,
-    /// Explicit fuel budget per dispatch, in cost units. `None` (the
-    /// default) derives the budget from `quantum` × [`cost_units_per_us`]
-    /// via [`RuntimeConfig::effective_quantum_fuel`]; set it only to pin
-    /// an exact budget (tests, reproducing a measurement).
+    /// Preemption time slice (the paper uses 5 ms), enforced as fuel: a
+    /// dispatch ends when it has burned [`RuntimeConfig::dispatch_fuel`],
+    /// `quantum` × [`cost_units_per_us`] cost units. No clock cuts a
+    /// dispatch short; the timer preempts a running sandbox only at its
+    /// deadline. `Duration::MAX` is run-to-completion, the §3.4 ablation:
+    /// the fuel saturates, so a dispatch ends only when the guest returns,
+    /// blocks, reaches its deadline or the node force-kills or shuts down.
     ///
     /// [`cost_units_per_us`]: RuntimeConfig::cost_units_per_us
-    pub quantum_fuel: Option<u64>,
+    pub quantum: Duration,
     /// Calibration constant: how many cost units (see `awsm::op_cost`) a
     /// worker core retires per microsecond. The default is a measured
     /// figure for the PolyBench kernels on a modern x86 core; recalibrate
@@ -105,7 +103,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: num_cpus(),
             quantum: Duration::from_millis(5),
-            quantum_fuel: None,
             cost_units_per_us: DEFAULT_COST_UNITS_PER_US,
             max_check_gap: None,
             max_pending: 8192,
@@ -250,19 +247,14 @@ impl From<JsonError> for ConfigError {
 }
 
 impl RuntimeConfig {
-    /// Fuel budget per dispatch, in cost units: the explicit
-    /// [`quantum_fuel`](RuntimeConfig::quantum_fuel) override if set,
-    /// otherwise `quantum` converted through the
-    /// [`cost_units_per_us`](RuntimeConfig::cost_units_per_us)
+    /// Fuel budget per dispatch, in cost units: `quantum` converted through
+    /// the [`cost_units_per_us`](RuntimeConfig::cost_units_per_us)
     /// calibration (saturating at `u64::MAX`). Never zero — a zero budget
     /// could not make progress.
-    pub fn effective_quantum_fuel(&self) -> u64 {
-        self.quantum_fuel
-            .unwrap_or_else(|| {
-                u64::try_from(self.quantum.as_micros())
-                    .unwrap_or(u64::MAX)
-                    .saturating_mul(self.cost_units_per_us)
-            })
+    pub fn dispatch_fuel(&self) -> u64 {
+        u64::try_from(self.quantum.as_micros())
+            .unwrap_or(u64::MAX)
+            .saturating_mul(self.cost_units_per_us)
             .max(1)
     }
 
@@ -321,16 +313,14 @@ impl RuntimeConfig {
                     }
                     cfg.quantum = Duration::from_micros(q);
                 }
+                // A dispatch's fuel is the quantum at the calibrated rate;
+                // nothing pins it apart from the two.
                 "quantum_fuel" => {
-                    let q = v
-                        .as_u64()
-                        .ok_or_else(|| ConfigError::Schema("quantum_fuel must be an int".into()))?;
-                    if q == 0 {
-                        return Err(ConfigError::Schema(
-                            "quantum_fuel must be >= 1 (a zero budget cannot make progress)".into(),
-                        ));
-                    }
-                    cfg.quantum_fuel = Some(q);
+                    return Err(ConfigError::Schema(
+                        "config key \"quantum_fuel\" is gone: a dispatch burns quantum_us × \
+                         cost_units_per_us cost units, so set those two instead (ROADMAP 29(b))"
+                            .into(),
+                    ))
                 }
                 "cost_units_per_us" => {
                     let c = v.as_u64().ok_or_else(|| {
@@ -585,7 +575,7 @@ mod tests {
         let text = r#"{
             "workers": 15,
             "quantum_us": 5000,
-            "quantum_fuel": 123456,
+            "cost_units_per_us": 20,
             "max_pending": 64,
             "max_request_size": 1048576,
             "tier": "aot-naive",
@@ -597,8 +587,8 @@ mod tests {
         let (cfg, funcs) = RuntimeConfig::from_json(text).unwrap();
         assert_eq!(cfg.workers, 15);
         assert_eq!(cfg.quantum, Duration::from_millis(5));
-        assert_eq!(cfg.quantum_fuel, Some(123456));
-        assert_eq!(cfg.effective_quantum_fuel(), 123456);
+        assert_eq!(cfg.cost_units_per_us, 20);
+        assert_eq!(cfg.dispatch_fuel(), 100_000);
         assert_eq!(cfg.max_pending, 64);
         assert_eq!(cfg.tier, Tier::Naive);
         assert_eq!(funcs.len(), 2);
@@ -669,26 +659,21 @@ mod tests {
     #[test]
     fn quantum_fuel_derived_from_calibration() {
         let (cfg, _) = RuntimeConfig::from_json("{}").unwrap();
-        assert_eq!(cfg.quantum_fuel, None);
         assert_eq!(
-            cfg.effective_quantum_fuel(),
+            cfg.dispatch_fuel(),
             5000 * DEFAULT_COST_UNITS_PER_US,
             "5 ms quantum x default calibration"
         );
         let (cfg, _) =
             RuntimeConfig::from_json(r#"{"quantum_us": 100, "cost_units_per_us": 7}"#).unwrap();
-        assert_eq!(cfg.effective_quantum_fuel(), 700);
-        // An explicit override wins over derivation.
-        let (cfg, _) =
-            RuntimeConfig::from_json(r#"{"quantum_us": 100, "quantum_fuel": 42}"#).unwrap();
-        assert_eq!(cfg.effective_quantum_fuel(), 42);
+        assert_eq!(cfg.dispatch_fuel(), 700);
         // A degenerate quantum still yields a budget that can make progress
         // (JSON refuses `"quantum_us": 0`; a struct literal can still set it).
         let cfg = RuntimeConfig {
             quantum: Duration::ZERO,
             ..Default::default()
         };
-        assert_eq!(cfg.effective_quantum_fuel(), 1);
+        assert_eq!(cfg.dispatch_fuel(), 1);
     }
 
     #[test]
@@ -696,32 +681,42 @@ mod tests {
         // 1e15 µs × 1e6 units/µs overflows u64: saturate, never panic or wrap.
         let (cfg, _) =
             RuntimeConfig::from_json(r#"{"quantum_us": 1e15, "cost_units_per_us": 1e6}"#).unwrap();
-        assert_eq!(cfg.effective_quantum_fuel(), u64::MAX);
+        assert_eq!(cfg.dispatch_fuel(), u64::MAX);
         // A quantum whose microseconds do not fit in u64 saturates too.
         let cfg = RuntimeConfig {
             quantum: Duration::MAX,
             cost_units_per_us: 1,
             ..Default::default()
         };
-        assert_eq!(cfg.effective_quantum_fuel(), u64::MAX);
-        // JSON numbers are f64, so a budget past i64::MAX parses as given.
-        let (cfg, _) = RuntimeConfig::from_json(r#"{"quantum_fuel": 1e19}"#).unwrap();
-        assert_eq!(cfg.effective_quantum_fuel(), 10_000_000_000_000_000_000);
+        assert_eq!(cfg.dispatch_fuel(), u64::MAX);
+        // JSON numbers are f64, so a budget past i64::MAX derives as given.
+        let (cfg, _) =
+            RuntimeConfig::from_json(r#"{"quantum_us": 1e13, "cost_units_per_us": 1e6}"#).unwrap();
+        assert_eq!(cfg.dispatch_fuel(), 10_000_000_000_000_000_000);
     }
 
     #[test]
     fn zero_quantum_fuel_rejected() {
-        // A zero budget cannot make progress, and a zero quantum would spin
-        // the timer thread: both are schema errors naming their key.
-        for key in ["quantum_fuel", "quantum_us"] {
+        // A zero quantum or rate would derive a budget of zero: both are
+        // schema errors naming their key.
+        for key in ["quantum_us", "cost_units_per_us"] {
             let err = RuntimeConfig::from_json(&format!(r#"{{"{key}": 0}}"#)).unwrap_err();
             assert!(
                 matches!(err, ConfigError::Schema(ref s) if s.contains(key)),
                 "{key}: expected schema error, got {err:?}"
             );
         }
-        assert!(RuntimeConfig::from_json(r#"{"quantum_fuel": "x"}"#).is_err());
-        assert!(RuntimeConfig::from_json(r#"{"cost_units_per_us": 0}"#).is_err());
+        // The budget is never pinned apart from those two: the old key is
+        // refused whatever it holds, naming what replaces it.
+        for value in ["0", "1", "1e19", r#""x""#] {
+            let text = format!(r#"{{"quantum_fuel": {value}}}"#);
+            let err = RuntimeConfig::from_json(&text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s)
+                    if s.contains("\"quantum_fuel\" is gone") && s.contains("quantum_us")),
+                "{text}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //!   wake, or without HTTP in the intake channel.
 //! * **N worker threads** steal sandboxes, keep core-local run queues, and
 //!   schedule them with **preemptive round-robin** (default 5 ms quantum,
-//!   enforced by a fuel budget per dispatch and by a timer thread that sets
-//!   the running sandboxes' preempt flags each quantum). The timer blocks on
-//!   a channel between ticks, so a force-killed drain and shutdown preempt
-//!   at once, and it also wakes at the earliest deadline of a running
-//!   sandbox; `quantum: Duration::MAX` is run-to-completion, preempted only
-//!   by those three.
+//!   enforced by a fuel budget per dispatch: fuel alone ends a quantum). A
+//!   timer thread keeps deadlines only: it blocks until the earliest
+//!   deadline of a running sandbox and preempts that sandbox then. A
+//!   force-killed drain and shutdown preempt the running sandboxes
+//!   themselves; `quantum: Duration::MAX` is run-to-completion, preempted
+//!   only by those three.
 //! * Sandboxes that block on (emulated) asynchronous I/O park on the
 //!   worker's core-local event set and are woken by the worker's idle loop —
 //!   the libuv-analogue.
@@ -106,7 +106,6 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use worker::TimerWake;
 
 /// State shared between the listener, workers, and timer.
 pub(crate) struct Shared {
@@ -133,6 +132,9 @@ pub(crate) struct Shared {
     /// Connection-lifecycle counters shared with the HTTP front end (they
     /// stay zero when the runtime has no HTTP listener).
     pub http_conns: Arc<ConnCounters>,
+    /// The dispatch worker `i` is running, if any, in slot `i`: what the
+    /// timer and a force-kill or shutdown broadcast preempt.
+    pub running: Box<[Mutex<Option<worker::Dispatch>>]>,
 }
 
 /// The crate's one lock-poisoning policy: there is none. A thread that
@@ -207,10 +209,6 @@ pub struct Runtime {
     /// Ends the listener's blocking poll after an intake send (`None`
     /// without HTTP: the listener then blocks in the intake's `recv`).
     waker: Option<Arc<Waker>>,
-    /// The timer thread's wake-up: [`TimerWake::PreemptAll`] preempts every
-    /// running sandbox now (force-kill), [`TimerWake::Stop`] stops the timer
-    /// (shutdown).
-    timer: Option<Sender<TimerWake>>,
     threads: Vec<JoinHandle<()>>,
     http_addr: Option<SocketAddr>,
 }
@@ -268,6 +266,7 @@ impl Runtime {
                 .map(|_| metrics::PhaseHistograms::default())
                 .collect(),
             http_conns,
+            running: (0..workers).map(|_| Mutex::default()).collect(),
         });
 
         let (deque, stealer) = sledge_deque::deque::<Box<Sandbox>>();
@@ -276,29 +275,25 @@ impl Runtime {
         let (timer_tx, timer_rx) = channel();
 
         let mut threads = Vec::new();
-        let mut worker_shareds = Vec::new();
+        // Only workers hold the timer's senders, so it stops once they exit.
         for i in 0..workers {
-            let ws = Arc::new(worker::WorkerShared {
-                index: i,
-                ..Default::default()
-            });
-            worker_shareds.push(Arc::clone(&ws));
             let shared = Arc::clone(&shared);
             let stealer = stealer.clone();
             let timer = timer_tx.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("sledge-worker-{i}"))
-                    .spawn(move || worker::worker_loop(shared, ws, stealer, timer))
+                    .spawn(move || worker::worker_loop(shared, i, stealer, timer))
                     .expect("spawn worker"),
             );
         }
+        drop(timer_tx);
         {
-            let quantum = shared.config.quantum;
+            let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
                     .name("sledge-timer".into())
-                    .spawn(move || worker::timer_loop(quantum, timer_rx, worker_shareds))
+                    .spawn(move || worker::timer_loop(timer_rx, &shared.running))
                     .expect("spawn timer"),
             );
         }
@@ -320,7 +315,6 @@ impl Runtime {
             shared,
             intake: intake_tx,
             waker,
-            timer: Some(timer_tx),
             threads,
             http_addr,
         })
@@ -413,8 +407,8 @@ impl Runtime {
     /// in-flight invocation to complete, then stop all threads.
     ///
     /// Returns `true` if the backlog drained within the timeout. On `false`
-    /// the remaining backlog is force-killed first — the timer preempts
-    /// every running sandbox at once and every straggler still receives a
+    /// the remaining backlog is force-killed first — every running sandbox
+    /// is preempted at once and every straggler still receives a
     /// `TimedOut` completion (within a short grace) before the threads are
     /// joined, so no accepted invocation is left without an answer.
     ///
@@ -434,11 +428,9 @@ impl Runtime {
         };
         if !drained {
             self.shared.force_kill.store(true, Ordering::Release);
-            if let Some(timer) = &self.timer {
-                let _ = timer.send(TimerWake::PreemptAll);
-            }
-            // Grace for workers to sweep their queues and retire what the
-            // timer just preempted.
+            worker::preempt(&self.shared.running, None);
+            // Grace for workers to sweep their queues and retire what was
+            // just preempted.
             let kill_by = Instant::now() + Duration::from_millis(100);
             while self.shared.inflight.load(Ordering::Acquire) > 0 && Instant::now() < kill_by {
                 std::thread::sleep(Duration::from_micros(200));
@@ -456,11 +448,7 @@ impl Runtime {
 
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        // Workers hold senders too, so the timer is stopped by message,
-        // not by disconnection.
-        if let Some(timer) = self.timer.take() {
-            let _ = timer.send(TimerWake::Stop);
-        }
+        worker::preempt(&self.shared.running, None);
         self.send_intake(Intake::Wake);
         for t in self.threads.drain(..) {
             let _ = t.join();

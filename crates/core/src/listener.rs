@@ -256,7 +256,7 @@ fn admit(
         .effective_deadline(shared.config.deadline)
         .map(|d| sandbox.arrival + d);
     rf.stats.admitted.fetch_add(1, Ordering::Relaxed);
-    shared.stats.record_instantiation(sandbox.instantiation);
+    shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
     shared.pending.fetch_add(1, Ordering::Relaxed);
     shared.inflight.fetch_add(1, Ordering::AcqRel);
     deque.push(sandbox);

@@ -37,20 +37,9 @@ pub(crate) struct RuntimeStats {
     pub preemptions: AtomicU64,
     /// Sandboxes that blocked on (emulated) I/O at least once.
     pub blocked: AtomicU64,
-    /// Total instantiation time in nanoseconds (with `admitted` as count).
-    pub instantiation_ns: AtomicU64,
-    /// Total guest execution time in nanoseconds.
-    pub execution_ns: AtomicU64,
 }
 
 impl RuntimeStats {
-    /// Record an instantiation.
-    pub(crate) fn record_instantiation(&self, d: Duration) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        self.instantiation_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// A snapshot suitable for printing.
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -66,8 +55,6 @@ impl RuntimeStats {
             steals: self.steals.load(Ordering::Relaxed),
             preemptions: self.preemptions.load(Ordering::Relaxed),
             blocked: self.blocked.load(Ordering::Relaxed),
-            instantiation_ns: self.instantiation_ns.load(Ordering::Relaxed),
-            execution_ns: self.execution_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -87,8 +74,6 @@ pub struct StatsSnapshot {
     pub steals: u64,
     pub preemptions: u64,
     pub blocked: u64,
-    pub instantiation_ns: u64,
-    pub execution_ns: u64,
 }
 
 /// Load-time static-analysis counters, updated by the registry as modules
@@ -292,8 +277,6 @@ pub(crate) struct FunctionStats {
     pub(crate) trapped: AtomicU64,
     /// Requests killed at their execution deadline.
     pub(crate) timed_out: AtomicU64,
-    /// Total guest execution time in nanoseconds.
-    pub(crate) execution_ns: AtomicU64,
     /// The function's circuit breaker: traps and timeouts are its failures.
     pub(crate) breaker: Breaker,
 }
@@ -310,7 +293,6 @@ impl FunctionStats {
             completed: self.completed.load(Ordering::Relaxed),
             trapped: self.trapped.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
-            execution_ns: self.execution_ns.load(Ordering::Relaxed),
             breaker_trips: self.breaker.trips.load(Ordering::Relaxed),
         }
     }
@@ -327,7 +309,6 @@ pub struct FunctionStatsSnapshot {
     pub completed: u64,
     pub trapped: u64,
     pub timed_out: u64,
-    pub execution_ns: u64,
     pub breaker_trips: u64,
 }
 

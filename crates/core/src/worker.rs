@@ -23,18 +23,8 @@ fn enqueue(runqueue: &mut Dwrr<Box<Sandbox>>, config: &RuntimeConfig, sb: Box<Sa
     runqueue.push(config.lane(sb.function.id), sb.function.config.weight, sb);
 }
 
-/// Per-worker state visible to the timer thread.
-#[derive(Debug, Default)]
-pub(crate) struct WorkerShared {
-    /// This worker's index: selects its private metrics shard in
-    /// `Shared::phase_shards` and in each function's shards (one per entry
-    /// of `Shared::phase_shards`).
-    pub index: usize,
-    /// The dispatch currently running on this worker, if any.
-    pub current: Mutex<Option<Dispatch>>,
-}
-
-/// A running dispatch as the timer sees it.
+/// A running dispatch as the timer and a broadcast see it. Each worker
+/// publishes its own in `Shared::running`.
 #[derive(Debug)]
 pub(crate) struct Dispatch {
     /// The sandbox's preempt flag.
@@ -43,58 +33,30 @@ pub(crate) struct Dispatch {
     pub deadline: Option<Instant>,
 }
 
-/// What wakes the timer thread before its next tick.
-#[derive(Debug)]
-pub(crate) enum TimerWake {
-    /// A worker published a dispatch with a deadline: re-read the deadlines.
-    Deadline,
-    /// A force-killed drain: preempt every running sandbox now.
-    PreemptAll,
-    /// Shutdown: preempt every running sandbox once more and stop.
-    Stop,
-}
-
-/// The timer thread: every quantum it requests preemption of every
-/// currently-running sandbox — the SIGALRM-propagation analogue — and at a
-/// running sandbox's deadline it preempts that sandbox, whose worker then
-/// kills it. It waits in `recv_timeout` until the earlier of the next tick
-/// and the earliest published deadline, so the runtime can cut a wait
-/// short: a force-killed drain preempts at once, shutdown preempts once
-/// more and stops the thread, and a new deadline is waited for. Under an
-/// unbounded quantum (run-to-completion) those are the only preemptions, so
-/// a runaway guest still cannot outlive its deadline or wedge a drain or
-/// `Runtime::shutdown`.
-pub(crate) fn timer_loop(
-    quantum: Duration,
-    wake: Receiver<TimerWake>,
-    workers: Vec<Arc<WorkerShared>>,
-) {
-    let mut next_tick = Instant::now().checked_add(quantum);
+/// The timer thread keeps deadlines and nothing else: fuel ends every
+/// quantum. It blocks in `recv` while no running dispatch has a deadline,
+/// and otherwise in `recv_timeout` until the earliest one, at which it
+/// preempts that sandbox; its worker then kills it. A worker that
+/// publishes a dispatch with a deadline sends `()`, so the timer re-reads
+/// the deadlines. It stops when every worker has exited, which drops the
+/// last sender. Under an unbounded quantum (run-to-completion) the deadline
+/// is the only preemption besides a force-killed drain and shutdown, which
+/// preempt directly, so a runaway guest cannot outlive its deadline or
+/// wedge a drain or `Runtime::shutdown`.
+pub(crate) fn timer_loop(wake: Receiver<()>, running: &[Mutex<Option<Dispatch>>]) {
     loop {
-        let due = workers
+        let due = running
             .iter()
-            .filter_map(|w| lock(&w.current).as_ref()?.deadline)
+            .filter_map(|slot| lock(slot).as_ref()?.deadline)
             .min();
-        let woken = match next_tick.into_iter().chain(due).min() {
+        let woken = match due {
             Some(at) => wake.recv_timeout(at.saturating_duration_since(Instant::now())),
             None => wake.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         match woken {
-            Ok(TimerWake::Deadline) => {}
-            Ok(TimerWake::PreemptAll) => preempt(&workers, None),
-            Ok(TimerWake::Stop) | Err(RecvTimeoutError::Disconnected) => {
-                preempt(&workers, None);
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let now = Instant::now();
-                if next_tick.is_some_and(|tick| now >= tick) {
-                    preempt(&workers, None);
-                    next_tick = now.checked_add(quantum);
-                } else {
-                    preempt(&workers, Some(now));
-                }
-            }
+            Ok(()) => {}
+            Err(RecvTimeoutError::Timeout) => preempt(running, Some(Instant::now())),
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -103,9 +65,9 @@ pub(crate) fn timer_loop(
 /// of those whose deadline is not after it. A preempted dispatch's deadline
 /// is withdrawn: its worker decides its fate, and the timer does not wait
 /// for it again.
-fn preempt(workers: &[Arc<WorkerShared>], expired_at: Option<Instant>) {
-    for w in workers {
-        if let Some(dispatch) = lock(&w.current).as_mut() {
+pub(crate) fn preempt(running: &[Mutex<Option<Dispatch>>], expired_at: Option<Instant>) {
+    for slot in running {
+        if let Some(dispatch) = lock(slot).as_mut() {
             let fire = match expired_at {
                 None => true,
                 Some(now) => dispatch.deadline.is_some_and(|d| d <= now),
@@ -159,12 +121,6 @@ fn finish(shared: &Shared, shard: usize, mut sandbox: Box<Sandbox>, outcome: Out
         // worker, so there is nothing to count here.
         Outcome::Throttled { .. } => {}
     }
-    let exec_ns = sandbox.exec_time.as_nanos() as u64;
-    fn_stats.execution_ns.fetch_add(exec_ns, Ordering::Relaxed);
-    shared
-        .stats
-        .execution_ns
-        .fetch_add(exec_ns, Ordering::Relaxed);
     let timings = sandbox.timings(Instant::now());
     // Every executed invocation (success, trap, or deadline kill) records
     // exactly one sample per phase into this worker's private shards; the
@@ -217,21 +173,21 @@ fn finish(shared: &Shared, shard: usize, mut sandbox: Box<Sandbox>, outcome: Out
 /// The worker loop.
 pub(crate) fn worker_loop(
     shared: Arc<Shared>,
-    me: Arc<WorkerShared>,
+    index: usize,
     stealer: Stealer<Box<Sandbox>>,
-    timer: Sender<TimerWake>,
+    timer: Sender<()>,
 ) {
     // One dispatch may burn one quantum of fuel, and DWRR refills are
     // denominated in the same unit (an unbounded quantum saturates both).
-    let fuel = shared.config.effective_quantum_fuel();
+    let fuel = shared.config.dispatch_fuel();
     let mut runqueue: Dwrr<Box<Sandbox>> = Dwrr::new(fuel);
     // Sandboxes blocked on emulated async I/O, with their wake deadlines.
     let mut io_wait: Vec<(Instant, Box<Sandbox>)> = Vec::new();
 
     loop {
         // 0. Shutdown is observed even while long-running sandboxes keep the
-        //    run queue non-empty (they are preempted back to us every
-        //    quantum and at shutdown, so this check is reached promptly).
+        //    run queue non-empty (fuel ends each dispatch, and shutdown
+        //    preempts the running ones, so this check is reached promptly).
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -245,16 +201,16 @@ pub(crate) fn worker_loop(
             let now = Instant::now();
             for (_, mut sb) in io_wait.drain(..) {
                 sb.note_dispatch(now);
-                finish(&shared, me.index, sb, Outcome::TimedOut);
+                finish(&shared, index, sb, Outcome::TimedOut);
             }
             for mut sb in runqueue.drain() {
                 sb.note_dispatch(now);
-                finish(&shared, me.index, sb, Outcome::TimedOut);
+                finish(&shared, index, sb, Outcome::TimedOut);
             }
             while let Some(mut sb) = stealer.steal() {
                 shared.pending.fetch_sub(1, Ordering::Relaxed);
                 sb.note_dispatch(now);
-                finish(&shared, me.index, sb, Outcome::TimedOut);
+                finish(&shared, index, sb, Outcome::TimedOut);
             }
         }
 
@@ -294,7 +250,7 @@ pub(crate) fn worker_loop(
                 // dispatched; one that reaches it while running is
                 // preempted by the timer and killed below.
                 if s.deadline.is_some_and(|d| Instant::now() >= d) {
-                    finish(&shared, me.index, s, Outcome::TimedOut);
+                    finish(&shared, index, s, Outcome::TimedOut);
                     continue;
                 }
                 s
@@ -319,13 +275,13 @@ pub(crate) fn worker_loop(
         };
 
         // 3. Dispatch one quantum. The sandbox's preempt flag and deadline
-        //    are published for the timer thread. A shutdown or force-kill
-        //    whose broadcast ran before the flag was published is caught
-        //    here instead: the check runs under the same lock the timer
-        //    takes. Only a dispatch with a deadline wakes the timer, to
-        //    wait for that deadline.
+        //    are published for the timer and for a shutdown or force-kill
+        //    broadcast. A broadcast that ran before the publish is caught
+        //    here instead: the check runs under the same lock the
+        //    broadcast takes. Only a dispatch with a deadline wakes the
+        //    timer, to wait for that deadline.
         {
-            let mut current = lock(&me.current);
+            let mut current = lock(&shared.running[index]);
             let dispatch = current.insert(Dispatch {
                 preempt: sandbox.instance.preempt_flag(),
                 deadline: sandbox.deadline,
@@ -336,11 +292,11 @@ pub(crate) fn worker_loop(
             }
         }
         if sandbox.deadline.is_some() {
-            let _ = timer.send(TimerWake::Deadline);
+            let _ = timer.send(());
         }
         let fuel_before = sandbox.instance.fuel_used();
         let result = sandbox.run_quantum(fuel);
-        *lock(&me.current) = None;
+        *lock(&shared.running[index]) = None;
         // Charge the dispatch's actual burn against its lane, and surface
         // any pass-overs the scheduler recorded while a lane's deficit was
         // spent (there are none with one shared lane).
@@ -359,17 +315,17 @@ pub(crate) fn worker_loop(
         match result {
             StepResult::Complete(_) => {
                 let body = std::mem::take(&mut sandbox.host.response);
-                finish(&shared, me.index, sandbox, Outcome::Success(body));
+                finish(&shared, index, sandbox, Outcome::Success(body));
             }
             StepResult::Trapped(t) => {
-                finish(&shared, me.index, sandbox, Outcome::Trapped(t));
+                finish(&shared, index, sandbox, Outcome::Trapped(t));
             }
             StepResult::Preempted | StepResult::OutOfFuel => {
                 shared.stats.preemptions.fetch_add(1, Ordering::Relaxed);
                 if shared.force_kill.load(Ordering::Acquire)
                     || sandbox.deadline.is_some_and(|d| Instant::now() >= d)
                 {
-                    finish(&shared, me.index, sandbox, Outcome::TimedOut);
+                    finish(&shared, index, sandbox, Outcome::TimedOut);
                 } else {
                     // Round-robin: back of its lane, where the deficit
                     // decides its next turn.
@@ -379,7 +335,7 @@ pub(crate) fn worker_loop(
             }
             StepResult::Blocked => {
                 if shared.force_kill.load(Ordering::Acquire) {
-                    finish(&shared, me.index, sandbox, Outcome::TimedOut);
+                    finish(&shared, index, sandbox, Outcome::TimedOut);
                     continue;
                 }
                 shared.stats.blocked.fetch_add(1, Ordering::Relaxed);

@@ -310,7 +310,7 @@ fn dwrr_contended_tenants_all_complete() {
         workers: 2,
         fairness: true,
         quantum: Duration::from_millis(1),
-        quantum_fuel: Some(50_000),
+        cost_units_per_us: 50,
         ..Default::default()
     });
     let mut heavy_cfg = FunctionConfig::new("heavy");
@@ -345,17 +345,16 @@ fn dwrr_contended_tenants_all_complete() {
 
 #[test]
 fn fairness_key_chooses_one_shared_lane_or_one_per_function() {
-    // One worker; every quantum is ended by the fuel budget (the timer
-    // quantum outlasts the whole run), so scheduling order depends only on
-    // the run queue. Equal-cost invocations alternate between a weight-8
-    // and a weight-1 function.
+    // One worker; every quantum is ended by the fuel budget (20 000 units),
+    // so scheduling order depends only on the run queue. Equal-cost
+    // invocations alternate between a weight-8 and a weight-1 function.
     const N: usize = 16;
     for fairness in [false, true] {
         let rt = Runtime::new(RuntimeConfig {
             workers: 1,
             fairness,
-            quantum: Duration::from_secs(1),
-            quantum_fuel: Some(20_000),
+            quantum: Duration::from_millis(20),
+            cost_units_per_us: 1,
             ..Default::default()
         });
         let mut heavy_cfg = FunctionConfig::new("heavy");
@@ -418,7 +417,7 @@ fn burst_faults_still_deliver_exactly_one_completion_each() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(1),
-        quantum_fuel: Some(50_000),
+        cost_units_per_us: 50,
         ..Default::default()
     });
     let chaos = ChaosTenants::register(&rt);

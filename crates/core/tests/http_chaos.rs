@@ -75,7 +75,7 @@ fn connection_churn_loses_no_completions_or_samples() {
     for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 4,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         conn_idle: Duration::from_secs(5),
         ..Default::default()
     }) {

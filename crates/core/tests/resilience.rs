@@ -186,7 +186,7 @@ fn deadline_kills_runaway_guest() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         deadline: Some(Duration::from_millis(100)),
         ..Default::default()
     });
@@ -219,7 +219,7 @@ fn per_function_deadline_overrides_runtime_default() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         deadline: Some(Duration::from_secs(30)),
         ..Default::default()
     });
@@ -250,7 +250,7 @@ fn deadline_applies_to_parked_io() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         deadline: Some(Duration::from_millis(100)),
         ..Default::default()
     });
@@ -281,7 +281,7 @@ fn http_deadline_maps_to_504() {
         RuntimeConfig {
             workers: 1,
             quantum: Duration::from_millis(2),
-            quantum_fuel: Some(200_000),
+            cost_units_per_us: 100,
             deadline: Some(Duration::from_millis(100)),
             ..Default::default()
         },
@@ -312,7 +312,7 @@ fn breaker_trips_fast_rejects_and_recovers() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         circuit_breaker: Some(BreakerConfig {
             threshold: 3,
             cooldown: Duration::from_millis(200),
@@ -370,7 +370,7 @@ fn breaker_failed_probe_reopens() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         circuit_breaker: Some(BreakerConfig {
             threshold: 2,
             cooldown: Duration::from_millis(150),
@@ -407,7 +407,7 @@ fn breaker_is_per_function() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         circuit_breaker: Some(BreakerConfig {
             threshold: 2,
             cooldown: Duration::from_secs(30),
@@ -439,7 +439,7 @@ fn http_breaker_maps_to_503_with_retry_after() {
         RuntimeConfig {
             workers: 1,
             quantum: Duration::from_millis(2),
-            quantum_fuel: Some(200_000),
+            cost_units_per_us: 100,
             circuit_breaker: Some(BreakerConfig {
                 threshold: 2,
                 cooldown: Duration::from_secs(30),
@@ -513,7 +513,7 @@ fn shutdown_drain_completes_queued_work() {
     let mut rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         ..Default::default()
     });
     let spin = rt
@@ -572,7 +572,7 @@ fn shutdown_drain_force_kills_runaways_and_reports_timeout() {
     for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         ..Default::default()
     }) {
         eprintln!("config: {label}");
@@ -608,7 +608,7 @@ fn plain_shutdown_returns_promptly_with_runaway_guest() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         ..Default::default()
     });
     let inf = rt
@@ -637,7 +637,6 @@ fn chaos_every_accepted_invocation_completes_exactly_once() {
     for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 4,
         quantum: Duration::from_millis(1),
-        quantum_fuel: Some(150_000),
         deadline: Some(Duration::from_millis(400)),
         circuit_breaker: Some(BreakerConfig {
             threshold: 3,
@@ -731,7 +730,6 @@ fn chaos_with_breaker_recovery_probe() {
     let mut rt = Runtime::new(RuntimeConfig {
         workers: 4,
         quantum: Duration::from_millis(1),
-        quantum_fuel: Some(150_000),
         deadline: Some(Duration::from_millis(400)),
         circuit_breaker: Some(BreakerConfig {
             threshold: 3,

@@ -233,7 +233,7 @@ fn small_config(workers: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         ..Default::default()
     }
 }
@@ -318,7 +318,7 @@ fn temporal_isolation_spinner_does_not_starve_short_requests() {
     for (label, config) in common::plain_and_armed(RuntimeConfig {
         workers: 1,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(500_000),
+        cost_units_per_us: 250,
         ..Default::default()
     }) {
         eprintln!("config: {label}");
@@ -347,13 +347,15 @@ fn temporal_isolation_spinner_does_not_starve_short_requests() {
 
 #[test]
 fn quantum_past_i64_max_still_serves() {
-    // JSON numbers are f64, so a 1e19 budget parses; the run queue must
-    // still dispatch with it, whether sandboxes share a lane or not.
+    // JSON numbers are f64, so a quantum and a rate that derive a 1e19
+    // budget parse; the run queue must still dispatch with it, whether
+    // sandboxes share a lane or not.
     for json in [
-        r#"{"workers": 1, "quantum_fuel": 1e19}"#,
-        r#"{"workers": 1, "quantum_fuel": 1e19, "fairness": true}"#,
+        r#"{"workers": 1, "quantum_us": 1e13, "cost_units_per_us": 1e6}"#,
+        r#"{"workers": 1, "quantum_us": 1e13, "cost_units_per_us": 1e6, "fairness": true}"#,
     ] {
         let (config, _) = RuntimeConfig::from_json(json).unwrap();
+        assert_eq!(config.dispatch_fuel(), 10_000_000_000_000_000_000);
         let rt = Runtime::new(config);
         let echo = rt
             .register_module(FunctionConfig::new("echo"), &guests::echo())
@@ -410,7 +412,7 @@ fn spatial_isolation_trap_does_not_kill_runtime() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(200_000),
+        cost_units_per_us: 100,
         ..Default::default()
     });
     let oob = rt
@@ -468,7 +470,7 @@ fn admission_control_rejects_overload() {
         workers: 1,
         max_pending: 4,
         quantum: Duration::from_millis(2),
-        quantum_fuel: Some(100_000),
+        cost_units_per_us: 50,
         ..Default::default()
     });
     let spin = rt
@@ -662,7 +664,10 @@ fn per_function_stats_are_tracked() {
     assert_eq!(e.completed, 5);
     assert_eq!(s.completed, 3);
     assert_eq!(e.trapped + s.trapped, 0);
-    assert!(s.execution_ns > 0);
+    // The spin function's execution time is its execution phase.
+    let spin_exec = &common::function(&report, "spin").phases().execution;
+    assert_eq!(spin_exec.count(), 3);
+    assert!(spin_exec.quantile(0.5) > 0);
     // Global equals sum of per-function.
     assert_eq!(report.stats.completed, 8);
     rt.shutdown();

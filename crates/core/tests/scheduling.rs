@@ -1,7 +1,7 @@
-//! Scheduler ablation tests: the paper's preemptive round-robin vs. the
-//! run-to-completion model it argues against (§3.4), which is an unbounded
-//! quantum (`Duration::MAX`), deadlines under it, and the timer's prompt
-//! exit at shutdown.
+//! Scheduler ablation tests: the paper's preemptive round-robin, whose
+//! quanta fuel alone ends, vs. the run-to-completion model it argues
+//! against (§3.4), which is an unbounded quantum (`Duration::MAX`),
+//! deadlines under it, and a prompt shutdown.
 
 use sledge_core::{ConfigError, FunctionConfig, Outcome, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
@@ -49,11 +49,11 @@ fn spin_module() -> Module {
     mb.build().unwrap()
 }
 
-fn mixed_workload_short_latency(quantum: Duration, quantum_fuel: Option<u64>) -> Duration {
+fn mixed_workload_short_latency(quantum: Duration, cost_units_per_us: u64) -> Duration {
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         quantum,
-        quantum_fuel,
+        cost_units_per_us,
         ..Default::default()
     });
     let spin = rt
@@ -79,7 +79,7 @@ fn mixed_workload_short_latency(quantum: Duration, quantum_fuel: Option<u64>) ->
 
 #[test]
 fn preemptive_rr_bounds_short_request_latency_behind_a_hog() {
-    let worst = mixed_workload_short_latency(Duration::from_millis(2), Some(200_000));
+    let worst = mixed_workload_short_latency(Duration::from_millis(2), 100);
     // 5 short requests behind one hog on one core: each RR cycle is two
     // quanta (hog + short), so even generously this stays well under the
     // hog's total runtime.
@@ -90,9 +90,41 @@ fn preemptive_rr_bounds_short_request_latency_behind_a_hog() {
 }
 
 #[test]
+fn fuel_alone_ends_a_quantum() {
+    // A 1 ms quantum at 5 000 units/µs: 5 M units per dispatch, which
+    // takes several ms even in release, so a wall-clock tick at the
+    // quantum would cut every dispatch short. Nothing does: no dispatch is
+    // preempted by its flag (there is no deadline), and each request still
+    // needs several dispatches, each ended by fuel and requeued.
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 1,
+        quantum: Duration::from_millis(1),
+        cost_units_per_us: 5_000,
+        ..Default::default()
+    });
+    let spin = rt
+        .register_module(FunctionConfig::new("spin"), &spin_module())
+        .expect("register");
+    let handles: Vec<_> = (0..2)
+        .map(|_| rt.invoke(spin, 2_000_000u32.to_le_bytes().to_vec()))
+        .collect();
+    for h in handles {
+        let done = h.wait().expect("completion");
+        assert!(matches!(done.outcome, Outcome::Success(_)));
+        assert_eq!(done.timings.preemptions, 0, "a flag cut a dispatch short");
+    }
+    let stats = rt.latency_report().stats;
+    assert!(
+        stats.preemptions >= 4,
+        "each request should need at least three dispatches: {stats:?}"
+    );
+    rt.shutdown();
+}
+
+#[test]
 fn run_to_completion_exhibits_head_of_line_blocking() {
-    // An unbounded quantum with a derived budget: the fuel saturates.
-    let worst = mixed_workload_short_latency(Duration::MAX, None);
+    // An unbounded quantum at the default rate: the fuel saturates.
+    let worst = mixed_workload_short_latency(Duration::MAX, 150);
     // Under run-to-completion the short requests wait for the entire hog:
     // the head-of-line blocking the paper's design eliminates.
     assert!(
@@ -117,8 +149,7 @@ fn run_to_completion() -> (Runtime, sledge_core::FunctionId) {
 #[test]
 fn run_to_completion_shutdown_interrupts_runaway_guest() {
     // Even with an unbounded guest and an unbounded quantum, shutdown must
-    // complete: dropping the timer's channel wakes it for a final
-    // preemption broadcast.
+    // complete: it preempts the running dispatch itself.
     let (rt, spin) = run_to_completion();
     let _ = rt.invoke(spin, u32::MAX.to_le_bytes().to_vec());
     std::thread::sleep(Duration::from_millis(20));
@@ -129,8 +160,8 @@ fn run_to_completion_shutdown_interrupts_runaway_guest() {
 
 #[test]
 fn run_to_completion_drain_force_kills_runaway_guest() {
-    // The drain times out behind the runaway; the force-kill signal wakes
-    // the timer, which preempts it, and its invoker gets `TimedOut`.
+    // The drain times out behind the runaway; the force-kill preempts it,
+    // and its invoker gets `TimedOut`.
     let (mut rt, spin) = run_to_completion();
     let h = rt.invoke(spin, u32::MAX.to_le_bytes().to_vec());
     std::thread::sleep(Duration::from_millis(20));
@@ -167,8 +198,8 @@ fn run_to_completion_enforces_a_running_guests_deadline() {
 
 #[test]
 fn shutdown_does_not_wait_out_the_quantum() {
-    // The timer blocks on a channel between ticks, not in a sleep, so an
-    // idle runtime with a long quantum stops at once.
+    // Nothing waits out a quantum: an idle runtime with a long quantum
+    // stops at once.
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         quantum: Duration::from_secs(10),
@@ -190,7 +221,7 @@ fn policies_parse_from_json() {
     // and no fault injector to configure. (The second key is spelt in two
     // halves so the deleted-name guard does not find it here.)
     let (cfg, _) = RuntimeConfig::from_json(r#"{"quantum_us": 1e18}"#).unwrap();
-    assert_eq!(cfg.effective_quantum_fuel(), u64::MAX);
+    assert_eq!(cfg.dispatch_fuel(), u64::MAX);
     for key in ["policy".to_string(), ["fault", "plan"].join("_")] {
         for value in [r#""run-to-completion""#, "{}", "1"] {
             let text = format!(r#"{{"{key}": {value}}}"#);

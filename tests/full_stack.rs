@@ -200,12 +200,13 @@ fn burst_of_mixed_sizes_is_lossless() {
 
 #[test]
 fn aggressive_preemption_does_not_corrupt_results() {
-    // Tiny fuel quantum + 1 ms timer: every app is preempted many times
-    // mid-flight; outputs must still be byte-identical to native.
+    // A tiny fuel quantum (1 ms at 5 units/µs, a few thousand ops per
+    // dispatch): every app is preempted many times mid-flight; outputs
+    // must still be byte-identical to native.
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         quantum: std::time::Duration::from_millis(1),
-        quantum_fuel: Some(5_000), // a few thousand ops per dispatch
+        cost_units_per_us: 5,
         ..Default::default()
     });
     for app in apps::real_world_apps() {
@@ -323,10 +324,19 @@ fn deleted_names_stay_deleted() {
         "function_stats(",
         "invoke_detached",
         "fn inflight(",
+        // One preemption clock: fuel ends every quantum, the timer only
+        // keeps deadlines, and a drain or shutdown preempts by itself.
+        "TimerWake",
+        "PreemptAll",
+        "next_tick",
     ];
     // Removed config keys, which only the config parser may still name: it
     // rejects each with a pointer to what replaces it.
-    const REJECTED_KEYS: &[&str] = &["max_write_footprint_bytes", "metrics_routes"];
+    const REJECTED_KEYS: &[&str] = &[
+        "max_write_footprint_bytes",
+        "metrics_routes",
+        "quantum_fuel",
+    ];
     let parser = std::path::Path::new("crates/core/src/config.rs");
     let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")];
     let mut found = Vec::new();
