@@ -936,6 +936,7 @@ fn sledged_refuses_a_config_that_reuses_a_route_or_a_name() {
         assert_eq!(code, Some(1), "{tag}: {stderr}");
         assert!(stderr.starts_with(&expect), "{tag}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{tag}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{tag}: {stderr}");
     }
 }
 
