@@ -8,7 +8,7 @@
 
 use crate::code::{op_lists, CompiledModule, LoadKind, NumBin, NumUn, StoreKind};
 use crate::host::{Host, HostOutcome};
-use crate::lower::{opc, Body, LOp, Lowered};
+use crate::lower::{first_of, fused, opc, pair_list, Body, LOp, Lowered};
 use crate::memory::LinearMemory;
 use crate::numeric::{bin, un};
 use crate::value::Trap;
@@ -349,12 +349,89 @@ pub(crate) fn run<const NAIVE: bool>(
         }};
     }
 
+    // Jump to `$t` if the 32-bit result `$v` passes `$test`.
+    macro_rules! jump_if {
+        ($v:expr, $t:expr, $($test:tt)+) => {
+            if try_trap!($v) as u32 $($test)+ {
+                jump!($t);
+            }
+        };
+    }
+    // What an op does with its operands `$a $b $c`, for every op a fused
+    // pair may hold, named as in `pair_list!`. The numeric op is a constant
+    // in each use, so `bin`/`un`/`do_load`/`do_store` fold to that op alone.
+    macro_rules! op {
+        (FUEL; $a:ident $b:ident $c:ident) => {
+            // The optimized tier's only charge/poll site; a pause resumes
+            // past it and the debt carries the remainder.
+            if !NAIVE {
+                let cost = $a as u64;
+                if left < cost {
+                    st.fuel_debt = cost - left;
+                    left = 0;
+                    pause!(pc!(), StepResult::OutOfFuel);
+                }
+                left -= cost;
+                if preempt.load(Ordering::Relaxed) {
+                    pause!(pc!(), StepResult::Preempted);
+                }
+            }
+        };
+        (BR; $a:ident $b:ident $c:ident) => { jump!($c) };
+        (BR_IF; $a:ident $b:ident $c:ident) => { jump_if!(Ok::<_, Trap>(get!($a)), $c, != 0) };
+        (BR_IFZ; $a:ident $b:ident $c:ident) => { jump_if!(Ok::<_, Trap>(get!($a)), $c, == 0) };
+        (SELECT; $a:ident $b:ident $c:ident) => {
+            if get!($c) as u32 == 0 {
+                set!($a, get!($b));
+            }
+        };
+        (MOV; $a:ident $b:ident $c:ident) => { set!($a, get!($b)) };
+        (CONST; $a:ident $b:ident $c:ident) => { set!($a, ($c as u64) << 32 | $b as u64) };
+        (GLOBAL_GET; $a:ident $b:ident $c:ident) => { set!($a, globals[$b as usize]) };
+        (GLOBAL_SET; $a:ident $b:ident $c:ident) => { globals[$a as usize] = get!($b) };
+        (MEMORY_SIZE; $a:ident $b:ident $c:ident) => { set!($a, mem.pages() as u64) };
+        (MEMORY_GROW; $a:ident $b:ident $c:ident) => {{
+            let r = mem.grow(get!($b) as u32);
+            set!($a, r as u32 as u64);
+        }};
+        (LOAD $m:ident; $a:ident $b:ident $c:ident) => {
+            set!($a, try_trap!(do_load(mem, LoadKind::$m, get!($b) as u32, $c)))
+        };
+        (STORE $m:ident; $a:ident $b:ident $c:ident) => {
+            try_trap!(do_store(mem, StoreKind::$m, get!($a) as u32, $c, get!($b)))
+        };
+        (UN $m:ident; $a:ident $b:ident $c:ident) => { set!($a, try_trap!(un(NumUn::$m, get!($b)))) };
+        (BIN_RR $m:ident; $a:ident $b:ident $c:ident) => {
+            set!($a, try_trap!(bin(NumBin::$m, get!($b), get!($c))))
+        };
+        (BIN_RI $m:ident; $a:ident $b:ident $c:ident) => {
+            set!($a, try_trap!(bin(NumBin::$m, get!($b), $c as u64)))
+        };
+        (BIN_RK $m:ident; $a:ident $b:ident $c:ident) => {
+            set!($a, try_trap!(bin(NumBin::$m, get!($b), body.consts[$c as usize])))
+        };
+        (BR_RR $m:ident; $a:ident $b:ident $c:ident) => {
+            jump_if!(bin(NumBin::$m, get!($a), get!($b)), $c, != 0)
+        };
+        (BR_RI $m:ident; $a:ident $b:ident $c:ident) => {
+            jump_if!(bin(NumBin::$m, get!($a), $b as u64), $c, != 0)
+        };
+        (BRZ_RR $m:ident; $a:ident $b:ident $c:ident) => {
+            jump_if!(bin(NumBin::$m, get!($a), get!($b)), $c, == 0)
+        };
+        (BRZ_RI $m:ident; $a:ident $b:ident $c:ident) => {
+            jump_if!(bin(NumBin::$m, get!($a), $b as u64), $c, == 0)
+        };
+    }
+
     let result = loop {
         debug_assert!(pc!() < body.ops.len());
         // SAFETY: `ip` points into `body.ops`: every jump target does, and
         // stepping past an op stays inside because the last op of a body
         // never falls through (both proved by `Body::check`).
         let op = unsafe { *ip };
+        #[cfg(test)]
+        count::dispatch(body, pc!(), op.code);
         if NAIVE {
             // Pay for the op before it runs; a pause resumes at it.
             if st.prepaid {
@@ -377,59 +454,55 @@ pub(crate) fn run<const NAIVE: bool>(
         // SAFETY: as above; at worst one past the end, never dereferenced.
         ip = unsafe { ip.add(1) };
         let LOp { code, a, b, c } = op;
-        // Jump to `c` if the 32-bit result `$v` passes `$test`.
-        macro_rules! jump_if {
-            ($v:expr, $($test:tt)+) => {
-                if try_trap!($v) as u32 $($test)+ {
-                    jump!(c);
-                }
-            };
-        }
+        // The naive tier runs the two ops of a fused pair one dispatch
+        // each, charging each its own weight.
+        let code = if NAIVE { first_of(code) } else { code };
 
-        // One jump table for the whole opcode space: the arms below, plus
-        // one per member of each opcode family, generated from the enums'
-        // own name lists. The numeric op is a constant in its arm, so
-        // `bin`/`un`/`do_load`/`do_store` fold to that op alone.
+        // One jump table for the whole opcode space: the arms below, one
+        // per member of each opcode family, generated from the enums' own
+        // name lists, and one per fused pair, generated from `pair_list!`.
+        // A fused arm runs its first op, then the second (op k + 1, which
+        // `Body::check` proved is the pair's second) unless the first
+        // jumped elsewhere, and steps past it.
         macro_rules! dispatch {
-            ({ $($misc:tt)* }
+            ({ $($misc:tt)* } $($pair:ident: [$($x:tt)+] [$($y:tt)+])*
              [$(#[$d0:meta])* LoadKind: $($ld:ident)*] [$(#[$d1:meta])* StoreKind: $($st:ident)*]
              [$(#[$d2:meta])* NumBin: $($b:ident)*] [$(#[$d3:meta])* NumUn: $($u:ident)*]) => {
                 match code {
-                    $(rr::$b => set!(a, try_trap!(bin(NumBin::$b, get!(b), get!(c)))),)*
-                    $(ri::$b => set!(a, try_trap!(bin(NumBin::$b, get!(b), c as u64))),)*
-                    $(rk::$b => set!(a, try_trap!(bin(NumBin::$b, get!(b), body.consts[c as usize]))),)*
-                    $(br_rr::$b => jump_if!(bin(NumBin::$b, get!(a), get!(b)), != 0),)*
-                    $(br_ri::$b => jump_if!(bin(NumBin::$b, get!(a), b as u64), != 0),)*
-                    $(brz_rr::$b => jump_if!(bin(NumBin::$b, get!(a), get!(b)), == 0),)*
-                    $(brz_ri::$b => jump_if!(bin(NumBin::$b, get!(a), b as u64), == 0),)*
-                    $(un_op::$u => set!(a, try_trap!(un(NumUn::$u, get!(b)))),)*
-                    $(load::$ld => set!(a, try_trap!(do_load(mem, LoadKind::$ld, get!(b) as u32, c))),)*
-                    $(store::$st => try_trap!(do_store(mem, StoreKind::$st, get!(a) as u32, c, get!(b))),)*
+                    $(rr::$b => op!(BIN_RR $b; a b c),)*
+                    $(ri::$b => op!(BIN_RI $b; a b c),)*
+                    $(rk::$b => op!(BIN_RK $b; a b c),)*
+                    $(br_rr::$b => op!(BR_RR $b; a b c),)*
+                    $(br_ri::$b => op!(BR_RI $b; a b c),)*
+                    $(brz_rr::$b => op!(BRZ_RR $b; a b c),)*
+                    $(brz_ri::$b => op!(BRZ_RI $b; a b c),)*
+                    $(un_op::$u => op!(UN $u; a b c),)*
+                    $(load::$ld => op!(LOAD $ld; a b c),)*
+                    $(store::$st => op!(STORE $st; a b c),)*
+                    // (A second op need not read all three operands,
+                    // nor `ip` after it, if it jumps.)
+                    $(#[allow(unused_variables, unused_assignments)]
+                    fused::$pair => {
+                        let next = ip;
+                        op!($($x)+; a b c);
+                        if ip == next {
+                            // SAFETY: op k + 1 exists and is not the last
+                            // op unless it jumps (`Body::check`).
+                            let LOp { a, b, c, .. } = unsafe { *ip };
+                            ip = unsafe { ip.add(1) };
+                            op!($($y)+; a b c);
+                        }
+                    })*
                     $($misc)*
                 }
             };
         }
-        op_lists! { dispatch {
-            opc::FUEL => {
-                // The optimized tier's only charge/poll site; a pause
-                // resumes past it and the debt carries the remainder.
-                if !NAIVE {
-                    let cost = a as u64;
-                    if left < cost {
-                        st.fuel_debt = cost - left;
-                        left = 0;
-                        pause!(pc!(), StepResult::OutOfFuel);
-                    }
-                    left -= cost;
-                    if preempt.load(Ordering::Relaxed) {
-                        pause!(pc!(), StepResult::Preempted);
-                    }
-                }
-            }
+        pair_list! { op_lists dispatch {
+            opc::FUEL => op!(FUEL; a b c),
             opc::UNREACHABLE => trap!(Trap::Unreachable),
-            opc::BR => jump!(c),
-            opc::BR_IF => jump_if!(Ok::<_, Trap>(get!(a)), != 0),
-            opc::BR_IFZ => jump_if!(Ok::<_, Trap>(get!(a)), == 0),
+            opc::BR => op!(BR; a b c),
+            opc::BR_IF => op!(BR_IF; a b c),
+            opc::BR_IFZ => op!(BR_IFZ; a b c),
             opc::BR_TABLE => {
                 let t = &body.tables[b as usize];
                 let i = (get!(a) as u32 as usize).min(t.len() - 1);
@@ -471,20 +544,13 @@ pub(crate) fn run<const NAIVE: bool>(
                     call!(f, callee, b);
                 }
             }
-            opc::SELECT => {
-                if get!(c) as u32 == 0 {
-                    set!(a, get!(b));
-                }
-            }
-            opc::MOV => set!(a, get!(b)),
-            opc::CONST => set!(a, (c as u64) << 32 | b as u64),
-            opc::GLOBAL_GET => set!(a, globals[b as usize]),
-            opc::GLOBAL_SET => globals[a as usize] = get!(b),
-            opc::MEMORY_SIZE => set!(a, mem.pages() as u64),
-            opc::MEMORY_GROW => {
-                let r = mem.grow(get!(b) as u32);
-                set!(a, r as u32 as u64);
-            }
+            opc::SELECT => op!(SELECT; a b c),
+            opc::MOV => op!(MOV; a b c),
+            opc::CONST => op!(CONST; a b c),
+            opc::GLOBAL_GET => op!(GLOBAL_GET; a b c),
+            opc::GLOBAL_SET => op!(GLOBAL_SET; a b c),
+            opc::MEMORY_SIZE => op!(MEMORY_SIZE; a b c),
+            opc::MEMORY_GROW => op!(MEMORY_GROW; a b c),
             _ => unreachable!("`Body::check` admits no other opcode"),
         } }
     };
@@ -528,5 +594,233 @@ fn do_store(
             mem.store::<2>(addr, off, (val as u16).to_le_bytes())
         }
         StoreKind::B32From64 => mem.store::<4>(addr, off, (val as u32).to_le_bytes()),
+    }
+}
+
+/// A dispatch counter compiled into this crate's unit tests only: the
+/// shipped loop does not contain it. Counts every dispatch of the loop, and
+/// every pair of consecutive dispatches where the second op is the static
+/// successor of the first (fall-through), while [`count::start`] is armed on
+/// the calling thread.
+#[cfg(test)]
+pub(crate) mod count {
+    use crate::code::{LoadKind, NumBin, NumUn, StoreKind};
+    use crate::lower::{opc, Body, PAIRS};
+    use std::cell::RefCell;
+
+    /// Opcodes below this bound index the pair table.
+    pub(crate) const CODES: usize = opc::FUSED as usize + PAIRS.len();
+
+    pub(crate) struct Counts {
+        pub(crate) dispatches: u64,
+        /// `pairs[first * CODES + second]`.
+        pub(crate) pairs: Vec<u64>,
+        /// The body, and the pc of the op after the last one dispatched.
+        last: (*const Body, usize),
+        last_code: u16,
+    }
+
+    thread_local!(static COUNTS: RefCell<Option<Counts>> = const { RefCell::new(None) });
+
+    /// Start counting this thread's dispatches from zero.
+    pub(crate) fn start() {
+        COUNTS.set(Some(Counts {
+            dispatches: 0,
+            pairs: vec![0; CODES * CODES],
+            last: (std::ptr::null(), 0),
+            last_code: 0,
+        }));
+    }
+
+    /// Stop counting; what was counted since [`start`].
+    pub(crate) fn take() -> Counts {
+        COUNTS.take().expect("counting was started")
+    }
+
+    pub(super) fn dispatch(body: &Body, pc: usize, code: u16) {
+        COUNTS.with_borrow_mut(|c| {
+            let Some(c) = c else { return };
+            c.dispatches += 1;
+            if c.last == (body as *const Body, pc) {
+                c.pairs[c.last_code as usize * CODES + code as usize] += 1;
+            }
+            // A fused op's successor ran in the same dispatch.
+            let end = pc + 1 + (code >= opc::FUSED) as usize;
+            (c.last, c.last_code) = ((body as *const Body, end), code);
+        });
+    }
+
+    /// The opcode's name: `FUEL`, `LOAD.I32`, `RI.I32Add`, ….
+    pub(crate) fn name(code: u16) -> String {
+        const MISC: [&str; 18] = [
+            "FUEL",
+            "UNREACHABLE",
+            "BR",
+            "BR_IF",
+            "BR_IFZ",
+            "BR_TABLE",
+            "RETURN",
+            "RETURN_VAL",
+            "CALL",
+            "CALL_HOST",
+            "CALL_INDIRECT",
+            "SELECT",
+            "MOV",
+            "CONST",
+            "GLOBAL_GET",
+            "GLOBAL_SET",
+            "MEMORY_SIZE",
+            "MEMORY_GROW",
+        ];
+        const FAMILIES: [&str; 7] = ["RR", "RI", "RK", "BR_RR", "BR_RI", "BRZ_RR", "BRZ_RI"];
+        let m = (code & 127) as usize;
+        match code {
+            opc::FUSED.. => {
+                let (x, y) = PAIRS[(code - opc::FUSED) as usize];
+                format!("{}+{}", name(x), name(y))
+            }
+            opc::FAMILIES.. => {
+                let f = FAMILIES[((code - opc::FAMILIES) / 128) as usize];
+                format!("{f}.{:?}", NumBin::ALL[m])
+            }
+            opc::UN.. => format!("UN.{:?}", NumUn::ALL[(code - opc::UN) as usize]),
+            opc::STORE.. => format!("STORE.{:?}", StoreKind::ALL[(code - opc::STORE) as usize]),
+            opc::LOAD.. => format!("LOAD.{:?}", LoadKind::ALL[(code - opc::LOAD) as usize]),
+            _ => MISC[code as usize].to_string(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::count;
+    use crate::code::HostImport;
+    use crate::host::{Host, HostOutcome};
+    use crate::memory::LinearMemory;
+    use crate::value::Trap;
+    use crate::{translate, EngineConfig, Instance, Tier};
+    use std::sync::Arc;
+
+    /// The request/response part of the guests' `env` ABI.
+    struct Buffers {
+        request: Vec<u8>,
+        response: Vec<u8>,
+    }
+
+    impl Host for Buffers {
+        fn call(
+            &mut self,
+            _: u32,
+            f: &HostImport,
+            args: &[u64],
+            mem: &mut LinearMemory,
+        ) -> HostOutcome {
+            let arg = |i: usize| args[i] as u32;
+            let done = |r: Result<u64, Trap>| r.map_or_else(HostOutcome::Trap, HostOutcome::Value);
+            match f.name.as_str() {
+                "request_len" => HostOutcome::Value(self.request.len() as u64),
+                "request_read" => {
+                    let off = (arg(2) as usize).min(self.request.len());
+                    let n = (arg(1) as usize).min(self.request.len() - off);
+                    done(
+                        mem.write_bytes(arg(0), &self.request[off..off + n])
+                            .map(|()| n as u64),
+                    )
+                }
+                "response_write" => done(mem.read_bytes(arg(0), arg(1)).map(|b| {
+                    self.response.extend_from_slice(b);
+                    b.len() as u64
+                })),
+                _ => HostOutcome::Trap(Trap::Unreachable),
+            }
+        }
+    }
+
+    /// Run `m`'s `main` on `request` under the dispatch counter; checks the
+    /// response against `expect`.
+    fn counted(m: &sledge_wasm::module::Module, request: Vec<u8>, expect: &[u8]) -> count::Counts {
+        let cm = Arc::new(translate(m, Tier::Optimized).unwrap());
+        let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
+        let mut host = Buffers {
+            request,
+            response: Vec::new(),
+        };
+        count::start();
+        inst.call_complete("main", &[], &mut host).unwrap();
+        let counts = count::take();
+        assert_eq!(host.response, expect);
+        counts
+    }
+
+    /// Dispatches per request of every shipped guest on its reference
+    /// input, and the fall-through pair histogram they come from (printed
+    /// under `--nocapture`): the evidence the fused pairs were chosen on.
+    /// The apps' counts are pinned; a change that lowers one lowers its pin.
+    #[test]
+    fn shipped_guests_dispatch_pinned_counts() {
+        let pinned: [(&str, u64); 7] = [
+            ("ping", 10),
+            ("echo", 40_989),
+            ("gps_ekf", 35_354),
+            ("gocr", 425_206),
+            ("cifar10", 2_679_428),
+            ("resize", 3_076_669),
+            ("lpd", 4_657_439),
+        ];
+        let mut guests = Vec::new();
+        for app in sledge_apps::all_apps() {
+            let request = match app.name {
+                "echo" => sledge_apps::echo::payload(64 << 10),
+                _ => (app.sample_input)(),
+            };
+            let expect = (app.native)(&request);
+            guests.push((app.name, counted(&(app.module)(), request, &expect)));
+        }
+        for k in sledge_apps::polybench::kernels() {
+            let expect = (k.native)().to_le_bytes();
+            guests.push((k.name, counted(&(k.build)(), Vec::new(), &expect)));
+        }
+
+        // Each pair's share of dispatches: the mean over the guests, then
+        // each app's.
+        let share =
+            |c: &count::Counts, pair: usize| c.pairs[pair] as f64 * 100.0 / c.dispatches as f64;
+        let mut rows: Vec<(f64, usize)> = (0..count::CODES * count::CODES)
+            .filter(|&pair| guests.iter().any(|(_, c)| c.pairs[pair] > 0))
+            .map(|pair| {
+                let sum: f64 = guests.iter().map(|(_, c)| share(c, pair)).sum();
+                (sum / guests.len() as f64, pair)
+            })
+            .filter(|&(mean, pair)| {
+                mean >= 0.2 || guests[..7].iter().any(|(_, c)| share(c, pair) >= 1.0)
+            })
+            .collect();
+        rows.sort_by(|x, y| y.0.total_cmp(&x.0));
+        print!(
+            "{:<44} {:>7}",
+            "fall-through pair (% of dispatches)", "mean"
+        );
+        for (name, _) in &guests[..7] {
+            print!(" {name:>7}");
+        }
+        for (mean, pair) in rows {
+            let (x, y) = ((pair / count::CODES) as u16, (pair % count::CODES) as u16);
+            print!(
+                "\n{:<44} {mean:>7.2}",
+                format!("{} → {}", count::name(x), count::name(y))
+            );
+            for (_, c) in &guests[..7] {
+                print!(" {:>7.2}", share(c, pair));
+            }
+        }
+        println!();
+        for (name, c) in &guests {
+            println!("{name:<16} {:>10} dispatches", c.dispatches);
+        }
+        let got: Vec<(&str, u64)> = guests[..7]
+            .iter()
+            .map(|(n, c)| (*n, c.dispatches))
+            .collect();
+        assert_eq!(got, pinned);
     }
 }

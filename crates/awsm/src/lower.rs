@@ -74,10 +74,100 @@ pub(crate) mod opc {
     pub(crate) const BR_RI: u16 = 640;       // + NumBin: as BR_RR with b an immediate
     pub(crate) const BRZ_RR: u16 = 768;      // + NumBin: jump if op(a, b) == 0
     pub(crate) const BRZ_RI: u16 = 896;      // + NumBin: as BRZ_RR with b an immediate
-    /// Opcodes from here up are `family + member`, families 128 apart.
+    pub(crate) const FUSED: u16 = 1024;      // + index into `PAIRS`: run this op as the pair's first op,
+                                             // then op k+1, which is the pair's second, and step past it
+    /// Opcodes from here up to `FUSED` are `family + member`, families 128
+    /// apart.
     pub(crate) const FAMILIES: u16 = BIN_RR;
 }
 use opc::*;
+
+/// The fused pairs, `Name: [first] [second]`, each op an opcode (`FUEL`) or
+/// a family and member (`BIN_RI I32Mul`). Pair `i` is opcode `FUSED + i`.
+/// The list is handed to a callback macro like [`op_lists`]: it declares
+/// [`PAIRS`] and the [`fused`] opcodes here and the executor's arms there,
+/// so the two cannot drift apart.
+///
+/// Chosen from the fall-through pair histogram of the 37 shipped guests
+/// (`exec::tests::shipped_guests_dispatch_pinned_counts`, after constant
+/// left operands fold into the immediate): a pair qualifies with ≥ 1 % of
+/// dispatches averaged over the guests, or ≥ 3 % of one app's (`ping`'s 10
+/// dispatches excluded); of the 42 that qualify, these 24 are the ones a
+/// greedy search found to cut the guests' geomean dispatch count most.
+/// Shares: mean over the 37 guests; the largest in one app.
+macro_rules! pair_list {
+    ($with:ident $($args:tt)*) => { $with! { $($args)*
+        MulI_AddI: [BIN_RI I32Mul] [BIN_RI I32Add]         // 11.14 %; 0.79 % lpd
+        MulI_AddR: [BIN_RI I32Mul] [BIN_RR I32Add]         //  9.50 %; 11.56 % gps_ekf
+        AddR_MulI: [BIN_RR I32Add] [BIN_RI I32Mul]         //  9.32 %; 10.88 % gps_ekf
+        AddI_LoadF64: [BIN_RI I32Add] [LOAD F64]           //  8.29 %; 0.37 % gps_ekf
+        AddI_Br: [BIN_RI I32Add] [BR]                      //  4.28 %; 11.11 % echo
+        Fuel_MulI: [FUEL] [BIN_RI I32Mul]                  //  3.47 %; 5.27 % gocr
+        LoadF64_MulI: [LOAD F64] [BIN_RI I32Mul]           //  3.38 %; 0.11 % gps_ekf
+        Fuel_BrzLtSI: [FUEL] [BRZ_RI I32LtS]               //  3.21 %; 6.16 % gocr
+        AddI_MulI: [BIN_RI I32Add] [BIN_RI I32Mul]         //  2.54 %; 0.80 % gps_ekf
+        LoadF64_MulF64: [LOAD F64] [BIN_RR F64Mul]         //  2.35 %; 4.73 % gps_ekf
+        MulF64_AddF64: [BIN_RR F64Mul] [BIN_RR F64Add]     //  2.05 %; 4.57 % gps_ekf
+        AddR_AddI: [BIN_RR I32Add] [BIN_RI I32Add]         //  1.86 %; 15.81 % gocr
+        LoadF64_AddF64: [LOAD F64] [BIN_RR F64Add]         //  1.32 %; 0.01 % gps_ekf
+        AddF64_StoreF64: [BIN_RR F64Add] [STORE F64]       //  1.31 %; 0.01 % gps_ekf
+        AddF64_AddI: [BIN_RR F64Add] [BIN_RI I32Add]       //  1.22 %; 4.57 % gps_ekf
+        Const_MulF64: [CONST] [BIN_RR F64Mul]              //  1.04 %; 0 in the apps
+        Fuel_BrzLtSR: [FUEL] [BRZ_RR I32LtS]               //  1.02 %; 11.11 % echo
+        MulR_AddR: [BIN_RR I32Mul] [BIN_RR I32Add]         //  0.96 %; 9.56 % gps_ekf
+        AddI_LoadU8: [BIN_RI I32Add] [LOAD I32U8]          //  0.78 %; 10.54 % gocr
+        Fuel_AddR: [FUEL] [BIN_RR I32Add]                  //  0.55 %; 11.11 % echo
+        AddI_LoadI64: [BIN_RI I32Add] [LOAD I64]           //  0.30 %; 11.11 % echo
+        MulR_AddI: [BIN_RR I32Mul] [BIN_RI I32Add]         //  0.17 %; 4.11 % resize
+        Xor_Popcnt: [BIN_RR I32Xor] [UN I32Popcnt]         //  0.14 %; 5.27 % gocr
+        SubI_GeSI: [BIN_RI I32Sub] [BIN_RI I32GeS]         //  0.10 %; 3.83 % cifar10
+    } };
+}
+pub(crate) use pair_list;
+
+/// The opcode an op name in [`pair_list`] stands for.
+macro_rules! code_of {
+    (LOAD $m:ident) => {
+        opc::LOAD + LoadKind::$m as u16
+    };
+    (STORE $m:ident) => {
+        opc::STORE + StoreKind::$m as u16
+    };
+    (UN $m:ident) => {
+        opc::UN + NumUn::$m as u16
+    };
+    ($family:ident $m:ident) => {
+        opc::$family + NumBin::$m as u16
+    };
+    ($op:ident) => {
+        opc::$op
+    };
+}
+
+macro_rules! pairs {
+    ($($name:ident: [$($x:tt)+] [$($y:tt)+])*) => {
+        /// Each fused opcode's `(first, second)` opcodes, by `code - FUSED`.
+        pub(crate) const PAIRS: &[(u16, u16)] = &[$((code_of!($($x)+), code_of!($($y)+))),*];
+
+        #[allow(non_camel_case_types)]
+        enum Pair { $($name),* }
+
+        /// The fused opcodes by name, as match patterns.
+        #[allow(non_upper_case_globals)]
+        pub(crate) mod fused {
+            $(pub(crate) const $name: u16 = super::FUSED + super::Pair::$name as u16;)*
+        }
+    };
+}
+pair_list!(pairs);
+
+/// The opcode of a fused op's first op; any other opcode unchanged.
+pub(crate) fn first_of(code: u16) -> u16 {
+    match code.checked_sub(FUSED).and_then(|i| PAIRS.get(i as usize)) {
+        Some(&(first, _)) => first,
+        None => code,
+    }
+}
 
 /// Bytes per lowered op; the tests hold it at 16.
 pub const LOWERED_OP_BYTES: usize = std::mem::size_of::<LOp>();
@@ -305,8 +395,15 @@ impl Lowerer {
     /// Pop two operands and push `op` of them; a constant right operand
     /// becomes an immediate (or a pool entry, if too wide for one).
     fn bin(&mut self, op: NumBin, cost: u32) {
-        let (y, ypos) = self.pop_desc();
-        let a = self.pop();
+        let (mut y, mut ypos) = self.pop_desc();
+        let (mut x, mut xpos) = self.pop_desc();
+        // A constant left operand of a commutative integer op becomes the
+        // immediate too. Not for floats: a NaN's payload depends on the
+        // operands' order.
+        if matches!(x, Desc::Const(_)) && !matches!(y, Desc::Const(_)) && commutes(op) {
+            (x, xpos, y, ypos) = (y, ypos, x, xpos);
+        }
+        let a = self.resolve(x, xpos);
         let dst = self.push();
         let op = op as u16;
         let Desc::Const(c) = y else {
@@ -377,6 +474,28 @@ impl Lowerer {
         }
         self.slot(from)
     }
+}
+
+/// Whether `op(x, y) == op(y, x)` for every pair of integer operands.
+fn commutes(op: NumBin) -> bool {
+    use NumBin::*;
+    matches!(
+        op,
+        I32Add
+            | I32Mul
+            | I32And
+            | I32Or
+            | I32Xor
+            | I32Eq
+            | I32Ne
+            | I64Add
+            | I64Mul
+            | I64And
+            | I64Or
+            | I64Xor
+            | I64Eq
+            | I64Ne
+    )
 }
 
 fn lower_func(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> Result<Body, String> {
@@ -582,6 +701,7 @@ fn lower_func(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> Re
     for t in tables.iter_mut().flat_map(|t| t.iter_mut()) {
         *t = labels[*t as usize];
     }
+    fuse(&mut ops);
     Ok(Body {
         ops: ops.into(),
         costs: lw.costs.into(),
@@ -594,7 +714,25 @@ fn lower_func(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> Re
     })
 }
 
-/// Whether `c` of an op with this opcode is a jump target.
+/// Give each listed pair `(ops[k], ops[k + 1])` one dispatch, left to
+/// right, no op in two pairs: only `ops[k].code` changes, to its pair's
+/// fused opcode. Op `k + 1` keeps its place and its opcode, so a jump that
+/// lands on it, and a pause after op `k`, run it as a plain op.
+fn fuse(ops: &mut [LOp]) {
+    let mut k = 0;
+    while k + 1 < ops.len() {
+        let pair = (ops[k].code, ops[k + 1].code);
+        match PAIRS.iter().position(|&p| p == pair) {
+            Some(i) => {
+                ops[k].code = FUSED + i as u16;
+                k += 2;
+            }
+            None => k += 1,
+        }
+    }
+}
+
+/// Whether `c` of an op with this (unfused) opcode is a jump target.
 fn is_jump(code: u16) -> bool {
     matches!(code, BR..=BR_IFZ) || code >= BR_RR
 }
@@ -625,6 +763,15 @@ impl Body {
         };
         for (pc, op) in self.ops.iter().enumerate() {
             let LOp { code, a, b, c, .. } = *op;
+            // A fused op is checked as its first op; the executor runs its
+            // successor unchecked, so that must be the pair's second.
+            let code = match code.checked_sub(FUSED) {
+                None => code,
+                Some(i) => match (PAIRS.get(i as usize), self.ops.get(pc + 1)) {
+                    (Some(&(first, second)), Some(next)) if next.code == second => first,
+                    _ => return Err(format!("fused op {pc} ({op:?}) lacks its partner")),
+                },
+            };
             // (frame slots named, everything else the op indexes is there)
             let (family, member) = match code {
                 FAMILIES.. => (code & !127, (code & 127) as usize),
@@ -683,7 +830,102 @@ impl Body {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sledge_guestc::{dsl::*, FuncBuilder, ModuleBuilder};
+    use crate::{EngineConfig, Instance, NullHost, StepResult, Tier, Value};
+    use sledge_guestc::{dsl::*, Expr, FuncBuilder, ModuleBuilder, Scalar, UnOp};
+    use sledge_wasm::types::ValType::{F64, I32};
+    use std::sync::Arc;
+
+    /// `main(n)`: small loops over f64s, bytes and i64s whose lowered body
+    /// holds every pair in `PAIRS`.
+    #[rustfmt::skip]
+    fn every_pair_guest() -> CompiledModule {
+        let mut mb = ModuleBuilder::new("pairs");
+        mb.memory(1, Some(1));
+        let mut f = FuncBuilder::new(&[I32], Some(I32));
+        let n = f.arg(0);
+        let (i, j, x, k) = (f.local(I32), f.local(I32), f.local(I32), f.local(I32));
+        let acc = f.local(F64);
+        let f64_at = |base: Expr| load(Scalar::F64, add(base, i32c(64)), 0);
+        let popcnt = |v: Expr| Expr::Un(UnOp::Popcnt, Box::new(v));
+        f.extend([
+            for_loop(i, i32c(0), lt_s(local(i), i32c(8)), 1, vec![
+                store_f64(add(mul(local(i), i32c(8)), i32c(64)), mul(f64c(0.5), i2d(local(i)))),
+                store_u8(add(local(i), i32c(256)), mul(local(i), i32c(37))),
+            ]),
+            for_loop(i, i32c(0), lt_s(local(i), local(n)), 1, vec![
+                set(x, add(local(x), local(i))),
+                set(x, add(mul(local(i), local(j)), local(x))),
+                for_loop(j, i32c(0), lt_s(local(j), i32c(3)), 1, vec![
+                    set(x, add(mul(local(x), i32c(5)), i32c(1))),
+                    set(acc, add(local(acc), mul(f64_at(mul(add(local(i), local(j)), i32c(8))), local(acc)))),
+                    set(acc, add(f64_at(add(mul(local(j), i32c(8)), local(i))), local(acc))),
+                    set(acc, add(local(acc), i2d(mul(local(i), local(j))))),
+                    store_f64(add(mul(add(local(j), i32c(1)), i32c(8)), i32c(128)),
+                              add(local(acc), f64_at(mul(local(i), i32c(8))))),
+                    set(x, add(local(x), popcnt(xor(local(x), load_u8(add(local(j), i32c(256))))))),
+                    set(x, add(add(local(x), local(i)), i32c(4))),
+                    set(x, xor(local(x), ge_s(sub(local(x), i32c(3)), i32c(0)))),
+                    set(x, add(mul(local(x), local(j)), i32c(3))),
+                    set(x, add(local(x), l2i(load(Scalar::I64, add(local(j), i32c(256)), 0)))),
+                    set(acc, mul(local(acc), f64_at(mul(local(j), i32c(8))))),
+                    set(k, and(local(x), i32c(56))),
+                    set(acc, mul(load(Scalar::F64, local(k), 64), local(acc))),
+                    set(acc, add(load(Scalar::F64, local(k), 64), i2d(mul(local(j), i32c(8))))),
+                    store_f64(add(local(k), i32c(128)), add(local(acc), local(acc))),
+                ]),
+            ]),
+            ret(Some(add(local(x), d2i(local(acc))))),
+        ]);
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        crate::translate(&mb.build().unwrap(), Tier::Optimized).unwrap()
+    }
+
+    /// `main(3)` under `tier`, `quantum` units per `run`: its result and
+    /// the fuel it used.
+    fn run_at(m: &Arc<CompiledModule>, tier: Tier, quantum: u64) -> (Option<u64>, u64) {
+        let config = EngineConfig {
+            tier,
+            ..Default::default()
+        };
+        let mut inst = Instance::new(Arc::clone(m), config).unwrap();
+        inst.invoke_export("main", &[Value::I32(3)]).unwrap();
+        loop {
+            match inst.run(&mut NullHost, quantum) {
+                StepResult::Complete(v) => return (v, inst.fuel_used()),
+                StepResult::OutOfFuel => continue,
+                other => panic!("quantum {quantum}: {other:?}"),
+            }
+        }
+    }
+
+    /// Each fused op runs its successor unchecked, and a pause between the
+    /// two resumes at the successor as a plain op: every pair, paused at
+    /// every point, must compute what one unpaused run and the naive tier
+    /// (which runs the pairs unfused) compute, and burn the same fuel.
+    #[test]
+    fn fused_pairs_survive_a_pause_at_every_point() {
+        let m = Arc::new(every_pair_guest());
+        let ops = &m.lowered.bodies[0].ops;
+        let missing: Vec<_> = (0..PAIRS.len() as u16)
+            .filter(|&i| !ops.iter().any(|op| op.code == FUSED + i))
+            .collect();
+        let names: Vec<String> = ops
+            .iter()
+            .map(|op| crate::exec::count::name(op.code))
+            .collect();
+        assert!(missing.is_empty(), "pairs {missing:?} not in {names:#?}");
+
+        let whole = run_at(&m, Tier::Optimized, u64::MAX);
+        assert_eq!(run_at(&m, Tier::Naive, u64::MAX), whole);
+        for quantum in 1..=whole.1 {
+            assert_eq!(
+                run_at(&m, Tier::Optimized, quantum),
+                whole,
+                "quantum {quantum}"
+            );
+        }
+    }
 
     #[test]
     #[rustfmt::skip]
@@ -700,11 +942,13 @@ mod tests {
         let lowered = lower_module(&m, &arities).unwrap();
         let good = &lowered.bodies[0];
         good.check(&m, &lowered.hosts, &arities).unwrap();
-        let edits: [fn(&mut Vec<LOp>); 4] = [
+        let edits: [fn(&mut Vec<LOp>); 6] = [
             |ops| ops[1].a = 1 << 20,                        // slot outside the frame
             |ops| ops.insert(1, lop(BR, 0, 0, 99)),          // jump outside the body
             |ops| ops.insert(1, lop(BIN_RR + 127, 0, 0, 0)), // no such opcode
             |ops| ops.truncate(ops.len() - 1),               // runs off the end
+            |ops| ops.insert(ops.len() - 1, lop(FUSED, 0, 0, 0)), // not before its partner
+            |ops| ops.push(lop(FUSED, 0, 0, 0)),             // fused, and last
         ];
         for edit in edits {
             let mut ops = good.ops.to_vec();

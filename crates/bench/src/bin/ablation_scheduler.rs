@@ -3,9 +3,11 @@
 //! `Duration::MAX`), and how the quantum length trades scheduling overhead
 //! against short-request tail latency.
 //!
-//! Workload: a mix of long CPU-bound requests and a stream of short
-//! requests on a fixed worker count; reports short-request latency
-//! percentiles and aggregate throughput per configuration.
+//! Workload: a mix of long CPU-bound requests (`lpd`, whose fuel is over
+//! twice the longest round-robin row's dispatch budget, so every row cuts
+//! it into quanta) and a stream of short requests on a fixed worker count;
+//! reports short-request latency percentiles and aggregate throughput per
+//! configuration.
 //!
 //! Usage: `ablation_scheduler [--shorts N]`
 
@@ -13,21 +15,28 @@ use sledge_bench::{fmt_dur, LatencyStats};
 use sledge_core::{FunctionConfig, Outcome, Runtime, RuntimeConfig};
 use std::time::{Duration, Instant};
 
+/// Cost units one `lpd` request burns on its sample input.
+fn hog_fuel() -> u64 {
+    let module = awsm::translate(&sledge_apps::lpd::module(), awsm::Tier::Optimized);
+    let module = std::sync::Arc::new(module.expect("translate lpd"));
+    let mut inst = awsm::Instance::new(module, Default::default()).expect("instantiate lpd");
+    let mut host = sledge_apps::testutil::BufferHost::new(sledge_apps::lpd::sample_input());
+    inst.call_complete("main", &[], &mut host)
+        .expect("lpd runs");
+    inst.fuel_used()
+}
+
 fn run_config(label: &str, quantum: Duration, shorts: usize) -> (String, LatencyStats, Duration) {
-    let rt = Runtime::new(RuntimeConfig {
+    let config = RuntimeConfig {
         workers: 2.min(sledge_core::num_cpus()),
         // Each row's fuel budget per dispatch is derived from its quantum
         // (an unbounded one saturates), so a row's label is its quantum.
         quantum,
         ..Default::default()
-    });
+    };
+    let rt = Runtime::new(config);
     let spin = rt
-        .register_module(
-            FunctionConfig::new("spin"),
-            &sledge_apps::polybench::kernel("gemm")
-                .map(|k| (k.build)())
-                .expect("gemm kernel"),
-        )
+        .register_module(FunctionConfig::new("spin"), &sledge_apps::lpd::module())
         .expect("register spin");
     let ekf = rt
         .register_module(FunctionConfig::new("ekf"), &sledge_apps::gps_ekf::module())
@@ -37,14 +46,16 @@ fn run_config(label: &str, quantum: Duration, shorts: usize) -> (String, Latency
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let hog_count = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let wall0 = Instant::now();
+    let hog_body = sledge_apps::lpd::sample_input();
     let lat = std::thread::scope(|s| {
         for _ in 0..4 {
             let rt = &rt;
             let stop = std::sync::Arc::clone(&stop);
             let hog_count = std::sync::Arc::clone(&hog_count);
+            let hog_body = &hog_body;
             s.spawn(move || {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let done = rt.invoke(spin, Vec::new()).wait();
+                    let done = rt.invoke(spin, hog_body.clone()).wait();
                     if matches!(
                         done.map(|c| matches!(c.outcome, Outcome::Success(_))),
                         Some(true)
@@ -97,7 +108,8 @@ fn main() {
     }
 
     println!("# Scheduler ablation: short-request latency behind CPU hogs");
-    println!("# ({shorts} short EKF probes; 4 closed-loop gemm hog clients)");
+    let hog = hog_fuel();
+    println!("# ({shorts} short EKF probes; 4 closed-loop lpd hog clients, {hog} units each)");
     let configs = [
         ("run-to-completion", Duration::MAX),
         ("preemptive-rr 1ms", Duration::from_millis(1)),
@@ -105,6 +117,17 @@ fn main() {
         ("preemptive-rr 20ms", Duration::from_millis(20)),
     ];
     for (label, quantum) in configs {
+        // A hog that fits in two dispatches would make a row read as
+        // run-to-completion.
+        let budget = RuntimeConfig {
+            quantum,
+            ..Default::default()
+        }
+        .dispatch_fuel();
+        assert!(
+            quantum == Duration::MAX || hog > 2 * budget,
+            "{label}: a {hog}-unit hog fits in two {budget}-unit dispatches"
+        );
         let (line, _, _) = run_config(label, quantum, shorts);
         println!("{line}");
     }

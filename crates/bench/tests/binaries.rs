@@ -6,17 +6,8 @@
 /// exits non-zero.
 #[test]
 fn instantiation_latency_runs_to_completion() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_instantiation_latency"))
-        .args(["--iters", "50"])
-        .output()
-        .expect("spawn instantiation_latency");
-    assert!(
-        out.status.success(),
-        "instantiation_latency failed ({}):\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let args = ["--iters", "50"];
+    let stdout = run_ok(env!("CARGO_BIN_EXE_instantiation_latency"), &args);
     assert!(stdout.contains("pure-compute"), "{stdout}");
 }
 
@@ -24,17 +15,7 @@ fn instantiation_latency_runs_to_completion() {
 /// cold and a warm-pool runtime's reports.
 #[test]
 fn table3_churn_runs_to_completion() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table3_churn"))
-        .args(["--iters", "20"])
-        .output()
-        .expect("spawn table3_churn");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "table3_churn failed ({}):\n{stdout}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = run_ok(env!("CARGO_BIN_EXE_table3_churn"), &["--iters", "20"]);
     assert!(stdout.contains("# warm pool: "), "{stdout}");
 }
 
@@ -43,17 +24,7 @@ fn table3_churn_runs_to_completion() {
 /// lost a request or the ring put every route on one node.
 #[test]
 fn ring_runs_to_completion() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ring"))
-        .args(["--secs", "1"])
-        .output()
-        .expect("spawn ring");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "ring failed ({}):\n{stdout}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = run_ok(env!("CARGO_BIN_EXE_ring"), &["--secs", "1"]);
     assert!(stdout.contains("per-node completions: "), "{stdout}");
 }
 
@@ -75,18 +46,21 @@ fn loadgen_drives_pipelined_keep_alive_load() {
     rt.register_module(FunctionConfig::new("echo"), &sledge_apps::echo::module())
         .unwrap();
     let addr = rt.http_addr().unwrap().to_string();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_loadgen"))
-        .args(["--addr", &addr, "--route", "/echo", "--conns", "8"])
-        .args(["--pipeline", "4", "--secs", "2", "--idle-conns", "200"])
-        .output()
-        .expect("spawn loadgen");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "loadgen failed ({}):\n{stdout}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let args = [
+        "--addr",
+        &addr,
+        "--route",
+        "/echo",
+        "--conns",
+        "8",
+        "--pipeline",
+        "4",
+        "--secs",
+        "2",
+        "--idle-conns",
+        "200",
+    ];
+    run_ok(env!("CARGO_BIN_EXE_loadgen"), &args);
     assert!(rt.latency_report().connections.accepted > 0);
     let metrics = sledge_http::HttpClient::new(rt.http_addr().unwrap())
         .request("GET", "/metrics", &[], b"")
@@ -97,4 +71,40 @@ fn loadgen_drives_pipelined_keep_alive_load() {
         assert!(metrics.contains(family), "no {family} in\n{metrics}");
     }
     rt.shutdown();
+}
+
+/// Run a benchmark binary with `args`; its standard output, after asserting
+/// it exited 0.
+fn run_ok(bin: &str, args: &[&str]) -> String {
+    let out = std::process::Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "{bin} failed ({}):\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
+/// `table2_exec` times every real-world app natively and in a sandbox.
+#[test]
+fn table2_exec_runs_to_completion() {
+    let stdout = run_ok(env!("CARGO_BIN_EXE_table2_exec"), &["--iters", "3"]);
+    assert!(
+        stdout.lines().any(|l| l.starts_with("cifar10  |")),
+        "{stdout}"
+    );
+}
+
+/// `fig5_polybench` times PolyBench kernels on both tiers, then preempts
+/// them against their certified gaps.
+#[test]
+fn fig5_polybench_runs_to_completion() {
+    let args = ["--iters", "1", "--kernels", "gemm,atax"];
+    let stdout = run_ok(env!("CARGO_BIN_EXE_fig5_polybench"), &args);
+    assert!(stdout.lines().any(|l| l.starts_with("gemm ")), "{stdout}");
 }
