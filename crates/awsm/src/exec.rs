@@ -349,81 +349,6 @@ pub(crate) fn run<const NAIVE: bool>(
         }};
     }
 
-    // Jump to `$t` if the 32-bit result `$v` passes `$test`.
-    macro_rules! jump_if {
-        ($v:expr, $t:expr, $($test:tt)+) => {
-            if try_trap!($v) as u32 $($test)+ {
-                jump!($t);
-            }
-        };
-    }
-    // What an op does with its operands `$a $b $c`, for every op a fused
-    // pair may hold, named as in `pair_list!`. The numeric op is a constant
-    // in each use, so `bin`/`un`/`do_load`/`do_store` fold to that op alone.
-    macro_rules! op {
-        (FUEL; $a:ident $b:ident $c:ident) => {
-            // The optimized tier's only charge/poll site; a pause resumes
-            // past it and the debt carries the remainder.
-            if !NAIVE {
-                let cost = $a as u64;
-                if left < cost {
-                    st.fuel_debt = cost - left;
-                    left = 0;
-                    pause!(pc!(), StepResult::OutOfFuel);
-                }
-                left -= cost;
-                if preempt.load(Ordering::Relaxed) {
-                    pause!(pc!(), StepResult::Preempted);
-                }
-            }
-        };
-        (BR; $a:ident $b:ident $c:ident) => { jump!($c) };
-        (BR_IF; $a:ident $b:ident $c:ident) => { jump_if!(Ok::<_, Trap>(get!($a)), $c, != 0) };
-        (BR_IFZ; $a:ident $b:ident $c:ident) => { jump_if!(Ok::<_, Trap>(get!($a)), $c, == 0) };
-        (SELECT; $a:ident $b:ident $c:ident) => {
-            if get!($c) as u32 == 0 {
-                set!($a, get!($b));
-            }
-        };
-        (MOV; $a:ident $b:ident $c:ident) => { set!($a, get!($b)) };
-        (CONST; $a:ident $b:ident $c:ident) => { set!($a, ($c as u64) << 32 | $b as u64) };
-        (GLOBAL_GET; $a:ident $b:ident $c:ident) => { set!($a, globals[$b as usize]) };
-        (GLOBAL_SET; $a:ident $b:ident $c:ident) => { globals[$a as usize] = get!($b) };
-        (MEMORY_SIZE; $a:ident $b:ident $c:ident) => { set!($a, mem.pages() as u64) };
-        (MEMORY_GROW; $a:ident $b:ident $c:ident) => {{
-            let r = mem.grow(get!($b) as u32);
-            set!($a, r as u32 as u64);
-        }};
-        (LOAD $m:ident; $a:ident $b:ident $c:ident) => {
-            set!($a, try_trap!(do_load(mem, LoadKind::$m, get!($b) as u32, $c)))
-        };
-        (STORE $m:ident; $a:ident $b:ident $c:ident) => {
-            try_trap!(do_store(mem, StoreKind::$m, get!($a) as u32, $c, get!($b)))
-        };
-        (UN $m:ident; $a:ident $b:ident $c:ident) => { set!($a, try_trap!(un(NumUn::$m, get!($b)))) };
-        (BIN_RR $m:ident; $a:ident $b:ident $c:ident) => {
-            set!($a, try_trap!(bin(NumBin::$m, get!($b), get!($c))))
-        };
-        (BIN_RI $m:ident; $a:ident $b:ident $c:ident) => {
-            set!($a, try_trap!(bin(NumBin::$m, get!($b), $c as u64)))
-        };
-        (BIN_RK $m:ident; $a:ident $b:ident $c:ident) => {
-            set!($a, try_trap!(bin(NumBin::$m, get!($b), body.consts[$c as usize])))
-        };
-        (BR_RR $m:ident; $a:ident $b:ident $c:ident) => {
-            jump_if!(bin(NumBin::$m, get!($a), get!($b)), $c, != 0)
-        };
-        (BR_RI $m:ident; $a:ident $b:ident $c:ident) => {
-            jump_if!(bin(NumBin::$m, get!($a), $b as u64), $c, != 0)
-        };
-        (BRZ_RR $m:ident; $a:ident $b:ident $c:ident) => {
-            jump_if!(bin(NumBin::$m, get!($a), get!($b)), $c, == 0)
-        };
-        (BRZ_RI $m:ident; $a:ident $b:ident $c:ident) => {
-            jump_if!(bin(NumBin::$m, get!($a), $b as u64), $c, == 0)
-        };
-    }
-
     let result = loop {
         debug_assert!(pc!() < body.ops.len());
         // SAFETY: `ip` points into `body.ops`: every jump target does, and
@@ -453,10 +378,72 @@ pub(crate) fn run<const NAIVE: bool>(
         }
         // SAFETY: as above; at worst one past the end, never dereferenced.
         ip = unsafe { ip.add(1) };
-        let LOp { code, a, b, c } = op;
+        let LOp {
+            code,
+            mut a,
+            mut b,
+            mut c,
+        } = op;
         // The naive tier runs the two ops of a fused pair one dispatch
         // each, charging each its own weight.
         let code = if NAIVE { first_of(code) } else { code };
+        // Jump to `c` if the 32-bit result `$v` passes `$test`.
+        macro_rules! jump_if {
+            ($v:expr, $($test:tt)+) => {
+                if try_trap!($v) as u32 $($test)+ {
+                    jump!(c);
+                }
+            };
+        }
+        // What an op does with operands `a b c`, for every op a fused pair
+        // may hold, named as in `pair_list!`. The numeric op is a constant
+        // in each use, so `bin`/`un`/`do_load`/`do_store` fold to that op
+        // alone.
+        macro_rules! op {
+            (FUEL) => {
+                // The optimized tier's only charge/poll site; a pause
+                // resumes past it and the debt carries the remainder.
+                if !NAIVE {
+                    let cost = a as u64;
+                    if left < cost {
+                        st.fuel_debt = cost - left;
+                        left = 0;
+                        pause!(pc!(), StepResult::OutOfFuel);
+                    }
+                    left -= cost;
+                    if preempt.load(Ordering::Relaxed) {
+                        pause!(pc!(), StepResult::Preempted);
+                    }
+                }
+            };
+            (BR) => { jump!(c) };
+            (BR_IF) => { jump_if!(Ok::<_, Trap>(get!(a)), != 0) };
+            (BR_IFZ) => { jump_if!(Ok::<_, Trap>(get!(a)), == 0) };
+            (SELECT) => {
+                if get!(c) as u32 == 0 {
+                    set!(a, get!(b));
+                }
+            };
+            (MOV) => { set!(a, get!(b)) };
+            (CONST) => { set!(a, (c as u64) << 32 | b as u64) };
+            (GLOBAL_GET) => { set!(a, globals[b as usize]) };
+            (GLOBAL_SET) => { globals[a as usize] = get!(b) };
+            (MEMORY_SIZE) => { set!(a, mem.pages() as u64) };
+            (MEMORY_GROW) => {{
+                let r = mem.grow(get!(b) as u32);
+                set!(a, r as u32 as u64);
+            }};
+            (LOAD $m:ident) => { set!(a, try_trap!(do_load(mem, LoadKind::$m, get!(b) as u32, c))) };
+            (STORE $m:ident) => { try_trap!(do_store(mem, StoreKind::$m, get!(a) as u32, c, get!(b))) };
+            (UN $m:ident) => { set!(a, try_trap!(un(NumUn::$m, get!(b)))) };
+            (BIN_RR $m:ident) => { set!(a, try_trap!(bin(NumBin::$m, get!(b), get!(c)))) };
+            (BIN_RI $m:ident) => { set!(a, try_trap!(bin(NumBin::$m, get!(b), c as u64))) };
+            (BIN_RK $m:ident) => { set!(a, try_trap!(bin(NumBin::$m, get!(b), body.consts[c as usize]))) };
+            (BR_RR $m:ident) => { jump_if!(bin(NumBin::$m, get!(a), get!(b)), != 0) };
+            (BR_RI $m:ident) => { jump_if!(bin(NumBin::$m, get!(a), b as u64), != 0) };
+            (BRZ_RR $m:ident) => { jump_if!(bin(NumBin::$m, get!(a), get!(b)), == 0) };
+            (BRZ_RI $m:ident) => { jump_if!(bin(NumBin::$m, get!(a), b as u64), == 0) };
+        }
 
         // One jump table for the whole opcode space: the arms below, one
         // per member of each opcode family, generated from the enums' own
@@ -469,28 +456,28 @@ pub(crate) fn run<const NAIVE: bool>(
              [$(#[$d0:meta])* LoadKind: $($ld:ident)*] [$(#[$d1:meta])* StoreKind: $($st:ident)*]
              [$(#[$d2:meta])* NumBin: $($b:ident)*] [$(#[$d3:meta])* NumUn: $($u:ident)*]) => {
                 match code {
-                    $(rr::$b => op!(BIN_RR $b; a b c),)*
-                    $(ri::$b => op!(BIN_RI $b; a b c),)*
-                    $(rk::$b => op!(BIN_RK $b; a b c),)*
-                    $(br_rr::$b => op!(BR_RR $b; a b c),)*
-                    $(br_ri::$b => op!(BR_RI $b; a b c),)*
-                    $(brz_rr::$b => op!(BRZ_RR $b; a b c),)*
-                    $(brz_ri::$b => op!(BRZ_RI $b; a b c),)*
-                    $(un_op::$u => op!(UN $u; a b c),)*
-                    $(load::$ld => op!(LOAD $ld; a b c),)*
-                    $(store::$st => op!(STORE $st; a b c),)*
+                    $(rr::$b => op!(BIN_RR $b),)*
+                    $(ri::$b => op!(BIN_RI $b),)*
+                    $(rk::$b => op!(BIN_RK $b),)*
+                    $(br_rr::$b => op!(BR_RR $b),)*
+                    $(br_ri::$b => op!(BR_RI $b),)*
+                    $(brz_rr::$b => op!(BRZ_RR $b),)*
+                    $(brz_ri::$b => op!(BRZ_RI $b),)*
+                    $(un_op::$u => op!(UN $u),)*
+                    $(load::$ld => op!(LOAD $ld),)*
+                    $(store::$st => op!(STORE $st),)*
                     // (A second op need not read all three operands,
                     // nor `ip` after it, if it jumps.)
-                    $(#[allow(unused_variables, unused_assignments)]
+                    $(#[allow(unused_assignments)]
                     fused::$pair => {
                         let next = ip;
-                        op!($($x)+; a b c);
+                        op!($($x)+);
                         if ip == next {
                             // SAFETY: op k + 1 exists and is not the last
                             // op unless it jumps (`Body::check`).
-                            let LOp { a, b, c, .. } = unsafe { *ip };
+                            LOp { a, b, c, .. } = unsafe { *ip };
                             ip = unsafe { ip.add(1) };
-                            op!($($y)+; a b c);
+                            op!($($y)+);
                         }
                     })*
                     $($misc)*
@@ -498,11 +485,11 @@ pub(crate) fn run<const NAIVE: bool>(
             };
         }
         pair_list! { op_lists dispatch {
-            opc::FUEL => op!(FUEL; a b c),
+            opc::FUEL => op!(FUEL),
             opc::UNREACHABLE => trap!(Trap::Unreachable),
-            opc::BR => op!(BR; a b c),
-            opc::BR_IF => op!(BR_IF; a b c),
-            opc::BR_IFZ => op!(BR_IFZ; a b c),
+            opc::BR => op!(BR),
+            opc::BR_IF => op!(BR_IF),
+            opc::BR_IFZ => op!(BR_IFZ),
             opc::BR_TABLE => {
                 let t = &body.tables[b as usize];
                 let i = (get!(a) as u32 as usize).min(t.len() - 1);
@@ -544,13 +531,13 @@ pub(crate) fn run<const NAIVE: bool>(
                     call!(f, callee, b);
                 }
             }
-            opc::SELECT => op!(SELECT; a b c),
-            opc::MOV => op!(MOV; a b c),
-            opc::CONST => op!(CONST; a b c),
-            opc::GLOBAL_GET => op!(GLOBAL_GET; a b c),
-            opc::GLOBAL_SET => op!(GLOBAL_SET; a b c),
-            opc::MEMORY_SIZE => op!(MEMORY_SIZE; a b c),
-            opc::MEMORY_GROW => op!(MEMORY_GROW; a b c),
+            opc::SELECT => op!(SELECT),
+            opc::MOV => op!(MOV),
+            opc::CONST => op!(CONST),
+            opc::GLOBAL_GET => op!(GLOBAL_GET),
+            opc::GLOBAL_SET => op!(GLOBAL_SET),
+            opc::MEMORY_SIZE => op!(MEMORY_SIZE),
+            opc::MEMORY_GROW => op!(MEMORY_GROW),
             _ => unreachable!("`Body::check` admits no other opcode"),
         } }
     };
@@ -652,26 +639,8 @@ pub(crate) mod count {
 
     /// The opcode's name: `FUEL`, `LOAD.I32`, `RI.I32Add`, ….
     pub(crate) fn name(code: u16) -> String {
-        const MISC: [&str; 18] = [
-            "FUEL",
-            "UNREACHABLE",
-            "BR",
-            "BR_IF",
-            "BR_IFZ",
-            "BR_TABLE",
-            "RETURN",
-            "RETURN_VAL",
-            "CALL",
-            "CALL_HOST",
-            "CALL_INDIRECT",
-            "SELECT",
-            "MOV",
-            "CONST",
-            "GLOBAL_GET",
-            "GLOBAL_SET",
-            "MEMORY_SIZE",
-            "MEMORY_GROW",
-        ];
+        const MISC: &str = "FUEL UNREACHABLE BR BR_IF BR_IFZ BR_TABLE RETURN RETURN_VAL CALL \
+            CALL_HOST CALL_INDIRECT SELECT MOV CONST GLOBAL_GET GLOBAL_SET MEMORY_SIZE MEMORY_GROW";
         const FAMILIES: [&str; 7] = ["RR", "RI", "RK", "BR_RR", "BR_RI", "BRZ_RR", "BRZ_RI"];
         let m = (code & 127) as usize;
         match code {
@@ -686,7 +655,11 @@ pub(crate) mod count {
             opc::UN.. => format!("UN.{:?}", NumUn::ALL[(code - opc::UN) as usize]),
             opc::STORE.. => format!("STORE.{:?}", StoreKind::ALL[(code - opc::STORE) as usize]),
             opc::LOAD.. => format!("LOAD.{:?}", LoadKind::ALL[(code - opc::LOAD) as usize]),
-            _ => MISC[code as usize].to_string(),
+            _ => MISC
+                .split(' ')
+                .nth(code as usize)
+                .expect("an opcode")
+                .to_string(),
         }
     }
 }
@@ -701,7 +674,9 @@ mod tests {
     use crate::{translate, EngineConfig, Instance, Tier};
     use std::sync::Arc;
 
-    /// The request/response part of the guests' `env` ABI.
+    /// The request/response part of the guests' `env` ABI. (`sledge_apps`'
+    /// `BufferHost` implements the `Host` of the engine build it links,
+    /// which is not this test build.)
     struct Buffers {
         request: Vec<u8>,
         response: Vec<u8>,

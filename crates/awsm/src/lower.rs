@@ -126,22 +126,13 @@ macro_rules! pair_list {
 pub(crate) use pair_list;
 
 /// The opcode an op name in [`pair_list`] stands for.
+#[rustfmt::skip]
 macro_rules! code_of {
-    (LOAD $m:ident) => {
-        opc::LOAD + LoadKind::$m as u16
-    };
-    (STORE $m:ident) => {
-        opc::STORE + StoreKind::$m as u16
-    };
-    (UN $m:ident) => {
-        opc::UN + NumUn::$m as u16
-    };
-    ($family:ident $m:ident) => {
-        opc::$family + NumBin::$m as u16
-    };
-    ($op:ident) => {
-        opc::$op
-    };
+    (LOAD $m:ident) => { opc::LOAD + LoadKind::$m as u16 };
+    (STORE $m:ident) => { opc::STORE + StoreKind::$m as u16 };
+    (UN $m:ident) => { opc::UN + NumUn::$m as u16 };
+    ($family:ident $m:ident) => { opc::$family + NumBin::$m as u16 };
+    ($op:ident) => { opc::$op };
 }
 
 macro_rules! pairs {
@@ -479,23 +470,9 @@ impl Lowerer {
 /// Whether `op(x, y) == op(y, x)` for every pair of integer operands.
 fn commutes(op: NumBin) -> bool {
     use NumBin::*;
-    matches!(
-        op,
-        I32Add
-            | I32Mul
-            | I32And
-            | I32Or
-            | I32Xor
-            | I32Eq
-            | I32Ne
-            | I64Add
-            | I64Mul
-            | I64And
-            | I64Or
-            | I64Xor
-            | I64Eq
-            | I64Ne
-    )
+    let ops = [I32Add, I32Mul, I32And, I32Or, I32Xor, I32Eq, I32Ne];
+    let wide = [I64Add, I64Mul, I64And, I64Or, I64Xor, I64Eq, I64Ne];
+    ops.contains(&op) || wide.contains(&op)
 }
 
 fn lower_func(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> Result<Body, String> {
