@@ -14,6 +14,9 @@
 //! and, for arguments, before a call — the callee's frame starts at the
 //! caller's first argument slot, so a call copies nothing.
 //!
+//! A last pass gives each adjacent pair listed in [`pair_list`] one
+//! dispatch, leaving the second op in place.
+//!
 //! [`Op::Fuel`] is carried one-to-one at the same segment heads, and every
 //! lowered op records the summed [`op_cost`] of the stack ops folded into it
 //! (what the naive tier charges), so both accountings are unchanged.
@@ -89,8 +92,9 @@ use opc::*;
 /// so the two cannot drift apart.
 ///
 /// Chosen from the fall-through pair histogram of the 37 shipped guests
-/// (`exec::tests::shipped_guests_dispatch_pinned_counts`, after constant
-/// left operands fold into the immediate): a pair qualifies with ≥ 1 % of
+/// (`exec::tests::shipped_guests_dispatch_pinned_counts`, as it read with
+/// constant left operands folded into the immediate and no pair fused yet;
+/// it now shows what is left): a pair qualifies with ≥ 1 % of
 /// dispatches averaged over the guests, or ≥ 3 % of one app's (`ping`'s 10
 /// dispatches excluded); of the 42 that qualify, these 24 are the ones a
 /// greedy search found to cut the guests' geomean dispatch count most.
