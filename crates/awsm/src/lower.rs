@@ -908,6 +908,100 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 of `bytes`, continuing from `h`.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// What every shipped guest lowers to, pinned: per body its op count
+    /// and frame size, per guest a digest of every body's ops, fuel
+    /// weights, constant pool and jump tables. A change that moves a body
+    /// updates its pin and says why.
+    #[test]
+    fn shipped_guests_lower_to_pinned_bodies() {
+        const PINNED: &[&str] = &[
+            "ping [(10, 2)] 63118748da50fba2",
+            "echo [(38, 7)] 1dc83aa1200ed06b",
+            "gps_ekf [(38, 17), (38, 17), (133, 12), (297, 13)] 3c8ae69f93dd3464",
+            "gocr [(79, 17)] 61aafa610da7f87a",
+            "cifar10 [(85, 20), (85, 16), (57, 15), (87, 13)] fe8e9299bb4358fd",
+            "resize [(87, 16)] 5cd3526da31e7b20",
+            "lpd [(335, 19)] b62de632c691bcfc",
+            "correlation [(266, 10)] 4816056990d5d41b",
+            "covariance [(178, 9)] cdb765479369f59b",
+            "adi [(360, 10)] 84aaab4edba0ce81",
+            "gramschmidt [(197, 10)] 207cef4e2308c364",
+            "deriche [(172, 15)] 07f16c87ccccb5f9",
+            "trmm [(117, 9)] 5972e5f86d673b3b",
+            "seidel-2d [(140, 9)] 7dccd120d36c3e4a",
+            "mvt [(149, 8)] fe3354f4e184df79",
+            "symm [(160, 10)] a240dded2dfe86fd",
+            "ludcmp [(244, 11)] a612e7922c555c36",
+            "syr2k [(147, 10)] 3802d09df775225d",
+            "lu [(182, 10)] 3c760ae95acce924",
+            "trisolv [(100, 8)] ee5b2070a135bdf4",
+            "nussinov [(143, 12)] 788069e054acaddb",
+            "doitgen [(159, 10)] b02be4a678e77b82",
+            "2mm [(178, 10)] c3c5f40f23e1b36e",
+            "gesummv [(135, 8)] 53595a550b215f36",
+            "bicg [(123, 8)] e1c7e4dd263b9205",
+            "gemver [(233, 9)] 06649857bc130183",
+            "cholesky [(187, 10)] 3ddae3f1dfcbaef6",
+            "3mm [(196, 9)] 08e6f4e7c526db10",
+            "atax [(114, 9)] ea56b39a8ef4517f",
+            "syrk [(123, 9)] d1f079c215193968",
+            "floyd-warshall [(110, 10)] 4c83b19ebd5467e6",
+            "durbin [(117, 11)] 25dde2150e8759f8",
+            "heat-3d [(330, 12)] a1569291bd2412ec",
+            "fdtd-2d [(225, 11)] 111df5db7ab94d52",
+            "jacobi-2d [(170, 10)] c262dcf41d754754",
+            "jacobi-1d [(92, 8)] b31965ee1910b4aa",
+            "gemm [(130, 9)] 364eb086f6c7fb89",
+        ];
+        let apps = sledge_apps::all_apps()
+            .into_iter()
+            .map(|a| (a.name, (a.module)()));
+        let kernels = sledge_apps::polybench::kernels()
+            .into_iter()
+            .map(|k| (k.name, (k.build)()));
+        let got: Vec<String> = apps
+            .chain(kernels)
+            .map(|(name, module)| {
+                let m = crate::translate(&module, Tier::Optimized).unwrap();
+                let mut h = 0xcbf2_9ce4_8422_2325;
+                let mut shape = Vec::new();
+                for b in m.lowered.bodies.iter() {
+                    h = fnv1a(h, &(b.ops.len() as u32).to_le_bytes());
+                    for op in b.ops.iter() {
+                        h = fnv1a(h, &op.code.to_le_bytes());
+                        for w in [op.a, op.b, op.c] {
+                            h = fnv1a(h, &w.to_le_bytes());
+                        }
+                    }
+                    h = fnv1a(h, &b.costs);
+                    h = fnv1a(h, &(b.consts.len() as u32).to_le_bytes());
+                    for k in b.consts.iter() {
+                        h = fnv1a(h, &k.to_le_bytes());
+                    }
+                    for t in b.tables.iter() {
+                        h = fnv1a(h, &(t.len() as u32).to_le_bytes());
+                        for e in t.iter() {
+                            h = fnv1a(h, &e.to_le_bytes());
+                        }
+                    }
+                    shape.push((b.ops.len(), b.frame_slots));
+                }
+                format!("{name} {shape:?} {h:016x}")
+            })
+            .collect();
+        for row in &got {
+            println!("{row:?},");
+        }
+        assert_eq!(got, PINNED);
+    }
+
     #[test]
     #[rustfmt::skip]
     fn check_rejects_what_the_executor_could_not_survive() {
