@@ -7,14 +7,13 @@
 //! turns fuel into a **work meter** shared by both tiers:
 //!
 //! 1. Every op gets a weight ([`op_cost`], in abstract *cost units*, one
-//!    unit ≈ one simple interpreted op). Weights are *compositional over
-//!    fusion*: each super-instruction weighs exactly the sum of the ops it
-//!    fused, and every op the optimized translator elides (`const`/
-//!    `local.get`/`global.get` feeding a `drop`, the `i32.eqz` folded into
-//!    `BrIfZ`, operand pushes consumed by fusion) weighs 0 — therefore the
-//!    naive and optimized translations of the same function consume
-//!    *identical* total fuel for the same execution, a property the
-//!    differential property tests assert.
+//!    unit ≈ one simple interpreted op). Operand traffic the lowering folds
+//!    into the ops that read it (`const`, `local.get`/`set`/`tee`,
+//!    `global.get`, `drop`, an `i32.eqz` a branch tests) weighs 0, and each
+//!    lowered op records the summed weight of the stack ops folded into it
+//!    — therefore per-op charging (naive tier) and per-segment charging
+//!    (optimized tier) consume *identical* total fuel for the same
+//!    execution, a property the differential property tests assert.
 //! 2. The flat code is partitioned into basic blocks (leaders: function
 //!    entry, branch targets, and the op after any terminator — branches,
 //!    `return`, `unreachable`, and calls). An explicit [`Op::Fuel`] charge
@@ -59,9 +58,8 @@ pub(super) fn bin_cost(op: NumBin) -> u32 {
 pub(super) fn un_cost(op: NumUn) -> u32 {
     use NumUn::*;
     match op {
-        // MUST be 0: the optimized translator folds `i32.eqz` into
-        // `BrIf`/`BrIfZ`; a non-zero weight would break naive/optimized
-        // fuel equivalence.
+        // Free: the lowering folds it into the branch that tests it, and
+        // every pinned fuel count was measured with it weighing 0.
         I32Eqz => 0,
         F32Sqrt | F64Sqrt => 6,
         I32Popcnt | I64Popcnt => 2,
@@ -80,11 +78,10 @@ pub(super) fn un_cost(op: NumUn) -> u32 {
 ///
 /// Invariants the weights must uphold (checked by unit tests):
 ///
-/// * **Fusion-compositional**: a super-instruction weighs the sum of the
-///   ops it replaced (`Bin2L` = 2·`LocalGet` plus `Bin`, `LoadL` =
-///   `LocalGet` plus `Load`, `IncI32` = the fused `i32.add`, …). Hence
-///   operand pushes consumed by fusion (`Const`, `LocalGet`, `LocalSet`,
-///   `Drop`, `GlobalGet`, `i32.eqz`) weigh 0.
+/// * **Fold-compositional**: a lowered op weighs the sum of the stack ops
+///   folded into it, so what the lowering folds away or into an operand
+///   (`Const`, `LocalGet`, `LocalSet`, `LocalTee`, `Drop`, `GlobalGet`,
+///   `i32.eqz` under a branch) weighs 0, and no fold moves fuel.
 /// * **`Op::Fuel` weighs 0**: it is accounting, not guest work; the naive
 ///   tier skips it.
 pub fn op_cost(op: &Op) -> u32 {
@@ -104,13 +101,8 @@ pub fn op_cost(op: &Op) -> u32 {
         Op::CallIndirect(_) => 10,
         Op::CallHost(_) => 16,
         Op::MemoryGrow => 64,
-        Op::Load(..) | Op::LoadL(..) | Op::Store(..) => 3,
-        Op::Bin(b) | Op::BinRL(b, _) | Op::BinRC(b, _) | Op::Bin2L(b, ..) | Op::Bin2LS(b, ..) => {
-            bin_cost(*b)
-        }
-        // `local.get src; const c; i32.add; local.set dst`: only the add
-        // carries weight.
-        Op::IncI32(..) => bin_cost(NumBin::I32Add),
+        Op::Load(..) | Op::Store(..) => 3,
+        Op::Bin(b) => bin_cost(*b),
         Op::Un(u) => un_cost(*u),
     }
 }
@@ -355,7 +347,8 @@ mod tests {
     fn strip_fuel_round_trips_instrumentation() {
         let code = vec![
             Op::Const(1),
-            Op::BinRC(NumBin::I32Add, 2),
+            Op::Const(2),
+            Op::Bin(NumBin::I32Add),
             Op::Drop,
             Op::Br(Branch {
                 target: 0,

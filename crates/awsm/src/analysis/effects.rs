@@ -327,7 +327,7 @@ pub(super) fn lints(
         let mut seen_load = false;
         for (pc, op) in func.code.iter().enumerate() {
             match op {
-                Op::Load(..) | Op::LoadL(..) => {
+                Op::Load(..) => {
                     seen_load = true;
                 }
                 Op::Store(kind, off) if !seen_load && pc >= 2 => {

@@ -98,22 +98,8 @@ pub(super) fn value_lints(m: &CompiledModule, out: &mut Vec<Diagnostic>) {
         };
         for op in &func.code {
             match op {
-                Op::LocalGet(l) | Op::BinRL(_, l) | Op::LoadL(_, l, _) => mark(&mut read, *l),
-                Op::LocalSet(l) => mark(&mut written, *l),
-                Op::LocalTee(l) => mark(&mut written, *l),
-                Op::IncI32(l, _) => {
-                    mark(&mut read, *l);
-                    mark(&mut written, *l);
-                }
-                Op::Bin2L(_, a, b) => {
-                    mark(&mut read, *a);
-                    mark(&mut read, *b);
-                }
-                Op::Bin2LS(_, a, b, d) => {
-                    mark(&mut read, *a);
-                    mark(&mut read, *b);
-                    mark(&mut written, *d);
-                }
+                Op::LocalGet(l) => mark(&mut read, *l),
+                Op::LocalSet(l) | Op::LocalTee(l) => mark(&mut written, *l),
                 _ => {}
             }
         }
@@ -270,12 +256,6 @@ pub(super) fn constant_lints(m: &CompiledModule, arities: &ArityMap, out: &mut V
                     }
                     results = 1;
                 }
-                Op::LoadL(kind, _, off) => {
-                    if let Some(message) = out_of_bounds(None, *off, load_len(*kind), max_bytes) {
-                        lint(Severity::Error, message);
-                    }
-                    results = 1;
-                }
                 Op::Store(kind, off) => {
                     pop(&mut stack, 1);
                     let addr = pop(&mut stack, 1);
@@ -287,13 +267,6 @@ pub(super) fn constant_lints(m: &CompiledModule, arities: &ArityMap, out: &mut V
                     let divisor = pop(&mut stack, 1);
                     pop(&mut stack, 1);
                     if divisor.is_some_and(|d| divides_by_zero(*op, d)) {
-                        lint(Severity::Warn, DIV_BY_ZERO.to_string());
-                    }
-                    results = 1;
-                }
-                Op::BinRC(op, divisor) => {
-                    pop(&mut stack, 1);
-                    if divides_by_zero(*op, *divisor) {
                         lint(Severity::Warn, DIV_BY_ZERO.to_string());
                     }
                     results = 1;

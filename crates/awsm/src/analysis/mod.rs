@@ -9,10 +9,11 @@
 //! result is an [`AnalysisReport`] stored on the module, so every consumer —
 //! the registry, the CLI, the benchmarks — shares one analysis.
 //!
-//! 1. **Verifier** (`stack`): per-function operand-stack heights and frame
-//!    sizes, the call graph, recursion detection, and a worst-case stack
-//!    bound in bytes for the whole module. `sledge-core` compares it against
-//!    the sandbox stack budget *before* instantiation.
+//! 1. **Verifier** (`stack`): per-function operand-stack heights, the call
+//!    graph, recursion detection, and a worst-case stack bound in bytes for
+//!    the whole module, over the frames the lowered bodies reserve.
+//!    `sledge-core` compares it against the sandbox stack budget *before*
+//!    instantiation.
 //! 2. **Lints** (`lint`): structured [`Diagnostic`]s for statically
 //!    guaranteed traps and dead code, found by linear scans with no
 //!    fixpoint. `Error` means the module will trap on the flagged path
@@ -100,9 +101,10 @@ pub enum StackBound {
 pub struct FuncSummary {
     /// Export/debug name, if known.
     pub name: Option<String>,
-    /// Maximum operand-stack slots this function uses.
+    /// Operand slots of the frame the executor reserves for the function
+    /// (the frame less its locals).
     pub max_operand_slots: u32,
-    /// Frame footprint in bytes: locals + operands + frame record.
+    /// Frame footprint in bytes: locals + operand slots + frame record.
     pub frame_bytes: u64,
     /// Memory-access sites in the function.
     pub mem_sites: u32,
@@ -280,15 +282,12 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), 
     let mut diagnostics = Vec::new();
     let mut timings: Vec<(&'static str, Duration)> = Vec::new();
 
-    // Per-function operand heights; needed by both the verifier and the
-    // frame-size summaries.
+    // Per-function operand heights: every later pass indexes a shipped
+    // body only after this walk has accepted it.
     let t = Instant::now();
     let arities = stack::arity_map(m);
-    let heights = stack::operand_heights(m, &arities)?;
-
-    // Call graph, recursion, worst-case bound.
+    stack::check_heights(m, &arities)?;
     let graph = stack::CallGraph::build(m);
-    let stack_bound = graph.stack_bound(m, &heights);
     timings.push(("stack", t.elapsed()));
 
     // Lints: entry `unreachable`, dead functions, statically-dead
@@ -299,28 +298,6 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), 
     lint::value_lints(m, &mut diagnostics);
     lint::constant_lints(m, &arities, &mut diagnostics);
     timings.push(("lint", t.elapsed()));
-
-    let mut mem_sites = 0;
-    let funcs: Vec<FuncSummary> = m
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(fidx, func)| {
-            let sites = func
-                .code
-                .iter()
-                .filter(|op| matches!(op, Op::Load(..) | Op::LoadL(..) | Op::Store(..)))
-                .count() as u32;
-            mem_sites += sites;
-            FuncSummary {
-                name: func.name.clone(),
-                max_operand_slots: heights[fidx],
-                frame_bytes: stack::frame_bytes(func, heights[fidx]),
-                mem_sites: sites,
-                reachable: reachable.contains(&(fidx as u32)),
-            }
-        })
-        .collect();
 
     // Effect certificate + effect-aware lints, before the cost pass so lint
     // pcs refer to pre-instrumentation code like every other diagnostic.
@@ -354,6 +331,38 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), 
     let t = Instant::now();
     m.lowered = crate::lower::lower_module(m, &arities)?;
     timings.push(("lower", t.elapsed()));
+
+    // The stack bound and frame summaries, over the frames the executor
+    // reserves.
+    let frames: Vec<u64> = m
+        .lowered
+        .bodies
+        .iter()
+        .map(|b| stack::frame_bytes(b.frame_slots))
+        .collect();
+    let stack_bound = graph.stack_bound(&frames);
+    let mut mem_sites = 0;
+    let funcs: Vec<FuncSummary> = m
+        .funcs
+        .iter()
+        .zip(&m.lowered.bodies)
+        .enumerate()
+        .map(|(fidx, (func, body))| {
+            let sites = func
+                .code
+                .iter()
+                .filter(|op| matches!(op, Op::Load(..) | Op::Store(..)))
+                .count() as u32;
+            mem_sites += sites;
+            FuncSummary {
+                name: func.name.clone(),
+                max_operand_slots: body.frame_slots - body.nlocals,
+                frame_bytes: frames[fidx],
+                mem_sites: sites,
+                reachable: reachable.contains(&(fidx as u32)),
+            }
+        })
+        .collect();
 
     m.analysis = AnalysisReport {
         funcs,

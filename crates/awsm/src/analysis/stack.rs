@@ -1,6 +1,6 @@
-//! Stack-bound verification: per-pc operand heights, per-function frame
-//! sizes, the call graph, recursion detection, and the module-wide
-//! worst-case stack demand.
+//! Stack-bound verification: per-pc operand heights, the call graph,
+//! recursion detection, and the module-wide worst-case stack demand over
+//! the frames the lowered bodies reserve.
 //!
 //! Heights are a simple forward dataflow over the flat code. Validated Wasm
 //! guarantees every pc has a single well-defined height, so the "join" is
@@ -32,23 +32,21 @@ pub(crate) fn arity_map(m: &CompiledModule) -> ArityMap {
     map
 }
 
-/// Maximum operand-stack height of every local function, or the first
-/// body [`heights`] refuses, by function.
-pub(super) fn operand_heights(m: &CompiledModule, arities: &ArityMap) -> Result<Vec<u32>, String> {
-    let max_height = |(fidx, func): (usize, &CompiledFunc)| {
-        let named = |e| match &func.name {
+/// The first body [`heights`] refuses, by function.
+pub(super) fn check_heights(m: &CompiledModule, arities: &ArityMap) -> Result<(), String> {
+    for (fidx, func) in m.funcs.iter().enumerate() {
+        heights(m, func, arities).map_err(|e| match &func.name {
             Some(n) => format!("{n}: {e}"),
             None => format!("func[{fidx}]: {e}"),
-        };
-        let heights = heights(m, func, arities).map_err(named)?;
-        Ok(heights.into_iter().flatten().max().unwrap_or(0))
-    };
-    m.funcs.iter().enumerate().map(max_height).collect()
+        })?;
+    }
+    Ok(())
 }
 
-/// Frame footprint in bytes: locals + worst-case operands + frame record.
-pub(super) fn frame_bytes(func: &CompiledFunc, max_operand_slots: u32) -> u64 {
-    (func.nlocals as u64 + max_operand_slots as u64) * 8 + FRAME_RECORD_BYTES
+/// Frame footprint in bytes of a frame of `slots` slots (parameters,
+/// locals and operands), frame record included.
+pub(super) fn frame_bytes(slots: u32) -> u64 {
+    slots as u64 * 8 + FRAME_RECORD_BYTES
 }
 
 /// `(pops, pushes)` of an op that neither transfers control nor calls.
@@ -56,18 +54,8 @@ pub(super) fn stack_effect(op: &Op) -> (u32, u32) {
     match op {
         Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
         Op::Select => (3, 1),
-        Op::LocalGet(_)
-        | Op::GlobalGet(_)
-        | Op::MemorySize
-        | Op::Const(_)
-        | Op::Bin2L(..)
-        | Op::LoadL(..) => (0, 1),
-        Op::LocalTee(_)
-        | Op::Load(..)
-        | Op::MemoryGrow
-        | Op::Un(_)
-        | Op::BinRL(..)
-        | Op::BinRC(..) => (1, 1),
+        Op::LocalGet(_) | Op::GlobalGet(_) | Op::MemorySize | Op::Const(_) => (0, 1),
+        Op::LocalTee(_) | Op::Load(..) | Op::MemoryGrow | Op::Un(_) => (1, 1),
         Op::Store(..) => (2, 0),
         Op::Bin(_) => (2, 1),
         _ => (0, 0),
@@ -77,14 +65,7 @@ pub(super) fn stack_effect(op: &Op) -> (u32, u32) {
 /// Highest local and global index `op` touches, if any.
 fn slots_used(op: &Op) -> (Option<u32>, Option<u32>) {
     match op {
-        Op::LocalGet(l)
-        | Op::LocalSet(l)
-        | Op::LocalTee(l)
-        | Op::BinRL(_, l)
-        | Op::IncI32(l, _)
-        | Op::LoadL(_, l, _) => (Some(*l), None),
-        Op::Bin2L(_, a, b) => (Some(*a.max(b)), None),
-        Op::Bin2LS(_, a, b, d) => (Some(*a.max(b).max(d)), None),
+        Op::LocalGet(l) | Op::LocalSet(l) | Op::LocalTee(l) => (Some(*l), None),
         Op::GlobalGet(g) | Op::GlobalSet(g) => (None, Some(*g)),
         _ => (None, None),
     }
@@ -308,21 +289,16 @@ impl CallGraph {
         seen
     }
 
-    /// Worst-case stack demand in bytes over all entry paths, or the cycle
-    /// that makes it unbounded.
-    pub(super) fn stack_bound(&self, m: &CompiledModule, heights: &[u32]) -> StackBound {
+    /// Worst-case stack demand in bytes over all entry paths, given each
+    /// local function's frame in bytes, or the cycle that makes it
+    /// unbounded.
+    pub(super) fn stack_bound(&self, frame: &[u64]) -> StackBound {
         if let Some(cycle) = self.find_cycle() {
             return StackBound::Unbounded { cycle };
         }
 
         // Acyclic: memoized longest path, iteratively (guests can be deep).
-        let frame: Vec<u64> = m
-            .funcs
-            .iter()
-            .zip(heights)
-            .map(|(f, &h)| frame_bytes(f, h))
-            .collect();
-        let mut cost: Vec<Option<u64>> = vec![None; m.funcs.len()];
+        let mut cost: Vec<Option<u64>> = vec![None; frame.len()];
         for &root in &self.roots {
             // Post-order: compute children before parents.
             let mut stack: Vec<(u32, bool)> = vec![(root, false)];

@@ -37,7 +37,9 @@ use crate::memory::MemoryTemplate;
 pub(crate) const MAGIC: &[u8; 4] = b"SLGA";
 /// Current format version. Decoders reject anything else. Version 1
 /// carried three bodies per function and an optimizer section; version 2
-/// carried instrumented bodies and the certificates.
+/// carried instrumented bodies and the certificates. Op tags 23–28 were
+/// fused stack ops: no encoder writes them any more, and a decoder refuses
+/// them like any other unknown tag.
 pub(crate) const VERSION: u16 = 3;
 
 /// The most locals, parameters included, a decoded frame may hold: the Wasm
@@ -324,9 +326,6 @@ impl Writer {
     fn u32(&mut self, v: u32) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
-    fn i32(&mut self, v: i32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
     fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
@@ -382,9 +381,6 @@ impl<'a> Reader<'a> {
     }
     fn u32(&mut self) -> Result<u32, ArtifactError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn i32(&mut self) -> Result<i32, ArtifactError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
     fn u64(&mut self) -> Result<u64, ArtifactError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -522,40 +518,6 @@ fn op(w: &mut Writer, o: &Op) {
             w.u8(22);
             w.u8(*u as u8);
         }
-        Op::Bin2L(b, a, c) => {
-            w.u8(23);
-            w.u8(*b as u8);
-            w.u32(*a);
-            w.u32(*c);
-        }
-        Op::BinRL(b, a) => {
-            w.u8(24);
-            w.u8(*b as u8);
-            w.u32(*a);
-        }
-        Op::BinRC(b, c) => {
-            w.u8(25);
-            w.u8(*b as u8);
-            w.u64(*c);
-        }
-        Op::Bin2LS(b, a, c, d) => {
-            w.u8(26);
-            w.u8(*b as u8);
-            w.u32(*a);
-            w.u32(*c);
-            w.u32(*d);
-        }
-        Op::IncI32(l, d) => {
-            w.u8(27);
-            w.u32(*l);
-            w.i32(*d);
-        }
-        Op::LoadL(k, l, off) => {
-            w.u8(28);
-            w.u8(*k as u8);
-            w.u32(*l);
-            w.u32(*off);
-        }
         Op::Fuel(_) => unreachable!("encode strips fuel charges"),
     }
 }
@@ -597,12 +559,6 @@ fn read_op(r: &mut Reader) -> Result<Op, ArtifactError> {
         20 => Op::Const(r.u64()?),
         21 => Op::Bin(num_bin(r)?),
         22 => Op::Un(num_un(r)?),
-        23 => Op::Bin2L(num_bin(r)?, r.u32()?, r.u32()?),
-        24 => Op::BinRL(num_bin(r)?, r.u32()?),
-        25 => Op::BinRC(num_bin(r)?, r.u64()?),
-        26 => Op::Bin2LS(num_bin(r)?, r.u32()?, r.u32()?, r.u32()?),
-        27 => Op::IncI32(r.u32()?, r.i32()?),
-        28 => Op::LoadL(load_kind(r)?, r.u32()?, r.u32()?),
         _ => return Err(ArtifactError::Corrupt("op tag")),
     })
 }
@@ -657,7 +613,7 @@ mod tests {
         let x = f.arg(0);
         let acc = f.local(ValType::I32);
         // A loop with memory traffic so the body exercises loads, stores,
-        // fusion and fuel instrumentation.
+        // branches and fuel instrumentation.
         f.push(store_i32(i32c(16), local(x)));
         f.push(set(acc, load_i32(i32c(16))));
         f.push(while_(
@@ -805,14 +761,14 @@ mod tests {
         let m = sample_module();
         let mut bad = encode(&m);
         // The first op of the first body follows the name, the function
-        // count and the body's op count. Make it tag 29, `Op::Fuel`'s place
+        // count and the body's op count. Make it tag 23, `Op::Fuel`'s place
         // in the op order, and fix the checksum up.
         let mut head = Writer::default();
         head.opt_str(m.name.as_deref());
         head.u32(1);
         head.u32(0);
         let at = 16 + head.out.len();
-        bad[at] = 29;
+        bad[at] = 23;
         let sum = fnv1a(&bad[16..]);
         bad[8..16].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(decode(&bad).err(), Some(ArtifactError::Corrupt("op tag")));

@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! awsm-analyze [--deny-warnings] [--max-stack-bytes N] [--max-check-gap N]
-//!              [--effects] [--allow-hostcall NAME]... [--json]
-//!              [--tier aot-opt|aot-naive] <module.wasm>...
+//!              [--effects] [--allow-hostcall NAME]... [--json] <module.wasm>...
 //! ```
 //!
 //! `--max-check-gap N` both *instruments* (the cost pass inserts extra
@@ -44,7 +43,6 @@ struct Options {
     effects: bool,
     allow_hostcalls: Vec<String>,
     json: bool,
-    tier: Tier,
     paths: Vec<String>,
 }
 
@@ -52,7 +50,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: awsm-analyze [--deny-warnings] [--max-stack-bytes N] \
          [--max-check-gap N] [--effects] [--allow-hostcall NAME]... [--json] \
-         [--tier aot-opt|aot-naive] <module.wasm>..."
+         <module.wasm>..."
     );
     std::process::exit(2);
 }
@@ -65,7 +63,6 @@ fn parse_args() -> Options {
         effects: false,
         allow_hostcalls: Vec::new(),
         json: false,
-        tier: Tier::Optimized,
         paths: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -92,11 +89,6 @@ fn parse_args() -> Options {
                 };
                 opts.max_check_gap = Some(v);
             }
-            "--tier" => match args.next().as_deref() {
-                Some("aot-opt") => opts.tier = Tier::Optimized,
-                Some("aot-naive") => opts.tier = Tier::Naive,
-                _ => usage(),
-            },
             "--help" | "-h" => usage(),
             _ if a.starts_with("--") => usage(),
             _ => opts.paths.push(a),
@@ -338,7 +330,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let compiled = match awsm::translate_with(&module, opts.tier, translate_opts) {
+        let compiled = match awsm::translate_with(&module, Tier::default(), translate_opts) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("{path}: translation error: {e}");

@@ -1,5 +1,7 @@
 //! The flat, pre-resolved code representation produced by translation —
-//! the engine's analogue of the paper's AoT-compiled `.so` text.
+//! the engine's analogue of the paper's AoT-compiled `.so` text: one stack
+//! [`Op`] per Wasm instruction, from which `lower.rs` derives the register
+//! form the executor runs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -76,18 +78,19 @@ pub struct BrTablePayload {
     pub default: Branch,
 }
 
-/// One flat stack instruction. Structured control has been resolved to
-/// direct jumps. Fused "super-instructions" are emitted by the optimized-tier
-/// translator only. This is the form the analyses certify and artifacts
-/// ship; what runs is the register form derived from it (`lower.rs`).
+/// One flat stack instruction, one per Wasm instruction the translator
+/// keeps. Structured control has been resolved to direct jumps. This is the
+/// form the analyses certify and artifacts ship; what runs is the register
+/// form derived from it (`lower.rs`), where operands fold into the ops that
+/// read them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     Unreachable,
     Br(Branch),
     /// Pop an i32; branch if non-zero.
     BrIf(Branch),
-    /// Pop an i32; branch if zero (fusion of `i32.eqz` + `br_if`, also used
-    /// to lower `if`).
+    /// Pop an i32; branch if zero (how `if` and a conditional return are
+    /// lowered).
     BrIfZ(Branch),
     BrTable(Box<BrTablePayload>),
     Return,
@@ -113,19 +116,6 @@ pub enum Op {
     Const(u64),
     Bin(NumBin),
     Un(NumUn),
-    // ---- fused super-instructions ----
-    /// `local.get a; local.get b; bin`
-    Bin2L(NumBin, u32, u32),
-    /// `…; local.get b; bin` (left operand on stack)
-    BinRL(NumBin, u32),
-    /// `…; const c; bin`
-    BinRC(NumBin, u64),
-    /// `local.get a; local.get b; bin; local.set d`
-    Bin2LS(NumBin, u32, u32, u32),
-    /// `local += c` for i32 loop counters.
-    IncI32(u32, i32),
-    /// `local.get a; load`
-    LoadL(LoadKind, u32, u32),
     // ---- cost-model instrumentation (inserted by analysis) ----
     /// Budget check charging the exact summed cost (in cost units) of the
     /// check-free segment it heads, and polling the preempt flag. Inserted

@@ -448,9 +448,9 @@ pub(crate) fn run<const NAIVE: bool>(
         // One jump table for the whole opcode space: the arms below, one
         // per member of each opcode family, generated from the enums' own
         // name lists, and one per fused pair, generated from `pair_list!`.
-        // A fused arm runs its first op, then the second (op k + 1, which
-        // `Body::check` proved is the pair's second) unless the first
-        // jumped elsewhere, and steps past it.
+        // A fused arm runs its first op, which never jumps (`PAIRS` holds
+        // no such pair), then the second (op k + 1, which `Body::check`
+        // proved is the pair's second), and steps past it.
         macro_rules! dispatch {
             ({ $($misc:tt)* } $($pair:ident: [$($x:tt)+] [$($y:tt)+])*
              [$(#[$d0:meta])* LoadKind: $($ld:ident)*] [$(#[$d1:meta])* StoreKind: $($st:ident)*]
@@ -470,15 +470,12 @@ pub(crate) fn run<const NAIVE: bool>(
                     // nor `ip` after it, if it jumps.)
                     $(#[allow(unused_assignments)]
                     fused::$pair => {
-                        let next = ip;
                         op!($($x)+);
-                        if ip == next {
-                            // SAFETY: op k + 1 exists and is not the last
-                            // op unless it jumps (`Body::check`).
-                            LOp { a, b, c, .. } = unsafe { *ip };
-                            ip = unsafe { ip.add(1) };
-                            op!($($y)+);
-                        }
+                        // SAFETY: op k + 1 exists and is not the last op
+                        // unless it jumps (`Body::check`).
+                        LOp { a, b, c, .. } = unsafe { *ip };
+                        ip = unsafe { ip.add(1) };
+                        op!($($y)+);
                     })*
                     $($misc)*
                 }

@@ -6,7 +6,8 @@
 //! 1. [`translate`] performs the "heavyweight linking and loading": it
 //!    validates a `sledge-wasm` module and resolves it into an immutable
 //!    [`CompiledModule`] (flat code, direct jumps, pre-resolved imports,
-//!    optional super-instruction fusion). Done once per module.
+//!    and the register form that runs, where operands fold into the ops
+//!    that read them). Done once per module.
 //! 2. [`Instance::new`] is the µs-level "optimized function startup": it
 //!    allocates only linear memory, the (separate) execution stack — one
 //!    slab sized by the module's stack certificate — and a context record.
@@ -16,7 +17,8 @@
 //!
 //! Every linear-memory access outside the committed memory traps with
 //! [`Trap::OutOfBounds`] (§3.2 of the paper); the execution [`Tier`] selects
-//! optimized vs. naive translation (the stand-ins for the LLVM- and
+//! how the one lowered body runs — fused pairs and per-segment fuel, or one
+//! op per dispatch and per-op fuel (the stand-ins for the LLVM- and
 //! Cranelift-class engines in the paper's Figure 5).
 //!
 //! # Examples

@@ -8,11 +8,14 @@
 //! value at stack height `h` lives in slot `nlocals + h` — once it is
 //! *materialised*. Until then the pass tracks it as a [`Desc`]: `local.get`
 //! and `const` emit nothing and are read in place (or as an immediate) by
-//! the op that pops them, and `local.set` re-targets the op that produced
-//! its value. A pending `Local(i)` is spilled before `i` is overwritten;
-//! every entry is materialised at a branch (all paths into a label agree)
-//! and, for arguments, before a call — the callee's frame starts at the
-//! caller's first argument slot, so a call copies nothing.
+//! the op that pops them, `local.set` re-targets the op that produced its
+//! value, and a branch on an `i32.eqz` just produced tests the `eqz`'s
+//! operand instead. A pending `Local(i)` is spilled before `i` is
+//! overwritten; every entry is materialised at a branch (all paths into a
+//! label agree) and, for arguments, before a call — the callee's frame
+//! starts at the caller's first argument slot, so a call copies nothing.
+//! This is the one place operands fold: the translator emits one stack op
+//! per Wasm instruction.
 //!
 //! A last pass gives each adjacent pair listed in [`pair_list`] one
 //! dispatch, leaving the second op in place.
@@ -90,6 +93,11 @@ use opc::*;
 /// The list is handed to a callback macro like [`op_lists`]: it declares
 /// [`PAIRS`] and the [`fused`] opcodes here and the executor's arms there,
 /// so the two cannot drift apart.
+///
+/// A pair's first op never jumps (the assertion after [`is_jump`] holds
+/// the list to that), so a fused arm always runs the second op after it.
+/// Neither op is a call, a return, `br_table` or `unreachable`: the
+/// executor's per-op rules that build the fused arms have none of those.
 ///
 /// Chosen from the fall-through pair histogram of the 37 shipped guests
 /// (`exec::tests::shipped_guests_dispatch_pinned_counts`, as it read with
@@ -183,7 +191,8 @@ pub(crate) struct Body {
     pub tables: Box<[Box<[u32]>]>,
     pub nparams: u32,
     pub nlocals: u32,
-    /// `nlocals` + the body's maximum operand height.
+    /// `nlocals` + the operand slots the body's ops name: the frame the
+    /// executor reserves for it.
     pub frame_slots: u32,
     pub type_id: u32,
 }
@@ -239,7 +248,7 @@ pub(crate) fn lower_module(m: &CompiledModule, arities: &ArityMap) -> Result<Low
             Some(n) => format!("{n}: {e}"),
             None => format!("func[{fidx}]: {e}"),
         };
-        let body = lower_func(m, func, arities).map_err(named)?;
+        let body = lower_func(m, func, &hosts, arities).map_err(named)?;
         body.check(m, &hosts, arities).map_err(named)?;
         Ok(body)
     };
@@ -354,22 +363,35 @@ impl Lowerer {
         }
     }
 
+    /// The op just emitted, if no label lies between it and here and it
+    /// wrote entry `d`, at position `pos`, into its slot.
+    fn producer(&self, d: Desc, pos: usize) -> Option<LOp> {
+        let last = *self.ops.last().filter(|_| self.ops.len() > self.barrier)?;
+        let writes_a = matches!(last.code, MOV..=GLOBAL_GET | MEMORY_SIZE..=MEMORY_GROW)
+            || (LOAD..STORE).contains(&last.code)
+            || (UN..BR_RR).contains(&last.code);
+        (writes_a && d == Desc::Slot && last.a == self.slot(pos)).then_some(last)
+    }
+
+    /// Take back the op just emitted; returns its weight.
+    fn unemit(&mut self) -> u32 {
+        self.ops.pop();
+        self.costs.pop().expect("parallel to ops") as u32
+    }
+
     /// Pop the top entry into local `l`. If the op just emitted produced it,
-    /// that op writes `l` directly instead. Returns where the value can be
-    /// read from afterwards (for `local.tee`).
+    /// that op writes `l` directly instead, re-emitted after the moves that
+    /// spill `l`'s pending readers. Returns where the value can be read from
+    /// afterwards (for `local.tee`).
     fn pop_into(&mut self, l: u32) -> Desc {
         let (d, pos) = self.pop_desc();
-        self.spill(l);
-        if d == Desc::Slot && self.ops.len() > self.barrier {
-            let last = self.ops.last_mut().expect("past the barrier");
-            let writes_a = matches!(last.code, MOV..=GLOBAL_GET | MEMORY_SIZE..=MEMORY_GROW)
-                || (LOAD..STORE).contains(&last.code)
-                || (UN..BR_RR).contains(&last.code);
-            if writes_a && last.a == self.nlocals + pos as u32 {
-                last.a = l;
-                return Desc::Local(l);
-            }
+        if let Some(p) = self.producer(d, pos) {
+            let cost = self.unemit();
+            self.spill(l);
+            self.emit(LOp { a: l, ..p }, cost);
+            return Desc::Local(l);
         }
+        self.spill(l);
         self.write(l, d, pos);
         d
     }
@@ -417,27 +439,31 @@ impl Lowerer {
     }
 
     /// Pop a branch condition and emit the conditional jump to `label`,
-    /// taken when the condition is zero iff `zero`. A binary op that
-    /// produced the condition as the last emitted op is fused in.
-    fn cond_branch(&mut self, zero: bool, label: u32, cost: u32) {
-        let (d, pos) = self.pop_desc();
-        let producer = match self.ops.last() {
-            Some(p)
-                if d == Desc::Slot && p.a == self.slot(pos) && self.ops.len() > self.barrier =>
-            {
-                (BIN_RR..BIN_RK).contains(&p.code).then_some(*p)
-            }
-            _ => None,
-        };
-        let Some(p) = producer else {
+    /// taken when the condition is zero iff `zero`. If the op just emitted
+    /// produced the condition, an `i32.eqz` is taken back and the branch
+    /// tests its operand the other way; a binary op is fused in.
+    fn cond_branch(&mut self, mut zero: bool, label: u32, mut cost: u32) {
+        let (mut d, pos) = self.pop_desc();
+        let eqz = UN + NumUn::I32Eqz as u16;
+        if let Some(p) = self.producer(d, pos).filter(|p| p.code == eqz) {
+            cost += self.unemit();
+            zero = !zero;
+            // `un` read the operand in place from a local, or from this slot.
+            d = if p.b == self.slot(pos) {
+                Desc::Slot
+            } else {
+                Desc::Local(p.b)
+            };
+        }
+        let producer = self.producer(d, pos);
+        let Some(p) = producer.filter(|p| (BIN_RR..BIN_RK).contains(&p.code)) else {
             let cond = self.resolve(d, pos);
             // What a taken branch leaves on the stack must be in its slot.
             self.materialise(0);
             let code = if zero { BR_IFZ } else { BR_IF };
             return self.emit(lop(code, cond, 0, label), cost);
         };
-        self.ops.pop();
-        let paid = self.costs.pop().expect("parallel to ops") as u32;
+        let paid = self.unemit();
         // These moves touch no operand of the fused op.
         self.materialise(0);
         let family = if zero { BRZ_RR } else { BR_RR };
@@ -479,12 +505,19 @@ fn commutes(op: NumBin) -> bool {
     ops.contains(&op) || wide.contains(&op)
 }
 
-fn lower_func(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> Result<Body, String> {
+fn lower_func(
+    m: &CompiledModule,
+    func: &CompiledFunc,
+    hosts: &[HostSig],
+    arities: &ArityMap,
+) -> Result<Body, String> {
     let code = &func.code;
     let heights = stack::heights(m, func, arities)?;
+    // Every slot the lowering names lies below `nlocals` + the top height.
     let max_height = heights.iter().flatten().max().copied().unwrap_or(0);
-    let frame_slots = func.nlocals.checked_add(max_height);
-    let frame_slots = frame_slots.ok_or("frame size overflows")?;
+    if func.nlocals.checked_add(max_height).is_none() {
+        return Err("frame size overflows".into());
+    }
     if func.nparams > func.nlocals {
         return Err("more parameters than locals".into());
     }
@@ -524,26 +557,6 @@ fn lower_func(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> Re
         falls_in = true;
         let cost = op_cost(op);
 
-        // The translator's six fusions are the general case here: unfold
-        // each into the pushes it folded away. The two that also set a
-        // local spill its pending readers first, so that their result is
-        // always re-targeted to the local and never needs a slot above the
-        // certified operand height.
-        match *op {
-            Op::Bin2L(_, x, y) => lw.stack.extend([Desc::Local(x), Desc::Local(y)]),
-            Op::Bin2LS(_, x, y, d) => {
-                lw.spill(d);
-                lw.stack.extend([Desc::Local(x), Desc::Local(y)]);
-            }
-            Op::IncI32(l, delta) => {
-                lw.spill(l);
-                let delta = Desc::Const(delta as u32 as u64);
-                lw.stack.extend([Desc::Local(l), delta]);
-            }
-            Op::BinRL(_, l) | Op::LoadL(_, l, _) => lw.stack.push(Desc::Local(l)),
-            Op::BinRC(_, c) => lw.stack.push(Desc::Const(c)),
-            _ => {}
-        }
         match *op {
             Op::Fuel(n) => lw.emit(lop(FUEL, n, 0, 0), cost),
             Op::Unreachable => {
@@ -580,18 +593,10 @@ fn lower_func(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> Re
                 let addr = lw.pop();
                 lw.emit(lop(STORE + kind as u16, addr, val, off), cost);
             }
-            Op::Load(kind, off) | Op::LoadL(kind, _, off) => lw.un(LOAD + kind as u16, off, cost),
+            Op::Load(kind, off) => lw.un(LOAD + kind as u16, off, cost),
             Op::MemoryGrow => lw.un(MEMORY_GROW, 0, cost),
             Op::Un(u) => lw.un(UN + u as u16, 0, cost),
-            Op::Bin(b) | Op::Bin2L(b, ..) | Op::BinRL(b, _) | Op::BinRC(b, _) => lw.bin(b, cost),
-            Op::Bin2LS(b, _, _, d) => {
-                lw.bin(b, cost);
-                lw.pop_into(d);
-            }
-            Op::IncI32(l, _) => {
-                lw.bin(NumBin::I32Add, cost);
-                lw.pop_into(l);
-            }
+            Op::Bin(b) => lw.bin(b, cost),
             Op::Br(b) => {
                 lw.materialise(0);
                 if lw.needs_move(&b, lw.stack.len()) {
@@ -683,16 +688,22 @@ fn lower_func(m: &CompiledModule, func: &CompiledFunc, arities: &ArityMap) -> Re
         *t = labels[*t as usize];
     }
     fuse(&mut ops);
-    Ok(Body {
+    let mut body = Body {
         ops: ops.into(),
         costs: lw.costs.into(),
         consts: lw.consts.into(),
         tables: tables.into(),
         nparams: func.nparams,
         nlocals: func.nlocals,
-        frame_slots,
+        frame_slots: 0,
         type_id: func.type_id,
-    })
+    };
+    // The frame holds the locals and every slot an op names.
+    let need = (0..body.ops.len()).try_fold(func.nlocals as u64, |n, pc| {
+        Ok::<_, String>(n.max(body.frame_need(pc, m, hosts, arities)?))
+    })?;
+    body.frame_slots = u32::try_from(need).map_err(|_| "frame size overflows")?;
+    Ok(body)
 }
 
 /// Give each listed pair `(ops[k], ops[k + 1])` one dispatch, left to
@@ -714,9 +725,19 @@ fn fuse(ops: &mut [LOp]) {
 }
 
 /// Whether `c` of an op with this (unfused) opcode is a jump target.
-fn is_jump(code: u16) -> bool {
+const fn is_jump(code: u16) -> bool {
     matches!(code, BR..=BR_IFZ) || code >= BR_RR
 }
+
+// A fused arm runs its second op unconditionally: no pair starts with a
+// jump.
+const _: () = {
+    let mut i = 0;
+    while i < PAIRS.len() {
+        assert!(!is_jump(PAIRS[i].0), "a fused pair starts with a jump");
+        i += 1;
+    }
+};
 
 impl Body {
     /// Everything the executor takes on trust from a lowered body: each
@@ -736,75 +757,98 @@ impl Body {
         if !self.ops.last().is_some_and(ends) {
             return Err("control can run off the end of the body".into());
         }
-        let nops = self.ops.len() as u32;
-        // `n` argument slots from `args`, the first of which takes a result.
-        let call = |args: Slot, n: u32, has_result: bool| {
-            args.checked_add(n.max(has_result as u32))
-                .is_some_and(|end| end <= self.frame_slots)
-        };
         for (pc, op) in self.ops.iter().enumerate() {
-            let LOp { code, a, b, c, .. } = *op;
-            // A fused op is checked as its first op; the executor runs its
-            // successor unchecked, so that must be the pair's second.
-            let code = match code.checked_sub(FUSED) {
-                None => code,
-                Some(i) => match (PAIRS.get(i as usize), self.ops.get(pc + 1)) {
-                    (Some(&(first, second)), Some(next)) if next.code == second => first,
-                    _ => return Err(format!("fused op {pc} ({op:?}) lacks its partner")),
-                },
-            };
-            // (frame slots named, everything else the op indexes is there)
-            let (family, member) = match code {
-                FAMILIES.. => (code & !127, (code & 127) as usize),
-                UN.. => (UN, (code - UN) as usize),
-                STORE.. => (STORE, (code - STORE) as usize),
-                LOAD.. => (LOAD, (code - LOAD) as usize),
-                _ => (code, 0),
-            };
-            let (slots, ok): (&[Slot], bool) = match family {
-                FUEL | UNREACHABLE | BR | RETURN => (&[], true),
-                BR_IF | BR_IFZ | RETURN_VAL | MEMORY_SIZE | CONST => (&[a], true),
-                BR_TABLE => {
-                    let table = self.tables.get(b as usize).map(|t| &t[..]);
-                    let ok = |t: &[u32]| !t.is_empty() && t.iter().all(|&t| t < nops);
-                    (&[a], table.is_some_and(ok))
-                }
-                CALL => {
-                    let callee = m.funcs.get(a as usize);
-                    (&[], callee.is_some_and(|f| call(b, 0, f.has_result)))
-                }
-                CALL_HOST => {
-                    let sig = hosts.get(a as usize);
-                    (&[], sig.is_some_and(|h| call(b, h.nparams, h.has_result)))
-                }
-                CALL_INDIRECT => {
-                    let (n, res) = arities.get(&a).copied().unwrap_or((0, false));
-                    (&[c], call(b, n, res))
-                }
-                SELECT => (&[a, b, c], true),
-                MOV | MEMORY_GROW => (&[a, b], true),
-                GLOBAL_GET => (&[a], true),
-                GLOBAL_SET => (&[b], true),
-                LOAD => (&[a, b], member < LoadKind::ALL.len()),
-                STORE => (&[a, b], member < StoreKind::ALL.len()),
-                UN => (&[a, b], member < NumUn::ALL.len()),
-                BIN_RR => (&[a, b, c], member < NumBin::ALL.len()),
-                BIN_RI => (&[a, b], member < NumBin::ALL.len()),
-                BIN_RK => {
-                    let ok = member < NumBin::ALL.len() && (c as usize) < self.consts.len();
-                    (&[a, b], ok)
-                }
-                BR_RR | BRZ_RR => (&[a, b], member < NumBin::ALL.len()),
-                BR_RI | BRZ_RI => (&[a], member < NumBin::ALL.len()),
-                _ => (&[], false),
-            };
-            if !ok || slots.iter().any(|&s| s >= self.frame_slots) || (is_jump(code) && c >= nops) {
+            if self.frame_need(pc, m, hosts, arities)? > self.frame_slots as u64 {
                 return Err(format!(
                     "lowered op {pc} ({op:?}) breaks the frame discipline"
                 ));
             }
         }
         Ok(())
+    }
+
+    /// How many frame slots op `pc` needs: one past each slot it names, and
+    /// past a call's argument block. An error if the executor could not run
+    /// it whatever the frame: an opcode it does not know, a fused op without
+    /// its partner, a jump out of the body, or a side-table, callee or
+    /// import that is not there.
+    fn frame_need(
+        &self,
+        pc: usize,
+        m: &CompiledModule,
+        hosts: &[HostSig],
+        arities: &ArityMap,
+    ) -> Result<u64, String> {
+        let op = self.ops[pc];
+        let LOp { code, a, b, c } = op;
+        // A fused op is checked as its first op; the executor runs its
+        // successor unchecked, so that must be the pair's second.
+        let code = match code.checked_sub(FUSED) {
+            None => code,
+            Some(i) => match (PAIRS.get(i as usize), self.ops.get(pc + 1)) {
+                (Some(&(first, second)), Some(next)) if next.code == second => first,
+                _ => return Err(format!("fused op {pc} ({op:?}) lacks its partner")),
+            },
+        };
+        let nops = self.ops.len() as u32;
+        // The end of a call's `n` argument slots from `args`, the first of
+        // which takes a result.
+        let mut end = 0;
+        let mut call = |args: Slot, n: u32, has_result: bool| {
+            end = args as u64 + n.max(has_result as u32) as u64;
+            true
+        };
+        // (frame slots named, everything else the op indexes is there)
+        let (family, member) = match code {
+            FAMILIES.. => (code & !127, (code & 127) as usize),
+            UN.. => (UN, (code - UN) as usize),
+            STORE.. => (STORE, (code - STORE) as usize),
+            LOAD.. => (LOAD, (code - LOAD) as usize),
+            _ => (code, 0),
+        };
+        let (slots, ok): (&[Slot], bool) = match family {
+            FUEL | UNREACHABLE | BR | RETURN => (&[], true),
+            BR_IF | BR_IFZ | RETURN_VAL | MEMORY_SIZE | CONST => (&[a], true),
+            BR_TABLE => {
+                let table = self.tables.get(b as usize).map(|t| &t[..]);
+                let ok = |t: &[u32]| !t.is_empty() && t.iter().all(|&t| t < nops);
+                (&[a], table.is_some_and(ok))
+            }
+            CALL => {
+                let callee = m.funcs.get(a as usize);
+                (&[], callee.is_some_and(|f| call(b, 0, f.has_result)))
+            }
+            CALL_HOST => {
+                let sig = hosts.get(a as usize);
+                (&[], sig.is_some_and(|h| call(b, h.nparams, h.has_result)))
+            }
+            CALL_INDIRECT => {
+                let (n, res) = arities.get(&a).copied().unwrap_or((0, false));
+                (&[c], call(b, n, res))
+            }
+            SELECT => (&[a, b, c], true),
+            MOV | MEMORY_GROW => (&[a, b], true),
+            GLOBAL_GET => (&[a], true),
+            GLOBAL_SET => (&[b], true),
+            LOAD => (&[a, b], member < LoadKind::ALL.len()),
+            STORE => (&[a, b], member < StoreKind::ALL.len()),
+            UN => (&[a, b], member < NumUn::ALL.len()),
+            BIN_RR => (&[a, b, c], member < NumBin::ALL.len()),
+            BIN_RI => (&[a, b], member < NumBin::ALL.len()),
+            BIN_RK => {
+                let ok = member < NumBin::ALL.len() && (c as usize) < self.consts.len();
+                (&[a, b], ok)
+            }
+            BR_RR | BRZ_RR => (&[a, b], member < NumBin::ALL.len()),
+            BR_RI | BRZ_RI => (&[a], member < NumBin::ALL.len()),
+            _ => (&[], false),
+        };
+        if !ok || (is_jump(code) && c >= nops) {
+            return Err(format!(
+                "lowered op {pc} ({op:?}) breaks the frame discipline"
+            ));
+        }
+        Ok(slots.iter().map(|&s| s as u64 + 1).fold(end, u64::max))
     }
 }
 
@@ -906,6 +950,101 @@ mod tests {
                 "quantum {quantum}"
             );
         }
+    }
+
+    /// `main` built by `f`, in a module with one page of memory.
+    fn main_of(f: FuncBuilder) -> CompiledModule {
+        let mut mb = ModuleBuilder::new("t");
+        mb.memory(1, Some(1));
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        crate::translate(&mb.build().unwrap(), Tier::Optimized).unwrap()
+    }
+
+    /// The lowered body of `m`'s first function, each fused op shown as
+    /// its first op.
+    fn lowered(m: &CompiledModule) -> Vec<LOp> {
+        let ops = m.lowered.bodies[0].ops.iter();
+        ops.map(|op| lop(first_of(op.code), op.a, op.b, op.c))
+            .collect()
+    }
+
+    #[test]
+    fn local_local_binop_reads_both_locals_in_place() {
+        let mut f = FuncBuilder::new(&[I32, I32], Some(I32));
+        let (a, b) = (f.arg(0), f.arg(1));
+        f.push(ret(Some(add(local(a), local(b)))));
+        let ops = lowered(&main_of(f));
+        let code = BIN_RR + NumBin::I32Add as u16;
+        assert!(
+            ops.iter()
+                .any(|op| op.code == code && (op.b, op.c) == (0, 1)),
+            "{ops:?}"
+        );
+        assert!(ops.iter().all(|op| op.code != MOV), "{ops:?}");
+    }
+
+    #[test]
+    fn loop_counter_increment_writes_the_local_in_place() {
+        let mut f = FuncBuilder::new(&[], Some(I32));
+        let (i, acc) = (f.local(I32), f.local(I32));
+        let sum = set(acc, add(local(acc), local(i)));
+        f.extend([
+            for_loop(i, i32c(0), lt_s(local(i), i32c(10)), 1, vec![sum]),
+            ret(Some(local(acc))),
+        ]);
+        let ops = lowered(&main_of(f));
+        // `i += 1` and `acc = acc + i`: one op each, writing the local.
+        let inc = lop(BIN_RI + NumBin::I32Add as u16, 0, 0, 1);
+        let sum = lop(BIN_RR + NumBin::I32Add as u16, 1, 1, 0);
+        assert!(ops.contains(&inc) && ops.contains(&sum), "{ops:?}");
+    }
+
+    #[test]
+    fn load_reads_its_address_from_the_local() {
+        let mut f = FuncBuilder::new(&[I32], Some(I32));
+        let p = f.arg(0);
+        f.push(ret(Some(load(Scalar::I32, local(p), 16))));
+        let ops = lowered(&main_of(f));
+        let code = LOAD + LoadKind::I32 as u16;
+        let load = ops.iter().find(|op| op.code == code);
+        assert!(load.is_some_and(|op| (op.b, op.c) == (0, 16)), "{ops:?}");
+    }
+
+    #[test]
+    fn eqz_before_br_if_flips_the_branch() {
+        // `while n > 0` exits on `n > 0; i32.eqz; br_if`: the stack body
+        // keeps the `eqz`, the lowered body branches on `n > 0` being 0.
+        let mut f = FuncBuilder::new(&[I32], Some(I32));
+        let n = f.arg(0);
+        let body = vec![set(n, sub(local(n), i32c(1)))];
+        f.extend([while_(gt_s(local(n), i32c(0)), body), ret(Some(local(n)))]);
+        let m = main_of(f);
+        let eqz = |op: &Op| matches!(op, Op::Un(NumUn::I32Eqz));
+        assert!(m.funcs[0].code.iter().any(eqz));
+        let ops = lowered(&m);
+        let exit = BRZ_RI + NumBin::I32GtS as u16;
+        assert!(
+            ops.iter()
+                .any(|op| op.code == exit && (op.a, op.b) == (0, 0)),
+            "{ops:?}"
+        );
+        let eqz = UN + NumUn::I32Eqz as u16;
+        assert!(ops.iter().all(|op| op.code != eqz), "{ops:?}");
+    }
+
+    #[test]
+    fn dropped_const_or_local_emits_nothing() {
+        let mut f = FuncBuilder::new(&[I32], Some(I32));
+        f.push(ret(Some(i32c(1))));
+        let plain = lowered(&main_of(f));
+        let mut f = FuncBuilder::new(&[I32], Some(I32));
+        let x = f.arg(0);
+        f.extend([exec(i32c(42)), exec(local(x)), ret(Some(i32c(1)))]);
+        let m = main_of(f);
+        let drops = m.funcs[0].code.iter().filter(|op| matches!(op, Op::Drop));
+        assert_eq!(drops.count(), 2);
+        assert_eq!(lowered(&m), plain);
     }
 
     /// FNV-1a 64 of `bytes`, continuing from `h`.

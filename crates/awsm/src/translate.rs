@@ -2,9 +2,10 @@
 //! code of [`CompiledModule`].
 //!
 //! This is the paper's "heavyweight linking and loading" stage: it runs once
-//! per module, resolves all structured control flow to direct jumps, folds
-//! common instruction patterns into super-instructions (optimized tier), and
-//! pre-resolves imports, types, and the function table. The result is
+//! per module, resolves all structured control flow to direct jumps and
+//! pre-resolves imports, types, and the function table. It emits one [`Op`]
+//! per Wasm instruction it keeps and folds nothing: operands fold in one
+//! place, the lowering to register form (`lower.rs`). The result is
 //! immutable and shared by every sandbox of the function.
 
 use crate::code::{
@@ -20,16 +21,17 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-/// Which execution tier to translate for (see DESIGN.md §3).
+/// How the executor runs a module's lowered bodies (see DESIGN.md §3).
+/// Both tiers run the same translation and the same lowered body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// Pre-resolved code plus super-instruction fusion. Stands in for the
-    /// LLVM-class engines (aWsm, WAVM).
+    /// Fused pairs in one dispatch, fuel charged only at the cost pass's
+    /// `Fuel` sites. Stands in for the LLVM-class engines (aWsm, WAVM).
     #[default]
     Optimized,
-    /// Same resolution but no fusion and per-op accounting. Stands in for
-    /// the Cranelift-class engines (Wasmer, Lucet) in the paper's
-    /// comparison.
+    /// The same lowered body with each fused pair split into its two ops,
+    /// and fuel charged per op. Stands in for the Cranelift-class engines
+    /// (Wasmer, Lucet) in the paper's comparison.
     Naive,
 }
 
@@ -78,8 +80,9 @@ impl Default for TranslateOptions {
     }
 }
 
-/// Translate a module for the given tier with default
-/// [`TranslateOptions`]. Validates first.
+/// Translate a module with default [`TranslateOptions`]. Validates first.
+/// The tier is ignored: every tier runs the same translation, and the
+/// executor takes its tier from [`EngineConfig`](crate::EngineConfig).
 ///
 /// # Errors
 ///
@@ -90,14 +93,15 @@ pub fn translate(m: &Module, tier: Tier) -> Result<CompiledModule, TranslateErro
     translate_with(m, tier, TranslateOptions::default())
 }
 
-/// [`translate`] with explicit analysis options.
+/// [`translate`] with explicit analysis options (the tier is ignored
+/// here too).
 ///
 /// # Errors
 ///
 /// Same as [`translate`].
 pub fn translate_with(
     m: &Module,
-    tier: Tier,
+    _tier: Tier,
     opts: TranslateOptions,
 ) -> Result<CompiledModule, TranslateError> {
     sledge_wasm::validate::validate_module(m)?;
@@ -221,7 +225,7 @@ pub fn translate_with(
             sledge_wasm::module::ExportKind::Func(f) if f == func_idx => Some(e.name.clone()),
             _ => None,
         });
-        let mut tr = FnTranslator::new(m, &type_canon, num_imports, tier == Tier::Optimized);
+        let mut tr = FnTranslator::new(m, &type_canon, num_imports);
         let code = tr.translate_body(ty, body);
         funcs.push(CompiledFunc {
             code,
@@ -295,31 +299,21 @@ struct FnTranslator<'m> {
     module: &'m Module,
     type_canon: &'m [u32],
     num_imports: u32,
-    optimize: bool,
     ops: Vec<Op>,
     ctrl: Vec<Ctrl>,
     height: u32,
-    /// Fusion must not consume ops emitted before this index (branch-target
-    /// boundary).
-    barrier: usize,
 }
 
 impl<'m> FnTranslator<'m> {
-    fn new(module: &'m Module, type_canon: &'m [u32], num_imports: u32, optimize: bool) -> Self {
+    fn new(module: &'m Module, type_canon: &'m [u32], num_imports: u32) -> Self {
         FnTranslator {
             module,
             type_canon,
             num_imports,
-            optimize,
             ops: Vec::new(),
             ctrl: Vec::new(),
             height: 0,
-            barrier: 0,
         }
-    }
-
-    fn set_barrier(&mut self) {
-        self.barrier = self.ops.len();
     }
 
     fn unreachable_now(&self) -> bool {
@@ -353,96 +347,6 @@ impl<'m> FnTranslator<'m> {
 
     fn ctrl_index(&self, depth: u32) -> usize {
         self.ctrl.len() - 1 - depth as usize
-    }
-
-    fn last_op_fusable(&self) -> Option<&Op> {
-        if self.ops.len() > self.barrier {
-            self.ops.last()
-        } else {
-            None
-        }
-    }
-
-    fn prev_op_fusable(&self) -> Option<&Op> {
-        if self.ops.len() >= self.barrier + 2 {
-            Some(&self.ops[self.ops.len() - 2])
-        } else {
-            None
-        }
-    }
-
-    fn emit_bin(&mut self, op: NumBin) {
-        if self.optimize {
-            match (self.prev_op_fusable(), self.last_op_fusable()) {
-                (Some(&Op::LocalGet(a)), Some(&Op::LocalGet(c))) => {
-                    self.ops.pop();
-                    self.ops.pop();
-                    self.ops.push(Op::Bin2L(op, a, c));
-                    return;
-                }
-                (_, Some(&Op::LocalGet(c))) => {
-                    self.ops.pop();
-                    self.ops.push(Op::BinRL(op, c));
-                    return;
-                }
-                (_, Some(&Op::Const(c))) => {
-                    self.ops.pop();
-                    self.ops.push(Op::BinRC(op, c));
-                    return;
-                }
-                _ => {}
-            }
-        }
-        self.ops.push(Op::Bin(op));
-    }
-
-    fn emit_local_set(&mut self, idx: u32) {
-        if self.optimize {
-            match self.last_op_fusable() {
-                Some(&Op::Bin2L(op, a, c)) => {
-                    self.ops.pop();
-                    self.ops.push(Op::Bin2LS(op, a, c, idx));
-                    return;
-                }
-                Some(&Op::BinRC(NumBin::I32Add, c)) => {
-                    if let Some(&Op::LocalGet(src)) = self.prev_op_fusable() {
-                        if src == idx {
-                            self.ops.pop();
-                            self.ops.pop();
-                            self.ops.push(Op::IncI32(idx, c as u32 as i32));
-                            return;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.ops.push(Op::LocalSet(idx));
-    }
-
-    fn emit_load(&mut self, kind: LoadKind, offset: u32) {
-        if self.optimize {
-            if let Some(&Op::LocalGet(a)) = self.last_op_fusable() {
-                self.ops.pop();
-                self.ops.push(Op::LoadL(kind, a, offset));
-                return;
-            }
-        }
-        self.ops.push(Op::Load(kind, offset));
-    }
-
-    /// Emit a conditional branch, folding a preceding `i32.eqz`.
-    fn emit_br_cond(&mut self, br: Branch, branch_if_zero: bool) -> usize {
-        let mut zero = branch_if_zero;
-        if self.optimize {
-            if let Some(Op::Un(NumUn::I32Eqz)) = self.last_op_fusable() {
-                self.ops.pop();
-                zero = !zero;
-            }
-        }
-        self.ops
-            .push(if zero { Op::BrIfZ(br) } else { Op::BrIf(br) });
-        self.ops.len() - 1
     }
 
     fn func_type_of(&self, f: u32) -> &FuncType {
@@ -553,7 +457,6 @@ impl<'m> FnTranslator<'m> {
                 });
             }
             Loop(bt) => {
-                self.set_barrier(); // loop head is a branch target
                 self.ctrl.push(Ctrl {
                     kind: CtrlKind::Loop,
                     height: self.height,
@@ -572,8 +475,8 @@ impl<'m> FnTranslator<'m> {
                     height: self.height,
                     keep: false,
                 };
-                let pos = self.emit_br_cond(br, true);
-                self.set_barrier();
+                self.ops.push(Op::BrIfZ(br));
+                let pos = self.ops.len() - 1;
                 self.ctrl.push(Ctrl {
                     kind: CtrlKind::If,
                     height: self.height,
@@ -617,9 +520,9 @@ impl<'m> FnTranslator<'m> {
                     };
                     self.ops.push(Op::BrIfZ(skip));
                     self.ops.push(Op::Return);
-                    self.set_barrier();
                 } else {
-                    let pos = self.emit_br_cond(br, false);
+                    self.ops.push(Op::BrIf(br));
+                    let pos = self.ops.len() - 1;
                     if !resolved {
                         self.ctrl[ci].fixups.push(Fixup::Br(pos));
                     }
@@ -678,7 +581,6 @@ impl<'m> FnTranslator<'m> {
                 if ty.result().is_some() {
                     self.height += 1;
                 }
-                self.set_barrier(); // calls clobber fusion windows
             }
             CallIndirect(t) => {
                 let ty = self.module.types[*t as usize].clone();
@@ -688,19 +590,9 @@ impl<'m> FnTranslator<'m> {
                 if ty.result().is_some() {
                     self.height += 1;
                 }
-                self.set_barrier();
             }
             Drop => {
                 self.height -= 1;
-                if self.optimize {
-                    // Dropping a just-pushed pure value: elide both.
-                    if let Some(Op::Const(_) | Op::LocalGet(_) | Op::GlobalGet(_)) =
-                        self.last_op_fusable()
-                    {
-                        self.ops.pop();
-                        return;
-                    }
-                }
                 self.ops.push(Op::Drop);
             }
             Select => {
@@ -713,7 +605,7 @@ impl<'m> FnTranslator<'m> {
             }
             LocalSet(i) => {
                 self.height -= 1;
-                self.emit_local_set(*i);
+                self.ops.push(Op::LocalSet(*i));
             }
             LocalTee(i) => {
                 self.ops.push(Op::LocalTee(*i));
@@ -752,13 +644,13 @@ impl<'m> FnTranslator<'m> {
             other => {
                 // Loads, stores, and pure numeric instructions.
                 if let Some((kind, off)) = load_kind(other) {
-                    self.emit_load(kind, off);
+                    self.ops.push(Op::Load(kind, off));
                 } else if let Some((kind, off)) = store_kind(other) {
                     self.height -= 2;
                     self.ops.push(Op::Store(kind, off));
                 } else if let Some(nb) = num_bin(other) {
                     self.height -= 1;
-                    self.emit_bin(nb);
+                    self.ops.push(Op::Bin(nb));
                 } else if let Some(nu) = num_un(other) {
                     self.ops.push(Op::Un(nu));
                 } else {
@@ -796,7 +688,6 @@ impl<'m> FnTranslator<'m> {
         // The BrIfZ lands here: start of the else arm.
         let target = self.ops.len() as u32;
         self.patch(vec![Fixup::Br(else_fixup)], target);
-        self.set_barrier();
         self.height = height;
     }
 
@@ -817,7 +708,6 @@ impl<'m> FnTranslator<'m> {
             self.patch(vec![Fixup::Br(pos)], end_pos);
         }
         self.patch(c.fixups, end_pos);
-        self.set_barrier();
         self.height = c.height + c.has_result as u32;
     }
 

@@ -99,7 +99,7 @@ fn miri_local_get_pending_across_set_tee_and_inc() {
             End,
         ],
     );
-    // x + (x += 1; x): the increment fuses to `IncI32 x` under a pending x.
+    // x + (x += 1; x): the increment writes x in place, under a pending x.
     let inc = raw_main(
         1,
         vec![],
@@ -135,6 +135,82 @@ fn tee_of_a_computed_value_is_read_back_from_the_local() {
     });
     for (x, y) in [(3, 4), (-1, 1), (1 << 20, 1 << 12)] {
         assert_returns(&m, &[x, y], x + y);
+    }
+}
+
+#[test]
+fn miri_local_set_and_tee_under_pending_readers() {
+    use Instr::*;
+    // Each writes local 0 with a computed value while earlier reads of it
+    // are still pending below: they must see the old value.
+    // x * (x = x + 1; x)
+    let inc = raw_main(
+        2,
+        vec![],
+        vec![
+            LocalGet(0),
+            LocalGet(0),
+            I32Const(1),
+            I32Add,
+            LocalSet(0),
+            LocalGet(0),
+            I32Mul,
+            End,
+        ],
+    );
+    // x - y * (x = x + 1, teed) + x
+    let tee = raw_main(
+        2,
+        vec![],
+        vec![
+            LocalGet(0),
+            LocalGet(1),
+            LocalGet(0),
+            I32Const(1),
+            I32Add,
+            LocalTee(0),
+            I32Mul,
+            I32Sub,
+            LocalGet(0),
+            I32Add,
+            End,
+        ],
+    );
+    // x * (x = y - x; x), the new value computed from the pending x
+    let sub = raw_main(
+        2,
+        vec![],
+        vec![
+            LocalGet(0),
+            LocalGet(1),
+            LocalGet(0),
+            I32Sub,
+            LocalSet(0),
+            LocalGet(0),
+            I32Mul,
+            End,
+        ],
+    );
+    // x - (x = popcnt x, teed): a unary producer
+    let un = raw_main(
+        2,
+        vec![],
+        vec![
+            LocalGet(0),
+            LocalGet(0),
+            I32Popcnt,
+            LocalTee(0),
+            I32Sub,
+            End,
+        ],
+    );
+    for (x, y) in [(10, 3), (-7, 7), (i32::MAX, 1), (0, -1)] {
+        let x1 = x.wrapping_add(1);
+        assert_returns(&inc, &[x, y], x.wrapping_mul(x1));
+        let teed = x.wrapping_sub(y.wrapping_mul(x1)).wrapping_add(x1);
+        assert_returns(&tee, &[x, y], teed);
+        assert_returns(&sub, &[x, y], x.wrapping_mul(y.wrapping_sub(x)));
+        assert_returns(&un, &[x, y], x - x.count_ones() as i32);
     }
 }
 
@@ -191,6 +267,69 @@ fn miri_br_if_carries_a_kept_value_to_a_lower_height() {
     let m = carry_out(vec![LocalGet(1), I32Const(3), I32LtS, BrIf(1)]);
     assert_returns(&m, &[1, 2], 101);
     assert_returns(&m, &[1, 3], 12);
+}
+
+#[test]
+fn miri_eqz_folds_into_the_branch_that_tests_it() {
+    use Instr::*;
+    // `block (result i32) 5; <cond>; i32.eqz; br_if 0; drop; 7 end`: 5
+    // when the condition is 0, else 7.
+    let br_if = |cond: Vec<Instr>| {
+        let mut body = vec![Block(BlockType::Value(ValType::I32)), I32Const(5)];
+        body.extend(cond);
+        body.extend([I32Eqz, BrIf(0), Drop, I32Const(7), End, End]);
+        raw_main(2, vec![], body)
+    };
+    // `<cond>; i32.eqz; if (result i32) 10 else 20 end`
+    let if_ = |cond: Vec<Instr>| {
+        let mut body = cond;
+        body.extend([I32Eqz, If(BlockType::Value(ValType::I32))]);
+        body.extend([I32Const(10), Else, I32Const(20), End, End]);
+        raw_main(2, vec![], body)
+    };
+    // A local, a computed slot no compare can fuse with, a compare, a
+    // constant, and a second `eqz` under the first.
+    let conds = [
+        (vec![LocalGet(0)], (|x, _| x) as fn(i32, i32) -> i32),
+        (vec![LocalGet(0), I32Popcnt], |x, _| x.count_ones() as i32),
+        (vec![LocalGet(0), LocalGet(1), I32Sub], |x, y| {
+            x.wrapping_sub(y)
+        }),
+        (vec![I32Const(0)], |_, _| 0),
+        (vec![LocalGet(0), I32Eqz], |x, _| (x == 0) as i32),
+    ];
+    for (cond, eval) in conds {
+        let (br, iff) = (br_if(cond.clone()), if_(cond));
+        for (x, y) in [(0, 0), (3, 3), (1, 0), (-1, 2)] {
+            let zero = eval(x, y) == 0;
+            assert_returns(&br, &[x, y], if zero { 5 } else { 7 });
+            assert_returns(&iff, &[x, y], if zero { 10 } else { 20 });
+        }
+    }
+    // A conditional return on an `eqz`: 3 when x is 0, else 4.
+    let ret = raw_main(
+        2,
+        vec![],
+        vec![
+            I32Const(3),
+            LocalGet(0),
+            I32Eqz,
+            BrIf(0),
+            Drop,
+            I32Const(4),
+            End,
+        ],
+    );
+    // The trampoline path: the taken branch moves a kept value down.
+    let carried = carry_out(vec![LocalGet(1), I32Eqz, BrIf(1)]);
+    let computed = carry_out(vec![LocalGet(1), I32Const(3), I32Sub, I32Eqz, BrIf(1)]);
+    for x in [0, 1, -100] {
+        assert_returns(&ret, &[x, 0], if x == 0 { 3 } else { 4 });
+        assert_returns(&carried, &[x, 0], 100 + x);
+        assert_returns(&carried, &[x, 1], 12);
+        assert_returns(&computed, &[x, 3], 100 + x);
+        assert_returns(&computed, &[x, 4], 12);
+    }
 }
 
 #[test]
@@ -447,6 +586,22 @@ fn tampered_artifacts_are_refused_by_decode() {
             Err(ArtifactError::Unverified(e)) => assert!(e.contains(why), "{e} (wanted: {why})"),
             other => panic!("{why}: decoded or failed otherwise: {other:?}"),
         }
+    }
+    // Op tags 23–28 were fused stack ops: no encoder writes them, and each
+    // is refused as corrupt. The first op of the body (`local.get 0`, tag
+    // 11) follows the module name (tag, length, "lower"), the function
+    // count and the op count.
+    let at = 16 + (1 + 4 + 5) + 4 + 4;
+    assert_eq!(honest[at], 11, "the first op's tag");
+    for tag in 23..=28 {
+        let mut bad = honest.clone();
+        bad[at] = tag;
+        let sum = bad[16..].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        bad[8..16].copy_from_slice(&sum.to_le_bytes());
+        let refused = decode_artifact(&bad).err();
+        assert_eq!(refused, Some(ArtifactError::Corrupt("op tag")), "tag {tag}");
     }
     // The honest artifact still decodes and lowers.
     assert!(decode_artifact(&honest).unwrap().lowered_ops(0).is_some());
