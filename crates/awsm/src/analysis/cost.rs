@@ -231,10 +231,15 @@ pub(crate) fn strip_fuel(code: &[Op]) -> Vec<Op> {
 
 /// Instrument one function body: partition into basic blocks, split blocks
 /// over `budget`, insert [`Op::Fuel`] charges, renumber branch targets.
-/// Returns the rewritten body and its certificate (with `name` unset). A
-/// branch to a charged block lands on its `Op::Fuel` header. Every branch
-/// target must be in range.
-pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost) {
+/// Returns the rewritten body and its certificate (with `name` unset), and
+/// rewrites `heights` (one per op of `code`) to match the new body: a
+/// `Fuel` has the height of the op it heads. A branch to a charged block
+/// lands on its `Op::Fuel` header. Every branch target must be in range.
+pub(crate) fn instrument(
+    code: &[Op],
+    heights: &mut Vec<Option<u32>>,
+    budget: u32,
+) -> (Vec<Op>, FuncCost) {
     let budget = budget.max(1) as u64;
     let n = code.len();
 
@@ -297,12 +302,14 @@ pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost) {
 
     // Emit, recording where each old pc (in particular each leader) lands.
     let mut out: Vec<Op> = Vec::with_capacity(n + chunks.len());
+    let mut out_heights = Vec::with_capacity(n + chunks.len());
     let mut map = vec![0u32; n];
     let mut checks = 0u32;
     for ch in &chunks {
         let entry = out.len() as u32;
         if ch.cost > 0 {
             out.push(Op::Fuel(ch.cost as u32));
+            out_heights.push(heights[ch.start]);
             checks += 1;
         }
         for pc in ch.start..ch.end {
@@ -312,9 +319,11 @@ pub(crate) fn instrument(code: &[Op], budget: u32) -> (Vec<Op>, FuncCost) {
                 out.len() as u32
             };
             out.push(code[pc].clone());
+            out_heights.push(heights[pc]);
         }
     }
     remap_targets(&mut out, &map);
+    *heights = out_heights;
 
     let gap_of = |pred: &dyn Fn(&Chunk) -> bool| -> u32 {
         chunks
@@ -356,10 +365,16 @@ mod tests {
                 keep: false,
             }),
         ];
-        let (inst, fc) = instrument(&code, 4);
+        let heights = vec![Some(0), Some(1), Some(2), Some(1), Some(0)];
+        let mut inst_heights = heights.clone();
+        let (inst, fc) = instrument(&code, &mut inst_heights, 4);
+        // Each `Fuel` has the height of the op it heads.
+        let fuel = |op: &Op| matches!(op, Op::Fuel(_));
+        let kept = inst.iter().zip(&inst_heights).filter(|(op, _)| !fuel(op));
+        assert!(kept.map(|(_, h)| *h).eq(heights.iter().copied()));
         let stripped = strip_fuel(&inst);
         assert_eq!(stripped, code);
-        let (reinst, fc2) = instrument(&stripped, 4);
+        let (reinst, fc2) = instrument(&stripped, &mut heights.clone(), 4);
         assert_eq!(reinst, inst);
         assert_eq!(fc, fc2);
     }

@@ -286,7 +286,7 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), 
     // body only after this walk has accepted it.
     let t = Instant::now();
     let arities = stack::arity_map(m);
-    stack::check_heights(m, &arities)?;
+    let mut heights = stack::check_heights(m, &arities)?;
     let graph = stack::CallGraph::build(m);
     timings.push(("stack", t.elapsed()));
 
@@ -316,8 +316,8 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), 
         checks: 0,
         splits: 0,
     };
-    for func in m.funcs.iter_mut() {
-        let (code, mut fc) = cost::instrument(&func.code, max_check_gap);
+    for (func, heights) in m.funcs.iter_mut().zip(&mut heights) {
+        let (code, mut fc) = cost::instrument(&func.code, heights, max_check_gap);
         func.code = code;
         fc.name = func.name.clone();
         cost.max_gap = cost.max_gap.max(fc.max_gap);
@@ -327,9 +327,10 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), 
     }
     timings.push(("cost", t.elapsed()));
 
-    // Lowering, over the instrumented bodies: what the executor runs.
+    // Lowering, over the instrumented bodies and the first walk's heights
+    // (a `Fuel` never changes one): what the executor runs.
     let t = Instant::now();
-    m.lowered = crate::lower::lower_module(m, &arities)?;
+    m.lowered = crate::lower::lower_module(m, &arities, &heights, max_check_gap)?;
     timings.push(("lower", t.elapsed()));
 
     // The stack bound and frame summaries, over the frames the executor

@@ -32,15 +32,18 @@ pub(crate) fn arity_map(m: &CompiledModule) -> ArityMap {
     map
 }
 
-/// The first body [`heights`] refuses, by function.
-pub(super) fn check_heights(m: &CompiledModule, arities: &ArityMap) -> Result<(), String> {
-    for (fidx, func) in m.funcs.iter().enumerate() {
+/// Every body's [`heights`], by function, or the first body it refuses.
+pub(super) fn check_heights(
+    m: &CompiledModule,
+    arities: &ArityMap,
+) -> Result<Vec<Vec<Option<u32>>>, String> {
+    let walk = |(fidx, func): (usize, &CompiledFunc)| {
         heights(m, func, arities).map_err(|e| match &func.name {
             Some(n) => format!("{n}: {e}"),
             None => format!("func[{fidx}]: {e}"),
-        })?;
-    }
-    Ok(())
+        })
+    };
+    m.funcs.iter().enumerate().map(walk).collect()
 }
 
 /// Frame footprint in bytes of a frame of `slots` slots (parameters,

@@ -29,7 +29,7 @@
 //! it is never built, whatever the input was.
 
 use crate::analysis::cost::{for_each_target, op_cost};
-use crate::analysis::stack::{self, ArityMap};
+use crate::analysis::stack::ArityMap;
 use crate::code::{Branch, CompiledFunc, CompiledModule, LoadKind, NumBin, NumUn, Op, StoreKind};
 
 /// Index of a slot within the current frame.
@@ -70,6 +70,11 @@ pub(crate) mod opc {
     pub(crate) const GLOBAL_SET: u16 = 15;   // a = global index, b = source
     pub(crate) const MEMORY_SIZE: u16 = 16;
     pub(crate) const MEMORY_GROW: u16 = 17;
+    pub(crate) const BR_RANGE_RR: u16 = 18;  // jump if 0 <= a < b, both signed i32 (one op for
+                                             // `and(ge_s(x, 0), lt_s(x, n))` + br_if)
+    pub(crate) const BR_RANGE_RI: u16 = 19;  // as BR_RANGE_RR with b an immediate
+    pub(crate) const BRZ_RANGE_RR: u16 = 20; // jump unless 0 <= a < b
+    pub(crate) const BRZ_RANGE_RI: u16 = 21; // as BRZ_RANGE_RR with b an immediate
     pub(crate) const LOAD: u16 = 32;         // + LoadKind: a = load(b + offset c)
     pub(crate) const STORE: u16 = 48;        // + StoreKind: store b at address a + offset c
     pub(crate) const UN: u16 = 64;           // + NumUn: a = op(b)
@@ -99,40 +104,45 @@ use opc::*;
 /// Neither op is a call, a return, `br_table` or `unreachable`: the
 /// executor's per-op rules that build the fused arms have none of those.
 ///
-/// Chosen from the fall-through pair histogram of the 37 shipped guests
-/// (`exec::tests::shipped_guests_dispatch_pinned_counts`, as it read with
-/// constant left operands folded into the immediate and no pair fused yet;
-/// it now shows what is left): a pair qualifies with ≥ 1 % of
-/// dispatches averaged over the guests, or ≥ 3 % of one app's (`ping`'s 10
-/// dispatches excluded); of the 42 that qualify, these 24 are the ones a
-/// greedy search found to cut the guests' geomean dispatch count most.
+/// Chosen from the guests' per-op dispatch profile with no pair fused
+/// (`exec::tests::shipped_guests_dispatch_pinned_counts` prints what is
+/// left after fusing): the range tests folded and the loops rotated, a pair
+/// qualifies with ≥ 1 % of dispatches averaged over the 37 shipped guests,
+/// or ≥ 3 % of one app's (`ping`'s 10 dispatches excluded). 41 qualify.
+/// Starting from the previous choice plus the rotated latch's and the
+/// range test's pairs (the last four, kept whatever their share), single
+/// swaps were taken while they cut the guests' geomean dispatch count and
+/// raised no app's; one did (`LoadU8_AddR` for `MulF64_AddF64`).
 /// Shares: mean over the 37 guests; the largest in one app.
 macro_rules! pair_list {
     ($with:ident $($args:tt)*) => { $with! { $($args)*
-        MulI_AddI: [BIN_RI I32Mul] [BIN_RI I32Add]         // 11.14 %; 0.79 % lpd
-        MulI_AddR: [BIN_RI I32Mul] [BIN_RR I32Add]         //  9.50 %; 11.56 % gps_ekf
-        AddR_MulI: [BIN_RR I32Add] [BIN_RI I32Mul]         //  9.32 %; 10.88 % gps_ekf
-        AddI_LoadF64: [BIN_RI I32Add] [LOAD F64]           //  8.29 %; 0.37 % gps_ekf
-        AddI_Br: [BIN_RI I32Add] [BR]                      //  4.28 %; 11.11 % echo
-        Fuel_MulI: [FUEL] [BIN_RI I32Mul]                  //  3.47 %; 5.27 % gocr
-        LoadF64_MulI: [LOAD F64] [BIN_RI I32Mul]           //  3.38 %; 0.11 % gps_ekf
-        Fuel_BrzLtSI: [FUEL] [BRZ_RI I32LtS]               //  3.21 %; 6.16 % gocr
-        AddI_MulI: [BIN_RI I32Add] [BIN_RI I32Mul]         //  2.54 %; 0.80 % gps_ekf
-        LoadF64_MulF64: [LOAD F64] [BIN_RR F64Mul]         //  2.35 %; 4.73 % gps_ekf
-        MulF64_AddF64: [BIN_RR F64Mul] [BIN_RR F64Add]     //  2.05 %; 4.57 % gps_ekf
-        AddR_AddI: [BIN_RR I32Add] [BIN_RI I32Add]         //  1.86 %; 15.81 % gocr
-        LoadF64_AddF64: [LOAD F64] [BIN_RR F64Add]         //  1.32 %; 0.01 % gps_ekf
-        AddF64_StoreF64: [BIN_RR F64Add] [STORE F64]       //  1.31 %; 0.01 % gps_ekf
-        AddF64_AddI: [BIN_RR F64Add] [BIN_RI I32Add]       //  1.22 %; 4.57 % gps_ekf
-        Const_MulF64: [CONST] [BIN_RR F64Mul]              //  1.04 %; 0 in the apps
-        Fuel_BrzLtSR: [FUEL] [BRZ_RR I32LtS]               //  1.02 %; 11.11 % echo
-        MulR_AddR: [BIN_RR I32Mul] [BIN_RR I32Add]         //  0.96 %; 9.56 % gps_ekf
-        AddI_LoadU8: [BIN_RI I32Add] [LOAD I32U8]          //  0.78 %; 10.54 % gocr
-        Fuel_AddR: [FUEL] [BIN_RR I32Add]                  //  0.55 %; 11.11 % echo
-        AddI_LoadI64: [BIN_RI I32Add] [LOAD I64]           //  0.30 %; 11.11 % echo
-        MulR_AddI: [BIN_RR I32Mul] [BIN_RI I32Add]         //  0.17 %; 4.11 % resize
-        Xor_Popcnt: [BIN_RR I32Xor] [UN I32Popcnt]         //  0.14 %; 5.27 % gocr
-        SubI_GeSI: [BIN_RI I32Sub] [BIN_RI I32GeS]         //  0.10 %; 3.83 % cifar10
+        MulI_AddI: [BIN_RI I32Mul] [BIN_RI I32Add]         // 12.11 %; 0.88 % lpd
+        MulI_AddR: [BIN_RI I32Mul] [BIN_RR I32Add]         // 10.33 %; 12.89 % gps_ekf
+        AddR_MulI: [BIN_RR I32Add] [BIN_RI I32Mul]         // 10.09 %; 12.14 % gps_ekf
+        AddI_LoadF64: [BIN_RI I32Add] [LOAD F64]           //  9.02 %; 0.41 % gps_ekf
+        AddI_Br: [BIN_RI I32Add] [BR]                      //  0.17 %; 0.91 % gps_ekf
+        Fuel_MulI: [FUEL] [BIN_RI I32Mul]                  //  3.81 %; 5.89 % gocr
+        LoadF64_MulI: [LOAD F64] [BIN_RI I32Mul]           //  3.69 %; 0.12 % gps_ekf
+        Fuel_BrzLtSI: [FUEL] [BRZ_RI I32LtS]               //  0.29 %; 1.86 % cifar10
+        AddI_MulI: [BIN_RI I32Add] [BIN_RI I32Mul]         //  2.76 %; 0.89 % gps_ekf
+        LoadF64_MulF64: [LOAD F64] [BIN_RR F64Mul]         //  2.58 %; 5.28 % gps_ekf
+        LoadU8_AddR: [LOAD I32U8] [BIN_RR I32Add]          //  0.31 %; 7.07 % lpd
+        AddR_AddI: [BIN_RR I32Add] [BIN_RI I32Add]         //  2.10 %; 17.67 % gocr
+        LoadF64_AddF64: [LOAD F64] [BIN_RR F64Add]         //  1.41 %; 0.02 % gps_ekf
+        AddF64_StoreF64: [BIN_RR F64Add] [STORE F64]       //  1.42 %; 0.02 % gps_ekf
+        AddF64_AddI: [BIN_RR F64Add] [BIN_RI I32Add]       //  1.34 %; 5.09 % gps_ekf
+        Const_MulF64: [CONST] [BIN_RR F64Mul]              //  1.12 %; 0 in the apps
+        Fuel_BrzLtSR: [FUEL] [BRZ_RR I32LtS]               //  0.13 %; 1.69 % gps_ekf
+        MulR_AddR: [BIN_RR I32Mul] [BIN_RR I32Add]         //  1.07 %; 10.66 % gps_ekf
+        AddI_LoadU8: [BIN_RI I32Add] [LOAD I32U8]          //  0.86 %; 11.78 % gocr
+        Fuel_AddR: [FUEL] [BIN_RR I32Add]                  //  0.67 %; 14.28 % echo
+        AddI_LoadI64: [BIN_RI I32Add] [LOAD I64]           //  0.39 %; 14.28 % echo
+        MulR_AddI: [BIN_RR I32Mul] [BIN_RI I32Add]         //  0.18 %; 4.28 % resize
+        Xor_Popcnt: [BIN_RR I32Xor] [UN I32Popcnt]         //  0.16 %; 5.89 % gocr
+        AddI_BrLtSI: [BIN_RI I32Add] [BR_RI I32LtS]        //  3.24 %; 5.93 % lpd
+        AddI_BrLtSR: [BIN_RI I32Add] [BR_RR I32LtS]        //  1.07 %; 14.28 % echo
+        SubI_BrzRangeR: [BIN_RI I32Sub] [BRZ_RANGE_RR]     //  0.07 %; 2.56 % cifar10
+        SubI_BrzRangeI: [BIN_RI I32Sub] [BRZ_RANGE_RI]     //  0.05 %; 1.99 % cifar10
     } };
 }
 pub(crate) use pair_list;
@@ -214,13 +224,20 @@ pub(crate) struct Lowered {
     pub hosts: Box<[HostSig]>,
 }
 
-/// Lower every function of `m`.
+/// Lower every function of `m`, given each body's operand heights (as
+/// [`heights`](crate::analysis::stack::heights) found them) and the gap budget its `Fuel` charges
+/// were planted under.
 ///
 /// # Errors
 ///
-/// Returns the first reason a body cannot be run safely (see
-/// [`stack::heights`]), naming the function. Translator output never fails.
-pub(crate) fn lower_module(m: &CompiledModule, arities: &ArityMap) -> Result<Lowered, String> {
+/// Returns the first reason a body cannot be run safely, naming the
+/// function. Translator output never fails.
+pub(crate) fn lower_module(
+    m: &CompiledModule,
+    arities: &ArityMap,
+    heights: &[Vec<Option<u32>>],
+    max_check_gap: u32,
+) -> Result<Lowered, String> {
     let hosts: Box<[HostSig]> = m
         .host_funcs
         .iter()
@@ -248,7 +265,8 @@ pub(crate) fn lower_module(m: &CompiledModule, arities: &ArityMap) -> Result<Low
             Some(n) => format!("{n}: {e}"),
             None => format!("func[{fidx}]: {e}"),
         };
-        let body = lower_func(m, func, &hosts, arities).map_err(named)?;
+        let body = lower_func(m, func, &heights[fidx], &hosts, arities, max_check_gap);
+        let body = body.map_err(named)?;
         body.check(m, &hosts, arities).map_err(named)?;
         Ok(body)
     };
@@ -455,6 +473,18 @@ impl Lowerer {
                 Desc::Local(p.b)
             };
         }
+        if let Some((x, n, imm)) = self.range_test(d, pos) {
+            let paid = self.unemit() + self.unemit() + self.unemit();
+            // `x` and `n` are locals or an immediate: no move touches them.
+            self.materialise(0);
+            let code = match (zero, imm) {
+                (false, false) => BR_RANGE_RR,
+                (false, true) => BR_RANGE_RI,
+                (true, false) => BRZ_RANGE_RR,
+                (true, true) => BRZ_RANGE_RI,
+            };
+            return self.emit(lop(code, x, n, label), cost + paid);
+        }
         let producer = self.producer(d, pos);
         let Some(p) = producer.filter(|p| (BIN_RR..BIN_RK).contains(&p.code)) else {
             let cond = self.resolve(d, pos);
@@ -468,6 +498,40 @@ impl Lowerer {
         self.materialise(0);
         let family = if zero { BRZ_RR } else { BR_RR };
         self.emit(lop(p.code - BIN_RR + family, p.b, p.c, label), cost + paid);
+    }
+
+    /// The two-sided test `0 <=s x <s n` behind condition `d` at `pos`, if
+    /// the last three ops emitted compute it and nothing else: `x >=s 0` and
+    /// `x <s n`, in either order, into the operand slots at `pos` and
+    /// `pos + 1`, then their `and` into `pos`. Both compares read the same
+    /// `x`, and neither reads the other's result. Returns `(x, n, whether n
+    /// is an immediate)`.
+    fn range_test(&self, d: Desc, pos: usize) -> Option<(Slot, u32, bool)> {
+        let (lo, hi) = (self.slot(pos), self.slot(pos + 1));
+        let and = self.producer(d, pos)?;
+        let k = self
+            .ops
+            .len()
+            .checked_sub(3)
+            .filter(|&k| k >= self.barrier)?;
+        if and != lop(BIN_RR + NumBin::I32And as u16, lo, lo, hi) {
+            return None;
+        }
+        let (p, q) = (self.ops[k], self.ops[k + 1]);
+        if (p.a, q.a) != (lo, hi) {
+            return None;
+        }
+        let is_ge0 = |op: LOp| (op.code, op.c) == (BIN_RI + NumBin::I32GeS as u16, 0);
+        let (ge, lt) = if is_ge0(p) { (p, q) } else { (q, p) };
+        let lt_s = NumBin::I32LtS as u16;
+        let imm = match lt.code {
+            c if c == BIN_RR + lt_s => false,
+            c if c == BIN_RI + lt_s => true,
+            _ => return None,
+        };
+        let fresh = |s: Slot| s != lo && s != hi;
+        let ok = is_ge0(ge) && lt.b == ge.b && fresh(ge.b) && (imm || fresh(lt.c));
+        ok.then_some((ge.b, lt.c, imm))
     }
 
     /// Whether a branch to `b` taken with `len` entries on the stack (the
@@ -508,11 +572,15 @@ fn commutes(op: NumBin) -> bool {
 fn lower_func(
     m: &CompiledModule,
     func: &CompiledFunc,
+    heights: &[Option<u32>],
     hosts: &[HostSig],
     arities: &ArityMap,
+    max_check_gap: u32,
 ) -> Result<Body, String> {
     let code = &func.code;
-    let heights = stack::heights(m, func, arities)?;
+    if heights.len() != code.len() {
+        return Err("operand heights do not match the body".into());
+    }
     // Every slot the lowering names lies below `nlocals` + the top height.
     let max_height = heights.iter().flatten().max().copied().unwrap_or(0);
     if func.nlocals.checked_add(max_height).is_none() {
@@ -677,6 +745,7 @@ fn lower_func(
 
     let Lowerer {
         mut ops,
+        mut costs,
         mut tables,
         labels,
         ..
@@ -687,10 +756,11 @@ fn lower_func(
     for t in tables.iter_mut().flat_map(|t| t.iter_mut()) {
         *t = labels[*t as usize];
     }
+    rotate_loops(&mut ops, &mut costs, &tables, max_check_gap);
     fuse(&mut ops);
     let mut body = Body {
         ops: ops.into(),
-        costs: lw.costs.into(),
+        costs: costs.into(),
         consts: lw.consts.into(),
         tables: tables.into(),
         nparams: func.nparams,
@@ -704,6 +774,56 @@ fn lower_func(
     })?;
     body.frame_slots = u32::try_from(need).map_err(|_| "frame size overflows")?;
     Ok(body)
+}
+
+/// Move each loop's exit test onto its back-edge, where that keeps every
+/// charge exact and every check-free path within `max_check_gap`.
+///
+/// A loop lowers to a head `h: FUEL w; test → exit` whose segment is the
+/// test alone (`h + 2` is a `FUEL`), a body, and a latch segment `l: FUEL
+/// v; …; BR h` with `exit` right after it. The latch's `BR h` becomes the
+/// inverted test, jumping to `h + 2`, and its `FUEL` charges `v + w`: an
+/// iteration runs the same ops and pays the same units, with one dispatch
+/// fewer, and `h` runs only on entry (and for any other jump to it). The
+/// branch carries `h`'s op weights for the naive tier. Applied only where
+/// the latch segment is entered at its `FUEL` alone and `v + w` is within
+/// the budget, so the certified gap still bounds every check-free path.
+fn rotate_loops(ops: &mut [LOp], costs: &mut [u8], tables: &[Box<[u32]>], max_check_gap: u32) {
+    let mut target = vec![false; ops.len() + 1];
+    for op in ops.iter().filter(|op| is_jump(op.code)) {
+        target[(op.c as usize).min(ops.len())] = true;
+    }
+    for &t in tables.iter().flat_map(|t| t.iter()) {
+        target[(t as usize).min(ops.len())] = true;
+    }
+    for k in 0..ops.len() {
+        let LOp { code: BR, c: h, .. } = ops[k] else {
+            continue;
+        };
+        let h = h as usize;
+        let Some(l) = ops[..k].iter().rposition(|op| op.code == FUEL) else {
+            continue;
+        };
+        let (Some(&head), Some(&test), Some(&first)) = (ops.get(h), ops.get(h + 1), ops.get(h + 2))
+        else {
+            continue;
+        };
+        let (Some(flip), true) = (inverted(test.code), h + 2 <= l) else {
+            continue;
+        };
+        let weight = costs[k] as u32 + costs[h] as u32 + costs[h + 1] as u32;
+        let fits = head.code == FUEL
+            && first.code == FUEL
+            && test.c as usize == k + 1
+            && !target[l + 1..=k].contains(&true)
+            && ops[l].a as u64 + head.a as u64 <= max_check_gap as u64
+            && weight <= u8::MAX as u32;
+        if fits {
+            ops[l].a += head.a;
+            ops[k] = lop(flip, test.a, test.b, h as u32 + 2);
+            costs[k] = weight as u8;
+        }
+    }
 }
 
 /// Give each listed pair `(ops[k], ops[k + 1])` one dispatch, left to
@@ -726,7 +846,20 @@ fn fuse(ops: &mut [LOp]) {
 
 /// Whether `c` of an op with this (unfused) opcode is a jump target.
 const fn is_jump(code: u16) -> bool {
-    matches!(code, BR..=BR_IFZ) || code >= BR_RR
+    matches!(code, BR..=BR_IFZ | BR_RANGE_RR..=BRZ_RANGE_RI) || code >= BR_RR
+}
+
+/// The conditional jump taken exactly when one with opcode `code` is not.
+fn inverted(code: u16) -> Option<u16> {
+    match code {
+        BR_IF => Some(BR_IFZ),
+        BR_IFZ => Some(BR_IF),
+        BR_RANGE_RR..=BR_RANGE_RI => Some(code + 2),
+        BRZ_RANGE_RR..=BRZ_RANGE_RI => Some(code - 2),
+        BR_RR..BRZ_RR => Some(code + (BRZ_RR - BR_RR)),
+        BRZ_RR..FUSED => Some(code - (BRZ_RR - BR_RR)),
+        _ => None,
+    }
 }
 
 // A fused arm runs its second op unconditionally: no pair starts with a
@@ -826,6 +959,8 @@ impl Body {
                 let (n, res) = arities.get(&a).copied().unwrap_or((0, false));
                 (&[c], call(b, n, res))
             }
+            BR_RANGE_RR | BRZ_RANGE_RR => (&[a, b], true),
+            BR_RANGE_RI | BRZ_RANGE_RI => (&[a], true),
             SELECT => (&[a, b, c], true),
             MOV | MEMORY_GROW => (&[a, b], true),
             GLOBAL_GET => (&[a], true),
@@ -860,8 +995,8 @@ mod tests {
     use sledge_wasm::types::ValType::{F64, I32};
     use std::sync::Arc;
 
-    /// `main(n)`: small loops over f64s, bytes and i64s whose lowered body
-    /// holds every pair in `PAIRS`.
+    /// `main(n)`: small loops over f64s, bytes and i64s, rotated and not,
+    /// with range tests, whose lowered body holds every pair in `PAIRS`.
     #[rustfmt::skip]
     fn every_pair_guest() -> CompiledModule {
         let mut mb = ModuleBuilder::new("pairs");
@@ -877,6 +1012,9 @@ mod tests {
                 store_f64(add(mul(local(i), i32c(8)), i32c(64)), mul(f64c(0.5), i2d(local(i)))),
                 store_u8(add(local(i), i32c(256)), mul(local(i), i32c(37))),
             ]),
+            // A head the latch cannot take over: it computes its bound.
+            set(k, i32c(0)),
+            while_(lt_s(local(k), add(local(n), i32c(1))), vec![set(k, add(local(k), i32c(1)))]),
             for_loop(i, i32c(0), lt_s(local(i), local(n)), 1, vec![
                 set(x, add(local(x), local(i))),
                 set(x, add(mul(local(i), local(j)), local(x))),
@@ -889,7 +1027,15 @@ mod tests {
                               add(local(acc), f64_at(mul(local(i), i32c(8))))),
                     set(x, add(local(x), popcnt(xor(local(x), load_u8(add(local(j), i32c(256))))))),
                     set(x, add(add(local(x), local(i)), i32c(4))),
-                    set(x, xor(local(x), ge_s(sub(local(x), i32c(3)), i32c(0)))),
+                    set(k, sub(local(x), i32c(3))),
+                    if_(and(ge_s(local(k), i32c(0)), lt_s(local(k), local(n))), vec![
+                        set(x, add(local(x), i32c(2))),
+                    ]),
+                    set(k, sub(local(j), i32c(1))),
+                    if_(and(ge_s(local(k), i32c(0)), lt_s(local(k), i32c(2))), vec![
+                        set(x, xor(local(x), i32c(1))),
+                    ]),
+                    set(x, add(load(Scalar::U8, local(j), 256), local(i))),
                     set(x, add(mul(local(x), local(j)), i32c(3))),
                     set(x, add(local(x), l2i(load(Scalar::I64, add(local(j), i32c(256)), 0)))),
                     set(acc, mul(local(acc), f64_at(mul(local(j), i32c(8))))),
@@ -1047,6 +1193,123 @@ mod tests {
         assert_eq!(lowered(&m), plain);
     }
 
+    #[test]
+    fn range_test_folds_to_one_branch() {
+        let range = |n: Option<i32>| {
+            let mut f = FuncBuilder::new(&[I32, I32], Some(I32));
+            let (x, arg) = (f.arg(0), f.arg(1));
+            let n = n.map_or(local(arg), i32c);
+            let test = and(ge_s(local(x), i32c(0)), lt_s(local(x), n));
+            f.extend([if_(test, vec![ret(Some(i32c(1)))]), ret(Some(i32c(0)))]);
+            lowered(&main_of(f))
+        };
+        let folded = |ops: &[LOp]| {
+            ops.iter()
+                .filter(|op| (BR_RANGE_RR..=BRZ_RANGE_RI).contains(&op.code))
+                .copied()
+                .collect::<Vec<_>>()
+        };
+        let slot = range(None);
+        assert!(
+            matches!(
+                folded(&slot)[..],
+                [LOp {
+                    code: BRZ_RANGE_RR,
+                    a: 0,
+                    b: 1,
+                    ..
+                }]
+            ),
+            "{slot:?}"
+        );
+        let imm = range(Some(-7));
+        assert!(
+            matches!(
+                folded(&imm)[..],
+                [LOp {
+                    code: BRZ_RANGE_RI,
+                    a: 0,
+                    b: 0xFFFF_FFF9,
+                    ..
+                }]
+            ),
+            "{imm:?}"
+        );
+        let and = BIN_RR + NumBin::I32And as u16;
+        assert!(
+            slot.iter()
+                .chain(&imm)
+                .all(|op| op.code != and && op.code < BR_RR),
+            "{slot:?}"
+        );
+    }
+
+    #[test]
+    fn loop_latch_takes_over_the_head_test_within_the_gap() {
+        let build = |max_check_gap: Option<u32>| {
+            let mut f = FuncBuilder::new(&[I32], Some(I32));
+            let n = f.arg(0);
+            let (i, acc) = (f.local(I32), f.local(I32));
+            f.extend([
+                for_loop(
+                    i,
+                    i32c(0),
+                    lt_s(local(i), local(n)),
+                    1,
+                    vec![set(acc, add(local(acc), mul(local(i), local(i))))],
+                ),
+                ret(Some(local(acc))),
+            ]);
+            let mut mb = ModuleBuilder::new("t");
+            let main = mb.add_func("main", f);
+            mb.export_func(main, "main");
+            let opts = crate::TranslateOptions {
+                max_check_gap: max_check_gap.unwrap_or(crate::DEFAULT_MAX_CHECK_GAP),
+            };
+            crate::translate_with(&mb.build().unwrap(), Tier::Optimized, opts).unwrap()
+        };
+        let lt = NumBin::I32LtS as u16;
+        let m = build(None);
+        let ops = lowered(&m);
+        // `h: FUEL w; BRZ_RR (i, n) → exit`, and the latch `l: FUEL v + w; …;
+        // BR_RR (i, n) → h + 2` right before `exit`.
+        let h = ops
+            .iter()
+            .position(|op| op.code == BRZ_RR + lt)
+            .expect("a head test")
+            - 1;
+        let k = ops
+            .iter()
+            .position(|op| op.code == BR_RR + lt)
+            .expect("a latch test");
+        assert_eq!(
+            (ops[h].code, ops[h + 1].c, ops[h + 2].code),
+            (FUEL, k as u32 + 1, FUEL),
+            "{ops:?}"
+        );
+        assert_eq!(
+            (ops[k].a, ops[k].b, ops[k].c),
+            (ops[h + 1].a, ops[h + 1].b, h as u32 + 2)
+        );
+        assert!(ops.iter().all(|op| op.code != BR), "{ops:?}");
+        let l = ops[..k].iter().rposition(|op| op.code == FUEL).unwrap();
+        let body = &m.lowered.bodies[0];
+        let costs =
+            |r: std::ops::Range<usize>| body.costs[r].iter().map(|&c| c as u32).sum::<u32>();
+        assert_eq!(
+            ops[l].a,
+            costs(l..k + 1),
+            "the latch charges its ops and the head's"
+        );
+        // Under a budget of the latch segment alone, the loop keeps its head.
+        let budget = m.analysis.cost.max_gap;
+        let kept = lowered(&build(Some(budget)));
+        assert!(
+            kept.iter().any(|op| op.code == BR) && kept.iter().all(|op| op.code != BR_RR + lt),
+            "{kept:?}"
+        );
+    }
+
     /// FNV-1a 64 of `bytes`, continuing from `h`.
     fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
         bytes
@@ -1062,42 +1325,42 @@ mod tests {
     fn shipped_guests_lower_to_pinned_bodies() {
         const PINNED: &[&str] = &[
             "ping [(10, 2)] 63118748da50fba2",
-            "echo [(38, 7)] 1dc83aa1200ed06b",
-            "gps_ekf [(38, 17), (38, 17), (133, 12), (297, 13)] 3c8ae69f93dd3464",
-            "gocr [(79, 17)] 61aafa610da7f87a",
-            "cifar10 [(85, 20), (85, 16), (57, 15), (87, 13)] fe8e9299bb4358fd",
-            "resize [(87, 16)] 5cd3526da31e7b20",
-            "lpd [(335, 19)] b62de632c691bcfc",
-            "correlation [(266, 10)] 4816056990d5d41b",
-            "covariance [(178, 9)] cdb765479369f59b",
-            "adi [(360, 10)] 84aaab4edba0ce81",
-            "gramschmidt [(197, 10)] 207cef4e2308c364",
-            "deriche [(172, 15)] 07f16c87ccccb5f9",
-            "trmm [(117, 9)] 5972e5f86d673b3b",
-            "seidel-2d [(140, 9)] 7dccd120d36c3e4a",
-            "mvt [(149, 8)] fe3354f4e184df79",
-            "symm [(160, 10)] a240dded2dfe86fd",
-            "ludcmp [(244, 11)] a612e7922c555c36",
-            "syr2k [(147, 10)] 3802d09df775225d",
-            "lu [(182, 10)] 3c760ae95acce924",
-            "trisolv [(100, 8)] ee5b2070a135bdf4",
-            "nussinov [(143, 12)] 788069e054acaddb",
-            "doitgen [(159, 10)] b02be4a678e77b82",
-            "2mm [(178, 10)] c3c5f40f23e1b36e",
-            "gesummv [(135, 8)] 53595a550b215f36",
-            "bicg [(123, 8)] e1c7e4dd263b9205",
-            "gemver [(233, 9)] 06649857bc130183",
-            "cholesky [(187, 10)] 3ddae3f1dfcbaef6",
-            "3mm [(196, 9)] 08e6f4e7c526db10",
-            "atax [(114, 9)] ea56b39a8ef4517f",
-            "syrk [(123, 9)] d1f079c215193968",
-            "floyd-warshall [(110, 10)] 4c83b19ebd5467e6",
-            "durbin [(117, 11)] 25dde2150e8759f8",
-            "heat-3d [(330, 12)] a1569291bd2412ec",
-            "fdtd-2d [(225, 11)] 111df5db7ab94d52",
-            "jacobi-2d [(170, 10)] c262dcf41d754754",
-            "jacobi-1d [(92, 8)] b31965ee1910b4aa",
-            "gemm [(130, 9)] 364eb086f6c7fb89",
+            "echo [(38, 7)] 072d50d969783709",
+            "gps_ekf [(38, 17), (38, 17), (133, 12), (297, 13)] 3b1ea76d579e6f6f",
+            "gocr [(79, 17)] 4f91df295b0ccf89",
+            "cifar10 [(81, 20), (81, 16), (57, 15), (87, 13)] 8506a822fd80c142",
+            "resize [(87, 16)] b54e754a2f868db9",
+            "lpd [(335, 19)] 9edce10c07df63fe",
+            "correlation [(266, 10)] 42085b56786e1a1d",
+            "covariance [(178, 9)] f23bfd65a20275b7",
+            "adi [(360, 10)] 4931fe952462329a",
+            "gramschmidt [(197, 10)] 72717a8ea7ca7087",
+            "deriche [(172, 15)] 28600fe9ae75a9b6",
+            "trmm [(117, 9)] d77a45e5b0a1a70e",
+            "seidel-2d [(140, 9)] 61f33cf1bcd1fdfc",
+            "mvt [(149, 8)] 852daa5f95ddb4b2",
+            "symm [(160, 10)] c081e2dca3bcac96",
+            "ludcmp [(244, 11)] 9882a484dc74a00c",
+            "syr2k [(147, 10)] adf175fed9f35928",
+            "lu [(182, 10)] 4f5206a41b8cae58",
+            "trisolv [(100, 8)] 10110a2ac11eb1c9",
+            "nussinov [(143, 12)] f05ec777bfdac010",
+            "doitgen [(159, 10)] d2e68731a39b90c0",
+            "2mm [(178, 10)] 1f6b397810842933",
+            "gesummv [(135, 8)] f9ce92051f5ff688",
+            "bicg [(123, 8)] 9696a4396dc4c553",
+            "gemver [(233, 9)] 8b7ecf78fc09de80",
+            "cholesky [(187, 10)] 2322d752120c4835",
+            "3mm [(196, 9)] 7469fef269ac894f",
+            "atax [(114, 9)] f71c1bdf88906f48",
+            "syrk [(123, 9)] 6f3efb4615e83435",
+            "floyd-warshall [(110, 10)] 4309d5d795bd4986",
+            "durbin [(117, 11)] 207a82b780ab3e14",
+            "heat-3d [(330, 12)] 70b3572ddb0355f7",
+            "fdtd-2d [(225, 11)] 48d7551c34bbfa22",
+            "jacobi-2d [(170, 10)] f68f893446bf2423",
+            "jacobi-1d [(92, 8)] d7e5a5d5a7142ea5",
+            "gemm [(130, 9)] 8b2a166490a70637",
         ];
         let apps = sledge_apps::all_apps()
             .into_iter()
@@ -1152,12 +1415,14 @@ mod tests {
         mb.export_func(main, "main");
         let m = crate::translate(&mb.build().unwrap(), crate::Tier::Optimized).unwrap();
 
-        let arities = stack::arity_map(&m);
-        let lowered = lower_module(&m, &arities).unwrap();
+        let arities = crate::analysis::stack::arity_map(&m);
+        let lowered = &m.lowered;
         let good = &lowered.bodies[0];
         good.check(&m, &lowered.hosts, &arities).unwrap();
-        let edits: [fn(&mut Vec<LOp>); 6] = [
+        let edits: [fn(&mut Vec<LOp>); 8] = [
             |ops| ops[1].a = 1 << 20,                        // slot outside the frame
+            |ops| ops.insert(1, lop(BR_RANGE_RR, 0, 1 << 20, 0)), // range bound outside it
+            |ops| ops.insert(1, lop(BRZ_RANGE_RI, 1 << 20, 7, 0)), // range operand outside it
             |ops| ops.insert(1, lop(BR, 0, 0, 99)),          // jump outside the body
             |ops| ops.insert(1, lop(BIN_RR + 127, 0, 0, 0)), // no such opcode
             |ops| ops.truncate(ops.len() - 1),               // runs off the end

@@ -10,9 +10,9 @@
 mod common;
 
 use awsm::{
-    decode_artifact, encode_artifact, translate, ArtifactError, CompiledModule, EngineConfig, Host,
-    HostImport, HostOutcome, Instance, Limits, LinearMemory, NullHost, Op, StepResult, Tier, Trap,
-    Value,
+    decode_artifact, encode_artifact, translate, translate_with, ArtifactError, CompiledModule,
+    EngineConfig, Host, HostImport, HostOutcome, Instance, Limits, LinearMemory, NullHost, Op,
+    StepResult, Tier, TranslateOptions, Trap, Value,
 };
 use common::{any_i32, Arith, ALL_TIERS};
 use sledge_guestc::dsl::*;
@@ -610,6 +610,292 @@ fn tampered_artifacts_are_refused_by_decode() {
 #[test]
 fn miri_lowered_ops_are_sixteen_bytes() {
     assert_eq!(awsm::LOWERED_OP_BYTES, 16);
+}
+
+// ------------------------------------------ range tests and rotated loops
+
+/// `main(args)` on each tier, translated once per tier: for every input,
+/// `expect(args)`, and one `fuel_used` on both tiers.
+fn assert_each_returns(m: &Module, inputs: &[[i32; 2]], expect: impl Fn([i32; 2]) -> i32) {
+    let modules: Vec<_> = ALL_TIERS
+        .iter()
+        .map(|&tier| (tier, Arc::new(translate(m, tier).expect("translate"))))
+        .collect();
+    for &args in inputs {
+        let mut fuel = None;
+        for (tier, cm) in &modules {
+            let config = EngineConfig {
+                tier: *tier,
+                ..Default::default()
+            };
+            let mut inst = Instance::new(Arc::clone(cm), config).expect("instantiate");
+            let argv = args.map(Value::I32);
+            let got = inst.call_complete("main", &argv, &mut NullHost).unwrap();
+            let at = format!("{tier:?} main{args:?}");
+            assert_eq!(got, Some(expect(args) as u32 as u64), "{at}");
+            assert_eq!(
+                *fuel.get_or_insert(inst.fuel_used()),
+                inst.fuel_used(),
+                "{at}"
+            );
+        }
+    }
+}
+
+/// `0 <= x < n`, compared signed: what every range test below means.
+fn in_range(x: i32, n: i32) -> bool {
+    0 <= x && x < n
+}
+
+/// `main(x, n)`: 1 if `x >= 0 && x < n` (the bound is `n`, or the constant
+/// `bound`), else 0, tested by an `if`.
+fn range_if(bound: Option<i32>) -> Module {
+    dsl_main(|_, f| {
+        let (x, n) = (f.arg(0), f.arg(1));
+        let n = bound.map_or(local(n), i32c);
+        let test = and(ge_s(local(x), i32c(0)), lt_s(local(x), n));
+        f.extend([if_(test, vec![ret(Some(i32c(1)))]), ret(Some(i32c(0)))]);
+    })
+}
+
+/// As [`range_if`], tested by a `br_if`, with the two compares in either
+/// order.
+fn range_br_if(bound: Option<i32>, lt_first: bool) -> Module {
+    use Instr::*;
+    let n = bound.map_or(LocalGet(1), I32Const);
+    let (ge, lt) = ([LocalGet(0), I32Const(0), I32GeS], [LocalGet(0), n, I32LtS]);
+    let (p, q) = if lt_first { (lt, ge) } else { (ge, lt) };
+    let mut body = vec![Block(BlockType::Empty)];
+    body.extend(p.into_iter().chain(q));
+    body.extend([I32And, BrIf(0), I32Const(0), Return, End, I32Const(1), End]);
+    raw_main(2, vec![], body)
+}
+
+/// The two-sided range test is one op on the optimized tier (the lowering
+/// folds `and(ge_s(x, 0), lt_s(x, n))` under a branch): it must mean
+/// exactly `0 <= x < n` for every `x` and `n`, negative, zero and extreme
+/// bounds included, in the slot and the immediate form, under `if` and
+/// `br_if`; and the shapes it must not fold must still mean what they say.
+#[test]
+fn miri_range_test_matches_native_in_every_form() {
+    let edges = [i32::MIN, -2, -1, 0, 1, 2, 1000, i32::MAX];
+    let mut inputs: Vec<[i32; 2]> = edges
+        .iter()
+        .flat_map(|&x| edges.iter().map(move |&n| [x, n]))
+        .collect();
+    cases(1, 0x4A46_0066, |rng| {
+        inputs.extend((0..16).map(|_| [any_i32(rng), any_i32(rng)]));
+        inputs.extend((0..16).map(|_| [rng.range(0, 9) as i32 - 4, rng.range(0, 9) as i32 - 4]));
+    });
+    let slot = |[x, n]: [i32; 2]| in_range(x, n) as i32;
+    assert_each_returns(&range_if(None), &inputs, slot);
+    assert_each_returns(&range_br_if(None, false), &inputs, slot);
+    assert_each_returns(&range_br_if(None, true), &inputs, slot);
+    for n in [i32::MIN, -1, 0, 1, 1000, i32::MAX] {
+        let imm = |[x, _]: [i32; 2]| in_range(x, n) as i32;
+        assert_each_returns(&range_if(Some(n)), &inputs[..16], imm);
+        assert_each_returns(&range_br_if(Some(n), true), &inputs[..16], imm);
+    }
+
+    // Two different operands: `x >= 0 && n < 5`.
+    let two = dsl_main(|_, f| {
+        let (x, n) = (f.arg(0), f.arg(1));
+        let test = and(ge_s(local(x), i32c(0)), lt_s(local(n), i32c(5)));
+        f.extend([if_(test, vec![ret(Some(i32c(1)))]), ret(Some(i32c(0)))]);
+    });
+    assert_each_returns(&two, &inputs, |[x, n]| (x >= 0 && n < 5) as i32);
+    // A compare whose result is read again: `t = x >= 0` survives the test.
+    let reread = dsl_main(|_, f| {
+        let (x, n) = (f.arg(0), f.arg(1));
+        let t = f.local(ValType::I32);
+        let test = and(tee(t, ge_s(local(x), i32c(0))), lt_s(local(x), local(n)));
+        let twice = add(local(t), local(t));
+        f.extend([
+            if_(test, vec![ret(Some(add(twice.clone(), i32c(1))))]),
+            ret(Some(twice)),
+        ]);
+    });
+    assert_each_returns(&reread, &inputs, |[x, n]| {
+        let t = (x >= 0) as i32;
+        2 * t + (t == 1 && x < n) as i32
+    });
+}
+
+/// `main(n, m)`: an outer loop to `n` (a local bound) around an inner one
+/// to 3 (a constant bound), then a `while` counting to `m`: each loop's
+/// latch takes over its head's test on the optimized tier.
+fn loops_main() -> Module {
+    dsl_main(|_, f| {
+        let (n, m) = (f.arg(0), f.arg(1));
+        let (i, j, k, acc) = (
+            f.local(ValType::I32),
+            f.local(ValType::I32),
+            f.local(ValType::I32),
+            f.local(ValType::I32),
+        );
+        f.extend([
+            for_loop(
+                i,
+                i32c(0),
+                lt_s(local(i), local(n)),
+                1,
+                vec![
+                    for_loop(
+                        j,
+                        i32c(0),
+                        lt_s(local(j), i32c(3)),
+                        1,
+                        vec![set(
+                            acc,
+                            add(local(acc), add(mul(local(i), local(j)), i32c(1))),
+                        )],
+                    ),
+                    set(acc, xor(local(acc), local(i))),
+                ],
+            ),
+            set(k, i32c(0)),
+            while_(
+                lt_s(local(k), local(m)),
+                vec![
+                    set(k, add(local(k), i32c(1))),
+                    set(acc, add(mul(local(acc), i32c(3)), local(k))),
+                ],
+            ),
+            ret(Some(local(acc))),
+        ]);
+    })
+}
+
+fn loops_native([n, m]: [i32; 2]) -> i32 {
+    let mut acc = 0i32;
+    for i in 0..n.max(0) {
+        for j in 0..3 {
+            acc = acc.wrapping_add(i.wrapping_mul(j).wrapping_add(1));
+        }
+        acc ^= i;
+    }
+    for k in 1..=m.max(0) {
+        acc = acc.wrapping_mul(3).wrapping_add(k);
+    }
+    acc
+}
+
+/// Rotated loops run zero, one and many times, with local and constant
+/// bounds, and mean what they meant: the result and the fuel of both tiers
+/// match native Rust; and a pause at every point of a small run (the latch
+/// now charges the head's units too) changes neither.
+#[test]
+fn miri_rotated_loops_match_native_and_survive_a_pause_at_every_point() {
+    let inputs = [
+        [-3, -1],
+        [0, 0],
+        [1, 1],
+        [2, 0],
+        [0, 3],
+        [5, 4],
+        [i32::MIN, 2],
+    ];
+    assert_each_returns(&loops_main(), &inputs, loops_native);
+
+    let m = Arc::new(translate(&loops_main(), Tier::Optimized).unwrap());
+    let args = [Value::I32(2), Value::I32(2)];
+    let run_at = |tier: Tier, quantum: u64| {
+        let config = EngineConfig {
+            tier,
+            ..Default::default()
+        };
+        let mut inst = Instance::new(Arc::clone(&m), config).unwrap();
+        inst.invoke_export("main", &args).unwrap();
+        loop {
+            match inst.run(&mut NullHost, quantum) {
+                StepResult::Complete(v) => return (v, inst.fuel_used()),
+                StepResult::OutOfFuel => continue,
+                other => panic!("{tier:?} quantum {quantum}: {other:?}"),
+            }
+        }
+    };
+    let whole = run_at(Tier::Optimized, u64::MAX);
+    assert_eq!(whole.0, Some(loops_native([2, 2]) as u32 as u64));
+    for tier in ALL_TIERS {
+        for quantum in 1..=whole.1 {
+            assert_eq!(run_at(*tier, quantum), whole, "{tier:?} quantum {quantum}");
+        }
+    }
+}
+
+/// An optimized run of `main(args)` with the preempt flag raised before
+/// every grant: its result, its fuel and how many times it was preempted,
+/// which is once per `Fuel` charge it executed.
+fn polls(m: &Arc<CompiledModule>, args: &[Value]) -> (Option<u64>, u64, u32) {
+    let mut inst = Instance::new(Arc::clone(m), EngineConfig::default()).unwrap();
+    inst.invoke_export("main", args).unwrap();
+    let flag = inst.preempt_flag();
+    let mut preempted = 0;
+    loop {
+        flag.store(true, Ordering::Relaxed);
+        match inst.run(&mut NullHost, u64::MAX) {
+            StepResult::Complete(v) => return (v, inst.fuel_used(), preempted),
+            StepResult::Preempted => preempted += 1,
+            other => panic!("{other:?}"),
+        }
+    }
+}
+
+/// A loop whose latch segment plus head test would weigh more than the gap
+/// budget keeps its head: built under a budget equal to its heaviest
+/// segment, the stack body and its charges are the same as under the
+/// default budget, and so are the result and the fuel, but each iteration
+/// runs the head's charge again, one more preemption point per iteration.
+#[test]
+fn miri_loop_over_the_gap_budget_keeps_its_head() {
+    let module = dsl_main(|_, f| {
+        let n = f.arg(0);
+        let (i, acc) = (f.local(ValType::I32), f.local(ValType::I32));
+        f.extend([
+            for_loop(
+                i,
+                i32c(0),
+                lt_s(local(i), local(n)),
+                1,
+                vec![set(acc, add(local(acc), mul(local(i), local(i))))],
+            ),
+            ret(Some(local(acc))),
+        ]);
+    });
+    let rotated = Arc::new(translate(&module, Tier::Optimized).unwrap());
+    let charges: Vec<u32> = rotated.funcs[0]
+        .code
+        .iter()
+        .filter_map(|op| match op {
+            Op::Fuel(w) => Some(*w),
+            _ => None,
+        })
+        .collect();
+    // The head's charge, the latch's, then the exit's.
+    let [head, latch, ..] = charges[..] else {
+        panic!("charges {charges:?}")
+    };
+    let budget = rotated.analysis.cost.max_gap;
+    assert!(
+        latch <= budget && head + latch > budget,
+        "{charges:?} / {budget}"
+    );
+    let opts = TranslateOptions {
+        max_check_gap: budget,
+    };
+    let kept = Arc::new(translate_with(&module, Tier::Optimized, opts).unwrap());
+    assert_eq!(kept.funcs[0].code, rotated.funcs[0].code);
+    for n in [-1, 0, 1, 2, 7] {
+        let args = [Value::I32(n), Value::I32(0)];
+        let (result, fuel, fast) = polls(&rotated, &args);
+        let expect = (0..n.max(0)).map(|i| i * i).sum::<i32>();
+        assert_eq!(result, Some(expect as u32 as u64), "n = {n}");
+        assert_eq!(
+            polls(&kept, &args),
+            (result, fuel, fast + n.max(0) as u32),
+            "n = {n}"
+        );
+    }
 }
 
 // --------------------------------------------------- seeded random programs
