@@ -704,6 +704,13 @@ fn miri_range_test_matches_native_in_every_form() {
         f.extend([if_(test, vec![ret(Some(i32c(1)))]), ret(Some(i32c(0)))]);
     });
     assert_each_returns(&two, &inputs, |[x, n]| (x >= 0 && n < 5) as i32);
+    // A lower bound other than 0: `x >= 1 && x < n`.
+    let from_one = dsl_main(|_, f| {
+        let (x, n) = (f.arg(0), f.arg(1));
+        let test = and(ge_s(local(x), i32c(1)), lt_s(local(x), local(n)));
+        f.extend([if_(test, vec![ret(Some(i32c(1)))]), ret(Some(i32c(0)))]);
+    });
+    assert_each_returns(&from_one, &inputs, |[x, n]| (x >= 1 && x < n) as i32);
     // A compare whose result is read again: `t = x >= 0` survives the test.
     let reread = dsl_main(|_, f| {
         let (x, n) = (f.arg(0), f.arg(1));
