@@ -10,19 +10,22 @@
 //! and `const` emit nothing and are read in place (or as an immediate) by
 //! the op that pops them, `local.set` re-targets the op that produced its
 //! value, and a branch on an `i32.eqz` just produced tests the `eqz`'s
-//! operand instead. A pending `Local(i)` is spilled before `i` is
+//! operand instead, and one on `x >=s 0 && x <s n` just computed becomes
+//! one range test. A pending `Local(i)` is spilled before `i` is
 //! overwritten; every entry is materialised at a branch (all paths into a
 //! label agree) and, for arguments, before a call — the callee's frame
 //! starts at the caller's first argument slot, so a call copies nothing.
 //! This is the one place operands fold: the translator emits one stack op
 //! per Wasm instruction.
 //!
-//! A last pass gives each adjacent pair listed in [`pair_list`] one
-//! dispatch, leaving the second op in place.
+//! Two last passes move each loop's exit test onto its back-edge
+//! ([`rotate_loops`]) and give each adjacent pair listed in [`pair_list`]
+//! one dispatch, leaving the second op in place.
 //!
-//! [`Op::Fuel`] is carried one-to-one at the same segment heads, and every
-//! lowered op records the summed [`op_cost`] of the stack ops folded into it
-//! (what the naive tier charges), so both accountings are unchanged.
+//! [`Op::Fuel`] is carried one-to-one at the same segment heads (a rotated
+//! latch's also carries its loop head's charge), and every lowered op
+//! records the summed [`op_cost`] of the stack ops folded into it (what the
+//! naive tier charges), so both accountings are unchanged.
 //!
 //! The executor indexes the frame without bounds checks. What it relies on
 //! is re-checked here, on the output, by [`Body::check`]: a body that fails
