@@ -330,7 +330,7 @@ pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), 
     // Lowering, over the instrumented bodies and the first walk's heights
     // (a `Fuel` never changes one): what the executor runs.
     let t = Instant::now();
-    m.lowered = crate::lower::lower_module(m, &arities, &heights, max_check_gap)?;
+    m.lowered = crate::lower::lower_module(m, &arities, &heights, &cost.funcs)?;
     timings.push(("lower", t.elapsed()));
 
     // The stack bound and frame summaries, over the frames the executor

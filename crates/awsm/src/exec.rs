@@ -749,12 +749,12 @@ mod tests {
     fn shipped_guests_dispatch_pinned_counts() {
         let pinned: [(&str, u64); 7] = [
             ("ping", 10),
-            ("echo", 32_797),
-            ("gps_ekf", 32_310),
-            ("gocr", 385_246),
-            ("cifar10", 2_179_952),
-            ("resize", 2_869_309),
-            ("lpd", 3_786_011),
+            ("echo", 40_989),
+            ("gps_ekf", 35_094),
+            ("gocr", 425_206),
+            ("cifar10", 2_186_608),
+            ("resize", 2_972_989),
+            ("lpd", 3_805_211),
         ];
         let mut guests = Vec::new();
         for app in sledge_apps::all_apps() {

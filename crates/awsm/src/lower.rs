@@ -18,9 +18,10 @@
 //! This is the one place operands fold: the translator emits one stack op
 //! per Wasm instruction.
 //!
-//! Two last passes move each loop's exit test onto its back-edge
-//! ([`rotate_loops`]) and give each adjacent pair listed in [`pair_list`]
-//! one dispatch, leaving the second op in place.
+//! Two last passes move each loop's exit test onto its back-edge where the
+//! function's certified loop gap allows ([`rotate_loops`]) and give each
+//! adjacent pair listed in [`pair_list`] one dispatch, leaving the second
+//! op in place.
 //!
 //! [`Op::Fuel`] is carried one-to-one at the same segment heads (a rotated
 //! latch's also carries its loop head's charge), and every lowered op
@@ -31,7 +32,7 @@
 //! is re-checked here, on the output, by [`Body::check`]: a body that fails
 //! it is never built, whatever the input was.
 
-use crate::analysis::cost::{for_each_target, op_cost};
+use crate::analysis::cost::{for_each_target, op_cost, FuncCost};
 use crate::analysis::stack::ArityMap;
 use crate::code::{Branch, CompiledFunc, CompiledModule, LoadKind, NumBin, NumUn, Op, StoreKind};
 
@@ -111,41 +112,45 @@ use opc::*;
 /// (`exec::tests::shipped_guests_dispatch_pinned_counts` prints what is
 /// left after fusing): the range tests folded and the loops rotated, a pair
 /// qualifies with ≥ 1 % of dispatches averaged over the 37 shipped guests,
-/// or ≥ 3 % of one app's (`ping`'s 10 dispatches excluded). 41 qualify.
+/// or ≥ 3 % of one app's (`ping`'s 10 dispatches excluded). 43 qualify.
 /// Starting from the previous choice plus the rotated latch's and the
-/// range test's pairs (the last four, kept whatever their share), single
-/// swaps were taken while they cut the guests' geomean dispatch count and
-/// raised no app's; one did (`LoadU8_AddR` for `MulF64_AddF64`).
+/// range test's pairs, single swaps were taken while they cut the guests'
+/// geomean dispatch count and raised no app's; one did (`LoadU8_AddR` for
+/// `MulF64_AddF64`). The two range-test pairs fall short of the rule and
+/// are kept because each holds `cifar10` 3-4 % lower (2 186 608 dispatches
+/// with both, 2 258 032 and 2 278 768 without one). `AddI_Br`,
+/// `Fuel_BrzLtSI` and `Fuel_BrzLtSR` are the unrotated loops' latch and
+/// head: most loops keep their head (see [`rotate_loops`]), and dropping
+/// the three raises every app but `ping` (`cifar10` to 2 292 368).
 /// Shares: mean over the 37 guests; the largest in one app.
 macro_rules! pair_list {
     ($with:ident $($args:tt)*) => { $with! { $($args)*
-        MulI_AddI: [BIN_RI I32Mul] [BIN_RI I32Add]         // 12.11 %; 0.88 % lpd
-        MulI_AddR: [BIN_RI I32Mul] [BIN_RR I32Add]         // 10.33 %; 12.89 % gps_ekf
-        AddR_MulI: [BIN_RR I32Add] [BIN_RI I32Mul]         // 10.09 %; 12.14 % gps_ekf
-        AddI_LoadF64: [BIN_RI I32Add] [LOAD F64]           //  9.02 %; 0.41 % gps_ekf
-        AddI_Br: [BIN_RI I32Add] [BR]                      //  0.17 %; 0.91 % gps_ekf
-        Fuel_MulI: [FUEL] [BIN_RI I32Mul]                  //  3.81 %; 5.89 % gocr
-        LoadF64_MulI: [LOAD F64] [BIN_RI I32Mul]           //  3.69 %; 0.12 % gps_ekf
-        Fuel_BrzLtSI: [FUEL] [BRZ_RI I32LtS]               //  0.29 %; 1.86 % cifar10
-        AddI_MulI: [BIN_RI I32Add] [BIN_RI I32Mul]         //  2.76 %; 0.89 % gps_ekf
-        LoadF64_MulF64: [LOAD F64] [BIN_RR F64Mul]         //  2.58 %; 5.28 % gps_ekf
-        LoadU8_AddR: [LOAD I32U8] [BIN_RR I32Add]          //  0.31 %; 7.07 % lpd
-        AddR_AddI: [BIN_RR I32Add] [BIN_RI I32Add]         //  2.10 %; 17.67 % gocr
-        LoadF64_AddF64: [LOAD F64] [BIN_RR F64Add]         //  1.41 %; 0.02 % gps_ekf
-        AddF64_StoreF64: [BIN_RR F64Add] [STORE F64]       //  1.42 %; 0.02 % gps_ekf
-        AddF64_AddI: [BIN_RR F64Add] [BIN_RI I32Add]       //  1.34 %; 5.09 % gps_ekf
-        Const_MulF64: [CONST] [BIN_RR F64Mul]              //  1.12 %; 0 in the apps
-        Fuel_BrzLtSR: [FUEL] [BRZ_RR I32LtS]               //  0.13 %; 1.69 % gps_ekf
-        MulR_AddR: [BIN_RR I32Mul] [BIN_RR I32Add]         //  1.07 %; 10.66 % gps_ekf
-        AddI_LoadU8: [BIN_RI I32Add] [LOAD I32U8]          //  0.86 %; 11.78 % gocr
-        Fuel_AddR: [FUEL] [BIN_RR I32Add]                  //  0.67 %; 14.28 % echo
-        AddI_LoadI64: [BIN_RI I32Add] [LOAD I64]           //  0.39 %; 14.28 % echo
-        MulR_AddI: [BIN_RR I32Mul] [BIN_RI I32Add]         //  0.18 %; 4.28 % resize
-        Xor_Popcnt: [BIN_RR I32Xor] [UN I32Popcnt]         //  0.16 %; 5.89 % gocr
-        AddI_BrLtSI: [BIN_RI I32Add] [BR_RI I32LtS]        //  3.24 %; 5.93 % lpd
-        AddI_BrLtSR: [BIN_RI I32Add] [BR_RR I32LtS]        //  1.07 %; 14.28 % echo
+        MulI_AddI: [BIN_RI I32Mul] [BIN_RI I32Add]         // 11.86 %; 0.88 % lpd
+        MulI_AddR: [BIN_RI I32Mul] [BIN_RR I32Add]         // 10.12 %; 12.83 % cifar10
+        AddR_MulI: [BIN_RR I32Add] [BIN_RI I32Mul]         //  9.92 %; 10.98 % gps_ekf
+        AddI_LoadF64: [BIN_RI I32Add] [LOAD F64]           //  8.84 %; 0.37 % gps_ekf
+        AddI_Br: [BIN_RI I32Add] [BR]                      //  1.57 %; 11.11 % echo
+        Fuel_MulI: [FUEL] [BIN_RI I32Mul]                  //  3.72 %; 5.27 % gocr
+        LoadF64_MulI: [LOAD F64] [BIN_RI I32Mul]           //  3.62 %; 0.11 % gps_ekf
+        Fuel_BrzLtSI: [FUEL] [BRZ_RI I32LtS]               //  1.07 %; 6.16 % gocr
+        AddI_MulI: [BIN_RI I32Add] [BIN_RI I32Mul]         //  2.69 %; 0.81 % gps_ekf
+        LoadF64_MulF64: [LOAD F64] [BIN_RR F64Mul]         //  2.52 %; 4.77 % gps_ekf
+        LoadU8_AddR: [LOAD I32U8] [BIN_RR I32Add]          //  0.30 %; 7.07 % lpd
+        AddR_AddI: [BIN_RR I32Add] [BIN_RI I32Add]         //  1.94 %; 16.71 % lpd
+        LoadF64_AddF64: [LOAD F64] [BIN_RR F64Add]         //  1.37 %; 0.01 % gps_ekf
+        AddF64_StoreF64: [BIN_RR F64Add] [STORE F64]       //  1.40 %; 0.01 % gps_ekf
+        AddF64_AddI: [BIN_RR F64Add] [BIN_RI I32Add]       //  1.30 %; 4.61 % gps_ekf
+        Const_MulF64: [CONST] [BIN_RR F64Mul]              //  1.09 %; 0 in the apps
+        Fuel_BrzLtSR: [FUEL] [BRZ_RR I32LtS]               //  0.74 %; 11.11 % echo
+        MulR_AddR: [BIN_RR I32Mul] [BIN_RR I32Add]         //  1.02 %; 9.64 % gps_ekf
+        AddI_LoadU8: [BIN_RI I32Add] [LOAD I32U8]          //  0.82 %; 10.54 % gocr
+        Fuel_AddR: [FUEL] [BIN_RR I32Add]                  //  0.58 %; 11.11 % echo
+        AddI_LoadI64: [BIN_RI I32Add] [LOAD I64]           //  0.30 %; 11.11 % echo
+        MulR_AddI: [BIN_RR I32Mul] [BIN_RI I32Add]         //  0.17 %; 4.11 % resize
+        Xor_Popcnt: [BIN_RR I32Xor] [UN I32Popcnt]         //  0.14 %; 5.27 % gocr
+        AddI_BrLtSI: [BIN_RI I32Add] [BR_RI I32LtS]        //  2.38 %; 5.93 % lpd
         SubI_BrzRangeR: [BIN_RI I32Sub] [BRZ_RANGE_RR]     //  0.07 %; 2.56 % cifar10
-        SubI_BrzRangeI: [BIN_RI I32Sub] [BRZ_RANGE_RI]     //  0.05 %; 1.99 % cifar10
+        SubI_BrzRangeI: [BIN_RI I32Sub] [BRZ_RANGE_RI]     //  0.05 %; 1.98 % cifar10
     } };
 }
 pub(crate) use pair_list;
@@ -228,8 +233,8 @@ pub(crate) struct Lowered {
 }
 
 /// Lower every function of `m`, given each body's operand heights (as
-/// [`heights`](crate::analysis::stack::heights) found them) and the gap budget its `Fuel` charges
-/// were planted under.
+/// [`heights`](crate::analysis::stack::heights) found them) and its
+/// certificate (which bounds the charges loop rotation may merge).
 ///
 /// # Errors
 ///
@@ -239,7 +244,7 @@ pub(crate) fn lower_module(
     m: &CompiledModule,
     arities: &ArityMap,
     heights: &[Vec<Option<u32>>],
-    max_check_gap: u32,
+    gaps: &[FuncCost],
 ) -> Result<Lowered, String> {
     let hosts: Box<[HostSig]> = m
         .host_funcs
@@ -268,7 +273,14 @@ pub(crate) fn lower_module(
             Some(n) => format!("{n}: {e}"),
             None => format!("func[{fidx}]: {e}"),
         };
-        let body = lower_func(m, func, &heights[fidx], &hosts, arities, max_check_gap);
+        let body = lower_func(
+            m,
+            func,
+            &heights[fidx],
+            &hosts,
+            arities,
+            gaps[fidx].max_loop_gap,
+        );
         let body = body.map_err(named)?;
         body.check(m, &hosts, arities).map_err(named)?;
         Ok(body)
@@ -578,7 +590,7 @@ fn lower_func(
     heights: &[Option<u32>],
     hosts: &[HostSig],
     arities: &ArityMap,
-    max_check_gap: u32,
+    loop_gap: u32,
 ) -> Result<Body, String> {
     let code = &func.code;
     if heights.len() != code.len() {
@@ -759,7 +771,7 @@ fn lower_func(
     for t in tables.iter_mut().flat_map(|t| t.iter_mut()) {
         *t = labels[*t as usize];
     }
-    rotate_loops(&mut ops, &mut costs, &tables, max_check_gap);
+    rotate_loops(&mut ops, &mut costs, &tables, loop_gap);
     fuse(&mut ops);
     let mut body = Body {
         ops: ops.into(),
@@ -780,7 +792,7 @@ fn lower_func(
 }
 
 /// Move each loop's exit test onto its back-edge, where that keeps every
-/// charge exact and every check-free path within `max_check_gap`.
+/// charge exact and the function's certificate true of the code that runs.
 ///
 /// A loop lowers to a head `h: FUEL w; test → exit` whose segment is the
 /// test alone (`h + 2` is a `FUEL`), a body, and a latch segment `l: FUEL
@@ -790,8 +802,13 @@ fn lower_func(
 /// fewer, and `h` runs only on entry (and for any other jump to it). The
 /// branch carries `h`'s op weights for the naive tier. Applied only where
 /// the latch segment is entered at its `FUEL` alone and `v + w` is within
-/// the budget, so the certified gap still bounds every check-free path.
-fn rotate_loops(ops: &mut [LOp], costs: &mut [u8], tables: &[Box<[u32]>], max_check_gap: u32) {
+/// `loop_gap`, the function's certified
+/// [`max_loop_gap`](FuncCost::max_loop_gap) (so within its `max_gap`
+/// too). The certificate is computed on the stack body, and a node admits
+/// a module, an artifact built under another budget included, by that
+/// certificate alone: a merged charge past it would be a check-free path
+/// longer than the node's budget.
+fn rotate_loops(ops: &mut [LOp], costs: &mut [u8], tables: &[Box<[u32]>], loop_gap: u32) {
     let mut target = vec![false; ops.len() + 1];
     for op in ops.iter().filter(|op| is_jump(op.code)) {
         target[(op.c as usize).min(ops.len())] = true;
@@ -819,7 +836,7 @@ fn rotate_loops(ops: &mut [LOp], costs: &mut [u8], tables: &[Box<[u32]>], max_ch
             && first.code == FUEL
             && test.c as usize == k + 1
             && !target[l + 1..=k].contains(&true)
-            && ops[l].a as u64 + head.a as u64 <= max_check_gap as u64
+            && ops[l].a as u64 + head.a as u64 <= loop_gap as u64
             && weight <= u8::MAX as u32;
         if fits {
             ops[l].a += head.a;
@@ -1248,31 +1265,32 @@ mod tests {
     }
 
     #[test]
-    fn loop_latch_takes_over_the_head_test_within_the_gap() {
-        let build = |max_check_gap: Option<u32>| {
+    fn loop_latch_takes_over_the_head_test_within_the_certified_gap() {
+        // `main(n)`: `for i < n { acc += i * i }`, and with `heavy` a
+        // segment in the loop that outweighs the latch and the head
+        // together.
+        let build = |heavy: bool| {
             let mut f = FuncBuilder::new(&[I32], Some(I32));
             let n = f.arg(0);
-            let (i, acc) = (f.local(I32), f.local(I32));
+            let (i, acc, x) = (f.local(I32), f.local(I32), f.local(I32));
+            let cube = |v: Expr| mul(mul(v.clone(), v.clone()), v);
+            let mut body = Vec::new();
+            if heavy {
+                body.push(set(x, add(cube(local(i)), cube(add(local(x), i32c(1))))));
+                body.push(if_(lt_s(local(x), i32c(0)), vec![set(x, i32c(0))]));
+            }
+            body.push(set(acc, add(local(acc), mul(local(i), local(i)))));
             f.extend([
-                for_loop(
-                    i,
-                    i32c(0),
-                    lt_s(local(i), local(n)),
-                    1,
-                    vec![set(acc, add(local(acc), mul(local(i), local(i))))],
-                ),
-                ret(Some(local(acc))),
+                for_loop(i, i32c(0), lt_s(local(i), local(n)), 1, body),
+                ret(Some(add(local(acc), local(x)))),
             ]);
             let mut mb = ModuleBuilder::new("t");
             let main = mb.add_func("main", f);
             mb.export_func(main, "main");
-            let opts = crate::TranslateOptions {
-                max_check_gap: max_check_gap.unwrap_or(crate::DEFAULT_MAX_CHECK_GAP),
-            };
-            crate::translate_with(&mb.build().unwrap(), Tier::Optimized, opts).unwrap()
+            crate::translate(&mb.build().unwrap(), Tier::Optimized).unwrap()
         };
         let lt = NumBin::I32LtS as u16;
-        let m = build(None);
+        let m = build(true);
         let ops = lowered(&m);
         // `h: FUEL w; BRZ_RR (i, n) → exit`, and the latch `l: FUEL v + w; …;
         // BR_RR (i, n) → h + 2` right before `exit`.
@@ -1304,13 +1322,64 @@ mod tests {
             costs(l..k + 1),
             "the latch charges its ops and the head's"
         );
-        // Under a budget of the latch segment alone, the loop keeps its head.
-        let budget = m.analysis.cost.max_gap;
-        let kept = lowered(&build(Some(budget)));
+        assert!(ops[l].a <= m.analysis.cost.funcs[0].max_loop_gap);
+        // With no heavier segment in the loop, the latch and the head
+        // together would outweigh the certified loop gap: the loop keeps
+        // its head.
+        let m = build(false);
+        let kept = lowered(&m);
+        let charges: Vec<u32> = m.funcs[0]
+            .code
+            .iter()
+            .filter_map(|op| match op {
+                Op::Fuel(w) => Some(*w),
+                _ => None,
+            })
+            .collect();
+        let [head, latch, ..] = charges[..] else {
+            panic!("charges {charges:?}")
+        };
+        assert!(head + latch > m.analysis.cost.funcs[0].max_loop_gap);
         assert!(
             kept.iter().any(|op| op.code == BR) && kept.iter().all(|op| op.code != BR_RR + lt),
             "{kept:?}"
         );
+    }
+
+    /// The certificate is computed on the stack bodies, and a node admits a
+    /// module by it alone: no charge in a shipped guest's lowered bodies, a
+    /// rotated latch's included, may outweigh its function's certified gap,
+    /// nor one that ends in a back-edge its certified loop gap.
+    #[test]
+    fn lowered_charges_stay_within_the_certificate() {
+        let apps = sledge_apps::all_apps()
+            .into_iter()
+            .map(|a| (a.name, (a.module)()));
+        let kernels = sledge_apps::polybench::kernels()
+            .into_iter()
+            .map(|k| (k.name, (k.build)()));
+        let mut rotated = 0;
+        for (name, module) in apps.chain(kernels) {
+            let m = crate::translate(&module, Tier::Optimized).unwrap();
+            for (body, fc) in m.lowered.bodies.iter().zip(&m.analysis.cost.funcs) {
+                let mut charge = 0;
+                for (pc, op) in body.ops.iter().enumerate() {
+                    let code = first_of(op.code);
+                    if code == FUEL {
+                        charge = op.a;
+                        assert!(charge <= fc.max_gap, "{name} pc {pc}: {charge} > {fc:?}");
+                    }
+                    if is_jump(code) && code != BR && op.c as usize <= pc {
+                        rotated += 1;
+                        assert!(
+                            charge <= fc.max_loop_gap,
+                            "{name} pc {pc}: {charge} > {fc:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(rotated > 0, "no guest has a conditional back-edge");
     }
 
     /// FNV-1a 64 of `bytes`, continuing from `h`.
@@ -1328,42 +1397,42 @@ mod tests {
     fn shipped_guests_lower_to_pinned_bodies() {
         const PINNED: &[&str] = &[
             "ping [(10, 2)] 63118748da50fba2",
-            "echo [(38, 7)] 072d50d969783709",
-            "gps_ekf [(38, 17), (38, 17), (133, 12), (297, 13)] 3b1ea76d579e6f6f",
-            "gocr [(79, 17)] 4f91df295b0ccf89",
-            "cifar10 [(81, 20), (81, 16), (57, 15), (87, 13)] 8506a822fd80c142",
-            "resize [(87, 16)] b54e754a2f868db9",
-            "lpd [(335, 19)] 9edce10c07df63fe",
-            "correlation [(266, 10)] 42085b56786e1a1d",
-            "covariance [(178, 9)] f23bfd65a20275b7",
-            "adi [(360, 10)] 4931fe952462329a",
-            "gramschmidt [(197, 10)] 72717a8ea7ca7087",
-            "deriche [(172, 15)] 28600fe9ae75a9b6",
-            "trmm [(117, 9)] d77a45e5b0a1a70e",
-            "seidel-2d [(140, 9)] 61f33cf1bcd1fdfc",
+            "echo [(38, 7)] 1dc83aa1200ed06b",
+            "gps_ekf [(38, 17), (38, 17), (133, 12), (297, 13)] d2c3b938a576ead2",
+            "gocr [(79, 17)] 61aafa610da7f87a",
+            "cifar10 [(81, 20), (81, 16), (57, 15), (87, 13)] a623a10404bab15f",
+            "resize [(87, 16)] 60360b42f4166eb9",
+            "lpd [(335, 19)] 542bff1a5c26b9f3",
+            "correlation [(266, 10)] 7dce52634b1eda6d",
+            "covariance [(178, 9)] 5fe341d72cc3fafb",
+            "adi [(360, 10)] 69e840eb039700ea",
+            "gramschmidt [(197, 10)] 2b4cacd3f76fe42b",
+            "deriche [(172, 15)] 0abe28ddc5b0cd70",
+            "trmm [(117, 9)] e323748b3cee18ee",
+            "seidel-2d [(140, 9)] c843da6258962ca9",
             "mvt [(149, 8)] 852daa5f95ddb4b2",
-            "symm [(160, 10)] c081e2dca3bcac96",
-            "ludcmp [(244, 11)] 9882a484dc74a00c",
-            "syr2k [(147, 10)] adf175fed9f35928",
-            "lu [(182, 10)] 4f5206a41b8cae58",
-            "trisolv [(100, 8)] 10110a2ac11eb1c9",
-            "nussinov [(143, 12)] f05ec777bfdac010",
-            "doitgen [(159, 10)] d2e68731a39b90c0",
-            "2mm [(178, 10)] 1f6b397810842933",
-            "gesummv [(135, 8)] f9ce92051f5ff688",
-            "bicg [(123, 8)] 9696a4396dc4c553",
+            "symm [(160, 10)] d7927f213aa4ac40",
+            "ludcmp [(244, 11)] 3d4e19bd0e8b046f",
+            "syr2k [(147, 10)] e8d436196058a0e2",
+            "lu [(182, 10)] 31e2de2fc2ad3943",
+            "trisolv [(100, 8)] 7b642520e63008bd",
+            "nussinov [(143, 12)] 92183d74339e8921",
+            "doitgen [(159, 10)] 18b369fc9d727fea",
+            "2mm [(178, 10)] 1a6215db28dbca57",
+            "gesummv [(135, 8)] 7838f1f9d8d85f46",
+            "bicg [(123, 8)] f636aa355fef6d11",
             "gemver [(233, 9)] 8b7ecf78fc09de80",
-            "cholesky [(187, 10)] 2322d752120c4835",
-            "3mm [(196, 9)] 7469fef269ac894f",
-            "atax [(114, 9)] f71c1bdf88906f48",
-            "syrk [(123, 9)] 6f3efb4615e83435",
-            "floyd-warshall [(110, 10)] 4309d5d795bd4986",
-            "durbin [(117, 11)] 207a82b780ab3e14",
-            "heat-3d [(330, 12)] 70b3572ddb0355f7",
-            "fdtd-2d [(225, 11)] 48d7551c34bbfa22",
-            "jacobi-2d [(170, 10)] f68f893446bf2423",
-            "jacobi-1d [(92, 8)] d7e5a5d5a7142ea5",
-            "gemm [(130, 9)] 8b2a166490a70637",
+            "cholesky [(187, 10)] e75510f23f4c2330",
+            "3mm [(196, 9)] 85d0f875a2d643b1",
+            "atax [(114, 9)] 7bd12689925561aa",
+            "syrk [(123, 9)] 099984222dd7788d",
+            "floyd-warshall [(110, 10)] d7795bebfa89a542",
+            "durbin [(117, 11)] e043d2aa846a03d5",
+            "heat-3d [(330, 12)] 9214c98d66367c4f",
+            "fdtd-2d [(225, 11)] a324b9f888cdda96",
+            "jacobi-2d [(170, 10)] 4ca6f679231a8857",
+            "jacobi-1d [(92, 8)] 5d49f044085e6779",
+            "gemm [(130, 9)] dd4b6c667f183dc5",
         ];
         let apps = sledge_apps::all_apps()
             .into_iter()

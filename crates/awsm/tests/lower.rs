@@ -747,6 +747,15 @@ fn loops_main() -> Module {
                 lt_s(local(i), local(n)),
                 1,
                 vec![
+                    // A segment heavier than every latch and head together,
+                    // so that the certified loop gap lets them rotate.
+                    set(
+                        acc,
+                        add(
+                            mul(mul(local(acc), local(acc)), mul(local(i), local(acc))),
+                            mul(local(i), i32c(7)),
+                        ),
+                    ),
                     for_loop(
                         j,
                         i32c(0),
@@ -776,6 +785,10 @@ fn loops_main() -> Module {
 fn loops_native([n, m]: [i32; 2]) -> i32 {
     let mut acc = 0i32;
     for i in 0..n.max(0) {
+        acc = acc
+            .wrapping_mul(acc)
+            .wrapping_mul(i.wrapping_mul(acc))
+            .wrapping_add(i.wrapping_mul(7));
         for j in 0..3 {
             acc = acc.wrapping_add(i.wrapping_mul(j).wrapping_add(1));
         }
@@ -848,13 +861,13 @@ fn polls(m: &Arc<CompiledModule>, args: &[Value]) -> (Option<u64>, u64, u32) {
     }
 }
 
-/// A loop whose latch segment plus head test would weigh more than the gap
-/// budget keeps its head: built under a budget equal to its heaviest
-/// segment, the stack body and its charges are the same as under the
-/// default budget, and so are the result and the fuel, but each iteration
-/// runs the head's charge again, one more preemption point per iteration.
+/// A loop whose latch segment plus head test would outweigh its function's
+/// certified loop gap keeps its head, under any gap budget: the
+/// certificate is what a node admits a module by, and a rotated latch
+/// charging both would be a check-free path longer than it. Each
+/// iteration runs the head's charge again: each one more polls twice.
 #[test]
-fn miri_loop_over_the_gap_budget_keeps_its_head() {
+fn miri_loop_over_the_certified_gap_keeps_its_head() {
     let module = dsl_main(|_, f| {
         let n = f.arg(0);
         let (i, acc) = (f.local(ValType::I32), f.local(ValType::I32));
@@ -869,39 +882,41 @@ fn miri_loop_over_the_gap_budget_keeps_its_head() {
             ret(Some(local(acc))),
         ]);
     });
-    let rotated = Arc::new(translate(&module, Tier::Optimized).unwrap());
-    let charges: Vec<u32> = rotated.funcs[0]
-        .code
-        .iter()
-        .filter_map(|op| match op {
-            Op::Fuel(w) => Some(*w),
-            _ => None,
-        })
-        .collect();
-    // The head's charge, the latch's, then the exit's.
-    let [head, latch, ..] = charges[..] else {
-        panic!("charges {charges:?}")
-    };
-    let budget = rotated.analysis.cost.max_gap;
-    assert!(
-        latch <= budget && head + latch > budget,
-        "{charges:?} / {budget}"
-    );
-    let opts = TranslateOptions {
-        max_check_gap: budget,
-    };
-    let kept = Arc::new(translate_with(&module, Tier::Optimized, opts).unwrap());
-    assert_eq!(kept.funcs[0].code, rotated.funcs[0].code);
-    for n in [-1, 0, 1, 2, 7] {
-        let args = [Value::I32(n), Value::I32(0)];
-        let (result, fuel, fast) = polls(&rotated, &args);
-        let expect = (0..n.max(0)).map(|i| i * i).sum::<i32>();
-        assert_eq!(result, Some(expect as u32 as u64), "n = {n}");
-        assert_eq!(
-            polls(&kept, &args),
-            (result, fuel, fast + n.max(0) as u32),
-            "n = {n}"
+    for max_check_gap in [awsm::DEFAULT_MAX_CHECK_GAP, u32::MAX] {
+        let opts = TranslateOptions { max_check_gap };
+        let m = Arc::new(translate_with(&module, Tier::Optimized, opts).unwrap());
+        let charges: Vec<u32> = m.funcs[0]
+            .code
+            .iter()
+            .filter_map(|op| match op {
+                Op::Fuel(w) => Some(*w),
+                _ => None,
+            })
+            .collect();
+        // The head's charge, the latch's, then the exit's.
+        let [head, latch, ..] = charges[..] else {
+            panic!("charges {charges:?}")
+        };
+        let cert = &m.analysis.cost.funcs[0];
+        assert!(
+            latch <= cert.max_loop_gap && head + latch > cert.max_loop_gap,
+            "{charges:?} / {cert:?}"
         );
+        let (_, fuel, preempted) = polls(&m, &[Value::I32(0), Value::I32(0)]);
+        for n in [-1, 0, 1, 2, 7] {
+            let args = [Value::I32(n), Value::I32(0)];
+            let expect = (0..n.max(0)).map(|i| i * i).sum::<i32>();
+            let trips = n.max(0) as u32;
+            assert_eq!(
+                polls(&m, &args),
+                (
+                    Some(expect as u32 as u64),
+                    fuel + (trips * (head + latch)) as u64,
+                    preempted + 2 * trips
+                ),
+                "n = {n}"
+            );
+        }
     }
 }
 

@@ -14,7 +14,8 @@
 # `--shuffle-sections=.text*=<seed>`, and runs the 2K binaries interleaved
 # for R rounds (`table2_exec --iters N` each). Per app it prints each side's
 # median and quartiles of the per-run `sledge avg`, per-layout medians,
-# whether each layout's dispatch block crosses a 64-byte line, and how often
+# whether each layout's dispatch block crosses a 64-byte line (as the
+# checkout's `dispatch_block` helper reads it), and how often
 # the head beat the ref on the same seed and round (with a two-sided sign
 # test's p).
 #
@@ -48,6 +49,9 @@ case $work/ in "$repo"/*)
     exit 2
     ;;
 esac
+# The classifier the tier-1 guard uses, built from this checkout.
+(cd "$repo" && CARGO_TARGET_DIR=$work/tool cargo build --offline --quiet -p sledge-bench --bin dispatch_block) >&2
+classify=$work/tool/debug/dispatch_block
 sysroot=$(rustc --print sysroot)
 gcc_ld=$sysroot/lib/rustlib/x86_64-unknown-linux-gnu/bin/gcc-ld
 export CARGO_TARGET_DIR=$work/target
@@ -89,43 +93,18 @@ for round in $(seq 1 "$rounds"); do
     echo "# round $round/$rounds done" >&2
 done
 
-python3 - "$work" "$k" "$rounds" "$iters" "${rev[ref]}" "${rev[head]}" <<'EOF'
+python3 - "$work" "$k" "$rounds" "$iters" "${rev[ref]}" "${rev[head]}" "$classify" <<'EOF'
 import math, statistics, subprocess, sys
-work, k, rounds, iters, ref_rev, head_rev = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]), sys.argv[5], sys.argv[6]
+work, k, rounds, iters, ref_rev, head_rev, classify = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]), sys.argv[5], sys.argv[6], sys.argv[7]
 
 def block(path):
-    """(start, end) of the block that ends in the optimized `run`'s first
-    indirect jump, for the instantiation that dispatches at a loop head."""
-    syms = subprocess.run(["nm", "-S", "-C", path], capture_output=True, text=True, check=True).stdout
-    for line in syms.splitlines():
-        if not line.endswith(" awsm::exec::run"):
-            continue
-        start, size = (int(x, 16) for x in line.split()[:2])
-        dis = subprocess.run(["objdump", "-d", "--no-show-raw-insn", f"--start-address={start:#x}",
-                              f"--stop-address={start + size:#x}", path],
-                             capture_output=True, text=True, check=True).stdout
-        insns = []
-        for l in dis.splitlines():
-            head, sep, text = l.strip().partition(":\t")
-            if not sep:
-                continue
-            f = text.split()
-            try:
-                insns.append((int(head, 16), f[0], f[1] if len(f) > 1 else ""))
-            except ValueError:
-                pass
-        jmp = next(i for i, (_, m, op) in enumerate(insns) if m == "jmp" and op.startswith("*%"))
-        end = insns[jmp + 1][0]
-        branches = []
-        for at, m, op in insns:
-            if m.startswith("j"):
-                try:
-                    branches.append((at, int(op, 16)))
-                except ValueError:
-                    pass
-        b = max(to for _, to in branches if to <= insns[jmp][0])
-        if any(to == b and frm > b for frm, to in branches):
-            return b, end
+    """(start, end, crosses) of the optimized `run`'s dispatch block: the
+    instantiation whose block is a loop head, as `dispatch_block` prints it."""
+    out = subprocess.run([classify, path], capture_output=True, text=True, check=True).stdout
+    for line in out.splitlines():
+        _, start, end, head, fits = line.split()
+        if head == "loop-head":
+            return int(start, 16), int(end, 16), fits == "crosses"
     raise SystemExit(f"{path}: no dispatch loop head")
 
 runs = {}
@@ -149,8 +128,7 @@ crosses = {}
 for side in ("ref", "head"):
     row = []
     for s in range(1, k + 1):
-        b, e = block(f"{work}/bin/{side}-{s}")
-        crosses[(side, s)] = b // 64 != (e - 1) // 64
+        b, e, crosses[(side, s)] = block(f"{work}/bin/{side}-{s}")
         row.append(f"{s}:{b:#x}+{e - b}{' CROSSES' if crosses[(side, s)] else ''}")
     print(f"#   {side:<4} " + "  ".join(row))
 for app in runs:

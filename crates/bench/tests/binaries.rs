@@ -115,102 +115,55 @@ fn fig5_polybench_runs_to_completion() {
 /// slower, and whether it did depended only on where the linker happened
 /// to put `awsm::exec::run`; the workspace's `.cargo/config.toml` aligns
 /// loop heads to 64 bytes so that it never does. This reads the release
-/// `table2_exec` (built by `cargo build --release`), disassembles every
-/// instantiation of `run`, finds the straight-line block that ends in its
-/// first indirect jump, and, where that block is the dispatch loop's head
-/// (a backward branch targets it), asserts it starts and ends in one line.
-/// (The naive tier's block follows its per-op charge, not a loop head.)
+/// `table2_exec` (built by `cargo build --release`, and refused if any
+/// source it was built from is newer), has `dispatch_block` find each
+/// instantiation of `run`'s block, and asserts that the dispatch loop's
+/// head block starts and ends in one line. (The naive tier's block follows
+/// its per-op charge, not a loop head.) The disassembly is x86-64 only.
+#[cfg(target_arch = "x86_64")]
 #[test]
 fn dispatch_block_sits_in_one_cache_line() {
     // target/<profile>/deps/binaries-… → target/release/table2_exec
     let exe = std::env::current_exe().expect("test binary path");
     let target = exe.ancestors().nth(3).expect("a target directory");
     let bin = target.join("release").join("table2_exec");
-    assert!(
-        bin.exists(),
-        "{} is missing: run `cargo build --release` first (this test reads the optimized binary)",
-        bin.display()
-    );
-    let tool = |cmd: &str, args: &[String]| -> String {
-        let out = std::process::Command::new(cmd)
-            .args(args)
-            .output()
-            .unwrap_or_else(|e| {
-                panic!("{cmd} (binutils) is needed to read {}: {e}", bin.display())
-            });
-        assert!(out.status.success(), "{cmd} {args:?} failed");
-        String::from_utf8_lossy(&out.stdout).into_owned()
+    let rebuild = "run `cargo build --release` first (this test reads the optimized binary)";
+    let built = match std::fs::metadata(&bin).and_then(|m| m.modified()) {
+        Ok(t) => t,
+        Err(_) => panic!("{} is missing: {rebuild}", bin.display()),
     };
-    let hex = |s: &str| u64::from_str_radix(s, 16).ok();
-    let symbols = tool("nm", &["-S".into(), "-C".into(), bin.display().to_string()]);
-    let runs: Vec<(u64, u64)> = symbols
-        .lines()
-        .filter(|l| l.ends_with(" awsm::exec::run"))
-        .filter_map(|l| {
-            let mut f = l.split_whitespace();
-            Some((hex(f.next()?)?, hex(f.next()?)?))
-        })
-        .collect();
-    assert!(!runs.is_empty(), "no awsm::exec::run in {}", bin.display());
-
-    let mut heads = 0;
-    for (start, size) in runs {
-        let args = [
-            "-d".to_string(),
-            "--no-show-raw-insn".into(),
-            format!("--start-address={start:#x}"),
-            format!("--stop-address={:#x}", start + size),
-            bin.display().to_string(),
-        ];
-        // (address, mnemonic, first operand) of every instruction.
-        let listing = tool("objdump", &args);
-        let insns: Vec<(u64, &str, &str)> = listing
-            .lines()
-            .filter_map(|l| {
-                let (addr, text) = l.trim_start().split_once(":\t")?;
-                let mut f = text.split_whitespace();
-                Some((hex(addr)?, f.next()?, f.next().unwrap_or("")))
-            })
-            .collect();
-        let Some(jmp) = insns
-            .iter()
-            .position(|&(_, m, op)| m == "jmp" && op.starts_with("*%"))
-        else {
-            panic!("run at {start:#x}: no indirect jump");
+    // Cargo's dep-info lists every source the binary was built from.
+    let dep_info = std::fs::read_to_string(bin.with_extension("d"))
+        .unwrap_or_else(|e| panic!("{}.d: {e}: {rebuild}", bin.display()));
+    let (_, sources) = dep_info.split_once(": ").expect("a dep-info rule");
+    let sources = sources.replace("\\ ", "\u{0}");
+    for source in sources.split_whitespace() {
+        let source = source.replace('\u{0}', " ");
+        let Ok(changed) = std::fs::metadata(&source).and_then(|m| m.modified()) else {
+            continue;
         };
-        let end = insns.get(jmp + 1).map_or(start + size, |i| i.0);
-        // Direct branches: (from, to).
-        let branches: Vec<(u64, u64)> = insns
-            .iter()
-            .filter(|(_, m, _)| m.starts_with('j'))
-            .filter_map(|&(at, _, op)| Some((at, hex(op)?)))
-            .collect();
-        let block = branches
-            .iter()
-            .map(|&(_, to)| to)
-            .filter(|&to| to <= insns[jmp].0)
-            .max()
-            .unwrap_or(start);
-        let loop_head = branches
-            .iter()
-            .any(|&(from, to)| to == block && from > block);
-        println!(
-            "run at {start:#x}: block {block:#x}..{end:#x} ({} B){}",
-            end - block,
-            if loop_head {
-                ", the dispatch loop's head"
-            } else {
-                ", not a loop head"
-            }
+        assert!(
+            changed <= built,
+            "{} is older than {source}: {rebuild}",
+            bin.display()
         );
-        if loop_head {
+    }
+
+    let path = bin.display().to_string();
+    let stdout = run_ok(env!("CARGO_BIN_EXE_dispatch_block"), &[&path]);
+    print!("{stdout}");
+    let mut heads = 0;
+    for line in stdout.lines() {
+        let f: Vec<&str> = line.split_whitespace().collect();
+        let [run, block, end, head, fits] = f[..] else {
+            panic!("dispatch_block printed {line:?}");
+        };
+        if head == "loop-head" {
             heads += 1;
             assert_eq!(
-                block / 64,
-                (end - 1) / 64,
-                "the dispatch block {block:#x}..{end:#x} of run at {start:#x} crosses a 64-byte line \
-                 at {:#x}: was the binary built without the workspace's rustflags (RUSTFLAGS set)?",
-                (block / 64 + 1) * 64
+                fits, "one-line",
+                "the dispatch block {block}..{end} of run at {run} crosses a 64-byte line: \
+                 was {path} built without the workspace's rustflags (RUSTFLAGS set)?"
             );
         }
     }

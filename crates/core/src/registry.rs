@@ -669,6 +669,65 @@ mod tests {
         assert_eq!((snap.modules_compiled, snap.modules_verified), (4, 4));
     }
 
+    /// An artifact is analysed again under the gap budget stored in its
+    /// bytes, and a node admits it by its certificate alone: so no
+    /// check-free run of an accepted artifact may outweigh that
+    /// certificate. Built under the default budget, a loop whose latch and
+    /// head together outweigh the certified gap keeps its head; on a node
+    /// whose budget is exactly that gap every run from one preemption point
+    /// to the next charges within it, and one unit less refuses it.
+    #[test]
+    fn artifact_runs_within_the_node_budget_it_was_admitted_under() {
+        let mut mb = ModuleBuilder::new("loop");
+        let mut f = FuncBuilder::new(&[ValType::I32], Some(ValType::I32));
+        let n = f.arg(0);
+        let (i, acc) = (f.local(ValType::I32), f.local(ValType::I32));
+        f.extend([
+            for_loop(
+                i,
+                i32c(0),
+                lt_s(local(i), local(n)),
+                1,
+                vec![set(acc, add(local(acc), mul(local(i), local(i))))],
+            ),
+            ret(Some(local(acc))),
+        ]);
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        let compiled = awsm::translate(&mb.build().unwrap(), Tier::Optimized).unwrap();
+        let cost = &compiled.analysis.cost;
+        assert_eq!(cost.max_check_gap, awsm::DEFAULT_MAX_CHECK_GAP);
+        let gap = cost.max_gap;
+        let artifact = awsm::encode_artifact(&compiled);
+
+        let mut tight = gap_registry(gap - 1);
+        let err = ingest_artifact(&mut tight, FunctionConfig::new("l"), &artifact).unwrap_err();
+        assert!(matches!(err, RegisterError::Certificate(_)), "{err}");
+
+        let mut r = gap_registry(gap);
+        let id = ingest_artifact(&mut r, FunctionConfig::new("l"), &artifact).unwrap();
+        let module = Arc::clone(&r.get(id).unwrap().module);
+        let mut inst = awsm::Instance::new(module, awsm::EngineConfig::default()).unwrap();
+        inst.invoke_export("main", &[awsm::Value::I32(5)]).unwrap();
+        let flag = inst.preempt_flag();
+        let mut used = 0;
+        loop {
+            flag.store(true, Ordering::Relaxed);
+            let step = inst.run(&mut awsm::NullHost, u64::MAX);
+            let charged = inst.fuel_used() - used;
+            used = inst.fuel_used();
+            assert!(
+                charged <= gap as u64,
+                "a check-free run of {charged} units on a node whose budget is {gap}"
+            );
+            match step {
+                awsm::StepResult::Complete(v) => break assert_eq!(v, Some(30)),
+                awsm::StepResult::Preempted => {}
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn rejected_module_is_not_retained() {
         let mut r = registry();
