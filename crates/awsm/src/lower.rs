@@ -244,7 +244,7 @@ pub(crate) fn lower_module(
     m: &CompiledModule,
     arities: &ArityMap,
     heights: &[Vec<Option<u32>>],
-    gaps: &[FuncCost],
+    certs: &[FuncCost],
 ) -> Result<Lowered, String> {
     let hosts: Box<[HostSig]> = m
         .host_funcs
@@ -279,7 +279,7 @@ pub(crate) fn lower_module(
             &heights[fidx],
             &hosts,
             arities,
-            gaps[fidx].max_loop_gap,
+            certs[fidx].max_loop_gap,
         );
         let body = body.map_err(named)?;
         body.check(m, &hosts, arities).map_err(named)?;
@@ -804,10 +804,12 @@ fn lower_func(
 /// the latch segment is entered at its `FUEL` alone and `v + w` is within
 /// `loop_gap`, the function's certified
 /// [`max_loop_gap`](FuncCost::max_loop_gap) (so within its `max_gap`
-/// too). The certificate is computed on the stack body, and a node admits
-/// a module, an artifact built under another budget included, by that
-/// certificate alone: a merged charge past it would be a check-free path
-/// longer than the node's budget.
+/// too). A call ends its segment, so a latch never calls the host and its
+/// merged charge leaves `max_host_gap` true as well. The certificate is
+/// computed on the stack body, and a node admits a module, an artifact
+/// built under another budget included, by that certificate alone: a
+/// merged charge past it would be a check-free path longer than the node's
+/// budget.
 fn rotate_loops(ops: &mut [LOp], costs: &mut [u8], tables: &[Box<[u32]>], loop_gap: u32) {
     let mut target = vec![false; ops.len() + 1];
     for op in ops.iter().filter(|op| is_jump(op.code)) {
@@ -1349,7 +1351,8 @@ mod tests {
     /// The certificate is computed on the stack bodies, and a node admits a
     /// module by it alone: no charge in a shipped guest's lowered bodies, a
     /// rotated latch's included, may outweigh its function's certified gap,
-    /// nor one that ends in a back-edge its certified loop gap.
+    /// nor one that ends in a back-edge its certified loop gap, nor one that
+    /// calls the host its certified host gap.
     #[test]
     fn lowered_charges_stay_within_the_certificate() {
         let apps = sledge_apps::all_apps()
@@ -1368,6 +1371,12 @@ mod tests {
                     if code == FUEL {
                         charge = op.a;
                         assert!(charge <= fc.max_gap, "{name} pc {pc}: {charge} > {fc:?}");
+                    }
+                    if code == CALL_HOST {
+                        assert!(
+                            charge <= fc.max_host_gap,
+                            "{name} pc {pc}: {charge} > {fc:?}"
+                        );
                     }
                     if is_jump(code) && code != BR && op.c as usize <= pc {
                         rotated += 1;
