@@ -95,7 +95,11 @@ fn main() {
             .any(|&(from, to)| to == block && from > block);
         println!(
             "{start:#x} {block:#x} {end:#x} {} {}",
-            if loop_head { "loop-head" } else { "no-loop-head" },
+            if loop_head {
+                "loop-head"
+            } else {
+                "no-loop-head"
+            },
             if block / 64 == (end - 1) / 64 {
                 "one-line"
             } else {
