@@ -63,7 +63,11 @@ for side in ref head; do
     echo "# $side = ${rev[$side]} ($sha)" >&2
     rm -rf "$work/src"
     mkdir -p "$work/src"
-    git -C "$repo" archive "${rev[$side]}" | tar -x -C "$work/src"
+    # `-m` stamps each file with the time it is extracted, not its commit's:
+    # cargo judges freshness by modification time, so the second side's
+    # sources, if committed before the first side was built, would
+    # otherwise reuse the first side's artifacts.
+    git -C "$repo" archive "${rev[$side]}" | tar -x -m -C "$work/src"
     for seed in $(seq 1 "$k"); do
         (cd "$work/src" && cargo rustc --release --offline --quiet -p sledge-bench --bin table2_exec -- \
             -C link-arg=-fuse-ld=lld -C link-arg=-B"$gcc_ld" \
