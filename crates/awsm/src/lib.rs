@@ -271,6 +271,11 @@ impl Instance {
         &mut self.memory
     }
 
+    /// The globals, each as its raw 64-bit slot.
+    pub fn globals(&self) -> &[u64] {
+        &self.globals
+    }
+
     /// Whether an invocation is in progress.
     pub fn is_running(&self) -> bool {
         self.status == Status::Running

@@ -1020,7 +1020,7 @@ mod tests {
     /// `main(n)`: small loops over f64s, bytes and i64s, rotated and not,
     /// with range tests, whose lowered body holds every pair in `PAIRS`.
     #[rustfmt::skip]
-    fn every_pair_guest() -> CompiledModule {
+    fn every_pair_guest() -> sledge_wasm::module::Module {
         let mut mb = ModuleBuilder::new("pairs");
         mb.memory(1, Some(1));
         let mut f = FuncBuilder::new(&[I32], Some(I32));
@@ -1071,12 +1071,12 @@ mod tests {
         ]);
         let main = mb.add_func("main", f);
         mb.export_func(main, "main");
-        crate::translate(&mb.build().unwrap(), Tier::Optimized).unwrap()
+        mb.build().unwrap()
     }
 
-    /// `main(3)` under `tier`, `quantum` units per `run`: its result and
-    /// the fuel it used.
-    fn run_at(m: &Arc<CompiledModule>, tier: Tier, quantum: u64) -> (Option<u64>, u64) {
+    /// `main(3)` under `tier`, `quantum` units per `run`: its result, the
+    /// fuel it used and a digest of the memory it left.
+    fn run_at(m: &Arc<CompiledModule>, tier: Tier, quantum: u64) -> (Option<u64>, u64, u64) {
         let config = EngineConfig {
             tier,
             ..Default::default()
@@ -1085,7 +1085,10 @@ mod tests {
         inst.invoke_export("main", &[Value::I32(3)]).unwrap();
         loop {
             match inst.run(&mut NullHost, quantum) {
-                StepResult::Complete(v) => return (v, inst.fuel_used()),
+                StepResult::Complete(v) => {
+                    let mem = inst.memory().read_bytes(0, 65536).unwrap();
+                    return (v, inst.fuel_used(), fnv1a(0, mem));
+                }
                 StepResult::OutOfFuel => continue,
                 other => panic!("quantum {quantum}: {other:?}"),
             }
@@ -1094,11 +1097,13 @@ mod tests {
 
     /// Each fused op runs its successor unchecked, and a pause between the
     /// two resumes at the successor as a plain op: every pair, paused at
-    /// every point, must compute what one unpaused run and the naive tier
-    /// (which runs the pairs unfused) compute, and burn the same fuel.
+    /// every point, must compute what one unpaused run, the naive tier
+    /// (which runs the pairs unfused) and the reference interpreter (which
+    /// runs the Wasm) compute, and burn the same fuel.
     #[test]
     fn fused_pairs_survive_a_pause_at_every_point() {
-        let m = Arc::new(every_pair_guest());
+        let module = every_pair_guest();
+        let m = Arc::new(crate::translate(&module, Tier::Optimized).unwrap());
         let ops = &m.lowered.bodies[0].ops;
         let missing: Vec<_> = (0..PAIRS.len() as u16)
             .filter(|&i| !ops.iter().any(|op| op.code == FUSED + i))
@@ -1111,6 +1116,12 @@ mod tests {
 
         let whole = run_at(&m, Tier::Optimized, u64::MAX);
         assert_eq!(run_at(&m, Tier::Naive, u64::MAX), whole);
+        let mut r = sledge_reference::Machine::new(&module).unwrap();
+        let v = r.invoke("main", &[3], &mut sledge_reference::Buffers::default());
+        assert_eq!(
+            (v, r.fuel(), fnv1a(0, r.memory())),
+            (Ok(whole.0), whole.1, whole.2)
+        );
         for quantum in 1..=whole.1 {
             assert_eq!(
                 run_at(&m, Tier::Optimized, quantum),

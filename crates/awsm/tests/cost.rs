@@ -61,7 +61,8 @@ fn with_gap(max_check_gap: u32) -> TranslateOptions {
 }
 
 /// Run to completion with per-call fuel grant `quantum`; returns the
-/// result value and total fuel consumed.
+/// result value and total fuel consumed, which the reference interpreter
+/// must match (with the memory and globals).
 fn run_metered(
     m: &Module,
     tier: Tier,
@@ -78,15 +79,8 @@ fn run_metered(
         },
     )
     .unwrap();
-    inst.invoke_export("main", args).unwrap();
-    let got = loop {
-        match inst.run(&mut NullHost, quantum) {
-            StepResult::Complete(v) => break v,
-            StepResult::OutOfFuel => continue,
-            other => panic!("unexpected {other:?}"),
-        }
-    };
-    (got, inst.fuel_used())
+    let seen = common::agree(m, &mut inst, "main", args, quantum);
+    (Some(seen.value()), inst.fuel_used())
 }
 
 // ------------------------------------------------ work-meter equivalence
@@ -312,6 +306,12 @@ impl Host for PingHost {
     }
 }
 
+impl sledge_reference::Host for PingHost {
+    fn call(&mut self, _: &str, args: &[u64], _: &mut [u8]) -> Result<u64, sledge_reference::Trap> {
+        Ok(args[0] + 1)
+    }
+}
+
 #[test]
 fn host_calls_cost_the_same_in_both_tiers() {
     let mut mb = ModuleBuilder::new("hosty");
@@ -350,6 +350,12 @@ fn host_calls_cost_the_same_in_both_tiers() {
         totals.push(inst.fuel_used());
     }
     assert_eq!(totals[0], totals[1], "host-call fuel differs across tiers");
+    let seen = common::reference(&m, "main", &[], &mut PingHost);
+    assert_eq!(
+        seen.fuel,
+        Some(totals[0]),
+        "host-call fuel on the reference"
+    );
 }
 
 #[test]
@@ -383,15 +389,17 @@ fn fuel_used_is_exact_across_pauses() {
 
 // ------------------------------------------------------ shipped guests
 
-/// The fuel each shipped guest burns on its reference input, in both tiers.
-/// These are the counts the one-body-per-function change had to hold to the
-/// unit (they were read with the translate-time optimizer on and off and
-/// agreed); a row that moves means a body changed meaning or a weight
-/// changed, and the benchmark's `awsm.fuel_per_req.*` rows move with it.
+/// The fuel each shipped guest burns on its reference input, in both tiers
+/// and on the reference interpreter, whose response must also match the
+/// engine's and the native twin's. These are the counts the
+/// one-body-per-function change had to hold to the unit (they were read
+/// with the translate-time optimizer on and off and agreed); a row that
+/// moves means a body changed meaning or a weight changed, and the
+/// benchmark's `awsm.fuel_per_req.*` rows move with it.
 #[test]
 fn shipped_guests_burn_pinned_fuel() {
     use sledge_apps::testutil::BufferHost;
-    let pinned: [(&str, u64); 7] = [
+    let pinned: [(&str, u64); 37] = [
         ("ping", 20),
         ("echo", 98_430),
         ("gps_ekf", 85_715),
@@ -399,21 +407,58 @@ fn shipped_guests_burn_pinned_fuel() {
         ("cifar10", 5_141_977),
         ("resize", 7_154_956),
         ("lpd", 9_177_941),
+        ("correlation", 514_812),
+        ("covariance", 487_205),
+        ("adi", 1_015_929),
+        ("gramschmidt", 519_281),
+        ("deriche", 310_782),
+        ("trmm", 439_894),
+        ("seidel-2d", 1_551_434),
+        ("mvt", 657_148),
+        ("symm", 539_594),
+        ("ludcmp", 416_637),
+        ("syr2k", 572_762),
+        ("lu", 602_064),
+        ("trisolv", 201_026),
+        ("nussinov", 165_892),
+        ("doitgen", 1_829_632),
+        ("2mm", 848_524),
+        ("gesummv", 513_306),
+        ("bicg", 509_498),
+        ("gemver", 665_120),
+        ("cholesky", 507_644),
+        ("3mm", 693_430),
+        ("atax", 466_156),
+        ("syrk", 482_170),
+        ("floyd-warshall", 652_830),
+        ("durbin", 214_009),
+        ("heat-3d", 6_163_234),
+        ("fdtd-2d", 2_166_050),
+        ("jacobi-2d", 2_605_306),
+        ("jacobi-1d", 1_164_986),
+        ("gemm", 1_109_106),
     ];
-    let apps = sledge_apps::all_apps();
+    let apps = sledge_apps::all_apps().into_iter().map(|a| {
+        let body = match a.name {
+            "echo" => sledge_apps::echo::payload(64 << 10),
+            _ => (a.sample_input)(),
+        };
+        (a.name, (a.module)(), (a.native)(&body), body)
+    });
+    let kernels = sledge_apps::polybench::kernels().into_iter().map(|k| {
+        let expect = (k.native)().to_le_bytes().to_vec();
+        (k.name, (k.build)(), expect, Vec::new())
+    });
+    let guests: Vec<_> = apps.chain(kernels).collect();
     assert_eq!(
-        apps.len(),
+        guests.len(),
         pinned.len(),
         "a shipped guest has no pinned row"
     );
-    for (name, fuel) in pinned {
-        let app = apps.iter().find(|a| a.name == name).expect("shipped guest");
-        let body = match name {
-            "echo" => sledge_apps::echo::payload(64 << 10),
-            _ => (app.sample_input)(),
-        };
+    for ((name, module, expect, body), (pin, fuel)) in guests.iter().zip(pinned) {
+        assert_eq!(*name, pin, "pins are in catalogue order");
         for tier in [Tier::Optimized, Tier::Naive] {
-            let cm = Arc::new(translate(&(app.module)(), tier).unwrap());
+            let cm = Arc::new(translate(module, tier).unwrap());
             let config = EngineConfig {
                 tier,
                 ..Default::default()
@@ -421,9 +466,13 @@ fn shipped_guests_burn_pinned_fuel() {
             let mut inst = Instance::new(cm, config).unwrap();
             let mut host = BufferHost::new(body.clone());
             inst.call_complete("main", &[], &mut host).unwrap();
-            assert_eq!(host.response, (app.native)(&body), "{name} under {tier:?}");
+            assert_eq!(&host.response, expect, "{name} under {tier:?}");
             assert_eq!(inst.fuel_used(), fuel, "{name} under {tier:?}");
         }
+        let mut buffers = sledge_reference::Buffers::new(body.clone());
+        let seen = common::reference(module, "main", &[], &mut buffers);
+        assert_eq!(&buffers.response, expect, "{name} on the reference");
+        assert_eq!(seen.fuel, Some(fuel), "{name} on the reference");
     }
 }
 

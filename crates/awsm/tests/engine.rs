@@ -1,7 +1,8 @@
 //! End-to-end engine tests: guest programs written in the `sledge-guestc`
-//! DSL (and some hand-assembled Wasm), executed on every tier — fixed
-//! programs first, then seeded random expressions checked against native
-//! Rust evaluation and random memory-access scripts checked across tiers.
+//! DSL (and some hand-assembled Wasm), executed on every tier and on the
+//! reference interpreter — fixed programs first, then seeded random
+//! expressions checked against native Rust evaluation and random
+//! memory-access scripts checked against the reference.
 
 mod common;
 
@@ -48,14 +49,16 @@ fn run_config(m: &Module, entry: &str, args: &[Value], tier: Tier) -> Result<Opt
     )
     .expect("instantiate");
     inst.invoke_export(entry, args).expect("invoke");
-    loop {
+    let result = loop {
         match inst.run(&mut NullHost, u64::MAX) {
-            StepResult::Complete(v) => return Ok(v),
-            StepResult::Trapped(t) => return Err(t),
+            StepResult::Complete(v) => break Ok(v),
+            StepResult::Trapped(t) => break Err(t),
             StepResult::OutOfFuel | StepResult::Preempted => continue,
             StepResult::Blocked => panic!("unexpected block"),
         }
-    }
+    };
+    common::same_as_reference(m, &inst, entry, args, result);
+    result
 }
 
 // ---------------------------------------------------------------- control

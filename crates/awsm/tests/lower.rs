@@ -1,6 +1,9 @@
 //! Lowering hazards: every way the register form could diverge from the
 //! stack body it was derived from, each checked against what the program
-//! means — natively evaluated Rust — rather than against another tier.
+//! means — natively evaluated Rust — and against the reference interpreter
+//! (`sledge-reference`), which runs the Wasm itself and shares no code with
+//! the translator, the lowering or the executor: the two must agree on the
+//! result or trap, the memory, the globals and the fuel.
 //!
 //! Fixed programs first (one per hazard the lowering pass handles
 //! specially), then seeded random straight-line-and-loop programs run
@@ -34,14 +37,13 @@ fn instance(m: &Module, tier: Tier, limits: Limits) -> Instance {
     Instance::new(cm, config).expect("instantiate")
 }
 
-/// `main(args)` must return `expect` on every tier.
+/// `main(args)` must return `expect` on every tier, as on the reference.
 fn assert_returns(m: &Module, args: &[i32], expect: i32) {
     let args: Vec<Value> = args.iter().map(|&a| Value::I32(a)).collect();
     for &tier in ALL_TIERS {
         let mut inst = instance(m, tier, Limits::default());
-        let got = inst.call_complete("main", &args, &mut NullHost);
-        let got = got.unwrap_or_else(|e| panic!("{tier:?}: {e}"));
-        assert_eq!(got, Some(expect as u32 as u64), "{tier:?}");
+        let seen = common::agree(m, &mut inst, "main", &args, u64::MAX);
+        assert_eq!(seen.result, Ok(Some(expect as u32 as u64)), "{tier:?}");
     }
 }
 
@@ -420,9 +422,23 @@ fn miri_call_arguments_mix_locals_constants_and_slots() {
     }
 }
 
+#[derive(Default)]
 struct SlowHost {
     pending_left: u32,
     calls: u32,
+}
+
+/// `x * y + 1`, what `SlowHost` answers once it stops pending.
+fn io(args: &[u64]) -> u64 {
+    (args[0] as u32)
+        .wrapping_mul(args[1] as u32)
+        .wrapping_add(1) as u64
+}
+
+impl sledge_reference::Host for SlowHost {
+    fn call(&mut self, _: &str, args: &[u64], _: &mut [u8]) -> Result<u64, sledge_reference::Trap> {
+        Ok(io(args))
+    }
 }
 
 impl Host for SlowHost {
@@ -432,11 +448,7 @@ impl Host for SlowHost {
             self.pending_left -= 1;
             return HostOutcome::Pending;
         }
-        HostOutcome::Value(
-            (args[0] as u32)
-                .wrapping_mul(args[1] as u32)
-                .wrapping_add(1) as u64,
-        )
+        HostOutcome::Value(io(args))
     }
 }
 
@@ -474,6 +486,11 @@ fn miri_host_call_pending_twice_then_a_value() {
         // Re-issuing is free: the call was charged once, in both tiers.
         assert_eq!(*fuel.get_or_insert(inst.fuel_used()), inst.fuel_used());
     }
+    // The reference's host answers at once; the fuel is the same.
+    let args = [Value::I32(6), Value::I32(5)];
+    let seen = common::reference(&m, "main", &args, &mut SlowHost::default());
+    assert_eq!(seen.result, Ok(Some(6 + 7 * 5 + 1)));
+    assert_eq!(seen.fuel, fuel);
 }
 
 // ------------------------------------------------- the stack limit (bugfix)
@@ -497,9 +514,12 @@ fn stack_limit_bounds_locals_as_well_as_operands() {
         let limits = Limits::default();
         let mut inst = instance(&m, tier, limits);
         let idle = inst.footprint_bytes();
-        let got = inst.call_complete("main", &[Value::I32(0)], &mut NullHost);
-        let trap = got.expect_err("unbounded recursion").downcast::<Trap>();
-        assert_eq!(*trap.unwrap(), Trap::StackExhausted, "{tier:?}");
+        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(0)], u64::MAX);
+        assert_eq!(
+            seen.result,
+            Err(common::kind(Trap::StackExhausted)),
+            "{tier:?}"
+        );
         // The slab never outgrew the limit (plus the frame records).
         let grown = inst.footprint_bytes() - idle;
         assert!(grown <= limits.max_stack * 8 + 4096, "slab grew {grown} B");
@@ -615,7 +635,7 @@ fn miri_lowered_ops_are_sixteen_bytes() {
 // ------------------------------------------ range tests and rotated loops
 
 /// `main(args)` on each tier, translated once per tier: for every input,
-/// `expect(args)`, and one `fuel_used` on both tiers.
+/// `expect(args)`, and what the reference does, fuel included.
 fn assert_each_returns(m: &Module, inputs: &[[i32; 2]], expect: impl Fn([i32; 2]) -> i32) {
     let modules: Vec<_> = ALL_TIERS
         .iter()
@@ -629,10 +649,9 @@ fn assert_each_returns(m: &Module, inputs: &[[i32; 2]], expect: impl Fn([i32; 2]
                 ..Default::default()
             };
             let mut inst = Instance::new(Arc::clone(cm), config).expect("instantiate");
-            let argv = args.map(Value::I32);
-            let got = inst.call_complete("main", &argv, &mut NullHost).unwrap();
+            let seen = common::agree(m, &mut inst, "main", &args.map(Value::I32), u64::MAX);
             let at = format!("{tier:?} main{args:?}");
-            assert_eq!(got, Some(expect(args) as u32 as u64), "{at}");
+            assert_eq!(seen.result, Ok(Some(expect(args) as u32 as u64)), "{at}");
             assert_eq!(
                 *fuel.get_or_insert(inst.fuel_used()),
                 inst.fuel_used(),
@@ -836,6 +855,8 @@ fn miri_rotated_loops_match_native_and_survive_a_pause_at_every_point() {
     };
     let whole = run_at(Tier::Optimized, u64::MAX);
     assert_eq!(whole.0, Some(loops_native([2, 2]) as u32 as u64));
+    let seen = common::reference(&loops_main(), "main", &args, &mut common::NoHost);
+    assert_eq!((seen.result, seen.fuel), (Ok(whole.0), Some(whole.1)));
     for tier in ALL_TIERS {
         for quantum in 1..=whole.1 {
             assert_eq!(run_at(*tier, quantum), whole, "{tier:?} quantum {quantum}");
@@ -1041,14 +1062,17 @@ fn random_programs_match_native_whole_chopped_and_preempted() {
         let expect = (native.x ^ native.y.wrapping_mul(31)) as u32 as u64;
 
         let mut fuel = None;
+        let args = [Value::I32(x), Value::I32(y)];
+        let reference = common::reference(&m, "main", &args, &mut common::NoHost);
         for &tier in ALL_TIERS {
             for quantum in [u64::MAX, 1, 2, 3, 7, 64] {
                 let mut inst = instance(&m, tier, Limits::default());
-                inst.invoke_export("main", &[Value::I32(x), Value::I32(y)])
-                    .unwrap();
+                inst.invoke_export("main", &args).unwrap();
                 let got = run_chopped(&mut inst, quantum, rng);
                 let at = format!("{tier:?} quantum {quantum}: {prog:?}");
                 assert_eq!(got, Some(expect), "{at}");
+                let seen = common::Outcome::engine(&inst, Ok(got));
+                assert_eq!(seen, reference, "engine vs reference, {at}");
                 let image = inst.memory().read_bytes(0, 65536).unwrap();
                 assert!(image == &native.mem[..], "memory image differs, {at}");
                 assert_eq!(

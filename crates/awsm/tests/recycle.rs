@@ -1,8 +1,10 @@
 //! Recycling tests: an instance reset in place from its module's
 //! [`MemoryTemplate`] must be observationally identical to a freshly
 //! instantiated one — same outputs, same linear-memory contents, same fuel —
-//! no matter how thoroughly the previous invocation dirtied it. Fixed cases
-//! first, then the same property over seeded random stateful guests.
+//! no matter how thoroughly the previous invocation dirtied it, and the same
+//! as a fresh instance of the reference interpreter, globals included.
+//! Fixed cases first, then the same property over seeded random stateful
+//! guests.
 
 mod common;
 
@@ -84,6 +86,7 @@ fn recycled_instance_matches_fresh_exactly() {
         assert_eq!(got, want, "tier={tier:?}");
         assert_eq!(fnv_memory_hash(&recycled), want_hash, "memory hash");
         assert_eq!(recycled.fuel_used(), want_fuel, "fuel");
+        common::same_as_reference(&m, &recycled, "main", &[Value::I32(3)], Ok(got));
     }
 }
 
@@ -256,6 +259,7 @@ fn recycled_is_observationally_fresh() {
             let got = run_once(&mut recycled, &args);
 
             assert_eq!(got, want, "tier={tier:?} e={e:?}");
+            common::same_as_reference(&m, &recycled, "main", &args, Ok(got.0));
         }
     });
 }

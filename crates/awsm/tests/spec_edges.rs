@@ -1,7 +1,8 @@
 //! First slice of the spec-edge corpus (ROADMAP 5a): the MVP corners where
 //! from-scratch runtimes diverge, each checked against *native Rust
 //! semantics* — an oracle that shares no code with the engine — after a trip
-//! through encode → decode → validate → translate, on every tier.
+//! through encode → decode → validate → translate, on every tier, and on the
+//! reference interpreter, which must end every run as the engine does.
 //!
 //! Covered here: `div`/`rem` by zero and `MIN / -1`; shift and rotate count
 //! masking; trapping float→int conversions; NaN and signed-zero results of
@@ -15,6 +16,7 @@
 mod common;
 
 use awsm::{translate, EngineConfig, Instance, NullHost, Tier, Trap, Value};
+use sledge_reference::Machine;
 use sledge_wasm::instr::{BlockType, Instr, MemArg};
 use sledge_wasm::module::{ConstExpr, DataSegment, ElementSegment, Export, FuncBody, Module};
 use sledge_wasm::types::{FuncType, Limits, MemoryType, TableType, ValType};
@@ -75,7 +77,24 @@ fn call(inst: &mut Instance, args: &[Value]) -> Result<u64, Trap> {
 
 fn run_on(m: &Module, args: &[Value], tier: Tier) -> (Result<u64, Trap>, Instance) {
     let mut inst = instance(m, tier);
-    (call(&mut inst, args), inst)
+    let got = call(&mut inst, args);
+    common::same_as_reference(m, &inst, "main", args, got.map(Some));
+    (got, inst)
+}
+
+/// One call of `main` on the engine's `inst` and on the reference machine
+/// `r`, which have seen the same calls since they were fresh: the two must
+/// end it the same way.
+fn call_both(inst: &mut Instance, r: &mut Machine, args: &[Value]) -> Result<u64, Trap> {
+    let got = call(inst, args);
+    let argv: Vec<u64> = args.iter().map(common::slot).collect();
+    let want = r.invoke("main", &argv, &mut common::NoHost);
+    assert_eq!(
+        common::Outcome::engine(inst, got.map(Some)),
+        common::Outcome::reference(r, want),
+        "main{args:?}"
+    );
+    got
 }
 
 /// `main(args)` yields `expect` (a slot value or a trap) on every config.
@@ -578,22 +597,37 @@ fn the_limit_moves_with_grow_and_back_with_reset() {
     for &tier in ALL {
         let mut inst = instance(&m, tier);
         let policy = inst.module().reset_policy("main");
+        // A reset instance is a fresh one: so is the reference's.
         let reset = |inst: &mut Instance| {
             inst.reset_with(policy)
                 .expect("idle or dead instances reset");
+            Machine::new(&m).expect("instantiates")
         };
-        assert_eq!(call(&mut inst, &stay), Err(Trap::OutOfBounds), "{tier:?}");
-        reset(&mut inst);
+        let mut r = Machine::new(&m).expect("instantiates");
+        assert_eq!(
+            call_both(&mut inst, &mut r, &stay),
+            Err(Trap::OutOfBounds),
+            "{tier:?}"
+        );
+        r = reset(&mut inst);
         // Grown: in bounds, and fresh pages read zero.
-        assert_eq!(call(&mut inst, &grow), Ok(0), "{tier:?}");
-        assert_eq!(call(&mut inst, &stay), Ok(u64::MAX), "{tier:?}");
+        assert_eq!(call_both(&mut inst, &mut r, &grow), Ok(0), "{tier:?}");
+        assert_eq!(
+            call_both(&mut inst, &mut r, &stay),
+            Ok(u64::MAX),
+            "{tier:?}"
+        );
         // Reset: back to one page, so the address traps again ...
-        reset(&mut inst);
+        r = reset(&mut inst);
         assert_eq!(inst.memory().pages(), 1, "{tier:?}");
-        assert_eq!(call(&mut inst, &stay), Err(Trap::OutOfBounds), "{tier:?}");
+        assert_eq!(
+            call_both(&mut inst, &mut r, &stay),
+            Err(Trap::OutOfBounds),
+            "{tier:?}"
+        );
         // ... and growing again never shows the previous invocation's bytes.
-        reset(&mut inst);
-        assert_eq!(call(&mut inst, &grow), Ok(0), "{tier:?}");
+        r = reset(&mut inst);
+        assert_eq!(call_both(&mut inst, &mut r, &grow), Ok(0), "{tier:?}");
     }
 }
 

@@ -1,6 +1,9 @@
 //! White-box tests of the AoT translator: control-flow resolution, dead
-//! code, imports, and one translation whatever the tier. What the lowering
-//! folds is checked on the lowered body, in `lower.rs`'s unit tests.
+//! code, imports, and one translation whatever the tier. Programs that run
+//! are checked against the reference interpreter. What the lowering folds
+//! is checked on the lowered body, in `lower.rs`'s unit tests.
+
+mod common;
 
 use awsm::code::Op;
 use awsm::{translate, Tier};
@@ -35,7 +38,7 @@ fn fusion_respects_loop_head_barriers() {
     ]);
     let m = module_of(f);
     // Correctness is the real check: run both tiers and compare.
-    use awsm::{EngineConfig, Instance, NullHost, Value};
+    use awsm::{EngineConfig, Instance, Value};
     for tier in [Tier::Optimized, Tier::Naive] {
         let cm = std::sync::Arc::new(translate(&m, tier).unwrap());
         let mut inst = Instance::new(
@@ -46,10 +49,8 @@ fn fusion_respects_loop_head_barriers() {
             },
         )
         .unwrap();
-        let v = inst
-            .call_complete("main", &[Value::I32(0)], &mut NullHost)
-            .unwrap();
-        assert_eq!(v, Some(160), "{tier:?}"); // 5 -> 10 -> ... -> 160
+        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(0)], u64::MAX);
+        assert_eq!(seen.result, Ok(Some(160)), "{tier:?}"); // 5 -> 10 -> ... -> 160
     }
 }
 
@@ -143,7 +144,7 @@ fn statically_dead_code_is_skipped_without_miscompiling() {
         ),
     );
     m.exports.push(Export::func("main", f));
-    use awsm::{EngineConfig, Instance, NullHost};
+    use awsm::{EngineConfig, Instance};
     for tier in [Tier::Optimized, Tier::Naive] {
         let cm = std::sync::Arc::new(translate(&m, tier).unwrap());
         let mut inst = Instance::new(
@@ -154,8 +155,8 @@ fn statically_dead_code_is_skipped_without_miscompiling() {
             },
         )
         .unwrap();
-        let v = inst.call_complete("main", &[], &mut NullHost).unwrap();
-        assert_eq!(v, Some(7), "{tier:?}");
+        let seen = common::agree(&m, &mut inst, "main", &[], u64::MAX);
+        assert_eq!(seen.result, Ok(Some(7)), "{tier:?}");
     }
 }
 
@@ -186,7 +187,7 @@ fn if_with_unreachable_then_arm_reaches_else() {
         ),
     );
     m.exports.push(Export::func("main", f));
-    use awsm::{EngineConfig, Instance, NullHost, Value};
+    use awsm::{EngineConfig, Instance, Value};
     for tier in [Tier::Optimized, Tier::Naive] {
         let cm = std::sync::Arc::new(translate(&m, tier).unwrap());
         let mut inst = Instance::new(
@@ -197,10 +198,8 @@ fn if_with_unreachable_then_arm_reaches_else() {
             },
         )
         .unwrap();
-        let v = inst
-            .call_complete("main", &[Value::I32(1)], &mut NullHost)
-            .unwrap();
-        assert_eq!(v, Some(10), "{tier:?} taken");
+        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(1)], u64::MAX);
+        assert_eq!(seen.result, Ok(Some(10)), "{tier:?} taken");
         let cm = std::sync::Arc::new(translate(&m, tier).unwrap());
         let mut inst = Instance::new(
             cm,
@@ -210,9 +209,7 @@ fn if_with_unreachable_then_arm_reaches_else() {
             },
         )
         .unwrap();
-        let v = inst
-            .call_complete("main", &[Value::I32(0)], &mut NullHost)
-            .unwrap();
-        assert_eq!(v, Some(20), "{tier:?} not taken");
+        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(0)], u64::MAX);
+        assert_eq!(seen.result, Ok(Some(20)), "{tier:?} not taken");
     }
 }
