@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let config = format!(
-        "{{\n  \"workers\": 4,\n  \"quantum_us\": 5000,\n  \"tier\": \"aot-opt\",\n  \
+        "{{\n  \"workers\": 4,\n  \"quantum_us\": 5000,\n  \
          \"modules\": [\n{}\n  ]\n}}\n",
         modules_json.join(",\n")
     );

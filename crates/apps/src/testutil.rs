@@ -76,21 +76,14 @@ impl Host for BufferHost {
 }
 
 /// Run a guest's `main` export to completion with the given request body
-/// and return the response it wrote, on a specific tier.
+/// and return the response it wrote.
 ///
 /// # Panics
 ///
 /// Panics on translation errors or guest traps (tests want loud failures).
-pub fn run_guest_config(module: &Module, body: &[u8], tier: Tier) -> Vec<u8> {
-    let cm = Arc::new(translate(module, tier).expect("translate"));
-    let mut inst = Instance::new(
-        cm,
-        EngineConfig {
-            tier,
-            ..Default::default()
-        },
-    )
-    .expect("instantiate");
+pub fn run_guest(module: &Module, body: &[u8]) -> Vec<u8> {
+    let cm = Arc::new(translate(module, Tier::Optimized).expect("translate"));
+    let mut inst = Instance::new(cm, EngineConfig::default()).expect("instantiate");
     let mut host = BufferHost::new(body);
     inst.invoke_export("main", &[]).expect("invoke main");
     loop {
@@ -100,19 +93,4 @@ pub fn run_guest_config(module: &Module, body: &[u8], tier: Tier) -> Vec<u8> {
             StepResult::Trapped(t) => panic!("guest trapped: {t}"),
         }
     }
-}
-
-/// Run a guest under the default configuration (optimized tier —
-/// "Sledge+aWsm").
-pub fn run_guest(module: &Module, body: &[u8]) -> Vec<u8> {
-    run_guest_config(module, body, Tier::Optimized)
-}
-
-/// Run on every tier and assert all outputs equal; returns the common
-/// output.
-pub fn run_guest_all_configs(module: &Module, body: &[u8]) -> Vec<u8> {
-    let reference = run_guest(module, body);
-    let naive = run_guest_config(module, body, Tier::Naive);
-    assert_eq!(naive, reference, "output differs on the naive tier");
-    reference
 }

@@ -1,19 +1,15 @@
 //! Static cost model and preemption-latency certificates.
 //!
-//! Fuel was previously a unitless counter: the naive tier charged 1 per
-//! instruction, the optimized tier charged 1 per taken branch or call — so
-//! a quantum's fuel measured neither work nor time, and nothing bounded how
-//! long the optimized tier could run between two budget checks. This pass
-//! turns fuel into a **work meter** shared by both tiers:
+//! Fuel is a **work meter**:
 //!
 //! 1. Every op gets a weight ([`op_cost`], in abstract *cost units*, one
 //!    unit ≈ one simple interpreted op). Operand traffic the lowering folds
 //!    into the ops that read it (`const`, `local.get`/`set`/`tee`,
-//!    `global.get`, `drop`, an `i32.eqz` a branch tests) weighs 0, and each
-//!    lowered op records the summed weight of the stack ops folded into it
-//!    — therefore per-op charging (naive tier) and per-segment charging
-//!    (optimized tier) consume *identical* total fuel for the same
-//!    execution, a property the differential property tests assert.
+//!    `global.get`, `drop`, an `i32.eqz` a branch tests) weighs 0, so a
+//!    fold moves no fuel: a completed run burns the summed weight of the
+//!    Wasm instructions it executed, which the reference interpreter
+//!    (`crates/reference`) prices instruction by instruction and the
+//!    differential tests hold the engine to.
 //! 2. The flat code is partitioned into basic blocks (leaders: function
 //!    entry, branch targets, and the op after any terminator — branches,
 //!    `return`, `unreachable`, and calls). An explicit [`Op::Fuel`] charge
@@ -27,11 +23,10 @@
 //!    preemption latency in cost units *by construction*:
 //!    `gap ≤ max(max_check_gap, heaviest single op)`.
 //!
-//! At runtime the optimized tier charges (and polls) only at `Op::Fuel`;
-//! the naive tier charges `op_cost` per instruction and treats `Op::Fuel`
-//! as a no-op. Charges a quantum cannot cover are carried as *debt* paid
-//! from subsequent quanta, so any positive quantum makes progress (no
-//! livelock when a dispatch's fuel is below `max_gap`).
+//! At runtime the executor charges (and polls) only at `Op::Fuel`. Charges
+//! a quantum cannot cover are carried as *debt* paid from subsequent
+//! quanta, so any positive quantum makes progress (no livelock when a
+//! dispatch's fuel is below `max_gap`).
 
 use crate::code::{NumBin, NumUn, Op};
 
@@ -82,8 +77,7 @@ pub(super) fn un_cost(op: NumUn) -> u32 {
 ///   folded into it, so what the lowering folds away or into an operand
 ///   (`Const`, `LocalGet`, `LocalSet`, `LocalTee`, `Drop`, `GlobalGet`,
 ///   `i32.eqz` under a branch) weighs 0, and no fold moves fuel.
-/// * **`Op::Fuel` weighs 0**: it is accounting, not guest work; the naive
-///   tier skips it.
+/// * **`Op::Fuel` weighs 0**: it is accounting, not guest work.
 pub fn op_cost(op: &Op) -> u32 {
     match op {
         Op::Const(_)

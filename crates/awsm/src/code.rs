@@ -120,8 +120,7 @@ pub enum Op {
     /// Budget check charging the exact summed cost (in cost units) of the
     /// check-free segment it heads, and polling the preempt flag. Inserted
     /// by the cost analysis at basic-block heads and budget-driven split
-    /// points; the optimized tier charges fuel *only* here, the naive tier
-    /// (which charges per instruction) skips it.
+    /// points; the executor charges fuel *only* here.
     Fuel(u32),
 }
 
@@ -144,7 +143,7 @@ pub struct HostImport {
 #[derive(Debug, Clone)]
 pub struct CompiledFunc {
     /// Flat code; ends with `Return`. The one body every analysis reads and
-    /// every tier executes (in lowered form).
+    /// the executor runs (in lowered form).
     pub code: Vec<Op>,
     /// Parameter count.
     pub nparams: u32,

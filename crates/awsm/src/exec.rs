@@ -8,7 +8,7 @@
 
 use crate::code::{op_lists, CompiledModule, LoadKind, NumBin, NumUn, StoreKind};
 use crate::host::{Host, HostOutcome};
-use crate::lower::{first_of, fused, opc, pair_list, Body, LOp, Lowered};
+use crate::lower::{fused, opc, pair_list, Body, LOp, Lowered};
 use crate::memory::LinearMemory;
 use crate::numeric::{bin, un};
 use crate::value::Trap;
@@ -103,10 +103,6 @@ pub(crate) struct ExecState {
     /// larger than one quantum still makes progress (no livelock) while
     /// total fuel consumed stays exact.
     fuel_debt: u64,
-    /// Set when the op at the saved `pc` has been charged but not executed
-    /// (naive per-op accounting): the first budget check after resume skips
-    /// its charge so the op is not billed twice.
-    prepaid: bool,
 }
 
 impl ExecState {
@@ -121,7 +117,6 @@ impl ExecState {
     pub(crate) fn clear(&mut self) {
         self.frames.clear();
         self.fuel_debt = 0;
-        self.prepaid = false;
     }
 
     /// Make the slab at least `top` slots long, within `max_stack`.
@@ -212,12 +207,9 @@ fn leave<'a>(st: &mut ExecState, low: &'a Lowered) -> Option<(&'a Body, usize, *
 /// a blocking host call.
 ///
 /// Fuel is a work meter in the cost model's units (see
-/// [`op_cost`](crate::analysis::cost::op_cost)). `NAIVE` selects the naive
-/// tier's accounting: every op charges its own recorded weight before it
-/// runs. The optimized tier charges only at the [`LOp::Fuel`] sites the cost
-/// analysis planted, each paying the exact summed weight of the check-free
-/// segment it heads — so both tiers consume identical total fuel for the
-/// same execution.
+/// [`op_cost`](crate::analysis::cost::op_cost)), charged only at the `FUEL`
+/// ops the cost analysis planted, each paying the exact summed weight of
+/// the check-free segment it heads, before any of it runs.
 ///
 /// A charge the quantum cannot cover is recorded as `fuel_debt` (paid from
 /// later quanta at the top of `run`) and `OutOfFuel` is returned.
@@ -226,7 +218,7 @@ fn leave<'a>(st: &mut ExecState, low: &'a Lowered) -> Option<(&'a Body, usize, *
 /// `Preempted`) and the preemption is reported at the next check of the next
 /// quantum rather than lost.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<const NAIVE: bool>(
+pub(crate) fn run(
     m: &CompiledModule,
     low: &Lowered,
     st: &mut ExecState,
@@ -340,8 +332,7 @@ pub(crate) fn run<const NAIVE: bool>(
                 HostOutcome::Value(v) if sig.has_result => set!($args, v),
                 HostOutcome::Value(_) | HostOutcome::Unit => {}
                 HostOutcome::Pending => {
-                    // Already charged (naive) or inside a charged segment.
-                    st.prepaid = NAIVE;
+                    // Inside a charged segment: re-issuing is free.
                     pause!(pc!() - 1, StepResult::Blocked);
                 }
                 HostOutcome::Trap(t) => trap!(t),
@@ -357,25 +348,6 @@ pub(crate) fn run<const NAIVE: bool>(
         let op = unsafe { *ip };
         #[cfg(test)]
         count::dispatch(body, pc!(), op.code);
-        if NAIVE {
-            // Pay for the op before it runs; a pause resumes at it.
-            if st.prepaid {
-                st.prepaid = false;
-            } else {
-                let c = body.costs[pc!()] as u64;
-                if left < c {
-                    st.fuel_debt = c - left;
-                    left = 0;
-                    st.prepaid = true;
-                    pause!(pc!(), StepResult::OutOfFuel);
-                }
-                left -= c;
-            }
-            if preempt.load(Ordering::Relaxed) {
-                st.prepaid = true;
-                pause!(pc!(), StepResult::Preempted);
-            }
-        }
         // SAFETY: as above; at worst one past the end, never dereferenced.
         ip = unsafe { ip.add(1) };
         let LOp {
@@ -384,9 +356,6 @@ pub(crate) fn run<const NAIVE: bool>(
             mut b,
             mut c,
         } = op;
-        // The naive tier runs the two ops of a fused pair one dispatch
-        // each, charging each its own weight.
-        let code = if NAIVE { first_of(code) } else { code };
         // Jump to `c` if the 32-bit result `$v` passes `$test`.
         macro_rules! jump_if {
             ($v:expr, $($test:tt)+) => {
@@ -400,22 +369,20 @@ pub(crate) fn run<const NAIVE: bool>(
         // in each use, so `bin`/`un`/`do_load`/`do_store` fold to that op
         // alone.
         macro_rules! op {
-            (FUEL) => {
-                // The optimized tier's only charge/poll site; a pause
-                // resumes past it and the debt carries the remainder.
-                if !NAIVE {
-                    let cost = a as u64;
-                    if left < cost {
-                        st.fuel_debt = cost - left;
-                        left = 0;
-                        pause!(pc!(), StepResult::OutOfFuel);
-                    }
-                    left -= cost;
-                    if preempt.load(Ordering::Relaxed) {
-                        pause!(pc!(), StepResult::Preempted);
-                    }
+            (FUEL) => {{
+                // The only charge/poll site; a pause resumes past it and
+                // the debt carries the remainder.
+                let cost = a as u64;
+                if left < cost {
+                    st.fuel_debt = cost - left;
+                    left = 0;
+                    pause!(pc!(), StepResult::OutOfFuel);
                 }
-            };
+                left -= cost;
+                if preempt.load(Ordering::Relaxed) {
+                    pause!(pc!(), StepResult::Preempted);
+                }
+            }};
             (BR) => { jump!(c) };
             (BR_IF) => { jump_if!(Ok::<_, Trap>(get!(a)), != 0) };
             (BR_IFZ) => { jump_if!(Ok::<_, Trap>(get!(a)), == 0) };

@@ -16,10 +16,9 @@
 //!    runtime uses for user-level preemptive round-robin scheduling.
 //!
 //! Every linear-memory access outside the committed memory traps with
-//! [`Trap::OutOfBounds`] (§3.2 of the paper); the execution [`Tier`] selects
-//! how the one lowered body runs — fused pairs and per-segment fuel, or one
-//! op per dispatch and per-op fuel (the stand-ins for the LLVM- and
-//! Cranelift-class engines in the paper's Figure 5).
+//! [`Trap::OutOfBounds`] (§3.2 of the paper). There is one executor: it
+//! runs the lowered body with its fused pairs and charges fuel per
+//! check-free segment.
 //!
 //! # Examples
 //!
@@ -96,9 +95,7 @@ pub enum BoundsStrategy {
 pub struct EngineConfig {
     /// Always [`BoundsStrategy::Software`]; see there.
     pub bounds: BoundsStrategy,
-    /// Execution tier accounting (should match the tier the module was
-    /// translated for to get representative performance; semantics are
-    /// identical either way).
+    /// Always [`Tier::Optimized`]; see there.
     pub tier: Tier,
     /// Guest resource limits.
     pub limits: Limits,
@@ -282,9 +279,9 @@ impl Instance {
     }
 
     /// Cost units consumed by the current/most recent invocation, summed
-    /// across `run` calls. Both tiers meter identical work, so for the
-    /// same completed execution this value is tier-independent (the
-    /// differential tests assert exactly that).
+    /// across `run` calls. For a completed execution this is the summed
+    /// weight of the Wasm instructions it ran (the differential tests hold
+    /// it to the reference interpreter's count).
     pub fn fuel_used(&self) -> u64 {
         self.fuel_used
     }
@@ -346,13 +343,19 @@ impl Instance {
             Status::Dead(t) => return StepResult::Trapped(t),
             Status::Idle => return StepResult::Trapped(Trap::Unreachable),
         }
-        let given = fuel;
-        let mut fuel = fuel;
-        let result = match self.config.tier {
-            Tier::Optimized => self.dispatch::<false>(host, &mut fuel),
-            Tier::Naive => self.dispatch::<true>(host, &mut fuel),
-        };
-        self.fuel_used += given - fuel;
+        let mut left = fuel;
+        let result = exec::run(
+            &self.module,
+            &self.module.lowered,
+            &mut self.state,
+            &mut self.memory,
+            &mut self.globals,
+            host,
+            &mut left,
+            &self.preempt,
+            &self.config.limits,
+        );
+        self.fuel_used += fuel - left;
         match result {
             StepResult::Complete(_) => self.status = Status::Idle,
             StepResult::Trapped(t) => self.status = Status::Dead(t),
@@ -364,20 +367,6 @@ impl Instance {
             _ => {}
         }
         result
-    }
-
-    fn dispatch<const NAIVE: bool>(&mut self, host: &mut dyn Host, fuel: &mut u64) -> StepResult {
-        exec::run::<NAIVE>(
-            &self.module,
-            &self.module.lowered,
-            &mut self.state,
-            &mut self.memory,
-            &mut self.globals,
-            host,
-            fuel,
-            &self.preempt,
-            &self.config.limits,
-        )
     }
 
     /// Reset this instance in place to the pristine post-instantiation state,

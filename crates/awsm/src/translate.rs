@@ -21,18 +21,16 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-/// How the executor runs a module's lowered bodies (see DESIGN.md §3).
-/// Both tiers run the same translation and the same lowered body.
+/// The execution tier. There is one: the one executor runs every lowered
+/// body (see DESIGN.md §3). The type, [`EngineConfig::tier`](crate::EngineConfig::tier),
+/// `RuntimeConfig::tier` and [`translate`]'s parameter remain only because
+/// the benchmark harness names them; nothing branches on any of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
     /// Fused pairs in one dispatch, fuel charged only at the cost pass's
     /// `Fuel` sites. Stands in for the LLVM-class engines (aWsm, WAVM).
     #[default]
     Optimized,
-    /// The same lowered body with each fused pair split into its two ops,
-    /// and fuel charged per op. Stands in for the Cranelift-class engines
-    /// (Wasmer, Lucet) in the paper's comparison.
-    Naive,
 }
 
 /// Error produced by [`translate`].
@@ -81,8 +79,7 @@ impl Default for TranslateOptions {
 }
 
 /// Translate a module with default [`TranslateOptions`]. Validates first.
-/// The tier is ignored: every tier runs the same translation, and the
-/// executor takes its tier from [`EngineConfig`](crate::EngineConfig).
+/// The tier is ignored (there is one).
 ///
 /// # Errors
 ///

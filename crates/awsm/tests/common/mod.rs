@@ -5,15 +5,12 @@
 //! (`sledge-reference`), which shares no code with it.
 #![allow(dead_code)] // each suite uses its own part
 
-use awsm::{Instance, NullHost, StepResult, Tier, Value};
+use awsm::{Instance, NullHost, StepResult, Value};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, Local};
 use sledge_reference::Machine;
 use sledge_testkit::Rng;
 use sledge_wasm::module::Module;
-
-/// Every execution tier: the engine configurations every suite runs on.
-pub const ALL_TIERS: &[Tier] = &[Tier::Optimized, Tier::Naive];
 
 /// An i32 expression over two inputs, spanning the weight classes the cost
 /// model tells apart and the forms the translator fuses.

@@ -1,5 +1,6 @@
 //! Integration tests for the static cost model and its preemption-latency
-//! certificates: weighted fuel as a tier-independent work meter, budget
+//! certificates: weighted fuel as a work meter the reference interpreter
+//! reproduces instruction by instruction, budget
 //! checks placed per basic block, splits under tight gap budgets, and the
 //! certificate fields (`max_gap` / `max_loop_gap` / `max_host_gap`). The
 //! work-meter and partition properties also run on seeded random programs.
@@ -10,7 +11,7 @@ use awsm::{
     op_cost, translate, translate_with, EngineConfig, Host, HostImport, HostOutcome, Instance,
     LinearMemory, NullHost, Op, StepResult, Tier, TranslateOptions, Value, DEFAULT_MAX_CHECK_GAP,
 };
-use common::{any_i32, Arith, ALL_TIERS};
+use common::{any_i32, Arith};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
 use sledge_testkit::cases;
@@ -65,81 +66,44 @@ fn with_gap(max_check_gap: u32) -> TranslateOptions {
 /// must match (with the memory and globals).
 fn run_metered(
     m: &Module,
-    tier: Tier,
     options: TranslateOptions,
     args: &[Value],
     quantum: u64,
 ) -> (Option<u64>, u64) {
-    let cm = Arc::new(translate_with(m, tier, options).unwrap());
-    let mut inst = Instance::new(
-        cm,
-        EngineConfig {
-            tier,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let cm = Arc::new(translate_with(m, Tier::Optimized, options).unwrap());
+    let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
     let seen = common::agree(m, &mut inst, "main", args, quantum);
     (Some(seen.value()), inst.fuel_used())
 }
 
 // ------------------------------------------------ work-meter equivalence
 
+/// The engine's fuel is the reference interpreter's count of the work
+/// the same execution does (`run_metered` compares them).
 #[test]
-fn tiers_and_strategies_agree_on_total_fuel() {
+fn work_module_burns_the_reference_fuel() {
     let m = work_module(25);
-    let (ref_val, ref_fuel) = run_metered(
-        &m,
-        Tier::Optimized,
-        with_gap(512),
-        &[Value::I32(7)],
-        u64::MAX,
-    );
-    assert!(ref_fuel > 0);
-    for &tier in ALL_TIERS {
-        let (v, fuel) = run_metered(&m, tier, with_gap(512), &[Value::I32(7)], u64::MAX);
-        assert_eq!(v, ref_val, "value under {tier:?}");
-        assert_eq!(fuel, ref_fuel, "fuel under {tier:?}");
-    }
+    let (_, fuel) = run_metered(&m, with_gap(512), &[Value::I32(7)], u64::MAX);
+    assert!(fuel > 0);
 }
 
 #[test]
 fn chopping_preserves_totals_at_any_quantum() {
     let m = work_module(12);
-    let (ref_val, ref_fuel) = run_metered(
-        &m,
-        Tier::Optimized,
-        with_gap(128),
-        &[Value::I32(3)],
-        u64::MAX,
-    );
+    let (ref_val, ref_fuel) = run_metered(&m, with_gap(128), &[Value::I32(3)], u64::MAX);
     for quantum in [1, 2, 7, 33, 100] {
-        for tier in [Tier::Optimized, Tier::Naive] {
-            let (v, fuel) = run_metered(&m, tier, with_gap(128), &[Value::I32(3)], quantum);
-            assert_eq!(v, ref_val, "chopped at {quantum} under {tier:?}");
-            assert_eq!(fuel, ref_fuel, "fuel chopped at {quantum} under {tier:?}");
-        }
+        let (v, fuel) = run_metered(&m, with_gap(128), &[Value::I32(3)], quantum);
+        assert_eq!(v, ref_val, "chopped at {quantum}");
+        assert_eq!(fuel, ref_fuel, "fuel chopped at {quantum}");
     }
 }
 
 #[test]
 fn instrumentation_gap_budget_does_not_change_totals() {
     let m = work_module(10);
-    let (ref_val, ref_fuel) = run_metered(
-        &m,
-        Tier::Optimized,
-        with_gap(512),
-        &[Value::I32(5)],
-        u64::MAX,
-    );
+    let (ref_val, ref_fuel) = run_metered(&m, with_gap(512), &[Value::I32(5)], u64::MAX);
     for gap in [4, 16, 64, 4096] {
-        let (v, fuel) = run_metered(
-            &m,
-            Tier::Optimized,
-            with_gap(gap),
-            &[Value::I32(5)],
-            u64::MAX,
-        );
+        let (v, fuel) = run_metered(&m, with_gap(gap), &[Value::I32(5)], u64::MAX);
         assert_eq!(v, ref_val, "value at gap {gap}");
         assert_eq!(fuel, ref_fuel, "fuel at gap {gap}");
     }
@@ -313,7 +277,7 @@ impl sledge_reference::Host for PingHost {
 }
 
 #[test]
-fn host_calls_cost_the_same_in_both_tiers() {
+fn host_calls_cost_the_same_on_the_reference() {
     let mut mb = ModuleBuilder::new("hosty");
     mb.memory(1, Some(1));
     let ping = mb.import_func("env", "ping", &[ValType::I32], Some(ValType::I32));
@@ -334,28 +298,13 @@ fn host_calls_cost_the_same_in_both_tiers() {
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
 
-    let mut totals = Vec::new();
-    for tier in [Tier::Optimized, Tier::Naive] {
-        let cm = Arc::new(translate(&m, tier).unwrap());
-        let mut inst = Instance::new(
-            cm,
-            EngineConfig {
-                tier,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let v = inst.call_complete("main", &[], &mut PingHost).unwrap();
-        assert_eq!(v, Some(1 + 2 + 3 + 4 + 5));
-        totals.push(inst.fuel_used());
-    }
-    assert_eq!(totals[0], totals[1], "host-call fuel differs across tiers");
+    let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
+    let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
+    let v = inst.call_complete("main", &[], &mut PingHost).unwrap();
+    assert_eq!(v, Some(1 + 2 + 3 + 4 + 5));
     let seen = common::reference(&m, "main", &[], &mut PingHost);
-    assert_eq!(
-        seen.fuel,
-        Some(totals[0]),
-        "host-call fuel on the reference"
-    );
+    assert_eq!(seen.result, Ok(v));
+    assert_eq!(seen.fuel, Some(inst.fuel_used()), "host-call fuel");
 }
 
 #[test]
@@ -374,13 +323,7 @@ fn fuel_used_is_exact_across_pauses() {
             other => panic!("unexpected {other:?}"),
         }
     }
-    let (_, ref_fuel) = run_metered(
-        &m,
-        Tier::Optimized,
-        with_gap(512),
-        &[Value::I32(2)],
-        u64::MAX,
-    );
+    let (_, ref_fuel) = run_metered(&m, with_gap(512), &[Value::I32(2)], u64::MAX);
     assert_eq!(inst.fuel_used(), ref_fuel);
     // Paying one unit per call means the pause count equals total cost
     // minus what the final completing call consumed.
@@ -389,7 +332,7 @@ fn fuel_used_is_exact_across_pauses() {
 
 // ------------------------------------------------------ shipped guests
 
-/// The fuel each shipped guest burns on its reference input, in both tiers
+/// The fuel each shipped guest burns on its reference input, on the engine
 /// and on the reference interpreter, whose response must also match the
 /// engine's and the native twin's. These are the counts the
 /// one-body-per-function change had to hold to the unit (they were read
@@ -457,18 +400,12 @@ fn shipped_guests_burn_pinned_fuel() {
     );
     for ((name, module, expect, body), (pin, fuel)) in guests.iter().zip(pinned) {
         assert_eq!(*name, pin, "pins are in catalogue order");
-        for tier in [Tier::Optimized, Tier::Naive] {
-            let cm = Arc::new(translate(module, tier).unwrap());
-            let config = EngineConfig {
-                tier,
-                ..Default::default()
-            };
-            let mut inst = Instance::new(cm, config).unwrap();
-            let mut host = BufferHost::new(body.clone());
-            inst.call_complete("main", &[], &mut host).unwrap();
-            assert_eq!(&host.response, expect, "{name} under {tier:?}");
-            assert_eq!(inst.fuel_used(), fuel, "{name} under {tier:?}");
-        }
+        let cm = Arc::new(translate(module, Tier::Optimized).unwrap());
+        let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
+        let mut host = BufferHost::new(body.clone());
+        inst.call_complete("main", &[], &mut host).unwrap();
+        assert_eq!(&host.response, expect, "{name}");
+        assert_eq!(inst.fuel_used(), fuel, "{name}");
         let mut buffers = sledge_reference::Buffers::new(body.clone());
         let seen = common::reference(module, "main", &[], &mut buffers);
         assert_eq!(&buffers.response, expect, "{name} on the reference");
@@ -517,29 +454,22 @@ fn arith_module(e: &Arith, iters: i32) -> Module {
     mb.build().expect("generated module must validate")
 }
 
-/// Both tiers consume identical total fuel for the same execution, and
-/// chopping at any quantum neither changes the result nor the total.
+/// The engine consumes the fuel the reference counts for the same
+/// execution, and chopping at any quantum neither changes the result nor
+/// the total (`run_metered` compares each run with the reference).
 #[test]
-fn tiers_agree_on_total_fuel() {
+fn seeded_programs_burn_the_reference_fuel_at_any_quantum() {
     cases(64, 0xF0E1_0001, |rng| {
         let e = Arith::gen(rng, 4);
         let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
         let m = arith_module(&e, rng.range(1, 20) as i32);
         let quantum = rng.range(1, 200);
         let options = with_gap(rng.range(8, 1024) as u32);
-        let run = |tier, quantum| run_metered(&m, tier, options, &args, quantum);
-        let reference = run(Tier::Optimized, u64::MAX);
-        assert!(reference.1 > 0, "a loop iteration must cost something");
-        let got = run(Tier::Naive, u64::MAX);
-        assert_eq!(got, reference, "tier={:?} e={e:?}", Tier::Naive);
+        let whole = run_metered(&m, options, &args, u64::MAX);
+        assert!(whole.1 > 0, "a loop iteration must cost something");
         // Chopped runs pay exactly the same total (debt accounting is exact).
-        for &tier in ALL_TIERS {
-            let got = run(tier, quantum);
-            assert_eq!(
-                got, reference,
-                "chopped at {quantum}, tier={tier:?} e={e:?}"
-            );
-        }
+        let got = run_metered(&m, options, &args, quantum);
+        assert_eq!(got, whole, "chopped at {quantum}, e={e:?}");
     });
 }
 

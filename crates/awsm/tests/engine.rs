@@ -1,5 +1,5 @@
 //! End-to-end engine tests: guest programs written in the `sledge-guestc`
-//! DSL (and some hand-assembled Wasm), executed on every tier and on the
+//! DSL (and some hand-assembled Wasm), executed on the engine and on the
 //! reference interpreter — fixed programs first, then seeded random
 //! expressions checked against native Rust evaluation and random
 //! memory-access scripts checked against the reference.
@@ -10,7 +10,7 @@ use awsm::{
     translate, EngineConfig, Host, HostImport, HostOutcome, Instance, LinearMemory, NullHost,
     StepResult, Tier, Trap, Value,
 };
-use common::{any_i32, Arith, ALL_TIERS};
+use common::{any_i32, Arith};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Scalar};
 use sledge_testkit::{cases, Rng};
@@ -19,35 +19,20 @@ use sledge_wasm::module::{Export, FuncBody, Module};
 use sledge_wasm::types::{FuncType, Limits, MemoryType, ValType};
 use std::sync::Arc;
 
-fn run_all_configs(m: &Module, entry: &str, args: &[Value]) -> Vec<Option<u64>> {
-    ALL_TIERS
-        .iter()
-        .map(|&tier| {
-            run_config(m, entry, args, tier).unwrap_or_else(|trap| panic!("{tier:?}: {trap}"))
-        })
-        .collect()
+/// `entry(args)`, which must complete.
+fn run_ok(m: &Module, entry: &str, args: &[Value]) -> Option<u64> {
+    single(m, entry, args).unwrap_or_else(|trap| panic!("{entry}: {trap}"))
 }
 
-fn assert_all_configs(m: &Module, entry: &str, args: &[Value], expect: u64) {
-    for r in run_all_configs(m, entry, args) {
-        assert_eq!(r, Some(expect));
-    }
+fn assert_returns(m: &Module, entry: &str, args: &[Value], expect: u64) {
+    assert_eq!(run_ok(m, entry, args), Some(expect));
 }
 
+/// `entry(args)` on a fresh instance, which the reference interpreter must
+/// end the same way.
 fn single(m: &Module, entry: &str, args: &[Value]) -> Result<Option<u64>, Trap> {
-    run_config(m, entry, args, Tier::Optimized)
-}
-
-fn run_config(m: &Module, entry: &str, args: &[Value], tier: Tier) -> Result<Option<u64>, Trap> {
-    let cm = Arc::new(translate(m, tier).expect("translate"));
-    let mut inst = Instance::new(
-        cm,
-        EngineConfig {
-            tier,
-            ..Default::default()
-        },
-    )
-    .expect("instantiate");
+    let cm = Arc::new(translate(m, Tier::Optimized).expect("translate"));
+    let mut inst = Instance::new(cm, EngineConfig::default()).expect("instantiate");
     inst.invoke_export(entry, args).expect("invoke");
     let result = loop {
         match inst.run(&mut NullHost, u64::MAX) {
@@ -83,7 +68,7 @@ fn triangle_sum_loop() {
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
-    assert_all_configs(&m, "main", &[Value::I32(100)], 5050);
+    assert_returns(&m, "main", &[Value::I32(100)], 5050);
 }
 
 #[test]
@@ -138,7 +123,7 @@ fn nested_loops_with_break_continue() {
             expect += 1;
         }
     }
-    assert_all_configs(&m, "main", &[], expect as u64);
+    assert_returns(&m, "main", &[], expect as u64);
 }
 
 #[test]
@@ -172,8 +157,8 @@ fn recursion_factorial_and_fib() {
     mb.export_func(fact, "fact");
     mb.export_func(fib, "fib");
     let m = mb.build().unwrap();
-    assert_all_configs(&m, "fact", &[Value::I32(10)], 3628800);
-    assert_all_configs(&m, "fib", &[Value::I32(20)], 6765);
+    assert_returns(&m, "fact", &[Value::I32(10)], 3628800);
+    assert_returns(&m, "fib", &[Value::I32(20)], 6765);
 }
 
 #[test]
@@ -188,9 +173,9 @@ fn if_else_value_select_and_early_return() {
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
-    assert_all_configs(&m, "main", &[Value::I32(-5)], (-1i32) as u32 as u64);
-    assert_all_configs(&m, "main", &[Value::I32(7)], 7);
-    assert_all_configs(&m, "main", &[Value::I32(101)], 2);
+    assert_returns(&m, "main", &[Value::I32(-5)], (-1i32) as u32 as u64);
+    assert_returns(&m, "main", &[Value::I32(7)], 7);
+    assert_returns(&m, "main", &[Value::I32(101)], 2);
 }
 
 #[test]
@@ -256,10 +241,10 @@ fn br_table_dispatch_hand_assembled() {
         ),
     );
     m.exports.push(Export::func("main", f));
-    assert_all_configs(&m, "main", &[Value::I32(0)], 10);
-    assert_all_configs(&m, "main", &[Value::I32(1)], 20);
-    assert_all_configs(&m, "main", &[Value::I32(2)], 99);
-    assert_all_configs(&m, "main", &[Value::I32(-1)], 99);
+    assert_returns(&m, "main", &[Value::I32(0)], 10);
+    assert_returns(&m, "main", &[Value::I32(1)], 20);
+    assert_returns(&m, "main", &[Value::I32(2)], 99);
+    assert_returns(&m, "main", &[Value::I32(-1)], 99);
 }
 
 #[test]
@@ -285,8 +270,8 @@ fn block_result_values_flow_through_branches() {
         ),
     );
     m.exports.push(Export::func("main", f));
-    assert_all_configs(&m, "main", &[Value::I32(1)], 5);
-    assert_all_configs(&m, "main", &[Value::I32(0)], 9);
+    assert_returns(&m, "main", &[Value::I32(1)], 5);
+    assert_returns(&m, "main", &[Value::I32(0)], 9);
 }
 
 // ---------------------------------------------------------------- memory
@@ -331,7 +316,7 @@ fn memory_fill_and_sum() {
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
     let expect: u64 = (0..100u64).map(|i| i * i).sum();
-    assert_all_configs(&m, "main", &[Value::I32(100)], expect);
+    assert_returns(&m, "main", &[Value::I32(100)], expect);
 }
 
 #[test]
@@ -344,7 +329,7 @@ fn data_segments_initialize_memory() {
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
-    assert_all_configs(&m, "main", &[], b'd' as u64);
+    assert_returns(&m, "main", &[], b'd' as u64);
 }
 
 #[test]
@@ -373,7 +358,7 @@ fn memory_grow_and_size() {
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
     // old=1, r=1, load=77 → 100 + 10 + 77 = 187
-    assert_all_configs(&m, "main", &[], 187);
+    assert_returns(&m, "main", &[], 187);
 }
 
 use sledge_guestc::Expr;
@@ -421,15 +406,13 @@ fn out_of_bounds_traps_on_every_config() {
     let st = mb.add_func("st", f);
     mb.export_func(st, "st");
     let m = mb.build().unwrap();
-    for &tier in ALL_TIERS {
-        for addr in [65536 - 16, 65536 - 18, -64, -16] {
-            for entry in ["ld", "st"] {
-                assert_eq!(
-                    run_config(&m, entry, &[Value::I32(addr)], tier),
-                    Err(Trap::OutOfBounds),
-                    "{tier:?} {entry}({addr})"
-                );
-            }
+    for addr in [65536 - 16, 65536 - 18, -64, -16] {
+        for entry in ["ld", "st"] {
+            assert_eq!(
+                single(&m, entry, &[Value::I32(addr)]),
+                Err(Trap::OutOfBounds),
+                "{entry}({addr})"
+            );
         }
     }
 }
@@ -722,8 +705,8 @@ fn indirect_calls_dispatch_and_check_types() {
         limits: Limits::at_least(0),
     });
 
-    assert_all_configs(&m2, "dispatch", &[Value::I32(0), Value::I32(21)], 42);
-    assert_all_configs(&m2, "dispatch", &[Value::I32(1), Value::I32(9)], 81);
+    assert_returns(&m2, "dispatch", &[Value::I32(0), Value::I32(21)], 42);
+    assert_returns(&m2, "dispatch", &[Value::I32(1), Value::I32(9)], 81);
     // Slot 2 has the wrong signature.
     assert_eq!(
         single(&m2, "dispatch", &[Value::I32(2), Value::I32(1)]),
@@ -755,7 +738,7 @@ fn globals_read_write() {
     let main = mb.add_func("main", f);
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
-    assert_all_configs(&m, "main", &[], 15 + 6);
+    assert_returns(&m, "main", &[], 15 + 6);
 }
 
 // ------------------------------------------------------------ float math
@@ -813,9 +796,8 @@ fn float_kernel_matches_native() {
     for i in 0..n_items {
         expect += (i as f64).sqrt() * (i as f64 / 2.0);
     }
-    for r in run_all_configs(&m, "main", &[Value::I32(n_items as i32)]) {
-        assert_eq!(f64::from_bits(r.unwrap()), expect);
-    }
+    let r = run_ok(&m, "main", &[Value::I32(n_items as i32)]);
+    assert_eq!(f64::from_bits(r.unwrap()), expect);
 }
 
 #[test]
@@ -844,9 +826,8 @@ fn f32_arithmetic_matches_native() {
     let m = mb.build().unwrap();
     for (x, y) in [(1.5f32, 2.25f32), (-3.5, 0.125), (0.0, -0.0), (1e30, 1e-30)] {
         let want = x * y + (x - y).abs().sqrt();
-        for r in run_all_configs(&m, "main", &[Value::F32(x), Value::F32(y)]) {
-            assert_eq!(f32::from_bits(r.unwrap() as u32).to_bits(), want.to_bits());
-        }
+        let r = run_ok(&m, "main", &[Value::F32(x), Value::F32(y)]);
+        assert_eq!(f32::from_bits(r.unwrap() as u32).to_bits(), want.to_bits());
     }
 }
 
@@ -890,9 +871,8 @@ fn random_expressions_match_native_all_configs() {
         let e = Arith::gen(rng, 5);
         let (x, y) = (any_i32(rng), any_i32(rng));
         let expect = e.eval(x, y) as u32 as u64;
-        for got in run_all_configs(&expr_module(&e), "main", &[Value::I32(x), Value::I32(y)]) {
-            assert_eq!(got, Some(expect), "x={x} y={y} e={e:?}");
-        }
+        let got = run_ok(&expr_module(&e), "main", &[Value::I32(x), Value::I32(y)]);
+        assert_eq!(got, Some(expect), "x={x} y={y} e={e:?}");
     });
 }
 
@@ -943,7 +923,7 @@ fn chopped_execution_is_deterministic() {
     });
 }
 
-// ------------------------------------------ seeded: memory across tiers
+// ------------------------------ seeded: memory against the reference
 
 /// Build a guest that performs a scripted sequence of stores then sums a
 /// scripted sequence of loads, all at the given (address, value) pairs.
@@ -969,8 +949,8 @@ fn access_module(stores: &[(u32, u32)], loads: &[u32]) -> Module {
     mb.build().expect("valid module")
 }
 
-fn run_access(m: &Module, tier: Tier) -> Result<u32, Trap> {
-    run_config(m, "main", &[], tier).map(|v| v.expect("result") as u32)
+fn run_access(m: &Module) -> Result<u32, Trap> {
+    single(m, "main", &[]).map(|v| v.expect("result") as u32)
 }
 
 /// 2 pages committed = 131072 bytes; the last address an i32 access fits at.
@@ -985,19 +965,13 @@ fn access_script(rng: &mut Rng, addr_end: u64) -> (Vec<(u32, u32)>, Vec<u32>) {
     (stores, loads)
 }
 
+/// In-bounds scripts complete, and leave what the reference leaves.
 #[test]
 fn in_bounds_programs_agree_across_all_strategies() {
     cases(64, 0x1B0D_D500, |rng| {
         let (stores, loads) = access_script(rng, LIMIT + 1);
         let m = access_module(&stores, &loads);
-        let reference = run_access(&m, Tier::Optimized).expect("in bounds");
-        for &tier in ALL_TIERS {
-            assert_eq!(
-                run_access(&m, tier).expect("in bounds"),
-                reference,
-                "{tier:?}"
-            );
-        }
+        run_access(&m).expect("in bounds");
     });
 }
 
@@ -1005,9 +979,7 @@ fn in_bounds_programs_agree_across_all_strategies() {
 fn out_of_bounds_loads_trap_under_checking_strategies() {
     cases(64, 0x00B5_72A9, |rng| {
         let m = access_module(&[], &[rng.range(LIMIT + 1, u64::from(u32::MAX) - 4) as u32]);
-        for &tier in ALL_TIERS {
-            assert_eq!(run_access(&m, tier), Err(Trap::OutOfBounds), "{tier:?}");
-        }
+        assert_eq!(run_access(&m), Err(Trap::OutOfBounds));
     });
 }
 
@@ -1021,7 +993,7 @@ fn stores_then_loads_roundtrip_values() {
         let stores: Vec<(u32, u32)> = slots.iter().map(|a| (*a, rng.next_u64() as u32)).collect();
         let expect = stores.iter().fold(0u32, |sum, (_, v)| sum.wrapping_add(*v));
         let m = access_module(&stores, &slots);
-        let got = run_access(&m, Tier::Optimized).expect("in bounds");
+        let got = run_access(&m).expect("in bounds");
         assert_eq!(got, expect);
     });
 }

@@ -7,7 +7,7 @@
 //!
 //! Fixed programs first (one per hazard the lowering pass handles
 //! specially), then seeded random straight-line-and-loop programs run
-//! whole, chopped at small quanta and preempted at random, on every tier.
+//! whole, chopped at small quanta and preempted at random.
 //! Tests named `miri_*` are small enough for the Miri leg.
 
 mod common;
@@ -17,7 +17,7 @@ use awsm::{
     EngineConfig, Host, HostImport, HostOutcome, Instance, Limits, LinearMemory, NullHost, Op,
     StepResult, Tier, TranslateOptions, Trap, Value,
 };
-use common::{any_i32, Arith, ALL_TIERS};
+use common::{any_i32, Arith};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Stmt};
 use sledge_testkit::{cases, Rng};
@@ -27,24 +27,21 @@ use sledge_wasm::types::{FuncType, ValType};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-fn instance(m: &Module, tier: Tier, limits: Limits) -> Instance {
-    let cm = Arc::new(translate(m, tier).expect("translate"));
+fn instance(m: &Module, limits: Limits) -> Instance {
+    let cm = Arc::new(translate(m, Tier::Optimized).expect("translate"));
     let config = EngineConfig {
-        tier,
         limits,
         ..Default::default()
     };
     Instance::new(cm, config).expect("instantiate")
 }
 
-/// `main(args)` must return `expect` on every tier, as on the reference.
+/// `main(args)` must return `expect`, as on the reference.
 fn assert_returns(m: &Module, args: &[i32], expect: i32) {
     let args: Vec<Value> = args.iter().map(|&a| Value::I32(a)).collect();
-    for &tier in ALL_TIERS {
-        let mut inst = instance(m, tier, Limits::default());
-        let seen = common::agree(m, &mut inst, "main", &args, u64::MAX);
-        assert_eq!(seen.result, Ok(Some(expect as u32 as u64)), "{tier:?}");
-    }
+    let mut inst = instance(m, Limits::default());
+    let seen = common::agree(m, &mut inst, "main", &args, u64::MAX);
+    assert_eq!(seen.result, Ok(Some(expect as u32 as u64)));
 }
 
 /// A module whose `main(i32 × nparams) -> i32` is the given raw body.
@@ -466,31 +463,26 @@ fn miri_host_call_pending_twice_then_a_value() {
     mb.export_func(main, "main");
     let m = mb.build().unwrap();
 
-    let mut fuel = None;
-    for &tier in ALL_TIERS {
-        let mut inst = instance(&m, tier, Limits::default());
-        let mut host = SlowHost {
-            pending_left: 2,
-            calls: 0,
-        };
-        inst.invoke_export("main", &[Value::I32(6), Value::I32(5)])
-            .unwrap();
-        assert_eq!(inst.run(&mut host, u64::MAX), StepResult::Blocked);
-        assert_eq!(inst.run(&mut host, u64::MAX), StepResult::Blocked);
-        // The third issue sees the same arguments and completes.
-        assert_eq!(
-            inst.run(&mut host, u64::MAX),
-            StepResult::Complete(Some(6 + 7 * 5 + 1))
-        );
-        assert_eq!(host.calls, 3);
-        // Re-issuing is free: the call was charged once, in both tiers.
-        assert_eq!(*fuel.get_or_insert(inst.fuel_used()), inst.fuel_used());
-    }
-    // The reference's host answers at once; the fuel is the same.
+    let mut inst = instance(&m, Limits::default());
+    let mut host = SlowHost {
+        pending_left: 2,
+        calls: 0,
+    };
     let args = [Value::I32(6), Value::I32(5)];
+    inst.invoke_export("main", &args).unwrap();
+    assert_eq!(inst.run(&mut host, u64::MAX), StepResult::Blocked);
+    assert_eq!(inst.run(&mut host, u64::MAX), StepResult::Blocked);
+    // The third issue sees the same arguments and completes.
+    assert_eq!(
+        inst.run(&mut host, u64::MAX),
+        StepResult::Complete(Some(6 + 7 * 5 + 1))
+    );
+    assert_eq!(host.calls, 3);
+    // Re-issuing is free: the call was charged once, as on the reference,
+    // whose host answers at once.
     let seen = common::reference(&m, "main", &args, &mut SlowHost::default());
     assert_eq!(seen.result, Ok(Some(6 + 7 * 5 + 1)));
-    assert_eq!(seen.fuel, fuel);
+    assert_eq!(seen.fuel, Some(inst.fuel_used()));
 }
 
 // ------------------------------------------------- the stack limit (bugfix)
@@ -510,20 +502,14 @@ fn stack_limit_bounds_locals_as_well_as_operands() {
     mb.export_func(f, "main");
     let m = mb.build().unwrap();
 
-    for &tier in ALL_TIERS {
-        let limits = Limits::default();
-        let mut inst = instance(&m, tier, limits);
-        let idle = inst.footprint_bytes();
-        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(0)], u64::MAX);
-        assert_eq!(
-            seen.result,
-            Err(common::kind(Trap::StackExhausted)),
-            "{tier:?}"
-        );
-        // The slab never outgrew the limit (plus the frame records).
-        let grown = inst.footprint_bytes() - idle;
-        assert!(grown <= limits.max_stack * 8 + 4096, "slab grew {grown} B");
-    }
+    let limits = Limits::default();
+    let mut inst = instance(&m, limits);
+    let idle = inst.footprint_bytes();
+    let seen = common::agree(&m, &mut inst, "main", &[Value::I32(0)], u64::MAX);
+    assert_eq!(seen.result, Err(common::kind(Trap::StackExhausted)));
+    // The slab never outgrew the limit (plus the frame records).
+    let grown = inst.footprint_bytes() - idle;
+    assert!(grown <= limits.max_stack * 8 + 4096, "slab grew {grown} B");
 }
 
 #[test]
@@ -548,7 +534,7 @@ fn each_limit_stops_runaway_recursion_on_its_own() {
             max_stack: huge,
         },
     ] {
-        let mut inst = instance(&m, Tier::Optimized, limits);
+        let mut inst = instance(&m, limits);
         inst.invoke_export("main", &[Value::I32(0)]).unwrap();
         assert_eq!(
             inst.run(&mut NullHost, u64::MAX),
@@ -634,30 +620,15 @@ fn miri_lowered_ops_are_sixteen_bytes() {
 
 // ------------------------------------------ range tests and rotated loops
 
-/// `main(args)` on each tier, translated once per tier: for every input,
-/// `expect(args)`, and what the reference does, fuel included.
+/// `main(args)`, translated once: for every input, `expect(args)`, and what
+/// the reference does, fuel included.
 fn assert_each_returns(m: &Module, inputs: &[[i32; 2]], expect: impl Fn([i32; 2]) -> i32) {
-    let modules: Vec<_> = ALL_TIERS
-        .iter()
-        .map(|&tier| (tier, Arc::new(translate(m, tier).expect("translate"))))
-        .collect();
+    let cm = Arc::new(translate(m, Tier::Optimized).expect("translate"));
     for &args in inputs {
-        let mut fuel = None;
-        for (tier, cm) in &modules {
-            let config = EngineConfig {
-                tier: *tier,
-                ..Default::default()
-            };
-            let mut inst = Instance::new(Arc::clone(cm), config).expect("instantiate");
-            let seen = common::agree(m, &mut inst, "main", &args.map(Value::I32), u64::MAX);
-            let at = format!("{tier:?} main{args:?}");
-            assert_eq!(seen.result, Ok(Some(expect(args) as u32 as u64)), "{at}");
-            assert_eq!(
-                *fuel.get_or_insert(inst.fuel_used()),
-                inst.fuel_used(),
-                "{at}"
-            );
-        }
+        let mut inst = Instance::new(Arc::clone(&cm), EngineConfig::default()).unwrap();
+        let seen = common::agree(m, &mut inst, "main", &args.map(Value::I32), u64::MAX);
+        let want = Some(expect(args) as u32 as u64);
+        assert_eq!(seen.result, Ok(want), "main{args:?}");
     }
 }
 
@@ -820,9 +791,9 @@ fn loops_native([n, m]: [i32; 2]) -> i32 {
 }
 
 /// Rotated loops run zero, one and many times, with local and constant
-/// bounds, and mean what they meant: the result and the fuel of both tiers
-/// match native Rust; and a pause at every point of a small run (the latch
-/// now charges the head's units too) changes neither.
+/// bounds, and mean what they meant: the result matches native Rust and
+/// the fuel the reference's; and a pause at every point of a small run
+/// (the latch now charges the head's units too) changes neither.
 #[test]
 fn miri_rotated_loops_match_native_and_survive_a_pause_at_every_point() {
     let inputs = [
@@ -838,29 +809,23 @@ fn miri_rotated_loops_match_native_and_survive_a_pause_at_every_point() {
 
     let m = Arc::new(translate(&loops_main(), Tier::Optimized).unwrap());
     let args = [Value::I32(2), Value::I32(2)];
-    let run_at = |tier: Tier, quantum: u64| {
-        let config = EngineConfig {
-            tier,
-            ..Default::default()
-        };
-        let mut inst = Instance::new(Arc::clone(&m), config).unwrap();
+    let run_at = |quantum: u64| {
+        let mut inst = Instance::new(Arc::clone(&m), EngineConfig::default()).unwrap();
         inst.invoke_export("main", &args).unwrap();
         loop {
             match inst.run(&mut NullHost, quantum) {
                 StepResult::Complete(v) => return (v, inst.fuel_used()),
                 StepResult::OutOfFuel => continue,
-                other => panic!("{tier:?} quantum {quantum}: {other:?}"),
+                other => panic!("quantum {quantum}: {other:?}"),
             }
         }
     };
-    let whole = run_at(Tier::Optimized, u64::MAX);
+    let whole = run_at(u64::MAX);
     assert_eq!(whole.0, Some(loops_native([2, 2]) as u32 as u64));
     let seen = common::reference(&loops_main(), "main", &args, &mut common::NoHost);
     assert_eq!((seen.result, seen.fuel), (Ok(whole.0), Some(whole.1)));
-    for tier in ALL_TIERS {
-        for quantum in 1..=whole.1 {
-            assert_eq!(run_at(*tier, quantum), whole, "{tier:?} quantum {quantum}");
-        }
+    for quantum in 1..=whole.1 {
+        assert_eq!(run_at(quantum), whole, "quantum {quantum}");
     }
 }
 
@@ -1061,26 +1026,18 @@ fn random_programs_match_native_whole_chopped_and_preempted() {
         prog.iter().for_each(|s| s.run(&mut native));
         let expect = (native.x ^ native.y.wrapping_mul(31)) as u32 as u64;
 
-        let mut fuel = None;
         let args = [Value::I32(x), Value::I32(y)];
         let reference = common::reference(&m, "main", &args, &mut common::NoHost);
-        for &tier in ALL_TIERS {
-            for quantum in [u64::MAX, 1, 2, 3, 7, 64] {
-                let mut inst = instance(&m, tier, Limits::default());
-                inst.invoke_export("main", &args).unwrap();
-                let got = run_chopped(&mut inst, quantum, rng);
-                let at = format!("{tier:?} quantum {quantum}: {prog:?}");
-                assert_eq!(got, Some(expect), "{at}");
-                let seen = common::Outcome::engine(&inst, Ok(got));
-                assert_eq!(seen, reference, "engine vs reference, {at}");
-                let image = inst.memory().read_bytes(0, 65536).unwrap();
-                assert!(image == &native.mem[..], "memory image differs, {at}");
-                assert_eq!(
-                    *fuel.get_or_insert(inst.fuel_used()),
-                    inst.fuel_used(),
-                    "{at}"
-                );
-            }
+        for quantum in [u64::MAX, 1, 2, 3, 7, 64] {
+            let mut inst = instance(&m, Limits::default());
+            inst.invoke_export("main", &args).unwrap();
+            let got = run_chopped(&mut inst, quantum, rng);
+            let at = format!("quantum {quantum}: {prog:?}");
+            assert_eq!(got, Some(expect), "{at}");
+            let image = inst.memory().read_bytes(0, 65536).unwrap();
+            assert!(image == &native.mem[..], "memory image differs, {at}");
+            let seen = common::Outcome::engine(&inst, Ok(got));
+            assert_eq!(seen, reference, "engine vs reference, {at}");
         }
     });
 }

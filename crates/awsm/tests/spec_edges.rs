@@ -1,8 +1,8 @@
 //! First slice of the spec-edge corpus (ROADMAP 5a): the MVP corners where
 //! from-scratch runtimes diverge, each checked against *native Rust
 //! semantics* — an oracle that shares no code with the engine — after a trip
-//! through encode → decode → validate → translate, on every tier, and on the
-//! reference interpreter, which must end every run as the engine does.
+//! through encode → decode → validate → translate, and on the reference
+//! interpreter, which must end every run as the engine does.
 //!
 //! Covered here: `div`/`rem` by zero and `MIN / -1`; shift and rotate count
 //! masking; trapping float→int conversions; NaN and signed-zero results of
@@ -23,8 +23,6 @@ use sledge_wasm::types::{FuncType, Limits, MemoryType, TableType, ValType};
 use std::sync::Arc;
 use Instr::*;
 use ValType::{F32, F64, I32, I64};
-
-use common::ALL_TIERS as ALL;
 
 /// `main(params) -> result` with body `body`, a 1..=2-page memory whose last
 /// 16 bytes are `TAIL`, shipped through the binary format and back.
@@ -58,13 +56,9 @@ const TAIL: [u8; 16] = [
     0x80, 0x91, 0xa2, 0xb3, 0xc4, 0xd5, 0xe6, 0xf7, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff,
 ];
 
-fn instance(m: &Module, tier: Tier) -> Instance {
-    let cm = Arc::new(translate(m, tier).expect("translates"));
-    let config = EngineConfig {
-        tier,
-        ..Default::default()
-    };
-    Instance::new(cm, config).expect("instantiates")
+fn instance(m: &Module) -> Instance {
+    let cm = Arc::new(translate(m, Tier::Optimized).expect("translates"));
+    Instance::new(cm, EngineConfig::default()).expect("instantiates")
 }
 
 /// One call of `main` on an existing instance.
@@ -75,8 +69,8 @@ fn call(inst: &mut Instance, args: &[Value]) -> Result<u64, Trap> {
     }
 }
 
-fn run_on(m: &Module, args: &[Value], tier: Tier) -> (Result<u64, Trap>, Instance) {
-    let mut inst = instance(m, tier);
+fn run_on(m: &Module, args: &[Value]) -> (Result<u64, Trap>, Instance) {
+    let mut inst = instance(m);
     let got = call(&mut inst, args);
     common::same_as_reference(m, &inst, "main", args, got.map(Some));
     (got, inst)
@@ -97,15 +91,9 @@ fn call_both(inst: &mut Instance, r: &mut Machine, args: &[Value]) -> Result<u64
     got
 }
 
-/// `main(args)` yields `expect` (a slot value or a trap) on every config.
+/// `main(args)` yields `expect` (a slot value or a trap).
 fn expect_all(what: &str, m: &Module, args: &[Value], expect: Result<u64, Trap>) {
-    for &config in ALL {
-        assert_eq!(
-            run_on(m, args, config).0,
-            expect,
-            "{what} {args:?} on {config:?}"
-        );
-    }
+    assert_eq!(run_on(m, args).0, expect, "{what} {args:?}");
 }
 
 // ------------------------------------------------------------- integer ops
@@ -358,26 +346,20 @@ fn min_and_max_propagate_nan_and_order_signed_zeros() {
         for a in xs {
             for b in xs {
                 let want = minimum(a, b, max);
-                for &config in ALL {
-                    let got = run_on(&m64, &[Value::F64(a), Value::F64(b)], config)
-                        .0
-                        .unwrap();
-                    let got = f64::from_bits(got);
-                    assert!(
-                        (got.is_nan() && want.is_nan()) || got.to_bits() == want.to_bits(),
-                        "{op64:?}({a}, {b}) = {got}, want {want} on {config:?}"
-                    );
-                    let (a, b) = (a as f32, b as f32);
-                    let want = minimum(a as f64, b as f64, max) as f32;
-                    let got = run_on(&m32, &[Value::F32(a), Value::F32(b)], config)
-                        .0
-                        .unwrap();
-                    let got = f32::from_bits(got as u32);
-                    assert!(
-                        (got.is_nan() && want.is_nan()) || got.to_bits() == want.to_bits(),
-                        "{op32:?}({a}, {b}) = {got}, want {want} on {config:?}"
-                    );
-                }
+                let got = run_on(&m64, &[Value::F64(a), Value::F64(b)]).0.unwrap();
+                let got = f64::from_bits(got);
+                assert!(
+                    (got.is_nan() && want.is_nan()) || got.to_bits() == want.to_bits(),
+                    "{op64:?}({a}, {b}) = {got}, want {want}"
+                );
+                let (a, b) = (a as f32, b as f32);
+                let want = minimum(a as f64, b as f64, max) as f32;
+                let got = run_on(&m32, &[Value::F32(a), Value::F32(b)]).0.unwrap();
+                let got = f32::from_bits(got as u32);
+                assert!(
+                    (got.is_nan() && want.is_nan()) || got.to_bits() == want.to_bits(),
+                    "{op32:?}({a}, {b}) = {got}, want {want}"
+                );
             }
         }
     }
@@ -429,15 +411,9 @@ fn every_load_at_the_last_in_bounds_and_first_out_of_bounds_byte() {
             let what = format!("{:?}", load(MemArg::offset(offset)));
             let at = |addr: u32| [Value::I32(addr.wrapping_sub(offset) as i32)];
             expect_all(&what, &m, &at(last), Ok(want));
-            for &config in ALL {
-                for addr in [last + 1, PAGE, u32::MAX] {
-                    let got = run_on(&m, &at(addr), config).0;
-                    assert_eq!(
-                        got,
-                        Err(Trap::OutOfBounds),
-                        "{what} at {addr} on {config:?}"
-                    );
-                }
+            for addr in [last + 1, PAGE, u32::MAX] {
+                let got = run_on(&m, &at(addr)).0;
+                assert_eq!(got, Err(Trap::OutOfBounds), "{what} at {addr}");
             }
         }
         // `address + offset` is a 33-bit sum: it must not wrap into bounds.
@@ -446,14 +422,8 @@ fn every_load_at_the_last_in_bounds_and_first_out_of_bounds_byte() {
             ty,
             vec![LocalGet(0), load(MemArg::offset(u32::MAX))],
         );
-        for &config in ALL {
-            let got = run_on(&m, &[Value::I32(2)], config).0;
-            assert_eq!(
-                got,
-                Err(Trap::OutOfBounds),
-                "wrapping effective address on {config:?}"
-            );
-        }
+        let got = run_on(&m, &[Value::I32(2)]).0;
+        assert_eq!(got, Err(Trap::OutOfBounds), "wrapping effective address");
     }
 }
 
@@ -488,31 +458,23 @@ fn every_store_at_the_last_in_bounds_and_first_out_of_bounds_byte() {
         let m = module(&[I32, ty], I32, body);
         let what = format!("{:?}", store(MemArg::offset(1)));
         let last = PAGE - w as u32;
-        for &config in ALL {
-            let (got, inst) = run_on(&m, &[Value::I32(last as i32 - 1), value], config);
-            assert_eq!(got, Ok(1), "{what} on {config:?}");
-            // Exactly the low `w` bytes landed, and nothing before them.
-            let mut want = TAIL.to_vec();
-            want[16 - w..].copy_from_slice(&V.to_le_bytes()[..w]);
-            assert_eq!(
-                inst.memory().read_bytes(PAGE - 16, 16).unwrap(),
-                &want[..],
-                "{what}"
-            );
-        }
-        for &config in ALL {
-            let (got, inst) = run_on(&m, &[Value::I32(last as i32), value], config);
-            assert_eq!(
-                got,
-                Err(Trap::OutOfBounds),
-                "{what} one past, on {config:?}"
-            );
-            assert_eq!(
-                inst.memory().read_bytes(PAGE - 16, 16).unwrap(),
-                &TAIL[..],
-                "{what}"
-            );
-        }
+        let (got, inst) = run_on(&m, &[Value::I32(last as i32 - 1), value]);
+        assert_eq!(got, Ok(1), "{what}");
+        // Exactly the low `w` bytes landed, and nothing before them.
+        let mut want = TAIL.to_vec();
+        want[16 - w..].copy_from_slice(&V.to_le_bytes()[..w]);
+        assert_eq!(
+            inst.memory().read_bytes(PAGE - 16, 16).unwrap(),
+            &want[..],
+            "{what}"
+        );
+        let (got, inst) = run_on(&m, &[Value::I32(last as i32), value]);
+        assert_eq!(got, Err(Trap::OutOfBounds), "{what} one past");
+        assert_eq!(
+            inst.memory().read_bytes(PAGE - 16, 16).unwrap(),
+            &TAIL[..],
+            "{what}"
+        );
     }
 }
 
@@ -560,17 +522,15 @@ fn every_width_at_every_byte_straddling_the_end_of_memory() {
                     let at = true_ea as usize;
                     after[at..at + w].copy_from_slice(&V.to_le_bytes()[..w]);
                 }
-                for &tier in ALL {
-                    let args = [Value::I32(addr as i32)];
-                    assert_eq!(run_on(&lm, &args, tier).0, want, "load {what} on {tier:?}");
-                    let (got, inst) = run_on(&sm, &args, tier);
-                    assert_eq!(got.is_ok(), fits, "store {what} on {tier:?}");
-                    assert_eq!(
-                        inst.memory().read_bytes(PAGE - 32, 32).unwrap(),
-                        &after[PAGE as usize - 32..],
-                        "store {what} on {tier:?}"
-                    );
-                }
+                let args = [Value::I32(addr as i32)];
+                assert_eq!(run_on(&lm, &args).0, want, "load {what}");
+                let (got, inst) = run_on(&sm, &args);
+                assert_eq!(got.is_ok(), fits, "store {what}");
+                assert_eq!(
+                    inst.memory().read_bytes(PAGE - 32, 32).unwrap(),
+                    &after[PAGE as usize - 32..],
+                    "store {what}"
+                );
             }
         }
     }
@@ -594,41 +554,27 @@ fn the_limit_moves_with_grow_and_back_with_reset() {
     // Inside the second page: out of bounds until the memory grows.
     let addr = Value::I32(PAGE as i32 + 8);
     let (stay, grow) = ([Value::I32(0), addr], [Value::I32(1), addr]);
-    for &tier in ALL {
-        let mut inst = instance(&m, tier);
-        let policy = inst.module().reset_policy("main");
-        // A reset instance is a fresh one: so is the reference's.
-        let reset = |inst: &mut Instance| {
-            inst.reset_with(policy)
-                .expect("idle or dead instances reset");
-            Machine::new(&m).expect("instantiates")
-        };
-        let mut r = Machine::new(&m).expect("instantiates");
-        assert_eq!(
-            call_both(&mut inst, &mut r, &stay),
-            Err(Trap::OutOfBounds),
-            "{tier:?}"
-        );
-        r = reset(&mut inst);
-        // Grown: in bounds, and fresh pages read zero.
-        assert_eq!(call_both(&mut inst, &mut r, &grow), Ok(0), "{tier:?}");
-        assert_eq!(
-            call_both(&mut inst, &mut r, &stay),
-            Ok(u64::MAX),
-            "{tier:?}"
-        );
-        // Reset: back to one page, so the address traps again ...
-        r = reset(&mut inst);
-        assert_eq!(inst.memory().pages(), 1, "{tier:?}");
-        assert_eq!(
-            call_both(&mut inst, &mut r, &stay),
-            Err(Trap::OutOfBounds),
-            "{tier:?}"
-        );
-        // ... and growing again never shows the previous invocation's bytes.
-        r = reset(&mut inst);
-        assert_eq!(call_both(&mut inst, &mut r, &grow), Ok(0), "{tier:?}");
-    }
+    let mut inst = instance(&m);
+    let policy = inst.module().reset_policy("main");
+    // A reset instance is a fresh one: so is the reference's.
+    let reset = |inst: &mut Instance| {
+        inst.reset_with(policy)
+            .expect("idle or dead instances reset");
+        Machine::new(&m).expect("instantiates")
+    };
+    let mut r = Machine::new(&m).expect("instantiates");
+    assert_eq!(call_both(&mut inst, &mut r, &stay), Err(Trap::OutOfBounds));
+    r = reset(&mut inst);
+    // Grown: in bounds, and fresh pages read zero.
+    assert_eq!(call_both(&mut inst, &mut r, &grow), Ok(0));
+    assert_eq!(call_both(&mut inst, &mut r, &stay), Ok(u64::MAX));
+    // Reset: back to one page, so the address traps again ...
+    r = reset(&mut inst);
+    assert_eq!(inst.memory().pages(), 1);
+    assert_eq!(call_both(&mut inst, &mut r, &stay), Err(Trap::OutOfBounds));
+    // ... and growing again never shows the previous invocation's bytes.
+    r = reset(&mut inst);
+    assert_eq!(call_both(&mut inst, &mut r, &grow), Ok(0));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! White-box tests of the AoT translator: control-flow resolution, dead
-//! code, imports, and one translation whatever the tier. Programs that run
-//! are checked against the reference interpreter. What the lowering folds
+//! code and imports. Programs that run are checked against the reference
+//! interpreter. What the lowering folds
 //! is checked on the lowered body, in `lower.rs`'s unit tests.
 
 mod common;
@@ -37,21 +37,12 @@ fn fusion_respects_loop_head_barriers() {
         ret(Some(local(x))),
     ]);
     let m = module_of(f);
-    // Correctness is the real check: run both tiers and compare.
+    // Correctness is the real check: run it, and on the reference.
     use awsm::{EngineConfig, Instance, Value};
-    for tier in [Tier::Optimized, Tier::Naive] {
-        let cm = std::sync::Arc::new(translate(&m, tier).unwrap());
-        let mut inst = Instance::new(
-            cm,
-            EngineConfig {
-                tier,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(0)], u64::MAX);
-        assert_eq!(seen.result, Ok(Some(160)), "{tier:?}"); // 5 -> 10 -> ... -> 160
-    }
+    let cm = std::sync::Arc::new(translate(&m, Tier::Optimized).unwrap());
+    let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
+    let seen = common::agree(&m, &mut inst, "main", &[Value::I32(0)], u64::MAX);
+    assert_eq!(seen.result, Ok(Some(160))); // 5 -> 10 -> ... -> 160
 }
 
 #[test]
@@ -66,10 +57,6 @@ fn code_size_reporting_is_sane() {
     let cm = translate(&m, Tier::Optimized).unwrap();
     let size = cm.code_size_bytes();
     assert!(size > 0 && size < 16 * 1024, "size = {size}");
-    // The tier does not change the translation.
-    let naive = translate(&m, Tier::Naive).unwrap();
-    assert_eq!(cm.funcs[0].code, naive.funcs[0].code);
-    assert_eq!(naive.code_size_bytes(), size);
 }
 
 #[test]
@@ -145,19 +132,10 @@ fn statically_dead_code_is_skipped_without_miscompiling() {
     );
     m.exports.push(Export::func("main", f));
     use awsm::{EngineConfig, Instance};
-    for tier in [Tier::Optimized, Tier::Naive] {
-        let cm = std::sync::Arc::new(translate(&m, tier).unwrap());
-        let mut inst = Instance::new(
-            cm,
-            EngineConfig {
-                tier,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let seen = common::agree(&m, &mut inst, "main", &[], u64::MAX);
-        assert_eq!(seen.result, Ok(Some(7)), "{tier:?}");
-    }
+    let cm = std::sync::Arc::new(translate(&m, Tier::Optimized).unwrap());
+    let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
+    let seen = common::agree(&m, &mut inst, "main", &[], u64::MAX);
+    assert_eq!(seen.result, Ok(Some(7)));
 }
 
 #[test]
@@ -188,28 +166,10 @@ fn if_with_unreachable_then_arm_reaches_else() {
     );
     m.exports.push(Export::func("main", f));
     use awsm::{EngineConfig, Instance, Value};
-    for tier in [Tier::Optimized, Tier::Naive] {
-        let cm = std::sync::Arc::new(translate(&m, tier).unwrap());
-        let mut inst = Instance::new(
-            cm,
-            EngineConfig {
-                tier,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(1)], u64::MAX);
-        assert_eq!(seen.result, Ok(Some(10)), "{tier:?} taken");
-        let cm = std::sync::Arc::new(translate(&m, tier).unwrap());
-        let mut inst = Instance::new(
-            cm,
-            EngineConfig {
-                tier,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(0)], u64::MAX);
-        assert_eq!(seen.result, Ok(Some(20)), "{tier:?} not taken");
+    let cm = std::sync::Arc::new(translate(&m, Tier::Optimized).unwrap());
+    for (arg, want) in [(1, 10), (0, 20)] {
+        let mut inst = Instance::new(std::sync::Arc::clone(&cm), EngineConfig::default()).unwrap();
+        let seen = common::agree(&m, &mut inst, "main", &[Value::I32(arg)], u64::MAX);
+        assert_eq!(seen.result, Ok(Some(want)), "main({arg})");
     }
 }

@@ -102,14 +102,15 @@ import math, statistics, subprocess, sys
 work, k, rounds, iters, ref_rev, head_rev, classify = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]), sys.argv[5], sys.argv[6], sys.argv[7]
 
 def block(path):
-    """(start, end, crosses) of the optimized `run`'s dispatch block: the
-    instantiation whose block is a loop head, as `dispatch_block` prints it."""
-    out = subprocess.run([classify, path], capture_output=True, text=True, check=True).stdout
-    for line in out.splitlines():
-        _, start, end, head, fits = line.split()
-        if head == "loop-head":
-            return int(start, 16), int(end, 16), fits == "crosses"
-    raise SystemExit(f"{path}: no dispatch loop head")
+    """(start, end, crosses) of the dispatch loop's block, as `dispatch_block`
+    prints it. A revision from before the one-executor change also holds the
+    naive tier's `run`, which is no loop head: the classifier then still
+    prints the loop's block but exits 1, which does not matter here."""
+    out = subprocess.run([classify, path], capture_output=True, text=True).stdout.split()
+    if len(out) != 4:
+        raise SystemExit(f"{path}: no single dispatch loop head in {out}")
+    _, start, end, fits = out
+    return int(start, 16), int(end, 16), fits == "crosses"
 
 runs = {}
 for line in open(f"{work}/runs.tsv"):
@@ -127,7 +128,7 @@ def sign_p(wins, n):
 print(f"# Layout-sampled engine pairs: table2_exec `sledge avg` per run, ms")
 print(f"# ref = {ref_rev}, head = {head_rev}; K = {k} link seeds "
       f"(--shuffle-sections=.text*=<seed>), R = {rounds} interleaved rounds, --iters {iters}")
-print("# dispatch block of the optimized `awsm::exec::run` per layout (start..end, one line or crossing):")
+print("# dispatch block of the dispatch loop in `awsm::exec::run` per layout (start..end, one line or crossing):")
 crosses = {}
 for side in ("ref", "head"):
     row = []

@@ -6,20 +6,22 @@
 //! The dispatch block — load the opcode, range-check it, step `ip`, load
 //! `a b c`, read the jump table, `jmp *reg` — runs once per guest op, and
 //! where it straddles a 64-byte line every guest runs about 20 % slower.
-//! For each instantiation of `awsm::exec::run` in `<binary>` (found with
+//! In each instantiation of `awsm::exec::run` in `<binary>` (found with
 //! `nm`, disassembled with `objdump`, x86-64 only) this finds the
-//! straight-line block that ends in its first indirect jump and prints one
-//! line:
+//! straight-line block that ends in its first indirect jump; where a
+//! backward branch targets it, it is the dispatch loop's head, which the
+//! workspace's `-align-loops=64` places, and this prints one line:
 //!
 //! ```text
-//! <run start> <block start> <block end> <loop-head|no-loop-head> <one-line|crosses>
+//! <run start> <block start> <block end> <one-line|crosses>
 //! ```
 //!
-//! addresses in hex, the end exclusive. `loop-head` marks the block a
-//! backward branch targets: the dispatch loop's head, which the workspace's
-//! `-align-loops=64` places (the naive tier's block follows its per-op
-//! charge instead). `crates/bench/tests/binaries.rs` and
-//! `crates/bench/layout_pairs.sh` both read this output.
+//! addresses in hex, the end exclusive. The engine has one executor, so it
+//! then exits 1 unless the binary holds exactly one instantiation of `run`
+//! and that one dispatches at a loop head: a second instantiation would be
+//! a second copy of the dispatch loop, placed by nothing.
+//! `crates/bench/tests/binaries.rs` and `crates/bench/layout_pairs.sh` both
+//! read this output.
 
 use std::process::Command;
 
@@ -51,9 +53,8 @@ fn main() {
             Some((hex(f.next()?)?, hex(f.next()?)?))
         })
         .collect();
-    assert!(!runs.is_empty(), "no awsm::exec::run in {binary}");
-
-    for (start, size) in runs {
+    let mut heads = 0;
+    for &(start, size) in &runs {
         let args = [
             "-d".to_string(),
             "--no-show-raw-insn".into(),
@@ -90,21 +91,26 @@ fn main() {
             .filter(|&to| to <= insns[jmp].0)
             .max()
             .unwrap_or(start);
-        let loop_head = branches
+        if !branches
             .iter()
-            .any(|&(from, to)| to == block && from > block);
-        println!(
-            "{start:#x} {block:#x} {end:#x} {} {}",
-            if loop_head {
-                "loop-head"
-            } else {
-                "no-loop-head"
-            },
-            if block / 64 == (end - 1) / 64 {
-                "one-line"
-            } else {
-                "crosses"
-            }
+            .any(|&(from, to)| to == block && from > block)
+        {
+            continue;
+        }
+        heads += 1;
+        let fits = if block / 64 == (end - 1) / 64 {
+            "one-line"
+        } else {
+            "crosses"
+        };
+        println!("{start:#x} {block:#x} {end:#x} {fits}");
+    }
+    if (runs.len(), heads) != (1, 1) {
+        eprintln!(
+            "{binary}: {} instantiations of awsm::exec::run, {heads} dispatching at a loop head; \
+             the engine has one executor",
+            runs.len()
         );
+        std::process::exit(1);
     }
 }

@@ -1,25 +1,16 @@
-//! Figure 5 + Table 1: PolyBench/C execution time across Wasm runtime
-//! configurations, normalized to native.
+//! Figure 5 + Table 1: PolyBench/C execution time of the one engine
+//! (Sledge+aWsm), normalized to native.
 //!
-//! Paper configs → this reproduction (see DESIGN.md §4):
-//!   Sledge+aWsm        → Optimized tier (LLVM class)
-//!   Wasmer/Lucet-class → Naive tier (Cranelift class)
-//!
-//! Every configuration traps on out-of-bounds accesses; the paper's
-//! guard-page, explicit-check and MPX variants are one semantics here, so
-//! they are not separate rows (EXPERIMENTS.md, Figure 5).
+//! The paper's other runtimes (Wasmer, Lucet, WAVM, Node.js) have no
+//! stand-in here, and its guard-page, explicit-check and MPX variants are
+//! one trapping semantics, so neither are separate rows (EXPERIMENTS.md,
+//! Figure 5).
 //!
 //! Usage: `fig5_polybench [--iters N] [--kernels a,b,c]`
 
-use awsm::Tier;
 use sledge_apps::polybench::{kernels, Kernel, PreparedKernel};
 use sledge_bench::{geomean, mean, preempt_latencies, stddev};
 use std::time::Instant;
-
-const CONFIGS: &[(&str, Tier)] = &[
-    ("Sledge+aWsm", Tier::Optimized),
-    ("naive (Cranelift-class)", Tier::Naive),
-];
 
 fn time_native(k: &Kernel, iters: u32) -> f64 {
     // Warm up once; then best-effort mean over iters.
@@ -33,10 +24,10 @@ fn time_native(k: &Kernel, iters: u32) -> f64 {
     per
 }
 
-fn time_guest(k: &Kernel, tier: Tier, iters: u32) -> f64 {
+fn time_guest(k: &Kernel, iters: u32) -> f64 {
     // Translate once (the paper's AoT step is off the measured path), then
     // time instantiation + execution per iteration.
-    let prepared = PreparedKernel::new(k, tier);
+    let prepared = PreparedKernel::new(k);
     let mut sink = prepared.run(); // warm-up
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -77,24 +68,15 @@ fn main() {
 
     println!("# Figure 5: PolyBench/C normalized (vs native) execution time");
     println!("# {} kernels, {} iterations each", ks.len(), iters);
-    print!("{:<16} {:>10}", "kernel", "native");
-    for (name, _) in CONFIGS {
-        print!(" {:>28}", name);
-    }
-    println!();
+    println!("{:<16} {:>10} {:>28}", "kernel", "native", "Sledge+aWsm");
 
-    // slowdowns[config][kernel] = guest/native.
-    let mut slowdowns: Vec<Vec<f64>> = vec![Vec::new(); CONFIGS.len()];
+    // Per kernel: guest / native.
+    let mut slowdowns = Vec::new();
     for k in &ks {
         let native = time_native(k, iters);
-        print!("{:<16} {:>9.1}µs", k.name, native * 1e6);
-        for (ci, (_, tier)) in CONFIGS.iter().enumerate() {
-            let guest = time_guest(k, *tier, iters);
-            let ratio = guest / native;
-            slowdowns[ci].push(ratio);
-            print!(" {:>27.2}x", ratio);
-        }
-        println!();
+        let ratio = time_guest(k, iters) / native;
+        slowdowns.push(ratio);
+        println!("{:<16} {:>9.1}µs {:>27.2}x", k.name, native * 1e6, ratio);
     }
 
     println!();
@@ -103,21 +85,17 @@ fn main() {
         "{:<30} {:>14} {:>14} {:>10}",
         "runtime", "Slowdown(AM)", "Slowdown(GM)", "SD"
     );
-    for (ci, (name, _)) in CONFIGS.iter().enumerate() {
-        let pct: Vec<f64> = slowdowns[ci].iter().map(|r| (r - 1.0) * 100.0).collect();
-        let ratios = &slowdowns[ci];
-        println!(
-            "{:<30} {:>13.1}% {:>13.1}% {:>10.2}",
-            name,
-            mean(&pct),
-            (geomean(ratios) - 1.0) * 100.0,
-            stddev(&pct)
-        );
-    }
+    let pct: Vec<f64> = slowdowns.iter().map(|r| (r - 1.0) * 100.0).collect();
+    println!(
+        "{:<30} {:>13.1}% {:>13.1}% {:>10.2}",
+        "Sledge+aWsm",
+        mean(&pct),
+        (geomean(&slowdowns) - 1.0) * 100.0,
+        stddev(&pct)
+    );
     println!();
     println!("# Paper (x86_64): aWsm 13.4% AM / 9.9% GM; bounds-chk 62.7%/38.4%;");
     println!("#   mpx 75.1%/51.6%; Wasmer 149.8%/101.6%; WAVM 28.1%/20.5%.");
-    println!("# Expected shape: optimized << naive.");
 
     // Cost-model addendum: the preemption-latency certificate each kernel
     // was registered with, against what a live preemption actually costs.
@@ -128,7 +106,7 @@ fn main() {
         "kernel", "gap(units)", "checks", "splits", "max preempt"
     );
     for k in &ks {
-        let prepared = PreparedKernel::new(k, Tier::Optimized);
+        let prepared = PreparedKernel::new(k);
         let cost = &prepared.module().analysis.cost;
         let lats = preempt_latencies(&prepared, 5);
         let max = lats.iter().max().copied().unwrap_or_default();

@@ -29,7 +29,6 @@
 //! `--calibrate` prints only the cost-rate table (units/µs per kernel and
 //! the suggested `cost_units_per_us` setting).
 
-use awsm::Tier;
 use sledge_apps::polybench::{kernels, Kernel, PreparedKernel};
 use sledge_bench::{calibrate_kernel, preempt_latencies, LatencyStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,8 +36,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deterministic slice measurement, no second thread involved: grant each
-/// `run()` call exactly `fuel_per_slice` units. Charges are prepaid at
-/// budget checks, so one call executes at most `fuel_per_slice` units of
+/// `run()` call exactly `fuel_per_slice` units. Charges are paid in advance
+/// at budget checks, so one call executes at most `fuel_per_slice` units of
 /// guest work before returning — each call's duration is one observed
 /// check-free slice, with no OS scheduling in the measurement path.
 ///
@@ -177,7 +176,7 @@ fn main() {
     let mut rates = Vec::new();
     let mut worst_ratio: f64 = 0.0;
     for k in &ks {
-        let prepared = PreparedKernel::new(k, Tier::Optimized);
+        let prepared = PreparedKernel::new(k);
         let cost = &prepared.module().analysis.cost;
         let (exec, units) = calibrate_kernel(&prepared);
         let rate = units as f64 / (exec.as_nanos() as f64 / 1e3).max(1.0);

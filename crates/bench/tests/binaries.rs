@@ -19,6 +19,26 @@ fn table3_churn_runs_to_completion() {
     assert!(stdout.contains("# warm pool: "), "{stdout}");
 }
 
+/// `preemption_latency` prepares a PolyBench kernel, times its check-free
+/// slices against the certified gap and preempts it from a second thread;
+/// one preemption is enough for its table.
+#[test]
+fn preemption_latency_runs_to_completion() {
+    let args = ["--kernels", "gemm", "--preemptions", "1"];
+    let stdout = run_ok(env!("CARGO_BIN_EXE_preemption_latency"), &args);
+    assert!(stdout.lines().any(|l| l.starts_with("gemm ")), "{stdout}");
+}
+
+/// `footprint` translates and instantiates every app and reports its sizes.
+#[test]
+fn footprint_runs_to_completion() {
+    let stdout = run_ok(env!("CARGO_BIN_EXE_footprint"), &[]);
+    assert!(
+        stdout.lines().any(|l| l.starts_with("cifar10 ")),
+        "{stdout}"
+    );
+}
+
 /// `ring` drives echo load directly, through a router over one node and
 /// over three, reads each node's report, and exits non-zero if the router
 /// lost a request or the ring put every route on one node.
@@ -100,8 +120,8 @@ fn table2_exec_runs_to_completion() {
     );
 }
 
-/// `fig5_polybench` times PolyBench kernels on both tiers, then preempts
-/// them against their certified gaps.
+/// `fig5_polybench` times PolyBench kernels on the engine and natively,
+/// then preempts them against their certified gaps.
 #[test]
 fn fig5_polybench_runs_to_completion() {
     let args = ["--iters", "1", "--kernels", "gemm,atax"];
@@ -116,10 +136,12 @@ fn fig5_polybench_runs_to_completion() {
 /// to put `awsm::exec::run`; the workspace's `.cargo/config.toml` aligns
 /// loop heads to 64 bytes so that it never does. This reads the release
 /// `table2_exec` (built by `cargo build --release`, and refused if any
-/// source it was built from is newer), has `dispatch_block` find each
-/// instantiation of `run`'s block, and asserts that the dispatch loop's
-/// head block starts and ends in one line. (The naive tier's block follows
-/// its per-op charge, not a loop head.) The disassembly is x86-64 only.
+/// source it was built from is newer), has `dispatch_block` find `run`'s
+/// block, and asserts that the binary holds exactly one instantiation of
+/// `run` (`dispatch_block` exits 1 otherwise), whose block is the dispatch
+/// loop's head and starts and ends in one line. A second instantiation
+/// would be a second dispatch loop that nothing places. The disassembly is
+/// x86-64 only.
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn dispatch_block_sits_in_one_cache_line() {
@@ -152,23 +174,13 @@ fn dispatch_block_sits_in_one_cache_line() {
     let path = bin.display().to_string();
     let stdout = run_ok(env!("CARGO_BIN_EXE_dispatch_block"), &[&path]);
     print!("{stdout}");
-    let mut heads = 0;
-    for line in stdout.lines() {
-        let f: Vec<&str> = line.split_whitespace().collect();
-        let [run, block, end, head, fits] = f[..] else {
-            panic!("dispatch_block printed {line:?}");
-        };
-        if head == "loop-head" {
-            heads += 1;
-            assert_eq!(
-                fits, "one-line",
-                "the dispatch block {block}..{end} of run at {run} crosses a 64-byte line: \
-                 was {path} built without the workspace's rustflags (RUSTFLAGS set)?"
-            );
-        }
-    }
-    assert!(
-        heads > 0,
-        "no instantiation of run dispatches at a loop head"
+    let fields: Vec<&str> = stdout.split_whitespace().collect();
+    let [run, block, end, fits] = fields[..] else {
+        panic!("dispatch_block printed {stdout:?}, not one loop-head block");
+    };
+    assert_eq!(
+        fits, "one-line",
+        "the dispatch block {block}..{end} of run at {run} crosses a 64-byte line: \
+         was {path} built without the workspace's rustflags (RUSTFLAGS set)?"
     );
 }

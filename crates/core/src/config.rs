@@ -43,7 +43,9 @@ pub struct RuntimeConfig {
     /// access traps. Nothing reads it; it stays only for callers that
     /// copy it into an [`awsm::EngineConfig`].
     pub bounds: BoundsStrategy,
-    /// Engine tier.
+    /// Always [`Tier::Optimized`]: the engine has one executor. Nothing
+    /// reads it; it stays only for callers that copy it into an
+    /// [`awsm::EngineConfig`] (ROADMAP 36).
     pub tier: Tier,
     /// Default per-invocation execution deadline. A sandbox whose wall-clock
     /// age exceeds this when it would be (re)scheduled is killed with
@@ -276,7 +278,6 @@ impl RuntimeConfig {
     ///   "workers": 15,
     ///   "quantum_us": 5000,
     ///   "max_pending": 8192,
-    ///   "tier": "aot-opt",
     ///   "modules": [ {"name": "echo", "route": "/echo", "entry": "main"} ]
     /// }
     /// ```
@@ -351,14 +352,12 @@ impl RuntimeConfig {
                         ConfigError::Schema("max_request_size must be an int".into())
                     })? as usize;
                 }
+                // One executor runs every guest.
                 "tier" => {
-                    cfg.tier = match v.as_str() {
-                        Some("aot-opt") => Tier::Optimized,
-                        Some("aot-naive") => Tier::Naive,
-                        other => {
-                            return Err(ConfigError::Schema(format!("unknown tier {other:?}")))
-                        }
-                    };
+                    return Err(ConfigError::Schema(
+                        "config key \"tier\" is gone: the engine has one executor (ROADMAP 36)"
+                            .into(),
+                    ))
                 }
                 "deadline_ms" => {
                     cfg.deadline = Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
@@ -539,12 +538,12 @@ pub(crate) fn parse_function(m: &Json) -> Result<FunctionConfig, ConfigError> {
                 f.allowed_hostcalls = Some(allowed);
             }
             // The analysis bounds no store address, so no footprint can be
-            // capped; a per-function page limit (ROADMAP item 18(a)) is the
+            // capped; a per-function page limit (ROADMAP item 35(a)) is the
             // memory policy a deployment can state.
             "max_write_footprint_bytes" => {
                 return Err(ConfigError::Schema(
                     "module key \"max_write_footprint_bytes\" is gone: the effect certificate \
-                     bounds no store address; cap memory per function instead (ROADMAP 18(a))"
+                     bounds no store address; cap memory per function instead (ROADMAP 35(a))"
                         .into(),
                 ))
             }
@@ -578,7 +577,6 @@ mod tests {
             "cost_units_per_us": 20,
             "max_pending": 64,
             "max_request_size": 1048576,
-            "tier": "aot-naive",
             "modules": [
                 {"name": "echo"},
                 {"name": "ekf", "route": "/gps", "entry": "run"}
@@ -590,7 +588,6 @@ mod tests {
         assert_eq!(cfg.cost_units_per_us, 20);
         assert_eq!(cfg.dispatch_fuel(), 100_000);
         assert_eq!(cfg.max_pending, 64);
-        assert_eq!(cfg.tier, Tier::Naive);
         assert_eq!(funcs.len(), 2);
         assert_eq!(funcs[0].http_route(), "/echo");
         assert_eq!(funcs[1].http_route(), "/gps");
@@ -614,6 +611,16 @@ mod tests {
             let err = RuntimeConfig::from_json(&text).unwrap_err();
             assert!(
                 matches!(err, ConfigError::Schema(ref s) if s.contains("\"bounds\"")),
+                "{value}: {err:?}"
+            );
+        }
+        // One executor: the old tier key is an error whatever it holds.
+        for value in [r#""aot-opt""#, r#""aot-naive""#, "true", "null"] {
+            let text = format!(r#"{{"tier": {value}}}"#);
+            let err = RuntimeConfig::from_json(&text).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::Schema(ref s)
+                    if s.contains("\"tier\"") && s.contains("ROADMAP 36")),
                 "{value}: {err:?}"
             );
         }
@@ -813,7 +820,7 @@ mod tests {
             let err = RuntimeConfig::from_json(&text).unwrap_err();
             assert!(
                 matches!(err, ConfigError::Schema(ref s)
-                    if s.contains("\"max_write_footprint_bytes\"") && s.contains("18(a)")),
+                    if s.contains("\"max_write_footprint_bytes\"") && s.contains("35(a)")),
                 "{text}: {err:?}"
             );
         }

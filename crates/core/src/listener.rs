@@ -221,10 +221,7 @@ fn admit(
             bucket.true_up(charge, 0, shared.now_ns());
         }
     };
-    let engine = EngineConfig {
-        tier: shared.config.tier,
-        ..Default::default()
-    };
+    let engine = EngineConfig::default();
     // The µs-level function startup path: allocate + start.
     let mut sandbox = match Sandbox::new(Arc::clone(&rf), engine, body, responder, shared.epoch) {
         Ok(s) => s,

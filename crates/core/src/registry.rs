@@ -185,11 +185,11 @@ impl Error for RegisterError {}
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Binary<'a> {
     /// A `.wasm` module: decoded, validated and translated under the
-    /// registry's tier and check-gap budget.
+    /// registry's check-gap budget.
     Wasm(&'a [u8]),
     /// A compiled artifact (`POST /admin/modules`), decoded and analysed by
-    /// [`awsm::decode_artifact`]; its bodies fix its tier and its check-gap
-    /// budget, and the node derives every certificate itself.
+    /// [`awsm::decode_artifact`]; its bodies fix its check-gap budget, and
+    /// the node derives every certificate itself.
     Artifact(&'a [u8]),
 }
 
@@ -199,8 +199,6 @@ pub(crate) enum Binary<'a> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ModuleKey<'a> {
     binary: Binary<'a>,
-    /// The registry's tier, fixed for its life.
-    tier: Tier,
     /// The registry's translate options, fixed for its life.
     options: TranslateOptions,
 }
@@ -225,7 +223,8 @@ impl<'a> ModuleKey<'a> {
             Binary::Wasm(bytes) => {
                 let module =
                     sledge_wasm::decode::decode_module(bytes).map_err(RegisterError::Decode)?;
-                translate_with(&module, self.tier, self.options).map_err(RegisterError::Translate)
+                translate_with(&module, Tier::Optimized, self.options)
+                    .map_err(RegisterError::Translate)
             }
             Binary::Artifact(bytes) => {
                 awsm::decode_artifact(bytes).map_err(RegisterError::Artifact)
@@ -249,8 +248,6 @@ pub(crate) struct Registry {
     wasm_modules: Shelf,
     /// The module store for artifact bytes.
     artifact_modules: Shelf,
-    /// Execution tier every `.wasm` is translated for.
-    tier: Tier,
     /// Worst-case guest stack budget enforced at registration; `None`
     /// disables the check.
     stack_budget: Option<u64>,
@@ -274,8 +271,8 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    /// An empty registry that translates for `config.tier`, enforces
-    /// `config.max_stack_bytes` and `config.max_check_gap`, gives every
+    /// An empty registry that enforces `config.max_stack_bytes` and
+    /// `config.max_check_gap` (translating for the latter), gives every
     /// function a pool of `config.pool_size`, sizes work budgets with
     /// `config.cost_units_per_us` and reserves the routes the node answers
     /// under `config.admin_routes`, for its whole life.
@@ -286,7 +283,6 @@ impl Registry {
             by_route: HashMap::new(),
             wasm_modules: Shelf::new(),
             artifact_modules: Shelf::new(),
-            tier: config.tier,
             stack_budget: config.max_stack_bytes,
             check_gap: config.max_check_gap,
             pool_capacity: config.pool_size,
@@ -315,7 +311,6 @@ impl Registry {
         self.check_free(config)?;
         let key = ModuleKey {
             binary,
-            tier: self.tier,
             options: TranslateOptions {
                 max_check_gap: self.check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
             },

@@ -38,7 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "workers": 4,
             "quantum_us": 5000,
             "max_pending": 4096,
-            "tier": "aot-opt",
             "modules": [
                 {"name": "ping"}, {"name": "echo"}, {"name": "gps_ekf"},
                 {"name": "gocr"}, {"name": "cifar10"}, {"name": "resize"},

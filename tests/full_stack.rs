@@ -235,7 +235,8 @@ fn deleted_names_stay_deleted() {
     // Each design that replaced another deleted the old one's names; none
     // may come back under any of them. The first two groups are checked in
     // Rust sources, the rest in every file under `crates/`; removed config
-    // keys everywhere there but in the parser that rejects them.
+    // keys everywhere there but in the parser that rejects them, and removed
+    // values everywhere but in the tests that check they are refused.
     const RUST_ONLY: &[&str] = &[
         // One memory semantics: every out-of-bounds access traps.
         "GuardRegion",
@@ -260,6 +261,12 @@ fn deleted_names_stay_deleted() {
         "LoadL",
         "last_op_fusable",
         "set_barrier",
+        // One executor, checked against the reference interpreter: no naive
+        // tier, no per-op charge and no second tier to run suites on.
+        "Tier::Naive",
+        "ALL_TIERS",
+        "run_guest_all_configs",
+        "prepaid",
     ];
     const EVERY_FILE: &[&str] = &[
         // One listener: the epoll reactor, with no backend switch.
@@ -346,7 +353,14 @@ fn deleted_names_stay_deleted() {
         "metrics_routes",
         "quantum_fuel",
     ];
+    // Removed config values and flags, which only the tests that check
+    // they are refused may name.
+    const REFUSED_VALUES: &[&str] = &["aot-naive"];
     let parser = std::path::Path::new("crates/core/src/config.rs");
+    let refusers = [
+        parser,
+        std::path::Path::new("crates/awsm/tests/analysis.rs"),
+    ];
     let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")];
     let mut found = Vec::new();
     while let Some(dir) = dirs.pop() {
@@ -361,10 +375,13 @@ fn deleted_names_stay_deleted() {
             let text = String::from_utf8_lossy(&std::fs::read(&path).unwrap()).into_owned();
             let rust = path.extension().is_some_and(|e| e == "rs");
             let keys = REJECTED_KEYS.iter().filter(|_| !path.ends_with(parser));
+            let refuses = refusers.iter().any(|r| path.ends_with(r));
+            let values = REFUSED_VALUES.iter().filter(|_| !refuses);
             let names = EVERY_FILE
                 .iter()
                 .chain(RUST_ONLY.iter().filter(|_| rust))
-                .chain(keys);
+                .chain(keys)
+                .chain(values);
             for name in names.filter(|n| text.contains(**n)) {
                 found.push(format!("{}: {name}", path.display()));
             }
