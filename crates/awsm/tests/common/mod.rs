@@ -134,16 +134,14 @@ pub fn any_i32(rng: &mut Rng) -> i32 {
 
 /// FNV-1a over the instance's whole linear memory.
 pub fn fnv_memory_hash(inst: &Instance) -> u64 {
+    fnv(memory(inst))
+}
+
+/// The instance's whole linear memory.
+fn memory(inst: &Instance) -> &[u8] {
     let mem = inst.memory();
-    let bytes = mem
-        .read_bytes(0, mem.size_bytes() as u32)
-        .expect("full-memory read");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    mem.read_bytes(0, mem.size_bytes() as u32)
+        .expect("full-memory read")
 }
 
 /// Run `main` to completion: (result, full-memory hash, fuel used).
@@ -205,10 +203,7 @@ pub struct Outcome {
 impl Outcome {
     /// What the engine's `inst` shows after a run that ended in `result`.
     pub fn engine(inst: &Instance, result: Result<Option<u64>, awsm::Trap>) -> Outcome {
-        let mem = inst.memory();
-        let bytes = mem
-            .read_bytes(0, mem.size_bytes() as u32)
-            .expect("all of it");
+        let bytes = memory(inst);
         Outcome {
             fuel: result.is_ok().then(|| inst.fuel_used()),
             result: result.map_err(kind),
