@@ -12,16 +12,9 @@ use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
 
-fn run(m: &Module, tier: Tier, args: &[Value]) -> Result<Option<u64>, Trap> {
-    let cm = Arc::new(translate(m, tier).expect("translate"));
-    let mut inst = Instance::new(
-        cm,
-        EngineConfig {
-            tier,
-            ..Default::default()
-        },
-    )
-    .expect("instantiate");
+fn run(m: &Module, args: &[Value]) -> Result<Option<u64>, Trap> {
+    let cm = Arc::new(translate(m, Tier::Optimized).expect("translate"));
+    let mut inst = Instance::new(cm, EngineConfig::default()).expect("instantiate");
     inst.invoke_export("main", args).expect("invoke");
     loop {
         match inst.run(&mut NullHost, u64::MAX) {
@@ -76,7 +69,7 @@ fn call_chain_bound_sums_frames() {
     };
     let frames: u64 = cm.analysis.funcs.iter().map(|f| f.frame_bytes).sum();
     assert_eq!(total, frames, "deepest chain is all three frames");
-    assert_eq!(run(&mb_clone_run(), Tier::Optimized, &[]), Ok(Some(9)));
+    assert_eq!(run(&mb_clone_run(), &[]), Ok(Some(9)));
 
     fn mb_clone_run() -> Module {
         let mut mb = ModuleBuilder::new("chain");
@@ -132,7 +125,6 @@ fn recursion_is_unbounded_with_cycle() {
             mb.export_func(fr, "main");
             mb.build().unwrap()
         },
-        Tier::Optimized,
         &[Value::I32(10)],
     );
     assert_eq!(ran, Ok(Some(55)));
