@@ -661,7 +661,7 @@ fn range_br_if(bound: Option<i32>, lt_first: bool) -> Module {
     raw_main(2, vec![], body)
 }
 
-/// The two-sided range test is one op on the optimized tier (the lowering
+/// The two-sided range test is one lowered op (the lowering
 /// folds `and(ge_s(x, 0), lt_s(x, n))` under a branch): it must mean
 /// exactly `0 <= x < n` for every `x` and `n`, negative, zero and extreme
 /// bounds included, in the slot and the immediate form, under `if` and
@@ -720,7 +720,7 @@ fn miri_range_test_matches_native_in_every_form() {
 
 /// `main(n, m)`: an outer loop to `n` (a local bound) around an inner one
 /// to 3 (a constant bound), then a `while` counting to `m`: each loop's
-/// latch takes over its head's test on the optimized tier.
+/// latch takes over its head's test.
 fn loops_main() -> Module {
     dsl_main(|_, f| {
         let (n, m) = (f.arg(0), f.arg(1));
