@@ -222,11 +222,6 @@ impl Outcome {
             globals: r.globals().to_vec(),
         }
     }
-
-    /// The result value, which the run must have completed with.
-    pub fn value(&self) -> u64 {
-        self.result.expect("completed").expect("a result")
-    }
 }
 
 /// The reference's stand-in for `NullHost`: every host call traps.

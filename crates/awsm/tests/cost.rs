@@ -73,7 +73,7 @@ fn run_metered(
     let cm = Arc::new(translate_with(m, Tier::Optimized, options).unwrap());
     let mut inst = Instance::new(cm, EngineConfig::default()).unwrap();
     let seen = common::agree(m, &mut inst, "main", args, quantum);
-    (Some(seen.value()), inst.fuel_used())
+    (seen.result.expect("completes"), inst.fuel_used())
 }
 
 // ------------------------------------------------ work-meter equivalence

@@ -10,7 +10,7 @@
 //! translator, lowering, executor or numerics, so a bug in any of those
 //! makes the two disagree. Nothing is folded, fused or cached.
 //!
-//! Fuel is priced per executed instruction by [`weight`], one table that
+//! Fuel is priced per executed instruction by `weight`, one table that
 //! restates the engine's cost model (DESIGN §9) instruction by instruction.
 //! The engine charges the same units per check-free segment, in advance, so
 //! the two totals agree on a run that completes; after a trap the engine
@@ -129,9 +129,9 @@ impl Host for Buffers {
 /// and `unreachable`, which emit no op or one that does no work; `if` is a
 /// conditional branch and `else` the jump that ends the `then` arm. The
 /// interpreter adds the `return` a branch to the function's own label, or
-/// the function's final `end`, stands for ([`RETURN`]). `imports` is the
+/// the function's final `end`, stands for (`RETURN`). `imports` is the
 /// number of imported functions: a call to one costs a host call.
-pub fn weight(i: &Instr, imports: u32) -> u32 {
+fn weight(i: &Instr, imports: u32) -> u32 {
     use Instr::*;
     match i {
         Unreachable | Nop | Block(_) | Loop(_) | End | Drop => 0,
@@ -168,7 +168,7 @@ pub fn weight(i: &Instr, imports: u32) -> u32 {
 
 /// The weight of the `return` a branch to the function's label or the
 /// function's final `end` runs.
-pub const RETURN: u32 = 1;
+const RETURN: u32 = 1;
 
 /// One local function: its code, and where its blocks end.
 struct Func<'m> {
