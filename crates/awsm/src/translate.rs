@@ -22,9 +22,11 @@ use std::fmt;
 use std::sync::Arc;
 
 /// The execution tier. There is one: the one executor runs every lowered
-/// body (see DESIGN.md §3). The type, [`EngineConfig::tier`](crate::EngineConfig::tier),
-/// `RuntimeConfig::tier` and [`translate`]'s parameter remain only because
-/// the benchmark harness names them; nothing branches on any of them.
+/// body (see DESIGN.md §3). The type stays, as `BoundsStrategy` did,
+/// because the benchmark harness (`benchmark/src`) names `Tier::Optimized`,
+/// `RuntimeConfig::tier`, [`EngineConfig::tier`](crate::EngineConfig::tier)
+/// and [`translate_with`]'s parameter. Nothing branches on any of them;
+/// they go with the harness half of ROADMAP 36(b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
     /// Fused pairs in one dispatch, fuel charged only at the cost pass's
