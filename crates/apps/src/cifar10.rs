@@ -670,7 +670,7 @@ pub fn sample_input() -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_guest;
+    use crate::testutil::{run_guest, run_guest_every_way};
 
     #[test]
     fn guest_matches_native() {
@@ -680,6 +680,14 @@ mod tests {
         let want = native(&img);
         assert_eq!(got, want);
         assert!(got[0].is_ascii_digit());
+    }
+
+    #[test]
+    fn all_configs_agree() {
+        let m = module();
+        let img = sample_input();
+        let out = run_guest_every_way(&m, &img);
+        assert_eq!(out, native(&img));
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub fn sample_input() -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_guest;
+    use crate::testutil::{run_guest, run_guest_every_way};
 
     #[test]
     fn guest_matches_native_across_sizes() {
@@ -100,5 +100,13 @@ mod tests {
             let out = run_guest(&m, &body);
             assert_eq!(out, native(&body), "len={len}");
         }
+    }
+
+    #[test]
+    fn all_configs_agree_on_10k() {
+        let m = module();
+        let body = payload(10 * 1024);
+        let out = run_guest_every_way(&m, &body);
+        assert_eq!(out, native(&body));
     }
 }

@@ -303,7 +303,7 @@ pub fn sample_input() -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_guest;
+    use crate::testutil::{run_guest, run_guest_every_way};
 
     #[test]
     fn recognizes_clean_text() {
@@ -328,10 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn guest_matches_native_on_a_rendered_line() {
+    fn all_configs_agree() {
         let m = module();
         let req = render(&["ABC 123"], 8);
-        let out = run_guest(&m, &req);
+        let out = run_guest_every_way(&m, &req);
         assert_eq!(out, native(&req));
     }
 

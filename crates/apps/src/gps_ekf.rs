@@ -816,7 +816,7 @@ pub fn sample_input() -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_guest;
+    use crate::testutil::{run_guest, run_guest_every_way};
 
     #[test]
     fn guest_matches_native_bitwise() {
@@ -826,6 +826,14 @@ mod tests {
         let want = native(&input);
         assert_eq!(got.len(), want.len());
         assert_eq!(got, want, "EKF guest and native outputs differ");
+    }
+
+    #[test]
+    fn all_configs_agree() {
+        let m = module();
+        let input = sample_input();
+        let out = run_guest_every_way(&m, &input);
+        assert_eq!(out, native(&input));
     }
 
     #[test]

@@ -496,7 +496,7 @@ pub fn sample_input() -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_guest;
+    use crate::testutil::{run_guest, run_guest_every_way};
 
     #[test]
     fn native_finds_the_plate() {
@@ -531,10 +531,10 @@ mod tests {
     }
 
     #[test]
-    fn guest_matches_native_small() {
+    fn all_configs_agree_small() {
         let m = module();
         let img = synth_scene(80, 60, 20, 20);
-        let out = run_guest(&m, &img);
+        let out = run_guest_every_way(&m, &img);
         assert_eq!(out, native(&img));
     }
 }

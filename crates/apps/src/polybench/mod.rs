@@ -229,6 +229,19 @@ mod tests {
     }
 
     #[test]
+    fn sample_kernels_cross_validate_all_configs() {
+        // A representative subset every way (the full set every way would
+        // be slow in debug builds).
+        for name in ["gemm", "jacobi-2d", "lu", "correlation", "nussinov"] {
+            let k = kernel(name).expect(name);
+            let native = (k.native)();
+            let out = crate::testutil::run_guest_every_way(&(k.build)(), b"");
+            let guest = f64::from_le_bytes(out[..].try_into().expect("8 bytes"));
+            assert_eq!(guest.to_bits(), native.to_bits(), "{name}");
+        }
+    }
+
+    #[test]
     fn kernel_lookup() {
         assert!(kernel("gemm").is_some());
         assert!(kernel("nope").is_none());

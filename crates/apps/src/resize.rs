@@ -175,7 +175,7 @@ pub fn sample_input() -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_guest;
+    use crate::testutil::{run_guest, run_guest_every_way};
 
     #[test]
     fn guest_matches_native() {
@@ -190,10 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn guest_matches_native_small() {
+    fn all_configs_agree_small() {
         let m = module();
         let img = synth_image(32, 24);
-        let out = run_guest(&m, &img);
+        let out = run_guest_every_way(&m, &img);
         assert_eq!(out, native(&img));
     }
 

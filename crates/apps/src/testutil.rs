@@ -94,3 +94,52 @@ pub fn run_guest(module: &Module, body: &[u8]) -> Vec<u8> {
         }
     }
 }
+
+/// Run a guest every way a node may run it and return the response, after
+/// checking that every way agrees: in one fuel grant, in 997-unit grants
+/// (a pause every few hundred ops), again on the same instance after a
+/// recycling reset, and on the reference interpreter (`sledge-reference`,
+/// which shares no code with the engine). Each run must write the same
+/// response and burn the same fuel.
+///
+/// # Panics
+///
+/// Panics on translation errors, guest traps or any disagreement.
+#[cfg(test)]
+pub(crate) fn run_guest_every_way(module: &Module, body: &[u8]) -> Vec<u8> {
+    let cm = Arc::new(translate(module, Tier::Optimized).expect("translate"));
+    let mut inst = Instance::new(cm, EngineConfig::default()).expect("instantiate");
+    let run = |inst: &mut Instance, quantum: u64| {
+        let mut host = BufferHost::new(body);
+        inst.invoke_export("main", &[]).expect("invoke main");
+        loop {
+            match inst.run(&mut host, quantum) {
+                StepResult::Complete(_) => return (host.response, inst.fuel_used()),
+                StepResult::OutOfFuel | StepResult::Preempted | StepResult::Blocked => continue,
+                StepResult::Trapped(t) => panic!("guest trapped: {t}"),
+            }
+        }
+    };
+    let (response, fuel) = run(&mut inst, u64::MAX);
+    inst.reset_from_template().expect("reset");
+    assert_eq!(
+        run(&mut inst, 997),
+        (response.clone(), fuel),
+        "in 997-unit grants"
+    );
+    inst.reset_from_template().expect("reset");
+    assert_eq!(
+        run(&mut inst, u64::MAX),
+        (response.clone(), fuel),
+        "recycled"
+    );
+
+    let mut machine = sledge_reference::Machine::new(module).expect("reference instantiates");
+    let mut buffers = sledge_reference::Buffers::new(body);
+    machine
+        .invoke("main", &[], &mut buffers)
+        .expect("reference completes");
+    assert_eq!(buffers.response, response, "response on the reference");
+    assert_eq!(machine.fuel(), fuel, "fuel on the reference");
+    response
+}

@@ -79,9 +79,11 @@ fn run_metered(
 // ------------------------------------------------ work-meter equivalence
 
 /// The engine's fuel is the reference interpreter's count of the work
-/// the same execution does (`run_metered` compares them).
+/// the same execution does (`run_metered` compares them): the engine's one
+/// tier and one bounds strategy against an executor that shares none of
+/// its translation, lowering or dispatch.
 #[test]
-fn work_module_burns_the_reference_fuel() {
+fn tiers_and_strategies_agree_on_total_fuel() {
     let m = work_module(25);
     let (_, fuel) = run_metered(&m, with_gap(512), &[Value::I32(7)], u64::MAX);
     assert!(fuel > 0);
@@ -276,8 +278,10 @@ impl sledge_reference::Host for PingHost {
     }
 }
 
+/// A host call costs the engine what it costs the reference interpreter,
+/// the other executor the engine's tier is held to.
 #[test]
-fn host_calls_cost_the_same_on_the_reference() {
+fn host_calls_cost_the_same_in_both_tiers() {
     let mut mb = ModuleBuilder::new("hosty");
     mb.memory(1, Some(1));
     let ping = mb.import_func("env", "ping", &[ValType::I32], Some(ValType::I32));
@@ -454,11 +458,12 @@ fn arith_module(e: &Arith, iters: i32) -> Module {
     mb.build().expect("generated module must validate")
 }
 
-/// The engine consumes the fuel the reference counts for the same
-/// execution, and chopping at any quantum neither changes the result nor
-/// the total (`run_metered` compares each run with the reference).
+/// The engine's tier consumes the fuel the reference interpreter counts
+/// for the same execution, and chopping at any quantum neither changes the
+/// result nor the total (`run_metered` compares each run with the
+/// reference).
 #[test]
-fn seeded_programs_burn_the_reference_fuel_at_any_quantum() {
+fn tiers_agree_on_total_fuel() {
     cases(64, 0xF0E1_0001, |rng| {
         let e = Arith::gen(rng, 4);
         let args = [Value::I32(any_i32(rng)), Value::I32(any_i32(rng))];
