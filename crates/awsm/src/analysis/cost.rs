@@ -206,23 +206,6 @@ fn remap_targets(code: &mut [Op], map: &[u32]) {
     }
 }
 
-/// Remove `Op::Fuel` charges, remapping branch targets onto the op that
-/// followed them. Exact inverse of [`instrument`] on instrumented code:
-/// targets only ever point at chunk entries, and a chunk entry's `Fuel`
-/// maps to the chunk's first real op. Every branch target must be in range.
-pub(crate) fn strip_fuel(code: &[Op]) -> Vec<Op> {
-    let mut out: Vec<Op> = Vec::with_capacity(code.len());
-    let mut map = vec![0u32; code.len()];
-    for (pc, op) in code.iter().enumerate() {
-        map[pc] = out.len() as u32;
-        if !matches!(op, Op::Fuel(_)) {
-            out.push(op.clone());
-        }
-    }
-    remap_targets(&mut out, &map);
-    out
-}
-
 /// Instrument one function body: partition into basic blocks, split blocks
 /// over `budget`, insert [`Op::Fuel`] charges, renumber branch targets.
 /// Returns the rewritten body and its certificate (with `name` unset), and
@@ -339,37 +322,4 @@ pub(crate) fn instrument(
         max_host_gap: gap_of(&|c: &Chunk| c.host),
     };
     (out, stats)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::code::{Branch, NumBin};
-
-    #[test]
-    fn strip_fuel_round_trips_instrumentation() {
-        let code = vec![
-            Op::Const(1),
-            Op::Const(2),
-            Op::Bin(NumBin::I32Add),
-            Op::Drop,
-            Op::Br(Branch {
-                target: 0,
-                height: 0,
-                keep: false,
-            }),
-        ];
-        let heights = vec![Some(0), Some(1), Some(2), Some(1), Some(0)];
-        let mut inst_heights = heights.clone();
-        let (inst, fc) = instrument(&code, &mut inst_heights, 4);
-        // Each `Fuel` has the height of the op it heads.
-        let fuel = |op: &Op| matches!(op, Op::Fuel(_));
-        let kept = inst.iter().zip(&inst_heights).filter(|(op, _)| !fuel(op));
-        assert!(kept.map(|(_, h)| *h).eq(heights.iter().copied()));
-        let stripped = strip_fuel(&inst);
-        assert_eq!(stripped, code);
-        let (reinst, fc2) = instrument(&stripped, &mut heights.clone(), 4);
-        assert_eq!(reinst, inst);
-        assert_eq!(fc, fc2);
-    }
 }

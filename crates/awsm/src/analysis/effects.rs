@@ -336,7 +336,7 @@ pub(super) fn lints(
                     else {
                         continue;
                     };
-                    // Saturating: a shipped body's constant may be any u64.
+                    // Saturating: an `i64.const` address may be any u64.
                     let lo = addr.saturating_add(*off as u64);
                     let hi = lo.saturating_add(super::lint::store_len(*kind));
                     if hi <= template_len && !covered(lo, hi) {

@@ -200,8 +200,8 @@ pub(super) fn constant_lints(m: &CompiledModule, arities: &ArityMap, out: &mut V
                     message,
                 })
             };
-            // Pop `n` slots, returning the top one. A shipped body's arity
-            // may be anything, so this never loops over `n`.
+            // Pop `n` slots, returning the top one. An import's arity may
+            // be large, so this never loops over `n`.
             let pop = |stack: &mut Vec<Option<u64>>, n: u32| {
                 let top = stack.last().copied().flatten().filter(|_| n > 0);
                 stack.truncate(stack.len().saturating_sub(n as usize));

@@ -2,11 +2,9 @@
 //! cost and effect certificates, and module linting.
 //!
 //! Everything here runs exactly once per module, over the already-resolved
-//! code of a [`CompiledModule`]: at the end of
-//! [`translate`](crate::translate), and inside
-//! [`decode_artifact`](crate::decode_artifact) over the bodies an artifact
-//! ships — one pipeline, so a node derives every certificate itself. The
-//! result is an [`AnalysisReport`] stored on the module, so every consumer —
+//! code of a [`CompiledModule`], at the end of
+//! [`translate`](crate::translate): a node builds every module it holds
+//! from its `.wasm`, so it derives every certificate itself. The result is an [`AnalysisReport`] stored on the module, so every consumer —
 //! the registry, the CLI, the benchmarks — shares one analysis.
 //!
 //! 1. **Verifier** (`stack`): per-function operand-stack heights, the call
@@ -134,8 +132,8 @@ pub struct AnalysisReport {
 
 impl AnalysisReport {
     /// The report a module holds while [`analyze`] derives its real one.
-    /// Crate-private: `analyze` replaces it before translation or artifact
-    /// decode returns a module, so no module outside the crate carries it.
+    /// Crate-private: `analyze` replaces it before translation returns a
+    /// module, so no module outside the crate carries it.
     pub(crate) fn pending() -> Self {
         AnalysisReport {
             funcs: Vec::new(),
@@ -267,7 +265,7 @@ impl AnalysisReport {
 /// exact per-block fuel charges bounded by `max_check_gap`, attach the
 /// report to the module, and lower the certified bodies to the register
 /// form the executor runs. Called once per module, at the end of
-/// translation or of artifact decode, on a module holding
+/// translation, on a module holding
 /// [`AnalysisReport::pending`], no lowered bodies and no `Op::Fuel`, whose
 /// exports, start function and table entries name functions of the module.
 ///
@@ -277,13 +275,14 @@ impl AnalysisReport {
 /// # Errors
 ///
 /// The first body the operand-height walk or the lowering refuses, by
-/// function. Translation's own output never fails; a shipped body may.
+/// function. Translation's own output never fails; the refusals guard the
+/// executor against a translator bug.
 pub(crate) fn analyze(m: &mut CompiledModule, max_check_gap: u32) -> Result<(), String> {
     let mut diagnostics = Vec::new();
     let mut timings: Vec<(&'static str, Duration)> = Vec::new();
 
-    // Per-function operand heights: every later pass indexes a shipped
-    // body only after this walk has accepted it.
+    // Per-function operand heights: every later pass indexes a body only
+    // after this walk has accepted it.
     let t = Instant::now();
     let arities = stack::arity_map(m);
     let mut heights = stack::check_heights(m, &arities)?;

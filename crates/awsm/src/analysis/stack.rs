@@ -4,9 +4,9 @@
 //!
 //! Heights are a simple forward dataflow over the flat code. Validated Wasm
 //! guarantees every pc has a single well-defined height, so the "join" is
-//! equality; unreachable pcs simply never get one. The walker is fallible
-//! because artifact decode runs it over bodies that arrived from a peer
-//! rather than out of the translator.
+//! equality; unreachable pcs simply never get one. The walker is fallible:
+//! whatever built a body, every later pass and the executor's unchecked
+//! slab indexing rely only on heights it accepted.
 
 use super::cost::for_each_target;
 use super::StackBound;
@@ -19,8 +19,8 @@ const FRAME_RECORD_BYTES: u64 = 16;
 /// Arity of a canonical type id: `(nparams, has_result)`.
 pub(crate) type ArityMap = HashMap<u32, (u32, bool)>;
 
-/// The module's arity map. Built once per translation and once per artifact
-/// decode, and passed to every pass that needs it.
+/// The module's arity map. Built once per translation and passed to every
+/// pass that needs it.
 pub(crate) fn arity_map(m: &CompiledModule) -> ArityMap {
     let mut map = ArityMap::new();
     for f in &m.funcs {
@@ -379,5 +379,68 @@ impl CallGraph {
             }
         }
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sledge_guestc::{dsl::*, FuncBuilder, ModuleBuilder};
+    use sledge_wasm::types::ValType;
+
+    /// Whatever built a body, the walker refuses one that would index past
+    /// a frame, a function table or the body itself, or pop what is not
+    /// there; every later pass and the executor rely on that.
+    #[test]
+    fn hostile_bodies_are_refused_by_the_height_walker() {
+        let mut mb = ModuleBuilder::new("walk");
+        let poke = mb.import_func("env", "poke", &[ValType::I32], None);
+        let mut f = FuncBuilder::new(&[ValType::I32], Some(ValType::I32));
+        let x = f.arg(0);
+        f.extend([
+            exec(call(poke, vec![local(x)])),
+            ret(Some(add(local(x), i32c(1)))),
+        ]);
+        let main = mb.add_func("main", f);
+        mb.export_func(main, "main");
+        let module = mb.build().unwrap();
+        let build = || crate::translate(&module, crate::Tier::Optimized).unwrap();
+        let honest = build();
+        // The body opens with its fuel charge, then `local.get 0`.
+        assert!(matches!(
+            honest.funcs[0].code[..2],
+            [Op::Fuel(_), Op::LocalGet(0)]
+        ));
+
+        // (what is edited, what the walker must say)
+        type Edit = fn(&mut CompiledModule);
+        let edits: [(Edit, &str); 5] = [
+            (|m| m.funcs[0].code.insert(1, Op::Drop), "operand underflow"),
+            (
+                |m| {
+                    drop(
+                        m.funcs[0]
+                            .code
+                            .splice(1..1, [Op::LocalGet(1 << 20), Op::Drop]),
+                    )
+                },
+                "local index out of range",
+            ),
+            (
+                |m| m.funcs[0].code.insert(1, Op::Call(99)),
+                "unknown function",
+            ),
+            (|m| m.funcs[0].code.truncate(2), "past the end"),
+            // The import claims more arguments than its call sites push.
+            (|m| m.host_funcs[0].nparams = 1000, "operand underflow"),
+        ];
+        let walk = |m: &CompiledModule| heights(m, &m.funcs[0], &arity_map(m));
+        walk(&honest).unwrap();
+        for (edit, why) in edits {
+            let mut m = build();
+            edit(&mut m);
+            let err = walk(&m).unwrap_err();
+            assert!(err.contains(why), "{err} (wanted: {why})");
+        }
     }
 }

@@ -9,8 +9,7 @@ use std::sync::Arc;
 /// The engine's four fieldless op enums as name lists, handed to a callback
 /// macro as `$args.. [docs Type: names..]..`. [`op_enums`] declares the enums
 /// from it; the executor generates one flat dispatch arm per name from the
-/// same list, so the two cannot drift apart. Declaration order is the
-/// artifact's discriminant.
+/// same list, so the two cannot drift apart.
 macro_rules! op_lists {
     ($with:ident $($args:tt)*) => { $with! { $($args)*
         [/// Width/signedness of a load, after type resolution.
@@ -80,7 +79,7 @@ pub struct BrTablePayload {
 
 /// One flat stack instruction, one per Wasm instruction the translator
 /// keeps. Structured control has been resolved to direct jumps. This is the
-/// form the analyses certify and artifacts ship; what runs is the register
+/// form the analyses certify; what runs is the register
 /// form derived from it (`lower.rs`), where operands fold into the ops that
 /// read them.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,11 +195,12 @@ pub struct CompiledModule {
     /// certificates, lints), computed once at translation.
     pub analysis: crate::analysis::AnalysisReport,
     /// The register-form bodies the executor runs, derived from `funcs` once
-    /// (end of analysis, or of artifact decode) and never serialized. Only
-    /// [`crate::translate_with`] and [`crate::decode_artifact`] build a
-    /// module, and each lowers and checks every body first: every module
-    /// can run.
+    /// at the end of analysis. Only [`crate::translate_with`] builds a
+    /// module, and it lowers and checks every body first: every module can
+    /// run.
     pub(crate) lowered: crate::lower::Lowered,
+    /// The module's `.wasm`, encoded once by [`crate::translate_with`].
+    pub(crate) wasm: Arc<[u8]>,
 }
 
 impl CompiledModule {

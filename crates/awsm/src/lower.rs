@@ -2,7 +2,7 @@
 //! (DESIGN.md §3 has the long version).
 //!
 //! A function's stack body ([`CompiledFunc::code`]) is what the analyses
-//! certify and the artifact ships; it is never executed. This pass derives
+//! certify; it is never executed. This pass derives
 //! from it, once per module, a three-address body over one *frame*:
 //! `[params | locals | operand slots]`. Operand heights are static, so the
 //! value at stack height `h` lives in slot `nlocals + h` — once it is
@@ -221,8 +221,8 @@ pub(crate) struct HostSig {
     pub type_id: u32,
 }
 
-/// A module's executable form: built once at the end of analysis (or of
-/// artifact decode), never serialized. The empty default is what a module
+/// A module's executable form: built once at the end of analysis, never
+/// serialized. The empty default is what a module
 /// holds only while it is being built.
 #[derive(Debug, Default)]
 pub(crate) struct Lowered {
@@ -796,10 +796,9 @@ fn lower_func(
 /// [`max_loop_gap`](FuncCost::max_loop_gap) (so within its `max_gap`
 /// too). A call ends its segment, so a latch never calls the host and its
 /// merged charge leaves `max_host_gap` true as well. The certificate is
-/// computed on the stack body, and a node admits a module, an artifact
-/// built under another budget included, by that certificate alone: a
-/// merged charge past it would be a check-free path longer than the node's
-/// budget.
+/// computed on the stack body, and a node admits a module by that
+/// certificate alone: a merged charge past it would be a check-free path
+/// the certificate does not cover.
 fn rotate_loops(ops: &mut [LOp], tables: &[Box<[u32]>], loop_gap: u32) {
     let mut target = vec![false; ops.len() + 1];
     for op in ops.iter().filter(|op| is_jump(op.code)) {

@@ -35,6 +35,11 @@ pub enum Tier {
     Optimized,
 }
 
+/// The most entries a module's table may declare. The table is allocated
+/// whole at translation, so a declared size is refused before it becomes a
+/// multi-gigabyte allocation.
+const MAX_TABLE_ENTRIES: u32 = 1 << 20;
+
 /// Error produced by [`translate`].
 #[derive(Debug)]
 pub enum TranslateError {
@@ -186,6 +191,12 @@ pub fn translate_with(
     }
 
     let mut table: Vec<Option<u32>> = match m.table() {
+        Some(t) if t.limits.min > MAX_TABLE_ENTRIES => {
+            return Err(TranslateError::Unsupported(format!(
+                "table of {} entries (at most {MAX_TABLE_ENTRIES})",
+                t.limits.min
+            )))
+        }
         Some(t) => vec![None; t.limits.min as usize],
         None => Vec::new(),
     };
@@ -250,6 +261,7 @@ pub fn translate_with(
         name: m.name.clone(),
         analysis: crate::analysis::AnalysisReport::pending(),
         lowered: Default::default(),
+        wasm: sledge_wasm::encode::encode_module(m).into(),
     };
     // Static analysis runs once here, at load time: stack-bound
     // verification, lints, the effect certificate, the cost-model

@@ -60,9 +60,10 @@ pub enum Trap {
     OutOfBounds,
     /// Integer division or remainder by zero.
     DivByZero,
-    /// `i32::MIN / -1`-style overflow.
+    /// `i32::MIN / -1`-style overflow, and a float-to-int conversion whose
+    /// truncation lies outside the target range.
     IntOverflow,
-    /// Float-to-int conversion of NaN or out-of-range value.
+    /// Float-to-int conversion of NaN.
     InvalidConversion,
     /// `call_indirect` to a null table entry.
     UndefinedElement,
@@ -189,55 +190,55 @@ pub(crate) fn wasm_fmax32(x: f32, y: f32) -> f32 {
     }
 }
 
-/// Checked float → integer truncation per the Wasm spec: traps on NaN and on
-/// values whose truncation is unrepresentable.
+/// Checked float → integer truncation per the Wasm spec. NaN fails every
+/// range check; [`conversion_trap`] tells it from an out-of-range value.
 #[inline(always)]
 pub(crate) fn trunc_to_i32(x: f64) -> Result<i32, Trap> {
-    if x.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
     let t = x.trunc();
     if !(-2147483648.0..=2147483647.0).contains(&t) {
-        return Err(Trap::InvalidConversion);
+        return Err(conversion_trap(x));
     }
     Ok(t as i32)
 }
 
 #[inline(always)]
 pub(crate) fn trunc_to_u32(x: f64) -> Result<u32, Trap> {
-    if x.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
     let t = x.trunc();
     if !(0.0..=4294967295.0).contains(&t) {
-        return Err(Trap::InvalidConversion);
+        return Err(conversion_trap(x));
     }
     Ok(t as u32)
 }
 
 #[inline(always)]
 pub(crate) fn trunc_to_i64(x: f64) -> Result<i64, Trap> {
-    if x.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
     let t = x.trunc();
     // 2^63 is exactly representable; anything >= it is out of range.
     if !(-9223372036854775808.0..9223372036854775808.0).contains(&t) {
-        return Err(Trap::InvalidConversion);
+        return Err(conversion_trap(x));
     }
     Ok(t as i64)
 }
 
 #[inline(always)]
 pub(crate) fn trunc_to_u64(x: f64) -> Result<u64, Trap> {
-    if x.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
     let t = x.trunc();
     if !(0.0..18446744073709551616.0).contains(&t) {
-        return Err(Trap::InvalidConversion);
+        return Err(conversion_trap(x));
     }
     Ok(t as u64)
+}
+
+/// The trap of a float → integer conversion that failed its range check:
+/// an invalid conversion for NaN, integer overflow for any other value.
+#[cold]
+#[inline(never)]
+fn conversion_trap(x: f64) -> Trap {
+    if x.is_nan() {
+        Trap::InvalidConversion
+    } else {
+        Trap::IntOverflow
+    }
 }
 
 #[cfg(test)]
@@ -265,10 +266,10 @@ mod tests {
     #[test]
     fn trunc_bounds() {
         assert_eq!(trunc_to_i32(2147483647.9).unwrap(), 2147483647);
-        assert!(trunc_to_i32(2147483648.0).is_err());
+        assert_eq!(trunc_to_i32(2147483648.0), Err(Trap::IntOverflow));
         assert_eq!(trunc_to_i32(-2147483648.9).unwrap(), -2147483648);
         assert!(trunc_to_i32(-2147483649.0).is_err());
-        assert!(trunc_to_i32(f64::NAN).is_err());
+        assert_eq!(trunc_to_i32(f64::NAN), Err(Trap::InvalidConversion));
         assert!(trunc_to_u32(-0.9).is_ok());
         assert!(trunc_to_u32(-1.0).is_err());
         assert!(trunc_to_i64(9.3e18).is_err());

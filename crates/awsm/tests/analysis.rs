@@ -7,7 +7,7 @@ use awsm::{
 };
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder, Stmt};
-use sledge_testkit::{cases, Rng};
+use sledge_testkit::cases;
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::sync::Arc;
@@ -430,56 +430,7 @@ fn analyzer_sweep_over_the_catalogue_passes() {
     }
 }
 
-// --------------------------------------------- artifact decode on peer bytes
-
-/// FNV-1a 64, the artifact's payload checksum: what a peer that edits an
-/// artifact recomputes so the edit reaches the parser.
-fn sealed(mut artifact: Vec<u8>) -> Vec<u8> {
-    let sum = artifact[16..]
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-    artifact[8..16].copy_from_slice(&sum.to_le_bytes());
-    artifact
-}
-
-/// Rewrite one operand of `op`: an index or offset to a small or a wild
-/// value, a constant to any value, or a branch's target (within a body of
-/// `len` ops), kept height or carried value.
-fn rewrite_operand(op: &mut awsm::Op, len: usize, rng: &mut Rng) {
-    use awsm::code::Branch;
-    use awsm::Op;
-    let v = if rng.flip() {
-        rng.range(0, 8) as u32
-    } else {
-        rng.next_u64() as u32
-    };
-    let branch = |b: &mut Branch, rng: &mut Rng| match rng.index(0, 3) {
-        0 => b.target = rng.index(0, len) as u32,
-        1 => b.height = v,
-        _ => b.keep = !b.keep,
-    };
-    match op {
-        Op::Br(b) | Op::BrIf(b) | Op::BrIfZ(b) => branch(b, rng),
-        Op::BrTable(p) => {
-            let i = rng.index(0, p.targets.len() + 1);
-            branch(p.targets.get_mut(i).unwrap_or(&mut p.default), rng)
-        }
-        Op::Call(i)
-        | Op::CallHost(i)
-        | Op::CallIndirect(i)
-        | Op::LocalGet(i)
-        | Op::LocalSet(i)
-        | Op::LocalTee(i)
-        | Op::GlobalGet(i)
-        | Op::GlobalSet(i)
-        | Op::Load(_, i)
-        | Op::Store(_, i) => *i = v,
-        Op::Const(c) => *c = rng.next_u64(),
-        _ => {}
-    }
-}
+// ----------------------------------------------- the front end on hostile bytes
 
 /// A store to a constant address before any load, in a module whose data
 /// segment gives it a memory template.
@@ -543,63 +494,64 @@ fn wasm_front_end_is_total_on_mutated_modules() {
     }
 }
 
-/// Artifact decode runs the whole analysis on bytes from the network, so it
-/// must be total: over every catalogue artifact, a flipped payload bit, a
-/// rewritten op operand (both with the checksum fixed up) and a truncation
-/// each decode to `Ok` or `Err`, never a panic.
+/// What a node is pushed goes through the one front end — decode,
+/// validation, translation and the whole analysis — so it must be total:
+/// over every catalogue `.wasm`, every truncation and seeded single-bit
+/// flips decode to `Ok` or `Err`, never a panic, and so do fixed edits the
+/// mutations rarely reach.
 #[test]
 fn artifact_decode_is_total_on_peer_bytes() {
+    use sledge_wasm::instr::Instr;
+    use sledge_wasm::module::{ConstExpr, ElementSegment};
+    use sledge_wasm::types::Limits;
     let guests = catalogue();
 
-    // Fixed cases, each an edit the byte-level mutations rarely reach: a
-    // table entry past the functions (the call graph indexes by it), a
-    // frame the analysis would have to allocate 2^32 locals for, a wild
-    // constant store address in a module with a memory template, and an
-    // import whose arity an indirect call of its type would overflow.
-    type Edit = fn(&mut awsm::CompiledModule);
-    let fixed: [(&Module, Edit); 4] = [
-        (&guests[0].1, |m| {
-            m.table.push(Some(m.num_imports() + m.funcs.len() as u32))
-        }),
-        (&guests[0].1, |m| {
-            let f = &mut m.funcs[0];
-            (f.nparams, f.nlocals) = (u32::MAX, u32::MAX);
-        }),
-        (&scratch_store(), |m| {
-            let code = &mut m.funcs[0].code;
-            let at = code.iter().position(|op| matches!(op, awsm::Op::Const(16)));
-            code[at.expect("the store's address constant")] = awsm::Op::Const(u64::MAX);
-        }),
-        (&indirect_poke(), |m| m.host_funcs[0].nparams = u32::MAX),
+    // Fixed cases, each refused: a table entry past the functions (the
+    // call graph indexes by it), and a table of 2^32 - 1 entries, which
+    // translation would allocate whole.
+    type Edit = fn(&mut Module);
+    let refused: [Edit; 2] = [
+        |m| {
+            let past = (m.imports.len() + m.functions.len()) as u32;
+            m.elements.push(ElementSegment {
+                offset: ConstExpr::I32(0),
+                funcs: vec![past],
+            });
+        },
+        |m| {
+            m.tables[0].limits = Limits {
+                min: u32::MAX,
+                max: None,
+            }
+        },
     ];
-    for (module, edit) in fixed {
-        let mut m = translate(module, Tier::Optimized).unwrap();
-        edit(&mut m);
-        let _ = decode_artifact(&encode_artifact(&m));
+    for edit in refused {
+        let mut module = indirect_poke();
+        edit(&mut module);
+        let bytes = sledge_wasm::encode::encode_module(&module);
+        assert!(decode_artifact(&bytes).is_err(), "{module:?}");
     }
+    // A wild constant store address in a module with a memory template
+    // builds or is refused; either way without a panic.
+    let mut wild = scratch_store();
+    for f in &mut wild.code {
+        for i in &mut f.instrs {
+            if *i == Instr::I32Const(16) {
+                *i = Instr::I32Const(-1);
+            }
+        }
+    }
+    let _ = decode_artifact(&sledge_wasm::encode::encode_module(&wild));
 
     for (i, (_, module)) in guests.iter().enumerate() {
         let honest = encode_artifact(&translate(module, Tier::Optimized).unwrap());
-        cases(24, 0xA27F_AC75 + i as u64, |rng| {
-            let peer = match rng.index(0, 3) {
-                0 => {
-                    let mut bytes = honest.clone();
-                    let at = rng.index(16, bytes.len());
-                    bytes[at] ^= 1 << rng.index(0, 8);
-                    sealed(bytes)
-                }
-                1 => {
-                    let mut m = decode_artifact(&honest).expect("honest artifact decodes");
-                    let f = rng.index(0, m.funcs.len());
-                    let code = &mut m.funcs[f].code;
-                    let pc = rng.index(0, code.len());
-                    let len = code.len();
-                    rewrite_operand(&mut code[pc], len, rng);
-                    encode_artifact(&m)
-                }
-                _ => sealed(honest[..rng.index(16, honest.len())].to_vec()),
-            };
-            let _ = decode_artifact(&peer);
+        for keep in 0..honest.len() {
+            let _ = decode_artifact(&honest[..keep]);
+        }
+        cases(64, 0xA27F_AC75 + i as u64, |rng| {
+            let mut bytes = honest.clone();
+            bytes[rng.index(0, honest.len())] ^= 1 << rng.index(0, 8);
+            let _ = decode_artifact(&bytes);
         });
     }
 }

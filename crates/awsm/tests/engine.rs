@@ -448,6 +448,10 @@ fn arithmetic_traps() {
     );
     assert_eq!(
         single(&m, "conv", &[Value::F64(1e300)]),
+        Err(Trap::IntOverflow)
+    );
+    assert_eq!(
+        single(&m, "conv", &[Value::F64(f64::NAN)]),
         Err(Trap::InvalidConversion)
     );
     assert_eq!(single(&m, "die", &[]), Err(Trap::Unreachable));

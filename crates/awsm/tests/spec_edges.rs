@@ -211,12 +211,16 @@ fn constant_operands_take_the_same_edges() {
 
 // --------------------------------------------------------------- float ops
 
-/// Wasm `trunc`: NaN and anything whose truncation falls outside
-/// `[lo, hi)` traps; `lo`/`hi` are exact in f64 for every target type.
+/// Wasm `trunc`: NaN traps as an invalid conversion, and anything whose
+/// truncation falls outside `[lo, hi)` as integer overflow; `lo`/`hi` are
+/// exact in f64 for every target type.
 fn trunc(x: f64, lo: f64, hi: f64) -> Result<f64, Trap> {
-    let t = x.trunc();
-    if x.is_nan() || !(t >= lo && t < hi) {
+    if x.is_nan() {
         return Err(Trap::InvalidConversion);
+    }
+    let t = x.trunc();
+    if !(t >= lo && t < hi) {
+        return Err(Trap::IntOverflow);
     }
     Ok(t)
 }

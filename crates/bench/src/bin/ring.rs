@@ -147,22 +147,18 @@ fn main() {
     let conns = 4usize;
     let fns = 8usize;
     let routes: Vec<String> = (0..fns).map(|i| format!("/echo-{i}")).collect();
-    let artifacts: Vec<(String, Vec<u8>)> = (0..fns)
+    let modules: Vec<(String, Vec<u8>)> = (0..fns)
         .map(|i| {
             let name = format!("echo-{i}");
-            let wasm_module = echo_guest(&name);
-            let compiled = awsm::translate_with(
-                &wasm_module,
-                awsm::Tier::Optimized,
-                awsm::TranslateOptions::default(),
+            (
+                name.clone(),
+                sledge_wasm::encode::encode_module(&echo_guest(&name)),
             )
-            .unwrap();
-            (name, awsm::encode_artifact(&compiled))
         })
         .collect();
     let distribute = |router: &Router| {
-        for (name, artifact) in &artifacts {
-            for push in router.distribute(&format!("{{\"name\": \"{name}\"}}"), artifact) {
+        for (name, wasm) in &modules {
+            for push in router.distribute(&format!("{{\"name\": \"{name}\"}}"), wasm) {
                 push.result.as_ref().unwrap_or_else(|e| {
                     panic!("distribute {name} to {}: {e}", push.node);
                 });

@@ -110,6 +110,28 @@ fn run_ok(bin: &str, args: &[&str]) -> String {
     stdout
 }
 
+/// `fig8_apps` registers every real-world app through the node's module
+/// store and drives each on a node and on the process baseline.
+#[test]
+fn fig8_apps_runs_to_completion() {
+    let stdout = run_ok(env!("CARGO_BIN_EXE_fig8_apps"), &["--requests", "1"]);
+    assert!(
+        stdout.lines().any(|l| l.starts_with("cifar10  |")),
+        "{stdout}"
+    );
+}
+
+/// `fig7_payload` drives the echo guest at every payload size on a node and
+/// on the process baseline.
+#[test]
+fn fig7_payload_runs_to_completion() {
+    let stdout = run_ok(env!("CARGO_BIN_EXE_fig7_payload"), &["--requests", "1"]);
+    assert!(
+        stdout.lines().any(|l| l.starts_with("   1MB |")),
+        "{stdout}"
+    );
+}
+
 /// `table2_exec` times every real-world app natively and in a sandbox.
 #[test]
 fn table2_exec_runs_to_completion() {

@@ -1,7 +1,7 @@
 //! sledge-router — the cluster routing tier.
 //!
 //! Boots a consistent-hash router over a set of `sledged` nodes,
-//! optionally pushes compiled module artifacts to every node,
+//! optionally pushes `.wasm` modules to every node,
 //! then serves until interrupted (or for `--run-for-s` seconds).
 //!
 //! ```text
@@ -10,7 +10,7 @@
 //!     --module fixtures/echo.json=fixtures/echo.wasm
 //! ```
 
-use sledge_cluster::{artifact_from_wasm, Router, RouterConfig};
+use sledge_cluster::{Router, RouterConfig};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -146,15 +146,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let artifact = match artifact_from_wasm(&wasm) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("sledge-router: compile {wasm_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("  module: {wasm_path} -> {} byte artifact", artifact.len());
-        for push in router.distribute(&config_json, &artifact) {
+        println!("  module: {wasm_path} ({} bytes)", wasm.len());
+        for push in router.distribute(&config_json, &wasm) {
             match push.result {
                 Ok(_) => println!("    {}: ok", push.node),
                 Err(e) => {

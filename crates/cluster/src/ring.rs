@@ -8,8 +8,7 @@
 //! keys it owned are remapped (≈ K/N of them) — the property the
 //! ring property tests pin down exactly.
 
-/// FNV-1a 64-bit — the same dependency-free hash the artifact checksum
-/// uses, reimplemented here so the ring stands alone.
+/// FNV-1a 64-bit: a dependency-free hash, so the ring stands alone.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

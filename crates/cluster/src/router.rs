@@ -73,9 +73,9 @@ pub(crate) struct RingStats {
     pub failed: AtomicU64,
     /// Health probes issued.
     pub probes: AtomicU64,
-    /// Module artifacts accepted by a node during distribution.
+    /// Modules accepted by a node during distribution.
     pub modules_pushed: AtomicU64,
-    /// Module artifacts rejected by a node during distribution.
+    /// Modules rejected by a node during distribution.
     pub module_rejects: AtomicU64,
 }
 
@@ -310,12 +310,12 @@ impl Router {
         self.shared.stats.snapshot()
     }
 
-    /// Push one compiled artifact to **every** node (modules are
+    /// Push one `.wasm` to **every** node (modules are
     /// replicated cluster-wide; the ring only spreads invocations).
     /// A node that rejects the module or is unreachable is reported
     /// and skipped — the ring keeps serving with the nodes that accepted.
-    pub fn distribute(&self, config_json: &str, artifact: &[u8]) -> Vec<PushResult> {
-        distribute(&self.shared, config_json, artifact)
+    pub fn distribute(&self, config_json: &str, wasm: &[u8]) -> Vec<PushResult> {
+        distribute(&self.shared, config_json, wasm)
     }
 
     /// Stop every thread and close the listen socket.
@@ -343,8 +343,8 @@ impl Drop for Router {
     }
 }
 
-fn distribute(shared: &RouterShared, config_json: &str, artifact: &[u8]) -> Vec<PushResult> {
-    let frame = sledge_core::ingest_frame(config_json, artifact);
+fn distribute(shared: &RouterShared, config_json: &str, wasm: &[u8]) -> Vec<PushResult> {
+    let frame = sledge_core::ingest_frame(config_json, wasm);
     let request = format_request("POST", "/admin/modules", &[], &frame);
     let mut clients = shared.admin.lock().unwrap_or_else(|poisoned| {
         // A panic mid-exchange can leave a reply unread on a held
@@ -355,7 +355,7 @@ fn distribute(shared: &RouterShared, config_json: &str, artifact: &[u8]) -> Vec<
         clients
     });
     // Every node gets the frame before any reply is read, so the nodes
-    // verify it side by side rather than one after another.
+    // build it side by side rather than one after another.
     let sent: Vec<_> = clients.iter_mut().map(|c| c.begin(&request)).collect();
     let mut results = Vec::with_capacity(shared.nodes.len());
     for ((node, client), sent) in shared.nodes.iter().zip(clients.iter_mut()).zip(sent) {
@@ -586,12 +586,12 @@ fn render_ring_metrics(shared: &RouterShared) -> String {
         (
             "modules_pushed",
             s.modules_pushed,
-            "Artifacts a node accepted.",
+            "Modules a node accepted.",
         ),
         (
             "module_rejects",
             s.module_rejects,
-            "Artifacts a node rejected.",
+            "Modules a node rejected.",
         ),
     ] {
         let name = format!("sledge_ring_{name}_total");
@@ -641,8 +641,8 @@ fn listener_loop(
                 // node and report per-node outcomes. Served inline — admin
                 // pushes are rare and the forwarders keep routing meanwhile.
                 let resp = match split_ingest_frame(&req.body) {
-                    Ok((config_json, artifact)) => {
-                        let results = distribute(&shared, config_json, artifact);
+                    Ok((config_json, wasm)) => {
+                        let results = distribute(&shared, config_json, wasm);
                         let ok = results.iter().filter(|r| r.result.is_ok()).count();
                         let mut body = String::from("{\"nodes\":{");
                         for (i, r) in results.iter().enumerate() {

@@ -1,10 +1,9 @@
 //! End-to-end cluster tests: a real `Router` over in-process `sledged`
-//! runtimes — compiled-module distribution, ring routing, and the
+//! runtimes — `.wasm` module distribution, ring routing, and the
 //! chaos case: a node killed mid-stream with exactly-one-completion
 //! preserved through failover — and the shipped `sledge-router` binary in
 //! front of the same nodes.
 
-use awsm::{encode_artifact, translate_with, Tier, TranslateOptions};
 use sledge_cluster::{HashRing, Router, RouterConfig, DEFAULT_VNODES};
 use sledge_core::{ingest_frame, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
@@ -48,9 +47,9 @@ fn echo_guest(name: &str) -> Module {
     mb.build().unwrap()
 }
 
-fn artifact_for(module: &Module) -> Vec<u8> {
-    let compiled = translate_with(module, Tier::Optimized, TranslateOptions::default()).unwrap();
-    encode_artifact(&compiled)
+/// A guest's `.wasm`, as the router pushes it.
+fn wasm_for(module: &Module) -> Vec<u8> {
+    sledge_wasm::encode::encode_module(module)
 }
 
 fn boot_node() -> Runtime {
@@ -117,12 +116,13 @@ fn router_answers(router: &Router) {
 #[test]
 fn distribution_pushes_certified_artifact_to_every_node() {
     let (nodes, router) = boot_cluster(3);
-    let pushes = router.distribute(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")));
+    let pushes = router.distribute(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")));
     assert_eq!(pushes.len(), 3);
     for p in &pushes {
         assert!(p.result.is_ok(), "{}: {:?}", p.node, p.result);
     }
-    // Every node decoded and analysed the artifact on ingest and accepted it.
+    // Every node translated and analysed the module on ingest and accepted
+    // it.
     for rt in &nodes {
         let reg = rt.latency_report().registry;
         assert_eq!(reg.modules_verified, 1);
@@ -145,7 +145,7 @@ fn distribution_pushes_certified_artifact_to_every_node() {
         .iter()
         .map(|rt| rt.latency_report().connections.accepted)
         .collect();
-    let pushes = router.distribute(r#"{"name": "echo2"}"#, &artifact_for(&echo_guest("echo2")));
+    let pushes = router.distribute(r#"{"name": "echo2"}"#, &wasm_for(&echo_guest("echo2")));
     assert!(pushes.iter().all(|p| p.result.is_ok()), "{pushes:?}");
     for (rt, before) in nodes.iter().zip(accepted) {
         assert_eq!(rt.latency_report().connections.accepted, before);
@@ -175,20 +175,33 @@ fn distribution_pushes_certified_artifact_to_every_node() {
 fn corrupt_artifact_rejected_by_nodes_while_ring_keeps_serving() {
     let (nodes, router) = boot_cluster(3);
     assert!(router
-        .distribute(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")))
+        .distribute(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")))
         .iter()
         .all(|p| p.result.is_ok()));
 
-    // Tamper with the artifact: every node's ingest gate rejects it.
-    let mut bad = artifact_for(&echo_guest("evil"));
-    let last = bad.len() - 1;
-    bad[last] ^= 0xff;
-    let pushes = router.distribute(r#"{"name": "evil"}"#, &bad);
-    assert!(pushes.iter().all(|p| p.result.is_err()), "{pushes:?}");
-    assert_eq!(router.stats().module_rejects, 3);
+    // Corrupt the module (a flipped magic byte, a cut inside its last
+    // section): every node refuses each push with a 400 and stays healthy.
+    let honest = wasm_for(&echo_guest("evil"));
+    let mut bad_magic = honest.clone();
+    bad_magic[0] ^= 0xff;
+    for bad in [bad_magic, honest[..honest.len() - 1].to_vec()] {
+        let pushes = router.distribute(r#"{"name": "evil"}"#, &bad);
+        for p in &pushes {
+            let err = p.result.as_ref().unwrap_err();
+            assert!(err.starts_with("400: module: "), "{}: {err}", p.node);
+        }
+    }
+    assert_eq!(router.stats().module_rejects, 6);
     for rt in &nodes {
         assert!(rt.function_by_name("evil").is_none());
+        let resp = HttpClient::new(rt.http_addr().unwrap())
+            .request("GET", "/healthz", &[], b"")
+            .unwrap();
+        assert_eq!(resp.status, 200);
     }
+    // The honest module still registers everywhere.
+    let pushes = router.distribute(r#"{"name": "evil"}"#, &honest);
+    assert!(pushes.iter().all(|p| p.result.is_ok()), "{pushes:?}");
 
     // Rejection is control-plane only: invocations still flow.
     let mut client = HttpClient::new(router.addr());
@@ -207,7 +220,7 @@ fn corrupt_artifact_rejected_by_nodes_while_ring_keeps_serving() {
 #[test]
 fn admin_push_through_router_endpoint() {
     let (nodes, router) = boot_cluster(2);
-    let frame = ingest_frame(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")));
+    let frame = ingest_frame(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")));
     let mut client = HttpClient::new(router.addr());
     let resp = client
         .request("POST", "/admin/modules", &[], &frame)
@@ -243,7 +256,7 @@ fn router_metrics_expose_ring_series() {
     ring[2].0 = r#"rack "b" \ node-2"#.into();
     let router = Router::start(test_config(), ring, "127.0.0.1:0".parse().unwrap()).unwrap();
     assert!(router
-        .distribute(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")))
+        .distribute(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")))
         .iter()
         .all(|p| p.result.is_ok()));
     let mut client = HttpClient::new(router.addr());
@@ -333,7 +346,7 @@ fn unknown_route_is_passed_through_not_failed_over() {
 fn chaos_node_kill_fails_over_with_exactly_one_completion() {
     let (mut nodes, router) = boot_cluster(3);
     assert!(router
-        .distribute(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")))
+        .distribute(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")))
         .iter()
         .all(|p| p.result.is_ok()));
 
@@ -785,7 +798,7 @@ fn distribution_redials_reaped_connections_and_skips_a_gone_node() {
     let push = |name: &str| {
         router.distribute(
             &format!(r#"{{"name": "{name}"}}"#),
-            &artifact_for(&echo_guest(name)),
+            &wasm_for(&echo_guest(name)),
         )
     };
     for p in push("echo-a") {

@@ -84,10 +84,10 @@ pub struct RuntimeConfig {
     /// `Connection: close` before any parse cost is paid (the first gate,
     /// ahead of every admission gate). 0 (the default) is unlimited.
     pub max_connections: usize,
-    /// Serve `POST /admin/modules` on the HTTP front end: compiled-module
-    /// ingest for cluster-mode distribution (the router pushes artifacts of
-    /// translated bodies; the node derives every certificate itself, by
-    /// the analysis translation runs, before registering). Off by default:
+    /// Serve `POST /admin/modules` on the HTTP front end: module ingest for
+    /// cluster-mode distribution (the router pushes `.wasm`; the node
+    /// decodes, validates and translates it under its own budgets, as
+    /// [`Runtime::register_wasm`](crate::Runtime::register_wasm) does). Off by default:
     /// the path is then routed like any other, so it is a 404 unless a
     /// function owns it.
     pub admin_routes: bool,

@@ -95,7 +95,7 @@ pub use sledge_http::ConnSnapshot;
 pub use stats::{Breaker, FunctionStatsSnapshot, RegistryStatsSnapshot, StatsSnapshot};
 
 use listener::{AnyResponder, Intake};
-use registry::{Binary, Registry};
+use registry::Registry;
 use sandbox::Sandbox;
 use sledge_http::{ConnCounters, HttpServer, ServerConfig, Waker};
 use stats::RuntimeStats;
@@ -167,9 +167,9 @@ impl Shared {
     pub(crate) fn register(
         &self,
         config: FunctionConfig,
-        binary: Binary<'_>,
+        wasm: &[u8],
     ) -> Result<FunctionId, RegisterError> {
-        let (key, cached) = self.registry().lookup(&config, binary)?;
+        let (key, cached) = self.registry().lookup(&config, wasm)?;
         let module = match cached {
             Some(module) => module,
             None => Arc::new(key.build()?),
@@ -337,7 +337,7 @@ impl Runtime {
         config: FunctionConfig,
         wasm: &[u8],
     ) -> Result<FunctionId, RegisterError> {
-        self.shared.register(config, Binary::Wasm(wasm))
+        self.shared.register(config, wasm)
     }
 
     /// Register a function from an in-memory module: exactly
@@ -564,6 +564,46 @@ mod tests {
         // Both may have missed and translated; the loser's module was dropped.
         assert!(Arc::ptr_eq(&a.module, &b.module));
         assert!((1..=2).contains(&rt.latency_report().registry.modules_compiled));
+        rt.shutdown();
+    }
+
+    /// A `.wasm` registered in process and the same bytes pushed over
+    /// `POST /admin/modules` are one key of the module store: one build,
+    /// one shared module. The node translates what it is pushed under its
+    /// own check-gap budget.
+    #[test]
+    fn registered_and_pushed_wasm_share_one_module() {
+        let wasm = sledge_wasm::encode::encode_module(&slow_to_translate(200));
+        let default_gap = awsm::translate(&slow_to_translate(200), awsm::Tier::Optimized)
+            .unwrap()
+            .analysis
+            .cost
+            .max_gap;
+        let budget = default_gap / 4;
+        let rt = Runtime::with_http(
+            RuntimeConfig {
+                workers: 1,
+                admin_routes: true,
+                max_check_gap: Some(budget),
+                ..Default::default()
+            },
+            "127.0.0.1:0".parse().unwrap(),
+        )
+        .unwrap();
+        let a = rt.register_wasm(FunctionConfig::new("a"), &wasm).unwrap();
+        let mut client = sledge_http::HttpClient::new(rt.http_addr().unwrap());
+        let frame = ingest_frame(r#"{"name": "b"}"#, &wasm);
+        let resp = client
+            .request("POST", "/admin/modules", &[], &frame)
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let b = rt.shared.registry().by_name("b").map(|f| f.id).unwrap();
+        let (a, b) = (function(&rt, a), function(&rt, b));
+        assert!(Arc::ptr_eq(&a.module, &b.module));
+        assert_eq!(rt.latency_report().registry.modules_compiled, 1);
+        let cost = &b.module.analysis.cost;
+        assert_eq!(cost.max_check_gap, budget);
+        assert!(cost.splits > 0 && cost.max_gap <= budget, "{cost:?}");
         rt.shutdown();
     }
 

@@ -2,7 +2,7 @@
 //! control, and load-balancer injection (it is the single owner of the
 //! global work-stealing deque, exactly as in the paper's Figure 4).
 
-use crate::registry::{Binary, FunctionId, RegisterError};
+use crate::registry::{FunctionId, RegisterError};
 use crate::sandbox::{Completion, Outcome, Sandbox, Timings};
 use crate::Shared;
 use awsm::EngineConfig;
@@ -260,9 +260,10 @@ fn admit(
 }
 
 /// Handle one `POST /admin/modules` ingest: parse the framed body and
-/// register the artifact. Unless the same artifact bytes are already in the
-/// module store, it is decoded — which checks its checksum and structure
-/// and runs the analysis translation runs, instead of re-translating.
+/// register its `.wasm` through the one registration path
+/// [`Runtime::register_wasm`](crate::Runtime::register_wasm) takes. Unless
+/// the same bytes are already in the module store, the node decodes,
+/// validates and translates them under its own check-gap budget.
 ///
 /// The body is an [`ingest_frame`].
 fn ingest_module(shared: &Shared, body: &[u8]) -> Response {
@@ -279,36 +280,34 @@ fn try_ingest(shared: &Shared, body: &[u8]) -> Result<(String, String), String> 
     if shared.draining.load(Ordering::Acquire) {
         return Err("draining".into());
     }
-    let (cfg_text, artifact) = split_ingest_frame(body)?;
+    let (cfg_text, wasm) = split_ingest_frame(body)?;
     let doc = crate::json::parse(cfg_text).map_err(|e| format!("config: {e}"))?;
     let config = crate::config::parse_function(&doc).map_err(|e| format!("config: {e}"))?;
     let name = config.name.clone();
     let route = config.http_route();
-    shared
-        .register(config, Binary::Artifact(artifact))
-        .map_err(|e| match e {
-            RegisterError::Artifact(e) => {
-                let stats = &shared.registry().stats;
-                stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
-                format!("artifact: {e}")
-            }
-            e => format!("register: {e}"),
-        })?;
+    shared.register(config, wasm).map_err(|e| match e {
+        RegisterError::Decode(_) | RegisterError::Translate(_) => {
+            let stats = &shared.registry().stats;
+            stats.modules_rejected.fetch_add(1, Ordering::Relaxed);
+            format!("module: {e}")
+        }
+        e => format!("register: {e}"),
+    })?;
     Ok((name, route))
 }
 
 /// Build a `POST /admin/modules` frame:
-/// `u32 LE config length | function-config JSON | artifact`.
-pub fn ingest_frame(config_json: &str, artifact: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + config_json.len() + artifact.len());
+/// `u32 LE config length | function-config JSON | .wasm`.
+pub fn ingest_frame(config_json: &str, wasm: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + config_json.len() + wasm.len());
     frame.extend_from_slice(&(config_json.len() as u32).to_le_bytes());
     frame.extend_from_slice(config_json.as_bytes());
-    frame.extend_from_slice(artifact);
+    frame.extend_from_slice(wasm);
     frame
 }
 
 /// Split an [`ingest_frame`] into its function-config text and its
-/// artifact, without looking inside either.
+/// `.wasm`, without looking inside either.
 ///
 /// # Errors
 ///
@@ -319,14 +318,14 @@ pub fn split_ingest_frame(frame: &[u8]) -> Result<(&str, &[u8]), String> {
         return Err("truncated frame: missing config length".into());
     };
     let cfg_len = u32::from_le_bytes(*len) as usize;
-    let Some((config, artifact)) = rest.split_at_checked(cfg_len) else {
+    let Some((config, wasm)) = rest.split_at_checked(cfg_len) else {
         return Err(format!(
             "truncated frame: config length {cfg_len} exceeds remaining {} bytes",
             rest.len()
         ));
     };
     let config = std::str::from_utf8(config).map_err(|_| "config is not UTF-8".to_string())?;
-    Ok((config, artifact))
+    Ok((config, wasm))
 }
 
 /// How long the listener keeps its non-blocking poll after it last saw work

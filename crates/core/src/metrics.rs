@@ -340,7 +340,7 @@ pub(crate) fn render_prometheus(report: &LatencyReport) -> String {
         &verdicts,
     );
     out.push_str(
-        "# HELP sledge_modules_compiled_total Module-store misses: translations plus artifact decodes.\n",
+        "# HELP sledge_modules_compiled_total Module-store misses: the modules translated.\n",
     );
     out.push_str("# TYPE sledge_modules_compiled_total counter\n");
     let _ = writeln!(

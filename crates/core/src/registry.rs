@@ -14,8 +14,7 @@ use crate::pool::{PoolStatsSnapshot, SandboxPool};
 use crate::sandbox::Timings;
 use crate::stats::{FunctionStats, RegistryStats};
 use awsm::{
-    translate_with, ArtifactError, CompiledModule, Diagnostic, Severity, Tier, TranslateError,
-    TranslateOptions,
+    translate_with, CompiledModule, Diagnostic, Severity, Tier, TranslateError, TranslateOptions,
 };
 use sledge_wasm::DecodeError;
 use std::collections::HashMap;
@@ -122,8 +121,6 @@ pub enum RegisterError {
     Decode(DecodeError),
     /// The module failed validation/translation.
     Translate(TranslateError),
-    /// The artifact failed decoding or its analysis.
-    Artifact(ArtifactError),
     /// The configured entry point is not an exported local function (a
     /// re-exported import cannot be invoked).
     NoEntry(String),
@@ -152,7 +149,6 @@ impl fmt::Display for RegisterError {
         match self {
             RegisterError::Decode(e) => write!(f, "{e}"),
             RegisterError::Translate(e) => write!(f, "{e}"),
-            RegisterError::Artifact(e) => write!(f, "{e}"),
             RegisterError::NoEntry(e) => {
                 write!(f, "entry point {e:?} is not an exported local function")
             }
@@ -178,63 +174,29 @@ impl fmt::Display for RegisterError {
 
 impl Error for RegisterError {}
 
-/// The bytes a function is registered from. `.wasm` and artifact bytes are
-/// separate key spaces of the module store: bytes stored as one kind are
-/// never served as the other, so an artifact is always verified by
-/// [`awsm::decode_artifact`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Binary<'a> {
-    /// A `.wasm` module: decoded, validated and translated under the
-    /// registry's check-gap budget.
-    Wasm(&'a [u8]),
-    /// A compiled artifact (`POST /admin/modules`), decoded and analysed by
-    /// [`awsm::decode_artifact`]; its bodies fix its check-gap budget, and
-    /// the node derives every certificate itself.
-    Artifact(&'a [u8]),
-}
-
-/// A module-store key, the kind and exact bytes of a [`Binary`] (compared
-/// in full), with what building it needs, so a miss builds with no lock
-/// held.
+/// A module-store key: the exact `.wasm` bytes (compared in full), with
+/// what building them needs, so a miss builds with no lock held.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ModuleKey<'a> {
-    binary: Binary<'a>,
+    wasm: &'a [u8],
     /// The registry's translate options, fixed for its life.
     options: TranslateOptions,
 }
 
-impl<'a> ModuleKey<'a> {
-    fn bytes(&self) -> &'a [u8] {
-        match self.binary {
-            Binary::Wasm(bytes) | Binary::Artifact(bytes) => bytes,
-        }
-    }
-
-    /// Build the module: decode, validate, translate and lower a `.wasm`, or
-    /// decode and analyse an artifact. Touches no registry state, so it
-    /// runs with no lock held.
+impl ModuleKey<'_> {
+    /// Build the module: decode, validate, translate and lower the `.wasm`
+    /// under the registry's check-gap budget. Touches no registry state, so
+    /// it runs with no lock held.
     ///
     /// # Errors
     ///
-    /// [`RegisterError::Decode`], [`RegisterError::Translate`] or
-    /// [`RegisterError::Artifact`].
+    /// [`RegisterError::Decode`] or [`RegisterError::Translate`].
     pub(crate) fn build(&self) -> Result<CompiledModule, RegisterError> {
-        match self.binary {
-            Binary::Wasm(bytes) => {
-                let module =
-                    sledge_wasm::decode::decode_module(bytes).map_err(RegisterError::Decode)?;
-                translate_with(&module, Tier::Optimized, self.options)
-                    .map_err(RegisterError::Translate)
-            }
-            Binary::Artifact(bytes) => {
-                awsm::decode_artifact(bytes).map_err(RegisterError::Artifact)
-            }
-        }
+        let module =
+            sledge_wasm::decode::decode_module(self.wasm).map_err(RegisterError::Decode)?;
+        translate_with(&module, Tier::Optimized, self.options).map_err(RegisterError::Translate)
     }
 }
-
-/// One key space of the module store: modules by their exact input bytes.
-type Shelf = HashMap<Box<[u8]>, Arc<CompiledModule>>;
 
 /// Registry of loaded functions, indexed by id, name, and HTTP route. Its
 /// settings are fixed when it is built (see [`Registry::new`]).
@@ -243,11 +205,9 @@ pub(crate) struct Registry {
     functions: Vec<Arc<RegisteredFunction>>,
     by_name: HashMap<String, FunctionId>,
     by_route: HashMap<String, FunctionId>,
-    /// The module store for `.wasm` bytes: every module some function
-    /// registered with.
-    wasm_modules: Shelf,
-    /// The module store for artifact bytes.
-    artifact_modules: Shelf,
+    /// The module store: every module some function registered with, by
+    /// its exact `.wasm` bytes.
+    modules: HashMap<Box<[u8]>, Arc<CompiledModule>>,
     /// Worst-case guest stack budget enforced at registration; `None`
     /// disables the check.
     stack_budget: Option<u64>,
@@ -281,8 +241,7 @@ impl Registry {
             functions: Vec::new(),
             by_name: HashMap::new(),
             by_route: HashMap::new(),
-            wasm_modules: Shelf::new(),
-            artifact_modules: Shelf::new(),
+            modules: HashMap::new(),
             stack_budget: config.max_stack_bytes,
             check_gap: config.max_check_gap,
             pool_capacity: config.pool_size,
@@ -295,7 +254,7 @@ impl Registry {
     /// The first half of a registration, which needs only read access:
     /// refuse a taken name or a taken or reserved route before any work is
     /// done, then look the
-    /// binary up in the module store. `None` is a miss, counted in
+    /// `.wasm` up in the module store. `None` is a miss, counted in
     /// `modules_compiled`: the caller builds the key (with no lock held) and
     /// hands the module to [`Registry::register_compiled`].
     ///
@@ -306,11 +265,11 @@ impl Registry {
     pub(crate) fn lookup<'a>(
         &self,
         config: &FunctionConfig,
-        binary: Binary<'a>,
+        wasm: &'a [u8],
     ) -> Result<(ModuleKey<'a>, Option<Arc<CompiledModule>>), RegisterError> {
         self.check_free(config)?;
         let key = ModuleKey {
-            binary,
+            wasm,
             options: TranslateOptions {
                 max_check_gap: self.check_gap.unwrap_or(awsm::DEFAULT_MAX_CHECK_GAP),
             },
@@ -336,19 +295,8 @@ impl Registry {
         Ok(())
     }
 
-    fn shelf(&mut self, binary: Binary<'_>) -> &mut Shelf {
-        match binary {
-            Binary::Wasm(_) => &mut self.wasm_modules,
-            Binary::Artifact(_) => &mut self.artifact_modules,
-        }
-    }
-
     fn cached(&self, key: &ModuleKey<'_>) -> Option<Arc<CompiledModule>> {
-        let shelf = match key.binary {
-            Binary::Wasm(_) => &self.wasm_modules,
-            Binary::Artifact(_) => &self.artifact_modules,
-        };
-        shelf.get(key.bytes()).map(Arc::clone)
+        self.modules.get(key.wasm).map(Arc::clone)
     }
 
     /// The second half of a registration: re-check the name and route, run
@@ -412,7 +360,7 @@ impl Registry {
         self.by_route.insert(route, id);
         // A module is kept only once a function has accepted it.
         if !stored {
-            self.shelf(key.binary).insert(key.bytes().into(), module);
+            self.modules.insert(key.wasm.into(), module);
         }
         Ok(id)
     }
@@ -529,7 +477,7 @@ mod tests {
         config: FunctionConfig,
         wasm: &[u8],
     ) -> Result<FunctionId, RegisterError> {
-        let (key, cached) = r.lookup(&config, Binary::Wasm(wasm))?;
+        let (key, cached) = r.lookup(&config, wasm)?;
         let module = match cached {
             Some(module) => module,
             None => Arc::new(key.build()?),
@@ -620,57 +568,14 @@ mod tests {
         assert_eq!(r.stats.snapshot().modules_compiled, 1);
     }
 
-    /// Look up, build on a miss and insert an artifact registration.
-    fn ingest_artifact(
-        r: &mut Registry,
-        config: FunctionConfig,
-        artifact: &[u8],
-    ) -> Result<FunctionId, RegisterError> {
-        let (key, cached) = r.lookup(&config, Binary::Artifact(artifact))?;
-        let module = match cached {
-            Some(module) => module,
-            None => Arc::new(key.build()?),
-        };
-        r.register_compiled(config, key, module)
-    }
-
-    #[test]
-    fn wasm_and_artifact_bytes_are_separate_key_spaces() {
-        let mut r = registry();
-        let m = tiny_module("k");
-        let wasm = sledge_wasm::encode::encode_module(&m);
-        let compiled = awsm::translate(&m, Tier::Optimized).unwrap();
-        let artifact = awsm::encode_artifact(&compiled);
-        let a = register_wasm(&mut r, FunctionConfig::new("a"), &wasm).unwrap();
-        let b = register_wasm(&mut r, FunctionConfig::new("b"), &wasm).unwrap();
-        assert!(Arc::ptr_eq(
-            &r.get(a).unwrap().module,
-            &r.get(b).unwrap().module
-        ));
-        // Stored `.wasm` bytes are not an artifact: pushed as one, they are
-        // a miss that the artifact decoder refuses.
-        let err = ingest_artifact(&mut r, FunctionConfig::new("c"), &wasm).unwrap_err();
-        assert!(matches!(err, RegisterError::Artifact(_)), "{err}");
-        let d = ingest_artifact(&mut r, FunctionConfig::new("d"), &artifact).unwrap();
-        let e = ingest_artifact(&mut r, FunctionConfig::new("e"), &artifact).unwrap();
-        assert!(Arc::ptr_eq(
-            &r.get(d).unwrap().module,
-            &r.get(e).unwrap().module
-        ));
-        // ...and stored artifact bytes are not a `.wasm`.
-        let err = register_wasm(&mut r, FunctionConfig::new("f"), &artifact).unwrap_err();
-        assert!(matches!(err, RegisterError::Decode(_)), "{err}");
-        let snap = r.stats.snapshot();
-        assert_eq!((snap.modules_compiled, snap.modules_verified), (4, 4));
-    }
-
-    /// An artifact is analysed again under the gap budget stored in its
-    /// bytes, and a node admits it by its certificate alone: so no
-    /// check-free run of an accepted artifact may outweigh that
-    /// certificate. Built under the default budget, a loop whose latch and
-    /// head together outweigh the certified gap keeps its head; on a node
-    /// whose budget is exactly that gap every run from one preemption point
-    /// to the next charges within it, and one unit less refuses it.
+    /// A pushed `.wasm` is translated under the budget of the node it is
+    /// pushed to, and the node admits it by the certificate it derived: so
+    /// no check-free run may outweigh that budget. Built under the default
+    /// budget, a loop whose latch and head together outweigh the certified
+    /// gap keeps its head; on a node whose budget is exactly that gap, and
+    /// on one whose budget is one unit less (which splits the module to
+    /// fit), every run from one preemption point to the next charges
+    /// within the budget.
     #[test]
     fn artifact_runs_within_the_node_budget_it_was_admitted_under() {
         let mut mb = ModuleBuilder::new("loop");
@@ -693,32 +598,31 @@ mod tests {
         let cost = &compiled.analysis.cost;
         assert_eq!(cost.max_check_gap, awsm::DEFAULT_MAX_CHECK_GAP);
         let gap = cost.max_gap;
-        let artifact = awsm::encode_artifact(&compiled);
+        let wasm = awsm::encode_artifact(&compiled);
 
-        let mut tight = gap_registry(gap - 1);
-        let err = ingest_artifact(&mut tight, FunctionConfig::new("l"), &artifact).unwrap_err();
-        assert!(matches!(err, RegisterError::Certificate(_)), "{err}");
-
-        let mut r = gap_registry(gap);
-        let id = ingest_artifact(&mut r, FunctionConfig::new("l"), &artifact).unwrap();
-        let module = Arc::clone(&r.get(id).unwrap().module);
-        let mut inst = awsm::Instance::new(module, awsm::EngineConfig::default()).unwrap();
-        inst.invoke_export("main", &[awsm::Value::I32(5)]).unwrap();
-        let flag = inst.preempt_flag();
-        let mut used = 0;
-        loop {
-            flag.store(true, Ordering::Relaxed);
-            let step = inst.run(&mut awsm::NullHost, u64::MAX);
-            let charged = inst.fuel_used() - used;
-            used = inst.fuel_used();
-            assert!(
-                charged <= gap as u64,
-                "a check-free run of {charged} units on a node whose budget is {gap}"
-            );
-            match step {
-                awsm::StepResult::Complete(v) => break assert_eq!(v, Some(30)),
-                awsm::StepResult::Preempted => {}
-                other => panic!("{other:?}"),
+        for budget in [gap - 1, gap] {
+            let mut r = gap_registry(budget);
+            let id = register_wasm(&mut r, FunctionConfig::new("l"), &wasm).unwrap();
+            let module = Arc::clone(&r.get(id).unwrap().module);
+            assert!(module.analysis.cost.max_gap <= budget);
+            let mut inst = awsm::Instance::new(module, awsm::EngineConfig::default()).unwrap();
+            inst.invoke_export("main", &[awsm::Value::I32(5)]).unwrap();
+            let flag = inst.preempt_flag();
+            let mut used = 0;
+            loop {
+                flag.store(true, Ordering::Relaxed);
+                let step = inst.run(&mut awsm::NullHost, u64::MAX);
+                let charged = inst.fuel_used() - used;
+                used = inst.fuel_used();
+                assert!(
+                    charged <= budget as u64,
+                    "a check-free run of {charged} units on a node whose budget is {budget}"
+                );
+                match step {
+                    awsm::StepResult::Complete(v) => break assert_eq!(v, Some(30)),
+                    awsm::StepResult::Preempted => {}
+                    other => panic!("{other:?}"),
+                }
             }
         }
     }

@@ -84,7 +84,7 @@ pub(crate) struct RegistryStats {
     pub modules_verified: AtomicU64,
     /// Modules rejected at registration: by the analyzer (error-severity
     /// lints or a stack bound over budget), by a certificate or capability
-    /// gate, or — on the ingest path — by artifact decode.
+    /// gate, or — on the ingest path — by decode or translation.
     pub modules_rejected: AtomicU64,
     /// Warning-severity lints surfaced across all registered modules.
     pub lint_warnings: AtomicU64,
@@ -102,8 +102,7 @@ pub(crate) struct RegistryStats {
     /// Modules rejected by a capability policy (also counted in
     /// `modules_rejected`).
     pub capability_rejected: AtomicU64,
-    /// Module-store misses: the `.wasm` translations and artifact decodes
-    /// actually performed. Registrations of bytes already in the store share
+    /// Module-store misses: the `.wasm` translations actually performed. Registrations of bytes already in the store share
     /// that module and do not count here.
     pub modules_compiled: AtomicU64,
 }
@@ -136,7 +135,7 @@ pub struct RegistryStatsSnapshot {
     pub capability_certified: u64,
     /// Modules rejected by a capability policy.
     pub capability_rejected: u64,
-    /// Module-store misses (translations plus artifact decodes).
+    /// Module-store misses (translations).
     pub modules_compiled: u64,
 }
 

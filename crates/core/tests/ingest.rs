@@ -1,16 +1,17 @@
 //! Cluster-node endpoints: the dependency-free `/healthz` liveness probe
-//! and the `POST /admin/modules` artifact ingest route (gated by
-//! `admin_routes`, default off), whose node derives every certificate
-//! itself.
+//! and the `POST /admin/modules` ingest route (gated by `admin_routes`,
+//! default off), which takes a `.wasm` and builds it the way
+//! `register_wasm` does, so the node derives every certificate itself.
 
 use awsm::{
-    decode_artifact, encode_artifact, translate_with, ArtifactError, CompiledModule, Op,
-    ResetPolicy, StackBound, Tier, TranslateOptions,
+    decode_artifact, encode_artifact, translate_with, CompiledModule, ResetPolicy, StackBound,
+    Tier, TranslateOptions,
 };
 use sledge_core::{ingest_frame, FunctionConfig, RegisterError, Runtime, RuntimeConfig};
 use sledge_guestc::dsl::*;
 use sledge_guestc::{FuncBuilder, ModuleBuilder};
 use sledge_http::HttpClient;
+use sledge_wasm::module::ExportKind;
 use sledge_wasm::module::Module;
 use sledge_wasm::types::ValType;
 use std::time::Duration;
@@ -60,9 +61,9 @@ fn translated(module: &Module) -> CompiledModule {
     translate_with(module, Tier::Optimized, TranslateOptions::default()).unwrap()
 }
 
-/// Translate a guest and serialize it as a distributable artifact.
-fn artifact_for(module: &Module) -> Vec<u8> {
-    encode_artifact(&translated(module))
+/// A guest's `.wasm`, as a router pushes it.
+fn wasm_for(module: &Module) -> Vec<u8> {
+    sledge_wasm::encode::encode_module(module)
 }
 
 fn boot(admin: bool) -> Runtime {
@@ -80,10 +81,10 @@ fn boot_with(config: RuntimeConfig) -> Runtime {
     Runtime::with_http(config, "127.0.0.1:0".parse().unwrap()).unwrap()
 }
 
-/// Push `artifact` as function `name` under the function-config fields
+/// Push `wasm` as function `name` under the function-config fields
 /// `policy` (JSON members, possibly none); the status and the body.
-fn push(client: &mut HttpClient, name: &str, policy: &str, artifact: &[u8]) -> (u16, String) {
-    let frame = ingest_frame(&format!(r#"{{"name": "{name}"{policy}}}"#), artifact);
+fn push(client: &mut HttpClient, name: &str, policy: &str, wasm: &[u8]) -> (u16, String) {
+    let frame = ingest_frame(&format!(r#"{{"name": "{name}"{policy}}}"#), wasm);
     let resp = client
         .request("POST", "/admin/modules", &[], &frame)
         .unwrap();
@@ -120,7 +121,7 @@ fn ingest_registers_and_serves_distributed_module() {
     let rt = boot(true);
     let mut client = HttpClient::new(rt.http_addr().unwrap());
 
-    let frame = ingest_frame(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")));
+    let frame = ingest_frame(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")));
     let resp = client
         .request("POST", "/admin/modules", &[], &frame)
         .unwrap();
@@ -134,14 +135,14 @@ fn ingest_registers_and_serves_distributed_module() {
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, b"hello ring");
 
-    // Ingest decoded and analysed the artifact and ran the certificate
-    // gates; nothing was re-translated.
+    // Ingest translated and analysed the module and ran the certificate
+    // gates.
     let reg = rt.latency_report().registry;
     assert_eq!(reg.modules_verified, 1);
     assert_eq!(reg.modules_rejected, 0);
 
     // A duplicate push is a clean 400, not a crash.
-    let frame = ingest_frame(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")));
+    let frame = ingest_frame(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")));
     let resp = client
         .request("POST", "/admin/modules", &[], &frame)
         .unwrap();
@@ -175,7 +176,7 @@ fn routes_the_node_answers_itself_are_reserved() {
         );
     }
     let mut client = HttpClient::new(rt.http_addr().unwrap());
-    let (status, body) = push(&mut client, "metrics", "", &artifact_for(&echo_guest("m")));
+    let (status, body) = push(&mut client, "metrics", "", &wasm_for(&echo_guest("m")));
     assert_eq!(status, 400, "{body}");
     assert!(
         body.contains(r#"route "/metrics" is served by the node itself"#),
@@ -202,9 +203,9 @@ fn routes_the_node_answers_itself_are_reserved() {
 fn one_artifact_pushed_under_two_names_is_decoded_once() {
     let rt = boot(true);
     let mut client = HttpClient::new(rt.http_addr().unwrap());
-    let artifact = artifact_for(&echo_guest("echo"));
+    let wasm = wasm_for(&echo_guest("echo"));
     for name in ["echo-a", "echo-b"] {
-        let frame = ingest_frame(&format!(r#"{{"name": "{name}"}}"#), &artifact);
+        let frame = ingest_frame(&format!(r#"{{"name": "{name}"}}"#), &wasm);
         let resp = client
             .request("POST", "/admin/modules", &[], &frame)
             .unwrap();
@@ -214,16 +215,15 @@ fn one_artifact_pushed_under_two_names_is_decoded_once() {
             .unwrap();
         assert_eq!(resp.body, name.as_bytes());
     }
-    // One decode: both names run the one module it made.
+    // One build: both names run the one module it made.
     let reg = rt.latency_report().registry;
     assert_eq!(reg.modules_compiled, 1);
     assert_eq!(reg.modules_verified, 2);
-    // The same module shipped as `.wasm` is another key space: a third
-    // registration from those bytes is a second build.
-    let wasm = sledge_wasm::encode::encode_module(&echo_guest("echo"));
-    rt.register_wasm(sledge_core::FunctionConfig::new("echo-c"), &wasm)
+    // The module store has one key space: the same bytes registered in
+    // process share that module too.
+    rt.register_wasm(FunctionConfig::new("echo-c"), &wasm)
         .unwrap();
-    assert_eq!(rt.latency_report().registry.modules_compiled, 2);
+    assert_eq!(rt.latency_report().registry.modules_compiled, 1);
     rt.shutdown();
 }
 
@@ -232,7 +232,7 @@ fn corrupt_artifact_rejected_while_node_keeps_serving() {
     let rt = boot(true);
     let mut client = HttpClient::new(rt.http_addr().unwrap());
 
-    let frame = ingest_frame(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")));
+    let frame = ingest_frame(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")));
     assert_eq!(
         client
             .request("POST", "/admin/modules", &[], &frame)
@@ -241,122 +241,32 @@ fn corrupt_artifact_rejected_while_node_keeps_serving() {
         200
     );
 
-    // Flip one payload byte: the checksum catches it and the push is
-    // rejected with a 400 naming the artifact layer.
-    let mut bad = artifact_for(&echo_guest("tampered"));
-    let last = bad.len() - 1;
-    bad[last] ^= 0xff;
-    let frame = ingest_frame(r#"{"name": "tampered"}"#, &bad);
-    let resp = client
-        .request("POST", "/admin/modules", &[], &frame)
-        .unwrap();
-    assert_eq!(resp.status, 400);
-    assert!(
-        String::from_utf8_lossy(&resp.body).contains("artifact"),
-        "{:?}",
-        String::from_utf8_lossy(&resp.body)
-    );
+    // A flipped magic byte and a cut inside the last section: each push is
+    // rejected with a 400 naming the module layer.
+    let honest = wasm_for(&echo_guest("tampered"));
+    let mut bad_magic = honest.clone();
+    bad_magic[0] ^= 0xff;
+    for (bad, why) in [
+        (bad_magic, "magic"),
+        (honest[..honest.len() - 1].to_vec(), "end"),
+    ] {
+        let (status, body) = push(&mut client, "tampered", "", &bad);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("module: "), "{body}");
+        assert!(body.contains(why), "{body}");
+    }
+    assert_eq!(rt.latency_report().registry.modules_rejected, 2);
 
-    // The node is unharmed: probe green, previously ingested module serves.
+    // The node is unharmed: probe green, previously ingested module serves,
+    // and the honest module still registers.
     let resp = client.request("GET", "/healthz", &[], b"").unwrap();
     assert_eq!(resp.status, 200);
     let resp = client.request("POST", "/echo", &[], b"still up").unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, b"still up");
     assert!(rt.function_by_name("tampered").is_none());
-    rt.shutdown();
-}
-
-type Tamper = fn(&mut CompiledModule);
-
-/// Decode an honest artifact, let `tamper` edit the module, and re-encode:
-/// the result is structurally valid and carries a correct FNV checksum over
-/// the tampered payload — what a peer that fixes up the checksum would send.
-fn tampered_artifact(tamper: Tamper) -> Vec<u8> {
-    let mut module = decode_artifact(&artifact_for(&echo_guest("echo"))).unwrap();
-    tamper(&mut module);
-    encode_artifact(&module)
-}
-
-/// The echo guest's body is straight-line (no branch targets to renumber),
-/// so ops can be removed from or inserted into it freely.
-fn main_code(m: &mut CompiledModule) -> &mut Vec<Op> {
-    &mut m.funcs[0].code
-}
-
-#[test]
-fn tampered_artifacts_are_refused_by_artifact_decode() {
-    let rt = boot(true);
-    let mut client = HttpClient::new(rt.http_addr().unwrap());
-    let honest = translated(&echo_guest("echo"));
-
-    // (function name, the edit, what decode must say about it). `None`:
-    // the edit touches what the artifact does not carry — fuel charges and
-    // certificates — so the node derives the honest module.
-    let tampers: [(&str, Tamper, Option<&str>); 4] = [
-        // A dropped budget check: the node places every check itself.
-        (
-            "dropped-fuel",
-            |m| assert!(matches!(main_code(m).remove(0), Op::Fuel(_))),
-            None,
-        ),
-        // An extra `Drop` on entry pops an empty operand stack.
-        (
-            "extra-drop",
-            |m| main_code(m).insert(1, Op::Drop),
-            Some("operand underflow"),
-        ),
-        // A preemption-latency certificate claiming a tighter gap than the
-        // body has (module-level figure lowered consistently with it).
-        (
-            "forged-gap",
-            |m| {
-                let cost = &mut m.analysis.cost;
-                cost.funcs[0].max_gap -= 1;
-                cost.max_gap = cost.funcs[0].max_gap;
-            },
-            None,
-        ),
-        // A stack-neutral pair that reads a local the frame does not have.
-        (
-            "wild-local",
-            |m| {
-                main_code(m).splice(1..1, [Op::LocalGet(1 << 20), Op::Drop]);
-            },
-            Some("local index out of range"),
-        ),
-    ];
-    let mut refused = 0;
-    for (name, tamper, why) in tampers {
-        let artifact = tampered_artifact(tamper);
-        let Some(why) = why else {
-            let derived = decode_artifact(&artifact).expect(name);
-            assert_eq!(derived.analysis.cost, honest.analysis.cost, "{name}");
-            assert_eq!(derived.funcs[0].code, honest.funcs[0].code, "{name}");
-            continue;
-        };
-        match decode_artifact(&artifact) {
-            Err(ArtifactError::Unverified(e)) => assert!(e.contains(why), "{name}: {e}"),
-            other => panic!("{name}: decoded or failed otherwise: {other:?}"),
-        }
-        let (status, body) = push(&mut client, name, "", &artifact);
-        assert_eq!(status, 400, "{name}: {body}");
-        assert!(body.contains("body verification failed"), "{name}: {body}");
-        assert!(body.contains(why), "{name}: {body}");
-        assert!(rt.function_by_name(name).is_none(), "{name} registered");
-        refused += 1;
-        assert_eq!(rt.latency_report().registry.modules_rejected, refused);
-    }
-    assert_eq!(rt.latency_report().registry.modules_verified, 0);
-
-    // The node is unharmed and still takes the honest artifact.
-    let frame = ingest_frame(r#"{"name": "echo"}"#, &tampered_artifact(|_| {}));
-    let resp = client
-        .request("POST", "/admin/modules", &[], &frame)
-        .unwrap();
-    assert_eq!(resp.status, 200);
-    let resp = client.request("POST", "/echo", &[], b"honest").unwrap();
-    assert_eq!((resp.status, &resp.body[..]), (200, &b"honest"[..]));
+    let (status, body) = push(&mut client, "tampered", "", &honest);
+    assert_eq!(status, 200, "{body}");
     rt.shutdown();
 }
 
@@ -372,6 +282,7 @@ fn a_forged_effect_certificate_does_not_pass_the_capability_gate() {
         .iter()
         .position(|i| i.ends_with("response_write"));
     effects.funcs[0].hostcalls = vec![write.unwrap() as u32];
+    // What travels is the module's `.wasm`, never its report.
     let grant = r#", "allowed_hostcalls": ["response_write"]"#;
     let (status, body) = push(&mut client, "echo", grant, &encode_artifact(&forged));
     assert_eq!(status, 400, "{body}");
@@ -421,19 +332,22 @@ fn artifact_exporting_a_missing_function_is_refused_and_node_keeps_serving() {
     let rt = boot(true);
     let mut client = HttpClient::new(rt.http_addr().unwrap());
 
-    // Checksum-valid, every body honest, but the entry point names a
-    // function index the module does not have.
-    let artifact = tampered_artifact(|m| {
-        m.exports.insert("main".into(), 9999);
-    });
-    let frame = ingest_frame(r#"{"name": "evil"}"#, &artifact);
+    // Every body honest, but the entry point names a function index the
+    // module does not have.
+    let mut module = echo_guest("echo");
+    let main = module.exports.iter_mut().find(|e| e.name == "main");
+    main.unwrap().kind = ExportKind::Func(9999);
+    let frame = ingest_frame(r#"{"name": "evil"}"#, &wasm_for(&module));
     let resp = client
         .request("POST", "/admin/modules", &[], &frame)
         .unwrap();
     let body = String::from_utf8_lossy(&resp.body).into_owned();
     assert_eq!(resp.status, 400, "{body}");
-    assert!(body.contains("artifact"), "{body}");
-    assert!(body.contains("names no function"), "{body}");
+    assert!(body.contains("module: "), "{body}");
+    assert!(
+        body.contains(r#"export "main" references unknown entity"#),
+        "{body}"
+    );
     assert!(rt.function_by_name("evil").is_none());
     assert_eq!(rt.latency_report().registry.modules_rejected, 1);
 
@@ -453,7 +367,7 @@ fn honest_artifact_of_every_shipped_guest_registers_and_serves() {
     for app in &apps {
         let frame = ingest_frame(
             &format!(r#"{{"name": "{}"}}"#, app.name),
-            &artifact_for(&(app.module)()),
+            &wasm_for(&(app.module)()),
         );
         let resp = client
             .request("POST", "/admin/modules", &[], &frame)
@@ -477,7 +391,7 @@ fn honest_artifact_of_every_shipped_guest_registers_and_serves() {
 fn malformed_frames_rejected_cleanly() {
     let rt = boot(true);
     let mut client = HttpClient::new(rt.http_addr().unwrap());
-    let artifact = artifact_for(&echo_guest("echo"));
+    let wasm = wasm_for(&echo_guest("echo"));
 
     // Empty body: no length prefix.
     let resp = client.request("POST", "/admin/modules", &[], b"").unwrap();
@@ -492,16 +406,11 @@ fn malformed_frames_rejected_cleanly() {
     assert_eq!(resp.status, 400);
     // Config JSON that fails the function schema.
     let resp = client
-        .request(
-            "POST",
-            "/admin/modules",
-            &[],
-            &ingest_frame("{}", &artifact),
-        )
+        .request("POST", "/admin/modules", &[], &ingest_frame("{}", &wasm))
         .unwrap();
     assert_eq!(resp.status, 400);
     assert!(String::from_utf8_lossy(&resp.body).contains("config"));
-    // A valid frame whose artifact is garbage.
+    // A valid frame whose module is garbage.
     let resp = client
         .request(
             "POST",
@@ -521,7 +430,7 @@ fn malformed_frames_rejected_cleanly() {
 fn ingest_route_requires_admin_knob() {
     let rt = boot(false);
     let mut client = HttpClient::new(rt.http_addr().unwrap());
-    let frame = ingest_frame(r#"{"name": "echo"}"#, &artifact_for(&echo_guest("echo")));
+    let frame = ingest_frame(r#"{"name": "echo"}"#, &wasm_for(&echo_guest("echo")));
     let resp = client
         .request("POST", "/admin/modules", &[], &frame)
         .unwrap();

@@ -45,10 +45,10 @@ pub enum Trap {
     OutOfBounds,
     /// Integer division or remainder by zero.
     DivByZero,
-    /// `MIN / -1`.
+    /// `MIN / -1`, and a float-to-int conversion whose truncation lies out
+    /// of range.
     IntOverflow,
-    /// A float-to-int conversion of NaN or of a value out of range (this
-    /// project reports both as this one kind).
+    /// A float-to-int conversion of NaN.
     InvalidConversion,
     /// `call_indirect` through a null table entry.
     UndefinedElement,
@@ -458,11 +458,15 @@ macro_rules! min_max {
 min_max!(fmin32 fmax32 f32);
 min_max!(fmin64 fmax64 f64);
 
-/// `x` truncated, if that lies in `[lo, hi)`.
+/// `x` truncated, if that lies in `[lo, hi)`: NaN is an invalid
+/// conversion, anything else outside the range an integer overflow.
 fn trunc(x: f64, lo: f64, hi: f64) -> Result<f64, Trap> {
-    let t = x.trunc();
-    if x.is_nan() || t < lo || t >= hi {
+    if x.is_nan() {
         return Err(Trap::InvalidConversion);
+    }
+    let t = x.trunc();
+    if t < lo || t >= hi {
+        return Err(Trap::IntOverflow);
     }
     Ok(t)
 }

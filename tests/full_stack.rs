@@ -245,8 +245,8 @@ fn deleted_names_stay_deleted() {
         "DynBounds",
         "vm-guard",
         "no-checks",
-        // Certificates by construction: artifact decode runs the analysis
-        // translation runs, so no second verifier checks shipped claims.
+        // Certificates by construction: a node translates every module
+        // itself, so no second verifier checks shipped claims.
         "NotExecutable",
         "BodyVerification",
         "register_artifact",
@@ -267,6 +267,15 @@ fn deleted_names_stay_deleted() {
         "ALL_TIERS",
         "run_guest_all_configs",
         "prepaid",
+        // One front end: a node builds every module from its `.wasm`; no
+        // artifact codec, second module shelf or router-side translation.
+        "artifact_modules",
+        "Binary::Artifact",
+        "strip_fuel",
+        "ChecksumMismatch",
+        "BadVersion",
+        "artifact_from_wasm",
+        "SLGA",
     ];
     const EVERY_FILE: &[&str] = &[
         // One listener: the epoll reactor, with no backend switch.
